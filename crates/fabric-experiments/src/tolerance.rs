@@ -483,6 +483,8 @@ fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
                 f,
             );
             let mut rejected = 0u64;
+            // The oracle re-hashes (`Block::data_intact`) instead of
+            // reading the verdict sealed in the handle it is auditing.
             let mut all_intact = true;
             for i in 0..(n as usize + 1) {
                 if let Some(stats) = net.gossip(i).stats_on(ChannelId(0)) {
@@ -490,10 +492,14 @@ fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
                 }
                 for num in 1..=HEIGHT {
                     if let Some(block) = net.gossip(i).store().get(num) {
-                        all_intact &= block.data_intact();
+                        all_intact &= Block::data_intact(block);
                     }
                 }
-                all_intact &= net.effects(i).delivered.iter().all(|b| b.data_intact());
+                all_intact &= net
+                    .effects(i)
+                    .delivered
+                    .iter()
+                    .all(|b| Block::data_intact(b));
             }
             TolerancePoint {
                 f,

@@ -66,8 +66,8 @@ pub struct PeerStats {
     /// server crashed, the response was lost, or the floor was pruned.
     pub snapshot_resumes: u64,
     /// Block payloads rejected because the data hash did not match the
-    /// transactions ([`fabric_types::block::Block::data_intact`]) — a
-    /// tampered or equivocated payload, never honest traffic.
+    /// transactions ([`BlockRef::data_intact`]) — a tampered or
+    /// equivocated payload, never honest traffic.
     pub invalid_payloads: u64,
     /// Block payloads rejected because a *different* block already occupies
     /// the same height ([`BlockStore::conflicts_with`]) — equivocation
@@ -214,6 +214,11 @@ impl ChannelCore {
     /// is the trusted part), and a self-consistent payload conflicting
     /// with the block already held at its height is equivocation. Both are
     /// rejected and counted — honest traffic never trips either check.
+    ///
+    /// Both checks read what [`BlockRef::new`] sealed into the handle, so a
+    /// block is hashed once per distinct payload however many copies of it
+    /// the epidemic delivers; a doctored payload is a different handle and
+    /// carries its own (failing) verdict.
     pub fn accept_content(&mut self, fx: &mut dyn Effects, block: &BlockRef) -> bool {
         if !block.data_intact() {
             self.stats.invalid_payloads += 1;

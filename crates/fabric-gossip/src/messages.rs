@@ -500,6 +500,14 @@ mod tests {
         BlockRef::new(Block::genesis().with_padding(padding))
     }
 
+    /// Every queued event and in-flight send holds a `GossipMsg` by value;
+    /// what a `BlockRef` caches must live behind its `Arc`, never widen
+    /// the message (56 bytes since the seed's two-word handle).
+    #[test]
+    fn the_message_does_not_grow_with_what_a_block_handle_caches() {
+        assert!(std::mem::size_of::<GossipMsg>() <= 56);
+    }
+
     #[test]
     fn block_push_size_is_dominated_by_payload() {
         let msg = GossipMsg::BlockPush {

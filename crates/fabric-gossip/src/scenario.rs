@@ -1002,8 +1002,8 @@ impl Byzantine for Withholder {
 /// doctored payload keeps the original header (number, previous hash,
 /// data hash) with tampered transactions — peers with even ids receive
 /// the doctored copy, odd ids the genuine one. Hash verification
-/// ([`fabric_types::block::Block::data_intact`]) must reject every
-/// doctored payload at the receiver (counted in
+/// ([`BlockRef::data_intact`], sealed when the doctored handle is built)
+/// must reject every doctored payload at the receiver (counted in
 /// [`crate::channel::PeerStats::invalid_payloads`]), the store must
 /// never hold a non-matching block, and completeness must still reach
 /// 1.0 through honest redundancy.
@@ -2228,9 +2228,10 @@ mod tests {
         let honest = BlockRef::new(Block::new(5, Hash256::ZERO, vec![]));
         let doctored = Equivocator::doctored(&honest);
         assert_eq!(doctored.hash(), honest.hash(), "header is signature-bound");
-        assert!(honest.data_intact());
+        // Uncached re-hash first, then the verdict the handle sealed.
+        assert!(Block::data_intact(&honest) && honest.data_intact());
         assert!(
-            !doctored.data_intact(),
+            !Block::data_intact(&doctored) && !doctored.data_intact(),
             "tampered txs must not match the data hash"
         );
     }

@@ -96,10 +96,14 @@ impl BlockStore {
     /// hash differs. Honest dissemination re-serves the identical block
     /// (a plain duplicate, never a conflict); a conflicting payload is
     /// equivocation and must be rejected, not merely deduplicated.
+    ///
+    /// Never hashes: the honest duplicate is the very handle already held
+    /// (a pointer comparison), and two distinct handles compare the header
+    /// hashes [`BlockRef::new`] sealed into them.
     pub fn conflicts_with(&self, block: &BlockRef) -> bool {
         self.blocks
             .get(&block.number())
-            .is_some_and(|held| held.hash() != block.hash())
+            .is_some_and(|held| !BlockRef::ptr_eq(held, block) && held.hash() != block.hash())
     }
 
     /// Inserts a block. Returns `None` if it was already present; otherwise

@@ -634,7 +634,9 @@ fn an_equivocators_conflicting_payloads_are_hash_rejected_and_completeness_holds
     assert_eq!(net.head(0), 5);
 
     // The rejections are visible and the stores are clean: every held or
-    // delivered block carries an intact payload.
+    // delivered block carries an intact payload. The oracle re-hashes
+    // (`Block::data_intact`) instead of reading the verdict sealed in the
+    // handle it is auditing.
     let mut rejected = 0;
     for i in 0..5usize {
         if let Some(stats) = net.gossip(i).stats_on(ChannelId(0)) {
@@ -643,13 +645,16 @@ fn an_equivocators_conflicting_payloads_are_hash_rejected_and_completeness_holds
         for n in 1..=5u64 {
             if let Some(block) = net.gossip(i).store().get(n) {
                 assert!(
-                    block.data_intact(),
+                    Block::data_intact(block),
                     "peer {i} stored a tampered payload for block {n}"
                 );
             }
         }
         assert!(
-            net.effects(i).delivered.iter().all(|b| b.data_intact()),
+            net.effects(i)
+                .delivered
+                .iter()
+                .all(|b| Block::data_intact(b)),
             "peer {i} delivered a tampered payload"
         );
     }

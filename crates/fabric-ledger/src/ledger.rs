@@ -377,7 +377,8 @@ impl Ledger {
         self.base
     }
 
-    /// Hash of the chain tip.
+    /// Hash of the chain tip — the header hash sealed in the tip's
+    /// [`BlockRef`], not a re-hash.
     pub fn latest_hash(&self) -> Hash256 {
         self.blocks
             .last()
@@ -456,7 +457,10 @@ impl Ledger {
 
     /// Validates and commits the next block: checks chain linkage and data
     /// integrity, runs endorsement-policy and MVCC validation, applies the
-    /// writes of valid transactions.
+    /// writes of valid transactions. Linkage and integrity read the hash
+    /// and verdict sealed in the [`BlockRef`]s (one SHA-256 pass per
+    /// distinct block, shared by every peer's ledger), so the host-side
+    /// cost of a commit is validation and the state writes.
     ///
     /// # Errors
     ///

@@ -46,51 +46,82 @@ pub struct Block {
     pub padding: u32,
 }
 
-/// Shared, zero-copy handle to an immutable block.
+/// Shared, zero-copy, hash-once handle to an immutable block.
 ///
 /// The block content lives in one `Arc` allocation: cloning a `BlockRef`
 /// (as every gossip hop does when fanning a block out to its targets) is a
-/// reference-count bump, never a payload copy. The wire size is computed
-/// once at construction and cached, so the simulator's per-hop byte
-/// accounting — which reads the size at both departure and delivery —
-/// never re-walks the transaction list.
+/// reference-count bump, never a payload copy. Everything that is a pure
+/// function of that content — the wire size, the header hash and the
+/// [`Block::data_intact`] verdict — is computed once by [`BlockRef::new`]
+/// and sealed into the same allocation, so a block costs one SHA-256 pass
+/// per *distinct payload*, not one per reception: the hundreds of copies a
+/// push epidemic delivers, the store's equivocation check and the ledger's
+/// link check all read the sealed values.
+///
+/// The sealed values cannot go stale: no API hands out `&mut Block` behind
+/// a handle, and a doctored payload can only travel as a *new* `BlockRef`,
+/// which [`BlockRef::new`] hashes on its own. They are host-side
+/// bookkeeping only — simulated validation delay is modelled in virtual
+/// time — so no simulated event moves.
 ///
 /// `BlockRef` dereferences to [`Block`], so all read accessors
-/// (`number()`, `hash()`, `txs`, ...) are available directly. The inherent
-/// [`BlockRef::wire_size`] shadows [`Block::wire_size`] with the cached
-/// value.
+/// (`number()`, `txs`, ...) are available directly. The inherent
+/// [`BlockRef::wire_size`], [`BlockRef::hash`] and
+/// [`BlockRef::data_intact`] shadow the [`Block`] methods of the same name
+/// with the sealed values; an auditor that must not trust the seal calls
+/// `Block::data_intact(&block)` and re-hashes.
 #[derive(Debug, Clone)]
-pub struct BlockRef {
-    inner: Arc<Block>,
+pub struct BlockRef(Arc<Sealed>);
+
+/// A block together with the facts derived from its immutable content.
+#[derive(Debug)]
+struct Sealed {
+    block: Block,
+    hash: Hash256,
     wire_size: usize,
+    data_intact: bool,
 }
 
 impl BlockRef {
-    /// Wraps `block` in a shared handle, precomputing its wire size.
+    /// Wraps `block` in a shared handle, computing its wire size, header
+    /// hash and data-hash verdict — the only time this payload is hashed.
     pub fn new(block: Block) -> Self {
-        let wire_size = block.wire_size();
-        BlockRef {
-            inner: Arc::new(block),
-            wire_size,
-        }
+        BlockRef(Arc::new(Sealed {
+            hash: block.hash(),
+            wire_size: block.wire_size(),
+            data_intact: block.data_intact(),
+            block,
+        }))
     }
 
-    /// Cached size of the block on the wire, in bytes.
+    /// Sealed size of the block on the wire, in bytes.
     pub fn wire_size(&self) -> usize {
-        self.wire_size
+        self.0.wire_size
     }
 
-    /// Whether two handles share the same allocation (used by tests to
-    /// prove dissemination never duplicates a payload).
+    /// Sealed header hash ([`Block::hash`], computed at construction).
+    pub fn hash(&self) -> Hash256 {
+        self.0.hash
+    }
+
+    /// Sealed verdict of [`Block::data_intact`], computed at construction:
+    /// whether the header's data hash covers the transactions.
+    pub fn data_intact(&self) -> bool {
+        self.0.data_intact
+    }
+
+    /// Whether two handles share the same allocation: the store's free
+    /// "honest duplicate" test, and how tests prove dissemination never
+    /// duplicates a payload.
     pub fn ptr_eq(a: &BlockRef, b: &BlockRef) -> bool {
-        Arc::ptr_eq(&a.inner, &b.inner)
+        Arc::ptr_eq(&a.0, &b.0)
     }
 }
 
 impl std::ops::Deref for BlockRef {
     type Target = Block;
     fn deref(&self) -> &Block {
-        &self.inner
+        &self.0.block
     }
 }
 
@@ -104,7 +135,7 @@ impl PartialEq for BlockRef {
     fn eq(&self, other: &Self) -> bool {
         // Pointer equality is the overwhelmingly common case (shared
         // payloads); fall back to structural comparison across runs.
-        Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
+        BlockRef::ptr_eq(self, other) || self.0.block == other.0.block
     }
 }
 
@@ -182,13 +213,15 @@ impl Block {
 /// Returns `Err(height)` for the first block that fails to chain onto its
 /// predecessor or whose data hash does not match its transactions.
 pub fn verify_chain(blocks: &[BlockRef]) -> Result<(), u64> {
-    for (i, block) in blocks.iter().enumerate() {
-        if !block.data_intact() {
+    let mut prev: Option<&BlockRef> = None;
+    for block in blocks {
+        // `Block::follows`, against the predecessor's sealed hash.
+        let linked = prev
+            .is_none_or(|p| block.number() == p.number() + 1 && block.header.prev_hash == p.hash());
+        if !block.data_intact() || !linked {
             return Err(block.number());
         }
-        if i > 0 && !block.follows(&blocks[i - 1]) {
-            return Err(block.number());
-        }
+        prev = Some(block);
     }
     Ok(())
 }
