@@ -1,12 +1,11 @@
 //! `bench_dissemination` — the perf-trajectory emitter.
 //!
-//! Times the fig04 and fig07 dissemination presets plus the multi-channel,
-//! churn and churn-waves presets (wall-clock and events/second), the
+//! Times the fig04 and fig07 dissemination presets plus the churn and
+//! churn-waves presets (wall-clock and events/second), the
 //! delta-discovery churn-waves variant (with its discovery byte share),
-//! the `large` cross-core sharded preset (with its shard count), the
-//! `scheduler` microbench (seed-style binary heap vs timing wheel), the
-//! `sampling` microbench (scalar vs batched latency draws) and the
-//! clone-per-hop vs zero-copy payload comparison, then writes
+//! the skewed and `large` multi-channel presets (with their shard
+//! counts), the `scheduler` microbench (seed-style binary heap vs timing
+//! wheel) and the clone-per-hop vs zero-copy payload comparison, then writes
 //! `BENCH_dissemination.json` (including the box's `threads` count, so
 //! cross-machine numbers are interpretable) so future changes have a
 //! baseline to compare against.
@@ -21,25 +20,24 @@
 //! past the noise thresholds. By default it always exits 0 (wall-clock
 //! noise must not fail a PR, only surface on it); with `--fail-over <pct>`
 //! it exits 1 when any preset loses more than `pct` percent events/second
-//! against the baseline.
+//! against the baseline, or when a baseline preset is missing from the new
+//! run (a renamed or deleted preset must not slip past the gate).
 
 use std::time::Instant;
 
-use bench::sample_bench::run_sample_bench;
 use bench::sched_bench::run_sched_bench;
 use bench::zero_copy::{compare, FloodConfig};
 use bench::{
-    churn_preset, churn_waves_delta_preset, churn_waves_preset, long_chain_preset,
-    multichannel_preset, run_scaled, sampling_bench_ops, scheduler_bench_ops, sharded_preset,
-    Scale,
+    churn_preset, churn_waves_delta_preset, churn_waves_preset, large_preset, long_chain_preset,
+    multichannel_preset, run_scaled, scheduler_bench_ops, Scale,
 };
 use fabric_experiments::churn::run_churn;
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::dissemination::DisseminationConfig;
 use fabric_experiments::long_chain::run_long_chain;
-use fabric_experiments::multichannel::run_multichannel;
-use fabric_experiments::shard::run_sharded;
+use fabric_experiments::multichannel::{run_multichannel, MultiChannelConfig};
 
+#[derive(Default)]
 struct PresetRow {
     name: &'static str,
     wall_secs: f64,
@@ -49,7 +47,7 @@ struct PresetRow {
     completeness: f64,
     /// Discovery byte share of the run (churn-waves rows only).
     discovery_share: Option<f64>,
-    /// Worker shards the run used (sharded rows only).
+    /// Worker shards the run used (multi-channel rows only).
     shards: Option<usize>,
     /// Snapshot-bootstrap catch-up bytes at the tallest sweep point
     /// (long-chain row only).
@@ -79,39 +77,27 @@ fn time_preset(name: &'static str, preset: DisseminationConfig, scale: Scale) ->
         events_per_sec: result.events as f64 / wall.max(1e-9),
         blocks: result.blocks,
         completeness: result.completeness,
-        discovery_share: None,
-        shards: None,
-        catchup_bytes: None,
-        time_to_serving: None,
-        max_msg_bytes: None,
-        delta_bytes: None,
-        resumes: None,
+        ..Default::default()
     }
 }
 
-fn time_multichannel(scale: Scale) -> PresetRow {
-    let cfg = multichannel_preset(scale);
+fn time_multichannel(name: &'static str, cfg: &MultiChannelConfig) -> PresetRow {
     let start = Instant::now();
-    let result = run_multichannel(&cfg);
+    let result = run_multichannel(cfg);
     let wall = start.elapsed().as_secs_f64();
+    let completeness = result.completeness();
+    if completeness < 1.0 {
+        eprintln!("::warning::{name} preset incomplete: completeness {completeness:.4}");
+    }
     PresetRow {
-        name: "multichannel",
+        name,
         wall_secs: wall,
         events: result.events,
         events_per_sec: result.events as f64 / wall.max(1e-9),
-        blocks: result.channels.iter().map(|c| c.blocks).sum(),
-        completeness: result
-            .channels
-            .iter()
-            .map(|c| c.completeness)
-            .fold(1.0f64, f64::min),
-        discovery_share: None,
-        shards: None,
-        catchup_bytes: None,
-        time_to_serving: None,
-        max_msg_bytes: None,
-        delta_bytes: None,
-        resumes: None,
+        blocks: result.blocks,
+        completeness,
+        shards: Some(cfg.shards.clamp(1, result.groups)),
+        ..Default::default()
     }
 }
 
@@ -140,13 +126,7 @@ fn time_churn(scale: Scale) -> PresetRow {
             .iter()
             .map(|c| c.completeness)
             .fold(1.0f64, f64::min),
-        discovery_share: None,
-        shards: None,
-        catchup_bytes: None,
-        time_to_serving: None,
-        max_msg_bytes: None,
-        delta_bytes: None,
-        resumes: None,
+        ..Default::default()
     }
 }
 
@@ -181,40 +161,7 @@ fn time_churn_waves(name: &'static str, cfg: &ChurnWavesConfig) -> PresetRow {
         // the fraction of join/leave records that fully converged.
         completeness: done as f64 / total as f64,
         discovery_share: Some(result.overall_discovery_share()),
-        shards: None,
-        catchup_bytes: None,
-        time_to_serving: None,
-        max_msg_bytes: None,
-        delta_bytes: None,
-        resumes: None,
-    }
-}
-
-fn time_sharded(scale: Scale) -> PresetRow {
-    let cfg = sharded_preset(scale);
-    let start = Instant::now();
-    let result = run_sharded(&cfg);
-    let wall = start.elapsed().as_secs_f64();
-    if result.completeness < 1.0 {
-        eprintln!(
-            "::warning::large preset incomplete: completeness {:.4}",
-            result.completeness
-        );
-    }
-    PresetRow {
-        name: "large_sharded",
-        wall_secs: wall,
-        events: result.events,
-        events_per_sec: result.events as f64 / wall.max(1e-9),
-        blocks: result.blocks,
-        completeness: result.completeness,
-        discovery_share: None,
-        shards: Some(cfg.shards),
-        catchup_bytes: None,
-        time_to_serving: None,
-        max_msg_bytes: None,
-        delta_bytes: None,
-        resumes: None,
+        ..Default::default()
     }
 }
 
@@ -250,13 +197,12 @@ fn time_long_chain(scale: Scale) -> PresetRow {
         events_per_sec: result.events as f64 / wall.max(1e-9),
         blocks: result.blocks,
         completeness: 1.0, // run_long_chain panics on an incomplete catch-up
-        discovery_share: None,
-        shards: None,
         catchup_bytes: Some(tallest.snapshot_bytes),
         time_to_serving: Some(tallest.snapshot_time_to_serving.as_secs_f64()),
         max_msg_bytes: Some(result.max_msg_bytes()),
         delta_bytes: Some(result.delta_bytes()),
         resumes: Some(result.resumes()),
+        ..Default::default()
     }
 }
 
@@ -273,11 +219,11 @@ fn field(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn preset_rows(path: &str) -> Vec<(String, f64, f64, Option<f64>)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        eprintln!("::warning::perf-diff: cannot read {path}");
-        return Vec::new();
-    };
+/// One parsed preset row: (name, wall seconds, events/second, chunked max
+/// message bytes).
+type Row = (String, f64, f64, Option<f64>);
+
+fn parse_rows(text: &str) -> Vec<Row> {
     text.lines()
         .filter(|l| l.contains("\"name\": "))
         .filter_map(|l| {
@@ -297,31 +243,23 @@ fn preset_rows(path: &str) -> Vec<(String, f64, f64, Option<f64>)> {
         .collect()
 }
 
+fn preset_rows(path: &str) -> Vec<Row> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        eprintln!("::warning::perf-diff: cannot read {path}");
+        return Vec::new();
+    };
+    parse_rows(&text)
+}
+
 /// Perf diff: tolerate 25 % wall-clock growth / 20 % events-per-second
 /// loss before flagging (CI machines are noisy; the thresholds catch
 /// engine regressions, not scheduler jitter). Warn-only by default; with
-/// `fail_over = Some(pct)` any preset losing more than `pct` percent
-/// events/second fails the run.
-fn run_compare(new_path: &str, baseline_path: &str, fail_over: Option<f64>) {
-    let new = preset_rows(new_path);
-    let base = preset_rows(baseline_path);
-    if new.is_empty() || base.is_empty() {
-        // Warn-only mode tolerates a broken input (noise must not fail a
-        // PR), but a hard gate that compared nothing must not pass green.
-        if fail_over.is_some() {
-            eprintln!("::error::perf-diff: missing preset rows; refusing to gate on nothing");
-            std::process::exit(1);
-        }
-        eprintln!("::warning::perf-diff: missing preset rows; skipping comparison");
-        return;
-    }
-    let mode = match fail_over {
-        Some(pct) => format!("fail over {pct} % events/s loss"),
-        None => "warn-only".to_owned(),
-    };
-    eprintln!("# perf diff: {new_path} vs baseline {baseline_path} ({mode})");
+/// `fail_over = Some(pct)` the returned list names every preset that lost
+/// more than `pct` percent events/second or vanished from the new run —
+/// non-empty means the gate fails.
+fn diff_rows(new: &[Row], base: &[Row], fail_over: Option<f64>) -> Vec<String> {
     let mut hard_regressions = Vec::new();
-    for (name, wall, eps, max_msg) in &new {
+    for (name, wall, eps, max_msg) in new {
         let Some((_, base_wall, base_eps, base_max_msg)) =
             base.iter().find(|(n, _, _, _)| n == name)
         else {
@@ -360,11 +298,36 @@ fn run_compare(new_path: &str, baseline_path: &str, fail_over: Option<f64>) {
             }
         }
     }
-    for (name, _, _, _) in &base {
+    for (name, _, _, _) in base {
         if !new.iter().any(|(n, _, _, _)| n == name) {
             eprintln!("::warning::perf-diff: preset {name} disappeared from the new run");
+            if fail_over.is_some() {
+                hard_regressions.push(format!("{name}: no row in the new run"));
+            }
         }
     }
+    hard_regressions
+}
+
+fn run_compare(new_path: &str, baseline_path: &str, fail_over: Option<f64>) {
+    let new = preset_rows(new_path);
+    let base = preset_rows(baseline_path);
+    if new.is_empty() || base.is_empty() {
+        // Warn-only mode tolerates a broken input (noise must not fail a
+        // PR), but a hard gate that compared nothing must not pass green.
+        if fail_over.is_some() {
+            eprintln!("::error::perf-diff: missing preset rows; refusing to gate on nothing");
+            std::process::exit(1);
+        }
+        eprintln!("::warning::perf-diff: missing preset rows; skipping comparison");
+        return;
+    }
+    let mode = match fail_over {
+        Some(pct) => format!("fail over {pct} % events/s loss"),
+        None => "warn-only".to_owned(),
+    };
+    eprintln!("# perf diff: {new_path} vs baseline {baseline_path} ({mode})");
+    let hard_regressions = diff_rows(&new, &base, fail_over);
     if !hard_regressions.is_empty() {
         for r in &hard_regressions {
             eprintln!("::error::perf regression past --fail-over threshold: {r}");
@@ -426,11 +389,11 @@ fn main() {
             DisseminationConfig::fig07_09_enhanced_f4(),
             scale,
         ),
-        time_multichannel(scale),
+        time_multichannel("multichannel", &multichannel_preset(scale)),
         time_churn(scale),
         time_churn_waves("churn_waves", &churn_waves_preset(scale)),
         time_churn_waves("churn_waves_delta", &churn_waves_delta_preset(scale)),
-        time_sharded(scale),
+        time_multichannel("large_sharded", &large_preset(scale)),
         time_long_chain(scale),
     ];
     for row in &presets {
@@ -478,15 +441,6 @@ fn main() {
         sched.heap.ops_per_sec,
         sched.wheel.ops_per_sec,
         sched.speedup()
-    );
-
-    // Sampling microbench: scalar latency draws vs the batched stream.
-    let sampling = run_sample_bench(sampling_bench_ops(scale), 3);
-    eprintln!(
-        "sampling microbench: scalar {:>6.2} ns/op | batched {:>6.2} ns/op | {:.2}x",
-        sampling.scalar.ns_per_op,
-        sampling.batched.ns_per_op,
-        sampling.speedup()
     );
 
     // Zero-copy vs clone-per-hop on the fig04 flood shape.
@@ -550,13 +504,6 @@ fn main() {
         sched.heap.ops
     ));
     json.push_str(&format!(
-        "  \"sampling\": {{\"scalar_ns_per_op\": {:.3}, \"batched_ns_per_op\": {:.3}, \"speedup\": {:.3}, \"ops\": {}}},\n",
-        sampling.scalar.ns_per_op,
-        sampling.batched.ns_per_op,
-        sampling.speedup(),
-        sampling.scalar.ops
-    ));
-    json.push_str(&format!(
         "  \"zero_copy\": {{\"baseline_secs\": {:.6}, \"shared_secs\": {:.6}, \"speedup\": {:.3}, \"peers\": {}, \"blocks\": {}}}\n",
         owned.as_secs_f64(),
         shared.as_secs_f64(),
@@ -571,4 +518,27 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = r#"{"name": "fig04", "wall_secs": 1.0, "events_per_sec": 100.0}
+{"name": "multichannel", "wall_secs": 1.0, "events_per_sec": 100.0}
+{"name": "large_sharded", "wall_secs": 1.0, "events_per_sec": 100.0}"#;
+    const RENAMED: &str = r#"{"name": "fig04", "wall_secs": 1.0, "events_per_sec": 100.0}
+{"name": "multichannel", "wall_secs": 1.0, "events_per_sec": 100.0}
+{"name": "large", "wall_secs": 1.0, "events_per_sec": 100.0}"#;
+
+    #[test]
+    fn a_vanished_baseline_preset_fails_only_the_hard_gate() {
+        let (new, base) = (parse_rows(RENAMED), parse_rows(BASELINE));
+        assert_eq!((new.len(), base.len()), (3, 3));
+        assert!(diff_rows(&new, &base, None).is_empty(), "warn-only mode");
+        let failures = diff_rows(&new, &base, Some(60.0));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("large_sharded"));
+        assert!(diff_rows(&base, &base, Some(60.0)).is_empty());
+    }
 }

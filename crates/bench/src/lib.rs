@@ -12,9 +12,7 @@ use fabric_experiments::dissemination::{
 };
 use fabric_experiments::long_chain::LongChainConfig;
 use fabric_experiments::multichannel::MultiChannelConfig;
-use fabric_experiments::shard::ShardedConfig;
 
-pub mod sample_bench;
 pub mod sched_bench;
 pub mod zero_copy;
 
@@ -133,26 +131,16 @@ pub fn scheduler_bench_ops(scale: Scale) -> u64 {
     }
 }
 
-/// Samples for the `sampling` microbench (scalar vs batched latency
-/// draws) at this scale.
-pub fn sampling_bench_ops(scale: Scale) -> u64 {
-    match scale {
-        Scale::Full => 20_000_000,
-        Scale::Quick => 8_000_000,
-        Scale::Smoke => 1_000_000,
-    }
-}
-
-/// The `large` sharded preset at this scale: disjoint clusters of
+/// The `large` multi-channel preset at this scale: disjoint clusters of
 /// overlapping channel pairs simulated as one run, partitioned across
-/// worker shards (see [`ShardedConfig::clustered`]). Full scale is the
-/// production-class deployment (2 016 peers, 252 channels) the serial
-/// engine cannot cover in a bench-job budget.
-pub fn sharded_preset(scale: Scale) -> ShardedConfig {
+/// worker shards (see [`MultiChannelConfig::clustered`]). Full scale is the
+/// production-class deployment (2 016 peers, 252 channels) a single event
+/// loop cannot cover in a bench-job budget.
+pub fn large_preset(scale: Scale) -> MultiChannelConfig {
     match scale {
-        Scale::Full => ShardedConfig::large(),
-        Scale::Quick => ShardedConfig::large_quick(),
-        Scale::Smoke => ShardedConfig::large_smoke(),
+        Scale::Full => MultiChannelConfig::large(),
+        Scale::Quick => MultiChannelConfig::large_quick(),
+        Scale::Smoke => MultiChannelConfig::large_smoke(),
     }
 }
 

@@ -17,11 +17,10 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::kind::KindId;
 use crate::metrics::NetMetrics;
-use crate::net::{LatencyModel, LossStream, NetState, NetworkConfig, NodeId, SampleStream};
+use crate::net::{NetState, NetworkConfig, NodeId};
 use crate::sched::{EventId, Popped, Scheduler, TimingWheel};
 use crate::time::{Duration, Time};
 
@@ -90,117 +89,6 @@ pub trait Protocol: Sized {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(EventId);
 
-/// How the engine organizes its random draws.
-///
-/// # The four-stream determinism contract
-///
-/// Under [`RngMode::Unified`] (the default, and the seed engine's historical
-/// behaviour) **one** generator feeds everything, interleaved in event
-/// order: the loss draw and latency draw of each send, the ingress
-/// processing draw of each arrival, and every protocol draw through
-/// [`Ctx::rng`]. Any change to *when* one category draws therefore perturbs
-/// all the others — which is exactly why batching draws is impossible in
-/// this mode without breaking golden traces, and why every pre-existing
-/// preset stays on it, bit for bit.
-///
-/// Under [`RngMode::Streams`] the draws are split across **four streams
-/// with pinned positions**, each seeded by mixing the simulation seed with a
-/// fixed per-stream tag:
-///
-/// | stream     | feeds                             | position meaning            |
-/// |------------|-----------------------------------|-----------------------------|
-/// | `protocol` | [`Ctx::rng`] (protocol logic)     | i-th protocol draw          |
-/// | `latency`  | link latency of each send         | i-th undropped send         |
-/// | `ingress`  | receiver processing per arrival   | i-th arrival at an up node  |
-/// | `loss`     | Bernoulli loss check per send     | i-th send (lossy nets only) |
-///
-/// The i-th draw of a stream depends only on the seed and on `i` — never on
-/// what the other streams consumed in between. That position-pinning makes
-/// batch-refilled buffers ([`SampleStream`], [`LossStream`]) transparent:
-/// precomputing 1024 latencies ahead of time consumes exactly the draws the
-/// scalar path would have, in the same order. Traces in this mode are
-/// deterministic and replayable per seed, but numerically different from
-/// `Unified` (same distributions, different draws) — it is an opt-in for
-/// new, throughput-oriented presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RngMode {
-    /// One shared generator, draws interleaved in event order (the
-    /// historical contract; byte-identical to every existing golden trace).
-    #[default]
-    Unified,
-    /// Four dedicated position-pinned streams with batch-refilled buffers.
-    Streams,
-}
-
-/// Per-stream seed tags (xored into the simulation seed). Fixed forever:
-/// changing one re-rolls every stream-mode trace.
-const LATENCY_STREAM_TAG: u64 = 0x4c41_5445_4e43_5901; // "LATENCY" | 1
-const INGRESS_STREAM_TAG: u64 = 0x494e_4752_4553_5301; // "INGRESS" | 1
-const LOSS_STREAM_TAG: u64 = 0x4c4f_5353_0000_0001; // "LOSS" | 1
-
-/// The engine's randomness, in either mode. See [`RngMode`].
-//
-// One instance per simulation, embedded and never moved after
-// construction — the size gap between variants costs nothing, and boxing
-// the stream state would put a pointer chase on every latency draw.
-#[allow(clippy::large_enum_variant)]
-enum Rngs {
-    Unified(StdRng),
-    Streams {
-        protocol: StdRng,
-        latency: SampleStream,
-        ingress: SampleStream,
-        loss: LossStream,
-    },
-}
-
-impl Rngs {
-    fn new(mode: RngMode, seed: u64, config: &NetworkConfig) -> Self {
-        match mode {
-            RngMode::Unified => Rngs::Unified(StdRng::seed_from_u64(seed)),
-            RngMode::Streams => Rngs::Streams {
-                protocol: StdRng::seed_from_u64(seed),
-                latency: SampleStream::new(config.latency, seed ^ LATENCY_STREAM_TAG),
-                ingress: SampleStream::new(config.proc_delay, seed ^ INGRESS_STREAM_TAG),
-                loss: LossStream::new(seed ^ LOSS_STREAM_TAG),
-            },
-        }
-    }
-
-    fn protocol(&mut self) -> &mut StdRng {
-        match self {
-            Rngs::Unified(rng) => rng,
-            Rngs::Streams { protocol, .. } => protocol,
-        }
-    }
-
-    /// One link-latency draw. `model` must be the config's latency model —
-    /// in stream mode the stream was built over it at construction.
-    fn latency(&mut self, model: &LatencyModel) -> Duration {
-        match self {
-            Rngs::Unified(rng) => model.sample(rng),
-            Rngs::Streams { latency, .. } => latency.next_sample(),
-        }
-    }
-
-    /// One ingress-processing draw (same caveat as [`Rngs::latency`]).
-    fn ingress(&mut self, model: &LatencyModel) -> Duration {
-        match self {
-            Rngs::Unified(rng) => model.sample(rng),
-            Rngs::Streams { ingress, .. } => ingress.next_sample(),
-        }
-    }
-
-    /// One Bernoulli loss draw; only called when the loss probability is
-    /// positive (in both modes the draw happens iff the network is lossy).
-    fn loss_hit(&mut self, p: f64) -> bool {
-        match self {
-            Rngs::Unified(rng) => rand::RngExt::random::<f64>(rng) < p,
-            Rngs::Streams { loss, .. } => loss.hit(p),
-        }
-    }
-}
-
 /// One protocol-visible event of a traced run: the `(time, seq, event)`
 /// triple the cross-shard equivalence tests compare. Recording is off by
 /// default (one branch per event); see [`Simulation::set_trace`].
@@ -242,7 +130,7 @@ struct EngineCore<M, T> {
     time: Time,
     queue: TimingWheel<EventKind<M, T>>,
     net: NetState,
-    rngs: Rngs,
+    rng: StdRng,
     metrics: NetMetrics,
     events_processed: u64,
     /// Loss probability hoisted out of the config for the per-send check.
@@ -266,7 +154,7 @@ impl<M: Message, T> EngineCore<M, T> {
         let depart = self.net.egress_departure(from, self.time, size);
         self.metrics.record_sent(from, depart, size, kind);
         let loss = self.loss;
-        if loss > 0.0 && self.rngs.loss_hit(loss) {
+        if loss > 0.0 && rand::RngExt::random::<f64>(&mut self.rng) < loss {
             self.metrics.record_loss();
             return;
         }
@@ -274,8 +162,7 @@ impl<M: Message, T> EngineCore<M, T> {
             self.metrics.record_drop_partition();
             return;
         }
-        let model = self.net.config().latency;
-        let latency = self.rngs.latency(&model);
+        let latency = self.net.config().latency.sample(&mut self.rng);
         self.push(depart + latency, EventKind::Arrive { from, to, msg });
     }
 }
@@ -295,12 +182,10 @@ impl<M: Message, T> Ctx<'_, M, T> {
         self.core.time
     }
 
-    /// The simulation's deterministic protocol RNG. Under
-    /// [`RngMode::Unified`] this is the single shared generator; under
-    /// [`RngMode::Streams`] it is the dedicated protocol stream, insulated
-    /// from the network-model draws.
+    /// The simulation's deterministic RNG — the one generator the
+    /// network model draws from too (see [`Simulation::new`]).
     pub fn rng(&mut self) -> &mut StdRng {
-        self.core.rngs.protocol()
+        &mut self.core.rng
     }
 
     /// Sends `msg` from `from` to `to`, subject to the network model.
@@ -410,30 +295,29 @@ impl<P: Protocol> fmt::Debug for Simulation<P> {
 impl<P: Protocol> Simulation<P> {
     /// Creates a simulation over `config` with a deterministic `seed`.
     ///
+    /// # Draw order
+    ///
+    /// One generator, seeded from `seed`, feeds everything, interleaved in
+    /// event order: each send draws a loss check iff the network is lossy,
+    /// then a link latency iff the message was neither lost nor cut by a
+    /// partition; each arrival at an up node draws its ingress processing
+    /// delay; protocol logic draws through [`Ctx::rng`]. Every golden
+    /// trace is a function of this order — moving *when* any category
+    /// draws re-rolls all the others.
+    ///
     /// # Panics
     ///
     /// Panics if `config` fails validation.
     pub fn new(protocol: P, config: NetworkConfig, seed: u64) -> Self {
-        Self::with_rng_mode(protocol, config, seed, RngMode::Unified)
-    }
-
-    /// [`Simulation::new`] with an explicit randomness layout (see
-    /// [`RngMode`] for the determinism contract of each mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails validation.
-    pub fn with_rng_mode(protocol: P, config: NetworkConfig, seed: u64, mode: RngMode) -> Self {
         let metrics = NetMetrics::new(config.nodes, config.metrics_bucket);
         let loss = config.loss;
-        let rngs = Rngs::new(mode, seed, &config);
         Simulation {
             protocol,
             core: EngineCore {
                 time: Time::ZERO,
                 queue: TimingWheel::new(),
                 net: NetState::new(config),
-                rngs,
+                rng: StdRng::seed_from_u64(seed),
                 metrics,
                 events_processed: 0,
                 loss,
@@ -493,11 +377,7 @@ impl<P: Protocol> Simulation<P> {
                         self.core.metrics.record_drop_down();
                         continue;
                     }
-                    let deliver_at = {
-                        let model = self.core.net.config().proc_delay;
-                        let proc = self.core.rngs.ingress(&model);
-                        self.core.net.ingress_delivery_with(to, at, proc)
-                    };
+                    let deliver_at = self.core.net.ingress_delivery(to, at, &mut self.core.rng);
                     if deliver_at == at {
                         self.core.metrics.record_received(to, at, msg.wire_size());
                         self.core.events_processed += 1;
@@ -886,63 +766,6 @@ mod tests {
         let log = &sim.protocol().log;
         assert_eq!(log[0].0, Duration::from_millis(1).as_nanos());
         assert_eq!(log[1].0, Duration::from_millis(2).as_nanos());
-    }
-
-    #[test]
-    fn streams_mode_is_deterministic_and_distinct_from_unified() {
-        let run = |mode: RngMode| {
-            let mut cfg = NetworkConfig::lan(5);
-            cfg.loss = 0.1;
-            let mut sim = Simulation::with_rng_mode(Recorder::default(), cfg, 7, mode);
-            sim.with_ctx(|_, ctx| {
-                for i in 0..40u32 {
-                    ctx.send(NodeId(i % 5), NodeId((i + 1) % 5), Note("x", 100));
-                }
-            });
-            sim.run_until_idle();
-            sim.into_protocol().log
-        };
-        // Same mode, same seed: bit-identical replay.
-        assert_eq!(run(RngMode::Unified), run(RngMode::Unified));
-        assert_eq!(run(RngMode::Streams), run(RngMode::Streams));
-        // Different layouts draw different values (same distributions).
-        assert_ne!(run(RngMode::Unified), run(RngMode::Streams));
-    }
-
-    /// The protocol stream must be insulated from network draws: changing
-    /// the physical network model must not change protocol RNG draws in
-    /// stream mode (it does, by design, in unified mode).
-    #[test]
-    fn streams_mode_pins_protocol_draws_against_network_noise() {
-        struct Draws(Vec<u64>);
-        impl Protocol for Draws {
-            type Msg = Note;
-            type Timer = ();
-            fn on_message(&mut self, ctx: &mut Ctx<'_, Note, ()>, _: NodeId, _: NodeId, _: Note) {
-                self.0.push(rand::RngExt::random::<u64>(ctx.rng()));
-            }
-            fn on_timer(&mut self, _: &mut Ctx<'_, Note, ()>, _: NodeId, _: ()) {}
-        }
-        let run = |latency_jitter: u64| {
-            let mut cfg = NetworkConfig::lan(3);
-            cfg.latency = crate::net::LatencyModel::Lan {
-                base: Duration::from_micros(100),
-                jitter: Duration::from_micros(latency_jitter),
-                spike_prob: 0.01,
-                spike_mult: 4,
-            };
-            let mut sim = Simulation::with_rng_mode(Draws(Vec::new()), cfg, 3, RngMode::Streams);
-            sim.with_ctx(|_, ctx| {
-                for i in 0..20u32 {
-                    ctx.send(NodeId(i % 3), NodeId((i + 1) % 3), Note("x", 64));
-                }
-            });
-            sim.run_until_idle();
-            sim.into_protocol().0
-        };
-        // Different latency models consume different latency-stream draws,
-        // but the protocol stream sees the identical sequence.
-        assert_eq!(run(200), run(900));
     }
 
     #[test]

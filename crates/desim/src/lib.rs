@@ -57,8 +57,8 @@ pub mod sched;
 mod time;
 
 pub use batch::{pool_workers_spawned, run_batch, run_batch_with_workers};
-pub use engine::{Ctx, Message, Protocol, RngMode, Simulation, TimerId, TraceEvent};
+pub use engine::{Ctx, Message, Protocol, Simulation, TimerId, TraceEvent};
 pub use kind::{KindBytes, KindId};
 pub use metrics::{KindStats, NetMetrics};
-pub use net::{LatencyModel, LossStream, NetState, NetworkConfig, NodeId, SampleStream};
+pub use net::{LatencyModel, NetState, NetworkConfig, NodeId};
 pub use time::{Duration, Time};

@@ -98,60 +98,6 @@ impl LatencyModel {
         }
     }
 
-    /// Fills `out` with latency samples, drawing from `rng` in exactly the
-    /// per-sample order of [`LatencyModel::sample`]: the `k`-th filled slot
-    /// equals the `k`-th scalar `sample` call on the same generator state.
-    /// That equivalence is what lets [`SampleStream`] refill its buffer in
-    /// batches without perturbing the stream's draw positions — it is pinned
-    /// by a test below and must survive any future model change.
-    ///
-    /// The win over the scalar loop is locality: one dispatch on the model
-    /// for the whole batch, a tight RNG pass, and a separate arithmetic pass
-    /// so the `-u.ln()` calls pipeline back to back instead of interleaving
-    /// with engine bookkeeping.
-    pub fn fill(&self, rng: &mut StdRng, out: &mut [Duration]) {
-        match *self {
-            LatencyModel::Constant(d) => out.fill(d),
-            LatencyModel::Uniform { min, max } => {
-                if max <= min {
-                    out.fill(min);
-                } else {
-                    let (lo, hi) = (min.as_nanos(), max.as_nanos());
-                    for slot in out.iter_mut() {
-                        *slot = Duration::from_nanos(rng.random_range(lo..=hi));
-                    }
-                }
-            }
-            LatencyModel::Lan {
-                base,
-                jitter,
-                spike_prob,
-                spike_mult,
-            } => {
-                const CHUNK: usize = 64;
-                let mut us = [0.0f64; CHUNK];
-                let mut spiked = [false; CHUNK];
-                let mult = u64::from(spike_mult.max(1));
-                for block in out.chunks_mut(CHUNK) {
-                    // Pass 1: raw draws, in the scalar order (uniform, then
-                    // the spike draw of the same sample).
-                    for i in 0..block.len() {
-                        us[i] = rng.random::<f64>().max(1e-12);
-                        spiked[i] = spike_prob > 0.0 && rng.random::<f64>() < spike_prob;
-                    }
-                    // Pass 2: the ln-heavy arithmetic, branch-light.
-                    for (i, slot) in block.iter_mut().enumerate() {
-                        let mut d = base + jitter.mul_f64(-us[i].ln());
-                        if spiked[i] {
-                            d = d * mult;
-                        }
-                        *slot = d;
-                    }
-                }
-            }
-        }
-    }
-
     /// The mean of the distribution (spikes included).
     pub fn mean(&self) -> Duration {
         match *self {
@@ -171,116 +117,6 @@ impl LatencyModel {
                 )
             }
         }
-    }
-}
-
-/// A dedicated, batch-refilled stream of latency samples.
-///
-/// Owns its own generator, so its draw positions are independent of every
-/// other stream in the simulation: the `k`-th [`SampleStream::next_sample`]
-/// equals the `k`-th [`LatencyModel::sample`] on a fresh `StdRng` with the
-/// same seed, regardless of what the rest of the engine draws in between.
-/// This position-pinning is the heart of the engine's stream-mode
-/// determinism contract (see [`crate::RngMode`]); buffered refills via
-/// [`LatencyModel::fill`] amortize dispatch and keep the `ln`-heavy
-/// exponential sampling in a tight loop.
-#[derive(Debug, Clone)]
-pub struct SampleStream {
-    model: LatencyModel,
-    rng: StdRng,
-    buf: Vec<Duration>,
-    pos: usize,
-}
-
-impl SampleStream {
-    /// Samples precomputed per refill. Large enough to amortize dispatch,
-    /// small enough that an aborted run wastes nothing measurable.
-    pub const BATCH: usize = 1024;
-
-    /// A stream over `model`, seeded independently of every other stream.
-    pub fn new(model: LatencyModel, seed: u64) -> Self {
-        use rand::SeedableRng;
-        SampleStream {
-            model,
-            rng: StdRng::seed_from_u64(seed),
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// The next sample on this stream.
-    #[inline]
-    pub fn next_sample(&mut self) -> Duration {
-        // Constant models never touch the generator — matching the scalar
-        // path, which draws nothing for them either.
-        if let LatencyModel::Constant(d) = self.model {
-            return d;
-        }
-        if self.pos == self.buf.len() {
-            self.refill();
-        }
-        let d = self.buf[self.pos];
-        self.pos += 1;
-        d
-    }
-
-    #[cold]
-    fn refill(&mut self) {
-        if self.buf.is_empty() {
-            self.buf = vec![Duration::ZERO; Self::BATCH];
-        }
-        let model = self.model;
-        model.fill(&mut self.rng, &mut self.buf);
-        self.pos = 0;
-    }
-}
-
-/// A dedicated, batch-refilled stream of loss draws.
-///
-/// The `i`-th [`LossStream::hit`] consumes the `i`-th uniform draw of the
-/// stream's own generator; like [`SampleStream`], its positions are
-/// independent of every other stream. The engine only consults it when the
-/// configured loss probability is positive, so the stream position is
-/// "the `i`-th send of a lossy network" — documented as part of the
-/// stream-mode determinism contract.
-#[derive(Debug, Clone)]
-pub struct LossStream {
-    rng: StdRng,
-    buf: Vec<f64>,
-    pos: usize,
-}
-
-impl LossStream {
-    /// A loss stream seeded independently of every other stream.
-    pub fn new(seed: u64) -> Self {
-        use rand::SeedableRng;
-        LossStream {
-            rng: StdRng::seed_from_u64(seed),
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// `true` when the next draw falls under `p` (the message is lost).
-    #[inline]
-    pub fn hit(&mut self, p: f64) -> bool {
-        if self.pos == self.buf.len() {
-            self.refill();
-        }
-        let u = self.buf[self.pos];
-        self.pos += 1;
-        u < p
-    }
-
-    #[cold]
-    fn refill(&mut self) {
-        if self.buf.is_empty() {
-            self.buf = vec![0.0; SampleStream::BATCH];
-        }
-        for slot in self.buf.iter_mut() {
-            *slot = self.rng.random::<f64>();
-        }
-        self.pos = 0;
     }
 }
 
@@ -561,13 +397,6 @@ impl NetState {
     /// processing delay.
     pub fn ingress_delivery(&mut self, to: NodeId, arrival: Time, rng: &mut StdRng) -> Time {
         let proc = self.config.proc_delay.sample(rng);
-        self.ingress_delivery_with(to, arrival, proc)
-    }
-
-    /// [`NetState::ingress_delivery`] with the processing delay supplied by
-    /// the caller — the entry point for engines that draw `proc` from a
-    /// dedicated sample stream instead of the shared generator.
-    pub fn ingress_delivery_with(&mut self, to: NodeId, arrival: Time, proc: Duration) -> Time {
         let start = arrival.max(self.ingress_free[to.index()]);
         let deliver = start + proc;
         self.ingress_free[to.index()] = deliver;
@@ -654,91 +483,6 @@ mod tests {
         };
         // plain mean 200us, spiked 600us, 50/50 => 400us
         assert_eq!(m.mean(), Duration::from_micros(400));
-    }
-
-    /// The batched fill must be draw-for-draw identical to the scalar
-    /// sampler — the invariant `SampleStream` refills rest on.
-    #[test]
-    fn fill_matches_scalar_sampling_exactly() {
-        let models = [
-            LatencyModel::Constant(Duration::from_millis(3)),
-            LatencyModel::Uniform {
-                min: Duration::from_millis(1),
-                max: Duration::from_millis(5),
-            },
-            LatencyModel::Lan {
-                base: Duration::from_micros(250),
-                jitter: Duration::from_micros(400),
-                spike_prob: 0.01,
-                spike_mult: 20,
-            },
-            // No spikes: the spike draw must vanish from the stream, as it
-            // does in the scalar path.
-            LatencyModel::Lan {
-                base: Duration::from_micros(100),
-                jitter: Duration::from_micros(200),
-                spike_prob: 0.0,
-                spike_mult: 7,
-            },
-        ];
-        for model in models {
-            let mut scalar_rng = StdRng::seed_from_u64(99);
-            let scalar: Vec<Duration> = (0..513).map(|_| model.sample(&mut scalar_rng)).collect();
-            let mut batch_rng = StdRng::seed_from_u64(99);
-            let mut batched = vec![Duration::ZERO; 513];
-            model.fill(&mut batch_rng, &mut batched);
-            assert_eq!(scalar, batched, "model {model:?}");
-            assert_eq!(
-                scalar_rng, batch_rng,
-                "generators must end in the same state"
-            );
-        }
-    }
-
-    #[test]
-    fn sample_stream_is_position_pinned() {
-        let model = LatencyModel::Lan {
-            base: Duration::from_micros(250),
-            jitter: Duration::from_micros(400),
-            spike_prob: 0.01,
-            spike_mult: 20,
-        };
-        let mut stream = SampleStream::new(model, 7);
-        let mut scalar_rng = StdRng::seed_from_u64(7);
-        // Span several refills so the batch boundary is crossed.
-        for i in 0..(3 * SampleStream::BATCH + 17) {
-            assert_eq!(
-                stream.next_sample(),
-                model.sample(&mut scalar_rng),
-                "draw {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn loss_stream_matches_scalar_bernoulli_draws() {
-        let mut stream = LossStream::new(13);
-        let mut scalar_rng = StdRng::seed_from_u64(13);
-        for i in 0..(2 * SampleStream::BATCH + 5) {
-            let expected = scalar_rng.random::<f64>() < 0.25;
-            assert_eq!(stream.hit(0.25), expected, "draw {i} diverged");
-        }
-    }
-
-    #[test]
-    fn ingress_delivery_with_matches_sampled_variant() {
-        let cfg = NetworkConfig::lan(2);
-        let mut a = NetState::new(cfg.clone());
-        let mut b = NetState::new(cfg.clone());
-        let mut rng_a = rng();
-        let mut rng_b = rng();
-        for i in 0..100u64 {
-            let arrival = Time::from_nanos(i * 1000);
-            let via_rng = a.ingress_delivery(NodeId(1), arrival, &mut rng_a);
-            let proc = cfg.proc_delay.sample(&mut rng_b);
-            let via_proc = b.ingress_delivery_with(NodeId(1), arrival, proc);
-            assert_eq!(via_rng, via_proc);
-        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * [`conflicts`] — Table II: invalidated transactions under different
 //!   block periods;
 //! * [`multichannel`] — beyond the paper: C channels × N peers with
-//!   overlapping memberships and skewed per-channel block rates, reporting
-//!   per-channel latency CDFs and Jain's fairness;
+//!   overlapping memberships and per-channel client workloads — one
+//!   `FabricNet` per connected component of the channel-overlap graph,
+//!   fanned out over worker shards — reporting per-channel latency and
+//!   Jain's fairness;
 //! * [`churn`] — beyond the paper: runtime channel membership over the
 //!   full pipeline — late joiners catching up via StateInfo + recovery
 //!   (catch-up latency) and a departing leader forcing a hand-off;
@@ -54,7 +56,6 @@ pub mod multichannel;
 pub mod net;
 pub mod parallel;
 pub mod report;
-pub mod shard;
 pub mod tolerance;
 
 pub use adversarial::{
@@ -69,17 +70,14 @@ pub use long_chain::{
     render_long_chain, run_long_chain, LongChainConfig, LongChainResult, LongChainRow,
 };
 pub use multichannel::{
-    run_multichannel, ChannelPlan, MultiChannelConfig, MultiChannelNet, MultiChannelResult,
+    plan_groups, render_multichannel, run_multichannel, ChannelGroup, ChannelOutcome, ChannelPlan,
+    MergedEvent, MultiChannelConfig, MultiChannelResult,
 };
 pub use net::{
     ChannelSpec, ChurnAction, ChurnEvent, DiscoveryMode, FabricNet, NetMsg, NetParams, NetTimer,
     ViewConvergence,
 };
 pub use parallel::{run_conflicts_batch, run_dissemination_batch, run_seed_sweep};
-pub use shard::{
-    plan_groups, run_sharded, MergedEvent, ShardChannel, ShardChannelOutcome, ShardGroup,
-    ShardedConfig, ShardedResult,
-};
 pub use tolerance::{
     render_tolerance, run_tolerance, FamilyFrontier, ToleranceConfig, TolerancePoint,
     ToleranceReport,

@@ -1,71 +1,138 @@
-//! Multi-channel dissemination scenarios: C channels × N peers with
-//! overlapping memberships and skewed per-channel block rates.
+//! Multi-channel dissemination: C channels × N peers with overlapping
+//! memberships and per-channel workloads, on the one simulated deployment.
 //!
-//! Fabric scopes gossip per channel, and channel count is a first-order
-//! throughput and fairness lever (Wang & Chu's bottleneck analysis). This
-//! module exercises exactly that axis: every peer joins the channels whose
-//! membership window covers it, each channel elects its own leader and
-//! runs its own push/pull/recovery instance, and the per-channel
-//! [`LatencyRecorder`]s plus the per-channel byte breakdown in
-//! [`fabric_gossip::PeerStats`] feed latency CDFs and Jain's fairness
-//! **per channel** — the view peer-global totals cannot provide.
+//! Fabric scopes every protocol interaction — gossip, ordering, endorsement
+//! — per channel, and channel count is a first-order throughput and
+//! fairness lever (Wang & Chu's bottleneck analysis). Channels interact
+//! only where they share peers (a shared peer's serial validation
+//! pipeline, its per-peer stats), so the channel-overlap graph is the exact
+//! coupling structure of a deployment: two channels with no member in
+//! common cannot influence each other's events in any way.
+//! [`plan_groups`] computes the connected components of that graph, and
+//! [`run_multichannel`] simulates each component as its own
+//! [`FabricNet`] — own client, ordering service, endorsers, validation and
+//! virtual clock, the same pipeline Figs. 4–9 run on — over
+//! [`desim::run_batch_with_workers`], then merges the per-group results.
+//! A deployment whose channels all overlap ([`MultiChannelConfig::skewed`])
+//! is one component and so one `FabricNet` on the calling thread;
+//! [`MultiChannelConfig::large`] is 126 of them, same code.
 //!
-//! Unlike [`crate::net::FabricNet`] (which drives the full
-//! execute-order-validate pipeline on one channel), the orderer here is
-//! abstracted to per-channel injection timers with configurable periods:
-//! the paper's dissemination clock starts at leader reception anyway, and
-//! skewed injection is the point of the scenario.
+//! # Determinism
+//!
+//! Every result is a pure function of the configuration and seed,
+//! **independent of the shard count**: each group's RNG seed mixes only the
+//! run seed and the group's index (never a worker id), each group's
+//! simulation is bit-for-bit replayable on its own, and the merged trace's
+//! key `(time, group, seq)` is unique per event. `shards = 1` and
+//! `shards = N` therefore produce identical results — the property
+//! `tests/sharding.rs` pins. Components that share peers stay on one shard
+//! by construction, so the merge is a k-way merge of already-closed event
+//! streams, not a synchronization protocol.
 
-use desim::{Ctx, Duration, NetworkConfig, NodeId, Simulation, Time};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+
+use desim::{run_batch_with_workers, Duration, NetworkConfig, Simulation, Time, TraceEvent};
 use fabric_gossip::config::GossipConfig;
-use fabric_gossip::effects::Effects;
-use fabric_gossip::messages::{ChannelMsg, GossipMsg, GossipTimer};
-use fabric_gossip::peer::GossipPeer;
-use fabric_types::block::{Block, BlockRef};
-use fabric_types::crypto::Hash256;
+use fabric_orderer::cutter::BatchConfig;
+use fabric_orderer::service::OrdererConfig;
 use fabric_types::ids::{ChannelId, PeerId};
+use fabric_types::transaction::EndorsementPolicy;
+use fabric_workload::schedule::{
+    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload,
+};
+use gossip_metrics::cdf::Cdf;
 use gossip_metrics::fairness::FairnessReport;
-use gossip_metrics::latency::LatencyRecorder;
 
-/// One channel of a multi-channel scenario.
+use crate::net::{ChannelSpec, FabricNet, NetParams};
+
+/// One channel of a multi-channel deployment: its membership and its
+/// client workload.
 #[derive(Debug, Clone)]
 pub struct ChannelPlan {
-    /// The peers joined to this channel (its single organization).
+    /// Members (the channel's single organization) in ascending **global**
+    /// peer-id order; the lowest id endorses.
     pub members: Vec<PeerId>,
-    /// Period between block injections at this channel's leader.
-    pub block_interval: Duration,
-    /// Blocks the channel's ordering service will inject.
-    pub blocks: u64,
-    /// Payload padding per block, in bytes.
-    pub payload: u32,
+    /// Transactions the client issues on this channel.
+    pub txs: usize,
+    /// Issue rate, transactions per second.
+    pub rate_per_sec: f64,
+    /// Wire padding per transaction.
+    pub tx_padding: u32,
 }
 
 /// Everything a multi-channel run needs.
 #[derive(Debug, Clone)]
 pub struct MultiChannelConfig {
-    /// Total peers in the deployment (channels cover subsets of them).
+    /// Total peers in the logical deployment (global ids `0..peers`).
     pub peers: usize,
-    /// One plan per channel; channel `c` gets id `ChannelId(c)`.
-    pub plans: Vec<ChannelPlan>,
+    /// The channels; channel `c` keeps global index `c` in the results.
+    pub channels: Vec<ChannelPlan>,
     /// Gossip configuration shared by every channel instance.
     pub gossip: GossipConfig,
-    /// Physical network model.
+    /// Ordering service configuration, shared by every group's orderer.
+    pub orderer: OrdererConfig,
+    /// Physical network template; `nodes` is overridden per group.
     pub network: NetworkConfig,
-    /// Extra idle time after the last injection window.
+    /// Worker shards (1 = serial reference run; results are identical).
+    pub shards: usize,
+    /// Record the merged `(time, group, seq, event)` stream. Costs a
+    /// string per event — leave off for throughput measurements.
+    pub record_trace: bool,
+    /// Extra idle time simulated after each group's drain window.
     pub idle_tail: Duration,
-    /// Simulation seed.
+    /// Run seed; group `g` derives its own seed from `(seed, g)` only.
     pub seed: u64,
 }
 
 impl MultiChannelConfig {
-    /// The standard skewed preset: `channels` overlapping membership
-    /// windows over `peers` peers, with channel `c` publishing at
-    /// `base_interval · (c + 1)` — channel 0 is the busiest — and block
-    /// counts scaled so every channel stays active for a similar span.
+    /// The defaults every preset shares: the paper's enhanced gossip, its
+    /// dissemination orderer (50-tx blocks, 2 s batch timeout) and LAN.
+    fn over(peers: usize, channels: Vec<ChannelPlan>) -> Self {
+        MultiChannelConfig {
+            peers,
+            channels,
+            gossip: GossipConfig::enhanced_f4(),
+            orderer: OrdererConfig::kafka(BatchConfig::paper_dissemination()),
+            network: NetworkConfig::lan(0),
+            shards: std::thread::available_parallelism()
+                .map(|cores| cores.get())
+                .unwrap_or(1),
+            record_trace: false,
+            idle_tail: Duration::from_secs(5),
+            seed: 1,
+        }
+    }
+
+    /// The skewed preset: `channels` overlapping membership windows over
+    /// `peers` peers, channel `c` running `(c + 1)`× slower than channel 0
+    /// — the busiest — with block counts scaled so every channel stays
+    /// active for a similar span.
     ///
     /// Windows are sized at roughly `2·peers/(channels+1)` with ~50 %
     /// overlap between neighbours, so interior peers serve two channels:
-    /// the overlapping-org-membership shape of real consortium networks.
+    /// the overlapping-org-membership shape of real consortium networks
+    /// (and one connected component, whatever `channels` is).
+    ///
+    /// The skew is client traffic: channel `c` is issued
+    /// `10 · max(1, base_blocks / (c + 1))` paper-sized (≈ 3.2 KB)
+    /// transactions at `10 / (0.5 s · (c + 1))` per second, and the
+    /// preset's orderer cuts at 10 transactions — one ≈ 32 KB block per
+    /// `0.5 s · (c + 1)`. Ten rather than the paper's 50 per block because
+    /// all channels of a component share one client and one orderer node,
+    /// each ingesting ≈ 230 messages/s under [`NetworkConfig::lan`]'s
+    /// receiver processing delay: at 50 per block eight channels issue
+    /// 272 tx/s and the client's queue grows without bound, at 10 they
+    /// issue 54.
+    ///
+    /// The orderer's 2 s batch timeout stays. A block fills in
+    /// `0.45 s · (c + 1)`: up to channel index 2 it is cut by count and
+    /// [`ChannelOutcome::blocks`] equals the planned `txs / 10`; index 3
+    /// fills in 1.8 s, within one latency spike of the timeout (61 cut for
+    /// 60 planned at the quick bench scale); from index 4 up (only the
+    /// 8-channel full scale has them) the timeout cuts more, smaller
+    /// blocks. `ChannelOutcome::blocks` therefore always reports blocks
+    /// **cut**, never the plan.
     ///
     /// # Panics
     ///
@@ -73,295 +140,151 @@ impl MultiChannelConfig {
     pub fn skewed(channels: usize, peers: usize, base_blocks: u64) -> Self {
         assert!(channels >= 1, "need at least one channel");
         assert!(peers >= 2 * channels, "need >= 2 peers per channel");
+        const BLOCK_TXS: u64 = 10;
         let window = (2 * peers).div_ceil(channels + 1).max(2);
         let stride = if channels == 1 {
             0
         } else {
             (peers - window) / (channels - 1)
         };
-        let base_interval = Duration::from_millis(500);
-        let plans: Vec<ChannelPlan> = (0..channels)
+        let plans = (0..channels)
             .map(|c| {
                 let lo = c * stride;
                 let hi = (lo + window).min(peers);
+                let slowdown = c as u64 + 1;
                 ChannelPlan {
                     members: (lo as u32..hi as u32).map(PeerId).collect(),
-                    block_interval: base_interval * (c as u64 + 1),
-                    blocks: (base_blocks / (c as u64 + 1)).max(1),
-                    payload: 32_768,
+                    txs: (BLOCK_TXS * (base_blocks / slowdown).max(1)) as usize,
+                    rate_per_sec: BLOCK_TXS as f64 / (0.5 * slowdown as f64),
+                    tx_padding: 32_768 / BLOCK_TXS as u32,
                 }
             })
             .collect();
-        MultiChannelConfig {
-            peers,
-            plans,
-            gossip: GossipConfig::enhanced_f4(),
-            network: NetworkConfig::lan(peers),
-            idle_tail: Duration::from_secs(10),
-            seed: 1,
-        }
+        let mut cfg = Self::over(peers, plans);
+        cfg.orderer.batch.max_message_count = BLOCK_TXS as usize;
+        cfg
     }
-}
 
-/// Timers of the multi-channel deployment.
-#[derive(Debug)]
-pub enum McTimer {
-    /// A gossip timer of one peer's channel instance.
-    Peer {
-        /// The channel instance the timer belongs to.
-        channel: ChannelId,
-        /// The gossip timer payload.
-        timer: GossipTimer,
-    },
-    /// The channel's ordering service injects its next block at the
-    /// leader.
-    Inject {
-        /// The channel being injected.
-        channel: ChannelId,
-    },
-}
-
-/// Per-channel chain bookkeeping for the abstract orderer.
-#[derive(Debug)]
-struct ChainState {
-    next_num: u64,
-    prev_hash: Hash256,
-}
-
-/// The multi-channel deployment as a [`desim::Protocol`]: node `i` is peer
-/// `i`; there are no extra nodes (injection rides on leader timers).
-#[derive(Debug)]
-pub struct MultiChannelNet {
-    cfg: MultiChannelConfig,
-    peers: Vec<GossipPeer>,
-    /// Channel → leader peer (lowest member id).
-    leaders: Vec<PeerId>,
-    /// Channel → peer index → dense member slot (None for non-members).
-    slots: Vec<Vec<Option<usize>>>,
-    chains: Vec<ChainState>,
-    /// One latency matrix per channel, sized to the channel's membership.
-    pub latency: Vec<LatencyRecorder>,
-}
-
-impl MultiChannelNet {
-    /// Builds the deployment.
+    /// A deployment of `groups` disjoint clusters, each `cluster_peers`
+    /// wide with two overlapping channels (the consortium shape: an
+    /// interior band of peers serves both), issuing `txs` transactions per
+    /// channel at the paper's dissemination rate and size.
     ///
     /// # Panics
     ///
-    /// Panics on an empty plan list, an invalid gossip configuration, or a
-    /// member id outside `0..peers`.
-    pub fn new(cfg: MultiChannelConfig) -> Self {
-        assert!(!cfg.plans.is_empty(), "need at least one channel plan");
-        let mut leaders = Vec::with_capacity(cfg.plans.len());
-        let mut slots = Vec::with_capacity(cfg.plans.len());
-        let mut latency = Vec::with_capacity(cfg.plans.len());
-        let mut chains = Vec::with_capacity(cfg.plans.len());
-        for (c, plan) in cfg.plans.iter().enumerate() {
-            let channel = ChannelId(c as u16);
-            assert!(!plan.members.is_empty(), "channel {channel} has no members");
-            assert!(
-                plan.members.iter().all(|p| p.index() < cfg.peers),
-                "channel {channel} member outside the deployment"
-            );
-            let mut slot_map = vec![None; cfg.peers];
-            for (slot, member) in plan.members.iter().enumerate() {
-                slot_map[member.index()] = Some(slot);
+    /// Panics if `cluster_peers < 8` (the overlap windows need room).
+    pub fn clustered(groups: usize, cluster_peers: usize, txs: usize) -> Self {
+        assert!(cluster_peers >= 8, "clusters need at least 8 peers");
+        let window = cluster_peers * 2 / 3;
+        let workload = PayloadWorkload::shortened(txs);
+        let mut channels = Vec::with_capacity(groups * 2);
+        for g in 0..groups {
+            let base = (g * cluster_peers) as u32;
+            let lo_b = base + (cluster_peers - window) as u32;
+            for (lo, hi) in [
+                (base, base + window as u32),
+                (lo_b, base + cluster_peers as u32),
+            ] {
+                channels.push(ChannelPlan {
+                    members: (lo..hi).map(PeerId).collect(),
+                    txs,
+                    rate_per_sec: workload.rate_per_sec,
+                    tx_padding: workload.tx_padding,
+                });
             }
-            leaders.push(*plan.members.iter().min().expect("non-empty members"));
-            slots.push(slot_map);
-            latency.push(LatencyRecorder::new(plan.members.len()));
-            chains.push(ChainState {
-                next_num: 1,
-                prev_hash: Block::genesis().hash(),
-            });
         }
-        let peers: Vec<GossipPeer> = (0..cfg.peers as u32)
-            .map(|i| {
-                let id = PeerId(i);
-                cfg.plans
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, plan)| plan.members.contains(&id))
-                    .fold(
-                        GossipPeer::with_channels(id, cfg.gossip.clone()),
-                        |peer, (c, plan)| {
-                            peer.join_channel(ChannelId(c as u16), plan.members.clone())
-                        },
-                    )
-            })
+        Self::over(groups * cluster_peers, channels)
+    }
+
+    /// The `large` preset: thousands of peers across hundreds of channels
+    /// — the production-scale class a single event loop cannot reach in a
+    /// bench-job budget.
+    pub fn large() -> Self {
+        Self::clustered(126, 16, 600)
+    }
+
+    /// `large` scaled to a quick-bench budget (same shape, shorter
+    /// workload).
+    pub fn large_quick() -> Self {
+        Self::clustered(126, 16, 150)
+    }
+
+    /// A smoke-sized `large` slice for tests and golden pins.
+    pub fn large_smoke() -> Self {
+        Self::clustered(6, 16, 100)
+    }
+}
+
+/// One connected component of the channel-overlap graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChannelGroup {
+    /// Global channel indices in this component, ascending.
+    pub channels: Vec<usize>,
+    /// Union of the channels' members, ascending global ids.
+    pub members: Vec<PeerId>,
+}
+
+/// Partitions channels into connected components of the overlap graph:
+/// channels sharing any member land in the same group (transitively).
+/// Groups come back ordered by their smallest channel index.
+pub fn plan_groups(memberships: &[Vec<PeerId>]) -> Vec<ChannelGroup> {
+    let mut parent: Vec<usize> = (0..memberships.len()).collect();
+    fn find(parent: &mut [usize], mut c: usize) -> usize {
+        while parent[c] != c {
+            parent[c] = parent[parent[c]];
+            c = parent[c];
+        }
+        c
+    }
+    let mut first_channel_of_peer: HashMap<PeerId, usize> = HashMap::new();
+    for (c, members) in memberships.iter().enumerate() {
+        for &peer in members {
+            match first_channel_of_peer.entry(peer) {
+                Entry::Vacant(slot) => {
+                    slot.insert(c);
+                }
+                Entry::Occupied(slot) => {
+                    let a = find(&mut parent, *slot.get());
+                    let b = find(&mut parent, c);
+                    // Root at the smaller index so group order is stable.
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    parent[hi] = lo;
+                }
+            }
+        }
+    }
+    let mut groups: BTreeMap<usize, ChannelGroup> = BTreeMap::new();
+    for c in 0..memberships.len() {
+        let root = find(&mut parent, c);
+        let group = groups.entry(root).or_insert_with(|| ChannelGroup {
+            channels: Vec::new(),
+            members: Vec::new(),
+        });
+        group.channels.push(c);
+    }
+    for group in groups.values_mut() {
+        let mut members: Vec<PeerId> = group
+            .channels
+            .iter()
+            .flat_map(|&c| memberships[c].iter().copied())
             .collect();
-        MultiChannelNet {
-            cfg,
-            peers,
-            leaders,
-            slots,
-            chains,
-            latency,
-        }
+        members.sort_unstable();
+        members.dedup();
+        group.members = members;
     }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &MultiChannelConfig {
-        &self.cfg
-    }
-
-    /// The gossip state of peer `i`.
-    pub fn gossip(&self, i: usize) -> &GossipPeer {
-        &self.peers[i]
-    }
-
-    /// The leader of channel `c`.
-    pub fn leader_of(&self, c: usize) -> PeerId {
-        self.leaders[c]
-    }
-
-    /// Starts the run: initializes every peer's timers (all channels) and
-    /// arms each channel's first injection, staggered by its own interval.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, ChannelMsg, McTimer>) {
-        for i in 0..self.peers.len() {
-            let node = NodeId(i as u32);
-            let mut fx = McFx {
-                ctx,
-                me: node,
-                slots: &self.slots,
-                latency: &mut self.latency,
-            };
-            self.peers[i].init(&mut fx);
-        }
-        for (c, plan) in self.cfg.plans.iter().enumerate() {
-            let channel = ChannelId(c as u16);
-            ctx.set_timer(
-                NodeId(self.leaders[c].0),
-                plan.block_interval,
-                McTimer::Inject { channel },
-            );
-        }
-    }
-
-    /// The virtual instant by which every channel has injected its last
-    /// block (the drain window starts here).
-    pub fn injection_end(&self) -> Time {
-        let mut end = Time::ZERO;
-        for plan in &self.cfg.plans {
-            end = end.max(Time::ZERO + plan.block_interval * (plan.blocks + 1));
-        }
-        end
-    }
-
-    fn inject(&mut self, ctx: &mut Ctx<'_, ChannelMsg, McTimer>, channel: ChannelId) {
-        let c = channel.index();
-        let plan = &self.cfg.plans[c];
-        let chain = &mut self.chains[c];
-        if chain.next_num > plan.blocks {
-            return;
-        }
-        let num = chain.next_num;
-        chain.next_num += 1;
-        let block = Block::new(num, chain.prev_hash, vec![]).with_padding(plan.payload);
-        chain.prev_hash = block.hash();
-        let block = BlockRef::new(block);
-        self.latency[c].start_block(num, ctx.now());
-        let leader = self.leaders[c];
-        let node = NodeId(leader.0);
-        {
-            let mut fx = McFx {
-                ctx,
-                me: node,
-                slots: &self.slots,
-                latency: &mut self.latency,
-            };
-            self.peers[leader.index()].on_block_from_orderer_on(&mut fx, channel, block);
-        }
-        if chain.next_num <= plan.blocks {
-            ctx.set_timer(node, plan.block_interval, McTimer::Inject { channel });
-        }
-    }
-}
-
-impl desim::Protocol for MultiChannelNet {
-    type Msg = ChannelMsg;
-    type Timer = McTimer;
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, ChannelMsg, McTimer>,
-        to: NodeId,
-        from: NodeId,
-        msg: ChannelMsg,
-    ) {
-        let mut fx = McFx {
-            ctx,
-            me: to,
-            slots: &self.slots,
-            latency: &mut self.latency,
-        };
-        self.peers[to.index()].on_channel_message(&mut fx, msg.channel, PeerId(from.0), msg.msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ChannelMsg, McTimer>, node: NodeId, timer: McTimer) {
-        match timer {
-            McTimer::Peer { channel, timer } => {
-                let mut fx = McFx {
-                    ctx,
-                    me: node,
-                    slots: &self.slots,
-                    latency: &mut self.latency,
-                };
-                self.peers[node.index()].on_channel_timer(&mut fx, channel, timer);
-            }
-            McTimer::Inject { channel } => self.inject(ctx, channel),
-        }
-    }
-}
-
-/// The [`Effects`] adapter: one peer's view of the multi-channel sim.
-struct McFx<'a, 'c> {
-    ctx: &'a mut Ctx<'c, ChannelMsg, McTimer>,
-    me: NodeId,
-    slots: &'a [Vec<Option<usize>>],
-    latency: &'a mut [LatencyRecorder],
-}
-
-impl Effects for McFx<'_, '_> {
-    fn now(&self) -> Time {
-        self.ctx.now()
-    }
-
-    fn send(&mut self, channel: ChannelId, to: PeerId, msg: GossipMsg) {
-        self.ctx
-            .send(self.me, NodeId(to.0), ChannelMsg { channel, msg });
-    }
-
-    fn schedule(&mut self, after: Duration, channel: ChannelId, timer: GossipTimer) {
-        self.ctx
-            .set_timer(self.me, after, McTimer::Peer { channel, timer });
-    }
-
-    fn rng(&mut self) -> &mut rand::rngs::StdRng {
-        self.ctx.rng()
-    }
-
-    fn block_received(&mut self, channel: ChannelId, block_num: u64) {
-        let c = channel.index();
-        if let Some(slot) = self.slots[c][self.me.index()] {
-            self.latency[c].record(block_num, slot, self.ctx.now());
-        }
-    }
-
-    fn deliver(&mut self, _channel: ChannelId, _block: BlockRef) {
-        // The scenario measures dissemination; ledger commit costs are
-        // FabricNet's concern.
-    }
+    groups.into_values().collect()
 }
 
 /// One channel's measured outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelOutcome {
-    /// The channel.
-    pub channel: ChannelId,
+    /// Global channel index (position in [`MultiChannelConfig::channels`]).
+    pub channel: usize,
+    /// The group (connected component) that simulated it.
+    pub group: usize,
     /// Member count.
     pub members: usize,
-    /// Blocks injected.
+    /// Blocks the orderer cut on this channel's chain.
     pub blocks: u64,
     /// Fraction of (block, member) deliveries that happened.
     pub completeness: f64,
@@ -371,81 +294,267 @@ pub struct ChannelOutcome {
     pub p999: Duration,
     /// Worst cell.
     pub max: Duration,
+    /// Gossip bytes each member sent on this channel, by global peer id —
+    /// the rows [`MultiChannelResult::fairness`] is computed from.
+    pub member_bytes: Vec<(PeerId, u64)>,
 }
 
-/// What a multi-channel run produces.
-#[derive(Debug)]
+/// One event of the merged cross-group stream. Ordered by
+/// `(time, group, seq)` — unique per event, independent of shard count.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct MergedEvent {
+    /// Virtual instant within the event's group.
+    pub at: Time,
+    /// The group whose simulation processed it.
+    pub group: usize,
+    /// The group-local total-order sequence number.
+    pub seq: u64,
+    /// Rendered event (delivery, timer or status change).
+    pub what: String,
+}
+
+/// What a multi-channel run produces. Equality is exact — the
+/// shard-count-invariance tests compare whole results.
+#[derive(Debug, PartialEq)]
 pub struct MultiChannelResult {
-    /// Per-channel outcomes, channel order.
+    /// Per-channel outcomes, global channel order.
     pub channels: Vec<ChannelOutcome>,
     /// Per-channel and overall Jain fairness over per-member gossip bytes.
     pub fairness: FairnessReport,
-    /// Simulation events processed.
+    /// Gossip bytes each peer sent across all its channels, by global peer
+    /// index (0 for a peer no channel covers).
+    pub peer_bytes: Vec<u64>,
+    /// Connected components simulated (the parallelism grain).
+    pub groups: usize,
+    /// Blocks cut across all channels.
+    pub blocks: u64,
+    /// Simulation events processed across all groups.
     pub events: u64,
-    /// Final virtual time.
+    /// Latest virtual end time over the groups.
     pub sim_end: Time,
-    /// The final protocol state, for custom inspection.
-    pub net: MultiChannelNet,
+    /// The merged event stream, when [`MultiChannelConfig::record_trace`]
+    /// was set.
+    pub trace: Option<Vec<MergedEvent>>,
+}
+
+impl MultiChannelResult {
+    /// The run's completeness: the **lowest** per-channel completeness, so
+    /// one starved channel cannot hide behind hundreds of healthy ones
+    /// (the same rule as [`FairnessReport::worst_channel_jain`]).
+    pub fn completeness(&self) -> f64 {
+        self.channels
+            .iter()
+            .map(|c| c.completeness)
+            .fold(1.0f64, f64::min)
+    }
+}
+
+struct GroupOutcome {
+    channels: Vec<ChannelOutcome>,
+    /// Total gossip bytes sent, one entry per group member.
+    peer_bytes: Vec<u64>,
+    events: u64,
+    end: Time,
+    trace: Vec<TraceEvent>,
 }
 
 /// Runs one multi-channel experiment to completion.
+///
+/// # Panics
+///
+/// Panics on an empty channel list, unsorted or out-of-range memberships,
+/// or an empty workload.
 pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
-    let mut network = cfg.network.clone();
-    network.nodes = cfg.peers;
-    let mut net = MultiChannelNet::new(cfg.clone());
-    let injection_end = net.injection_end();
-    let mut sim = Simulation::new(net, network, cfg.seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(injection_end + Duration::from_secs(40));
-    sim.run_for(cfg.idle_tail);
-    let events = sim.events_processed();
-    let sim_end = sim.now();
-    net = sim.into_protocol();
-
-    let mut outcomes = Vec::with_capacity(cfg.plans.len());
-    let mut fairness_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::with_capacity(cfg.plans.len());
-    for (c, plan) in cfg.plans.iter().enumerate() {
-        let channel = ChannelId(c as u16);
-        let rec = &net.latency[c];
-        let mut pool = Vec::new();
-        for slot in 0..plan.members.len() {
-            pool.extend(rec.peer_latencies(slot));
-        }
-        let cdf = gossip_metrics::cdf::Cdf::new(pool);
-        let (p50, p999, max) = if cdf.is_empty() {
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO)
-        } else {
-            (cdf.quantile(0.5), cdf.quantile(0.999), cdf.max())
-        };
-        outcomes.push(ChannelOutcome {
-            channel,
-            members: plan.members.len(),
-            blocks: plan.blocks,
-            completeness: rec.completeness(),
-            p50,
-            p999,
-            max,
-        });
-        let shares: Vec<(usize, f64)> = plan
-            .members
-            .iter()
-            .map(|m| {
-                let bytes = net
-                    .gossip(m.index())
-                    .stats_on(channel)
-                    .map_or(0, |s| s.bytes_sent());
-                (m.index(), bytes as f64)
-            })
-            .collect();
-        fairness_rows.push((channel.to_string(), shares));
+    assert!(!cfg.channels.is_empty(), "need at least one channel");
+    for (c, chan) in cfg.channels.iter().enumerate() {
+        assert!(!chan.members.is_empty(), "channel {c} has no members");
+        assert!(
+            chan.members.windows(2).all(|w| w[0] < w[1]),
+            "channel {c} members must be ascending"
+        );
+        assert!(
+            chan.members.iter().all(|p| p.index() < cfg.peers),
+            "channel {c} member outside the deployment"
+        );
+        assert!(chan.txs >= 1, "channel {c} has an empty workload");
     }
-    let fairness = FairnessReport::from_per_channel(&fairness_rows);
+    let memberships: Vec<Vec<PeerId>> = cfg.channels.iter().map(|c| c.members.clone()).collect();
+    let groups = plan_groups(&memberships);
+
+    let outcomes: Vec<GroupOutcome> =
+        run_batch_with_workers((0..groups.len()).collect(), cfg.shards.max(1), |g| {
+            run_group(cfg, &groups[g], g)
+        });
+
+    let mut channels = Vec::with_capacity(cfg.channels.len());
+    let mut peer_bytes = vec![0u64; cfg.peers];
+    let mut events = 0;
+    let mut sim_end = Time::ZERO;
+    let mut merged = Vec::new();
+    for (group, outcome) in outcomes.into_iter().enumerate() {
+        channels.extend(outcome.channels);
+        for (peer, bytes) in groups[group].members.iter().zip(outcome.peer_bytes) {
+            peer_bytes[peer.index()] = bytes;
+        }
+        events += outcome.events;
+        sim_end = sim_end.max(outcome.end);
+        merged.extend(outcome.trace.into_iter().map(|e| MergedEvent {
+            at: e.at,
+            group,
+            seq: e.seq,
+            what: e.what,
+        }));
+    }
+    channels.sort_by_key(|c| c.channel);
+    merged.sort();
+    let fairness_rows: Vec<(String, Vec<(usize, f64)>)> = channels
+        .iter()
+        .map(|c| {
+            let shares = c
+                .member_bytes
+                .iter()
+                .map(|&(peer, bytes)| (peer.index(), bytes as f64))
+                .collect();
+            (ChannelId(c.channel as u16).to_string(), shares)
+        })
+        .collect();
     MultiChannelResult {
-        channels: outcomes,
-        fairness,
+        fairness: FairnessReport::from_per_channel(&fairness_rows),
+        peer_bytes,
+        groups: groups.len(),
+        blocks: channels.iter().map(|c| c.blocks).sum(),
         events,
         sim_end,
-        net,
+        trace: cfg.record_trace.then_some(merged),
+        channels,
+    }
+}
+
+/// Simulates one connected component as its own [`FabricNet`] deployment
+/// with densely remapped local peer ids (ascending order preserved, so
+/// leader election picks the same relative peer as it would globally).
+fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize) -> GroupOutcome {
+    let local_of = |peer: PeerId| -> PeerId {
+        let slot = group
+            .members
+            .binary_search(&peer)
+            .expect("group members cover its channels");
+        PeerId(slot as u32)
+    };
+    let local_members: Vec<Vec<PeerId>> = group
+        .channels
+        .iter()
+        .map(|&c| {
+            cfg.channels[c]
+                .members
+                .iter()
+                .map(|&p| local_of(p))
+                .collect()
+        })
+        .collect();
+
+    let mut params = NetParams::new(group.members.len(), cfg.gossip.clone(), cfg.orderer.clone());
+    // Dissemination-style commit cost, as in `run_dissemination`.
+    params.validation_per_tx = Duration::from_micros(300);
+    params.full_ledgers = false;
+    params.orgs = 1;
+    params.default_members = Some(local_members[0].clone());
+    params.endorsers = vec![local_members[0][0]];
+    params.policy = EndorsementPolicy::AnyMember;
+    params.extra_channels = local_members[1..]
+        .iter()
+        .enumerate()
+        .map(|(i, members)| ChannelSpec {
+            channel: ChannelId((i + 1) as u16),
+            members: members.clone(),
+            orgs: 1,
+            endorsers: vec![members[0]],
+            policy: EndorsementPolicy::AnyMember,
+        })
+        .collect();
+
+    let schedule = merge_schedules(
+        group
+            .channels
+            .iter()
+            .enumerate()
+            .map(|(local, &c)| {
+                let chan = &cfg.channels[c];
+                let workload = PayloadWorkload {
+                    total_txs: chan.txs,
+                    rate_per_sec: chan.rate_per_sec,
+                    tx_padding: chan.tx_padding,
+                };
+                retarget_schedule(payload_schedule(&workload), ChannelId(local as u16))
+            })
+            .collect(),
+    );
+    let last_issue = schedule.last().map(|s| s.at).unwrap_or(Time::ZERO);
+
+    let mut network = cfg.network.clone();
+    network.nodes = FabricNet::node_count(&params);
+    let net = FabricNet::new(params, schedule);
+    // Group seeds mix the run seed with the group index only — never a
+    // worker or shard id — so results cannot depend on the shard count.
+    let seed = cfg
+        .seed
+        .wrapping_add((group_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut sim = Simulation::new(net, network, seed);
+    sim.set_trace(cfg.record_trace);
+    sim.with_ctx(|net, ctx| net.start(ctx));
+    sim.run_until(last_issue + Duration::from_secs(40));
+    sim.run_for(cfg.idle_tail);
+
+    let events = sim.events_processed();
+    let end = sim.now();
+    let trace = sim.take_trace();
+    let net = sim.into_protocol();
+    let channels = group
+        .channels
+        .iter()
+        .enumerate()
+        .map(|(local, &c)| {
+            let channel = ChannelId(local as u16);
+            let rec = net.latency_on(channel).expect("group channel exists");
+            let members = &local_members[local];
+            let mut pool = Vec::new();
+            for slot in 0..members.len() {
+                pool.extend(rec.peer_latencies(slot));
+            }
+            let cdf = Cdf::new(pool);
+            let (p50, p999, max) = if cdf.is_empty() {
+                (Duration::ZERO, Duration::ZERO, Duration::ZERO)
+            } else {
+                (cdf.quantile(0.5), cdf.quantile(0.999), cdf.max())
+            };
+            ChannelOutcome {
+                channel: c,
+                group: group_index,
+                members: members.len(),
+                blocks: net.blocks_cut_on(channel),
+                completeness: rec.completeness(),
+                p50,
+                p999,
+                max,
+                member_bytes: members
+                    .iter()
+                    .map(|m| {
+                        let stats = net.gossip(m.index()).stats_on(channel);
+                        let bytes = stats.map_or(0, |s| s.bytes_sent());
+                        (group.members[m.index()], bytes)
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    GroupOutcome {
+        channels,
+        peer_bytes: (0..group.members.len())
+            .map(|local| net.gossip(local).total_stats().bytes_sent())
+            .collect(),
+        events,
+        end,
+        trace,
     }
 }
 
@@ -455,7 +564,13 @@ pub fn render_multichannel(title: &str, result: &MultiChannelResult) -> String {
     for c in &result.channels {
         out.push_str(&format!(
             "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | max {}\n",
-            c.channel, c.members, c.blocks, c.completeness, c.p50, c.p999, c.max,
+            ChannelId(c.channel as u16),
+            c.members,
+            c.blocks,
+            c.completeness,
+            c.p50,
+            c.p999,
+            c.max,
         ));
     }
     out.push_str(&result.fairness.render());
@@ -466,99 +581,99 @@ pub fn render_multichannel(title: &str, result: &MultiChannelResult) -> String {
 mod tests {
     use super::*;
 
-    fn quick(channels: usize, peers: usize, blocks: u64, seed: u64) -> MultiChannelResult {
-        let mut cfg = MultiChannelConfig::skewed(channels, peers, blocks);
-        cfg.seed = seed;
-        run_multichannel(&cfg)
+    fn peers(ids: &[u32]) -> Vec<PeerId> {
+        ids.iter().copied().map(PeerId).collect()
+    }
+
+    #[test]
+    fn disjoint_channels_form_their_own_groups() {
+        let groups = plan_groups(&[peers(&[0, 1]), peers(&[2, 3]), peers(&[4, 5])]);
+        assert_eq!(groups.len(), 3);
+        assert_eq!(groups[0].channels, vec![0]);
+        assert_eq!(groups[1].members, peers(&[2, 3]));
+    }
+
+    #[test]
+    fn overlap_is_transitive() {
+        // 0 ~ 1 (share peer 2), 1 ~ 2 (share peer 4) ⇒ one component,
+        // channel 3 stays alone.
+        let groups = plan_groups(&[
+            peers(&[0, 1, 2]),
+            peers(&[2, 3, 4]),
+            peers(&[4, 5]),
+            peers(&[9]),
+        ]);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].channels, vec![0, 1, 2]);
+        assert_eq!(groups[0].members, peers(&[0, 1, 2, 3, 4, 5]));
+        assert_eq!(groups[1].channels, vec![3]);
+    }
+
+    #[test]
+    fn skewed_windows_overlap_into_one_group_with_distinct_leaders() {
+        let cfg = MultiChannelConfig::skewed(3, 30, 6);
+        let memberships: Vec<_> = cfg.channels.iter().map(|c| c.members.clone()).collect();
+        // Consecutive channels share members (the overlap is the point)…
+        assert!(memberships[0].iter().any(|p| memberships[1].contains(p)));
+        assert_eq!(plan_groups(&memberships).len(), 1);
+        // …but not their lowest id, the initial leader and endorser.
+        assert_ne!(memberships[0][0], memberships[1][0]);
+        // Skew: channel c runs (c + 1)× slower on (c + 1)× fewer blocks.
+        assert_eq!(cfg.channels[0].txs, 60);
+        assert_eq!(cfg.channels[2].txs, 20);
+        let (fast, slow) = (cfg.channels[0].rate_per_sec, cfg.channels[2].rate_per_sec);
+        assert!((fast - 3.0 * slow).abs() < 1e-9);
     }
 
     #[test]
     fn every_channel_reaches_all_its_members() {
-        let res = quick(3, 30, 12, 7);
-        assert_eq!(res.channels.len(), 3);
-        for c in &res.channels {
-            assert_eq!(
-                c.completeness, 1.0,
-                "channel {} must inform every member",
-                c.channel
-            );
-            assert!(c.blocks >= 1);
+        let mut cfg = MultiChannelConfig::skewed(3, 30, 12);
+        cfg.seed = 7;
+        let res = run_multichannel(&cfg);
+        assert_eq!((res.channels.len(), res.groups), (3, 1));
+        for (c, plan) in res.channels.iter().zip(&cfg.channels) {
+            assert_eq!(c.completeness, 1.0, "channel {} starved", c.channel);
+            assert_eq!(c.blocks, plan.txs as u64 / 10, "channel {}", c.channel);
+            assert!(c.p50 > Duration::ZERO && c.p999 >= c.p50 && c.max >= c.p999);
         }
-        // Skew: channel 0 publishes the most blocks.
-        assert!(res.channels[0].blocks > res.channels[2].blocks);
+        assert_eq!(res.completeness(), 1.0);
+        assert_eq!(res.blocks, 12 + 6 + 4);
     }
 
     #[test]
-    fn memberships_overlap_and_leaders_differ() {
-        let cfg = MultiChannelConfig::skewed(3, 30, 6);
-        let net = MultiChannelNet::new(cfg.clone());
-        // Consecutive channels share members (the overlap is the point).
-        let m0: std::collections::BTreeSet<_> = cfg.plans[0].members.iter().collect();
-        let m1: std::collections::BTreeSet<_> = cfg.plans[1].members.iter().collect();
-        assert!(
-            m0.intersection(&m1).next().is_some(),
-            "windows must overlap"
-        );
-        assert_ne!(net.leader_of(0), net.leader_of(1));
-        // An interior peer joined to two channels reports both.
-        let shared = **m0.intersection(&m1).next().unwrap();
-        assert!(net.gossip(shared.index()).channel_ids().len() >= 2);
-    }
-
-    #[test]
-    fn blocks_never_leak_across_channels() {
-        let res = quick(3, 30, 8, 3);
-        let cfg = res.net.config().clone();
-        for (c, plan) in cfg.plans.iter().enumerate() {
-            let channel = ChannelId(c as u16);
-            for p in 0..cfg.peers {
-                let member = plan.members.contains(&PeerId(p as u32));
-                let held = res.net.gossip(p).store_on(channel).map_or(0, |s| s.len());
-                if member {
-                    assert_eq!(held as u64, plan.blocks, "member {p} of {channel}");
-                } else {
-                    assert!(
-                        res.net.gossip(p).store_on(channel).is_none(),
-                        "non-member {p} must hold nothing of {channel}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn per_channel_stats_sum_to_peer_totals() {
-        let res = quick(2, 20, 6, 11);
-        for p in 0..20 {
-            let peer = res.net.gossip(p);
-            let total = peer.total_stats();
-            let mut summed = 0u64;
-            let mut blocks_sent = 0u64;
-            for ch in peer.channel_ids() {
-                let s = peer.stats_on(ch).unwrap();
-                summed += s.bytes_sent();
-                blocks_sent += s.blocks_sent;
-            }
-            assert_eq!(total.bytes_sent(), summed);
-            assert_eq!(total.blocks_sent, blocks_sent);
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic_in_the_seed() {
-        let a = quick(2, 16, 5, 42);
-        let b = quick(2, 16, 5, 42);
-        assert_eq!(a.events, b.events);
+    fn clustered_run_is_complete_and_deterministic() {
+        let mut cfg = MultiChannelConfig::clustered(3, 9, 60);
+        cfg.shards = 2;
+        let a = run_multichannel(&cfg);
+        let b = run_multichannel(&cfg);
+        assert_eq!((a.groups, a.channels.len()), (3, 6));
+        assert_eq!(a.completeness(), 1.0, "every member must get every block");
+        assert!(a.blocks > 0);
+        assert_eq!((a.events, a.sim_end), (b.events, b.sim_end));
         for (x, y) in a.channels.iter().zip(&b.channels) {
-            assert_eq!(x.p50, y.p50);
-            assert_eq!(x.p999, y.p999);
+            assert_eq!((x.p50, x.p999), (y.p50, y.p999));
         }
         assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
     }
 
     #[test]
+    fn shard_count_does_not_change_the_merged_stream() {
+        let mut cfg = MultiChannelConfig::clustered(3, 9, 40);
+        cfg.record_trace = true;
+        cfg.shards = 1;
+        let serial = run_multichannel(&cfg);
+        cfg.shards = 4;
+        let sharded = run_multichannel(&cfg);
+        assert_eq!(serial.events, sharded.events);
+        assert_eq!(serial.trace, sharded.trace);
+        let trace = serial.trace.unwrap();
+        assert!(!trace.is_empty());
+        assert!(trace.windows(2).all(|w| w[0] < w[1]), "strict merge order");
+    }
+
+    #[test]
     fn render_contains_per_channel_rows_and_fairness() {
-        let res = quick(2, 16, 4, 1);
+        let res = run_multichannel(&MultiChannelConfig::skewed(2, 16, 4));
         let text = render_multichannel("multichannel", &res);
         assert!(text.contains("ch0"));
         assert!(text.contains("ch1"));

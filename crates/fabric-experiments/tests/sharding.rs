@@ -1,20 +1,21 @@
-//! Shard-count invariance of the cross-core channel runner.
+//! Shard-count invariance of the multi-channel runner.
 //!
-//! The sharding contract (`shard.rs` module docs): the merged
-//! `(time, group, seq, event)` stream and every per-channel metric are pure
-//! functions of the configuration and seed, **independent of how many
-//! worker shards execute the groups**. The proptest below pins that over
-//! random multichannel topologies — random overlap structure, so group
-//! counts range from one component to one per channel — in both RNG modes.
+//! The contract (`multichannel.rs` module docs): the merged
+//! `(time, group, seq, event)` stream, every per-channel metric and the
+//! fairness report are pure functions of the configuration and seed,
+//! **independent of how many worker shards execute the groups**. The
+//! proptest below pins that over random multichannel topologies — random
+//! overlap structure, so group counts range from one component to one per
+//! channel.
 //!
 //! The golden pin at the bottom freezes the `large_smoke` preset (the
 //! smoke-scale slice of the `large` bench preset) to exact event and block
 //! counts, the same way `determinism.rs` pins the discovery trace: any
-//! engine or runner change that perturbs the sharded schedule fails loudly
-//! here instead of sliding into `BENCH_dissemination.json`.
+//! engine or runner change that perturbs the schedule fails loudly here
+//! instead of sliding into `BENCH_dissemination.json`.
 
-use desim::{Duration, RngMode};
-use fabric_experiments::shard::{run_sharded, ShardChannel, ShardedConfig, ShardedResult};
+use desim::Duration;
+use fabric_experiments::multichannel::{run_multichannel, ChannelPlan, MultiChannelConfig};
 use fabric_types::ids::PeerId;
 use proptest::prelude::*;
 
@@ -22,37 +23,27 @@ use proptest::prelude::*;
 const PEERS: usize = 30;
 
 /// A random topology: channels as membership windows `[base, base+width)`
-/// over the peer space, plus a shard count and an RNG-mode switch.
-/// Windows overlap (or don't) arbitrarily, so `plan_groups` sees
-/// everything from a single component to fully disjoint channels.
-fn topologies() -> impl Strategy<Value = (Vec<(u32, u32)>, usize, bool)> {
+/// over the peer space, plus a shard count. Windows overlap (or don't)
+/// arbitrarily, so `plan_groups` sees everything from a single component
+/// to fully disjoint channels.
+fn topologies() -> impl Strategy<Value = (Vec<(u32, u32)>, usize)> {
     (
         proptest::collection::vec((0u32..24, 4u32..9), 1..5),
         2usize..5,
-        proptest::any::<bool>(),
     )
 }
 
-fn config_of(windows: &[(u32, u32)], shards: usize, streams: bool) -> ShardedConfig {
-    let channels = windows
+fn config_of(windows: &[(u32, u32)], shards: usize) -> MultiChannelConfig {
+    let mut cfg = MultiChannelConfig::clustered(1, PEERS, 12);
+    cfg.channels = windows
         .iter()
-        .map(|&(base, width)| {
-            let hi = (base + width).min(PEERS as u32);
-            ShardChannel {
-                members: (base..hi).map(PeerId).collect(),
-                txs: 12,
-                rate_per_sec: 50.0 / 1.5,
-                tx_padding: 3_100,
-            }
+        .map(|&(base, width)| ChannelPlan {
+            members: (base..(base + width).min(PEERS as u32))
+                .map(PeerId)
+                .collect(),
+            ..cfg.channels[0].clone()
         })
         .collect();
-    let mut cfg = ShardedConfig::clustered(1, PEERS, 12);
-    cfg.channels = channels;
-    cfg.rng_mode = if streams {
-        RngMode::Streams
-    } else {
-        RngMode::Unified
-    };
     cfg.shards = shards;
     cfg.record_trace = true;
     cfg.idle_tail = Duration::from_secs(1);
@@ -60,46 +51,33 @@ fn config_of(windows: &[(u32, u32)], shards: usize, streams: bool) -> ShardedCon
     cfg
 }
 
-/// Per-channel observables: (channel, group, blocks, completeness bits,
-/// p50 ns, p999 ns).
-type ChannelPrint = (usize, usize, u64, u64, u64, u64);
-
-/// Everything observable about a run, flattened for exact comparison.
-fn fingerprint(res: &ShardedResult) -> (u64, u64, u64, Vec<ChannelPrint>) {
-    let channels = res
-        .channels
-        .iter()
-        .map(|c| {
-            (
-                c.channel,
-                c.group,
-                c.blocks,
-                c.completeness.to_bits(),
-                c.p50.as_nanos(),
-                c.p999.as_nanos(),
-            )
-        })
-        .collect();
-    (res.events, res.blocks, res.completeness.to_bits(), channels)
-}
-
 proptest! {
-    /// `shards = 1` and `shards = N` produce the identical merged event
-    /// stream and identical per-channel metrics on arbitrary topologies.
+    /// `shards = 1` and `shards = N` produce the identical result — merged
+    /// event stream, per-channel metrics, fairness report — on arbitrary
+    /// topologies, and that result is internally consistent: nothing leaks
+    /// across channels or goes missing within one.
     #[test]
-    fn shard_count_is_unobservable((windows, shards, streams) in topologies()) {
-        let mut serial = config_of(&windows, 1, streams);
-        serial.shards = 1;
-        let sharded = config_of(&windows, shards, streams);
+    fn shard_count_is_unobservable((windows, shards) in topologies()) {
+        let a = run_multichannel(&config_of(&windows, 1));
+        let b = run_multichannel(&config_of(&windows, shards));
 
-        let a = run_sharded(&serial);
-        let b = run_sharded(&sharded);
-
-        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
-        let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
-        prop_assert_eq!(ta.len(), tb.len(), "merged stream lengths diverged");
-        prop_assert_eq!(ta, tb);
         prop_assert!(b.events > 0, "runs must not be vacuous");
+        prop_assert_eq!(&a, &b);
+
+        // Every member of every channel got every block of that channel.
+        for c in &b.channels {
+            prop_assert!(c.blocks >= 1, "channel {} cut nothing", c.channel);
+            prop_assert_eq!(c.completeness, 1.0, "channel {} starved", c.channel);
+        }
+        // The per-channel byte shares the fairness report is built from
+        // account for every byte a peer sent, and for nothing else.
+        let mut summed = vec![0u64; PEERS];
+        for c in &b.channels {
+            for &(peer, bytes) in &c.member_bytes {
+                summed[peer.index()] += bytes;
+            }
+        }
+        prop_assert_eq!(&summed, &b.peer_bytes);
     }
 }
 
@@ -107,10 +85,10 @@ proptest! {
 /// the k-way merge produces a total order with no duplicate keys.
 #[test]
 fn merged_stream_is_strictly_ordered() {
-    let mut cfg = ShardedConfig::clustered(3, 9, 30);
+    let mut cfg = MultiChannelConfig::clustered(3, 9, 30);
     cfg.record_trace = true;
     cfg.shards = 2;
-    let trace = run_sharded(&cfg).trace.unwrap();
+    let trace = run_multichannel(&cfg).trace.unwrap();
     assert!(trace.len() > 100, "trace must not be vacuous");
     for pair in trace.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
@@ -126,16 +104,12 @@ fn merged_stream_is_strictly_ordered() {
 /// `discovery_golden_trace_pins_events_and_byte_totals`).
 #[test]
 fn large_smoke_preset_golden_pin() {
-    let res = run_sharded(&ShardedConfig::large_smoke());
-    assert_eq!(res.events, 25_238, "sharded event count shifted");
+    let res = run_multichannel(&MultiChannelConfig::large_smoke());
+    assert_eq!(res.events, 25_229, "event count shifted");
     assert_eq!(res.blocks, 24, "block count shifted");
     assert_eq!(res.groups, 6, "component structure shifted");
     assert_eq!(res.channels.len(), 12);
-    assert!(
-        (res.completeness - 1.0).abs() < f64::EPSILON,
-        "large_smoke must stay fully complete, got {}",
-        res.completeness
-    );
+    assert_eq!(res.completeness(), 1.0, "large_smoke must stay complete");
     for c in &res.channels {
         assert_eq!(c.blocks, 2, "channel {} block count shifted", c.channel);
         assert!(c.p50 > Duration::ZERO && c.p999 >= c.p50);

@@ -65,7 +65,7 @@ impl Summary {
 }
 
 /// Fairness of one channel's traffic allocation across its member peers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelFairness {
     /// Channel label (e.g. `"ch0"`).
     pub label: String,
@@ -84,7 +84,7 @@ pub struct ChannelFairness {
 /// therefore consumes the **per-channel breakdown** — one byte share per
 /// member peer per channel — and derives the global index from it, instead
 /// of taking pre-summed peer-global bytes as input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairnessReport {
     /// One entry per channel, in input order.
     pub channels: Vec<ChannelFairness>,

@@ -1,5 +1,6 @@
 //! Multi-channel walkthrough: C channels × N peers with overlapping
-//! memberships and skewed per-channel block rates.
+//! memberships and skewed per-channel client traffic, on the full
+//! execute-order-validate pipeline.
 //!
 //! ```text
 //! cargo run --release --example multi_channel [channels] [peers] [blocks]
@@ -8,16 +9,16 @@
 //! What it demonstrates, bottom-up:
 //!
 //! 1. every peer is a `GossipPeer` **multiplexer** over one `ChannelState`
-//!    per joined channel (built with `with_channels` + `join_channel`);
-//! 2. each channel elects its own leader and runs its own push engine —
-//!    blocks never cross channel boundaries;
-//! 3. per-channel latency CDFs and Jain's fairness over the per-channel
-//!    byte breakdown in `PeerStats`, the view peer-global totals hide.
+//!    per joined channel; the overlapping windows form one connected
+//!    component, so the whole deployment is one `FabricNet`;
+//! 2. each channel has its own endorser, ordering chain, leader and push
+//!    engine — blocks never cross channel boundaries;
+//! 3. per-channel latency and Jain's fairness over the per-channel byte
+//!    breakdown in `PeerStats`, the view peer-global totals hide.
 
 use fair_gossip::experiments::multichannel::{
     render_multichannel, run_multichannel, MultiChannelConfig,
 };
-use fair_gossip::types::ids::ChannelId;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,14 +31,14 @@ fn main() {
         "Running {channels} channels over {peers} peers (channel 0 busiest: \
          {blocks} blocks; rates decay per channel)...\n"
     );
-    for (c, plan) in config.plans.iter().enumerate() {
+    for (c, plan) in config.channels.iter().enumerate() {
         println!(
-            "  ch{c}: {} members ({}..{}), one block per {}, {} blocks",
+            "  ch{c}: {} members ({}..{}), {} tx at {:.1} tx/s",
             plan.members.len(),
             plan.members.first().unwrap(),
             plan.members.last().unwrap(),
-            plan.block_interval,
-            plan.blocks,
+            plan.txs,
+            plan.rate_per_sec,
         );
     }
     println!();
@@ -49,42 +50,40 @@ fn main() {
     );
 
     // A peer in the overlap of two channels carries both workloads; its
-    // per-channel stats expose the split its global counters would hide.
-    let overlap_peer = (0..peers)
-        .map(|i| result.net.gossip(i))
-        .find(|p| p.channel_ids().len() >= 2);
-    if let Some(peer) = overlap_peer {
-        println!(
-            "\npeer {} serves {} channels:",
-            peer.id(),
-            peer.channel_ids().len()
-        );
-        for ch in peer.channel_ids() {
-            let stats = peer.stats_on(ch).expect("joined");
-            println!(
-                "  {ch}: {} blocks forwarded, {} digests, {:.2} MB sent",
-                stats.blocks_sent,
-                stats.digests_sent,
-                stats.bytes_sent() as f64 / 1e6,
-            );
+    // per-channel bytes expose the split its global counter would hide.
+    let serving = |peer| {
+        result
+            .channels
+            .iter()
+            .filter_map(move |c| {
+                let (_, bytes) = c.member_bytes.iter().find(|(p, _)| *p == peer)?;
+                Some((c.channel, *bytes))
+            })
+            .collect::<Vec<_>>()
+    };
+    let overlap = config.channels[0]
+        .members
+        .iter()
+        .map(|&peer| (peer, serving(peer)))
+        .find(|(_, split)| split.len() >= 2);
+    if let Some((peer, split)) = overlap {
+        println!("\npeer {peer} serves {} channels:", split.len());
+        for (channel, bytes) in split {
+            println!("  ch{channel}: {:.2} MB sent", bytes as f64 / 1e6);
         }
-        let total = peer.total_stats();
         println!(
-            "  total: {} blocks forwarded, {:.2} MB sent (channels sum exactly)",
-            total.blocks_sent,
-            total.bytes_sent() as f64 / 1e6,
+            "  total: {:.2} MB sent (channels sum exactly)",
+            result.peer_bytes[peer.index()] as f64 / 1e6,
         );
     }
 
-    // Isolation check, live: channel 0's store never appears on a peer
-    // outside its membership.
-    let outside = (0..peers)
-        .map(|i| result.net.gossip(i))
-        .filter(|p| !p.has_channel(ChannelId(0)))
-        .count();
     println!(
-        "\n{} peers never joined ch0 and hold none of its {} blocks \
+        "\n{} blocks cut across {} channels in {} group(s) \
          ({} simulation events over {} of virtual time)",
-        outside, result.channels[0].blocks, result.events, result.sim_end,
+        result.blocks,
+        result.channels.len(),
+        result.groups,
+        result.events,
+        result.sim_end,
     );
 }

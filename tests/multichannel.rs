@@ -1,0 +1,44 @@
+//! Tier-1 pins for the one multi-channel runner: both presets — `skewed`
+//! (one connected component, so one `FabricNet` on the calling thread) and
+//! `large_smoke` (six components) — go through the same
+//! `run_multichannel`, give the identical result whether one shard or four
+//! execute the groups, and do exactly the pinned amount of simulated work.
+
+use fair_gossip::experiments::multichannel::{
+    run_multichannel, MultiChannelConfig, MultiChannelResult,
+};
+
+/// Runs `cfg` traced on one shard and on four, asserts the two results are
+/// identical — metrics, fairness report and merged trace — and returns one.
+fn run_on_1_and_4_shards(mut cfg: MultiChannelConfig) -> MultiChannelResult {
+    cfg.record_trace = true;
+    cfg.shards = 1;
+    let serial = run_multichannel(&cfg);
+    cfg.shards = 4;
+    let sharded = run_multichannel(&cfg);
+    assert!(serial.trace.as_ref().is_some_and(|t| !t.is_empty()));
+    assert_eq!(serial, sharded, "shard count must be unobservable");
+    for c in &serial.channels {
+        assert!(c.blocks >= 1, "channel {} cut nothing", c.channel);
+        assert_eq!(c.completeness, 1.0, "channel {} starved", c.channel);
+    }
+    serial
+}
+
+#[test]
+fn skewed_smoke_is_one_group_and_pinned() {
+    let res = run_on_1_and_4_shards(MultiChannelConfig::skewed(2, 30, 40));
+    assert_eq!((res.groups, res.channels.len()), (1, 2));
+    // Channel 1 runs 2× slower on half the blocks.
+    assert_eq!((res.channels[0].blocks, res.channels[1].blocks), (40, 20));
+    assert_eq!(res.blocks, 60);
+    assert_eq!(res.events, 43_098, "event count shifted");
+}
+
+#[test]
+fn large_smoke_is_six_groups_and_pinned() {
+    let res = run_on_1_and_4_shards(MultiChannelConfig::large_smoke());
+    assert_eq!((res.groups, res.channels.len()), (6, 12));
+    assert_eq!(res.blocks, 24);
+    assert_eq!(res.events, 25_229, "event count shifted");
+}
