@@ -399,10 +399,12 @@ impl ChannelState {
                 .on_snapshot_request(&mut self.core, fx, from, height, from_chunk),
             GossipMsg::SnapshotResponse { snapshot } => {
                 self.leadership
-                    .on_snapshot_response(&mut self.core, fx, snapshot)
+                    .on_snapshot_response(&mut self.core, fx, snapshot);
+                self.release_absorbed();
             }
             GossipMsg::SnapshotChunk { chunk } => {
-                self.leadership.on_snapshot_chunk(&mut self.core, fx, chunk)
+                self.leadership.on_snapshot_chunk(&mut self.core, fx, chunk);
+                self.release_absorbed();
             }
             GossipMsg::Alive => {} // mark_alive above is the whole effect
             GossipMsg::AliveMsg(claim) => {
@@ -467,6 +469,20 @@ impl ChannelState {
                     .on_fetch_retry(&mut self.core, fx, block_num, attempt)
             }
         }
+    }
+
+    /// `(rows allocated, rows held)` of every table this instance keys by
+    /// block number, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> [(usize, usize); 3] {
+        let [seen, pending] = self.push.tables();
+        [self.core.store.table(), seen, pending]
+    }
+
+    /// After a message that may have installed a snapshot: the push state
+    /// about the blocks it absorbed leaves with their store rows.
+    fn release_absorbed(&mut self) {
+        self.push.release_through(self.core.store.snapshot_floor());
     }
 
     /// A peer joined this channel at runtime: discovery adds it to both the

@@ -77,6 +77,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod blockmap;
 pub mod channel;
 pub mod config;
 pub mod discovery;
@@ -91,6 +92,8 @@ pub mod runtime;
 pub mod scenario;
 pub mod store;
 pub mod testing;
+#[cfg(test)]
+mod wire_tests;
 
 pub use channel::{ChannelCore, ChannelState};
 pub use config::{DiscoveryConfig, GossipConfig, PullConfig, PushMode, RecoveryConfig};

@@ -28,6 +28,9 @@ pub struct Membership {
     /// Dense map `peer.0 → position + 1` in `peers` (0 = absent).
     index: Vec<u32>,
     alive_timeout: Duration,
+    /// The pool [`Membership::sample_filtered`] shuffles, kept between
+    /// calls so drawing fan-out targets allocates only its result.
+    scratch: Vec<PeerId>,
 }
 
 impl Membership {
@@ -42,6 +45,7 @@ impl Membership {
             last_heard,
             index: Vec::new(),
             alive_timeout,
+            scratch: Vec::new(),
         };
         m.reindex(0);
         m
@@ -170,25 +174,26 @@ impl Membership {
     ///
     /// Partial Fisher–Yates over a scratch copy: O(k) swaps, exact
     /// uniformity, deterministic under the simulation RNG.
-    pub fn sample(&self, rng: &mut StdRng, k: usize) -> Vec<PeerId> {
+    pub fn sample(&mut self, rng: &mut StdRng, k: usize) -> Vec<PeerId> {
         self.sample_filtered(rng, k, |_| true)
     }
 
     /// Like [`Membership::sample`] but only over peers passing `keep`.
     pub fn sample_filtered(
-        &self,
+        &mut self,
         rng: &mut StdRng,
         k: usize,
         keep: impl Fn(PeerId) -> bool,
     ) -> Vec<PeerId> {
-        let mut pool: Vec<PeerId> = self.peers.iter().copied().filter(|p| keep(*p)).collect();
+        let pool = &mut self.scratch;
+        pool.clear();
+        pool.extend(self.peers.iter().copied().filter(|p| keep(*p)));
         let take = k.min(pool.len());
         for i in 0..take {
             let j = rng.random_range(i..pool.len());
             pool.swap(i, j);
         }
-        pool.truncate(take);
-        pool
+        pool[..take].to_vec()
     }
 }
 
@@ -219,7 +224,7 @@ mod tests {
 
     #[test]
     fn sample_never_returns_self_or_duplicates() {
-        let m = membership(10);
+        let mut m = membership(10);
         let mut r = rng(3);
         for _ in 0..100 {
             let s = m.sample(&mut r, 4);
@@ -234,14 +239,14 @@ mod tests {
 
     #[test]
     fn sample_caps_at_population() {
-        let m = membership(4);
+        let mut m = membership(4);
         let s = m.sample(&mut rng(1), 10);
         assert_eq!(s.len(), 3);
     }
 
     #[test]
     fn sample_is_roughly_uniform() {
-        let m = membership(11); // 10 candidates
+        let mut m = membership(11); // 10 candidates
         let mut r = rng(42);
         let mut counts: HashMap<PeerId, u32> = HashMap::new();
         for _ in 0..10_000 {
@@ -333,10 +338,73 @@ mod tests {
 
     #[test]
     fn sample_filtered_respects_predicate() {
-        let m = membership(10);
+        let mut m = membership(10);
         let mut r = rng(7);
         let s = m.sample_filtered(&mut r, 5, |p| p.0 % 2 == 0);
         assert!(!s.is_empty());
         assert!(s.iter().all(|p| p.0 % 2 == 0));
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The sampler as it was before the kept scratch: copy the kept
+        /// peers into a fresh pool, partially shuffle it, truncate.
+        fn copy_and_shuffle(
+            peers: &[PeerId],
+            rng: &mut StdRng,
+            k: usize,
+            keep: impl Fn(PeerId) -> bool,
+        ) -> Vec<PeerId> {
+            let mut pool: Vec<PeerId> = peers.iter().copied().filter(|p| keep(*p)).collect();
+            let take = k.min(pool.len());
+            for i in 0..take {
+                let j = rng.random_range(i..pool.len());
+                pool.swap(i, j);
+            }
+            pool.truncate(take);
+            pool
+        }
+
+        proptest! {
+            /// Same targets and the same RNG stream afterwards, over
+            /// random rosters, fan-outs, filters and seeds, through roster
+            /// changes and repeated draws on one view.
+            #[test]
+            fn model_sample_matches_copy_and_shuffle(
+                roster in proptest::collection::vec(0u32..120, 0..60),
+                draws in proptest::collection::vec((0usize..12, 0u32..5, 0u32..130), 1..12),
+                seed in any::<u64>(),
+            ) {
+                let mut m = Membership::new(
+                    PeerId(7),
+                    roster.into_iter().map(PeerId).collect(),
+                    Duration::from_secs(25),
+                );
+                let (mut ours, mut theirs) = (rng(seed), rng(seed));
+                for (k, modulus, churn) in draws {
+                    if churn % 3 == 0 {
+                        m.add_peer(PeerId(churn), Time::ZERO);
+                    } else if churn % 3 == 1 {
+                        m.remove_peer(PeerId(churn));
+                    }
+                    let peers = m.peers().to_vec();
+                    if modulus == 0 {
+                        prop_assert_eq!(
+                            m.sample(&mut ours, k),
+                            copy_and_shuffle(&peers, &mut theirs, k, |_| true)
+                        );
+                    } else {
+                        let keep = |p: PeerId| !p.0.is_multiple_of(modulus);
+                        prop_assert_eq!(
+                            m.sample_filtered(&mut ours, k, keep),
+                            copy_and_shuffle(&peers, &mut theirs, k, keep)
+                        );
+                    }
+                    prop_assert_eq!(ours.random::<u64>(), theirs.random::<u64>());
+                }
+            }
+        }
     }
 }

@@ -404,6 +404,16 @@ impl GossipPeer {
             .map(|(_, s)| s)
     }
 
+    /// `(rows allocated, rows held)` of every per-block table of every
+    /// joined channel, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> Vec<(usize, usize)> {
+        self.channels
+            .iter()
+            .flat_map(|(_, state)| state.tables())
+            .collect()
+    }
+
     fn default_state(&self) -> &ChannelState {
         self.state(ChannelId::DEFAULT)
             .expect("peer has not joined the default channel; use the *_on accessors")

@@ -7,12 +7,20 @@
 //! [`ChannelCore`] passed into every entry point, which makes the protocol
 //! logic here directly unit-testable against a bare core and
 //! [`crate::testing::MockEffects`].
+//!
+//! Every digest asks the dedup memory "was this `(block, counter)` pair
+//! seen?", so that memory is one word per block — a bitmask over the
+//! counters, indexed by block number ([`BlockMap`]) — not an entry per
+//! pair. It is never pruned while the store holds the block (a late
+//! digest must stay silent), and is released together with the block rows
+//! a snapshot absorbs ([`PushEngine::release_through`]).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeSet;
 
 use fabric_types::block::BlockRef;
 use fabric_types::ids::PeerId;
 
+use crate::blockmap::BlockMap;
 use crate::channel::ChannelCore;
 use crate::config::PushMode;
 use crate::effects::Effects;
@@ -30,6 +38,43 @@ struct PendingFetch {
     attempts: u32,
 }
 
+/// The `(block, counter)` pairs already processed: per block, bit `c` of
+/// the mask is counter `c`. Every preset's TTL is 9 or 19; a counter the
+/// word cannot hold (the wire allows any `u32`) goes to an ordered set, so
+/// the answer is exact on every input.
+#[derive(Debug, Default)]
+struct SeenPairs {
+    masks: BlockMap<u64>,
+    wide: BTreeSet<(u64, u32)>,
+}
+
+impl SeenPairs {
+    /// Records the pair; `true` when it was new.
+    fn insert(&mut self, block_num: u64, counter: u32) -> bool {
+        if counter >= u64::BITS {
+            return self.wide.insert((block_num, counter));
+        }
+        let bit = 1u64 << counter;
+        match self.masks.get_mut(block_num) {
+            Some(mask) => {
+                let new = *mask & bit == 0;
+                *mask |= bit;
+                new
+            }
+            None => {
+                self.masks.insert(block_num, bit);
+                true
+            }
+        }
+    }
+
+    /// Forgets every pair of the blocks at or below `height`.
+    fn drop_through(&mut self, height: u64) {
+        self.masks.drop_through(height);
+        self.wide.retain(|(block_num, _)| *block_num > height);
+    }
+}
+
 /// Push-phase state of one channel instance.
 #[derive(Debug, Default)]
 pub struct PushEngine {
@@ -41,9 +86,9 @@ pub struct PushEngine {
 
     // ---- push: enhanced (infect-upon-contagion) ----
     /// `(block, counter)` pairs already processed.
-    seen_pairs: HashSet<(u64, u32)>,
+    seen_pairs: SeenPairs,
     /// Content fetches in flight, by block number.
-    pending_fetch: BTreeMap<u64, PendingFetch>,
+    pending_fetch: BlockMap<PendingFetch>,
     /// Pairs awaiting a buffered forward (`tpush > 0` ablation).
     forward_buffer: Vec<(BlockRef, u32)>,
 }
@@ -56,7 +101,30 @@ impl PushEngine {
         self.push_buffer.clear();
         self.forward_buffer.clear();
         self.flush_armed = false;
-        self.pending_fetch.clear();
+        self.pending_fetch = BlockMap::default();
+    }
+
+    /// `(rows allocated, rows held)` of the dedup memory and of the
+    /// fetches in flight, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> [(usize, usize); 2] {
+        let seen = &self.seen_pairs;
+        [
+            (
+                seen.masks.capacity() + seen.wide.len(),
+                seen.masks.len() + seen.wide.len(),
+            ),
+            (self.pending_fetch.capacity(), self.pending_fetch.len()),
+        ]
+    }
+
+    /// A snapshot absorbed every block up to `height`: the store dropped
+    /// their rows, and the push state about them goes with them — nothing
+    /// at or below the floor is fetched again, and no digest for it
+    /// forwards.
+    pub fn release_through(&mut self, height: u64) {
+        self.seen_pairs.drop_through(height);
+        self.pending_fetch.drop_through(height);
     }
 
     /// Entry point for a block delivered by the ordering service.
@@ -83,7 +151,7 @@ impl PushEngine {
             PushMode::InfectUponContagion { .. } => {
                 // Hand the block to f_leader_out random peers with counter 0;
                 // they start the infect-upon-contagion dissemination.
-                self.seen_pairs.insert((num, 0));
+                self.seen_pairs.insert(num, 0);
                 let targets = {
                     let k = core.cfg.f_leader_out;
                     core.membership.sample(fx.rng(), k)
@@ -114,22 +182,25 @@ impl PushEngine {
     ) {
         let num = block.number();
         let is_new = core.accept_content(fx, &block);
-        if !is_new && !core.store.has(num) {
-            // Rejected payload (forged or conflicting), not a duplicate:
-            // never forward it, and leave any pending fetch armed so the
-            // retry rotation can reach an honest advertiser instead.
-            return;
-        }
-        if !core.forwarding {
-            return;
-        }
         // Forward only content the store vouches for — on a duplicate the
         // held copy and the received one are identical unless the payload
         // conflicted, in which case the held one wins.
-        let block = match core.store.get(num) {
-            Some(held) if !is_new => held.clone(),
-            _ => block,
+        let block = if is_new {
+            block
+        } else {
+            match core.store.get(num) {
+                Some(held) => held.clone(),
+                // A duplicate of a block a snapshot absorbed.
+                None if core.store.has(num) => block,
+                // Rejected payload (forged or conflicting), not a duplicate:
+                // never forward it, and leave any pending fetch armed so the
+                // retry rotation can reach an honest advertiser instead.
+                None => return,
+            }
         };
+        if !core.forwarding {
+            return;
+        }
         match core.cfg.push {
             PushMode::InfectAndDie { .. } => {
                 // Infect and die: forward only on first content reception.
@@ -142,11 +213,11 @@ impl PushEngine {
                 // settles the forwards owed by digests that preceded it.
                 let mut owed: Vec<u32> = Vec::new();
                 if is_new {
-                    if let Some(pending) = self.pending_fetch.remove(&num) {
+                    if let Some(pending) = self.pending_fetch.remove(num) {
                         owed.extend(pending.counters);
                     }
                 }
-                if self.seen_pairs.insert((num, counter)) {
+                if self.seen_pairs.insert(num, counter) {
                     owed.push(counter);
                 }
                 owed.sort_unstable();
@@ -176,10 +247,10 @@ impl PushEngine {
         if !core.forwarding {
             // A free-rider still fetches content it lacks (it wants the
             // chain) but never re-announces it.
-            if !self.seen_pairs.insert((block_num, counter)) || core.store.has(block_num) {
+            if !self.seen_pairs.insert(block_num, counter) || core.store.has(block_num) {
                 return;
             }
-            let pending = self.pending_fetch.entry(block_num).or_default();
+            let pending = self.pending(block_num);
             pending.counters.push(counter);
             if !pending.advertisers.contains(&from) {
                 pending.advertisers.push(from);
@@ -200,23 +271,25 @@ impl PushEngine {
             }
             return;
         }
-        if !self.seen_pairs.insert((block_num, counter)) {
+        if !self.seen_pairs.insert(block_num, counter) {
             return;
         }
-        if core.store.has(block_num) {
-            if counter < ttl {
-                let block = core
-                    .store
-                    .get(block_num)
-                    .expect("store.has checked")
-                    .clone();
-                self.queue_forward(core, fx, block, counter + 1);
+        match core.store.get(block_num) {
+            Some(block) => {
+                if counter < ttl {
+                    let block = block.clone();
+                    self.queue_forward(core, fx, block, counter + 1);
+                }
+                return;
             }
-            return;
+            // Genesis, or absorbed by a snapshot: present, but there is no
+            // content to forward and none to fetch.
+            None if core.store.has(block_num) => return,
+            None => {}
         }
         // Content missing: fetch it, remembering the counter so the forward
         // happens when the block arrives.
-        let pending = self.pending_fetch.entry(block_num).or_default();
+        let pending = self.pending(block_num);
         pending.counters.push(counter);
         if !pending.advertisers.contains(&from) {
             pending.advertisers.push(from);
@@ -267,12 +340,12 @@ impl PushEngine {
             return; // fetched in the meantime
         }
         let max_attempts = core.cfg.fetch.max_attempts;
-        let Some(pending) = self.pending_fetch.get_mut(&block_num) else {
+        let Some(pending) = self.pending_fetch.get_mut(block_num) else {
             return;
         };
         if attempt >= max_attempts {
             // Give up; the recovery component will catch this block up.
-            self.pending_fetch.remove(&block_num);
+            self.pending_fetch.remove(block_num);
             return;
         }
         pending.attempts = attempt + 1;
@@ -301,6 +374,17 @@ impl PushEngine {
                 attempt: attempt + 1,
             },
         );
+    }
+
+    /// The fetch in flight for `block_num`, opened if there is none.
+    fn pending(&mut self, block_num: u64) -> &mut PendingFetch {
+        if self.pending_fetch.get(block_num).is_none() {
+            self.pending_fetch
+                .insert(block_num, PendingFetch::default());
+        }
+        self.pending_fetch
+            .get_mut(block_num)
+            .expect("opened just above")
     }
 
     /// Original protocol: stage a first-reception block in the push buffer.
@@ -475,5 +559,128 @@ mod tests {
         e.clear_volatile();
         e.on_fetch_retry(&mut c, &mut fx, 7, 1);
         assert!(fx.take_sent().is_empty(), "pending fetch died with crash");
+    }
+
+    /// The store counts genesis as present but holds no block 0; a digest
+    /// naming it once panicked on `expect("store.has checked")`.
+    #[test]
+    fn a_digest_for_genesis_is_counted_and_ignored() {
+        let mut c = core(GossipConfig::enhanced_f4());
+        let mut e = PushEngine::default();
+        let mut fx = MockEffects::new(3);
+        e.on_push_digest(&mut c, &mut fx, PeerId(1), 0, 0);
+        assert_eq!(c.stats.digests_received, 1);
+        assert!(fx.take_sent().is_empty(), "no forward, no fetch");
+        assert!(fx.take_scheduled().is_empty());
+    }
+
+    /// Same for a number a snapshot absorbed: an honest late digest for the
+    /// snapshot's head block must not take the joiner down.
+    #[test]
+    fn a_digest_for_a_snapshot_absorbed_number_is_counted_and_ignored() {
+        let mut c = core(GossipConfig::enhanced_f4());
+        let mut e = PushEngine::default();
+        let mut fx = MockEffects::new(3);
+        c.store.insert(block(9));
+        e.on_push_digest(&mut c, &mut fx, PeerId(1), 3, 1);
+        assert_eq!(c.stats.fetch_requests, 1, "3 is missing: fetched");
+        fx.take_sent();
+        fx.take_scheduled();
+        c.store.adopt_snapshot(8);
+        e.release_through(c.store.snapshot_floor());
+        for (num, counter) in [(8, 0), (3, 2), (1, 5)] {
+            e.on_push_digest(&mut c, &mut fx, PeerId(2), num, counter);
+        }
+        assert_eq!(c.stats.digests_received, 4);
+        assert_eq!(c.stats.fetch_requests, 1);
+        assert!(fx.take_sent().is_empty(), "no forward, no fetch");
+        assert!(fx.take_scheduled().is_empty());
+        // The fetch for the absorbed 3 left with its row; a held block
+        // above the floor still forwards.
+        e.on_fetch_retry(&mut c, &mut fx, 3, 1);
+        assert!(fx.take_sent().is_empty());
+        e.on_push_digest(&mut c, &mut fx, PeerId(2), 9, 0);
+        assert_eq!(fx.take_sent().len(), 4);
+    }
+
+    #[test]
+    fn dedup_memory_is_one_word_per_block() {
+        let cfg = GossipConfig::enhanced_f4();
+        let PushMode::InfectUponContagion { ttl, .. } = cfg.push else {
+            unreachable!("enhanced preset");
+        };
+        let mut c = core(cfg);
+        let mut e = PushEngine::default();
+        let mut fx = MockEffects::new(3);
+        for num in 1..=500 {
+            c.store.insert(block(num));
+            for counter in 0..=ttl {
+                e.on_push_digest(&mut c, &mut fx, PeerId(1), num, counter);
+                e.on_push_digest(&mut c, &mut fx, PeerId(2), num, counter);
+            }
+            fx.take_sent();
+        }
+        let forwards = c.stats.digests_sent + c.stats.blocks_sent;
+        assert_eq!(
+            forwards,
+            500 * 4 * u64::from(ttl),
+            "each pair below the TTL, once"
+        );
+        assert_eq!(e.seen_pairs.masks.len(), 500, "500 words");
+        assert!(e.seen_pairs.wide.is_empty());
+    }
+
+    #[test]
+    fn the_largest_digest_the_wire_can_carry_costs_two_rows() {
+        let mut c = core(GossipConfig::enhanced_f4());
+        let mut e = PushEngine::default();
+        let mut fx = MockEffects::new(3);
+        for num in 1..=100 {
+            e.on_block_push(&mut c, &mut fx, PeerId(1), block(num), 1);
+            e.on_push_digest(&mut c, &mut fx, PeerId(2), num + 1, 7);
+        }
+        let before = e.tables();
+        e.on_push_digest(&mut c, &mut fx, PeerId(3), u64::MAX, u32::MAX);
+        let after = e.tables();
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!((a.0, a.1), (b.0 + 1, b.1 + 1), "one row, no window");
+        }
+        e.on_push_request(&mut c, &mut fx, PeerId(3), u64::MAX, u32::MAX);
+        assert_eq!(e.tables(), after);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        proptest! {
+            /// The bitmask-per-block memory against the pair set it
+            /// replaced: the same "was it new" on every input, wide
+            /// counters and far numbers included, through releases.
+            #[test]
+            fn model_seen_pairs_matches_pair_set(
+                ops in proptest::collection::vec((0u8..10, 0u64..6, 0u8..9), 1..200),
+            ) {
+                let mut seen = SeenPairs::default();
+                let mut model: HashSet<(u64, u32)> = HashSet::new();
+                for (class, small, c) in ops {
+                    let num = match class {
+                        0..=5 => small,
+                        6 => 300 + small,
+                        7 => (1 << 32) + small,
+                        _ => u64::MAX - small,
+                    };
+                    let counter = [0, 8, 9, 19, 63, 64, 65, u32::MAX - 1, u32::MAX][c as usize];
+                    if class == 9 {
+                        seen.drop_through(num);
+                        model.retain(|(n, _)| *n > num);
+                    } else {
+                        prop_assert_eq!(seen.insert(num, counter), model.insert((num, counter)));
+                        prop_assert!(!seen.insert(num, counter));
+                    }
+                }
+            }
+        }
     }
 }

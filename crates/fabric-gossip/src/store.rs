@@ -4,37 +4,57 @@
 //! wants them in height order. The store keeps every block it has seen
 //! (serving pull, push-digest fetches and recovery) and tracks the
 //! contiguous prefix already handed to the application.
-
-use std::collections::BTreeMap;
+//!
+//! Blocks are held one dense row per number (a [`BlockMap`]: a window
+//! anchored at the lowest held number, plus an ordered spill for the rare
+//! number too far from it to index), so the per-message questions — is
+//! this number held, hand me its block — are index arithmetic, and a
+//! number named by a hostile message costs one row, not a table.
+//!
+//! *Present* and *servable* differ for two kinds of number: genesis
+//! (block 0, implicit) and every number a snapshot absorbed
+//! ([`BlockStore::snapshot_floor`]). [`BlockStore::has`] counts them — the
+//! peer has no use for their content — but [`BlockStore::get`] cannot
+//! return it, so a caller about to serve or forward a block asks `get`
+//! and treats "present, not held" as nothing to do.
 
 use fabric_types::block::BlockRef;
+
+use crate::blockmap::BlockMap;
 
 /// Block storage plus payload-buffer bookkeeping for one peer.
 ///
 /// Heights are 1-based: block 0 (genesis) is implicit, and `next_expected`
 /// starts at 1.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BlockStore {
-    blocks: BTreeMap<u64, BlockRef>,
+    blocks: BlockMap<BlockRef>,
     next_expected: u64,
     /// Highest block number absorbed through a snapshot (0: none). Blocks
     /// at or below the floor are logically delivered without being held.
     snapshot_floor: u64,
 }
 
+impl Default for BlockStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl BlockStore {
     /// An empty store expecting block 1.
     pub fn new() -> Self {
         BlockStore {
-            blocks: BTreeMap::new(),
+            blocks: BlockMap::default(),
             next_expected: 1,
             snapshot_floor: 0,
         }
     }
 
-    /// Whether block `num` is present (snapshot-absorbed numbers count).
+    /// Whether block `num` is present (genesis and snapshot-absorbed
+    /// numbers count, though [`BlockStore::get`] cannot serve them).
     pub fn has(&self, num: u64) -> bool {
-        num <= self.snapshot_floor || self.blocks.contains_key(&num)
+        num <= self.snapshot_floor || self.blocks.get(num).is_some()
     }
 
     /// Highest block number absorbed through a snapshot (0 when the peer
@@ -51,23 +71,21 @@ impl BlockStore {
     /// order). No-op returning an empty run when the store is already at
     /// or past `height + 1`.
     pub fn adopt_snapshot(&mut self, height: u64) -> Vec<BlockRef> {
+        let Some(above) = height.checked_add(1) else {
+            return Vec::new(); // no chain reaches the last number
+        };
         if height < self.next_expected {
             return Vec::new();
         }
         self.snapshot_floor = self.snapshot_floor.max(height);
-        self.blocks = self.blocks.split_off(&(height + 1));
-        self.next_expected = height + 1;
-        let mut deliverable = Vec::new();
-        while let Some(next) = self.blocks.get(&self.next_expected) {
-            deliverable.push(next.clone());
-            self.next_expected += 1;
-        }
-        deliverable
+        self.blocks.drop_through(height);
+        self.next_expected = above;
+        self.advance()
     }
 
-    /// The block at height `num`, if present.
+    /// The block at height `num`, if held.
     pub fn get(&self, num: u64) -> Option<&BlockRef> {
-        self.blocks.get(&num)
+        self.blocks.get(num)
     }
 
     /// Contiguous ledger height: every block below `height()` has been
@@ -78,7 +96,7 @@ impl BlockStore {
 
     /// Highest block number seen so far (0 when empty), contiguous or not.
     pub fn max_seen(&self) -> u64 {
-        self.blocks.keys().next_back().copied().unwrap_or(0)
+        self.blocks.last_key().unwrap_or(0)
     }
 
     /// Number of stored blocks.
@@ -102,7 +120,7 @@ impl BlockStore {
     /// hashes [`BlockRef::new`] sealed into them.
     pub fn conflicts_with(&self, block: &BlockRef) -> bool {
         self.blocks
-            .get(&block.number())
+            .get(block.number())
             .is_some_and(|held| !BlockRef::ptr_eq(held, block) && held.hash() != block.hash())
     }
 
@@ -111,22 +129,41 @@ impl BlockStore {
     /// empty while a gap remains).
     pub fn insert(&mut self, block: BlockRef) -> Option<Vec<BlockRef>> {
         let num = block.number();
-        if num <= self.snapshot_floor || self.blocks.contains_key(&num) {
+        if self.has(num) {
             return None;
         }
         self.blocks.insert(num, block);
+        Some(self.advance())
+    }
+
+    /// `(rows allocated, rows held)`, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> (usize, usize) {
+        (self.blocks.capacity(), self.blocks.len())
+    }
+
+    /// Moves the delivery cursor over every held block that continues the
+    /// prefix, returning them in order.
+    fn advance(&mut self) -> Vec<BlockRef> {
         let mut deliverable = Vec::new();
-        while let Some(next) = self.blocks.get(&self.next_expected) {
+        while let Some(next) = self.blocks.get(self.next_expected) {
             deliverable.push(next.clone());
-            self.next_expected += 1;
+            match self.next_expected.checked_add(1) {
+                Some(next) => self.next_expected = next,
+                None => break, // the last number has no successor
+            }
         }
-        Some(deliverable)
+        deliverable
     }
 
     /// Block numbers available in `[lo, hi]`, for pull digests and
-    /// recovery responses.
+    /// recovery responses. Costs what is held between the bounds, not
+    /// their distance.
     pub fn available_in(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.blocks.range(lo..=hi).map(|(n, _)| *n).collect()
+        let span = hi.saturating_sub(lo).saturating_add(1);
+        let mut nums = Vec::with_capacity(span.min(self.len() as u64) as usize);
+        nums.extend(self.blocks.range(lo, hi).map(|(n, _)| n));
+        nums
     }
 
     /// The most recent `window` block numbers present (pull digest body).
@@ -141,13 +178,14 @@ impl BlockStore {
     /// consecutive run so the receiver's prefix extends).
     pub fn consecutive_run(&self, from: u64, to: u64, batch_max: u64) -> Vec<BlockRef> {
         let mut out = Vec::new();
-        let mut n = from;
-        while n <= to && (out.len() as u64) < batch_max {
-            match self.blocks.get(&n) {
+        for n in from..=to {
+            if out.len() as u64 >= batch_max {
+                break;
+            }
+            match self.blocks.get(n) {
                 Some(b) => out.push(b.clone()),
                 None => break,
             }
-            n += 1;
         }
         out
     }
@@ -301,5 +339,171 @@ mod tests {
             store.insert(block(n));
         }
         assert_eq!(store.available_in(2, 4), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn hostile_ranges_cost_what_is_held_not_what_they_span() {
+        let mut store = BlockStore::new();
+        for n in [1u64, 2, 3, 7, u64::MAX] {
+            store.insert(block(n));
+        }
+        assert_eq!(store.available_in(0, u64::MAX), vec![1, 2, 3, 7, u64::MAX]);
+        assert_eq!(
+            store.consecutive_run(0, u64::MAX, 10).len(),
+            0,
+            "no block 0"
+        );
+        assert_eq!(store.consecutive_run(1, u64::MAX, 10).len(), 3);
+        assert_eq!(store.consecutive_run(u64::MAX, u64::MAX, 10).len(), 1);
+        assert_eq!(store.recent(3), vec![u64::MAX]);
+        assert_eq!(store.height(), 4);
+        assert!(store.adopt_snapshot(u64::MAX).is_empty(), "no such chain");
+        assert_eq!(store.height(), 4);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The store as it was before the dense rows: an ordered tree of
+        /// blocks, a delivery cursor and a snapshot floor.
+        struct Model {
+            blocks: BTreeMap<u64, BlockRef>,
+            next_expected: u64,
+            snapshot_floor: u64,
+        }
+
+        impl Model {
+            fn has(&self, num: u64) -> bool {
+                num <= self.snapshot_floor || self.blocks.contains_key(&num)
+            }
+
+            fn advance(&mut self) -> Vec<BlockRef> {
+                let mut deliverable = Vec::new();
+                while let Some(next) = self.blocks.get(&self.next_expected) {
+                    deliverable.push(next.clone());
+                    match self.next_expected.checked_add(1) {
+                        Some(next) => self.next_expected = next,
+                        None => break,
+                    }
+                }
+                deliverable
+            }
+
+            fn insert(&mut self, block: BlockRef) -> Option<Vec<BlockRef>> {
+                if self.has(block.number()) {
+                    return None;
+                }
+                self.blocks.insert(block.number(), block);
+                Some(self.advance())
+            }
+
+            fn adopt_snapshot(&mut self, height: u64) -> Vec<BlockRef> {
+                if height < self.next_expected {
+                    return Vec::new();
+                }
+                self.snapshot_floor = self.snapshot_floor.max(height);
+                self.blocks = self.blocks.split_off(&(height + 1));
+                self.next_expected = height + 1;
+                self.advance()
+            }
+
+            fn conflicts_with(&self, block: &BlockRef) -> bool {
+                self.blocks
+                    .get(&block.number())
+                    .is_some_and(|held| held.hash() != block.hash())
+            }
+
+            fn available_in(&self, lo: u64, hi: u64) -> Vec<u64> {
+                if lo > hi {
+                    return Vec::new(); // the tree's `range` refuses these
+                }
+                self.blocks.range(lo..=hi).map(|(n, _)| *n).collect()
+            }
+
+            fn max_seen(&self) -> u64 {
+                self.blocks.keys().next_back().copied().unwrap_or(0)
+            }
+
+            fn consecutive_run(&self, from: u64, to: u64, batch_max: u64) -> Vec<BlockRef> {
+                (from..=to)
+                    .take(batch_max as usize)
+                    .map_while(|n| self.blocks.get(&n).cloned())
+                    .collect()
+            }
+        }
+
+        proptest! {
+            /// Random inserts (in order, out of order, descending, below
+            /// the floor, far, extreme), snapshots and every query against
+            /// the model: same answers, same deliveries, bounded table.
+            #[test]
+            fn model_store_matches_btreemap_and_cursor(
+                ops in proptest::collection::vec((0u8..10, 0u8..12, 0u64..24), 1..160),
+            ) {
+                let mut store = BlockStore::new();
+                let mut model = Model {
+                    blocks: BTreeMap::new(),
+                    next_expected: 1,
+                    snapshot_floor: 0,
+                };
+                // An ascending and a descending cursor make runs and
+                // fills more likely than uniform numbers would.
+                let (mut up, mut down) = (0u64, 60u64);
+                for (op, class, small) in ops {
+                    let num = match class {
+                        0..=2 => small,
+                        3..=4 => {
+                            up += 1;
+                            up
+                        }
+                        5 => {
+                            down = down.saturating_sub(1);
+                            down
+                        }
+                        6 => 40 + small,
+                        7 => crate::blockmap::SPAN as u64 + 50 + small,
+                        8 => (1 << 32) + small,
+                        9 => u64::MAX - 1 - small,
+                        _ => u64::MAX - small,
+                    };
+                    match op {
+                        0..=4 => {
+                            let forged = BlockRef::new(Block::new(num, Hash256([9; 32]), vec![]));
+                            let b = if op == 4 { forged } else { block(num) };
+                            prop_assert_eq!(store.conflicts_with(&b), model.conflicts_with(&b));
+                            prop_assert_eq!(store.insert(b.clone()), model.insert(b));
+                        }
+                        5 if num < u64::MAX => {
+                            prop_assert_eq!(store.adopt_snapshot(num), model.adopt_snapshot(num));
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(store.has(num), model.has(num));
+                    prop_assert_eq!(store.get(num), model.blocks.get(&num));
+                    prop_assert_eq!(store.height(), model.next_expected);
+                    prop_assert_eq!(store.snapshot_floor(), model.snapshot_floor);
+                    prop_assert_eq!(store.len(), model.blocks.len());
+                    prop_assert_eq!(store.is_empty(), model.blocks.is_empty());
+                    prop_assert_eq!(store.max_seen(), model.max_seen());
+                    let window = small + 1;
+                    let hi = model.max_seen();
+                    let lo = hi.saturating_sub(window - 1).max(1);
+                    prop_assert_eq!(store.recent(window), model.available_in(lo, hi));
+                    for (lo, hi) in [(0, u64::MAX), (num.saturating_sub(small), num), (num, small)] {
+                        prop_assert_eq!(store.available_in(lo, hi), model.available_in(lo, hi));
+                        for cap in [small, 1000] {
+                            prop_assert_eq!(
+                                store.consecutive_run(lo, hi, cap),
+                                model.consecutive_run(lo, hi, cap)
+                            );
+                        }
+                    }
+                    let (allocated, held) = store.table();
+                    prop_assert!(allocated <= held + crate::blockmap::SPAN);
+                }
+            }
+        }
     }
 }

@@ -1,0 +1,140 @@
+//! Hostile block numbers and counters against one peer.
+//!
+//! Every table the per-message path keys by block number is indexed by
+//! numbers that arrive from the wire — in `PushDigest`, `PushRequest`,
+//! `PullDigestResponse`, `PullRequest`, `RecoveryRequest` and as the
+//! number of a pushed, pulled or recovered payload. The property test
+//! interleaves such messages, from members, strangers and the peer's own
+//! id, with honest in-order traffic and checks after every step that
+//! nothing panicked, the chain still grows in order, and no table outgrew
+//! the rows it holds plus [`SPAN`].
+
+use desim::Duration;
+use fabric_types::block::{Block, BlockRef};
+use fabric_types::crypto::Hash256;
+use fabric_types::ids::PeerId;
+use proptest::prelude::*;
+
+use crate::blockmap::SPAN;
+use crate::config::GossipConfig;
+use crate::messages::GossipMsg;
+use crate::peer::GossipPeer;
+use crate::testing::MockEffects;
+
+const ME: PeerId = PeerId(5);
+const TTL: u32 = 9;
+
+fn block(num: u64) -> BlockRef {
+    BlockRef::new(Block::new(num, Hash256::ZERO, vec![]))
+}
+
+/// Members, a stranger and the peer itself.
+fn sender(class: u8) -> PeerId {
+    match class {
+        0..=8 => PeerId(u32::from(class) + u32::from(class >= 5)),
+        9 => PeerId(77),
+        _ => ME,
+    }
+}
+
+fn hostile_number(class: u8, height: u64) -> u64 {
+    match class {
+        0 => 0,
+        1 => 1,
+        2 => height.saturating_sub(2),
+        3 => height.saturating_sub(1),
+        4 => height,
+        5 => height + 1,
+        6 => height + 3,
+        7 => 1 << 32,
+        8 => u64::MAX - 1,
+        _ => u64::MAX,
+    }
+}
+
+fn hostile_counter(class: u8) -> u32 {
+    [0, TTL - 1, TTL, 63, 64, u32::MAX][usize::from(class)]
+}
+
+proptest! {
+    #[test]
+    fn wire_hostile_numbers_neither_panic_nor_grow_the_tables(
+        enhanced in any::<bool>(),
+        ops in proptest::collection::vec((0u8..14, 0u8..10, 0u8..6, 0u8..11), 1..220),
+    ) {
+        let cfg = if enhanced {
+            GossipConfig::enhanced(4, TTL, 2)
+        } else {
+            GossipConfig::original_fabric()
+        };
+        let batch_max = cfg.recovery.batch_max;
+        let mut peer = GossipPeer::new(ME, (0..10).map(PeerId).collect(), cfg);
+        let mut fx = MockEffects::new(11);
+        peer.init(&mut fx);
+        let mut honest_head = 0u64;
+        let mut pull_rounds = 0u64;
+        for (kind, num_class, counter_class, from_class) in ops {
+            let before = peer.height();
+            let num = hostile_number(num_class, before);
+            let other = hostile_number(counter_class + 4, before);
+            let counter = hostile_counter(counter_class);
+            let from = sender(from_class);
+            let msg = match kind {
+                0 => GossipMsg::PushDigest { block_num: num, counter },
+                1 => GossipMsg::PushRequest { block_num: num, counter },
+                2 => GossipMsg::PullDigestResponse {
+                    nonce: pull_rounds,
+                    block_nums: vec![num, other, num],
+                },
+                3 => GossipMsg::PullRequest { nonce: pull_rounds, block_nums: vec![num, other] },
+                4 => GossipMsg::RecoveryRequest { from: num, to: other },
+                5 => GossipMsg::RecoveryRequest { from: other, to: num },
+                6 => GossipMsg::BlockPush { block: block(num), counter },
+                7 => GossipMsg::PullResponse { nonce: pull_rounds, blocks: vec![block(num)] },
+                8 => GossipMsg::RecoveryResponse { blocks: vec![block(num), block(other)] },
+                9 => GossipMsg::PullHello { nonce: num },
+                10 => {
+                    // Every armed timer fires (periodic rounds re-arm once).
+                    fx.advance(Duration::from_millis(500));
+                    for (_, timer) in fx.take_scheduled() {
+                        if matches!(timer, crate::messages::GossipTimer::PullRound) {
+                            pull_rounds += 1;
+                        }
+                        peer.on_timer(&mut fx, timer);
+                    }
+                    continue;
+                }
+                _ => {
+                    // Honest traffic: the next block of the chain, announced
+                    // then pushed, by a member.
+                    honest_head += 1;
+                    peer.on_message(
+                        &mut fx,
+                        PeerId(1),
+                        GossipMsg::PushDigest { block_num: honest_head, counter: 3 },
+                    );
+                    GossipMsg::BlockPush { block: block(honest_head), counter: 3 }
+                }
+            };
+            peer.on_message(&mut fx, from, msg);
+            fx.take_sent();
+
+            let height = peer.height();
+            prop_assert!(height >= before, "height went back");
+            prop_assert!(height > honest_head, "an honest block is missing");
+            let store = peer.store();
+            prop_assert!((1..height).all(|n| store.get(n).is_some()), "gap below the height");
+            prop_assert_eq!(fx.delivered_numbers(), (1..height).collect::<Vec<_>>());
+            // Whole-range queries cost what is held, or this never returns.
+            prop_assert_eq!(store.available_in(0, u64::MAX).len(), store.len());
+            prop_assert!(store.consecutive_run(0, u64::MAX, batch_max).is_empty());
+            prop_assert_eq!(
+                store.consecutive_run(1, u64::MAX, batch_max).len() as u64,
+                (height - 1).min(batch_max)
+            );
+            for (allocated, held) in peer.tables() {
+                prop_assert!(allocated <= held + SPAN, "{allocated} rows for {held} held");
+            }
+        }
+    }
+}
