@@ -2,9 +2,8 @@
 //!
 //! Runs the full Byzantine attacker catalog (stale replay, obituary
 //! forgery, selective forwarding, flood amplification, eclipse) under
-//! both anti-entropy wire formats and writes
-//! `ADVERSARIAL_report.json` next to `BENCH_dissemination.json`, so
-//! every change leaves a machine-readable record of which guarantees
+//! both anti-entropy wire formats and writes `ADVERSARIAL_report.json`,
+//! so every change leaves a machine-readable record of which guarantees
 //! survive each attacker and what the attacks cost.
 //!
 //! ```text

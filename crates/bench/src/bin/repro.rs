@@ -1,18 +1,21 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [full|quick|smoke] [figures|table2|analysis|proposal|all]
+//! repro [full|quick|smoke] [figures|table2|analysis|proposal|long_chain|all]
 //! ```
 //!
 //! Prints the series behind Figures 4–14, Table II, the §IV infect-and-die
 //! claim and the appendix's p_e/TTL numbers. `full` matches the paper's
 //! scale (1 000 blocks, five Table II repetitions) and takes minutes;
 //! `quick` keeps every protocol parameter but shortens the workloads.
+//! `long_chain` is beyond the paper (joiner catch-up cost vs chain height)
+//! and not part of `all`. Defaults: `quick all`.
 
 use bench::{run_scaled, Scale};
 use desim::Duration;
 use fabric_experiments::conflicts::{run_table2, ConflictConfig};
 use fabric_experiments::dissemination::DisseminationConfig;
+use fabric_experiments::long_chain::{render_long_chain, run_long_chain, LongChainConfig};
 use fabric_experiments::report;
 use fabric_gossip::config::GossipConfig;
 use gossip_analysis::coverage::infect_and_die_stats;
@@ -21,25 +24,44 @@ use gossip_analysis::ttl::TtlTable;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = args
-        .first()
-        .and_then(|s| Scale::parse(s))
-        .unwrap_or(Scale::Quick);
-    let what = args.get(1).map(String::as_str).unwrap_or("all");
-
-    println!("# fair-gossip reproduction — scale: {scale:?}, target: {what}\n");
-    match what {
-        "figures" => figures(scale),
-        "table2" => table2(scale),
-        "analysis" => analysis(),
-        "proposal" => proposal_conflicts(scale),
-        _ => {
+    let scale = match args.first() {
+        None => Scale::Quick,
+        Some(s) => Scale::parse(s).unwrap_or_else(|| usage(&format!("unknown scale {s:?}"))),
+    };
+    let what = args.get(1).map_or("all", String::as_str);
+    let run: fn(Scale) = match what {
+        "figures" => figures,
+        "table2" => table2,
+        "analysis" => |_| analysis(),
+        "proposal" => proposal_conflicts,
+        "long_chain" => long_chain,
+        "all" => |scale| {
             analysis();
             figures(scale);
             table2(scale);
             proposal_conflicts(scale);
-        }
-    }
+        },
+        other => usage(&format!("unknown target {other:?}")),
+    };
+
+    println!("# fair-gossip reproduction — scale: {scale:?}, target: {what}\n");
+    run(scale);
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("repro: {problem}");
+    eprintln!("usage: repro [full|quick|smoke] [figures|table2|analysis|proposal|long_chain|all]");
+    std::process::exit(2);
+}
+
+/// Joiner catch-up cost swept over chain height: genesis replay vs
+/// snapshot bootstrap (see [`LongChainConfig::standard`]).
+fn long_chain(scale: Scale) {
+    let cfg = match scale {
+        Scale::Full => LongChainConfig::standard(),
+        Scale::Quick | Scale::Smoke => LongChainConfig::quick(),
+    };
+    println!("{}", render_long_chain("long_chain", &run_long_chain(&cfg)));
 }
 
 /// Proposal-time conflicts (§II-C): three endorsers, read sets compared at

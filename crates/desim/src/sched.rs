@@ -1,13 +1,11 @@
-//! Event schedulers: the production hierarchical timing wheel and the
-//! seed-style binary-heap reference.
+//! The event scheduler: a hierarchical timing wheel.
 //!
-//! Both implement [`Scheduler`] and are observationally identical: events
-//! pop in exact `(time, insertion sequence)` order, and a cancelled event
-//! still surfaces as [`Popped::Cancelled`] at its original instant (the
-//! engine advances its clock over cancelled timers, a seed behaviour the
-//! determinism suite pins). The equivalence is proptested in
-//! `tests/scheduler.rs` and the throughput difference is measured by the
-//! `scheduler` microbench in `bench_dissemination`.
+//! Events pop in exact `(time, insertion sequence)` order, and a cancelled
+//! event still surfaces as [`Popped::Cancelled`] at its original instant
+//! (the engine advances its clock over cancelled timers, a seed behaviour
+//! the determinism suite pins). `tests/scheduler.rs` proptests the wheel
+//! against the seed engine's scheduler — one global binary heap of
+//! full-size entries — kept there as the oracle.
 //!
 //! ## The wheel
 //!
@@ -49,9 +47,6 @@ impl EventId {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-    fn seq(self) -> u64 {
-        self.0
-    }
 }
 
 /// One scheduler pop.
@@ -75,7 +70,7 @@ pub enum Popped<E> {
     },
 }
 
-/// Common interface of the wheel and the reference heap.
+/// The scheduling interface the engine drives.
 pub trait Scheduler<E> {
     /// Schedules `payload` at `at`; `at` must be monotone with respect to
     /// the pops observed so far (events are never scheduled in the past).
@@ -352,139 +347,6 @@ impl<E> Scheduler<E> for TimingWheel<E> {
     }
 }
 
-/// Cancelled-event tracking as a growable bitset (the seed engine's
-/// `CancelSet`, preserved for the reference scheduler): sequence numbers
-/// are dense, so one bit per event replaces a hash lookup, and the common
-/// nothing-cancelled case is a single integer compare.
-#[derive(Debug, Default)]
-struct CancelSet {
-    words: Vec<u64>,
-    live: usize,
-}
-
-impl CancelSet {
-    fn insert(&mut self, id: u64) {
-        let word = (id / 64) as usize;
-        if self.words.len() <= word {
-            self.words.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (id % 64);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.live += 1;
-        }
-    }
-
-    fn remove(&mut self, id: u64) -> bool {
-        if self.live == 0 {
-            return false;
-        }
-        let word = (id / 64) as usize;
-        let Some(slot) = self.words.get_mut(word) else {
-            return false;
-        };
-        let bit = 1u64 << (id % 64);
-        if *slot & bit != 0 {
-            *slot &= !bit;
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Full-size heap entry of the reference scheduler: payload inline, as the
-/// seed engine stored it.
-#[derive(Debug)]
-struct HeapEntry<E> {
-    at_ns: u64,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at_ns, self.seq) == (other.at_ns, other.seq)
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at_ns, other.seq).cmp(&(self.at_ns, self.seq)) // min-order
-    }
-}
-
-/// The seed engine's scheduler, kept as the reference implementation for
-/// the equivalence proptest and the `scheduler` microbench: one global
-/// `BinaryHeap` of full-size entries plus a cancel bitset consulted at pop.
-#[derive(Debug)]
-pub struct HeapScheduler<E> {
-    seq: u64,
-    heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: CancelSet,
-}
-
-impl<E> Default for HeapScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapScheduler<E> {
-    /// An empty reference scheduler.
-    pub fn new() -> Self {
-        HeapScheduler {
-            seq: 0,
-            heap: BinaryHeap::with_capacity(4096),
-            cancelled: CancelSet::default(),
-        }
-    }
-}
-
-impl<E> Scheduler<E> for HeapScheduler<E> {
-    fn push(&mut self, at: Time, payload: E) -> EventId {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            at_ns: at.as_nanos(),
-            seq,
-            payload,
-        });
-        EventId(seq)
-    }
-
-    fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.seq());
-    }
-
-    fn pop(&mut self) -> Option<Popped<E>> {
-        let entry = self.heap.pop()?;
-        let at = Time::from_nanos(entry.at_ns);
-        if self.cancelled.remove(entry.seq) {
-            return Some(Popped::Cancelled { at });
-        }
-        Some(Popped::Event {
-            at,
-            seq: entry.seq,
-            payload: entry.payload,
-        })
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.heap.peek().map(|e| Time::from_nanos(e.at_ns))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,19 +485,6 @@ mod tests {
         assert_eq!(w.peek_time(), Some(Time::from_secs(5)));
         assert!(matches!(w.pop(), Some(Popped::Event { .. })));
         assert_eq!(w.peek_time(), None);
-    }
-
-    #[test]
-    fn heap_reference_matches_wheel_on_a_small_script() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
-        let mut h: HeapScheduler<u32> = HeapScheduler::new();
-        let mut ids = Vec::new();
-        for (ms, v) in [(4u64, 1u32), (1, 2), (9, 3), (4, 4), (30_000, 5)] {
-            ids.push((w.push(t(ms), v), h.push(t(ms), v)));
-        }
-        w.cancel(ids[2].0);
-        h.cancel(ids[2].1);
-        assert_eq!(drain(&mut w), drain(&mut h));
     }
 
     #[test]

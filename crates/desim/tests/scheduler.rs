@@ -1,6 +1,7 @@
-//! Scheduler equivalence: the production timing wheel and the seed-style
-//! binary-heap reference must pop identical `(time, seq, event)` streams —
-//! cancelled-ghost positions included — on arbitrary workloads.
+//! Scheduler equivalence: the timing wheel and the seed engine's binary
+//! heap ([`HeapScheduler`], kept here as the oracle) must pop identical
+//! `(time, seq, event)` streams — cancelled-ghost positions included — on
+//! arbitrary workloads.
 //!
 //! The engine's determinism contract (same seed ⇒ byte-identical traces)
 //! rests on the queue's exact `(time, insertion seq)` total order; these
@@ -10,9 +11,45 @@
 //! arbitrary points — the same interleaving a protocol produces when its
 //! handlers schedule new work mid-drain.
 
-use desim::sched::{HeapScheduler, Popped, Scheduler, TimingWheel};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
+use desim::sched::{Popped, Scheduler, TimingWheel};
 use desim::{Duration, Time};
 use proptest::prelude::*;
+
+/// The seed engine's scheduler: one global `BinaryHeap` keyed on
+/// `(time, insertion seq)` plus a cancelled set consulted at pop, so a
+/// cancelled event still pops — as a ghost — at its original instant.
+#[derive(Debug, Default)]
+struct HeapScheduler {
+    seq: u64,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    cancelled: HashSet<u64>,
+}
+
+impl HeapScheduler {
+    fn push(&mut self, at: Time, tag: u32) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse((at.as_nanos(), seq, tag)));
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) {
+        self.cancelled.insert(seq);
+    }
+
+    fn pop(&mut self) -> Option<Popped<u32>> {
+        let Reverse((at_ns, seq, payload)) = self.heap.pop()?;
+        let at = Time::from_nanos(at_ns);
+        Some(if self.cancelled.remove(&seq) {
+            Popped::Cancelled { at }
+        } else {
+            Popped::Event { at, seq, payload }
+        })
+    }
+}
 
 /// One scripted workload step.
 #[derive(Debug, Clone)]
@@ -53,43 +90,46 @@ fn decode(raw: &[(u8, u64, u32, usize)]) -> Vec<Op> {
         .collect()
 }
 
-/// Drives one scheduler through the script. Pushes are anchored at the
-/// last observed pop time (events are never scheduled in the past, as in
-/// the engine), and the full pop stream — mid-script pops plus the final
-/// drain — is returned for comparison.
-fn run<S: Scheduler<u32>>(mut sched: S, script: &[Op]) -> Vec<Popped<u32>> {
+/// Drives the wheel and the oracle through the script in lockstep,
+/// demanding equal pops at every step. Pushes are anchored at the last
+/// observed pop time (events are never scheduled in the past, as in the
+/// engine), and the full pop stream — mid-script pops plus the final
+/// drain — is returned.
+fn run(script: &[Op]) -> Vec<Popped<u32>> {
+    let mut wheel = TimingWheel::new();
+    let mut heap = HeapScheduler::default();
     let mut now = Time::ZERO;
     let mut ids = Vec::new();
     let mut stream = Vec::new();
-    let observe = |popped: Popped<u32>, now: &mut Time| {
-        let at = match &popped {
-            Popped::Event { at, .. } | Popped::Cancelled { at } => *at,
-        };
+    let mut pop = |wheel: &mut TimingWheel<u32>, heap: &mut HeapScheduler, now: &mut Time| {
+        let popped = wheel.pop();
+        assert_eq!(popped, heap.pop(), "pop {} diverged", stream.len());
+        let (Popped::Event { at, .. } | Popped::Cancelled { at }) = popped?;
         assert!(at >= *now, "pops must be monotone");
         *now = at;
+        stream.push(popped?);
         popped
     };
     for op in script {
         match op {
             Op::Push { offset_ns, tag } => {
-                ids.push(sched.push(now + Duration::from_nanos(*offset_ns), *tag));
+                let at = now + Duration::from_nanos(*offset_ns);
+                ids.push((wheel.push(at, *tag), heap.push(at, *tag)));
             }
             Op::Cancel { nth } => {
                 if !ids.is_empty() {
-                    sched.cancel(ids[nth % ids.len()]);
+                    let (w, h) = ids[nth % ids.len()];
+                    wheel.cancel(w);
+                    heap.cancel(h);
                 }
             }
             Op::Pop => {
-                if let Some(p) = sched.pop() {
-                    stream.push(observe(p, &mut now));
-                }
+                pop(&mut wheel, &mut heap, &mut now);
             }
         }
     }
-    while let Some(p) = sched.pop() {
-        stream.push(observe(p, &mut now));
-    }
-    assert!(sched.is_empty(), "drained schedulers report empty");
+    while pop(&mut wheel, &mut heap, &mut now).is_some() {}
+    assert!(wheel.is_empty(), "a drained scheduler reports empty");
     stream
 }
 
@@ -97,10 +137,7 @@ proptest! {
     /// The core property: identical pop streams on random workloads.
     #[test]
     fn wheel_and_heap_pop_identical_streams(raw in raw_ops()) {
-        let script = decode(&raw);
-        let wheel = run(TimingWheel::new(), &script);
-        let heap = run(HeapScheduler::new(), &script);
-        prop_assert_eq!(wheel, heap);
+        run(&decode(&raw));
     }
 
     /// Without cancellations, every pushed event pops exactly once, in
@@ -182,12 +219,34 @@ fn dense_gossip_shaped_workload_matches() {
             _ => script.push(Op::Pop),
         }
     }
-    let wheel = run(TimingWheel::new(), &script);
-    let heap = run(HeapScheduler::new(), &script);
-    assert_eq!(wheel.len(), heap.len());
-    assert_eq!(wheel, heap);
+    let stream = run(&script);
     assert!(
-        wheel.iter().any(|p| matches!(p, Popped::Cancelled { .. })),
+        stream.iter().any(|p| matches!(p, Popped::Cancelled { .. })),
         "the mix must exercise cancellation ghosts"
     );
+}
+
+/// A hand-written script: ties on time, a cancel, a far-future entry.
+#[test]
+fn heap_reference_matches_wheel_on_a_small_script() {
+    let push = |ms: u64, tag| Op::Push {
+        offset_ns: ms * 1_000_000,
+        tag,
+    };
+    let stream = run(&[
+        push(4, 1),
+        push(1, 2),
+        push(9, 3),
+        push(4, 4),
+        push(30_000, 5),
+        Op::Cancel { nth: 2 },
+    ]);
+    let tags: Vec<Option<u32>> = stream
+        .iter()
+        .map(|p| match p {
+            Popped::Event { payload, .. } => Some(*payload),
+            Popped::Cancelled { .. } => None,
+        })
+        .collect();
+    assert_eq!(tags, [Some(2), Some(1), Some(4), None, Some(5)]);
 }

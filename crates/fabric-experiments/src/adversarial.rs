@@ -8,8 +8,8 @@
 //! outcome records, per attacker, which guarantees held (asserted
 //! booleans with a diagnostic detail) and what the attack cost
 //! (baseline-vs-attacked metrics). The result is the machine-readable
-//! [`AdversarialReport`]; CI persists its JSON next to
-//! `BENCH_dissemination.json` and fails when any guarantee falls.
+//! [`AdversarialReport`]; CI persists its JSON as an artifact and fails
+//! when any guarantee falls.
 //!
 //! | attacker             | survives (asserted)                      | degrades (measured)      |
 //! |----------------------|------------------------------------------|--------------------------|
@@ -151,9 +151,8 @@ impl AdversarialReport {
         self.outcomes.iter().all(AttackOutcome::all_held)
     }
 
-    /// Renders the report as JSON, one attacker per line (the same
-    /// hand-built style as `BENCH_dissemination.json` — no JSON
-    /// dependency exists in this offline workspace).
+    /// Renders the report as JSON, one attacker per line (hand-built — no
+    /// JSON dependency exists in this offline workspace).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
         json.push_str(&format!("  \"wire_format\": \"{}\",\n", self.mode));

@@ -139,30 +139,11 @@ impl ChurnConfig {
 
     /// Turns on checkpoint snapshots at the given cadence and gives every
     /// member a ledger, so a late joiner bootstraps from the freshest
-    /// snapshot and replays only the tail (O(tail) instead of O(chain)).
+    /// full snapshot (streamed as bounded chunks) and replays only the
+    /// tail (O(tail) instead of O(chain)).
     pub fn with_snapshots(mut self, interval: u64) -> Self {
         self.gossip = self.gossip.with_snapshots(interval);
         self.full_ledgers = true;
-        self
-    }
-
-    /// Like [`ChurnConfig::with_snapshots`], but the snapshot streams as
-    /// chunk messages of at most `chunk_size` wire bytes each instead of
-    /// one monolithic response, and partial transfers resume from the
-    /// first missing chunk.
-    pub fn with_chunked_snapshots(mut self, interval: u64, chunk_size: usize) -> Self {
-        self.gossip = self.gossip.with_chunked_snapshots(interval, chunk_size);
-        self.full_ledgers = true;
-        self
-    }
-
-    /// On top of a snapshot cadence: emit delta snapshots between full
-    /// boundaries, cutting a full export only every `full_every`-th
-    /// checkpoint, so per-checkpoint retained bytes stop growing with
-    /// state size.
-    pub fn with_delta_snapshots(mut self, full_every: u64) -> Self {
-        self.gossip.snapshot.delta = true;
-        self.gossip.snapshot.full_every = full_every;
         self
     }
 
@@ -618,58 +599,46 @@ mod tests {
         );
     }
 
-    /// Chunked transfer: the same bootstrap, but no single catch-up wire
-    /// message may exceed the configured chunk size — the monolithic
-    /// snapshot response is replaced by a bounded chunk stream that
-    /// reassembles to the identical install.
+    /// No single snapshot-transfer wire message may exceed the configured
+    /// chunk size: the snapshot arrives as a bounded chunk stream that
+    /// reassembles to one verified install.
     #[test]
     fn chunked_bootstrap_bounds_the_largest_catchup_message() {
-        let mut base = ChurnConfig::standard(16, 8, 30);
-        base.network = NetworkConfig::lan(18);
-        base.seed = 9;
-        let whole = run_churn(&base.clone().with_snapshots(8));
+        let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
+        cfg.network = NetworkConfig::lan(18);
+        cfg.seed = 9;
         let chunk_size = 256;
-        let chunked = run_churn(&base.clone().with_chunked_snapshots(8, chunk_size));
+        cfg.gossip.snapshot.chunk_size = chunk_size;
+        let run = run_churn(&cfg);
 
-        let w = &whole.catchups[0];
-        let c = &chunked.catchups[0];
-        w.latency().expect("whole-snapshot catch-up completes");
-        c.latency().expect("chunked catch-up completes");
+        let c = &run.catchups[0];
+        c.latency().expect("catch-up completes");
+        assert!(c.snapshot_height >= 8, "a snapshot must have installed");
         assert!(
-            w.max_msg_bytes as usize > chunk_size,
-            "the monolithic response must dwarf the chunk budget, got {}",
-            w.max_msg_bytes
-        );
-        assert!(
-            c.max_msg_bytes as usize <= chunk_size,
-            "no chunked catch-up message may exceed {chunk_size}, got {}",
+            c.max_msg_bytes > 0 && c.max_msg_bytes as usize <= chunk_size,
+            "no snapshot-transfer message may exceed {chunk_size}, got {}",
             c.max_msg_bytes
         );
         assert!(c.chunks > 1, "the snapshot must arrive in several chunks");
-        assert_eq!(w.chunks, 0, "whole-snapshot transfer moves no chunks");
-        // Same bootstrap outcome either way: snapshot floor and tail.
-        assert_eq!(c.snapshot_height, w.snapshot_height);
-        assert_eq!(c.blocks_replayed, w.blocks_replayed);
-        assert_eq!(chunked.net.commit_errors(), 0);
+        assert_eq!(run.net.commit_errors(), 0);
         // A lossless LAN needs no resumes; the resume machinery is pinned
         // by the unit and scenario suites.
         assert_eq!(c.resumes, 0);
     }
 
-    /// Delta retention: same deployment, but the endorser ledgers emit
-    /// delta snapshots between full boundaries — per-checkpoint retained
-    /// bytes stay flat while full exports keep growing with state size,
-    /// and the joiner's bootstrap outcome is unchanged.
+    /// Delta retention: the endorser ledgers emit a delta per checkpoint
+    /// and a full export every second one — per-checkpoint retained bytes
+    /// stay flat while full exports keep growing with state size, and the
+    /// joiner still bootstraps from a full snapshot.
     #[test]
     fn delta_retention_keeps_per_checkpoint_bytes_flat() {
-        let mut base = ChurnConfig::standard(16, 8, 30);
-        base.network = NetworkConfig::lan(18);
-        base.seed = 9;
-        let full = run_churn(&base.clone().with_snapshots(8));
-        let delta = run_churn(&base.clone().with_snapshots(8).with_delta_snapshots(2));
+        let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
+        cfg.network = NetworkConfig::lan(18);
+        cfg.seed = 9;
+        let run = run_churn(&cfg);
 
         // Retention curves from a sitting endorser's side-channel ledger.
-        let log = delta
+        let log = run
             .net
             .ledger_on(1, ChannelId(1))
             .expect("sitting member keeps a side-channel ledger")
@@ -700,13 +669,10 @@ mod tests {
             hi - lo <= lo,
             "per-checkpoint delta bytes stay flat-ish: {deltas:?}"
         );
-        // The joiner still bootstraps from a (full) snapshot identically.
-        let f = &full.catchups[0];
-        let d = &delta.catchups[0];
-        d.latency().expect("delta-run catch-up completes");
+        let d = &run.catchups[0];
+        d.latency().expect("catch-up completes");
         assert!(d.snapshot_height >= 8);
-        assert_eq!(d.target, f.target);
-        assert_eq!(delta.net.commit_errors(), 0);
+        assert_eq!(run.net.commit_errors(), 0);
     }
 
     /// Anchor-peer entry: the joiner knows a single sitting member and

@@ -5,15 +5,16 @@
 //! the **cost of entering late**. For each chain height in the sweep, the
 //! same deployment runs twice — snapshots off (the joiner replays the
 //! whole chain through recovery) and snapshots on (the joiner installs
-//! the freshest checkpoint snapshot and replays only the tail) — and the
-//! per-join [`Catchup`] record reports the transfer bytes, the
-//! time-to-serving and the blocks actually replayed.
+//! the freshest full snapshot, streamed as bounded chunks, and replays
+//! only the tail) — and the per-join [`Catchup`] record reports the
+//! transfer bytes, the time-to-serving and the blocks actually replayed.
+//! The snapshot run's ledgers also report what a *sitting* peer pays to be
+//! able to serve: bytes retained per checkpoint, full export vs delta.
 //!
 //! The paper's enhancement makes steady-state dissemination fair and
 //! cheap; this sweep shows the complementary claim for bootstrap: genesis
 //! replay grows O(chain) in bytes and time, snapshot bootstrap O(tail) —
-//! the gap widens as the chain grows, which is exactly what the
-//! `long_chain` bench preset pins.
+//! the gap widens as the chain grows.
 
 use desim::{Duration, NetworkConfig};
 
@@ -32,12 +33,10 @@ pub struct LongChainConfig {
     pub side_members: usize,
     /// Checkpoint cadence of the snapshot-on runs.
     pub checkpoint_interval: u64,
-    /// Chunk size of the chunked+delta runs: no snapshot-transfer wire
-    /// message may exceed this many bytes.
+    /// Chunk size of the snapshot-on runs: no snapshot-transfer wire
+    /// message may exceed this many bytes. Far below the gossip default
+    /// because the sweep's states are tiny.
     pub chunk_size: usize,
-    /// Full-export cadence of the chunked+delta runs: one full snapshot
-    /// every this many checkpoints, deltas in between.
-    pub delta_full_every: u64,
     /// Simulation seed (shared by every run of the sweep).
     pub seed: u64,
 }
@@ -52,12 +51,11 @@ impl LongChainConfig {
             side_members: 6,
             checkpoint_interval: 8,
             chunk_size: 512,
-            delta_full_every: 2,
             seed: 1,
         }
     }
 
-    /// A two-point sweep for tests and quick bench runs.
+    /// A two-point sweep for tests and quick runs.
     pub fn quick() -> Self {
         LongChainConfig {
             heights: vec![16, 32],
@@ -82,7 +80,7 @@ pub struct LongChainRow {
     /// The head the snapshot-bootstrapped joiner chased.
     pub snapshot_target: u64,
     /// Catch-up transfer bytes of the snapshot-bootstrapped joiner
-    /// (snapshot response + tail recovery).
+    /// (snapshot chunks + tail recovery).
     pub snapshot_bytes: u64,
     /// Join → serving the head, snapshot bootstrap.
     pub snapshot_time_to_serving: Duration,
@@ -90,22 +88,19 @@ pub struct LongChainRow {
     pub snapshot_blocks_replayed: u64,
     /// Height the installed snapshot absorbed (0 = none was installed).
     pub snapshot_height: u64,
-    /// Largest single snapshot-transfer wire message of the whole-snapshot
-    /// run — grows with state size, the spike chunking removes.
-    pub snapshot_max_msg_bytes: u64,
-    /// Largest single snapshot-transfer wire message of the chunked+delta
-    /// run — bounded by the configured chunk size.
-    pub chunked_max_msg_bytes: u64,
-    /// Snapshot chunks the chunked-run joiner accepted.
-    pub chunked_chunks: u64,
-    /// Transfers the chunked-run joiner re-requested after a timeout or
-    /// server loss (0 on a lossless sweep).
-    pub chunked_resumes: u64,
-    /// Largest full snapshot export a sitting endorser retained during the
-    /// whole-snapshot run — grows linearly with state size.
+    /// Largest single snapshot-transfer wire message — bounded by the
+    /// configured chunk size however large the state.
+    pub max_msg_bytes: u64,
+    /// Snapshot chunks the joiner accepted.
+    pub chunks: u64,
+    /// Transfers the joiner re-requested after a timeout or server loss
+    /// (0 on a lossless sweep).
+    pub resumes: u64,
+    /// Largest full snapshot export a sitting endorser retained — grows
+    /// linearly with state size.
     pub full_bytes_per_checkpoint: u64,
-    /// Largest delta snapshot a sitting endorser retained during the
-    /// chunked+delta run — flat in steady state.
+    /// Largest delta snapshot the same endorser retained — flat in steady
+    /// state.
     pub delta_bytes_per_checkpoint: u64,
 }
 
@@ -116,11 +111,6 @@ pub struct LongChainResult {
     pub rows: Vec<LongChainRow>,
     /// The checkpoint cadence the snapshot runs used.
     pub checkpoint_interval: u64,
-    /// Simulation events across every run of the sweep (both modes) —
-    /// the bench throughput denominator.
-    pub events: u64,
-    /// Blocks cut across every run of the sweep (both modes).
-    pub blocks: u64,
 }
 
 impl LongChainResult {
@@ -134,28 +124,6 @@ impl LongChainResult {
             last.genesis_bytes as f64 / first.genesis_bytes.max(1) as f64,
             last.snapshot_bytes as f64 / first.snapshot_bytes.max(1) as f64,
         )
-    }
-
-    /// Largest single snapshot-transfer wire message across the sweep's
-    /// chunked runs (the bench column pinned against the chunk size).
-    pub fn max_msg_bytes(&self) -> u64 {
-        self.rows
-            .iter()
-            .map(|r| r.chunked_max_msg_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Per-checkpoint delta retention at the tallest sweep point — flat
-    /// while `full_bytes_per_checkpoint` keeps growing with state size.
-    pub fn delta_bytes(&self) -> u64 {
-        self.rows.last().map_or(0, |r| r.delta_bytes_per_checkpoint)
-    }
-
-    /// Chunked-transfer resumes across the sweep (0 on a lossless LAN —
-    /// loss-driven resumes are pinned by the unit and scenario suites).
-    pub fn resumes(&self) -> u64 {
-        self.rows.iter().map(|r| r.chunked_resumes).sum()
     }
 
     /// Time-to-serving growth factor across the sweep (last / first).
@@ -182,22 +150,8 @@ fn completed_catchup(catchups: &[Catchup], blocks: u64, mode: &str) -> Catchup {
     cu.clone()
 }
 
-/// The largest retained full export and delta snapshot of a sitting
-/// endorser's side-channel ledger after a run.
-fn retention_peaks(run: &crate::churn::ChurnResult) -> (u64, u64) {
-    let log = run
-        .net
-        .ledger_on(1, ChurnConfig::side_channel())
-        .expect("sitting members keep side-channel ledgers under full_ledgers")
-        .retention_log();
-    let full = log.iter().map(|r| r.full_bytes).max().unwrap_or(0);
-    let delta = log.iter().map(|r| r.delta_bytes).max().unwrap_or(0);
-    (full, delta)
-}
-
-/// Runs the sweep: each height three times (snapshots off, whole-snapshot
-/// bootstrap, chunked transfer + delta retention), same seed and workload,
-/// one late joiner chasing the side channel's head.
+/// Runs the sweep: each height twice (snapshots off, snapshots on), same
+/// seed and workload, one late joiner chasing the side channel's head.
 ///
 /// # Panics
 ///
@@ -205,8 +159,6 @@ fn retention_peaks(run: &crate::churn::ChurnResult) -> (u64, u64) {
 /// numbers would be meaningless.
 pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
     let mut rows = Vec::with_capacity(cfg.heights.len());
-    let mut events = 0u64;
-    let mut total_blocks = 0u64;
     for &blocks in &cfg.heights {
         let mut base = ChurnConfig::standard(cfg.peers, cfg.side_members, blocks);
         base.network = NetworkConfig::lan(cfg.peers + 2);
@@ -224,23 +176,17 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
         let genesis = run_churn(&base);
         let g = completed_catchup(&genesis.catchups, blocks, "genesis");
 
-        let snap_run = run_churn(&base.clone().with_snapshots(cfg.checkpoint_interval));
+        let mut snap_cfg = base.with_snapshots(cfg.checkpoint_interval);
+        snap_cfg.gossip.snapshot.chunk_size = cfg.chunk_size;
+        let snap_run = run_churn(&snap_cfg);
         let s = completed_catchup(&snap_run.catchups, blocks, "snapshot");
-        let (full_bytes, _) = retention_peaks(&snap_run);
+        // What a sitting endorser retained to be able to serve.
+        let log = snap_run
+            .net
+            .ledger_on(1, ChurnConfig::side_channel())
+            .expect("sitting members keep side-channel ledgers under full_ledgers")
+            .retention_log();
 
-        let chunked_run = run_churn(
-            &base
-                .clone()
-                .with_chunked_snapshots(cfg.checkpoint_interval, cfg.chunk_size)
-                .with_delta_snapshots(cfg.delta_full_every),
-        );
-        let c = completed_catchup(&chunked_run.catchups, blocks, "chunked");
-        let (_, delta_bytes) = retention_peaks(&chunked_run);
-
-        for run in [&genesis, &snap_run, &chunked_run] {
-            events += run.events;
-            total_blocks += run.channels.iter().map(|c| c.blocks).sum::<u64>();
-        }
         rows.push(LongChainRow {
             blocks,
             genesis_target: g.target,
@@ -252,19 +198,16 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             snapshot_time_to_serving: s.time_to_serving().expect("checked above"),
             snapshot_blocks_replayed: s.blocks_replayed,
             snapshot_height: s.snapshot_height,
-            snapshot_max_msg_bytes: s.max_msg_bytes,
-            chunked_max_msg_bytes: c.max_msg_bytes,
-            chunked_chunks: c.chunks,
-            chunked_resumes: c.resumes,
-            full_bytes_per_checkpoint: full_bytes,
-            delta_bytes_per_checkpoint: delta_bytes,
+            max_msg_bytes: s.max_msg_bytes,
+            chunks: s.chunks,
+            resumes: s.resumes,
+            full_bytes_per_checkpoint: log.iter().map(|r| r.full_bytes).max().unwrap_or(0),
+            delta_bytes_per_checkpoint: log.iter().map(|r| r.delta_bytes).max().unwrap_or(0),
         });
     }
     LongChainResult {
         rows,
         checkpoint_interval: cfg.checkpoint_interval,
-        events,
-        blocks: total_blocks,
     }
 }
 
@@ -290,12 +233,11 @@ pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
             r.snapshot_height,
         ));
         out.push_str(&format!(
-            "            | chunked: max msg {:>6} B (whole {:>6} B), {:>3} chunks, \
-             {} resumes | retained/ckpt: full {:>6} B vs delta {:>5} B\n",
-            r.chunked_max_msg_bytes,
-            r.snapshot_max_msg_bytes,
-            r.chunked_chunks,
-            r.chunked_resumes,
+            "            | transfer: max msg {:>6} B, {:>3} chunks, {} resumes | \
+             retained/ckpt: full {:>6} B vs delta {:>5} B\n",
+            r.max_msg_bytes,
+            r.chunks,
+            r.resumes,
             r.full_bytes_per_checkpoint,
             r.delta_bytes_per_checkpoint,
         ));
@@ -322,8 +264,25 @@ mod tests {
     fn snapshot_bootstrap_beats_genesis_replay_at_every_height() {
         let res = sweep();
         assert_eq!(res.rows.len(), 2);
+        // A full export is cut every second checkpoint, so the freshest
+        // servable floor trails the head by less than two intervals
+        // wherever the chain stands. Inside that bound the tail is a
+        // sawtooth in the chain height — the bound is the claim, not a
+        // ratio between two samples of it.
+        let period = 2 * res.checkpoint_interval;
         for r in &res.rows {
             assert!(r.genesis_target > 0, "the joiner must have a head to chase");
+            assert!(
+                r.genesis_blocks_replayed >= r.genesis_target,
+                "{} blocks: genesis replay must pull the whole chain",
+                r.blocks
+            );
+            assert!(
+                r.snapshot_blocks_replayed <= period,
+                "{} blocks: tail {} exceeds the full-export period {period}",
+                r.blocks,
+                r.snapshot_blocks_replayed
+            );
             assert!(
                 r.snapshot_height >= res.checkpoint_interval,
                 "{} blocks: no snapshot was installed (floor {})",
@@ -345,18 +304,7 @@ mod tests {
                 r.genesis_bytes
             );
         }
-    }
-
-    #[test]
-    fn snapshot_cost_grows_strictly_slower_with_chain_height() {
-        let res = sweep();
-        let (genesis_bytes, snapshot_bytes) = res.bytes_growth();
-        assert!(
-            snapshot_bytes < genesis_bytes,
-            "snapshot byte growth {snapshot_bytes:.2}x must trail genesis {genesis_bytes:.2}x"
-        );
-        // Genesis replay cost meaningfully tracks the chain; the snapshot
-        // path is dominated by the (bounded) tail.
+        let (genesis_bytes, _) = res.bytes_growth();
         assert!(
             genesis_bytes > 1.2,
             "the sweep must actually grow the genesis cost, got {genesis_bytes:.2}x"
@@ -370,34 +318,31 @@ mod tests {
         eprintln!("{text}");
         assert!(text.contains("genesis:"));
         assert!(text.contains("snapshot:"));
-        assert!(text.contains("chunked:"));
+        assert!(text.contains("transfer:"));
         assert!(text.contains("retained/ckpt"));
         assert!(text.contains("growth last/first"));
         assert!(text.contains("to serving"));
     }
 
     #[test]
-    fn chunking_bounds_the_wire_while_the_whole_snapshot_grows_unbounded() {
+    fn chunking_bounds_the_wire_while_the_state_grows() {
         let cfg = LongChainConfig::quick();
         let res = run_long_chain(&cfg);
         for r in &res.rows {
             assert!(
-                r.chunked_max_msg_bytes as usize <= cfg.chunk_size,
-                "{} blocks: chunked message {} exceeds the {} budget",
+                r.max_msg_bytes > 0 && r.max_msg_bytes as usize <= cfg.chunk_size,
+                "{} blocks: snapshot message {} exceeds the {} budget",
                 r.blocks,
-                r.chunked_max_msg_bytes,
+                r.max_msg_bytes,
                 cfg.chunk_size
             );
-            assert!(r.chunked_chunks > 1, "the transfer must actually chunk");
+            assert!(r.chunks > 1, "the transfer must actually chunk");
+            assert_eq!(r.resumes, 0, "a lossless LAN sweep needs no resumes");
         }
+        // The state a joiner installs outgrows the chunk budget many
+        // times over; the largest message does not move.
         let last = res.rows.last().unwrap();
-        assert!(
-            last.snapshot_max_msg_bytes as usize > cfg.chunk_size,
-            "the whole-snapshot spike must outgrow the chunk budget, got {}",
-            last.snapshot_max_msg_bytes
-        );
-        assert!(res.max_msg_bytes() as usize <= cfg.chunk_size);
-        assert_eq!(res.resumes(), 0, "a lossless LAN sweep needs no resumes");
+        assert!(last.full_bytes_per_checkpoint as usize > 10 * cfg.chunk_size);
     }
 
     #[test]
@@ -435,7 +380,6 @@ mod tests {
                 r.blocks
             );
         }
-        assert_eq!(res.delta_bytes(), last.delta_bytes_per_checkpoint);
     }
 
     #[test]

@@ -203,12 +203,6 @@ impl MultiChannelConfig {
         Self::clustered(126, 16, 600)
     }
 
-    /// `large` scaled to a quick-bench budget (same shape, shorter
-    /// workload).
-    pub fn large_quick() -> Self {
-        Self::clustered(126, 16, 150)
-    }
-
     /// A smoke-sized `large` slice for tests and golden pins.
     pub fn large_smoke() -> Self {
         Self::clustered(6, 16, 100)

@@ -254,7 +254,7 @@ pub struct Catchup {
     /// (`None` while still catching up).
     pub completed_at: Option<Time>,
     /// Catch-up transfer bytes received while open: recovery-response and
-    /// snapshot-response wire bytes addressed to the joiner on this
+    /// snapshot-chunk wire bytes addressed to the joiner on this
     /// channel. Steady-state push/pull traffic is not counted — this is
     /// the cost of the bootstrap itself.
     pub bytes: u64,
@@ -265,13 +265,11 @@ pub struct Catchup {
     /// Highest block number absorbed through an installed snapshot
     /// (0 = genesis replay; filled at completion).
     pub snapshot_height: u64,
-    /// Largest single snapshot-transfer wire message addressed to the
-    /// joiner while open — under chunked transfer this stays within the
-    /// configured chunk size instead of spiking to the whole serialized
-    /// snapshot (block-recovery batches are not chunked and not counted).
+    /// Largest single snapshot-chunk wire message addressed to the joiner
+    /// while open — within the configured chunk size, however large the
+    /// state (block-recovery batches are not chunked and not counted).
     pub max_msg_bytes: u64,
-    /// Snapshot chunks the joiner accepted (filled at completion;
-    /// 0 under whole-snapshot transfer).
+    /// Snapshot chunks the joiner accepted (filled at completion).
     pub chunks: u64,
     /// Snapshot transfers re-requested after a timeout or server
     /// departure (filled at completion).
@@ -809,8 +807,7 @@ impl FabricNet {
 
     /// The ledger snapshot policy, when the gossip layer has snapshots
     /// on (`None` keeps ledgers checkpoint-free — the byte-identical
-    /// historical pipeline). Delta-snapshot gossip configs map onto the
-    /// delta retention policy at the same cadence.
+    /// historical pipeline).
     fn checkpoint_policy(&self) -> Option<SnapshotPolicy> {
         ledger_snapshot_policy(&self.params.gossip)
     }
@@ -949,12 +946,12 @@ impl FabricNet {
         let validation = self.params.validation_per_tx;
         let ckpt = self.checkpoint_policy();
         // Catch-up transfer accounting: recovery batches and snapshot
-        // responses addressed to a still-catching-up joiner are the bytes
+        // chunks addressed to a still-catching-up joiner are the bytes
         // its bootstrap costs (steady-state push/pull is not).
         {
             use desim::Message as _;
             let kind = envelope.msg.kind();
-            if kind == "block-recovery" || kind == "snapshot" || kind == "snapshot-chunk" {
+            if kind == "block-recovery" || kind == "snapshot-chunk" {
                 let peer = PeerId(to.0);
                 if let Some(c) = self.catchups.iter_mut().find(|c| {
                     c.completed_at.is_none() && c.peer == peer && c.channel == envelope.channel
@@ -1582,16 +1579,13 @@ struct SimFx<'a, 'c> {
 
 /// The ledger-side snapshot policy implied by a gossip config: `None`
 /// with snapshots off (checkpoint-free ledgers, the byte-identical
-/// historical pipeline), the delta retention policy when delta snapshots
-/// are on, the full-only policy otherwise.
+/// historical pipeline); otherwise a delta per checkpoint and a full
+/// export every second one, so per-checkpoint retention stays flat as
+/// state grows.
 fn ledger_snapshot_policy(g: &GossipConfig) -> Option<SnapshotPolicy> {
-    g.snapshot.enabled.then(|| {
-        if g.snapshot.delta {
-            SnapshotPolicy::delta(g.snapshot.interval, g.snapshot.full_every)
-        } else {
-            SnapshotPolicy::full(g.snapshot.interval)
-        }
-    })
+    g.snapshot
+        .enabled
+        .then(|| SnapshotPolicy::delta(g.snapshot.interval, 2))
 }
 
 impl Effects for SimFx<'_, '_> {

@@ -241,23 +241,21 @@ fn snapshots_default_off_cannot_perturb_the_golden_traces() {
         GossipConfig::original_fabric(),
     ] {
         assert!(!cfg.snapshot.enabled, "snapshot bootstrap must ship off");
-        assert!(!cfg.snapshot.chunked, "chunked transfer must ship off");
-        assert!(!cfg.snapshot.delta, "delta snapshots must ship off");
     }
     // Master-switch semantics, observed on a full run: with
-    // `snapshot.enabled` false, flipping every chunking/delta knob moves
+    // `snapshot.enabled` false, moving every other snapshot setting moves
     // nothing — not one event, latency sample, or per-kind byte count.
     let stock = quick(GossipConfig::enhanced_f4(), 11);
     let mut knobs_twiddled = stock.clone();
-    knobs_twiddled.gossip.snapshot.chunked = true;
     knobs_twiddled.gossip.snapshot.chunk_size = 512;
-    knobs_twiddled.gossip.snapshot.delta = true;
-    knobs_twiddled.gossip.snapshot.full_every = 7;
+    knobs_twiddled.gossip.snapshot.interval = 3;
+    knobs_twiddled.gossip.snapshot.min_lag = 1;
+    knobs_twiddled.gossip.snapshot.request_timeout = Duration::from_millis(1);
     assert!(!knobs_twiddled.gossip.snapshot.enabled);
     assert_eq!(
         fingerprint(&stock),
         fingerprint(&knobs_twiddled),
-        "disabled snapshots must make chunk/delta knobs inert"
+        "disabled snapshots must make every snapshot setting inert"
     );
     let golden = ChurnConfig::standard(16, 8, 20).with_protocol_discovery();
     assert!(

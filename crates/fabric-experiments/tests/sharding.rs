@@ -11,8 +11,7 @@
 //! The golden pin at the bottom freezes the `large_smoke` preset (the
 //! smoke-scale slice of the `large` bench preset) to exact event and block
 //! counts, the same way `determinism.rs` pins the discovery trace: any
-//! engine or runner change that perturbs the schedule fails loudly here
-//! instead of sliding into `BENCH_dissemination.json`.
+//! engine or runner change that perturbs the schedule fails loudly here.
 
 use desim::Duration;
 use fabric_experiments::multichannel::{run_multichannel, ChannelPlan, MultiChannelConfig};

@@ -149,9 +149,9 @@ pub struct ChannelCore {
     pub store: BlockStore,
     /// The latest snapshot this peer can serve: published by the embedding
     /// when its ledger checkpoints ([`crate::peer::GossipPeer::
-    /// publish_snapshot_on`]) or installed from a received
-    /// [`GossipMsg::SnapshotResponse`]. `None` unless snapshot bootstrap
-    /// produced one.
+    /// publish_snapshot_on`]) or installed from a completed
+    /// [`GossipMsg::SnapshotChunk`] transfer. `None` unless snapshot
+    /// bootstrap produced one.
     pub snapshot: Option<fabric_types::snapshot::SnapshotRef>,
     /// Per-channel protocol counters.
     pub stats: PeerStats,
@@ -397,14 +397,12 @@ impl ChannelState {
             GossipMsg::SnapshotRequest { height, from_chunk } => self
                 .leadership
                 .on_snapshot_request(&mut self.core, fx, from, height, from_chunk),
-            GossipMsg::SnapshotResponse { snapshot } => {
-                self.leadership
-                    .on_snapshot_response(&mut self.core, fx, snapshot);
-                self.release_absorbed();
-            }
             GossipMsg::SnapshotChunk { chunk } => {
-                self.leadership.on_snapshot_chunk(&mut self.core, fx, chunk);
-                self.release_absorbed();
+                self.leadership
+                    .on_snapshot_chunk(&mut self.core, fx, from, chunk);
+                // If that installed a snapshot, the push state about the
+                // blocks it absorbed leaves with their store rows.
+                self.push.release_through(self.core.store.snapshot_floor());
             }
             GossipMsg::Alive => {} // mark_alive above is the whole effect
             GossipMsg::AliveMsg(claim) => {
@@ -477,12 +475,6 @@ impl ChannelState {
     pub(crate) fn tables(&self) -> [(usize, usize); 3] {
         let [seen, pending] = self.push.tables();
         [self.core.store.table(), seen, pending]
-    }
-
-    /// After a message that may have installed a snapshot: the push state
-    /// about the blocks it absorbed leaves with their store rows.
-    fn release_absorbed(&mut self) {
-        self.push.release_through(self.core.store.snapshot_floor());
     }
 
     /// A peer joined this channel at runtime: discovery adds it to both the

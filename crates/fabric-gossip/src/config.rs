@@ -206,6 +206,10 @@ impl Default for ElectionConfig {
 /// a peer whose height trails the best advertised checkpoint by at least
 /// `min_lag` blocks requests the snapshot instead of replaying the chain —
 /// O(state + tail) instead of O(chain).
+///
+/// The snapshot streams as [`fabric_types::snapshot::SnapshotChunk`]s of
+/// at most `chunk_size` wire bytes, reassembled and verified by the
+/// receiver and resumable from any server holding the same checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotConfig {
     /// Advertise checkpoints and bootstrap joiners from snapshots.
@@ -218,19 +222,9 @@ pub struct SnapshotConfig {
     /// before a peer prefers a snapshot over block replay. Keeps
     /// steady-state stragglers on the cheap block-recovery path.
     pub min_lag: u64,
-    /// Stream snapshots as [`fabric_types::snapshot::SnapshotChunk`]s of at
-    /// most `chunk_size` wire bytes instead of one whole-state response.
-    /// Off by default: the snapshot wire format is unchanged.
-    pub chunked: bool,
     /// Upper bound on one snapshot-chunk message on the wire (envelope
-    /// included), when `chunked` is on.
+    /// included). At least 128 bytes: a chunk must fit its header.
     pub chunk_size: usize,
-    /// Ledger-side delta snapshots: emit per-checkpoint deltas and full
-    /// exports only every `full_every` checkpoints (see
-    /// `fabric_ledger::ledger::SnapshotPolicy::delta`). Off by default.
-    pub delta: bool,
-    /// Full-snapshot cadence in checkpoints when `delta` is on.
-    pub full_every: u64,
     /// How long a snapshot request stays in flight before the requester
     /// gives the server up and resumes from a different peer. Doubles per
     /// failed attempt (the fetch-retry idiom applied to bulk transfer).
@@ -243,10 +237,7 @@ impl Default for SnapshotConfig {
             enabled: false,
             interval: 32,
             min_lag: 32,
-            chunked: false,
             chunk_size: 64 * 1024,
-            delta: false,
-            full_every: 2,
             request_timeout: Duration::from_secs(8),
         }
     }
@@ -385,16 +376,6 @@ impl GossipConfig {
         self
     }
 
-    /// [`Self::with_snapshots`] plus chunked transfer: snapshots stream as
-    /// chunk messages of at most `chunk_size` wire bytes, reassembled and
-    /// verified by the receiver, resumable from any eligible server.
-    pub fn with_chunked_snapshots(mut self, interval: u64, chunk_size: usize) -> Self {
-        self = self.with_snapshots(interval);
-        self.snapshot.chunked = true;
-        self.snapshot.chunk_size = chunk_size;
-        self
-    }
-
     /// Figure 10's ablation: enhanced protocol but the leader keeps the
     /// full fan-out, overloading its NIC.
     pub fn enhanced_heavy_leader() -> Self {
@@ -504,11 +485,8 @@ impl GossipConfig {
             if self.snapshot.request_timeout.is_zero() {
                 return Err("snapshot request_timeout must be positive".into());
             }
-            if self.snapshot.chunked && self.snapshot.chunk_size < 128 {
+            if self.snapshot.chunk_size < 128 {
                 return Err("snapshot chunk_size must be at least 128 bytes".into());
-            }
-            if self.snapshot.delta && self.snapshot.full_every == 0 {
-                return Err("snapshot full_every must be positive".into());
             }
         }
         Ok(())
@@ -627,15 +605,8 @@ mod tests {
         assert!(snap.snapshot.enabled);
         assert_eq!(snap.snapshot.interval, 16);
         assert_eq!(snap.snapshot.min_lag, 16);
-        assert!(
-            !snap.snapshot.chunked && !snap.snapshot.delta,
-            "chunking and deltas stay off unless asked for"
-        );
+        assert_eq!(snap.snapshot.chunk_size, 64 * 1024);
         assert!(snap.validate().is_ok());
-        let chunked = GossipConfig::enhanced_f4().with_chunked_snapshots(16, 4096);
-        assert!(chunked.snapshot.chunked);
-        assert_eq!(chunked.snapshot.chunk_size, 4096);
-        assert!(chunked.validate().is_ok());
 
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
         bad.snapshot.interval = 0;
@@ -646,17 +617,14 @@ mod tests {
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
         bad.snapshot.request_timeout = Duration::ZERO;
         assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::enhanced_f4().with_chunked_snapshots(16, 64);
+        let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
+        bad.snapshot.chunk_size = 64;
         assert!(
             bad.validate().is_err(),
             "a chunk must fit at least a header"
         );
         bad.snapshot.chunk_size = 128;
         assert!(bad.validate().is_ok());
-        let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
-        bad.snapshot.delta = true;
-        bad.snapshot.full_every = 0;
-        assert!(bad.validate().is_err());
         // Disabled snapshots never fail validation, whatever the fields say.
         let mut off = GossipConfig::enhanced_f4();
         off.snapshot.interval = 0;

@@ -23,10 +23,10 @@ use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer, ENVELOPE};
 
 /// One snapshot transfer in progress: the request this peer has in flight
-/// and, under chunked transfer, the partial assembly. The in-flight guard
-/// keeps every RecoveryRound from re-requesting a multi-MB transfer that is
-/// merely still in transit; the timeout (doubling per attempt) is what
-/// eventually routes around a crashed or pruned server.
+/// and the partial assembly. The in-flight guard keeps every RecoveryRound
+/// from re-requesting a multi-MB transfer that is merely still in transit;
+/// the timeout (doubling per attempt) is what eventually routes around a
+/// crashed, pruned or lying server.
 #[derive(Debug)]
 struct SnapshotTransfer {
     /// The peer the outstanding request went to.
@@ -38,8 +38,8 @@ struct SnapshotTransfer {
     /// Set when the server announced its departure — treated as an instant
     /// timeout on the next round.
     server_gone: bool,
-    /// Partial chunked assembly; `None` until the first chunk arrives (and
-    /// always for whole-snapshot transfers).
+    /// Partial assembly; `None` until the first chunk arrives, and again
+    /// after a completed assembly failed verification.
     assembler: Option<SnapshotAssembler>,
 }
 
@@ -179,7 +179,9 @@ impl LeadershipEngine {
         my_height: u64,
     ) -> bool {
         let min_lag = core.cfg.snapshot.min_lag;
-        let trigger = move |cp_height: u64| cp_height + 1 >= my_height + min_lag;
+        // Saturating: an advertised checkpoint at `u64::MAX` is a number
+        // off the wire, not a reason to overflow.
+        let trigger = move |cp_height: u64| cp_height.saturating_add(1) >= my_height + min_lag;
         let best_cp = self
             .peer_checkpoints
             .values()
@@ -202,7 +204,7 @@ impl LeadershipEngine {
             // server up and move the transfer elsewhere.
             self.failed_servers.insert(t.server);
         }
-        // A partial chunked assembly pins a checkpoint; its missing suffix
+        // A partial assembly pins a checkpoint; its missing suffix
         // can only come from servers holding *exactly* that checkpoint
         // (chunk plans line up only at identical checkpoints).
         let pinned = self
@@ -284,8 +286,8 @@ impl LeadershipEngine {
     /// Serves a snapshot request from the channel's retained snapshot.
     /// The served snapshot may be newer than the requested height (the
     /// server checkpointed again since advertising) — never older, so the
-    /// requester always gains at least the height it asked for. Under
-    /// chunked transfer the snapshot streams as chunk messages of at most
+    /// requester always gains at least the height it asked for. The
+    /// snapshot streams as chunk messages of at most
     /// [`crate::config::SnapshotConfig::chunk_size`] wire bytes, starting
     /// at the requested resume offset; a non-zero offset is only honored
     /// at an exact checkpoint match, since chunk plans of different
@@ -304,11 +306,6 @@ impl LeadershipEngine {
         if snapshot.checkpoint.height < height {
             return;
         }
-        if !core.cfg.snapshot.chunked {
-            core.stats.snapshots_served += 1;
-            core.send(fx, from, GossipMsg::SnapshotResponse { snapshot });
-            return;
-        }
         if from_chunk > 0 && snapshot.checkpoint.height != height {
             return;
         }
@@ -324,39 +321,33 @@ impl LeadershipEngine {
         }
     }
 
-    /// A whole snapshot arrived: verify it, install it (jumping the
-    /// store's delivery cursor past the absorbed prefix), notify the
-    /// embedding so it can seed its ledger, retain the snapshot for
-    /// re-serving, and deliver whatever buffered tail just became
-    /// contiguous. Stale responses — including duplicates arriving after a
-    /// first copy installed — are dropped without touching the counters.
-    pub fn on_snapshot_response(
-        &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
-        snapshot: SnapshotRef,
-    ) {
-        self.install_snapshot(core, fx, snapshot);
-    }
-
-    /// One chunk of an in-flight transfer arrived: absorb it into the
-    /// assembly (pinning the checkpoint on the first chunk) and, once the
-    /// plan is complete, reassemble and install through the same verified
-    /// path as a whole-snapshot response. Chunks that are stale,
-    /// unsolicited (no transfer in flight — e.g. arriving after install),
-    /// foreign to the pinned checkpoint, or duplicates are dropped.
+    /// One chunk arrived from `from`: absorb it into the in-flight
+    /// transfer's assembly (pinning the checkpoint on the first chunk) and,
+    /// once the plan is complete, reassemble, verify and install. Dropped
+    /// without effect: chunks with no transfer in flight (e.g. arriving
+    /// after install), chunks from a peer this transfer never asked — only
+    /// the current server and the servers it already gave up on may feed
+    /// it, so a stranger can neither complete a forged plan nor pin the
+    /// assembly to a foreign checkpoint — and chunks that are stale,
+    /// foreign to the pinned checkpoint, or duplicates.
     pub fn on_snapshot_chunk(
         &mut self,
         core: &mut ChannelCore,
         fx: &mut dyn Effects,
+        from: PeerId,
         chunk: SnapshotChunk,
     ) {
-        if chunk.checkpoint().height < core.store.height() {
-            return;
-        }
         let Some(transfer) = &mut self.inflight else {
             return;
         };
+        if from != transfer.server && !self.failed_servers.contains(&from) {
+            return;
+        }
+        // Stale, or a height no chain reaches (the store cannot adopt it).
+        let height = chunk.checkpoint().height;
+        if height < core.store.height() || height == u64::MAX {
+            return;
+        }
         let accepted = match &mut transfer.assembler {
             Some(asm) => asm.accept(&chunk),
             None => {
@@ -368,40 +359,22 @@ impl LeadershipEngine {
             return;
         }
         core.stats.snapshot_chunks_received += 1;
-        if !transfer
+        let Some(snapshot) = transfer
             .assembler
             .as_ref()
-            .is_some_and(SnapshotAssembler::is_complete)
-        {
-            return;
-        }
-        let Some(snapshot) = self
-            .inflight
-            .take()
-            .and_then(|t| t.assembler)
-            .and_then(|a| a.assemble())
+            .and_then(SnapshotAssembler::assemble)
         else {
-            return;
+            return; // plan still incomplete
         };
-        self.install_snapshot(core, fx, SnapshotRef::new(snapshot));
-    }
-
-    /// The one verified install path shared by whole-snapshot responses
-    /// and completed chunk assemblies: reject stale or tampered state,
-    /// then atomically adopt it and release any in-flight transfer.
-    fn install_snapshot(
-        &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
-        snapshot: SnapshotRef,
-    ) {
-        if snapshot.checkpoint.height < core.store.height() {
-            return; // stale: we already have everything it covers
-        }
         if !snapshot.verify() {
-            return; // entries don't hash to the checkpoint — discard
+            // Entries don't hash to the checkpoint. Discard the assembly
+            // but leave the request in flight: its timeout is what moves
+            // the transfer off the server that fed it.
+            transfer.assembler = None;
+            return;
         }
-        let run = core.store.adopt_snapshot(snapshot.checkpoint.height);
+        let snapshot = SnapshotRef::new(snapshot);
+        let run = core.store.adopt_snapshot(height);
         core.stats.snapshots_installed += 1;
         fx.snapshot_installed(core.channel, &snapshot);
         core.snapshot = Some(snapshot);
@@ -529,9 +502,7 @@ impl LeadershipEngine {
                     .membership
                     .alive_peers(now)
                     .into_iter()
-                    .chain(std::iter::once(core.self_id))
-                    .min()
-                    .expect("iterator contains self");
+                    .fold(core.self_id, PeerId::min);
                 if lowest_alive == core.self_id {
                     self.is_leader = true;
                     fx.leadership_changed(core.channel, true);
@@ -613,6 +584,39 @@ mod tests {
         assert_eq!(fx.leadership, vec![false]);
     }
 
+    /// Small enough that the tiny test states span several chunks.
+    const CHUNK: usize = 256;
+
+    fn snapshot_cfg() -> GossipConfig {
+        let mut cfg = GossipConfig::enhanced_f4().with_snapshots(8);
+        cfg.snapshot.chunk_size = CHUNK;
+        cfg
+    }
+
+    /// The chunk plan a server under [`snapshot_cfg`] streams.
+    fn plan(snapshot: &SnapshotRef) -> Vec<SnapshotChunk> {
+        SnapshotChunk::plan(snapshot, CHUNK - ENVELOPE)
+    }
+
+    /// Puts a transfer in flight toward `server`, the only peer
+    /// advertising `snapshot`'s checkpoint.
+    fn request_from(
+        e: &mut LeadershipEngine,
+        c: &mut ChannelCore,
+        fx: &mut MockEffects,
+        server: PeerId,
+        snapshot: &SnapshotRef,
+    ) {
+        let cp = snapshot.checkpoint;
+        e.on_state_info(server, cp.height + 1, Some(cp));
+        e.on_recovery_round(c, fx);
+        let sent = fx.take_sent();
+        assert!(
+            matches!(sent.as_slice(), [(to, GossipMsg::SnapshotRequest { .. })] if *to == server),
+            "the transfer must be in flight toward {server}"
+        );
+    }
+
     fn test_snapshot(height: u64) -> SnapshotRef {
         use fabric_types::rwset::{Key, Value, Version};
         use fabric_types::snapshot::{hash_state_entries, Snapshot};
@@ -688,67 +692,85 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_request_is_served_from_the_retained_snapshot() {
+    fn a_tampered_transfer_never_installs_and_resumes_elsewhere() {
+        use desim::Duration;
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
-        // Nothing to serve yet: the request is dropped.
-        e.on_snapshot_request(&mut c, &mut fx, PeerId(3), 8, 0);
+        // Server 2 is asked (server 3 advertises the same checkpoint a
+        // moment later) and answers with a plan whose entries no longer
+        // hash to the checkpoint.
+        let honest = test_snapshot(16);
+        request_from(&mut e, &mut c, &mut fx, PeerId(2), &honest);
+        e.on_state_info(PeerId(3), 17, Some(honest.checkpoint));
+        let mut forged = (*honest).clone();
+        forged.entries[0].1 = fabric_types::rwset::Value::from_u64(999);
+        for chunk in plan(&forged.into()) {
+            e.on_snapshot_chunk(&mut c, &mut fx, PeerId(2), chunk);
+        }
+        assert_eq!(c.stats.snapshots_installed, 0);
+        assert_eq!(c.store.height(), 1);
+        assert!(fx.installed.is_empty());
+        // The rejected assembly is gone but the request is still in
+        // flight: no re-request inside the timeout, and past it the
+        // transfer moves to the other server, from chunk 0.
+        e.on_recovery_round(&mut c, &mut fx);
         assert!(fx.take_sent().is_empty());
-        let snap = test_snapshot(16);
-        c.snapshot = Some(snap.clone());
-        e.on_snapshot_request(&mut c, &mut fx, PeerId(3), 8, 0);
-        let sent = fx.take_sent();
+        fx.advance(Duration::from_secs(10));
+        e.on_recovery_round(&mut c, &mut fx);
+        assert_eq!(c.stats.snapshot_resumes, 1);
         assert!(matches!(
-            &sent[..],
-            [(to, GossipMsg::SnapshotResponse { snapshot })]
-                if *to == PeerId(3) && SnapshotRef::ptr_eq(snapshot, &snap)
+            fx.take_sent().as_slice(),
+            [(to, GossipMsg::SnapshotRequest { height: 16, from_chunk: 0 })] if *to == PeerId(3)
         ));
-        assert_eq!(c.stats.snapshots_served, 1);
-        // A request for a height above what we hold is not served.
-        e.on_snapshot_request(&mut c, &mut fx, PeerId(3), 24, 0);
-        assert!(fx.take_sent().is_empty());
+        for chunk in plan(&honest) {
+            e.on_snapshot_chunk(&mut c, &mut fx, PeerId(3), chunk);
+        }
+        assert_eq!(c.stats.snapshots_installed, 1);
     }
 
+    /// Regression: the chunk handler ignored who sent a chunk, so with a
+    /// transfer in flight a peer that was never asked could install a
+    /// self-consistent snapshot of its own making as a single-chunk plan.
     #[test]
-    fn snapshot_response_installs_verifies_and_delivers_the_tail() {
+    fn a_stranger_cannot_complete_a_transfer_with_a_forged_snapshot() {
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
-        // A buffered tail block above the snapshot waits for contiguity.
-        c.store.insert(BlockRef::new(Block::new(
-            17,
-            fabric_types::crypto::Hash256::ZERO,
-            vec![],
-        )));
+        request_from(&mut e, &mut c, &mut fx, PeerId(2), &test_snapshot(16));
+        let forged = test_snapshot(1);
+        assert!(forged.verify(), "the forgery is self-consistent");
+        let forged = SnapshotChunk::plan(&forged, usize::MAX);
+        assert_eq!(forged.len(), 1);
+        for from in [PeerId(3), PeerId(77), PeerId(1)] {
+            e.on_snapshot_chunk(&mut c, &mut fx, from, forged[0].clone());
+        }
+        assert_eq!(c.stats.snapshot_chunks_received, 0);
+        assert_eq!(c.stats.snapshots_installed, 0);
+        assert!(fx.installed.is_empty());
+    }
+
+    /// Regression, same cause: a stranger's chunk of a foreign checkpoint
+    /// arriving first pinned the assembly, so the chunks of the server
+    /// actually asked were rejected until the timeout blacklisted it.
+    #[test]
+    fn a_stranger_cannot_pin_the_assembly_to_a_foreign_checkpoint() {
+        let mut c = core(1);
+        c.cfg = snapshot_cfg();
+        let mut e = LeadershipEngine::new(false);
+        let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
-        e.on_snapshot_response(&mut c, &mut fx, snap.clone());
-        assert_eq!(c.store.height(), 18, "floor 16 plus the buffered 17");
+        request_from(&mut e, &mut c, &mut fx, PeerId(2), &snap);
+        let foreign = plan(&test_snapshot(24));
+        assert!(foreign.len() > 1, "one chunk must not complete the plan");
+        e.on_snapshot_chunk(&mut c, &mut fx, PeerId(3), foreign[0].clone());
+        for chunk in plan(&snap) {
+            e.on_snapshot_chunk(&mut c, &mut fx, PeerId(2), chunk);
+        }
+        assert_eq!(c.stats.snapshots_installed, 1);
         assert_eq!(c.store.snapshot_floor(), 16);
-        assert_eq!(c.stats.snapshots_installed, 1);
-        assert_eq!(fx.installed.len(), 1, "embedding hook fired");
-        assert_eq!(fx.delivered_numbers(), vec![17]);
-        assert!(
-            c.snapshot
-                .as_ref()
-                .is_some_and(|s| SnapshotRef::ptr_eq(s, &snap)),
-            "the installed snapshot is re-servable"
-        );
-
-        // A stale snapshot is ignored wholesale.
-        e.on_snapshot_response(&mut c, &mut fx, test_snapshot(8));
-        assert_eq!(c.stats.snapshots_installed, 1);
-        assert_eq!(c.store.height(), 18);
-
-        // A tampered snapshot is rejected before touching the store.
-        let mut forged = (*test_snapshot(32)).clone();
-        forged.entries[0].1 = fabric_types::rwset::Value::from_u64(999);
-        e.on_snapshot_response(&mut c, &mut fx, forged.into());
-        assert_eq!(c.stats.snapshots_installed, 1);
-        assert_eq!(c.store.height(), 18);
-        assert_eq!(fx.installed.len(), 1);
     }
 
     #[test]
@@ -781,7 +803,7 @@ mod tests {
     fn inflight_guard_suppresses_request_storms_and_duplicate_installs() {
         use desim::Duration;
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
@@ -810,12 +832,20 @@ mod tests {
             .find(|(_, m)| matches!(m, GossipMsg::SnapshotRequest { .. }))
             .expect("a retried snapshot request");
         assert_ne!(retry.0, first_server, "retry avoids the failed server");
-        // Both servers eventually answer: exactly one response installs,
-        // the straggler is dropped without double-counting.
-        e.on_snapshot_response(&mut c, &mut fx, snap.clone());
+        // Both servers eventually answer. The late chunks of the server
+        // given up on still count (it was asked in this transfer); exactly
+        // one install results and the straggler plan is dropped whole.
+        let chunks = plan(&snap);
+        e.on_snapshot_chunk(&mut c, &mut fx, first_server, chunks[0].clone());
+        for chunk in &chunks {
+            e.on_snapshot_chunk(&mut c, &mut fx, retry.0, chunk.clone());
+        }
         assert_eq!(c.stats.snapshots_installed, 1);
-        e.on_snapshot_response(&mut c, &mut fx, snap.clone());
+        for chunk in &chunks[1..] {
+            e.on_snapshot_chunk(&mut c, &mut fx, first_server, chunk.clone());
+        }
         assert_eq!(c.stats.snapshots_installed, 1, "duplicate install dropped");
+        assert_eq!(c.stats.snapshot_chunks_received, chunks.len() as u64);
         // Caught up: the next round has nothing snapshot-shaped to do.
         e.on_recovery_round(&mut c, &mut fx);
         assert_eq!(c.stats.snapshot_requests, 2);
@@ -824,64 +854,85 @@ mod tests {
     #[test]
     fn chunked_serving_bounds_message_size_and_reassembly_installs_once() {
         use desim::Message;
-        // Server side: the snapshot streams as chunks, none larger on the
-        // wire than the configured chunk size.
+        // Server side: nothing to serve until a snapshot is retained; then
+        // it streams as chunks, none larger on the wire than the
+        // configured chunk size, whatever older height was asked for.
         let mut sc = core(2);
-        sc.cfg = GossipConfig::enhanced_f4().with_chunked_snapshots(8, 256);
+        sc.cfg = snapshot_cfg();
         let mut server = LeadershipEngine::new(false);
         let mut sfx = MockEffects::new(2);
+        server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 8, 0);
+        assert!(sfx.take_sent().is_empty());
         let snap = test_snapshot(16);
         sc.snapshot = Some(snap.clone());
-        server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 16, 0);
+        server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 8, 0);
         let sent = sfx.take_sent();
         assert!(sent.len() > 1, "a 16-entry snapshot needs several chunks");
         for (to, m) in &sent {
             assert_eq!(*to, PeerId(1));
             assert!(matches!(m, GossipMsg::SnapshotChunk { .. }));
-            assert!(m.wire_size() <= 256, "chunk message exceeds chunk_size");
+            assert!(m.wire_size() <= CHUNK, "chunk message exceeds chunk_size");
         }
         assert_eq!(sc.stats.snapshots_served, 1);
         assert_eq!(sc.stats.snapshot_chunks_sent, sent.len() as u64);
-        // A resume offset is only honored at the exact checkpoint the
-        // plan was cut from (pruned/advanced servers stay silent).
-        server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 8, 2);
+        // Not served: a height above what is held, an offset past the end
+        // of the plan, and a resume offset at any checkpoint but the exact
+        // one the plan was cut from (pruned/advanced servers stay silent).
+        for (height, from_chunk) in [(24, 0), (u64::MAX, u32::MAX), (16, u32::MAX), (8, 2)] {
+            server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), height, from_chunk);
+        }
         assert!(sfx.take_sent().is_empty());
+        assert_eq!(sc.stats.snapshots_served, 1);
 
         // Joiner side: request in flight, chunks arrive out of order,
-        // exactly one verified install results.
+        // exactly one verified install results and the buffered tail
+        // block above the snapshot becomes deliverable.
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_chunked_snapshots(8, 256);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
+        c.store.insert(BlockRef::new(Block::new(
+            17,
+            fabric_types::crypto::Hash256::ZERO,
+            vec![],
+        )));
         // Unsolicited chunks (no transfer in flight) are dropped.
         if let GossipMsg::SnapshotChunk { chunk } = &sent[0].1 {
-            e.on_snapshot_chunk(&mut c, &mut fx, chunk.clone());
+            e.on_snapshot_chunk(&mut c, &mut fx, PeerId(2), chunk.clone());
         }
         assert_eq!(c.stats.snapshot_chunks_received, 0);
-        e.on_state_info(PeerId(2), 17, Some(snap.checkpoint));
-        e.on_recovery_round(&mut c, &mut fx);
-        fx.take_sent();
+        request_from(&mut e, &mut c, &mut fx, PeerId(2), &snap);
         for (_, m) in sent.iter().rev() {
             if let GossipMsg::SnapshotChunk { chunk } = m {
-                e.on_snapshot_chunk(&mut c, &mut fx, chunk.clone());
+                e.on_snapshot_chunk(&mut c, &mut fx, PeerId(2), chunk.clone());
                 // Replays of an already-absorbed chunk don't count twice.
-                e.on_snapshot_chunk(&mut c, &mut fx, chunk.clone());
+                e.on_snapshot_chunk(&mut c, &mut fx, PeerId(2), chunk.clone());
             }
         }
         assert_eq!(c.stats.snapshot_chunks_received, sent.len() as u64);
         assert_eq!(c.stats.snapshots_installed, 1);
+        assert_eq!(fx.installed.len(), 1, "embedding hook fired");
         assert_eq!(c.store.snapshot_floor(), 16);
-        assert!(c
-            .snapshot
-            .as_ref()
-            .is_some_and(|s| s.checkpoint == snap.checkpoint));
+        assert_eq!(c.store.height(), 18, "floor 16 plus the buffered 17");
+        assert_eq!(fx.delivered_numbers(), vec![17]);
+        assert!(
+            c.snapshot.as_ref().is_some_and(|s| **s == *snap),
+            "the installed snapshot is re-servable"
+        );
+        // A stale plan arriving over a later transfer changes nothing.
+        request_from(&mut e, &mut c, &mut fx, PeerId(3), &test_snapshot(32));
+        for chunk in plan(&test_snapshot(8)) {
+            e.on_snapshot_chunk(&mut c, &mut fx, PeerId(3), chunk);
+        }
+        assert_eq!(c.stats.snapshots_installed, 1);
+        assert_eq!(c.store.height(), 18);
     }
 
     #[test]
     fn partial_transfer_resumes_its_missing_suffix_from_another_server() {
         use desim::Duration;
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_chunked_snapshots(8, 256);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
@@ -889,11 +940,11 @@ mod tests {
         e.on_state_info(PeerId(3), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let first_server = fx.take_sent()[0].0;
-        let chunks = SnapshotChunk::plan(&snap, 256 - ENVELOPE);
+        let chunks = plan(&snap);
         assert!(chunks.len() > 2);
         // The server crashes mid-stream: only the first two chunks land.
         for chunk in chunks.iter().take(2) {
-            e.on_snapshot_chunk(&mut c, &mut fx, chunk.clone());
+            e.on_snapshot_chunk(&mut c, &mut fx, first_server, chunk.clone());
         }
         assert_eq!(c.stats.snapshots_installed, 0);
         fx.advance(Duration::from_secs(10));
@@ -918,7 +969,7 @@ mod tests {
         // The suffix arrives from the second server; the partial assembly
         // completes and installs exactly once.
         for chunk in chunks.iter().skip(2) {
-            e.on_snapshot_chunk(&mut c, &mut fx, chunk.clone());
+            e.on_snapshot_chunk(&mut c, &mut fx, *to, chunk.clone());
         }
         assert_eq!(c.stats.snapshots_installed, 1);
         assert_eq!(c.store.snapshot_floor(), 16);
@@ -932,7 +983,7 @@ mod tests {
         // it serves nothing, the transfer times out, and with no eligible
         // server left the round falls back cleanly to block recovery.
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_chunked_snapshots(8, 256);
+        c.cfg = snapshot_cfg();
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
         e.on_state_info(PeerId(2), 17, Some(test_snapshot(16).checkpoint));

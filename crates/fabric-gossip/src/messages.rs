@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use desim::KindId;
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
-use fabric_types::snapshot::{Checkpoint, SnapshotChunk, SnapshotRef};
+use fabric_types::snapshot::{Checkpoint, SnapshotChunk};
 
 /// Framing overhead per gossip envelope (signature, channel MAC, tags).
 ///
@@ -18,7 +18,7 @@ use fabric_types::snapshot::{Checkpoint, SnapshotChunk, SnapshotRef};
 /// a non-default channel does not change its wire size — byte accounting is
 /// identical whether a deployment runs one channel or many.
 ///
-/// `pub(crate)` so the chunked snapshot server can budget chunk payloads at
+/// `pub(crate)` so the snapshot server can budget chunk payloads at
 /// `chunk_size - ENVELOPE`, guaranteeing no chunk *message* exceeds the
 /// configured `chunk_size`.
 pub(crate) const ENVELOPE: usize = 16;
@@ -167,24 +167,16 @@ pub enum GossipMsg {
     SnapshotRequest {
         /// Height of the checkpoint whose snapshot is wanted.
         height: u64,
-        /// Resume offset under chunked transfer: serve chunks starting at
-        /// this index (0: the whole snapshot). A non-zero offset requires
+        /// Resume offset: serve chunks starting at this index (0: the
+        /// whole plan). A non-zero offset requires
         /// the server to hold *exactly* the requested checkpoint — chunk
         /// plans only line up across servers at identical checkpoints.
         from_chunk: u32,
     },
-    /// Snapshot bootstrap: the served snapshot (full state at its
-    /// checkpoint height; the requester verifies the state hash before
-    /// installing).
-    SnapshotResponse {
-        /// The served snapshot (a shared handle — serving N joiners clones
-        /// a reference count, not the state).
-        snapshot: SnapshotRef,
-    },
-    /// Chunked snapshot bootstrap: one slice of a snapshot transfer
-    /// ([`crate::config::SnapshotConfig::chunked`]). The receiver
-    /// reassembles the full plan, verifies the state hash, then installs
-    /// atomically.
+    /// Snapshot bootstrap: one slice of a snapshot transfer, at most
+    /// [`crate::config::SnapshotConfig::chunk_size`] bytes on the wire.
+    /// The receiver reassembles the full plan, verifies the state hash,
+    /// then installs atomically.
     SnapshotChunk {
         /// The served chunk (an entry-range view over a shared snapshot —
         /// serving N chunks clones a reference count, not the entries).
@@ -325,7 +317,6 @@ impl desim::Message for GossipMsg {
                 ENVELOPE + 8 + blocks.iter().map(|b| b.wire_size()).sum::<usize>()
             }
             GossipMsg::SnapshotRequest { .. } => ENVELOPE + 20,
-            GossipMsg::SnapshotResponse { snapshot } => ENVELOPE + snapshot.wire_size(),
             GossipMsg::SnapshotChunk { chunk } => ENVELOPE + chunk.wire_size(),
             // Alive messages carry identity, endpoint and a signature.
             GossipMsg::Alive => ENVELOPE + 134,
@@ -361,7 +352,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::RecoveryRequest { .. } => "recovery-request",
             GossipMsg::RecoveryResponse { .. } => "block-recovery",
             GossipMsg::SnapshotRequest { .. } => "snapshot-request",
-            GossipMsg::SnapshotResponse { .. } => "snapshot",
             GossipMsg::SnapshotChunk { .. } => "snapshot-chunk",
             GossipMsg::Alive => "alive",
             GossipMsg::AliveMsg(_) => "alive-msg",
@@ -387,7 +377,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::RecoveryRequest { .. } => ids.recovery_request,
             GossipMsg::RecoveryResponse { .. } => ids.block_recovery,
             GossipMsg::SnapshotRequest { .. } => ids.snapshot_request,
-            GossipMsg::SnapshotResponse { .. } => ids.snapshot,
             GossipMsg::SnapshotChunk { .. } => ids.snapshot_chunk,
             GossipMsg::Alive => ids.alive,
             GossipMsg::AliveMsg(_) => ids.alive_msg,
@@ -416,7 +405,6 @@ struct GossipKindIds {
     recovery_request: KindId,
     block_recovery: KindId,
     snapshot_request: KindId,
-    snapshot: KindId,
     snapshot_chunk: KindId,
     alive: KindId,
     alive_msg: KindId,
@@ -442,7 +430,6 @@ impl GossipKindIds {
             recovery_request: KindId::intern("recovery-request"),
             block_recovery: KindId::intern("block-recovery"),
             snapshot_request: KindId::intern("snapshot-request"),
-            snapshot: KindId::intern("snapshot"),
             snapshot_chunk: KindId::intern("snapshot-chunk"),
             alive: KindId::intern("alive"),
             alive_msg: KindId::intern("alive-msg"),
@@ -496,6 +483,7 @@ mod tests {
     use super::*;
     use desim::Message as _;
     use fabric_types::block::Block;
+    use fabric_types::snapshot::SnapshotRef;
     fn block(padding: u32) -> BlockRef {
         BlockRef::new(Block::genesis().with_padding(padding))
     }
@@ -614,17 +602,6 @@ mod tests {
             last_block_hash: Hash256([7; 32]),
             entries,
         });
-        let resp = GossipMsg::SnapshotResponse {
-            snapshot: snap.clone(),
-        };
-        // The response is dominated by the state payload, and serving it
-        // again reuses the same allocation.
-        assert_eq!(resp.wire_size(), 16 + snap.wire_size());
-        assert_eq!(resp.kind(), "snapshot");
-        if let GossipMsg::SnapshotResponse { snapshot } = &resp {
-            assert!(SnapshotRef::ptr_eq(snapshot, &snap));
-        }
-
         // Chunk messages: header + their entry slice, never the whole state.
         let chunks = SnapshotChunk::plan(&snap, SnapshotChunk::HEADER + 80);
         assert!(chunks.len() > 1);
@@ -634,7 +611,7 @@ mod tests {
                 let msg = GossipMsg::SnapshotChunk { chunk: c.clone() };
                 assert_eq!(msg.kind(), "snapshot-chunk");
                 assert_eq!(msg.wire_size(), 16 + c.wire_size());
-                assert!(msg.wire_size() < resp.wire_size());
+                assert!(msg.wire_size() < snap.wire_size());
                 c.entries().len()
             })
             .sum();
@@ -739,17 +716,6 @@ mod tests {
                 from_chunk: 0,
             }
             .kind(),
-            GossipMsg::SnapshotResponse {
-                snapshot: SnapshotRef::new(fabric_types::snapshot::Snapshot {
-                    checkpoint: Checkpoint {
-                        height: 0,
-                        state_hash: fabric_types::crypto::Hash256::ZERO,
-                    },
-                    last_block_hash: fabric_types::crypto::Hash256::ZERO,
-                    entries: vec![],
-                }),
-            }
-            .kind(),
             GossipMsg::SnapshotChunk {
                 chunk: SnapshotChunk::plan(
                     &SnapshotRef::new(fabric_types::snapshot::Snapshot {
@@ -826,16 +792,6 @@ mod tests {
             GossipMsg::SnapshotRequest {
                 height: 1,
                 from_chunk: 0,
-            },
-            GossipMsg::SnapshotResponse {
-                snapshot: SnapshotRef::new(fabric_types::snapshot::Snapshot {
-                    checkpoint: Checkpoint {
-                        height: 0,
-                        state_hash: fabric_types::crypto::Hash256::ZERO,
-                    },
-                    last_block_hash: fabric_types::crypto::Hash256::ZERO,
-                    entries: vec![],
-                }),
             },
             GossipMsg::SnapshotChunk {
                 chunk: SnapshotChunk::plan(

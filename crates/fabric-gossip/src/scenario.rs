@@ -1047,13 +1047,15 @@ impl Byzantine for Equivocator {
 }
 
 /// Attacker — **snapshot poisoning**: a malicious bootstrap server. Every
-/// snapshot it serves has its state doctored *after* the checkpoint hash
-/// was taken, so [`fabric_types::snapshot::Snapshot::verify`] must fail
-/// at the joiner: the install is rejected, the in-flight transfer times
-/// out, the server lands on the failed list and the joiner resumes from
-/// another server (`snapshot_resumes` counts it). Chunked transfers are
-/// simply never served — a poisoned chunk would be rejected at assembly
-/// anyway; starving the transfer forces the same timeout-and-resume path.
+/// chunk it serves is re-planned over state doctored *after* the
+/// checkpoint hash was taken (the chunk's own entries, first value
+/// overwritten, as a single-chunk plan under the genuine checkpoint), so
+/// [`fabric_types::snapshot::Snapshot::verify`] must fail at the joiner:
+/// the install is rejected, the in-flight transfer times out, the server
+/// lands on the failed list and the joiner resumes from another server
+/// (`snapshot_resumes` counts it). A chunk with no entries cannot be
+/// doctored under its checkpoint; dropping it starves the transfer into
+/// the same timeout-and-resume path.
 #[derive(Debug, Default)]
 pub struct SnapshotPoisoner;
 
@@ -1069,26 +1071,24 @@ impl Byzantine for SnapshotPoisoner {
         to: PeerId,
         msg: GossipMsg,
     ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        match msg {
-            GossipMsg::SnapshotResponse { snapshot } => {
-                let mut forged = (*snapshot).clone();
-                match forged.entries.first_mut() {
-                    Some(entry) => entry.1 = fabric_types::rwset::Value::from_u64(u64::MAX),
-                    // An empty state cannot be doctored under the same
-                    // checkpoint; starve the transfer instead.
-                    None => return Vec::new(),
-                }
-                vec![(
-                    channel,
-                    to,
-                    GossipMsg::SnapshotResponse {
-                        snapshot: fabric_types::snapshot::SnapshotRef::new(forged),
-                    },
-                )]
-            }
-            GossipMsg::SnapshotChunk { .. } => Vec::new(),
-            other => vec![(channel, to, other)],
-        }
+        use fabric_types::snapshot::{Snapshot, SnapshotChunk, SnapshotRef};
+        let GossipMsg::SnapshotChunk { chunk } = msg else {
+            return vec![(channel, to, msg)];
+        };
+        let mut entries = chunk.entries().to_vec();
+        let Some(entry) = entries.first_mut() else {
+            return Vec::new();
+        };
+        entry.1 = fabric_types::rwset::Value::from_u64(u64::MAX);
+        let forged = SnapshotRef::new(Snapshot {
+            checkpoint: chunk.checkpoint(),
+            last_block_hash: chunk.last_block_hash(),
+            entries,
+        });
+        SnapshotChunk::plan(&forged, usize::MAX)
+            .into_iter()
+            .map(|chunk| (channel, to, GossipMsg::SnapshotChunk { chunk }))
+            .collect()
     }
 }
 

@@ -892,7 +892,7 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
     use std::sync::Arc;
 
     let mut cfg = snapshot_cfg(4);
-    cfg = cfg.with_chunked_snapshots(4, 256);
+    cfg.snapshot.chunk_size = 256;
     cfg.snapshot.request_timeout = Duration::from_secs(4);
 
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();

@@ -7,12 +7,15 @@
 //! block for them); the largest numbers the wire can carry must cost a row,
 //! not a table. After all of them, an honest enhanced exchange still
 //! delivers every block in order and forwards each (block, counter) pair
-//! exactly once. Everything goes through the public API.
+//! exactly once. Snapshot bootstrap has one door — a transfer this peer
+//! asked for, fed by the server it asked — and no snapshot message from
+//! anyone else installs or buffers anything. Everything goes through the
+//! public API.
 
 use std::collections::BTreeMap;
 
 use fair_gossip::gossip::config::GossipConfig;
-use fair_gossip::gossip::messages::GossipMsg;
+use fair_gossip::gossip::messages::{GossipMsg, GossipTimer};
 use fair_gossip::gossip::peer::GossipPeer;
 use fair_gossip::gossip::testing::MockEffects;
 use fair_gossip::types::block::{Block, BlockRef};
@@ -29,9 +32,18 @@ fn block(num: u64) -> BlockRef {
     BlockRef::new(Block::new(num, Hash256::ZERO, vec![]))
 }
 
-/// A self-consistent snapshot covering blocks `1..=height`.
+/// A self-consistent snapshot covering blocks `1..=height`: eight keys,
+/// each valued `height`, so two heights never share a state hash.
 fn snapshot(height: u64) -> SnapshotRef {
-    let entries = vec![(Key::from("k"), Value::from_u64(height), Version::new(1, 0))];
+    let entries: Vec<_> = (0..8)
+        .map(|i| {
+            (
+                Key::from(format!("k{i}").as_str()),
+                Value::from_u64(height),
+                Version::new(1, 0),
+            )
+        })
+        .collect();
     let state_hash = hash_state_entries(entries.iter().map(|(k, v, ver)| (k, v, *ver)));
     SnapshotRef::new(Snapshot {
         checkpoint: Checkpoint { height, state_hash },
@@ -40,13 +52,71 @@ fn snapshot(height: u64) -> SnapshotRef {
     })
 }
 
-fn peer() -> (GossipPeer, MockEffects) {
-    let cfg = GossipConfig::enhanced(FOUT, TTL, 2).with_snapshots(8);
-    let mut peer = GossipPeer::new(PeerId(5), (0..10).map(PeerId).collect(), cfg);
+/// Peer `id` of a ten-member channel, snapshots on, chunks small enough
+/// that [`snapshot`] spans several.
+fn peer_with_id(id: u32) -> (GossipPeer, MockEffects) {
+    let mut cfg = GossipConfig::enhanced(FOUT, TTL, 2).with_snapshots(8);
+    cfg.snapshot.chunk_size = 256;
+    let mut peer = GossipPeer::new(PeerId(id), (0..10).map(PeerId).collect(), cfg);
     let mut fx = MockEffects::new(1);
     peer.init(&mut fx);
     fx.take_scheduled();
     (peer, fx)
+}
+
+fn peer() -> (GossipPeer, MockEffects) {
+    peer_with_id(5)
+}
+
+/// The chunk messages an honest member holding `snapshot` streams when
+/// asked for all of it.
+fn served_chunks(snapshot: SnapshotRef) -> Vec<GossipMsg> {
+    let (mut server, mut fx) = peer_with_id(2);
+    let request = GossipMsg::SnapshotRequest {
+        height: snapshot.checkpoint.height,
+        from_chunk: 0,
+    };
+    let channel = server.channel_ids()[0];
+    assert!(server.publish_snapshot_on(channel, snapshot));
+    server.on_message(&mut fx, PeerId(5), request);
+    let chunks: Vec<_> = fx.take_sent().into_iter().map(|(_, msg)| msg).collect();
+    assert!(chunks.len() > 1, "the snapshot must span several chunks");
+    chunks
+}
+
+/// `server` advertises `snapshot`'s checkpoint; the next recovery round
+/// must ask it — and nobody else — for all of that snapshot.
+fn put_transfer_in_flight(
+    peer: &mut GossipPeer,
+    fx: &mut MockEffects,
+    server: PeerId,
+    snapshot: &SnapshotRef,
+) {
+    let checkpoint = snapshot.checkpoint;
+    let advert = GossipMsg::StateInfo {
+        height: checkpoint.height.saturating_add(1),
+        checkpoint: Some(checkpoint),
+    };
+    peer.on_message(fx, server, advert);
+    peer.on_timer(fx, GossipTimer::RecoveryRound);
+    let sent = fx.take_sent();
+    assert!(
+        matches!(
+            sent.as_slice(),
+            [(to, GossipMsg::SnapshotRequest { height, from_chunk: 0 })]
+                if *to == server && *height == checkpoint.height
+        ),
+        "one request, nothing else: {sent:?}"
+    );
+}
+
+fn assert_nothing_installed_or_buffered(peer: &GossipPeer, fx: &MockEffects) {
+    assert_eq!(peer.height(), 1);
+    assert_eq!(peer.store().len(), 0);
+    assert_eq!(peer.stats().snapshots_installed, 0);
+    assert_eq!(peer.stats().snapshot_chunks_received, 0);
+    assert!(fx.installed.is_empty());
+    assert!(fx.delivered.is_empty());
 }
 
 #[test]
@@ -66,15 +136,15 @@ fn hostile_numbers_leave_an_honest_exchange_intact() {
     let (mut peer, mut fx) = peer();
     let stranger = PeerId(77);
 
-    // A joiner bootstraps from a snapshot, then late digests arrive for
+    // A joiner bootstraps from a snapshot the way the protocol does — a
+    // member advertises a checkpoint, the recovery round asks that member
+    // for it, that member's chunks install — then late digests arrive for
     // the snapshot's head block and for one deep inside it.
-    peer.on_message(
-        &mut fx,
-        PeerId(2),
-        GossipMsg::SnapshotResponse {
-            snapshot: snapshot(SNAPSHOT_HEAD),
-        },
-    );
+    put_transfer_in_flight(&mut peer, &mut fx, PeerId(2), &snapshot(SNAPSHOT_HEAD));
+    for chunk in served_chunks(snapshot(SNAPSHOT_HEAD)) {
+        peer.on_message(&mut fx, PeerId(2), chunk);
+    }
+    assert_eq!(peer.stats().snapshots_installed, 1);
     assert_eq!(peer.height(), SNAPSHOT_HEAD + 1);
     for (block_num, counter) in [(SNAPSHOT_HEAD, 3), (4, TTL - 1), (0, 0)] {
         peer.on_message(
@@ -158,4 +228,85 @@ fn hostile_numbers_leave_an_honest_exchange_intact() {
         .flat_map(|num| (1..=TTL).map(move |counter| ((num, counter), FOUT)))
         .collect();
     assert_eq!(forwards, expected);
+}
+
+#[test]
+fn snapshot_chunks_nobody_asked_for_are_inert() {
+    let (mut peer, mut fx) = peer();
+    let everyone = [PeerId(1), PeerId(2), PeerId(77), PeerId(5)];
+
+    // No transfer in flight: nothing installs, nothing is buffered.
+    for height in [SNAPSHOT_HEAD, u64::MAX] {
+        for chunk in served_chunks(snapshot(height)) {
+            for from in everyone {
+                peer.on_message(&mut fx, from, chunk.clone());
+            }
+        }
+    }
+    assert_nothing_installed_or_buffered(&peer, &fx);
+
+    // Mid-transfer: a self-consistent forgery, a foreign checkpoint and
+    // the last number a checkpoint can carry, from everyone but the
+    // server asked — and the last number from that server too.
+    let honest = snapshot(SNAPSHOT_HEAD);
+    put_transfer_in_flight(&mut peer, &mut fx, PeerId(2), &honest);
+    for height in [4, SNAPSHOT_HEAD + 8, u64::MAX] {
+        for chunk in served_chunks(snapshot(height)) {
+            for from in [PeerId(1), PeerId(77), PeerId(5)] {
+                peer.on_message(&mut fx, from, chunk.clone());
+            }
+        }
+    }
+    for chunk in served_chunks(snapshot(u64::MAX)) {
+        peer.on_message(&mut fx, PeerId(2), chunk);
+    }
+    assert_nothing_installed_or_buffered(&peer, &fx);
+    assert!(fx.take_sent().is_empty());
+
+    // None of it cost the honest transfer anything.
+    for chunk in served_chunks(honest.clone()) {
+        peer.on_message(&mut fx, PeerId(2), chunk);
+    }
+    assert_eq!(peer.stats().snapshots_installed, 1);
+    assert_eq!(peer.height(), SNAPSHOT_HEAD + 1);
+    assert_eq!(fx.installed.len(), 1);
+    assert_eq!(fx.installed[0].1.checkpoint, honest.checkpoint);
+}
+
+#[test]
+fn hostile_snapshot_requests_and_adverts_are_shrugged_off() {
+    let (mut peer, mut fx) = peer();
+    let everyone = [PeerId(1), PeerId(77), PeerId(5)];
+    let hostile = GossipMsg::SnapshotRequest {
+        height: u64::MAX,
+        from_chunk: u32::MAX,
+    };
+
+    // With nothing to serve, and with a snapshot held.
+    for from in everyone {
+        peer.on_message(&mut fx, from, hostile.clone());
+    }
+    let channel = peer.channel_ids()[0];
+    assert!(peer.publish_snapshot_on(channel, snapshot(SNAPSHOT_HEAD)));
+    for from in everyone {
+        peer.on_message(&mut fx, from, hostile.clone());
+        for (height, from_chunk) in [(SNAPSHOT_HEAD, u32::MAX), (0, u32::MAX), (u64::MAX, 0)] {
+            peer.on_message(
+                &mut fx,
+                from,
+                GossipMsg::SnapshotRequest { height, from_chunk },
+            );
+        }
+    }
+    assert!(fx.take_sent().is_empty(), "nothing served");
+    assert_eq!(peer.stats().snapshots_served, 0);
+
+    // A checkpoint advertised at the last number: the round that acts on
+    // it asks for it, and no answer to that request can install.
+    let unreachable = snapshot(u64::MAX);
+    put_transfer_in_flight(&mut peer, &mut fx, PeerId(77), &unreachable);
+    for chunk in served_chunks(unreachable) {
+        peer.on_message(&mut fx, PeerId(77), chunk);
+    }
+    assert_nothing_installed_or_buffered(&peer, &fx);
 }
