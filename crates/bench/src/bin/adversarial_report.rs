@@ -2,9 +2,11 @@
 //!
 //! Runs the full Byzantine attacker catalog (stale replay, obituary
 //! forgery, selective forwarding, flood amplification, eclipse) under
-//! both anti-entropy wire formats and writes `ADVERSARIAL_report.json`,
-//! so every change leaves a machine-readable record of which guarantees
-//! survive each attacker and what the attacks cost.
+//! both anti-entropy wire formats, in the LAN model of the benchmark of
+//! record (`fabric_experiments::adversarial::world`), and writes
+//! `ADVERSARIAL_report.json`, so every change leaves a machine-readable
+//! record of which guarantees survive each attacker and what the attacks
+//! cost.
 //!
 //! ```text
 //! adversarial_report [output.json]

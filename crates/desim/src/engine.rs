@@ -133,8 +133,6 @@ struct EngineCore<M, T> {
     rng: StdRng,
     metrics: NetMetrics,
     events_processed: u64,
-    /// Loss probability hoisted out of the config for the per-send check.
-    loss: f64,
     /// Protocol-visible event log; `None` (the default) records nothing.
     trace: Option<Vec<TraceEvent>>,
 }
@@ -153,7 +151,7 @@ impl<M: Message, T> EngineCore<M, T> {
         let kind = msg.kind_id();
         let depart = self.net.egress_departure(from, self.time, size);
         self.metrics.record_sent(from, depart, size, kind);
-        let loss = self.loss;
+        let loss = self.net.config().loss;
         if loss > 0.0 && rand::RngExt::random::<f64>(&mut self.rng) < loss {
             self.metrics.record_loss();
             return;
@@ -229,6 +227,12 @@ impl<M: Message, T> Ctx<'_, M, T> {
     /// Read access to the network state.
     pub fn net(&self) -> &NetState {
         &self.core.net
+    }
+
+    /// Sets the per-message loss probability from now on (see
+    /// [`NetState::set_loss`]).
+    pub fn set_loss(&mut self, loss: f64) {
+        self.core.net.set_loss(loss);
     }
 
     /// Schedules a node up/down transition `after` from now; the protocol's
@@ -310,7 +314,6 @@ impl<P: Protocol> Simulation<P> {
     /// Panics if `config` fails validation.
     pub fn new(protocol: P, config: NetworkConfig, seed: u64) -> Self {
         let metrics = NetMetrics::new(config.nodes, config.metrics_bucket);
-        let loss = config.loss;
         Simulation {
             protocol,
             core: EngineCore {
@@ -320,7 +323,6 @@ impl<P: Protocol> Simulation<P> {
                 rng: StdRng::seed_from_u64(seed),
                 metrics,
                 events_processed: 0,
-                loss,
                 trace: None,
             },
         }
@@ -490,6 +492,24 @@ impl<P: Protocol> Simulation<P> {
     /// The network accounting collected so far.
     pub fn metrics(&self) -> &NetMetrics {
         &self.core.metrics
+    }
+
+    /// Read access to the network state (link, node and loss status).
+    pub fn net(&self) -> &NetState {
+        &self.core.net
+    }
+
+    /// Sets the per-message loss probability from now on (see
+    /// [`NetState::set_loss`]).
+    pub fn set_loss(&mut self, loss: f64) {
+        self.core.net.set_loss(loss);
+    }
+
+    /// The instant of the next queued event, if any — lets a driver
+    /// [`Simulation::step`] up to a deadline and look at the protocol
+    /// between events.
+    pub fn next_event_at(&mut self) -> Option<Time> {
+        self.core.queue.peek_time()
     }
 
     /// Shared access to the protocol state.
@@ -731,6 +751,36 @@ mod tests {
         let lost = sim.metrics().losses() as usize;
         assert_eq!(delivered + lost, 1000);
         assert!((350..=650).contains(&lost), "lost {lost} of 1000 at p=0.5");
+    }
+
+    #[test]
+    fn loss_set_mid_run_applies_from_then_on_and_only_until_reset() {
+        let mut sim = Simulation::new(Recorder::default(), ideal(2), 99);
+        let burst = |sim: &mut Simulation<Recorder>, loss: f64| {
+            sim.set_loss(loss);
+            assert_eq!(sim.net().config().loss, loss, "one source of truth");
+            let (before, lost_before) = (sim.protocol().log.len(), sim.metrics().losses());
+            sim.with_ctx(|_, ctx| {
+                for _ in 0..1000 {
+                    ctx.send(NodeId(0), NodeId(1), Note("x", 1));
+                }
+            });
+            sim.run_for(Duration::from_secs(1));
+            let delivered = sim.protocol().log.len() - before;
+            let lost = (sim.metrics().losses() - lost_before) as usize;
+            assert_eq!(delivered + lost, 1000);
+            lost
+        };
+        assert_eq!(burst(&mut sim, 0.0), 0);
+        let lost = burst(&mut sim, 0.5);
+        assert!((350..=650).contains(&lost), "lost {lost} of 1000 at p=0.5");
+        assert_eq!(burst(&mut sim, 0.0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn set_loss_rejects_what_validate_rejects() {
+        Simulation::new(Recorder::default(), ideal(1), 1).set_loss(1.5);
     }
 
     #[test]

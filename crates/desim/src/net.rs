@@ -309,9 +309,26 @@ impl NetState {
         }
     }
 
-    /// The static configuration this state was built from.
+    /// The configuration this state was built from. `loss` is the one
+    /// field that can change afterwards ([`NetState::set_loss`]), and the
+    /// send path reads it here.
     pub fn config(&self) -> &NetworkConfig {
         &self.config
+    }
+
+    /// Sets the per-message loss probability from now on. Messages already
+    /// in flight are past their loss check and unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` is outside `[0, 1]` (the range
+    /// [`NetworkConfig::validate`] accepts).
+    pub fn set_loss(&mut self, loss: f64) {
+        assert!(
+            (0.0..=1.0).contains(&loss),
+            "loss probability {loss} outside [0, 1]"
+        );
+        self.config.loss = loss;
     }
 
     /// Number of nodes in the network.

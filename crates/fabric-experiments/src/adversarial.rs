@@ -19,17 +19,45 @@
 //! | flood amplification  | view agreement + exactly one leader      | discovery bytes          |
 //! | eclipse              | honest views clean; one honest seed wins | time-to-escape (s)       |
 //!
-//! Everything is deterministic: the harness owns every RNG stream (see
-//! the [`fabric_gossip::scenario`] determinism contract), so the same
-//! [`AdversarialConfig`] always yields a byte-identical report.
+//! Every run is a [`ScenarioNet`] — a `desim` simulation of a
+//! [`crate::net::FabricNet`] — in [`world`]: the LAN model of all four
+//! benchmark workloads (latency, bandwidth, processing delay, ledgers).
+//! Everything is deterministic (the [`crate::scenario`] determinism
+//! contract), so the same [`AdversarialConfig`] always yields a
+//! byte-identical report.
 
-use desim::Duration;
+use desim::{Duration, NetworkConfig};
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    DiscoveryHarness, Eclipser, Flooder, ObituaryForger, Predicate, ScenarioOp, SelectiveForwarder,
-    StaleReplayer,
+    Eclipser, Flooder, ObituaryForger, Predicate, ScenarioOp, SelectiveForwarder, StaleReplayer,
 };
 use fabric_types::ids::{ChannelId, PeerId};
+
+use crate::net::FabricNet;
+use crate::scenario::ScenarioNet;
+
+/// The simulation seed every run of the adversarial and tolerance
+/// reports uses.
+pub const SEED: u64 = 7;
+
+/// Name of the network model [`world`] builds, as the reports print it.
+pub const WORLD: &str = "lan";
+
+/// The network the reports are measured in, over `peers` peers: the
+/// model of the benchmark of record, so a robustness number and a
+/// performance number describe the same world.
+pub fn world(peers: usize) -> NetworkConfig {
+    NetworkConfig::lan(peers)
+}
+
+/// A deployment of `peers` peers in [`world`], seeded with [`SEED`].
+pub(crate) fn deployment(
+    peers: usize,
+    memberships: Vec<Vec<PeerId>>,
+    gossip: &GossipConfig,
+) -> ScenarioNet {
+    ScenarioNet::new(world(peers), memberships, gossip, SEED)
+}
 
 /// Configuration of one adversarial sweep.
 #[derive(Debug, Clone)]
@@ -135,12 +163,16 @@ impl AttackOutcome {
 pub struct AdversarialReport {
     /// Wire-format label of the sweep (`"full"` / `"delta"`).
     pub mode: &'static str,
-    /// The harness attack-RNG seed the sweep ran under. Together with the
-    /// wire format and each outcome's roster, the artifact pins down the
-    /// whole setup: re-running the sweep from the file alone reproduces
-    /// it byte-identically (per-peer engine seeds are `9000 + index` by
-    /// the harness determinism contract).
+    /// The network model every run was simulated in ([`WORLD`]).
+    pub network: &'static str,
+    /// The simulation seed ([`SEED`]): with the network model, the wire
+    /// format and each outcome's roster, the artifact pins down the whole
+    /// setup, and re-running the sweep from the file alone reproduces it
+    /// byte-identically.
     pub seed: u64,
+    /// The seed of the generator the attackers draw from
+    /// ([`FabricNet::ATTACK_SEED`]), apart from the simulation's.
+    pub attack_seed: u64,
     /// One outcome per attacker, in catalog order.
     pub outcomes: Vec<AttackOutcome>,
 }
@@ -156,7 +188,9 @@ impl AdversarialReport {
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
         json.push_str(&format!("  \"wire_format\": \"{}\",\n", self.mode));
+        json.push_str(&format!("  \"network\": \"{}\",\n", self.network));
         json.push_str(&format!("  \"seed\": {},\n", self.seed));
+        json.push_str(&format!("  \"attack_seed\": {},\n", self.attack_seed));
         json.push_str(&format!("  \"all_held\": {},\n", self.all_held()));
         json.push_str("  \"attacks\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
@@ -206,7 +240,7 @@ impl AdversarialReport {
 }
 
 /// Minimal JSON string escaping for diagnostic details.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],
@@ -221,7 +255,9 @@ fn escape(s: &str) -> String {
 pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialReport {
     AdversarialReport {
         mode: cfg.mode,
-        seed: DiscoveryHarness::ATTACK_SEED,
+        network: WORLD,
+        seed: SEED,
+        attack_seed: FabricNet::ATTACK_SEED,
         outcomes: vec![
             stale_replay(cfg),
             obituary_forgery(cfg),
@@ -236,8 +272,9 @@ pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialReport {
 pub fn render_adversarial(report: &AdversarialReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Adversarial sweep — {} anti-entropy ({})\n",
+        "Adversarial sweep — {} anti-entropy, {} network ({})\n",
         report.mode,
+        report.network,
         if report.all_held() {
             "all guarantees held"
         } else {
@@ -283,7 +320,7 @@ fn core_asserts(channel: usize) -> [ScenarioOp; 3] {
 fn stale_replay(cfg: &AdversarialConfig) -> AttackOutcome {
     let run = |attach: bool| -> (Result<(), String>, u64) {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(6, vec![members], &cfg.gossip);
+        let mut net = deployment(6, vec![members], &cfg.gossip);
         if attach {
             net.set_byzantine(PeerId(4), Box::new(StaleReplayer::new(2)));
         }
@@ -326,7 +363,7 @@ fn stale_replay(cfg: &AdversarialConfig) -> AttackOutcome {
 fn obituary_forgery(cfg: &AdversarialConfig) -> AttackOutcome {
     let victim = PeerId(2);
     let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(6, vec![members], &cfg.gossip);
+    let mut net = deployment(6, vec![members], &cfg.gossip);
     net.run_for(Duration::from_secs(3));
     let inc_before = net
         .gossip(0)
@@ -397,7 +434,7 @@ fn selective_forwarding(cfg: &AdversarialConfig) -> AttackOutcome {
     const LIMIT: u64 = 30;
     let join_secs = |attach: bool| -> Option<u64> {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(8, vec![members], &cfg.gossip);
+        let mut net = deployment(8, vec![members], &cfg.gossip);
         if attach {
             net.set_byzantine(
                 PeerId(4),
@@ -437,7 +474,7 @@ fn selective_forwarding(cfg: &AdversarialConfig) -> AttackOutcome {
 fn flood_amplification(cfg: &AdversarialConfig) -> AttackOutcome {
     let run = |attach: bool| -> (Result<(), String>, u64) {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(6, vec![members], &cfg.gossip);
+        let mut net = deployment(6, vec![members], &cfg.gossip);
         if attach {
             net.set_byzantine(PeerId(4), Box::new(Flooder::new(6)));
         }
@@ -480,7 +517,7 @@ fn eclipse(cfg: &AdversarialConfig) -> AttackOutcome {
 
     // Full eclipse: the attacker is the only seed; the honest world must
     // stay clean (the victim never leaks into it).
-    let mut net = DiscoveryHarness::new(6, vec![members.clone()], &cfg.gossip);
+    let mut net = deployment(6, vec![members.clone()], &cfg.gossip);
     net.run_for(Duration::from_secs(3));
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     net.join_via(0, victim, &[attacker]);
@@ -492,22 +529,16 @@ fn eclipse(cfg: &AdversarialConfig) -> AttackOutcome {
     // victim's view. The benign baseline joins through the same two
     // seeds with no attacker attached.
     let escape = |attach: bool| -> Option<u64> {
-        let mut net = DiscoveryHarness::new(6, vec![members.clone()], &cfg.gossip);
+        let mut net = deployment(6, vec![members.clone()], &cfg.gossip);
         net.run_for(Duration::from_secs(3));
         if attach {
             net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
         }
         net.join_via(0, victim, &[attacker, PeerId(0)]);
-        for elapsed in 0..=LIMIT {
+        net.secs_until(LIMIT, |net| {
             let view = net.view_of(victim, 0);
-            if honest.iter().any(|h| view.contains(h)) {
-                return Some(elapsed);
-            }
-            if elapsed < LIMIT {
-                net.run_for(Duration::from_secs(1));
-            }
-        }
-        None
+            honest.iter().any(|h| view.contains(h))
+        })
     };
     let baseline = escape(false);
     let attacked = escape(true);
@@ -606,7 +637,9 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json(), "same config, same report");
         let json = a.to_json();
         assert!(json.contains("\"wire_format\": \"full\""));
-        assert!(json.contains(&format!("\"seed\": {}", DiscoveryHarness::ATTACK_SEED)));
+        assert!(json.contains(&format!("\"network\": \"{WORLD}\"")));
+        assert!(json.contains(&format!("\"seed\": {SEED}")));
+        assert!(json.contains(&format!("\"attack_seed\": {}", FabricNet::ATTACK_SEED)));
         assert!(json.contains("\"all_held\": true"));
         for name in [
             "stale-replay",

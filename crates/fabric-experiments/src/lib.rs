@@ -26,15 +26,20 @@
 //! * [`long_chain`] — beyond the paper: joiner catch-up cost vs chain
 //!   height, genesis replay against checkpoint-snapshot bootstrap
 //!   (O(chain) vs O(tail) bytes and time-to-serving);
+//! * [`scenario`] — the interpreter of `fabric_gossip::scenario`'s op
+//!   DSL ([`scenario::ScenarioNet`]): scripted joins, leaves, crashes,
+//!   partitions, loss and attached Byzantine behaviors over a
+//!   `Simulation<FabricNet>` in whatever `NetworkConfig` it is given —
+//!   there is no other simulator under any number this crate reports;
 //! * [`adversarial`] — beyond the paper: Byzantine fault injection over
 //!   the discovery protocol (stale replay, obituary forgery, selective
-//!   forwarding, flooding, eclipse), reporting surviving guarantees and
-//!   measured degradation as a machine-readable report;
+//!   forwarding, flooding, eclipse) in the LAN model, reporting surviving
+//!   guarantees and measured degradation as a machine-readable report;
 //! * [`tolerance`] — beyond the paper: quantitative tolerance bounds —
 //!   grow the attacker count `f` per family (coalitions, adaptive
 //!   hunters, dissemination-layer withholding/equivocation) in
 //!   deployments of `N` until a guarantee first falls, reporting the
-//!   measured `f*(N)` frontier and degradation curves;
+//!   measured `f*(N)` frontier and degradation curves, in the LAN model;
 //! * [`report`] — paper-style text rendering of every figure and table.
 //!
 //! ```no_run
@@ -56,6 +61,7 @@ pub mod multichannel;
 pub mod net;
 pub mod parallel;
 pub mod report;
+pub mod scenario;
 pub mod tolerance;
 
 pub use adversarial::{
@@ -78,6 +84,7 @@ pub use net::{
     ViewConvergence,
 };
 pub use parallel::{run_conflicts_batch, run_dissemination_batch, run_seed_sweep};
+pub use scenario::ScenarioNet;
 pub use tolerance::{
     render_tolerance, run_tolerance, FamilyFrontier, ToleranceConfig, TolerancePoint,
     ToleranceReport,

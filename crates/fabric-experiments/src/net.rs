@@ -35,6 +35,7 @@ use fabric_gossip::config::GossipConfig;
 use fabric_gossip::effects::Effects;
 use fabric_gossip::messages::{ChannelMsg, GossipMsg, GossipTimer};
 use fabric_gossip::peer::GossipPeer;
+use fabric_gossip::scenario::{AttackCtx, Byzantine};
 use fabric_ledger::ledger::{Ledger, SnapshotPolicy};
 use fabric_orderer::service::{OrdererConfig, OrderingService};
 use fabric_types::block::{Block, BlockRef};
@@ -44,6 +45,8 @@ use fabric_types::transaction::{EndorsementPolicy, Transaction};
 use fabric_workload::client::endorse_invocation;
 use fabric_workload::schedule::ScheduledInvocation;
 use gossip_metrics::latency::LatencyRecorder;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Messages on the simulated wire.
 #[derive(Debug, Clone)]
@@ -445,8 +448,6 @@ impl NetParams {
 #[derive(Debug)]
 struct ChannelRuntime {
     spec: ChannelSpec,
-    /// Current members (spec members ± churn).
-    members: Vec<PeerId>,
     /// Peer index → latency-matrix slot. Sized over the peers that are
     /// ever members (initial members plus scheduled joiners).
     slots: Vec<Option<usize>>,
@@ -483,6 +484,9 @@ struct PeerNode {
     pending_commits: VecDeque<(ChannelId, BlockRef)>,
     /// Instant the peer's (serial) validation pipeline frees up.
     validation_free: Time,
+    /// The behavior a compromised peer runs on its own wire (see
+    /// [`FabricNet::set_byzantine`]).
+    byzantine: Option<Box<dyn Byzantine>>,
 }
 
 impl PeerNode {
@@ -508,6 +512,12 @@ pub struct FabricNet {
     msp: Arc<Msp>,
     peers: Vec<PeerNode>,
     channels: Vec<ChannelRuntime>,
+    /// Current members per channel (spec members ± churn): the ground
+    /// truth, which an attached attacker may read.
+    members: Vec<Vec<PeerId>>,
+    /// What attached behaviors draw from — never the engine's generator,
+    /// so attaching one re-rolls no honest draw.
+    attack_rng: StdRng,
     orderer: OrderingService,
     schedule: Arc<Vec<ScheduledInvocation>>,
     next_invocation: usize,
@@ -531,8 +541,19 @@ impl std::fmt::Debug for PeerNode {
 }
 
 impl FabricNet {
+    /// Seed of the generator attached [`Byzantine`] behaviors draw from.
+    pub const ATTACK_SEED: u64 = 4242;
+
     /// Builds the deployment. The network config passed to the simulation
-    /// must have `params.peers + 2` nodes.
+    /// must have `params.peers + 2` nodes; a deployment with an empty
+    /// `schedule` never addresses the orderer or the client and runs over
+    /// `params.peers` nodes just as well.
+    ///
+    /// An empty `schedule` also means no client depends on the endorsers:
+    /// a channel may then have none, and any member may leave or crash
+    /// (a scripted deployment — blocks come from [`FabricNet::inject`],
+    /// membership changes from [`FabricNet::apply_churn`] and its
+    /// siblings).
     ///
     /// # Panics
     ///
@@ -559,7 +580,7 @@ impl FabricNet {
                 spec.channel
             );
             assert!(
-                !spec.endorsers.is_empty(),
+                schedule.is_empty() || !spec.endorsers.is_empty(),
                 "channel {} needs at least one endorsing peer",
                 spec.channel
             );
@@ -597,11 +618,8 @@ impl FabricNet {
                 "churn peer {} outside the deployment",
                 ev.peer
             );
-            // Endorsers are the channel's execution substrate: their
-            // ledgers freeze on leave while the client keeps proposing to
-            // them, which would quietly corrupt every later read set.
             assert!(
-                !(ev.action == ChurnAction::Leave && spec.endorsers.contains(&ev.peer)),
+                ev.action == ChurnAction::Join || may_leave(spec, &schedule, ev.peer),
                 "churn must not remove endorser {} from channel {}",
                 ev.peer,
                 ev.channel
@@ -658,7 +676,6 @@ impl FabricNet {
                 }
                 let latency = LatencyRecorder::new(eligible.len());
                 ChannelRuntime {
-                    members: spec.members.clone(),
                     slots,
                     org_of,
                     latency,
@@ -707,6 +724,7 @@ impl FabricNet {
                     commit_errors: 0,
                     pending_commits: VecDeque::new(),
                     validation_free: Time::ZERO,
+                    byzantine: None,
                 }
             })
             .collect();
@@ -719,7 +737,9 @@ impl FabricNet {
             params,
             msp,
             peers,
+            members: channels.iter().map(|rt| rt.spec.members.clone()).collect(),
             channels,
+            attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             orderer,
             schedule: Arc::new(schedule),
             next_invocation: 0,
@@ -790,7 +810,7 @@ impl FabricNet {
 
     /// The current members of `channel` (spec members ± churn).
     pub fn members_on(&self, channel: ChannelId) -> &[PeerId] {
-        &self.channels[channel.index()].members
+        &self.members[channel.index()]
     }
 
     /// Leadership acquisitions observed on `channel`: the initial election
@@ -803,13 +823,6 @@ impl FabricNet {
     /// Catch-up records of every runtime join so far, in event order.
     pub fn catchups(&self) -> &[Catchup] {
         &self.catchups
-    }
-
-    /// The ledger snapshot policy, when the gossip layer has snapshots
-    /// on (`None` keeps ledgers checkpoint-free — the byte-identical
-    /// historical pipeline).
-    fn checkpoint_policy(&self) -> Option<SnapshotPolicy> {
-        ledger_snapshot_policy(&self.params.gossip)
     }
 
     /// Discovery-convergence records of `channel`'s protocol-mode churn
@@ -895,32 +908,80 @@ impl FabricNet {
         self.channels[0].org_of[peer.index()].expect("every peer is on the default channel")
     }
 
+    /// Attaches `behavior` to `peer` (replacing any previous one). The
+    /// peer keeps running the honest protocol; the behavior sits on its
+    /// wire: every send of the peer passes through
+    /// [`Byzantine::on_outbound`], every delivery to it is shown to
+    /// [`Byzantine::on_inbound`], and each of its gossip timers ends with
+    /// [`Byzantine::on_step`]. With nothing attached each of the three
+    /// costs one branch.
+    pub fn set_byzantine(&mut self, peer: PeerId, behavior: Box<dyn Byzantine>) {
+        self.peers[peer.index()].byzantine = Some(behavior);
+    }
+
+    /// Detaches the behavior of `peer`, if any.
+    pub fn clear_byzantine(&mut self, peer: PeerId) {
+        self.peers[peer.index()].byzantine = None;
+    }
+
+    /// Publishes `snapshot` as the one `peer` serves on `channel` (what
+    /// [`NetTimer::CommitDone`] does when the peer's own ledger emits a
+    /// checkpoint). Returns whether the peer adopted it (see
+    /// [`GossipPeer::publish_snapshot_on`]).
+    pub fn publish_snapshot(
+        &mut self,
+        channel: ChannelId,
+        peer: PeerId,
+        snapshot: fabric_types::snapshot::SnapshotRef,
+    ) -> bool {
+        self.peers[peer.index()]
+            .gossip
+            .publish_snapshot_on(channel, snapshot)
+    }
+
+    /// Splits the borrows one peer's handler needs, once: the peer's
+    /// gossip state, and the [`Effects`] it runs against — with the
+    /// peer's attached behavior, if any, on the outbound edge.
+    #[inline]
+    fn peer_fx<'a, 'c>(
+        &'a mut self,
+        ctx: &'a mut Ctx<'c, NetMsg, NetTimer>,
+        node: NodeId,
+    ) -> (&'a mut GossipPeer, SimFx<'a, 'c>) {
+        let PeerNode {
+            gossip,
+            ledgers,
+            pending_commits,
+            validation_free,
+            byzantine,
+            ..
+        } = &mut self.peers[node.index()];
+        let edge = byzantine.as_deref_mut().map(|behavior| Edge {
+            behavior,
+            rng: &mut self.attack_rng,
+            members: &self.members,
+        });
+        let fx = SimFx {
+            ctx,
+            me: node,
+            pending_commits,
+            validation_free,
+            ledgers,
+            msp: &self.msp,
+            channels: &mut self.channels,
+            validation_per_tx: self.params.validation_per_tx,
+            snapshot_policy: ledger_snapshot_policy(&self.params.gossip),
+            edge,
+        };
+        (gossip, fx)
+    }
+
     /// Starts the experiment: initializes every peer's timers, arms the
     /// client's first submission and every churn event. Call once through
     /// `Simulation::with_ctx`.
     pub fn start(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>) {
-        let validation = self.params.validation_per_tx;
-        let ckpt = self.checkpoint_policy();
         for i in 0..self.peers.len() {
-            let node = NodeId(i as u32);
-            let PeerNode {
-                gossip,
-                ledgers,
-                pending_commits,
-                validation_free,
-                ..
-            } = &mut self.peers[i];
-            let mut fx = SimFx {
-                ctx,
-                me: node,
-                pending_commits,
-                validation_free,
-                ledgers,
-                msp: &self.msp,
-                channels: &mut self.channels,
-                validation_per_tx: validation,
-                snapshot_policy: ckpt,
-            };
+            let (gossip, mut fx) = self.peer_fx(ctx, NodeId(i as u32));
             gossip.init(&mut fx);
         }
         if let Some(first) = self.schedule.first() {
@@ -943,8 +1004,6 @@ impl FabricNet {
         from: NodeId,
         envelope: ChannelMsg,
     ) {
-        let validation = self.params.validation_per_tx;
-        let ckpt = self.checkpoint_policy();
         // Catch-up transfer accounting: recovery batches and snapshot
         // chunks addressed to a still-catching-up joiner are the bytes
         // its bootstrap costs (steady-state push/pull is not).
@@ -964,25 +1023,12 @@ impl FabricNet {
                 }
             }
         }
-        let PeerNode {
-            gossip,
-            ledgers,
-            pending_commits,
-            validation_free,
-            ..
-        } = &mut self.peers[to.index()];
-        let mut fx = SimFx {
-            ctx,
-            me: to,
-            pending_commits,
-            validation_free,
-            ledgers,
-            msp: &self.msp,
-            channels: &mut self.channels,
-            validation_per_tx: validation,
-            snapshot_policy: ckpt,
-        };
-        gossip.on_channel_message(&mut fx, envelope.channel, PeerId(from.0), envelope.msg);
+        let from = PeerId(from.0);
+        let (gossip, mut fx) = self.peer_fx(ctx, to);
+        fx.byzantine_turn(|behavior, actx| {
+            behavior.on_inbound(actx, envelope.channel, from, &envelope.msg)
+        });
+        gossip.on_channel_message(&mut fx, envelope.channel, from, envelope.msg);
         self.check_catchups(to, ctx.now());
     }
 
@@ -1012,190 +1058,219 @@ impl FabricNet {
         }
     }
 
-    /// Applies churn event `index`: runtime join (with catch-up tracking)
-    /// or leave (with roster removal and forced re-election).
-    ///
-    /// In [`DiscoveryMode::Oracle`] the event is broadcast synchronously
-    /// (`on_peer_joined` / `on_peer_left` on every sitting member). In
-    /// [`DiscoveryMode::Protocol`] **only the churning peer acts** — a
-    /// joiner joins live and lets its discovery engine announce it, a
-    /// leaver just drops its instance and goes silent — and a
-    /// [`ViewConvergence`] record starts tracking how the news spreads
-    /// through the sitting members' views.
-    fn apply_churn(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, index: usize) {
-        let ev = self.params.churn[index].clone();
-        let now = ctx.now();
-        let validation = self.params.validation_per_tx;
-        let ckpt = self.checkpoint_policy();
-        let protocol = self.params.discovery == DiscoveryMode::Protocol;
-        let c = ev.channel.index();
+    /// Hands `block` of `channel` to peer `to` as coming from the ordering
+    /// service: dissemination officially starts when the contact peer
+    /// receives it.
+    fn hand_block(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        to: NodeId,
+        channel: ChannelId,
+        block: BlockRef,
+    ) {
+        self.channels[channel.index()]
+            .latency
+            .start_block(block.number(), ctx.now());
+        let (gossip, mut fx) = self.peer_fx(ctx, to);
+        gossip.on_block_from_orderer_on(&mut fx, channel, block);
+        self.check_catchups(to, ctx.now());
+    }
+
+    /// Hands `block` to `channel`'s lowest current member, now — the
+    /// scripted stand-in for the orderer's [`NetMsg::DeliverBlock`] to the
+    /// leader. Nothing happens on a channel everyone left.
+    pub fn inject(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        channel: ChannelId,
+        block: BlockRef,
+    ) {
+        if let Some(lowest) = self.members[channel.index()].iter().min() {
+            self.hand_block(ctx, NodeId(lowest.0), channel, block);
+        }
+    }
+
+    /// Applies one churn event, now (`ev.at` is when a *scheduled* event
+    /// is due; here it is not read): a runtime join — through the
+    /// channel's lowest-id member alone under
+    /// [`NetParams::anchor_join`], else knowing the whole sitting
+    /// membership — or a leave.
+    pub fn apply_churn(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, ev: ChurnEvent) {
         match ev.action {
             ChurnAction::Join => {
-                if self.channels[c].members.contains(&ev.peer) {
-                    return; // already a member — stale or duplicate event
-                }
-                // The joiner's organization roster is the membership as it
-                // stood before the join (a roster excluding self never
-                // self-elects statically — the late-joiner rule of
-                // `GossipPeer::new`). Under anchor_join the joiner is
-                // handed only the lowest-id sitting member and discovers
-                // the rest through push-pull.
-                let roster = self.channels[c].members.clone();
-                let anchor_join = self.params.anchor_join;
-                // Under full_ledgers a runtime joiner materializes its
-                // ledger at join (build-time ledgers cover initial members
-                // only), so a verified snapshot can seed it.
-                if self.params.full_ledgers
-                    && self.peers[ev.peer.index()].ledger(ev.channel).is_none()
-                {
-                    let mut ledger =
-                        Ledger::new(self.msp.clone(), self.channels[c].spec.policy.clone());
-                    if let Some(policy) = ckpt {
-                        ledger = ledger.with_snapshot_policy(policy);
-                    }
-                    self.peers[ev.peer.index()]
-                        .ledgers
-                        .push((ev.channel, ledger));
-                }
-                {
-                    let PeerNode {
-                        gossip,
-                        ledgers,
-                        pending_commits,
-                        validation_free,
-                        ..
-                    } = &mut self.peers[ev.peer.index()];
-                    let mut fx = SimFx {
-                        ctx,
-                        me: NodeId(ev.peer.0),
-                        pending_commits,
-                        validation_free,
-                        ledgers,
-                        msp: &self.msp,
-                        channels: &mut self.channels,
-                        validation_per_tx: validation,
-                        snapshot_policy: ckpt,
-                    };
-                    if anchor_join {
-                        let anchor = *roster
-                            .iter()
-                            .min()
-                            .expect("an anchored joiner needs a sitting member to seed from");
-                        gossip.join_channel_anchored(&mut fx, ev.channel, anchor);
-                    } else {
-                        gossip.join_channel_live(&mut fx, ev.channel, roster.clone());
-                    }
-                }
-                self.channels[c].members.push(ev.peer);
-                if protocol {
-                    // Nobody else is told: the join propagates through the
-                    // joiner's announcement heartbeats and anti-entropy.
-                    self.channels[c].convergence.push(ViewConvergence {
-                        peer: ev.peer,
-                        channel: ev.channel,
-                        at: now,
-                        join: true,
-                        expected: roster,
-                        observed: Vec::new(),
-                    });
-                } else {
-                    // Oracle: every sitting member learns instantly.
-                    let members = self.channels[c].members.clone();
-                    for m in members {
-                        if m == ev.peer {
-                            continue;
-                        }
-                        let PeerNode {
-                            gossip,
-                            ledgers,
-                            pending_commits,
-                            validation_free,
-                            ..
-                        } = &mut self.peers[m.index()];
-                        let mut fx = SimFx {
-                            ctx,
-                            me: NodeId(m.0),
-                            pending_commits,
-                            validation_free,
-                            ledgers,
-                            msp: &self.msp,
-                            channels: &mut self.channels,
-                            validation_per_tx: validation,
-                            snapshot_policy: ckpt,
-                        };
-                        gossip.on_peer_joined(&mut fx, ev.channel, ev.peer);
-                    }
-                }
-                let target = self.orderer.chain_head_on(ev.channel);
-                self.catchups.push(Catchup {
-                    peer: ev.peer,
-                    channel: ev.channel,
-                    joined_at: now,
-                    target,
-                    completed_at: (target == 0).then_some(now),
-                    bytes: 0,
-                    blocks_replayed: 0,
-                    snapshot_height: 0,
-                    max_msg_bytes: 0,
-                    chunks: 0,
-                    resumes: 0,
-                });
-            }
-            ChurnAction::Leave => {
-                let Some(pos) = self.channels[c].members.iter().position(|m| *m == ev.peer) else {
-                    return; // not a member — stale or duplicate event
+                let sitting = &self.members[ev.channel.index()];
+                let seeds = match sitting.iter().min() {
+                    Some(anchor) if self.params.anchor_join => vec![*anchor],
+                    _ => sitting.clone(),
                 };
-                let led = self.peers[ev.peer.index()].gossip.is_leader_on(ev.channel);
-                self.channels[c].members.remove(pos);
-                self.peers[ev.peer.index()].gossip.leave_channel(ev.channel);
-                if led && self.channels[c].gap_open.is_none() {
-                    // A leadership gap opens the instant the leader leaves
-                    // and closes when any successor claims (instantly
-                    // under the oracle, by expiry under the protocol).
-                    self.channels[c].gap_open = Some(now);
-                }
-                if protocol {
-                    // The leaver goes silent; the sitting members must
-                    // detect the departure by alive-timeout expiry. A
-                    // member that leaves before observing is excused.
-                    let remaining = self.channels[c].members.clone();
-                    for record in &mut self.channels[c].convergence {
-                        record.expected.retain(|p| *p != ev.peer);
-                    }
-                    self.channels[c].convergence.push(ViewConvergence {
-                        peer: ev.peer,
-                        channel: ev.channel,
-                        at: now,
-                        join: false,
-                        expected: remaining,
-                        observed: Vec::new(),
-                    });
-                } else {
-                    let members = self.channels[c].members.clone();
-                    for m in members {
-                        let PeerNode {
-                            gossip,
-                            ledgers,
-                            pending_commits,
-                            validation_free,
-                            ..
-                        } = &mut self.peers[m.index()];
-                        let mut fx = SimFx {
-                            ctx,
-                            me: NodeId(m.0),
-                            pending_commits,
-                            validation_free,
-                            ledgers,
-                            msp: &self.msp,
-                            channels: &mut self.channels,
-                            validation_per_tx: validation,
-                            snapshot_policy: ckpt,
-                        };
-                        gossip.on_peer_left(&mut fx, ev.channel, ev.peer);
-                    }
-                }
+                self.join(ctx, ev.channel, ev.peer, seeds);
+            }
+            ChurnAction::Leave => self.leave(ctx, ev.channel, ev.peer),
+        }
+    }
+
+    /// Runtime join of `peer` to `channel`, with catch-up tracking. The
+    /// joiner's roster is `seeds` — the membership as it stood before the
+    /// join for an ordinary joiner (a roster excluding self never
+    /// self-elects statically: the late-joiner rule of `GossipPeer::new`),
+    /// one anchor peer or any other subset for a joiner that must
+    /// discover the rest through push-pull. A peer that crashed comes back
+    /// up holding this one channel. A sitting member joining again is a
+    /// stale or duplicate event and ignored.
+    ///
+    /// In [`DiscoveryMode::Oracle`] the join is broadcast synchronously
+    /// (`on_peer_joined` on every sitting member). In
+    /// [`DiscoveryMode::Protocol`] **only the joiner acts** — it joins
+    /// live and lets its discovery engine announce it — and a
+    /// [`ViewConvergence`] record starts tracking how the news spreads
+    /// through the sitting members' views.
+    pub fn join(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        channel: ChannelId,
+        peer: PeerId,
+        seeds: Vec<PeerId>,
+    ) {
+        let c = channel.index();
+        if self.members[c].contains(&peer) {
+            return;
+        }
+        let node = NodeId(peer.0);
+        if !ctx.net().is_up(node) {
+            ctx.net_mut().set_up(node, true);
+        }
+        let now = ctx.now();
+        // Under full_ledgers a runtime joiner materializes its ledger at
+        // join (build-time ledgers cover initial members only), so a
+        // verified snapshot can seed it.
+        if self.params.full_ledgers && self.peers[peer.index()].ledger(channel).is_none() {
+            let mut ledger = Ledger::new(self.msp.clone(), self.channels[c].spec.policy.clone());
+            if let Some(policy) = ledger_snapshot_policy(&self.params.gossip) {
+                ledger = ledger.with_snapshot_policy(policy);
+            }
+            self.peers[peer.index()].ledgers.push((channel, ledger));
+        }
+        {
+            let (gossip, mut fx) = self.peer_fx(ctx, node);
+            gossip.join_channel_live(&mut fx, channel, seeds);
+        }
+        let sitting = self.members[c].clone();
+        self.members[c].push(peer);
+        if self.params.discovery == DiscoveryMode::Protocol {
+            // Nobody else is told: the join propagates through the
+            // joiner's announcement heartbeats and anti-entropy.
+            self.channels[c].convergence.push(ViewConvergence {
+                peer,
+                channel,
+                at: now,
+                join: true,
+                expected: sitting,
+                observed: Vec::new(),
+            });
+        } else {
+            // Oracle: every sitting member learns instantly.
+            for m in sitting {
+                let (gossip, mut fx) = self.peer_fx(ctx, NodeId(m.0));
+                gossip.on_peer_joined(&mut fx, channel, peer);
             }
         }
+        let target = self.orderer.chain_head_on(channel);
+        self.catchups.push(Catchup {
+            peer,
+            channel,
+            joined_at: now,
+            target,
+            completed_at: (target == 0).then_some(now),
+            bytes: 0,
+            blocks_replayed: 0,
+            snapshot_height: 0,
+            max_msg_bytes: 0,
+            chunks: 0,
+            resumes: 0,
+        });
+    }
+
+    /// Runtime leave of `peer` from `channel`, forcing re-election if it
+    /// led. A non-member leaving is a stale or duplicate event and
+    /// ignored.
+    ///
+    /// In [`DiscoveryMode::Oracle`] the leave is broadcast synchronously
+    /// (`on_peer_left` on every remaining member). In
+    /// [`DiscoveryMode::Protocol`] **only the leaver acts** — it drops
+    /// its instance and goes silent; the sitting members must detect the
+    /// departure by alive-timeout expiry, tracked by a
+    /// [`ViewConvergence`] record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a deployment with a client schedule loses an endorser.
+    pub fn leave(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, channel: ChannelId, peer: PeerId) {
+        let c = channel.index();
+        let Some(pos) = self.members[c].iter().position(|m| *m == peer) else {
+            return;
+        };
+        assert!(
+            may_leave(&self.channels[c].spec, &self.schedule, peer),
+            "endorser {peer} must not leave channel {channel}"
+        );
+        let now = ctx.now();
+        let led = self.peers[peer.index()].gossip.is_leader_on(channel);
+        self.members[c].remove(pos);
+        self.peers[peer.index()].gossip.leave_channel(channel);
+        if led && self.channels[c].gap_open.is_none() {
+            // A leadership gap opens the instant the leader leaves and
+            // closes when any successor claims (instantly under the
+            // oracle, by expiry under the protocol).
+            self.channels[c].gap_open = Some(now);
+        }
+        let remaining = self.members[c].clone();
+        if self.params.discovery == DiscoveryMode::Protocol {
+            // A member that leaves before observing is excused.
+            for record in &mut self.channels[c].convergence {
+                record.expected.retain(|p| *p != peer);
+            }
+            self.channels[c].convergence.push(ViewConvergence {
+                peer,
+                channel,
+                at: now,
+                join: false,
+                expected: remaining,
+                observed: Vec::new(),
+            });
+        } else {
+            for m in remaining {
+                let (gossip, mut fx) = self.peer_fx(ctx, NodeId(m.0));
+                gossip.on_peer_left(&mut fx, channel, peer);
+            }
+        }
+    }
+
+    /// Process crash of `peer`, now: the node goes down (the engine drops
+    /// its timers and whatever is sent to it), its volatile state and any
+    /// attached behavior are lost, and it [leaves](FabricNet::leave) every
+    /// channel it was in — in silence under the discovery protocol, where
+    /// the sitting members must reap it. A later [`FabricNet::join`]
+    /// brings it back up into the channel that join names, and no other.
+    pub fn crash(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, peer: PeerId) {
+        let node = NodeId(peer.0);
+        if !ctx.net().is_up(node) {
+            return;
+        }
+        for c in 0..self.channels.len() {
+            self.leave(ctx, ChannelId(c as u16), peer);
+        }
+        ctx.net_mut().set_up(node, false);
+        self.on_node_down(node);
+        self.peers[peer.index()].byzantine = None;
+    }
+
+    /// What a node loses when it goes down: leadership, buffers, fetches
+    /// and the RAM-only commit queue.
+    fn on_node_down(&mut self, node: NodeId) {
+        let peer = &mut self.peers[node.index()];
+        peer.gossip.on_crash();
+        peer.pending_commits.clear();
+        peer.validation_free = Time::ZERO;
     }
 
     fn handle_propose(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, to: NodeId, index: usize) {
@@ -1327,8 +1402,7 @@ impl FabricNet {
         let rt = &self.channels[channel.index()];
         // One delivery per organization, to that organization's leader(s)
         // among the channel's current members.
-        let leaders: Vec<NodeId> = rt
-            .members
+        let leaders: Vec<NodeId> = self.members[channel.index()]
             .iter()
             .filter(|m| {
                 self.peers[m.index()].gossip.is_leader_on(channel) && ctx.net().is_up(NodeId(m.0))
@@ -1406,35 +1480,7 @@ impl desim::Protocol for FabricNet {
     ) {
         match msg {
             NetMsg::Gossip(g) => self.peer_message(ctx, to, from, g),
-            NetMsg::DeliverBlock { channel, block } => {
-                // Dissemination officially starts when the contact peer
-                // receives the block from the ordering service.
-                self.channels[channel.index()]
-                    .latency
-                    .start_block(block.number(), ctx.now());
-                let validation = self.params.validation_per_tx;
-                let ckpt = self.checkpoint_policy();
-                let PeerNode {
-                    gossip,
-                    ledgers,
-                    pending_commits,
-                    validation_free,
-                    ..
-                } = &mut self.peers[to.index()];
-                let mut fx = SimFx {
-                    ctx,
-                    me: to,
-                    pending_commits,
-                    validation_free,
-                    ledgers,
-                    msp: &self.msp,
-                    channels: &mut self.channels,
-                    validation_per_tx: validation,
-                    snapshot_policy: ckpt,
-                };
-                gossip.on_block_from_orderer_on(&mut fx, channel, block);
-                self.check_catchups(to, ctx.now());
-            }
+            NetMsg::DeliverBlock { channel, block } => self.hand_block(ctx, to, channel, block),
             NetMsg::Propose { index } => self.handle_propose(ctx, to, index),
             NetMsg::Endorsed { index, tx } => {
                 debug_assert_eq!(to, self.client_node());
@@ -1450,27 +1496,9 @@ impl desim::Protocol for FabricNet {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, node: NodeId, timer: NetTimer) {
         match timer {
             NetTimer::Peer { channel, timer } => {
-                let validation = self.params.validation_per_tx;
-                let ckpt = self.checkpoint_policy();
-                let PeerNode {
-                    gossip,
-                    ledgers,
-                    pending_commits,
-                    validation_free,
-                    ..
-                } = &mut self.peers[node.index()];
-                let mut fx = SimFx {
-                    ctx,
-                    me: node,
-                    pending_commits,
-                    validation_free,
-                    ledgers,
-                    msp: &self.msp,
-                    channels: &mut self.channels,
-                    validation_per_tx: validation,
-                    snapshot_policy: ckpt,
-                };
+                let (gossip, mut fx) = self.peer_fx(ctx, node);
                 gossip.on_channel_timer(&mut fx, channel, timer);
+                fx.byzantine_turn(|behavior, actx| behavior.on_step(actx));
                 self.check_catchups(node, ctx.now());
             }
             NetTimer::ClientIssue => self.issue_due(ctx),
@@ -1505,7 +1533,7 @@ impl desim::Protocol for FabricNet {
                 }
                 *peer.committed.entry(channel).or_insert(0) += 1;
             }
-            NetTimer::Churn { index } => self.apply_churn(ctx, index),
+            NetTimer::Churn { index } => self.apply_churn(ctx, self.params.churn[index].clone()),
         }
     }
 
@@ -1514,19 +1542,13 @@ impl desim::Protocol for FabricNet {
             return;
         }
         if !up {
-            // A crash loses volatile gossip state: leadership, buffers,
-            // fetches, and the RAM-only commit queue.
-            let peer = &mut self.peers[node.index()];
-            peer.gossip.on_crash();
-            peer.pending_commits.clear();
-            peer.validation_free = Time::ZERO;
+            self.on_node_down(node);
             return;
         }
         // A rebooted peer re-arms its periodic timers (its old ones died
         // with it — the engine drops timers of down nodes) and re-validates
         // any stored blocks whose in-flight validation the crash destroyed.
         let validation = self.params.validation_per_tx;
-        let ckpt = self.checkpoint_policy();
         let PeerNode {
             gossip,
             ledgers,
@@ -1549,17 +1571,7 @@ impl desim::Protocol for FabricNet {
                 }
             }
         }
-        let mut fx = SimFx {
-            ctx,
-            me: node,
-            pending_commits,
-            validation_free,
-            ledgers,
-            msp: &self.msp,
-            channels: &mut self.channels,
-            validation_per_tx: validation,
-            snapshot_policy: ckpt,
-        };
+        let (gossip, mut fx) = self.peer_fx(ctx, node);
         gossip.init(&mut fx);
     }
 }
@@ -1575,6 +1587,65 @@ struct SimFx<'a, 'c> {
     channels: &'a mut [ChannelRuntime],
     validation_per_tx: Duration,
     snapshot_policy: Option<SnapshotPolicy>,
+    /// The behavior attached to this peer, if any: every send passes
+    /// through it.
+    edge: Option<Edge<'a>>,
+}
+
+impl SimFx<'_, '_> {
+    /// Gives the attached behavior, if any, a turn — a send of the peer's
+    /// to transform, a delivery to wiretap, a timer of its own — and puts
+    /// what it returns on the wire as sent by this peer.
+    #[inline]
+    fn byzantine_turn(
+        &mut self,
+        turn: impl FnOnce(&mut dyn Byzantine, &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)>,
+    ) {
+        let Some(edge) = &mut self.edge else {
+            return;
+        };
+        let mut actx = AttackCtx {
+            self_id: PeerId(self.me.0),
+            now: self.ctx.now(),
+            rng: edge.rng,
+            members: edge.members,
+        };
+        for (channel, to, msg) in turn(edge.behavior, &mut actx) {
+            send_gossip(self.ctx, self.me, channel, to, msg);
+        }
+    }
+}
+
+/// A compromised peer's wire: its behavior, and what the behavior may
+/// see ([`AttackCtx`]).
+struct Edge<'a> {
+    behavior: &'a mut dyn Byzantine,
+    rng: &'a mut StdRng,
+    members: &'a [Vec<PeerId>],
+}
+
+/// Puts one gossip message of `from` on the simulated wire.
+#[inline]
+fn send_gossip(
+    ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+    from: NodeId,
+    channel: ChannelId,
+    to: PeerId,
+    msg: GossipMsg,
+) {
+    ctx.send(
+        from,
+        NodeId(to.0),
+        NetMsg::Gossip(ChannelMsg { channel, msg }),
+    );
+}
+
+/// Endorsers are a channel's execution substrate: their ledgers freeze on
+/// leave while the client keeps proposing to them, which would quietly
+/// corrupt every later read set. Without a schedule there is no client,
+/// and any member may go.
+fn may_leave(spec: &ChannelSpec, schedule: &[ScheduledInvocation], peer: PeerId) -> bool {
+    schedule.is_empty() || !spec.endorsers.contains(&peer)
 }
 
 /// The ledger-side snapshot policy implied by a gossip config: `None`
@@ -1594,11 +1665,10 @@ impl Effects for SimFx<'_, '_> {
     }
 
     fn send(&mut self, channel: ChannelId, to: PeerId, msg: GossipMsg) {
-        self.ctx.send(
-            self.me,
-            NodeId(to.0),
-            NetMsg::Gossip(ChannelMsg { channel, msg }),
-        );
+        if self.edge.is_none() {
+            return send_gossip(self.ctx, self.me, channel, to, msg);
+        }
+        self.byzantine_turn(|behavior, actx| behavior.on_outbound(actx, channel, to, msg));
     }
 
     fn schedule(&mut self, after: Duration, channel: ChannelId, timer: GossipTimer) {

@@ -1,0 +1,684 @@
+//! Scripted scenarios on the one simulator: the interpreter of
+//! [`fabric_gossip::scenario`]'s op DSL and the checks behind its
+//! predicates, over a [`desim::Simulation`] of a [`FabricNet`].
+//!
+//! [`ScenarioNet`] owns the simulation and models nothing itself. Time is
+//! `desim`'s clock and timing wheel; latency, bandwidth and processing
+//! delay are whatever the [`NetworkConfig`] it was given says
+//! ([`NetworkConfig::ideal`] for protocol logic, [`NetworkConfig::lan`]
+//! for the model every benchmark workload runs in); `Partition` / `Heal` /
+//! `DropLink` go to [`desim::NetState`], `SetLoss` to
+//! [`Simulation::set_loss`], `Crash` to the engine's node status; `Join` /
+//! `Leave` are the churn [`FabricNet`] applies for its presets; attached
+//! [`Byzantine`] behaviors sit on [`FabricNet`]'s outbound edge. What is
+//! left here is the script: ground-truth accessors, `apply` /
+//! `run_script` / `check`, and the obituary-floor ratchet behind
+//! [`Predicate::NoResurrectionBelowObituary`].
+//!
+//! The deployment is a schedule-less [`FabricNet`]: no client and no
+//! traffic from the orderer (blocks enter through [`ScenarioNet::inject`]),
+//! every member keeps a ledger, and under protocol discovery nobody is
+//! ever told about a join or a leave — a join is only the joiner's own
+//! announcement, a leave or a crash only silence.
+//!
+//! ## Determinism contract
+//!
+//! There is one: [`Simulation::new`]'s documented draw order. The same
+//! `(network, memberships, cfg, seed)` and the same ops replay event for
+//! event. Attached behaviors draw from [`FabricNet`]'s separate attack
+//! generator ([`FabricNet::ATTACK_SEED`]), so attaching one never
+//! re-rolls an honest draw.
+
+use std::collections::BTreeMap;
+
+use desim::{Duration, NetworkConfig, NodeId, Simulation};
+use fabric_gossip::config::GossipConfig;
+use fabric_gossip::peer::GossipPeer;
+use fabric_gossip::scenario::{Byzantine, Predicate, ScenarioError, ScenarioOp};
+use fabric_ledger::ledger::Ledger;
+use fabric_orderer::cutter::BatchConfig;
+use fabric_orderer::service::OrdererConfig;
+use fabric_types::block::BlockRef;
+use fabric_types::ids::{ChannelId, PeerId};
+use fabric_types::snapshot::SnapshotRef;
+use fabric_types::transaction::EndorsementPolicy;
+
+use crate::churn_waves::DISCOVERY_KINDS;
+use crate::net::{ChannelSpec, DiscoveryMode, FabricNet, NetParams};
+
+/// A scripted multi-peer deployment for discovery-protocol tests and
+/// adversarial scenarios. See the [module docs](self).
+#[derive(Debug)]
+pub struct ScenarioNet {
+    sim: Simulation<FabricNet>,
+    /// Highest obituary incarnation each peer recorded in its current
+    /// life, keyed by `(observer index, channel, subject)` — the ratchet
+    /// behind [`Predicate::NoResurrectionBelowObituary`].
+    obituary_floor: BTreeMap<(usize, u16, u32), u64>,
+    /// Highest injected block number per channel.
+    heads: Vec<u64>,
+}
+
+impl ScenarioNet {
+    /// Builds and starts `network.nodes` peers in `network`; peer `i`
+    /// starts joined to every channel whose member list (ascending ids)
+    /// contains it. Every peer's timers are armed and discovery has
+    /// announced each initial member to its samples; nothing has been
+    /// delivered yet — like every op, the start happens at an instant and
+    /// the simulation runs when told to ([`ScenarioNet::run_for`]).
+    pub fn new(
+        network: NetworkConfig,
+        memberships: Vec<Vec<PeerId>>,
+        cfg: &GossipConfig,
+        seed: u64,
+    ) -> Self {
+        let mut params = NetParams::new(
+            network.nodes,
+            cfg.clone(),
+            OrdererConfig::kafka(BatchConfig::paper_dissemination()),
+        );
+        params.endorsers = Vec::new();
+        params.full_ledgers = true;
+        if cfg.discovery.protocol {
+            params.discovery = DiscoveryMode::Protocol;
+        }
+        let heads = vec![0; memberships.len()];
+        let mut specs = memberships
+            .into_iter()
+            .enumerate()
+            .map(|(c, members)| ChannelSpec {
+                channel: ChannelId(c as u16),
+                members,
+                orgs: 1,
+                endorsers: Vec::new(),
+                policy: EndorsementPolicy::AnyMember,
+            });
+        params.default_members = specs.next().map(|spec| spec.members);
+        params.extra_channels = specs.collect();
+        let mut sim = Simulation::new(FabricNet::new(params, Vec::new()), network, seed);
+        sim.with_ctx(|net, ctx| net.start(ctx));
+        ScenarioNet {
+            sim,
+            obituary_floor: BTreeMap::new(),
+            heads,
+        }
+    }
+
+    /// The simulation underneath: clock, event count, network accounting,
+    /// and through [`Simulation::protocol`] the deployment itself.
+    pub fn sim(&self) -> &Simulation<FabricNet> {
+        &self.sim
+    }
+
+    /// The gossip state of peer `i`.
+    pub fn gossip(&self, i: usize) -> &GossipPeer {
+        self.sim.protocol().gossip(i)
+    }
+
+    /// The ledger peer `i` keeps for channel `c`: what it validated and
+    /// committed of the blocks gossip delivered, or stood up from an
+    /// installed snapshot. `None` before the peer first joins `c`.
+    pub fn ledger(&self, i: usize, c: usize) -> Option<&Ledger> {
+        self.sim.protocol().ledger_on(i, ChannelId(c as u16))
+    }
+
+    /// Ground-truth members of channel `c` (what the script enacted).
+    pub fn members(&self, c: usize) -> &[PeerId] {
+        self.sim.protocol().members_on(ChannelId(c as u16))
+    }
+
+    /// The current per-message loss probability.
+    pub fn loss(&self) -> f64 {
+        self.sim.net().config().loss
+    }
+
+    /// Highest injected block number of channel `c`.
+    pub fn head(&self, c: usize) -> u64 {
+        self.heads[c]
+    }
+
+    /// Whether `peer` is crashed.
+    pub fn is_crashed(&self, peer: PeerId) -> bool {
+        !self.sim.net().is_up(NodeId(peer.0))
+    }
+
+    /// Offered wire bytes of one message kind so far (lost and cut-off
+    /// messages included — they were put on the wire).
+    pub fn wire_bytes_of_kind(&self, kind: &str) -> u64 {
+        self.sim.metrics().kind(kind).map_or(0, |k| k.bytes)
+    }
+
+    /// Offered wire bytes of the discovery protocol (heartbeats plus all
+    /// anti-entropy forms).
+    pub fn discovery_wire_bytes(&self) -> u64 {
+        DISCOVERY_KINDS
+            .iter()
+            .map(|k| self.wire_bytes_of_kind(k))
+            .sum()
+    }
+
+    /// Sets the independent per-message loss probability.
+    pub fn set_loss(&mut self, loss: f64) {
+        self.sim.set_loss(loss);
+    }
+
+    /// Blocks (or unblocks) the link between `a` and `b`, both directions.
+    pub fn set_link(&mut self, a: PeerId, b: PeerId, up: bool) {
+        let (a, b) = (NodeId(a.0), NodeId(b.0));
+        self.sim.with_ctx(|_, ctx| match up {
+            true => ctx.net_mut().set_link_up(a, b),
+            false => ctx.net_mut().set_link_down(a, b),
+        });
+    }
+
+    /// Partitions the network into `groups`: every link between two
+    /// different groups is blocked (links inside a group are restored).
+    /// A configured loss rate keeps applying — partition and loss
+    /// compose.
+    pub fn partition(&mut self, groups: &[Vec<PeerId>]) {
+        let groups: Vec<Vec<NodeId>> = groups
+            .iter()
+            .map(|g| g.iter().map(|p| NodeId(p.0)).collect())
+            .collect();
+        self.sim.with_ctx(|_, ctx| ctx.net_mut().partition(&groups));
+    }
+
+    /// Restores every blocked link; the loss rate is untouched.
+    pub fn restore_links(&mut self) {
+        self.sim.with_ctx(|_, ctx| ctx.net_mut().heal());
+    }
+
+    /// Full fault recovery: restores every link **and** stops message
+    /// loss.
+    pub fn heal(&mut self) {
+        self.restore_links();
+        self.set_loss(0.0);
+    }
+
+    /// Attaches a Byzantine behavior to `peer` (see
+    /// [`FabricNet::set_byzantine`]).
+    pub fn set_byzantine(&mut self, peer: PeerId, behavior: Box<dyn Byzantine>) {
+        self.sim.protocol_mut().set_byzantine(peer, behavior);
+    }
+
+    /// Detaches the Byzantine behavior of `peer`, if any.
+    pub fn clear_byzantine(&mut self, peer: PeerId) {
+        self.sim.protocol_mut().clear_byzantine(peer);
+    }
+
+    /// Runs the simulation for `d`, ratcheting the obituary floors after
+    /// every event.
+    pub fn run_for(&mut self, d: Duration) {
+        let deadline = self.sim.now() + d;
+        while self.sim.next_event_at().is_some_and(|at| at <= deadline) {
+            self.sim.step();
+            self.record_obituary_floors();
+        }
+        self.sim.run_until(deadline);
+    }
+
+    /// Runtime join, discovery-style: **only the joiner acts** — it joins
+    /// live with the sitting membership as its roster and its discovery
+    /// engine announces the join; nobody else is told anything. A crashed
+    /// peer comes back up into channel `c` alone.
+    pub fn join(&mut self, c: usize, peer: PeerId) {
+        let roster = self.members(c).to_vec();
+        self.join_via(c, peer, &roster);
+    }
+
+    /// Runtime join whose bootstrap roster is `seeds` instead of the full
+    /// sitting membership — the eclipse surface: a joiner that only knows
+    /// the attacker can only learn the world through the attacker.
+    pub fn join_via(&mut self, c: usize, peer: PeerId, seeds: &[PeerId]) {
+        if peer.index() >= self.sim.protocol().params().peers || self.members(c).contains(&peer) {
+            return;
+        }
+        // A fresh life starts with empty obituaries, so its resurrection
+        // floor restarts too.
+        self.clear_floors_of(peer.index(), Some(c as u16));
+        let (channel, seeds) = (ChannelId(c as u16), seeds.to_vec());
+        self.sim
+            .with_ctx(|net, ctx| net.join(ctx, channel, peer, seeds));
+    }
+
+    /// Runtime join through the anchor-peer entry
+    /// ([`GossipPeer::join_channel_anchored`]): the joiner knows exactly
+    /// one seed and must learn the rest of the world through discovery
+    /// push-pull.
+    ///
+    /// # Panics
+    ///
+    /// Panics without protocol discovery: nothing else would ever widen a
+    /// one-peer roster.
+    pub fn join_anchored(&mut self, c: usize, peer: PeerId, anchor: PeerId) {
+        assert!(
+            self.sim.protocol().params().gossip.discovery.protocol,
+            "anchor-peer join needs protocol discovery"
+        );
+        self.join_via(c, peer, &[anchor]);
+    }
+
+    /// Publishes `snapshot` as the one `peer` serves on channel `c` (see
+    /// [`FabricNet::publish_snapshot`]; a member's own ledger does the
+    /// same whenever a commit emits a checkpoint). Returns whether the
+    /// peer adopted it.
+    pub fn publish_snapshot(&mut self, c: usize, peer: PeerId, snapshot: SnapshotRef) -> bool {
+        self.sim
+            .protocol_mut()
+            .publish_snapshot(ChannelId(c as u16), peer, snapshot)
+    }
+
+    /// Runtime leave, discovery-style: **only the leaver acts** — it drops
+    /// its instance and goes silent; the sitting members must detect the
+    /// departure by alive-timeout expiry and spread the obituary.
+    pub fn leave(&mut self, c: usize, peer: PeerId) {
+        self.sim
+            .with_ctx(|net, ctx| net.leave(ctx, ChannelId(c as u16), peer));
+        self.clear_floors_of(peer.index(), Some(c as u16));
+    }
+
+    /// Silent crash (see [`FabricNet::crash`]): the node goes down with
+    /// no leave announced, and is out of every channel — the network must
+    /// reap it. A later [`ScenarioNet::join`] is its reboot.
+    pub fn crash(&mut self, peer: PeerId) {
+        if peer.index() >= self.sim.protocol().params().peers {
+            return;
+        }
+        self.sim.with_ctx(|net, ctx| net.crash(ctx, peer));
+        // The crash loses the volatile obituaries; the rebooted life's
+        // resurrection floor must restart with them.
+        self.clear_floors_of(peer.index(), None);
+    }
+
+    /// Hands `block` of channel `c` to its lowest current member, as the
+    /// ordering service would (see [`FabricNet::inject`]).
+    pub fn inject(&mut self, c: usize, block: BlockRef) {
+        if self.members(c).is_empty() {
+            return;
+        }
+        self.heads[c] = self.heads[c].max(block.number());
+        self.sim
+            .with_ctx(|net, ctx| net.inject(ctx, ChannelId(c as u16), block));
+    }
+
+    /// Peer `m`'s organization view of channel `c`, in id order.
+    pub fn view_of(&self, m: PeerId, c: usize) -> Vec<PeerId> {
+        let mut view = self
+            .gossip(m.index())
+            .membership_on(ChannelId(c as u16))
+            .map(|mem| mem.peers().to_vec())
+            .unwrap_or_default();
+        view.sort_unstable();
+        view
+    }
+
+    /// Whether every current member of channel `c` sees exactly the other
+    /// current members — the convergence predicate of the discovery
+    /// protocol.
+    pub fn views_converged(&self, c: usize) -> bool {
+        self.divergent_views(c).is_empty()
+    }
+
+    /// Members of channel `c` whose view does **not** match the ground
+    /// truth, with their views — for assertion messages.
+    pub fn divergent_views(&self, c: usize) -> Vec<(PeerId, Vec<PeerId>)> {
+        let members = self.members(c);
+        members
+            .iter()
+            .filter_map(|m| {
+                let mut expected: Vec<PeerId> =
+                    members.iter().copied().filter(|p| p != m).collect();
+                expected.sort_unstable();
+                let got = self.view_of(*m, c);
+                (got != expected).then_some((*m, got))
+            })
+            .collect()
+    }
+
+    /// Whether every peer of `group` sees exactly `expected` (minus
+    /// itself) on channel `c` — agreement over a subset, e.g. the honest
+    /// majority under an eclipse.
+    pub fn views_agree_among(&self, c: usize, group: &[PeerId], expected: &[PeerId]) -> bool {
+        group.iter().all(|m| {
+            let mut want: Vec<PeerId> = expected.iter().copied().filter(|p| p != m).collect();
+            want.sort_unstable();
+            self.view_of(*m, c) == want
+        })
+    }
+
+    /// Current leaders of channel `c` among its current members.
+    pub fn leaders(&self, c: usize) -> Vec<PeerId> {
+        self.members(c)
+            .iter()
+            .copied()
+            .filter(|m| self.gossip(m.index()).is_leader_on(ChannelId(c as u16)))
+            .collect()
+    }
+
+    /// Polls `done` once per simulated second (running time in between)
+    /// and returns the first second at which it held, or `None` if it
+    /// still did not after `limit_secs`.
+    pub fn secs_until(
+        &mut self,
+        limit_secs: u64,
+        mut done: impl FnMut(&mut ScenarioNet) -> bool,
+    ) -> Option<u64> {
+        for elapsed in 0..=limit_secs {
+            if done(self) {
+                return Some(elapsed);
+            }
+            if elapsed < limit_secs {
+                self.run_for(Duration::from_secs(1));
+            }
+        }
+        None
+    }
+
+    /// [`ScenarioNet::secs_until`] the views of channel `c` converge.
+    pub fn converge_within(&mut self, c: usize, limit_secs: u64) -> Option<u64> {
+        self.secs_until(limit_secs, |net| net.views_converged(c))
+    }
+
+    /// Applies one scenario op; only a failed `Assert` returns an error.
+    pub fn apply(&mut self, op: &ScenarioOp) -> Result<(), ScenarioError> {
+        match op {
+            ScenarioOp::Join { channel, peer } => self.join(*channel, *peer),
+            ScenarioOp::Leave { channel, peer } => self.leave(*channel, *peer),
+            ScenarioOp::Crash { peer } => self.crash(*peer),
+            ScenarioOp::Partition { groups } => self.partition(groups),
+            ScenarioOp::Heal => self.heal(),
+            ScenarioOp::DropLink { a, b } => self.set_link(*a, *b, false),
+            ScenarioOp::SetLoss { loss_milli } => self.set_loss(f64::from(*loss_milli) / 1000.0),
+            ScenarioOp::Wait { secs } => self.run_for(Duration::from_secs(*secs)),
+            ScenarioOp::Assert(pred) => {
+                self.check(pred).map_err(|message| ScenarioError {
+                    op_index: None,
+                    op: format!("{op:?}"),
+                    message,
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs a whole script, aborting at the first failed `Assert` with
+    /// its op index.
+    pub fn run_script(&mut self, script: &[ScenarioOp]) -> Result<(), ScenarioError> {
+        for (i, op) in script.iter().enumerate() {
+            self.apply(op).map_err(|mut e| {
+                e.op_index = Some(i);
+                e
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Checks one invariant predicate against the current state
+    /// ([`Predicate::ConvergenceWithin`] advances simulated time).
+    pub fn check(&mut self, pred: &Predicate) -> Result<(), String> {
+        match pred {
+            Predicate::ViewAgreement { channel } => {
+                let divergent = self.divergent_views(*channel);
+                if divergent.is_empty() {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "views diverged from members {:?}: {divergent:?}",
+                        self.members(*channel)
+                    ))
+                }
+            }
+            Predicate::ExactlyOneLeader { channel } => {
+                if self.members(*channel).is_empty() {
+                    return Ok(());
+                }
+                let leaders = self.leaders(*channel);
+                if leaders.len() == 1 {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "want exactly one leader among {:?}, got {leaders:?}",
+                        self.members(*channel)
+                    ))
+                }
+            }
+            Predicate::NoResurrectionBelowObituary { channel } => {
+                let chan = ChannelId(*channel as u16);
+                for i in 0..self.sim.protocol().params().peers {
+                    let Some(engine) = self.gossip(i).discovery_on(chan) else {
+                        continue;
+                    };
+                    for claim in engine.claims() {
+                        let floor = self.obituary_floor.get(&(i, chan.0, claim.peer.0));
+                        if let Some(&floor) = floor {
+                            if claim.incarnation <= floor {
+                                return Err(format!(
+                                    "peer {} holds {:?} at incarnation {} ≤ its own past \
+                                     obituary {floor} — a resurrection below the obituary",
+                                    i, claim.peer, claim.incarnation
+                                ));
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Predicate::GapFreeCatchup { channel } => {
+                let head = self.heads[*channel];
+                let chan = ChannelId(*channel as u16);
+                for m in self.members(*channel) {
+                    let Some(store) = self.gossip(m.index()).store_on(chan) else {
+                        return Err(format!("member {m:?} has no store on channel {channel}"));
+                    };
+                    for num in 1..=head {
+                        if !store.has(num) {
+                            return Err(format!(
+                                "member {m:?} is missing block {num} of {head} — catch-up gap"
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Predicate::ConvergenceWithin { channel, secs } => {
+                match self.converge_within(*channel, *secs) {
+                    Some(_) => Ok(()),
+                    None => Err(format!(
+                        "still divergent after {secs}s: {:?}",
+                        self.divergent_views(*channel)
+                    )),
+                }
+            }
+        }
+    }
+
+    /// Drops the resurrection floors of one observer (one channel or
+    /// all): the floor tracks the obituaries of the observer's *current*
+    /// life, and a leave, crash or reboot deliberately loses them.
+    fn clear_floors_of(&mut self, observer: usize, channel: Option<u16>) {
+        self.obituary_floor
+            .retain(|(obs, chan, _), _| *obs != observer || channel.is_some_and(|c| *chan != c));
+    }
+
+    /// Ratchets the per-observer obituary floors from every engine's
+    /// current dead set.
+    fn record_obituary_floors(&mut self) {
+        let net = self.sim.protocol();
+        for i in 0..net.params().peers {
+            for chan in net.gossip(i).channel_ids() {
+                let Some(engine) = net.gossip(i).discovery_on(chan) else {
+                    continue;
+                };
+                for (subject, incarnation) in engine.obituary_iter() {
+                    let entry = self
+                        .obituary_floor
+                        .entry((i, chan.0, subject.0))
+                        .or_insert(0);
+                    *entry = (*entry).max(incarnation);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabric_gossip::scenario::{random_scenario, ScenarioShape};
+
+    fn cfg() -> GossipConfig {
+        let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
+        cfg.discovery.heartbeat_interval = Duration::from_secs(1);
+        cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
+        cfg.membership.alive_timeout = Duration::from_secs(5);
+        cfg
+    }
+
+    /// `n` peers in the ideal network, fixed simulation seed.
+    fn ideal(n: usize, memberships: Vec<Vec<PeerId>>) -> ScenarioNet {
+        ScenarioNet::new(NetworkConfig::ideal(n), memberships, &cfg(), 9_000)
+    }
+
+    #[test]
+    fn partition_preserves_a_configured_loss_rate() {
+        // Regression: partition() used to call heal(), silently zeroing
+        // the loss rate — `set_loss(0.2); partition(...)` ran lossless.
+        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let mut net = ideal(4, vec![members.clone()]);
+        net.set_loss(0.2);
+        net.partition(&[vec![PeerId(0), PeerId(1)], vec![PeerId(2), PeerId(3)]]);
+        assert_eq!(net.loss(), 0.2, "partition must not touch the loss rate");
+        net.heal();
+        assert_eq!(net.loss(), 0.0, "heal stops loss");
+    }
+
+    #[test]
+    fn restore_links_is_heal_minus_loss() {
+        let members: Vec<PeerId> = (0..3).map(PeerId).collect();
+        let mut net = ideal(3, vec![members]);
+        net.set_loss(0.1);
+        net.set_link(PeerId(0), PeerId(1), false);
+        net.restore_links();
+        assert_eq!(net.loss(), 0.1, "restore_links leaves loss in place");
+    }
+
+    #[test]
+    fn identical_scripts_replay_bit_identically() {
+        // The determinism contract, end to end: same config, same script
+        // → identical views, leaders and byte accounting.
+        let script = random_scenario(
+            12345,
+            &(0..5).map(PeerId).collect::<Vec<_>>(),
+            &ScenarioShape::default(),
+        );
+        let run = || {
+            let members: Vec<PeerId> = (0..5).map(PeerId).collect();
+            let mut net = ideal(8, vec![members]);
+            net.run_script(&script).expect("invariants hold");
+            let views: Vec<Vec<PeerId>> = net
+                .members(0)
+                .to_vec()
+                .into_iter()
+                .map(|m| net.view_of(m, 0))
+                .collect();
+            (views, net.leaders(0), net.discovery_wire_bytes())
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_crash_silences_without_a_leave_and_the_network_reaps_it() {
+        let members: Vec<PeerId> = (0..5).map(PeerId).collect();
+        let mut net = ideal(5, vec![members]);
+        net.run_for(Duration::from_secs(3));
+        net.crash(PeerId(4));
+        assert!(net.is_crashed(PeerId(4)));
+        assert!(
+            net.view_of(PeerId(0), 0).contains(&PeerId(4)),
+            "a crash is silent: nobody is told"
+        );
+        net.run_for(Duration::from_secs(15));
+        assert!(
+            net.views_converged(0),
+            "the crashed peer must be reaped: {:?}",
+            net.divergent_views(0)
+        );
+        assert_eq!(net.leaders(0).len(), 1);
+    }
+
+    #[test]
+    fn a_crashed_peer_reboots_through_join_with_a_new_life() {
+        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let mut net = ideal(4, vec![members]);
+        net.run_for(Duration::from_secs(3));
+        net.crash(PeerId(3));
+        net.run_for(Duration::from_secs(15));
+        assert!(net.views_converged(0));
+        net.join(0, PeerId(3));
+        assert!(!net.is_crashed(PeerId(3)), "the join is the reboot");
+        net.run_for(Duration::from_secs(15));
+        assert!(
+            net.views_converged(0),
+            "reboot must rejoin cleanly: {:?}",
+            net.divergent_views(0)
+        );
+        assert!(net
+            .check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
+            .is_ok());
+    }
+
+    #[test]
+    fn a_crashed_member_of_two_channels_rejoins_only_the_one_it_names() {
+        // Regression: a crash took the peer out of every channel's ground
+        // truth, but the rejoin un-crashed it wholesale — on the channel
+        // the join did not name it was left a live instance nobody
+        // expected (and a reboot through `on_node_status` would have
+        // re-armed and re-announced it there).
+        let both: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let mut net = ideal(4, vec![both.clone(), both]);
+        net.run_for(Duration::from_secs(3));
+        net.crash(PeerId(3));
+        assert!(net.members(0).len() == 3 && net.members(1).len() == 3);
+        net.run_for(Duration::from_secs(15));
+        assert!(net.views_converged(0) && net.views_converged(1));
+
+        net.join(0, PeerId(3));
+        for _ in 0..30 {
+            net.run_for(Duration::from_secs(1));
+            for m in 0..3 {
+                assert!(
+                    !net.view_of(PeerId(m), 1).contains(&PeerId(3)),
+                    "peer {m} sees the rebooted peer on the channel it did not rejoin"
+                );
+            }
+        }
+        assert!(
+            !net.gossip(3).has_channel(ChannelId(1)),
+            "no instance there"
+        );
+        assert!(net.gossip(3).has_channel(ChannelId(0)));
+        for c in 0..2 {
+            assert!(net.views_converged(c), "{:?}", net.divergent_views(c));
+            net.check(&Predicate::ExactlyOneLeader { channel: c })
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_assert_reports_its_op_index() {
+        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let mut net = ideal(4, vec![members]);
+        // A leave with no settle time: views cannot agree yet.
+        let script = vec![
+            ScenarioOp::Wait { secs: 2 },
+            ScenarioOp::Leave {
+                channel: 0,
+                peer: PeerId(3),
+            },
+            ScenarioOp::Assert(Predicate::ViewAgreement { channel: 0 }),
+        ];
+        let err = net.run_script(&script).expect_err("views still disagree");
+        assert_eq!(err.op_index, Some(2));
+        assert!(err.to_string().contains("ViewAgreement"), "{err}");
+    }
+}

@@ -15,21 +15,24 @@
 //! | withholder          | dissemination | gap-free catch-up within bound      |
 //! | equivocator         | dissemination | completeness 1.0, payloads intact   |
 //!
-//! Everything is deterministic (the harness determinism contract), so the
-//! frontier is a *measurement*, not a flaky sample: CI pins the measured
-//! `f*` per family and fails when a change shrinks it.
+//! Every point is a [`ScenarioNet`] run in [`crate::adversarial::world`]
+//! — the LAN model of the benchmark of record — and deterministic (the
+//! [`crate::scenario`] determinism contract), so the frontier is a
+//! *measurement*, not a flaky sample: CI pins the measured `f*` per
+//! family and fails when a change shrinks it.
 
 use desim::Duration;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    Adaptively, CoalitionForger, DiscoveryHarness, Equivocator, LeaderHunter, Predicate,
-    RefutationSuppressor, SideChannel, Withholder,
+    Adaptively, CoalitionForger, Equivocator, LeaderHunter, Predicate, RefutationSuppressor,
+    SideChannel, Withholder,
 };
 use fabric_types::block::{Block, BlockRef};
-use fabric_types::crypto::Hash256;
 use fabric_types::ids::{ChannelId, PeerId};
 
-use crate::adversarial::AdversarialConfig;
+use crate::adversarial::{deployment, escape, AdversarialConfig, SEED, WORLD};
+use crate::net::FabricNet;
+use crate::scenario::ScenarioNet;
 
 /// Configuration of one tolerance sweep.
 #[derive(Debug, Clone)]
@@ -117,9 +120,16 @@ impl FamilyFrontier {
 pub struct ToleranceReport {
     /// Wire-format label of the sweep.
     pub mode: &'static str,
-    /// The harness attack-RNG seed (with the per-peer engine seeds of the
-    /// determinism contract, the file reproduces the sweep alone).
+    /// The network model every point was simulated in
+    /// ([`crate::adversarial::WORLD`]).
+    pub network: &'static str,
+    /// The simulation seed ([`crate::adversarial::SEED`]); with the
+    /// network model and the wire format the file reproduces the sweep
+    /// alone.
     pub seed: u64,
+    /// The seed of the generator the attackers draw from
+    /// ([`FabricNet::ATTACK_SEED`]), apart from the simulation's.
+    pub attack_seed: u64,
     /// One frontier per (family, deployment), families in catalog order.
     pub frontiers: Vec<FamilyFrontier>,
 }
@@ -146,7 +156,9 @@ impl ToleranceReport {
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
         json.push_str(&format!("  \"wire_format\": \"{}\",\n", self.mode));
+        json.push_str(&format!("  \"network\": \"{}\",\n", self.network));
         json.push_str(&format!("  \"seed\": {},\n", self.seed));
+        json.push_str(&format!("  \"attack_seed\": {},\n", self.attack_seed));
         json.push_str("  \"frontiers\": [\n");
         for (i, fr) in self.frontiers.iter().enumerate() {
             let points = fr
@@ -192,18 +204,6 @@ impl ToleranceReport {
     }
 }
 
-/// Minimal JSON string escaping for diagnostic details.
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Runs the whole family catalog at every configured deployment size.
 pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
     let mut frontiers = Vec::new();
@@ -215,7 +215,9 @@ pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
     }
     ToleranceReport {
         mode: cfg.mode,
-        seed: DiscoveryHarness::ATTACK_SEED,
+        network: WORLD,
+        seed: SEED,
+        attack_seed: FabricNet::ATTACK_SEED,
         frontiers,
     }
 }
@@ -223,7 +225,10 @@ pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
 /// Paper-style text rendering of one sweep.
 pub fn render_tolerance(report: &ToleranceReport) -> String {
     let mut out = String::new();
-    out.push_str(&format!("Tolerance sweep — {} anti-entropy\n", report.mode));
+    out.push_str(&format!(
+        "Tolerance sweep — {} anti-entropy, {} network\n",
+        report.mode, report.network
+    ));
     for fr in &report.frontiers {
         out.push_str(&format!(
             "  {} ({}) at N={}: f* = {}{}\n",
@@ -258,7 +263,7 @@ fn f_range(cfg: &ToleranceConfig, n: u32) -> impl Iterator<Item = u32> {
 }
 
 /// The `f` highest peer ids of an `n`-member channel — the compromised
-/// set (the harness protects no id, so the top ids are as good as any and
+/// set (the deployment protects no id, so the top ids are as good as any and
 /// keep the victim/injector ids stable across `f`).
 fn top_ids(n: u32, f: u32) -> Vec<PeerId> {
     (n - f..n).map(PeerId).collect()
@@ -274,7 +279,7 @@ fn obituary_coalition(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
     let points = f_range(cfg, n)
         .map(|f| {
             let members: Vec<PeerId> = (0..n).map(PeerId).collect();
-            let mut net = DiscoveryHarness::new(n as usize, vec![members], &cfg.gossip);
+            let mut net = deployment(n as usize, vec![members], &cfg.gossip);
             net.run_for(Duration::from_secs(3));
             let inc_before = incarnation_of(&net, victim);
             let side = SideChannel::new();
@@ -338,22 +343,15 @@ fn adaptive_leader_hunt(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
     let points = f_range(cfg, n)
         .map(|f| {
             let members: Vec<PeerId> = (0..n).map(PeerId).collect();
-            let mut net = DiscoveryHarness::new(n as usize, vec![members], &gossip);
+            let mut net = deployment(n as usize, vec![members], &gossip);
             net.run_for(Duration::from_secs(5));
             for id in top_ids(n, f) {
                 net.set_byzantine(id, Box::new(Adaptively(LeaderHunter::new(2))));
             }
             net.run_for(Duration::from_secs(40));
-            let mut recovered = None;
-            for elapsed in 0..=RECOVERY_LIMIT {
-                if net.views_converged(0) && net.leaders(0).len() == 1 {
-                    recovered = Some(elapsed);
-                    break;
-                }
-                if elapsed < RECOVERY_LIMIT {
-                    net.run_for(Duration::from_secs(1));
-                }
-            }
+            let recovered = net.secs_until(RECOVERY_LIMIT, |net| {
+                net.views_converged(0) && net.leaders(0).len() == 1
+            });
             let leaders = net.leaders(0);
             TolerancePoint {
                 f,
@@ -383,17 +381,19 @@ fn catchup_run(
     gossip: &GossipConfig,
     n: u32,
     height: u64,
-    attach: impl Fn(&mut DiscoveryHarness, PeerId),
+    attach: impl Fn(&mut ScenarioNet, PeerId),
     f: u32,
-) -> (DiscoveryHarness, Option<u64>) {
+) -> (ScenarioNet, Option<u64>) {
     const LIMIT: u64 = 45;
     let members: Vec<PeerId> = (0..n).map(PeerId).collect();
     let joiner = PeerId(n);
-    let mut net = DiscoveryHarness::new(n as usize + 1, vec![members], gossip);
+    let mut net = deployment(n as usize + 1, vec![members], gossip);
     for id in top_ids(n, f) {
         attach(&mut net, id);
     }
-    let mut prev = Hash256::ZERO;
+    // Chained from genesis, so every member's ledger commits what gossip
+    // delivers to it.
+    let mut prev = Block::genesis().hash();
     for num in 1..=height {
         let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
         prev = block.hash();
@@ -402,18 +402,10 @@ fn catchup_run(
     }
     net.run_for(Duration::from_secs(10));
     net.join(0, joiner);
-    let mut caught = None;
-    for elapsed in 0..=LIMIT {
-        if net.gossip(joiner.index()).height_on(ChannelId(0)) > height
+    let caught = net.secs_until(LIMIT, |net| {
+        net.gossip(joiner.index()).height_on(ChannelId(0)) > height
             && net.check(&Predicate::GapFreeCatchup { channel: 0 }).is_ok()
-        {
-            caught = Some(elapsed);
-            break;
-        }
-        if elapsed < LIMIT {
-            net.run_for(Duration::from_secs(1));
-        }
-    }
+    });
     (net, caught)
 }
 
@@ -468,7 +460,7 @@ fn withholder(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
 /// Family 4 (dissemination) — `f` [`Equivocator`]s serving conflicting
 /// payloads (doctored transactions under the genuine header) to even-id
 /// peers. Guarantee: every doctored payload is hash-rejected, every held
-/// or delivered block is intact, and completeness still reaches 1.0.
+/// or committed block is intact, and completeness still reaches 1.0.
 /// Metric: rejected payload count (the attack surface that bounced).
 fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
     const HEIGHT: u64 = 6;
@@ -495,11 +487,9 @@ fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
                         all_intact &= Block::data_intact(block);
                     }
                 }
-                all_intact &= net
-                    .effects(i)
-                    .delivered
-                    .iter()
-                    .all(|b| Block::data_intact(b));
+                if let Some(ledger) = net.ledger(i, 0) {
+                    all_intact &= ledger.blocks().iter().all(|b| Block::data_intact(b));
+                }
             }
             TolerancePoint {
                 f,
@@ -524,7 +514,7 @@ fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
 }
 
 /// The victim's incarnation as peer 0 sees it (0 when unknown).
-fn incarnation_of(net: &DiscoveryHarness, peer: PeerId) -> u64 {
+fn incarnation_of(net: &ScenarioNet, peer: PeerId) -> u64 {
     net.gossip(0)
         .discovery_on(ChannelId(0))
         .and_then(|e| e.claim_of(peer))

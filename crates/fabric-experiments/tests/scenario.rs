@@ -1,5 +1,9 @@
 //! The adversarial suite: scripted and seeded-random scenarios over the
-//! [`fabric_gossip::scenario`] DSL, with Byzantine fault injection.
+//! [`fabric_gossip::scenario`] DSL, with Byzantine fault injection, run by
+//! [`ScenarioNet`] on the one simulator under [`NetworkConfig::ideal`] —
+//! zero latency, no bandwidth cap: the world these bounds were calibrated
+//! in. The same catalog under the LAN model is `run_adversarial` /
+//! `run_tolerance` and the tier-1 `tests/scenario_host.rs`.
 //!
 //! Each of the five attackers gets (at least) one **asserted surviving
 //! guarantee** and one **measured degradation**:
@@ -23,13 +27,13 @@
 //! and the delta anti-entropy wire formats. `FAIR_GOSSIP_ADVERSARIAL_SEED`
 //! shifts the generated scenario space (the CI seed matrix).
 
-use desim::Duration;
+use desim::{Duration, NetworkConfig};
+use fabric_experiments::scenario::ScenarioNet;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    random_scenario, Adaptively, Byzantine, CoalitionForger, DiscoveryHarness, Eclipser,
-    Equivocator, Flooder, LeaderHunter, ObituaryForger, Predicate, RefutationSuppressor,
-    ScenarioOp, ScenarioShape, SelectiveForwarder, SideChannel, SnapshotPoisoner, StaleReplayer,
-    Withholder,
+    random_scenario, Adaptively, Byzantine, CoalitionForger, Eclipser, Equivocator, Flooder,
+    LeaderHunter, ObituaryForger, Predicate, RefutationSuppressor, ScenarioOp, ScenarioShape,
+    SelectiveForwarder, SideChannel, SnapshotPoisoner, StaleReplayer, Withholder,
 };
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
@@ -64,27 +68,14 @@ fn env_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// Polls `done` once per scripted second (running time in between) and
-/// returns the first second at which it held, up to `limit`.
-fn secs_until(
-    net: &mut DiscoveryHarness,
-    limit: u64,
-    mut done: impl FnMut(&DiscoveryHarness) -> bool,
-) -> Option<u64> {
-    for elapsed in 0..=limit {
-        if done(net) {
-            return Some(elapsed);
-        }
-        if elapsed < limit {
-            net.run_for(Duration::from_secs(1));
-        }
-    }
-    None
+/// `n` peers in the ideal network, fixed simulation seed.
+fn ideal(n: usize, memberships: Vec<Vec<PeerId>>, cfg: &GossipConfig) -> ScenarioNet {
+    ScenarioNet::new(NetworkConfig::ideal(n), memberships, cfg, 9_000)
 }
 
 // ---------------------------------------------------------------------
-// DSL ports of the hand-written discovery tests: the scenario engine
-// subsumes the old harness style.
+// DSL ports of the hand-written discovery tests
+// (`tests/discovery.rs`): the same timelines as scripts.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -92,7 +83,7 @@ fn dsl_subsumes_the_partition_heal_refutation_test() {
     // Port of `a_partitioned_minority_is_reaped_and_resurrects_on_heal`:
     // the same timeline as a script, the same guarantees as predicates.
     let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(6, vec![members], &discovery_cfg());
+    let mut net = ideal(6, vec![members], &discovery_cfg());
     net.run_script(&[
         ScenarioOp::Wait { secs: 3 },
         ScenarioOp::Partition {
@@ -121,7 +112,7 @@ fn dsl_subsumes_the_partition_heal_refutation_test() {
 fn dsl_subsumes_the_false_death_incarnation_bump_test() {
     // Port of `rejoin_after_reap_carries_a_strictly_higher_incarnation`.
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(4, vec![members], &discovery_cfg());
+    let mut net = ideal(4, vec![members], &discovery_cfg());
     net.run_script(&[ScenarioOp::Wait { secs: 3 }]).unwrap();
     let first_life = net
         .gossip(0)
@@ -168,7 +159,7 @@ fn gap_free_catchup_holds_for_a_late_joiner_under_the_dsl() {
     cfg.recovery.interval = Duration::from_secs(2);
     cfg.recovery.state_info_interval = Duration::from_secs(1);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(5, vec![members], &cfg);
+    let mut net = ideal(5, vec![members], &cfg);
     let mut prev = Hash256::ZERO;
     for num in 1..=5u64 {
         let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
@@ -198,7 +189,7 @@ fn gap_free_catchup_holds_for_a_late_joiner_under_the_dsl() {
 fn stale_replay_never_resurrects_a_reaped_peer_and_its_spam_is_measured() {
     let run = |attach: bool| -> (Result<(), String>, u64) {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(6, vec![members], &discovery_cfg());
+        let mut net = ideal(6, vec![members], &discovery_cfg());
         if attach {
             net.set_byzantine(PeerId(4), Box::new(StaleReplayer::new(2)));
         }
@@ -234,7 +225,7 @@ fn stale_replay_never_resurrects_a_reaped_peer_and_its_spam_is_measured() {
 fn forged_obituaries_are_refuted_within_the_incarnation_bump_bound() {
     let members: Vec<PeerId> = (0..6).map(PeerId).collect();
     let victim = PeerId(2);
-    let mut net = DiscoveryHarness::new(6, vec![members], &discovery_cfg());
+    let mut net = ideal(6, vec![members], &discovery_cfg());
     net.run_for(Duration::from_secs(3));
     let inc_before = net
         .gossip(0)
@@ -290,7 +281,7 @@ fn selective_forwarding_slows_but_does_not_stop_a_joiner() {
     // joiner must still converge through the redundant honest paths.
     let join_secs = |attach: bool| -> u64 {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(8, vec![members], &discovery_cfg());
+        let mut net = ideal(8, vec![members], &discovery_cfg());
         if attach {
             net.set_byzantine(
                 PeerId(4),
@@ -317,7 +308,7 @@ fn selective_forwarding_slows_but_does_not_stop_a_joiner() {
 fn flood_amplification_inflates_bytes_but_not_views() {
     let run = |attach: bool| -> u64 {
         let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(6, vec![members], &discovery_cfg());
+        let mut net = ideal(6, vec![members], &discovery_cfg());
         if attach {
             net.set_byzantine(PeerId(4), Box::new(Flooder::new(6)));
         }
@@ -346,7 +337,7 @@ fn a_fully_eclipsed_joiner_sees_only_the_attacker() {
     let members: Vec<PeerId> = (0..5).map(PeerId).collect();
     let attacker = PeerId(3);
     let victim = PeerId(5);
-    let mut net = DiscoveryHarness::new(6, vec![members.clone()], &discovery_cfg());
+    let mut net = ideal(6, vec![members.clone()], &discovery_cfg());
     net.run_for(Duration::from_secs(3));
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     net.join_via(0, victim, &[attacker]);
@@ -370,17 +361,18 @@ fn one_honest_seed_defeats_the_eclipse_in_measured_time() {
     let members: Vec<PeerId> = (0..5).map(PeerId).collect();
     let attacker = PeerId(3);
     let victim = PeerId(5);
-    let mut net = DiscoveryHarness::new(6, vec![members.clone()], &discovery_cfg());
+    let mut net = ideal(6, vec![members.clone()], &discovery_cfg());
     net.run_for(Duration::from_secs(3));
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     // One honest bootstrap contact is the whole difference.
     net.join_via(0, victim, &[attacker, PeerId(0)]);
     let honest: Vec<PeerId> = members.iter().copied().filter(|p| *p != attacker).collect();
-    let escape_secs = secs_until(&mut net, 60, |net| {
-        let view = net.view_of(victim, 0);
-        honest.iter().any(|h| view.contains(h))
-    })
-    .expect("an honest seed must break the eclipse");
+    let escape_secs = net
+        .secs_until(60, |net| {
+            let view = net.view_of(victim, 0);
+            honest.iter().any(|h| view.contains(h))
+        })
+        .expect("an honest seed must break the eclipse");
     assert!(
         escape_secs <= 30,
         "escape took {escape_secs}s — the refutation path is too slow"
@@ -409,7 +401,7 @@ fn a_forger_suppressor_coalition_widens_the_window_but_the_refutation_still_wins
     let run = |suppressors: bool| -> (u64, Option<u64>) {
         let members: Vec<PeerId> = (0..7).map(PeerId).collect();
         let victim = PeerId(2);
-        let mut net = DiscoveryHarness::new(7, vec![members], &discovery_cfg());
+        let mut net = ideal(7, vec![members], &discovery_cfg());
         net.run_for(Duration::from_secs(3));
         let inc_before = net
             .gossip(0)
@@ -498,7 +490,7 @@ fn an_adaptive_leader_hunter_causes_churn_but_leadership_recovers_to_one() {
     cfg.election.heartbeat_interval = Duration::from_secs(1);
     cfg.election.leader_timeout = Duration::from_secs(4);
     let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(6, vec![members], &cfg);
+    let mut net = ideal(6, vec![members], &cfg);
     net.run_for(Duration::from_secs(5));
     assert_eq!(
         net.leaders(0),
@@ -566,7 +558,7 @@ fn a_withholder_stalls_but_cannot_stop_block_catch_up() {
         cfg.recovery.interval = Duration::from_secs(2);
         cfg.recovery.state_info_interval = Duration::from_secs(1);
         let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(5, vec![members], &cfg);
+        let mut net = ideal(5, vec![members], &cfg);
         if attach {
             net.set_byzantine(PeerId(1), Box::new(Withholder::new(Vec::new())));
         }
@@ -583,10 +575,9 @@ fn a_withholder_stalls_but_cannot_stop_block_catch_up() {
         ])
         .expect("sitting members complete through honest redundancy");
         net.join(0, PeerId(4));
-        let secs = secs_until(&mut net, 60, |net| {
-            net.gossip(4).height_on(ChannelId(0)) > 5
-        })
-        .expect("withholding must not stop the joiner's catch-up");
+        let secs = net
+            .secs_until(60, |net| net.gossip(4).height_on(ChannelId(0)) > 5)
+            .expect("withholding must not stop the joiner's catch-up");
         net.run_script(&[ScenarioOp::Assert(Predicate::GapFreeCatchup { channel: 0 })])
             .expect("completeness reaches 1.0 despite the withholder");
         secs
@@ -610,9 +601,11 @@ fn an_equivocators_conflicting_payloads_are_hash_rejected_and_completeness_holds
     let mut cfg = discovery_cfg();
     cfg.recovery.interval = Duration::from_secs(2);
     cfg.recovery.state_info_interval = Duration::from_secs(1);
-    let mut net = DiscoveryHarness::new(5, vec![members], &cfg);
+    let mut net = ideal(5, vec![members], &cfg);
     net.set_byzantine(PeerId(1), Box::new(Equivocator));
-    let mut prev = Hash256::ZERO;
+    // Chained from genesis, so every peer's ledger commits what gossip
+    // delivers to it.
+    let mut prev = Block::genesis().hash();
     for num in 1..=5u64 {
         let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
         prev = block.hash();
@@ -650,11 +643,10 @@ fn an_equivocators_conflicting_payloads_are_hash_rejected_and_completeness_holds
                 );
             }
         }
+        let committed = net.ledger(i, 0).expect("members keep a ledger").blocks();
+        assert_eq!(committed.len(), 6, "peer {i} committed genesis + 5");
         assert!(
-            net.effects(i)
-                .delivered
-                .iter()
-                .all(|b| Block::data_intact(b)),
+            committed.iter().all(|b| Block::data_intact(b)),
             "peer {i} delivered a tampered payload"
         );
     }
@@ -677,7 +669,7 @@ fn an_anchored_joiner_whose_anchor_is_the_attacker_is_eclipsed() {
     let members: Vec<PeerId> = (0..5).map(PeerId).collect();
     let attacker = PeerId(3);
     let victim = PeerId(5);
-    let mut net = DiscoveryHarness::new(6, vec![members.clone()], &discovery_cfg());
+    let mut net = ideal(6, vec![members.clone()], &discovery_cfg());
     net.run_for(Duration::from_secs(3));
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     net.join_anchored(0, victim, attacker);
@@ -703,16 +695,17 @@ fn one_honest_anchor_defeats_the_eclipse() {
     let members: Vec<PeerId> = (0..5).map(PeerId).collect();
     let attacker = PeerId(3);
     let victim = PeerId(5);
-    let mut net = DiscoveryHarness::new(6, vec![members.clone()], &discovery_cfg());
+    let mut net = ideal(6, vec![members.clone()], &discovery_cfg());
     net.run_for(Duration::from_secs(3));
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     net.join_anchored(0, victim, PeerId(0));
     let honest: Vec<PeerId> = members.iter().copied().filter(|p| *p != attacker).collect();
-    let escape_secs = secs_until(&mut net, 60, |net| {
-        let view = net.view_of(victim, 0);
-        honest.iter().all(|h| view.contains(h))
-    })
-    .expect("one honest anchor must widen to the full honest membership");
+    let escape_secs = net
+        .secs_until(60, |net| {
+            let view = net.view_of(victim, 0);
+            honest.iter().all(|h| view.contains(h))
+        })
+        .expect("one honest anchor must widen to the full honest membership");
     assert!(
         escape_secs <= 30,
         "anchored bootstrap took {escape_secs}s to learn the honest world"
@@ -769,6 +762,31 @@ fn endorsed_write(
     tx
 }
 
+/// The ledger the host stood up for `peer` from the snapshot gossip
+/// installed, with the delivered tail committed on top, and the
+/// snapshot's floor. One more simulated second first lets the last
+/// delivery through the validation pipeline.
+fn bootstrapped_ledger(
+    net: &mut ScenarioNet,
+    peer: PeerId,
+) -> (&fabric_ledger::ledger::Ledger, u64) {
+    net.run_for(Duration::from_secs(1));
+    let ledger = net.ledger(peer.index(), 0).expect("members keep a ledger");
+    let floor = ledger
+        .base_height()
+        .checked_sub(1)
+        .expect("the lagging joiner must have installed a snapshot");
+    assert_eq!(
+        net.sim()
+            .protocol()
+            .committed_on(peer.index(), ChannelId(0)),
+        ledger.blocks().len() as u64,
+        "the absorbed prefix must never have been delivered: \
+         every block the joiner ever committed is in the tail"
+    );
+    (ledger, floor)
+}
+
 proptest! {
     /// A chain streamed under message loss and a mid-stream partition,
     /// then a late joiner that bootstraps from a published snapshot: the
@@ -789,7 +807,7 @@ proptest! {
 
         let members: Vec<PeerId> = (0..4).map(PeerId).collect();
         let joiner = PeerId(4);
-        let mut net = DiscoveryHarness::new(5, vec![members.clone()], &snapshot_cfg(every));
+        let mut net = ideal(5, vec![members.clone()], &snapshot_cfg(every));
         let msp = Arc::new(Msp::single_org(3));
         let mut genesis =
             Ledger::new(msp.clone(), EndorsementPolicy::AnyMember).with_checkpoints(every);
@@ -832,49 +850,22 @@ proptest! {
 
         // The joiner enters under residual loss and catches up.
         net.join(0, joiner);
-        let caught = secs_until(&mut net, 120, |net| {
+        let caught = net.secs_until(120, |net| {
             net.gossip(joiner.index()).height_on(ChannelId(0)) > height
         });
         prop_assert!(caught.is_some(), "catch-up stalled under residual loss");
 
         // It bootstrapped from a snapshot, not genesis replay...
-        let fx = net.effects(joiner.index());
-        let (_, installed) = fx
-            .installed
-            .last()
-            .expect("the lagging joiner must have installed a snapshot");
-        let floor = installed.checkpoint.height;
+        let (bootstrapped, floor) = bootstrapped_ledger(&mut net, joiner);
         prop_assert!(floor >= every, "installed snapshot below the first boundary");
-        // ...and reconstructs a ledger byte-identical to genesis replay
-        // from the snapshot plus only the delivered tail.
-        let mut bootstrapped = Ledger::from_snapshot(
-            msp.clone(),
-            EndorsementPolicy::AnyMember,
-            installed.clone(),
-            Some(every),
-        )
-        .expect("a published snapshot verifies");
-        let mut tail: Vec<BlockRef> = fx
-            .delivered
-            .iter()
-            .filter(|b| b.number() > floor)
-            .cloned()
-            .collect();
-        tail.sort_by_key(|b| b.number());
-        tail.dedup_by_key(|b| b.number());
-        for block in tail {
-            bootstrapped.commit(block).expect("tail replay commits");
-        }
+        // ...and its ledger — the snapshot plus only the delivered tail —
+        // is byte-identical to genesis replay.
         prop_assert_eq!(bootstrapped.height(), genesis.height());
         prop_assert_eq!(bootstrapped.latest_hash(), genesis.latest_hash());
         prop_assert_eq!(
             bootstrapped.state().state_hash(),
             genesis.state().state_hash(),
             "loss/partitions must not break snapshot equivalence"
-        );
-        prop_assert!(
-            fx.delivered.iter().all(|b| b.number() > floor),
-            "the absorbed prefix must never have been delivered"
         );
     }
 }
@@ -897,7 +888,7 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
 
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let joiner = PeerId(4);
-    let mut net = DiscoveryHarness::new(5, vec![members.clone()], &cfg);
+    let mut net = ideal(5, vec![members.clone()], &cfg);
     let msp = Arc::new(Msp::single_org(3));
     let mut genesis = Ledger::new(msp.clone(), EndorsementPolicy::AnyMember).with_checkpoints(4);
 
@@ -934,7 +925,7 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
     net.run_script(&[ScenarioOp::Heal, ScenarioOp::SetLoss { loss_milli: 100 }])
         .expect("no asserts");
 
-    let caught = secs_until(&mut net, 120, |net| {
+    let caught = net.secs_until(120, |net| {
         net.gossip(joiner.index()).height_on(ChannelId(0)) > height
     });
     assert!(
@@ -970,14 +961,8 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
 
     // The install is the verified one: floor at a published boundary and
     // nothing below it was ever delivered as a block.
-    let fx = net.effects(joiner.index());
-    let (_, installed) = fx.installed.last().expect("one installed snapshot");
-    let floor = installed.checkpoint.height;
+    let (_, floor) = bootstrapped_ledger(&mut net, joiner);
     assert!(floor >= 4, "installed snapshot below the first boundary");
-    assert!(
-        fx.delivered.iter().all(|b| b.number() > floor),
-        "the absorbed prefix must never have been delivered"
-    );
 }
 
 /// Byzantine bootstrap servers composed with snapshot entry: every
@@ -997,7 +982,7 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
     cfg.snapshot.request_timeout = Duration::from_secs(4);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let joiner = PeerId(4);
-    let mut net = DiscoveryHarness::new(5, vec![members.clone()], &cfg);
+    let mut net = ideal(5, vec![members.clone()], &cfg);
     let msp = Arc::new(Msp::single_org(3));
     let mut genesis = Ledger::new(msp.clone(), EndorsementPolicy::AnyMember).with_checkpoints(4);
 
@@ -1031,7 +1016,7 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
         net.clear_byzantine(*m);
     }
 
-    let caught = secs_until(&mut net, 120, |net| {
+    let caught = net.secs_until(120, |net| {
         net.gossip(joiner.index()).height_on(ChannelId(0)) > height
     });
     assert!(caught.is_some(), "catch-up stalled on poisoned servers");
@@ -1054,30 +1039,10 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
         "the poisoned first attempt must cost an extra request"
     );
 
-    // The installed snapshot is the honest one: reconstructing from it
-    // plus the delivered tail is byte-identical to genesis replay.
-    let fx = net.effects(joiner.index());
-    let (_, installed) = fx.installed.last().expect("one installed snapshot");
-    let floor = installed.checkpoint.height;
+    // The installed snapshot is the honest one: the joiner's ledger — it
+    // plus the delivered tail — is byte-identical to genesis replay.
+    let (bootstrapped, floor) = bootstrapped_ledger(&mut net, joiner);
     assert!(floor >= 4, "installed snapshot below the first boundary");
-    let mut bootstrapped = Ledger::from_snapshot(
-        msp.clone(),
-        EndorsementPolicy::AnyMember,
-        installed.clone(),
-        Some(4),
-    )
-    .expect("the honest snapshot verifies");
-    let mut tail: Vec<BlockRef> = fx
-        .delivered
-        .iter()
-        .filter(|b| b.number() > floor)
-        .cloned()
-        .collect();
-    tail.sort_by_key(|b| b.number());
-    tail.dedup_by_key(|b| b.number());
-    for block in tail {
-        bootstrapped.commit(block).expect("tail replay commits");
-    }
     assert_eq!(bootstrapped.height(), genesis.height());
     assert_eq!(
         bootstrapped.state().state_hash(),
@@ -1107,7 +1072,7 @@ fn run_random_adversarial(seed: u64, attacker_kind: u8, cfg: &GossipConfig) -> R
     };
     let mixed = seed.wrapping_add(env_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let script = random_scenario(mixed, &initial, &shape);
-    let mut net = DiscoveryHarness::new(8, vec![initial], cfg);
+    let mut net = ideal(8, vec![initial], cfg);
     let behavior: Box<dyn Byzantine> = match attacker_kind {
         0 => Box::new(StaleReplayer::new(2)),
         1 => Box::new(ObituaryForger::new(PeerId(1), 2)),
@@ -1160,7 +1125,7 @@ fn run_random_coalition(seed: u64, mask: u8, cfg: &GossipConfig) -> Result<(), S
     };
     let mixed = seed.wrapping_add(env_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let script = random_scenario(mixed, &initial, &shape);
-    let mut net = DiscoveryHarness::new(8, vec![initial], cfg);
+    let mut net = ideal(8, vec![initial], cfg);
     let side = SideChannel::new();
     if mask & 1 != 0 {
         net.set_byzantine(

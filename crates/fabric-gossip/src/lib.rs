@@ -53,6 +53,13 @@
 //!   all I/O is tagged with its [`fabric_types::ids::ChannelId`], and the
 //!   wire unit is [`messages::ChannelMsg`] (channel tag + payload).
 //!
+//! Beside the protocol, [`scenario`] holds the host-independent half of
+//! the adversarial suite: the scenario script (ops, predicates, the
+//! seeded-random generator) and the Byzantine catalog (what a compromised
+//! peer does to its own wire). Neither simulates anything — the one
+//! simulator is `desim`, the one host `fabric-experiments`' `FabricNet`,
+//! and its `scenario::ScenarioNet` interprets the scripts.
+//!
 //! ```
 //! use fabric_gossip::config::GossipConfig;
 //! use fabric_gossip::peer::GossipPeer;

@@ -8,10 +8,9 @@
 //! [`MockEffects::sent_of_kind`]) project the tag away so single-channel
 //! tests read exactly as before.
 //!
-//! The scripted multi-peer network that used to live here grew into the
-//! adversarial scenario engine and moved to [`crate::scenario`];
-//! [`DiscoveryHarness`] is re-exported so existing test imports keep
-//! working.
+//! It drives one peer (or a handful, routed by hand). A whole network —
+//! clock, timers, latency, loss, partitions — is the simulator's job:
+//! `fabric_experiments::scenario::ScenarioNet`.
 
 use desim::{Duration, Time};
 use rand::rngs::StdRng;
@@ -22,8 +21,6 @@ use fabric_types::ids::{ChannelId, PeerId};
 
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer};
-
-pub use crate::scenario::DiscoveryHarness;
 
 /// A recording [`Effects`] for tests.
 #[derive(Debug)]

@@ -13,11 +13,10 @@
 //! The `ChurnNet` router models the pre-discovery embedding: an oracle
 //! that calls `on_peer_joined`/`on_peer_left` on every sitting member
 //! synchronously. That path is kept (it is still the
-//! `DiscoveryMode::Oracle` escape hatch of the experiments). The
-//! `discovery_ported` module at the bottom re-runs the same lifecycle
-//! properties with the oracle removed — membership travels only through
-//! the gossiped discovery protocol, driven by
-//! [`fabric_gossip::testing::DiscoveryHarness`].
+//! `DiscoveryMode::Oracle` escape hatch of the experiments). The same
+//! lifecycle properties with the oracle removed — membership travelling
+//! only through the gossiped discovery protocol — need a simulator and
+//! live in `fabric-experiments/tests/lifecycle.rs` (`discovery_ported`).
 
 use desim::Time;
 use fabric_gossip::config::GossipConfig;
@@ -376,126 +375,6 @@ fn low_id_late_joiner_neither_deadlocks_nor_usurps_the_succession() {
         vec![PeerId(0)],
         "the joiner leads once every senior member departed"
     );
-}
-
-/// The oracle-assuming lifecycle tests above, ported to the discovery
-/// protocol: the same invariants must hold when nobody broadcasts
-/// membership on anyone's behalf.
-mod discovery_ported {
-    use super::*;
-    use desim::Duration;
-    use fabric_gossip::testing::DiscoveryHarness;
-
-    /// Protocol discovery with timers tightened for scripted-clock tests,
-    /// and recovery tightened so ledger catch-up completes within a short
-    /// settle window.
-    fn cfg() -> GossipConfig {
-        let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-        cfg.discovery.heartbeat_interval = Duration::from_secs(1);
-        cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-        cfg.membership.alive_timeout = Duration::from_secs(5);
-        cfg.recovery.interval = Duration::from_secs(2);
-        cfg.recovery.state_info_interval = Duration::from_secs(1);
-        cfg
-    }
-
-    /// Port of `late_joiner_converges_to_the_exact_head_with_no_gaps`: the
-    /// oracle version hand-fed StateInfo to the joiner; here the joiner
-    /// announces itself through discovery and the ordinary timer-driven
-    /// StateInfo + recovery machinery does the rest.
-    #[test]
-    fn late_joiner_converges_to_the_exact_head_without_an_oracle() {
-        let members: Vec<PeerId> = (0..5).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(6, vec![members], &cfg());
-        let head = 20u64;
-        let mut prev = fabric_types::crypto::Hash256::ZERO;
-        for num in 1..=head {
-            let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(500));
-            prev = block.hash();
-            net.inject(0, block);
-            net.run_for(Duration::from_millis(200));
-        }
-        net.join(0, PeerId(5));
-        assert_eq!(net.gossip(5).height_on(ChannelId(0)), 1, "empty at join");
-
-        // Bounded settle: discovery admits the joiner, StateInfo
-        // advertises the head, recovery pulls 16-block batches every 2 s.
-        net.run_for(Duration::from_secs(15));
-        let store = net.gossip(5).store_on(ChannelId(0)).expect("store exists");
-        assert_eq!(store.height(), head + 1, "exact head reached");
-        for num in 1..=head {
-            assert!(store.has(num), "gap at block {num}");
-        }
-        // And fresh blocks now reach the joiner first-class.
-        let fresh = BlockRef::new(Block::new(head + 1, prev, vec![]).with_padding(500));
-        net.inject(0, fresh);
-        net.run_for(Duration::from_secs(2));
-        assert!(net.gossip(5).store_on(ChannelId(0)).unwrap().has(head + 1));
-    }
-
-    /// Port of `exactly_one_static_leader_survives_arbitrary_leaves`: the
-    /// oracle promoted a successor synchronously; under discovery each
-    /// departure must be detected by expiry first, so the check runs
-    /// after a settle window per leave.
-    #[test]
-    fn exactly_one_static_leader_survives_sequential_leaves() {
-        let members: Vec<PeerId> = (0..5).map(PeerId).collect();
-        let mut net = DiscoveryHarness::new(5, vec![members], &cfg());
-        for leaver in [PeerId(0), PeerId(2), PeerId(1)] {
-            net.leave(0, leaver);
-            net.run_for(Duration::from_secs(12));
-            let leaders = net.leaders(0);
-            assert_eq!(
-                leaders.len(),
-                1,
-                "want one leader after {leaver} left, got {leaders:?} among {:?}",
-                net.members(0)
-            );
-            assert_eq!(
-                leaders[0],
-                *net.members(0).iter().min().unwrap(),
-                "the most senior sitting member leads"
-            );
-        }
-    }
-
-    /// Port of `low_id_late_joiner_neither_deadlocks_nor_usurps_the_succession`:
-    /// discovery seniority ranks the late joiner by its (late) incarnation,
-    /// so a lower id wins nothing — and the succession never deadlocks.
-    #[test]
-    fn low_id_late_joiner_neither_deadlocks_nor_usurps_under_discovery() {
-        let members: Vec<PeerId> = (1..4).map(PeerId).collect(); // 1, 2, 3
-        let mut net = DiscoveryHarness::new(4, vec![members], &cfg());
-        assert_eq!(net.leaders(0), vec![PeerId(1)]);
-
-        // Join strictly after deployment start: seniority is incarnation
-        // first, so a later life ranks junior whatever its id. (A join at
-        // the exact deployment instant would tie on incarnation and fall
-        // back to id order — i.e. be an initial member in all but name.)
-        net.run_for(Duration::from_secs(2));
-        net.join(0, PeerId(0));
-        net.run_for(Duration::from_secs(8));
-        assert!(net.views_converged(0), "{:?}", net.divergent_views(0));
-        assert_eq!(net.leaders(0), vec![PeerId(1)], "a join never deposes");
-
-        net.leave(0, PeerId(1));
-        net.run_for(Duration::from_secs(12));
-        assert_eq!(
-            net.leaders(0),
-            vec![PeerId(2)],
-            "seniority promotes the sitting member, not the low-id joiner"
-        );
-
-        net.leave(0, PeerId(2));
-        net.run_for(Duration::from_secs(12));
-        net.leave(0, PeerId(3));
-        net.run_for(Duration::from_secs(12));
-        assert_eq!(
-            net.leaders(0),
-            vec![PeerId(0)],
-            "the joiner leads once every senior member departed"
-        );
-    }
 }
 
 /// Dynamic election under churn: after ticks-and-routing settle, exactly

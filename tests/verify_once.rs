@@ -5,10 +5,11 @@
 //! before the seal existed; they are pure functions of seed + protocol.
 
 use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
 use fair_gossip::gossip::messages::GossipMsg;
 use fair_gossip::gossip::peer::GossipPeer;
-use fair_gossip::gossip::scenario::{DiscoveryHarness, Equivocator, Predicate, ScenarioOp};
+use fair_gossip::gossip::scenario::{Equivocator, Predicate, ScenarioOp};
 use fair_gossip::gossip::testing::MockEffects;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
@@ -88,9 +89,11 @@ fn an_equivocator_is_still_rejected_counted_and_outlived() {
     cfg.recovery.interval = Duration::from_secs(2);
     cfg.recovery.state_info_interval = Duration::from_secs(1);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-    let mut net = DiscoveryHarness::new(5, vec![members], &cfg);
+    let mut net = ScenarioNet::new(NetworkConfig::lan(5), vec![members], &cfg, 7);
     net.set_byzantine(PeerId(1), Box::new(Equivocator));
-    let mut prev = Hash256::ZERO;
+    // Chained from genesis, so every peer's ledger commits what gossip
+    // delivers to it.
+    let mut prev = Block::genesis().hash();
     for num in 1..=5u64 {
         let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
         prev = block.hash();
@@ -118,7 +121,9 @@ fn an_equivocator_is_still_rejected_counted_and_outlived() {
         assert_eq!(net.gossip(i).height_on(ChannelId(0)), 6);
         // The audit re-hashes instead of reading the sealed verdict.
         let held = (1..=5).filter_map(|n| net.gossip(i).store().get(n));
-        for block in held.chain(&net.effects(i).delivered) {
+        let committed = net.ledger(i, 0).expect("members keep a ledger").blocks();
+        assert_eq!(committed.len(), 6, "peer {i} committed genesis + 5");
+        for block in held.chain(committed) {
             assert!(
                 Block::data_intact(block),
                 "peer {i} kept a doctored block {}",
