@@ -2,8 +2,8 @@
 //!
 //! Sweeps every attacker family (obituary coalitions, adaptive leader
 //! hunters, dissemination-layer withholders and equivocators) across
-//! growing attacker counts `f` at each deployment size `N`, under both
-//! anti-entropy wire formats, in the LAN model of the benchmark of record
+//! growing attacker counts `f` at each deployment size `N`, in the LAN
+//! model of the benchmark of record
 //! (`fabric_experiments::adversarial::world`), and writes
 //! `TOLERANCE_report.json`: the measured `f*(N)` frontier plus the
 //! degradation curve below it.
@@ -38,36 +38,16 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "TOLERANCE_report.json".to_owned());
 
-    let full = run_tolerance(&ToleranceConfig::standard());
-    eprint!("{}", render_tolerance(&full));
-    let mut delta_cfg = ToleranceConfig::standard();
-    delta_cfg.mode = "delta";
-    delta_cfg.gossip.discovery.delta = true;
-    let delta = run_tolerance(&delta_cfg);
-    eprint!("{}", render_tolerance(&delta));
+    let report = run_tolerance(&ToleranceConfig::standard());
+    eprint!("{}", render_tolerance(&report));
 
-    let mut json = String::from("{\n  \"sweeps\": [\n");
-    for (i, report) in [&full, &delta].iter().enumerate() {
-        // Indent each sweep's own rendering under the wrapper array.
-        let body = report
-            .to_json()
-            .trim_end()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        json.push_str(&body);
-        json.push_str(if i == 0 { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Err(e) = std::fs::write(&out_path, json) {
+    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);
     }
     eprintln!("wrote {out_path}");
 
-    if !full.meets_floors(FLOORS) || !delta.meets_floors(FLOORS) {
+    if !report.meets_floors(FLOORS) {
         eprintln!("::error::tolerance frontier shrank below the pinned f* (see {out_path})");
         std::process::exit(1);
     }

@@ -62,36 +62,20 @@ pub(crate) fn deployment(
 /// Configuration of one adversarial sweep.
 #[derive(Debug, Clone)]
 pub struct AdversarialConfig {
-    /// Wire-format label carried into the report (`"full"` / `"delta"`).
-    pub mode: &'static str,
     /// The gossip configuration every peer runs (discovery protocol on).
     pub gossip: GossipConfig,
 }
 
 impl AdversarialConfig {
-    /// The standard sweep: full anti-entropy exchanges, discovery timers
-    /// tightened so convergence happens in seconds of scripted time
-    /// (the same shape the discovery suite uses).
+    /// The standard sweep: discovery timers tightened so convergence
+    /// happens in seconds of scripted time (the same shape the discovery
+    /// suite uses).
     pub fn standard() -> Self {
         let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
         gossip.discovery.heartbeat_interval = Duration::from_secs(1);
         gossip.discovery.anti_entropy_interval = Duration::from_secs(1);
         gossip.membership.alive_timeout = Duration::from_secs(5);
-        AdversarialConfig {
-            mode: "full",
-            gossip,
-        }
-    }
-
-    /// The standard sweep over the byte-lean wire format: delta
-    /// anti-entropy plus adaptive heartbeat cadence. The guarantees must
-    /// be wire-format independent.
-    pub fn standard_delta() -> Self {
-        let mut cfg = Self::standard();
-        cfg.mode = "delta";
-        cfg.gossip.discovery.delta = true;
-        cfg.gossip.discovery.adaptive_heartbeat = true;
-        cfg
+        AdversarialConfig { gossip }
     }
 }
 
@@ -161,13 +145,10 @@ impl AttackOutcome {
 /// The machine-readable result of one adversarial sweep.
 #[derive(Debug, Clone)]
 pub struct AdversarialReport {
-    /// Wire-format label of the sweep (`"full"` / `"delta"`).
-    pub mode: &'static str,
     /// The network model every run was simulated in ([`WORLD`]).
     pub network: &'static str,
-    /// The simulation seed ([`SEED`]): with the network model, the wire
-    /// format and each outcome's roster, the artifact pins down the whole
-    /// setup, and re-running the sweep from the file alone reproduces it
+    /// The simulation seed ([`SEED`]): with the network model and each
+    /// outcome's roster, the artifact pins down the whole setup, and re-running the sweep from the file alone reproduces it
     /// byte-identically.
     pub seed: u64,
     /// The seed of the generator the attackers draw from
@@ -187,7 +168,6 @@ impl AdversarialReport {
     /// JSON dependency exists in this offline workspace).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str(&format!("  \"wire_format\": \"{}\",\n", self.mode));
         json.push_str(&format!("  \"network\": \"{}\",\n", self.network));
         json.push_str(&format!("  \"seed\": {},\n", self.seed));
         json.push_str(&format!("  \"attack_seed\": {},\n", self.attack_seed));
@@ -254,7 +234,6 @@ pub(crate) fn escape(s: &str) -> String {
 /// Runs the whole attacker catalog under `cfg` and collects the report.
 pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialReport {
     AdversarialReport {
-        mode: cfg.mode,
         network: WORLD,
         seed: SEED,
         attack_seed: FabricNet::ATTACK_SEED,
@@ -272,8 +251,7 @@ pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialReport {
 pub fn render_adversarial(report: &AdversarialReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Adversarial sweep — {} anti-entropy, {} network ({})\n",
-        report.mode,
+        "Adversarial sweep — {} network ({})\n",
         report.network,
         if report.all_held() {
             "all guarantees held"
@@ -577,9 +555,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_full_sweep_holds_every_guarantee_and_measures_every_attack() {
+    fn the_sweep_holds_every_guarantee_and_measures_every_attack() {
         let report = run_adversarial(&AdversarialConfig::standard());
-        assert_eq!(report.mode, "full");
         assert_eq!(report.outcomes.len(), 5, "the whole attacker catalog");
         for o in &report.outcomes {
             assert!(
@@ -588,13 +565,6 @@ mod tests {
                 o.attacker
             );
         }
-        assert!(report.all_held(), "{}", render_adversarial(&report));
-    }
-
-    #[test]
-    fn the_delta_sweep_inherits_the_guarantees() {
-        let report = run_adversarial(&AdversarialConfig::standard_delta());
-        assert_eq!(report.mode, "delta");
         assert!(report.all_held(), "{}", render_adversarial(&report));
     }
 
@@ -636,7 +606,6 @@ mod tests {
         let b = run_adversarial(&AdversarialConfig::standard());
         assert_eq!(a.to_json(), b.to_json(), "same config, same report");
         let json = a.to_json();
-        assert!(json.contains("\"wire_format\": \"full\""));
         assert!(json.contains(&format!("\"network\": \"{WORLD}\"")));
         assert!(json.contains(&format!("\"seed\": {SEED}")));
         assert!(json.contains(&format!("\"attack_seed\": {}", FabricNet::ATTACK_SEED)));

@@ -1,10 +1,10 @@
 //! Churn at scale under the gossiped discovery protocol: waves of joiners
 //! and leavers plus a flash crowd, with convergence measured end to end.
 //!
-//! The PR 3 `churn` scenario drives one joiner and one leaving leader
-//! through the full pipeline with membership propagated by a synchronous
-//! oracle. This scenario removes the oracle entirely
-//! ([`DiscoveryMode::Protocol`]): C side channels churn in **waves** — at
+//! The `churn` scenario drives one joiner and one leaving leader through
+//! the full pipeline with discovery tuned out of the picture. This
+//! scenario is about discovery itself, at timers a deployment could run:
+//! C side channels churn in **waves** — at
 //! every wave instant, W fresh peers join each side channel (announcing
 //! themselves through their own heartbeats) while the W most senior
 //! sitting members, the current leader included, leave (silently: the
@@ -37,18 +37,11 @@ use fabric_workload::schedule::{
 use gossip_metrics::fairness::FairnessReport;
 
 use crate::net::{
-    Catchup, ChannelSpec, ChurnAction, ChurnEvent, DiscoveryMode, FabricNet, NetParams,
-    ViewConvergence,
+    Catchup, ChannelSpec, ChurnAction, ChurnEvent, FabricNet, NetParams, ViewConvergence,
 };
 
 /// The per-kind metric tags that count as discovery overhead.
-pub const DISCOVERY_KINDS: [&str; 5] = [
-    "alive-msg",
-    "membership-request",
-    "membership-response",
-    "membership-digest",
-    "membership-delta",
-];
+pub const DISCOVERY_KINDS: [&str; 3] = ["alive-msg", "membership-request", "membership-response"];
 
 /// Everything a churn-waves run needs.
 #[derive(Debug, Clone)]
@@ -128,19 +121,6 @@ impl ChurnWavesConfig {
             seed: 1,
         };
         cfg.validate();
-        cfg
-    }
-
-    /// The standard shape with the byte-lean discovery wire format: delta
-    /// anti-entropy (digest requests, missing-claims-only responses, full
-    /// exchange every 8th round as fallback) and adaptive heartbeat
-    /// cadence. Same churn plan, same workloads — only the discovery byte
-    /// economy changes, so runs compare one-to-one against
-    /// [`ChurnWavesConfig::standard`].
-    pub fn standard_delta(side_channels: usize, side_members: usize, blocks: u64) -> Self {
-        let mut cfg = Self::standard(side_channels, side_members, blocks);
-        cfg.gossip.discovery.delta = true;
-        cfg.gossip.discovery.adaptive_heartbeat = true;
         cfg
     }
 
@@ -299,19 +279,6 @@ impl ChurnWavesResult {
             .map(|r| r.latency())
             .collect()
     }
-
-    /// Discovery byte share across every channel of the run: total
-    /// discovery bytes over total gossip bytes — the headline number the
-    /// delta wire format shrinks.
-    pub fn overall_discovery_share(&self) -> f64 {
-        let total: u64 = self.channels.iter().map(|c| c.gossip_bytes).sum();
-        let disc: u64 = self.channels.iter().map(|c| c.discovery_bytes).sum();
-        if total == 0 {
-            0.0
-        } else {
-            disc as f64 / total as f64
-        }
-    }
 }
 
 /// Runs one churn-waves experiment to completion.
@@ -340,7 +307,6 @@ pub fn run_churn_waves(cfg: &ChurnWavesConfig) -> ChurnWavesResult {
 
     let mut params = NetParams::new(peers, cfg.gossip.clone(), cfg.orderer.clone());
     params.validation_per_tx = Duration::from_micros(300);
-    params.discovery = DiscoveryMode::Protocol;
     params.extra_channels = (1..=cfg.side_channels)
         .map(|c| {
             let members = cfg.initial_members(c);
@@ -602,55 +568,6 @@ mod tests {
         }
         assert_eq!(res.fairness.channels.len(), res.channels.len());
         assert!(res.fairness.overall_jain > 0.2);
-    }
-
-    #[test]
-    fn delta_discovery_converges_like_full_and_spends_strictly_fewer_bytes() {
-        let full_cfg = ChurnWavesConfig::standard(2, 8, 20);
-        let full = run_churn_waves(&full_cfg);
-        let mut delta_cfg = ChurnWavesConfig::standard_delta(2, 8, 20);
-        delta_cfg.seed = full_cfg.seed;
-        let delta = run_churn_waves(&delta_cfg);
-
-        // Same churn plan, same convergence guarantees: every join and
-        // leave still converges under the lean wire format.
-        assert_eq!(delta.convergence.len(), full.convergence.len());
-        for r in &delta.convergence {
-            assert!(
-                r.latency().is_some(),
-                "delta mode failed to converge {} of {} on {}",
-                if r.join { "join" } else { "leave" },
-                r.peer,
-                r.channel
-            );
-        }
-        for cu in &delta.catchups {
-            assert!(cu.latency().is_some(), "delta-mode catch-up incomplete");
-        }
-        for c in &delta.channels[1..] {
-            assert_eq!(c.handoffs, 2, "one hand-off per wave on {}", c.channel);
-            assert_eq!(c.leaders.len(), 1);
-        }
-
-        // The headline: strictly fewer discovery bytes, channel by channel
-        // and overall — digests halve the request, deltas shrink the
-        // response to the missing claims, adaptive cadence thins quiet
-        // heartbeats.
-        for (d, f) in delta.channels.iter().zip(&full.channels) {
-            assert!(
-                d.discovery_bytes < f.discovery_bytes,
-                "{}: delta {} >= full {}",
-                d.channel,
-                d.discovery_bytes,
-                f.discovery_bytes
-            );
-        }
-        assert!(
-            delta.overall_discovery_share() < full.overall_discovery_share(),
-            "delta share {:.4} not below full share {:.4}",
-            delta.overall_discovery_share(),
-            full.overall_discovery_share()
-        );
     }
 
     #[test]

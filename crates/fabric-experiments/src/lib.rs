@@ -18,11 +18,12 @@
 //!   Jain's fairness;
 //! * [`churn`] — beyond the paper: runtime channel membership over the
 //!   full pipeline — late joiners catching up via StateInfo + recovery
-//!   (catch-up latency) and a departing leader forcing a hand-off;
+//!   (catch-up latency) and a departing leader handing off, with
+//!   discovery's timers tightened out of the picture;
 //! * [`churn_waves`] — churn at scale under the gossiped **discovery
-//!   protocol** (no membership oracle): waves of joiners/leavers and a
-//!   flash crowd, reporting discovery convergence, stale-view windows,
-//!   leader gaps and fairness including discovery overhead;
+//!   protocol**: waves of joiners/leavers and a flash crowd, reporting
+//!   discovery convergence, stale-view windows, leader gaps and fairness
+//!   including discovery overhead;
 //! * [`long_chain`] — beyond the paper: joiner catch-up cost vs chain
 //!   height, genesis replay against checkpoint-snapshot bootstrap
 //!   (O(chain) vs O(tail) bytes and time-to-serving);

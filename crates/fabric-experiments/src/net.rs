@@ -25,7 +25,9 @@
 //! historical single-channel pipeline exactly. Multi-channel deployments
 //! add [`ChannelSpec`]s; runtime membership churn — peers joining a
 //! channel mid-run, catching up through StateInfo + recovery, and leaving
-//! again with forced leader re-election — is driven by [`ChurnEvent`]s.
+//! again, their seat succeeded by discovery seniority — is driven by
+//! [`ChurnEvent`]s and needs the gossiped discovery protocol
+//! ([`DiscoveryMode::Protocol`]): only the mover acts, nobody is told.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -178,9 +180,9 @@ pub struct ChannelSpec {
     /// [`NetParams`] fields).
     pub channel: ChannelId,
     /// The peers joined to this channel at start of run, in ascending id
-    /// order (enforced at build: the gossip layer's initial static
-    /// election picks the id minimum while departure re-election promotes
-    /// by roster seniority — the two coincide only on sorted rosters).
+    /// order (enforced at build: latency slots and the contiguous
+    /// organization split follow the listing, so one membership has one
+    /// listing).
     pub members: Vec<PeerId>,
     /// Number of organizations; members are split contiguously. Push and
     /// pull stay inside each organization; StateInfo and recovery cross
@@ -193,23 +195,24 @@ pub struct ChannelSpec {
     pub policy: EndorsementPolicy,
 }
 
-/// How runtime membership changes propagate through the deployment.
+/// Whether the deployment's membership can change at runtime — a mirror of
+/// [`fabric_gossip::config::DiscoveryConfig::protocol`], from which
+/// [`NetParams::new`] derives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiscoveryMode {
-    /// The synchronous oracle of the pre-discovery pipeline: a churn event
-    /// invokes `on_peer_joined` / `on_peer_left` on every sitting member
-    /// instantly. Kept as an escape hatch (and as the baseline the
-    /// oracle-equivalence test compares against).
+    /// The rosters handed at build time are the membership for the whole
+    /// run (the paper's evaluation shape; the payload-less `Alive`
+    /// heartbeat is the only membership traffic). Churn events and the
+    /// imperative [`FabricNet::join`] / [`FabricNet::leave`] /
+    /// [`FabricNet::crash`] are refused.
     #[default]
-    Oracle,
+    Static,
     /// The gossiped discovery protocol: a joiner announces itself through
     /// its `AliveMsg` heartbeats, a leaver just goes silent, and every
     /// sitting member converges through heartbeats, anti-entropy and
-    /// expiry — no oracle callbacks anywhere. Requires
-    /// [`fabric_gossip::config::DiscoveryConfig::protocol`] in the gossip
-    /// configuration; discovery traffic is counted in
-    /// [`fabric_gossip::peer::PeerStats`] (and therefore fairness) like
-    /// any other message kind.
+    /// expiry — the one way membership changes. Discovery traffic is
+    /// counted in [`fabric_gossip::peer::PeerStats`] (and therefore
+    /// fairness) like any other message kind.
     Protocol,
 }
 
@@ -219,8 +222,9 @@ pub enum ChurnAction {
     /// The peer joins the channel at runtime and catches up to the head
     /// via the StateInfo + recovery machinery.
     Join,
-    /// The peer leaves the channel: it is dropped from every remaining
-    /// member's rosters and, if it led, leader re-election is forced.
+    /// The peer leaves the channel in silence: the remaining members reap
+    /// it after the alive timeout and, if it led, the most senior
+    /// survivor succeeds it.
     Leave,
 }
 
@@ -292,8 +296,8 @@ impl Catchup {
     }
 }
 
-/// Discovery-convergence record of one protocol-mode churn event: how the
-/// news of a join (or leave) spread through the sitting members' views.
+/// Discovery-convergence record of one churn event: how the news of a
+/// join (or leave) spread through the sitting members' views.
 ///
 /// For a **join**, an observation is the instant a member's discovery
 /// engine admitted the joiner (the `discovery_event(..., joined = true)`
@@ -391,15 +395,17 @@ pub struct NetParams {
     /// dense range (`ChannelId(1)`, `ChannelId(2)`, …).
     pub extra_channels: Vec<ChannelSpec>,
     /// Runtime membership changes, any order (each is armed as its own
-    /// timer).
+    /// timer). Requires [`DiscoveryMode::Protocol`].
     pub churn: Vec<ChurnEvent>,
-    /// How churn propagates: the synchronous oracle (default, the PR 3
-    /// pipeline) or the gossiped discovery protocol.
+    /// Derived by [`NetParams::new`] from `gossip.discovery.protocol` —
+    /// nothing in the tree sets it. The field (and the `Protocol` variant)
+    /// stay public only because `benchmark/src/workloads.rs` assigns them
+    /// and `benchmark/` was frozen when the oracle mode was retired; the
+    /// next `benchmark` PR can drop that assignment, and then this field.
     pub discovery: DiscoveryMode,
     /// Runtime joiners enter knowing **one anchor peer** (the channel's
     /// lowest-id sitting member) instead of the full roster, and learn the
-    /// rest through discovery push-pull. Requires
-    /// [`DiscoveryMode::Protocol`].
+    /// rest through discovery push-pull.
     pub anchor_join: bool,
 }
 
@@ -407,6 +413,11 @@ impl NetParams {
     /// Sensible defaults for a dissemination experiment over `peers` peers
     /// on the single default channel.
     pub fn new(peers: usize, gossip: GossipConfig, orderer: OrdererConfig) -> Self {
+        let discovery = if gossip.discovery.protocol {
+            DiscoveryMode::Protocol
+        } else {
+            DiscoveryMode::Static
+        };
         NetParams {
             peers,
             orgs: 1,
@@ -420,7 +431,7 @@ impl NetParams {
             default_members: None,
             extra_channels: Vec::new(),
             churn: Vec::new(),
-            discovery: DiscoveryMode::Oracle,
+            discovery,
             anchor_join: false,
         }
     }
@@ -460,7 +471,7 @@ struct ChannelRuntime {
     /// Leadership acquisitions observed on this channel (initial election
     /// plus every hand-off).
     handoffs: u64,
-    /// Discovery-convergence records of protocol-mode churn events.
+    /// Discovery-convergence records of the channel's churn events.
     convergence: Vec<ViewConvergence>,
     /// Instant a leader-leave opened a leadership gap, until the next
     /// acquisition closes it.
@@ -559,7 +570,8 @@ impl FabricNet {
     ///
     /// Panics on invalid gossip configuration, a channel spec whose
     /// members or endorsers fall outside the deployment, non-dense channel
-    /// ids, or churn events targeting multi-organization channels.
+    /// ids, churn events targeting multi-organization channels, or any
+    /// churn event at all under [`DiscoveryMode::Static`].
     pub fn new(params: NetParams, schedule: Vec<ScheduledInvocation>) -> Self {
         let specs = params.channel_specs();
         for (c, spec) in specs.iter().enumerate() {
@@ -594,10 +606,6 @@ impl FabricNet {
                 "channel {} needs 1..=members organizations",
                 spec.channel
             );
-            // Static re-election promotes by roster seniority (first
-            // sitting entry), while the initial election picks the id
-            // minimum — the two agree only on id-ordered rosters, so an
-            // unsorted spec could crown two leaders after a departure.
             assert!(
                 spec.members.windows(2).all(|w| w[0] < w[1]),
                 "channel {} members must be listed in ascending id order",
@@ -633,9 +641,9 @@ impl FabricNet {
              gossip.discovery.protocol (and vice versa)"
         );
         assert!(
-            !params.anchor_join || params.discovery == DiscoveryMode::Protocol,
-            "anchor-peer joins learn the roster through discovery push-pull: \
-             anchor_join requires DiscoveryMode::Protocol"
+            params.churn.is_empty() || params.discovery == DiscoveryMode::Protocol,
+            "{STATIC_MEMBERSHIP}: {} churn events were scheduled",
+            params.churn.len()
         );
 
         // MSP identities follow the default channel's organization split,
@@ -825,8 +833,8 @@ impl FabricNet {
         &self.catchups
     }
 
-    /// Discovery-convergence records of `channel`'s protocol-mode churn
-    /// events, in event order (empty under [`DiscoveryMode::Oracle`]).
+    /// Discovery-convergence records of `channel`'s churn events, in event
+    /// order.
     pub fn convergence_on(&self, channel: ChannelId) -> &[ViewConvergence] {
         &self.channels[channel.index()].convergence
     }
@@ -1118,12 +1126,13 @@ impl FabricNet {
     /// up holding this one channel. A sitting member joining again is a
     /// stale or duplicate event and ignored.
     ///
-    /// In [`DiscoveryMode::Oracle`] the join is broadcast synchronously
-    /// (`on_peer_joined` on every sitting member). In
-    /// [`DiscoveryMode::Protocol`] **only the joiner acts** — it joins
-    /// live and lets its discovery engine announce it — and a
-    /// [`ViewConvergence`] record starts tracking how the news spreads
-    /// through the sitting members' views.
+    /// **Only the joiner acts** — it joins live and lets its discovery
+    /// engine announce it — and a [`ViewConvergence`] record starts
+    /// tracking how the news spreads through the sitting members' views.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`DiscoveryMode::Static`].
     pub fn join(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NetTimer>,
@@ -1131,6 +1140,7 @@ impl FabricNet {
         peer: PeerId,
         seeds: Vec<PeerId>,
     ) {
+        self.assert_membership_may_change("join");
         let c = channel.index();
         if self.members[c].contains(&peer) {
             return;
@@ -1154,26 +1164,18 @@ impl FabricNet {
             let (gossip, mut fx) = self.peer_fx(ctx, node);
             gossip.join_channel_live(&mut fx, channel, seeds);
         }
+        // Nobody else is told: the join propagates through the joiner's
+        // announcement heartbeats and anti-entropy.
         let sitting = self.members[c].clone();
         self.members[c].push(peer);
-        if self.params.discovery == DiscoveryMode::Protocol {
-            // Nobody else is told: the join propagates through the
-            // joiner's announcement heartbeats and anti-entropy.
-            self.channels[c].convergence.push(ViewConvergence {
-                peer,
-                channel,
-                at: now,
-                join: true,
-                expected: sitting,
-                observed: Vec::new(),
-            });
-        } else {
-            // Oracle: every sitting member learns instantly.
-            for m in sitting {
-                let (gossip, mut fx) = self.peer_fx(ctx, NodeId(m.0));
-                gossip.on_peer_joined(&mut fx, channel, peer);
-            }
-        }
+        self.channels[c].convergence.push(ViewConvergence {
+            peer,
+            channel,
+            at: now,
+            join: true,
+            expected: sitting,
+            observed: Vec::new(),
+        });
         let target = self.orderer.chain_head_on(channel);
         self.catchups.push(Catchup {
             peer,
@@ -1190,21 +1192,20 @@ impl FabricNet {
         });
     }
 
-    /// Runtime leave of `peer` from `channel`, forcing re-election if it
-    /// led. A non-member leaving is a stale or duplicate event and
-    /// ignored.
+    /// Runtime leave of `peer` from `channel`. A non-member leaving is a
+    /// stale or duplicate event and ignored.
     ///
-    /// In [`DiscoveryMode::Oracle`] the leave is broadcast synchronously
-    /// (`on_peer_left` on every remaining member). In
-    /// [`DiscoveryMode::Protocol`] **only the leaver acts** — it drops
-    /// its instance and goes silent; the sitting members must detect the
-    /// departure by alive-timeout expiry, tracked by a
+    /// **Only the leaver acts** — it drops its instance and goes silent;
+    /// the sitting members must detect the departure by alive-timeout
+    /// expiry (and succeed it, if it led), tracked by a
     /// [`ViewConvergence`] record.
     ///
     /// # Panics
     ///
-    /// Panics when a deployment with a client schedule loses an endorser.
+    /// Panics under [`DiscoveryMode::Static`], or when a deployment with a
+    /// client schedule loses an endorser.
     pub fn leave(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, channel: ChannelId, peer: PeerId) {
+        self.assert_membership_may_change("leave");
         let c = channel.index();
         let Some(pos) = self.members[c].iter().position(|m| *m == peer) else {
             return;
@@ -1219,39 +1220,37 @@ impl FabricNet {
         self.peers[peer.index()].gossip.leave_channel(channel);
         if led && self.channels[c].gap_open.is_none() {
             // A leadership gap opens the instant the leader leaves and
-            // closes when any successor claims (instantly under the
-            // oracle, by expiry under the protocol).
+            // closes when a successor claims, once the leaver expired.
             self.channels[c].gap_open = Some(now);
         }
-        let remaining = self.members[c].clone();
-        if self.params.discovery == DiscoveryMode::Protocol {
-            // A member that leaves before observing is excused.
-            for record in &mut self.channels[c].convergence {
-                record.expected.retain(|p| *p != peer);
-            }
-            self.channels[c].convergence.push(ViewConvergence {
-                peer,
-                channel,
-                at: now,
-                join: false,
-                expected: remaining,
-                observed: Vec::new(),
-            });
-        } else {
-            for m in remaining {
-                let (gossip, mut fx) = self.peer_fx(ctx, NodeId(m.0));
-                gossip.on_peer_left(&mut fx, channel, peer);
-            }
+        // A member that leaves before observing is excused.
+        for record in &mut self.channels[c].convergence {
+            record.expected.retain(|p| *p != peer);
         }
+        self.channels[c].convergence.push(ViewConvergence {
+            peer,
+            channel,
+            at: now,
+            join: false,
+            expected: self.members[c].clone(),
+            observed: Vec::new(),
+        });
     }
 
     /// Process crash of `peer`, now: the node goes down (the engine drops
     /// its timers and whatever is sent to it), its volatile state and any
     /// attached behavior are lost, and it [leaves](FabricNet::leave) every
-    /// channel it was in — in silence under the discovery protocol, where
-    /// the sitting members must reap it. A later [`FabricNet::join`]
-    /// brings it back up into the channel that join names, and no other.
+    /// channel it was in — in silence; the sitting members must reap it.
+    /// A later [`FabricNet::join`] brings it back up into the channel that
+    /// join names, and no other. (Taking a node down and up through the
+    /// engine, [`Ctx::set_node_status_after`], is a reboot into the same
+    /// channels, not a membership change, and works on static rosters.)
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`DiscoveryMode::Static`].
     pub fn crash(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, peer: PeerId) {
+        self.assert_membership_may_change("crash");
         let node = NodeId(peer.0);
         if !ctx.net().is_up(node) {
             return;
@@ -1262,6 +1261,15 @@ impl FabricNet {
         ctx.net_mut().set_up(node, false);
         self.on_node_down(node);
         self.peers[peer.index()].byzantine = None;
+    }
+
+    /// Runtime membership changes travel by gossip or not at all: on a
+    /// static roster there is nothing that would tell the sitting members.
+    fn assert_membership_may_change(&self, entry_point: &str) {
+        assert!(
+            self.params.discovery == DiscoveryMode::Protocol,
+            "{STATIC_MEMBERSHIP}: FabricNet::{entry_point} was called"
+        );
     }
 
     /// What a node loses when it goes down: leadership, buffers, fetches
@@ -1639,6 +1647,13 @@ fn send_gossip(
         NetMsg::Gossip(ChannelMsg { channel, msg }),
     );
 }
+
+/// What every refusal of a runtime membership change on a static roster
+/// says first.
+const STATIC_MEMBERSHIP: &str =
+    "the rosters handed at build time are the membership for the whole \
+     run (DiscoveryMode::Static); build the gossip configuration with \
+     GossipConfig::with_discovery_protocol() to let peers join, leave or crash";
 
 /// Endorsers are a channel's execution substrate: their ledgers freeze on
 /// leave while the client keeps proposing to them, which would quietly

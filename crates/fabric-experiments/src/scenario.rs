@@ -17,9 +17,11 @@
 //!
 //! The deployment is a schedule-less [`FabricNet`]: no client and no
 //! traffic from the orderer (blocks enter through [`ScenarioNet::inject`]),
-//! every member keeps a ledger, and under protocol discovery nobody is
-//! ever told about a join or a leave — a join is only the joiner's own
-//! announcement, a leave or a crash only silence.
+//! every member keeps a ledger, and nobody is ever told about a join or a
+//! leave — a join is only the joiner's own announcement, a leave or a
+//! crash only silence. A configuration without protocol discovery makes
+//! a static deployment: it can be attacked and partitioned, but `Join`,
+//! `Leave` and `Crash` panic (see [`FabricNet::join`]).
 //!
 //! ## Determinism contract
 //!
@@ -44,7 +46,7 @@ use fabric_types::snapshot::SnapshotRef;
 use fabric_types::transaction::EndorsementPolicy;
 
 use crate::churn_waves::DISCOVERY_KINDS;
-use crate::net::{ChannelSpec, DiscoveryMode, FabricNet, NetParams};
+use crate::net::{ChannelSpec, FabricNet, NetParams};
 
 /// A scripted multi-peer deployment for discovery-protocol tests and
 /// adversarial scenarios. See the [module docs](self).
@@ -79,9 +81,6 @@ impl ScenarioNet {
         );
         params.endorsers = Vec::new();
         params.full_ledgers = true;
-        if cfg.discovery.protocol {
-            params.discovery = DiscoveryMode::Protocol;
-        }
         let heads = vec![0; memberships.len()];
         let mut specs = memberships
             .into_iter()
@@ -227,8 +226,9 @@ impl ScenarioNet {
     }
 
     /// Runtime join whose bootstrap roster is `seeds` instead of the full
-    /// sitting membership — the eclipse surface: a joiner that only knows
-    /// the attacker can only learn the world through the attacker.
+    /// sitting membership — one seed is the anchor-peer entry, and the
+    /// eclipse surface: a joiner that only knows the attacker can only
+    /// learn the world through the attacker.
     pub fn join_via(&mut self, c: usize, peer: PeerId, seeds: &[PeerId]) {
         if peer.index() >= self.sim.protocol().params().peers || self.members(c).contains(&peer) {
             return;
@@ -239,23 +239,6 @@ impl ScenarioNet {
         let (channel, seeds) = (ChannelId(c as u16), seeds.to_vec());
         self.sim
             .with_ctx(|net, ctx| net.join(ctx, channel, peer, seeds));
-    }
-
-    /// Runtime join through the anchor-peer entry
-    /// ([`GossipPeer::join_channel_anchored`]): the joiner knows exactly
-    /// one seed and must learn the rest of the world through discovery
-    /// push-pull.
-    ///
-    /// # Panics
-    ///
-    /// Panics without protocol discovery: nothing else would ever widen a
-    /// one-peer roster.
-    pub fn join_anchored(&mut self, c: usize, peer: PeerId, anchor: PeerId) {
-        assert!(
-            self.sim.protocol().params().gossip.discovery.protocol,
-            "anchor-peer join needs protocol discovery"
-        );
-        self.join_via(c, peer, &[anchor]);
     }
 
     /// Publishes `snapshot` as the one `peer` serves on channel `c` (see
@@ -662,6 +645,49 @@ mod tests {
             net.check(&Predicate::ExactlyOneLeader { channel: c })
                 .unwrap();
         }
+    }
+
+    /// Four members of a five-peer deployment on a static roster: no
+    /// discovery protocol, so nothing could tell anyone of a change.
+    fn static_roster() -> ScenarioNet {
+        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let cfg = GossipConfig::enhanced_f4();
+        ScenarioNet::new(NetworkConfig::ideal(5), vec![members], &cfg, 9_000)
+    }
+
+    #[test]
+    #[should_panic(expected = "with_discovery_protocol")]
+    fn a_static_deployment_refuses_a_runtime_join() {
+        static_roster().join(0, PeerId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "with_discovery_protocol")]
+    fn a_static_deployment_refuses_a_runtime_leave() {
+        static_roster().leave(0, PeerId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "with_discovery_protocol")]
+    fn a_static_deployment_refuses_a_crash() {
+        static_roster().crash(PeerId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "with_discovery_protocol")]
+    fn a_static_deployment_refuses_scheduled_churn() {
+        let mut params = NetParams::new(
+            5,
+            GossipConfig::enhanced_f4(),
+            OrdererConfig::kafka(BatchConfig::paper_dissemination()),
+        );
+        params.churn.push(crate::net::ChurnEvent {
+            at: desim::Time::from_secs(1),
+            peer: PeerId(4),
+            channel: ChannelId::DEFAULT,
+            action: crate::net::ChurnAction::Leave,
+        });
+        FabricNet::new(params, Vec::new());
     }
 
     #[test]

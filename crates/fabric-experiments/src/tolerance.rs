@@ -37,8 +37,6 @@ use crate::scenario::ScenarioNet;
 /// Configuration of one tolerance sweep.
 #[derive(Debug, Clone)]
 pub struct ToleranceConfig {
-    /// Wire-format label carried into the report (`"full"` / `"delta"`).
-    pub mode: &'static str,
     /// The gossip configuration every peer runs (discovery protocol on).
     pub gossip: GossipConfig,
     /// Deployment sizes `N` to sweep (sitting members per channel).
@@ -54,7 +52,6 @@ impl ToleranceConfig {
     /// (`N - 3`) so the frontier can actually be found, not just probed.
     pub fn standard() -> Self {
         ToleranceConfig {
-            mode: "full",
             gossip: AdversarialConfig::standard().gossip,
             deployments: vec![6, 9],
             max_f: 6,
@@ -118,14 +115,11 @@ impl FamilyFrontier {
 /// The machine-readable result of one tolerance sweep.
 #[derive(Debug, Clone)]
 pub struct ToleranceReport {
-    /// Wire-format label of the sweep.
-    pub mode: &'static str,
     /// The network model every point was simulated in
     /// ([`crate::adversarial::WORLD`]).
     pub network: &'static str,
     /// The simulation seed ([`crate::adversarial::SEED`]); with the
-    /// network model and the wire format the file reproduces the sweep
-    /// alone.
+    /// network model the file reproduces the sweep alone.
     pub seed: u64,
     /// The seed of the generator the attackers draw from
     /// ([`FabricNet::ATTACK_SEED`]), apart from the simulation's.
@@ -155,7 +149,6 @@ impl ToleranceReport {
     /// artifacts — the offline workspace has no JSON dependency).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str(&format!("  \"wire_format\": \"{}\",\n", self.mode));
         json.push_str(&format!("  \"network\": \"{}\",\n", self.network));
         json.push_str(&format!("  \"seed\": {},\n", self.seed));
         json.push_str(&format!("  \"attack_seed\": {},\n", self.attack_seed));
@@ -214,7 +207,6 @@ pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
         frontiers.push(equivocator(cfg, n));
     }
     ToleranceReport {
-        mode: cfg.mode,
         network: WORLD,
         seed: SEED,
         attack_seed: FabricNet::ATTACK_SEED,
@@ -225,10 +217,7 @@ pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
 /// Paper-style text rendering of one sweep.
 pub fn render_tolerance(report: &ToleranceReport) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "Tolerance sweep — {} anti-entropy, {} network\n",
-        report.mode, report.network
-    ));
+    out.push_str(&format!("Tolerance sweep — {} network\n", report.network));
     for fr in &report.frontiers {
         out.push_str(&format!(
             "  {} ({}) at N={}: f* = {}{}\n",

@@ -180,7 +180,7 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
     use fabric_experiments::churn::{run_churn, ChurnConfig};
     use fabric_types::ids::ChannelId;
 
-    let mut cfg = ChurnConfig::standard(16, 8, 20).with_protocol_discovery();
+    let mut cfg = ChurnConfig::standard(16, 8, 20);
     cfg.network = NetworkConfig::lan(18);
     cfg.seed = 42;
     let res = run_churn(&cfg);
@@ -257,7 +257,7 @@ fn snapshots_default_off_cannot_perturb_the_golden_traces() {
         fingerprint(&knobs_twiddled),
         "disabled snapshots must make every snapshot setting inert"
     );
-    let golden = ChurnConfig::standard(16, 8, 20).with_protocol_discovery();
+    let golden = ChurnConfig::standard(16, 8, 20);
     assert!(
         !golden.gossip.snapshot.enabled,
         "the golden-trace churn preset must run with snapshots off"

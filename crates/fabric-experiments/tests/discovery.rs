@@ -1,7 +1,8 @@
 //! Convergence properties of the gossiped discovery protocol, driven
-//! through [`ScenarioNet`] under [`NetworkConfig::ideal`] — no oracle
-//! anywhere: joins propagate only through the joiner's own announcements,
-//! leaves only through alive-timeout expiry and obituary spreading.
+//! through [`ScenarioNet`] under [`NetworkConfig::ideal`] — nobody is
+//! told anything: joins propagate only through the joiner's own
+//! announcements, leaves only through alive-timeout expiry and obituary
+//! spreading.
 //!
 //! The properties (satellites of the discovery tentpole):
 //!
@@ -74,7 +75,7 @@ fn a_leave_is_detected_by_timeout_and_spreads_as_an_obituary() {
     net.leave(0, PeerId(3));
     assert!(
         net.view_of(PeerId(0), 0).contains(&PeerId(3)),
-        "no oracle: right after the leave the others still see the leaver"
+        "nobody was told: right after the leave the others still see the leaver"
     );
     settle(&mut net);
     assert!(
@@ -177,128 +178,24 @@ fn a_partitioned_minority_is_reaped_and_resurrects_on_heal() {
     assert_eq!(net.leaders(0).len(), 1, "and exactly one leader remains");
 }
 
-/// [`discovery_cfg`] with the byte-lean wire format: delta anti-entropy
-/// plus adaptive heartbeat cadence.
-fn delta_cfg() -> GossipConfig {
-    let mut cfg = discovery_cfg();
-    cfg.discovery.delta = true;
-    cfg.discovery.adaptive_heartbeat = true;
-    cfg
-}
-
 #[test]
-fn delta_anti_entropy_converges_like_full_under_loss() {
-    // The same scripted churn, one network per wire format, identical
-    // loss: both must converge to the identical ground truth.
-    for cfg in [discovery_cfg(), delta_cfg()] {
-        let members: Vec<PeerId> = (0..5).map(PeerId).collect();
-        let mut net = ideal(8, vec![members], &cfg);
-        net.set_loss(0.2);
-        net.join(0, PeerId(5));
-        net.run_for(Duration::from_secs(4));
-        net.leave(0, PeerId(0));
-        net.run_for(Duration::from_secs(4));
-        net.join(0, PeerId(6));
-        net.heal(); // loss stops; convergence must follow
-        net.run_for(Duration::from_secs(30));
-        assert!(
-            net.views_converged(0),
-            "delta={} failed to converge: {:?}",
-            cfg.discovery.delta,
-            net.divergent_views(0)
-        );
-        assert_eq!(net.leaders(0).len(), 1);
-    }
-}
-
-#[test]
-fn delta_mode_partition_heals_through_digest_tombstone_probes() {
-    // The reconnection path under delta anti-entropy: the tombstone probe
-    // is a digest, and the obituary the cut-off peer finds in it drives
-    // the refutation exactly as the full-view probe did.
-    let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let mut net = ideal(6, vec![members], &delta_cfg());
-    net.run_for(Duration::from_secs(3));
-    net.partition(&[(0..5).map(PeerId).collect::<Vec<_>>(), vec![PeerId(5)]]);
-    net.run_for(Duration::from_secs(12));
-    assert!(
-        !net.view_of(PeerId(0), 0).contains(&PeerId(5)),
-        "majority reaps the cut-off peer"
-    );
-    net.heal();
+fn scripted_churn_under_loss_converges_once_the_loss_stops() {
+    let members: Vec<PeerId> = (0..5).map(PeerId).collect();
+    let mut net = ideal(8, vec![members], &discovery_cfg());
+    net.set_loss(0.2);
+    net.join(0, PeerId(5));
+    net.run_for(Duration::from_secs(4));
+    net.leave(0, PeerId(0));
+    net.run_for(Duration::from_secs(4));
+    net.join(0, PeerId(6));
+    net.heal(); // loss stops; convergence must follow
     net.run_for(Duration::from_secs(30));
     assert!(
         net.views_converged(0),
-        "delta-mode views must re-agree after the heal: {:?}",
+        "failed to converge: {:?}",
         net.divergent_views(0)
     );
     assert_eq!(net.leaders(0).len(), 1);
-}
-
-#[test]
-fn adaptive_cadence_spends_fewer_heartbeat_bytes_on_a_quiet_channel() {
-    let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let quiet_window = Duration::from_secs(60);
-    let alive_bytes = |cfg: &GossipConfig| -> u64 {
-        let mut net = ideal(6, vec![members.clone()], cfg);
-        net.run_for(quiet_window);
-        (0..6)
-            .map(|i| {
-                net.gossip(i)
-                    .stats_on(ChannelId(0))
-                    .map_or(0, |s| s.bytes_of_kind("alive-msg"))
-            })
-            .sum()
-    };
-    let fixed = alive_bytes(&discovery_cfg());
-    let adaptive = alive_bytes(&delta_cfg());
-    assert!(
-        adaptive < fixed,
-        "a quiet channel must heartbeat less under adaptive cadence: {adaptive} >= {fixed}"
-    );
-    // The back-off is bounded (cap = alive_timeout / 3 ≈ 1.67 s over a 1 s
-    // base): the quiet channel still heartbeats at a meaningful fraction
-    // of the fixed cadence, it does not fall silent.
-    assert!(
-        adaptive * 4 > fixed,
-        "adaptive cadence collapsed too far: {adaptive} vs {fixed}"
-    );
-}
-
-#[test]
-fn adaptive_cadence_never_delays_true_death_detection_beyond_the_timeout_bound() {
-    let cfg = delta_cfg();
-    let members: Vec<PeerId> = (0..6).map(PeerId).collect();
-    let mut net = ideal(6, vec![members], &cfg);
-    // A long quiet stretch engages the maximum back-off everywhere.
-    net.run_for(Duration::from_secs(60));
-    assert!(net.views_converged(0));
-
-    // A true death: the peer goes silent with every cadence backed off.
-    net.leave(0, PeerId(3));
-    let timeout = cfg.membership.alive_timeout;
-    // Nothing may be reaped before the alive timeout has elapsed...
-    net.run_for(timeout - Duration::from_secs(1));
-    assert!(
-        net.view_of(PeerId(0), 0).contains(&PeerId(3)),
-        "a leave cannot be detected before the alive timeout"
-    );
-    // ...and detection lags the timeout by at most one (clamped) backed-off
-    // sweep interval — alive_timeout / 3 by construction — plus the round
-    // in flight. Well before the settle window the leaver must be gone
-    // from the detector's view and, shortly after, from every view.
-    let clamp = timeout / 3;
-    net.run_for(Duration::from_secs(1) + clamp + cfg.discovery.heartbeat_interval);
-    assert!(
-        !net.view_of(PeerId(0), 0).contains(&PeerId(3)),
-        "backed-off cadence delayed true-death detection past timeout + clamped interval"
-    );
-    net.run_for(Duration::from_secs(15));
-    assert!(
-        net.views_converged(0),
-        "obituary must still spread everywhere: {:?}",
-        net.divergent_views(0)
-    );
 }
 
 /// One scripted churn step: kind 0 = join, 1 = leave, 2 = just let time
@@ -400,35 +297,6 @@ proptest! {
                 .expect("new life visible")
                 .incarnation;
             prop_assert!(new_life > obituary, "{new_life} must exceed {obituary}");
-        }
-    }
-
-    /// The delta wire format inherits the full exchange's convergence
-    /// guarantee: arbitrary churn with lossy links still settles to view
-    /// agreement and one leader once the loss stops.
-    #[test]
-    fn churn_with_drops_converges_under_delta_anti_entropy(
-        ops in proptest::collection::vec((0u8..3, 0u32..8), 1..12),
-        loss_milli in 0u32..300,
-    ) {
-        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let mut net = ideal(8, vec![members], &delta_cfg());
-        net.set_loss(loss_milli as f64 / 1000.0);
-        for op in ops {
-            apply_op(&mut net, op, true);
-            net.run_for(Duration::from_secs(1));
-        }
-        net.heal();
-        net.run_for(Duration::from_secs(30));
-        prop_assert!(
-            net.views_converged(0),
-            "delta views diverged: {:?} vs members {:?}",
-            net.divergent_views(0),
-            net.members(0)
-        );
-        if !net.members(0).is_empty() {
-            let leaders = net.leaders(0);
-            prop_assert!(leaders.len() == 1, "want one leader, got {:?}", leaders);
         }
     }
 

@@ -1,18 +1,19 @@
 //! Runtime channel-lifecycle invariants under the gossiped discovery
 //! protocol, driven through [`fabric_experiments::scenario::ScenarioNet`]
-//! under `NetworkConfig::ideal`. The oracle-router half of the suite
-//! (`ChurnNet`, no simulator) stays in `fabric-gossip/tests/lifecycle.rs`.
+//! under `NetworkConfig::ideal`.
 
-/// The oracle-assuming lifecycle tests of
-/// `fabric-gossip/tests/lifecycle.rs`, ported to the discovery protocol:
-/// the same invariants must hold when nobody broadcasts membership on
-/// anyone's behalf.
+/// The lifecycle properties first written against a lockstep router that
+/// told every sitting member of each join and leave, ported to the
+/// discovery protocol: the same invariants must hold when nobody
+/// broadcasts membership on anyone's behalf.
 mod discovery_ported {
     use desim::{Duration, NetworkConfig};
     use fabric_experiments::scenario::ScenarioNet;
     use fabric_gossip::config::GossipConfig;
     use fabric_types::block::{Block, BlockRef};
+    use fabric_types::crypto::Hash256;
     use fabric_types::ids::{ChannelId, PeerId};
+    use proptest::prelude::*;
 
     /// `n` peers in the ideal network, fixed simulation seed.
     fn ideal(n: usize, memberships: Vec<Vec<PeerId>>, cfg: &GossipConfig) -> ScenarioNet {
@@ -33,7 +34,7 @@ mod discovery_ported {
     }
 
     /// Port of `late_joiner_converges_to_the_exact_head_with_no_gaps`: the
-    /// oracle version hand-fed StateInfo to the joiner; here the joiner
+    /// lockstep version hand-fed StateInfo to the joiner; here the joiner
     /// announces itself through discovery and the ordinary timer-driven
     /// StateInfo + recovery machinery does the rest.
     #[test]
@@ -67,8 +68,8 @@ mod discovery_ported {
     }
 
     /// Port of `exactly_one_static_leader_survives_arbitrary_leaves`: the
-    /// oracle promoted a successor synchronously; under discovery each
-    /// departure must be detected by expiry first, so the check runs
+    /// lockstep router promoted a successor synchronously; under discovery
+    /// each departure must be detected by expiry first, so the check runs
     /// after a settle window per leave.
     #[test]
     fn exactly_one_static_leader_survives_sequential_leaves() {
@@ -128,5 +129,79 @@ mod discovery_ported {
             vec![PeerId(0)],
             "the joiner leads once every senior member departed"
         );
+    }
+
+    /// Payload padding for channel `c`: distinct per channel, so a leaked
+    /// block would be recognizable by its size alone (block numbers
+    /// collide across channels).
+    fn block_on(c: usize, num: u64) -> BlockRef {
+        BlockRef::new(Block::new(num, Hash256::ZERO, vec![]).with_padding(1_000 * (c as u32 + 1)))
+    }
+
+    proptest! {
+        /// Port of `blocks_never_leak_across_channels_under_churn`: three
+        /// channels over overlapping thirds of the deployment, arbitrary
+        /// join / leave / inject interleavings — with leavers lingering in
+        /// the others' views until reaped, so blocks do get pushed at
+        /// peers that just left. Whatever happens, a store only ever holds
+        /// its own channel's blocks, and only members hold a store.
+        #[test]
+        fn blocks_never_leak_across_channels_under_churn(
+            ops in proptest::collection::vec((0u8..3, 0usize..3, 0u32..10), 1..25),
+        ) {
+            let n = 10usize;
+            let memberships: Vec<Vec<PeerId>> = vec![
+                (0..5).map(PeerId).collect(),
+                (3..8).map(PeerId).collect(),
+                (5..10).map(PeerId).collect(),
+            ];
+            let mut net = ideal(n, memberships, &cfg());
+            for (kind, c, peer) in ops {
+                match kind {
+                    0 => net.join(c, PeerId(peer)),
+                    1 => net.leave(c, PeerId(peer)),
+                    _ => net.inject(c, block_on(c, net.head(c) + 1)),
+                }
+                net.run_for(Duration::from_millis(500));
+            }
+            net.run_for(Duration::from_secs(5));
+            for c in 0..3 {
+                let ch = ChannelId(c as u16);
+                let expected_size = block_on(c, 1).wire_size();
+                for p in 0..n {
+                    let member = net.members(c).contains(&PeerId(p as u32));
+                    let Some(store) = net.gossip(p).store_on(ch) else {
+                        prop_assert!(!member, "member {} of {} lost its instance", p, ch);
+                        continue;
+                    };
+                    prop_assert!(
+                        member,
+                        "peer {} holds an instance of {} it is no member of",
+                        p,
+                        ch
+                    );
+                    for num in 1..=net.head(c) {
+                        if let Some(held) = store.get(num) {
+                            prop_assert_eq!(
+                                held.wire_size(),
+                                expected_size,
+                                "peer {} holds a foreign block at {} of {}",
+                                p,
+                                num,
+                                ch
+                            );
+                        }
+                    }
+                    prop_assert!(
+                        store.max_seen() <= net.head(c),
+                        "peer {} holds block numbers {} beyond {}'s head {}",
+                        p,
+                        store.max_seen(),
+                        ch,
+                        net.head(c)
+                    );
+                }
+            }
+        }
     }
 }

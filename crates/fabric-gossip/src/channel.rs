@@ -133,10 +133,10 @@ pub struct ChannelCore {
     pub self_id: PeerId,
     /// The active configuration.
     pub cfg: GossipConfig,
-    /// The organization roster as configured (self included or not, exactly
-    /// as passed at join time), kept current under runtime join/leave. The
-    /// static-leadership rule is re-evaluated over this list when a member
-    /// departs.
+    /// The organization roster as passed at join time (self included or
+    /// not; a runtime joiner is appended to its own). Not kept current —
+    /// `membership` is the live view. Discovery reads it once per life to
+    /// tell a member from an observer handed a roster excluding it.
     pub roster: Vec<PeerId>,
     /// Same-organization peers: the only legal targets for push and pull.
     pub membership: Membership,
@@ -321,10 +321,10 @@ impl ChannelState {
         self.core
             .schedule(fx, si_phase, GossipTimer::StateInfoRound);
         if self.core.cfg.discovery.protocol {
-            // Protocol discovery subsumes the legacy alive traffic: its
-            // heartbeats both announce this peer (a runtime joiner's join
-            // propagates through them, not through an oracle) and keep
-            // liveness fresh.
+            // Protocol discovery subsumes the static roster's alive
+            // traffic: its heartbeats both announce this peer (the only
+            // way a runtime joiner's join propagates) and keep liveness
+            // fresh.
             self.discovery.init(&mut self.core, fx);
         } else {
             let alive_phase = random_phase(fx, self.core.cfg.membership.alive_interval);
@@ -421,20 +421,6 @@ impl ChannelState {
                         .on_membership_response(&mut self.core, fx, entries, dead);
                 self.apply_discovery(fx, delta);
             }
-            GossipMsg::MembershipDigest { entries, dead } => {
-                let delta =
-                    self.discovery
-                        .on_membership_digest(&mut self.core, fx, from, entries, dead);
-                self.apply_discovery(fx, delta);
-            }
-            GossipMsg::MembershipDelta { entries, dead } => {
-                // A delta is merged exactly like a full-view response: it
-                // carries only claims the digest proved this peer lacks.
-                let delta =
-                    self.discovery
-                        .on_membership_response(&mut self.core, fx, entries, dead);
-                self.apply_discovery(fx, delta);
-            }
             GossipMsg::LeaderHeartbeat { leader } => {
                 self.leadership
                     .on_leader_heartbeat(&mut self.core, fx, leader, now)
@@ -477,58 +463,34 @@ impl ChannelState {
         [self.core.store.table(), seen, pending]
     }
 
-    /// A peer joined this channel at runtime: discovery adds it to both the
-    /// organization and the channel-wide view, immediately sampleable and
-    /// believed alive (the join announcement is first contact).
+    /// Discovery admitted `peer`: it enters both the organization and the
+    /// channel-wide view, immediately sampleable and believed alive (the
+    /// claim just merged is first contact).
     ///
-    /// Static leadership is **not** re-evaluated on a join: a newcomer with
-    /// a lower id does not depose a pinned leader (Fabric's `orgLeader`
-    /// semantics); under dynamic election the newcomer competes through the
-    /// ordinary heartbeat machinery.
-    pub fn on_peer_joined(&mut self, fx: &mut dyn Effects, peer: PeerId) {
+    /// Static leadership follows discovery seniority, so a newcomer with a
+    /// lower id does not depose a seated leader (Fabric's `orgLeader`
+    /// semantics); under dynamic election the newcomer competes through
+    /// the ordinary heartbeat machinery.
+    fn on_peer_joined(&mut self, fx: &mut dyn Effects, peer: PeerId) {
         if peer == self.core.self_id {
             return;
         }
         let now = fx.now();
-        if !self.core.roster.contains(&peer) {
-            self.core.roster.push(peer);
-        }
         self.core.membership.add_peer(peer, now);
         self.core.channel_view.add_peer(peer, now);
     }
 
-    /// A peer left this channel at runtime: it is removed from the roster
-    /// and both membership views (never sampled again), its advertised
-    /// height is forgotten, and leadership re-election is forced when the
-    /// departed peer was the known leader — see
-    /// [`LeadershipEngine::on_peer_left`].
-    pub fn on_peer_left(&mut self, fx: &mut dyn Effects, peer: PeerId) {
-        if peer == self.core.self_id {
-            return;
-        }
-        self.core.roster.retain(|p| *p != peer);
-        self.core.membership.remove_peer(peer);
-        self.core.channel_view.remove_peer(peer);
-        self.leadership.on_peer_left(&mut self.core, fx, peer);
-    }
-
-    /// Applies the membership consequences of one discovery step:
-    /// discovered joins and reaps run through the same local machinery the
-    /// oracle path uses ([`ChannelState::on_peer_joined`] /
-    /// [`ChannelState::on_peer_left`]) — membership changes are now a
-    /// *consequence of received gossip*, and each one is reported through
-    /// [`Effects::discovery_event`] so the embedding can measure
+    /// Applies the membership consequences of one discovery step: joins
+    /// and reaps edit both views — membership changes are a *consequence
+    /// of received gossip*, never of a callback — and each one is reported
+    /// through [`Effects::discovery_event`] so the embedding can measure
     /// convergence.
     ///
-    /// A refuted self-obituary additionally demotes this peer to roster
-    /// juniority (matching where every other peer re-seats a resurrected
-    /// member) and, under static election, drops any leadership claim —
-    /// the seat was reassigned while this peer was presumed dead.
+    /// A refuted self-obituary additionally drops, under static election,
+    /// any leadership claim — the seat was reassigned while this peer was
+    /// presumed dead.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
         if delta.self_deposed {
-            let me = self.core.self_id;
-            self.core.roster.retain(|p| *p != me);
-            self.core.roster.push(me);
             self.leadership.on_self_deposed(&mut self.core, fx);
         }
         for peer in delta.joined {
@@ -548,20 +510,16 @@ impl ChannelState {
             if peer == self.core.self_id {
                 continue;
             }
-            // The membership half of `on_peer_left`, but NOT its
-            // roster-order promotion: reaps arrive in different orders on
-            // different peers, so protocol-mode static election follows
-            // discovery seniority instead (below).
-            self.core.roster.retain(|p| *p != peer);
             self.core.membership.remove_peer(peer);
             self.core.channel_view.remove_peer(peer);
             self.leadership.forget_peer(peer);
             fx.discovery_event(self.core.channel, peer, false);
         }
         // Re-enforce `is_leader == most-senior-in-view` on every discovery
-        // step: eventually-consistent views then drive leadership to
-        // exactly one claimant (reaped leaders are succeeded, stale
-        // claimants step down).
+        // step: reaps arrive in different orders on different peers, but
+        // eventually-consistent views drive leadership to exactly one
+        // claimant (reaped leaders are succeeded, stale claimants step
+        // down).
         let senior = self.discovery.self_is_most_senior(&self.core);
         self.leadership.set_static_claim(&mut self.core, fx, senior);
     }

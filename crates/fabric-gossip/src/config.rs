@@ -108,55 +108,31 @@ impl Default for MembershipConfig {
     }
 }
 
-/// Gossiped-discovery parameters (the membership *protocol* that replaces
-/// the embedding's synchronous join/leave oracle).
+/// Membership parameters: a roster fixed for the whole run, or gossiped
+/// discovery.
 ///
-/// When `protocol` is `false` (the default), membership changes reach a
-/// peer only through the embedding's oracle callbacks
-/// ([`crate::peer::GossipPeer::on_peer_joined`] /
-/// [`crate::peer::GossipPeer::on_peer_left`]) and the channel keeps the
-/// legacy payload-less `Alive` heartbeat. When `true`, the channel runs
-/// the [`crate::discovery::DiscoveryEngine`]: periodic
+/// When `protocol` is `false` (the default), the roster handed to a
+/// channel at build time **is** its membership: nothing adds or removes a
+/// peer at runtime, and the channel keeps the payload-less `Alive`
+/// heartbeat as background liveness traffic — the static 100-peer
+/// organization of the paper's figures. When `true`, the channel runs the
+/// [`crate::discovery::DiscoveryEngine`]: periodic
 /// [`crate::messages::GossipMsg::AliveMsg`] heartbeats carrying a
 /// monotonic `(incarnation, seq)` pair, push–pull
 /// `MembershipRequest`/`MembershipResponse` anti-entropy, expiry of
 /// silent peers via [`crate::membership::Membership::believes_alive`],
-/// and reaping — joins and leaves then become *local consequences of
-/// received gossip*.
+/// and reaping — joins and leaves are *local consequences of received
+/// gossip*, and there is no other way for membership to change.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiscoveryConfig {
-    /// Run discovery as a gossip protocol instead of relying on oracle
-    /// callbacks.
+    /// Run discovery as a gossip protocol; `false` freezes the membership
+    /// at the build-time roster.
     pub protocol: bool,
     /// Heartbeat ([`crate::messages::GossipMsg::AliveMsg`]) period. Also
     /// the cadence of the expiry/reap sweep.
     pub heartbeat_interval: Duration,
-    /// Anti-entropy (membership digest exchange) period.
+    /// Anti-entropy (full membership view exchange) period.
     pub anti_entropy_interval: Duration,
-    /// Delta anti-entropy: requests carry a compact view digest
-    /// ([`crate::messages::GossipMsg::MembershipDigest`]) and responses
-    /// return only the claims the requester is missing or holds stale
-    /// ([`crate::messages::GossipMsg::MembershipDelta`]) instead of the
-    /// full view both ways. Off by default: the PR 4 full-view exchange
-    /// stays byte-identical unless a deployment opts in.
-    pub delta: bool,
-    /// In delta mode, every Nth anti-entropy round still runs the classic
-    /// full-view [`crate::messages::GossipMsg::MembershipRequest`] as a
-    /// self-healing fallback (guards against any divergence a compact
-    /// digest could ever hide). Must be ≥ 1; 1 degenerates to always-full.
-    pub full_exchange_every: u32,
-    /// Adaptive heartbeat cadence: a channel whose discovery state has
-    /// been quiet for [`DiscoveryConfig::quiet_rounds_to_backoff`]
-    /// consecutive rounds doubles its heartbeat interval (up to
-    /// [`DiscoveryConfig::max_heartbeat_backoff`]×, and never beyond a
-    /// third of the alive timeout so liveness refresh and true-death
-    /// detection keep their bounds); any membership change snaps the
-    /// cadence back to the configured base. Off by default.
-    pub adaptive_heartbeat: bool,
-    /// Quiet rounds before the first back-off step.
-    pub quiet_rounds_to_backoff: u32,
-    /// Cap on the heartbeat back-off multiplier.
-    pub max_heartbeat_backoff: u32,
 }
 
 impl Default for DiscoveryConfig {
@@ -165,11 +141,6 @@ impl Default for DiscoveryConfig {
             protocol: false,
             heartbeat_interval: Duration::from_secs(5),
             anti_entropy_interval: Duration::from_secs(4),
-            delta: false,
-            full_exchange_every: 8,
-            adaptive_heartbeat: false,
-            quiet_rounds_to_backoff: 3,
-            max_heartbeat_backoff: 4,
         }
     }
 }
@@ -278,8 +249,8 @@ pub struct GossipConfig {
     pub recovery: RecoveryConfig,
     /// Membership heartbeats.
     pub membership: MembershipConfig,
-    /// Gossiped discovery (off by default: the embedding's oracle drives
-    /// membership, as in every pre-discovery deployment).
+    /// Gossiped discovery (off by default: the build-time roster is the
+    /// membership, as in the paper's evaluation).
     pub discovery: DiscoveryConfig,
     /// Leader election.
     pub election: ElectionConfig,
@@ -347,21 +318,9 @@ impl GossipConfig {
 
     /// Flips discovery into protocol mode (see [`DiscoveryConfig`]):
     /// membership is then maintained by gossiped heartbeats and
-    /// anti-entropy instead of oracle callbacks.
+    /// anti-entropy, and peers may join and leave at runtime.
     pub fn with_discovery_protocol(mut self) -> Self {
         self.discovery.protocol = true;
-        self
-    }
-
-    /// Protocol discovery with the byte-lean wire format: delta
-    /// anti-entropy (digest requests, missing-claims-only responses, the
-    /// periodic full exchange kept as a fallback) plus adaptive heartbeat
-    /// cadence that backs off on quiet converged channels and snaps back
-    /// on churn.
-    pub fn with_delta_discovery(mut self) -> Self {
-        self.discovery.protocol = true;
-        self.discovery.delta = true;
-        self.discovery.adaptive_heartbeat = true;
         self
     }
 
@@ -461,17 +420,6 @@ impl GossipConfig {
         if self.discovery.anti_entropy_interval.is_zero() {
             return Err("discovery anti-entropy interval must be positive".into());
         }
-        if self.discovery.delta && self.discovery.full_exchange_every == 0 {
-            return Err("delta discovery needs full_exchange_every >= 1".into());
-        }
-        if self.discovery.adaptive_heartbeat {
-            if self.discovery.max_heartbeat_backoff == 0 {
-                return Err("adaptive heartbeat backoff cap must be positive".into());
-            }
-            if self.discovery.quiet_rounds_to_backoff == 0 {
-                return Err("adaptive heartbeat quiet threshold must be positive".into());
-            }
-        }
         if self.fetch.max_attempts == 0 {
             return Err("fetch max_attempts must be positive".into());
         }
@@ -560,9 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn discovery_defaults_to_oracle_mode_and_validates() {
+    fn discovery_defaults_to_a_static_roster_and_validates() {
         let cfg = GossipConfig::enhanced_f4();
-        assert!(!cfg.discovery.protocol, "oracle mode is the default");
+        assert!(!cfg.discovery.protocol, "a static roster is the default");
         let proto = GossipConfig::enhanced_f4().with_discovery_protocol();
         assert!(proto.discovery.protocol);
         assert!(proto.validate().is_ok());
@@ -572,28 +520,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = GossipConfig::enhanced_f4();
         bad.discovery.anti_entropy_interval = Duration::ZERO;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn delta_discovery_preset_enables_the_lean_wire_format() {
-        let cfg = GossipConfig::enhanced_f4().with_delta_discovery();
-        assert!(cfg.discovery.protocol);
-        assert!(cfg.discovery.delta);
-        assert!(cfg.discovery.adaptive_heartbeat);
-        assert!(cfg.validate().is_ok());
-        // Plain protocol mode keeps the PR 4 wire format untouched.
-        let plain = GossipConfig::enhanced_f4().with_discovery_protocol();
-        assert!(!plain.discovery.delta && !plain.discovery.adaptive_heartbeat);
-
-        let mut bad = GossipConfig::enhanced_f4().with_delta_discovery();
-        bad.discovery.full_exchange_every = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::enhanced_f4().with_delta_discovery();
-        bad.discovery.max_heartbeat_backoff = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::enhanced_f4().with_delta_discovery();
-        bad.discovery.quiet_rounds_to_backoff = 0;
         assert!(bad.validate().is_err());
     }
 

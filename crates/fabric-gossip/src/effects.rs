@@ -57,11 +57,10 @@ pub trait Effects {
     /// `channel`'s membership: `joined = true` when `peer` entered the view
     /// through received gossip (a heartbeat or anti-entropy claim about an
     /// unknown or resurrected peer), `false` when it was reaped (expired
-    /// silent or learned dead). Oracle-driven changes
-    /// ([`crate::peer::GossipPeer::on_peer_joined`] /
-    /// [`crate::peer::GossipPeer::on_peer_left`]) do **not** fire this hook
-    /// — the embedding already knows what it did itself. The measurement
-    /// point of discovery convergence and stale-view metrics.
+    /// silent or learned dead). Every runtime membership change fires it —
+    /// there is no other way for a view to change — so it is the
+    /// measurement point of discovery convergence and stale-view metrics.
+    /// Never called on a static roster.
     fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {
         let _ = (channel, peer, joined);
     }

@@ -35,7 +35,7 @@ struct SnapshotTransfer {
     requested_at: Time,
     /// Requests sent for this transfer so far (drives the backoff).
     attempts: u32,
-    /// Set when the server announced its departure — treated as an instant
+    /// Set when discovery reaped the server — treated as an instant
     /// timeout on the next round.
     server_gone: bool,
     /// Partial assembly; `None` until the first chunk arrives, and again
@@ -200,8 +200,8 @@ impl LeadershipEngine {
             if !t.server_gone && fx.now().since(t.requested_at) < timeout {
                 return true;
             }
-            // Timed out (or the server announced its departure): give the
-            // server up and move the transfer elsewhere.
+            // Timed out (or the server was reaped): give the server up and
+            // move the transfer elsewhere.
             self.failed_servers.insert(t.server);
         }
         // A partial assembly pins a checkpoint; its missing suffix
@@ -385,45 +385,14 @@ impl LeadershipEngine {
         }
     }
 
-    /// A peer left the channel: forget its advertised height and, when it
-    /// was the leader this peer last heard from, force re-election.
-    ///
-    /// * **Dynamic election** — the last-heartbeat memory is cleared, so
-    ///   the next [`GossipTimer::ElectionTick`] sees no fresh leader and
-    ///   the lowest live id stands up without waiting out
-    ///   `leader_timeout` (the leave was announced, not a silent crash).
-    /// * **Static election** — the roster is **seniority-ordered**
-    ///   (initial members as configured — id order in every shipped
-    ///   embedding — runtime joiners appended in join order, identically
-    ///   on every peer), and its *first* sitting entry claims leadership,
-    ///   mirroring an operator re-pinning `orgLeader` after
-    ///   decommissioning the old leader. Seniority, not the id minimum:
-    ///   a runtime joiner with a low id must not outrank the seated
-    ///   leader — and since every peer agrees on the append order, no
-    ///   departure can strand the channel with zero or two leaders
-    ///   (min-over-roster cannot promise that, because a joiner's own
-    ///   roster legitimately ranks it last).
-    pub fn on_peer_left(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects, peer: PeerId) {
-        self.forget_peer(peer);
-        if !core.cfg.election.dynamic
-            && !self.is_leader
-            && core.roster.first() == Some(&core.self_id)
-        {
-            self.is_leader = true;
-            fx.leadership_changed(core.channel, true);
-        }
-    }
-
     /// Drops everything remembered about `peer` — its advertised height
     /// and checkpoint, and, when it was the last leader heard, the
     /// heartbeat memory (so a dynamic election re-runs on the next tick
     /// instead of waiting out `leader_timeout`). A departed peer serving
     /// an in-flight snapshot transfer is marked gone, which the next
     /// recovery round treats as an instant timeout (resume elsewhere
-    /// rather than waiting out the full window). The bookkeeping half of
-    /// [`Self::on_peer_left`], shared with the discovery-protocol reap
-    /// path, which runs its own promotion rule ([`Self::set_static_claim`])
-    /// instead of the roster-order one.
+    /// rather than waiting out the full window). Called when discovery
+    /// reaps `peer`; who leads next is [`Self::set_static_claim`]'s call.
     pub fn forget_peer(&mut self, peer: PeerId) {
         self.peer_heights.remove(&peer);
         self.peer_checkpoints.remove(&peer);
@@ -438,8 +407,9 @@ impl LeadershipEngine {
         }
     }
 
-    /// Protocol-discovery static election: enforce `is_leader == senior`,
-    /// where `senior` is the caller's discovery-seniority verdict
+    /// Static election on a channel whose membership can change: enforce
+    /// `is_leader == senior`, where `senior` is the caller's
+    /// discovery-seniority verdict
     /// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]). Runs
     /// on every discovery step, so leadership converges with the views:
     /// the senior survivor claims within one heartbeat period of reaping
@@ -1013,10 +983,10 @@ mod tests {
         e.on_state_info(PeerId(3), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let first_server = fx.take_sent()[0].0;
-        // The serving peer announces its departure: its checkpoint is
-        // forgotten and the very next round re-requests elsewhere — no
-        // waiting out the request timeout for a peer known to be gone.
-        e.on_peer_left(&mut c, &mut fx, first_server);
+        // The serving peer is reaped: its checkpoint is forgotten and the
+        // very next round re-requests elsewhere — no waiting out the
+        // request timeout for a peer known to be gone.
+        e.forget_peer(first_server);
         e.on_recovery_round(&mut c, &mut fx);
         assert_eq!(c.stats.snapshot_requests, 2);
         assert_eq!(c.stats.snapshot_resumes, 1);
@@ -1029,20 +999,27 @@ mod tests {
     }
 
     #[test]
-    fn static_departure_of_the_leader_promotes_the_new_lowest_member() {
+    fn static_claim_follows_the_seniority_verdict_and_reports_each_change() {
         // Peer 1 in a {0, 1, 2, 3} roster: peer 0 statically leads.
         let mut c = core(1);
         let mut e = LeadershipEngine::new(false);
         let mut fx = MockEffects::new(1);
-        // A non-leader departure changes nothing.
-        c.roster.retain(|p| *p != PeerId(3));
-        e.on_peer_left(&mut c, &mut fx, PeerId(3));
+        // Forgetting a reaped peer is bookkeeping: it promotes nobody.
+        e.forget_peer(PeerId(3));
+        e.forget_peer(PeerId(0));
+        e.set_static_claim(&mut c, &mut fx, false);
         assert!(!e.is_leader());
-        // The leader departs: peer 1 is now the lowest member and stands up.
-        c.roster.retain(|p| *p != PeerId(0));
-        e.on_peer_left(&mut c, &mut fx, PeerId(0));
-        assert!(e.is_leader(), "new lowest member must claim leadership");
-        assert_eq!(fx.leadership, vec![true]);
+        assert!(fx.leadership.is_empty(), "an unchanged verdict is silent");
+        // Discovery finds this peer the most senior survivor: it stands up.
+        e.set_static_claim(&mut c, &mut fx, true);
+        assert!(e.is_leader(), "the senior survivor must claim leadership");
+        // A more senior peer reappears in the view: the claim is dropped.
+        e.set_static_claim(&mut c, &mut fx, false);
+        assert_eq!(fx.leadership, vec![true, false]);
+        // Dynamic election ignores the verdict.
+        c.cfg.election.dynamic = true;
+        e.set_static_claim(&mut c, &mut fx, true);
+        assert!(!e.is_leader());
     }
 
     #[test]
@@ -1053,7 +1030,7 @@ mod tests {
         let mut fx = MockEffects::new(1);
         e.on_state_info(PeerId(0), 12, None);
         e.on_leader_heartbeat(&mut c, &mut fx, PeerId(0), Time::from_secs(1));
-        e.on_peer_left(&mut c, &mut fx, PeerId(0));
+        e.forget_peer(PeerId(0));
         assert!(!e.is_leader(), "dynamic mode re-elects on the next tick");
         // The departed leader's height must not drive recovery requests.
         e.on_recovery_round(&mut c, &mut fx);
@@ -1068,6 +1045,6 @@ mod tests {
         // zero grace — self is lowest surviving claimant here).
         fx.now = Time::from_secs(100);
         e.on_election_tick(&mut c, &mut fx);
-        assert!(e.is_leader(), "announced leave skips the leader timeout");
+        assert!(e.is_leader(), "a reaped leader skips the leader timeout");
     }
 }

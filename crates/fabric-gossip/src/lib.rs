@@ -25,17 +25,16 @@
 //!
 //! * [`peer::GossipPeer`] — the **multiplexer**: routes messages, timers
 //!   and orderer deliveries to the right channel instance and fans out
-//!   lifecycle events (`init`, `on_crash`). Channel membership is a
-//!   runtime operation: [`peer::GossipPeer::join_channel_live`] creates an
-//!   instance mid-run (a late joiner catches up through StateInfo +
-//!   recovery), [`peer::GossipPeer::leave_channel`] drops one, and
-//!   [`peer::GossipPeer::on_peer_left`] forces leader re-election when
-//!   the departed peer led; per-channel configuration overrides
-//!   ([`peer::GossipPeer::join_channel_with_cfg`]) let one peer run
-//!   different protocols on different channels;
+//!   lifecycle events (`init`, `on_crash`). Under protocol discovery
+//!   channel membership is a runtime operation:
+//!   [`peer::GossipPeer::join_channel_live`] creates an instance mid-run
+//!   (the joiner announces itself and catches up through StateInfo +
+//!   recovery) and [`peer::GossipPeer::leave_channel`] drops one (the
+//!   leaver goes silent and is reaped) — only the mover acts, nobody is
+//!   told;
 //! * [`channel::ChannelState`] — one channel's instance: the shared
 //!   [`channel::ChannelCore`] (membership views, block store, per-channel
-//!   [`channel::PeerStats`]) plus the three **engines**:
+//!   [`channel::PeerStats`]) plus the four **engines**:
 //!   * [`push::PushEngine`] — infect-and-die and infect-upon-contagion
 //!     push, digests, content-fetch retries;
 //!   * [`pull::PullEngine`] — the four-phase pull (hello → digest →
@@ -46,9 +45,9 @@
 //!     [`config::DiscoveryConfig::protocol`] is on): `AliveMsg`
 //!     heartbeats with monotonic `(incarnation, seq)` claims,
 //!     `MembershipRequest`/`MembershipResponse` anti-entropy, expiry of
-//!     silent peers and obituary spreading — joins and leaves become
-//!     local consequences of received gossip instead of oracle
-//!     callbacks;
+//!     silent peers and obituary spreading — joins and leaves are local
+//!     consequences of received gossip. With it off the build-time roster
+//!     is the membership for the whole run;
 //! * [`effects::Effects`] — the side-effect boundary every engine drives;
 //!   all I/O is tagged with its [`fabric_types::ids::ChannelId`], and the
 //!   wire unit is [`messages::ChannelMsg`] (channel tag + payload).

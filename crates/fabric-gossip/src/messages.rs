@@ -80,12 +80,6 @@ impl PeerAlive {
 
     /// Wire bytes of one serialized claim (peer id + incarnation + seq).
     pub(crate) const WIRE: usize = 24;
-
-    /// Wire bytes of one claim in the delta anti-entropy's compact digest
-    /// encoding: the peer id plus a varint-packed `(incarnation, seq)`
-    /// freshness word — incarnations are wall-clock-derived and seqs
-    /// small, so the pair packs into 8 bytes in practice.
-    pub(crate) const DIGEST_WIRE: usize = 12;
 }
 
 /// A gossip message between two peers of the same organization.
@@ -182,8 +176,8 @@ pub enum GossipMsg {
         /// serving N chunks clones a reference count, not the entries).
         chunk: SnapshotChunk,
     },
-    /// Membership heartbeat (legacy oracle-mode liveness traffic; carries
-    /// no payload — reception alone refreshes the sender's entry).
+    /// Membership heartbeat of a static-roster channel (carries no
+    /// payload — reception alone refreshes the sender's entry).
     Alive,
     /// Discovery-protocol heartbeat: the sender's own liveness claim.
     /// Replaces [`GossipMsg::Alive`] when
@@ -209,33 +203,6 @@ pub enum GossipMsg {
         /// the death unless they know a strictly higher incarnation.
         dead: Vec<PeerAlive>,
     },
-    /// Delta anti-entropy, phase 1 (replaces [`GossipMsg::MembershipRequest`]
-    /// when [`crate::config::DiscoveryConfig::delta`] is on): the
-    /// requester's **view digest** — every claim it holds, compactly
-    /// encoded ([`PeerAlive::DIGEST_WIRE`] bytes per entry instead of
-    /// [`PeerAlive::WIRE`]) — plus its obituaries. The digest carries the
-    /// full `(incarnation, seq)` freshness of each claim, so the responder
-    /// both *learns* from it (exactly as it would from a full-view
-    /// request) and can answer with only what the requester is missing.
-    /// Also serves as the tombstone probe: a "dead" peer that finds its
-    /// own obituary in `dead` refutes it, reconnecting healed partitions.
-    MembershipDigest {
-        /// Every claim the requester holds (its own included), digest-
-        /// encoded.
-        entries: Vec<PeerAlive>,
-        /// Reaped peers with the incarnation they died at, digest-encoded.
-        dead: Vec<PeerAlive>,
-    },
-    /// Delta anti-entropy, phase 2: only the claims the requester's digest
-    /// was missing or held stale, plus the obituaries it lacked — in a
-    /// converged quiet channel this is one or two entries instead of the
-    /// whole membership.
-    MembershipDelta {
-        /// Claims strictly fresher than (or absent from) the digest.
-        entries: Vec<PeerAlive>,
-        /// Obituaries the requester did not know, digest-encoded.
-        dead: Vec<PeerAlive>,
-    },
     /// Leader-election heartbeat from the peer currently acting as leader.
     LeaderHeartbeat {
         /// The claiming leader (equals the sender; explicit for clarity).
@@ -244,18 +211,13 @@ pub enum GossipMsg {
 }
 
 impl GossipMsg {
-    /// Whether this is a discovery anti-entropy exchange — the four
-    /// membership view-swap variants (full and delta, both phases).
-    /// Byzantine wiretap code classifies traffic through this instead of
-    /// enumerating variants, so a new exchange kind extends every attacker
-    /// at once.
+    /// Whether this is a discovery anti-entropy exchange — either phase
+    /// of the membership view swap. Byzantine wiretap code classifies
+    /// traffic through this instead of enumerating variants.
     pub fn is_membership_exchange(&self) -> bool {
         matches!(
             self,
-            GossipMsg::MembershipRequest { .. }
-                | GossipMsg::MembershipResponse { .. }
-                | GossipMsg::MembershipDigest { .. }
-                | GossipMsg::MembershipDelta { .. }
+            GossipMsg::MembershipRequest { .. } | GossipMsg::MembershipResponse { .. }
         )
     }
 
@@ -329,12 +291,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::MembershipResponse { entries, dead } => {
                 ENVELOPE + 8 + PeerAlive::WIRE * (entries.len() + dead.len())
             }
-            GossipMsg::MembershipDigest { entries, dead } => {
-                ENVELOPE + 8 + PeerAlive::DIGEST_WIRE * (entries.len() + dead.len())
-            }
-            GossipMsg::MembershipDelta { entries, dead } => {
-                ENVELOPE + 8 + PeerAlive::WIRE * entries.len() + PeerAlive::DIGEST_WIRE * dead.len()
-            }
             GossipMsg::LeaderHeartbeat { .. } => ENVELOPE + 48,
         }
     }
@@ -357,8 +313,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::AliveMsg(_) => "alive-msg",
             GossipMsg::MembershipRequest { .. } => "membership-request",
             GossipMsg::MembershipResponse { .. } => "membership-response",
-            GossipMsg::MembershipDigest { .. } => "membership-digest",
-            GossipMsg::MembershipDelta { .. } => "membership-delta",
             GossipMsg::LeaderHeartbeat { .. } => "leadership",
         }
     }
@@ -382,8 +336,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::AliveMsg(_) => ids.alive_msg,
             GossipMsg::MembershipRequest { .. } => ids.membership_request,
             GossipMsg::MembershipResponse { .. } => ids.membership_response,
-            GossipMsg::MembershipDigest { .. } => ids.membership_digest,
-            GossipMsg::MembershipDelta { .. } => ids.membership_delta,
             GossipMsg::LeaderHeartbeat { .. } => ids.leadership,
         }
     }
@@ -410,8 +362,6 @@ struct GossipKindIds {
     alive_msg: KindId,
     membership_request: KindId,
     membership_response: KindId,
-    membership_digest: KindId,
-    membership_delta: KindId,
     leadership: KindId,
 }
 
@@ -435,8 +385,6 @@ impl GossipKindIds {
             alive_msg: KindId::intern("alive-msg"),
             membership_request: KindId::intern("membership-request"),
             membership_response: KindId::intern("membership-response"),
-            membership_digest: KindId::intern("membership-digest"),
-            membership_delta: KindId::intern("membership-delta"),
             leadership: KindId::intern("leadership"),
         })
     }
@@ -464,7 +412,7 @@ pub enum GossipTimer {
     /// Discovery protocol: emit an [`GossipMsg::AliveMsg`] heartbeat and
     /// run the expiry/reap sweep.
     DiscoveryRound,
-    /// Discovery protocol: exchange membership digests with one random
+    /// Discovery protocol: exchange membership views with one random
     /// peer.
     AntiEntropyRound,
     /// Leader-election bookkeeping tick.
@@ -748,16 +696,6 @@ mod tests {
                 dead: vec![],
             }
             .kind(),
-            GossipMsg::MembershipDigest {
-                entries: vec![],
-                dead: vec![],
-            }
-            .kind(),
-            GossipMsg::MembershipDelta {
-                entries: vec![],
-                dead: vec![],
-            }
-            .kind(),
             GossipMsg::LeaderHeartbeat { leader: PeerId(0) }.kind(),
         ];
         let mut unique = kinds.to_vec();
@@ -780,11 +718,11 @@ mod tests {
                 incarnation: 1,
                 seq: 1,
             }),
-            GossipMsg::MembershipDigest {
+            GossipMsg::MembershipRequest {
                 entries: vec![],
                 dead: vec![],
             },
-            GossipMsg::MembershipDelta {
+            GossipMsg::MembershipResponse {
                 entries: vec![],
                 dead: vec![],
             },
@@ -816,44 +754,5 @@ mod tests {
             msg: GossipMsg::PullHello { nonce: 1 },
         };
         assert_eq!(tagged.kind_id(), KindId::intern("pull-hello"));
-    }
-
-    #[test]
-    fn digest_and_delta_are_cheaper_than_the_full_exchange() {
-        let entry = |inc, seq| PeerAlive {
-            peer: PeerId(3),
-            incarnation: inc,
-            seq,
-        };
-        let n = 20;
-        let full_request = GossipMsg::MembershipRequest {
-            entries: vec![entry(1, 1); n],
-            dead: vec![entry(2, 0); 2],
-        };
-        let digest = GossipMsg::MembershipDigest {
-            entries: vec![entry(1, 1); n],
-            dead: vec![entry(2, 0); 2],
-        };
-        // The digest carries the same claims at half the per-entry cost.
-        assert_eq!(
-            digest.wire_size(),
-            16 + 8 + PeerAlive::DIGEST_WIRE * (n + 2)
-        );
-        assert!(digest.wire_size() < full_request.wire_size());
-
-        // A converged responder answers with one fresher entry instead of
-        // the whole view.
-        let full_response = GossipMsg::MembershipResponse {
-            entries: vec![entry(1, 1); n],
-            dead: vec![],
-        };
-        let delta = GossipMsg::MembershipDelta {
-            entries: vec![entry(1, 2)],
-            dead: vec![],
-        };
-        assert_eq!(delta.wire_size(), 16 + 8 + PeerAlive::WIRE);
-        assert!(delta.wire_size() * 5 < full_response.wire_size());
-        assert_eq!(digest.kind(), "membership-digest");
-        assert_eq!(delta.kind(), "membership-delta");
     }
 }

@@ -96,98 +96,42 @@ impl GossipPeer {
     /// channel-wide view starts equal to the organization view; widen it
     /// with [`GossipPeer::widen_channel_view`].
     ///
-    /// Channel membership is a **runtime operation**: this builder form
-    /// chains before [`GossipPeer::init`]; after `init`, use
-    /// [`GossipPeer::join_channel_live`], which creates the instance and
-    /// arms its timers in one step.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`GossipPeer::init`] (use the live
-    /// variants) or when `channel` is already joined.
-    pub fn join_channel(self, channel: ChannelId, roster: Vec<PeerId>) -> Self {
-        let cfg = self.cfg.clone();
-        self.join_channel_with_cfg(channel, roster, cfg)
-    }
-
-    /// Like [`GossipPeer::join_channel`] but with a channel-specific
-    /// configuration: one peer can run stock pull-assisted gossip on one
-    /// channel and the enhanced protocol on another. Every engine of the
-    /// instance — push mode, pull, recovery, election — follows `cfg`
-    /// instead of the peer default.
+    /// This builder form chains before [`GossipPeer::init`]; after `init`,
+    /// use [`GossipPeer::join_channel_live`], which creates the instance
+    /// and arms its timers in one step.
     ///
     /// # Panics
     ///
     /// Panics when called after [`GossipPeer::init`] (a builder-joined
-    /// channel would sit timerless — use the live variants, which arm the
-    /// new instance's timers), when `channel` is already joined, or when
-    /// `cfg` fails validation.
-    pub fn join_channel_with_cfg(
-        mut self,
-        channel: ChannelId,
-        roster: Vec<PeerId>,
-        cfg: GossipConfig,
-    ) -> Self {
+    /// channel would sit timerless) or when `channel` is already joined.
+    pub fn join_channel(mut self, channel: ChannelId, roster: Vec<PeerId>) -> Self {
         assert!(
             !self.initialized,
-            "the consuming join_channel builders leave the new channel timerless: \
-             after init, join at runtime with join_channel_live / join_channel_live_with_cfg"
+            "the consuming join_channel builder leaves the new channel timerless: \
+             after init, join at runtime with join_channel_live"
         );
-        self.insert_channel(channel, roster, cfg);
+        self.insert_channel(channel, roster);
         self
     }
 
-    /// Replaces the configuration of the already-joined `channel` — the
-    /// per-channel override knob for builder chains that start from
-    /// [`GossipPeer::new`] (which joins [`ChannelId::DEFAULT`] with the
-    /// peer default). The channel instance is rebuilt under `cfg` with its
-    /// roster — and any view widened through
-    /// [`GossipPeer::widen_channel_view`] — preserved.
+    /// Joins `channel` at runtime — the only way into a channel after
+    /// [`GossipPeer::init`], and it needs protocol discovery
+    /// ([`crate::config::DiscoveryConfig::protocol`]) to mean anything:
+    /// `roster` is whatever the joiner knows of the sitting membership —
+    /// all of it, or a single anchor peer (the anchor-peer entry of a
+    /// Fabric channel configuration) — and nobody is told on its behalf.
+    /// The new instance's discovery engine immediately **announces
+    /// itself**, heartbeating its own `(incarnation, seq)` claim to the
+    /// members it knows, who treat the unknown claim as the join; the rest
+    /// of the channel — and the rest of the joiner's own view — converges
+    /// through heartbeats and anti-entropy.
     ///
-    /// Builder-only: the rebuild discards protocol state, so it must
-    /// happen before [`GossipPeer::init`]. At runtime, reconfigure by
-    /// leaving and re-joining with
-    /// [`GossipPeer::join_channel_live_with_cfg`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`GossipPeer::init`], on a channel that was
-    /// never joined, or when `cfg` fails validation.
-    pub fn with_channel_cfg(mut self, channel: ChannelId, cfg: GossipConfig) -> Self {
-        assert!(
-            !self.initialized,
-            "with_channel_cfg is builder-only: reconfigure live channels by \
-             leaving and re-joining with join_channel_live_with_cfg"
-        );
-        let at = self
-            .channels
-            .iter()
-            .position(|(ch, _)| *ch == channel)
-            .unwrap_or_else(|| panic!("cannot configure unjoined channel {channel}"));
-        let (_, state) = self.channels.remove(at);
-        let roster = state.core().roster.clone();
-        let view: Vec<PeerId> = state.core().channel_view.peers().to_vec();
-        let timeout = cfg.membership.alive_timeout;
-        let id = self.id;
-        let st = self.insert_channel(channel, roster, cfg);
-        st.core_mut().channel_view = Membership::new(id, view, timeout);
-        self
-    }
-
-    /// Joins `channel` at runtime, with the peer-default configuration.
-    /// When the peer is already initialized the new instance's periodic
-    /// timers are armed immediately, so a **late joiner** starts
+    /// The periodic timers are armed at once, so the late joiner starts
     /// broadcasting StateInfo and running recovery (and pull, if
     /// configured) right away — the existing state-transfer machinery
-    /// bootstraps it to the channel head with no extra protocol.
-    ///
-    /// Under protocol discovery
-    /// ([`crate::config::DiscoveryConfig::protocol`]) the joiner also
-    /// **announces itself**: its discovery engine immediately heartbeats
-    /// its own `(incarnation, seq)` claim to the sitting members, who
-    /// treat the unknown claim as the join — no oracle broadcasts
-    /// [`GossipPeer::on_peer_joined`] on its behalf, and the rest of the
-    /// channel converges through heartbeats and anti-entropy.
+    /// bootstraps it to the channel head with no extra protocol. A roster
+    /// excluding self never self-elects statically, so a joiner does not
+    /// depose the seated leader whatever its id.
     ///
     /// Works before `init` too (equivalent to the builder form).
     ///
@@ -200,69 +144,21 @@ impl GossipPeer {
         channel: ChannelId,
         roster: Vec<PeerId>,
     ) {
-        self.join_channel_live_with_cfg(fx, channel, roster, self.cfg.clone());
-    }
-
-    /// [`GossipPeer::join_channel_live`] with a channel-specific
-    /// configuration (the runtime variant of
-    /// [`GossipPeer::join_channel_with_cfg`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `channel` is already joined or `cfg` fails validation.
-    pub fn join_channel_live_with_cfg(
-        &mut self,
-        fx: &mut dyn Effects,
-        channel: ChannelId,
-        roster: Vec<PeerId>,
-        cfg: GossipConfig,
-    ) {
         let initialized = self.initialized;
         let id = self.id;
-        let state = self.insert_channel(channel, roster, cfg);
-        // Static leadership was just evaluated over the as-passed roster
-        // (a roster excluding self never self-elects — the late-joiner
-        // rule). From here on the roster is seniority-ordered shared
-        // state: append self so this peer ranks exactly where every
-        // sitting member's `on_peer_joined` ranks it, and departures
-        // re-elect consistently (see `LeadershipEngine::on_peer_left`).
+        let state = self.insert_channel(channel, roster);
+        // Static leadership was just evaluated over the as-passed roster.
+        // What the roster still decides is member or observer: a peer
+        // handed a roster excluding it ranks junior to everyone for life
+        // (see `DiscoveryEngine::init`), and a runtime joiner is a member
+        // — junior by its late incarnation alone, so two joiners outliving
+        // the initial members still elect exactly one of themselves.
         if !state.core().roster.contains(&id) {
             state.core_mut().roster.push(id);
         }
         if initialized {
             state.init(fx);
         }
-    }
-
-    /// Joins `channel` at runtime knowing only **one seed peer** — the
-    /// anchor-peer entry of a Fabric channel configuration. The joiner's
-    /// roster starts as `{anchor}` and the rest of the membership is
-    /// learned through the ordinary discovery push–pull (heartbeats +
-    /// anti-entropy), so no oracle hands over the sitting roster.
-    ///
-    /// Requires protocol discovery
-    /// ([`crate::config::DiscoveryConfig::protocol`]): without it nothing
-    /// would ever widen the single-peer view. The static-leadership rule
-    /// evaluates over `{anchor}` before self is appended, so an anchored
-    /// joiner never self-elects — exactly the late-joiner semantics of
-    /// [`GossipPeer::join_channel_live`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `channel` is already joined or when the configuration
-    /// does not run protocol discovery.
-    pub fn join_channel_anchored(
-        &mut self,
-        fx: &mut dyn Effects,
-        channel: ChannelId,
-        anchor: PeerId,
-    ) {
-        assert!(
-            self.cfg.discovery.protocol,
-            "anchor-peer join needs protocol discovery: \
-             a single-seed roster can only widen through gossiped membership"
-        );
-        self.join_channel_live(fx, channel, vec![anchor]);
     }
 
     /// Publishes `snapshot` as the one this peer serves on `channel`
@@ -304,9 +200,10 @@ impl GossipPeer {
     /// of unjoined channels), so no cancellation round-trip is needed.
     /// Returns whether the channel was joined.
     ///
-    /// The remaining members learn of the departure through
-    /// [`GossipPeer::on_peer_left`] (driven by the embedding's discovery
-    /// layer), which also forces leader re-election when the leaver led.
+    /// Nobody is told: a leave is silence. Under protocol discovery the
+    /// remaining members stop hearing the leaver, reap it after the alive
+    /// timeout and spread the obituary, and the most senior survivor
+    /// succeeds a leaver that led.
     pub fn leave_channel(&mut self, channel: ChannelId) -> bool {
         match self.channels.iter().position(|(ch, _)| *ch == channel) {
             Some(at) => {
@@ -317,39 +214,15 @@ impl GossipPeer {
         }
     }
 
-    /// Discovery observed `peer` joining `channel`: add it to this peer's
-    /// rosters and views (see [`ChannelState::on_peer_joined`]). Inert for
-    /// unjoined channels.
-    pub fn on_peer_joined(&mut self, fx: &mut dyn Effects, channel: ChannelId, peer: PeerId) {
-        if let Some(state) = self.state_mut(channel) {
-            state.on_peer_joined(fx, peer);
-        }
-    }
-
-    /// Discovery observed `peer` leaving `channel`: remove it from this
-    /// peer's rosters and views and force leader re-election when the
-    /// departed peer led (see [`ChannelState::on_peer_left`]). Inert for
-    /// unjoined channels.
-    pub fn on_peer_left(&mut self, fx: &mut dyn Effects, channel: ChannelId, peer: PeerId) {
-        if let Some(state) = self.state_mut(channel) {
-            state.on_peer_left(fx, peer);
-        }
-    }
-
     /// Inserts the channel instance, keeping `channels` sorted. Shared by
     /// every join path (builder and live).
-    fn insert_channel(
-        &mut self,
-        channel: ChannelId,
-        roster: Vec<PeerId>,
-        cfg: GossipConfig,
-    ) -> &mut ChannelState {
+    fn insert_channel(&mut self, channel: ChannelId, roster: Vec<PeerId>) -> &mut ChannelState {
         assert!(
             !self.channels.iter().any(|(ch, _)| *ch == channel),
             "channel {channel} joined twice"
         );
         let leads = statically_leads(self.id, &roster);
-        let core = ChannelCore::new(channel, self.id, roster, cfg);
+        let core = ChannelCore::new(channel, self.id, roster, self.cfg.clone());
         let state = ChannelState::new(core, leads);
         let at = self.channels.partition_point(|(ch, _)| *ch < channel);
         self.channels.insert(at, (channel, state));
@@ -361,17 +234,9 @@ impl GossipPeer {
         self.id
     }
 
-    /// The peer-default configuration (channels joined without an explicit
-    /// override run under this; see [`GossipPeer::config_on`]).
+    /// The configuration every channel of this peer runs under.
     pub fn config(&self) -> &GossipConfig {
         &self.cfg
-    }
-
-    /// The configuration `channel`'s instance actually runs under —
-    /// differs from [`GossipPeer::config`] when the channel was joined
-    /// with a per-channel override. `None` when not joined.
-    pub fn config_on(&self, channel: ChannelId) -> Option<&GossipConfig> {
-        self.state(channel).map(|s| &s.core().cfg)
     }
 
     /// Whether [`GossipPeer::init`] has run (runtime joins arm their own
@@ -845,63 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_cfg_override_via_join_channel_with_cfg() {
-        let peer = GossipPeer::with_channels(PeerId(0), GossipConfig::enhanced_f4())
-            .join_channel(ChannelId(0), peers(&[0, 1, 2]))
-            .join_channel_with_cfg(
-                ChannelId(1),
-                peers(&[0, 1, 2]),
-                GossipConfig::original_fabric(),
-            );
-        assert!(peer.config_on(ChannelId(0)).unwrap().pull.is_none());
-        assert!(
-            peer.config_on(ChannelId(1)).unwrap().pull.is_some(),
-            "channel 1 must run the stock pull-assisted protocol"
-        );
-        assert_eq!(peer.config_on(ChannelId(9)), None);
-    }
-
-    #[test]
-    fn with_channel_cfg_rebuilds_and_preserves_roster_and_view() {
-        let peer = GossipPeer::new(PeerId(0), peers(&[0, 1, 2]), GossipConfig::enhanced_f4())
-            .with_channel(peers(&[0, 1, 2, 3, 4]))
-            .with_channel_cfg(ChannelId::DEFAULT, GossipConfig::original_fabric());
-        assert!(peer.config_on(ChannelId::DEFAULT).unwrap().pull.is_some());
-        assert_eq!(peer.membership().len(), 2, "org roster preserved");
-        assert_eq!(peer.channel().len(), 4, "widened view preserved");
-        assert!(peer.is_leader(), "static leadership recomputed from roster");
-    }
-
-    #[test]
-    #[should_panic(expected = "builder-only")]
-    fn with_channel_cfg_after_init_is_rejected() {
-        let mut peer = GossipPeer::new(PeerId(0), peers(&[0, 1]), GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        peer.init(&mut fx);
-        let _ = peer.with_channel_cfg(ChannelId::DEFAULT, GossipConfig::original_fabric());
-    }
-
-    #[test]
-    fn peer_join_and_leave_notifications_maintain_the_rosters() {
-        let mut peer = GossipPeer::new(PeerId(1), peers(&[0, 1, 2]), GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        peer.init(&mut fx);
-        peer.on_peer_joined(&mut fx, ChannelId::DEFAULT, PeerId(7));
-        assert!(peer.membership().peers().contains(&PeerId(7)));
-        assert!(peer.channel().peers().contains(&PeerId(7)));
-        peer.on_peer_left(&mut fx, ChannelId::DEFAULT, PeerId(7));
-        assert!(!peer.membership().peers().contains(&PeerId(7)));
-        // Departure of the static leader promotes this peer (id 1 is the
-        // lowest remaining member).
-        assert!(!peer.is_leader());
-        peer.on_peer_left(&mut fx, ChannelId::DEFAULT, PeerId(0));
-        assert!(peer.is_leader(), "static re-election on leader departure");
-        // Notifications for unjoined channels are inert.
-        peer.on_peer_joined(&mut fx, ChannelId(9), PeerId(3));
-        assert!(!peer.has_channel(ChannelId(9)));
-    }
-
-    #[test]
     fn publish_snapshot_is_freshness_gated_per_channel() {
         use fabric_types::snapshot::{Checkpoint, Snapshot, SnapshotRef};
         let snap = |height| {
@@ -928,41 +736,6 @@ mod tests {
             Some(16)
         );
         assert!(!peer.publish_snapshot_on(ChannelId::DEFAULT, snap(12)));
-    }
-
-    #[test]
-    fn anchored_join_starts_from_a_single_seed_without_leading() {
-        let mut peer = GossipPeer::with_channels(
-            PeerId(9),
-            GossipConfig::enhanced_f4().with_discovery_protocol(),
-        );
-        let mut fx = MockEffects::new(1);
-        peer.init(&mut fx);
-        peer.join_channel_anchored(&mut fx, ChannelId(0), PeerId(3));
-        assert!(peer.has_channel(ChannelId(0)));
-        assert!(
-            !peer.is_leader_on(ChannelId(0)),
-            "an anchored joiner must never self-elect, even with a low id"
-        );
-        let state = peer.state(ChannelId(0)).unwrap();
-        assert_eq!(
-            state.core().roster,
-            vec![PeerId(3), PeerId(9)],
-            "roster starts as anchor + self, discovery widens it"
-        );
-        assert!(
-            !fx.take_scheduled_on().is_empty(),
-            "a live anchored join arms timers immediately"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol discovery")]
-    fn anchored_join_without_discovery_protocol_is_rejected() {
-        let mut peer = GossipPeer::with_channels(PeerId(9), GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        peer.init(&mut fx);
-        peer.join_channel_anchored(&mut fx, ChannelId(0), PeerId(3));
     }
 
     #[test]

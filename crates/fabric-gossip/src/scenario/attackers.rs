@@ -127,9 +127,7 @@ impl ClaimIntel {
         let claims: &[PeerAlive] = match msg {
             GossipMsg::AliveMsg(c) => std::slice::from_ref(c),
             GossipMsg::MembershipRequest { entries, .. }
-            | GossipMsg::MembershipResponse { entries, .. }
-            | GossipMsg::MembershipDigest { entries, .. }
-            | GossipMsg::MembershipDelta { entries, .. } => entries,
+            | GossipMsg::MembershipResponse { entries, .. } => entries,
             _ => return,
         };
         for c in claims {
@@ -298,8 +296,8 @@ impl Byzantine for ObituaryForger {
 }
 
 /// Attacker 3 — **selective forwarding**: passes heartbeats but silently
-/// drops every anti-entropy message (requests, responses, digests,
-/// deltas) addressed to the chosen targets. Convergence must survive on
+/// drops every anti-entropy message (requests and responses) addressed
+/// to the chosen targets. Convergence must survive on
 /// redundancy — the targets still exchange views with everyone else —
 /// but it measurably slows.
 #[derive(Debug)]
@@ -381,9 +379,7 @@ impl Byzantine for Flooder {
     ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
         let amplifiable = matches!(
             msg,
-            GossipMsg::AliveMsg(_)
-                | GossipMsg::MembershipRequest { .. }
-                | GossipMsg::MembershipDigest { .. }
+            GossipMsg::AliveMsg(_) | GossipMsg::MembershipRequest { .. }
         );
         let mut out = vec![(channel, to, msg.clone())];
         if amplifiable {
@@ -501,14 +497,6 @@ impl Byzantine for Eclipser {
                 dead: scrub(dead),
             },
             GossipMsg::MembershipResponse { entries, dead } => GossipMsg::MembershipResponse {
-                entries: scrub(entries),
-                dead: scrub(dead),
-            },
-            GossipMsg::MembershipDigest { entries, dead } => GossipMsg::MembershipDigest {
-                entries: scrub(entries),
-                dead: scrub(dead),
-            },
-            GossipMsg::MembershipDelta { entries, dead } => GossipMsg::MembershipDelta {
                 entries: scrub(entries),
                 dead: scrub(dead),
             },
@@ -720,14 +708,6 @@ impl Byzantine for RefutationSuppressor {
                 dead,
             },
             GossipMsg::MembershipResponse { entries, dead } => GossipMsg::MembershipResponse {
-                entries: scrub(entries),
-                dead,
-            },
-            GossipMsg::MembershipDigest { entries, dead } => GossipMsg::MembershipDigest {
-                entries: scrub(entries),
-                dead,
-            },
-            GossipMsg::MembershipDelta { entries, dead } => GossipMsg::MembershipDelta {
                 entries: scrub(entries),
                 dead,
             },

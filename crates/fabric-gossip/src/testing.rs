@@ -33,16 +33,10 @@ pub struct MockEffects {
     pub scheduled_on: Vec<(Duration, ChannelId, GossipTimer)>,
     /// Block numbers whose content arrived (first receptions).
     pub received: Vec<u64>,
-    /// First receptions tagged with their channel.
-    pub received_on: Vec<(ChannelId, u64)>,
     /// Blocks delivered in order to the application.
     pub delivered: Vec<BlockRef>,
-    /// Deliveries tagged with their channel.
-    pub delivered_on: Vec<(ChannelId, u64)>,
     /// Leadership transitions observed.
     pub leadership: Vec<bool>,
-    /// Leadership transitions tagged with their channel.
-    pub leadership_on: Vec<(ChannelId, bool)>,
     /// Discovery-driven view changes: `(channel, peer, joined)`.
     pub discovery_events: Vec<(ChannelId, PeerId, bool)>,
     /// Snapshots verified and installed, tagged with their channel.
@@ -58,11 +52,8 @@ impl MockEffects {
             sent_on: Vec::new(),
             scheduled_on: Vec::new(),
             received: Vec::new(),
-            received_on: Vec::new(),
             delivered: Vec::new(),
-            delivered_on: Vec::new(),
             leadership: Vec::new(),
-            leadership_on: Vec::new(),
             discovery_events: Vec::new(),
             installed: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -134,19 +125,16 @@ impl Effects for MockEffects {
         &mut self.rng
     }
 
-    fn block_received(&mut self, channel: ChannelId, block_num: u64) {
+    fn block_received(&mut self, _channel: ChannelId, block_num: u64) {
         self.received.push(block_num);
-        self.received_on.push((channel, block_num));
     }
 
-    fn deliver(&mut self, channel: ChannelId, block: BlockRef) {
-        self.delivered_on.push((channel, block.number()));
+    fn deliver(&mut self, _channel: ChannelId, block: BlockRef) {
         self.delivered.push(block);
     }
 
-    fn leadership_changed(&mut self, channel: ChannelId, is_leader: bool) {
+    fn leadership_changed(&mut self, _channel: ChannelId, is_leader: bool) {
         self.leadership.push(is_leader);
-        self.leadership_on.push((channel, is_leader));
     }
 
     fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {

@@ -10,25 +10,22 @@ use fabric_gossip::testing::MockEffects;
 use fabric_types::ids::{ChannelId, PeerId};
 use proptest::prelude::*;
 
-/// Discovery timers tightened, delta anti-entropy and adaptive heartbeat
-/// cadence on.
-fn delta_cfg() -> GossipConfig {
+/// Protocol discovery with its timers tightened.
+fn discovery_cfg() -> GossipConfig {
     let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
     cfg.discovery.heartbeat_interval = Duration::from_secs(1);
     cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
     cfg.membership.alive_timeout = Duration::from_secs(5);
-    cfg.discovery.delta = true;
-    cfg.discovery.adaptive_heartbeat = true;
     cfg
 }
 
 proptest! {
-    /// Adversarial reordering of the delta wire format: a delayed stale
-    /// `MembershipDelta` arriving after a newer full exchange must never
+    /// Adversarial reordering of anti-entropy: a delayed stale
+    /// `MembershipResponse` arriving after a newer exchange must never
     /// roll a claim backwards — freshness is monotonic per claim, not per
-    /// message kind or arrival order.
+    /// arrival order.
     #[test]
-    fn a_delayed_stale_delta_never_rolls_a_claim_backwards(
+    fn a_delayed_stale_response_never_rolls_a_claim_backwards(
         inc in 1u64..1_000,
         seq in 0u64..1_000,
         stale_inc_raw in 0u64..1_000,
@@ -36,12 +33,12 @@ proptest! {
     ) {
         let roster: Vec<PeerId> = (0..3).map(PeerId).collect();
         let mut peer =
-            GossipPeer::with_channels(PeerId(0), delta_cfg()).join_channel(ChannelId(0), roster);
+            GossipPeer::with_channels(PeerId(0), discovery_cfg()).join_channel(ChannelId(0), roster);
         let mut fx = MockEffects::new(7);
         peer.init(&mut fx);
         fx.take_sent_on();
 
-        // A newer full exchange teaches the fresh claim...
+        // A newer exchange teaches the fresh claim...
         let subject = PeerId(2);
         let fresh = PeerAlive { peer: subject, incarnation: inc, seq };
         peer.on_channel_message(
@@ -55,8 +52,8 @@ proptest! {
             Some(&fresh)
         );
 
-        // ...then a delta that was delayed in flight arrives, carrying a
-        // claim that is not fresher (any (inc', seq') ≤ (inc, seq)).
+        // ...then a response that was delayed in flight arrives, carrying
+        // a claim that is not fresher (any (inc', seq') ≤ (inc, seq)).
         let stale_inc = stale_inc_raw.min(inc);
         let stale_seq = if stale_inc == inc { stale_seq_raw.min(seq) } else { stale_seq_raw };
         let stale = PeerAlive { peer: subject, incarnation: stale_inc, seq: stale_seq };
@@ -65,13 +62,13 @@ proptest! {
             &mut fx,
             ChannelId(0),
             PeerId(1),
-            GossipMsg::MembershipDelta { entries: vec![stale], dead: vec![] },
+            GossipMsg::MembershipResponse { entries: vec![stale], dead: vec![] },
         );
         let held = *peer
             .discovery_on(ChannelId(0))
             .unwrap()
             .claim_of(subject)
             .expect("the claim must survive");
-        prop_assert_eq!(held, fresh, "a delayed stale delta rolled the claim backwards");
+        prop_assert_eq!(held, fresh, "a delayed stale response rolled the claim backwards");
     }
 }

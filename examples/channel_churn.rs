@@ -1,7 +1,8 @@
 //! Runtime channel-lifecycle walkthrough: a peer joins a live channel
 //! mid-run, catches up to the head, and the channel's leader later leaves,
-//! forcing a hand-off — all over the full channel-routed
-//! execute-order-validate pipeline.
+//! its seat passing to the next most senior member — all over the full
+//! channel-routed execute-order-validate pipeline, with membership news
+//! travelling by gossiped discovery alone.
 //!
 //! ```text
 //! cargo run --release --example channel_churn [peers] [side_members] [blocks]
@@ -14,11 +15,13 @@
 //!    cutter + chain per channel, and cut blocks go to each channel's own
 //!    leader;
 //! 2. a **late joiner** enters the side channel at runtime
-//!    (`GossipPeer::join_channel_live`) and bootstraps to the join-time
-//!    chain head through the ordinary StateInfo + recovery machinery —
-//!    its catch-up latency is measured;
-//! 3. the side channel's **leader leaves**; the remaining members force a
-//!    re-election (`on_peer_left`), the orderer re-targets delivery, and
+//!    (`GossipPeer::join_channel_live`), announces itself through its own
+//!    discovery heartbeats and bootstraps to the join-time chain head
+//!    through the ordinary StateInfo + recovery machinery — its catch-up
+//!    latency is measured;
+//! 3. the side channel's **leader leaves** in silence; the remaining
+//!    members reap it after the (here 1 s) alive timeout, the most senior
+//!    survivor claims the seat, the orderer re-targets delivery, and
 //!    dissemination continues;
 //! 4. per-channel Jain fairness over the per-channel byte breakdown —
 //!    the stable main channel doubles as the control group.

@@ -1,6 +1,7 @@
-//! Discovery-protocol walkthrough: churn waves and a flash crowd with **no
-//! membership oracle** — joins and leaves propagate only through gossiped
-//! `AliveMsg` heartbeats and membership anti-entropy.
+//! Discovery-protocol walkthrough: churn waves and a flash crowd where
+//! **nobody is told anything** — joins and leaves propagate only through
+//! gossiped `AliveMsg` heartbeats and membership anti-entropy, the one way
+//! membership changes at runtime.
 //!
 //! ```text
 //! cargo run --release --example discovery_churn [side_channels] [side_members] [blocks]
