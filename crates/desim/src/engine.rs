@@ -12,6 +12,23 @@
 //! the exact `(time, seq)` total order the seed's global `BinaryHeap`
 //! produced — the scheduler-equivalence proptest in `tests/scheduler.rs`
 //! pins the two against each other.
+//!
+//! ## The life of a message
+//!
+//! `send` draws the loss check and the link latency and pushes the
+//! message once; from then until `on_message` it occupies that one slab
+//! slot. Its first pop is the arrival at the receiver's NIC: the engine
+//! looks at it in place, checks the receiver is up and draws the ingress
+//! processing delay — at that point of the shared RNG's draw order, which
+//! every golden trace depends on. If the ingress queue is idle and the
+//! delay is zero the handler runs at once; otherwise the engine marks the
+//! message processed and re-queues the *stub* for the delivery instant
+//! (a fresh `seq`; the payload does not move). The second pop checks the
+//! receiver again and hands the message over. Delivery cannot be computed
+//! at send time instead: the ingress queue at arrival depends on every
+//! [`Ctx::occupy`] a handler issues in between, and drawing the ingress
+//! delay anywhere else re-rolls the one RNG stream — so the second pop
+//! stays, and is cheap.
 
 use std::fmt;
 
@@ -104,17 +121,15 @@ pub struct TraceEvent {
 }
 
 enum EventKind<M, T> {
-    /// Message reached `to`'s NIC; ingress processing not yet applied.
-    Arrive {
+    /// A message in flight. It first pops when it reaches `to`'s NIC
+    /// (`processed == false`: ingress processing not yet applied) and, if
+    /// the ingress queue holds it back, once more when it is ready for
+    /// the protocol handler (`processed == true`).
+    Msg {
         from: NodeId,
         to: NodeId,
         msg: M,
-    },
-    /// Message fully processed and ready for the protocol handler.
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
+        processed: bool,
     },
     Timer {
         node: NodeId,
@@ -161,7 +176,15 @@ impl<M: Message, T> EngineCore<M, T> {
             return;
         }
         let latency = self.net.config().latency.sample(&mut self.rng);
-        self.push(depart + latency, EventKind::Arrive { from, to, msg });
+        self.push(
+            depart + latency,
+            EventKind::Msg {
+                from,
+                to,
+                msg,
+                processed: false,
+            },
+        );
     }
 }
 
@@ -359,7 +382,7 @@ impl<P: Protocol> Simulation<P> {
     /// empty.
     pub fn step(&mut self) -> bool {
         loop {
-            let (at, seq, kind) = match self.core.queue.pop() {
+            let (at, seq, held) = match self.core.queue.pop_held() {
                 None => return false,
                 Some(Popped::Cancelled { at }) => {
                     // Cancelled timers keep their queue position and still
@@ -373,38 +396,26 @@ impl<P: Protocol> Simulation<P> {
             };
             debug_assert!(at >= self.core.time, "event from the past");
             self.core.time = at;
-            match kind {
-                EventKind::Arrive { from, to, msg } => {
-                    if !self.core.net.is_up(to) {
-                        self.core.metrics.record_drop_down();
-                        continue;
-                    }
+            if let EventKind::Msg { to, processed, .. } = self.core.queue.payload_mut(&held) {
+                let to = *to;
+                if !self.core.net.is_up(to) {
+                    drop(self.core.queue.take(held));
+                    self.core.metrics.record_drop_down();
+                    continue;
+                }
+                if !*processed {
                     let deliver_at = self.core.net.ingress_delivery(to, at, &mut self.core.rng);
-                    if deliver_at == at {
-                        self.core.metrics.record_received(to, at, msg.wire_size());
-                        self.core.events_processed += 1;
-                        if let Some(trace) = self.core.trace.as_mut() {
-                            trace.push(TraceEvent {
-                                at,
-                                seq,
-                                what: format!("deliver {from}->{to} {msg:?}"),
-                            });
-                        }
-                        let mut ctx = Ctx {
-                            core: &mut self.core,
-                        };
-                        self.protocol.on_message(&mut ctx, to, from, msg);
-                    } else {
-                        self.core
-                            .push(deliver_at, EventKind::Deliver { from, to, msg });
+                    if deliver_at != at {
+                        // The ingress queue holds the message back: the
+                        // same slot pops again at `deliver_at`.
+                        *processed = true;
+                        self.core.queue.requeue(held, deliver_at);
                         continue;
                     }
                 }
-                EventKind::Deliver { from, to, msg } => {
-                    if !self.core.net.is_up(to) {
-                        self.core.metrics.record_drop_down();
-                        continue;
-                    }
+            }
+            match self.core.queue.take(held) {
+                EventKind::Msg { from, to, msg, .. } => {
                     self.core.metrics.record_received(to, at, msg.wire_size());
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
@@ -487,6 +498,13 @@ impl<P: Protocol> Simulation<P> {
     /// Number of events handled so far (deliveries, timers, transitions).
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
+    }
+
+    /// Scheduler slab slots allocated so far — the most events (messages
+    /// in flight, timers, transitions) that were ever pending at once. A
+    /// message holds one slot from `send` to `on_message`.
+    pub fn scheduler_slots(&self) -> usize {
+        self.core.queue.slots()
     }
 
     /// The network accounting collected so far.
@@ -670,6 +688,25 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.protocol().log.len(), 2);
         assert_eq!(sim.now(), Time::from_secs(5));
+    }
+
+    /// Known defect, kept bit for bit until the content-hash re-pin of
+    /// ROADMAP item 2(a): `step` falls through a re-queued arrival to the
+    /// next pop whatever its time, so `run_until` can overrun its bound.
+    #[test]
+    #[ignore = "ROADMAP 2(a)"]
+    fn run_until_never_runs_an_event_after_its_bound() {
+        let mut cfg = ideal(2);
+        cfg.latency = crate::net::LatencyModel::Constant(Duration::from_millis(1));
+        cfg.proc_delay = crate::net::LatencyModel::Constant(Duration::from_millis(10));
+        let mut sim = Simulation::new(Recorder::default(), cfg, 1);
+        sim.with_ctx(|_, ctx| {
+            ctx.send(NodeId(0), NodeId(1), Note("x", 8)); // arrives 1 ms, due 11 ms
+            ctx.set_timer(NodeId(0), Duration::from_millis(5), "late");
+        });
+        sim.run_until(Time::from_millis(2));
+        assert!(sim.protocol().log.is_empty(), "{:?}", sim.protocol().log);
+        assert_eq!(sim.now(), Time::from_millis(2));
     }
 
     #[test]

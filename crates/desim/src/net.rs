@@ -347,10 +347,13 @@ impl NetState {
     }
 
     /// Marks `node` up or down. Messages to or from a down node are dropped.
+    /// An id outside the network is ignored, as [`NetState::is_up`]
+    /// tolerates it.
     pub fn set_up(&mut self, node: NodeId, up: bool) {
-        if let Some(slot) = self.node_up.get_mut(node.index()) {
-            *slot = up;
-        }
+        let Some(slot) = self.node_up.get_mut(node.index()) else {
+            return;
+        };
+        *slot = up;
         if up {
             // A rebooted node starts with idle NIC and CPU.
             self.egress_free[node.index()] = Time::ZERO;
@@ -556,6 +559,16 @@ mod tests {
         assert!(!net.is_up(n));
         net.set_up(n, true);
         assert!(net.is_up(n));
+    }
+
+    #[test]
+    fn status_of_a_node_outside_the_network_is_ignored() {
+        let mut net = NetState::new(NetworkConfig::ideal(2));
+        let stranger = NodeId(2);
+        net.set_up(stranger, false);
+        net.set_up(stranger, true); // used to index the NIC queues unguarded
+        assert!(!net.is_up(stranger));
+        assert!(net.is_up(NodeId(0)) && net.is_up(NodeId(1)));
     }
 
     #[test]

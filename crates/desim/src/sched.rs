@@ -13,12 +13,32 @@
 //! `NUM_BUCKETS` buckets of `2^BUCKET_SHIFT` ns each (≈2 ms buckets over a
 //! ≈17 s horizon), with a small binary heap holding the far-future
 //! overflow. Payloads live in a slab and never move; the wheel shuffles
-//! 24-byte `(time, seq, slot)` stubs only, so a pop costs an append-and-
-//! sort over one bucket's handful of entries instead of a sift through a
-//! multi-thousand-entry heap of full-size events. Cancellation is O(1):
-//! each slab slot carries a generation stamp, a cancel vacates the slot
-//! and bumps the stamp, and the stale stub is recognized (and reported as
+//! 24-byte `(time, seq, slot)` stubs only. Cancellation is O(1): each slab
+//! slot carries a generation stamp, a cancel vacates the slot and bumps
+//! the stamp, and the stale stub is recognized (and reported as
 //! [`Popped::Cancelled`]) when its bucket drains.
+//!
+//! ## The sorted drain
+//!
+//! When the cursor reaches a bucket, the bucket's vector of stubs is
+//! swapped out whole and sorted once, descending, so each pop is a
+//! `Vec::pop` off the end — no per-pop sift. Only what joins the bucket
+//! *while* it drains (a handler scheduling inside the current ≈2 ms, or a
+//! far-heap entry the cursor caught up with) goes through a small side
+//! min-heap; the next entry is the smaller of the two heads. Both hold
+//! unique `(time, seq)` keys, so the merged order is the exact total
+//! order.
+//!
+//! ## One slot per message
+//!
+//! The engine pops a message twice — when it reaches the receiver's NIC
+//! and, if the ingress queue holds it back, when it is delivered.
+//! [`TimingWheel::pop_held`] pops the stub and leaves the payload in its
+//! slot; the engine inspects it through [`TimingWheel::payload_mut`] and
+//! then either [`TimingWheel::take`]s it (slot freed, generation bumped)
+//! or [`TimingWheel::requeue`]s it: a fresh `seq`, a new 24-byte stub,
+//! same slot, same generation, nothing else moves. [`Scheduler::pop`] is
+//! `pop_held` + `take`.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -68,6 +88,18 @@ pub enum Popped<E> {
         /// The instant the cancelled event had been scheduled for.
         at: Time,
     },
+}
+
+/// A popped event whose payload still sits in its slab slot — what
+/// [`TimingWheel::pop_held`] hands out in place of the payload. Hand it
+/// back exactly once, to [`TimingWheel::take`] (the event is over) or
+/// [`TimingWheel::requeue`] (the same event fires again later). A dropped
+/// `Held` leaks its slot; cancelling the event while it is held is a
+/// caller bug, and both panic on it.
+#[derive(Debug)]
+#[must_use = "a held event occupies its slab slot until taken or re-queued"]
+pub struct Held {
+    slot: u32,
 }
 
 /// The scheduling interface the engine drives.
@@ -149,13 +181,17 @@ pub struct TimingWheel<E> {
     buckets: Vec<Vec<Stub>>,
     /// One occupancy bit per ring bucket.
     occupied: Vec<u64>,
-    /// Absolute index of the bucket currently draining through `cur`.
+    /// Absolute index of the bucket currently draining.
     cursor: u64,
-    /// The draining bucket as a small min-heap on `(time, seq)`: loads
-    /// are O(k), pops O(log k) over a handful of entries, and — unlike a
-    /// sorted vector — a standing population of same-bucket events (a
-    /// long zero-latency burst) inserts in O(log k) instead of
-    /// memmove-per-push.
+    /// What the draining bucket held when the cursor reached it, sorted
+    /// once on `(time, seq)`, descending: the next entry pops off the end.
+    run: Vec<Stub>,
+    /// What joined the draining bucket after it was loaded — inserts at
+    /// or before the cursor, and far-heap entries the cursor caught up
+    /// with — as a small min-heap: a standing population of same-bucket
+    /// events (a long zero-latency burst) inserts in O(log k) instead of
+    /// a memmove per push into `run`. The next entry to pop is the
+    /// smaller of the two heads.
     cur: BinaryHeap<FarStub>,
     far: BinaryHeap<FarStub>,
 }
@@ -177,6 +213,7 @@ impl<E> TimingWheel<E> {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: vec![0; NUM_BUCKETS / 64],
             cursor: 0,
+            run: Vec::new(),
             cur: BinaryHeap::new(),
             far: BinaryHeap::new(),
         }
@@ -203,7 +240,7 @@ impl<E> TimingWheel<E> {
         if b <= self.cursor {
             // The event lands in (or before) the bucket being drained.
             // Everything already popped is strictly older (`at >= now` and
-            // `seq` is the global maximum), so pushing into the current
+            // `seq` is the global maximum), so pushing into the side
             // min-heap keeps the pop order exact.
             self.cur.push(FarStub(stub));
         } else if b - self.cursor < NUM_BUCKETS as u64 {
@@ -213,6 +250,76 @@ impl<E> TimingWheel<E> {
         } else {
             self.far.push(FarStub(stub));
         }
+    }
+
+    /// Slab slots allocated so far: the most events that were ever queued
+    /// (or held) at once, cancelled-but-unpopped ghosts excluded.
+    pub fn slots(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// [`Scheduler::pop`] that leaves a live event's payload where it is:
+    /// the engine looks at a message through [`TimingWheel::payload_mut`]
+    /// and either takes it for the handler or re-queues it in place.
+    pub fn pop_held(&mut self) -> Option<Popped<Held>> {
+        loop {
+            if let Some(stub) = self.pop_head() {
+                self.pending -= 1;
+                let at = Time::from_nanos(stub.at_ns);
+                if self.slab[stub.slot as usize].gen == stub.gen {
+                    return Some(Popped::Event {
+                        at,
+                        seq: stub.seq,
+                        payload: Held { slot: stub.slot },
+                    });
+                }
+                return Some(Popped::Cancelled { at });
+            }
+            if self.pending == 0 {
+                return None;
+            }
+            if !self.advance() {
+                debug_assert!(false, "pending entries but no occupied bucket");
+                return None;
+            }
+        }
+    }
+
+    /// The payload of a held event.
+    pub fn payload_mut(&mut self, held: &Held) -> &mut E {
+        self.slab[held.slot as usize]
+            .payload
+            .as_mut()
+            .expect("held slot holds a payload")
+    }
+
+    /// Ends a held event: moves its payload out and frees the slot.
+    pub fn take(&mut self, held: Held) -> E {
+        let slot = &mut self.slab[held.slot as usize];
+        let payload = slot.payload.take().expect("held slot holds a payload");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push_back(held.slot);
+        payload
+    }
+
+    /// Schedules a held event again at `at` (monotone, as for `push`)
+    /// without moving its payload: same slot, same generation — the
+    /// `EventId` its `push` returned still cancels it — and a fresh `seq`,
+    /// exactly the order a `pop` followed by a `push` would give it. Only
+    /// a new 24-byte stub is inserted.
+    pub fn requeue(&mut self, held: Held, at: Time) {
+        let slot = &self.slab[held.slot as usize];
+        assert!(slot.payload.is_some(), "held slot holds a payload");
+        let gen = slot.gen;
+        let seq = self.seq;
+        self.seq += 1;
+        self.insert(Stub {
+            at_ns: at.as_nanos(),
+            seq,
+            slot: held.slot,
+            gen,
+        });
+        self.pending += 1;
     }
 
     /// Ring-nearest occupied bucket strictly after the cursor, as an
@@ -241,11 +348,44 @@ impl<E> TimingWheel<E> {
         None
     }
 
+    /// Whether the draining bucket's next entry is `cur`'s head rather
+    /// than `run`'s: the smaller `(time, seq)` of the two goes first.
+    fn cur_goes_first(&self) -> bool {
+        match (self.run.last(), self.cur.peek()) {
+            (Some(r), Some(FarStub(c))) => c.key() < r.key(),
+            (None, Some(_)) => true,
+            (_, None) => false,
+        }
+    }
+
+    /// The head of the draining bucket, without removing it.
+    fn head(&self) -> Option<&Stub> {
+        if self.cur_goes_first() {
+            self.cur.peek().map(|f| &f.0)
+        } else {
+            self.run.last()
+        }
+    }
+
+    /// Removes the head of the draining bucket.
+    fn pop_head(&mut self) -> Option<Stub> {
+        if self.cur_goes_first() {
+            self.cur.pop().map(|f| f.0)
+        } else {
+            self.run.pop()
+        }
+    }
+
     /// Moves the cursor to the next non-empty bucket (near ring or far
-    /// heap, whichever is earlier) and loads it into `cur`, sorted.
-    /// Returns `false` when nothing is queued anywhere.
+    /// heap, whichever is earlier) and loads it: the ring bucket's vector
+    /// is swapped out whole and sorted once into `run`, far-heap entries
+    /// of the same bucket spill into `cur`. Returns `false` when nothing
+    /// is queued anywhere.
     fn advance(&mut self) -> bool {
-        debug_assert!(self.cur.is_empty(), "advance over live entries");
+        debug_assert!(
+            self.run.is_empty() && self.cur.is_empty(),
+            "advance over live entries"
+        );
         let near = self.next_occupied();
         let far = self.far.peek().map(|f| f.0.at_ns >> BUCKET_SHIFT);
         let target = match (near, far) {
@@ -257,7 +397,10 @@ impl<E> TimingWheel<E> {
         self.cursor = target;
         let s = (target & BUCKET_MASK) as usize;
         if self.occupied[s >> 6] & (1u64 << (s & 63)) != 0 {
-            self.cur.extend(self.buckets[s].drain(..).map(FarStub));
+            // `run` is empty here: the bucket gets its spent allocation.
+            std::mem::swap(&mut self.run, &mut self.buckets[s]);
+            self.run
+                .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
             self.occupied[s >> 6] &= !(1u64 << (s & 63));
         }
         while let Some(f) = self.far.peek() {
@@ -301,36 +444,19 @@ impl<E> Scheduler<E> for TimingWheel<E> {
     }
 
     fn pop(&mut self) -> Option<Popped<E>> {
-        loop {
-            if let Some(FarStub(stub)) = self.cur.pop() {
-                self.pending -= 1;
-                let at = Time::from_nanos(stub.at_ns);
-                let slot = &mut self.slab[stub.slot as usize];
-                if slot.gen == stub.gen {
-                    let payload = slot.payload.take().expect("live slot holds a payload");
-                    slot.gen = slot.gen.wrapping_add(1);
-                    self.free.push_back(stub.slot);
-                    return Some(Popped::Event {
-                        at,
-                        seq: stub.seq,
-                        payload,
-                    });
-                }
-                return Some(Popped::Cancelled { at });
-            }
-            if self.pending == 0 {
-                return None;
-            }
-            if !self.advance() {
-                debug_assert!(false, "pending entries but no occupied bucket");
-                return None;
-            }
-        }
+        Some(match self.pop_held()? {
+            Popped::Event { at, seq, payload } => Popped::Event {
+                at,
+                seq,
+                payload: self.take(payload),
+            },
+            Popped::Cancelled { at } => Popped::Cancelled { at },
+        })
     }
 
     fn peek_time(&mut self) -> Option<Time> {
         loop {
-            if let Some(FarStub(stub)) = self.cur.peek() {
+            if let Some(stub) = self.head() {
                 return Some(Time::from_nanos(stub.at_ns));
             }
             if self.pending == 0 {

@@ -164,7 +164,17 @@ impl Duration {
             factor.is_finite() && factor >= 0.0,
             "duration factor must be finite and non-negative"
         );
-        Duration((self.0 as f64 * factor).round() as u64)
+        let x = self.0 as f64 * factor;
+        // Round half up without `f64::round`, a libm call on baseline
+        // x86-64 that every latency draw would pay: below 2^53 the
+        // truncation and the subtraction are exact, so this is the same
+        // function. (`x` is never negative or NaN here.)
+        Duration(if x < 9_007_199_254_740_992.0 {
+            let whole = x as u64;
+            whole + u64::from(x - whole as f64 >= 0.5)
+        } else {
+            x.round() as u64
+        })
     }
 }
 
@@ -286,6 +296,55 @@ mod tests {
         assert_eq!(Duration::from_secs(1) * 3, Duration::from_secs(3));
         assert_eq!(Duration::from_secs(3) / 3, Duration::from_secs(1));
         assert_eq!(Duration::from_secs(2).mul_f64(0.5), Duration::from_secs(1));
+    }
+
+    /// `mul_f64` rounds without calling `f64::round`; it must still be
+    /// that function, ties and the two sides of 2^53 included.
+    fn rounds_like_libm(x: f64) {
+        let got = Duration::from_nanos(1).mul_f64(x);
+        assert_eq!(got.as_nanos(), x.round() as u64, "x = {x:e}");
+    }
+
+    #[test]
+    fn mul_f64_rounds_half_up_at_the_edges() {
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+        for x in [
+            0.0,
+            0.49999999999999994, // the largest double below one half
+            0.5,
+            1.5,
+            2.5,
+            TWO_53 - 1.0,
+            TWO_53,
+            TWO_53 + 2.0,
+            1e19,
+            1e30, // saturates
+        ] {
+            rounds_like_libm(x);
+        }
+        assert_eq!(
+            Duration::from_nanos(3).mul_f64(0.5),
+            Duration::from_nanos(2)
+        );
+        assert_eq!(Duration::from_secs(1).mul_f64(1e30).as_nanos(), u64::MAX);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mul_f64_agrees_with_round(
+            whole in 0u64..(1 << 55),
+            frac in 0usize..5,
+            nanos in 0u64..20_000_000_000,
+            factor in 0.0f64..64.0,
+        ) {
+            // `whole + frac` walks the ties and near-ties below 2^53 and
+            // the integers-only doubles above it.
+            let frac = [0.0, 0.25, 0.49999999999999994, 0.5, 0.75][frac];
+            rounds_like_libm(whole as f64 + frac);
+            // The shape the latency models call it in.
+            let got = Duration::from_nanos(nanos).mul_f64(factor);
+            proptest::prop_assert_eq!(got.as_nanos(), (nanos as f64 * factor).round() as u64);
+        }
     }
 
     #[test]

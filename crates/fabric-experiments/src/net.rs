@@ -1015,17 +1015,17 @@ impl FabricNet {
         // Catch-up transfer accounting: recovery batches and snapshot
         // chunks addressed to a still-catching-up joiner are the bytes
         // its bootstrap costs (steady-state push/pull is not).
-        {
-            use desim::Message as _;
-            let kind = envelope.msg.kind();
-            if kind == "block-recovery" || kind == "snapshot-chunk" {
+        if !self.catchups.is_empty() {
+            let is_chunk = matches!(envelope.msg, GossipMsg::SnapshotChunk { .. });
+            if is_chunk || matches!(envelope.msg, GossipMsg::RecoveryResponse { .. }) {
+                use desim::Message as _;
                 let peer = PeerId(to.0);
                 if let Some(c) = self.catchups.iter_mut().find(|c| {
                     c.completed_at.is_none() && c.peer == peer && c.channel == envelope.channel
                 }) {
                     let wire = envelope.wire_size() as u64;
                     c.bytes += wire;
-                    if kind != "block-recovery" {
+                    if is_chunk {
                         c.max_msg_bytes = c.max_msg_bytes.max(wire);
                     }
                 }

@@ -118,6 +118,18 @@ fn parallel_batch_is_byte_identical_to_serial_cells() {
 /// Drives a FabricNet simulation directly so the per-peer gossip stats —
 /// which `DisseminationResult` does not expose — can be inspected.
 fn drive(gossip: GossipConfig, seed: u64, peers: usize, txs: usize) -> FabricNet {
+    drive_sim(gossip, seed, peers, txs, false).into_protocol()
+}
+
+/// [`drive`], handing back the whole simulation; `trace` records every
+/// protocol-visible event for [`Simulation::take_trace`].
+fn drive_sim(
+    gossip: GossipConfig,
+    seed: u64,
+    peers: usize,
+    txs: usize,
+    trace: bool,
+) -> Simulation<FabricNet> {
     let workload = PayloadWorkload::shortened(txs);
     let schedule = payload_schedule(&workload);
     let last_issue = schedule.last().map(|s| s.at).unwrap_or(desim::Time::ZERO);
@@ -132,9 +144,39 @@ fn drive(gossip: GossipConfig, seed: u64, peers: usize, txs: usize) -> FabricNet
     network.nodes = FabricNet::node_count(&params);
     let net = FabricNet::new(params, schedule);
     let mut sim = Simulation::new(net, network, seed);
+    sim.set_trace(trace);
     sim.with_ctx(|net, ctx| net.start(ctx));
     sim.run_until(last_issue + Duration::from_secs(40));
-    sim.into_protocol()
+    sim
+}
+
+/// The content guard: an FNV-1a hash over every protocol-visible event's
+/// `(at, seq, what)` of a 20-peer LAN run of ten blocks under the paper's
+/// protocol. The count pins elsewhere in this file cannot see an event
+/// whose `seq` shifted or two same-instant events that swapped places;
+/// this can. Recorded before the engine began re-queueing a message in
+/// its slab slot (Arrive → Deliver in place), which must not move it.
+#[test]
+fn event_content_hash_is_pinned() {
+    let mut sim = drive_sim(GossipConfig::enhanced_f4(), 7, 20, 500, true);
+    let trace = sim.take_trace();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for ev in &trace {
+        eat(&ev.at.as_nanos().to_le_bytes());
+        eat(&ev.seq.to_le_bytes());
+        eat(ev.what.as_bytes());
+    }
+    assert_eq!(sim.protocol().committed(19), 10, "ten blocks everywhere");
+    assert_eq!(
+        (trace.len(), hash),
+        (10_387, 17_243_862_046_047_219_867),
+        "event content moved"
+    );
 }
 
 #[test]
