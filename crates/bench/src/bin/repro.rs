@@ -1,26 +1,28 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [full|quick|smoke] [figures|table2|analysis|proposal|long_chain|all]
+//! repro [full|quick|smoke] [figures|table2|analysis|proposal|ablations|long_chain|all]
 //! ```
 //!
 //! Prints the series behind Figures 4–14, Table II, the §IV infect-and-die
 //! claim and the appendix's p_e/TTL numbers. `full` matches the paper's
 //! scale (1 000 blocks, five Table II repetitions) and takes minutes;
 //! `quick` keeps every protocol parameter but shortens the workloads.
-//! `long_chain` is beyond the paper (joiner catch-up cost vs chain height)
-//! and not part of `all`. Defaults: `quick all`.
+//! `ablations` (seven sweeps over the design choices, each at twice the
+//! scale's figure workload) and `long_chain` (joiner catch-up cost vs
+//! chain height) are beyond the paper and not part of `all`. Defaults:
+//! `quick all`.
 
 use bench::{run_scaled, Scale};
 use desim::Duration;
 use fabric_experiments::conflicts::{run_table2, ConflictConfig};
-use fabric_experiments::dissemination::DisseminationConfig;
+use fabric_experiments::dissemination::{run_dissemination, DisseminationConfig};
 use fabric_experiments::long_chain::{render_long_chain, run_long_chain, LongChainConfig};
 use fabric_experiments::report;
-use fabric_gossip::config::GossipConfig;
-use gossip_analysis::coverage::infect_and_die_stats;
-use gossip_analysis::epidemic::imperfect_dissemination_probability;
-use gossip_analysis::ttl::TtlTable;
+use fabric_gossip::config::{GossipConfig, PushMode};
+use gossip_analysis::coverage::{infect_and_die_stats, infect_upon_contagion_miss_rate};
+use gossip_analysis::epidemic::{carrying_capacity, imperfect_dissemination_probability};
+use gossip_analysis::ttl::{ttl_for, TtlTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,6 +36,7 @@ fn main() {
         "table2" => table2,
         "analysis" => |_| analysis(),
         "proposal" => proposal_conflicts,
+        "ablations" => ablations,
         "long_chain" => long_chain,
         "all" => |scale| {
             analysis();
@@ -50,7 +53,9 @@ fn main() {
 
 fn usage(problem: &str) -> ! {
     eprintln!("repro: {problem}");
-    eprintln!("usage: repro [full|quick|smoke] [figures|table2|analysis|proposal|long_chain|all]");
+    eprintln!(
+        "usage: repro [full|quick|smoke] [figures|table2|analysis|proposal|ablations|long_chain|all]"
+    );
     std::process::exit(2);
 }
 
@@ -175,7 +180,16 @@ fn analysis() {
         let pe = imperfect_dissemination_probability(100.0, f64::from(fout), ttl);
         println!("fout={fout:<2} TTL={ttl:<3} p_e <= {pe:.3e}");
     }
-    println!("paper: (4, 9) and (2, 19) target 1e-6; (4, 12) reaches 1e-12\n");
+    println!("paper: (4, 9) and (2, 19) target 1e-6; (4, 12) reaches 1e-12");
+    let mc = infect_upon_contagion_miss_rate(100, 4, 5, 20_000, 7);
+    let bound = imperfect_dissemination_probability(100.0, 4.0, 5);
+    println!("Monte-Carlo cross-check (fout=4, TTL=5): measured {mc:.4} vs bound {bound:.4}\n");
+
+    println!("== Appendix: carrying capacity γ/n ==");
+    for f in [2.0, 3.0, 4.0, 6.0] {
+        println!("fout={f}: γ/n = {:.4}", carrying_capacity(100.0, f) / 100.0);
+    }
+    println!();
 
     println!("== Appendix: TTL lookup table (p_e = 1e-6) ==");
     for fout in [2usize, 3, 4, 6] {
@@ -186,6 +200,110 @@ fn analysis() {
             .map(|(n, t)| format!("{n}->{t}"))
             .collect();
         println!("fout={fout}: {}", row.join("  "));
+    }
+    println!();
+}
+
+/// Ablations over the design choices the paper calls out: the `t_push = 0`
+/// unbiased-randomness rule (§IV: buffering pairs for 10 ms merges their
+/// target samples), `TTL_direct`, fan-out with the TTL the analysis
+/// assigns to it, the original protocol's pull period (the tail's direct
+/// driver), free riders, organizations and organization size.
+fn ablations(scale: Scale) {
+    let cell = |gossip: GossipConfig| {
+        let mut cfg =
+            DisseminationConfig::fig07_09_enhanced_f4().scaled(scale.dissemination_txs() * 2);
+        cfg.gossip = gossip;
+        cfg
+    };
+    let row = |label: &str, cfg: &DisseminationConfig| {
+        let res = run_dissemination(cfg);
+        let pooled = res.pooled_cdf();
+        println!(
+            "{label:<28} mean {:>10} p99.9 {:>10} max {:>10} traffic {:>8.1} MB completeness {:.4}",
+            pooled.mean().to_string(),
+            pooled.quantile(0.999).to_string(),
+            pooled.max().to_string(),
+            res.peer_traffic_mb,
+            res.completeness,
+        );
+    };
+
+    println!("== Ablation: enhanced push buffering (t_push) ==");
+    for (label, tpush_ms) in [
+        ("t_push = 0 (paper)", 0u64),
+        ("t_push = 10 ms (biased)", 10),
+    ] {
+        let mut gossip = GossipConfig::enhanced_f4();
+        if let PushMode::InfectUponContagion { tpush, .. } = &mut gossip.push {
+            *tpush = Duration::from_millis(tpush_ms);
+        }
+        row(label, &cell(gossip));
+    }
+    println!();
+
+    println!("== Ablation: TTL_direct (direct-push rounds before digests) ==");
+    for ttl_direct in [0u32, 2, 4, 9] {
+        let gossip = GossipConfig::enhanced(4, 9, ttl_direct);
+        row(&format!("TTL_direct = {ttl_direct}"), &cell(gossip));
+    }
+    println!();
+
+    println!("== Ablation: fan-out with analysis-assigned TTL (p_e = 1e-6) ==");
+    for fout in [2usize, 3, 4, 6] {
+        let ttl = ttl_for(100, fout, 1e-6);
+        let ttl_direct = if fout >= 4 { 2 } else { 3 };
+        let gossip = GossipConfig::enhanced(fout, ttl, ttl_direct.min(ttl));
+        row(&format!("fout = {fout} (TTL = {ttl})"), &cell(gossip));
+    }
+    println!();
+
+    println!("== Ablation: original gossip pull period (the tail driver) ==");
+    for secs in [2u64, 4, 8] {
+        let mut gossip = GossipConfig::original_fabric();
+        gossip
+            .pull
+            .as_mut()
+            .expect("the original protocol pulls")
+            .tpull = Duration::from_secs(secs);
+        row(&format!("t_pull = {secs} s"), &cell(gossip));
+    }
+    println!();
+
+    println!("== Ablation: free-riding peers (receive, never forward) ==");
+    for riders_pct in [0usize, 10, 20, 30] {
+        let mut cfg = cell(GossipConfig::enhanced_f4());
+        cfg.free_riders = cfg.peers * riders_pct / 100;
+        row(&format!("{riders_pct}% free riders"), &cfg);
+    }
+    println!();
+
+    println!("== Ablation: organizations (push confined per org) ==");
+    for orgs in [1usize, 2, 4] {
+        let mut cfg = cell(GossipConfig::enhanced_f4());
+        cfg.orgs = orgs;
+        row(&format!("{orgs} org(s)"), &cfg);
+    }
+    println!();
+
+    println!("== Ablation: organization size (the paper's §VII scaling argument) ==");
+    // TTL re-derived per n from the analysis; tail should grow ~log n while
+    // per-peer traffic stays flat — "the good properties of epidemic
+    // algorithms shine as the number of peers increases".
+    for n in [50usize, 100, 200, 400] {
+        let ttl = ttl_for(n, 4, 1e-6);
+        let mut cfg = cell(GossipConfig::enhanced(4, ttl, 2));
+        cfg.peers = n;
+        cfg.network = desim::NetworkConfig::lan(n + 2);
+        let res = run_dissemination(&cfg);
+        let pooled = res.pooled_cdf();
+        println!(
+            "n = {n:<4} (TTL {ttl:>2})  mean {:>10}  p99.9 {:>10}  per-peer traffic {:>6.1} MB  completeness {:.4}",
+            pooled.mean().to_string(),
+            pooled.quantile(0.999).to_string(),
+            res.peer_traffic_mb / n as f64,
+            res.completeness,
+        );
     }
     println!();
 }

@@ -1,9 +1,8 @@
-//! Shared plumbing for the benchmark targets and the `repro` CLI.
-//!
-//! Every figure and table of the paper maps to one function here; the
-//! Criterion benches time the underlying runs and print the regenerated
-//! series, while `repro` produces the full-scale outputs recorded in
-//! `EXPERIMENTS.md`.
+//! Shared plumbing for the `repro` CLI: the three reproduction scales and
+//! how a scale shrinks a preset (README, "Quickstart", has the commands).
+//! Timing is `benchmark/`'s job (README, "Measuring").
+
+#![forbid(unsafe_code)]
 
 use fabric_experiments::dissemination::{
     run_dissemination, DisseminationConfig, DisseminationResult,
@@ -16,7 +15,7 @@ pub enum Scale {
     Full,
     /// Laptop-friendly: 100 peers, 120 blocks, two Table II runs.
     Quick,
-    /// Smoke-test scale for CI and Criterion timing loops.
+    /// Smoke-test scale for CI.
     Smoke,
 }
 

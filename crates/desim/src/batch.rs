@@ -7,29 +7,24 @@
 //! RNG, so a parallel sweep is byte-identical to the serial loop it
 //! replaces.
 //!
-//! Work runs on a **persistent worker pool** spawned once per process
-//! (lazily, on the first parallel batch) instead of fresh scoped threads
-//! per call: a figure sweep issues dozens of batches back to back, and the
-//! spawn/join cost of per-call threads is pure overhead. The submitting
-//! thread always participates in its own batch, which both saturates the
-//! machine with `cores - 1` pool workers and makes nested submissions
-//! deadlock-free: a job that itself calls [`run_batch`] simply drains the
-//! inner batch on its own thread if every pool worker is busy.
+//! A batch runs on scoped threads ([`std::thread::scope`]) that live for
+//! that one call, with the submitting thread as one of the workers. A
+//! thread spawn costs tens of microseconds and a cell runs for 10⁵–10⁶ µs,
+//! so there is no pool to keep warm; a job that itself calls [`run_batch`]
+//! just opens its own scope.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Runs every job, fanning out across available cores, and returns the
 /// results in input order.
 ///
-/// Work is handed out dynamically (an atomic cursor), so uneven cell
+/// Work is handed out dynamically (one shared queue), so uneven cell
 /// durations — a 1 000-block original-gossip run next to a 100-block
 /// ablation — still keep every core busy.
 ///
 /// # Panics
 ///
-/// Propagates the first panicking job's panic once the batch unwinds.
+/// Propagates a panicking job's panic once the batch unwinds.
 pub fn run_batch<J, R, F>(jobs: Vec<J>, run: F) -> Vec<R>
 where
     J: Send,
@@ -47,8 +42,8 @@ where
 /// exercised deterministically even on single-core machines (and so
 /// callers can cap the fan-out below the core count).
 ///
-/// `workers` counts the submitting thread: at most `workers - 1` pool
-/// threads join the batch alongside it.
+/// `workers` counts the submitting thread: `workers - 1` scoped threads
+/// work the batch alongside it.
 pub fn run_batch_with_workers<J, R, F>(jobs: Vec<J>, workers: usize, run: F) -> Vec<R>
 where
     J: Send,
@@ -56,205 +51,42 @@ where
     F: Fn(J) -> R + Sync,
 {
     let total = jobs.len();
-    if total == 0 {
-        return Vec::new();
-    }
     let workers = workers.min(total);
     if workers <= 1 {
         return jobs.into_iter().map(run).collect();
     }
 
-    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-
-    let run_one = |index: usize| {
-        let job = slots[index]
-            .lock()
-            .expect("job slot poisoned")
-            .take()
-            .expect("each job is claimed exactly once");
-        let result = run(job);
-        *results[index].lock().expect("result slot poisoned") = Some(result);
-    };
-    let job_ref: &(dyn Fn(usize) + Sync) = &run_one;
-    // SAFETY: the fat pointer is only dereferenced by workers between
-    // joining the batch and decrementing `running`; this function does not
-    // return (and so `run_one` and its borrows stay live) until the batch
-    // is removed from the queue with `completed == total && running == 0`,
-    // observed under the pool lock that also orders the decrements.
-    let job = unsafe {
-        std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(job_ref)
-    };
-
-    let batch = Arc::new(BatchState {
-        job,
-        total,
-        max_pool_workers: workers - 1,
-        joined: AtomicUsize::new(0),
-        running: AtomicUsize::new(0),
-        cursor: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-    });
-
-    let pool = pool();
-    {
-        let mut queue = pool.queue.lock().expect("pool queue poisoned");
-        queue.push_back(Arc::clone(&batch));
-        pool.work.notify_all();
-    }
-
-    // The submitter works its own batch; pool workers join as they free up.
-    drain(&batch);
-
-    {
-        let mut queue = pool.queue.lock().expect("pool queue poisoned");
-        while batch.completed.load(Ordering::Acquire) < total
-            || batch.running.load(Ordering::Acquire) != 0
-        {
-            queue = pool.done.wait(queue).expect("pool queue poisoned");
-        }
-        queue.retain(|b| !Arc::ptr_eq(b, &batch));
-    }
-
-    if let Some(payload) = batch
-        .panic
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        std::panic::resume_unwind(payload);
-    }
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every job completed")
-        })
-        .collect()
-}
-
-/// One submitted batch: a lifetime-erased job closure plus the counters
-/// that coordinate claiming, completion and panic propagation.
-struct BatchState {
-    /// `run_one` of the submitting call, lifetime-erased. Valid until the
-    /// submitter observes `completed == total && running == 0`.
-    job: *const (dyn Fn(usize) + Sync),
-    total: usize,
-    /// Pool workers allowed to join (the submitter participates on top).
-    max_pool_workers: usize,
-    /// Pool workers that ever joined this batch.
-    joined: AtomicUsize,
-    /// Pool workers currently inside the batch (holding the job pointer).
-    running: AtomicUsize,
-    /// Next unclaimed job index.
-    cursor: AtomicUsize,
-    /// Jobs fully executed (success or panic).
-    completed: AtomicUsize,
-    /// First panic payload observed, re-raised by the submitter.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-// SAFETY: the raw job pointer targets a `Sync` closure, and the
-// completion protocol above bounds every dereference to the submitting
-// call's lifetime; all other fields are thread-safe primitives.
-unsafe impl Send for BatchState {}
-unsafe impl Sync for BatchState {}
-
-/// Claims and executes indices until the batch's cursor is exhausted.
-fn drain(batch: &BatchState) {
-    loop {
-        let index = batch.cursor.fetch_add(1, Ordering::Relaxed);
-        if index >= batch.total {
-            return;
-        }
-        // SAFETY: see `BatchState::job`.
-        let job = unsafe { &*batch.job };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(index)));
-        if let Err(payload) = outcome {
-            let mut slot = batch
-                .panic
+    // Jobs are handed out one at a time, in input order, as workers free up.
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            slot.get_or_insert(payload);
+                .expect("no job runs under the queue lock")
+                .next();
+            let Some((index, job)) = next else {
+                return done;
+            };
+            done.push((index, run(job)));
         }
-        batch.completed.fetch_add(1, Ordering::Release);
-    }
-}
+    };
 
-struct Pool {
-    queue: Mutex<VecDeque<Arc<BatchState>>>,
-    /// Wakes idle workers when a batch is submitted.
-    work: Condvar,
-    /// Wakes submitters when a worker leaves a batch.
-    done: Condvar,
-}
-
-/// Worker threads spawned so far (pinned by the reuse test: a second batch
-/// must not grow it).
-static SPAWNED_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|cores| cores.get())
-            .unwrap_or(1);
-        // The submitter always works its own batch, so `cores - 1` pool
-        // workers saturate the machine; keep at least one so the
-        // cross-thread path exists even on single-core boxes.
-        let workers = cores.saturating_sub(1).max(1);
-        for i in 0..workers {
-            SPAWNED_WORKERS.fetch_add(1, Ordering::Relaxed);
-            std::thread::Builder::new()
-                .name(format!("desim-batch-{i}"))
-                .spawn(worker_loop)
-                .expect("spawn batch pool worker");
-        }
-        Pool {
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        }
-    })
-}
-
-/// Pool workers spawned by [`pool`] (for diagnostics and the reuse test).
-pub fn pool_workers_spawned() -> usize {
-    SPAWNED_WORKERS.load(Ordering::Relaxed)
-}
-
-fn worker_loop() {
-    // Blocks until the pool finishes initializing — `OnceLock::get_or_init`
-    // makes late callers wait, and the initializer never waits on workers.
-    let pool = pool();
-    loop {
-        let batch = {
-            let mut queue = pool.queue.lock().expect("pool queue poisoned");
-            loop {
-                let open = queue.iter().find(|b| {
-                    b.cursor.load(Ordering::Relaxed) < b.total
-                        && b.joined.load(Ordering::Relaxed) < b.max_pool_workers
-                });
-                if let Some(b) = open {
-                    let b = Arc::clone(b);
-                    b.joined.fetch_add(1, Ordering::Relaxed);
-                    b.running.fetch_add(1, Ordering::Relaxed);
-                    break b;
-                }
-                queue = pool.work.wait(queue).expect("pool queue poisoned");
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        // A panic here unwinds out of the scope, which first joins the
+        // helpers (they finish the remaining jobs) and then re-raises it.
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(more) => done.extend(more),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
-        };
-        drain(&batch);
-        {
-            let _queue = pool.queue.lock().expect("pool queue poisoned");
-            batch.running.fetch_sub(1, Ordering::Release);
-            pool.done.notify_all();
         }
-    }
+        done
+    });
+    done.sort_unstable_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -276,7 +108,7 @@ mod tests {
 
     #[test]
     fn forced_multi_worker_path_matches_serial() {
-        // Exercises the pool machinery even on one-core machines, where
+        // Exercises the scoped threads even on one-core machines, where
         // `run_batch` would otherwise take the serial fallback.
         let jobs: Vec<u64> = (0..50).collect();
         let serial: Vec<u64> = jobs.iter().map(|j| j * 3 + 1).collect();
@@ -309,25 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_threads_are_reused_across_batches() {
-        let _ = run_batch_with_workers((0..16u64).collect(), 4, |j| j + 1);
-        let after_first = pool_workers_spawned();
-        assert!(after_first >= 1, "first parallel batch spawns the pool");
-        for _ in 0..5 {
-            let _ = run_batch_with_workers((0..16u64).collect(), 4, |j| j * 2);
-        }
-        assert_eq!(
-            pool_workers_spawned(),
-            after_first,
-            "subsequent batches must reuse the pool, not spawn threads"
-        );
-    }
-
-    #[test]
     fn nested_batches_complete_without_deadlock() {
-        // Jobs that themselves fan out: the submitter-participates rule
-        // guarantees progress even when every pool worker is occupied by
-        // the outer batch.
+        // Jobs that themselves fan out: each inner batch opens its own scope.
         let outer: Vec<u64> = (0..8).collect();
         let out = run_batch_with_workers(outer, 4, |j| {
             let inner: Vec<u64> = (0..8).map(|k| j * 10 + k).collect();
@@ -352,7 +167,7 @@ mod tests {
             })
         });
         assert!(result.is_err(), "the job panic must reach the submitter");
-        // The pool must stay serviceable afterwards.
+        // The next batch is unaffected.
         let out = run_batch_with_workers(vec![1u64, 2, 3], 4, |j| j * 2);
         assert_eq!(out, vec![2, 4, 6]);
     }

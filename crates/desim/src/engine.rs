@@ -544,50 +544,6 @@ impl<P: Protocol> Simulation<P> {
     pub fn into_protocol(self) -> P {
         self.protocol
     }
-
-    /// Drives a batch of independent simulations across cores and returns
-    /// each `drive` result in input order.
-    ///
-    /// Every simulation owns its clock, queue and RNG, so the parallel fan
-    /// out is exactly equivalent to driving them one after another — the
-    /// entry point the experiment layer's figure/table sweeps build on.
-    ///
-    /// ```
-    /// use desim::{NetworkConfig, NodeId, Simulation};
-    /// # use desim::{Ctx, Message, Protocol};
-    /// # #[derive(Clone, Debug)]
-    /// # struct Ping;
-    /// # impl Message for Ping { fn wire_size(&self) -> usize { 8 } }
-    /// # struct Count(u64);
-    /// # impl Protocol for Count {
-    /// #     type Msg = Ping;
-    /// #     type Timer = ();
-    /// #     fn on_message(&mut self, _: &mut Ctx<'_, Ping, ()>, _: NodeId, _: NodeId, _: Ping) { self.0 += 1; }
-    /// #     fn on_timer(&mut self, _: &mut Ctx<'_, Ping, ()>, _: NodeId, _: ()) {}
-    /// # }
-    /// let sims: Vec<_> = (0..4u64)
-    ///     .map(|seed| {
-    ///         let mut sim = Simulation::new(Count(0), NetworkConfig::ideal(2), seed);
-    ///         sim.with_ctx(|_, ctx| ctx.send(NodeId(0), NodeId(1), Ping));
-    ///         sim
-    ///     })
-    ///     .collect();
-    /// let counts = Simulation::run_batch(sims, |mut sim| {
-    ///     sim.run_until_idle();
-    ///     sim.into_protocol().0
-    /// });
-    /// assert_eq!(counts, vec![1, 1, 1, 1]);
-    /// ```
-    pub fn run_batch<F, R>(sims: Vec<Simulation<P>>, drive: F) -> Vec<R>
-    where
-        P: Send,
-        P::Msg: Send,
-        P::Timer: Send,
-        R: Send,
-        F: Fn(Simulation<P>) -> R + Sync,
-    {
-        crate::batch::run_batch(sims, drive)
-    }
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@
 //! assert_eq!(sim.protocol().0, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -56,7 +57,7 @@ mod net;
 pub mod sched;
 mod time;
 
-pub use batch::{pool_workers_spawned, run_batch, run_batch_with_workers};
+pub use batch::{run_batch, run_batch_with_workers};
 pub use engine::{Ctx, Message, Protocol, Simulation, TimerId, TraceEvent};
 pub use kind::{KindBytes, KindId};
 pub use metrics::{KindStats, NetMetrics};

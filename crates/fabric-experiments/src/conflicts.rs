@@ -7,13 +7,13 @@
 //! version collide: the later one fails MVCC validation at commit. No
 //! resubmission, so `issued − Σ counters = conflicts`.
 //!
-//! **Calibration note (documented in EXPERIMENTS.md):** the absolute
-//! conflict counts depend on the end-to-end delay between endorsement and
-//! commit-at-the-endorser. The paper's testbed pays client↔peer RTTs,
-//! proposal forwarding and a loaded Kafka ordering path that this model
-//! collapses into one sampled `pipeline` latency; its default is calibrated
-//! once so the *original-gossip* row lands in the paper's range, and then
-//! every relative effect (protocol comparison, period sweep) is emergent.
+//! **Calibration note:** the absolute conflict counts depend on the
+//! end-to-end delay between endorsement and commit-at-the-endorser. The
+//! paper's testbed pays client↔peer RTTs, proposal forwarding and a loaded
+//! Kafka ordering path that this model collapses into one sampled
+//! `pipeline` latency; its default is calibrated once so the
+//! *original-gossip* row lands in the paper's range, and then every
+//! relative effect (protocol comparison, period sweep) is emergent.
 
 use desim::{Duration, LatencyModel, NetworkConfig, Simulation};
 use fabric_gossip::config::GossipConfig;
@@ -217,13 +217,62 @@ impl Table2Row {
 ///
 /// The `periods × runs × {original, enhanced}` grid is a set of fully
 /// independent simulations, so the cells fan out across cores through
-/// [`crate::parallel::run_conflicts_batch`]; seeds per cell are identical
-/// to the serial formulation, so the rows are too.
+/// [`desim::run_batch`]; seeds per cell are identical to the serial
+/// formulation, so the rows are too.
 pub fn run_table2(template: &ConflictConfig, periods: &[Duration], runs: usize) -> Vec<Table2Row> {
     assert!(runs > 0, "at least one run per cell");
-    let cells = crate::parallel::table2_cells(template, periods, runs);
-    let results = crate::parallel::run_conflicts_batch(cells);
-    crate::parallel::table2_rows(periods, runs, &results)
+    let cells = table2_cells(template, periods, runs);
+    let results = desim::run_batch(cells, |cell| run_conflicts(&cell));
+    table2_rows(periods, runs, &results)
+}
+
+/// The conflict cells behind one Table II regeneration, in deterministic
+/// order: for each period, for each run, the original-gossip cell then the
+/// enhanced-gossip cell, both at the same seed.
+fn table2_cells(
+    template: &ConflictConfig,
+    periods: &[Duration],
+    runs: usize,
+) -> Vec<ConflictConfig> {
+    let mut cells = Vec::with_capacity(periods.len() * runs * 2);
+    for &period in periods {
+        for r in 0..runs {
+            let seed = template.seed + 1000 * r as u64;
+            for gossip in [GossipConfig::original_fabric(), GossipConfig::enhanced_f4()] {
+                let mut cell = template.clone();
+                cell.period = period;
+                cell.gossip = gossip;
+                cell.seed = seed;
+                cells.push(cell);
+            }
+        }
+    }
+    cells
+}
+
+/// Folds the cell results of [`table2_cells`] back into per-period rows.
+fn table2_rows(periods: &[Duration], runs: usize, results: &[ConflictResult]) -> Vec<Table2Row> {
+    debug_assert_eq!(results.len(), periods.len() * runs * 2);
+    results
+        .chunks(runs * 2)
+        .zip(periods)
+        .map(|(chunk, &period)| {
+            let mut original = 0.0;
+            let mut enhanced = 0.0;
+            let mut tx_per_block = 0.0;
+            for pair in chunk.chunks(2) {
+                original += pair[0].conflicts as f64;
+                tx_per_block += pair[0].tx_per_block();
+                enhanced += pair[1].conflicts as f64;
+            }
+            Table2Row {
+                period,
+                tx_per_block: tx_per_block / runs as f64,
+                original: original / runs as f64,
+                enhanced: enhanced / runs as f64,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

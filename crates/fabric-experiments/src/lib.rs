@@ -49,6 +49,7 @@
 //! assert_eq!(result.completeness, 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -60,7 +61,6 @@ pub mod dissemination;
 pub mod long_chain;
 pub mod multichannel;
 pub mod net;
-pub mod parallel;
 pub mod report;
 pub mod scenario;
 pub mod tolerance;
@@ -84,7 +84,6 @@ pub use net::{
     ChannelSpec, ChurnAction, ChurnEvent, DiscoveryMode, FabricNet, NetMsg, NetParams, NetTimer,
     ViewConvergence,
 };
-pub use parallel::{run_conflicts_batch, run_dissemination_batch, run_seed_sweep};
 pub use scenario::ScenarioNet;
 pub use tolerance::{
     render_tolerance, run_tolerance, FamilyFrontier, ToleranceConfig, TolerancePoint,

@@ -1,6 +1,5 @@
 //! Paper-style rendering of experiment results: the series behind each
-//! figure and the rows of Table II, as plain text for bench output and
-//! EXPERIMENTS.md.
+//! figure and the rows of Table II, as plain text — what `repro` prints.
 
 use desim::Duration;
 use gossip_metrics::cdf::{ProbabilityPlot, BLOCK_LEVEL_TICKS, PEER_LEVEL_TICKS};

@@ -3,9 +3,11 @@
 //! A Fabric peer joined to several channels runs one independent gossip
 //! instance per channel. [`ChannelState`] is that instance: it owns the
 //! [`ChannelCore`] (membership views, block store, per-channel counters)
-//! and the three protocol engines — [`crate::push::PushEngine`],
-//! [`crate::pull::PullEngine`] and [`crate::leadership::LeadershipEngine`] —
-//! and dispatches messages and timers to them. [`crate::peer::GossipPeer`]
+//! and the protocol engines — [`crate::push::PushEngine`],
+//! [`crate::pull::PullEngine`], [`crate::election::ElectionEngine`],
+//! [`crate::recovery::RecoveryEngine`] and
+//! [`crate::discovery::DiscoveryEngine`] — and dispatches messages and
+//! timers to them. [`crate::peer::GossipPeer`]
 //! is nothing more than a multiplexer over these values.
 
 use std::collections::BTreeMap;
@@ -19,11 +21,12 @@ use fabric_types::ids::{ChannelId, PeerId};
 use crate::config::GossipConfig;
 use crate::discovery::{DiscoveryDelta, DiscoveryEngine};
 use crate::effects::Effects;
-use crate::leadership::LeadershipEngine;
+use crate::election::ElectionEngine;
 use crate::membership::Membership;
 use crate::messages::{GossipMsg, GossipTimer};
 use crate::pull::PullEngine;
 use crate::push::PushEngine;
+use crate::recovery::RecoveryEngine;
 use crate::store::BlockStore;
 
 /// Counters exposed for experiments and tests, kept **per channel**.
@@ -266,7 +269,8 @@ pub struct ChannelState {
     core: ChannelCore,
     push: PushEngine,
     pull: PullEngine,
-    leadership: LeadershipEngine,
+    election: ElectionEngine,
+    recovery: RecoveryEngine,
     discovery: DiscoveryEngine,
 }
 
@@ -279,7 +283,8 @@ impl ChannelState {
             core,
             push: PushEngine::default(),
             pull: PullEngine::default(),
-            leadership: LeadershipEngine::new(is_leader),
+            election: ElectionEngine::new(is_leader),
+            recovery: RecoveryEngine::default(),
             discovery: DiscoveryEngine::default(),
         }
     }
@@ -303,7 +308,7 @@ impl ChannelState {
 
     /// Whether this channel instance currently acts as organization leader.
     pub fn is_leader(&self) -> bool {
-        self.leadership.is_leader()
+        self.election.is_leader()
     }
 
     /// Arms the periodic timers of this channel instance. Periods get a
@@ -342,7 +347,8 @@ impl ChannelState {
     pub fn on_crash(&mut self) {
         self.push.clear_volatile();
         self.pull.clear_volatile();
-        self.leadership.clear_volatile();
+        self.election.clear_volatile();
+        self.recovery.clear_volatile();
         self.discovery.clear_volatile();
     }
 
@@ -382,11 +388,11 @@ impl ChannelState {
             GossipMsg::PullResponse { nonce: _, blocks } => {
                 self.pull.on_response(&mut self.core, fx, blocks)
             }
-            GossipMsg::StateInfo { height, checkpoint } => {
-                self.leadership.on_state_info(from, height, checkpoint)
-            }
+            GossipMsg::StateInfo { height, checkpoint } => self
+                .recovery
+                .on_state_info(&self.core, from, height, checkpoint),
             GossipMsg::RecoveryRequest { from: lo, to } => {
-                self.leadership
+                self.recovery
                     .on_recovery_request(&mut self.core, fx, from, lo, to)
             }
             GossipMsg::RecoveryResponse { blocks } => {
@@ -394,11 +400,12 @@ impl ChannelState {
                     self.core.accept_content(fx, &block);
                 }
             }
-            GossipMsg::SnapshotRequest { height, from_chunk } => self
-                .leadership
-                .on_snapshot_request(&mut self.core, fx, from, height, from_chunk),
+            GossipMsg::SnapshotRequest { height, from_chunk } => {
+                self.recovery
+                    .on_snapshot_request(&mut self.core, fx, from, height, from_chunk)
+            }
             GossipMsg::SnapshotChunk { chunk } => {
-                self.leadership
+                self.recovery
                     .on_snapshot_chunk(&mut self.core, fx, from, chunk);
                 // If that installed a snapshot, the push state about the
                 // blocks it absorbed leaves with their store rows.
@@ -422,7 +429,7 @@ impl ChannelState {
                 self.apply_discovery(fx, delta);
             }
             GossipMsg::LeaderHeartbeat { leader } => {
-                self.leadership
+                self.election
                     .on_leader_heartbeat(&mut self.core, fx, leader, now)
             }
         }
@@ -437,8 +444,8 @@ impl ChannelState {
             GossipTimer::PullDigestWait { nonce } => {
                 self.pull.on_digest_wait(&mut self.core, fx, nonce)
             }
-            GossipTimer::RecoveryRound => self.leadership.on_recovery_round(&mut self.core, fx),
-            GossipTimer::StateInfoRound => self.leadership.on_state_info_round(&mut self.core, fx),
+            GossipTimer::RecoveryRound => self.recovery.on_recovery_round(&mut self.core, fx),
+            GossipTimer::StateInfoRound => self.recovery.on_state_info_round(&mut self.core, fx),
             GossipTimer::AliveRound => self.on_alive_round(fx),
             GossipTimer::DiscoveryRound => {
                 let delta = self.discovery.on_round(&mut self.core, fx);
@@ -447,7 +454,7 @@ impl ChannelState {
             GossipTimer::AntiEntropyRound => {
                 self.discovery.on_anti_entropy_round(&mut self.core, fx)
             }
-            GossipTimer::ElectionTick => self.leadership.on_election_tick(&mut self.core, fx),
+            GossipTimer::ElectionTick => self.election.on_election_tick(&mut self.core, fx),
             GossipTimer::FetchRetry { block_num, attempt } => {
                 self.push
                     .on_fetch_retry(&mut self.core, fx, block_num, attempt)
@@ -461,6 +468,11 @@ impl ChannelState {
     pub(crate) fn tables(&self) -> [(usize, usize); 3] {
         let [seen, pending] = self.push.tables();
         [self.core.store.table(), seen, pending]
+    }
+
+    #[cfg(test)]
+    pub(crate) fn recovery_rows(&self) -> [usize; 2] {
+        self.recovery.rows()
     }
 
     /// Discovery admitted `peer`: it enters both the organization and the
@@ -491,7 +503,7 @@ impl ChannelState {
     /// presumed dead.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
         if delta.self_deposed {
-            self.leadership.on_self_deposed(&mut self.core, fx);
+            self.election.on_self_deposed(&mut self.core, fx);
         }
         for peer in delta.joined {
             self.on_peer_joined(fx, peer);
@@ -512,7 +524,8 @@ impl ChannelState {
             }
             self.core.membership.remove_peer(peer);
             self.core.channel_view.remove_peer(peer);
-            self.leadership.forget_peer(peer);
+            self.election.forget_peer(peer);
+            self.recovery.forget_peer(peer);
             fx.discovery_event(self.core.channel, peer, false);
         }
         // Re-enforce `is_leader == most-senior-in-view` on every discovery
@@ -521,7 +534,7 @@ impl ChannelState {
         // claimant (reaped leaders are succeeded, stale claimants step
         // down).
         let senior = self.discovery.self_is_most_senior(&self.core);
-        self.leadership.set_static_claim(&mut self.core, fx, senior);
+        self.election.set_static_claim(&mut self.core, fx, senior);
     }
 
     /// Membership heartbeats: the background "alive" traffic that keeps the

@@ -34,13 +34,15 @@
 //!   told;
 //! * [`channel::ChannelState`] — one channel's instance: the shared
 //!   [`channel::ChannelCore`] (membership views, block store, per-channel
-//!   [`channel::PeerStats`]) plus the four **engines**:
+//!   [`channel::PeerStats`]) plus the five **engines**:
 //!   * [`push::PushEngine`] — infect-and-die and infect-upon-contagion
 //!     push, digests, content-fetch retries;
 //!   * [`pull::PullEngine`] — the four-phase pull (hello → digest →
 //!     request → response);
-//!   * [`leadership::LeadershipEngine`] — election plus state transfer
-//!     (StateInfo heights and recovery);
+//!   * [`election::ElectionEngine`] — who leads: the static seniority
+//!     claim, or dynamic election on leader heartbeats;
+//!   * [`recovery::RecoveryEngine`] — state transfer: StateInfo heights,
+//!     block recovery and snapshot bootstrap;
 //!   * [`discovery::DiscoveryEngine`] — gossiped membership (when
 //!     [`config::DiscoveryConfig::protocol`] is on): `AliveMsg`
 //!     heartbeats with monotonic `(incarnation, seq)` claims,
@@ -80,6 +82,7 @@
 //! assert_eq!(fx.delivered_numbers(), vec![1]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -88,12 +91,13 @@ pub mod channel;
 pub mod config;
 pub mod discovery;
 pub mod effects;
-pub mod leadership;
+pub mod election;
 pub mod membership;
 pub mod messages;
 pub mod peer;
 pub mod pull;
 pub mod push;
+pub mod recovery;
 pub mod runtime;
 pub mod scenario;
 pub mod store;
@@ -105,10 +109,11 @@ pub use channel::{ChannelCore, ChannelState};
 pub use config::{DiscoveryConfig, GossipConfig, PullConfig, PushMode, RecoveryConfig};
 pub use discovery::{DiscoveryDelta, DiscoveryEngine};
 pub use effects::Effects;
-pub use leadership::LeadershipEngine;
+pub use election::ElectionEngine;
 pub use membership::Membership;
 pub use messages::{ChannelMsg, GossipMsg, GossipTimer, PeerAlive};
 pub use peer::{GossipPeer, PeerStats};
 pub use pull::PullEngine;
 pub use push::PushEngine;
+pub use recovery::RecoveryEngine;
 pub use store::BlockStore;

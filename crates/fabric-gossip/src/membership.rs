@@ -90,6 +90,11 @@ impl Membership {
         self.peers.is_empty()
     }
 
+    /// Whether `peer` is in the view (never true for the local peer).
+    pub fn contains(&self, peer: PeerId) -> bool {
+        self.pos(peer).is_some()
+    }
+
     /// Records that `peer` was heard from at `now`.
     pub fn mark_alive(&mut self, peer: PeerId, now: Time) {
         if let Some(idx) = self.pos(peer) {

@@ -3,9 +3,10 @@
 //!
 //! One [`GossipPeer`] value holds the gossip state of a single peer across
 //! every channel it has joined. All protocol logic lives in the per-channel
-//! engines ([`crate::push`], [`crate::pull`], [`crate::leadership`])
-//! bundled into a [`ChannelState`] per joined channel; this type only
-//! routes entry points to the right instance:
+//! engines ([`crate::push`], [`crate::pull`], [`crate::election`],
+//! [`crate::recovery`], [`crate::discovery`]) bundled into a
+//! [`ChannelState`] per joined channel; this type only routes entry points
+//! to the right instance:
 //!
 //! * [`GossipPeer::init`], [`GossipPeer::on_crash`] — fan out to every
 //!   channel;
@@ -277,6 +278,13 @@ impl GossipPeer {
             .iter()
             .flat_map(|(_, state)| state.tables())
             .collect()
+    }
+
+    /// Rows of the default channel's advertised-height and
+    /// advertised-checkpoint views, for the bound check of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn recovery_rows(&self) -> [usize; 2] {
+        self.default_state().recovery_rows()
     }
 
     fn default_state(&self) -> &ChannelState {

@@ -1,14 +1,13 @@
-//! Leader election and state transfer (StateInfo + recovery).
+//! State transfer: StateInfo heights, block recovery and snapshot bootstrap.
 //!
-//! Fabric couples the two concerns: the elected leader is the peer that
-//! pulls blocks from the ordering service, while StateInfo height metadata
-//! and the recovery (anti-entropy) rounds keep every peer's ledger
-//! converging regardless of who leads — including across organization
-//! boundaries (§III of the paper). Both live here as one engine because
-//! they share the per-peer height view and the crash-volatility rules.
+//! StateInfo height metadata and the recovery (anti-entropy) rounds keep
+//! every peer's ledger converging regardless of who leads — including
+//! across organization boundaries (§III of the paper). Under snapshot
+//! bootstrap a peer far behind the best advertised checkpoint fetches the
+//! snapshot in chunks instead of replaying the chain.
 //!
-//! The engine owns only election/recovery-private state; everything shared
-//! lives in the [`ChannelCore`] passed into every entry point.
+//! The engine owns only recovery-private state; everything shared lives in
+//! the [`ChannelCore`] passed into every entry point.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,11 +42,9 @@ struct SnapshotTransfer {
     assembler: Option<SnapshotAssembler>,
 }
 
-/// Election and state-transfer state of one channel instance.
-#[derive(Debug)]
-pub struct LeadershipEngine {
-    is_leader: bool,
-    last_leader_seen: Option<(PeerId, Time)>,
+/// State-transfer state of one channel instance.
+#[derive(Debug, Default)]
+pub struct RecoveryEngine {
     /// Last advertised ledger height per peer.
     peer_heights: BTreeMap<PeerId, u64>,
     /// Latest checkpoint advertised per peer (snapshot bootstrap only).
@@ -59,39 +56,35 @@ pub struct LeadershipEngine {
     failed_servers: BTreeSet<PeerId>,
 }
 
-impl LeadershipEngine {
-    /// A fresh engine; `is_leader` seeds static leadership.
-    pub fn new(is_leader: bool) -> Self {
-        LeadershipEngine {
-            is_leader,
-            last_leader_seen: None,
-            peer_heights: BTreeMap::new(),
-            peer_checkpoints: BTreeMap::new(),
-            inflight: None,
-            failed_servers: BTreeSet::new(),
-        }
-    }
-
-    /// Whether this channel instance currently acts as leader.
-    pub fn is_leader(&self) -> bool {
-        self.is_leader
-    }
-
-    /// Drops what a process crash would lose: leadership is volatile, as is
-    /// the height view, the last-heartbeat memory, and any half-finished
-    /// snapshot transfer.
+impl RecoveryEngine {
+    /// Drops what a process crash would lose — all of it: the height and
+    /// checkpoint views and any half-finished snapshot transfer.
     pub fn clear_volatile(&mut self) {
-        self.is_leader = false;
-        self.last_leader_seen = None;
-        self.peer_heights.clear();
-        self.peer_checkpoints.clear();
-        self.inflight = None;
-        self.failed_servers.clear();
+        *self = Self::default();
+    }
+
+    /// Rows of the height and of the checkpoint view.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> [usize; 2] {
+        [self.peer_heights.len(), self.peer_checkpoints.len()]
     }
 
     /// A peer advertised its ledger height (and, under snapshot bootstrap,
-    /// possibly its latest checkpoint).
-    pub fn on_state_info(&mut self, from: PeerId, height: u64, checkpoint: Option<Checkpoint>) {
+    /// possibly its latest checkpoint). Only channel members are recorded:
+    /// the height table keeps each peer's maximum and a recovery round asks
+    /// only the peers at the best height, so one advert from outside the
+    /// channel would otherwise take every later round. It also bounds both
+    /// tables by the channel view instead of by who writes in.
+    pub fn on_state_info(
+        &mut self,
+        core: &ChannelCore,
+        from: PeerId,
+        height: u64,
+        checkpoint: Option<Checkpoint>,
+    ) {
+        if !core.channel_view.contains(from) {
+            return;
+        }
         let entry = self.peer_heights.entry(from).or_insert(0);
         *entry = (*entry).max(height);
         if let Some(cp) = checkpoint {
@@ -386,13 +379,10 @@ impl LeadershipEngine {
     }
 
     /// Drops everything remembered about `peer` — its advertised height
-    /// and checkpoint, and, when it was the last leader heard, the
-    /// heartbeat memory (so a dynamic election re-runs on the next tick
-    /// instead of waiting out `leader_timeout`). A departed peer serving
-    /// an in-flight snapshot transfer is marked gone, which the next
-    /// recovery round treats as an instant timeout (resume elsewhere
-    /// rather than waiting out the full window). Called when discovery
-    /// reaps `peer`; who leads next is [`Self::set_static_claim`]'s call.
+    /// and checkpoint. A departed peer serving an in-flight snapshot
+    /// transfer is marked gone, which the next recovery round treats as an
+    /// instant timeout (resume elsewhere rather than waiting out the full
+    /// window). Called when discovery reaps `peer`.
     pub fn forget_peer(&mut self, peer: PeerId) {
         self.peer_heights.remove(&peer);
         self.peer_checkpoints.remove(&peer);
@@ -401,93 +391,6 @@ impl LeadershipEngine {
             if t.server == peer {
                 t.server_gone = true;
             }
-        }
-        if matches!(self.last_leader_seen, Some((l, _)) if l == peer) {
-            self.last_leader_seen = None;
-        }
-    }
-
-    /// Static election on a channel whose membership can change: enforce
-    /// `is_leader == senior`, where `senior` is the caller's
-    /// discovery-seniority verdict
-    /// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]). Runs
-    /// on every discovery step, so leadership converges with the views:
-    /// the senior survivor claims within one heartbeat period of reaping
-    /// its predecessor, and a stale claimant (deposed while presumed
-    /// dead) steps down as soon as its view shows somebody more senior.
-    /// Inert under dynamic election.
-    pub fn set_static_claim(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects, senior: bool) {
-        if core.cfg.election.dynamic || self.is_leader == senior {
-            return;
-        }
-        self.is_leader = senior;
-        fx.leadership_changed(core.channel, senior);
-    }
-
-    /// Discovery refuted an obituary about **this** peer: while it was
-    /// presumed dead, the other members reassigned its seat (static
-    /// re-election promoted the next senior member), so any leadership
-    /// claim it still holds is stale and must be dropped. Under dynamic
-    /// election nothing is forced — the ordinary heartbeat machinery
-    /// already resolves competing claimants (the lower id wins).
-    pub fn on_self_deposed(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        if !core.cfg.election.dynamic && self.is_leader {
-            self.is_leader = false;
-            fx.leadership_changed(core.channel, false);
-        }
-    }
-
-    /// A leader heartbeat arrived.
-    pub fn on_leader_heartbeat(
-        &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
-        leader: PeerId,
-        now: Time,
-    ) {
-        self.last_leader_seen = Some((leader, now));
-        if self.is_leader && leader < core.self_id {
-            // A lower-id leader exists: step down (deterministic tie-break).
-            self.is_leader = false;
-            fx.leadership_changed(core.channel, false);
-        }
-    }
-
-    /// The ElectionTick timer: heartbeat while leading; stand up as the
-    /// lowest live id when the leader went silent.
-    pub fn on_election_tick(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        let now = fx.now();
-        if self.is_leader {
-            self.broadcast_leadership(core, fx);
-        } else {
-            let leader_fresh = matches!(
-                self.last_leader_seen,
-                Some((_, at)) if now.since(at) <= core.cfg.election.leader_timeout
-            );
-            if !leader_fresh {
-                // No live leader. The lowest-id peer believed alive stands
-                // up; everyone runs the same rule, so exactly the live
-                // minimum claims leadership.
-                let lowest_alive = core
-                    .membership
-                    .alive_peers(now)
-                    .into_iter()
-                    .fold(core.self_id, PeerId::min);
-                if lowest_alive == core.self_id {
-                    self.is_leader = true;
-                    fx.leadership_changed(core.channel, true);
-                    self.broadcast_leadership(core, fx);
-                }
-            }
-        }
-        let interval = core.cfg.election.heartbeat_interval;
-        core.schedule(fx, interval, GossipTimer::ElectionTick);
-    }
-
-    fn broadcast_leadership(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        let me = core.self_id;
-        for p in core.membership.peers().to_vec() {
-            core.send(fx, p, GossipMsg::LeaderHeartbeat { leader: me });
         }
     }
 }
@@ -512,10 +415,10 @@ mod tests {
     #[test]
     fn engine_alone_requests_recovery_from_the_highest_peer() {
         let mut c = core(1);
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
-        e.on_state_info(PeerId(2), 6, None);
-        e.on_state_info(PeerId(2), 4, None); // heights never regress
+        e.on_state_info(&c, PeerId(2), 6, None);
+        e.on_state_info(&c, PeerId(2), 4, None); // heights never regress
         e.on_recovery_round(&mut c, &mut fx);
         let sent = fx.take_sent();
         let req = sent
@@ -528,30 +431,6 @@ mod tests {
             GossipMsg::RecoveryRequest { from: 1, to: 5 }
         ));
         assert_eq!(c.stats.recovery_requests, 1);
-    }
-
-    #[test]
-    fn serves_consecutive_runs_and_steps_down_for_lower_ids() {
-        let mut c = core(1);
-        let mut e = LeadershipEngine::new(true);
-        let mut fx = MockEffects::new(1);
-        for n in 1..=3 {
-            c.store.insert(BlockRef::new(Block::new(
-                n,
-                fabric_types::crypto::Hash256::ZERO,
-                vec![],
-            )));
-        }
-        e.on_recovery_request(&mut c, &mut fx, PeerId(3), 1, 3);
-        let sent = fx.take_sent();
-        assert!(matches!(
-            &sent[0].1,
-            GossipMsg::RecoveryResponse { blocks } if blocks.len() == 3
-        ));
-
-        e.on_leader_heartbeat(&mut c, &mut fx, PeerId(0), Time::ZERO);
-        assert!(!e.is_leader(), "lower-id leader forces a step-down");
-        assert_eq!(fx.leadership, vec![false]);
     }
 
     /// Small enough that the tiny test states span several chunks.
@@ -571,14 +450,14 @@ mod tests {
     /// Puts a transfer in flight toward `server`, the only peer
     /// advertising `snapshot`'s checkpoint.
     fn request_from(
-        e: &mut LeadershipEngine,
+        e: &mut RecoveryEngine,
         c: &mut ChannelCore,
         fx: &mut MockEffects,
         server: PeerId,
         snapshot: &SnapshotRef,
     ) {
         let cp = snapshot.checkpoint;
-        e.on_state_info(server, cp.height + 1, Some(cp));
+        e.on_state_info(c, server, cp.height + 1, Some(cp));
         e.on_recovery_round(c, fx);
         let sent = fx.take_sent();
         assert!(
@@ -611,10 +490,10 @@ mod tests {
     fn lagging_peer_requests_the_snapshot_instead_of_blocks() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
-        e.on_state_info(PeerId(2), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let sent = fx.take_sent();
         assert!(
@@ -638,7 +517,7 @@ mod tests {
     fn straggler_within_min_lag_keeps_block_recovery() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         // Height 12 of 17: only 5 behind the checkpoint at 16 — under the
         // min_lag of 8 once the store is at 12.
@@ -650,7 +529,7 @@ mod tests {
             )));
         }
         assert_eq!(c.store.height(), 12);
-        e.on_state_info(PeerId(2), 17, Some(test_snapshot(16).checkpoint));
+        e.on_state_info(&c, PeerId(2), 17, Some(test_snapshot(16).checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let sent = fx.take_sent();
         assert!(
@@ -666,14 +545,14 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         // Server 2 is asked (server 3 advertises the same checkpoint a
         // moment later) and answers with a plan whose entries no longer
         // hash to the checkpoint.
         let honest = test_snapshot(16);
         request_from(&mut e, &mut c, &mut fx, PeerId(2), &honest);
-        e.on_state_info(PeerId(3), 17, Some(honest.checkpoint));
+        e.on_state_info(&c, PeerId(3), 17, Some(honest.checkpoint));
         let mut forged = (*honest).clone();
         forged.entries[0].1 = fabric_types::rwset::Value::from_u64(999);
         for chunk in plan(&forged.into()) {
@@ -707,7 +586,7 @@ mod tests {
     fn a_stranger_cannot_complete_a_transfer_with_a_forged_snapshot() {
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         request_from(&mut e, &mut c, &mut fx, PeerId(2), &test_snapshot(16));
         let forged = test_snapshot(1);
@@ -729,7 +608,7 @@ mod tests {
     fn a_stranger_cannot_pin_the_assembly_to_a_foreign_checkpoint() {
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         request_from(&mut e, &mut c, &mut fx, PeerId(2), &snap);
@@ -753,14 +632,14 @@ mod tests {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(1);
         c.cfg.snapshot.min_lag = 0;
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         e.on_recovery_round(&mut c, &mut fx); // must not panic
         assert_eq!(c.stats.snapshot_requests, 0);
         assert!(fx.take_sent().is_empty(), "nobody to ask, nothing sent");
         // Once a peer advertises blocks (still no checkpoint), the same
         // round runs plain block recovery.
-        e.on_state_info(PeerId(2), 6, None);
+        e.on_state_info(&c, PeerId(2), 6, None);
         e.on_recovery_round(&mut c, &mut fx);
         assert!(fx
             .take_sent()
@@ -774,11 +653,11 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
-        e.on_state_info(PeerId(2), 17, Some(snap.checkpoint));
-        e.on_state_info(PeerId(3), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(3), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         assert_eq!(c.stats.snapshot_requests, 1);
         let first_server = fx.take_sent()[0].0;
@@ -829,7 +708,7 @@ mod tests {
         // configured chunk size, whatever older height was asked for.
         let mut sc = core(2);
         sc.cfg = snapshot_cfg();
-        let mut server = LeadershipEngine::new(false);
+        let mut server = RecoveryEngine::default();
         let mut sfx = MockEffects::new(2);
         server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 8, 0);
         assert!(sfx.take_sent().is_empty());
@@ -859,7 +738,7 @@ mod tests {
         // block above the snapshot becomes deliverable.
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         c.store.insert(BlockRef::new(Block::new(
             17,
@@ -903,11 +782,11 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
-        e.on_state_info(PeerId(2), 17, Some(snap.checkpoint));
-        e.on_state_info(PeerId(3), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(3), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let first_server = fx.take_sent()[0].0;
         let chunks = plan(&snap);
@@ -954,10 +833,10 @@ mod tests {
         // server left the round falls back cleanly to block recovery.
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
-        e.on_state_info(PeerId(2), 17, Some(test_snapshot(16).checkpoint));
-        e.on_state_info(PeerId(3), 17, None);
+        e.on_state_info(&c, PeerId(2), 17, Some(test_snapshot(16).checkpoint));
+        e.on_state_info(&c, PeerId(3), 17, None);
         e.on_recovery_round(&mut c, &mut fx);
         assert_eq!(c.stats.snapshot_requests, 1);
         fx.take_sent();
@@ -976,11 +855,11 @@ mod tests {
     fn departed_server_releases_the_transfer_without_waiting_out_the_timeout() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = LeadershipEngine::new(false);
+        let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
-        e.on_state_info(PeerId(2), 17, Some(snap.checkpoint));
-        e.on_state_info(PeerId(3), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
+        e.on_state_info(&c, PeerId(3), 17, Some(snap.checkpoint));
         e.on_recovery_round(&mut c, &mut fx);
         let first_server = fx.take_sent()[0].0;
         // The serving peer is reaped: its checkpoint is forgotten and the
@@ -996,55 +875,5 @@ mod tests {
             .find(|(_, m)| matches!(m, GossipMsg::SnapshotRequest { .. }))
             .expect("an immediate re-request");
         assert_ne!(retry.0, first_server);
-    }
-
-    #[test]
-    fn static_claim_follows_the_seniority_verdict_and_reports_each_change() {
-        // Peer 1 in a {0, 1, 2, 3} roster: peer 0 statically leads.
-        let mut c = core(1);
-        let mut e = LeadershipEngine::new(false);
-        let mut fx = MockEffects::new(1);
-        // Forgetting a reaped peer is bookkeeping: it promotes nobody.
-        e.forget_peer(PeerId(3));
-        e.forget_peer(PeerId(0));
-        e.set_static_claim(&mut c, &mut fx, false);
-        assert!(!e.is_leader());
-        assert!(fx.leadership.is_empty(), "an unchanged verdict is silent");
-        // Discovery finds this peer the most senior survivor: it stands up.
-        e.set_static_claim(&mut c, &mut fx, true);
-        assert!(e.is_leader(), "the senior survivor must claim leadership");
-        // A more senior peer reappears in the view: the claim is dropped.
-        e.set_static_claim(&mut c, &mut fx, false);
-        assert_eq!(fx.leadership, vec![true, false]);
-        // Dynamic election ignores the verdict.
-        c.cfg.election.dynamic = true;
-        e.set_static_claim(&mut c, &mut fx, true);
-        assert!(!e.is_leader());
-    }
-
-    #[test]
-    fn dynamic_departure_clears_the_heartbeat_memory_and_height() {
-        let mut c = core(1);
-        c.cfg.election.dynamic = true;
-        let mut e = LeadershipEngine::new(false);
-        let mut fx = MockEffects::new(1);
-        e.on_state_info(PeerId(0), 12, None);
-        e.on_leader_heartbeat(&mut c, &mut fx, PeerId(0), Time::from_secs(1));
-        e.forget_peer(PeerId(0));
-        assert!(!e.is_leader(), "dynamic mode re-elects on the next tick");
-        // The departed leader's height must not drive recovery requests.
-        e.on_recovery_round(&mut c, &mut fx);
-        assert!(
-            !fx.take_sent()
-                .iter()
-                .any(|(_, m)| matches!(m, GossipMsg::RecoveryRequest { .. })),
-            "no recovery request toward a departed peer"
-        );
-        // The very next election tick stands this peer up (lowest alive id
-        // among the remaining members believed alive is irrelevant at time
-        // zero grace — self is lowest surviving claimant here).
-        fx.now = Time::from_secs(100);
-        e.on_election_tick(&mut c, &mut fx);
-        assert!(e.is_leader(), "a reaped leader skips the leader timeout");
     }
 }

@@ -6,14 +6,9 @@
 //! transport-agnostic and gives examples/integration tests a way to exercise
 //! the code under true concurrency.
 //!
-//! Peers are multiplexed over **shard threads**: each shard owns a
-//! round-robin slice of the peer states, drains one shared inbox, and fires
-//! its peers' timers using `recv_timeout` against the earliest deadline.
-//! [`ThreadedNet::spawn`] uses one shard per peer (the historical
-//! thread-per-peer shape); [`ThreadedNet::spawn_sharded`] pins the thread
-//! count, so a thousand-peer deployment runs on a handful of OS threads
-//! instead of a thousand — the same sharding idea the simulation's
-//! cross-core channel runner uses, applied to the real-threads transport.
+//! Every peer is one thread: it owns its [`GossipPeer`], drains its own
+//! inbox, and fires its timers using `recv_timeout` against the earliest
+//! deadline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,16 +29,8 @@ use crate::messages::{ChannelMsg, GossipMsg, GossipTimer};
 use crate::peer::GossipPeer;
 
 enum Envelope {
-    Msg {
-        to: PeerId,
-        from: PeerId,
-        envelope: ChannelMsg,
-    },
-    FromOrderer {
-        to: PeerId,
-        channel: ChannelId,
-        block: BlockRef,
-    },
+    Msg { from: PeerId, envelope: ChannelMsg },
+    FromOrderer { channel: ChannelId, block: BlockRef },
     Shutdown,
 }
 
@@ -51,8 +38,6 @@ enum Envelope {
 struct TimerEntry {
     at: Time,
     seq: u64,
-    /// The shard-local peer the timer belongs to.
-    owner: PeerId,
     channel: ChannelId,
     timer: GossipTimer,
 }
@@ -102,7 +87,6 @@ impl Effects for ThreadFx<'_> {
             // A receiver that already shut down is indistinguishable from a
             // crashed peer; dropping the message models exactly that.
             let _ = tx.send(Envelope::Msg {
-                to,
                 from: self.me,
                 envelope: ChannelMsg { channel, msg },
             });
@@ -115,7 +99,6 @@ impl Effects for ThreadFx<'_> {
         self.timers.push(Reverse(TimerEntry {
             at,
             seq: *self.timer_seq,
-            owner: self.me,
             channel,
             timer,
         }));
@@ -156,60 +139,35 @@ pub struct PeerOutcome {
 #[derive(Debug)]
 pub struct ThreadedNet {
     senders: Vec<Sender<Envelope>>,
-    handles: Vec<JoinHandle<Vec<PeerOutcome>>>,
+    handles: Vec<JoinHandle<PeerOutcome>>,
     leader: PeerId,
 }
 
 impl ThreadedNet {
-    /// Spawns `n` peer threads sharing `cfg` (one shard per peer — the
-    /// historical shape). Peer 0 is the static leader.
+    /// Spawns `n` peer threads sharing `cfg`. Peer 0 is the static leader.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or the configuration is invalid.
     pub fn spawn(n: usize, cfg: GossipConfig, seed: u64) -> Self {
-        Self::spawn_sharded(n, cfg, seed, n)
-    }
-
-    /// Spawns `n` peers multiplexed over `shards` threads. Peer `p` lives
-    /// on shard `p % shards`, so the leader (peer 0) shares its thread
-    /// with a 1/`shards` slice of the followers. Per-peer state, RNG
-    /// streams and delivery logs are identical to the thread-per-peer
-    /// shape; only the thread↔peer mapping changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `shards` is zero, or the configuration is invalid.
-    pub fn spawn_sharded(n: usize, cfg: GossipConfig, seed: u64, shards: usize) -> Self {
         assert!(n > 0, "a gossip network needs at least one peer");
-        assert!(shards > 0, "need at least one shard thread");
-        let shards = shards.min(n);
         let roster: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
-        let shard_channels: Vec<(Sender<Envelope>, Receiver<Envelope>)> =
-            (0..shards).map(|_| unbounded()).collect();
-        // Peer → its shard's inbox, so `Effects::send` routes by peer id
-        // without knowing the shard layout.
-        let senders: Vec<Sender<Envelope>> = (0..n)
-            .map(|p| shard_channels[p % shards].0.clone())
-            .collect();
+        let (senders, inboxes): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
+            (0..n).map(|_| unbounded()).unzip();
         let start = Instant::now();
 
-        let mut handles = Vec::with_capacity(shards);
-        for (s, (_, rx)) in shard_channels.into_iter().enumerate() {
-            let peers: Vec<(PeerId, GossipPeer, u64)> = (s..n)
-                .step_by(shards)
-                .map(|i| {
-                    let id = PeerId(i as u32);
-                    let peer = GossipPeer::new(id, roster.clone(), cfg.clone());
-                    let peer_seed = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64);
-                    (id, peer, peer_seed)
-                })
-                .collect();
-            let senders = senders.clone();
-            handles.push(std::thread::spawn(move || {
-                run_shard(peers, rx, senders, start)
-            }));
-        }
+        let handles = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                let peer = GossipPeer::new(PeerId(i as u32), roster.clone(), cfg.clone());
+                let rng = StdRng::seed_from_u64(
+                    seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(i as u64),
+                );
+                let senders = senders.clone();
+                std::thread::spawn(move || run_peer(peer, rng, rx, senders, start))
+            })
+            .collect();
         ThreadedNet {
             senders,
             handles,
@@ -240,93 +198,58 @@ impl ThreadedNet {
 
     /// Delivers `block` to the leader on `channel`.
     pub fn inject_block_on(&self, channel: ChannelId, block: BlockRef) {
-        let _ = self.senders[self.leader.index()].send(Envelope::FromOrderer {
-            to: self.leader,
-            channel,
-            block,
-        });
+        let _ = self.senders[self.leader.index()].send(Envelope::FromOrderer { channel, block });
     }
 
-    /// Stops every shard thread and returns the outcomes in peer order.
+    /// Stops every peer thread and returns the outcomes in peer order.
     pub fn shutdown(self) -> Vec<PeerOutcome> {
         for tx in &self.senders {
             let _ = tx.send(Envelope::Shutdown);
         }
-        let mut outcomes: Vec<PeerOutcome> = self
-            .handles
+        self.handles
             .into_iter()
-            .flat_map(|h| h.join().expect("shard thread panicked"))
-            .collect();
-        outcomes.sort_by_key(|o| o.peer.id());
-        outcomes
+            .map(|h| h.join().expect("peer thread panicked"))
+            .collect()
     }
 }
 
-/// One peer's runtime state on its shard thread.
-struct ShardPeer {
-    id: PeerId,
-    peer: GossipPeer,
-    rng: StdRng,
-    delivered: Vec<u64>,
-}
-
-/// Runs every peer of one shard: a single inbox, a single timer heap with
-/// per-peer owners, and round-robin peer ownership (`id % shards`).
-fn run_shard(
-    seeded: Vec<(PeerId, GossipPeer, u64)>,
+/// Runs one peer: its inbox, its timer heap, its RNG stream.
+fn run_peer(
+    mut peer: GossipPeer,
+    mut rng: StdRng,
     rx: Receiver<Envelope>,
     senders: Vec<Sender<Envelope>>,
     start: Instant,
-) -> Vec<PeerOutcome> {
-    let mut peers: Vec<ShardPeer> = seeded
-        .into_iter()
-        .map(|(id, peer, seed)| ShardPeer {
-            id,
-            peer,
-            rng: StdRng::seed_from_u64(seed),
-            delivered: Vec::new(),
-        })
-        .collect();
-    let slot_of = |peers: &[ShardPeer], id: PeerId| -> usize {
-        peers
-            .iter()
-            .position(|p| p.id == id)
-            .expect("envelope routed to the owning shard")
-    };
+) -> PeerOutcome {
+    let me = peer.id();
     let mut timers: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
     let mut timer_seq = 0u64;
+    let mut delivered = Vec::new();
 
     macro_rules! fx {
-        ($sp:expr) => {
+        () => {
             ThreadFx {
                 start,
-                me: $sp.id,
+                me,
                 senders: &senders,
                 timers: &mut timers,
                 timer_seq: &mut timer_seq,
-                rng: &mut $sp.rng,
-                delivered: &mut $sp.delivered,
+                rng: &mut rng,
+                delivered: &mut delivered,
             }
         };
     }
 
-    for sp in &mut peers {
-        let mut fx = fx!(sp);
-        sp.peer.init(&mut fx);
-    }
+    peer.init(&mut fx!());
 
     loop {
-        // Fire every due timer (any owner) before blocking again.
+        // Fire every due timer before blocking again.
         loop {
             let now = ThreadFx::wall_now(start);
             match timers.peek() {
                 Some(Reverse(entry)) if entry.at <= now => {
                     let Reverse(entry) = timers.pop().expect("peeked");
-                    let slot = slot_of(&peers, entry.owner);
-                    let sp = &mut peers[slot];
-                    let mut fx = fx!(sp);
-                    sp.peer
-                        .on_channel_timer(&mut fx, entry.channel, entry.timer);
+                    peer.on_channel_timer(&mut fx!(), entry.channel, entry.timer);
                 }
                 _ => break,
             }
@@ -341,18 +264,11 @@ fn run_shard(
         };
 
         match rx.recv_timeout(wait) {
-            Ok(Envelope::Msg { to, from, envelope }) => {
-                let slot = slot_of(&peers, to);
-                let sp = &mut peers[slot];
-                let mut fx = fx!(sp);
-                sp.peer
-                    .on_channel_message(&mut fx, envelope.channel, from, envelope.msg);
+            Ok(Envelope::Msg { from, envelope }) => {
+                peer.on_channel_message(&mut fx!(), envelope.channel, from, envelope.msg);
             }
-            Ok(Envelope::FromOrderer { to, channel, block }) => {
-                let slot = slot_of(&peers, to);
-                let sp = &mut peers[slot];
-                let mut fx = fx!(sp);
-                sp.peer.on_block_from_orderer_on(&mut fx, channel, block);
+            Ok(Envelope::FromOrderer { channel, block }) => {
+                peer.on_block_from_orderer_on(&mut fx!(), channel, block);
             }
             Ok(Envelope::Shutdown) => break,
             Err(RecvTimeoutError::Timeout) => continue,
@@ -360,13 +276,7 @@ fn run_shard(
         }
     }
 
-    peers
-        .into_iter()
-        .map(|sp| PeerOutcome {
-            peer: sp.peer,
-            delivered: sp.delivered,
-        })
-        .collect()
+    PeerOutcome { peer, delivered }
 }
 
 #[cfg(test)]
@@ -398,31 +308,6 @@ mod tests {
         let outcomes = net.shutdown();
         assert_eq!(outcomes.len(), 8);
         for o in &outcomes {
-            assert_eq!(
-                o.delivered,
-                vec![1, 2],
-                "peer {} missed blocks",
-                o.peer.id()
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_runtime_disseminates_on_few_threads() {
-        // 12 peers over 3 shard threads: same protocol, same outcomes,
-        // a quarter of the OS threads.
-        let net = ThreadedNet::spawn_sharded(12, GossipConfig::enhanced_f4(), 9, 3);
-        assert_eq!(net.len(), 12);
-        let genesis = Block::genesis();
-        let b1 = BlockRef::new(Block::new(1, genesis.hash(), vec![]));
-        let b2 = BlockRef::new(Block::new(2, b1.hash(), vec![]));
-        net.inject_block(b1);
-        net.inject_block(b2);
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        let outcomes = net.shutdown();
-        assert_eq!(outcomes.len(), 12);
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.peer.id(), PeerId(i as u32), "peer order after sort");
             assert_eq!(
                 o.delivered,
                 vec![1, 2],

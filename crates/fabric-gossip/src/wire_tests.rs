@@ -1,4 +1,5 @@
-//! Hostile block numbers and counters against one peer.
+//! Hostile block numbers, counters, adverts and leader claims against one
+//! peer.
 //!
 //! Every table the per-message path keys by block number is indexed by
 //! numbers that arrive from the wire — in `PushDigest`, `PushRequest`,
@@ -8,27 +9,39 @@
 //! id, with honest in-order traffic and checks after every step that
 //! nothing panicked, the chain still grows in order, and no table outgrew
 //! the rows it holds plus [`SPAN`].
+//!
+//! `StateInfo` and `LeaderHeartbeat` ride along, the tables and the seat
+//! they reach being keyed by *peer*: the recovery engine's height and
+//! checkpoint views never hold more rows than the channel has members, and
+//! no heartbeat naming a non-member takes leadership from a member. Half
+//! the cases run on the roster `5..15`, where the peer is the lowest member
+//! (so it leads, statically or from the first election tick) and ids `0..5`
+//! are strangers that would outrank it.
 
 use desim::Duration;
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
 use fabric_types::ids::PeerId;
+use fabric_types::snapshot::Checkpoint;
 use proptest::prelude::*;
 
 use crate::blockmap::SPAN;
 use crate::config::GossipConfig;
-use crate::messages::GossipMsg;
+use crate::messages::{GossipMsg, GossipTimer};
 use crate::peer::GossipPeer;
 use crate::testing::MockEffects;
 
 const ME: PeerId = PeerId(5);
+/// A member of both rosters.
+const HONEST: PeerId = PeerId(6);
 const TTL: u32 = 9;
 
 fn block(num: u64) -> BlockRef {
     BlockRef::new(Block::new(num, Hash256::ZERO, vec![]))
 }
 
-/// Members, a stranger and the peer itself.
+/// Members, a stranger and the peer itself (on the roster `5..15`, ids
+/// `0..5` are strangers too).
 fn sender(class: u8) -> PeerId {
     match class {
         0..=8 => PeerId(u32::from(class) + u32::from(class >= 5)),
@@ -59,18 +72,26 @@ fn hostile_counter(class: u8) -> u32 {
 proptest! {
     #[test]
     fn wire_hostile_numbers_neither_panic_nor_grow_the_tables(
-        enhanced in any::<bool>(),
-        ops in proptest::collection::vec((0u8..14, 0u8..10, 0u8..6, 0u8..11), 1..220),
+        mode in 0u8..16,
+        ops in proptest::collection::vec((0u8..16, 0u8..10, 0u8..6, 0u8..11), 1..220),
     ) {
-        let cfg = if enhanced {
+        let [enhanced, leading, dynamic, snapshots] = [1, 2, 4, 8].map(|bit| mode & bit != 0);
+        let mut cfg = if enhanced {
             GossipConfig::enhanced(4, TTL, 2)
         } else {
             GossipConfig::original_fabric()
         };
+        if snapshots {
+            cfg = cfg.with_snapshots(8);
+        }
+        cfg.election.dynamic = dynamic;
         let batch_max = cfg.recovery.batch_max;
-        let mut peer = GossipPeer::new(ME, (0..10).map(PeerId).collect(), cfg);
+        let roster = if leading { 5..15 } else { 0..10 };
+        let mut peer = GossipPeer::new(ME, roster.map(PeerId).collect(), cfg);
         let mut fx = MockEffects::new(11);
         peer.init(&mut fx);
+        let seated = peer.is_leader();
+        prop_assert_eq!(seated, leading && !dynamic);
         let mut honest_head = 0u64;
         let mut pull_rounds = 0u64;
         for (kind, num_class, counter_class, from_class) in ops {
@@ -79,6 +100,8 @@ proptest! {
             let other = hostile_number(counter_class + 4, before);
             let counter = hostile_counter(counter_class);
             let from = sender(from_class);
+            let was_leader = peer.is_leader();
+            let mut named = None;
             let msg = match kind {
                 0 => GossipMsg::PushDigest { block_num: num, counter },
                 1 => GossipMsg::PushRequest { block_num: num, counter },
@@ -97,12 +120,27 @@ proptest! {
                     // Every armed timer fires (periodic rounds re-arm once).
                     fx.advance(Duration::from_millis(500));
                     for (_, timer) in fx.take_scheduled() {
-                        if matches!(timer, crate::messages::GossipTimer::PullRound) {
+                        if matches!(timer, GossipTimer::PullRound) {
                             pull_rounds += 1;
                         }
                         peer.on_timer(&mut fx, timer);
                     }
                     continue;
+                }
+                14 => GossipMsg::StateInfo {
+                    height: num,
+                    checkpoint: (counter_class % 2 == 0)
+                        .then_some(Checkpoint { height: num, state_hash: Hash256::ZERO }),
+                },
+                15 => {
+                    let leader = match counter_class {
+                        0..=2 => sender(num_class),
+                        3 => PeerId(77),
+                        4 => PeerId(u32::MAX),
+                        _ => ME,
+                    };
+                    named = Some(leader);
+                    GossipMsg::LeaderHeartbeat { leader }
                 }
                 _ => {
                     // Honest traffic: the next block of the chain, announced
@@ -110,7 +148,7 @@ proptest! {
                     honest_head += 1;
                     peer.on_message(
                         &mut fx,
-                        PeerId(1),
+                        HONEST,
                         GossipMsg::PushDigest { block_num: honest_head, counter: 3 },
                     );
                     GossipMsg::BlockPush { block: block(honest_head), counter: 3 }
@@ -134,6 +172,19 @@ proptest! {
             );
             for (allocated, held) in peer.tables() {
                 prop_assert!(allocated <= held + SPAN, "{allocated} rows for {held} held");
+            }
+            let members = peer.channel().len();
+            for rows in peer.recovery_rows() {
+                prop_assert!(rows <= members, "{rows} adverts kept from {members} members");
+            }
+            if !dynamic {
+                prop_assert_eq!(peer.is_leader(), seated, "a static seat moved");
+            }
+            if let Some(leader) = named {
+                prop_assert!(
+                    !was_leader || peer.is_leader() || peer.membership().contains(leader),
+                    "stepped down for {leader}, who is no member"
+                );
             }
         }
     }

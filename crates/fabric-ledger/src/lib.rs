@@ -16,6 +16,7 @@
 //!    of valid transactions — conflicting transactions stay in the chain,
 //!    flagged invalid, exactly the waste the paper's faster gossip reduces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

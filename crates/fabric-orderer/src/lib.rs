@@ -9,8 +9,10 @@
 //! ([`cutter::BlockCutter`]) and a sans-io ordering-service state machine
 //! ([`service::OrderingService`]) whose consensus pipeline is modeled by a
 //! sampled latency distribution — the substitution for the paper's
-//! Kafka/ZooKeeper deployment, as recorded in `DESIGN.md`.
+//! Kafka/ZooKeeper deployment (README, "The channel-routed transaction
+//! pipeline", places it in the run).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

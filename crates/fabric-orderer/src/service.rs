@@ -6,8 +6,8 @@
 //! cutting behaviour and (b) the end-to-end delay a proposal experiences
 //! between submission and the cut block leaving the orderer. This module
 //! implements (a) exactly (see [`crate::cutter`]) and models (b) with a
-//! sampled [`LatencyModel`] (`consensus_delay`), the calibration knob
-//! documented in `DESIGN.md` and `EXPERIMENTS.md`.
+//! sampled [`LatencyModel`] (`consensus_delay`), the calibration knob (the
+//! calibration note is in `fabric_experiments::conflicts`' module docs).
 //!
 //! The service is a sans-io state machine: it never sleeps or sends — the
 //! embedding (simulation or threads) arms batch timers when told to and

@@ -7,7 +7,8 @@
 //! membership service provider (which, in Fabric, certifies every identity
 //! anyway) verifies by recomputation. This preserves message sizes and the
 //! sign/verify control flow without claiming asymmetric security — adequate
-//! for a performance study, as documented in `DESIGN.md`.
+//! for a performance study (README, "Zero-copy, hash-once payloads", says
+//! where the hashing cost is paid and where it is charged in virtual time).
 
 use std::fmt;
 

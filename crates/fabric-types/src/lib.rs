@@ -29,6 +29,7 @@
 //! assert!(block.follows(&genesis));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

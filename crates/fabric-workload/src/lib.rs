@@ -10,6 +10,7 @@
 //!   single endorsing peer — every validation-time conflict is a lost
 //!   increment, so the final counter sum counts the damage.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

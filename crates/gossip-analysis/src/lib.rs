@@ -21,6 +21,7 @@
 //! assert!(epidemic::imperfect_dissemination_probability(100.0, 4.0, t) <= 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -12,6 +12,7 @@
 //! * [`fairness`] — Jain's index and dispersion summaries;
 //! * [`table`] — plain-text table rendering for bench output.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

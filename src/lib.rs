@@ -14,8 +14,11 @@
 //! * [`workload`] — clients and the paper's two workloads;
 //! * [`experiments`] — per-figure/per-table experiment presets and runners.
 //!
-//! See `README.md` for a quickstart and `EXPERIMENTS.md` for the paper-vs-
-//! measured record of every table and figure.
+//! See `README.md` ("Quickstart") for building and running; `repro`
+//! (`crates/bench`) prints every table and figure next to the paper's
+//! numbers.
+
+#![forbid(unsafe_code)]
 
 pub use desim as sim;
 pub use fabric_experiments as experiments;

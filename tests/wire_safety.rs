@@ -9,8 +9,9 @@
 //! delivers every block in order and forwards each (block, counter) pair
 //! exactly once. Snapshot bootstrap has one door — a transfer this peer
 //! asked for, fed by the server it asked — and no snapshot message from
-//! anyone else installs or buffers anything. Everything goes through the
-//! public API.
+//! anyone else installs or buffers anything. Recovery asks members only:
+//! what a stranger advertises about its ledger is not recorded. Everything
+//! goes through the public API.
 
 use std::collections::BTreeMap;
 
@@ -93,11 +94,8 @@ fn put_transfer_in_flight(
     snapshot: &SnapshotRef,
 ) {
     let checkpoint = snapshot.checkpoint;
-    let advert = GossipMsg::StateInfo {
-        height: checkpoint.height.saturating_add(1),
-        checkpoint: Some(checkpoint),
-    };
-    peer.on_message(fx, server, advert);
+    let height = checkpoint.height.saturating_add(1);
+    advertise(peer, fx, server, height, Some(checkpoint));
     peer.on_timer(fx, GossipTimer::RecoveryRound);
     let sent = fx.take_sent();
     assert!(
@@ -108,6 +106,31 @@ fn put_transfer_in_flight(
         ),
         "one request, nothing else: {sent:?}"
     );
+}
+
+fn advertise(
+    peer: &mut GossipPeer,
+    fx: &mut MockEffects,
+    from: PeerId,
+    height: u64,
+    checkpoint: Option<Checkpoint>,
+) {
+    peer.on_message(fx, from, GossipMsg::StateInfo { height, checkpoint });
+}
+
+/// Where the `RecoveryRequest`s of the next `rounds` recovery rounds go.
+fn recovery_targets(peer: &mut GossipPeer, fx: &mut MockEffects, rounds: usize) -> Vec<PeerId> {
+    let mut targets = Vec::new();
+    for _ in 0..rounds {
+        peer.on_timer(fx, GossipTimer::RecoveryRound);
+        for (to, msg) in fx.take_sent() {
+            match msg {
+                GossipMsg::RecoveryRequest { .. } => targets.push(to),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    targets
 }
 
 fn assert_nothing_installed_or_buffered(peer: &GossipPeer, fx: &MockEffects) {
@@ -304,9 +327,54 @@ fn hostile_snapshot_requests_and_adverts_are_shrugged_off() {
     // A checkpoint advertised at the last number: the round that acts on
     // it asks for it, and no answer to that request can install.
     let unreachable = snapshot(u64::MAX);
-    put_transfer_in_flight(&mut peer, &mut fx, PeerId(77), &unreachable);
+    put_transfer_in_flight(&mut peer, &mut fx, PeerId(1), &unreachable);
     for chunk in served_chunks(unreachable) {
-        peer.on_message(&mut fx, PeerId(77), chunk);
+        peer.on_message(&mut fx, PeerId(1), chunk);
     }
     assert_nothing_installed_or_buffered(&peer, &fx);
+}
+
+/// Regression: `StateInfo` was recorded whoever sent it, the height table
+/// keeps the maximum, and a recovery round asks only the peers at the best
+/// height — so one advert from outside the channel took every later round.
+#[test]
+fn a_strangers_state_info_changes_no_recovery_target() {
+    let (mut peer, mut fx) = peer();
+    let honest = [PeerId(1), PeerId(2), PeerId(3)];
+    for member in honest {
+        advertise(&mut peer, &mut fx, member, 7, None);
+    }
+    for from in [PeerId(77), PeerId(5)] {
+        for checkpoint in [None, Some(snapshot(u64::MAX).checkpoint)] {
+            advertise(&mut peer, &mut fx, from, u64::MAX, checkpoint);
+        }
+    }
+    let targets = recovery_targets(&mut peer, &mut fx, 20);
+    assert_eq!(targets.len(), 20, "every round still asks for blocks");
+    assert!(
+        targets.iter().all(|to| honest.contains(to)),
+        "only the members that advertised are asked: {targets:?}"
+    );
+
+    // A member's honest advert still moves the target.
+    advertise(&mut peer, &mut fx, PeerId(4), 9, None);
+    assert_eq!(recovery_targets(&mut peer, &mut fx, 20), [PeerId(4); 20]);
+}
+
+/// The same lie from a *member* still wins every round. A fix changes
+/// which peer a round asks when adverts are lost, so it lands with its
+/// re-measurement (ROADMAP item 4), not here.
+#[test]
+#[ignore = "ROADMAP 4"]
+fn a_member_advertising_u64_max_captures_recovery() {
+    let (mut peer, mut fx) = peer();
+    for member in [PeerId(1), PeerId(2), PeerId(3)] {
+        advertise(&mut peer, &mut fx, member, 7, None);
+    }
+    advertise(&mut peer, &mut fx, PeerId(4), u64::MAX, None);
+    let targets = recovery_targets(&mut peer, &mut fx, 20);
+    assert!(
+        targets.iter().any(|to| *to != PeerId(4)),
+        "all 20 rounds asked the liar"
+    );
 }
