@@ -25,6 +25,12 @@
 //!
 //! The stable main channel doubles as the control group: its latency and
 //! fairness must stay unremarkable while the side channel churns.
+//!
+//! This module also holds what both churn families share: the
+//! [`ChurnResult`] a churned run is read off into
+//! ([`ChurnResult::read_off`], one [`ChannelReport`] per channel of the
+//! deployment) and its one renderer, [`render_churn`]. `churn_waves` adds
+//! only its configuration and wave plan.
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
 use fabric_gossip::config::GossipConfig;
@@ -33,12 +39,18 @@ use fabric_orderer::service::OrdererConfig;
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::transaction::EndorsementPolicy;
 use fabric_workload::schedule::{
-    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload,
+    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload, ScheduledInvocation,
 };
 use gossip_metrics::cdf::Cdf;
 use gossip_metrics::fairness::FairnessReport;
 
-use crate::net::{Catchup, ChannelSpec, ChurnAction, ChurnEvent, FabricNet, NetParams};
+use crate::deployment::Deployment;
+use crate::net::{
+    Catchup, ChannelSpec, ChurnAction, ChurnEvent, FabricNet, NetParams, ViewConvergence,
+};
+
+/// The per-kind metric tags that count as discovery overhead.
+pub const DISCOVERY_KINDS: [&str; 3] = ["alive-msg", "membership-request", "membership-response"];
 
 /// Everything a churn run needs.
 #[derive(Debug, Clone)]
@@ -147,11 +159,79 @@ impl ChurnConfig {
     pub fn side_channel() -> ChannelId {
         ChannelId(1)
     }
+
+    /// The deployment [`run_churn`] runs: both channels' payload
+    /// schedules, the side channel over peers `0..side_members`, its joins
+    /// and the leader's leave as churn events, drained `drain` past the
+    /// last transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the joiners are not existing deployment peers.
+    pub fn deployment(&self) -> Deployment {
+        let side = ChurnConfig::side_channel();
+        let mut params = NetParams::new(self.peers, self.gossip.clone(), self.orderer.clone());
+        params.validation_per_tx = Duration::from_micros(300);
+        params.anchor_join = self.anchor_join;
+        params.full_ledgers = self.full_ledgers;
+        params.extra_channels = vec![ChannelSpec {
+            channel: side,
+            members: (0..self.side_members as u32).map(PeerId).collect(),
+            orgs: 1,
+            endorsers: vec![PeerId(1)],
+            policy: EndorsementPolicy::AnyMember,
+        }];
+        for j in 0..self.joiners {
+            params.churn.push(ChurnEvent {
+                at: self.join_at,
+                peer: PeerId((self.side_members + j) as u32),
+                channel: side,
+                action: ChurnAction::Join,
+            });
+        }
+        if let Some(at) = self.leader_leave_at {
+            params.churn.push(ChurnEvent {
+                at,
+                peer: PeerId(0),
+                channel: side,
+                action: ChurnAction::Leave,
+            });
+        }
+        assert!(
+            self.side_members + self.joiners <= self.peers,
+            "joiners must be existing deployment peers"
+        );
+        Deployment::new(
+            params,
+            churned_schedule(&self.main_workload, &self.side_workload, 1),
+            &self.network,
+            self.seed,
+            self.drain,
+        )
+    }
+}
+
+/// The main channel's payload schedule merged with `side_channels` copies
+/// of the side workload, one per `ChannelId(1)..=ChannelId(side_channels)`
+/// — the client traffic of both churn families.
+pub(crate) fn churned_schedule(
+    main: &PayloadWorkload,
+    side: &PayloadWorkload,
+    side_channels: usize,
+) -> Vec<ScheduledInvocation> {
+    let mut schedules = vec![payload_schedule(main)];
+    for c in 1..=side_channels {
+        schedules.push(retarget_schedule(
+            payload_schedule(side),
+            ChannelId(c as u16),
+        ));
+    }
+    merge_schedules(schedules)
 }
 
 /// One channel's measured outcome.
 #[derive(Debug, Clone)]
-pub struct ChurnChannelReport {
+pub struct ChannelReport {
     /// The channel.
     pub channel: ChannelId,
     /// Members at end of run.
@@ -169,19 +249,32 @@ pub struct ChurnChannelReport {
     /// Leadership acquisitions observed (hand-offs; static initial
     /// leaders are seeded, not counted).
     pub handoffs: u64,
+    /// Closed leader-gap windows (leader leave → successor claim), in
+    /// event order.
+    pub leader_gaps: Vec<Duration>,
     /// Peers claiming leadership at end of run.
     pub leaders: Vec<PeerId>,
+    /// Total gossip bytes sent by the channel's members on this channel.
+    pub gossip_bytes: u64,
+    /// Bytes of that total spent on discovery (heartbeats + anti-entropy).
+    pub discovery_bytes: u64,
+    /// Share of the channel's gossip bytes spent on discovery, in `[0, 1]`.
+    pub discovery_share: f64,
 }
 
-/// What a churn run produces.
+/// What a churned run — [`run_churn`] or
+/// [`run_churn_waves`](crate::churn_waves::run_churn_waves) — produces.
 #[derive(Debug)]
 pub struct ChurnResult {
-    /// Per-channel outcomes, channel order.
-    pub channels: Vec<ChurnChannelReport>,
+    /// Per-channel outcomes, channel order (default channel first).
+    pub channels: Vec<ChannelReport>,
+    /// Discovery-convergence records of every join and leave, event
+    /// order per channel.
+    pub convergence: Vec<ViewConvergence>,
     /// One record per runtime join: target head and catch-up latency.
     pub catchups: Vec<Catchup>,
     /// Per-channel and overall Jain fairness over per-member gossip bytes
-    /// (members at end of run).
+    /// (members at end of run), discovery overhead included.
     pub fairness: FairnessReport,
     /// Simulation events processed.
     pub events: u64,
@@ -191,155 +284,159 @@ pub struct ChurnResult {
     pub net: FabricNet,
 }
 
+impl ChurnResult {
+    /// Reads a finished churned run off its simulation, channel by
+    /// channel of the deployment's [`NetParams::channel_specs`].
+    pub fn read_off(sim: Simulation<FabricNet>) -> Self {
+        let events = sim.events_processed();
+        let sim_end = sim.now();
+        let net = sim.into_protocol();
+
+        let specs = net.params().channel_specs();
+        let mut channels = Vec::with_capacity(specs.len());
+        let mut convergence = Vec::new();
+        let mut fairness_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let channel = spec.channel;
+            let initial = spec.members.len();
+            let rec = net.latency_on(channel).expect("channel exists");
+            let blocks = rec.block_count();
+            let mut pool = Vec::new();
+            let mut filled = 0usize;
+            for slot in 0..initial {
+                let lat = rec.peer_latencies(slot);
+                filled += lat.len();
+                pool.extend(lat);
+            }
+            // Joiner slots contribute latencies but not completeness
+            // cells. The recorder is sized over initial members +
+            // scheduled joiners — NOT the end-of-run member count, which
+            // a leaver shrinks back.
+            for slot in initial..rec.peers() {
+                pool.extend(rec.peer_latencies(slot));
+            }
+            let cdf = Cdf::new(pool);
+            let (p50, p999) = if cdf.is_empty() {
+                (Duration::ZERO, Duration::ZERO)
+            } else {
+                (cdf.quantile(0.5), cdf.quantile(0.999))
+            };
+
+            let members = net.members_on(channel);
+            let mut gossip_bytes = 0u64;
+            let mut discovery_bytes = 0u64;
+            let shares: Vec<(usize, f64)> = members
+                .iter()
+                .map(|m| {
+                    let bytes = net.gossip(m.index()).stats_on(channel).map_or(0, |s| {
+                        discovery_bytes += DISCOVERY_KINDS
+                            .iter()
+                            .map(|k| s.bytes_of_kind(k))
+                            .sum::<u64>();
+                        s.bytes_sent()
+                    });
+                    gossip_bytes += bytes;
+                    (m.index(), bytes as f64)
+                })
+                .collect();
+            channels.push(ChannelReport {
+                channel,
+                members: members.len(),
+                blocks: net.blocks_cut_on(channel),
+                completeness: if blocks * initial == 0 {
+                    1.0
+                } else {
+                    filled as f64 / (blocks * initial) as f64
+                },
+                p50,
+                p999,
+                handoffs: net.handoffs_on(channel),
+                leader_gaps: net.leader_gaps_on(channel).to_vec(),
+                leaders: net.current_leaders_on(channel),
+                gossip_bytes,
+                discovery_bytes,
+                discovery_share: if gossip_bytes == 0 {
+                    0.0
+                } else {
+                    discovery_bytes as f64 / gossip_bytes as f64
+                },
+            });
+            convergence.extend(net.convergence_on(channel).iter().cloned());
+            fairness_rows.push((channel.to_string(), shares));
+        }
+        ChurnResult {
+            channels,
+            convergence,
+            catchups: net.catchups().to_vec(),
+            fairness: FairnessReport::from_per_channel(&fairness_rows),
+            events,
+            sim_end,
+            net,
+        }
+    }
+}
+
 /// Runs one churn experiment to completion.
 ///
 /// # Panics
 ///
 /// Panics on an invalid configuration (see [`ChurnConfig::standard`]).
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
-    let side = ChurnConfig::side_channel();
-    let main_sched = payload_schedule(&cfg.main_workload);
-    let side_sched = retarget_schedule(payload_schedule(&cfg.side_workload), side);
-    let schedule = merge_schedules(vec![main_sched, side_sched]);
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(Time::ZERO);
-
-    let mut params = NetParams::new(cfg.peers, cfg.gossip.clone(), cfg.orderer.clone());
-    params.validation_per_tx = Duration::from_micros(300);
-    params.anchor_join = cfg.anchor_join;
-    params.full_ledgers = cfg.full_ledgers;
-    params.extra_channels = vec![ChannelSpec {
-        channel: side,
-        members: (0..cfg.side_members as u32).map(PeerId).collect(),
-        orgs: 1,
-        endorsers: vec![PeerId(1)],
-        policy: EndorsementPolicy::AnyMember,
-    }];
-    for j in 0..cfg.joiners {
-        params.churn.push(ChurnEvent {
-            at: cfg.join_at,
-            peer: PeerId((cfg.side_members + j) as u32),
-            channel: side,
-            action: ChurnAction::Join,
-        });
-    }
-    if let Some(at) = cfg.leader_leave_at {
-        params.churn.push(ChurnEvent {
-            at,
-            peer: PeerId(0),
-            channel: side,
-            action: ChurnAction::Leave,
-        });
-    }
-    assert!(
-        cfg.side_members + cfg.joiners <= cfg.peers,
-        "joiners must be existing deployment peers"
-    );
-
-    let mut network = cfg.network.clone();
-    network.nodes = FabricNet::node_count(&params);
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, cfg.seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(last_issue + cfg.drain);
-    let events = sim.events_processed();
-    let sim_end = sim.now();
-    let net = sim.into_protocol();
-
-    let initial_members = [cfg.peers, cfg.side_members];
-    let mut channels = Vec::with_capacity(2);
-    let mut fairness_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::with_capacity(2);
-    for (c, initial) in initial_members.into_iter().enumerate() {
-        let channel = ChannelId(c as u16);
-        let rec = net.latency_on(channel).expect("channel exists");
-        let blocks = rec.block_count();
-        let mut pool = Vec::new();
-        let mut filled = 0usize;
-        for slot in 0..initial {
-            let lat = rec.peer_latencies(slot);
-            filled += lat.len();
-            pool.extend(lat);
-        }
-        // Joiner slots contribute latencies but not completeness cells.
-        // The recorder is sized over initial members + scheduled joiners —
-        // NOT the end-of-run member count, which a leaver shrinks back.
-        for slot in initial..rec.peers() {
-            pool.extend(rec.peer_latencies(slot));
-        }
-        let cdf = Cdf::new(pool);
-        let (p50, p999) = if cdf.is_empty() {
-            (Duration::ZERO, Duration::ZERO)
-        } else {
-            (cdf.quantile(0.5), cdf.quantile(0.999))
-        };
-        channels.push(ChurnChannelReport {
-            channel,
-            members: net.members_on(channel).len(),
-            blocks: net.blocks_cut_on(channel),
-            completeness: if blocks * initial == 0 {
-                1.0
-            } else {
-                filled as f64 / (blocks * initial) as f64
-            },
-            p50,
-            p999,
-            handoffs: net.handoffs_on(channel),
-            leaders: net.current_leaders_on(channel),
-        });
-        let shares: Vec<(usize, f64)> = net
-            .members_on(channel)
-            .iter()
-            .map(|m| {
-                let bytes = net
-                    .gossip(m.index())
-                    .stats_on(channel)
-                    .map_or(0, |s| s.bytes_sent());
-                (m.index(), bytes as f64)
-            })
-            .collect();
-        fairness_rows.push((channel.to_string(), shares));
-    }
-    let fairness = FairnessReport::from_per_channel(&fairness_rows);
-    ChurnResult {
-        channels,
-        catchups: net.catchups().to_vec(),
-        fairness,
-        events,
-        sim_end,
-        net,
-    }
+    ChurnResult::read_off(cfg.deployment().run())
 }
 
-/// Plain-text rendering of a churn run, preset-report style.
+/// Plain-text rendering of a churned run, preset-report style: one line
+/// per channel, per join / leave and per catch-up, then fairness.
 pub fn render_churn(title: &str, result: &ChurnResult) -> String {
     let mut out = format!("== {title} ==\n");
     for c in &result.channels {
+        let gaps: Vec<String> = c.leader_gaps.iter().map(|g| g.to_string()).collect();
         out.push_str(&format!(
             "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | \
-             handoffs {} | leaders {:?}\n",
-            c.channel, c.members, c.blocks, c.completeness, c.p50, c.p999, c.handoffs, c.leaders,
+             handoffs {} | leaders {:?} | discovery share {:.3} | gaps [{}]\n",
+            c.channel,
+            c.members,
+            c.blocks,
+            c.completeness,
+            c.p50,
+            c.p999,
+            c.handoffs,
+            c.leaders,
+            c.discovery_share,
+            gaps.join(", "),
+        ));
+    }
+    for r in &result.convergence {
+        let kind = if r.join { "join" } else { "leave" };
+        let observers = r.expected.len();
+        let outcome = match r.latency() {
+            Some(lat) => format!("converged in {lat} ({observers} observers)"),
+            None => format!(
+                "NOT CONVERGED ({:.2} of {observers} observers)",
+                r.fraction_at(result.sim_end)
+            ),
+        };
+        out.push_str(&format!(
+            "{kind} {} on {} at {} | {outcome}\n",
+            r.peer, r.channel, r.at
         ));
     }
     for cu in &result.catchups {
-        match cu.latency() {
-            Some(lat) => {
-                let via = if cu.snapshot_height > 0 {
-                    format!(
-                        "snapshot@{} + {} replayed",
-                        cu.snapshot_height, cu.blocks_replayed
-                    )
-                } else {
-                    format!("{} replayed", cu.blocks_replayed)
-                };
-                out.push_str(&format!(
-                    "{} joined {} at {} | head {} | caught up in {lat} | {} catch-up bytes | {via}\n",
-                    cu.peer, cu.channel, cu.joined_at, cu.target, cu.bytes,
-                ));
-            }
-            None => out.push_str(&format!(
-                "{} joined {} at {} | head {} | {} catch-up bytes so far | STILL CATCHING UP\n",
-                cu.peer, cu.channel, cu.joined_at, cu.target, cu.bytes,
-            )),
-        }
+        let outcome = match cu.latency() {
+            Some(lat) if cu.snapshot_height > 0 => format!(
+                "caught up in {lat} | {} catch-up bytes | snapshot@{} + {} replayed",
+                cu.bytes, cu.snapshot_height, cu.blocks_replayed
+            ),
+            Some(lat) => format!(
+                "caught up in {lat} | {} catch-up bytes | {} replayed",
+                cu.bytes, cu.blocks_replayed
+            ),
+            None => format!("{} catch-up bytes so far | STILL CATCHING UP", cu.bytes),
+        };
+        out.push_str(&format!(
+            "{} joined {} at {} | head {} | {outcome}\n",
+            cu.peer, cu.channel, cu.joined_at, cu.target
+        ));
     }
     out.push_str(&result.fairness.render());
     out
@@ -360,6 +457,9 @@ mod tests {
     fn joiner_reaches_the_join_time_head_and_beyond() {
         let res = quick(3);
         assert_eq!(res.catchups.len(), 1);
+        // The run's one join and one leave each have a convergence record.
+        let joins: Vec<bool> = res.convergence.iter().map(|r| r.join).collect();
+        assert_eq!(joins, [true, false]);
         let cu = &res.catchups[0];
         assert_eq!(cu.peer, PeerId(10));
         assert_eq!(cu.channel, ChannelId(1));
@@ -477,6 +577,9 @@ mod tests {
         assert!(text.contains("catch-up bytes"));
         assert!(text.contains("replayed"));
         assert!(text.contains("handoffs"));
+        assert!(text.contains("discovery share"));
+        assert!(text.contains("converged in"));
+        assert!(text.contains("gaps ["));
         assert!(text.contains("jain"));
     }
 
@@ -495,7 +598,6 @@ mod tests {
             cu.blocks_replayed,
             cu.target
         );
-        assert_eq!(cu.time_to_serving(), cu.latency());
     }
 
     /// The snapshot-on churn smoke: same deployment, checkpoints every 8

@@ -15,7 +15,9 @@
 //! dissemination for the same links — the bandwidth contention Wang &
 //! Chu's bottleneck analysis of Fabric flags as first-order.
 //!
-//! Reported per run:
+//! Reported per run, in the [`ChurnResult`] /
+//! [`render_churn`](crate::churn::render_churn) format it shares with the
+//! `churn` scenario:
 //!
 //! * **join convergence** — join → every sitting member's view includes
 //!   the joiner (plus the ledger catch-up latency, as in `churn`);
@@ -25,23 +27,18 @@
 //! * **fairness** — per-channel Jain over member bytes *including*
 //!   discovery overhead, with the discovery byte share broken out.
 
-use desim::{Duration, NetworkConfig, Simulation, Time};
+use desim::{Duration, NetworkConfig, Time};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::transaction::EndorsementPolicy;
-use fabric_workload::schedule::{
-    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload,
-};
-use gossip_metrics::fairness::FairnessReport;
+use fabric_workload::schedule::PayloadWorkload;
 
-use crate::net::{
-    Catchup, ChannelSpec, ChurnAction, ChurnEvent, FabricNet, NetParams, ViewConvergence,
-};
-
-/// The per-kind metric tags that count as discovery overhead.
-pub const DISCOVERY_KINDS: [&str; 3] = ["alive-msg", "membership-request", "membership-response"];
+pub use crate::churn::DISCOVERY_KINDS;
+use crate::churn::{churned_schedule, ChurnResult};
+use crate::deployment::Deployment;
+use crate::net::{ChannelSpec, ChurnAction, ChurnEvent, NetParams};
 
 /// Everything a churn-waves run needs.
 #[derive(Debug, Clone)]
@@ -213,71 +210,47 @@ impl ChurnWavesConfig {
         }
         events
     }
-}
 
-/// One channel's outcome.
-#[derive(Debug, Clone)]
-pub struct WaveChannelReport {
-    /// The channel.
-    pub channel: ChannelId,
-    /// Members at end of run.
-    pub members: usize,
-    /// Blocks cut on the channel.
-    pub blocks: u64,
-    /// Leadership acquisitions (every wave beheads the leader, so the
-    /// side channels collect one per wave).
-    pub handoffs: u64,
-    /// Closed leader-gap windows, in event order.
-    pub leader_gaps: Vec<Duration>,
-    /// Peers claiming leadership at end of run.
-    pub leaders: Vec<PeerId>,
-    /// Total gossip bytes sent by the channel's members on this channel.
-    pub gossip_bytes: u64,
-    /// Bytes of that total spent on discovery (heartbeats + anti-entropy).
-    pub discovery_bytes: u64,
-    /// Share of the channel's gossip bytes spent on discovery
-    /// (heartbeats + anti-entropy), in `[0, 1]`.
-    pub discovery_share: f64,
-}
-
-/// What a churn-waves run produces.
-#[derive(Debug)]
-pub struct ChurnWavesResult {
-    /// Per-channel outcomes, channel order (default channel first).
-    pub channels: Vec<WaveChannelReport>,
-    /// Discovery-convergence records of every join and leave, event
-    /// order per channel.
-    pub convergence: Vec<ViewConvergence>,
-    /// Ledger catch-up records, one per join.
-    pub catchups: Vec<Catchup>,
-    /// Per-channel and overall Jain fairness over per-member gossip
-    /// bytes, discovery overhead included.
-    pub fairness: FairnessReport,
-    /// Simulation events processed.
-    pub events: u64,
-    /// Final virtual time.
-    pub sim_end: Time,
-    /// The final protocol state, for custom inspection.
-    pub net: FabricNet,
-}
-
-impl ChurnWavesResult {
-    /// Join-convergence latencies (event order); `None` = unconverged.
-    pub fn join_convergence(&self) -> Vec<Option<Duration>> {
-        self.convergence
-            .iter()
-            .filter(|r| r.join)
-            .map(|r| r.latency())
-            .collect()
-    }
-
-    /// Stale-view durations of the leaves (event order).
-    pub fn stale_views(&self) -> Vec<Option<Duration>> {
-        self.convergence
-            .iter()
-            .filter(|r| !r.join)
-            .map(|r| r.latency())
-            .collect()
+    /// The deployment [`run_churn_waves`] runs: one payload schedule per
+    /// channel, the side channels as contiguous id blocks, the wave plan
+    /// as churn events, drained `drain` past the last transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an infeasible plan ([`ChurnWavesConfig::validate`]) or a
+    /// gossip configuration without protocol discovery.
+    pub fn deployment(&self) -> Deployment {
+        self.validate();
+        assert!(
+            self.gossip.discovery.protocol,
+            "churn_waves runs the discovery protocol; use ChurnWavesConfig::standard"
+        );
+        let mut params = NetParams::new(self.peers(), self.gossip.clone(), self.orderer.clone());
+        params.validation_per_tx = Duration::from_micros(300);
+        params.extra_channels = (1..=self.side_channels)
+            .map(|c| {
+                let members = self.initial_members(c);
+                // The endorser sits at the top of the block: the wave plan
+                // removes members from the senior (low-id) end, so the
+                // endorser never leaves and blocks keep flowing.
+                let endorser = *members.last().expect("side channels are non-empty");
+                ChannelSpec {
+                    channel: ChannelId(c as u16),
+                    members,
+                    orgs: 1,
+                    endorsers: vec![endorser],
+                    policy: EndorsementPolicy::AnyMember,
+                }
+            })
+            .collect();
+        params.churn = self.churn_events();
+        Deployment::new(
+            params,
+            churned_schedule(&self.main_workload, &self.side_workload, self.side_channels),
+            &self.network,
+            self.seed,
+            self.drain,
+        )
     }
 }
 
@@ -286,175 +259,16 @@ impl ChurnWavesResult {
 /// # Panics
 ///
 /// Panics on an invalid configuration (see [`ChurnWavesConfig::validate`]).
-pub fn run_churn_waves(cfg: &ChurnWavesConfig) -> ChurnWavesResult {
-    cfg.validate();
-    assert!(
-        cfg.gossip.discovery.protocol,
-        "churn_waves runs the discovery protocol; use ChurnWavesConfig::standard"
-    );
-    let peers = cfg.peers();
-
-    let main_sched = payload_schedule(&cfg.main_workload);
-    let mut schedules = vec![main_sched];
-    for c in 1..=cfg.side_channels {
-        schedules.push(retarget_schedule(
-            payload_schedule(&cfg.side_workload),
-            ChannelId(c as u16),
-        ));
-    }
-    let schedule = merge_schedules(schedules);
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(Time::ZERO);
-
-    let mut params = NetParams::new(peers, cfg.gossip.clone(), cfg.orderer.clone());
-    params.validation_per_tx = Duration::from_micros(300);
-    params.extra_channels = (1..=cfg.side_channels)
-        .map(|c| {
-            let members = cfg.initial_members(c);
-            // The endorser sits at the top of the block: the wave plan
-            // removes members from the senior (low-id) end, so the
-            // endorser never leaves and blocks keep flowing.
-            let endorser = *members.last().expect("side channels are non-empty");
-            ChannelSpec {
-                channel: ChannelId(c as u16),
-                members,
-                orgs: 1,
-                endorsers: vec![endorser],
-                policy: EndorsementPolicy::AnyMember,
-            }
-        })
-        .collect();
-    params.churn = cfg.churn_events();
-
-    let mut network = cfg.network.clone();
-    network.nodes = FabricNet::node_count(&params);
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, cfg.seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(last_issue + cfg.drain);
-    let events = sim.events_processed();
-    let sim_end = sim.now();
-    let net = sim.into_protocol();
-
-    let mut channels = Vec::with_capacity(1 + cfg.side_channels);
-    let mut convergence = Vec::new();
-    let mut fairness_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
-    for c in 0..=cfg.side_channels {
-        let channel = ChannelId(c as u16);
-        let members = net.members_on(channel).to_vec();
-        let mut total_bytes = 0u64;
-        let mut discovery_bytes = 0u64;
-        let shares: Vec<(usize, f64)> = members
-            .iter()
-            .map(|m| {
-                let bytes = net.gossip(m.index()).stats_on(channel).map_or(0, |s| {
-                    total_bytes += s.bytes_sent();
-                    discovery_bytes += DISCOVERY_KINDS
-                        .iter()
-                        .map(|k| s.bytes_of_kind(k))
-                        .sum::<u64>();
-                    s.bytes_sent()
-                });
-                (m.index(), bytes as f64)
-            })
-            .collect();
-        channels.push(WaveChannelReport {
-            channel,
-            members: members.len(),
-            blocks: net.blocks_cut_on(channel),
-            handoffs: net.handoffs_on(channel),
-            leader_gaps: net.leader_gaps_on(channel).to_vec(),
-            leaders: net.current_leaders_on(channel),
-            gossip_bytes: total_bytes,
-            discovery_bytes,
-            discovery_share: if total_bytes == 0 {
-                0.0
-            } else {
-                discovery_bytes as f64 / total_bytes as f64
-            },
-        });
-        convergence.extend(net.convergence_on(channel).iter().cloned());
-        fairness_rows.push((channel.to_string(), shares));
-    }
-    let fairness = FairnessReport::from_per_channel(&fairness_rows);
-    ChurnWavesResult {
-        channels,
-        convergence,
-        catchups: net.catchups().to_vec(),
-        fairness,
-        events,
-        sim_end,
-        net,
-    }
-}
-
-/// Plain-text rendering of a churn-waves run, preset-report style.
-pub fn render_churn_waves(title: &str, result: &ChurnWavesResult) -> String {
-    let mut out = format!("== {title} ==\n");
-    for c in &result.channels {
-        let gaps: Vec<String> = c.leader_gaps.iter().map(|g| g.to_string()).collect();
-        out.push_str(&format!(
-            "{} {:>3} members | {:>4} blocks | handoffs {} | leaders {:?} | \
-             discovery share {:.3} | gaps [{}]\n",
-            c.channel,
-            c.members,
-            c.blocks,
-            c.handoffs,
-            c.leaders,
-            c.discovery_share,
-            gaps.join(", "),
-        ));
-    }
-    for r in &result.convergence {
-        let kind = if r.join { "join" } else { "leave" };
-        match r.latency() {
-            Some(lat) => out.push_str(&format!(
-                "{kind} {} on {} at {} | converged in {lat} ({} observers)\n",
-                r.peer,
-                r.channel,
-                r.at,
-                r.expected.len(),
-            )),
-            None => out.push_str(&format!(
-                "{kind} {} on {} at {} | NOT CONVERGED ({:.2} of {} observers)\n",
-                r.peer,
-                r.channel,
-                r.at,
-                r.fraction_at(result.sim_end),
-                r.expected.len(),
-            )),
-        }
-    }
-    for cu in &result.catchups {
-        match cu.latency() {
-            Some(lat) => {
-                let via = if cu.snapshot_height > 0 {
-                    format!(
-                        "snapshot@{} + {} replayed",
-                        cu.snapshot_height, cu.blocks_replayed
-                    )
-                } else {
-                    format!("{} replayed", cu.blocks_replayed)
-                };
-                out.push_str(&format!(
-                    "{} caught up on {} (head {}) in {lat} | {} catch-up bytes | {via}\n",
-                    cu.peer, cu.channel, cu.target, cu.bytes,
-                ));
-            }
-            None => out.push_str(&format!(
-                "{} on {} (head {}) | {} catch-up bytes so far | STILL CATCHING UP\n",
-                cu.peer, cu.channel, cu.target, cu.bytes,
-            )),
-        }
-    }
-    out.push_str(&result.fairness.render());
-    out
+pub fn run_churn_waves(cfg: &ChurnWavesConfig) -> ChurnResult {
+    ChurnResult::read_off(cfg.deployment().run())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Catchup;
 
-    fn quick(seed: u64) -> ChurnWavesResult {
+    fn quick(seed: u64) -> ChurnResult {
         let mut cfg = ChurnWavesConfig::standard(2, 8, 20);
         cfg.seed = seed;
         run_churn_waves(&cfg)
@@ -503,7 +317,12 @@ mod tests {
         // Joins converge within a couple of heartbeat/anti-entropy rounds;
         // leaves take at least the alive timeout (silence detection).
         let timeout = Duration::from_secs(3);
-        for lat in res.stale_views().into_iter().flatten() {
+        for lat in res
+            .convergence
+            .iter()
+            .filter(|r| !r.join)
+            .flat_map(|r| r.latency())
+        {
             assert!(
                 lat >= timeout,
                 "a leave cannot be detected before the alive timeout: {lat}"
@@ -528,6 +347,15 @@ mod tests {
                 );
             }
             assert_eq!(c.leaders.len(), 1, "exactly one leader on {}", c.channel);
+            // Blocks kept reaching the initial members through the waves,
+            // though the leavers miss what was cut after they left.
+            assert!(
+                c.completeness > 0.0 && c.completeness <= 1.0,
+                "completeness {} on {}",
+                c.completeness,
+                c.channel
+            );
+            assert!(c.p50 > Duration::ZERO);
         }
         // The stable main channel never elects.
         assert_eq!(res.channels[0].handoffs, 0);
@@ -575,19 +403,10 @@ mod tests {
         let a = quick(7);
         let b = quick(7);
         assert_eq!(a.events, b.events);
-        assert_eq!(a.join_convergence(), b.join_convergence());
-        assert_eq!(a.stale_views(), b.stale_views());
+        let latencies = |r: &ChurnResult| -> Vec<Option<Duration>> {
+            r.convergence.iter().map(|c| c.latency()).collect()
+        };
+        assert_eq!(latencies(&a), latencies(&b));
         assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
-    }
-
-    #[test]
-    fn render_reports_convergence_gaps_and_fairness() {
-        let res = quick(1);
-        let text = render_churn_waves("waves", &res);
-        assert!(text.contains("discovery share"));
-        assert!(text.contains("converged in"));
-        assert!(text.contains("caught up"));
-        assert!(text.contains("catch-up bytes"));
-        assert!(text.contains("jain"));
     }
 }

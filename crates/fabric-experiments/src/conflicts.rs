@@ -15,14 +15,15 @@
 //! *original-gossip* row lands in the paper's range, and then every
 //! relative effect (protocol comparison, period sweep) is emergent.
 
-use desim::{Duration, LatencyModel, NetworkConfig, Simulation};
+use desim::{Duration, LatencyModel, NetworkConfig};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
 use fabric_types::ids::PeerId;
 use fabric_workload::schedule::{increment_schedule, IncrementWorkload};
 
-use crate::net::{FabricNet, NetParams};
+use crate::deployment::Deployment;
+use crate::net::NetParams;
 
 /// Parameters of one conflict run.
 #[derive(Debug, Clone)]
@@ -84,6 +85,36 @@ impl ConflictConfig {
         };
         self
     }
+
+    /// The deployment [`run_conflicts`] runs: the increment schedule
+    /// against `endorsers` endorsing peers behind the collapsed ordering
+    /// pipeline, drained 60 s past the last transaction (pipeline +
+    /// dissemination + validation, with margin).
+    pub fn deployment(&self) -> Deployment {
+        let orderer = OrdererConfig {
+            batch: BatchConfig::paper_conflicts(self.period),
+            consensus_delay: self.pipeline,
+        };
+        let mut params = NetParams::new(self.peers, self.gossip.clone(), orderer);
+        params.validation_per_tx = self.validation_per_tx;
+        params.endorsers = (1..=self.endorsers as u32).map(PeerId).collect();
+        if self.endorsers > 1 {
+            // Proposal-time experiments demand every endorser's signature,
+            // as a real multi-endorser policy would.
+            params.policy = fabric_types::transaction::EndorsementPolicy::OutOf {
+                required: self.endorsers,
+                candidates: params.endorsers.clone(),
+            };
+        }
+        params.full_ledgers = false;
+        Deployment::new(
+            params,
+            increment_schedule(&self.workload, self.seed),
+            &self.network,
+            self.seed,
+            Duration::from_secs(60),
+        )
+    }
 }
 
 /// The outcome of one conflict run.
@@ -122,38 +153,7 @@ impl ConflictResult {
 /// counter sum drifts from the valid count) — that would be a harness bug,
 /// not a measurement.
 pub fn run_conflicts(cfg: &ConflictConfig) -> ConflictResult {
-    let schedule = increment_schedule(&cfg.workload, cfg.seed);
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(desim::Time::ZERO);
-
-    let batch = BatchConfig::paper_conflicts(cfg.period);
-    let orderer = OrdererConfig {
-        batch,
-        consensus_delay: cfg.pipeline,
-    };
-    let mut params = NetParams::new(cfg.peers, cfg.gossip.clone(), orderer);
-    params.validation_per_tx = cfg.validation_per_tx;
-    params.endorsers = (1..=cfg.endorsers as u32).map(PeerId).collect();
-    if cfg.endorsers > 1 {
-        // Proposal-time experiments demand every endorser's signature, as
-        // a real multi-endorser policy would.
-        params.policy = fabric_types::transaction::EndorsementPolicy::OutOf {
-            required: cfg.endorsers,
-            candidates: params.endorsers.clone(),
-        };
-    }
-    params.full_ledgers = false;
-
-    let mut network = cfg.network.clone();
-    network.nodes = FabricNet::node_count(&params);
-
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, cfg.seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-
-    // Pipeline + dissemination + validation drain, with margin.
-    sim.run_until(last_issue + Duration::from_secs(60));
-
-    let net = sim.into_protocol();
+    let net = cfg.deployment().run().into_protocol();
     let endorser = net.params().endorsers[0].index();
     let ledger = net
         .ledger(endorser)

@@ -1,0 +1,91 @@
+//! Standing a deployment up and running it out — the one place that
+//! knows how.
+//!
+//! Every number this crate reports is three steps: assemble a
+//! [`FabricNet`], drain it, read results off. The first two are here. A
+//! runner's configuration produces a [`Deployment`] (`cfg.deployment()`)
+//! and its `run_*` is `cfg.deployment().run()` plus a read-off of its
+//! own. A caller that needs the phases in between — set-up timed apart
+//! from the event loop, the protocol wrapped for spans — takes the public
+//! fields and drives the same stages itself: `Simulation::new(wrap(d.net),
+//! d.network, d.seed)`, [`FabricNet::start`], then [`run_out`].
+//!
+//! The fields are what a configuration *produced*, not options a run
+//! reads: nothing branches on them except [`run_out`] on a zero idle tail.
+
+use desim::{Duration, NetworkConfig, Protocol, Simulation, Time};
+use fabric_workload::schedule::ScheduledInvocation;
+
+use crate::net::{FabricNet, NetParams};
+
+/// An assembled deployment and how to drive it.
+#[derive(Debug)]
+pub struct Deployment {
+    /// The deployment, built and not yet started.
+    pub net: FabricNet,
+    /// The physical network, sized to the deployment.
+    pub network: NetworkConfig,
+    /// The simulation seed.
+    pub seed: u64,
+    /// The simulated instant up to which the run drains: the schedule's
+    /// last issue plus the runner's drain window.
+    pub drain_until: Time,
+    /// Simulated time run on top of that, from wherever the clock stands
+    /// after the drain (the idle tail of the bandwidth figures; zero
+    /// unless the runner sets it).
+    pub idle_tail: Duration,
+}
+
+impl Deployment {
+    /// Builds `params` over `schedule` in a copy of `network_template`
+    /// resized to [`FabricNet::node_count`], to be drained until `drain`
+    /// after the schedule's last issue.
+    pub fn new(
+        params: NetParams,
+        schedule: Vec<ScheduledInvocation>,
+        network_template: &NetworkConfig,
+        seed: u64,
+        drain: Duration,
+    ) -> Self {
+        let mut network = network_template.clone();
+        network.nodes = FabricNet::node_count(&params);
+        let drain_until = schedule.last().map_or(Time::ZERO, |s| s.at) + drain;
+        Deployment {
+            net: FabricNet::new(params, schedule),
+            network,
+            seed,
+            drain_until,
+            idle_tail: Duration::ZERO,
+        }
+    }
+
+    /// The simulation with every peer's timers, the client's first
+    /// submission and the churn plan armed, and nothing run yet.
+    pub fn start(self) -> Simulation<FabricNet> {
+        let mut sim = Simulation::new(self.net, self.network, self.seed);
+        sim.with_ctx(|net, ctx| net.start(ctx));
+        sim
+    }
+
+    /// [`Deployment::start`], then [`run_out`].
+    pub fn run(self) -> Simulation<FabricNet> {
+        let (drain_until, idle_tail) = (self.drain_until, self.idle_tail);
+        let mut sim = self.start();
+        run_out(&mut sim, drain_until, idle_tail);
+        sim
+    }
+}
+
+/// Runs a started deployment out: the drain, then the idle tail **as a
+/// second stage**. The tail is not added to `drain_until` because
+/// [`Simulation::run_until`] can carry the clock past its bound (a step
+/// that re-queues an arrival handles the next event whatever its time —
+/// ROADMAP 2(a)), and the tail is measured from where the clock then
+/// stands. Generic over the protocol so that a wrapper around
+/// [`FabricNet`] is run out by the same two stages.
+pub fn run_out<P: Protocol>(sim: &mut Simulation<P>, drain_until: Time, idle_tail: Duration) {
+    sim.run_until(drain_until);
+    if !idle_tail.is_zero() {
+        sim.run_for(idle_tail);
+    }
+}

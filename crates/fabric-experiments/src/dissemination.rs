@@ -2,7 +2,7 @@
 //! through a 100-peer organization, measuring per-peer and per-block
 //! latency plus bandwidth — Figures 4 through 14.
 
-use desim::{Duration, KindStats, NetworkConfig, Simulation};
+use desim::{Duration, KindStats, NetworkConfig, NodeId};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
@@ -11,7 +11,21 @@ use fabric_workload::schedule::{payload_schedule, PayloadWorkload};
 use gossip_metrics::bandwidth::{BandwidthComparison, BandwidthSeries};
 use gossip_metrics::latency::{Extremes, LatencyRecorder};
 
-use crate::net::{FabricNet, NetParams};
+use crate::deployment::Deployment;
+use crate::net::NetParams;
+
+/// Constant background traffic added to the bandwidth series (the paper's
+/// ≈0.4 MB/s of non-dissemination system chatter).
+const BACKGROUND_MBPS: f64 = 0.4;
+
+/// Ordering lag + dissemination tail: the drain window after the last
+/// transaction, before the idle tail the bandwidth figures show.
+const DRAIN: Duration = Duration::from_secs(40);
+
+/// The active phase (over which the figures' dotted averages run) ends
+/// this long after the last transaction; the rest of the drain and the
+/// idle tail only carry background chatter.
+const ACTIVE_AFTER_LAST_ISSUE: Duration = Duration::from_secs(5);
 
 /// Everything a dissemination run needs.
 #[derive(Debug, Clone)]
@@ -29,9 +43,6 @@ pub struct DisseminationConfig {
     /// Extra idle time simulated after the last block, showing the
     /// background-traffic floor (Fig. 6 runs 500 s of idle tail).
     pub idle_tail: Duration,
-    /// Constant background traffic added to the bandwidth series (the
-    /// paper's ≈0.4 MB/s of non-dissemination system chatter).
-    pub background_mbps: f64,
     /// Number of organizations (contiguous peer split; 1 = the paper's
     /// evaluation deployment).
     pub orgs: usize,
@@ -51,7 +62,6 @@ impl DisseminationConfig {
             network: NetworkConfig::lan(102),
             orderer: OrdererConfig::kafka(BatchConfig::paper_dissemination()),
             idle_tail: Duration::from_secs(500),
-            background_mbps: 0.4,
             orgs: 1,
             free_riders: 0,
             seed: 1,
@@ -94,6 +104,54 @@ impl DisseminationConfig {
         self.workload.total_txs = total_txs;
         self.idle_tail = Duration::from_secs(20);
         self
+    }
+
+    /// The "regular peer chosen at random" of the bandwidth figures: the
+    /// last *forwarding* peer — free riders sit at the high end of the
+    /// roster and never forward, so sampling one would chart a peer that
+    /// sends nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the free riders leave no forwarding peer besides the
+    /// leader (peer 0) and the endorser (peer 1).
+    pub fn regular_peer(&self) -> PeerId {
+        let forwarding = self.peers.saturating_sub(self.free_riders);
+        assert!(
+            forwarding > 2,
+            "{} free riders among {} peers leave no forwarding peer besides the leader and \
+             the endorser",
+            self.free_riders,
+            self.peers
+        );
+        PeerId(forwarding as u32 - 1)
+    }
+
+    /// The deployment [`run_dissemination`] runs: the payload schedule
+    /// over one channel of `peers`, free riders marked, drained 40 s past
+    /// the last transaction and then through the idle tail.
+    pub fn deployment(&self) -> Deployment {
+        let mut params = NetParams::new(self.peers, self.gossip.clone(), self.orderer.clone());
+        // Dissemination blocks carry 50 padded transactions; validation at
+        // the paper's conflict-experiment cost would saturate peers, and
+        // the paper does not report it as a factor here — keep it light
+        // but nonzero.
+        params.validation_per_tx = Duration::from_micros(300);
+        params.endorsers = vec![PeerId(1)];
+        params.full_ledgers = false;
+        params.orgs = self.orgs;
+
+        assert!(
+            self.free_riders < self.peers,
+            "at least one peer must forward"
+        );
+        let schedule = payload_schedule(&self.workload);
+        let mut d = Deployment::new(params, schedule, &self.network, self.seed, DRAIN);
+        d.idle_tail = self.idle_tail;
+        for i in (self.peers - self.free_riders)..self.peers {
+            d.net.set_forwarding(i, false);
+        }
+        d
     }
 }
 
@@ -140,63 +198,30 @@ impl DisseminationResult {
 
 /// Runs one dissemination experiment to completion.
 pub fn run_dissemination(cfg: &DisseminationConfig) -> DisseminationResult {
-    let schedule = payload_schedule(&cfg.workload);
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(desim::Time::ZERO);
-
-    let mut params = NetParams::new(cfg.peers, cfg.gossip.clone(), cfg.orderer.clone());
-    // Dissemination blocks carry 50 padded transactions; validation at the
-    // paper's conflict-experiment cost would saturate peers, and the paper
-    // does not report it as a factor here — keep it light but nonzero.
-    params.validation_per_tx = Duration::from_micros(300);
-    params.endorsers = vec![PeerId(1)];
-    params.full_ledgers = false;
-    params.orgs = cfg.orgs;
-
-    let mut network = cfg.network.clone();
-    network.nodes = FabricNet::node_count(&params);
-
-    let mut net = FabricNet::new(params, schedule);
-    assert!(
-        cfg.free_riders < cfg.peers,
-        "at least one peer must forward"
-    );
-    for i in (cfg.peers - cfg.free_riders)..cfg.peers {
-        net.set_forwarding(i, false);
-    }
-    let mut sim = Simulation::new(net, network, cfg.seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-
-    // Ordering lag + dissemination tail: generous 40 s drain window, then
-    // the idle tail the bandwidth figures show.
-    let drain = Duration::from_secs(40);
-    sim.run_until(last_issue + drain);
-    sim.run_for(cfg.idle_tail);
+    let d = cfg.deployment();
+    let active_end = d.drain_until - (DRAIN - ACTIVE_AFTER_LAST_ISSUE);
+    let sim = d.run();
     let end = sim.now();
-    // The active phase (over which the figures' dotted averages run) ends
-    // shortly after the last transaction; the drain and idle tail only
-    // carry background chatter.
-    let active_end = last_issue + Duration::from_secs(5);
 
     let bucket_secs = sim.metrics().bucket_width().as_secs_f64();
-    let leader_node = desim::NodeId(0);
-    // "A regular peer chosen at random": any non-leader, non-endorser peer.
-    let regular_node = desim::NodeId(cfg.peers as u32 - 1);
+    let leader_node = NodeId(0);
+    let regular_node = NodeId(cfg.regular_peer().0);
     let leader = BandwidthSeries::new(
         "leader peer",
         sim.metrics().utilization_mbps(leader_node, end),
         bucket_secs,
     )
-    .with_background(cfg.background_mbps);
+    .with_background(BACKGROUND_MBPS);
     let regular = BandwidthSeries::new(
         "regular peer",
         sim.metrics().utilization_mbps(regular_node, end),
         bucket_secs,
     )
-    .with_background(cfg.background_mbps);
+    .with_background(BACKGROUND_MBPS);
     let active_buckets = (active_end.as_secs_f64() / bucket_secs).ceil() as usize;
 
     let peer_traffic_mb = (0..cfg.peers)
-        .map(|i| sim.metrics().total_sent(desim::NodeId(i as u32)))
+        .map(|i| sim.metrics().total_sent(NodeId(i as u32)))
         .sum::<u64>() as f64
         / 1e6;
     let leader_sent_mb = sim.metrics().total_sent(leader_node) as f64 / 1e6;
@@ -316,6 +341,26 @@ mod tests {
             "no digests: {:.1} MB vs with digests: {:.1} MB",
             without.peer_traffic_mb,
             with.peer_traffic_mb
+        );
+    }
+
+    #[test]
+    fn the_regular_peer_is_never_a_free_rider_the_leader_or_the_endorser() {
+        // 0 / 10 / 30 % riders of the paper's 100 peers. The parent sampled
+        // `peers - 1`, which lies inside the rider range whenever that
+        // range is non-empty.
+        for free_riders in [0, 10, 30] {
+            let mut cfg = DisseminationConfig::fig07_09_enhanced_f4();
+            cfg.free_riders = free_riders;
+            let regular = cfg.regular_peer().index();
+            assert_eq!(regular, cfg.peers - free_riders - 1);
+            assert!(!((cfg.peers - free_riders)..cfg.peers).contains(&regular));
+            assert!(regular > 1, "neither the leader nor the endorser");
+        }
+        assert_eq!(
+            DisseminationConfig::fig04_06_original().regular_peer(),
+            PeerId(99),
+            "unchanged without riders"
         );
     }
 

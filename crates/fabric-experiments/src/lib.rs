@@ -3,8 +3,9 @@
 //! Wires every substrate into one deterministic simulation
 //! ([`net::FabricNet`]): a client issuing the paper's workloads, an
 //! ordering service cutting blocks, and an organization of gossip peers
-//! validating and committing them. On top, one runner per experiment
-//! family:
+//! validating and committing them. [`deployment::Deployment`] is the one
+//! way such a network is stood up and run out; on top of it, one runner
+//! per experiment family (`cfg.deployment().run()` + its own read-off):
 //!
 //! * [`dissemination`] — Figs. 4–14: latency and bandwidth of block
 //!   dissemination, original vs enhanced, with the leader-fan-out and
@@ -57,6 +58,7 @@ pub mod adversarial;
 pub mod churn;
 pub mod churn_waves;
 pub mod conflicts;
+pub mod deployment;
 pub mod dissemination;
 pub mod long_chain;
 pub mod multichannel;
@@ -70,8 +72,9 @@ pub use adversarial::{
     Guarantee, Metric,
 };
 pub use churn::{run_churn, ChurnConfig, ChurnResult};
-pub use churn_waves::{run_churn_waves, ChurnWavesConfig, ChurnWavesResult};
+pub use churn_waves::{run_churn_waves, ChurnWavesConfig};
 pub use conflicts::{run_conflicts, run_table2, ConflictConfig, ConflictResult, Table2Row};
+pub use deployment::Deployment;
 pub use dissemination::{run_dissemination, DisseminationConfig, DisseminationResult};
 pub use long_chain::{
     render_long_chain, run_long_chain, LongChainConfig, LongChainResult, LongChainRow,

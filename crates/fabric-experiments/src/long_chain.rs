@@ -191,11 +191,11 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             blocks,
             genesis_target: g.target,
             genesis_bytes: g.bytes,
-            genesis_time_to_serving: g.time_to_serving().expect("checked above"),
+            genesis_time_to_serving: g.latency().expect("checked above"),
             genesis_blocks_replayed: g.blocks_replayed,
             snapshot_target: s.target,
             snapshot_bytes: s.bytes,
-            snapshot_time_to_serving: s.time_to_serving().expect("checked above"),
+            snapshot_time_to_serving: s.latency().expect("checked above"),
             snapshot_blocks_replayed: s.blocks_replayed,
             snapshot_height: s.snapshot_height,
             max_msg_bytes: s.max_msg_bytes,

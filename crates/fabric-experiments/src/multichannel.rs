@@ -10,9 +10,10 @@
 //! common cannot influence each other's events in any way.
 //! [`plan_groups`] computes the connected components of that graph, and
 //! [`run_multichannel`] simulates each component as its own
-//! [`FabricNet`] — own client, ordering service, endorsers, validation and
-//! virtual clock, the same pipeline Figs. 4–9 run on — over
-//! [`desim::run_batch_with_workers`], then merges the per-group results.
+//! [`FabricNet`](crate::net::FabricNet) — own client, ordering service,
+//! endorsers, validation and virtual clock, the same pipeline Figs. 4–9
+//! run on — over [`desim::run_batch_with_workers`], then merges the
+//! per-group results.
 //! A deployment whose channels all overlap ([`MultiChannelConfig::skewed`])
 //! is one component and so one `FabricNet` on the calling thread;
 //! [`MultiChannelConfig::large`] is 126 of them, same code.
@@ -32,7 +33,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use desim::{run_batch_with_workers, Duration, NetworkConfig, Simulation, Time, TraceEvent};
+use desim::{run_batch_with_workers, Duration, NetworkConfig, Time, TraceEvent};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
@@ -44,7 +45,8 @@ use fabric_workload::schedule::{
 use gossip_metrics::cdf::Cdf;
 use gossip_metrics::fairness::FairnessReport;
 
-use crate::net::{ChannelSpec, FabricNet, NetParams};
+use crate::deployment::{run_out, Deployment};
+use crate::net::{ChannelSpec, NetParams};
 
 /// One channel of a multi-channel deployment: its membership and its
 /// client workload.
@@ -424,7 +426,7 @@ pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
     }
 }
 
-/// Simulates one connected component as its own [`FabricNet`] deployment
+/// Simulates one connected component as its own [`FabricNet`](crate::net::FabricNet) deployment
 /// with densely remapped local peer ids (ascending order preserved, so
 /// leader election picks the same relative peer as it would globally).
 fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize) -> GroupOutcome {
@@ -483,21 +485,22 @@ fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize)
             })
             .collect(),
     );
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(Time::ZERO);
-
-    let mut network = cfg.network.clone();
-    network.nodes = FabricNet::node_count(&params);
-    let net = FabricNet::new(params, schedule);
     // Group seeds mix the run seed with the group index only — never a
     // worker or shard id — so results cannot depend on the shard count.
     let seed = cfg
         .seed
         .wrapping_add((group_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut sim = Simulation::new(net, network, seed);
+    let d = Deployment::new(
+        params,
+        schedule,
+        &cfg.network,
+        seed,
+        Duration::from_secs(40),
+    );
+    let drain_until = d.drain_until;
+    let mut sim = d.start();
     sim.set_trace(cfg.record_trace);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(last_issue + Duration::from_secs(40));
-    sim.run_for(cfg.idle_tail);
+    run_out(&mut sim, drain_until, cfg.idle_tail);
 
     let events = sim.events_processed();
     let end = sim.now();

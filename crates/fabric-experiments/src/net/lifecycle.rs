@@ -80,12 +80,6 @@ impl Catchup {
     pub fn latency(&self) -> Option<Duration> {
         self.completed_at.map(|t| t.since(self.joined_at))
     }
-
-    /// Time from join until the peer serves the join-time head — the
-    /// report-facing name for [`Catchup::latency`].
-    pub fn time_to_serving(&self) -> Option<Duration> {
-        self.latency()
-    }
 }
 
 /// Discovery-convergence record of one churn event: how the news of a

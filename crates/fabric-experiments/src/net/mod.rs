@@ -28,6 +28,17 @@
 //! again, their seat succeeded by discovery seniority — is driven by
 //! [`ChurnEvent`]s and needs the gossiped discovery protocol
 //! ([`DiscoveryMode::Protocol`]): only the mover acts, nobody is told.
+//!
+//! The module is cut along four seams. This file holds what a deployment
+//! *is*: its description ([`NetParams`], [`ChannelSpec`]), its state
+//! ([`FabricNet`]), the constructor and the read accessors. `pipeline`
+//! holds what travels and how it is dispatched — the wire and timer
+//! types, the [`desim::Protocol`] impl, and the client → endorse → order →
+//! deliver path; `lifecycle` runtime membership — churn events, `join` /
+//! `leave` / `crash`, and the catch-up and convergence records; `fx` the
+//! [`fabric_gossip::effects::Effects`] adapter every gossip handler runs
+//! against, with the Byzantine edge on its wire. Every public item is
+//! re-exported here, so paths are `fabric_experiments::net::X` throughout.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

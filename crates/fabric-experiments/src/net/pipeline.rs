@@ -60,12 +60,9 @@ impl desim::Message for NetMsg {
     }
 
     fn kind(&self) -> &'static str {
-        match self {
-            NetMsg::Gossip(g) => g.kind(),
-            NetMsg::Propose { .. } => "propose",
-            NetMsg::Endorsed { .. } => "endorsed",
-            NetMsg::Submit { .. } => "submit",
-            NetMsg::DeliverBlock { .. } => "orderer-deliver",
+        match self.kind_index() {
+            Ok(i) => PIPELINE_KINDS[i],
+            Err(g) => g.kind(),
         }
     }
 
@@ -73,25 +70,30 @@ impl desim::Message for NetMsg {
         // Cached interning: the engine records a kind id per send, so the
         // default (registry lookup per call) would put a lock on the hot
         // path.
-        struct PipelineKindIds {
-            propose: desim::KindId,
-            endorsed: desim::KindId,
-            submit: desim::KindId,
-            deliver: desim::KindId,
+        static IDS: std::sync::OnceLock<[desim::KindId; PIPELINE_KINDS.len()]> =
+            std::sync::OnceLock::new();
+        match self.kind_index() {
+            Ok(i) => IDS.get_or_init(|| PIPELINE_KINDS.map(desim::KindId::intern))[i],
+            Err(g) => g.kind_id(),
         }
-        static IDS: std::sync::OnceLock<PipelineKindIds> = std::sync::OnceLock::new();
-        let ids = IDS.get_or_init(|| PipelineKindIds {
-            propose: desim::KindId::intern("propose"),
-            endorsed: desim::KindId::intern("endorsed"),
-            submit: desim::KindId::intern("submit"),
-            deliver: desim::KindId::intern("orderer-deliver"),
-        });
+    }
+}
+
+/// The metrics tags of the pipeline's own messages, at their
+/// [`NetMsg::kind_index`].
+const PIPELINE_KINDS: [&str; 4] = ["propose", "endorsed", "submit", "orderer-deliver"];
+
+impl NetMsg {
+    /// Where this message's tag sits in [`PIPELINE_KINDS`], or the gossip
+    /// envelope that carries its own.
+    #[inline]
+    fn kind_index(&self) -> Result<usize, &ChannelMsg> {
         match self {
-            NetMsg::Gossip(g) => g.kind_id(),
-            NetMsg::Propose { .. } => ids.propose,
-            NetMsg::Endorsed { .. } => ids.endorsed,
-            NetMsg::Submit { .. } => ids.submit,
-            NetMsg::DeliverBlock { .. } => ids.deliver,
+            NetMsg::Gossip(g) => Err(g),
+            NetMsg::Propose { .. } => Ok(0),
+            NetMsg::Endorsed { .. } => Ok(1),
+            NetMsg::Submit { .. } => Ok(2),
+            NetMsg::DeliverBlock { .. } => Ok(3),
         }
     }
 }

@@ -46,6 +46,7 @@ use fabric_types::snapshot::SnapshotRef;
 use fabric_types::transaction::EndorsementPolicy;
 
 use crate::churn_waves::DISCOVERY_KINDS;
+use crate::deployment::Deployment;
 use crate::net::{ChannelSpec, FabricNet, NetParams};
 
 /// A scripted multi-peer deployment for discovery-protocol tests and
@@ -62,9 +63,11 @@ pub struct ScenarioNet {
 }
 
 impl ScenarioNet {
-    /// Builds and starts `network.nodes` peers in `network`; peer `i`
-    /// starts joined to every channel whose member list (ascending ids)
-    /// contains it. Every peer's timers are armed and discovery has
+    /// Builds and starts `network.nodes` peers in `network` (stood up as
+    /// a [`Deployment`] like every other run, so the simulated network
+    /// also has the two nodes of the orderer and the client, which a
+    /// schedule-less deployment never addresses); peer `i` starts joined
+    /// to every channel whose member list (ascending ids) contains it. Every peer's timers are armed and discovery has
     /// announced each initial member to its samples; nothing has been
     /// delivered yet — like every op, the start happens at an instant and
     /// the simulation runs when told to ([`ScenarioNet::run_for`]).
@@ -94,10 +97,8 @@ impl ScenarioNet {
             });
         params.default_members = specs.next().map(|spec| spec.members);
         params.extra_channels = specs.collect();
-        let mut sim = Simulation::new(FabricNet::new(params, Vec::new()), network, seed);
-        sim.with_ctx(|net, ctx| net.start(ctx));
         ScenarioNet {
-            sim,
+            sim: Deployment::new(params, Vec::new(), &network, seed, Duration::ZERO).start(),
             obituary_floor: BTreeMap::new(),
             heads,
         }

@@ -24,8 +24,8 @@
 use desim::Duration;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    Adaptively, CoalitionForger, Equivocator, LeaderHunter, Predicate, RefutationSuppressor,
-    SideChannel, Withholder,
+    CoalitionForger, Equivocator, LeaderHunter, Predicate, RefutationSuppressor, SideChannel,
+    Withholder,
 };
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ChannelId, PeerId};
@@ -335,7 +335,7 @@ fn adaptive_leader_hunt(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
             let mut net = deployment(n as usize, vec![members], &gossip);
             net.run_for(Duration::from_secs(5));
             for id in top_ids(n, f) {
-                net.set_byzantine(id, Box::new(Adaptively(LeaderHunter::new(2))));
+                net.set_byzantine(id, Box::new(LeaderHunter::new(2)));
             }
             net.run_for(Duration::from_secs(40));
             let recovered = net.secs_until(RECOVERY_LIMIT, |net| {

@@ -13,15 +13,15 @@
 //! digest, a reordered RNG draw — fails loudly instead of sliding into
 //! the baseline.
 
-use desim::{Duration, NetworkConfig, Simulation};
+use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation};
+use fabric_experiments::churn::{run_churn, ChurnConfig};
+use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
+use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
+use fabric_experiments::deployment::{run_out, Deployment};
 use fabric_experiments::dissemination::{run_dissemination, DisseminationConfig};
-use fabric_experiments::net::{FabricNet, NetParams};
+use fabric_experiments::net::{FabricNet, NetMsg, NetTimer};
 use fabric_gossip::config::GossipConfig;
-use fabric_orderer::cutter::BatchConfig;
-use fabric_orderer::service::OrdererConfig;
 use fabric_types::block::BlockRef;
-use fabric_types::ids::PeerId;
-use fabric_workload::schedule::{payload_schedule, PayloadWorkload};
 
 fn quick(gossip: GossipConfig, seed: u64) -> DisseminationConfig {
     let mut cfg = DisseminationConfig::fig07_09_enhanced_f4().scaled(400);
@@ -130,24 +130,115 @@ fn drive_sim(
     txs: usize,
     trace: bool,
 ) -> Simulation<FabricNet> {
-    let workload = PayloadWorkload::shortened(txs);
-    let schedule = payload_schedule(&workload);
-    let last_issue = schedule.last().map(|s| s.at).unwrap_or(desim::Time::ZERO);
-    let mut params = NetParams::new(
-        peers,
-        gossip,
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
-    params.validation_per_tx = Duration::from_micros(300);
-    params.endorsers = vec![PeerId(1)];
-    let mut network = NetworkConfig::lan(FabricNet::node_count(&params));
-    network.nodes = FabricNet::node_count(&params);
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, seed);
+    // The dissemination preset's own deployment, drained and not run
+    // through its idle tail.
+    let mut cfg = quick(gossip, seed).scaled(txs);
+    cfg.peers = peers;
+    let d = cfg.deployment();
+    let drain_until = d.drain_until;
+    let mut sim = d.start();
     sim.set_trace(trace);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(last_issue + Duration::from_secs(40));
+    sim.run_until(drain_until);
     sim
+}
+
+/// A protocol that forwards everything to the [`FabricNet`] inside and
+/// counts what it forwarded — the shape of a span recorder.
+struct PassThrough {
+    inner: FabricNet,
+    forwarded: u64,
+}
+
+impl Protocol for PassThrough {
+    type Msg = NetMsg;
+    type Timer = NetTimer;
+
+    fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        to: NodeId,
+        from: NodeId,
+        msg: NetMsg,
+    ) {
+        self.forwarded += 1;
+        self.inner.on_message(ctx, to, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, node: NodeId, timer: NetTimer) {
+        self.forwarded += 1;
+        self.inner.on_timer(ctx, node, timer);
+    }
+
+    fn on_node_status(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, node: NodeId, up: bool) {
+        self.forwarded += 1;
+        self.inner.on_node_status(ctx, node, up);
+    }
+}
+
+/// Drives a [`Deployment`] from outside its module, the protocol wrapped:
+/// the events the wrapper saw (all there were), and the finished network.
+fn through_a_wrapper(d: Deployment) -> (u64, FabricNet) {
+    let host = PassThrough {
+        inner: d.net,
+        forwarded: 0,
+    };
+    let mut sim = Simulation::new(host, d.network, d.seed);
+    sim.with_ctx(|host, ctx| host.inner.start(ctx));
+    run_out(&mut sim, d.drain_until, d.idle_tail);
+    let events = sim.events_processed();
+    let host = sim.into_protocol();
+    assert_eq!(host.forwarded, events);
+    (events, host.inner)
+}
+
+/// The seam a per-phase breakdown stands on: `cfg.deployment()` hands out
+/// everything its `run_*` runs, so a caller that wraps the protocol and
+/// drives the stages itself simulates the same run, event for event.
+#[test]
+fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
+    let dissemination = quick(GossipConfig::enhanced_f4(), 11);
+    assert_eq!(
+        through_a_wrapper(dissemination.deployment()).0,
+        run_dissemination(&dissemination).events
+    );
+
+    let mut churn = ChurnConfig::standard(16, 8, 20);
+    churn.seed = 42;
+    assert_eq!(
+        through_a_wrapper(churn.deployment()).0,
+        run_churn(&churn).events
+    );
+
+    let mut waves = ChurnWavesConfig::standard(2, 8, 20);
+    waves.seed = 3;
+    assert_eq!(
+        through_a_wrapper(waves.deployment()).0,
+        run_churn_waves(&waves).events
+    );
+
+    // `ConflictResult` carries no event count: compare what the run left
+    // on the endorser's ledger instead.
+    let mut conflicts =
+        ConflictConfig::paper(GossipConfig::enhanced_f4(), Duration::from_secs(1)).scaled(20, 10);
+    conflicts.peers = 30;
+    conflicts.seed = 3;
+    let (_, net) = through_a_wrapper(conflicts.deployment());
+    let stats = net.ledger(1).expect("the endorser's ledger").stats();
+    let reported = run_conflicts(&conflicts);
+    assert_eq!(
+        (
+            net.issued(),
+            stats.mvcc_conflicts,
+            stats.valid_txs,
+            net.blocks_cut()
+        ),
+        (
+            reported.issued,
+            reported.conflicts,
+            reported.valid,
+            reported.blocks
+        )
+    );
 }
 
 /// The content guard: an FNV-1a hash over every protocol-visible event's
@@ -219,7 +310,6 @@ fn duplicate_block_accounting_is_unchanged_across_runs() {
 /// silently.
 #[test]
 fn discovery_golden_trace_pins_events_and_byte_totals() {
-    use fabric_experiments::churn::{run_churn, ChurnConfig};
     use fabric_types::ids::ChannelId;
 
     let mut cfg = ChurnConfig::standard(16, 8, 20);
@@ -273,7 +363,6 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
 #[test]
 fn snapshots_default_off_cannot_perturb_the_golden_traces() {
     use desim::Message as _;
-    use fabric_experiments::churn::ChurnConfig;
     use fabric_gossip::messages::GossipMsg;
     use fabric_types::snapshot::Checkpoint;
 

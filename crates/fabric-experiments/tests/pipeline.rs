@@ -2,6 +2,7 @@
 //! propose→endorse→submit→order→deliver flow, observed step by step.
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
+use fabric_experiments::deployment::Deployment;
 use fabric_experiments::net::{FabricNet, NetParams};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
@@ -33,13 +34,14 @@ fn increment_sim(
         rounds,
         rate_per_sec: 10.0,
     };
-    let schedule = increment_schedule(&workload, 42);
-    let p = params(peers, max_count, timeout);
-    let network = NetworkConfig::lan(FabricNet::node_count(&p));
-    let net = FabricNet::new(p, schedule);
-    let mut sim = Simulation::new(net, network, 9);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim
+    Deployment::new(
+        params(peers, max_count, timeout),
+        increment_schedule(&workload, 42),
+        &NetworkConfig::lan(0),
+        9,
+        Duration::ZERO,
+    )
+    .start()
 }
 
 #[test]
@@ -88,10 +90,7 @@ fn validation_delay_defers_commit_but_not_reception() {
     let schedule = increment_schedule(&workload, 1);
     let mut p = params(6, 5, Duration::from_secs(5));
     p.validation_per_tx = Duration::from_millis(50);
-    let network = NetworkConfig::ideal(FabricNet::node_count(&p));
-    let net = FabricNet::new(p, schedule);
-    let mut sim = Simulation::new(net, network, 3);
-    sim.with_ctx(|net, ctx| net.start(ctx));
+    let mut sim = Deployment::new(p, schedule, &NetworkConfig::ideal(0), 3, Duration::ZERO).start();
 
     // After the block reaches peers but before validation finishes, the
     // store has it and the ledger does not.

@@ -31,9 +31,9 @@ use desim::{Duration, NetworkConfig};
 use fabric_experiments::scenario::ScenarioNet;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    random_scenario, Adaptively, Byzantine, CoalitionForger, Eclipser, Equivocator, Flooder,
-    LeaderHunter, ObituaryForger, Predicate, RefutationSuppressor, ScenarioOp, ScenarioShape,
-    SelectiveForwarder, SideChannel, SnapshotPoisoner, StaleReplayer, Withholder,
+    random_scenario, Byzantine, CoalitionForger, Eclipser, Equivocator, Flooder, LeaderHunter,
+    ObituaryForger, Predicate, RefutationSuppressor, ScenarioOp, ScenarioShape, SelectiveForwarder,
+    SideChannel, SnapshotPoisoner, StaleReplayer, Withholder,
 };
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
@@ -496,7 +496,7 @@ fn an_adaptive_leader_hunter_causes_churn_but_leadership_recovers_to_one() {
         .expect("leader heartbeated")
         .incarnation;
 
-    net.set_byzantine(PeerId(4), Box::new(Adaptively(LeaderHunter::new(2))));
+    net.set_byzantine(PeerId(4), Box::new(LeaderHunter::new(2)));
     let mut disrupted = false;
     for _ in 0..80u64 {
         net.run_for(Duration::from_millis(500));

@@ -296,97 +296,62 @@ impl desim::Message for GossipMsg {
     }
 
     fn kind(&self) -> &'static str {
-        match self {
-            GossipMsg::BlockPush { .. } => "block",
-            GossipMsg::PushDigest { .. } => "push-digest",
-            GossipMsg::PushRequest { .. } => "push-request",
-            GossipMsg::PullHello { .. } => "pull-hello",
-            GossipMsg::PullDigestResponse { .. } => "pull-digest",
-            GossipMsg::PullRequest { .. } => "pull-request",
-            GossipMsg::PullResponse { .. } => "block-pull",
-            GossipMsg::StateInfo { .. } => "state-info",
-            GossipMsg::RecoveryRequest { .. } => "recovery-request",
-            GossipMsg::RecoveryResponse { .. } => "block-recovery",
-            GossipMsg::SnapshotRequest { .. } => "snapshot-request",
-            GossipMsg::SnapshotChunk { .. } => "snapshot-chunk",
-            GossipMsg::Alive => "alive",
-            GossipMsg::AliveMsg(_) => "alive-msg",
-            GossipMsg::MembershipRequest { .. } => "membership-request",
-            GossipMsg::MembershipResponse { .. } => "membership-response",
-            GossipMsg::LeaderHeartbeat { .. } => "leadership",
-        }
+        KINDS[self.kind_index()]
     }
 
     fn kind_id(&self) -> KindId {
-        let ids = GossipKindIds::get();
-        match self {
-            GossipMsg::BlockPush { .. } => ids.block,
-            GossipMsg::PushDigest { .. } => ids.push_digest,
-            GossipMsg::PushRequest { .. } => ids.push_request,
-            GossipMsg::PullHello { .. } => ids.pull_hello,
-            GossipMsg::PullDigestResponse { .. } => ids.pull_digest,
-            GossipMsg::PullRequest { .. } => ids.pull_request,
-            GossipMsg::PullResponse { .. } => ids.block_pull,
-            GossipMsg::StateInfo { .. } => ids.state_info,
-            GossipMsg::RecoveryRequest { .. } => ids.recovery_request,
-            GossipMsg::RecoveryResponse { .. } => ids.block_recovery,
-            GossipMsg::SnapshotRequest { .. } => ids.snapshot_request,
-            GossipMsg::SnapshotChunk { .. } => ids.snapshot_chunk,
-            GossipMsg::Alive => ids.alive,
-            GossipMsg::AliveMsg(_) => ids.alive_msg,
-            GossipMsg::MembershipRequest { .. } => ids.membership_request,
-            GossipMsg::MembershipResponse { .. } => ids.membership_response,
-            GossipMsg::LeaderHeartbeat { .. } => ids.leadership,
-        }
+        // Resolved once per process, so the per-send metrics tag is an
+        // atomic load plus a match instead of a registry lookup.
+        static IDS: OnceLock<[KindId; KINDS.len()]> = OnceLock::new();
+        IDS.get_or_init(|| KINDS.map(KindId::intern))[self.kind_index()]
     }
 }
 
-/// Interned [`KindId`]s of every gossip kind, resolved once per process so
-/// the per-send metrics tag is an atomic load plus a match instead of a
-/// registry lookup.
-#[derive(Debug)]
-struct GossipKindIds {
-    block: KindId,
-    push_digest: KindId,
-    push_request: KindId,
-    pull_hello: KindId,
-    pull_digest: KindId,
-    pull_request: KindId,
-    block_pull: KindId,
-    state_info: KindId,
-    recovery_request: KindId,
-    block_recovery: KindId,
-    snapshot_request: KindId,
-    snapshot_chunk: KindId,
-    alive: KindId,
-    alive_msg: KindId,
-    membership_request: KindId,
-    membership_response: KindId,
-    leadership: KindId,
-}
+/// The metrics tag of every gossip kind, at its [`GossipMsg::kind_index`].
+const KINDS: [&str; 17] = [
+    "block",
+    "push-digest",
+    "push-request",
+    "pull-hello",
+    "pull-digest",
+    "pull-request",
+    "block-pull",
+    "state-info",
+    "recovery-request",
+    "block-recovery",
+    "snapshot-request",
+    "snapshot-chunk",
+    "alive",
+    "alive-msg",
+    "membership-request",
+    "membership-response",
+    "leadership",
+];
 
-impl GossipKindIds {
-    fn get() -> &'static GossipKindIds {
-        static IDS: OnceLock<GossipKindIds> = OnceLock::new();
-        IDS.get_or_init(|| GossipKindIds {
-            block: KindId::intern("block"),
-            push_digest: KindId::intern("push-digest"),
-            push_request: KindId::intern("push-request"),
-            pull_hello: KindId::intern("pull-hello"),
-            pull_digest: KindId::intern("pull-digest"),
-            pull_request: KindId::intern("pull-request"),
-            block_pull: KindId::intern("block-pull"),
-            state_info: KindId::intern("state-info"),
-            recovery_request: KindId::intern("recovery-request"),
-            block_recovery: KindId::intern("block-recovery"),
-            snapshot_request: KindId::intern("snapshot-request"),
-            snapshot_chunk: KindId::intern("snapshot-chunk"),
-            alive: KindId::intern("alive"),
-            alive_msg: KindId::intern("alive-msg"),
-            membership_request: KindId::intern("membership-request"),
-            membership_response: KindId::intern("membership-response"),
-            leadership: KindId::intern("leadership"),
-        })
+impl GossipMsg {
+    /// Where this variant's tag sits in [`KINDS`] — the one place a variant
+    /// is tied to its kind, so the name and the interned id cannot drift.
+    #[inline]
+    fn kind_index(&self) -> usize {
+        match self {
+            GossipMsg::BlockPush { .. } => 0,
+            GossipMsg::PushDigest { .. } => 1,
+            GossipMsg::PushRequest { .. } => 2,
+            GossipMsg::PullHello { .. } => 3,
+            GossipMsg::PullDigestResponse { .. } => 4,
+            GossipMsg::PullRequest { .. } => 5,
+            GossipMsg::PullResponse { .. } => 6,
+            GossipMsg::StateInfo { .. } => 7,
+            GossipMsg::RecoveryRequest { .. } => 8,
+            GossipMsg::RecoveryResponse { .. } => 9,
+            GossipMsg::SnapshotRequest { .. } => 10,
+            GossipMsg::SnapshotChunk { .. } => 11,
+            GossipMsg::Alive => 12,
+            GossipMsg::AliveMsg(_) => 13,
+            GossipMsg::MembershipRequest { .. } => 14,
+            GossipMsg::MembershipResponse { .. } => 15,
+            GossipMsg::LeaderHeartbeat { .. } => 16,
+        }
     }
 }
 

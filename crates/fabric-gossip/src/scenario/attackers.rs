@@ -717,52 +717,11 @@ impl Byzantine for RefutationSuppressor {
     }
 }
 
-/// An **adaptive** attacker: instead of running a fixed campaign it
-/// watches the wire and decides each step from the observed state.
-/// [`Adaptive::observe`] sees every message delivered to the compromised
-/// peer; [`Adaptive::act`] fires on the attacker's own timers and returns
-/// the traffic to inject. Wrap an implementation in [`Adaptively`] to
-/// attach it like any other behavior.
-pub trait Adaptive: fmt::Debug + Send {
-    /// Short stable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Wiretaps one delivery to the compromised peer.
-    fn observe(&mut self, channel: ChannelId, from: PeerId, msg: &GossipMsg);
-
-    /// One reactive campaign step, clocked by the attacker's own timers.
-    fn act(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)>;
-}
-
-/// Adapter attaching an [`Adaptive`] campaign as a [`Byzantine`]
-/// behavior: inbound deliveries feed [`Adaptive::observe`], each timer
-/// fire runs [`Adaptive::act`], and outbound traffic passes untouched
-/// (the adaptive family attacks with injections, not with its own wire).
-#[derive(Debug)]
-pub struct Adaptively<A: Adaptive>(pub A);
-
-impl<A: Adaptive> Byzantine for Adaptively<A> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn on_inbound(
-        &mut self,
-        _ctx: &mut AttackCtx<'_>,
-        channel: ChannelId,
-        from: PeerId,
-        msg: &GossipMsg,
-    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        self.0.observe(channel, from, msg);
-        Vec::new()
-    }
-
-    fn on_step(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        self.0.act(ctx)
-    }
-}
-
-/// Adaptive attacker — **leader hunting**: wiretaps `LeaderHeartbeat`s to
+/// **Adaptive** attacker — instead of running a fixed campaign it watches
+/// the wire ([`Byzantine::on_inbound`]) and decides each step, clocked by
+/// its own timers ([`Byzantine::on_step`]), from the observed state; its
+/// outbound traffic passes untouched (it attacks with injections, not
+/// with its own wire). **Leader hunting**: wiretaps `LeaderHeartbeat`s to
 /// learn who currently leads, forges *that* peer's obituary at the
 /// freshest incarnation it has heard, and adapts on both axes the issue
 /// demands: when leadership moves (say, because its own forgery deposed
@@ -795,19 +754,26 @@ impl LeaderHunter {
     }
 }
 
-impl Adaptive for LeaderHunter {
+impl Byzantine for LeaderHunter {
     fn name(&self) -> &'static str {
         "leader-hunter"
     }
 
-    fn observe(&mut self, channel: ChannelId, _from: PeerId, msg: &GossipMsg) {
+    fn on_inbound(
+        &mut self,
+        _ctx: &mut AttackCtx<'_>,
+        channel: ChannelId,
+        _from: PeerId,
+        msg: &GossipMsg,
+    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
         self.intel.observe(channel, msg);
         if let GossipMsg::LeaderHeartbeat { leader } = msg {
             self.leader.insert(channel.0, *leader);
         }
+        Vec::new()
     }
 
-    fn act(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
+    fn on_step(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
         let mut out = Vec::new();
         for c in 0..ctx.members.len() {
             if self.shots == 0 {

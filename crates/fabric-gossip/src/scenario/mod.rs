@@ -24,11 +24,11 @@
 //!     incarnation and announces what it buried, and every
 //!     [`RefutationSuppressor`] scrubs exactly that refutation from its
 //!     own wire.
-//!   - **Adaptive attackers** — the [`Adaptive`] trait splits a campaign
-//!     into `observe` (wiretap) and `act` (react to what was observed);
-//!     [`Adaptively`] attaches one as a [`Byzantine`] behavior.
-//!     [`LeaderHunter`] targets whichever peer currently claims
-//!     leadership and re-forges after observing an incarnation bump.
+//!   - **Adaptive attackers** — [`LeaderHunter`] wiretaps through
+//!     [`Byzantine::on_inbound`] and reacts on its own timers
+//!     ([`Byzantine::on_step`]): it targets whichever peer currently
+//!     claims leadership and re-forges after observing an incarnation
+//!     bump.
 //!   - **Dissemination-layer attackers** — [`Withholder`] advertises
 //!     blocks but never serves payloads toward its targets;
 //!     [`Equivocator`] serves conflicting payloads for the same height to
@@ -47,8 +47,8 @@ mod attackers;
 mod script;
 
 pub use attackers::{
-    Adaptive, Adaptively, AttackCtx, Byzantine, ClaimIntel, CoalitionForger, Eclipser, Equivocator,
-    Flooder, LeaderHunter, ObituaryForger, RefutationSuppressor, SelectiveForwarder, SideChannel,
+    AttackCtx, Byzantine, ClaimIntel, CoalitionForger, Eclipser, Equivocator, Flooder,
+    LeaderHunter, ObituaryForger, RefutationSuppressor, SelectiveForwarder, SideChannel,
     SnapshotPoisoner, StaleReplayer, Withholder,
 };
 pub use script::{random_scenario, Predicate, ScenarioError, ScenarioOp, ScenarioShape};

@@ -28,9 +28,8 @@
 //!    links and is counted in the same per-kind byte economy, so the
 //!    closing fairness report shows the discovery share per channel.
 
-use fair_gossip::experiments::churn_waves::{
-    render_churn_waves, run_churn_waves, ChurnWavesConfig,
-};
+use fair_gossip::experiments::churn::render_churn;
+use fair_gossip::experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,7 +58,7 @@ fn main() {
     );
 
     let result = run_churn_waves(&config);
-    println!("{}", render_churn_waves("churn_waves", &result));
+    println!("{}", render_churn("churn_waves", &result));
     println!(
         "{} events in {} of virtual time.",
         result.events, result.sim_end

@@ -5,11 +5,12 @@
 //! cargo run --release --example failure_drill
 //! ```
 
+use fair_gossip::experiments::deployment::Deployment;
 use fair_gossip::experiments::dissemination::DisseminationConfig;
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::net::NetParams;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{Duration, NetworkConfig, NodeId, Simulation};
+use fair_gossip::sim::{Duration, NetworkConfig, NodeId};
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
 fn main() {
@@ -32,12 +33,11 @@ fn main() {
     };
     let schedule = payload_schedule(&workload);
 
-    let mut network = NetworkConfig::lan(FabricNet::node_count(&params));
+    let mut network = NetworkConfig::lan(0); // sized to the deployment below
     network.loss = 0.01; // 1% packet loss on top, for good measure
 
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, 7);
-    sim.with_ctx(|net, ctx| net.start(ctx));
+    // The drill is stepped by hand, so the drain window goes unused.
+    let mut sim = Deployment::new(params, schedule, &network, 7, Duration::ZERO).start();
 
     // Let the dynamic election settle and some blocks flow.
     sim.run_until(fair_gossip::sim::Time::from_secs(20));
