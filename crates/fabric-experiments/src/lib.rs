@@ -33,15 +33,12 @@
 //!   partitions, loss and attached Byzantine behaviors over a
 //!   `Simulation<FabricNet>` in whatever `NetworkConfig` it is given —
 //!   there is no other simulator under any number this crate reports;
-//! * [`adversarial`] — beyond the paper: Byzantine fault injection over
-//!   the discovery protocol (stale replay, obituary forgery, selective
-//!   forwarding, flooding, eclipse) in the LAN model, reporting surviving
-//!   guarantees and measured degradation as a machine-readable report;
-//! * [`tolerance`] — beyond the paper: quantitative tolerance bounds —
-//!   grow the attacker count `f` per family (coalitions, adaptive
-//!   hunters, dissemination-layer withholding/equivocation) in
-//!   deployments of `N` until a guarantee first falls, reporting the
-//!   measured `f*(N)` frontier and degradation curves, in the LAN model;
+//! * [`adversarial`] — beyond the paper: the Byzantine catalog as one
+//!   table of attacker families (membership, coalition, adaptive and
+//!   dissemination attacks), each swept over the attacker count `f` at
+//!   deployments of `N` in the LAN model, reporting per point whether the
+//!   family's guarantee held and what the attack cost over the
+//!   attacker-free baseline, and per family the measured `f*(N)`;
 //! * [`report`] — paper-style text rendering of every figure and table.
 //!
 //! ```no_run
@@ -65,11 +62,9 @@ pub mod multichannel;
 pub mod net;
 pub mod report;
 pub mod scenario;
-pub mod tolerance;
 
 pub use adversarial::{
-    render_adversarial, run_adversarial, AdversarialConfig, AdversarialReport, AttackOutcome,
-    Guarantee, Metric,
+    render_adversarial, run_adversarial, AdversarialReport, Family, FamilyReport, Point,
 };
 pub use churn::{run_churn, ChurnConfig, ChurnResult};
 pub use churn_waves::{run_churn_waves, ChurnWavesConfig};
@@ -88,7 +83,3 @@ pub use net::{
     ViewConvergence,
 };
 pub use scenario::ScenarioNet;
-pub use tolerance::{
-    render_tolerance, run_tolerance, FamilyFrontier, ToleranceConfig, TolerancePoint,
-    ToleranceReport,
-};

@@ -49,6 +49,10 @@ use crate::churn_waves::DISCOVERY_KINDS;
 use crate::deployment::Deployment;
 use crate::net::{ChannelSpec, FabricNet, NetParams};
 
+/// How often [`ScenarioNet::time_until`] looks: the resolution of every
+/// time a scenario measures.
+pub const POLL: Duration = Duration::from_millis(100);
+
 /// A scripted multi-peer deployment for discovery-protocol tests and
 /// adversarial scenarios. See the [module docs](self).
 #[derive(Debug)]
@@ -339,28 +343,25 @@ impl ScenarioNet {
             .collect()
     }
 
-    /// Polls `done` once per simulated second (running time in between)
-    /// and returns the first second at which it held, or `None` if it
-    /// still did not after `limit_secs`.
-    pub fn secs_until(
+    /// Polls `done` every [`POLL`] of simulated time (running the
+    /// simulation in between) and returns the time elapsed when it first
+    /// held, or `None` if it still did not after `limit`.
+    pub fn time_until(
         &mut self,
-        limit_secs: u64,
+        limit: Duration,
         mut done: impl FnMut(&mut ScenarioNet) -> bool,
-    ) -> Option<u64> {
-        for elapsed in 0..=limit_secs {
+    ) -> Option<Duration> {
+        let mut elapsed = Duration::ZERO;
+        loop {
             if done(self) {
                 return Some(elapsed);
             }
-            if elapsed < limit_secs {
-                self.run_for(Duration::from_secs(1));
+            if elapsed >= limit {
+                return None;
             }
+            self.run_for(POLL);
+            elapsed += POLL;
         }
-        None
-    }
-
-    /// [`ScenarioNet::secs_until`] the views of channel `c` converge.
-    pub fn converge_within(&mut self, c: usize, limit_secs: u64) -> Option<u64> {
-        self.secs_until(limit_secs, |net| net.views_converged(c))
     }
 
     /// Applies one scenario op; only a failed `Assert` returns an error.
@@ -465,7 +466,8 @@ impl ScenarioNet {
                 Ok(())
             }
             Predicate::ConvergenceWithin { channel, secs } => {
-                match self.converge_within(*channel, *secs) {
+                let limit = Duration::from_secs(*secs);
+                match self.time_until(limit, |net| net.views_converged(*channel)) {
                     Some(_) => Ok(()),
                     None => Err(format!(
                         "still divergent after {secs}s: {:?}",

@@ -67,12 +67,12 @@ impl AttackCtx<'_> {
 /// The compromised peer still runs the honest protocol underneath; the
 /// behavior sits on its wire. Default implementations are transparent,
 /// so an attacker only overrides the hooks it needs. To add a new
-/// attacker: implement this trait, attach it with the host's
-/// `set_byzantine`, and write a scenario asserting which guarantees
-/// survive it (and measuring the ones that degrade). `Send`, because the
+/// attacker: implement this trait and add a row to the family table of
+/// `fabric_experiments::adversarial` that attaches it, asserts which
+/// guarantees survive it and measures what degrades. `Send`, because the
 /// deployment it is attached to may run on a worker thread.
 pub trait Byzantine: fmt::Debug + Send {
-    /// Short stable name for reports.
+    /// Short stable name; reports list each attacked peer under it.
     fn name(&self) -> &'static str;
 
     /// Transforms one protocol-emitted outbound message. Return the
@@ -216,86 +216,38 @@ impl Byzantine for StaleReplayer {
     }
 }
 
-/// Attacker 2 — **obituary forgery**: declares a live victim dead by
-/// sending unsolicited `MembershipResponse`s whose `dead` list carries
-/// the victim at its *current* incarnation (deaths win ties, so honest
-/// peers apply it). The surviving guarantee is the refutation bound: the
-/// victim finds its own obituary through anti-entropy, bumps its
-/// incarnation, and re-enters every view — the attack costs a bounded
-/// disruption window, not the victim's membership. `shots` bounds the
-/// campaign so scenarios can measure recovery after it ends.
-#[derive(Debug)]
-pub struct ObituaryForger {
+/// One forged obituary: `victim` declared dead at `incarnation` (deaths
+/// win ties, so honest peers apply it), sent as an unsolicited
+/// `MembershipResponse` to every member of `channel` but the attacker and
+/// the victim — the longer the victim takes to find its own obituary, the
+/// longer the disruption.
+fn obituary_shot(
+    ctx: &AttackCtx<'_>,
+    channel: ChannelId,
     victim: PeerId,
-    shots: u32,
-    intel: ClaimIntel,
-}
-
-impl ObituaryForger {
-    /// Forges `shots` obituary broadcasts against `victim`.
-    pub fn new(victim: PeerId, shots: u32) -> Self {
-        ObituaryForger {
-            victim,
-            shots,
-            intel: ClaimIntel::default(),
+    incarnation: u64,
+    out: &mut Vec<(ChannelId, PeerId, GossipMsg)>,
+) {
+    let forged = PeerAlive {
+        peer: victim,
+        incarnation,
+        seq: 0,
+    };
+    for target in ctx.honest(channel) {
+        if target != victim {
+            out.push((
+                channel,
+                target,
+                GossipMsg::MembershipResponse {
+                    entries: Vec::new(),
+                    dead: vec![forged],
+                },
+            ));
         }
     }
 }
 
-impl Byzantine for ObituaryForger {
-    fn name(&self) -> &'static str {
-        "obituary-forgery"
-    }
-
-    fn on_inbound(
-        &mut self,
-        _ctx: &mut AttackCtx<'_>,
-        channel: ChannelId,
-        _from: PeerId,
-        msg: &GossipMsg,
-    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        self.intel.observe(channel, msg);
-        Vec::new()
-    }
-
-    fn on_step(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        if self.shots == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for c in 0..ctx.members.len() {
-            let channel = ChannelId(c as u16);
-            let Some(claim) = self.intel.freshest_of(channel, self.victim) else {
-                continue;
-            };
-            let forged = PeerAlive {
-                peer: self.victim,
-                incarnation: claim.incarnation,
-                seq: 0,
-            };
-            // Spread to everyone but the victim: the longer the victim
-            // takes to find its own obituary, the longer the disruption.
-            for target in ctx.honest(channel) {
-                if target != self.victim {
-                    out.push((
-                        channel,
-                        target,
-                        GossipMsg::MembershipResponse {
-                            entries: Vec::new(),
-                            dead: vec![forged],
-                        },
-                    ));
-                }
-            }
-        }
-        if !out.is_empty() {
-            self.shots -= 1;
-        }
-        out
-    }
-}
-
-/// Attacker 3 — **selective forwarding**: passes heartbeats but silently
+/// Attacker 2 — **selective forwarding**: passes heartbeats but silently
 /// drops every anti-entropy message (requests and responses) addressed
 /// to the chosen targets. Convergence must survive on
 /// redundancy — the targets still exchange views with everyone else —
@@ -332,7 +284,7 @@ impl Byzantine for SelectiveForwarder {
     }
 }
 
-/// Attacker 4 — **flood amplification**: every heartbeat and
+/// Attacker 3 — **flood amplification**: every heartbeat and
 /// anti-entropy request it would send goes out `amplification`-fold to
 /// random extra targets, and each timer fire re-broadcasts its own
 /// freshest claim. Views and leadership must hold (the spam is
@@ -409,7 +361,7 @@ impl Byzantine for Flooder {
     }
 }
 
-/// Attacker 5 — **eclipse**: the attacker answers a runtime joiner that
+/// Attacker 4 — **eclipse**: the attacker answers a runtime joiner that
 /// bootstrapped through it (the host's `join_via`) with an
 /// attacker-only world: its anti-entropy toward the victim carries only
 /// the attacker's own claim (the channel "is" just the two of them), and
@@ -564,15 +516,18 @@ impl SideChannel {
     }
 }
 
-/// Coalition attacker — **obituary forgery over pooled intel**: like
-/// [`ObituaryForger`], but the forged incarnation is the freshest claim
-/// *any* coalition member has wiretapped (via the shared
-/// [`SideChannel`]), and each shot posts the buried incarnation as the
-/// `"forged-incarnation"` signal so [`RefutationSuppressor`]s know
-/// exactly which refutation to hunt. Pair it with suppressors sitting on
-/// other wires and the victim's incarnation bump must fight through a
-/// thinner redundancy margin — the guarantee under test is that it still
-/// wins, at a measurably longer disruption window.
+/// **Obituary forgery**, alone or in a coalition: declares a live victim
+/// dead at the freshest incarnation *any* coalition member has wiretapped
+/// (via the shared [`SideChannel`]; a forger with a `SideChannel` of its
+/// own is a lone forger), and each shot posts the buried incarnation as
+/// the `"forged-incarnation"` signal so [`RefutationSuppressor`]s know
+/// exactly which refutation to hunt. The surviving guarantee is the
+/// refutation bound: the victim finds its own obituary through
+/// anti-entropy, bumps its incarnation, and re-enters every view — the
+/// attack costs a bounded disruption window, not the victim's membership.
+/// Suppressors on other wires thin the redundancy margin the bump must
+/// fight through. `shots` bounds the campaign so scenarios can measure
+/// recovery after it ends.
 #[derive(Debug)]
 pub struct CoalitionForger {
     victim: PeerId,
@@ -618,24 +573,8 @@ impl Byzantine for CoalitionForger {
             let Some(claim) = self.side.freshest_of(channel, self.victim) else {
                 continue;
             };
-            let forged = PeerAlive {
-                peer: self.victim,
-                incarnation: claim.incarnation,
-                seq: 0,
-            };
             self.side.post("forged-incarnation", claim.incarnation);
-            for target in ctx.honest(channel) {
-                if target != self.victim {
-                    out.push((
-                        channel,
-                        target,
-                        GossipMsg::MembershipResponse {
-                            entries: Vec::new(),
-                            dead: vec![forged],
-                        },
-                    ));
-                }
-            }
+            obituary_shot(ctx, channel, self.victim, claim.incarnation, &mut out);
         }
         if !out.is_empty() {
             self.shots -= 1;
@@ -792,23 +731,7 @@ impl Byzantine for LeaderHunter {
             if !self.fired.insert((channel.0, victim.0, claim.incarnation)) {
                 continue; // already shot this life; wait for new state
             }
-            let forged = PeerAlive {
-                peer: victim,
-                incarnation: claim.incarnation,
-                seq: 0,
-            };
-            for target in ctx.honest(channel) {
-                if target != victim {
-                    out.push((
-                        channel,
-                        target,
-                        GossipMsg::MembershipResponse {
-                            entries: Vec::new(),
-                            dead: vec![forged],
-                        },
-                    ));
-                }
-            }
+            obituary_shot(ctx, channel, victim, claim.incarnation, &mut out);
             self.shots -= 1;
         }
         out

@@ -14,14 +14,15 @@
 //!   grants an injection opportunity via [`Byzantine::on_step`]. The
 //!   underlying peer keeps running the honest protocol — the attacker is
 //!   a *man-on-its-own-wire*, exactly the power a compromised process
-//!   has. Five discovery-layer behaviors ship: [`StaleReplayer`],
-//!   [`ObituaryForger`], [`SelectiveForwarder`], [`Flooder`] and
-//!   [`Eclipser`]. On top of them:
+//!   has. Four discovery-layer behaviors ship: [`StaleReplayer`],
+//!   [`SelectiveForwarder`], [`Flooder`] and [`Eclipser`]. On top of
+//!   them:
 //!
 //!   - **Coalitions** — several Byzantine peers coordinate through a
 //!     shared [`SideChannel`] (pooled wiretap intel plus named signals):
-//!     [`CoalitionForger`] forges at the coalition's *pooled* freshest
-//!     incarnation and announces what it buried, and every
+//!     [`CoalitionForger`] forges a victim's obituary at the coalition's
+//!     *pooled* freshest incarnation and announces what it buried (with a
+//!     `SideChannel` of its own it is a lone forger), and every
 //!     [`RefutationSuppressor`] scrubs exactly that refutation from its
 //!     own wire.
 //!   - **Adaptive attackers** — [`LeaderHunter`] wiretaps through
@@ -40,15 +41,17 @@
 //! Neither half simulates anything. The one simulator is `desim`, the one
 //! host `fabric_experiments::net::FabricNet`; the script interpreter and
 //! the predicates' checks are `fabric_experiments::scenario::ScenarioNet`,
-//! which runs a script in whatever `desim::NetworkConfig` it is given —
-//! the same network model the performance numbers are taken in.
+//! which runs a script in whatever `desim::NetworkConfig` it is given.
+//! The catalog is measured once, by `fabric_experiments::adversarial`: one
+//! table of attacker families, each swept over the attacker count `f` in
+//! the LAN model the performance numbers are taken in.
 
 mod attackers;
 mod script;
 
 pub use attackers::{
     AttackCtx, Byzantine, ClaimIntel, CoalitionForger, Eclipser, Equivocator, Flooder,
-    LeaderHunter, ObituaryForger, RefutationSuppressor, SelectiveForwarder, SideChannel,
-    SnapshotPoisoner, StaleReplayer, Withholder,
+    LeaderHunter, RefutationSuppressor, SelectiveForwarder, SideChannel, SnapshotPoisoner,
+    StaleReplayer, Withholder,
 };
 pub use script::{random_scenario, Predicate, ScenarioError, ScenarioOp, ScenarioShape};
