@@ -456,7 +456,7 @@ pub const FAMILIES: [Family; 8] = [
 /// seconds of simulated time (the shape the discovery suite uses).
 fn gossip() -> GossipConfig {
     let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
-    gossip.discovery.heartbeat_interval = Duration::from_secs(1);
+    gossip.membership.alive_interval = Duration::from_secs(1);
     gossip.discovery.anti_entropy_interval = Duration::from_secs(1);
     gossip.membership.alive_timeout = Duration::from_secs(5);
     gossip
@@ -742,17 +742,14 @@ fn obituary_coalition(n: u32, f: u32) -> Point {
     }
 }
 
-/// `f` [`LeaderHunter`]s under dynamic election wiretap heartbeats and
-/// forge the sitting leader's obituary, re-targeting whatever stands up.
-/// Warm-up elects peer 0; the hunt must land (disruption, the leader's
-/// incarnation bump), and afterwards views must agree on one leader with
-/// no resurrection. The metric is the disrupted time over the campaign.
+/// `f` [`LeaderHunter`]s infer the sitting leader from wiretapped
+/// seniority and forge its obituary, re-targeting whoever succeeds it.
+/// Peer 0 leads after warm-up; the hunt must land (disruption, the
+/// leader's incarnation bump), and afterwards views must agree on exactly
+/// one leader with no resurrection. The metric is the disrupted time over
+/// the campaign.
 fn adaptive_leader_hunt(n: u32, f: u32) -> Point {
-    let mut gossip = gossip();
-    gossip.election.dynamic = true;
-    gossip.election.heartbeat_interval = Duration::from_secs(1);
-    gossip.election.leader_timeout = Duration::from_secs(4);
-    let mut net = channel(n, n, &gossip);
+    let mut net = channel(n, n, &gossip());
     net.run_for(Duration::from_secs(5));
     let warm = net.leaders(0) == [ANCHOR];
     let before = incarnation_of(&net, VICTIM, ANCHOR);
@@ -768,7 +765,7 @@ fn adaptive_leader_hunt(n: u32, f: u32) -> Point {
     let landed = f == 0 || (!run.disrupted.is_zero() && after > before);
     Point {
         f,
-        held: warm && landed && run.healed && settled,
+        held: warm && landed && run.healed && leaders.len() == 1 && settled,
         metric: run.disrupted.as_secs_f64(),
         roster,
         detail: format!(

@@ -116,7 +116,7 @@ impl ChurnConfig {
         let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
         gossip.recovery.interval = Duration::from_secs(2);
         gossip.recovery.batch_max = 64;
-        gossip.discovery.heartbeat_interval = Duration::from_millis(100);
+        gossip.membership.alive_interval = Duration::from_millis(100);
         gossip.discovery.anti_entropy_interval = Duration::from_millis(200);
         gossip.membership.alive_timeout = Duration::from_secs(1);
         let txs = (blocks * 50) as usize;

@@ -92,7 +92,7 @@ impl ChurnWavesConfig {
     /// [`ChurnWavesConfig::validate`]).
     pub fn standard(side_channels: usize, side_members: usize, blocks: u64) -> Self {
         let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
-        gossip.discovery.heartbeat_interval = Duration::from_millis(500);
+        gossip.membership.alive_interval = Duration::from_millis(500);
         gossip.discovery.anti_entropy_interval = Duration::from_millis(700);
         gossip.membership.alive_timeout = Duration::from_secs(3);
         gossip.recovery.interval = Duration::from_secs(2);

@@ -220,8 +220,8 @@ struct ChannelRuntime {
     /// Per-(block, member-slot) dissemination latency (t0 = leader
     /// reception).
     latency: LatencyRecorder,
-    /// Leadership acquisitions observed on this channel (initial election
-    /// plus every hand-off).
+    /// Leadership acquisitions observed on this channel (every hand-off;
+    /// seats held from the start are seeded, not acquired).
     handoffs: u64,
     /// Discovery-convergence records of the channel's churn events.
     convergence: Vec<ViewConvergence>,
@@ -573,9 +573,10 @@ impl FabricNet {
         &self.members[channel.index()]
     }
 
-    /// Leadership acquisitions observed on `channel`: the initial election
-    /// under dynamic election (static leaders are seeded, not elected)
-    /// plus one per hand-off.
+    /// Leadership acquisitions observed on `channel`, one per hand-off: a
+    /// successor claiming the seat under gossiped discovery, or a rebooted
+    /// static-roster leader taking its seat back. Seats held from the start
+    /// are seeded at build time, not acquired, and count nothing.
     pub fn handoffs_on(&self, channel: ChannelId) -> u64 {
         self.channels[channel.index()].handoffs
     }

@@ -364,10 +364,11 @@ impl FabricNet {
             .filter_map(|n| rt.org_of[n.index()])
             .collect();
         if orgs_covered.len() < rt.spec.orgs {
-            // Some organization has no live leader (election in progress):
-            // retry shortly, like a leader re-connecting to the ordering
-            // service would. Re-delivery to covered organizations is
-            // harmless — peers deduplicate content.
+            // Some organization has no live leader (a seat in hand-off, or
+            // a static leader down until its reboot): retry shortly, like a
+            // leader re-connecting to the ordering service would.
+            // Re-delivery to covered organizations is harmless — peers
+            // deduplicate content.
             ctx.set_timer(
                 self.orderer_node(),
                 Duration::from_millis(500),

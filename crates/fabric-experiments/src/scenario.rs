@@ -514,7 +514,7 @@ mod tests {
 
     fn cfg() -> GossipConfig {
         let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-        cfg.discovery.heartbeat_interval = Duration::from_secs(1);
+        cfg.membership.alive_interval = Duration::from_secs(1);
         cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
         cfg.membership.alive_timeout = Duration::from_secs(5);
         cfg

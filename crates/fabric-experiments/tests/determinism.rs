@@ -380,7 +380,6 @@ fn snapshots_default_off_cannot_perturb_the_golden_traces() {
     let mut knobs_twiddled = stock.clone();
     knobs_twiddled.gossip.snapshot.chunk_size = 512;
     knobs_twiddled.gossip.snapshot.interval = 3;
-    knobs_twiddled.gossip.snapshot.min_lag = 1;
     knobs_twiddled.gossip.snapshot.request_timeout = Duration::from_millis(1);
     assert!(!knobs_twiddled.gossip.snapshot.enabled);
     assert_eq!(

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 /// scripted time (same shape as the discovery suite).
 fn discovery_cfg() -> GossipConfig {
     let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.discovery.heartbeat_interval = Duration::from_secs(1);
+    cfg.membership.alive_interval = Duration::from_secs(1);
     cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
     cfg.membership.alive_timeout = Duration::from_secs(5);
     cfg

@@ -2,13 +2,20 @@
 //!
 //! A Fabric peer joined to several channels runs one independent gossip
 //! instance per channel. [`ChannelState`] is that instance: it owns the
-//! [`ChannelCore`] (membership views, block store, per-channel counters)
-//! and the protocol engines — [`crate::push::PushEngine`],
-//! [`crate::pull::PullEngine`], [`crate::election::ElectionEngine`],
-//! [`crate::recovery::RecoveryEngine`] and
-//! [`crate::discovery::DiscoveryEngine`] — and dispatches messages and
-//! timers to them. [`crate::peer::GossipPeer`]
+//! [`ChannelCore`] (membership views, block store, per-channel counters),
+//! the protocol engines — [`crate::push::PushEngine`],
+//! [`crate::pull::PullEngine`], [`crate::recovery::RecoveryEngine`] and
+//! [`crate::discovery::DiscoveryEngine`] — and the leader seat, and
+//! dispatches messages and timers to them. [`crate::peer::GossipPeer`]
 //! is nothing more than a multiplexer over these values.
+//!
+//! Who leads follows the membership shape
+//! ([`crate::config::DiscoveryConfig`]). On a static roster the roster
+//! minimum leads for the whole run — a reboot takes the seat back, and
+//! nobody else ever takes it (Fabric's `orgLeader`). Under gossiped
+//! discovery the most senior live claim leads
+//! ([`DiscoveryEngine::self_is_most_senior`]), re-enforced on every
+//! discovery step: that is the failover path.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +28,6 @@ use fabric_types::ids::{ChannelId, PeerId};
 use crate::config::GossipConfig;
 use crate::discovery::{DiscoveryDelta, DiscoveryEngine};
 use crate::effects::Effects;
-use crate::election::ElectionEngine;
 use crate::membership::Membership;
 use crate::messages::{GossipMsg, GossipTimer};
 use crate::pull::PullEngine;
@@ -252,7 +258,7 @@ impl ChannelCore {
 /// Static-leadership rule shared by every channel: the lowest-id *member*
 /// of the roster leads. See [`crate::peer::GossipPeer::new`] for the exact
 /// semantics (a peer excluded from its roster never self-elects).
-pub(crate) fn statically_leads(id: PeerId, roster: &[PeerId]) -> bool {
+fn statically_leads(id: PeerId, roster: &[PeerId]) -> bool {
     // A roster containing `id` has min <= id, so `id == lowest` alone
     // encodes both "member" and "lowest member"; a roster excluding
     // `id` either has a smaller minimum (not lowest) or only larger
@@ -263,27 +269,30 @@ pub(crate) fn statically_leads(id: PeerId, roster: &[PeerId]) -> bool {
     }
 }
 
-/// One channel's complete gossip instance: core + engines.
+/// One channel's complete gossip instance: core + engines + leader seat.
 #[derive(Debug)]
 pub struct ChannelState {
     core: ChannelCore,
+    /// Whether this instance leads its organization — pulls blocks from
+    /// the ordering service. Moved only by [`ChannelState::set_leader`]
+    /// (and silently cleared by a crash).
+    is_leader: bool,
     push: PushEngine,
     pull: PullEngine,
-    election: ElectionEngine,
     recovery: RecoveryEngine,
     discovery: DiscoveryEngine,
 }
 
 impl ChannelState {
-    /// Builds the instance. `statically_leads` seeds static leadership (it
-    /// is ignored under dynamic election, which starts leaderless).
-    pub fn new(core: ChannelCore, statically_leads: bool) -> Self {
-        let is_leader = !core.cfg.election.dynamic && statically_leads;
+    /// Builds the instance, seated when this peer statically leads the
+    /// core's roster.
+    pub fn new(core: ChannelCore) -> Self {
+        let is_leader = statically_leads(core.self_id, &core.roster);
         ChannelState {
             core,
+            is_leader,
             push: PushEngine::default(),
             pull: PullEngine::default(),
-            election: ElectionEngine::new(is_leader),
             recovery: RecoveryEngine::default(),
             discovery: DiscoveryEngine::default(),
         }
@@ -308,7 +317,16 @@ impl ChannelState {
 
     /// Whether this channel instance currently acts as organization leader.
     pub fn is_leader(&self) -> bool {
-        self.election.is_leader()
+        self.is_leader
+    }
+
+    /// Moves the seat, reporting an actual change (and only that) through
+    /// [`Effects::leadership_changed`].
+    fn set_leader(&mut self, fx: &mut dyn Effects, leads: bool) {
+        if self.is_leader != leads {
+            self.is_leader = leads;
+            fx.leadership_changed(self.core.channel, leads);
+        }
     }
 
     /// Arms the periodic timers of this channel instance. Periods get a
@@ -332,12 +350,13 @@ impl ChannelState {
             // fresh.
             self.discovery.init(&mut self.core, fx);
         } else {
+            // A static seat is held for the whole run: a rebooted roster
+            // minimum takes back the seat its crash cleared (silent on a
+            // first start, where nothing changes).
+            let seat = statically_leads(self.core.self_id, &self.core.roster);
+            self.set_leader(fx, seat);
             let alive_phase = random_phase(fx, self.core.cfg.membership.alive_interval);
             self.core.schedule(fx, alive_phase, GossipTimer::AliveRound);
-        }
-        if self.core.cfg.election.dynamic {
-            let tick = random_phase(fx, self.core.cfg.election.heartbeat_interval);
-            self.core.schedule(fx, tick, GossipTimer::ElectionTick);
         }
     }
 
@@ -347,7 +366,7 @@ impl ChannelState {
     pub fn on_crash(&mut self) {
         self.push.clear_volatile();
         self.pull.clear_volatile();
-        self.election.clear_volatile();
+        self.is_leader = false;
         self.recovery.clear_volatile();
         self.discovery.clear_volatile();
     }
@@ -428,10 +447,6 @@ impl ChannelState {
                         .on_membership_response(&mut self.core, fx, entries, dead);
                 self.apply_discovery(fx, delta);
             }
-            GossipMsg::LeaderHeartbeat { leader } => {
-                self.election
-                    .on_leader_heartbeat(&mut self.core, fx, leader, now)
-            }
         }
     }
 
@@ -454,7 +469,6 @@ impl ChannelState {
             GossipTimer::AntiEntropyRound => {
                 self.discovery.on_anti_entropy_round(&mut self.core, fx)
             }
-            GossipTimer::ElectionTick => self.election.on_election_tick(&mut self.core, fx),
             GossipTimer::FetchRetry { block_num, attempt } => {
                 self.push
                     .on_fetch_retry(&mut self.core, fx, block_num, attempt)
@@ -479,10 +493,8 @@ impl ChannelState {
     /// channel-wide view, immediately sampleable and believed alive (the
     /// claim just merged is first contact).
     ///
-    /// Static leadership follows discovery seniority, so a newcomer with a
-    /// lower id does not depose a seated leader (Fabric's `orgLeader`
-    /// semantics); under dynamic election the newcomer competes through
-    /// the ordinary heartbeat machinery.
+    /// Leadership follows discovery seniority, so a newcomer with a lower
+    /// id does not depose a seated leader (Fabric's `orgLeader` semantics).
     fn on_peer_joined(&mut self, fx: &mut dyn Effects, peer: PeerId) {
         if peer == self.core.self_id {
             return;
@@ -498,12 +510,11 @@ impl ChannelState {
     /// through [`Effects::discovery_event`] so the embedding can measure
     /// convergence.
     ///
-    /// A refuted self-obituary additionally drops, under static election,
-    /// any leadership claim — the seat was reassigned while this peer was
-    /// presumed dead.
+    /// A refuted self-obituary additionally drops any leadership claim —
+    /// the seat was reassigned while this peer was presumed dead.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
         if delta.self_deposed {
-            self.election.on_self_deposed(&mut self.core, fx);
+            self.set_leader(fx, false);
         }
         for peer in delta.joined {
             self.on_peer_joined(fx, peer);
@@ -524,17 +535,16 @@ impl ChannelState {
             }
             self.core.membership.remove_peer(peer);
             self.core.channel_view.remove_peer(peer);
-            self.election.forget_peer(peer);
             self.recovery.forget_peer(peer);
             fx.discovery_event(self.core.channel, peer, false);
         }
         // Re-enforce `is_leader == most-senior-in-view` on every discovery
         // step: reaps arrive in different orders on different peers, but
         // eventually-consistent views drive leadership to exactly one
-        // claimant (reaped leaders are succeeded, stale claimants step
-        // down).
+        // claimant (the senior survivor claims within one alive period of
+        // reaping its predecessor, stale claimants step down).
         let senior = self.discovery.self_is_most_senior(&self.core);
-        self.election.set_static_claim(&mut self.core, fx, senior);
+        self.set_leader(fx, senior);
     }
 
     /// Membership heartbeats: the background "alive" traffic that keeps the
@@ -611,5 +621,66 @@ mod tests {
         assert!(core.stats.bytes_of_kind("push-digest") > 0);
         assert_eq!(fx.sent_on.len(), 2);
         assert!(fx.sent_on.iter().all(|(ch, _, _)| *ch == ChannelId(3)));
+    }
+
+    fn state(self_id: u32, cfg: GossipConfig) -> ChannelState {
+        ChannelState::new(ChannelCore::new(
+            ChannelId::DEFAULT,
+            PeerId(self_id),
+            (0..4).map(PeerId).collect(),
+            cfg,
+        ))
+    }
+
+    #[test]
+    fn static_claim_follows_the_seniority_verdict_and_reports_each_change() {
+        use crate::messages::PeerAlive;
+        use crate::testing::MockEffects;
+        // Peer 1 in a {0, 1, 2, 3} roster under discovery: peer 0 leads.
+        let mut s = state(1, GossipConfig::enhanced_f4().with_discovery_protocol());
+        let mut fx = MockEffects::new(1);
+        s.init(&mut fx);
+        assert!(!s.is_leader());
+        let claim = |peer, incarnation| PeerAlive {
+            peer: PeerId(peer),
+            incarnation,
+            seq: 1,
+        };
+        let obituary = |dead| GossipMsg::MembershipResponse {
+            entries: vec![],
+            dead: vec![dead],
+        };
+        // A discovery step that leaves the verdict where it was is silent.
+        s.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(claim(2, 1)));
+        assert!(fx.leadership.is_empty(), "an unchanged verdict is silent");
+        // Peer 0 is reaped: this peer is the most senior survivor.
+        s.on_message(&mut fx, PeerId(2), obituary(claim(0, 1)));
+        assert!(s.is_leader(), "the senior survivor must claim leadership");
+        // Its own obituary: the refutation ranks it junior, the seat goes.
+        let me = claim(1, s.discovery().incarnation());
+        s.on_message(&mut fx, PeerId(2), obituary(me));
+        assert!(!s.is_leader(), "a refuted obituary concedes the seat");
+        assert_eq!(fx.leadership, vec![true, false]);
+    }
+
+    #[test]
+    fn a_rebooted_static_leader_takes_its_seat_back() {
+        use crate::testing::MockEffects;
+        let mut fx = MockEffects::new(1);
+        let mut leader = state(0, GossipConfig::enhanced_f4());
+        leader.init(&mut fx);
+        assert!(leader.is_leader());
+        assert!(fx.leadership.is_empty(), "a first start changes nothing");
+        leader.on_crash();
+        assert!(!leader.is_leader(), "leadership is volatile");
+        leader.init(&mut fx);
+        assert!(leader.is_leader(), "the reboot re-seeds the static seat");
+        assert_eq!(fx.leadership, vec![true]);
+        // Nobody else ever takes a static seat, through a reboot or not.
+        let mut follower = state(1, GossipConfig::enhanced_f4());
+        follower.on_crash();
+        follower.init(&mut fx);
+        assert!(!follower.is_leader());
+        assert_eq!(fx.leadership, vec![true]);
     }
 }

@@ -9,6 +9,13 @@
 //! | Digests for the push phase | [`PushMode::InfectUponContagion::digests`] |
 //! | Randomized initial gossiper | [`GossipConfig::f_leader_out`] ` = 1` |
 //! | Removal of the pull component | [`GossipConfig::pull`] ` = None` |
+//!
+//! What has one value in every deployment is a named constant beside the
+//! code that reads it, not a field: the infect-and-die burst of 10 blocks
+//! (`push::PUSH_BURST`), the content-fetch retry policy of 500 ms and 5
+//! attempts (`push::FETCH_TIMEOUT`, `push::FETCH_ATTEMPTS`) and the pull
+//! digest window of 64 blocks (`pull::DIGEST_WINDOW`). Who leads is no
+//! setting either: it follows the membership shape ([`DiscoveryConfig`]).
 
 use desim::Duration;
 use serde::{Deserialize, Serialize};
@@ -18,13 +25,12 @@ use serde::{Deserialize, Serialize};
 pub enum PushMode {
     /// Stock Fabric: a peer pushes a block once, on first reception, to
     /// `fout` random peers, then never again ("infect and die"). Newly
-    /// received blocks wait in a buffer flushed when full or after `tpush`;
-    /// every flush shares one random target sample.
+    /// received blocks wait in a buffer flushed after `tpush` or when it
+    /// holds 10 blocks (Fabric's burst size); every flush shares one random
+    /// target sample.
     InfectAndDie {
         /// Buffer flush timer (Fabric default: 10 ms).
         tpush: Duration,
-        /// Buffer capacity forcing an early flush (Fabric default: 10).
-        buffer_cap: usize,
     },
     /// The paper's protocol: a peer forwards a block once per *distinct
     /// counter value* it receives it with, until the counter reaches `ttl`.
@@ -53,8 +59,6 @@ pub struct PullConfig {
     /// How long the requester gathers digest responses before sending its
     /// block requests (Fabric's `digestWaitTime`: 1 s).
     pub digest_wait: Duration,
-    /// How many recent block numbers a digest response advertises.
-    pub digest_window: u64,
 }
 
 impl Default for PullConfig {
@@ -63,7 +67,6 @@ impl Default for PullConfig {
             fin: 3,
             tpull: Duration::from_secs(4),
             digest_wait: Duration::from_secs(1),
-            digest_window: 64,
         }
     }
 }
@@ -93,7 +96,10 @@ impl Default for RecoveryConfig {
 /// Membership heartbeat parameters (background "alive" traffic).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MembershipConfig {
-    /// Alive message period (Fabric: 5 s).
+    /// Alive heartbeat period (Fabric: 5 s), in either membership shape:
+    /// the payload-less [`crate::messages::GossipMsg::Alive`] on a static
+    /// roster, the [`crate::messages::GossipMsg::AliveMsg`] claim (and the
+    /// expiry/reap sweep) under gossiped discovery.
     pub alive_interval: Duration,
     /// A peer unheard of for this long counts as dead.
     pub alive_timeout: Duration,
@@ -109,28 +115,31 @@ impl Default for MembershipConfig {
 }
 
 /// Membership parameters: a roster fixed for the whole run, or gossiped
-/// discovery.
+/// discovery. The shape also decides who leads — the peer that pulls
+/// blocks from the ordering service.
 ///
 /// When `protocol` is `false` (the default), the roster handed to a
 /// channel at build time **is** its membership: nothing adds or removes a
 /// peer at runtime, and the channel keeps the payload-less `Alive`
 /// heartbeat as background liveness traffic — the static 100-peer
-/// organization of the paper's figures. When `true`, the channel runs the
+/// organization of the paper's figures. The roster minimum leads, for the
+/// whole run and across reboots, with no failover (Fabric's `orgLeader`).
+/// When `true`, the channel runs the
 /// [`crate::discovery::DiscoveryEngine`]: periodic
 /// [`crate::messages::GossipMsg::AliveMsg`] heartbeats carrying a
 /// monotonic `(incarnation, seq)` pair, push–pull
 /// `MembershipRequest`/`MembershipResponse` anti-entropy, expiry of
 /// silent peers via [`crate::membership::Membership::believes_alive`],
 /// and reaping — joins and leaves are *local consequences of received
-/// gossip*, and there is no other way for membership to change.
+/// gossip*, and there is no other way for membership to change. The most
+/// senior live claim leads
+/// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]), so a
+/// reaped leader is succeeded: this is the failover path.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiscoveryConfig {
     /// Run discovery as a gossip protocol; `false` freezes the membership
     /// at the build-time roster.
     pub protocol: bool,
-    /// Heartbeat ([`crate::messages::GossipMsg::AliveMsg`]) period. Also
-    /// the cadence of the expiry/reap sweep.
-    pub heartbeat_interval: Duration,
     /// Anti-entropy (full membership view exchange) period.
     pub anti_entropy_interval: Duration,
 }
@@ -139,30 +148,7 @@ impl Default for DiscoveryConfig {
     fn default() -> Self {
         DiscoveryConfig {
             protocol: false,
-            heartbeat_interval: Duration::from_secs(5),
             anti_entropy_interval: Duration::from_secs(4),
-        }
-    }
-}
-
-/// Leader election parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ElectionConfig {
-    /// When `false`, peer 0 is the static leader (Fabric's
-    /// `orgLeader = true` deployment style).
-    pub dynamic: bool,
-    /// Leader heartbeat period.
-    pub heartbeat_interval: Duration,
-    /// Without a leader heartbeat for this long, a new leader stands up.
-    pub leader_timeout: Duration,
-}
-
-impl Default for ElectionConfig {
-    fn default() -> Self {
-        ElectionConfig {
-            dynamic: false,
-            heartbeat_interval: Duration::from_secs(5),
-            leader_timeout: Duration::from_secs(15),
         }
     }
 }
@@ -175,8 +161,9 @@ impl Default for ElectionConfig {
 /// wire format. When enabled, StateInfo messages piggyback the sender's
 /// latest [`fabric_types::Checkpoint`] (+40 wire bytes when present), and
 /// a peer whose height trails the best advertised checkpoint by at least
-/// `min_lag` blocks requests the snapshot instead of replaying the chain —
-/// O(state + tail) instead of O(chain).
+/// one checkpoint `interval` requests the snapshot instead of replaying the
+/// chain — O(state + tail) instead of O(chain). A steady-state straggler
+/// less than one interval behind keeps the cheap block-recovery path.
 ///
 /// The snapshot streams as [`fabric_types::snapshot::SnapshotChunk`]s of
 /// at most `chunk_size` wire bytes, reassembled and verified by the
@@ -187,12 +174,10 @@ pub struct SnapshotConfig {
     pub enabled: bool,
     /// Checkpoint cadence in blocks: the embedding's ledger emits a
     /// checkpoint every `interval` blocks (see
-    /// `fabric_ledger::Ledger::with_checkpoints`).
+    /// `fabric_ledger::Ledger::with_checkpoints`). Also the lag (best
+    /// advertised checkpoint height + 1 − own height) from which a peer
+    /// prefers a snapshot over block replay.
     pub interval: u64,
-    /// Minimum lag (best advertised checkpoint height + 1 − own height)
-    /// before a peer prefers a snapshot over block replay. Keeps
-    /// steady-state stragglers on the cheap block-recovery path.
-    pub min_lag: u64,
     /// Upper bound on one snapshot-chunk message on the wire (envelope
     /// included). At least 128 bytes: a chunk must fit its header.
     pub chunk_size: usize,
@@ -207,27 +192,8 @@ impl Default for SnapshotConfig {
         SnapshotConfig {
             enabled: false,
             interval: 32,
-            min_lag: 32,
             chunk_size: 64 * 1024,
             request_timeout: Duration::from_secs(8),
-        }
-    }
-}
-
-/// Retry policy for fetching block content announced by a push digest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FetchConfig {
-    /// Re-request content from another advertiser after this long.
-    pub timeout: Duration,
-    /// Give up after this many attempts (recovery then takes over).
-    pub max_attempts: u32,
-}
-
-impl Default for FetchConfig {
-    fn default() -> Self {
-        FetchConfig {
-            timeout: Duration::from_millis(500),
-            max_attempts: 5,
         }
     }
 }
@@ -250,12 +216,9 @@ pub struct GossipConfig {
     /// Membership heartbeats.
     pub membership: MembershipConfig,
     /// Gossiped discovery (off by default: the build-time roster is the
-    /// membership, as in the paper's evaluation).
+    /// membership, and its minimum the leader, as in the paper's
+    /// evaluation).
     pub discovery: DiscoveryConfig,
-    /// Leader election.
-    pub election: ElectionConfig,
-    /// Push-digest fetch retries.
-    pub fetch: FetchConfig,
     /// Snapshot bootstrap (off by default: wire format and golden traces
     /// are unchanged unless a deployment opts in).
     pub snapshot: SnapshotConfig,
@@ -270,14 +233,11 @@ impl GossipConfig {
             f_leader_out: 3,
             push: PushMode::InfectAndDie {
                 tpush: Duration::from_millis(10),
-                buffer_cap: 10,
             },
             pull: Some(PullConfig::default()),
             recovery: RecoveryConfig::default(),
             membership: MembershipConfig::default(),
             discovery: DiscoveryConfig::default(),
-            election: ElectionConfig::default(),
-            fetch: FetchConfig::default(),
             snapshot: SnapshotConfig::default(),
         }
     }
@@ -310,8 +270,6 @@ impl GossipConfig {
             recovery: RecoveryConfig::default(),
             membership: MembershipConfig::default(),
             discovery: DiscoveryConfig::default(),
-            election: ElectionConfig::default(),
-            fetch: FetchConfig::default(),
             snapshot: SnapshotConfig::default(),
         }
     }
@@ -325,13 +283,11 @@ impl GossipConfig {
     }
 
     /// Turns on snapshot bootstrap with checkpoints every `interval`
-    /// blocks. `min_lag` is set to the interval: a joiner more than one
-    /// checkpoint behind takes the snapshot path, a steady-state straggler
-    /// keeps cheap block recovery.
+    /// blocks: a joiner more than one checkpoint behind takes the snapshot
+    /// path, a steady-state straggler keeps cheap block recovery.
     pub fn with_snapshots(mut self, interval: u64) -> Self {
         self.snapshot.enabled = true;
         self.snapshot.interval = interval;
-        self.snapshot.min_lag = interval;
         self
     }
 
@@ -374,21 +330,15 @@ impl GossipConfig {
         if self.f_leader_out == 0 {
             return Err("f_leader_out must be positive".into());
         }
-        match &self.push {
-            PushMode::InfectAndDie { buffer_cap, .. } => {
-                if *buffer_cap == 0 {
-                    return Err("push buffer capacity must be positive".into());
-                }
+        if let PushMode::InfectUponContagion {
+            ttl, ttl_direct, ..
+        } = &self.push
+        {
+            if *ttl == 0 {
+                return Err("TTL must be positive".into());
             }
-            PushMode::InfectUponContagion {
-                ttl, ttl_direct, ..
-            } => {
-                if *ttl == 0 {
-                    return Err("TTL must be positive".into());
-                }
-                if ttl_direct > ttl {
-                    return Err(format!("TTL_direct {ttl_direct} exceeds TTL {ttl}"));
-                }
+            if ttl_direct > ttl {
+                return Err(format!("TTL_direct {ttl_direct} exceeds TTL {ttl}"));
             }
         }
         if let Some(pull) = &self.pull {
@@ -401,9 +351,6 @@ impl GossipConfig {
             if pull.digest_wait >= pull.tpull {
                 return Err("digest_wait must be shorter than tpull".into());
             }
-            if pull.digest_window == 0 {
-                return Err("pull digest window must be positive".into());
-            }
         }
         if self.recovery.interval.is_zero() || self.recovery.state_info_interval.is_zero() {
             return Err("recovery intervals must be positive".into());
@@ -414,21 +361,12 @@ impl GossipConfig {
         if self.membership.alive_interval.is_zero() {
             return Err("alive interval must be positive".into());
         }
-        if self.discovery.heartbeat_interval.is_zero() {
-            return Err("discovery heartbeat interval must be positive".into());
-        }
         if self.discovery.anti_entropy_interval.is_zero() {
             return Err("discovery anti-entropy interval must be positive".into());
-        }
-        if self.fetch.max_attempts == 0 {
-            return Err("fetch max_attempts must be positive".into());
         }
         if self.snapshot.enabled {
             if self.snapshot.interval == 0 {
                 return Err("snapshot checkpoint interval must be positive".into());
-            }
-            if self.snapshot.min_lag == 0 {
-                return Err("snapshot min_lag must be positive".into());
             }
             if self.snapshot.request_timeout.is_zero() {
                 return Err("snapshot request_timeout must be positive".into());
@@ -515,8 +453,8 @@ mod tests {
         assert!(proto.discovery.protocol);
         assert!(proto.validate().is_ok());
 
-        let mut bad = GossipConfig::enhanced_f4();
-        bad.discovery.heartbeat_interval = Duration::ZERO;
+        let mut bad = GossipConfig::enhanced_f4().with_discovery_protocol();
+        bad.membership.alive_interval = Duration::ZERO;
         assert!(bad.validate().is_err());
         let mut bad = GossipConfig::enhanced_f4();
         bad.discovery.anti_entropy_interval = Duration::ZERO;
@@ -530,15 +468,11 @@ mod tests {
         let snap = GossipConfig::enhanced_f4().with_snapshots(16);
         assert!(snap.snapshot.enabled);
         assert_eq!(snap.snapshot.interval, 16);
-        assert_eq!(snap.snapshot.min_lag, 16);
         assert_eq!(snap.snapshot.chunk_size, 64 * 1024);
         assert!(snap.validate().is_ok());
 
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
         bad.snapshot.interval = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
-        bad.snapshot.min_lag = 0;
         assert!(bad.validate().is_err());
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
         bad.snapshot.request_timeout = Duration::ZERO;

@@ -21,13 +21,13 @@
 //! * a **false death** (drops or a partition) is refuted: a peer that
 //!   learns it was declared dead bumps its incarnation above the obituary
 //!   and resurrects in every view — ranking junior from then on, exactly
-//!   where every other peer ranks the new life — so static-leadership
+//!   where every other peer ranks the new life — so leadership
 //!   seniority stays consistent.
 //!
 //! The engine owns only discovery-private state (claims, obituaries, its
 //! own incarnation/seq). Everything shared lives in the
-//! [`ChannelCore`]; membership *consequences* — view edits, leader
-//! re-election — are returned as a [`DiscoveryDelta`] and applied
+//! [`ChannelCore`]; membership *consequences* — view edits, the leader
+//! seat — are returned as a [`DiscoveryDelta`] and applied
 //! by [`crate::channel::ChannelState`], which also fires
 //! [`Effects::discovery_event`] per change so embeddings can measure
 //! convergence and stale-view windows.
@@ -57,8 +57,8 @@ pub struct DiscoveryDelta {
     /// observation) so convergence accounting never dangles.
     pub renewed: Vec<PeerId>,
     /// This peer learned it was declared dead and refuted the obituary:
-    /// under static election it must drop any leadership claim (its seat
-    /// was reassigned; the bumped incarnation already ranks it junior).
+    /// it must drop any leadership claim (its seat was reassigned; the
+    /// bumped incarnation already ranks it junior).
     pub self_deposed: bool,
 }
 
@@ -147,7 +147,7 @@ impl DiscoveryEngine {
             core.channel_view.mark_alive(peer, now);
         }
         self.heartbeat(core, fx);
-        let hb_phase = random_phase(fx, core.cfg.discovery.heartbeat_interval);
+        let hb_phase = random_phase(fx, core.cfg.membership.alive_interval);
         core.schedule(fx, hb_phase, GossipTimer::DiscoveryRound);
         let ae_phase = random_phase(fx, core.cfg.discovery.anti_entropy_interval);
         core.schedule(fx, ae_phase, GossipTimer::AntiEntropyRound);
@@ -169,7 +169,7 @@ impl DiscoveryEngine {
         for peer in expired {
             self.reap(peer, &mut delta);
         }
-        let interval = core.cfg.discovery.heartbeat_interval;
+        let interval = core.cfg.membership.alive_interval;
         core.schedule(fx, interval, GossipTimer::DiscoveryRound);
         delta
     }
@@ -277,7 +277,7 @@ impl DiscoveryEngine {
     /// seniority ranks by `(incarnation, id)` — initial members (who all
     /// share the deployment-start incarnation) rank in id order, runtime
     /// joiners rank by join time, and a refuted false death demotes (the
-    /// refutation bumps the incarnation). This is the static-leadership
+    /// refutation bumps the incarnation). This is the leadership
     /// rule of protocol-discovery channels: because it is computed from
     /// the gossiped view, it converges to exactly one claimant as the
     /// views converge — something a roster-order rule cannot promise when
@@ -704,7 +704,7 @@ mod tests {
         let mut fx = MockEffects::new(26);
         e.init(&mut c, &mut fx);
         fx.take_scheduled();
-        let base = c.cfg.discovery.heartbeat_interval;
+        let base = c.cfg.membership.alive_interval;
         for _ in 0..6 {
             let now = fx.now;
             for p in 1..4 {

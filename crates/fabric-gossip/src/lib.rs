@@ -34,13 +34,13 @@
 //!   told;
 //! * [`channel::ChannelState`] — one channel's instance: the shared
 //!   [`channel::ChannelCore`] (membership views, block store, per-channel
-//!   [`channel::PeerStats`]) plus the five **engines**:
+//!   [`channel::PeerStats`]), the leader seat — the roster minimum on a
+//!   static roster, the most senior live claim under discovery — and the
+//!   four **engines**:
 //!   * [`push::PushEngine`] — infect-and-die and infect-upon-contagion
 //!     push, digests, content-fetch retries;
 //!   * [`pull::PullEngine`] — the four-phase pull (hello → digest →
 //!     request → response);
-//!   * [`election::ElectionEngine`] — who leads: the static seniority
-//!     claim, or dynamic election on leader heartbeats;
 //!   * [`recovery::RecoveryEngine`] — state transfer: StateInfo heights,
 //!     block recovery and snapshot bootstrap;
 //!   * [`discovery::DiscoveryEngine`] — gossiped membership (when
@@ -91,7 +91,6 @@ pub mod channel;
 pub mod config;
 pub mod discovery;
 pub mod effects;
-pub mod election;
 pub mod membership;
 pub mod messages;
 pub mod peer;
@@ -109,7 +108,6 @@ pub use channel::{ChannelCore, ChannelState};
 pub use config::{DiscoveryConfig, GossipConfig, PullConfig, PushMode, RecoveryConfig};
 pub use discovery::{DiscoveryDelta, DiscoveryEngine};
 pub use effects::Effects;
-pub use election::ElectionEngine;
 pub use membership::Membership;
 pub use messages::{ChannelMsg, GossipMsg, GossipTimer, PeerAlive};
 pub use peer::{GossipPeer, PeerStats};

@@ -203,11 +203,6 @@ pub enum GossipMsg {
         /// the death unless they know a strictly higher incarnation.
         dead: Vec<PeerAlive>,
     },
-    /// Leader-election heartbeat from the peer currently acting as leader.
-    LeaderHeartbeat {
-        /// The claiming leader (equals the sender; explicit for clarity).
-        leader: PeerId,
-    },
 }
 
 impl GossipMsg {
@@ -291,7 +286,6 @@ impl desim::Message for GossipMsg {
             GossipMsg::MembershipResponse { entries, dead } => {
                 ENVELOPE + 8 + PeerAlive::WIRE * (entries.len() + dead.len())
             }
-            GossipMsg::LeaderHeartbeat { .. } => ENVELOPE + 48,
         }
     }
 
@@ -308,7 +302,7 @@ impl desim::Message for GossipMsg {
 }
 
 /// The metrics tag of every gossip kind, at its [`GossipMsg::kind_index`].
-const KINDS: [&str; 17] = [
+const KINDS: [&str; 16] = [
     "block",
     "push-digest",
     "push-request",
@@ -325,7 +319,6 @@ const KINDS: [&str; 17] = [
     "alive-msg",
     "membership-request",
     "membership-response",
-    "leadership",
 ];
 
 impl GossipMsg {
@@ -350,7 +343,6 @@ impl GossipMsg {
             GossipMsg::AliveMsg(_) => 13,
             GossipMsg::MembershipRequest { .. } => 14,
             GossipMsg::MembershipResponse { .. } => 15,
-            GossipMsg::LeaderHeartbeat { .. } => 16,
         }
     }
 }
@@ -380,8 +372,6 @@ pub enum GossipTimer {
     /// Discovery protocol: exchange membership views with one random
     /// peer.
     AntiEntropyRound,
-    /// Leader-election bookkeeping tick.
-    ElectionTick,
     /// Retry fetching block content announced by a digest.
     FetchRetry {
         /// The block whose content is still missing.
@@ -661,7 +651,6 @@ mod tests {
                 dead: vec![],
             }
             .kind(),
-            GossipMsg::LeaderHeartbeat { leader: PeerId(0) }.kind(),
         ];
         let mut unique = kinds.to_vec();
         unique.sort_unstable();
@@ -691,7 +680,6 @@ mod tests {
                 entries: vec![],
                 dead: vec![],
             },
-            GossipMsg::LeaderHeartbeat { leader: PeerId(0) },
             GossipMsg::SnapshotRequest {
                 height: 1,
                 from_chunk: 0,

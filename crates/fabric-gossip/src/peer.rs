@@ -3,8 +3,8 @@
 //!
 //! One [`GossipPeer`] value holds the gossip state of a single peer across
 //! every channel it has joined. All protocol logic lives in the per-channel
-//! engines ([`crate::push`], [`crate::pull`], [`crate::election`],
-//! [`crate::recovery`], [`crate::discovery`]) bundled into a
+//! engines ([`crate::push`], [`crate::pull`], [`crate::recovery`],
+//! [`crate::discovery`]) bundled with a leader seat into a
 //! [`ChannelState`] per joined channel; this type only routes entry points
 //! to the right instance:
 //!
@@ -21,7 +21,7 @@
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
 
-use crate::channel::{statically_leads, ChannelCore, ChannelState};
+use crate::channel::{ChannelCore, ChannelState};
 use crate::config::GossipConfig;
 use crate::effects::Effects;
 use crate::membership::Membership;
@@ -50,9 +50,11 @@ impl GossipPeer {
     /// organization, self included or not — the peer never samples itself
     /// either way), joined to the single [`ChannelId::DEFAULT`] channel.
     ///
-    /// With static election (the default), the lowest-id peer of the roster
-    /// is the leader from the start, mirroring a Fabric deployment with
-    /// `orgLeader` pinned. Static leadership semantics, exactly:
+    /// The lowest-id peer of the roster is the leader from the start,
+    /// mirroring a Fabric deployment with `orgLeader` pinned. On a static
+    /// roster (the default) it keeps the seat for the whole run; under
+    /// gossiped discovery the seat follows seniority from then on. Static
+    /// leadership semantics, exactly:
     ///
     /// * roster **contains** `id` → this peer leads iff `id` is the
     ///   roster's minimum;
@@ -63,8 +65,11 @@ impl GossipPeer {
     ///   observer): the peer never self-elects statically, *even if* its id
     ///   is lower than every roster entry. (The seed implementation
     ///   computed `min(roster ∪ {id})`, silently making such an observer
-    ///   the leader; dynamic election is the supported path for a peer
-    ///   that should eventually lead an organization it joined late.)
+    ///   the leader; gossiped discovery
+    ///   ([`crate::config::GossipConfig::with_discovery_protocol`]) is the
+    ///   supported path for a peer that should eventually lead an
+    ///   organization it joined late: it leads once it is the most senior
+    ///   live member.)
     ///
     /// # Panics
     ///
@@ -147,14 +152,16 @@ impl GossipPeer {
     ) {
         let initialized = self.initialized;
         let id = self.id;
+        let discovery = self.cfg.discovery.protocol;
         let state = self.insert_channel(channel, roster);
         // Static leadership was just evaluated over the as-passed roster.
-        // What the roster still decides is member or observer: a peer
-        // handed a roster excluding it ranks junior to everyone for life
-        // (see `DiscoveryEngine::init`), and a runtime joiner is a member
-        // — junior by its late incarnation alone, so two joiners outliving
-        // the initial members still elect exactly one of themselves.
-        if !state.core().roster.contains(&id) {
+        // Under discovery, what the roster still decides is member or
+        // observer: a peer handed a roster excluding it ranks junior to
+        // everyone for life (see `DiscoveryEngine::init`), and a runtime
+        // joiner is a member — junior by its late incarnation alone, so two
+        // joiners outliving the initial members still elect exactly one of
+        // themselves. On a static roster an observer stays one.
+        if discovery && !state.core().roster.contains(&id) {
             state.core_mut().roster.push(id);
         }
         if initialized {
@@ -222,9 +229,8 @@ impl GossipPeer {
             !self.channels.iter().any(|(ch, _)| *ch == channel),
             "channel {channel} joined twice"
         );
-        let leads = statically_leads(self.id, &roster);
         let core = ChannelCore::new(channel, self.id, roster, self.cfg.clone());
-        let state = ChannelState::new(core, leads);
+        let state = ChannelState::new(core);
         let at = self.channels.partition_point(|(ch, _)| *ch < channel);
         self.channels.insert(at, (channel, state));
         &mut self.channels[at].1
@@ -516,7 +522,8 @@ impl GossipPeer {
     /// fetches in flight, pull bookkeeping, membership freshness — is lost
     /// on every channel. The block stores survive (blocks are persisted
     /// through the ledger). After a reboot, call [`GossipPeer::init`] to
-    /// re-arm the timers; recovery then catches the peer up.
+    /// re-arm the timers (a static-roster leader also takes its seat back);
+    /// recovery then catches the peer up.
     pub fn on_crash(&mut self) {
         for (_, state) in &mut self.channels {
             state.on_crash();
@@ -576,17 +583,6 @@ mod tests {
         let alone = GossipPeer::new(PeerId(4), Vec::new(), GossipConfig::enhanced_f4());
         assert!(alone.is_leader());
         assert!(alone.membership().is_empty());
-    }
-
-    #[test]
-    fn dynamic_election_starts_without_a_static_leader() {
-        let mut cfg = GossipConfig::enhanced_f4();
-        cfg.election.dynamic = true;
-        let peer = GossipPeer::new(PeerId(0), peers(&[0, 1, 2]), cfg);
-        assert!(
-            !peer.is_leader(),
-            "dynamic mode elects through heartbeats, not construction"
-        );
     }
 
     #[test]

@@ -22,6 +22,9 @@ use crate::channel::ChannelCore;
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer};
 
+/// How many recent block numbers a digest response advertises.
+pub(crate) const DIGEST_WINDOW: u64 = 64;
+
 /// Pull-phase state of one channel instance.
 #[derive(Debug, Default)]
 pub struct PullEngine {
@@ -65,13 +68,7 @@ impl PullEngine {
         from: PeerId,
         nonce: u64,
     ) {
-        let window = core
-            .cfg
-            .pull
-            .as_ref()
-            .map(|p| p.digest_window)
-            .unwrap_or(64);
-        let block_nums = core.store.recent(window);
+        let block_nums = core.store.recent(DIGEST_WINDOW);
         core.send(
             fx,
             from,

@@ -17,6 +17,7 @@
 
 use std::collections::BTreeSet;
 
+use desim::Duration;
 use fabric_types::block::BlockRef;
 use fabric_types::ids::PeerId;
 
@@ -25,6 +26,17 @@ use crate::channel::ChannelCore;
 use crate::config::PushMode;
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer};
+
+/// Infect-and-die buffer capacity: a buffer holding this many blocks
+/// flushes before `tpush` runs out (Fabric's push burst size).
+pub(crate) const PUSH_BURST: usize = 10;
+
+/// How long a content fetch announced by a push digest waits before
+/// re-requesting from another advertiser.
+pub(crate) const FETCH_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Fetch attempts per block before giving up (recovery then takes over).
+pub(crate) const FETCH_ATTEMPTS: u32 = 5;
 
 /// A fetch in flight for block content announced by push digests.
 #[derive(Debug, Clone, Default)]
@@ -259,10 +271,9 @@ impl PushEngine {
                 pending.attempts = 1;
                 core.stats.fetch_requests += 1;
                 core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
-                let timeout = core.cfg.fetch.timeout;
                 core.schedule(
                     fx,
-                    timeout,
+                    FETCH_TIMEOUT,
                     GossipTimer::FetchRetry {
                         block_num,
                         attempt: 1,
@@ -299,10 +310,9 @@ impl PushEngine {
             pending.attempts = 1;
             core.stats.fetch_requests += 1;
             core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
-            let timeout = core.cfg.fetch.timeout;
             core.schedule(
                 fx,
-                timeout,
+                FETCH_TIMEOUT,
                 GossipTimer::FetchRetry {
                     block_num,
                     attempt: 1,
@@ -339,11 +349,10 @@ impl PushEngine {
         if core.store.has(block_num) {
             return; // fetched in the meantime
         }
-        let max_attempts = core.cfg.fetch.max_attempts;
         let Some(pending) = self.pending_fetch.get_mut(block_num) else {
             return;
         };
-        if attempt >= max_attempts {
+        if attempt >= FETCH_ATTEMPTS {
             // Give up; the recovery component will catch this block up.
             self.pending_fetch.remove(block_num);
             return;
@@ -365,10 +374,9 @@ impl PushEngine {
             });
         core.stats.fetch_requests += 1;
         core.send(fx, target, GossipMsg::PushRequest { block_num, counter });
-        let timeout = core.cfg.fetch.timeout;
         core.schedule(
             fx,
-            timeout,
+            FETCH_TIMEOUT,
             GossipTimer::FetchRetry {
                 block_num,
                 attempt: attempt + 1,
@@ -389,11 +397,11 @@ impl PushEngine {
 
     /// Original protocol: stage a first-reception block in the push buffer.
     fn buffer_for_push(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects, block: BlockRef) {
-        let PushMode::InfectAndDie { tpush, buffer_cap } = core.cfg.push else {
+        let PushMode::InfectAndDie { tpush } = core.cfg.push else {
             unreachable!("buffer_for_push is an infect-and-die path");
         };
         self.push_buffer.push(block);
-        if self.push_buffer.len() >= buffer_cap || tpush.is_zero() {
+        if self.push_buffer.len() >= PUSH_BURST || tpush.is_zero() {
             self.flush_push_buffer(core, fx);
         } else if !self.flush_armed {
             self.flush_armed = true;

@@ -124,9 +124,9 @@ impl RecoveryEngine {
 
     /// The RecoveryRound timer: if somebody is ahead, ask one of the most
     /// advanced peers for the missing run. Under snapshot bootstrap, a peer
-    /// lagging the best advertised checkpoint by at least
-    /// [`crate::config::SnapshotConfig::min_lag`] blocks requests the
-    /// snapshot instead — O(state + tail) rather than O(chain) replay.
+    /// lagging the best advertised checkpoint by at least one checkpoint
+    /// [`crate::config::SnapshotConfig::interval`] requests the snapshot
+    /// instead — O(state + tail) rather than O(chain) replay.
     pub fn on_recovery_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let my_height = core.store.height();
         if core.cfg.snapshot.enabled && self.snapshot_round(core, fx, my_height) {
@@ -163,15 +163,15 @@ impl RecoveryEngine {
     /// round was consumed by the snapshot path — a transfer is in flight
     /// within its timeout, or a (re-)request just went out. Returns `false`
     /// to fall through to block recovery: the lag trigger didn't fire, or
-    /// no eligible server remains (empty checkpoint view, every candidate
-    /// timed out, or the requested floor was pruned everywhere).
+    /// no eligible server remains (every candidate timed out or departed,
+    /// or the requested floor was pruned everywhere).
     fn snapshot_round(
         &mut self,
         core: &mut ChannelCore,
         fx: &mut dyn Effects,
         my_height: u64,
     ) -> bool {
-        let min_lag = core.cfg.snapshot.min_lag;
+        let min_lag = core.cfg.snapshot.interval;
         // Saturating: an advertised checkpoint at `u64::MAX` is a number
         // off the wire, not a reason to overflow.
         let trigger = move |cp_height: u64| cp_height.saturating_add(1) >= my_height + min_lag;
@@ -431,6 +431,15 @@ mod tests {
             GossipMsg::RecoveryRequest { from: 1, to: 5 }
         ));
         assert_eq!(c.stats.recovery_requests, 1);
+        // A departed peer's height no longer drives recovery requests.
+        e.forget_peer(PeerId(2));
+        e.on_recovery_round(&mut c, &mut fx);
+        assert!(
+            !fx.take_sent()
+                .iter()
+                .any(|(_, m)| matches!(m, GossipMsg::RecoveryRequest { .. })),
+            "no recovery request toward a departed peer"
+        );
     }
 
     /// Small enough that the tiny test states span several chunks.
@@ -520,7 +529,7 @@ mod tests {
         let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
         // Height 12 of 17: only 5 behind the checkpoint at 16 — under the
-        // min_lag of 8 once the store is at 12.
+        // one-interval lag of 8 once the store is at 12.
         for n in 1..=11 {
             c.store.insert(BlockRef::new(Block::new(
                 n,
@@ -624,28 +633,38 @@ mod tests {
 
     #[test]
     fn empty_candidate_set_falls_back_to_block_recovery_instead_of_panicking() {
-        // Regression: the lag trigger can fire against an *empty*
-        // checkpoint view (no peer has advertised a checkpoint yet). The
-        // old code indexed a random element of the empty candidate list
+        // Regression: the lag trigger can still fire once every server that
+        // advertised the checkpoint has failed or departed, leaving an
+        // empty candidate list. The old code indexed a random element of it
         // and panicked; the round must instead fall through to block
         // recovery.
+        use desim::Duration;
         let mut c = core(1);
-        c.cfg = GossipConfig::enhanced_f4().with_snapshots(1);
-        c.cfg.snapshot.min_lag = 0;
+        c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
         let mut e = RecoveryEngine::default();
         let mut fx = MockEffects::new(1);
-        e.on_recovery_round(&mut c, &mut fx); // must not panic
-        assert_eq!(c.stats.snapshot_requests, 0);
-        assert!(fx.take_sent().is_empty(), "nobody to ask, nothing sent");
-        // Once a peer advertises blocks (still no checkpoint), the same
-        // round runs plain block recovery.
-        e.on_state_info(&c, PeerId(2), 6, None);
+        let cp = test_snapshot(16).checkpoint;
+        e.on_state_info(&c, PeerId(2), 17, Some(cp));
+        e.on_state_info(&c, PeerId(3), 17, Some(cp));
         e.on_recovery_round(&mut c, &mut fx);
-        assert!(fx
-            .take_sent()
-            .iter()
-            .any(|(_, m)| matches!(m, GossipMsg::RecoveryRequest { .. })));
-        assert_eq!(c.stats.snapshot_requests, 0);
+        let asked = fx.take_sent()[0].0;
+        let other = if asked == PeerId(2) {
+            PeerId(3)
+        } else {
+            PeerId(2)
+        };
+        // The other server departs; the one asked never answers.
+        e.forget_peer(other);
+        fx.advance(Duration::from_secs(10));
+        e.on_recovery_round(&mut c, &mut fx); // must not panic
+        assert_eq!(c.stats.snapshot_requests, 1, "nobody left to ask");
+        assert!(
+            fx.take_sent()
+                .iter()
+                .any(|(to, m)| *to == asked
+                    && matches!(m, GossipMsg::RecoveryRequest { from: 1, .. })),
+            "the round falls through to block recovery"
+        );
     }
 
     #[test]

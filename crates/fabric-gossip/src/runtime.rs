@@ -323,7 +323,7 @@ mod tests {
         // replace the legacy AliveRound under the real-threads runtime too;
         // heartbeat traffic must coexist with block dissemination.
         let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-        cfg.discovery.heartbeat_interval = Duration::from_millis(50);
+        cfg.membership.alive_interval = Duration::from_millis(50);
         cfg.discovery.anti_entropy_interval = Duration::from_millis(80);
         let net = ThreadedNet::spawn(6, cfg, 13);
         let b1 = BlockRef::new(Block::new(1, Block::genesis().hash(), vec![]));

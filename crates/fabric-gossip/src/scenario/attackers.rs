@@ -660,22 +660,23 @@ impl Byzantine for RefutationSuppressor {
 /// the wire ([`Byzantine::on_inbound`]) and decides each step, clocked by
 /// its own timers ([`Byzantine::on_step`]), from the observed state; its
 /// outbound traffic passes untouched (it attacks with injections, not
-/// with its own wire). **Leader hunting**: wiretaps `LeaderHeartbeat`s to
-/// learn who currently leads, forges *that* peer's obituary at the
-/// freshest incarnation it has heard, and adapts on both axes the issue
-/// demands: when leadership moves (say, because its own forgery deposed
-/// the previous leader) it re-targets the successor, and when a victim
-/// refutes by bumping its incarnation it re-forges at the bumped value —
-/// each `(victim, incarnation)` pair is shot at most once, so the
-/// campaign only ever acts on *new* observed state. `shots` bounds the
-/// total. The guarantees under test: leadership recovers to exactly one
-/// claimant and every deposed victim re-enters the view.
+/// with its own wire). **Leader hunting**: infers who currently leads the
+/// way the honest peers decide it — the live member whose freshest
+/// wiretapped claim is most senior, the minimum `(incarnation.max(1), id)`
+/// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]) — forges
+/// *that* peer's obituary at the freshest incarnation it has heard, and
+/// adapts on both axes: when leadership moves (say, because its own
+/// forgery deposed the previous leader, whose refutation ranks it junior)
+/// it re-targets the successor, and when a victim refutes by bumping its
+/// incarnation it re-forges at the bumped value — each `(victim,
+/// incarnation)` pair is shot at most once, so the campaign only ever
+/// acts on *new* observed state. `shots` bounds the total. The guarantees
+/// under test: leadership recovers to exactly one claimant and every
+/// deposed victim re-enters the view.
 #[derive(Debug)]
 pub struct LeaderHunter {
     shots: u32,
     intel: ClaimIntel,
-    /// Current leader per channel, as wiretapped.
-    leader: BTreeMap<u16, PeerId>,
     /// `(channel, victim, incarnation)` triples already shot — firing
     /// again would waste a shot on state the network already refuted.
     fired: HashSet<(u16, u32, u64)>,
@@ -687,9 +688,18 @@ impl LeaderHunter {
         LeaderHunter {
             shots,
             intel: ClaimIntel::default(),
-            leader: BTreeMap::new(),
             fired: HashSet::new(),
         }
+    }
+
+    /// The member of `channel` whose freshest heard claim ranks most
+    /// senior, with that claim; `None` before any claim was heard.
+    fn senior(&self, ctx: &AttackCtx<'_>, channel: ChannelId) -> Option<PeerAlive> {
+        ctx.members
+            .get(channel.0 as usize)?
+            .iter()
+            .filter_map(|p| self.intel.freshest_of(channel, *p))
+            .min_by_key(|c| (c.incarnation.max(1), c.peer))
     }
 }
 
@@ -706,9 +716,6 @@ impl Byzantine for LeaderHunter {
         msg: &GossipMsg,
     ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
         self.intel.observe(channel, msg);
-        if let GossipMsg::LeaderHeartbeat { leader } = msg {
-            self.leader.insert(channel.0, *leader);
-        }
         Vec::new()
     }
 
@@ -719,15 +726,13 @@ impl Byzantine for LeaderHunter {
                 break;
             }
             let channel = ChannelId(c as u16);
-            let Some(victim) = self.leader.get(&channel.0).copied() else {
-                continue; // no leader observed yet: nothing to react to
+            let Some(claim) = self.senior(ctx, channel) else {
+                continue; // no claim heard yet: nothing to react to
             };
+            let victim = claim.peer;
             if victim == ctx.self_id {
                 continue;
             }
-            let Some(claim) = self.intel.freshest_of(channel, victim) else {
-                continue;
-            };
             if !self.fired.insert((channel.0, victim.0, claim.incarnation)) {
                 continue; // already shot this life; wait for new state
             }

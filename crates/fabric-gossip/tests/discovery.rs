@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// Protocol discovery with its timers tightened.
 fn discovery_cfg() -> GossipConfig {
     let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.discovery.heartbeat_interval = Duration::from_secs(1);
+    cfg.membership.alive_interval = Duration::from_secs(1);
     cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
     cfg.membership.alive_timeout = Duration::from_secs(5);
     cfg

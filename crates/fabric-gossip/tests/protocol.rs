@@ -1,7 +1,7 @@
 //! Protocol-level tests of the gossip state machine, driven through
 //! `MockEffects` and a lockstep message router (no simulator involved).
 
-use desim::{Duration, Message as _, Time};
+use desim::{Duration, Message as _};
 use fabric_gossip::config::{GossipConfig, PushMode};
 use fabric_gossip::messages::{GossipMsg, GossipTimer};
 use fabric_gossip::peer::GossipPeer;
@@ -457,10 +457,8 @@ fn push_request_is_served_from_the_store() {
 
 #[test]
 fn fetch_retry_rotates_advertisers_and_gives_up() {
-    let mut cfg = GossipConfig::enhanced_f4();
-    cfg.fetch.max_attempts = 3;
     let ids = roster(10);
-    let mut peer = GossipPeer::new(PeerId(5), ids, cfg);
+    let mut peer = GossipPeer::new(PeerId(5), ids, GossipConfig::enhanced_f4());
     let mut fx = MockEffects::new(9);
 
     peer.on_message(
@@ -480,48 +478,29 @@ fn fetch_retry_rotates_advertisers_and_gives_up() {
         },
     );
     fx.take_sent();
+    let retry = |attempt| GossipTimer::FetchRetry {
+        block_num: 1,
+        attempt,
+    };
 
-    // First retry goes to the rotation's next advertiser.
-    peer.on_timer(
-        &mut fx,
-        GossipTimer::FetchRetry {
-            block_num: 1,
-            attempt: 1,
-        },
-    );
-    let sent = fx.take_sent();
-    assert_eq!(sent.len(), 1);
-    assert!(matches!(
-        sent[0].1,
-        GossipMsg::PushRequest { block_num: 1, .. }
-    ));
+    // Each retry re-requests from the rotation's next advertiser: peer 1
+    // was asked first, then 2, 1, 2 — four retries after the first ask.
+    for (attempt, advertiser) in [(1, 2), (2, 1), (3, 2), (4, 1)] {
+        peer.on_timer(&mut fx, retry(attempt));
+        let sent = fx.take_sent();
+        assert_eq!(sent.len(), 1, "attempt {attempt}");
+        assert_eq!(sent[0].0, PeerId(advertiser), "attempt {attempt}");
+        assert!(matches!(
+            sent[0].1,
+            GossipMsg::PushRequest { block_num: 1, .. }
+        ));
+    }
 
-    peer.on_timer(
-        &mut fx,
-        GossipTimer::FetchRetry {
-            block_num: 1,
-            attempt: 2,
-        },
-    );
-    assert_eq!(fx.take_sent().len(), 1);
-
-    // Attempt limit reached: give up silently (recovery's job now).
-    peer.on_timer(
-        &mut fx,
-        GossipTimer::FetchRetry {
-            block_num: 1,
-            attempt: 3,
-        },
-    );
+    // Attempt limit (5) reached: give up silently (recovery's job now).
+    peer.on_timer(&mut fx, retry(5));
     assert!(fx.take_sent().is_empty());
     // After giving up, further retries are no-ops.
-    peer.on_timer(
-        &mut fx,
-        GossipTimer::FetchRetry {
-            block_num: 1,
-            attempt: 2,
-        },
-    );
+    peer.on_timer(&mut fx, retry(2));
     assert!(fx.take_sent().is_empty());
 }
 
@@ -753,42 +732,6 @@ fn static_leader_is_lowest_id() {
     let ids = roster(5);
     assert!(GossipPeer::new(PeerId(0), ids.clone(), cfg.clone()).is_leader());
     assert!(!GossipPeer::new(PeerId(3), ids, cfg).is_leader());
-}
-
-#[test]
-fn dynamic_election_stands_up_lowest_alive_and_steps_down() {
-    let mut cfg = GossipConfig::enhanced_f4();
-    cfg.election.dynamic = true;
-    let ids = roster(3);
-    let mut peer = GossipPeer::new(PeerId(1), ids, cfg);
-    let mut fx = MockEffects::new(1);
-    assert!(!peer.is_leader());
-
-    // Nothing heard from any leader and peer 0 is silent past the alive
-    // timeout: peer 1 must stand up once peer 0 is believed dead.
-    fx.now = Time::from_secs(100);
-    // Mark peer 2 alive recently so only peer 0 looks dead.
-    peer.on_message(&mut fx, PeerId(2), GossipMsg::Alive);
-    fx.take_sent();
-    fx.now = Time::from_secs(120);
-    peer.on_message(&mut fx, PeerId(2), GossipMsg::Alive);
-    fx.take_sent();
-    peer.on_timer(&mut fx, GossipTimer::ElectionTick);
-    assert!(peer.is_leader(), "lowest alive id must claim leadership");
-    let sent = fx.take_sent();
-    assert!(sent
-        .iter()
-        .any(|(_, m)| matches!(m, GossipMsg::LeaderHeartbeat { .. })));
-    assert_eq!(fx.leadership, vec![true]);
-
-    // A lower-id leader reappears: step down.
-    peer.on_message(
-        &mut fx,
-        PeerId(0),
-        GossipMsg::LeaderHeartbeat { leader: PeerId(0) },
-    );
-    assert!(!peer.is_leader());
-    assert_eq!(fx.leadership, vec![true, false]);
 }
 
 #[test]

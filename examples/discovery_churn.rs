@@ -52,7 +52,7 @@ fn main() {
         config.wave_interval,
         config.flash_crowd,
         config.flash_at,
-        config.gossip.discovery.heartbeat_interval,
+        config.gossip.membership.alive_interval,
         config.gossip.discovery.anti_entropy_interval,
         config.gossip.membership.alive_timeout,
     );

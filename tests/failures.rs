@@ -1,6 +1,6 @@
-//! Failure injection: packet loss, crashed followers, crashed leaders with
-//! dynamic election, and network partitions. The gossip layer must keep
-//! every surviving peer converging.
+//! Failure injection: packet loss, crashed followers, crashed and rebooted
+//! leaders, and network partitions. The gossip layer must keep every
+//! surviving peer converging.
 
 use fair_gossip::experiments::dissemination::{run_dissemination, DisseminationConfig};
 use fair_gossip::experiments::net::{FabricNet, NetParams};
@@ -8,6 +8,7 @@ use fair_gossip::gossip::config::GossipConfig;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
 use fair_gossip::sim::{Duration, NetworkConfig, NodeId, Simulation, Time};
+use fair_gossip::types::ids::PeerId;
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
 /// Builds a running simulation with `peers` peers and `txs` transactions.
@@ -80,32 +81,60 @@ fn crashed_follower_catches_up_through_recovery() {
     );
 }
 
+/// Failover comes from gossiped discovery: the survivors reap the crashed
+/// leader once its claim goes silent past the alive timeout, and the most
+/// senior survivor claims the seat. (A static roster has no failover.)
 #[test]
 fn leader_crash_with_dynamic_election_keeps_blocks_flowing() {
-    let mut gossip = GossipConfig::enhanced_f4();
-    gossip.election.dynamic = true;
-    gossip.election.heartbeat_interval = Duration::from_secs(1);
-    gossip.election.leader_timeout = Duration::from_secs(3);
+    let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
     gossip.membership.alive_interval = Duration::from_secs(1);
-    gossip.membership.alive_timeout = Duration::from_secs(4);
+    gossip.discovery.anti_entropy_interval = Duration::from_secs(1);
+    gossip.membership.alive_timeout = Duration::from_secs(5);
 
-    let mut sim = simulation(30, 2_000, gossip, 0.0, 13);
-    sim.run_until(Time::from_secs(15));
-    let first_leader = sim.protocol().current_leader().expect("a leader stood up");
-    let height_before = sim.protocol().gossip(20).height();
+    for seed in [1, 2, 3, 4, 5, 6, 7, 13] {
+        let mut sim = simulation(30, 2_000, gossip.clone(), 0.0, seed);
+        sim.run_until(Time::from_secs(15));
+        assert_eq!(sim.protocol().current_leaders(), [PeerId(0)], "seed {seed}");
+        let height_before = sim.protocol().gossip(20).height();
 
+        sim.with_ctx(|_, ctx| ctx.set_node_status_after(Duration::ZERO, NodeId(0), false));
+        sim.run_until(Time::from_secs(60));
+
+        let net = sim.protocol();
+        assert_eq!(
+            net.current_leaders(),
+            [PeerId(1)],
+            "seed {seed}: the most senior survivor must take over"
+        );
+        let height_after = net.gossip(20).height();
+        assert!(
+            height_after > height_before + 10,
+            "seed {seed}: blocks must keep flowing after failover \
+             ({height_before} -> {height_after})"
+        );
+    }
+}
+
+/// Regression: a crash clears the static seat and nothing restored it, so
+/// a rebooted roster minimum never led again and the orderer had nobody to
+/// deliver to.
+#[test]
+fn a_rebooted_static_leader_takes_its_seat_back() {
+    let mut sim = simulation(30, 2_000, GossipConfig::enhanced_f4(), 0.0, 5);
+    sim.run_until(Time::from_secs(10));
     sim.with_ctx(|_, ctx| {
-        ctx.set_node_status_after(Duration::ZERO, NodeId(first_leader.0), false);
+        ctx.set_node_status_after(Duration::ZERO, NodeId(0), false);
+        ctx.set_node_status_after(Duration::from_secs(10), NodeId(0), true);
     });
-    sim.run_until(Time::from_secs(60));
+    sim.run_until(Time::from_secs(25));
+    assert_eq!(sim.protocol().current_leaders(), [PeerId(0)]);
+    let height_back = sim.protocol().gossip(20).height();
 
-    let net = sim.protocol();
-    let second_leader = net.current_leader().expect("a replacement leader stood up");
-    assert_ne!(second_leader, first_leader, "a new peer must take over");
-    let height_after = net.gossip(20).height();
+    sim.run_until(Time::from_secs(140));
+    let height_after = sim.protocol().gossip(20).height();
     assert!(
-        height_after > height_before + 10,
-        "blocks must keep flowing after failover ({height_before} -> {height_after})"
+        height_after > height_back + 10,
+        "blocks must flow again after the reboot ({height_back} -> {height_after})"
     );
 }
 

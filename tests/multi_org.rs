@@ -85,7 +85,7 @@ fn every_peer_of_every_org_receives_every_block() {
 
 #[test]
 fn org_without_a_live_leader_catches_up_via_cross_org_recovery() {
-    // Static election: when org 2's leader (peer 40) dies, no one inside
+    // A static roster: when org 2's leader (peer 20) dies, no one inside
     // the org replaces it and the orderer cannot feed the org. Its peers
     // must still converge through the channel-wide StateInfo + recovery
     // path (§III: recovery is not limited to the organization).

@@ -83,7 +83,7 @@ fn enhanced_gossip_does_the_same_simulated_work() {
 #[test]
 fn an_equivocator_is_still_rejected_counted_and_outlived() {
     let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.discovery.heartbeat_interval = Duration::from_secs(1);
+    cfg.membership.alive_interval = Duration::from_secs(1);
     cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
     cfg.membership.alive_timeout = Duration::from_secs(5);
     cfg.recovery.interval = Duration::from_secs(2);
