@@ -18,6 +18,11 @@ use fabric_types::ids::PeerId;
 /// linear roster scan was an O(n) tax on every single delivery at
 /// 100-peer scale. The index is pure bookkeeping — iteration order,
 /// sampling order and every observable result are unchanged.
+///
+/// The dense index spans the ids the view was built with and never grows:
+/// a peer admitted at runtime above that range (a join observed through
+/// discovery, whose id came off the wire) gets a row in a sorted side list
+/// instead, so no table is sized by the numeric value of an id.
 #[derive(Debug, Clone)]
 pub struct Membership {
     self_id: PeerId,
@@ -25,8 +30,12 @@ pub struct Membership {
     /// Last time each roster entry was heard from (index-aligned with
     /// `peers`); `None` until first contact, treated as alive at startup.
     last_heard: Vec<Option<Time>>,
-    /// Dense map `peer.0 → position + 1` in `peers` (0 = absent).
+    /// Dense map `peer.0 → position + 1` in `peers` (0 = absent), up to
+    /// the largest id of the build-time roster.
     index: Vec<u32>,
+    /// `(peer, position + 1)` for present peers above the dense range,
+    /// sorted by peer.
+    spill: Vec<(PeerId, u32)>,
     alive_timeout: Duration,
     /// The pool [`Membership::sample_filtered`] shuffles, kept between
     /// calls so drawing fan-out targets allocates only its result.
@@ -39,11 +48,13 @@ impl Membership {
     pub fn new(self_id: PeerId, roster: Vec<PeerId>, alive_timeout: Duration) -> Self {
         let peers: Vec<PeerId> = roster.into_iter().filter(|p| *p != self_id).collect();
         let last_heard = vec![None; peers.len()];
+        let dense = peers.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
         let mut m = Membership {
             self_id,
             peers,
             last_heard,
-            index: Vec::new(),
+            index: vec![0; dense],
+            spill: Vec::new(),
             alive_timeout,
             scratch: Vec::new(),
         };
@@ -54,20 +65,36 @@ impl Membership {
     /// Rebuilds the id→position index for entries at `from` and beyond.
     fn reindex(&mut self, from: usize) {
         for i in from..self.peers.len() {
-            let id = self.peers[i].0 as usize;
-            if self.index.len() <= id {
-                self.index.resize(id + 1, 0);
+            self.set_slot(self.peers[i], (i + 1) as u32);
+        }
+    }
+
+    /// Sets `peer`'s index entry to `slot` (position + 1, or 0 to drop it).
+    fn set_slot(&mut self, peer: PeerId, slot: u32) {
+        if let Some(v) = self.index.get_mut(peer.0 as usize) {
+            *v = slot;
+            return;
+        }
+        match (self.spill.binary_search_by_key(&peer, |e| e.0), slot) {
+            (Ok(i), 0) => {
+                self.spill.remove(i);
             }
-            self.index[id] = (i + 1) as u32;
+            (Ok(i), _) => self.spill[i].1 = slot,
+            (Err(_), 0) => {}
+            (Err(i), _) => self.spill.insert(i, (peer, slot)),
         }
     }
 
     /// Position of `peer` in `peers`, if present.
     fn pos(&self, peer: PeerId) -> Option<usize> {
-        match self.index.get(peer.0 as usize) {
-            Some(&v) if v > 0 => Some((v - 1) as usize),
-            _ => None,
-        }
+        let slot = match self.index.get(peer.0 as usize) {
+            Some(&v) => v,
+            None => match self.spill.binary_search_by_key(&peer, |e| e.0) {
+                Ok(i) => self.spill[i].1,
+                Err(_) => 0,
+            },
+        };
+        (slot as usize).checked_sub(1)
     }
 
     /// The local peer id.
@@ -150,7 +177,7 @@ impl Membership {
             Some(idx) => {
                 self.peers.remove(idx);
                 self.last_heard.remove(idx);
-                self.index[peer.0 as usize] = 0;
+                self.set_slot(peer, 0);
                 self.reindex(idx);
                 true
             }
@@ -339,6 +366,30 @@ mod tests {
         assert!(!m.believes_alive(PeerId(2), Time::from_secs(11)));
         assert!(!m.remove_peer(PeerId(2)), "second removal is a no-op");
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn ids_above_the_built_range_cost_one_row_each() {
+        let mut m = membership(4);
+        let joiners = [PeerId(u32::MAX), PeerId(u32::MAX - 1), PeerId(7)];
+        for p in joiners {
+            m.add_peer(p, Time::from_secs(1));
+        }
+        assert_eq!(m.index.len(), 4, "the dense index never grows");
+        assert_eq!(m.spill.len(), 3);
+        // A removal ahead of them shifts their positions, not their answers.
+        assert!(m.remove_peer(PeerId(1)));
+        let now = Time::from_secs(100);
+        for p in joiners {
+            m.mark_alive(p, now);
+            assert!(m.believes_alive(p, now), "{p}");
+        }
+        assert!(m.remove_peer(PeerId(u32::MAX)));
+        assert!(!m.contains(PeerId(u32::MAX)));
+        assert_eq!(m.spill.len(), 2);
+        let expected = [2, 3, u32::MAX - 1, 7].map(PeerId);
+        assert_eq!(m.peers(), expected);
+        assert_eq!(m.alive_peers(now), [PeerId(u32::MAX - 1), PeerId(7)]);
     }
 
     #[test]

@@ -2,13 +2,38 @@
 //!
 //! SHA-256 is implemented from scratch (FIPS 180-4) so the crate carries no
 //! cryptography dependency; it is validated against the NIST test vectors in
-//! this module's tests. Signatures are *simulated*: a signature is the
-//! SHA-256 of the signer's secret key concatenated with the message, and the
-//! membership service provider (which, in Fabric, certifies every identity
-//! anyway) verifies by recomputation. This preserves message sizes and the
-//! sign/verify control flow without claiming asymmetric security — adequate
-//! for a performance study (README, "Zero-copy, hash-once payloads", says
-//! where the hashing cost is paid and where it is charged in virtual time).
+//! this module's tests.
+//!
+//! **Which compression runs where.** Every 64-byte block goes through one
+//! dispatcher that asks, per call, whether the CPU has the x86 SHA
+//! extensions (`is_x86_feature_detected!` for `sha`, `ssse3` and `sse4.1`,
+//! a cached flag after the first ask). If it has, the block is folded by
+//! `compress_sha_ni`: two rounds per `sha256rnds2`, the message schedule by
+//! `sha256msg1` / `sha256msg2`, five to six times the portable speed. On any
+//! other CPU, and on every other architecture, it is folded by
+//! `compress_portable`, the scalar FIPS 180-4 loop, which is also the tests'
+//! reference. Both give the same digest bit for bit — the tests run the NIST
+//! vectors and known answers at every padding boundary through each one
+//! directly, and a property test compares them on random states and blocks —
+//! so no simulated number depends on which one ran, only host time does.
+//!
+//! **Why there is one `unsafe` call.** `compress_sha_ni` is a safe function
+//! compiled with `#[target_feature]`: inside it the intrinsics are safe to
+//! call, because message words go in through `_mm_set_epi32` and the state
+//! comes out through `_mm_extract_epi32`, so no pointer is ever taken. What
+//! cannot be safe is calling it from code compiled without those features:
+//! on a CPU that lacks them the instructions fault. So the one call sits in
+//! an `unsafe` block directly behind the runtime check that makes it sound.
+//! The crate denies `unsafe_code` and allows it on that block alone, and CI
+//! fails on any other `unsafe` in the workspace.
+//!
+//! Signatures are *simulated*: a signature is the SHA-256 of the signer's
+//! secret key concatenated with the message, and the membership service
+//! provider (which, in Fabric, certifies every identity anyway) verifies by
+//! recomputation. This preserves message sizes and the sign/verify control
+//! flow without claiming asymmetric security — adequate for a performance
+//! study (README, "Zero-copy, hash-once payloads", says where the hashing
+//! cost is paid, where it is charged in virtual time, and what SHA-NI saved).
 
 use std::fmt;
 
@@ -99,30 +124,7 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.length_bits = self.length_bits.wrapping_add(data.len() as u64 * 8);
-        let mut rest = data;
-        if self.buffered > 0 {
-            let take = rest.len().min(64 - self.buffered);
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
-            self.buffered += take;
-            rest = &rest[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
-        }
+        self.absorb(data, compress);
     }
 
     /// Convenience: absorbs a `u64` in big-endian byte order.
@@ -136,66 +138,191 @@ impl Sha256 {
     }
 
     /// Finishes the computation and returns the digest.
-    pub fn finalize(mut self) -> Hash256 {
-        let total_bits = self.length_bits;
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+    pub fn finalize(self) -> Hash256 {
+        self.finish(compress)
+    }
+
+    /// [`Sha256::update`] over a given compression function.
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) {
+        self.length_bits = self.length_bits.wrapping_add(data.len() as u64 * 8);
+        let mut rest = data;
+        if self.buffered > 0 {
+            let take = rest.len().min(64 - self.buffered);
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
+            self.buffered += take;
+            rest = &rest[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        // Manual length append: bypass update() so length_bits stays fixed.
-        self.buffer[56..64].copy_from_slice(&total_bits.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
+        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
+    }
+
+    /// [`Sha256::finalize`] over a given compression function. The padding
+    /// is written into the buffer in place: `0x80`, zeros, and the message
+    /// length in bits in the last eight bytes — of a second block when
+    /// fewer than nine bytes of this one are free.
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> Hash256 {
+        let used = self.buffered;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
+        }
+        self.buffer[56..].copy_from_slice(&self.length_bits.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Hash256(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Folds one block into `state` with the fastest compression this CPU runs.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if try_compress_sha_ni(state, block) {
+        return;
     }
+    compress_portable(state, block);
+}
+
+/// The SHA-256 compression function in portable scalar code (FIPS 180-4,
+/// §6.2.2): the only one on CPUs without SHA-NI, and the tests' reference.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// Whether this CPU runs [`compress_sha_ni`]: the SHA extensions plus the
+/// SSSE3 and SSE4.1 instructions it also uses (SSE2 is part of x86_64).
+#[cfg(target_arch = "x86_64")]
+fn has_sha_ni() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse4.1")
+        && is_x86_feature_detected!("ssse3")
+}
+
+/// Folds `block` into `state` with [`compress_sha_ni`] if this CPU has the
+/// instructions; otherwise leaves `state` alone and returns `false`.
+#[cfg(target_arch = "x86_64")]
+fn try_compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    if !has_sha_ni() {
+        return false;
+    }
+    #[allow(unsafe_code)]
+    // SAFETY: `compress_sha_ni` is safe code compiled for `sha`, `sse2`,
+    // `ssse3` and `sse4.1`; its one precondition is that this CPU executes
+    // those instructions, which `has_sha_ni` has just confirmed (SSE2 is part
+    // of the x86_64 baseline).
+    unsafe {
+        compress_sha_ni(state, block);
+    }
+    true
+}
+
+/// The SHA-256 compression function on the x86 SHA extensions. The state
+/// travels as the two registers `sha256rnds2` works on, `ABEF` and `CDGH`
+/// (highest lane first); each of the 16 steps runs four rounds and extends
+/// the message schedule four words ahead with `sha256msg1` / `sha256msg2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    let (bytes, _) = block.as_chunks::<4>();
+    let word = |i: usize| u32::from_be_bytes(bytes[i]) as i32;
+    // Four message words per register, the first in the lowest lane. At
+    // step i, `w0` holds words 4i .. 4i + 3, `w1` and `w2` the next eight
+    // as far as the schedule has got with them, and `w3` the previous
+    // step's four (at step 0, words 12 .. 15) until `sha256msg1` starts
+    // words 4i + 12 .. 4i + 15 in it.
+    let [mut w0, mut w1, mut w2, mut w3] =
+        [0, 4, 8, 12].map(|i| _mm_set_epi32(word(i + 3), word(i + 2), word(i + 1), word(i)));
+    let s = state.map(|v| v as i32);
+    let abef_in = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+    let cdgh_in = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+    let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+    for i in 0..16 {
+        let k = |j: usize| K[4 * i + j] as i32;
+        let wk = _mm_add_epi32(w0, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        if (3..15).contains(&i) {
+            // Words 4i + 4 .. 4i + 7: add W[t-7], then the σ1 half.
+            let w7 = _mm_alignr_epi8(w0, w3, 4);
+            w1 = _mm_sha256msg2_epu32(_mm_add_epi32(w1, w7), w0);
+        }
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        if (1..13).contains(&i) {
+            // Words 4i + 12 .. 4i + 15: W[t-16] plus the σ0 half.
+            w3 = _mm_sha256msg1_epu32(w3, w0);
+        }
+        (w0, w1, w2, w3) = (w1, w2, w3, w0);
+    }
+    let abef = _mm_add_epi32(abef, abef_in);
+    let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    *state = [
+        _mm_extract_epi32(abef, 3),
+        _mm_extract_epi32(abef, 2),
+        _mm_extract_epi32(cdgh, 3),
+        _mm_extract_epi32(cdgh, 2),
+        _mm_extract_epi32(abef, 1),
+        _mm_extract_epi32(abef, 0),
+        _mm_extract_epi32(cdgh, 1),
+        _mm_extract_epi32(cdgh, 0),
+    ]
+    .map(|v| v as u32);
 }
 
 /// One-shot SHA-256 of a byte slice.
@@ -248,49 +375,174 @@ pub fn verify(key: &SecretKey, message: &[u8], sig: &Signature) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    // NIST FIPS 180-4 test vectors.
-    #[test]
-    fn sha256_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    /// A block compression function, as the tests hand it to the hasher.
+    type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// `0, 1, 2, …` modulo 251, so no byte value recurs at a block stride.
+    fn counting(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Every pinned answer: the NIST FIPS 180-4 vectors, then [`counting`]
+    /// messages at each length the padding branches on (55 and 56 bytes
+    /// are the last to fit one block and the first to spill, likewise 119
+    /// and 120 one block later) — digests from coreutils `sha256sum`.
+    fn pinned() -> Vec<(Vec<u8>, &'static str)> {
+        let mut cases = vec![
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                    .to_vec(),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                vec![b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let by_length = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+            ),
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                65,
+                "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+            (
+                127,
+                "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976",
+            ),
+            (
+                128,
+                "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5",
+            ),
+            (
+                1000,
+                "4e4c294b331f7a2099a379bec34b9f9fc03dc46ab465d998f4d683da53487e6d",
+            ),
+        ];
+        cases.extend(by_length.map(|(len, hex)| (counting(len), hex)));
+        cases
+    }
+
+    /// `sha256(data)` with the given compression and nothing else.
+    fn sha256_with(compress: Compress, data: &[u8]) -> Hash256 {
+        let mut h = Sha256::new();
+        h.absorb(data, compress);
+        h.finish(compress)
+    }
+
+    fn assert_pinned(compress: Compress) {
+        for (data, hex) in pinned() {
+            let len = data.len();
+            assert_eq!(sha256_with(compress, &data).to_hex(), hex, "{len} bytes");
+        }
+    }
+
+    /// The SHA-NI compression, or `None` (said on stdout) on a CPU without it.
+    fn sha_ni() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if has_sha_ni() {
+            return Some(|state, block| assert!(try_compress_sha_ni(state, block)));
+        }
+        println!("this CPU has no SHA-NI: only the portable compression is checked");
+        None
     }
 
     #[test]
-    fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn portable_compression_gives_the_pinned_answers() {
+        assert_pinned(compress_portable);
     }
 
     #[test]
-    fn sha256_448_bits() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn sha_ni_compression_gives_the_pinned_answers() {
+        if let Some(sha_ni) = sha_ni() {
+            assert_pinned(sha_ni);
+        }
     }
 
     #[test]
-    fn sha256_896_bits() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            sha256(msg).to_hex(),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+    fn sha256_gives_the_pinned_answers() {
+        for (data, hex) in pinned() {
+            assert_eq!(sha256(&data).to_hex(), hex, "{} bytes", data.len());
+        }
     }
 
-    #[test]
-    fn sha256_million_a() {
-        let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&msg).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    proptest! {
+        /// The two compressions agree on any state, not just the ones a
+        /// message reaches from the initial hash value.
+        #[test]
+        fn sha_ni_compression_matches_portable(
+            state in proptest::collection::vec(any::<u32>(), 8..9),
+            block in proptest::collection::vec(any::<u8>(), 64..65),
+        ) {
+            let Some(fast) = sha_ni() else { return Ok(()) };
+            let state: [u32; 8] = state.try_into().unwrap();
+            let block: [u8; 64] = block.try_into().unwrap();
+            let (mut ours, mut reference) = (state, state);
+            fast(&mut ours, &block);
+            compress_portable(&mut reference, &block);
+            prop_assert_eq!(ours, reference);
+        }
+
+        /// A message split anywhere and fed through the portable
+        /// compression digests as the one-shot `sha256` does, which runs
+        /// SHA-NI where the CPU has it: the two paths agree at every
+        /// length and buffer offset, not only the pinned ones.
+        #[test]
+        fn split_updates_match_oneshot(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                h.absorb(&data[from..cut], compress_portable);
+                from = cut;
+            }
+            prop_assert_eq!(h.finish(compress_portable), sha256(&data));
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! assert!(block.follows(&genesis));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, in `crypto`: the SHA-NI call behind its runtime check.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,5 +1,5 @@
-//! Tier-1 pin: no block number or counter a message can carry takes a
-//! peer down or leaves it unable to gossip.
+//! Tier-1 pin: no block number, counter or peer id a message can carry
+//! takes a peer down or leaves it unable to gossip.
 //!
 //! The gossip layer indexes its per-block tables by numbers that arrive
 //! from the wire. Two well-typed digests used to panic a peer (the store
@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use fair_gossip::gossip::config::GossipConfig;
-use fair_gossip::gossip::messages::{GossipMsg, GossipTimer};
+use fair_gossip::gossip::messages::{GossipMsg, GossipTimer, PeerAlive};
 use fair_gossip::gossip::peer::GossipPeer;
 use fair_gossip::gossip::testing::MockEffects;
 use fair_gossip::types::block::{Block, BlockRef};
@@ -359,6 +359,56 @@ fn a_strangers_state_info_changes_no_recovery_target() {
     // A member's honest advert still moves the target.
     advertise(&mut peer, &mut fx, PeerId(4), 9, None);
     assert_eq!(recovery_targets(&mut peer, &mut fx, 20), [PeerId(4); 20]);
+}
+
+/// Regression: under gossiped discovery a claim from anyone is admitted as
+/// a join, and the membership views indexed peers in a table as long as the
+/// largest id — one `AliveMsg` naming `PeerId(u32::MAX - 1)` asked for a
+/// 16 GiB index and aborted the process. An id off the wire costs one row.
+#[test]
+fn a_discovery_claim_at_the_largest_ids_costs_one_row() {
+    let cfg = GossipConfig::enhanced(FOUT, TTL, 2).with_discovery_protocol();
+    let mut peer = GossipPeer::new(PeerId(1), (0..4).map(PeerId).collect(), cfg);
+    let mut fx = MockEffects::new(1);
+    peer.init(&mut fx);
+    let forged = [PeerId(u32::MAX - 1), PeerId(u32::MAX), PeerId(1 << 31)];
+    let claim = |peer| PeerAlive {
+        peer,
+        incarnation: 1,
+        seq: 1,
+    };
+    for id in forged {
+        peer.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(claim(id)));
+    }
+    // Again, and in a full-view exchange: a refresh, not a second row.
+    let entries = forged.iter().rev().map(|id| claim(*id)).collect();
+    let request = GossipMsg::MembershipRequest {
+        entries,
+        dead: vec![],
+    };
+    peer.on_message(&mut fx, PeerId(3), request);
+
+    let expected: Vec<PeerId> = [PeerId(0), PeerId(2), PeerId(3)]
+        .into_iter()
+        .chain(forged)
+        .collect();
+    assert_eq!(peer.membership().peers(), expected);
+    assert_eq!(peer.channel().peers(), expected);
+    assert!(forged.iter().all(|id| peer.membership().contains(*id)));
+
+    // The peer still runs its discovery rounds and answers its members.
+    fx.take_sent();
+    peer.on_timer(&mut fx, GossipTimer::DiscoveryRound);
+    assert!(!fx.take_sent().is_empty(), "the heartbeat still goes out");
+    let ask = GossipMsg::MembershipRequest {
+        entries: vec![],
+        dead: vec![],
+    };
+    peer.on_message(&mut fx, PeerId(2), ask);
+    assert!(fx
+        .take_sent()
+        .iter()
+        .any(|(to, msg)| *to == PeerId(2) && matches!(msg, GossipMsg::MembershipResponse { .. })));
 }
 
 /// The same lie from a *member* still wins every round. A fix changes
