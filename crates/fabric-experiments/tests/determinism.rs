@@ -8,13 +8,13 @@
 //!
 //! The discovery **golden trace** at the bottom goes further: a fixed-seed
 //! two-channel protocol-discovery churn run is pinned to exact event
-//! counts and discovery-byte totals, so any future engine change that
-//! perturbs discovery traffic — an extra heartbeat, a differently-sized
-//! digest, a reordered RNG draw — fails loudly instead of sliding into
-//! the baseline.
+//! counts, discovery-byte totals and the content hash of every event, so
+//! any future engine change that perturbs discovery traffic — an extra
+//! heartbeat, a differently-sized digest, a reordered RNG draw or merge —
+//! fails loudly instead of sliding into the baseline.
 
-use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation};
-use fabric_experiments::churn::{run_churn, ChurnConfig};
+use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation, TraceEvent};
+use fabric_experiments::churn::{run_churn, ChurnConfig, ChurnResult};
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
 use fabric_experiments::deployment::{run_out, Deployment};
@@ -241,6 +241,34 @@ fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
     );
 }
 
+/// An FNV-1a hash over every traced event's `(at, seq, what)`, with the
+/// number of events.
+fn content_hash(trace: &[TraceEvent]) -> (usize, u64) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for ev in trace {
+        eat(&ev.at.as_nanos().to_le_bytes());
+        eat(&ev.seq.to_le_bytes());
+        eat(ev.what.as_bytes());
+    }
+    (trace.len(), hash)
+}
+
+/// Runs `d` out with the trace on: the finished simulation and the
+/// [`content_hash`] of what it did.
+fn run_traced(d: Deployment) -> (Simulation<FabricNet>, (usize, u64)) {
+    let (drain_until, idle_tail) = (d.drain_until, d.idle_tail);
+    let mut sim = d.start();
+    sim.set_trace(true);
+    run_out(&mut sim, drain_until, idle_tail);
+    let pin = content_hash(&sim.take_trace());
+    (sim, pin)
+}
+
 /// The content guard: an FNV-1a hash over every protocol-visible event's
 /// `(at, seq, what)` of a 20-peer LAN run of ten blocks under the paper's
 /// protocol. The count pins elsewhere in this file cannot see an event
@@ -250,22 +278,24 @@ fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
 #[test]
 fn event_content_hash_is_pinned() {
     let mut sim = drive_sim(GossipConfig::enhanced_f4(), 7, 20, 500, true);
-    let trace = sim.take_trace();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for ev in &trace {
-        eat(&ev.at.as_nanos().to_le_bytes());
-        eat(&ev.seq.to_le_bytes());
-        eat(ev.what.as_bytes());
-    }
+    let pin = content_hash(&sim.take_trace());
     assert_eq!(sim.protocol().committed(19), 10, "ten blocks everywhere");
     assert_eq!(
-        (trace.len(), hash),
+        pin,
         (10_387, 17_243_862_046_047_219_867),
+        "event content moved"
+    );
+}
+
+/// The same guard on the waves preset's discovery traffic: a rewrite of
+/// the discovery tables that reordered merges, joins or reaps behind
+/// unchanged counts moves this hash.
+#[test]
+fn churn_waves_event_content_is_pinned() {
+    let (_, pin) = run_traced(ChurnWavesConfig::standard(2, 8, 40).deployment());
+    assert_eq!(
+        pin,
+        (150_039, 6_967_784_499_011_194_904),
         "event content moved"
     );
 }
@@ -315,9 +345,15 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
     let mut cfg = ChurnConfig::standard(16, 8, 20);
     cfg.network = NetworkConfig::lan(18);
     cfg.seed = 42;
-    let res = run_churn(&cfg);
+    let (sim, pin) = run_traced(cfg.deployment());
+    let res = ChurnResult::read_off(sim);
 
     assert_eq!(res.events, 137_405, "simulation event count shifted");
+    assert_eq!(
+        pin,
+        (137_405, 12_133_404_153_654_812_258),
+        "event content moved"
+    );
 
     let discovery_bytes = |ch: ChannelId| -> (u64, u64, u64) {
         let mut alive = 0;

@@ -289,13 +289,22 @@ impl ChannelState {
     pub fn new(core: ChannelCore) -> Self {
         let is_leader = statically_leads(core.self_id, &core.roster);
         ChannelState {
-            core,
             is_leader,
             push: PushEngine::default(),
             pull: PullEngine::default(),
-            recovery: RecoveryEngine::default(),
-            discovery: DiscoveryEngine::default(),
+            recovery: RecoveryEngine::new(&core),
+            discovery: DiscoveryEngine::new(&core),
+            core,
         }
+    }
+
+    /// Replaces the channel-wide view with `widened`, carrying liveness
+    /// learned about peers in both views over, and spans the recovery
+    /// tables over it. A builder step: before `init` they hold nothing.
+    pub(crate) fn widen_channel_view(&mut self, mut widened: Membership) {
+        widened.adopt_liveness(&self.core.channel_view);
+        self.core.channel_view = widened;
+        self.recovery = RecoveryEngine::new(&self.core);
     }
 
     /// The discovery engine's state (claims, obituaries, incarnation) —
@@ -484,9 +493,14 @@ impl ChannelState {
         [self.core.store.table(), seen, pending]
     }
 
+    /// `(dense slots, spilled rows, rows)` of every table this instance
+    /// keys by peer — discovery's claims and obituaries, recovery's
+    /// heights and checkpoints — for the bound checks of the wire tests.
     #[cfg(test)]
-    pub(crate) fn recovery_rows(&self) -> [usize; 2] {
-        self.recovery.rows()
+    pub(crate) fn peer_tables(&self) -> [(usize, usize, usize); 4] {
+        let [claims, obituaries] = self.discovery.tables();
+        let [heights, checkpoints] = self.recovery.tables();
+        [claims, obituaries, heights, checkpoints]
     }
 
     /// Discovery admitted `peer`: it enters both the organization and the

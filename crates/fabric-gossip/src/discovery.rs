@@ -32,13 +32,12 @@
 //! [`Effects::discovery_event`] per change so embeddings can measure
 //! convergence and stale-view windows.
 
-use std::collections::BTreeMap;
-
 use rand::RngExt;
 
 use crate::channel::{random_phase, ChannelCore};
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer, PeerAlive};
+use crate::peertable::PeerTable;
 use fabric_types::ids::PeerId;
 
 /// Membership consequences of one discovery step, to be applied by the
@@ -73,17 +72,21 @@ impl DiscoveryDelta {
 }
 
 /// Discovery state of one channel instance.
-#[derive(Debug, Default)]
+///
+/// Both tables are `PeerTable`s over the organization view's build-time
+/// range: a merged claim costs one index load, and every walk (the shared
+/// view, the obituaries, the reap sweep) runs in id order.
+#[derive(Debug)]
 pub struct DiscoveryEngine {
     /// This life's incarnation; 0 until [`DiscoveryEngine::init`] runs.
     incarnation: u64,
     /// Heartbeats emitted this life.
     seq: u64,
     /// Freshest claim held per peer (self excluded).
-    view: BTreeMap<PeerId, PeerAlive>,
+    view: PeerTable<PeerAlive>,
     /// Obituaries: the incarnation each reaped peer died at. A claim only
     /// resurrects its peer when its incarnation is **strictly** higher.
-    dead: BTreeMap<PeerId, u64>,
+    dead: PeerTable<u64>,
     /// An observer life: this peer was handed a roster excluding itself
     /// (a deliberate non-member), so it ranks junior to every member and
     /// never claims static seniority while anyone else sits.
@@ -91,6 +94,17 @@ pub struct DiscoveryEngine {
 }
 
 impl DiscoveryEngine {
+    /// An engine for `core`'s channel instance, before its first life.
+    pub fn new(core: &ChannelCore) -> Self {
+        DiscoveryEngine {
+            incarnation: 0,
+            seq: 0,
+            view: core.membership.table(),
+            dead: core.membership.table(),
+            junior: false,
+        }
+    }
+
     /// This life's incarnation (0 before init).
     pub fn incarnation(&self) -> u64 {
         self.incarnation
@@ -98,12 +112,12 @@ impl DiscoveryEngine {
 
     /// The freshest claim held about `peer`, if any.
     pub fn claim_of(&self, peer: PeerId) -> Option<&PeerAlive> {
-        self.view.get(&peer)
+        self.view.get(peer)
     }
 
     /// The obituary incarnation of `peer`, if it was reaped.
     pub fn obituary_of(&self, peer: PeerId) -> Option<u64> {
-        self.dead.get(&peer).copied()
+        self.dead.get(peer).copied()
     }
 
     /// Every claim currently held about other peers, in id order.
@@ -114,7 +128,14 @@ impl DiscoveryEngine {
     /// Every obituary held, as `(peer, incarnation-it-died-at)`, in id
     /// order.
     pub fn obituary_iter(&self) -> impl Iterator<Item = (PeerId, u64)> + '_ {
-        self.dead.iter().map(|(p, inc)| (*p, *inc))
+        self.dead.iter().map(|(p, inc)| (p, *inc))
+    }
+
+    /// `(dense slots, spilled rows, rows)` of the claim and the obituary
+    /// table, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> [(usize, usize, usize); 2] {
+        [self.view.shape(), self.dead.shape()]
     }
 
     /// Drops what a process crash would lose: the merged view, the
@@ -138,11 +159,12 @@ impl DiscoveryEngine {
         self.seq = 0;
         self.junior = self.junior || !core.roster.contains(&core.self_id);
         for peer in core.membership.peers().to_vec() {
-            self.view.entry(peer).or_insert(PeerAlive {
+            let seed = PeerAlive {
                 peer,
                 incarnation: 0,
                 seq: 0,
-            });
+            };
+            self.view.get_or_insert(peer, seed);
             core.membership.mark_alive(peer, now);
             core.channel_view.mark_alive(peer, now);
         }
@@ -162,8 +184,8 @@ impl DiscoveryEngine {
         let now = fx.now();
         let expired: Vec<PeerId> = self
             .view
-            .keys()
-            .copied()
+            .iter()
+            .map(|(p, _)| p)
             .filter(|p| !core.membership.believes_alive(*p, now))
             .collect();
         for peer in expired {
@@ -184,9 +206,8 @@ impl DiscoveryEngine {
     pub fn on_anti_entropy_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let mut targets = core.membership.sample(fx.rng(), 1);
         if !self.dead.is_empty() {
-            let keys: Vec<PeerId> = self.dead.keys().copied().collect();
-            let pick = fx.rng().random_range(0..keys.len());
-            targets.push(keys[pick]);
+            let pick = fx.rng().random_range(0..self.dead.len());
+            targets.extend(self.dead.iter().nth(pick).map(|(p, _)| p));
         }
         for to in targets {
             let request = GossipMsg::MembershipRequest {
@@ -296,7 +317,7 @@ impl DiscoveryEngine {
         core.membership.peers().iter().all(|p| {
             let rank = self
                 .view
-                .get(p)
+                .get(*p)
                 .map_or((1, *p), |c| (c.incarnation.max(1), *p));
             me < rank
         })
@@ -306,8 +327,8 @@ impl DiscoveryEngine {
     fn obituaries(&self) -> Vec<PeerAlive> {
         self.dead
             .iter()
-            .map(|(p, inc)| PeerAlive {
-                peer: *p,
+            .map(|(peer, inc)| PeerAlive {
+                peer,
                 incarnation: *inc,
                 seq: 0,
             })
@@ -323,7 +344,7 @@ impl DiscoveryEngine {
             incarnation: self.incarnation,
             seq: self.seq,
         });
-        entries.extend(self.view.values().copied());
+        entries.extend(self.view.values());
         entries
     }
 
@@ -341,29 +362,20 @@ impl DiscoveryEngine {
         if peer == core.self_id {
             return; // nobody knows this peer's life better than itself
         }
-        if let Some(obituary) = self.dead.get(&peer).copied() {
+        if let Some(&obituary) = self.dead.get(peer) {
             if claim.incarnation <= obituary {
                 return; // no resurrection without a strictly higher life
             }
-            self.dead.remove(&peer);
+            self.dead.remove(peer);
             self.view.insert(peer, claim);
             delta.joined.push(peer);
             return;
         }
-        match self.view.get(&peer) {
-            None => {
-                self.view.insert(peer, claim);
-                if !core.membership.peers().contains(&peer) {
-                    delta.joined.push(peer);
-                } else {
-                    // Already a member (seeded roster raced the claim):
-                    // just refresh.
-                    let now = fx.now();
-                    core.membership.mark_alive(peer, now);
-                    core.channel_view.mark_alive(peer, now);
+        match self.view.get_mut(peer) {
+            Some(held) => {
+                if !claim.fresher_than(held) {
+                    return; // stale relay: must not refresh liveness
                 }
-            }
-            Some(held) if claim.fresher_than(held) => {
                 // A higher incarnation over a *live* claim is a rejoin
                 // this view never saw as a leave — report the renewal so
                 // the embedding's leave/join accounting completes. Seed
@@ -372,13 +384,21 @@ impl DiscoveryEngine {
                 if claim.incarnation > held.incarnation && held.incarnation > 0 {
                     delta.renewed.push(peer);
                 }
-                self.view.insert(peer, claim);
-                let now = fx.now();
-                core.membership.mark_alive(peer, now);
-                core.channel_view.mark_alive(peer, now);
+                *held = claim;
             }
-            Some(_) => {} // stale relay: must not refresh liveness
+            None => {
+                self.view.insert(peer, claim);
+                if !core.membership.contains(peer) {
+                    delta.joined.push(peer);
+                    return;
+                }
+                // Already a member (seeded roster raced the claim): just
+                // refresh.
+            }
         }
+        let now = fx.now();
+        core.membership.mark_alive(peer, now);
+        core.channel_view.mark_alive(peer, now);
     }
 
     /// Applies one obituary: deaths win ties (equal incarnation means the
@@ -403,29 +423,31 @@ impl DiscoveryEngine {
             }
             return;
         }
-        match self.view.get(&peer) {
+        match self.view.get(peer) {
             Some(held) if held.incarnation > obituary.incarnation => {
                 // We know a newer life: the obituary is history.
             }
             Some(_) => self.reap_at(peer, obituary.incarnation, delta),
-            None => {
-                let entry = self.dead.entry(peer).or_insert(obituary.incarnation);
-                *entry = (*entry).max(obituary.incarnation);
-            }
+            None => self.record_death(peer, obituary.incarnation),
         }
     }
 
     /// Reaps `peer` at the incarnation currently held for it.
     fn reap(&mut self, peer: PeerId, delta: &mut DiscoveryDelta) {
-        let at = self.view.get(&peer).map_or(0, |c| c.incarnation);
+        let at = self.view.get(peer).map_or(0, |c| c.incarnation);
         self.reap_at(peer, at, delta);
     }
 
     fn reap_at(&mut self, peer: PeerId, incarnation: u64, delta: &mut DiscoveryDelta) {
-        self.view.remove(&peer);
-        let entry = self.dead.entry(peer).or_insert(incarnation);
-        *entry = (*entry).max(incarnation);
+        self.view.remove(peer);
+        self.record_death(peer, incarnation);
         delta.left.push(peer);
+    }
+
+    /// Keeps the highest incarnation `peer` is known to have died at.
+    fn record_death(&mut self, peer: PeerId, incarnation: u64) {
+        let entry = self.dead.get_or_insert(peer, incarnation);
+        *entry = (*entry).max(incarnation);
     }
 }
 
@@ -449,7 +471,7 @@ mod tests {
     #[test]
     fn init_announces_and_arms_both_timers() {
         let mut c = core(1, 4);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         fx.now = Time::from_secs(30);
         e.init(&mut c, &mut fx);
@@ -472,7 +494,7 @@ mod tests {
     #[test]
     fn reinit_always_picks_a_strictly_higher_incarnation() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(2);
         e.init(&mut c, &mut fx); // at t = 0: incarnation is the 1 floor
         let first = e.incarnation();
@@ -484,7 +506,7 @@ mod tests {
     #[test]
     fn unknown_claim_is_a_join_and_stale_claims_do_not_refresh() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(3);
         e.init(&mut c, &mut fx);
         let newcomer = PeerAlive {
@@ -507,7 +529,7 @@ mod tests {
     #[test]
     fn silence_reaps_and_equal_incarnation_cannot_resurrect() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(4);
         e.init(&mut c, &mut fx);
         let life = PeerAlive {
@@ -543,7 +565,7 @@ mod tests {
     #[test]
     fn faster_than_timeout_rejoin_is_reported_as_a_renewal() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(11);
         e.init(&mut c, &mut fx);
         let first_life = PeerAlive {
@@ -608,7 +630,7 @@ mod tests {
     #[test]
     fn request_answers_with_view_and_obituaries() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(5);
         e.init(&mut c, &mut fx);
         fx.take_sent();
@@ -635,7 +657,7 @@ mod tests {
     #[test]
     fn obituary_about_self_is_refuted_with_a_higher_life() {
         let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(6);
         e.init(&mut c, &mut fx);
         let my_death = PeerAlive {
@@ -659,7 +681,7 @@ mod tests {
     #[test]
     fn obituaries_spread_deaths_but_newer_lives_survive_them() {
         let mut c = core(0, 4);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(7);
         e.init(&mut c, &mut fx);
         e.on_alive(
@@ -700,7 +722,7 @@ mod tests {
     #[test]
     fn every_round_rearms_at_the_configured_heartbeat_interval() {
         let mut c = core(0, 4);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(26);
         e.init(&mut c, &mut fx);
         fx.take_scheduled();
@@ -724,7 +746,7 @@ mod tests {
     #[test]
     fn anti_entropy_round_targets_one_member() {
         let mut c = core(0, 5);
-        let mut e = DiscoveryEngine::default();
+        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(8);
         e.init(&mut c, &mut fx);
         fx.take_sent();

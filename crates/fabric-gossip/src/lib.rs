@@ -94,6 +94,7 @@ pub mod effects;
 pub mod membership;
 pub mod messages;
 pub mod peer;
+mod peertable;
 pub mod pull;
 pub mod push;
 pub mod recovery;

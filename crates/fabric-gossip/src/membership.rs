@@ -3,7 +3,7 @@
 //! Within an organization every peer knows every other peer (Fabric builds
 //! this view with its discovery/alive gossip; here the view is seeded with
 //! the full roster and kept fresh by heartbeats). Sampling excludes the
-//! local peer and, optionally, peers believed dead.
+//! local peer.
 
 use desim::{Duration, Time};
 use rand::rngs::StdRng;
@@ -11,18 +11,20 @@ use rand::RngExt;
 
 use fabric_types::ids::PeerId;
 
+use crate::peertable::{PeerIndex, PeerTable};
+
 /// The local peer's view of its organization.
 ///
-/// Lookups by peer id are O(1) through a dense id→position index:
-/// `mark_alive` runs twice per received gossip message, so the seed's
-/// linear roster scan was an O(n) tax on every single delivery at
-/// 100-peer scale. The index is pure bookkeeping — iteration order,
+/// Lookups by peer id are O(1) through a dense id→position
+/// `PeerIndex`: `mark_alive` runs twice per received gossip message, so
+/// the seed's linear roster scan was an O(n) tax on every single delivery
+/// at 100-peer scale. The index is pure bookkeeping — iteration order,
 /// sampling order and every observable result are unchanged.
 ///
 /// The dense index spans the ids the view was built with and never grows:
 /// a peer admitted at runtime above that range (a join observed through
-/// discovery, whose id came off the wire) gets a row in a sorted side list
-/// instead, so no table is sized by the numeric value of an id.
+/// discovery, whose id came off the wire) gets a row in the index's sorted
+/// spill instead, so no table is sized by the numeric value of an id.
 #[derive(Debug, Clone)]
 pub struct Membership {
     self_id: PeerId,
@@ -30,16 +32,10 @@ pub struct Membership {
     /// Last time each roster entry was heard from (index-aligned with
     /// `peers`); `None` until first contact, treated as alive at startup.
     last_heard: Vec<Option<Time>>,
-    /// Dense map `peer.0 → position + 1` in `peers` (0 = absent), up to
-    /// the largest id of the build-time roster.
-    index: Vec<u32>,
-    /// `(peer, position + 1)` for present peers above the dense range,
-    /// sorted by peer.
-    spill: Vec<(PeerId, u32)>,
+    /// Each peer's position in `peers`; dense up to the largest id of the
+    /// build-time roster.
+    index: PeerIndex,
     alive_timeout: Duration,
-    /// The pool [`Membership::sample_filtered`] shuffles, kept between
-    /// calls so drawing fan-out targets allocates only its result.
-    scratch: Vec<PeerId>,
 }
 
 impl Membership {
@@ -48,53 +44,29 @@ impl Membership {
     pub fn new(self_id: PeerId, roster: Vec<PeerId>, alive_timeout: Duration) -> Self {
         let peers: Vec<PeerId> = roster.into_iter().filter(|p| *p != self_id).collect();
         let last_heard = vec![None; peers.len()];
-        let dense = peers.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
+        let range = peers.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
         let mut m = Membership {
             self_id,
             peers,
             last_heard,
-            index: vec![0; dense],
-            spill: Vec::new(),
+            index: PeerIndex::new(range),
             alive_timeout,
-            scratch: Vec::new(),
         };
         m.reindex(0);
         m
     }
 
+    /// An empty per-peer table over this view's dense range: the ids it
+    /// was built with, never one admitted since.
+    pub(crate) fn table<V>(&self) -> PeerTable<V> {
+        PeerTable::new(self.index.range())
+    }
+
     /// Rebuilds the id→position index for entries at `from` and beyond.
     fn reindex(&mut self, from: usize) {
-        for i in from..self.peers.len() {
-            self.set_slot(self.peers[i], (i + 1) as u32);
+        for (i, peer) in self.peers.iter().enumerate().skip(from) {
+            self.index.set(*peer, Some(i));
         }
-    }
-
-    /// Sets `peer`'s index entry to `slot` (position + 1, or 0 to drop it).
-    fn set_slot(&mut self, peer: PeerId, slot: u32) {
-        if let Some(v) = self.index.get_mut(peer.0 as usize) {
-            *v = slot;
-            return;
-        }
-        match (self.spill.binary_search_by_key(&peer, |e| e.0), slot) {
-            (Ok(i), 0) => {
-                self.spill.remove(i);
-            }
-            (Ok(i), _) => self.spill[i].1 = slot,
-            (Err(_), 0) => {}
-            (Err(i), _) => self.spill.insert(i, (peer, slot)),
-        }
-    }
-
-    /// Position of `peer` in `peers`, if present.
-    fn pos(&self, peer: PeerId) -> Option<usize> {
-        let slot = match self.index.get(peer.0 as usize) {
-            Some(&v) => v,
-            None => match self.spill.binary_search_by_key(&peer, |e| e.0) {
-                Ok(i) => self.spill[i].1,
-                Err(_) => 0,
-            },
-        };
-        (slot as usize).checked_sub(1)
     }
 
     /// The local peer id.
@@ -119,12 +91,12 @@ impl Membership {
 
     /// Whether `peer` is in the view (never true for the local peer).
     pub fn contains(&self, peer: PeerId) -> bool {
-        self.pos(peer).is_some()
+        self.index.get(peer).is_some()
     }
 
     /// Records that `peer` was heard from at `now`.
     pub fn mark_alive(&mut self, peer: PeerId, now: Time) {
-        if let Some(idx) = self.pos(peer) {
+        if let Some(idx) = self.index.get(peer) {
             self.last_heard[idx] = Some(now);
         }
     }
@@ -133,7 +105,7 @@ impl Membership {
     /// timeout. Peers never heard from get a startup grace of one timeout
     /// from time zero, after which silence means death.
     pub fn believes_alive(&self, peer: PeerId, now: Time) -> bool {
-        match self.pos(peer) {
+        match self.index.get(peer) {
             Some(idx) => match self.last_heard[idx] {
                 None => now.since(Time::ZERO) <= self.alive_timeout,
                 Some(t) => now.since(t) <= self.alive_timeout,
@@ -159,7 +131,7 @@ impl Membership {
         if peer == self.self_id {
             return;
         }
-        match self.pos(peer) {
+        match self.index.get(peer) {
             Some(idx) => self.last_heard[idx] = Some(now),
             None => {
                 self.peers.push(peer);
@@ -173,11 +145,11 @@ impl Membership {
     /// whether the peer was present. A removed peer is never sampled again
     /// and is not believed alive.
     pub fn remove_peer(&mut self, peer: PeerId) -> bool {
-        match self.pos(peer) {
+        match self.index.get(peer) {
             Some(idx) => {
                 self.peers.remove(idx);
                 self.last_heard.remove(idx);
-                self.set_slot(peer, 0);
+                self.index.set(peer, None);
                 self.reindex(idx);
                 true
             }
@@ -191,7 +163,7 @@ impl Membership {
     /// peer look silent.
     pub fn adopt_liveness(&mut self, prev: &Membership) {
         for (idx, p) in self.peers.iter().enumerate() {
-            if let Some(prev_idx) = prev.pos(*p) {
+            if let Some(prev_idx) = prev.index.get(*p) {
                 if let Some(t) = prev.last_heard[prev_idx] {
                     self.last_heard[idx] = Some(match self.last_heard[idx] {
                         Some(cur) => cur.max(t),
@@ -204,28 +176,34 @@ impl Membership {
 
     /// Draws up to `k` distinct peers uniformly at random, excluding self.
     ///
-    /// Partial Fisher–Yates over a scratch copy: O(k) swaps, exact
-    /// uniformity, deterministic under the simulation RNG.
-    pub fn sample(&mut self, rng: &mut StdRng, k: usize) -> Vec<PeerId> {
-        self.sample_filtered(rng, k, |_| true)
-    }
-
-    /// Like [`Membership::sample`] but only over peers passing `keep`.
-    pub fn sample_filtered(
-        &mut self,
-        rng: &mut StdRng,
-        k: usize,
-        keep: impl Fn(PeerId) -> bool,
-    ) -> Vec<PeerId> {
-        let pool = &mut self.scratch;
-        pool.clear();
-        pool.extend(self.peers.iter().copied().filter(|p| keep(*p)));
-        let take = k.min(pool.len());
+    /// Partial Fisher–Yates over a virtual copy of the roster: the draw
+    /// for slot `i` is `random_range(i..n)`, as over a real copy, but only
+    /// the entries the swaps displaced are written down (at most `k`), so
+    /// a draw costs O(k²) with `k` the fan-out, whatever the roster size.
+    /// Exact uniformity, deterministic under the simulation RNG.
+    pub fn sample(&self, rng: &mut StdRng, k: usize) -> Vec<PeerId> {
+        let n = self.peers.len();
+        let take = k.min(n);
+        let mut picked = Vec::with_capacity(take);
+        // `(position, peer)`: what the copy holds where it differs from
+        // `peers`. Slots below `i` are never read again.
+        let mut displaced: Vec<(usize, PeerId)> = Vec::with_capacity(take);
         for i in 0..take {
-            let j = rng.random_range(i..pool.len());
-            pool.swap(i, j);
+            let j = rng.random_range(i..n);
+            let at = |pos: usize| {
+                displaced
+                    .iter()
+                    .find(|(p, _)| *p == pos)
+                    .map_or(self.peers[pos], |(_, peer)| *peer)
+            };
+            let (head, drawn) = (at(i), at(j));
+            picked.push(drawn);
+            match displaced.iter_mut().find(|(p, _)| *p == j) {
+                Some(slot) => slot.1 = head,
+                None => displaced.push((j, head)),
+            }
         }
-        pool[..take].to_vec()
+        picked
     }
 }
 
@@ -256,7 +234,7 @@ mod tests {
 
     #[test]
     fn sample_never_returns_self_or_duplicates() {
-        let mut m = membership(10);
+        let m = membership(10);
         let mut r = rng(3);
         for _ in 0..100 {
             let s = m.sample(&mut r, 4);
@@ -271,14 +249,14 @@ mod tests {
 
     #[test]
     fn sample_caps_at_population() {
-        let mut m = membership(4);
+        let m = membership(4);
         let s = m.sample(&mut rng(1), 10);
         assert_eq!(s.len(), 3);
     }
 
     #[test]
     fn sample_is_roughly_uniform() {
-        let mut m = membership(11); // 10 candidates
+        let m = membership(11); // 10 candidates
         let mut r = rng(42);
         let mut counts: HashMap<PeerId, u32> = HashMap::new();
         for _ in 0..10_000 {
@@ -375,8 +353,8 @@ mod tests {
         for p in joiners {
             m.add_peer(p, Time::from_secs(1));
         }
-        assert_eq!(m.index.len(), 4, "the dense index never grows");
-        assert_eq!(m.spill.len(), 3);
+        assert_eq!(m.index.range(), 4, "the dense index never grows");
+        assert_eq!(m.index.spilled(), 3);
         // A removal ahead of them shifts their positions, not their answers.
         assert!(m.remove_peer(PeerId(1)));
         let now = Time::from_secs(100);
@@ -386,34 +364,20 @@ mod tests {
         }
         assert!(m.remove_peer(PeerId(u32::MAX)));
         assert!(!m.contains(PeerId(u32::MAX)));
-        assert_eq!(m.spill.len(), 2);
+        assert_eq!(m.index.spilled(), 2);
         let expected = [2, 3, u32::MAX - 1, 7].map(PeerId);
         assert_eq!(m.peers(), expected);
         assert_eq!(m.alive_peers(now), [PeerId(u32::MAX - 1), PeerId(7)]);
-    }
-
-    #[test]
-    fn sample_filtered_respects_predicate() {
-        let mut m = membership(10);
-        let mut r = rng(7);
-        let s = m.sample_filtered(&mut r, 5, |p| p.0 % 2 == 0);
-        assert!(!s.is_empty());
-        assert!(s.iter().all(|p| p.0 % 2 == 0));
     }
 
     mod model {
         use super::*;
         use proptest::prelude::*;
 
-        /// The sampler as it was before the kept scratch: copy the kept
-        /// peers into a fresh pool, partially shuffle it, truncate.
-        fn copy_and_shuffle(
-            peers: &[PeerId],
-            rng: &mut StdRng,
-            k: usize,
-            keep: impl Fn(PeerId) -> bool,
-        ) -> Vec<PeerId> {
-            let mut pool: Vec<PeerId> = peers.iter().copied().filter(|p| keep(*p)).collect();
+        /// The sampler as it was before the virtual copy: copy the roster
+        /// into a fresh pool, partially shuffle it, truncate.
+        fn copy_and_shuffle(peers: &[PeerId], rng: &mut StdRng, k: usize) -> Vec<PeerId> {
+            let mut pool = peers.to_vec();
             let take = k.min(pool.len());
             for i in 0..take {
                 let j = rng.random_range(i..pool.len());
@@ -425,12 +389,12 @@ mod tests {
 
         proptest! {
             /// Same targets and the same RNG stream afterwards, over
-            /// random rosters, fan-outs, filters and seeds, through roster
-            /// changes and repeated draws on one view.
+            /// random rosters, fan-outs and seeds, through roster changes
+            /// and repeated draws on one view.
             #[test]
             fn model_sample_matches_copy_and_shuffle(
                 roster in proptest::collection::vec(0u32..120, 0..60),
-                draws in proptest::collection::vec((0usize..12, 0u32..5, 0u32..130), 1..12),
+                draws in proptest::collection::vec((0usize..12, 0u32..130), 1..12),
                 seed in any::<u64>(),
             ) {
                 let mut m = Membership::new(
@@ -439,25 +403,16 @@ mod tests {
                     Duration::from_secs(25),
                 );
                 let (mut ours, mut theirs) = (rng(seed), rng(seed));
-                for (k, modulus, churn) in draws {
+                for (k, churn) in draws {
                     if churn % 3 == 0 {
                         m.add_peer(PeerId(churn), Time::ZERO);
                     } else if churn % 3 == 1 {
                         m.remove_peer(PeerId(churn));
                     }
-                    let peers = m.peers().to_vec();
-                    if modulus == 0 {
-                        prop_assert_eq!(
-                            m.sample(&mut ours, k),
-                            copy_and_shuffle(&peers, &mut theirs, k, |_| true)
-                        );
-                    } else {
-                        let keep = |p: PeerId| !p.0.is_multiple_of(modulus);
-                        prop_assert_eq!(
-                            m.sample_filtered(&mut ours, k, keep),
-                            copy_and_shuffle(&peers, &mut theirs, k, keep)
-                        );
-                    }
+                    prop_assert_eq!(
+                        m.sample(&mut ours, k),
+                        copy_and_shuffle(m.peers(), &mut theirs, k)
+                    );
                     prop_assert_eq!(ours.random::<u64>(), theirs.random::<u64>());
                 }
             }

@@ -286,11 +286,12 @@ impl GossipPeer {
             .collect()
     }
 
-    /// Rows of the default channel's advertised-height and
-    /// advertised-checkpoint views, for the bound check of the wire tests.
+    /// `(dense slots, spilled rows, rows)` of the default channel's
+    /// per-peer tables (claims, obituaries, heights, checkpoints), for the
+    /// bound checks of the wire tests.
     #[cfg(test)]
-    pub(crate) fn recovery_rows(&self) -> [usize; 2] {
-        self.default_state().recovery_rows()
+    pub(crate) fn peer_tables(&self) -> [(usize, usize, usize); 4] {
+        self.default_state().peer_tables()
     }
 
     fn default_state(&self) -> &ChannelState {
@@ -375,9 +376,7 @@ impl GossipPeer {
         let state = self
             .state_mut(channel)
             .unwrap_or_else(|| panic!("cannot widen unjoined channel {channel}"));
-        let mut widened = Membership::new(id, channel_roster, timeout);
-        widened.adopt_liveness(&state.core().channel_view);
-        state.core_mut().channel_view = widened;
+        state.widen_channel_view(Membership::new(id, channel_roster, timeout));
         self
     }
 

@@ -9,7 +9,7 @@
 //! The engine owns only recovery-private state; everything shared lives in
 //! the [`ChannelCore`] passed into every entry point.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use desim::Time;
 use rand::RngExt;
@@ -20,6 +20,7 @@ use fabric_types::snapshot::{Checkpoint, SnapshotAssembler, SnapshotChunk, Snaps
 use crate::channel::ChannelCore;
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer, ENVELOPE};
+use crate::peertable::PeerTable;
 
 /// One snapshot transfer in progress: the request this peer has in flight
 /// and the partial assembly. The in-flight guard keeps every RecoveryRound
@@ -43,12 +44,12 @@ struct SnapshotTransfer {
 }
 
 /// State-transfer state of one channel instance.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RecoveryEngine {
     /// Last advertised ledger height per peer.
-    peer_heights: BTreeMap<PeerId, u64>,
+    peer_heights: PeerTable<u64>,
     /// Latest checkpoint advertised per peer (snapshot bootstrap only).
-    peer_checkpoints: BTreeMap<PeerId, Checkpoint>,
+    peer_checkpoints: PeerTable<Checkpoint>,
     /// The snapshot transfer currently in flight, if any.
     inflight: Option<SnapshotTransfer>,
     /// Servers that timed out on this transfer — excluded from selection
@@ -57,16 +58,31 @@ pub struct RecoveryEngine {
 }
 
 impl RecoveryEngine {
+    /// An engine for `core`'s channel instance: its per-peer tables span
+    /// the channel-wide view, the only peers they ever record.
+    pub fn new(core: &ChannelCore) -> Self {
+        RecoveryEngine {
+            peer_heights: core.channel_view.table(),
+            peer_checkpoints: core.channel_view.table(),
+            inflight: None,
+            failed_servers: BTreeSet::new(),
+        }
+    }
+
     /// Drops what a process crash would lose — all of it: the height and
     /// checkpoint views and any half-finished snapshot transfer.
     pub fn clear_volatile(&mut self) {
-        *self = Self::default();
+        self.peer_heights.clear();
+        self.peer_checkpoints.clear();
+        self.inflight = None;
+        self.failed_servers.clear();
     }
 
-    /// Rows of the height and of the checkpoint view.
+    /// `(dense slots, spilled rows, rows)` of the height and of the
+    /// checkpoint view.
     #[cfg(test)]
-    pub(crate) fn rows(&self) -> [usize; 2] {
-        [self.peer_heights.len(), self.peer_checkpoints.len()]
+    pub(crate) fn tables(&self) -> [(usize, usize, usize); 2] {
+        [self.peer_heights.shape(), self.peer_checkpoints.shape()]
     }
 
     /// A peer advertised its ledger height (and, under snapshot bootstrap,
@@ -85,18 +101,12 @@ impl RecoveryEngine {
         if !core.channel_view.contains(from) {
             return;
         }
-        let entry = self.peer_heights.entry(from).or_insert(0);
+        let entry = self.peer_heights.get_or_insert(from, 0);
         *entry = (*entry).max(height);
         if let Some(cp) = checkpoint {
-            match self.peer_checkpoints.entry(from) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(cp);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if cp.height > o.get().height {
-                        o.insert(cp);
-                    }
-                }
+            let held = self.peer_checkpoints.get_or_insert(from, cp);
+            if cp.height > held.height {
+                *held = cp;
             }
         }
     }
@@ -140,7 +150,7 @@ impl RecoveryEngine {
                 .peer_heights
                 .iter()
                 .filter(|(_, h)| **h == best)
-                .map(|(p, _)| *p)
+                .map(|(p, _)| p)
                 .collect();
             let pick = fx.rng().random_range(0..candidates.len());
             let target = candidates[pick];
@@ -209,7 +219,7 @@ impl RecoveryEngine {
             self.peer_checkpoints
                 .iter()
                 .filter(|(p, c)| ok(c.height) && !self.failed_servers.contains(p))
-                .map(|(p, _)| *p)
+                .map(|(p, _)| p)
                 .collect()
         };
         let mut resuming = false;
@@ -244,7 +254,10 @@ impl RecoveryEngine {
         };
         let (height, from_chunk) = match &assembler {
             Some(a) if resuming => (a.checkpoint().height, a.first_missing()),
-            _ => (self.peer_checkpoints[&pick].height, 0),
+            _ => {
+                let advertised = self.peer_checkpoints.get(pick);
+                (advertised.expect("a candidate advertised").height, 0)
+            }
         };
         core.stats.snapshot_requests += 1;
         core.send(fx, pick, GossipMsg::SnapshotRequest { height, from_chunk });
@@ -384,8 +397,8 @@ impl RecoveryEngine {
     /// instant timeout (resume elsewhere rather than waiting out the full
     /// window). Called when discovery reaps `peer`.
     pub fn forget_peer(&mut self, peer: PeerId) {
-        self.peer_heights.remove(&peer);
-        self.peer_checkpoints.remove(&peer);
+        self.peer_heights.remove(peer);
+        self.peer_checkpoints.remove(peer);
         self.failed_servers.remove(&peer);
         if let Some(t) = &mut self.inflight {
             if t.server == peer {
@@ -415,7 +428,7 @@ mod tests {
     #[test]
     fn engine_alone_requests_recovery_from_the_highest_peer() {
         let mut c = core(1);
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         e.on_state_info(&c, PeerId(2), 6, None);
         e.on_state_info(&c, PeerId(2), 4, None); // heights never regress
@@ -499,7 +512,7 @@ mod tests {
     fn lagging_peer_requests_the_snapshot_instead_of_blocks() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
@@ -526,7 +539,7 @@ mod tests {
     fn straggler_within_min_lag_keeps_block_recovery() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         // Height 12 of 17: only 5 behind the checkpoint at 16 — under the
         // one-interval lag of 8 once the store is at 12.
@@ -554,7 +567,7 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         // Server 2 is asked (server 3 advertises the same checkpoint a
         // moment later) and answers with a plan whose entries no longer
@@ -595,7 +608,7 @@ mod tests {
     fn a_stranger_cannot_complete_a_transfer_with_a_forged_snapshot() {
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         request_from(&mut e, &mut c, &mut fx, PeerId(2), &test_snapshot(16));
         let forged = test_snapshot(1);
@@ -617,7 +630,7 @@ mod tests {
     fn a_stranger_cannot_pin_the_assembly_to_a_foreign_checkpoint() {
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         request_from(&mut e, &mut c, &mut fx, PeerId(2), &snap);
@@ -641,7 +654,7 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let cp = test_snapshot(16).checkpoint;
         e.on_state_info(&c, PeerId(2), 17, Some(cp));
@@ -672,7 +685,7 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
@@ -727,7 +740,7 @@ mod tests {
         // configured chunk size, whatever older height was asked for.
         let mut sc = core(2);
         sc.cfg = snapshot_cfg();
-        let mut server = RecoveryEngine::default();
+        let mut server = RecoveryEngine::new(&sc);
         let mut sfx = MockEffects::new(2);
         server.on_snapshot_request(&mut sc, &mut sfx, PeerId(1), 8, 0);
         assert!(sfx.take_sent().is_empty());
@@ -757,7 +770,7 @@ mod tests {
         // block above the snapshot becomes deliverable.
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         c.store.insert(BlockRef::new(Block::new(
             17,
@@ -801,7 +814,7 @@ mod tests {
         use desim::Duration;
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));
@@ -852,7 +865,7 @@ mod tests {
         // server left the round falls back cleanly to block recovery.
         let mut c = core(1);
         c.cfg = snapshot_cfg();
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         e.on_state_info(&c, PeerId(2), 17, Some(test_snapshot(16).checkpoint));
         e.on_state_info(&c, PeerId(3), 17, None);
@@ -874,7 +887,7 @@ mod tests {
     fn departed_server_releases_the_transfer_without_waiting_out_the_timeout() {
         let mut c = core(1);
         c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        let mut e = RecoveryEngine::default();
+        let mut e = RecoveryEngine::new(&c);
         let mut fx = MockEffects::new(1);
         let snap = test_snapshot(16);
         e.on_state_info(&c, PeerId(2), 17, Some(snap.checkpoint));

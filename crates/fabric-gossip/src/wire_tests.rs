@@ -15,6 +15,12 @@
 //! where the peer is the lowest member (so it holds the static seat) and
 //! ids `0..5` are strangers that would outrank it; in every case no message
 //! moves the seat.
+//!
+//! Under gossiped discovery the peer ids themselves come off the wire: a
+//! claim about an unknown id is a join. The last test feeds one peer a
+//! thousand such ids, the largest of them at the top of the id space, and
+//! checks that each costs one row in every per-peer table while the dense
+//! index keeps the range it was seeded with.
 
 use desim::Duration;
 use fabric_types::block::{Block, BlockRef};
@@ -25,7 +31,7 @@ use proptest::prelude::*;
 
 use crate::blockmap::SPAN;
 use crate::config::GossipConfig;
-use crate::messages::{GossipMsg, GossipTimer};
+use crate::messages::{GossipMsg, GossipTimer, PeerAlive};
 use crate::peer::GossipPeer;
 use crate::testing::MockEffects;
 
@@ -159,10 +165,66 @@ proptest! {
                 prop_assert!(allocated <= held + SPAN, "{allocated} rows for {held} held");
             }
             let members = peer.channel().len();
-            for rows in peer.recovery_rows() {
+            let [_, _, heights, checkpoints] = peer.peer_tables();
+            for (_, _, rows) in [heights, checkpoints] {
                 prop_assert!(rows <= members, "{rows} adverts kept from {members} members");
             }
             prop_assert_eq!(peer.is_leader(), seated, "a static seat moved");
         }
     }
+}
+
+#[test]
+fn wire_hostile_discovery_ids_cost_one_row_each() {
+    // Roster 0..10 without the peer itself: the dense range is 10 slots.
+    const RANGE: usize = 10;
+    let cfg = GossipConfig::enhanced(4, TTL, 2).with_discovery_protocol();
+    let mut peer = GossipPeer::new(ME, (0..10).map(PeerId).collect(), cfg);
+    let mut fx = MockEffects::new(3);
+    peer.init(&mut fx);
+    let claim = |peer, incarnation| PeerAlive {
+        peer,
+        incarnation,
+        seq: 1,
+    };
+    let top = PeerId(u32::MAX - 1);
+    peer.on_message(&mut fx, HONEST, GossipMsg::AliveMsg(claim(top, 1)));
+    let strangers: Vec<PeerId> = (0..1_000).map(|i| PeerId(10 + i * 4_000_000)).collect();
+    let response = GossipMsg::MembershipResponse {
+        entries: strangers.iter().map(|p| claim(*p, 1)).collect(),
+        dead: vec![],
+    };
+    peer.on_message(&mut fx, HONEST, response);
+    for from in strangers.iter().chain([&top]) {
+        let advert = GossipMsg::StateInfo {
+            height: 3,
+            checkpoint: Some(Checkpoint {
+                height: 2,
+                state_hash: Hash256::ZERO,
+            }),
+        };
+        peer.on_message(&mut fx, *from, advert);
+    }
+    // Nine seeded members, the top id and the thousand: one row each, the
+    // 1 001 above the range in the spill.
+    let admitted = (RANGE - 1, 1_001);
+    assert_eq!(peer.membership().len(), admitted.0 + admitted.1);
+    let [claims, obituaries, heights, checkpoints] = peer.peer_tables();
+    assert_eq!(claims, (RANGE, admitted.1, admitted.0 + admitted.1));
+    assert_eq!(obituaries, (RANGE, 0, 0));
+    assert_eq!(heights, (RANGE, admitted.1, admitted.1));
+    assert_eq!(checkpoints, (RANGE, admitted.1, admitted.1));
+
+    // Their obituaries: every stranger moves from the claims to the
+    // obituaries, and recovery forgets it.
+    let obituary = GossipMsg::MembershipResponse {
+        entries: vec![],
+        dead: strangers.iter().map(|p| claim(*p, 1)).collect(),
+    };
+    peer.on_message(&mut fx, HONEST, obituary);
+    let [claims, obituaries, heights, checkpoints] = peer.peer_tables();
+    assert_eq!(claims, (RANGE, 1, RANGE));
+    assert_eq!(obituaries, (RANGE, 1_000, 1_000));
+    assert_eq!(heights, (RANGE, 1, 1));
+    assert_eq!(checkpoints, (RANGE, 1, 1));
 }
