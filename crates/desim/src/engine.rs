@@ -7,7 +7,7 @@
 //! seed always replays the exact same execution.
 //!
 //! The event queue is a hierarchical [`TimingWheel`] (see [`crate::sched`]):
-//! payloads sit still in a slab while 24-byte stubs move through time
+//! payloads sit still in a slab whose slots are chained into 131 µs time
 //! buckets, cancellation is an O(1) generation bump, and the pop order is
 //! the exact `(time, seq)` total order the seed's global `BinaryHeap`
 //! produced — the scheduler-equivalence proptest in `tests/scheduler.rs`
@@ -22,7 +22,7 @@
 //! processing delay — at that point of the shared RNG's draw order, which
 //! every golden trace depends on. If the ingress queue is idle and the
 //! delay is zero the handler runs at once; otherwise the engine marks the
-//! message processed and re-queues the *stub* for the delivery instant
+//! message processed and re-queues its *slot* for the delivery instant
 //! (a fresh `seq`; the payload does not move). The second pop checks the
 //! receiver again and hands the message over. Delivery cannot be computed
 //! at send time instead: the ingress queue at arrival depends on every
@@ -502,7 +502,9 @@ impl<P: Protocol> Simulation<P> {
 
     /// Scheduler slab slots allocated so far — the most events (messages
     /// in flight, timers, transitions) that were ever pending at once. A
-    /// message holds one slot from `send` to `on_message`.
+    /// message holds one slot from `send` to `on_message`; a cancelled
+    /// timer still chained in a wheel bucket holds its slot until that
+    /// bucket drains.
     pub fn scheduler_slots(&self) -> usize {
         self.core.queue.slots()
     }

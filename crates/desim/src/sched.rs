@@ -10,24 +10,40 @@
 //! ## The wheel
 //!
 //! [`TimingWheel`] buckets pending events by discrete sim time: a ring of
-//! `NUM_BUCKETS` buckets of `2^BUCKET_SHIFT` ns each (≈2 ms buckets over a
-//! ≈17 s horizon), with a small binary heap holding the far-future
-//! overflow. Payloads live in a slab and never move; the wheel shuffles
-//! 24-byte `(time, seq, slot)` stubs only. Cancellation is O(1): each slab
-//! slot carries a generation stamp, a cancel vacates the slot and bumps
-//! the stamp, and the stale stub is recognized (and reported as
-//! [`Popped::Cancelled`]) when its bucket drains.
+//! `NUM_BUCKETS` buckets of [`BUCKET_NS`] each (131 µs buckets over a
+//! [`HORIZON_NS`] ≈ 1.07 s horizon), with a small binary heap holding the
+//! far-future overflow. Payloads live in a slab and never move. A ring
+//! bucket is one `u32`: the head of an intrusive chain threaded through
+//! the slab, each slot carrying its event's `(time, seq)` and the index of
+//! the next slot in the same bucket, so an insert is three stores and
+//! allocates nothing. The drain vector and the two heaps hold 24-byte
+//! `(time, seq, slot, generation)` stubs instead.
+//!
+//! Cancellation is O(1): each slab slot carries a generation stamp, a
+//! cancel vacates the slot and bumps the stamp, and the stale entry is
+//! recognized (and reported as [`Popped::Cancelled`]) when it pops.
+//!
+//! The bucket is narrower than `NetworkConfig::lan`'s 250 µs link-latency
+//! floor, so under `lan` a send never lands in the bucket being drained,
+//! and neither does an ingress re-queue; periodic protocol timers longer
+//! than the horizon (state-info, alive, recovery rounds) take the far heap.
 //!
 //! ## The sorted drain
 //!
-//! When the cursor reaches a bucket, the bucket's vector of stubs is
-//! swapped out whole and sorted once, descending, so each pop is a
-//! `Vec::pop` off the end — no per-pop sift. Only what joins the bucket
-//! *while* it drains (a handler scheduling inside the current ≈2 ms, or a
-//! far-heap entry the cursor caught up with) goes through a small side
-//! min-heap; the next entry is the smaller of the two heads. Both hold
-//! unique `(time, seq)` keys, so the merged order is the exact total
-//! order.
+//! When the cursor reaches a bucket, its chain is walked once into a
+//! reused vector of stubs, which is sorted once, descending, so each pop
+//! is a `Vec::pop` off the end — no per-pop sift. Only what joins the
+//! bucket *while* it drains (a handler scheduling inside the current
+//! 131 µs, or a far-heap entry the cursor caught up with) goes through a
+//! small side min-heap; the next entry is the smaller of the two heads.
+//! Both hold unique `(time, seq)` keys, so the merged order is the exact
+//! total order.
+//!
+//! A slot that is still chained cannot be recycled when its event is
+//! cancelled — its `(time, seq)` and link live in it — so it stays in its
+//! chain until the walk, which turns it into a ghost stub and frees it.
+//! Anywhere else (drained, in the side heap, in the far heap) the stub
+//! carries the key and a cancel frees the slot at once.
 //!
 //! ## One slot per message
 //!
@@ -36,22 +52,31 @@
 //! [`TimingWheel::pop_held`] pops the stub and leaves the payload in its
 //! slot; the engine inspects it through [`TimingWheel::payload_mut`] and
 //! then either [`TimingWheel::take`]s it (slot freed, generation bumped)
-//! or [`TimingWheel::requeue`]s it: a fresh `seq`, a new 24-byte stub,
-//! same slot, same generation, nothing else moves. [`Scheduler::pop`] is
-//! `pop_held` + `take`.
+//! or [`TimingWheel::requeue`]s it: a fresh `seq`, same slot, same
+//! generation, re-linked into its new bucket (or a new stub past the
+//! horizon); the payload does not move. [`Scheduler::pop`] is `pop_held`
+//! + `take`.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Time;
 
-/// log2 of the wheel bucket width in nanoseconds (≈2.1 ms).
-const BUCKET_SHIFT: u32 = 21;
-/// Number of ring buckets (power of two). Horizon ≈ 17.2 s: every periodic
-/// protocol timer of the gossip stack lands inside it; only genuinely
-/// far-future events (long drains, `Time::MAX` sentinels) hit the heap.
+/// log2 of the wheel bucket width in nanoseconds.
+const BUCKET_SHIFT: u32 = 17;
+/// Width of one ring bucket (131 µs): events inside the bucket being
+/// drained pop through the side heap, later ones are chained.
+pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
+/// Number of ring buckets (power of two).
 const NUM_BUCKETS: usize = 8192;
 const BUCKET_MASK: u64 = (NUM_BUCKETS as u64) - 1;
+/// Span of the ring (≈ 1.07 s): an event whose bucket starts this far or
+/// further past the draining bucket's start waits in the far heap.
+pub const HORIZON_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+/// End of a bucket chain.
+const NIL: u32 = u32::MAX;
+/// `Slot::next` of a slot that is in no chain.
+const UNLINKED: u32 = u32::MAX - 1;
 
 /// Handle to a scheduled event, usable for O(1) cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,7 +147,7 @@ pub trait Scheduler<E> {
     }
 }
 
-/// A 24-byte event stub: everything the wheel moves around.
+/// A 24-byte event stub: what the drain vector and both heaps hold.
 #[derive(Debug, Clone, Copy)]
 struct Stub {
     at_ns: u64,
@@ -161,6 +186,12 @@ impl Ord for FarStub {
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
+    /// The next slot of this one's ring-bucket chain (`NIL` ends it), or
+    /// `UNLINKED` when the slot is in no chain.
+    next: u32,
+    /// The chained event's key; stale once the slot is unlinked.
+    at_ns: u64,
+    seq: u64,
     payload: Option<E>,
 }
 
@@ -172,19 +203,23 @@ pub struct TimingWheel<E> {
     pending: usize,
     slab: Vec<Slot<E>>,
     /// Vacant slab slots, recycled FIFO. First-in-first-out matters: a
-    /// stale `EventId` only ever aliases a live event if its slot's u32
-    /// generation wraps all the way around while the id is retained, and
-    /// FIFO reuse spreads the generation bumps evenly across the slab —
-    /// the wrap horizon becomes `depth × 2^32` events (≥ 10^13 at any
-    /// realistic queue depth) instead of `2^32` on one hot LIFO slot.
+    /// stale `EventId` (or ghost stub) only ever aliases a live event if
+    /// its slot's u32 generation wraps all the way around while it is
+    /// retained, and FIFO reuse spreads the generation bumps evenly across
+    /// the slab — the wrap horizon becomes `depth × 2^32` events (≥ 10^13
+    /// at any realistic queue depth) instead of `2^32` on one hot LIFO
+    /// slot. A cancelled slot that is still chained joins the list only
+    /// when its bucket drains.
     free: VecDeque<u32>,
-    buckets: Vec<Vec<Stub>>,
+    /// The first slot of each ring bucket's chain, `NIL` when empty.
+    heads: Vec<u32>,
     /// One occupancy bit per ring bucket.
     occupied: Vec<u64>,
     /// Absolute index of the bucket currently draining.
     cursor: u64,
-    /// What the draining bucket held when the cursor reached it, sorted
-    /// once on `(time, seq)`, descending: the next entry pops off the end.
+    /// What the draining bucket's chain held when the cursor reached it,
+    /// sorted once on `(time, seq)`, descending: the next entry pops off
+    /// the end.
     run: Vec<Stub>,
     /// What joined the draining bucket after it was loaded — inserts at
     /// or before the cursor, and far-heap entries the cursor caught up
@@ -210,7 +245,7 @@ impl<E> TimingWheel<E> {
             pending: 0,
             slab: Vec::with_capacity(1024),
             free: VecDeque::with_capacity(1024),
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS],
             occupied: vec![0; NUM_BUCKETS / 64],
             cursor: 0,
             run: Vec::new(),
@@ -222,38 +257,57 @@ impl<E> TimingWheel<E> {
     fn alloc(&mut self, payload: E) -> (u32, u32) {
         if let Some(s) = self.free.pop_front() {
             let slot = &mut self.slab[s as usize];
-            debug_assert!(slot.payload.is_none());
+            debug_assert!(slot.payload.is_none() && slot.next == UNLINKED);
             slot.payload = Some(payload);
             (s, slot.gen)
         } else {
             let s = self.slab.len() as u32;
+            assert!(s < UNLINKED, "timing wheel slab full");
             self.slab.push(Slot {
                 gen: 0,
+                next: UNLINKED,
+                at_ns: 0,
+                seq: 0,
                 payload: Some(payload),
             });
             (s, 0)
         }
     }
 
-    fn insert(&mut self, stub: Stub) {
-        let b = stub.at_ns >> BUCKET_SHIFT;
+    /// Queues the live event in `slot` (generation `gen`) at `(at_ns, seq)`.
+    fn insert(&mut self, at_ns: u64, seq: u64, slot: u32, gen: u32) {
+        let b = at_ns >> BUCKET_SHIFT;
+        if b > self.cursor && b - self.cursor < NUM_BUCKETS as u64 {
+            let s = (b & BUCKET_MASK) as usize;
+            let link = &mut self.slab[slot as usize];
+            link.at_ns = at_ns;
+            link.seq = seq;
+            link.next = self.heads[s];
+            self.heads[s] = slot;
+            self.occupied[s >> 6] |= 1u64 << (s & 63);
+            return;
+        }
+        let stub = FarStub(Stub {
+            at_ns,
+            seq,
+            slot,
+            gen,
+        });
         if b <= self.cursor {
             // The event lands in (or before) the bucket being drained.
             // Everything already popped is strictly older (`at >= now` and
             // `seq` is the global maximum), so pushing into the side
             // min-heap keeps the pop order exact.
-            self.cur.push(FarStub(stub));
-        } else if b - self.cursor < NUM_BUCKETS as u64 {
-            let s = (b & BUCKET_MASK) as usize;
-            self.buckets[s].push(stub);
-            self.occupied[s >> 6] |= 1u64 << (s & 63);
+            self.cur.push(stub);
         } else {
-            self.far.push(FarStub(stub));
+            self.far.push(stub);
         }
     }
 
     /// Slab slots allocated so far: the most events that were ever queued
-    /// (or held) at once, cancelled-but-unpopped ghosts excluded.
+    /// (or held) at once. A cancelled event that is still chained in a
+    /// ring bucket holds its slot until that bucket drains; any other
+    /// cancelled event gives its slot back at once.
     pub fn slots(&self) -> usize {
         self.slab.len()
     }
@@ -306,19 +360,14 @@ impl<E> TimingWheel<E> {
     /// without moving its payload: same slot, same generation — the
     /// `EventId` its `push` returned still cancels it — and a fresh `seq`,
     /// exactly the order a `pop` followed by a `push` would give it. Only
-    /// a new 24-byte stub is inserted.
+    /// the event's key is inserted.
     pub fn requeue(&mut self, held: Held, at: Time) {
         let slot = &self.slab[held.slot as usize];
         assert!(slot.payload.is_some(), "held slot holds a payload");
         let gen = slot.gen;
         let seq = self.seq;
         self.seq += 1;
-        self.insert(Stub {
-            at_ns: at.as_nanos(),
-            seq,
-            slot: held.slot,
-            gen,
-        });
+        self.insert(at.as_nanos(), seq, held.slot, gen);
         self.pending += 1;
     }
 
@@ -377,10 +426,11 @@ impl<E> TimingWheel<E> {
     }
 
     /// Moves the cursor to the next non-empty bucket (near ring or far
-    /// heap, whichever is earlier) and loads it: the ring bucket's vector
-    /// is swapped out whole and sorted once into `run`, far-heap entries
-    /// of the same bucket spill into `cur`. Returns `false` when nothing
-    /// is queued anywhere.
+    /// heap, whichever is earlier) and loads it: the ring bucket's chain
+    /// is walked into `run` and sorted once — a cancelled slot becomes a
+    /// ghost stub and is freed on the way — and far-heap entries of the
+    /// same bucket spill into `cur`. Returns `false` when nothing is
+    /// queued anywhere.
     fn advance(&mut self) -> bool {
         debug_assert!(
             self.run.is_empty() && self.cur.is_empty(),
@@ -397,8 +447,27 @@ impl<E> TimingWheel<E> {
         self.cursor = target;
         let s = (target & BUCKET_MASK) as usize;
         if self.occupied[s >> 6] & (1u64 << (s & 63)) != 0 {
-            // `run` is empty here: the bucket gets its spent allocation.
-            std::mem::swap(&mut self.run, &mut self.buckets[s]);
+            let mut next = std::mem::replace(&mut self.heads[s], NIL);
+            while next != NIL {
+                let idx = next;
+                let slot = &mut self.slab[idx as usize];
+                next = std::mem::replace(&mut slot.next, UNLINKED);
+                let gen = if slot.payload.is_some() {
+                    slot.gen
+                } else {
+                    // Cancelled while chained: the cancel bumped the
+                    // generation once, so the stub keeps the one before
+                    // and pops as a ghost, whoever reuses the slot.
+                    self.free.push_back(idx);
+                    slot.gen.wrapping_sub(1)
+                };
+                self.run.push(Stub {
+                    at_ns: slot.at_ns,
+                    seq: slot.seq,
+                    slot: idx,
+                    gen,
+                });
+            }
             self.run
                 .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
             self.occupied[s >> 6] &= !(1u64 << (s & 63));
@@ -420,12 +489,7 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         let seq = self.seq;
         self.seq += 1;
         let (slot, gen) = self.alloc(payload);
-        self.insert(Stub {
-            at_ns: at.as_nanos(),
-            seq,
-            slot,
-            gen,
-        });
+        self.insert(at.as_nanos(), seq, slot, gen);
         self.pending += 1;
         EventId::wheel(slot, gen)
     }
@@ -439,8 +503,11 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         }
         slot.payload = None;
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push_back(id.slot());
-        // The stub stays queued and will pop as `Cancelled`.
+        // The entry stays queued and will pop as `Cancelled`. A chained
+        // slot carries its own key, so the drain of its bucket frees it.
+        if slot.next == UNLINKED {
+            self.free.push_back(id.slot());
+        }
     }
 
     fn pop(&mut self) -> Option<Popped<E>> {
@@ -509,8 +576,8 @@ mod tests {
 
     #[test]
     fn same_bucket_entries_respect_sub_bucket_times() {
-        // Entries 100 ns apart land in the same 2 ms bucket and must still
-        // pop in exact time order.
+        // Entries 100 ns apart land in the same 131 µs bucket and must
+        // still pop in exact time order.
         let mut w = TimingWheel::new();
         for i in (0..50u64).rev() {
             w.push(Time::from_nanos(1000 + i * 100), i);
@@ -529,7 +596,7 @@ mod tests {
     #[test]
     fn far_future_events_cross_the_horizon_correctly() {
         let mut w = TimingWheel::new();
-        w.push(Time::from_secs(120), "far"); // beyond the ≈17 s horizon
+        w.push(Time::from_secs(120), "far"); // beyond the ≈1 s horizon
         w.push(t(1), "near");
         w.push(Time::from_secs(119), "far-but-earlier");
         assert_eq!(w.len(), 3);
@@ -549,8 +616,10 @@ mod tests {
         let id = w.push(t(2), 1u32);
         w.push(t(1), 2u32);
         w.cancel(id);
-        // The freed slot is immediately reused by a new event.
+        // The cancelled event is chained in its bucket, so its slot is
+        // not free yet: the new event takes a fresh one.
         w.push(t(3), 3u32);
+        assert_eq!(w.slots(), 3);
         let popped = drain(&mut w);
         assert_eq!(
             popped,

@@ -20,7 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use desim::sched::{Popped, Scheduler, TimingWheel};
+use desim::sched::{Popped, Scheduler, TimingWheel, BUCKET_NS, HORIZON_NS};
 use desim::{Ctx, Duration, Message, NetworkConfig, NodeId, Protocol, Simulation, Time};
 use proptest::prelude::*;
 
@@ -57,50 +57,86 @@ impl HeapScheduler {
     }
 }
 
+/// Ring buckets: the horizon in bucket widths.
+const RING: u64 = HORIZON_NS / BUCKET_NS;
+
+/// Where a scripted push or re-queue lands, relative to the last popped
+/// instant — which is in the bucket the wheel is draining — in the wheel's
+/// own geometry.
+#[derive(Debug, Clone, Copy)]
+enum Lands {
+    /// Inside the bucket being drained, at or after now.
+    Draining(u64),
+    /// `ns` after now.
+    After(u64),
+    /// On the first instant of the `n`-th bucket after the draining one
+    /// or, with `before`, on the last instant ahead of it.
+    Edge { n: u64, before: bool },
+}
+
+impl Lands {
+    /// The `class`-th kind of landing (mod 4) drawn from `ns`: the
+    /// draining bucket, anywhere within the ring, a bucket or horizon
+    /// edge, or up to 40 horizons past the horizon.
+    fn drawn(class: u8, ns: u64) -> Self {
+        const EDGES: [u64; 5] = [1, 2, RING - 1, RING, RING + 1];
+        match class % 4 {
+            0 => Lands::Draining(ns),
+            1 => Lands::After(ns % HORIZON_NS),
+            2 => Lands::Edge {
+                n: EDGES[(ns % 5) as usize],
+                before: ns & 8 != 0,
+            },
+            _ => Lands::After(HORIZON_NS + ns % (40 * HORIZON_NS)),
+        }
+    }
+
+    fn at(self, now: Time) -> Time {
+        let now = now.as_nanos();
+        Time::from_nanos(match self {
+            Lands::Draining(ns) => now + ns % (BUCKET_NS - now % BUCKET_NS),
+            Lands::After(ns) => now + ns,
+            Lands::Edge { n, before } => (now / BUCKET_NS + n) * BUCKET_NS - u64::from(before),
+        })
+    }
+}
+
 /// One scripted workload step.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule an event `offset_ns` after the last popped instant.
-    Push { offset_ns: u64, tag: u32 },
+    /// Schedule an event where `at` lands.
+    Push { at: Lands, tag: u32 },
     /// Cancel the `nth` pushed event (mod pushes so far), live or not.
     Cancel { nth: usize },
     /// Pop once.
     Pop,
-    /// Pop once and, if a live event came out, schedule it again
-    /// `offset_ns` later without moving its payload.
-    Requeue { offset_ns: u64 },
+    /// Pop once and, if a live event came out, schedule it again where
+    /// `at` lands without moving its payload.
+    Requeue { at: Lands },
 }
 
 /// Raw op tuples (the vendored proptest has no mapped strategies):
 /// `(selector, offset_ns, tag, nth)` decoded by [`decode`].
 fn raw_ops() -> impl Strategy<Value = Vec<(u8, u64, u32, usize)>> {
     proptest::collection::vec(
-        (0u8..10, 0u64..40_000_000_000, 0u32..1_000_000, 0usize..512),
+        (0u8..16, 0u64..u64::MAX / 2, 0u32..1_000_000, 0usize..512),
         1..300,
     )
 }
 
+/// Pushes and re-queues in every landing class — the draining bucket
+/// twice as often as the others, so the side heap and same-bucket ties
+/// are exercised hard — cancels, and plain pops.
 fn decode(raw: &[(u8, u64, u32, usize)]) -> Vec<Op> {
     raw.iter()
-        .map(|(sel, offset_ns, tag, nth)| match sel {
-            // Half the pushes stay within one wheel bucket of "now" so the
-            // draining-bucket insert path is exercised hard.
-            0 | 1 => Op::Push {
-                offset_ns: offset_ns % 2_000_000,
+        .map(|(sel, ns, tag, nth)| match sel {
+            0..=4 => Op::Push {
+                at: Lands::drawn(*sel, *ns),
                 tag: *tag,
             },
-            2 | 3 => Op::Push {
-                offset_ns: *offset_ns,
-                tag: *tag,
-            },
-            4 => Op::Cancel { nth: *nth },
-            // Re-queues into the draining bucket, and anywhere up to and
-            // past the far-heap horizon.
-            8 => Op::Requeue {
-                offset_ns: offset_ns % 2_000_000,
-            },
-            9 => Op::Requeue {
-                offset_ns: *offset_ns,
+            5 | 6 => Op::Cancel { nth: *nth },
+            7..=11 => Op::Requeue {
+                at: Lands::drawn(sel - 7, *ns),
             },
             _ => Op::Pop,
         })
@@ -144,7 +180,7 @@ impl Lockstep {
 
     /// Pops the wheel without moving the payload and, if a live event
     /// came out, re-queues it in place; the oracle pops and pushes.
-    fn requeue(&mut self, offset_ns: u64) {
+    fn requeue(&mut self, lands: Lands) {
         let (popped, held) = match self.wheel.pop_held() {
             Some(Popped::Event {
                 at,
@@ -159,7 +195,7 @@ impl Lockstep {
         };
         self.observe(popped);
         if let (Some(held), Some(Popped::Event { seq, payload, .. })) = (held, popped) {
-            let again = self.now + Duration::from_nanos(offset_ns);
+            let again = lands.at(self.now);
             self.wheel.requeue(held, again);
             let fresh = self.heap.push(again, payload);
             // The wheel's id survives the re-queue; the oracle's is the
@@ -169,6 +205,34 @@ impl Lockstep {
             }
         }
     }
+
+    /// One script step on both sides, demanding equal pops.
+    fn apply(&mut self, op: &Op) {
+        match op {
+            Op::Push { at, tag } => {
+                let at = at.at(self.now);
+                self.ids
+                    .push((self.wheel.push(at, *tag), self.heap.push(at, *tag)));
+            }
+            Op::Cancel { nth } => {
+                if !self.ids.is_empty() {
+                    let (w, h) = self.ids[nth % self.ids.len()];
+                    self.wheel.cancel(w);
+                    self.heap.cancel(h);
+                }
+            }
+            Op::Pop => {
+                self.pop();
+            }
+            Op::Requeue { at } => self.requeue(*at),
+        }
+    }
+
+    /// Pops both sides dry.
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert!(self.wheel.is_empty(), "a drained scheduler reports empty");
+    }
 }
 
 /// Drives the wheel and the oracle through the script in lockstep,
@@ -177,27 +241,9 @@ impl Lockstep {
 fn run(script: &[Op]) -> Vec<Popped<u32>> {
     let mut both = Lockstep::default();
     for op in script {
-        match op {
-            Op::Push { offset_ns, tag } => {
-                let at = both.now + Duration::from_nanos(*offset_ns);
-                both.ids
-                    .push((both.wheel.push(at, *tag), both.heap.push(at, *tag)));
-            }
-            Op::Cancel { nth } => {
-                if !both.ids.is_empty() {
-                    let (w, h) = both.ids[nth % both.ids.len()];
-                    both.wheel.cancel(w);
-                    both.heap.cancel(h);
-                }
-            }
-            Op::Pop => {
-                both.pop();
-            }
-            Op::Requeue { offset_ns } => both.requeue(*offset_ns),
-        }
+        both.apply(op);
     }
-    while both.pop().is_some() {}
-    assert!(both.wheel.is_empty(), "a drained scheduler reports empty");
+    both.drain();
     both.stream
 }
 
@@ -258,8 +304,11 @@ proptest! {
     }
 }
 
-/// A deterministic heavy mix shaped like a gossip run: dense same-bucket
-/// bursts, periodic far-future timers, cancels of both live and dead ids.
+/// A deterministic heavy mix shaped like a gossip run under
+/// `NetworkConfig::lan`: sends one 250 µs link floor plus exponential
+/// jitter ahead, ingress re-queues at least 1.5 ms ahead, periodic timers
+/// of 0.5–10 s on both sides of the horizon, cancels of both live and
+/// dead ids.
 #[test]
 fn dense_gossip_shaped_workload_matches() {
     let mut script = Vec::new();
@@ -270,15 +319,23 @@ fn dense_gossip_shaped_workload_matches() {
             .wrapping_add(1442695040888963407);
         x >> 16
     };
+    // An exponential draw of mean `mean_ns` from the 48-bit value `r`.
+    let exp = |r: u64, mean_ns: f64| {
+        let u = (r as f64 + 0.5) / (1u64 << 48) as f64;
+        (-u.ln() * mean_ns) as u64
+    };
     for i in 0..4000u32 {
         let r = next();
         match r % 10 {
-            0..=4 => script.push(Op::Push {
-                offset_ns: r % 3_000_000, // same-bucket chatter
+            0..=3 => script.push(Op::Push {
+                at: Lands::After(250_000 + exp(next(), 400_000.0)), // a hop
                 tag: i,
             }),
+            4 => script.push(Op::Requeue {
+                at: Lands::After(1_500_000 + exp(next(), 2_000_000.0)), // ingress
+            }),
             5 => script.push(Op::Push {
-                offset_ns: 4_000_000_000 + r % 30_000_000_000, // periodic timers
+                at: Lands::After(500_000_000 + r % 9_500_000_000), // periodic timers
                 tag: i,
             }),
             6 => script.push(Op::Cancel {
@@ -298,7 +355,7 @@ fn dense_gossip_shaped_workload_matches() {
 #[test]
 fn heap_reference_matches_wheel_on_a_small_script() {
     let push = |ms: u64, tag| Op::Push {
-        offset_ns: ms * 1_000_000,
+        at: Lands::After(ms * 1_000_000),
         tag,
     };
     let stream = run(&[
@@ -325,8 +382,13 @@ fn heap_reference_matches_wheel_on_a_small_script() {
 /// first push still cancels the event after it moved.
 #[test]
 fn requeue_matches_pop_then_push_in_every_region() {
-    let push = |offset_ns, tag| Op::Push { offset_ns, tag };
-    let requeue = |offset_ns| Op::Requeue { offset_ns };
+    let push = |ns, tag| Op::Push {
+        at: Lands::After(ns),
+        tag,
+    };
+    let requeue = |ns| Op::Requeue {
+        at: Lands::After(ns),
+    };
     let stream = run(&[
         push(100, 1),
         push(300, 2),
@@ -334,7 +396,7 @@ fn requeue_matches_pop_then_push_in_every_region() {
         push(30_000_000_000, 4),
         requeue(100),            // 1 @100 ns -> @200 ns, ahead of 2
         requeue(0),              // 1 again, same instant, fresh seq
-        requeue(6_000_000),      // 1 -> the bucket 3 waits in, behind it
+        requeue(5_050_000),      // 1 -> the bucket 3 waits in, behind it
         Op::Pop,                 // 2
         requeue(40_000_000_000), // 3 -> beyond the horizon, behind 4
         Op::Cancel { nth: 0 },   // 1, through its first id
@@ -359,6 +421,40 @@ fn requeue_matches_pop_then_push_in_every_region() {
             Some(3)
         ]
     );
+}
+
+/// A timer cancelled while chained in a ring bucket keeps its slot until
+/// the bucket drains: pushes in between take fresh slots (`slots()` is
+/// what `Simulation::scheduler_slots` reports), the ghost still pops at
+/// the timer's instant, and the slot serves the next push after that.
+#[test]
+fn a_timer_cancelled_in_its_chain_holds_its_slot_until_its_bucket_drains() {
+    let push = |buckets, tag| Op::Push {
+        at: Lands::After(buckets * BUCKET_NS),
+        tag,
+    };
+    let mut both = Lockstep::default();
+    both.apply(&push(10, 0));
+    both.apply(&Op::Cancel { nth: 0 });
+    for tag in 1..=3 {
+        both.apply(&push(20, tag));
+    }
+    assert_eq!(both.wheel.slots(), 4, "a chained slot was recycled early");
+    both.apply(&Op::Pop);
+    assert_eq!(
+        both.stream,
+        [Popped::Cancelled {
+            at: Time::from_nanos(10 * BUCKET_NS)
+        }]
+    );
+    both.apply(&push(1, 4));
+    assert_eq!(
+        both.wheel.slots(),
+        4,
+        "the drained ghost's slot was not reused"
+    );
+    both.drain();
+    assert_eq!(both.stream.len(), 5);
 }
 
 #[derive(Clone, Debug)]

@@ -300,6 +300,26 @@ fn churn_waves_event_content_is_pinned() {
     );
 }
 
+/// The same guard on the conflicts pipeline at the benchmark's smoke scale
+/// (30 peers, 200 transactions in 1 s blocks): client, endorser, orderer
+/// and gossip traffic all at once, the densest same-instant mix of any
+/// runner. A scheduler change that reorders equal-time events moves it.
+/// Recorded before the timing wheel's buckets became slab chains.
+#[test]
+fn conflicts_event_content_is_pinned() {
+    let mut cfg =
+        ConflictConfig::paper(GossipConfig::enhanced_f4(), Duration::from_secs(1)).scaled(20, 10);
+    cfg.peers = 30;
+    cfg.network = NetworkConfig::lan(32);
+    cfg.seed = 1;
+    let (_, pin) = run_traced(cfg.deployment());
+    assert_eq!(
+        pin,
+        (38_205, 6_293_843_988_709_321_578),
+        "event content moved"
+    );
+}
+
 #[test]
 fn duplicate_block_accounting_is_unchanged_across_runs() {
     // Original Fabric gossip re-pushes aggressively (fout = 3 infect-and-die

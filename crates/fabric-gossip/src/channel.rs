@@ -440,6 +440,12 @@ impl ChannelState {
                 self.push.release_through(self.core.store.snapshot_floor());
             }
             GossipMsg::Alive => {} // mark_alive above is the whole effect
+            // A static roster never started its discovery engine: its
+            // traffic is evidence of life, as `Alive` is, and no more.
+            GossipMsg::AliveMsg(_)
+            | GossipMsg::MembershipRequest { .. }
+            | GossipMsg::MembershipResponse { .. }
+                if !self.core.cfg.discovery.protocol => {}
             GossipMsg::AliveMsg(claim) => {
                 let delta = self.discovery.on_alive(&mut self.core, fx, claim);
                 self.apply_discovery(fx, delta);
@@ -696,5 +702,77 @@ mod tests {
         follower.init(&mut fx);
         assert!(!follower.is_leader());
         assert_eq!(fx.leadership, vec![true]);
+    }
+
+    /// Peer `self_id` of the static roster {5, 6, 7, 8}, started.
+    fn started_static(self_id: u32, fx: &mut crate::testing::MockEffects) -> ChannelState {
+        let mut s = ChannelState::new(ChannelCore::new(
+            ChannelId::DEFAULT,
+            PeerId(self_id),
+            (5..9).map(PeerId).collect(),
+            GossipConfig::enhanced_f4(),
+        ));
+        s.init(fx);
+        s
+    }
+
+    #[test]
+    fn static_roster_ignores_a_strangers_alive_claim() {
+        use crate::messages::PeerAlive;
+        use crate::testing::MockEffects;
+        let mut fx = MockEffects::new(1);
+        let mut leader = started_static(5, &mut fx);
+        assert!(leader.is_leader());
+        let stranger = PeerAlive {
+            peer: PeerId(1),
+            incarnation: 1,
+            seq: 1,
+        };
+        leader.on_message(&mut fx, PeerId(6), GossipMsg::AliveMsg(stranger));
+        assert!(leader.is_leader(), "a claim moved a static seat");
+        assert!(fx.leadership.is_empty());
+        let core = leader.core();
+        assert!(
+            !core.membership.contains(PeerId(1)),
+            "a stranger became a push target"
+        );
+        assert!(!core.channel_view.contains(PeerId(1)));
+        assert_eq!(core.membership.peers(), [PeerId(6), PeerId(7), PeerId(8)]);
+    }
+
+    #[test]
+    fn static_roster_ignores_a_forged_obituary_of_its_leader() {
+        use crate::messages::PeerAlive;
+        use crate::testing::MockEffects;
+        let dead = PeerAlive {
+            peer: PeerId(5),
+            incarnation: u64::MAX,
+            seq: u64::MAX,
+        };
+        for self_id in [5, 6] {
+            let mut fx = MockEffects::new(1);
+            let mut s = started_static(self_id, &mut fx);
+            let response = GossipMsg::MembershipResponse {
+                entries: vec![],
+                dead: vec![dead],
+            };
+            s.on_message(&mut fx, PeerId(7), response);
+            let request = GossipMsg::MembershipRequest {
+                entries: vec![],
+                dead: vec![dead],
+            };
+            s.on_message(&mut fx, PeerId(8), request);
+            assert_eq!(s.is_leader(), self_id == 5, "peer {self_id}'s seat moved");
+            // Not even for a moment: a refutation that deposes the leader
+            // and a verdict that re-seats it would report both moves.
+            assert!(
+                fx.leadership.is_empty(),
+                "peer {self_id}: {:?}",
+                fx.leadership
+            );
+            let core = s.core();
+            assert_eq!(core.membership.len(), 3, "peer {self_id} reaped a member");
+            assert_eq!(core.channel_view.len(), 3, "peer {self_id}");
+        }
     }
 }
