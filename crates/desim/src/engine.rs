@@ -120,6 +120,57 @@ pub struct TraceEvent {
     pub what: String,
 }
 
+/// What a traced run keeps: the rendered events, and a rolling FNV-1a
+/// hash over the content of every event handled since tracing began.
+///
+/// Per event the hash takes `(at, seq, class, node(s))`, and for a
+/// delivery also the message's kind and wire size. The kind enters by
+/// name, not by [`crate::KindId`]: ids are numbered in first-intern order,
+/// which differs between processes.
+struct Trace {
+    events: Vec<TraceEvent>,
+    hash: u64,
+}
+
+impl Trace {
+    const DELIVER: u8 = 0;
+    const TIMER: u8 = 1;
+    const DOWN: u8 = 2;
+    const UP: u8 = 3;
+
+    fn new() -> Self {
+        Trace {
+            events: Vec::new(),
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.hash = (self.hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Hashes the fields every event has and keeps its rendering.
+    fn record(&mut self, at: Time, seq: u64, class: u8, node: NodeId, what: String) {
+        self.eat(&at.as_nanos().to_le_bytes());
+        self.eat(&seq.to_le_bytes());
+        self.eat(&[class]);
+        self.eat(&node.0.to_le_bytes());
+        self.events.push(TraceEvent { at, seq, what });
+    }
+
+    fn deliver<M: Message>(&mut self, at: Time, seq: u64, from: NodeId, to: NodeId, msg: &M) {
+        let what = format!("deliver {from}->{to} {msg:?}");
+        self.record(at, seq, Trace::DELIVER, to, what);
+        let kind = msg.kind();
+        self.eat(&from.0.to_le_bytes());
+        self.eat(&(kind.len() as u64).to_le_bytes());
+        self.eat(kind.as_bytes());
+        self.eat(&(msg.wire_size() as u64).to_le_bytes());
+    }
+}
+
 enum EventKind<M, T> {
     /// A message in flight. It first pops when it reaches `to`'s NIC
     /// (`processed == false`: ingress processing not yet applied) and, if
@@ -148,8 +199,9 @@ struct EngineCore<M, T> {
     rng: StdRng,
     metrics: NetMetrics,
     events_processed: u64,
-    /// Protocol-visible event log; `None` (the default) records nothing.
-    trace: Option<Vec<TraceEvent>>,
+    /// Protocol-visible event log and content hash; `None` (the default)
+    /// records nothing.
+    trace: Option<Trace>,
 }
 
 impl<M: Message, T> EngineCore<M, T> {
@@ -352,18 +404,33 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Enables (or disables) recording of every protocol-visible event as a
-    /// [`TraceEvent`]. Used by the cross-shard equivalence tests; costs one
+    /// [`TraceEvent`] and into [`Simulation::content_hash`]. Used by the
+    /// cross-shard equivalence tests and the golden content pins; costs one
     /// branch per event when off, so leave it off in production runs.
+    /// Switching it on starts a fresh trace and hash.
     pub fn set_trace(&mut self, on: bool) {
-        self.core.trace = if on { Some(Vec::new()) } else { None };
+        self.core.trace = on.then(Trace::new);
     }
 
-    /// Drains the recorded trace (empty when tracing is off).
+    /// Drains the recorded trace (empty when tracing is off). The content
+    /// hash keeps rolling across drains.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         match self.core.trace.as_mut() {
-            Some(t) => std::mem::take(t),
+            Some(t) => std::mem::take(&mut t.events),
             None => Vec::new(),
         }
+    }
+
+    /// A rolling FNV-1a hash over the content of every event handled since
+    /// tracing was switched on — per event its instant, `seq`, class
+    /// (delivery, timer, node down, node up) and node, and for a delivery
+    /// the sender, message kind and wire size — or `None` when tracing is
+    /// off. Two runs that handle the same events in the same order agree on
+    /// it; an event that moved in time, shifted its `seq`, or swapped
+    /// places with a same-instant one changes it where an event count
+    /// cannot.
+    pub fn content_hash(&self) -> Option<u64> {
+        self.core.trace.as_ref().map(|t| t.hash)
     }
 
     /// Runs `f` with the protocol and a context at the current time; used to
@@ -419,11 +486,7 @@ impl<P: Protocol> Simulation<P> {
                     self.core.metrics.record_received(to, at, msg.wire_size());
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
-                        trace.push(TraceEvent {
-                            at,
-                            seq,
-                            what: format!("deliver {from}->{to} {msg:?}"),
-                        });
+                        trace.deliver(at, seq, from, to, &msg);
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -436,11 +499,8 @@ impl<P: Protocol> Simulation<P> {
                     }
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
-                        trace.push(TraceEvent {
-                            at,
-                            seq,
-                            what: format!("timer @{node} {timer:?}"),
-                        });
+                        let what = format!("timer @{node} {timer:?}");
+                        trace.record(at, seq, Trace::TIMER, node, what);
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -451,11 +511,8 @@ impl<P: Protocol> Simulation<P> {
                     self.core.net.set_up(node, up);
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
-                        trace.push(TraceEvent {
-                            at,
-                            seq,
-                            what: format!("status {node} up={up}"),
-                        });
+                        let class = if up { Trace::UP } else { Trace::DOWN };
+                        trace.record(at, seq, class, node, format!("status {node} up={up}"));
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -829,6 +886,33 @@ mod tests {
         assert!(trace[0].at <= trace[1].at);
         // Draining leaves an empty, still-armed trace.
         assert!(sim.take_trace().is_empty());
+    }
+
+    #[test]
+    fn content_hash_sees_what_a_count_cannot() {
+        let run = |first: NodeId, size: u64| {
+            let mut sim = Simulation::new(Recorder::default(), ideal(3), 1);
+            assert_eq!(sim.content_hash(), None, "off by default");
+            sim.set_trace(true);
+            sim.with_ctx(|_, ctx| {
+                ctx.send(NodeId(0), first, Note("x", size));
+                ctx.send(NodeId(0), NodeId(3 - first.0), Note("x", 8));
+            });
+            sim.run_until_idle();
+            assert_eq!(sim.events_processed(), 2);
+            let hash = sim.content_hash().expect("traced");
+            assert_eq!(sim.take_trace().len(), 2);
+            assert_eq!(sim.content_hash(), Some(hash), "a drain keeps the hash");
+            hash
+        };
+        let base = run(NodeId(1), 8);
+        assert_eq!(base, run(NodeId(1), 8), "same run, same hash");
+        assert_ne!(
+            base,
+            run(NodeId(2), 8),
+            "two same-instant deliveries swapped"
+        );
+        assert_ne!(base, run(NodeId(1), 9), "one message a byte longer");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! heartbeat, a differently-sized digest, a reordered RNG draw or merge —
 //! fails loudly instead of sliding into the baseline.
 
-use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation, TraceEvent};
+use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation};
 use fabric_experiments::churn::{run_churn, ChurnConfig, ChurnResult};
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
@@ -121,8 +121,8 @@ fn drive(gossip: GossipConfig, seed: u64, peers: usize, txs: usize) -> FabricNet
     drive_sim(gossip, seed, peers, txs, false).into_protocol()
 }
 
-/// [`drive`], handing back the whole simulation; `trace` records every
-/// protocol-visible event for [`Simulation::take_trace`].
+/// [`drive`], handing back the whole simulation; `trace` switches on
+/// [`Simulation::content_hash`].
 fn drive_sim(
     gossip: GossipConfig,
     seed: u64,
@@ -241,48 +241,37 @@ fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
     );
 }
 
-/// An FNV-1a hash over every traced event's `(at, seq, what)`, with the
-/// number of events.
-fn content_hash(trace: &[TraceEvent]) -> (usize, u64) {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for ev in trace {
-        eat(&ev.at.as_nanos().to_le_bytes());
-        eat(&ev.seq.to_le_bytes());
-        eat(ev.what.as_bytes());
-    }
-    (trace.len(), hash)
+/// The content pin of a traced run: the events it handled and `desim`'s
+/// content hash over them ([`Simulation::content_hash`]).
+fn pin(sim: &Simulation<FabricNet>) -> (u64, u64) {
+    let hash = sim.content_hash().expect("the run was traced");
+    (sim.events_processed(), hash)
 }
 
-/// Runs `d` out with the trace on: the finished simulation and the
-/// [`content_hash`] of what it did.
-fn run_traced(d: Deployment) -> (Simulation<FabricNet>, (usize, u64)) {
+/// Runs `d` out with the trace on: the finished simulation and its
+/// [`pin`].
+fn run_traced(d: Deployment) -> (Simulation<FabricNet>, (u64, u64)) {
     let (drain_until, idle_tail) = (d.drain_until, d.idle_tail);
     let mut sim = d.start();
     sim.set_trace(true);
     run_out(&mut sim, drain_until, idle_tail);
-    let pin = content_hash(&sim.take_trace());
+    let pin = pin(&sim);
     (sim, pin)
 }
 
-/// The content guard: an FNV-1a hash over every protocol-visible event's
-/// `(at, seq, what)` of a 20-peer LAN run of ten blocks under the paper's
-/// protocol. The count pins elsewhere in this file cannot see an event
-/// whose `seq` shifted or two same-instant events that swapped places;
-/// this can. Recorded before the engine began re-queueing a message in
-/// its slab slot (Arrive → Deliver in place), which must not move it.
+/// The content guard: `desim`'s hash over every protocol-visible event's
+/// `(at, seq, class, node(s), kind, wire size)` of a 20-peer LAN run of
+/// ten blocks under the paper's protocol. The count pins elsewhere in this
+/// file cannot see an event whose `seq` shifted or two same-instant events
+/// that swapped places; this can.
 #[test]
 fn event_content_hash_is_pinned() {
-    let mut sim = drive_sim(GossipConfig::enhanced_f4(), 7, 20, 500, true);
-    let pin = content_hash(&sim.take_trace());
+    let sim = drive_sim(GossipConfig::enhanced_f4(), 7, 20, 500, true);
+    let pin = pin(&sim);
     assert_eq!(sim.protocol().committed(19), 10, "ten blocks everywhere");
     assert_eq!(
         pin,
-        (10_387, 17_243_862_046_047_219_867),
+        (10_387, 4_134_183_711_431_180_676),
         "event content moved"
     );
 }
@@ -295,7 +284,7 @@ fn churn_waves_event_content_is_pinned() {
     let (_, pin) = run_traced(ChurnWavesConfig::standard(2, 8, 40).deployment());
     assert_eq!(
         pin,
-        (150_039, 6_967_784_499_011_194_904),
+        (150_039, 9_994_940_419_740_061_629),
         "event content moved"
     );
 }
@@ -304,7 +293,6 @@ fn churn_waves_event_content_is_pinned() {
 /// (30 peers, 200 transactions in 1 s blocks): client, endorser, orderer
 /// and gossip traffic all at once, the densest same-instant mix of any
 /// runner. A scheduler change that reorders equal-time events moves it.
-/// Recorded before the timing wheel's buckets became slab chains.
 #[test]
 fn conflicts_event_content_is_pinned() {
     let mut cfg =
@@ -315,7 +303,7 @@ fn conflicts_event_content_is_pinned() {
     let (_, pin) = run_traced(cfg.deployment());
     assert_eq!(
         pin,
-        (38_205, 6_293_843_988_709_321_578),
+        (38_205, 5_144_506_208_676_773_853),
         "event content moved"
     );
 }
@@ -371,7 +359,7 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
     assert_eq!(res.events, 137_405, "simulation event count shifted");
     assert_eq!(
         pin,
-        (137_405, 12_133_404_153_654_812_258),
+        (137_405, 5_581_683_925_275_580_272),
         "event content moved"
     );
 
