@@ -166,9 +166,9 @@ impl Duration {
         );
         let x = self.0 as f64 * factor;
         // Round half up without `f64::round`, a libm call on baseline
-        // x86-64 that every latency draw would pay: below 2^53 the
-        // truncation and the subtraction are exact, so this is the same
-        // function. (`x` is never negative or NaN here.)
+        // x86-64: below 2^53 the truncation and the subtraction are
+        // exact, so this is the same function. (`x` is never negative or
+        // NaN here.)
         Duration(if x < 9_007_199_254_740_992.0 {
             let whole = x as u64;
             whole + u64::from(x - whole as f64 >= 0.5)

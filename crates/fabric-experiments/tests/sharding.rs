@@ -104,7 +104,7 @@ fn merged_stream_is_strictly_ordered() {
 #[test]
 fn large_smoke_preset_golden_pin() {
     let res = run_multichannel(&MultiChannelConfig::large_smoke());
-    assert_eq!(res.events, 25_229, "event count shifted");
+    assert_eq!(res.events, 25_230, "event count shifted");
     assert_eq!(res.blocks, 24, "block count shifted");
     assert_eq!(res.groups, 6, "component structure shifted");
     assert_eq!(res.channels.len(), 12);
