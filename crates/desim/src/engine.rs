@@ -448,7 +448,20 @@ impl<P: Protocol> Simulation<P> {
     /// Processes the next event, if any. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
+        self.step_until(Time::MAX)
+    }
+
+    /// Processes the next event due at or before `limit`. Returns `false`
+    /// when there is none: the queue is empty or its head lies past
+    /// `limit`. What the engine pops on the way to a handled event — a
+    /// cancelled timer, a message to a down node, a message the
+    /// receiver's ingress queue holds back — is due by `limit` too, so
+    /// neither the clock nor any handler ever runs past it.
+    pub fn step_until(&mut self, limit: Time) -> bool {
         loop {
+            if limit < Time::MAX && self.core.queue.peek_time().is_none_or(|at| at > limit) {
+                return false;
+            }
             let (at, seq, held) = match self.core.queue.pop_held() {
                 None => return false,
                 Some(Popped::Cancelled { at }) => {
@@ -524,15 +537,10 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Processes every event scheduled at or before `t`, then advances the
-    /// clock to exactly `t`.
+    /// Processes every event scheduled at or before `t`, and none after
+    /// it, then advances the clock to exactly `t`.
     pub fn run_until(&mut self, t: Time) {
-        while let Some(at) = self.core.queue.peek_time() {
-            if at > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(t) {}
         self.core.time = self.core.time.max(t);
     }
 
@@ -580,13 +588,6 @@ impl<P: Protocol> Simulation<P> {
     /// [`NetState::set_loss`]).
     pub fn set_loss(&mut self, loss: f64) {
         self.core.net.set_loss(loss);
-    }
-
-    /// The instant of the next queued event, if any — lets a driver
-    /// [`Simulation::step`] up to a deadline and look at the protocol
-    /// between events.
-    pub fn next_event_at(&mut self) -> Option<Time> {
-        self.core.queue.peek_time()
     }
 
     /// Shared access to the protocol state.
@@ -705,11 +706,10 @@ mod tests {
         assert_eq!(sim.now(), Time::from_secs(5));
     }
 
-    /// Known defect, kept bit for bit until the content-hash re-pin of
-    /// ROADMAP item 2(a): `step` falls through a re-queued arrival to the
-    /// next pop whatever its time, so `run_until` can overrun its bound.
+    /// A message the ingress queue holds back is re-queued on its first
+    /// pop; the step that did so must not fall through to the next pop
+    /// whatever its time.
     #[test]
-    #[ignore = "ROADMAP 2(a)"]
     fn run_until_never_runs_an_event_after_its_bound() {
         let mut cfg = ideal(2);
         cfg.latency = crate::net::LatencyModel::Constant(Duration::from_millis(1));
@@ -722,6 +722,24 @@ mod tests {
         sim.run_until(Time::from_millis(2));
         assert!(sim.protocol().log.is_empty(), "{:?}", sim.protocol().log);
         assert_eq!(sim.now(), Time::from_millis(2));
+    }
+
+    /// The same for a cancelled timer, which still advances the clock when
+    /// it pops.
+    #[test]
+    fn a_cancelled_timer_does_not_carry_a_step_past_its_bound() {
+        let mut sim = Simulation::new(Recorder::default(), ideal(1), 1);
+        sim.with_ctx(|_, ctx| {
+            let id = ctx.set_timer(NodeId(0), Duration::from_millis(1), "cancelled");
+            ctx.set_timer(NodeId(0), Duration::from_millis(5), "late");
+            ctx.cancel_timer(id);
+        });
+        sim.run_until(Time::from_millis(2));
+        assert!(sim.protocol().log.is_empty(), "{:?}", sim.protocol().log);
+        assert_eq!(sim.now(), Time::from_millis(2));
+        assert!(!sim.step_until(Time::from_millis(4)));
+        assert!(sim.step_until(Time::from_millis(5)));
+        assert_eq!(sim.protocol().log.len(), 1);
     }
 
     #[test]

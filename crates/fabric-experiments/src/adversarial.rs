@@ -73,13 +73,15 @@ pub(crate) fn deployment(
 /// `(family, N)` that do not hold to the sweep's cap, `N − 3`; every other
 /// one must reach the cap. Each is a finding (see the failing point's
 /// detail): an attacked run that beat the attacker-free baseline's time
-/// (selective forwarding), or sitting members left with a gap in their
-/// chain when withholders are most of the channel (withholder: recovery
-/// keeps asking peers that advertise the blocks and never serve them).
+/// (selective forwarding), or an honest sitting member still missing a
+/// block ten seconds after the last one (withholder: a recovery round asks
+/// a random one of the most advanced advertisers, withholders advertise
+/// honestly, and nothing remembers a target that never served, so a
+/// lagging peer can draw withholders round after round).
 pub const FLOORS: &[(&str, u32, u32)] = &[
     ("selective-forwarding", 9, 3),
     ("withholder", 6, 2),
-    ("withholder", 9, 4),
+    ("withholder", 9, 3),
 ];
 
 /// The deployment sizes `N` every family is swept at.

@@ -30,9 +30,8 @@ pub struct Deployment {
     /// The simulated instant up to which the run drains: the schedule's
     /// last issue plus the runner's drain window.
     pub drain_until: Time,
-    /// Simulated time run on top of that, from wherever the clock stands
-    /// after the drain (the idle tail of the bandwidth figures; zero
-    /// unless the runner sets it).
+    /// Simulated time run on top of that (the idle tail of the bandwidth
+    /// figures; zero unless the runner sets it).
     pub idle_tail: Duration,
 }
 
@@ -76,16 +75,9 @@ impl Deployment {
     }
 }
 
-/// Runs a started deployment out: the drain, then the idle tail **as a
-/// second stage**. The tail is not added to `drain_until` because
-/// [`Simulation::run_until`] can carry the clock past its bound (a step
-/// that re-queues an arrival handles the next event whatever its time —
-/// ROADMAP 2(a)), and the tail is measured from where the clock then
-/// stands. Generic over the protocol so that a wrapper around
-/// [`FabricNet`] is run out by the same two stages.
+/// Runs a started deployment out: the drain, then the idle tail. Generic
+/// over the protocol so that a wrapper around [`FabricNet`] is run out the
+/// same way.
 pub fn run_out<P: Protocol>(sim: &mut Simulation<P>, drain_until: Time, idle_tail: Duration) {
-    sim.run_until(drain_until);
-    if !idle_tail.is_zero() {
-        sim.run_for(idle_tail);
-    }
+    sim.run_until(drain_until + idle_tail);
 }

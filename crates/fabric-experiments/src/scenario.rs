@@ -214,8 +214,7 @@ impl ScenarioNet {
     /// every event.
     pub fn run_for(&mut self, d: Duration) {
         let deadline = self.sim.now() + d;
-        while self.sim.next_event_at().is_some_and(|at| at <= deadline) {
-            self.sim.step();
+        while self.sim.step_until(deadline) {
             self.record_obituary_floors();
         }
         self.sim.run_until(deadline);

@@ -284,7 +284,7 @@ fn churn_waves_event_content_is_pinned() {
     let (_, pin) = run_traced(ChurnWavesConfig::standard(2, 8, 40).deployment());
     assert_eq!(
         pin,
-        (149_961, 5_503_866_072_182_181_632),
+        (149_960, 12_442_827_001_134_104_137),
         "event content moved"
     );
 }
@@ -356,10 +356,10 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
     let (sim, pin) = run_traced(cfg.deployment());
     let res = ChurnResult::read_off(sim);
 
-    assert_eq!(res.events, 136_690, "simulation event count shifted");
+    assert_eq!(res.events, 136_689, "simulation event count shifted");
     assert_eq!(
         pin,
-        (136_690, 13_522_532_234_343_578_824),
+        (136_689, 16_552_280_403_518_589_545),
         "event content moved"
     );
 
