@@ -380,9 +380,13 @@ impl<P: Protocol> Simulation<P> {
     /// event order: each send draws a loss check iff the network is lossy,
     /// then a link latency iff the message was neither lost nor cut by a
     /// partition; each arrival at an up node draws its ingress processing
-    /// delay; protocol logic draws through [`Ctx::rng`]. Every golden
-    /// trace is a function of this order — moving *when* any category
-    /// draws re-rolls all the others.
+    /// delay; protocol logic draws through [`Ctx::rng`]. A latency or
+    /// processing draw takes one or more words: a `Lan` model's ziggurat
+    /// jitter takes one in about 99 % of draws and two or more otherwise,
+    /// then its spike check takes one (see [`crate::LatencyModel::sample`]).
+    /// Every golden trace is a function of this order — moving *when* any
+    /// category draws, or how many words a draw takes, re-rolls all the
+    /// others.
     ///
     /// # Panics
     ///
@@ -459,6 +463,7 @@ impl<P: Protocol> Simulation<P> {
     /// neither the clock nor any handler ever runs past it.
     pub fn step_until(&mut self, limit: Time) -> bool {
         loop {
+            // `Time::MAX` bounds nothing, so a plain `step` skips the peek.
             if limit < Time::MAX && self.core.queue.peek_time().is_none_or(|at| at > limit) {
                 return false;
             }

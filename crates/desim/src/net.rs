@@ -176,7 +176,7 @@ fn exp1(rng: &mut StdRng) -> f64 {
     let z = ziggurat();
     loop {
         let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
+        let i = bits as usize & (ZIG_LAYERS - 1);
         let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * z.x[i];
         if x < z.x[i + 1] {
             return x;
