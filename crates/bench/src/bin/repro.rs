@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Prints the series behind Figures 4–14, Table II, the §IV infect-and-die
-//! claim and the appendix's p_e/TTL numbers. `full` matches the paper's
+//! claim and the appendix's p_e/TTL numbers, the last two measured on the
+//! simulator next to their closed forms. `full` matches the paper's
 //! scale (1 000 blocks, five Table II repetitions) and takes minutes;
 //! `quick` keeps every protocol parameter but shortens the workloads.
 //! `ablations` (seven sweeps over the design choices, each at twice the
@@ -14,14 +15,16 @@
 //! `quick all`.
 
 use bench::{run_scaled, Scale};
-use desim::Duration;
+use desim::{Duration, NetworkConfig};
 use fabric_experiments::conflicts::{run_table2, ConflictConfig};
-use fabric_experiments::dissemination::{run_dissemination, DisseminationConfig};
+use fabric_experiments::dissemination::{run_dissemination, run_one_block, DisseminationConfig};
 use fabric_experiments::long_chain::{render_long_chain, run_long_chain, LongChainConfig};
 use fabric_experiments::report;
 use fabric_gossip::config::{GossipConfig, PushMode};
-use gossip_analysis::coverage::{infect_and_die_stats, infect_upon_contagion_miss_rate};
-use gossip_analysis::epidemic::{carrying_capacity, imperfect_dissemination_probability};
+use gossip_analysis::coverage::infect_and_die_expected_coverage;
+use gossip_analysis::epidemic::{
+    carrying_capacity, expected_digests, imperfect_dissemination_probability,
+};
 use gossip_analysis::ttl::{ttl_for, TtlTable};
 
 fn main() {
@@ -34,12 +37,12 @@ fn main() {
     let run: fn(Scale) = match what {
         "figures" => figures,
         "table2" => table2,
-        "analysis" => |_| analysis(),
+        "analysis" => analysis,
         "proposal" => proposal_conflicts,
         "ablations" => ablations,
         "long_chain" => long_chain,
         "all" => |scale| {
-            analysis();
+            analysis(scale);
             figures(scale);
             table2(scale);
             proposal_conflicts(scale);
@@ -167,23 +170,59 @@ fn table2(scale: Scale) {
     println!("paper reference (100 x 100, 5 runs): 803/664 (-17%), 814/653 (-20%), 763/564 (-26%), 823/527 (-36%)\n");
 }
 
-fn analysis() {
-    println!("== Section IV: infect-and-die coverage (n=100, fout=3) ==");
-    let stats = infect_and_die_stats(100, 3, 10_000, 42);
+/// The paper's closed forms next to what the simulator does with one
+/// block, push only, in both network models (`run_one_block`), then the
+/// appendix's tables.
+fn analysis(scale: Scale) {
+    let seeds = scale.conformance_seeds();
     println!(
-        "measured: mean {:.1} peers, std {:.2}, {:.0} transmissions | paper: 94, 2.6, 282\n",
-        stats.mean, stats.std_dev, stats.mean_transmissions
+        "== Section IV and appendix on the simulator: one block, push only, n=100, {seeds} seeds =="
     );
+    println!(
+        "{:<18} {:<6} {:>8} {:>6} {:>11} {:>13} {:>10}   closed form",
+        "config", "net", "coverage", "σ", "block sends", "digests/block", "miss share"
+    );
+    for (label, gossip) in [
+        ("original fout=3", GossipConfig::original_fabric()),
+        ("enhanced (4,9,2)", GossipConfig::enhanced(4, 9, 2)),
+        ("enhanced (2,19,3)", GossipConfig::enhanced(2, 19, 3)),
+        ("enhanced (4,5,2)", GossipConfig::enhanced(4, 5, 2)),
+    ] {
+        let (n, f) = (100.0, gossip.fout as f64);
+        let closed_form = match gossip.ttl() {
+            0 => {
+                let c = infect_and_die_expected_coverage(n, f);
+                format!("c = {c:.2}, {f}c = {:.1} | paper: 94, 2.6, 282", f * c)
+            }
+            ttl => format!(
+                "m = {:.1}, p_e <= {:.3e}",
+                expected_digests(n, f, ttl),
+                imperfect_dissemination_probability(n, f, ttl)
+            ),
+        };
+        for (net, network) in [
+            ("ideal", NetworkConfig::ideal(100)),
+            ("lan", NetworkConfig::lan(100)),
+        ] {
+            let runs = run_one_block(&gossip, &network, 0..seeds);
+            println!(
+                "{label:<18} {net:<6} {:>8.2} {:>6.2} {:>11.1} {:>13.1} {:>10.3}   {closed_form}",
+                runs.mean(|r| r.covered as f64),
+                runs.std_dev(|r| r.covered as f64),
+                runs.mean(|r| r.blocks_sent as f64),
+                runs.mean(|r| r.digests_sent as f64),
+                runs.miss_share(),
+            );
+        }
+    }
+    println!();
 
     println!("== Appendix: imperfect-dissemination probability at n=100 ==");
     for (fout, ttl) in [(4u32, 9u32), (2, 19), (4, 12)] {
         let pe = imperfect_dissemination_probability(100.0, f64::from(fout), ttl);
         println!("fout={fout:<2} TTL={ttl:<3} p_e <= {pe:.3e}");
     }
-    println!("paper: (4, 9) and (2, 19) target 1e-6; (4, 12) reaches 1e-12");
-    let mc = infect_upon_contagion_miss_rate(100, 4, 5, 20_000, 7);
-    let bound = imperfect_dissemination_probability(100.0, 4.0, 5);
-    println!("Monte-Carlo cross-check (fout=4, TTL=5): measured {mc:.4} vs bound {bound:.4}\n");
+    println!("paper: (4, 9) and (2, 19) target 1e-6; (4, 12) reaches 1e-12\n");
 
     println!("== Appendix: carrying capacity γ/n ==");
     for f in [2.0, 3.0, 4.0, 6.0] {

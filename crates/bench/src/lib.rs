@@ -38,6 +38,15 @@ impl Scale {
         }
     }
 
+    /// Seeds per network model for `repro analysis`'s one-block runs.
+    pub fn conformance_seeds(self) -> u64 {
+        match self {
+            Scale::Full => 1_000,
+            Scale::Quick => 200,
+            Scale::Smoke => 20,
+        }
+    }
+
     /// Parses a CLI argument.
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
@@ -74,6 +83,8 @@ mod tests {
     fn scales_shrink_work() {
         assert!(Scale::Smoke.dissemination_txs() < Scale::Quick.dissemination_txs());
         assert!(Scale::Quick.dissemination_txs() < Scale::Full.dissemination_txs());
+        assert!(Scale::Smoke.conformance_seeds() < Scale::Quick.conformance_seeds());
+        assert!(Scale::Quick.conformance_seeds() < Scale::Full.conformance_seeds());
         let (k, r, reps) = Scale::Smoke.table2_shape();
         assert!(k * r > 0 && reps > 0);
     }

@@ -1,11 +1,17 @@
 //! The dissemination experiment (§V-A/B/C): 1 000 blocks of ≈160 KB
 //! through a 100-peer organization, measuring per-peer and per-block
-//! latency plus bandwidth — Figures 4 through 14.
+//! latency plus bandwidth — Figures 4 through 14. Also the setting of the
+//! paper's closed forms (§IV, appendix): one block, push only
+//! ([`run_one_block`]).
+
+use std::ops::Range;
 
 use desim::{Duration, KindStats, NetworkConfig, NodeId};
 use fabric_gossip::config::GossipConfig;
+use fabric_gossip::peer::PeerStats;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
+use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::PeerId;
 use fabric_workload::schedule::{payload_schedule, PayloadWorkload};
 use gossip_metrics::bandwidth::{BandwidthComparison, BandwidthSeries};
@@ -13,6 +19,7 @@ use gossip_metrics::latency::{Extremes, LatencyRecorder};
 
 use crate::deployment::Deployment;
 use crate::net::NetParams;
+use crate::scenario::ScenarioNet;
 
 /// Constant background traffic added to the bandwidth series (the paper's
 /// ≈0.4 MB/s of non-dissemination system chatter).
@@ -252,6 +259,94 @@ pub fn run_dissemination(cfg: &DisseminationConfig) -> DisseminationResult {
         events,
         latency,
     }
+}
+
+/// What one block's push phase did on one seed of [`run_one_block`]:
+/// coverage, and the counters summed over peers.
+#[derive(Debug, Clone, Copy)]
+pub struct OneBlock {
+    /// Peers holding the block when the run ends, the leader included.
+    pub covered: usize,
+    /// Full-block sends.
+    pub blocks_sent: u64,
+    /// Push digests sent.
+    pub digests_sent: u64,
+    /// Push digests received.
+    pub digests_received: u64,
+    /// Content fetches (push requests) issued.
+    pub fetch_requests: u64,
+    /// Pull rounds started.
+    pub pull_rounds: u64,
+}
+
+/// The runs of [`run_one_block`], one per seed, with the statistics the
+/// closed forms predict.
+#[derive(Debug, Clone)]
+pub struct OneBlockRuns {
+    /// Roster size.
+    pub peers: usize,
+    /// One entry per seed, in seed order.
+    pub runs: Vec<OneBlock>,
+}
+
+impl OneBlockRuns {
+    /// Mean of `f` over the runs.
+    pub fn mean(&self, f: impl Fn(&OneBlock) -> f64) -> f64 {
+        self.runs.iter().map(f).sum::<f64>() / self.runs.len() as f64
+    }
+
+    /// Population standard deviation of `f` over the runs.
+    pub fn std_dev(&self, f: impl Fn(&OneBlock) -> f64) -> f64 {
+        let mean = self.mean(&f);
+        self.mean(|r| (f(r) - mean).powi(2)).sqrt()
+    }
+
+    /// Share of runs in which some peer never received the block.
+    pub fn miss_share(&self) -> f64 {
+        self.mean(|r| if r.covered < self.peers { 1.0 } else { 0.0 })
+    }
+}
+
+/// The setting of the paper's closed forms on the one simulator: a static
+/// roster of `network.nodes` peers under `gossip`'s push phase, one
+/// ≈ 160 KB block handed to the leader, one second run, once per seed.
+///
+/// Only push moves the block. Pull is switched off, and recovery,
+/// StateInfo and alive rounds come once an hour (each at a random phase in
+/// it), so within the second none of them can carry the block.
+pub fn run_one_block(
+    gossip: &GossipConfig,
+    network: &NetworkConfig,
+    seeds: Range<u64>,
+) -> OneBlockRuns {
+    let hour = Duration::from_secs(3600);
+    let mut gossip = gossip.clone();
+    gossip.pull = None;
+    gossip.recovery.interval = hour;
+    gossip.recovery.state_info_interval = hour;
+    gossip.membership.alive_interval = hour;
+    let peers = network.nodes;
+    let roster: Vec<PeerId> = (0..peers as u32).map(PeerId).collect();
+    let block = BlockRef::new(Block::new(1, Block::genesis().hash(), vec![]).with_padding(160_000));
+    let runs = seeds
+        .map(|seed| {
+            let mut net = ScenarioNet::new(network.clone(), vec![roster.clone()], &gossip, seed);
+            net.inject(0, block.clone());
+            net.run_for(Duration::from_secs(1));
+            let sum = |f: fn(&PeerStats) -> u64| -> u64 {
+                (0..peers).map(|i| f(net.gossip(i).stats())).sum()
+            };
+            OneBlock {
+                covered: (0..peers).filter(|&i| net.gossip(i).store().has(1)).count(),
+                blocks_sent: sum(|s| s.blocks_sent),
+                digests_sent: sum(|s| s.digests_sent),
+                digests_received: sum(|s| s.digests_received),
+                fetch_requests: sum(|s| s.fetch_requests),
+                pull_rounds: sum(|s| s.pull_rounds),
+            }
+        })
+        .collect();
+    OneBlockRuns { peers, runs }
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //!
 //! * [`dissemination`] — Figs. 4–14: latency and bandwidth of block
 //!   dissemination, original vs enhanced, with the leader-fan-out and
-//!   no-digest ablations;
+//!   no-digest ablations; and [`dissemination::run_one_block`], the
+//!   one-block push-only setting of the paper's closed forms (§IV and the
+//!   appendix), on a [`scenario::ScenarioNet`];
 //! * [`conflicts`] — Table II: invalidated transactions under different
 //!   block periods;
 //! * [`multichannel`] — beyond the paper: C channels × N peers with
@@ -70,7 +72,10 @@ pub use churn::{run_churn, ChurnConfig, ChurnResult};
 pub use churn_waves::{run_churn_waves, ChurnWavesConfig};
 pub use conflicts::{run_conflicts, run_table2, ConflictConfig, ConflictResult, Table2Row};
 pub use deployment::Deployment;
-pub use dissemination::{run_dissemination, DisseminationConfig, DisseminationResult};
+pub use dissemination::{
+    run_dissemination, run_one_block, DisseminationConfig, DisseminationResult, OneBlock,
+    OneBlockRuns,
+};
 pub use long_chain::{
     render_long_chain, run_long_chain, LongChainConfig, LongChainResult, LongChainRow,
 };

@@ -70,11 +70,13 @@ impl ScenarioNet {
     /// Builds and starts `network.nodes` peers in `network` (stood up as
     /// a [`Deployment`] like every other run, so the simulated network
     /// also has the two nodes of the orderer and the client, which a
-    /// schedule-less deployment never addresses); peer `i` starts joined
-    /// to every channel whose member list (ascending ids) contains it. Every peer's timers are armed and discovery has
-    /// announced each initial member to its samples; nothing has been
-    /// delivered yet — like every op, the start happens at an instant and
-    /// the simulation runs when told to ([`ScenarioNet::run_for`]).
+    /// schedule-less deployment never addresses). Peer `i` starts joined
+    /// to every channel whose member list (ascending ids) contains it.
+    ///
+    /// Every peer's timers are armed and discovery has announced each
+    /// initial member to its samples; nothing has been delivered yet —
+    /// like every op, the start happens at an instant and the simulation
+    /// runs when told to ([`ScenarioNet::run_for`]).
     pub fn new(
         network: NetworkConfig,
         memberships: Vec<Vec<PeerId>>,
@@ -211,11 +213,14 @@ impl ScenarioNet {
     }
 
     /// Runs the simulation for `d`, ratcheting the obituary floors after
-    /// every event.
+    /// every event under protocol discovery (a static roster records no
+    /// obituary, so there it runs straight through).
     pub fn run_for(&mut self, d: Duration) {
         let deadline = self.sim.now() + d;
-        while self.sim.step_until(deadline) {
-            self.record_obituary_floors();
+        if self.sim.protocol().params().gossip.discovery.protocol {
+            while self.sim.step_until(deadline) {
+                self.record_obituary_floors();
+            }
         }
         self.sim.run_until(deadline);
     }

@@ -1,6 +1,7 @@
-//! Runtime channel-lifecycle invariants under the gossiped discovery
-//! protocol, driven through [`fabric_experiments::scenario::ScenarioNet`]
-//! under `NetworkConfig::ideal`.
+//! Channel invariants driven through
+//! [`fabric_experiments::scenario::ScenarioNet`] under
+//! `NetworkConfig::ideal`: runtime lifecycle under the gossiped discovery
+//! protocol, and isolation and accounting across static channels.
 
 /// The lifecycle properties first written against a lockstep router that
 /// told every sitting member of each join and leave, ported to the
@@ -203,5 +204,165 @@ mod discovery_ported {
                 }
             }
         }
+    }
+}
+
+/// The multiplexer contract across overlapping static channels, first
+/// written against a zero-latency router: blocks never leak between
+/// channels, every member converges, and per-channel counters sum to the
+/// peer totals. Each channel's blocks chain from genesis, so every
+/// member's ledger commits them.
+mod static_channels {
+    use desim::{Duration, NetworkConfig};
+    use fabric_experiments::scenario::ScenarioNet;
+    use fabric_gossip::config::GossipConfig;
+    use fabric_types::block::{Block, BlockRef};
+    use fabric_types::ids::{ChannelId, PeerId};
+    use proptest::prelude::*;
+
+    /// Payload padding for channel `c`: distinct per channel, so a leaked
+    /// block would be recognizable by its size alone.
+    fn padding(c: usize) -> u32 {
+        1_000 * (c as u32 + 1)
+    }
+
+    /// `n` peers in the ideal network on the paper's enhanced protocol,
+    /// with `blocks` chained blocks injected into every channel in turn.
+    fn disseminate(n: usize, memberships: Vec<Vec<PeerId>>, blocks: u64) -> ScenarioNet {
+        let channels = memberships.len();
+        let mut net = ScenarioNet::new(
+            NetworkConfig::ideal(n),
+            memberships,
+            &GossipConfig::enhanced_f4(),
+            9_000,
+        );
+        for c in 0..channels {
+            let mut prev = Block::genesis().hash();
+            for num in 1..=blocks {
+                let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(padding(c)));
+                prev = block.hash();
+                net.inject(c, block);
+                net.run_for(Duration::from_millis(100));
+            }
+        }
+        net.run_for(Duration::from_secs(1));
+        net
+    }
+
+    /// Random overlapping memberships: each channel draws a subsequence of
+    /// at least two peers from the full roster.
+    fn membership_strategy(n: u32) -> impl Strategy<Value = Vec<Vec<PeerId>>> {
+        let roster: Vec<PeerId> = (0..n).map(PeerId).collect();
+        proptest::collection::vec(
+            proptest::sample::subsequence(roster, 2..(n as usize + 1)),
+            1..4,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn blocks_never_leak_between_channels(
+            memberships in membership_strategy(12),
+            blocks in 1u64..4,
+        ) {
+            let n = 12usize;
+            let net = disseminate(n, memberships.clone(), blocks);
+            prop_assert_eq!(net.sim().protocol().commit_errors(), 0);
+            for (c, members) in memberships.iter().enumerate() {
+                let ch = ChannelId(c as u16);
+                let expected_size = BlockRef::new(
+                    Block::new(1, Block::genesis().hash(), vec![]).with_padding(padding(c)),
+                )
+                .wire_size();
+                for p in 0..n {
+                    let is_member = members.contains(&PeerId(p as u32));
+                    match net.gossip(p).store_on(ch) {
+                        Some(store) => {
+                            prop_assert!(is_member, "peer {} holds a store for unjoined {}", p, ch);
+                            prop_assert_eq!(store.len() as u64, blocks);
+                            for num in 1..=blocks {
+                                let held = store.get(num).expect("member holds the chain");
+                                // A block of another channel would betray
+                                // itself by its per-channel payload size.
+                                prop_assert_eq!(held.wire_size(), expected_size);
+                            }
+                        }
+                        None => prop_assert!(!is_member, "member {} of {} lost its store", p, ch),
+                    }
+                    prop_assert_eq!(net.gossip(p).stats_on(ch).is_some(), is_member);
+                }
+            }
+        }
+
+        #[test]
+        fn per_channel_stats_sum_to_peer_totals(
+            memberships in membership_strategy(12),
+            blocks in 1u64..3,
+        ) {
+            let n = 12usize;
+            let net = disseminate(n, memberships.clone(), blocks);
+            for p in 0..n {
+                let peer = net.gossip(p);
+                let total = peer.total_stats();
+                let mut bytes = 0u64;
+                let mut blocks_sent = 0u64;
+                let mut digests_sent = 0u64;
+                let mut digests_received = 0u64;
+                let mut duplicates = 0u64;
+                let mut fetches = 0u64;
+                for ch in peer.channel_ids() {
+                    let s = peer.stats_on(ch).expect("joined channel has stats");
+                    bytes += s.bytes_sent();
+                    blocks_sent += s.blocks_sent;
+                    digests_sent += s.digests_sent;
+                    digests_received += s.digests_received;
+                    duplicates += s.duplicate_blocks;
+                    fetches += s.fetch_requests;
+                }
+                prop_assert_eq!(total.bytes_sent(), bytes);
+                prop_assert_eq!(total.blocks_sent, blocks_sent);
+                prop_assert_eq!(total.digests_sent, digests_sent);
+                prop_assert_eq!(total.digests_received, digests_received);
+                prop_assert_eq!(total.duplicate_blocks, duplicates);
+                prop_assert_eq!(total.fetch_requests, fetches);
+            }
+            // The network-wide byte conservation law: every byte some
+            // member sent on a channel was sent by a peer joined to it.
+            let network_bytes: u64 = (0..n).map(|p| net.gossip(p).total_stats().bytes_sent()).sum();
+            let per_channel: u64 = (0..memberships.len())
+                .map(|c| {
+                    (0..n)
+                        .filter_map(|p| net.gossip(p).stats_on(ChannelId(c as u16)))
+                        .map(|s| s.bytes_sent())
+                        .sum::<u64>()
+                })
+                .sum();
+            prop_assert_eq!(network_bytes, per_channel);
+        }
+    }
+
+    #[test]
+    fn every_member_of_every_channel_converges() {
+        let memberships: Vec<Vec<PeerId>> = vec![
+            (0..6).map(PeerId).collect(),
+            (3..9).map(PeerId).collect(),
+            (6..12).map(PeerId).collect(),
+        ];
+        let net = disseminate(12, memberships.clone(), 3);
+        assert_eq!(net.sim().protocol().commit_errors(), 0);
+        for (c, members) in memberships.iter().enumerate() {
+            for m in members {
+                assert_eq!(
+                    net.gossip(m.index()).height_on(ChannelId(c as u16)),
+                    4,
+                    "peer {m} on ch{c}"
+                );
+                assert_eq!(net.ledger(m.index(), c).map(|l| l.height()), Some(4));
+            }
+        }
+        // Overlap peers carry two channels and report both in their totals.
+        let overlap = net.gossip(4);
+        assert_eq!(overlap.channel_ids().len(), 2);
+        assert!(overlap.total_stats().bytes_sent() > 0);
     }
 }

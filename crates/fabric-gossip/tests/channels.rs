@@ -1,14 +1,9 @@
-//! Cross-channel isolation, driven through `MockEffects` and a
-//! channel-aware lockstep router (no simulator involved).
-//!
-//! The properties under test are the two halves of the multiplexer
-//! contract:
-//!
-//! 1. **Isolation** — a block disseminated on one channel can never appear
-//!    in another channel's store, not even when stray cross-channel
-//!    traffic is delivered to a non-member;
-//! 2. **Conservation** — the per-channel [`PeerStats`] sum exactly to the
-//!    peer-global totals, counters and per-kind bytes alike.
+//! Cross-channel isolation at one peer, driven through `MockEffects`:
+//! traffic tagged with a channel the peer never joined vanishes without a
+//! trace. The network-wide halves of the multiplexer contract — blocks
+//! never leak between channels, and per-channel counters sum to the peer
+//! totals — run on the simulator
+//! (`fabric-experiments/tests/lifecycle.rs`, `static_channels`).
 
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::messages::GossipMsg;
@@ -18,82 +13,6 @@ use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
 use fabric_types::ids::{ChannelId, PeerId};
 use proptest::prelude::*;
-
-/// Payload padding for channel `c`: distinct per channel so a leaked block
-/// would be recognizable by size alone.
-fn payload_of(c: usize) -> u32 {
-    1_000 * (c as u32 + 1)
-}
-
-fn block_on(c: usize, num: u64) -> BlockRef {
-    BlockRef::new(Block::new(num, Hash256::ZERO, vec![]).with_padding(payload_of(c)))
-}
-
-/// A multi-channel lockstep network: routes every channel-tagged message
-/// with zero latency until quiescence. Timers are not fired — the enhanced
-/// `tpush = 0` configuration never needs them to converge.
-struct MultiLockstep {
-    peers: Vec<GossipPeer>,
-    fxs: Vec<MockEffects>,
-    memberships: Vec<Vec<PeerId>>,
-}
-
-impl MultiLockstep {
-    fn new(n: usize, memberships: Vec<Vec<PeerId>>, cfg: &GossipConfig) -> Self {
-        let peers: Vec<GossipPeer> = (0..n as u32)
-            .map(|i| {
-                let mut peer = GossipPeer::with_channels(PeerId(i), cfg.clone());
-                for (c, members) in memberships.iter().enumerate() {
-                    if members.contains(&PeerId(i)) {
-                        peer = peer.join_channel(ChannelId(c as u16), members.clone());
-                    }
-                }
-                peer
-            })
-            .collect();
-        let fxs: Vec<MockEffects> = (0..n as u64).map(|i| MockEffects::new(2_000 + i)).collect();
-        MultiLockstep {
-            peers,
-            fxs,
-            memberships,
-        }
-    }
-
-    fn run_to_quiescence(&mut self) {
-        loop {
-            let mut queue: Vec<(PeerId, ChannelId, PeerId, GossipMsg)> = Vec::new();
-            for (i, fx) in self.fxs.iter_mut().enumerate() {
-                for (ch, to, msg) in fx.take_sent_on() {
-                    queue.push((PeerId(i as u32), ch, to, msg));
-                }
-            }
-            if queue.is_empty() {
-                return;
-            }
-            for (from, ch, to, msg) in queue {
-                let idx = to.index();
-                self.peers[idx].on_channel_message(&mut self.fxs[idx], ch, from, msg);
-            }
-        }
-    }
-
-    /// Injects `blocks` chained blocks on channel `c` at its leader.
-    fn inject(&mut self, c: usize, blocks: u64) {
-        let leader = *self.memberships[c]
-            .iter()
-            .min()
-            .expect("non-empty membership");
-        for num in 1..=blocks {
-            let b = block_on(c, num);
-            self.peers[leader.index()].on_block_from_orderer_on(
-                &mut self.fxs[leader.index()],
-                ChannelId(c as u16),
-                b,
-            );
-            self.run_to_quiescence();
-        }
-    }
-}
 
 /// Random overlapping memberships: each channel draws a subsequence of at
 /// least two peers from the full roster.
@@ -107,144 +26,40 @@ fn membership_strategy(n: u32) -> impl Strategy<Value = Vec<Vec<PeerId>>> {
 
 proptest! {
     #[test]
-    fn blocks_never_leak_between_channels(
-        memberships in membership_strategy(12),
-        blocks in 1u64..4,
-    ) {
-        let n = 12usize;
-        let mut net = MultiLockstep::new(n, memberships.clone(), &GossipConfig::enhanced_f4());
-        for c in 0..memberships.len() {
-            net.inject(c, blocks);
-        }
-        for (c, members) in memberships.iter().enumerate() {
-            let ch = ChannelId(c as u16);
-            let expected_size = block_on(c, 1).wire_size();
-            for p in 0..n {
-                let is_member = members.contains(&PeerId(p as u32));
-                match net.peers[p].store_on(ch) {
-                    Some(store) => {
-                        prop_assert!(is_member, "peer {} holds a store for unjoined {}", p, ch);
-                        prop_assert_eq!(store.len() as u64, blocks);
-                        for num in 1..=blocks {
-                            let held = store.get(num).expect("member holds the chain");
-                            // A block of another channel would betray itself
-                            // by its per-channel payload size.
-                            prop_assert_eq!(held.wire_size(), expected_size);
-                        }
-                    }
-                    None => prop_assert!(!is_member, "member {} of {} lost its store", p, ch),
-                }
-                prop_assert_eq!(net.peers[p].stats_on(ch).is_some(), is_member);
-            }
-        }
-    }
-
-    #[test]
     fn stray_cross_channel_traffic_is_inert(
         memberships in membership_strategy(10),
     ) {
-        let n = 10usize;
-        let mut net = MultiLockstep::new(n, memberships.clone(), &GossipConfig::enhanced_f4());
         for (c, members) in memberships.iter().enumerate() {
             let ch = ChannelId(c as u16);
-            let Some(outsider) = (0..n).find(|p| !members.contains(&PeerId(*p as u32))) else {
+            let Some(outsider) = (0..10).map(PeerId).find(|p| !members.contains(p)) else {
                 continue; // channel spans everyone — nothing to test here
             };
-            // Deliver a full block AND a digest to a peer that never joined
-            // the channel: both must vanish without a trace.
-            net.peers[outsider].on_channel_message(
-                &mut net.fxs[outsider],
+            // The outsider joins every other channel it is a member of.
+            let mut peer = GossipPeer::with_channels(outsider, GossipConfig::enhanced_f4());
+            for (other, roster) in memberships.iter().enumerate() {
+                if roster.contains(&outsider) {
+                    peer = peer.join_channel(ChannelId(other as u16), roster.clone());
+                }
+            }
+            let mut fx = MockEffects::new(2_000 + u64::from(outsider.0));
+            // Deliver a full block AND a digest for the unjoined channel:
+            // both must vanish without a trace.
+            let block = BlockRef::new(Block::new(1, Hash256::ZERO, vec![]).with_padding(1_000));
+            peer.on_channel_message(
+                &mut fx,
                 ch,
-                PeerId(members[0].0),
-                GossipMsg::BlockPush { block: block_on(c, 1), counter: 0 },
+                members[0],
+                GossipMsg::BlockPush { block, counter: 0 },
             );
-            net.peers[outsider].on_channel_message(
-                &mut net.fxs[outsider],
+            peer.on_channel_message(
+                &mut fx,
                 ch,
-                PeerId(members[0].0),
+                members[0],
                 GossipMsg::PushDigest { block_num: 1, counter: 1 },
             );
-            prop_assert!(net.fxs[outsider].take_sent_on().is_empty());
-            prop_assert!(net.peers[outsider].store_on(ch).is_none());
-            prop_assert!(net.fxs[outsider].delivered.is_empty());
+            prop_assert!(fx.take_sent_on().is_empty());
+            prop_assert!(peer.store_on(ch).is_none());
+            prop_assert!(fx.delivered.is_empty());
         }
     }
-
-    #[test]
-    fn per_channel_stats_sum_to_peer_totals(
-        memberships in membership_strategy(12),
-        blocks in 1u64..3,
-    ) {
-        let n = 12usize;
-        let mut net = MultiLockstep::new(n, memberships.clone(), &GossipConfig::enhanced_f4());
-        for c in 0..memberships.len() {
-            net.inject(c, blocks);
-        }
-        for p in 0..n {
-            let peer = &net.peers[p];
-            let total = peer.total_stats();
-            let mut bytes = 0u64;
-            let mut blocks_sent = 0u64;
-            let mut digests_sent = 0u64;
-            let mut digests_received = 0u64;
-            let mut duplicates = 0u64;
-            let mut fetches = 0u64;
-            for ch in peer.channel_ids() {
-                let s = peer.stats_on(ch).expect("joined channel has stats");
-                bytes += s.bytes_sent();
-                blocks_sent += s.blocks_sent;
-                digests_sent += s.digests_sent;
-                digests_received += s.digests_received;
-                duplicates += s.duplicate_blocks;
-                fetches += s.fetch_requests;
-            }
-            prop_assert_eq!(total.bytes_sent(), bytes);
-            prop_assert_eq!(total.blocks_sent, blocks_sent);
-            prop_assert_eq!(total.digests_sent, digests_sent);
-            prop_assert_eq!(total.digests_received, digests_received);
-            prop_assert_eq!(total.duplicate_blocks, duplicates);
-            prop_assert_eq!(total.fetch_requests, fetches);
-        }
-        // The network-wide byte conservation law: every byte some member
-        // sent on a channel was sent by a peer joined to that channel.
-        let network_bytes: u64 = net.peers.iter().map(|p| p.total_stats().bytes_sent()).sum();
-        let per_channel: u64 = (0..memberships.len())
-            .map(|c| {
-                net.peers
-                    .iter()
-                    .filter_map(|p| p.stats_on(ChannelId(c as u16)))
-                    .map(|s| s.bytes_sent())
-                    .sum::<u64>()
-            })
-            .sum();
-        prop_assert_eq!(network_bytes, per_channel);
-    }
-}
-
-#[test]
-fn every_member_of_every_channel_converges() {
-    // Deterministic smoke of the harness itself: 3 overlapping channels.
-    let memberships: Vec<Vec<PeerId>> = vec![
-        (0..6).map(PeerId).collect(),
-        (3..9).map(PeerId).collect(),
-        (6..12).map(PeerId).collect(),
-    ];
-    let mut net = MultiLockstep::new(12, memberships.clone(), &GossipConfig::enhanced_f4());
-    for c in 0..3 {
-        net.inject(c, 3);
-    }
-    for (c, members) in memberships.iter().enumerate() {
-        for m in members {
-            assert_eq!(
-                net.peers[m.index()].height_on(ChannelId(c as u16)),
-                4,
-                "peer {m} on ch{c}"
-            );
-        }
-    }
-    // Overlap peers carry two channels and report both in their totals.
-    let overlap = &net.peers[4];
-    assert_eq!(overlap.channel_ids().len(), 2);
-    let total = overlap.total_stats();
-    assert!(total.bytes_sent() > 0);
 }

@@ -1,5 +1,8 @@
-//! Protocol-level tests of the gossip state machine, driven through
-//! `MockEffects` and a lockstep message router (no simulator involved).
+//! Protocol-level tests of the gossip state machine: one peer (or two,
+//! routed by hand) driven through `MockEffects`, asserting the exact
+//! messages and timers each input produces. What needs a whole network —
+//! coverage, message economy, the paper's closed forms — runs on the one
+//! simulator (`tests/conformance.rs` at the repository root).
 
 use desim::{Duration, Message as _};
 use fabric_gossip::config::{GossipConfig, PushMode};
@@ -17,122 +20,6 @@ fn block(num: u64) -> BlockRef {
 
 fn roster(n: u32) -> Vec<PeerId> {
     (0..n).map(PeerId).collect()
-}
-
-/// Drives a set of peers to quiescence by repeatedly routing every sent
-/// message (zero latency, FIFO). Timers are NOT fired — push phases with
-/// `tpush = 0` never need them.
-struct Lockstep {
-    peers: Vec<GossipPeer>,
-    fxs: Vec<MockEffects>,
-}
-
-impl Lockstep {
-    fn new(n: u32, cfg: &GossipConfig) -> Self {
-        Self::with_seed(n, cfg, 0)
-    }
-
-    fn with_seed(n: u32, cfg: &GossipConfig, seed: u64) -> Self {
-        let ids = roster(n);
-        let peers: Vec<GossipPeer> = ids
-            .iter()
-            .map(|id| GossipPeer::new(*id, ids.clone(), cfg.clone()))
-            .collect();
-        let fxs: Vec<MockEffects> = (0..n)
-            .map(|i| MockEffects::new(seed * 7919 + 1000 + u64::from(i)))
-            .collect();
-        Lockstep { peers, fxs }
-    }
-
-    /// Routes messages until no peer has anything left to send.
-    fn run_to_quiescence(&mut self) {
-        loop {
-            let mut queue: Vec<(PeerId, PeerId, GossipMsg)> = Vec::new();
-            for (i, fx) in self.fxs.iter_mut().enumerate() {
-                for (to, msg) in fx.take_sent() {
-                    queue.push((PeerId(i as u32), to, msg));
-                }
-            }
-            if queue.is_empty() {
-                return;
-            }
-            for (from, to, msg) in queue {
-                let idx = to.index();
-                self.peers[idx].on_message(&mut self.fxs[idx], from, msg);
-            }
-        }
-    }
-
-    fn inject_to_leader(&mut self, b: BlockRef) {
-        self.peers[0].on_block_from_orderer(&mut self.fxs[0], b);
-    }
-
-    fn peers_with_block(&self, num: u64) -> usize {
-        self.peers.iter().filter(|p| p.store().has(num)).count()
-    }
-
-    fn total_sent_of_kind(&self, kind: &str) -> usize {
-        self.fxs.iter().map(|fx| fx.sent_of_kind(kind).len()).sum()
-    }
-
-    /// Full blocks ever sent (routing drains the mock queues, so totals
-    /// come from the peers' own counters).
-    fn total_blocks_sent(&self) -> u64 {
-        self.peers.iter().map(|p| p.stats().blocks_sent).sum()
-    }
-
-    fn total_digests_sent(&self) -> u64 {
-        self.peers.iter().map(|p| p.stats().digests_sent).sum()
-    }
-}
-
-#[test]
-fn enhanced_push_reaches_all_peers_with_n_plus_o_n_block_transfers() {
-    let cfg = GossipConfig::enhanced_f4();
-    let mut net = Lockstep::new(100, &cfg);
-    net.inject_to_leader(block(1));
-    net.run_to_quiescence();
-
-    assert_eq!(
-        net.peers_with_block(1),
-        100,
-        "push phase must inform everyone"
-    );
-
-    // The paper: with digests, large blocks are transmitted n + o(n) times.
-    let blocks_sent = net.total_blocks_sent();
-    assert!(
-        blocks_sent >= 99,
-        "at least n-1 transfers needed, got {blocks_sent}"
-    );
-    assert!(
-        blocks_sent <= 160,
-        "block transfers should be n + o(n), got {blocks_sent} for n = 100"
-    );
-    // Digests do the fan-out work: k·ln(n) per peer across TTL rounds.
-    let digests = net.total_digests_sent();
-    assert!(
-        digests > 300,
-        "digests should carry the epidemic, got {digests}"
-    );
-}
-
-#[test]
-fn enhanced_push_without_digests_floods_full_blocks() {
-    let cfg = GossipConfig::enhanced_no_digests();
-    let mut net = Lockstep::new(100, &cfg);
-    net.inject_to_leader(block(1));
-    net.run_to_quiescence();
-
-    assert_eq!(net.peers_with_block(1), 100);
-    assert_eq!(net.total_digests_sent(), 0);
-    let blocks_sent = net.total_blocks_sent();
-    // Figure 11: every forward carries the full block; traffic blows up by
-    // roughly an order of magnitude versus the digest variant.
-    assert!(
-        blocks_sent > 1000,
-        "expected a full-block flood, got {blocks_sent}"
-    );
 }
 
 #[test]
@@ -735,47 +622,6 @@ fn static_leader_is_lowest_id() {
 }
 
 #[test]
-fn original_push_coverage_matches_the_papers_expectation() {
-    // Section IV: with n = 100 and fout = 3, infect-and-die reaches 94
-    // peers on average (σ = 2.6) and transmits each block 282 times.
-    let mut cfg = GossipConfig::original_fabric();
-    if let PushMode::InfectAndDie { tpush, .. } = &mut cfg.push {
-        *tpush = Duration::ZERO;
-    }
-    let rounds = 30;
-    let mut coverage_sum = 0usize;
-    let mut sends_sum = 0u64;
-    for round in 0..rounds {
-        let mut net = Lockstep::with_seed(100, &cfg, round);
-        net.inject_to_leader(block(1));
-        net.run_to_quiescence();
-        coverage_sum += net.peers_with_block(1);
-        sends_sum += net.total_blocks_sent();
-    }
-    let mean_coverage = coverage_sum as f64 / rounds as f64;
-    let mean_sends = sends_sum as f64 / rounds as f64;
-    assert!(
-        (90.0..=98.0).contains(&mean_coverage),
-        "expected ≈94 informed peers, measured {mean_coverage:.1}"
-    );
-    assert!(
-        (260.0..=300.0).contains(&mean_sends),
-        "expected ≈282 full-block transmissions, measured {mean_sends:.0}"
-    );
-}
-
-#[test]
-fn enhanced_f2_ttl19_also_reaches_everyone() {
-    let cfg = GossipConfig::enhanced_f2();
-    for seed_round in 0..5 {
-        let mut net = Lockstep::with_seed(100, &cfg, seed_round);
-        net.inject_to_leader(block(1));
-        net.run_to_quiescence();
-        assert_eq!(net.peers_with_block(1), 100, "round {seed_round}");
-    }
-}
-
-#[test]
 fn every_peer_delivers_blocks_in_order_despite_shuffled_arrival() {
     let cfg = GossipConfig::enhanced_f4();
     let ids = roster(4);
@@ -796,21 +642,6 @@ fn every_peer_delivers_blocks_in_order_despite_shuffled_arrival() {
         fx.received,
         vec![3, 1, 4, 2],
         "reception order is arrival order"
-    );
-}
-
-#[test]
-fn lockstep_harness_sanity_check() {
-    // The helper used above should drain to quiescence and count kinds.
-    let cfg = GossipConfig::enhanced_f4();
-    let mut net = Lockstep::new(10, &cfg);
-    net.inject_to_leader(block(1));
-    net.run_to_quiescence();
-    assert_eq!(net.peers_with_block(1), 10);
-    assert_eq!(
-        net.total_sent_of_kind("anything"),
-        0,
-        "sent queues are drained"
     );
 }
 
@@ -956,22 +787,4 @@ fn unbuffered_enhanced_push_samples_independently() {
         }
     }
     assert!(!all_same, "independent samples must differ for some block");
-}
-
-#[test]
-fn stats_count_the_message_economy() {
-    let cfg = GossipConfig::enhanced_f4();
-    let mut net = Lockstep::new(40, &cfg);
-    net.inject_to_leader(block(1));
-    net.run_to_quiescence();
-    let digests_received: u64 = net.peers.iter().map(|p| p.stats().digests_received).sum();
-    let digests_sent = net.total_digests_sent();
-    assert_eq!(
-        digests_received, digests_sent,
-        "lossless routing conserves digests"
-    );
-    let fetches: u64 = net.peers.iter().map(|p| p.stats().fetch_requests).sum();
-    assert!(fetches > 0, "digest-first dissemination requires fetches");
-    let pull_rounds: u64 = net.peers.iter().map(|p| p.stats().pull_rounds).sum();
-    assert_eq!(pull_rounds, 0, "the enhanced protocol never pulls");
 }

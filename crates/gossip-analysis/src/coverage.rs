@@ -1,13 +1,11 @@
-//! Coverage analysis of the *original* infect-and-die push, plus Monte-
-//! Carlo simulators for both push protocols.
+//! Coverage analysis of the *original* infect-and-die push.
 //!
 //! Section IV of the paper: "with a network of n = 100 peers and f_out = 3,
 //! infect-and-die push disseminates each block to an average of 94 peers
 //! with a standard deviation of 2.6, while transmitting each block in full
-//! 282 times." These functions reproduce all three numbers.
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+//! 282 times." The fixed point below gives the mean and, times `f_out`,
+//! the transmissions; the root test `tests/conformance.rs` checks all
+//! three numbers on the simulator.
 
 /// Expected final coverage of infect-and-die push: the fixed point of
 /// `c = n·(1 − (1 − 1/n)^{f·c})` (every informed peer transmits exactly
@@ -27,142 +25,9 @@ pub fn infect_and_die_expected_coverage(n: f64, fout: f64) -> f64 {
     c
 }
 
-/// Sample statistics from repeated Monte-Carlo trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoverageStats {
-    /// Mean informed peers per trial.
-    pub mean: f64,
-    /// Standard deviation of informed peers.
-    pub std_dev: f64,
-    /// Mean full-block transmissions per trial.
-    pub mean_transmissions: f64,
-    /// Fraction of trials in which at least one peer stayed uninformed.
-    pub miss_fraction: f64,
-}
-
-/// One infect-and-die trial: returns `(informed peers, transmissions)`.
-///
-/// Peer 0 starts informed (the leader); every newly informed peer pushes to
-/// `fout` distinct random peers (excluding itself) exactly once.
-pub fn simulate_infect_and_die(n: usize, fout: usize, rng: &mut StdRng) -> (usize, usize) {
-    assert!(n >= 2 && fout >= 1);
-    let mut informed = vec![false; n];
-    informed[0] = true;
-    let mut frontier = vec![0usize];
-    let mut count = 1usize;
-    let mut transmissions = 0usize;
-    while let Some(sender) = frontier.pop() {
-        for target in sample_distinct(n, fout, sender, rng) {
-            transmissions += 1;
-            if !informed[target] {
-                informed[target] = true;
-                count += 1;
-                frontier.push(target);
-            }
-        }
-    }
-    (count, transmissions)
-}
-
-/// One infect-upon-contagion trial over `ttl` rounds: returns the number of
-/// informed peers (digest receivers plus the initial gossiper).
-///
-/// Matches the appendix's model: round `r`'s receivers each send `fout`
-/// digests in round `r + 1`; a peer reached in several rounds sends once
-/// per round in which it was reached (distinct counters).
-pub fn simulate_infect_upon_contagion(n: usize, fout: usize, ttl: u32, rng: &mut StdRng) -> usize {
-    assert!(n >= 2 && fout >= 1 && ttl >= 1);
-    let mut informed = vec![false; n];
-    informed[0] = true;
-    // receivers of the current round's digests (deduplicated per round).
-    let mut current: Vec<usize> = vec![0];
-    for _ in 0..ttl {
-        let mut next_flags = vec![false; n];
-        let mut next = Vec::new();
-        for &sender in &current {
-            for target in sample_distinct(n, fout, sender, rng) {
-                if !informed[target] {
-                    informed[target] = true;
-                }
-                if !next_flags[target] {
-                    next_flags[target] = true;
-                    next.push(target);
-                }
-            }
-        }
-        current = next;
-        if current.is_empty() {
-            break;
-        }
-    }
-    informed.iter().filter(|i| **i).count()
-}
-
-/// Runs `trials` infect-and-die experiments and aggregates statistics.
-pub fn infect_and_die_stats(n: usize, fout: usize, trials: usize, seed: u64) -> CoverageStats {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut coverages = Vec::with_capacity(trials);
-    let mut transmissions = 0usize;
-    let mut misses = 0usize;
-    for _ in 0..trials {
-        let (covered, sent) = simulate_infect_and_die(n, fout, &mut rng);
-        transmissions += sent;
-        if covered < n {
-            misses += 1;
-        }
-        coverages.push(covered as f64);
-    }
-    let mean = coverages.iter().sum::<f64>() / trials as f64;
-    let var = coverages
-        .iter()
-        .map(|c| (c - mean) * (c - mean))
-        .sum::<f64>()
-        / trials as f64;
-    CoverageStats {
-        mean,
-        std_dev: var.sqrt(),
-        mean_transmissions: transmissions as f64 / trials as f64,
-        miss_fraction: misses as f64 / trials as f64,
-    }
-}
-
-/// Estimates the infect-upon-contagion miss probability by Monte Carlo
-/// (only feasible for parameter points where `p_e` is not astronomically
-/// small; the analytic bound covers the rest).
-pub fn infect_upon_contagion_miss_rate(
-    n: usize,
-    fout: usize,
-    ttl: u32,
-    trials: usize,
-    seed: u64,
-) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut misses = 0usize;
-    for _ in 0..trials {
-        if simulate_infect_upon_contagion(n, fout, ttl, &mut rng) < n {
-            misses += 1;
-        }
-    }
-    misses as f64 / trials as f64
-}
-
-/// Draws `k` distinct peers from `0..n`, excluding `sender`.
-fn sample_distinct(n: usize, k: usize, sender: usize, rng: &mut StdRng) -> Vec<usize> {
-    let k = k.min(n - 1);
-    let mut picked = Vec::with_capacity(k);
-    while picked.len() < k {
-        let t = rng.random_range(0..n);
-        if t != sender && !picked.contains(&t) {
-            picked.push(t);
-        }
-    }
-    picked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epidemic::imperfect_dissemination_probability;
 
     #[test]
     fn fixed_point_matches_the_papers_94() {
@@ -173,84 +38,11 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_matches_the_papers_mean_std_and_transmissions() {
-        let stats = infect_and_die_stats(100, 3, 4000, 42);
-        assert!((stats.mean - 94.0).abs() < 1.0, "mean = {:.2}", stats.mean);
-        assert!(
-            (stats.std_dev - 2.6).abs() < 0.8,
-            "std = {:.2}",
-            stats.std_dev
-        );
-        assert!(
-            (stats.mean_transmissions - 282.0).abs() < 4.0,
-            "transmissions = {:.1}",
-            stats.mean_transmissions
-        );
-        // Infect-and-die essentially always misses someone at n = 100.
-        assert!(stats.miss_fraction > 0.9);
-    }
-
-    #[test]
     fn fixed_point_tracks_fan_out() {
         let c2 = infect_and_die_expected_coverage(100.0, 2.0);
         let c4 = infect_and_die_expected_coverage(100.0, 4.0);
         assert!(c2 < c4);
         assert!((c2 - 79.7).abs() < 0.5);
         assert!((c4 - 98.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn infect_upon_contagion_reaches_everyone_at_paper_parameters() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..200 {
-            assert_eq!(simulate_infect_upon_contagion(100, 4, 9, &mut rng), 100);
-        }
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..200 {
-            assert_eq!(simulate_infect_upon_contagion(100, 2, 19, &mut rng), 100);
-        }
-    }
-
-    #[test]
-    fn monte_carlo_miss_rate_tracks_the_analytic_bound() {
-        // Pick a TTL where pe is measurable (~1e-2): fout = 4, TTL = 5.
-        let bound = imperfect_dissemination_probability(100.0, 4.0, 5);
-        assert!(
-            bound > 1e-3 && bound < 1.0,
-            "test needs a measurable pe, got {bound:.3e}"
-        );
-        let mc = infect_upon_contagion_miss_rate(100, 4, 5, 4000, 11);
-        assert!(
-            mc <= bound * 3.0,
-            "MC miss rate {mc:.4} far above the analytic bound {bound:.4}"
-        );
-        assert!(
-            mc >= bound / 100.0,
-            "MC miss rate {mc:.6} implausibly below the bound {bound:.4}"
-        );
-    }
-
-    #[test]
-    fn short_ttl_misses_peers() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let reached = simulate_infect_upon_contagion(100, 2, 2, &mut rng);
-        assert!(reached < 20, "2 rounds at fout=2 cannot inform 100 peers");
-    }
-
-    #[test]
-    fn sample_distinct_excludes_sender_and_duplicates() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let s = sample_distinct(10, 4, 3, &mut rng);
-            assert_eq!(s.len(), 4);
-            assert!(!s.contains(&3));
-            let mut d = s.clone();
-            d.sort_unstable();
-            d.dedup();
-            assert_eq!(d.len(), 4);
-        }
-        // k capped at n-1.
-        let s = sample_distinct(4, 10, 0, &mut rng);
-        assert_eq!(s.len(), 3);
     }
 }

@@ -8,11 +8,13 @@
 //!   imperfect-dissemination probability bound
 //!   `p_e ≤ n·(1 − 1/n)^m`;
 //! * [`ttl`] — TTL selection and the `(n, TTL)` lookup table peers deploy;
-//! * [`coverage`] — the infect-and-die coverage analysis (the paper's
-//!   "94 peers ± 2.6, 282 transmissions" claim) and Monte-Carlo simulators
-//!   cross-checking the analytic bounds;
+//! * [`coverage`] — the infect-and-die coverage fixed point (the paper's
+//!   "94 peers ± 2.6, 282 transmissions" claim);
 //! * [`coupon`] — the appendix's coupon-collector refinement: the exact
 //!   inclusion–exclusion miss probability next to the union bound.
+//!
+//! Nothing here simulates: the root test `tests/conformance.rs` checks
+//! these forms against the one simulator every figure comes from.
 //!
 //! ```
 //! use gossip_analysis::{epidemic, ttl};
@@ -32,7 +34,7 @@ pub mod lambert;
 pub mod ttl;
 
 pub use coupon::{coupon_miss_probability, refined_pe};
-pub use coverage::{infect_and_die_expected_coverage, infect_and_die_stats, CoverageStats};
+pub use coverage::infect_and_die_expected_coverage;
 pub use epidemic::{carrying_capacity, expected_digests, imperfect_dissemination_probability, psi};
 pub use lambert::lambert_w0;
 pub use ttl::{ttl_for, TtlTable};

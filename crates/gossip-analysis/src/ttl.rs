@@ -5,8 +5,6 @@
 //! values for (n, p_e) pairs in a lookup table. Peers can adjust TTL using
 //! the lowest upper bound for the number of peers appearing in the table."
 
-use serde::{Deserialize, Serialize};
-
 use crate::epidemic::imperfect_dissemination_probability;
 
 /// The smallest TTL whose analytic miss probability is at most `target_pe`
@@ -39,7 +37,7 @@ pub fn ttl_for(n: usize, fout: usize, target_pe: f64) -> u32 {
 }
 
 /// A deployable `(n, TTL)` lookup table for one `(fout, p_e)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtlTable {
     fout: usize,
     target_pe: f64,
