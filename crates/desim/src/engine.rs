@@ -8,10 +8,9 @@
 //!
 //! The event queue is a hierarchical [`TimingWheel`] (see [`crate::sched`]):
 //! payloads sit still in a slab whose slots are chained into 131 µs time
-//! buckets, cancellation is an O(1) generation bump, and the pop order is
-//! the exact `(time, seq)` total order the seed's global `BinaryHeap`
-//! produced — the scheduler-equivalence proptest in `tests/scheduler.rs`
-//! pins the two against each other.
+//! buckets, and the pop order is the exact `(time, seq)` total order the
+//! seed's global `BinaryHeap` produced — the scheduler-equivalence
+//! proptest in `tests/scheduler.rs` pins the two against each other.
 //!
 //! ## The life of a message
 //!
@@ -38,7 +37,7 @@ use rand::SeedableRng;
 use crate::kind::KindId;
 use crate::metrics::NetMetrics;
 use crate::net::{NetState, NetworkConfig, NodeId};
-use crate::sched::{EventId, Popped, Scheduler, TimingWheel};
+use crate::sched::{Scheduler, TimingWheel};
 use crate::time::{Duration, Time};
 
 /// A wire message: anything the engine can transmit between nodes.
@@ -102,33 +101,14 @@ pub trait Protocol: Sized {
     }
 }
 
-/// Handle to a pending timer, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(EventId);
-
-/// One protocol-visible event of a traced run: the `(time, seq, event)`
-/// triple the cross-shard equivalence tests compare. Recording is off by
-/// default (one branch per event); see [`Simulation::set_trace`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TraceEvent {
-    /// Virtual instant the event was handled.
-    pub at: Time,
-    /// The event's insertion sequence number — the tie-breaker of the
-    /// engine's `(time, seq)` total order.
-    pub seq: u64,
-    /// Rendered event payload (delivery, timer or status transition).
-    pub what: String,
-}
-
-/// What a traced run keeps: the rendered events, and a rolling FNV-1a
-/// hash over the content of every event handled since tracing began.
+/// What a traced run keeps: a rolling FNV-1a hash over the content of
+/// every event handled since tracing began.
 ///
-/// Per event the hash takes `(at, seq, class, node(s))`, and for a
-/// delivery also the message's kind and wire size. The kind enters by
-/// name, not by [`crate::KindId`]: ids are numbered in first-intern order,
-/// which differs between processes.
+/// Per event the hash takes `(at, seq, class, node)`, and for a delivery
+/// also the sender, the message's kind and its wire size. The kind enters
+/// by name, not by [`crate::KindId`]: ids are numbered in first-intern
+/// order, which differs between processes.
 struct Trace {
-    events: Vec<TraceEvent>,
     hash: u64,
 }
 
@@ -140,7 +120,6 @@ impl Trace {
 
     fn new() -> Self {
         Trace {
-            events: Vec::new(),
             hash: 0xcbf2_9ce4_8422_2325,
         }
     }
@@ -151,18 +130,16 @@ impl Trace {
         }
     }
 
-    /// Hashes the fields every event has and keeps its rendering.
-    fn record(&mut self, at: Time, seq: u64, class: u8, node: NodeId, what: String) {
+    /// Hashes the fields every event has.
+    fn record(&mut self, at: Time, seq: u64, class: u8, node: NodeId) {
         self.eat(&at.as_nanos().to_le_bytes());
         self.eat(&seq.to_le_bytes());
         self.eat(&[class]);
         self.eat(&node.0.to_le_bytes());
-        self.events.push(TraceEvent { at, seq, what });
     }
 
     fn deliver<M: Message>(&mut self, at: Time, seq: u64, from: NodeId, to: NodeId, msg: &M) {
-        let what = format!("deliver {from}->{to} {msg:?}");
-        self.record(at, seq, Trace::DELIVER, to, what);
+        self.record(at, seq, Trace::DELIVER, to);
         let kind = msg.kind();
         self.eat(&from.0.to_le_bytes());
         self.eat(&(kind.len() as u64).to_le_bytes());
@@ -199,8 +176,7 @@ struct EngineCore<M, T> {
     rng: StdRng,
     metrics: NetMetrics,
     events_processed: u64,
-    /// Protocol-visible event log and content hash; `None` (the default)
-    /// records nothing.
+    /// The content hash; `None` (the default) records nothing.
     trace: Option<Trace>,
 }
 
@@ -243,8 +219,8 @@ impl<M: Message, T> EngineCore<M, T> {
 /// The engine handle passed to every protocol callback.
 ///
 /// Through it the protocol reads the clock, draws randomness, sends
-/// messages, arms and cancels timers, occupies node CPU and manipulates the
-/// network (partitions, node crashes).
+/// messages, arms timers, occupies node CPU and manipulates the network
+/// (partitions, node crashes).
 pub struct Ctx<'a, M: Message, T> {
     core: &'a mut EngineCore<M, T>,
 }
@@ -268,16 +244,11 @@ impl<M: Message, T> Ctx<'_, M, T> {
         self.core.send(from, to, msg);
     }
 
-    /// Arms a timer for `node` that fires `after` from now.
-    pub fn set_timer(&mut self, node: NodeId, after: Duration, timer: T) -> TimerId {
+    /// Arms a timer for `node` that fires `after` from now. It cannot be
+    /// cancelled: a protocol that no longer wants it ignores the firing.
+    pub fn set_timer(&mut self, node: NodeId, after: Duration, timer: T) {
         let at = self.core.time + after;
-        TimerId(self.core.queue.push(at, EventKind::Timer { node, timer }))
-    }
-
-    /// Cancels a pending timer in O(1). Cancelling an already-fired timer
-    /// is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.queue.cancel(id.0);
+        self.core.push(at, EventKind::Timer { node, timer });
     }
 
     /// Occupies `node`'s processing capacity for `dur`, queueing subsequent
@@ -407,22 +378,13 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Enables (or disables) recording of every protocol-visible event as a
-    /// [`TraceEvent`] and into [`Simulation::content_hash`]. Used by the
-    /// cross-shard equivalence tests and the golden content pins; costs one
-    /// branch per event when off, so leave it off in production runs.
-    /// Switching it on starts a fresh trace and hash.
+    /// Enables (or disables) hashing every handled event into
+    /// [`Simulation::content_hash`]. Used by the cross-shard equivalence
+    /// tests and the golden content pins; costs one branch per event when
+    /// off, so leave it off in production runs. Switching it on starts a
+    /// fresh hash.
     pub fn set_trace(&mut self, on: bool) {
         self.core.trace = on.then(Trace::new);
-    }
-
-    /// Drains the recorded trace (empty when tracing is off). The content
-    /// hash keeps rolling across drains.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match self.core.trace.as_mut() {
-            Some(t) => std::mem::take(&mut t.events),
-            None => Vec::new(),
-        }
     }
 
     /// A rolling FNV-1a hash over the content of every event handled since
@@ -458,8 +420,8 @@ impl<P: Protocol> Simulation<P> {
     /// Processes the next event due at or before `limit`. Returns `false`
     /// when there is none: the queue is empty or its head lies past
     /// `limit`. What the engine pops on the way to a handled event — a
-    /// cancelled timer, a message to a down node, a message the
-    /// receiver's ingress queue holds back — is due by `limit` too, so
+    /// message to a down node, a message the receiver's ingress queue
+    /// holds back, a timer of a down node — is due by `limit` too, so
     /// neither the clock nor any handler ever runs past it.
     pub fn step_until(&mut self, limit: Time) -> bool {
         loop {
@@ -467,17 +429,8 @@ impl<P: Protocol> Simulation<P> {
             if limit < Time::MAX && self.core.queue.peek_time().is_none_or(|at| at > limit) {
                 return false;
             }
-            let (at, seq, held) = match self.core.queue.pop_held() {
-                None => return false,
-                Some(Popped::Cancelled { at }) => {
-                    // Cancelled timers keep their queue position and still
-                    // advance the clock when popped — the seed engine's
-                    // behaviour, preserved bit for bit.
-                    debug_assert!(at >= self.core.time, "event from the past");
-                    self.core.time = at;
-                    continue;
-                }
-                Some(Popped::Event { at, seq, payload }) => (at, seq, payload),
+            let Some((at, seq, held)) = self.core.queue.pop_held() else {
+                return false;
             };
             debug_assert!(at >= self.core.time, "event from the past");
             self.core.time = at;
@@ -517,8 +470,7 @@ impl<P: Protocol> Simulation<P> {
                     }
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
-                        let what = format!("timer @{node} {timer:?}");
-                        trace.record(at, seq, Trace::TIMER, node, what);
+                        trace.record(at, seq, Trace::TIMER, node);
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -530,7 +482,7 @@ impl<P: Protocol> Simulation<P> {
                     self.core.events_processed += 1;
                     if let Some(trace) = self.core.trace.as_mut() {
                         let class = if up { Trace::UP } else { Trace::DOWN };
-                        trace.record(at, seq, class, node, format!("status {node} up={up}"));
+                        trace.record(at, seq, class, node);
                     }
                     let mut ctx = Ctx {
                         core: &mut self.core,
@@ -572,9 +524,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Scheduler slab slots allocated so far — the most events (messages
     /// in flight, timers, transitions) that were ever pending at once. A
-    /// message holds one slot from `send` to `on_message`; a cancelled
-    /// timer still chained in a wheel bucket holds its slot until that
-    /// bucket drains.
+    /// message holds one slot from `send` to `on_message`.
     pub fn scheduler_slots(&self) -> usize {
         self.core.queue.slots()
     }
@@ -684,19 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timers_do_not_fire() {
-        let mut sim = Simulation::new(Recorder::default(), ideal(1), 1);
-        sim.with_ctx(|_, ctx| {
-            let id = ctx.set_timer(NodeId(0), Duration::from_secs(1), "dead");
-            ctx.set_timer(NodeId(0), Duration::from_secs(2), "alive");
-            ctx.cancel_timer(id);
-        });
-        sim.run_until_idle();
-        assert_eq!(sim.protocol().log.len(), 1);
-        assert!(sim.protocol().log[0].1.contains("alive"));
-    }
-
-    #[test]
     fn run_until_stops_at_boundary_and_advances_clock() {
         let mut sim = Simulation::new(Recorder::default(), ideal(1), 1);
         sim.with_ctx(|_, ctx| {
@@ -727,24 +664,6 @@ mod tests {
         sim.run_until(Time::from_millis(2));
         assert!(sim.protocol().log.is_empty(), "{:?}", sim.protocol().log);
         assert_eq!(sim.now(), Time::from_millis(2));
-    }
-
-    /// The same for a cancelled timer, which still advances the clock when
-    /// it pops.
-    #[test]
-    fn a_cancelled_timer_does_not_carry_a_step_past_its_bound() {
-        let mut sim = Simulation::new(Recorder::default(), ideal(1), 1);
-        sim.with_ctx(|_, ctx| {
-            let id = ctx.set_timer(NodeId(0), Duration::from_millis(1), "cancelled");
-            ctx.set_timer(NodeId(0), Duration::from_millis(5), "late");
-            ctx.cancel_timer(id);
-        });
-        sim.run_until(Time::from_millis(2));
-        assert!(sim.protocol().log.is_empty(), "{:?}", sim.protocol().log);
-        assert_eq!(sim.now(), Time::from_millis(2));
-        assert!(!sim.step_until(Time::from_millis(4)));
-        assert!(sim.step_until(Time::from_millis(5)));
-        assert_eq!(sim.protocol().log.len(), 1);
     }
 
     #[test]
@@ -894,24 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_time_seq_event_triples() {
-        let mut sim = Simulation::new(Recorder::default(), ideal(2), 1);
-        sim.set_trace(true);
-        sim.with_ctx(|_, ctx| {
-            ctx.send(NodeId(0), NodeId(1), Note("x", 8));
-            ctx.set_timer(NodeId(0), Duration::from_secs(1), "t");
-        });
-        sim.run_until_idle();
-        let trace = sim.take_trace();
-        assert_eq!(trace.len(), 2);
-        assert!(trace[0].what.contains("deliver n0->n1"));
-        assert!(trace[1].what.contains("timer @n0"));
-        assert!(trace[0].at <= trace[1].at);
-        // Draining leaves an empty, still-armed trace.
-        assert!(sim.take_trace().is_empty());
-    }
-
-    #[test]
     fn content_hash_sees_what_a_count_cannot() {
         let run = |first: NodeId, size: u64| {
             let mut sim = Simulation::new(Recorder::default(), ideal(3), 1);
@@ -923,10 +824,7 @@ mod tests {
             });
             sim.run_until_idle();
             assert_eq!(sim.events_processed(), 2);
-            let hash = sim.content_hash().expect("traced");
-            assert_eq!(sim.take_trace().len(), 2);
-            assert_eq!(sim.content_hash(), Some(hash), "a drain keeps the hash");
-            hash
+            sim.content_hash().expect("traced")
         };
         let base = run(NodeId(1), 8);
         assert_eq!(base, run(NodeId(1), 8), "same run, same hash");

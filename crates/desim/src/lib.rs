@@ -58,7 +58,7 @@ pub mod sched;
 mod time;
 
 pub use batch::{run_batch, run_batch_with_workers};
-pub use engine::{Ctx, Message, Protocol, Simulation, TimerId, TraceEvent};
+pub use engine::{Ctx, Message, Protocol, Simulation};
 pub use kind::{KindBytes, KindId};
 pub use metrics::{KindStats, NetMetrics};
 pub use net::{LatencyModel, NetState, NetworkConfig, NodeId};

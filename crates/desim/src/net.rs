@@ -500,11 +500,6 @@ impl NetState {
         let start = now.max(self.ingress_free[node.index()]);
         self.ingress_free[node.index()] = start + dur;
     }
-
-    /// Instant at which `node`'s ingress processing becomes free.
-    pub fn ingress_free_at(&self, node: NodeId) -> Time {
-        self.ingress_free[node.index()]
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The event scheduler: a hierarchical timing wheel.
 //!
-//! Events pop in exact `(time, insertion sequence)` order, and a cancelled
-//! event still surfaces as [`Popped::Cancelled`] at its original instant
-//! (the engine advances its clock over cancelled timers, a seed behaviour
-//! the determinism suite pins). `tests/scheduler.rs` proptests the wheel
-//! against the seed engine's scheduler — one global binary heap of
-//! full-size entries — kept there as the oracle.
+//! Events pop in exact `(time, insertion sequence)` order, each exactly
+//! once: nothing is cancelled. Every protocol timer is a periodic round
+//! that drops a stale firing itself (an epoch or nonce check), or dies with
+//! its node. `tests/scheduler.rs` proptests the wheel against the seed
+//! engine's scheduler — one global binary heap of full-size entries — kept
+//! there as the oracle.
 //!
 //! ## The wheel
 //!
@@ -16,12 +16,8 @@
 //! bucket is one `u32`: the head of an intrusive chain threaded through
 //! the slab, each slot carrying its event's `(time, seq)` and the index of
 //! the next slot in the same bucket, so an insert is three stores and
-//! allocates nothing. The drain vector and the two heaps hold 24-byte
-//! `(time, seq, slot, generation)` stubs instead.
-//!
-//! Cancellation is O(1): each slab slot carries a generation stamp, a
-//! cancel vacates the slot and bumps the stamp, and the stale entry is
-//! recognized (and reported as [`Popped::Cancelled`]) when it pops.
+//! allocates nothing. The drain vector and the two heaps hold
+//! `(time, seq, slot)` stubs instead.
 //!
 //! The bucket is narrower than `NetworkConfig::lan`'s 250 µs link-latency
 //! floor, so under `lan` a send never lands in the bucket being drained,
@@ -39,26 +35,19 @@
 //! Both hold unique `(time, seq)` keys, so the merged order is the exact
 //! total order.
 //!
-//! A slot that is still chained cannot be recycled when its event is
-//! cancelled — its `(time, seq)` and link live in it — so it stays in its
-//! chain until the walk, which turns it into a ghost stub and frees it.
-//! Anywhere else (drained, in the side heap, in the far heap) the stub
-//! carries the key and a cancel frees the slot at once.
-//!
 //! ## One slot per message
 //!
 //! The engine pops a message twice — when it reaches the receiver's NIC
 //! and, if the ingress queue holds it back, when it is delivered.
 //! [`TimingWheel::pop_held`] pops the stub and leaves the payload in its
 //! slot; the engine inspects it through [`TimingWheel::payload_mut`] and
-//! then either [`TimingWheel::take`]s it (slot freed, generation bumped)
-//! or [`TimingWheel::requeue`]s it: a fresh `seq`, same slot, same
-//! generation, re-linked into its new bucket (or a new stub past the
-//! horizon); the payload does not move. [`Scheduler::pop`] is `pop_held`
-//! + `take`.
+//! then either [`TimingWheel::take`]s it (slot freed) or
+//! [`TimingWheel::requeue`]s it: a fresh `seq`, same slot, re-linked into
+//! its new bucket (or a new stub past the horizon); the payload does not
+//! move. [`Scheduler::pop`] is `pop_held` + `take`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
@@ -75,24 +64,6 @@ const BUCKET_MASK: u64 = (NUM_BUCKETS as u64) - 1;
 pub const HORIZON_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
 /// End of a bucket chain.
 const NIL: u32 = u32::MAX;
-/// `Slot::next` of a slot that is in no chain.
-const UNLINKED: u32 = u32::MAX - 1;
-
-/// Handle to a scheduled event, usable for O(1) cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn wheel(slot: u32, gen: u32) -> Self {
-        EventId((u64::from(gen) << 32) | u64::from(slot))
-    }
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
 
 /// One scheduler pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +77,10 @@ pub enum Popped<E> {
         /// The scheduled payload.
         payload: E,
     },
-    /// The ghost of a cancelled event: its slot was vacated, but its queue
-    /// position still surfaces so the clock semantics match the seed
-    /// engine (which popped cancelled timers and advanced time over them).
+    /// Never constructed: the scheduler cancels nothing. Kept only so that
+    /// callers matching this arm still compile.
     Cancelled {
-        /// The instant the cancelled event had been scheduled for.
+        /// The instant the event would have been scheduled for.
         at: Time,
     },
 }
@@ -119,8 +89,7 @@ pub enum Popped<E> {
 /// [`TimingWheel::pop_held`] hands out in place of the payload. Hand it
 /// back exactly once, to [`TimingWheel::take`] (the event is over) or
 /// [`TimingWheel::requeue`] (the same event fires again later). A dropped
-/// `Held` leaks its slot; cancelling the event while it is held is a
-/// caller bug, and both panic on it.
+/// `Held` leaks its slot.
 #[derive(Debug)]
 #[must_use = "a held event occupies its slab slot until taken or re-queued"]
 pub struct Held {
@@ -131,15 +100,13 @@ pub struct Held {
 pub trait Scheduler<E> {
     /// Schedules `payload` at `at`; `at` must be monotone with respect to
     /// the pops observed so far (events are never scheduled in the past).
-    fn push(&mut self, at: Time, payload: E) -> EventId;
-    /// Cancels a pending event; a no-op once the event popped.
-    fn cancel(&mut self, id: EventId);
-    /// Pops the next entry in `(time, seq)` order (cancelled ghosts
-    /// included), or `None` when the queue is empty.
+    fn push(&mut self, at: Time, payload: E);
+    /// Pops the next event in `(time, seq)` order, or `None` when the
+    /// queue is empty.
     fn pop(&mut self) -> Option<Popped<E>>;
-    /// The instant of the next entry (cancelled ghosts included).
+    /// The instant of the next event.
     fn peek_time(&mut self) -> Option<Time>;
-    /// Entries still queued, cancelled-but-unpopped ghosts included.
+    /// Events still queued.
     fn len(&self) -> usize;
     /// Whether nothing is queued.
     fn is_empty(&self) -> bool {
@@ -147,13 +114,12 @@ pub trait Scheduler<E> {
     }
 }
 
-/// A 24-byte event stub: what the drain vector and both heaps hold.
+/// An event stub: what the drain vector and both heaps hold.
 #[derive(Debug, Clone, Copy)]
 struct Stub {
     at_ns: u64,
     seq: u64,
     slot: u32,
-    gen: u32,
 }
 
 impl Stub {
@@ -185,9 +151,8 @@ impl Ord for FarStub {
 
 #[derive(Debug)]
 struct Slot<E> {
-    gen: u32,
-    /// The next slot of this one's ring-bucket chain (`NIL` ends it), or
-    /// `UNLINKED` when the slot is in no chain.
+    /// The next slot of this one's ring-bucket chain (`NIL` ends it);
+    /// stale once the slot is unlinked.
     next: u32,
     /// The chained event's key; stale once the slot is unlinked.
     at_ns: u64,
@@ -199,18 +164,11 @@ struct Slot<E> {
 #[derive(Debug)]
 pub struct TimingWheel<E> {
     seq: u64,
-    /// Entries queued, cancelled ghosts included.
+    /// Events queued.
     pending: usize,
     slab: Vec<Slot<E>>,
-    /// Vacant slab slots, recycled FIFO. First-in-first-out matters: a
-    /// stale `EventId` (or ghost stub) only ever aliases a live event if
-    /// its slot's u32 generation wraps all the way around while it is
-    /// retained, and FIFO reuse spreads the generation bumps evenly across
-    /// the slab — the wrap horizon becomes `depth × 2^32` events (≥ 10^13
-    /// at any realistic queue depth) instead of `2^32` on one hot LIFO
-    /// slot. A cancelled slot that is still chained joins the list only
-    /// when its bucket drains.
-    free: VecDeque<u32>,
+    /// Vacant slab slots, reused last in, first out.
+    free: Vec<u32>,
     /// The first slot of each ring bucket's chain, `NIL` when empty.
     heads: Vec<u32>,
     /// One occupancy bit per ring bucket.
@@ -244,7 +202,7 @@ impl<E> TimingWheel<E> {
             seq: 0,
             pending: 0,
             slab: Vec::with_capacity(1024),
-            free: VecDeque::with_capacity(1024),
+            free: Vec::with_capacity(1024),
             heads: vec![NIL; NUM_BUCKETS],
             occupied: vec![0; NUM_BUCKETS / 64],
             cursor: 0,
@@ -254,28 +212,27 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    fn alloc(&mut self, payload: E) -> (u32, u32) {
-        if let Some(s) = self.free.pop_front() {
+    fn alloc(&mut self, payload: E) -> u32 {
+        if let Some(s) = self.free.pop() {
             let slot = &mut self.slab[s as usize];
-            debug_assert!(slot.payload.is_none() && slot.next == UNLINKED);
+            debug_assert!(slot.payload.is_none());
             slot.payload = Some(payload);
-            (s, slot.gen)
+            s
         } else {
             let s = self.slab.len() as u32;
-            assert!(s < UNLINKED, "timing wheel slab full");
+            assert!(s < NIL, "timing wheel slab full");
             self.slab.push(Slot {
-                gen: 0,
-                next: UNLINKED,
+                next: NIL,
                 at_ns: 0,
                 seq: 0,
                 payload: Some(payload),
             });
-            (s, 0)
+            s
         }
     }
 
-    /// Queues the live event in `slot` (generation `gen`) at `(at_ns, seq)`.
-    fn insert(&mut self, at_ns: u64, seq: u64, slot: u32, gen: u32) {
+    /// Queues the event in `slot` at `(at_ns, seq)`.
+    fn insert(&mut self, at_ns: u64, seq: u64, slot: u32) {
         let b = at_ns >> BUCKET_SHIFT;
         if b > self.cursor && b - self.cursor < NUM_BUCKETS as u64 {
             let s = (b & BUCKET_MASK) as usize;
@@ -287,12 +244,7 @@ impl<E> TimingWheel<E> {
             self.occupied[s >> 6] |= 1u64 << (s & 63);
             return;
         }
-        let stub = FarStub(Stub {
-            at_ns,
-            seq,
-            slot,
-            gen,
-        });
+        let stub = FarStub(Stub { at_ns, seq, slot });
         if b <= self.cursor {
             // The event lands in (or before) the bucket being drained.
             // Everything already popped is strictly older (`at >= now` and
@@ -305,29 +257,21 @@ impl<E> TimingWheel<E> {
     }
 
     /// Slab slots allocated so far: the most events that were ever queued
-    /// (or held) at once. A cancelled event that is still chained in a
-    /// ring bucket holds its slot until that bucket drains; any other
-    /// cancelled event gives its slot back at once.
+    /// (or held) at once.
     pub fn slots(&self) -> usize {
         self.slab.len()
     }
 
-    /// [`Scheduler::pop`] that leaves a live event's payload where it is:
-    /// the engine looks at a message through [`TimingWheel::payload_mut`]
-    /// and either takes it for the handler or re-queues it in place.
-    pub fn pop_held(&mut self) -> Option<Popped<Held>> {
+    /// [`Scheduler::pop`] that leaves the payload where it is, returning
+    /// the event's `(at, seq)` and its [`Held`] slot: the engine looks at a
+    /// message through [`TimingWheel::payload_mut`] and either takes it
+    /// for the handler or re-queues it in place.
+    pub fn pop_held(&mut self) -> Option<(Time, u64, Held)> {
         loop {
             if let Some(stub) = self.pop_head() {
                 self.pending -= 1;
-                let at = Time::from_nanos(stub.at_ns);
-                if self.slab[stub.slot as usize].gen == stub.gen {
-                    return Some(Popped::Event {
-                        at,
-                        seq: stub.seq,
-                        payload: Held { slot: stub.slot },
-                    });
-                }
-                return Some(Popped::Cancelled { at });
+                let held = Held { slot: stub.slot };
+                return Some((Time::from_nanos(stub.at_ns), stub.seq, held));
             }
             if self.pending == 0 {
                 return None;
@@ -349,25 +293,26 @@ impl<E> TimingWheel<E> {
 
     /// Ends a held event: moves its payload out and frees the slot.
     pub fn take(&mut self, held: Held) -> E {
-        let slot = &mut self.slab[held.slot as usize];
-        let payload = slot.payload.take().expect("held slot holds a payload");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push_back(held.slot);
+        let payload = self.slab[held.slot as usize]
+            .payload
+            .take()
+            .expect("held slot holds a payload");
+        self.free.push(held.slot);
         payload
     }
 
     /// Schedules a held event again at `at` (monotone, as for `push`)
-    /// without moving its payload: same slot, same generation — the
-    /// `EventId` its `push` returned still cancels it — and a fresh `seq`,
-    /// exactly the order a `pop` followed by a `push` would give it. Only
-    /// the event's key is inserted.
+    /// without moving its payload: same slot and a fresh `seq`, exactly
+    /// the order a `pop` followed by a `push` would give it. Only the
+    /// event's key is inserted.
     pub fn requeue(&mut self, held: Held, at: Time) {
-        let slot = &self.slab[held.slot as usize];
-        assert!(slot.payload.is_some(), "held slot holds a payload");
-        let gen = slot.gen;
+        assert!(
+            self.slab[held.slot as usize].payload.is_some(),
+            "held slot holds a payload"
+        );
         let seq = self.seq;
         self.seq += 1;
-        self.insert(at.as_nanos(), seq, held.slot, gen);
+        self.insert(at.as_nanos(), seq, held.slot);
         self.pending += 1;
     }
 
@@ -427,8 +372,7 @@ impl<E> TimingWheel<E> {
 
     /// Moves the cursor to the next non-empty bucket (near ring or far
     /// heap, whichever is earlier) and loads it: the ring bucket's chain
-    /// is walked into `run` and sorted once — a cancelled slot becomes a
-    /// ghost stub and is freed on the way — and far-heap entries of the
+    /// is walked into `run` and sorted once, and far-heap entries of the
     /// same bucket spill into `cur`. Returns `false` when nothing is
     /// queued anywhere.
     fn advance(&mut self) -> bool {
@@ -449,24 +393,13 @@ impl<E> TimingWheel<E> {
         if self.occupied[s >> 6] & (1u64 << (s & 63)) != 0 {
             let mut next = std::mem::replace(&mut self.heads[s], NIL);
             while next != NIL {
-                let idx = next;
-                let slot = &mut self.slab[idx as usize];
-                next = std::mem::replace(&mut slot.next, UNLINKED);
-                let gen = if slot.payload.is_some() {
-                    slot.gen
-                } else {
-                    // Cancelled while chained: the cancel bumped the
-                    // generation once, so the stub keeps the one before
-                    // and pops as a ghost, whoever reuses the slot.
-                    self.free.push_back(idx);
-                    slot.gen.wrapping_sub(1)
-                };
+                let slot = &self.slab[next as usize];
                 self.run.push(Stub {
                     at_ns: slot.at_ns,
                     seq: slot.seq,
-                    slot: idx,
-                    gen,
+                    slot: next,
                 });
+                next = slot.next;
             }
             self.run
                 .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
@@ -485,39 +418,20 @@ impl<E> TimingWheel<E> {
 }
 
 impl<E> Scheduler<E> for TimingWheel<E> {
-    fn push(&mut self, at: Time, payload: E) -> EventId {
+    fn push(&mut self, at: Time, payload: E) {
         let seq = self.seq;
         self.seq += 1;
-        let (slot, gen) = self.alloc(payload);
-        self.insert(at.as_nanos(), seq, slot, gen);
+        let slot = self.alloc(payload);
+        self.insert(at.as_nanos(), seq, slot);
         self.pending += 1;
-        EventId::wheel(slot, gen)
-    }
-
-    fn cancel(&mut self, id: EventId) {
-        let Some(slot) = self.slab.get_mut(id.slot() as usize) else {
-            return;
-        };
-        if slot.gen != id.gen() || slot.payload.is_none() {
-            return; // already fired, already cancelled, or slot reused
-        }
-        slot.payload = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        // The entry stays queued and will pop as `Cancelled`. A chained
-        // slot carries its own key, so the drain of its bucket frees it.
-        if slot.next == UNLINKED {
-            self.free.push_back(id.slot());
-        }
     }
 
     fn pop(&mut self) -> Option<Popped<E>> {
-        Some(match self.pop_held()? {
-            Popped::Event { at, seq, payload } => Popped::Event {
-                at,
-                seq,
-                payload: self.take(payload),
-            },
-            Popped::Cancelled { at } => Popped::Cancelled { at },
+        let (at, seq, held) = self.pop_held()?;
+        Some(Popped::Event {
+            at,
+            seq,
+            payload: self.take(held),
         })
     }
 
@@ -549,12 +463,9 @@ mod tests {
         Time::ZERO + Duration::from_millis(ms)
     }
 
-    fn drain<E: Copy + std::fmt::Debug, S: Scheduler<E>>(s: &mut S) -> Vec<Popped<E>> {
-        let mut out = Vec::new();
-        while let Some(p) = s.pop() {
-            out.push(p);
-        }
-        out
+    /// Pops `w` dry, payloads in pop order.
+    fn drain<E>(w: &mut TimingWheel<E>) -> Vec<E> {
+        std::iter::from_fn(|| w.pop_held().map(|(_, _, held)| w.take(held))).collect()
     }
 
     #[test]
@@ -563,15 +474,15 @@ mod tests {
         w.push(t(5), "b");
         w.push(t(1), "a");
         w.push(t(5), "c");
-        let popped = drain(&mut w);
-        let tags: Vec<_> = popped
-            .iter()
-            .map(|p| match p {
-                Popped::Event { payload, .. } => *payload,
-                Popped::Cancelled { .. } => "!",
+        assert_eq!(
+            w.pop(),
+            Some(Popped::Event {
+                at: t(1),
+                seq: 1,
+                payload: "a"
             })
-            .collect();
-        assert_eq!(tags, vec!["a", "b", "c"]);
+        );
+        assert_eq!(drain(&mut w), vec!["b", "c"]);
     }
 
     #[test]
@@ -582,15 +493,7 @@ mod tests {
         for i in (0..50u64).rev() {
             w.push(Time::from_nanos(1000 + i * 100), i);
         }
-        let popped = drain(&mut w);
-        let vals: Vec<u64> = popped
-            .iter()
-            .map(|p| match p {
-                Popped::Event { payload, .. } => *payload,
-                Popped::Cancelled { .. } => unreachable!(),
-            })
-            .collect();
-        assert_eq!(vals, (0..50).collect::<Vec<_>>());
+        assert_eq!(drain(&mut w), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -600,46 +503,7 @@ mod tests {
         w.push(t(1), "near");
         w.push(Time::from_secs(119), "far-but-earlier");
         assert_eq!(w.len(), 3);
-        let order: Vec<_> = drain(&mut w)
-            .iter()
-            .map(|p| match p {
-                Popped::Event { payload, .. } => *payload,
-                Popped::Cancelled { .. } => "!",
-            })
-            .collect();
-        assert_eq!(order, vec!["near", "far-but-earlier", "far"]);
-    }
-
-    #[test]
-    fn cancel_yields_a_ghost_and_slot_reuse_is_safe() {
-        let mut w = TimingWheel::new();
-        let id = w.push(t(2), 1u32);
-        w.push(t(1), 2u32);
-        w.cancel(id);
-        // The cancelled event is chained in its bucket, so its slot is
-        // not free yet: the new event takes a fresh one.
-        w.push(t(3), 3u32);
-        assert_eq!(w.slots(), 3);
-        let popped = drain(&mut w);
-        assert_eq!(
-            popped,
-            vec![
-                Popped::Event {
-                    at: t(1),
-                    seq: 1,
-                    payload: 2
-                },
-                Popped::Cancelled { at: t(2) },
-                Popped::Event {
-                    at: t(3),
-                    seq: 2,
-                    payload: 3
-                },
-            ]
-        );
-        // Cancelling a long-gone id is a no-op (generation mismatch).
-        w.cancel(id);
-        assert!(w.pop().is_none());
+        assert_eq!(drain(&mut w), vec!["near", "far-but-earlier", "far"]);
     }
 
     #[test]
@@ -647,29 +511,11 @@ mod tests {
         let mut w = TimingWheel::new();
         w.push(Time::from_nanos(100), "first");
         w.push(Time::from_nanos(300), "third");
-        assert!(matches!(
-            w.pop(),
-            Some(Popped::Event {
-                payload: "first",
-                ..
-            })
-        ));
+        let (_, _, held) = w.pop_held().expect("queued");
+        assert_eq!(w.take(held), "first");
         // Same bucket, between the popped and the pending entry.
         w.push(Time::from_nanos(200), "second");
-        assert!(matches!(
-            w.pop(),
-            Some(Popped::Event {
-                payload: "second",
-                ..
-            })
-        ));
-        assert!(matches!(
-            w.pop(),
-            Some(Popped::Event {
-                payload: "third",
-                ..
-            })
-        ));
+        assert_eq!(drain(&mut w), vec!["second", "third"]);
     }
 
     #[test]

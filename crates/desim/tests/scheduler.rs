@@ -1,15 +1,13 @@
 //! Scheduler equivalence: the timing wheel and the seed engine's binary
 //! heap ([`HeapScheduler`], kept here as the oracle) must pop identical
-//! `(time, seq, event)` streams — cancelled-ghost positions included — on
-//! arbitrary workloads.
+//! `(time, seq, event)` streams on arbitrary workloads.
 //!
 //! The engine's determinism contract (same seed ⇒ byte-identical traces)
 //! rests on the queue's exact `(time, insertion seq)` total order; these
 //! properties pin the wheel to the reference under random pushes spanning
-//! the near ring and the far-future heap, random cancellations (of live,
-//! fired and double-cancelled events alike), and pops interleaved at
-//! arbitrary points — the same interleaving a protocol produces when its
-//! handlers schedule new work mid-drain — and in-place re-queues
+//! the near ring and the far-future heap, pops interleaved at arbitrary
+//! points — the same interleaving a protocol produces when its handlers
+//! schedule new work mid-drain — and in-place re-queues
 //! ([`TimingWheel::requeue`], the engine's Arrive → Deliver hop), whose
 //! oracle is a pop followed by a push of the same payload.
 //!
@@ -18,42 +16,32 @@
 //! receiver that goes down between arrival and delivery costs one drop.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use desim::sched::{Popped, Scheduler, TimingWheel, BUCKET_NS, HORIZON_NS};
+use desim::sched::{Scheduler, TimingWheel, BUCKET_NS, HORIZON_NS};
 use desim::{Ctx, Duration, Message, NetworkConfig, NodeId, Protocol, Simulation, Time};
 use proptest::prelude::*;
 
+/// One popped event: `(at, seq, payload)`.
+type Ev = (Time, u64, u32);
+
 /// The seed engine's scheduler: one global `BinaryHeap` keyed on
-/// `(time, insertion seq)` plus a cancelled set consulted at pop, so a
-/// cancelled event still pops — as a ghost — at its original instant.
+/// `(time, insertion seq)`.
 #[derive(Debug, Default)]
 struct HeapScheduler {
     seq: u64,
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    cancelled: HashSet<u64>,
 }
 
 impl HeapScheduler {
-    fn push(&mut self, at: Time, tag: u32) -> u64 {
-        let seq = self.seq;
+    fn push(&mut self, at: Time, tag: u32) {
+        self.heap.push(Reverse((at.as_nanos(), self.seq, tag)));
         self.seq += 1;
-        self.heap.push(Reverse((at.as_nanos(), seq, tag)));
-        seq
     }
 
-    fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-    }
-
-    fn pop(&mut self) -> Option<Popped<u32>> {
+    fn pop(&mut self) -> Option<Ev> {
         let Reverse((at_ns, seq, payload)) = self.heap.pop()?;
-        let at = Time::from_nanos(at_ns);
-        Some(if self.cancelled.remove(&seq) {
-            Popped::Cancelled { at }
-        } else {
-            Popped::Event { at, seq, payload }
-        })
+        Some((Time::from_nanos(at_ns), seq, payload))
     }
 }
 
@@ -106,37 +94,31 @@ impl Lands {
 enum Op {
     /// Schedule an event where `at` lands.
     Push { at: Lands, tag: u32 },
-    /// Cancel the `nth` pushed event (mod pushes so far), live or not.
-    Cancel { nth: usize },
     /// Pop once.
     Pop,
-    /// Pop once and, if a live event came out, schedule it again where
-    /// `at` lands without moving its payload.
+    /// Pop once and, if an event came out, schedule it again where `at`
+    /// lands without moving its payload.
     Requeue { at: Lands },
 }
 
 /// Raw op tuples (the vendored proptest has no mapped strategies):
-/// `(selector, offset_ns, tag, nth)` decoded by [`decode`].
-fn raw_ops() -> impl Strategy<Value = Vec<(u8, u64, u32, usize)>> {
-    proptest::collection::vec(
-        (0u8..16, 0u64..u64::MAX / 2, 0u32..1_000_000, 0usize..512),
-        1..300,
-    )
+/// `(selector, offset_ns, tag)` decoded by [`decode`].
+fn raw_ops() -> impl Strategy<Value = Vec<(u8, u64, u32)>> {
+    proptest::collection::vec((0u8..14, 0u64..u64::MAX / 2, 0u32..1_000_000), 1..300)
 }
 
 /// Pushes and re-queues in every landing class — the draining bucket
 /// twice as often as the others, so the side heap and same-bucket ties
-/// are exercised hard — cancels, and plain pops.
-fn decode(raw: &[(u8, u64, u32, usize)]) -> Vec<Op> {
+/// are exercised hard — and plain pops.
+fn decode(raw: &[(u8, u64, u32)]) -> Vec<Op> {
     raw.iter()
-        .map(|(sel, ns, tag, nth)| match sel {
+        .map(|(sel, ns, tag)| match sel {
             0..=4 => Op::Push {
                 at: Lands::drawn(*sel, *ns),
                 tag: *tag,
             },
-            5 | 6 => Op::Cancel { nth: *nth },
-            7..=11 => Op::Requeue {
-                at: Lands::drawn(sel - 7, *ns),
+            5..=9 => Op::Requeue {
+                at: Lands::drawn(sel - 5, *ns),
             },
             _ => Op::Pop,
         })
@@ -152,58 +134,45 @@ struct Lockstep {
     /// The last popped instant: pushes are anchored here (events are
     /// never scheduled in the past, as in the engine).
     now: Time,
-    /// Every push's handle on either side, for `Op::Cancel`.
-    ids: Vec<(desim::sched::EventId, u64)>,
-    stream: Vec<Popped<u32>>,
+    stream: Vec<Ev>,
 }
 
 impl Lockstep {
     /// Pops the oracle and demands it agrees with what the wheel popped.
-    fn observe(&mut self, popped: Option<Popped<u32>>) -> Option<Popped<u32>> {
+    fn observe(&mut self, popped: Option<Ev>) {
         assert_eq!(
             popped,
             self.heap.pop(),
             "pop {} diverged",
             self.stream.len()
         );
-        let (Popped::Event { at, .. } | Popped::Cancelled { at }) = popped?;
-        assert!(at >= self.now, "pops must be monotone");
-        self.now = at;
-        self.stream.push(popped?);
+        if let Some(ev) = popped {
+            assert!(ev.0 >= self.now, "pops must be monotone");
+            self.now = ev.0;
+            self.stream.push(ev);
+        }
+    }
+
+    fn pop(&mut self) -> Option<Ev> {
+        let popped = self
+            .wheel
+            .pop_held()
+            .map(|(at, seq, held)| (at, seq, self.wheel.take(held)));
+        self.observe(popped);
         popped
     }
 
-    fn pop(&mut self) -> Option<Popped<u32>> {
-        let popped = self.wheel.pop();
-        self.observe(popped)
-    }
-
-    /// Pops the wheel without moving the payload and, if a live event
-    /// came out, re-queues it in place; the oracle pops and pushes.
+    /// Pops the wheel without moving the payload and, if an event came
+    /// out, re-queues it in place; the oracle pops and pushes.
     fn requeue(&mut self, lands: Lands) {
-        let (popped, held) = match self.wheel.pop_held() {
-            Some(Popped::Event {
-                at,
-                seq,
-                payload: held,
-            }) => {
-                let payload = *self.wheel.payload_mut(&held);
-                (Some(Popped::Event { at, seq, payload }), Some(held))
-            }
-            Some(Popped::Cancelled { at }) => (Some(Popped::Cancelled { at }), None),
-            None => (None, None),
+        let Some((at, seq, held)) = self.wheel.pop_held() else {
+            return self.observe(None);
         };
-        self.observe(popped);
-        if let (Some(held), Some(Popped::Event { seq, payload, .. })) = (held, popped) {
-            let again = lands.at(self.now);
-            self.wheel.requeue(held, again);
-            let fresh = self.heap.push(again, payload);
-            // The wheel's id survives the re-queue; the oracle's is the
-            // fresh seq.
-            for (_, h) in self.ids.iter_mut().filter(|(_, h)| *h == seq) {
-                *h = fresh;
-            }
-        }
+        let payload = *self.wheel.payload_mut(&held);
+        self.observe(Some((at, seq, payload)));
+        let again = lands.at(self.now);
+        self.wheel.requeue(held, again);
+        self.heap.push(again, payload);
     }
 
     /// One script step on both sides, demanding equal pops.
@@ -211,15 +180,8 @@ impl Lockstep {
         match op {
             Op::Push { at, tag } => {
                 let at = at.at(self.now);
-                self.ids
-                    .push((self.wheel.push(at, *tag), self.heap.push(at, *tag)));
-            }
-            Op::Cancel { nth } => {
-                if !self.ids.is_empty() {
-                    let (w, h) = self.ids[nth % self.ids.len()];
-                    self.wheel.cancel(w);
-                    self.heap.cancel(h);
-                }
+                self.wheel.push(at, *tag);
+                self.heap.push(at, *tag);
             }
             Op::Pop => {
                 self.pop();
@@ -238,13 +200,18 @@ impl Lockstep {
 /// Drives the wheel and the oracle through the script in lockstep,
 /// demanding equal pops at every step, and returns the full pop stream —
 /// mid-script pops plus the final drain.
-fn run(script: &[Op]) -> Vec<Popped<u32>> {
+fn run(script: &[Op]) -> Vec<Ev> {
     let mut both = Lockstep::default();
     for op in script {
         both.apply(op);
     }
     both.drain();
     both.stream
+}
+
+/// The payloads of a pop stream, in order.
+fn tags(stream: &[Ev]) -> Vec<u32> {
+    stream.iter().map(|ev| ev.2).collect()
 }
 
 proptest! {
@@ -254,8 +221,8 @@ proptest! {
         run(&decode(&raw));
     }
 
-    /// Without cancellations, every pushed event pops exactly once, in
-    /// global `(time, seq)` order.
+    /// Every pushed event pops exactly once, in global `(time, seq)`
+    /// order.
     #[test]
     fn all_live_events_pop_sorted(
         offsets in proptest::collection::vec(0u64..60_000_000_000, 1..200)
@@ -265,50 +232,20 @@ proptest! {
             wheel.push(Time::from_nanos(*off), i as u32);
         }
         let mut popped = Vec::new();
-        while let Some(p) = wheel.pop() {
-            match p {
-                Popped::Event { at, seq, payload } => popped.push((at, seq, payload)),
-                Popped::Cancelled { .. } => prop_assert!(false, "nothing was cancelled"),
-            }
+        while let Some((at, seq, held)) = wheel.pop_held() {
+            popped.push((at, seq, wheel.take(held)));
         }
         prop_assert_eq!(popped.len(), offsets.len());
         for w in popped.windows(2) {
             prop_assert!((w[0].0, w[0].1) < (w[1].0, w[1].1), "out of order: {w:?}");
         }
     }
-
-    /// Cancelling everything leaves only ghosts, at the right instants.
-    #[test]
-    fn cancel_all_yields_only_ghosts(
-        offsets in proptest::collection::vec(0u64..60_000_000_000, 1..100)
-    ) {
-        let mut wheel = TimingWheel::new();
-        let ids: Vec<_> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, off)| wheel.push(Time::from_nanos(*off), i as u32))
-            .collect();
-        for id in ids {
-            wheel.cancel(id);
-        }
-        let mut sorted = offsets.clone();
-        sorted.sort_unstable();
-        let mut ghost_times = Vec::new();
-        while let Some(p) = wheel.pop() {
-            match p {
-                Popped::Cancelled { at } => ghost_times.push(at.as_nanos()),
-                Popped::Event { .. } => prop_assert!(false, "everything was cancelled"),
-            }
-        }
-        prop_assert_eq!(ghost_times, sorted);
-    }
 }
 
 /// A deterministic heavy mix shaped like a gossip run under
 /// `NetworkConfig::lan`: sends one 250 µs link floor plus exponential
 /// jitter ahead, ingress re-queues at least 1.5 ms ahead, periodic timers
-/// of 0.5–10 s on both sides of the horizon, cancels of both live and
-/// dead ids.
+/// of 0.5–10 s on both sides of the horizon.
 #[test]
 fn dense_gossip_shaped_workload_matches() {
     let mut script = Vec::new();
@@ -338,20 +275,13 @@ fn dense_gossip_shaped_workload_matches() {
                 at: Lands::After(500_000_000 + r % 9_500_000_000), // periodic timers
                 tag: i,
             }),
-            6 => script.push(Op::Cancel {
-                nth: (r % 997) as usize,
-            }),
             _ => script.push(Op::Pop),
         }
     }
-    let stream = run(&script);
-    assert!(
-        stream.iter().any(|p| matches!(p, Popped::Cancelled { .. })),
-        "the mix must exercise cancellation ghosts"
-    );
+    run(&script);
 }
 
-/// A hand-written script: ties on time, a cancel, a far-future entry.
+/// A hand-written script: ties on time, a far-future entry.
 #[test]
 fn heap_reference_matches_wheel_on_a_small_script() {
     let push = |ms: u64, tag| Op::Push {
@@ -364,22 +294,13 @@ fn heap_reference_matches_wheel_on_a_small_script() {
         push(9, 3),
         push(4, 4),
         push(30_000, 5),
-        Op::Cancel { nth: 2 },
     ]);
-    let tags: Vec<Option<u32>> = stream
-        .iter()
-        .map(|p| match p {
-            Popped::Event { payload, .. } => Some(*payload),
-            Popped::Cancelled { .. } => None,
-        })
-        .collect();
-    assert_eq!(tags, [Some(2), Some(1), Some(4), None, Some(5)]);
+    assert_eq!(tags(&stream), [2, 1, 4, 3, 5]);
 }
 
 /// Re-queues land where a pop + push would: between the pending entries
 /// of the bucket being drained, at the same instant again, in a later
-/// ring bucket, and past the far-heap horizon — and the id from the
-/// first push still cancels the event after it moved.
+/// ring bucket, and past the far-heap horizon.
 #[test]
 fn requeue_matches_pop_then_push_in_every_region() {
     let push = |ns, tag| Op::Push {
@@ -399,62 +320,8 @@ fn requeue_matches_pop_then_push_in_every_region() {
         requeue(5_050_000),      // 1 -> the bucket 3 waits in, behind it
         Op::Pop,                 // 2
         requeue(40_000_000_000), // 3 -> beyond the horizon, behind 4
-        Op::Cancel { nth: 0 },   // 1, through its first id
     ]);
-    let tags: Vec<Option<u32>> = stream
-        .iter()
-        .map(|p| match p {
-            Popped::Event { payload, .. } => Some(*payload),
-            Popped::Cancelled { .. } => None,
-        })
-        .collect();
-    assert_eq!(
-        tags,
-        [
-            Some(1),
-            Some(1),
-            Some(1),
-            Some(2),
-            Some(3),
-            None,
-            Some(4),
-            Some(3)
-        ]
-    );
-}
-
-/// A timer cancelled while chained in a ring bucket keeps its slot until
-/// the bucket drains: pushes in between take fresh slots (`slots()` is
-/// what `Simulation::scheduler_slots` reports), the ghost still pops at
-/// the timer's instant, and the slot serves the next push after that.
-#[test]
-fn a_timer_cancelled_in_its_chain_holds_its_slot_until_its_bucket_drains() {
-    let push = |buckets, tag| Op::Push {
-        at: Lands::After(buckets * BUCKET_NS),
-        tag,
-    };
-    let mut both = Lockstep::default();
-    both.apply(&push(10, 0));
-    both.apply(&Op::Cancel { nth: 0 });
-    for tag in 1..=3 {
-        both.apply(&push(20, tag));
-    }
-    assert_eq!(both.wheel.slots(), 4, "a chained slot was recycled early");
-    both.apply(&Op::Pop);
-    assert_eq!(
-        both.stream,
-        [Popped::Cancelled {
-            at: Time::from_nanos(10 * BUCKET_NS)
-        }]
-    );
-    both.apply(&push(1, 4));
-    assert_eq!(
-        both.wheel.slots(),
-        4,
-        "the drained ghost's slot was not reused"
-    );
-    both.drain();
-    assert_eq!(both.stream.len(), 5);
+    assert_eq!(tags(&stream), [1, 1, 1, 2, 3, 1, 4, 3]);
 }
 
 #[derive(Clone, Debug)]

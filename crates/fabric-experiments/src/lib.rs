@@ -81,7 +81,7 @@ pub use long_chain::{
 };
 pub use multichannel::{
     plan_groups, render_multichannel, run_multichannel, ChannelGroup, ChannelOutcome, ChannelPlan,
-    MergedEvent, MultiChannelConfig, MultiChannelResult,
+    MultiChannelConfig, MultiChannelResult,
 };
 pub use net::{
     ChannelSpec, ChurnAction, ChurnEvent, DiscoveryMode, FabricNet, NetMsg, NetParams, NetTimer,

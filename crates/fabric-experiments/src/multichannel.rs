@@ -22,18 +22,18 @@
 //!
 //! Every result is a pure function of the configuration and seed,
 //! **independent of the shard count**: each group's RNG seed mixes only the
-//! run seed and the group's index (never a worker id), each group's
-//! simulation is bit-for-bit replayable on its own, and the merged trace's
-//! key `(time, group, seq)` is unique per event. `shards = 1` and
-//! `shards = N` therefore produce identical results — the property
-//! `tests/sharding.rs` pins. Components that share peers stay on one shard
-//! by construction, so the merge is a k-way merge of already-closed event
-//! streams, not a synchronization protocol.
+//! run seed and the group's index (never a worker id), and each group's
+//! simulation is bit-for-bit replayable on its own. `shards = 1` and
+//! `shards = N` therefore produce identical results, down to each group's
+//! [`desim::Simulation::content_hash`] — the property `tests/sharding.rs`
+//! pins. Components that share peers stay on one shard by construction,
+//! so the merge concatenates already-closed per-group results; it is not a
+//! synchronization protocol.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use desim::{run_batch_with_workers, Duration, NetworkConfig, Time, TraceEvent};
+use desim::{run_batch_with_workers, Duration, NetworkConfig, Time};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
@@ -78,8 +78,9 @@ pub struct MultiChannelConfig {
     pub network: NetworkConfig,
     /// Worker shards (1 = serial reference run; results are identical).
     pub shards: usize,
-    /// Record the merged `(time, group, seq, event)` stream. Costs a
-    /// string per event — leave off for throughput measurements.
+    /// Record each group's content hash in
+    /// [`MultiChannelResult::group_hashes`]. Costs a hash update per
+    /// event — leave off for throughput measurements.
     pub record_trace: bool,
     /// Extra idle time simulated after each group's drain window.
     pub idle_tail: Duration,
@@ -295,20 +296,6 @@ pub struct ChannelOutcome {
     pub member_bytes: Vec<(PeerId, u64)>,
 }
 
-/// One event of the merged cross-group stream. Ordered by
-/// `(time, group, seq)` — unique per event, independent of shard count.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MergedEvent {
-    /// Virtual instant within the event's group.
-    pub at: Time,
-    /// The group whose simulation processed it.
-    pub group: usize,
-    /// The group-local total-order sequence number.
-    pub seq: u64,
-    /// Rendered event (delivery, timer or status change).
-    pub what: String,
-}
-
 /// What a multi-channel run produces. Equality is exact — the
 /// shard-count-invariance tests compare whole results.
 #[derive(Debug, PartialEq)]
@@ -328,9 +315,9 @@ pub struct MultiChannelResult {
     pub events: u64,
     /// Latest virtual end time over the groups.
     pub sim_end: Time,
-    /// The merged event stream, when [`MultiChannelConfig::record_trace`]
-    /// was set.
-    pub trace: Option<Vec<MergedEvent>>,
+    /// Each group's [`desim::Simulation::content_hash`], in group order,
+    /// when [`MultiChannelConfig::record_trace`] was set.
+    pub group_hashes: Option<Vec<u64>>,
 }
 
 impl MultiChannelResult {
@@ -351,7 +338,7 @@ struct GroupOutcome {
     peer_bytes: Vec<u64>,
     events: u64,
     end: Time,
-    trace: Vec<TraceEvent>,
+    hash: Option<u64>,
 }
 
 /// Runs one multi-channel experiment to completion.
@@ -382,11 +369,11 @@ pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
             run_group(cfg, &groups[g], g)
         });
 
+    let group_hashes = outcomes.iter().map(|o| o.hash).collect();
     let mut channels = Vec::with_capacity(cfg.channels.len());
     let mut peer_bytes = vec![0u64; cfg.peers];
     let mut events = 0;
     let mut sim_end = Time::ZERO;
-    let mut merged = Vec::new();
     for (group, outcome) in outcomes.into_iter().enumerate() {
         channels.extend(outcome.channels);
         for (peer, bytes) in groups[group].members.iter().zip(outcome.peer_bytes) {
@@ -394,15 +381,8 @@ pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
         }
         events += outcome.events;
         sim_end = sim_end.max(outcome.end);
-        merged.extend(outcome.trace.into_iter().map(|e| MergedEvent {
-            at: e.at,
-            group,
-            seq: e.seq,
-            what: e.what,
-        }));
     }
     channels.sort_by_key(|c| c.channel);
-    merged.sort();
     let fairness_rows: Vec<(String, Vec<(usize, f64)>)> = channels
         .iter()
         .map(|c| {
@@ -421,7 +401,7 @@ pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
         blocks: channels.iter().map(|c| c.blocks).sum(),
         events,
         sim_end,
-        trace: cfg.record_trace.then_some(merged),
+        group_hashes,
         channels,
     }
 }
@@ -504,7 +484,7 @@ fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize)
 
     let events = sim.events_processed();
     let end = sim.now();
-    let trace = sim.take_trace();
+    let hash = sim.content_hash();
     let net = sim.into_protocol();
     let channels = group
         .channels
@@ -551,7 +531,7 @@ fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize)
             .collect(),
         events,
         end,
-        trace,
+        hash,
     }
 }
 
@@ -654,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_the_merged_stream() {
+    fn shard_count_does_not_change_the_group_hashes() {
         let mut cfg = MultiChannelConfig::clustered(3, 9, 40);
         cfg.record_trace = true;
         cfg.shards = 1;
@@ -662,10 +642,12 @@ mod tests {
         cfg.shards = 4;
         let sharded = run_multichannel(&cfg);
         assert_eq!(serial.events, sharded.events);
-        assert_eq!(serial.trace, sharded.trace);
-        let trace = serial.trace.unwrap();
-        assert!(!trace.is_empty());
-        assert!(trace.windows(2).all(|w| w[0] < w[1]), "strict merge order");
+        assert_eq!(serial.group_hashes, sharded.group_hashes);
+        let hashes = serial.group_hashes.expect("recorded");
+        assert_eq!(hashes.len(), 3, "one hash per group");
+        assert_ne!(hashes[0], hashes[1], "groups run different seeds");
+        cfg.record_trace = false;
+        assert_eq!(run_multichannel(&cfg).group_hashes, None);
     }
 
     #[test]
