@@ -182,8 +182,8 @@ impl ChannelCore {
         if let Err(e) = cfg.validate() {
             panic!("invalid gossip config: {e}");
         }
-        let membership = Membership::new(self_id, roster.clone(), cfg.membership.alive_timeout);
-        let channel_view = Membership::new(self_id, roster.clone(), cfg.membership.alive_timeout);
+        let membership = Membership::new(self_id, roster.clone());
+        let channel_view = Membership::new(self_id, roster.clone());
         ChannelCore {
             channel,
             self_id,
@@ -298,11 +298,10 @@ impl ChannelState {
         }
     }
 
-    /// Replaces the channel-wide view with `widened`, carrying liveness
-    /// learned about peers in both views over, and spans the recovery
-    /// tables over it. A builder step: before `init` they hold nothing.
-    pub(crate) fn widen_channel_view(&mut self, mut widened: Membership) {
-        widened.adopt_liveness(&self.core.channel_view);
+    /// Replaces the channel-wide view with `widened` and spans the
+    /// recovery tables over it. A builder step: before `init` they hold
+    /// nothing.
+    pub(crate) fn widen_channel_view(&mut self, widened: Membership) {
         self.core.channel_view = widened;
         self.recovery = RecoveryEngine::new(&self.core);
     }
@@ -370,7 +369,7 @@ impl ChannelState {
     }
 
     /// Models a process crash: volatile state — leadership, push buffers,
-    /// fetches in flight, pull bookkeeping, membership freshness — is lost.
+    /// fetches in flight, pull bookkeeping, discovery's claims — is lost.
     /// The block store survives (blocks are persisted through the ledger).
     pub fn on_crash(&mut self) {
         self.push.clear_volatile();
@@ -388,9 +387,7 @@ impl ChannelState {
 
     /// Entry point for every gossip message on this channel.
     pub fn on_message(&mut self, fx: &mut dyn Effects, from: PeerId, msg: GossipMsg) {
-        let now = fx.now();
-        self.core.membership.mark_alive(from, now);
-        self.core.channel_view.mark_alive(from, now);
+        self.discovery.heard_from(from, fx.now());
         match msg {
             GossipMsg::BlockPush { block, counter } => {
                 self.push
@@ -439,9 +436,10 @@ impl ChannelState {
                 // blocks it absorbed leaves with their store rows.
                 self.push.release_through(self.core.store.snapshot_floor());
             }
-            GossipMsg::Alive => {} // mark_alive above is the whole effect
+            // Background load: nothing reads its receipt.
+            GossipMsg::Alive => {}
             // A static roster never started its discovery engine: its
-            // traffic is evidence of life, as `Alive` is, and no more.
+            // traffic is dropped, as `Alive` is.
             GossipMsg::AliveMsg(_)
             | GossipMsg::MembershipRequest { .. }
             | GossipMsg::MembershipResponse { .. }
@@ -509,21 +507,6 @@ impl ChannelState {
         [claims, obituaries, heights, checkpoints]
     }
 
-    /// Discovery admitted `peer`: it enters both the organization and the
-    /// channel-wide view, immediately sampleable and believed alive (the
-    /// claim just merged is first contact).
-    ///
-    /// Leadership follows discovery seniority, so a newcomer with a lower
-    /// id does not depose a seated leader (Fabric's `orgLeader` semantics).
-    fn on_peer_joined(&mut self, fx: &mut dyn Effects, peer: PeerId) {
-        if peer == self.core.self_id {
-            return;
-        }
-        let now = fx.now();
-        self.core.membership.add_peer(peer, now);
-        self.core.channel_view.add_peer(peer, now);
-    }
-
     /// Applies the membership consequences of one discovery step: joins
     /// and reaps edit both views — membership changes are a *consequence
     /// of received gossip*, never of a callback — and each one is reported
@@ -537,7 +520,12 @@ impl ChannelState {
             self.set_leader(fx, false);
         }
         for peer in delta.joined {
-            self.on_peer_joined(fx, peer);
+            // Sampleable at once; its reap deadline is discovery's,
+            // counted from the claim just merged. Leadership follows
+            // seniority, so a newcomer with a lower id does not depose a
+            // seated leader (Fabric's `orgLeader` semantics).
+            self.core.membership.add_peer(peer);
+            self.core.channel_view.add_peer(peer);
             fx.discovery_event(self.core.channel, peer, true);
         }
         for peer in delta.renewed {
@@ -567,8 +555,9 @@ impl ChannelState {
         self.set_leader(fx, senior);
     }
 
-    /// Membership heartbeats: the background "alive" traffic that keeps the
-    /// organization view fresh. Small enough to live on the dispatcher.
+    /// Static-roster heartbeats: the background "alive" traffic of the
+    /// paper's deployment, load only. Small enough to live on the
+    /// dispatcher.
     fn on_alive_round(&mut self, fx: &mut dyn Effects) {
         let targets = {
             let k = self.core.cfg.fout;

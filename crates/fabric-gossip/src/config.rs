@@ -101,7 +101,8 @@ pub struct MembershipConfig {
     /// roster, the [`crate::messages::GossipMsg::AliveMsg`] claim (and the
     /// expiry/reap sweep) under gossiped discovery.
     pub alive_interval: Duration,
-    /// A peer unheard of for this long counts as dead.
+    /// Under gossiped discovery, a peer unheard of for this long is
+    /// reaped. Unread on a static roster.
     pub alive_timeout: Duration,
 }
 
@@ -128,10 +129,10 @@ impl Default for MembershipConfig {
 /// [`crate::discovery::DiscoveryEngine`]: periodic
 /// [`crate::messages::GossipMsg::AliveMsg`] heartbeats carrying a
 /// monotonic `(incarnation, seq)` pair, push–pull
-/// `MembershipRequest`/`MembershipResponse` anti-entropy, expiry of
-/// silent peers via [`crate::membership::Membership::believes_alive`],
-/// and reaping — joins and leaves are *local consequences of received
-/// gossip*, and there is no other way for membership to change. The most
+/// `MembershipRequest`/`MembershipResponse` anti-entropy, and reaping of
+/// peers silent for [`MembershipConfig::alive_timeout`] — joins and
+/// leaves are *local consequences of received gossip*, and there is no
+/// other way for membership to change. The most
 /// senior live claim leads
 /// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]), so a
 /// reaped leader is succeeded: this is the failover path.
@@ -364,6 +365,9 @@ impl GossipConfig {
         if self.discovery.anti_entropy_interval.is_zero() {
             return Err("discovery anti-entropy interval must be positive".into());
         }
+        if self.discovery.protocol && self.membership.alive_timeout.is_zero() {
+            return Err("alive timeout must be positive under discovery".into());
+        }
         if self.snapshot.enabled {
             if self.snapshot.interval == 0 {
                 return Err("snapshot checkpoint interval must be positive".into());
@@ -459,6 +463,14 @@ mod tests {
         let mut bad = GossipConfig::enhanced_f4();
         bad.discovery.anti_entropy_interval = Duration::ZERO;
         assert!(bad.validate().is_err());
+        // A zero timeout would reap every member on every round; a static
+        // roster never reads it.
+        let mut bad = GossipConfig::enhanced_f4().with_discovery_protocol();
+        bad.membership.alive_timeout = Duration::ZERO;
+        assert!(bad.validate().is_err());
+        let mut fine = GossipConfig::enhanced_f4();
+        fine.membership.alive_timeout = Duration::ZERO;
+        assert!(fine.validate().is_ok());
     }
 
     #[test]

@@ -13,25 +13,28 @@
 //! * a **join** is simply the first claim heard about an unknown peer
 //!   (directly from the joiner's announcement heartbeat, or relayed by
 //!   anti-entropy);
-//! * a **leave** is silence: the departed peer's claim stops refreshing,
-//!   [`crate::membership::Membership::believes_alive`] turns false after
-//!   the alive timeout, and the sweep **reaps** the entry — recording an
-//!   obituary (the incarnation the peer died at) that anti-entropy then
-//!   spreads, so one peer's timeout detection becomes everyone's;
+//! * a **leave** is silence: each claim row carries the instant this peer
+//!   last heard from (or, by a strictly fresher claim, about) its peer;
+//!   once that is older than the alive timeout the sweep **reaps** the
+//!   entry — recording an obituary (the incarnation the peer died at) that
+//!   anti-entropy then spreads, so one peer's timeout detection becomes
+//!   everyone's;
 //! * a **false death** (drops or a partition) is refuted: a peer that
 //!   learns it was declared dead bumps its incarnation above the obituary
 //!   and resurrects in every view — ranking junior from then on, exactly
 //!   where every other peer ranks the new life — so leadership
 //!   seniority stays consistent.
 //!
-//! The engine owns only discovery-private state (claims, obituaries, its
-//! own incarnation/seq). Everything shared lives in the
+//! The engine owns only discovery-private state (claims with their
+//! heard-at stamps, obituaries, its own incarnation/seq): liveness is
+//! asked nowhere else. Everything shared lives in the
 //! [`ChannelCore`]; membership *consequences* — view edits, the leader
 //! seat — are returned as a [`DiscoveryDelta`] and applied
 //! by [`crate::channel::ChannelState`], which also fires
 //! [`Effects::discovery_event`] per change so embeddings can measure
 //! convergence and stale-view windows.
 
+use desim::Time;
 use rand::RngExt;
 
 use crate::channel::{random_phase, ChannelCore};
@@ -71,6 +74,16 @@ impl DiscoveryDelta {
     }
 }
 
+/// One row of the claim table.
+#[derive(Debug)]
+struct Row {
+    /// The freshest claim held about the peer.
+    claim: PeerAlive,
+    /// When this peer last heard from the peer, or a strictly fresher
+    /// claim about it; the reap deadline is one alive timeout later.
+    heard: Time,
+}
+
 /// Discovery state of one channel instance.
 ///
 /// Both tables are `PeerTable`s over the organization view's build-time
@@ -82,8 +95,9 @@ pub struct DiscoveryEngine {
     incarnation: u64,
     /// Heartbeats emitted this life.
     seq: u64,
-    /// Freshest claim held per peer (self excluded).
-    view: PeerTable<PeerAlive>,
+    /// Freshest claim held per peer (self excluded), with its heard-at
+    /// stamp.
+    view: PeerTable<Row>,
     /// Obituaries: the incarnation each reaped peer died at. A claim only
     /// resurrects its peer when its incarnation is **strictly** higher.
     dead: PeerTable<u64>,
@@ -112,7 +126,7 @@ impl DiscoveryEngine {
 
     /// The freshest claim held about `peer`, if any.
     pub fn claim_of(&self, peer: PeerId) -> Option<&PeerAlive> {
-        self.view.get(peer)
+        self.view.get(peer).map(|row| &row.claim)
     }
 
     /// The obituary incarnation of `peer`, if it was reaped.
@@ -122,7 +136,17 @@ impl DiscoveryEngine {
 
     /// Every claim currently held about other peers, in id order.
     pub fn claims(&self) -> impl Iterator<Item = &PeerAlive> {
-        self.view.values()
+        self.view.values().map(|row| &row.claim)
+    }
+
+    /// A message from `peer` arrived at `now`: whatever it says, its
+    /// sender is alive, so its reap deadline moves to `now` plus the alive
+    /// timeout. A peer without a claim row (a stranger, or any sender on a
+    /// static roster, whose engine never started) is not recorded.
+    pub fn heard_from(&mut self, peer: PeerId, now: Time) {
+        if let Some(row) = self.view.get_mut(peer) {
+            row.heard = now;
+        }
     }
 
     /// Every obituary held, as `(peer, incarnation-it-died-at)`, in id
@@ -149,24 +173,26 @@ impl DiscoveryEngine {
 
     /// Starts this life: picks a fresh incarnation (strictly above any
     /// previous one), seeds the view with the roster handed at join time
-    /// (first contact counts from `now`, mirroring the membership grace),
-    /// **announces itself** with an immediate heartbeat to `fout` members
-    /// — this is how a runtime joiner propagates its own join; nobody
-    /// broadcasts on its behalf — and arms the periodic timers.
+    /// (every member, seeded or already held, heard from at `now`, so each
+    /// gets one full alive timeout to speak), **announces itself** with an
+    /// immediate heartbeat to `fout` members — this is how a runtime
+    /// joiner propagates its own join; nobody broadcasts on its behalf —
+    /// and arms the periodic timers.
     pub fn init(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let now = fx.now();
         self.incarnation = now.as_nanos().max(1).max(self.incarnation + 1);
         self.seq = 0;
         self.junior = self.junior || !core.roster.contains(&core.self_id);
-        for peer in core.membership.peers().to_vec() {
-            let seed = PeerAlive {
-                peer,
-                incarnation: 0,
-                seq: 0,
+        for &peer in core.membership.peers() {
+            let seed = Row {
+                claim: PeerAlive {
+                    peer,
+                    incarnation: 0,
+                    seq: 0,
+                },
+                heard: now,
             };
-            self.view.get_or_insert(peer, seed);
-            core.membership.mark_alive(peer, now);
-            core.channel_view.mark_alive(peer, now);
+            self.view.get_or_insert(peer, seed).heard = now;
         }
         self.heartbeat(core, fx);
         let hb_phase = random_phase(fx, core.cfg.membership.alive_interval);
@@ -176,17 +202,17 @@ impl DiscoveryEngine {
     }
 
     /// The DiscoveryRound timer: heartbeat, then sweep — reap every view
-    /// entry whose silence outlived the alive timeout (the
-    /// `believes_alive` machinery is the single source of expiry truth).
+    /// entry last heard from more than `membership.alive_timeout` ago.
     pub fn on_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) -> DiscoveryDelta {
         self.heartbeat(core, fx);
         let mut delta = DiscoveryDelta::default();
         let now = fx.now();
+        let timeout = core.cfg.membership.alive_timeout;
         let expired: Vec<PeerId> = self
             .view
             .iter()
+            .filter(|(_, row)| now.since(row.heard) > timeout)
             .map(|(p, _)| p)
-            .filter(|p| !core.membership.believes_alive(*p, now))
             .collect();
         for peer in expired {
             self.reap(peer, &mut delta);
@@ -228,7 +254,7 @@ impl DiscoveryEngine {
         claim: PeerAlive,
     ) -> DiscoveryDelta {
         let mut delta = DiscoveryDelta::default();
-        self.merge(core, fx, claim, &mut delta);
+        self.merge(core, fx.now(), claim, &mut delta);
         delta
     }
 
@@ -244,7 +270,7 @@ impl DiscoveryEngine {
     ) -> DiscoveryDelta {
         let mut delta = DiscoveryDelta::default();
         for claim in entries {
-            self.merge(core, fx, claim, &mut delta);
+            self.merge(core, fx.now(), claim, &mut delta);
         }
         for obituary in dead {
             self.apply_death(core, fx, obituary, &mut delta);
@@ -268,7 +294,7 @@ impl DiscoveryEngine {
     ) -> DiscoveryDelta {
         let mut delta = DiscoveryDelta::default();
         for claim in entries {
-            self.merge(core, fx, claim, &mut delta);
+            self.merge(core, fx.now(), claim, &mut delta);
         }
         for obituary in dead {
             self.apply_death(core, fx, obituary, &mut delta);
@@ -316,8 +342,7 @@ impl DiscoveryEngine {
         };
         core.membership.peers().iter().all(|p| {
             let rank = self
-                .view
-                .get(*p)
+                .claim_of(*p)
                 .map_or((1, *p), |c| (c.incarnation.max(1), *p));
             me < rank
         })
@@ -344,17 +369,18 @@ impl DiscoveryEngine {
             incarnation: self.incarnation,
             seq: self.seq,
         });
-        entries.extend(self.view.values());
+        entries.extend(self.claims());
         entries
     }
 
-    /// Merges one alive claim by freshness. A claim about an unknown (or
-    /// reaped-then-renewed) peer is a join; a strictly fresher claim about
-    /// a known peer refreshes its liveness; anything else is stale noise.
+    /// Merges one alive claim by freshness, heard at `now`. A claim about
+    /// an unknown (or reaped-then-renewed) peer is a join; a strictly
+    /// fresher claim about a known peer postpones its reap; anything else
+    /// is stale noise.
     fn merge(
         &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
+        core: &ChannelCore,
+        now: Time,
         claim: PeerAlive,
         delta: &mut DiscoveryDelta,
     ) {
@@ -362,43 +388,40 @@ impl DiscoveryEngine {
         if peer == core.self_id {
             return; // nobody knows this peer's life better than itself
         }
+        let row = Row { claim, heard: now };
         if let Some(&obituary) = self.dead.get(peer) {
             if claim.incarnation <= obituary {
                 return; // no resurrection without a strictly higher life
             }
             self.dead.remove(peer);
-            self.view.insert(peer, claim);
+            self.view.insert(peer, row);
             delta.joined.push(peer);
             return;
         }
         match self.view.get_mut(peer) {
             Some(held) => {
-                if !claim.fresher_than(held) {
-                    return; // stale relay: must not refresh liveness
+                if !claim.fresher_than(&held.claim) {
+                    return; // stale relay: must not postpone the reap
                 }
                 // A higher incarnation over a *live* claim is a rejoin
                 // this view never saw as a leave — report the renewal so
                 // the embedding's leave/join accounting completes. Seed
                 // displacement (incarnation 0 → first real claim) is
                 // first contact, not a renewal.
-                if claim.incarnation > held.incarnation && held.incarnation > 0 {
+                if claim.incarnation > held.claim.incarnation && held.claim.incarnation > 0 {
                     delta.renewed.push(peer);
                 }
-                *held = claim;
+                *held = row;
             }
             None => {
-                self.view.insert(peer, claim);
+                self.view.insert(peer, row);
+                // Already a member (the seeded roster raced the claim) is
+                // first contact; anyone else joins.
                 if !core.membership.contains(peer) {
                     delta.joined.push(peer);
-                    return;
                 }
-                // Already a member (seeded roster raced the claim): just
-                // refresh.
             }
         }
-        let now = fx.now();
-        core.membership.mark_alive(peer, now);
-        core.channel_view.mark_alive(peer, now);
     }
 
     /// Applies one obituary: deaths win ties (equal incarnation means the
@@ -423,7 +446,7 @@ impl DiscoveryEngine {
             }
             return;
         }
-        match self.view.get(peer) {
+        match self.claim_of(peer) {
             Some(held) if held.incarnation > obituary.incarnation => {
                 // We know a newer life: the obituary is history.
             }
@@ -434,7 +457,7 @@ impl DiscoveryEngine {
 
     /// Reaps `peer` at the incarnation currently held for it.
     fn reap(&mut self, peer: PeerId, delta: &mut DiscoveryDelta) {
-        let at = self.view.get(peer).map_or(0, |c| c.incarnation);
+        let at = self.claim_of(peer).map_or(0, |c| c.incarnation);
         self.reap_at(peer, at, delta);
     }
 
@@ -455,8 +478,9 @@ impl DiscoveryEngine {
 mod tests {
     use super::*;
     use crate::config::GossipConfig;
+    use crate::peer::GossipPeer;
     use crate::testing::MockEffects;
-    use desim::{Duration, Time};
+    use desim::Duration;
     use fabric_types::ids::ChannelId;
 
     fn core(self_id: u32, n: u32) -> ChannelCore {
@@ -486,9 +510,75 @@ mod tests {
         let timers: Vec<GossipTimer> = fx.take_scheduled().into_iter().map(|(_, t)| t).collect();
         assert!(timers.contains(&GossipTimer::DiscoveryRound));
         assert!(timers.contains(&GossipTimer::AntiEntropyRound));
-        // The seeded roster got join-time grace: nobody is reaped yet.
+        // Every seeded row was heard from at init: nobody is reaped yet.
         let delta = e.on_round(&mut c, &mut fx);
         assert!(delta.left.is_empty());
+    }
+
+    /// Peer 0 of the roster {0, 1, 2, 3} under discovery (alive timeout
+    /// 25 s), started at time zero.
+    fn started_peer(fx: &mut MockEffects) -> GossipPeer {
+        let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
+        let mut peer = GossipPeer::new(PeerId(0), (0..4).map(PeerId).collect(), cfg);
+        peer.init(fx);
+        peer
+    }
+
+    /// Fires one discovery round at `secs`; returns the members it kept.
+    fn round_at(peer: &mut GossipPeer, fx: &mut MockEffects, secs: u64) -> Vec<PeerId> {
+        fx.now = Time::from_secs(secs);
+        peer.on_timer(fx, GossipTimer::DiscoveryRound);
+        peer.membership().peers().to_vec()
+    }
+
+    fn claim(peer: u32, incarnation: u64, seq: u64) -> PeerAlive {
+        PeerAlive {
+            peer: PeerId(peer),
+            incarnation,
+            seq,
+        }
+    }
+
+    #[test]
+    fn liveness_any_message_from_a_member_postpones_its_reap() {
+        let mut fx = MockEffects::new(31);
+        let mut peer = started_peer(&mut fx);
+        fx.now = Time::from_secs(20);
+        let advert = GossipMsg::StateInfo {
+            height: 1,
+            checkpoint: None,
+        };
+        peer.on_message(&mut fx, PeerId(1), advert);
+        assert_eq!(round_at(&mut peer, &mut fx, 30), [PeerId(1)]);
+        assert_eq!(round_at(&mut peer, &mut fx, 45), [PeerId(1)]);
+        assert!(round_at(&mut peer, &mut fx, 46).is_empty());
+    }
+
+    #[test]
+    fn liveness_a_stale_relay_does_not_postpone_a_reap() {
+        let mut fx = MockEffects::new(32);
+        let mut peer = started_peer(&mut fx);
+        let own = GossipMsg::AliveMsg(claim(1, 1, 1));
+        fx.now = Time::from_secs(1);
+        peer.on_message(&mut fx, PeerId(1), own.clone());
+        fx.now = Time::from_secs(20);
+        peer.on_message(&mut fx, PeerId(2), own);
+        assert_eq!(
+            round_at(&mut peer, &mut fx, 30),
+            [PeerId(2)],
+            "the relay keeps its sender, not its subject"
+        );
+    }
+
+    #[test]
+    fn liveness_a_reboot_restarts_every_deadline() {
+        let mut fx = MockEffects::new(33);
+        let mut peer = started_peer(&mut fx);
+        peer.on_crash();
+        fx.now = Time::from_secs(20);
+        peer.init(&mut fx);
+        assert_eq!(round_at(&mut peer, &mut fx, 30), [1, 2, 3].map(PeerId));
+        assert!(round_at(&mut peer, &mut fx, 46).is_empty());
     }
 
     #[test]
@@ -505,25 +595,23 @@ mod tests {
 
     #[test]
     fn unknown_claim_is_a_join_and_stale_claims_do_not_refresh() {
-        let mut c = core(0, 3);
-        let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(3);
-        e.init(&mut c, &mut fx);
-        let newcomer = PeerAlive {
-            peer: PeerId(9),
-            incarnation: 50,
-            seq: 4,
-        };
-        let delta = e.on_alive(&mut c, &mut fx, newcomer);
-        assert_eq!(delta.joined, vec![PeerId(9)]);
-        // The dispatcher (ChannelState) is who adds it to the membership;
-        // at engine level the claim is now held.
-        assert_eq!(e.claim_of(PeerId(9)), Some(&newcomer));
+        let mut peer = started_peer(&mut fx);
+        let newcomer = claim(9, 50, 4);
+        fx.now = Time::from_secs(1);
+        peer.on_message(&mut fx, PeerId(9), GossipMsg::AliveMsg(newcomer));
+        assert_eq!(fx.discovery_events, [(ChannelId::DEFAULT, PeerId(9), true)]);
+        assert!(peer.membership().contains(PeerId(9)));
+        let engine = peer.discovery_on(ChannelId::DEFAULT).unwrap();
+        assert_eq!(engine.claim_of(PeerId(9)), Some(&newcomer));
 
-        // A stale relay (same claim again) is not a join and must not
-        // refresh anything.
-        let delta = e.on_alive(&mut c, &mut fx, newcomer);
-        assert!(delta.is_empty());
+        // A stale relay (the same claim again) is not a join and must not
+        // move the newcomer's reap deadline: 1 s plus the 25 s timeout.
+        fx.now = Time::from_secs(20);
+        peer.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(newcomer));
+        assert_eq!(fx.discovery_events.len(), 1, "a relay is not a join");
+        assert!(round_at(&mut peer, &mut fx, 26).contains(&PeerId(9)));
+        assert!(!round_at(&mut peer, &mut fx, 27).contains(&PeerId(9)));
     }
 
     #[test]
@@ -597,9 +685,6 @@ mod tests {
 
     #[test]
     fn channel_reports_a_renewal_as_leave_then_join_events() {
-        use crate::peer::GossipPeer;
-        use fabric_types::ids::ChannelId;
-
         let roster: Vec<PeerId> = (0..3).map(PeerId).collect();
         let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
         let mut peer = GossipPeer::new(PeerId(0), roster, cfg);
@@ -728,9 +813,8 @@ mod tests {
         fx.take_scheduled();
         let base = c.cfg.membership.alive_interval;
         for _ in 0..6 {
-            let now = fx.now;
             for p in 1..4 {
-                c.membership.mark_alive(PeerId(p), now);
+                e.heard_from(PeerId(p), fx.now);
             }
             e.on_round(&mut c, &mut fx);
             let timers = fx.take_scheduled();

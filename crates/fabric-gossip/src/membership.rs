@@ -1,11 +1,13 @@
 //! Membership view and uniform peer sampling.
 //!
 //! Within an organization every peer knows every other peer (Fabric builds
-//! this view with its discovery/alive gossip; here the view is seeded with
-//! the full roster and kept fresh by heartbeats). Sampling excludes the
-//! local peer.
+//! this view with its discovery/alive gossip; here it is seeded with the
+//! full roster). A view is a roster, an id index and a sampler; sampling
+//! excludes the local peer. Whether a peer is alive is not recorded here:
+//! under gossiped discovery the [`crate::discovery::DiscoveryEngine`]
+//! keeps that beside each claim and edits the roster on a join or a reap,
+//! and on a static roster nothing asks.
 
-use desim::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -13,13 +15,13 @@ use fabric_types::ids::PeerId;
 
 use crate::peertable::{PeerIndex, PeerTable};
 
-/// The local peer's view of its organization.
+/// The local peer's view of its organization (or, widened, its channel).
 ///
-/// Lookups by peer id are O(1) through a dense id→position
-/// `PeerIndex`: `mark_alive` runs twice per received gossip message, so
-/// the seed's linear roster scan was an O(n) tax on every single delivery
-/// at 100-peer scale. The index is pure bookkeeping — iteration order,
-/// sampling order and every observable result are unchanged.
+/// Lookups by peer id are O(1) through a dense id→position `PeerIndex`:
+/// recovery asks `contains` of every `StateInfo` and discovery of every
+/// merged claim, where a linear roster scan would cost O(n) per message at
+/// 100-peer scale. The index is pure bookkeeping — iteration order,
+/// sampling order and every observable result are those of the roster.
 ///
 /// The dense index spans the ids the view was built with and never grows:
 /// a peer admitted at runtime above that range (a join observed through
@@ -29,28 +31,21 @@ use crate::peertable::{PeerIndex, PeerTable};
 pub struct Membership {
     self_id: PeerId,
     peers: Vec<PeerId>,
-    /// Last time each roster entry was heard from (index-aligned with
-    /// `peers`); `None` until first contact, treated as alive at startup.
-    last_heard: Vec<Option<Time>>,
     /// Each peer's position in `peers`; dense up to the largest id of the
     /// build-time roster.
     index: PeerIndex,
-    alive_timeout: Duration,
 }
 
 impl Membership {
     /// Builds the view for `self_id` over the full `roster` (which may or
     /// may not include `self_id`; it is never sampled either way).
-    pub fn new(self_id: PeerId, roster: Vec<PeerId>, alive_timeout: Duration) -> Self {
+    pub fn new(self_id: PeerId, roster: Vec<PeerId>) -> Self {
         let peers: Vec<PeerId> = roster.into_iter().filter(|p| *p != self_id).collect();
-        let last_heard = vec![None; peers.len()];
         let range = peers.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
         let mut m = Membership {
             self_id,
             peers,
-            last_heard,
             index: PeerIndex::new(range),
-            alive_timeout,
         };
         m.reindex(0);
         m
@@ -94,83 +89,28 @@ impl Membership {
         self.index.get(peer).is_some()
     }
 
-    /// Records that `peer` was heard from at `now`.
-    pub fn mark_alive(&mut self, peer: PeerId, now: Time) {
-        if let Some(idx) = self.index.get(peer) {
-            self.last_heard[idx] = Some(now);
-        }
-    }
-
-    /// Whether `peer` is believed alive at `now`: heard from within the
-    /// timeout. Peers never heard from get a startup grace of one timeout
-    /// from time zero, after which silence means death.
-    pub fn believes_alive(&self, peer: PeerId, now: Time) -> bool {
-        match self.index.get(peer) {
-            Some(idx) => match self.last_heard[idx] {
-                None => now.since(Time::ZERO) <= self.alive_timeout,
-                Some(t) => now.since(t) <= self.alive_timeout,
-            },
-            None => false,
-        }
-    }
-
-    /// Peers believed alive at `now`, in id order.
-    pub fn alive_peers(&self, now: Time) -> Vec<PeerId> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| self.believes_alive(*p, now))
-            .collect()
-    }
-
     /// Adds `peer` to the view at runtime (a channel join observed through
-    /// discovery). The join announcement counts as first contact, so the
-    /// newcomer is immediately sampleable and believed alive from `now`.
-    /// Adding `self_id` or an already-known peer is a no-op.
-    pub fn add_peer(&mut self, peer: PeerId, now: Time) {
-        if peer == self.self_id {
+    /// discovery); it is sampleable at once. Adding `self_id` or an
+    /// already-known peer is a no-op.
+    pub fn add_peer(&mut self, peer: PeerId) {
+        if peer == self.self_id || self.contains(peer) {
             return;
         }
-        match self.index.get(peer) {
-            Some(idx) => self.last_heard[idx] = Some(now),
-            None => {
-                self.peers.push(peer);
-                self.last_heard.push(Some(now));
-                self.reindex(self.peers.len() - 1);
-            }
-        }
+        self.peers.push(peer);
+        self.reindex(self.peers.len() - 1);
     }
 
     /// Removes `peer` from the view at runtime (a channel leave). Returns
-    /// whether the peer was present. A removed peer is never sampled again
-    /// and is not believed alive.
+    /// whether the peer was present. A removed peer is never sampled again.
     pub fn remove_peer(&mut self, peer: PeerId) -> bool {
         match self.index.get(peer) {
             Some(idx) => {
                 self.peers.remove(idx);
-                self.last_heard.remove(idx);
                 self.index.set(peer, None);
                 self.reindex(idx);
                 true
             }
             None => false,
-        }
-    }
-
-    /// Carries learned liveness over from `prev` for peers present in both
-    /// views, keeping the freshest timestamp. Used when a deployment widens
-    /// a channel view: rebuilding the view must never make a known-alive
-    /// peer look silent.
-    pub fn adopt_liveness(&mut self, prev: &Membership) {
-        for (idx, p) in self.peers.iter().enumerate() {
-            if let Some(prev_idx) = prev.index.get(*p) {
-                if let Some(t) = prev.last_heard[prev_idx] {
-                    self.last_heard[idx] = Some(match self.last_heard[idx] {
-                        Some(cur) => cur.max(t),
-                        None => t,
-                    });
-                }
-            }
         }
     }
 
@@ -214,11 +154,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn membership(n: u32) -> Membership {
-        Membership::new(
-            PeerId(0),
-            (0..n).map(PeerId).collect(),
-            Duration::from_secs(25),
-        )
+        Membership::new(PeerId(0), (0..n).map(PeerId).collect())
     }
 
     fn rng(seed: u64) -> StdRng {
@@ -272,78 +208,25 @@ mod tests {
     }
 
     #[test]
-    fn alive_tracking_times_out() {
+    fn add_peer_is_sampleable_once() {
         let mut m = membership(3);
-        let t0 = Time::ZERO;
-        // Startup grace: everyone counts as alive.
-        assert!(m.believes_alive(PeerId(1), t0));
-        m.mark_alive(PeerId(1), Time::from_secs(10));
-        assert!(m.believes_alive(PeerId(1), Time::from_secs(30)));
-        assert!(!m.believes_alive(PeerId(1), Time::from_secs(40)));
-        assert!(!m.believes_alive(PeerId(99), t0), "strangers are not alive");
-    }
-
-    #[test]
-    fn alive_peers_lists_survivors() {
-        let mut m = membership(4);
-        let now = Time::from_secs(100);
-        m.mark_alive(PeerId(1), Time::from_secs(99));
-        m.mark_alive(PeerId(2), Time::from_secs(10)); // stale
-                                                      // PeerId(3) was never heard from and the startup grace has lapsed.
-        assert_eq!(m.alive_peers(now), vec![PeerId(1)]);
-    }
-
-    #[test]
-    fn startup_grace_expires_for_silent_peers() {
-        let m = membership(3);
-        assert!(m.believes_alive(PeerId(1), Time::from_secs(10)));
-        assert!(!m.believes_alive(PeerId(1), Time::from_secs(30)));
-    }
-
-    #[test]
-    fn adopt_liveness_keeps_the_freshest_timestamp() {
-        let mut old = membership(4);
-        old.mark_alive(PeerId(1), Time::from_secs(50));
-        old.mark_alive(PeerId(2), Time::from_secs(60));
-        let mut widened = Membership::new(
-            PeerId(0),
-            (0..6).map(PeerId).collect(),
-            Duration::from_secs(25),
-        );
-        widened.mark_alive(PeerId(2), Time::from_secs(70)); // already fresher
-        widened.adopt_liveness(&old);
-        let now = Time::from_secs(70);
-        assert!(widened.believes_alive(PeerId(1), now), "carried over");
-        assert!(widened.believes_alive(PeerId(2), now));
-        // Peer 4 exists only in the widened view: startup-grace rules apply.
-        assert!(!widened.believes_alive(PeerId(4), Time::from_secs(70)));
-    }
-
-    #[test]
-    fn add_peer_is_sampleable_and_alive_from_now() {
-        let mut m = membership(3);
-        let now = Time::from_secs(100);
-        m.add_peer(PeerId(9), now);
-        assert!(m.peers().contains(&PeerId(9)));
-        assert!(m.believes_alive(PeerId(9), now + Duration::from_secs(5)));
-        // Re-adding refreshes liveness instead of duplicating the entry.
-        m.add_peer(PeerId(9), now + Duration::from_secs(50));
-        assert_eq!(m.peers().iter().filter(|p| **p == PeerId(9)).count(), 1);
-        assert!(m.believes_alive(PeerId(9), Time::from_secs(160)));
+        m.add_peer(PeerId(9));
+        assert!(m.contains(PeerId(9)));
+        // Re-adding does not duplicate the entry.
+        m.add_peer(PeerId(9));
+        assert_eq!(m.peers(), [PeerId(1), PeerId(2), PeerId(9)]);
         // Adding self is inert.
-        m.add_peer(PeerId(0), now);
-        assert!(!m.peers().contains(&PeerId(0)));
+        m.add_peer(PeerId(0));
+        assert!(!m.contains(PeerId(0)));
     }
 
     #[test]
     fn remove_peer_forgets_the_entry() {
         let mut m = membership(4);
-        m.mark_alive(PeerId(2), Time::from_secs(10));
         assert!(m.remove_peer(PeerId(2)));
-        assert!(!m.peers().contains(&PeerId(2)));
-        assert!(!m.believes_alive(PeerId(2), Time::from_secs(11)));
+        assert!(!m.contains(PeerId(2)));
         assert!(!m.remove_peer(PeerId(2)), "second removal is a no-op");
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.peers(), [PeerId(1), PeerId(3)]);
     }
 
     #[test]
@@ -351,23 +234,18 @@ mod tests {
         let mut m = membership(4);
         let joiners = [PeerId(u32::MAX), PeerId(u32::MAX - 1), PeerId(7)];
         for p in joiners {
-            m.add_peer(p, Time::from_secs(1));
+            m.add_peer(p);
         }
         assert_eq!(m.index.range(), 4, "the dense index never grows");
         assert_eq!(m.index.spilled(), 3);
         // A removal ahead of them shifts their positions, not their answers.
         assert!(m.remove_peer(PeerId(1)));
-        let now = Time::from_secs(100);
-        for p in joiners {
-            m.mark_alive(p, now);
-            assert!(m.believes_alive(p, now), "{p}");
-        }
+        assert!(joiners.iter().all(|p| m.contains(*p)));
         assert!(m.remove_peer(PeerId(u32::MAX)));
         assert!(!m.contains(PeerId(u32::MAX)));
         assert_eq!(m.index.spilled(), 2);
         let expected = [2, 3, u32::MAX - 1, 7].map(PeerId);
         assert_eq!(m.peers(), expected);
-        assert_eq!(m.alive_peers(now), [PeerId(u32::MAX - 1), PeerId(7)]);
     }
 
     mod model {
@@ -397,15 +275,11 @@ mod tests {
                 draws in proptest::collection::vec((0usize..12, 0u32..130), 1..12),
                 seed in any::<u64>(),
             ) {
-                let mut m = Membership::new(
-                    PeerId(7),
-                    roster.into_iter().map(PeerId).collect(),
-                    Duration::from_secs(25),
-                );
+                let mut m = Membership::new(PeerId(7), roster.into_iter().map(PeerId).collect());
                 let (mut ours, mut theirs) = (rng(seed), rng(seed));
                 for (k, churn) in draws {
                     if churn % 3 == 0 {
-                        m.add_peer(PeerId(churn), Time::ZERO);
+                        m.add_peer(PeerId(churn));
                     } else if churn % 3 == 1 {
                         m.remove_peer(PeerId(churn));
                     }

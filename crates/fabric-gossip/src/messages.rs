@@ -176,8 +176,9 @@ pub enum GossipMsg {
         /// serving N chunks clones a reference count, not the entries).
         chunk: SnapshotChunk,
     },
-    /// Membership heartbeat of a static-roster channel (carries no
-    /// payload — reception alone refreshes the sender's entry).
+    /// Membership heartbeat of a static-roster channel: no payload, and
+    /// nothing reads its receipt — it is the background load of the
+    /// paper's deployment.
     Alive,
     /// Discovery-protocol heartbeat: the sender's own liveness claim.
     /// Replaces [`GossipMsg::Alive`] when

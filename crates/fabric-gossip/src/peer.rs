@@ -355,11 +355,8 @@ impl GossipPeer {
     ///
     /// **Builder-only.** The view is deployment-time configuration; calling
     /// this after [`GossipPeer::init`] would race the live protocol and is
-    /// rejected. Liveness already learned about peers present in both the
-    /// old and the new roster is carried over, so re-widening (e.g. widen,
-    /// then widen again with more organizations) can never make a
-    /// known-alive peer look silent. (The seed implementation rebuilt the
-    /// view from scratch, silently dropping every `last_heard` timestamp.)
+    /// rejected. The new view replaces the old one outright; a view holds
+    /// no liveness (discovery's claim table does).
     ///
     /// # Panics
     ///
@@ -372,11 +369,10 @@ impl GossipPeer {
              channel views must be set before init"
         );
         let id = self.id;
-        let timeout = self.cfg.membership.alive_timeout;
         let state = self
             .state_mut(channel)
             .unwrap_or_else(|| panic!("cannot widen unjoined channel {channel}"));
-        state.widen_channel_view(Membership::new(id, channel_roster, timeout));
+        state.widen_channel_view(Membership::new(id, channel_roster));
         self
     }
 
@@ -518,7 +514,7 @@ impl GossipPeer {
     }
 
     /// Models a process crash: volatile state — leadership, push buffers,
-    /// fetches in flight, pull bookkeeping, membership freshness — is lost
+    /// fetches in flight, pull bookkeeping, discovery's claims — is lost
     /// on every channel. The block stores survive (blocks are persisted
     /// through the ledger). After a reboot, call [`GossipPeer::init`] to
     /// re-arm the timers (a static-roster leader also takes its seat back);
@@ -739,24 +735,5 @@ mod tests {
             Some(16)
         );
         assert!(!peer.publish_snapshot_on(ChannelId::DEFAULT, snap(12)));
-    }
-
-    #[test]
-    fn widening_preserves_learned_liveness() {
-        use desim::{Duration, Time};
-        // A peer hears from peer 1 before the deployment widens its channel
-        // view (e.g. a reconfiguration adds an organization). The learned
-        // freshness must survive the widening.
-        let mut peer = GossipPeer::new(PeerId(0), peers(&[0, 1, 2]), GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        fx.now = Time::from_secs(40); // past the startup grace
-        peer.on_message(&mut fx, PeerId(1), GossipMsg::Alive);
-        let peer = peer.with_channel(peers(&[0, 1, 2, 3, 4, 5]));
-        assert!(
-            peer.channel()
-                .believes_alive(PeerId(1), Time::from_secs(40) + Duration::from_secs(5)),
-            "liveness learned before widening must carry over"
-        );
-        assert_eq!(peer.channel().len(), 5);
     }
 }

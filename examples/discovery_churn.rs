@@ -12,7 +12,7 @@
 //! 1. every peer runs the `DiscoveryEngine` alongside push/pull/leadership:
 //!    periodic heartbeats carry a monotonic `(incarnation, seq)` claim, an
 //!    anti-entropy round push–pulls the full alive view with one random
-//!    member, silent peers expire through the `believes_alive` timeout and
+//!    member, peers silent for the alive timeout expire and
 //!    are **reaped** (leaving an obituary that spreads, so one peer's
 //!    detection becomes everyone's);
 //! 2. at every wave instant, fresh peers **join** each side channel — each
