@@ -9,7 +9,7 @@
 //! only the tail) — and the per-join [`Catchup`] record reports the
 //! transfer bytes, the time-to-serving and the blocks actually replayed.
 //! The snapshot run's ledgers also report what a *sitting* peer pays to be
-//! able to serve: bytes retained per checkpoint, full export vs delta.
+//! able to serve: the bytes of its largest full export.
 //!
 //! The paper's enhancement makes steady-state dissemination fair and
 //! cheap; this sweep shows the complementary claim for bootstrap: genesis
@@ -96,12 +96,9 @@ pub struct LongChainRow {
     /// Transfers the joiner re-requested after a timeout or server loss
     /// (0 on a lossless sweep).
     pub resumes: u64,
-    /// Largest full snapshot export a sitting endorser retained — grows
+    /// Largest full snapshot export a sitting endorser took — grows
     /// linearly with state size.
     pub full_bytes_per_checkpoint: u64,
-    /// Largest delta snapshot the same endorser retained — flat in steady
-    /// state.
-    pub delta_bytes_per_checkpoint: u64,
 }
 
 /// What a sweep produces.
@@ -202,7 +199,6 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             chunks: s.chunks,
             resumes: s.resumes,
             full_bytes_per_checkpoint: log.iter().map(|r| r.full_bytes).max().unwrap_or(0),
-            delta_bytes_per_checkpoint: log.iter().map(|r| r.delta_bytes).max().unwrap_or(0),
         });
     }
     LongChainResult {
@@ -234,12 +230,8 @@ pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
         ));
         out.push_str(&format!(
             "            | transfer: max msg {:>6} B, {:>3} chunks, {} resumes | \
-             retained/ckpt: full {:>6} B vs delta {:>5} B\n",
-            r.max_msg_bytes,
-            r.chunks,
-            r.resumes,
-            r.full_bytes_per_checkpoint,
-            r.delta_bytes_per_checkpoint,
+             full export {:>6} B\n",
+            r.max_msg_bytes, r.chunks, r.resumes, r.full_bytes_per_checkpoint,
         ));
     }
     let (gb, sb) = result.bytes_growth();
@@ -319,7 +311,7 @@ mod tests {
         assert!(text.contains("genesis:"));
         assert!(text.contains("snapshot:"));
         assert!(text.contains("transfer:"));
-        assert!(text.contains("retained/ckpt"));
+        assert!(text.contains("full export"));
         assert!(text.contains("growth last/first"));
         assert!(text.contains("to serving"));
     }
@@ -346,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_retention_stays_flat_while_full_exports_grow_linearly() {
+    fn full_exports_grow_with_the_chain() {
         let res = sweep();
         let first = res.rows.first().unwrap();
         let last = res.rows.last().unwrap();
@@ -354,32 +346,10 @@ mod tests {
         // meaningfully more per checkpoint.
         assert!(
             last.full_bytes_per_checkpoint > first.full_bytes_per_checkpoint,
-            "full retention must grow with the chain: {} vs {}",
+            "full exports must grow with the chain: {} vs {}",
             first.full_bytes_per_checkpoint,
             last.full_bytes_per_checkpoint
         );
-        // Deltas carry only the writes since the previous checkpoint, so
-        // per-checkpoint retention is independent of the chain height
-        // (give a small allowance for longer key names at taller heights).
-        assert!(
-            (last.delta_bytes_per_checkpoint as f64)
-                < first.delta_bytes_per_checkpoint as f64 * 1.25,
-            "delta retention must stay flat across the sweep: {} vs {}",
-            first.delta_bytes_per_checkpoint,
-            last.delta_bytes_per_checkpoint
-        );
-        for r in &res.rows {
-            assert!(
-                r.delta_bytes_per_checkpoint > 0,
-                "{} blocks: delta boundaries must have fired",
-                r.blocks
-            );
-            assert!(
-                r.delta_bytes_per_checkpoint < r.full_bytes_per_checkpoint,
-                "{} blocks: a delta must undercut the full export",
-                r.blocks
-            );
-        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Effects for SimFx<'_, '_> {
             return; // the ledger already replayed past the checkpoint
         }
         let policy = self.channels[channel.index()].spec.policy.clone();
-        if let Ok(ledger) = Ledger::from_snapshot_with_policy(
+        if let Ok(ledger) = Ledger::from_snapshot(
             self.msp.clone(),
             policy,
             snapshot.clone(),

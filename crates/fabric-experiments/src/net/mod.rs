@@ -703,11 +703,12 @@ impl FabricNet {
 
 /// The ledger-side snapshot policy implied by a gossip config: `None`
 /// with snapshots off (checkpoint-free ledgers, the byte-identical
-/// historical pipeline); otherwise a delta per checkpoint and a full
-/// export every second one, so per-checkpoint retention stays flat as
-/// state grows.
+/// historical pipeline); otherwise a checkpoint every interval and a
+/// full export at the first and every second one after it, so the
+/// served snapshot lags the newest checkpoint by at most one interval.
 fn ledger_snapshot_policy(g: &GossipConfig) -> Option<SnapshotPolicy> {
-    g.snapshot
-        .enabled
-        .then(|| SnapshotPolicy::delta(g.snapshot.interval, 2))
+    g.snapshot.enabled.then_some(SnapshotPolicy {
+        every: g.snapshot.interval,
+        full_every: 2,
+    })
 }

@@ -308,6 +308,31 @@ fn conflicts_event_content_is_pinned() {
     );
 }
 
+/// The same guard on a snapshot-on run: the churn preset with checkpoints
+/// every 8 blocks, so the joiner bootstraps from a served export. A change
+/// to when a ledger checkpoints or exports, or to what a chunk carries,
+/// moves it; the second pin splits the transfer into many chunks.
+#[test]
+fn snapshot_on_churn_event_content_is_pinned() {
+    let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
+    cfg.network = NetworkConfig::lan(18);
+    cfg.seed = 9;
+    let (_, pin) = run_traced(cfg.deployment());
+    assert_eq!(
+        pin,
+        (172_935, 12_970_766_335_894_880_139),
+        "event content moved"
+    );
+
+    cfg.gossip.snapshot.chunk_size = 256;
+    let (_, pin) = run_traced(cfg.deployment());
+    assert_eq!(
+        pin,
+        (173_061, 7_977_248_603_006_877_930),
+        "event content moved"
+    );
+}
+
 #[test]
 fn duplicate_block_accounting_is_unchanged_across_runs() {
     // Original Fabric gossip re-pushes aggressively (fout = 3 infect-and-die

@@ -174,8 +174,9 @@ pub struct SnapshotConfig {
     /// Advertise checkpoints and bootstrap joiners from snapshots.
     pub enabled: bool,
     /// Checkpoint cadence in blocks: the embedding's ledger emits a
-    /// checkpoint every `interval` blocks (see
-    /// `fabric_ledger::Ledger::with_checkpoints`). Also the lag (best
+    /// checkpoint every `interval` blocks and exports the full snapshot it
+    /// serves at the first checkpoint and every second one after it (see
+    /// `fabric_ledger::ledger::SnapshotPolicy`). Also the lag (best
     /// advertised checkpoint height + 1 − own height) from which a peer
     /// prefers a snapshot over block replay.
     pub interval: u64,

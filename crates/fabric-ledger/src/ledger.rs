@@ -1,17 +1,16 @@
 //! The peer-local ledger: hash-chained block storage plus materialized state.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
 use fabric_types::msp::Msp;
-use fabric_types::rwset::{Key, Version};
-use fabric_types::snapshot::{Checkpoint, DeltaSnapshot, Snapshot, SnapshotRef};
+use fabric_types::rwset::Version;
+use fabric_types::snapshot::{Checkpoint, Snapshot, SnapshotRef};
 use fabric_types::transaction::EndorsementPolicy;
 
-use crate::state::{StateDb, StateReader};
+use crate::state::StateDb;
 use crate::validate::{validate_block, BlockValidation};
 
 /// Why a block was rejected at commit time.
@@ -52,9 +51,6 @@ impl std::error::Error for CommitError {}
 pub enum SnapshotError {
     /// The entries do not hash to the advertised checkpoint.
     StateHashMismatch,
-    /// A delta in the chain does not apply over its predecessor (base
-    /// checkpoint mismatch or merged entries failing the chained hash).
-    BrokenDeltaChain,
 }
 
 impl fmt::Display for SnapshotError {
@@ -63,61 +59,34 @@ impl fmt::Display for SnapshotError {
             SnapshotError::StateHashMismatch => {
                 write!(f, "snapshot entries do not hash to the checkpoint")
             }
-            SnapshotError::BrokenDeltaChain => {
-                write!(f, "delta snapshot does not chain to its base checkpoint")
-            }
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// How a ledger emits and retains snapshot artifacts at its checkpoint
-/// boundaries.
+/// When a ledger checkpoints and when it exports the full snapshot it
+/// serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// Emit a checkpoint every this many blocks. Must be positive.
     pub every: u64,
-    /// Keep the last this many full snapshots; older exports are pruned
-    /// (deltas no retained full can anchor are pruned with them).
-    pub retain_full: usize,
-    /// Emit a [`DeltaSnapshot`] at every checkpoint, and a full snapshot
-    /// only every [`Self::full_every`] checkpoints.
-    pub delta: bool,
-    /// Full-snapshot cadence, counted in checkpoints, when `delta` is on.
+    /// Export a full snapshot at the first checkpoint and then at every
+    /// height `h` with `(h / every) % full_every == 0`. Must be positive.
     pub full_every: u64,
 }
 
 impl SnapshotPolicy {
-    /// Full snapshots at every checkpoint, keeping the last `retain_full`
-    /// (the PR 8 behavior plus retention).
+    /// A checkpoint and a full export every `every` blocks.
     pub fn full(every: u64) -> Self {
         SnapshotPolicy {
             every,
-            retain_full: 2,
-            delta: false,
             full_every: 1,
-        }
-    }
-
-    /// Deltas at every checkpoint, fulls only every `full_every`
-    /// checkpoints: retained bytes per checkpoint scale with the writes in
-    /// the interval, not with total state size.
-    pub fn delta(every: u64, full_every: u64) -> Self {
-        SnapshotPolicy {
-            every,
-            retain_full: 2,
-            delta: true,
-            full_every,
         }
     }
 
     fn assert_valid(&self) {
         assert!(self.every > 0, "checkpoint interval must be positive");
-        assert!(
-            self.retain_full > 0,
-            "must retain at least one full snapshot"
-        );
         assert!(
             self.full_every > 0,
             "full-snapshot cadence must be positive"
@@ -125,18 +94,14 @@ impl SnapshotPolicy {
     }
 }
 
-/// What one checkpoint added to the retained snapshot artifacts: the wire
-/// bytes of the full snapshot and/or delta emitted at that boundary (0 when
-/// that artifact wasn't emitted there). The per-checkpoint retention curve —
-/// flat for deltas, growing with state size for fulls.
+/// What one checkpoint exported: the wire bytes of the full snapshot taken
+/// at that boundary (0 when none was). Grows with state size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionRecord {
     /// Block height of the checkpoint.
     pub height: u64,
     /// Wire bytes of the full snapshot emitted here, if any.
     pub full_bytes: u64,
-    /// Wire bytes of the delta snapshot emitted here, if any.
-    pub delta_bytes: u64,
 }
 
 /// Summary of one committed block.
@@ -200,19 +165,11 @@ pub struct Ledger {
     base_hash: Hash256,
     state: StateDb,
     stats: LedgerStats,
-    /// Snapshot emission and retention rules (`None`: never checkpoint).
+    /// Checkpoint and export cadence (`None`: never checkpoint).
     snapshot_policy: Option<SnapshotPolicy>,
-    /// Retained full snapshots in height order, at most
-    /// [`SnapshotPolicy::retain_full`] of them; the last is the one
-    /// [`Ledger::snapshot`] serves.
-    retained: Vec<SnapshotRef>,
-    /// Retained delta snapshots in height order, pruned together with the
-    /// fulls they anchor to.
-    deltas: Vec<DeltaSnapshot>,
-    /// Keys written since the last checkpoint — the next delta's payload.
-    /// Only maintained under a delta policy.
-    dirty: BTreeSet<Key>,
-    /// Per-checkpoint retained-bytes accounting, in height order.
+    /// The latest full export, the one [`Ledger::snapshot`] serves.
+    snapshot: Option<SnapshotRef>,
+    /// Per-checkpoint export accounting, in height order.
     retention_log: Vec<RetentionRecord>,
     /// Every checkpoint emitted by this ledger, in height order — the
     /// cross-run equivalence trail (40 bytes each, so keeping all is
@@ -232,9 +189,7 @@ impl Ledger {
             state: StateDb::new(),
             stats: LedgerStats::default(),
             snapshot_policy: None,
-            retained: Vec::new(),
-            deltas: Vec::new(),
-            dirty: BTreeSet::new(),
+            snapshot: None,
             retention_log: Vec::new(),
             checkpoint_log: Vec::new(),
         }
@@ -242,10 +197,9 @@ impl Ledger {
 
     /// Turns on checkpoint emission: after committing block `n` with
     /// `n % every == 0`, the ledger records a [`Checkpoint`] (state hash +
-    /// height) and retains the matching [`Snapshot`] for serving, keeping
-    /// the last [`SnapshotPolicy::full`]'s `retain_full` exports and
-    /// pruning older ones. The work happens inside `commit` of the boundary
-    /// block only — in a real deployment it would run on a background
+    /// height) and exports the matching [`Snapshot`] for serving in place
+    /// of the previous export. The work happens inside `commit` of the
+    /// boundary block only — in a real deployment it would run on a background
     /// thread (cf. Solana's accounts-background-service); in the simulation
     /// it adds no events and no virtual time, so dissemination timing is
     /// unchanged.
@@ -258,12 +212,11 @@ impl Ledger {
     }
 
     /// Turns on checkpoint emission under an explicit [`SnapshotPolicy`]
-    /// (retention depth, delta emission, full-snapshot cadence).
+    /// (checkpoint interval and full-export cadence).
     ///
     /// # Panics
     ///
-    /// Panics when the policy is invalid (zero interval, cadence, or
-    /// retention depth).
+    /// Panics when the policy has a zero interval or cadence.
     pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
         policy.assert_valid();
         self.snapshot_policy = Some(policy);
@@ -276,36 +229,20 @@ impl Ledger {
     /// logically committed but not physically held ([`Ledger::block`]
     /// returns `None` for them).
     ///
-    /// The resulting ledger re-serves the installed snapshot and keeps
-    /// emitting its own checkpoints at the same cadence, so equivalence
-    /// with a genesis-replay ledger is checkable checkpoint by checkpoint.
+    /// The resulting ledger re-serves the installed snapshot and, under
+    /// `snapshot_policy`, keeps emitting its own checkpoints, so
+    /// equivalence with a genesis-replay ledger is checkable checkpoint by
+    /// checkpoint.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::StateHashMismatch`] when the entries do not hash to
     /// the advertised checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the policy has a zero interval or cadence.
     pub fn from_snapshot(
-        msp: Arc<Msp>,
-        policy: EndorsementPolicy,
-        snapshot: SnapshotRef,
-        checkpoint_interval: Option<u64>,
-    ) -> Result<Self, SnapshotError> {
-        Self::from_snapshot_with_policy(
-            msp,
-            policy,
-            snapshot,
-            checkpoint_interval.map(SnapshotPolicy::full),
-        )
-    }
-
-    /// [`Self::from_snapshot`] with an explicit [`SnapshotPolicy`] for the
-    /// checkpoints the new ledger will emit itself.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::StateHashMismatch`] when the entries do not hash to
-    /// the advertised checkpoint.
-    pub fn from_snapshot_with_policy(
         msp: Arc<Msp>,
         policy: EndorsementPolicy,
         snapshot: SnapshotRef,
@@ -326,44 +263,10 @@ impl Ledger {
             state: StateDb::from_entries(snapshot.entries.clone()),
             stats: LedgerStats::default(),
             snapshot_policy,
-            deltas: Vec::new(),
-            dirty: BTreeSet::new(),
             retention_log: Vec::new(),
             checkpoint_log: vec![snapshot.checkpoint],
-            retained: vec![snapshot],
+            snapshot: Some(snapshot),
         })
-    }
-
-    /// Stands up a ledger from a full snapshot plus a chain of deltas: each
-    /// delta is applied over its predecessor with its chain link verified,
-    /// and the resulting full state seeds the ledger exactly as
-    /// [`Self::from_snapshot`] would — a delta-chain bootstrap lands on a
-    /// state byte-identical to a full-snapshot bootstrap at the same
-    /// height (proptested in `tests/delta_equivalence.rs`).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::BrokenDeltaChain`] when a delta's base checkpoint
-    /// doesn't match its predecessor or the merged entries fail the chained
-    /// hash; [`SnapshotError::StateHashMismatch`] when the base itself is
-    /// corrupt.
-    pub fn from_delta_chain(
-        msp: Arc<Msp>,
-        policy: EndorsementPolicy,
-        base: SnapshotRef,
-        deltas: &[DeltaSnapshot],
-        snapshot_policy: Option<SnapshotPolicy>,
-    ) -> Result<Self, SnapshotError> {
-        if !base.verify() {
-            return Err(SnapshotError::StateHashMismatch);
-        }
-        let mut current = (*base).clone();
-        for delta in deltas {
-            current = delta
-                .apply_to(&current)
-                .ok_or(SnapshotError::BrokenDeltaChain)?;
-        }
-        Self::from_snapshot_with_policy(msp, policy, SnapshotRef::new(current), snapshot_policy)
     }
 
     /// Chain height: number of blocks committed, genesis included.
@@ -421,26 +324,12 @@ impl Ledger {
     /// The latest full snapshot, ready to serve (a reference-count bump,
     /// never a state copy). `None` until the first checkpoint boundary.
     pub fn snapshot(&self) -> Option<SnapshotRef> {
-        self.retained.last().cloned()
+        self.snapshot.clone()
     }
 
-    /// Every retained full snapshot in height order (at most
-    /// [`SnapshotPolicy::retain_full`]; older exports are pruned).
-    pub fn retained_snapshots(&self) -> &[SnapshotRef] {
-        &self.retained
-    }
-
-    /// Retained delta snapshots in height order. Under a delta policy these
-    /// chain from a retained full up to the latest checkpoint; pruned
-    /// together with the fulls that anchor them.
-    pub fn retained_deltas(&self) -> &[DeltaSnapshot] {
-        &self.deltas
-    }
-
-    /// Per-checkpoint retained-bytes accounting: what each boundary added
-    /// in full-snapshot and delta bytes. Flat under a delta policy, growing
-    /// with state size under a full policy — the curve the `long_chain`
-    /// sweep records.
+    /// Per-checkpoint export accounting: the full-snapshot bytes each
+    /// boundary exported, growing with state size — the curve the
+    /// `long_chain` sweep records.
     pub fn retention_log(&self) -> &[RetentionRecord] {
         &self.retention_log
     }
@@ -484,11 +373,6 @@ impl Ledger {
         for (tx_num, (tx, flag)) in block.txs.iter().zip(validation.flags.iter()).enumerate() {
             if flag.is_valid() {
                 let version = Version::new(block.number(), tx_num as u32);
-                if self.snapshot_policy.is_some_and(|p| p.delta) {
-                    for w in &tx.rwset.writes {
-                        self.dirty.insert(w.key.clone());
-                    }
-                }
                 self.state.apply(version, &tx.rwset.writes);
                 self.stats.valid_txs += 1;
             } else {
@@ -514,65 +398,30 @@ impl Ledger {
         })
     }
 
-    /// Records the checkpoint for the just-committed `height` and retains
-    /// its snapshot artifacts per the policy: under a delta policy a
-    /// [`DeltaSnapshot`] of the keys written since the previous checkpoint,
-    /// plus a full snapshot at the `full_every` cadence (and always when
-    /// there is no prior checkpoint to chain a delta from); under a full
-    /// policy a full snapshot at every boundary. Fulls beyond `retain_full`
-    /// are pruned, along with the deltas that chained below the oldest
-    /// surviving full. The checkpoint log keeps every fingerprint.
+    /// Records the checkpoint for the just-committed `height` and, when a
+    /// full export is due, replaces the served snapshot with one taken
+    /// here. The checkpoint log keeps every fingerprint.
     fn emit_checkpoint(&mut self, height: u64, policy: SnapshotPolicy) {
         let checkpoint = Checkpoint {
             height,
             state_hash: self.state.state_hash(),
         };
-        let prev = self.checkpoint_log.last().copied();
+        let first = self.checkpoint_log.is_empty();
         self.checkpoint_log.push(checkpoint);
         let mut record = RetentionRecord {
             height,
             full_bytes: 0,
-            delta_bytes: 0,
         };
-        if policy.delta {
-            if let Some(base) = prev {
-                let entries: Vec<_> = self
-                    .dirty
-                    .iter()
-                    .filter_map(|k| {
-                        let (v, ver) = self.state.get(k)?;
-                        Some((k.clone(), v.clone(), ver))
-                    })
-                    .collect();
-                let delta = DeltaSnapshot {
-                    base,
-                    checkpoint,
-                    last_block_hash: self.latest_hash(),
-                    entries,
-                };
-                record.delta_bytes = delta.wire_size() as u64;
-                self.deltas.push(delta);
-            }
-            self.dirty.clear();
-        }
         // The height-based full cadence keeps genesis-replay and
         // snapshot-seeded ledgers agreeing on which boundaries carry fulls.
-        let full_due = !policy.delta
-            || prev.is_none()
-            || (height / policy.every).is_multiple_of(policy.full_every);
-        if full_due {
+        if first || (height / policy.every).is_multiple_of(policy.full_every) {
             let snapshot = SnapshotRef::new(Snapshot {
                 checkpoint,
                 last_block_hash: self.latest_hash(),
                 entries: self.state.export_entries(),
             });
             record.full_bytes = snapshot.wire_size() as u64;
-            self.retained.push(snapshot);
-            if self.retained.len() > policy.retain_full {
-                self.retained.remove(0);
-                let floor = self.retained[0].checkpoint.height;
-                self.deltas.retain(|d| d.base.height >= floor);
-            }
+            self.snapshot = Some(snapshot);
         }
         self.retention_log.push(record);
     }
@@ -581,6 +430,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateReader;
     use fabric_types::ids::{ClientId, PeerId, TxId};
     use fabric_types::rwset::RwSet;
     use fabric_types::transaction::Transaction;
@@ -733,107 +583,56 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_the_last_two_fulls_and_prunes_older_exports() {
+    fn each_full_export_replaces_the_served_one() {
         let mut led = ledger().with_checkpoints(2);
-        grow_unique(&mut led, 1, 8);
+        let mut served = Vec::new();
+        for n in 1..=8 {
+            grow_unique(&mut led, n, n);
+            if let Some(snap) = led.snapshot() {
+                assert!(snap.verify());
+                served.push(snap.checkpoint.height);
+            }
+        }
+        assert_eq!(served, vec![2, 2, 4, 4, 6, 6, 8]);
         assert_eq!(
-            led.retained_snapshots()
-                .iter()
-                .map(|s| s.checkpoint.height)
-                .collect::<Vec<_>>(),
-            vec![6, 8],
-            "only the last retain_full=2 exports survive"
-        );
-        assert_eq!(led.snapshot().unwrap().checkpoint.height, 8);
-        assert_eq!(
-            led.checkpoints().len(),
-            4,
-            "the fingerprint log keeps every checkpoint"
+            led.snapshot().unwrap().checkpoint,
+            led.latest_checkpoint().unwrap()
         );
         let log = led.retention_log();
         assert_eq!(log.len(), 4);
         assert!(
-            log.windows(2).all(|w| w[0].full_bytes < w[1].full_bytes),
+            log.windows(2)
+                .all(|w| 0 < w[0].full_bytes && w[0].full_bytes < w[1].full_bytes),
             "full-snapshot bytes grow with state size"
         );
-        assert!(log.iter().all(|r| r.delta_bytes == 0));
     }
 
     #[test]
-    fn delta_policy_keeps_per_checkpoint_bytes_flat_and_chains_to_fulls() {
-        let mut led = ledger().with_snapshot_policy(SnapshotPolicy::delta(2, 2));
-        grow_unique(&mut led, 1, 12);
-        // Checkpoints at 2..=12; fulls land at the full_every cadence (4, 8,
-        // 12) plus the forced first boundary, and retention keeps the last 2.
+    fn fulls_follow_the_cadence_and_checkpoints_every_boundary() {
+        let mut led = ledger().with_snapshot_policy(SnapshotPolicy {
+            every: 2,
+            full_every: 2,
+        });
+        grow_unique(&mut led, 1, 9);
         assert_eq!(
-            led.retained_snapshots()
+            led.checkpoints()
                 .iter()
-                .map(|s| s.checkpoint.height)
+                .map(|c| c.height)
                 .collect::<Vec<_>>(),
-            vec![8, 12]
+            vec![2, 4, 6, 8]
         );
-        assert_eq!(
-            led.retained_deltas()
-                .iter()
-                .map(|d| (d.base.height, d.checkpoint.height))
-                .collect::<Vec<_>>(),
-            vec![(8, 10), (10, 12)],
-            "deltas below the oldest surviving full are pruned with it"
-        );
-        let log = led.retention_log();
-        let delta_bytes: Vec<u64> = log
+        let fulls: Vec<u64> = led
+            .retention_log()
             .iter()
-            .map(|r| r.delta_bytes)
-            .filter(|b| *b > 0)
+            .filter(|r| r.full_bytes > 0)
+            .map(|r| r.height)
             .collect();
         assert_eq!(
-            delta_bytes.len(),
-            5,
-            "one delta per boundary after the first"
+            fulls,
+            vec![2, 4, 8],
+            "the first boundary, then every second"
         );
-        assert!(
-            delta_bytes.windows(2).all(|w| w[0] == w[1]),
-            "steady write rate keeps the delta curve flat"
-        );
-        let full_bytes: Vec<u64> = log
-            .iter()
-            .map(|r| r.full_bytes)
-            .filter(|b| *b > 0)
-            .collect();
-        assert!(
-            full_bytes.windows(2).all(|w| w[0] < w[1]),
-            "the full curve keeps growing with state size"
-        );
-
-        // Delta-chain bootstrap from the oldest retained full lands on the
-        // exact state a full-snapshot bootstrap would.
-        let base = led.retained_snapshots()[0].clone();
-        let joiner = Ledger::from_delta_chain(
-            Arc::new(Msp::single_org(3)),
-            EndorsementPolicy::AnyMember,
-            base.clone(),
-            led.retained_deltas(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(joiner.base_height(), 13);
-        assert_eq!(joiner.state().state_hash(), led.state().state_hash());
-        assert_eq!(joiner.latest_hash(), led.latest_hash());
-
-        // A tampered delta breaks the chain link.
-        let mut forged = led.retained_deltas().to_vec();
-        forged[0].entries[0].1 = fabric_types::rwset::Value::from_u64(777);
-        assert_eq!(
-            Ledger::from_delta_chain(
-                Arc::new(Msp::single_org(3)),
-                EndorsementPolicy::AnyMember,
-                base,
-                &forged,
-                None,
-            )
-            .err(),
-            Some(SnapshotError::BrokenDeltaChain)
-        );
+        assert_eq!(led.snapshot().unwrap().checkpoint.height, 8);
     }
 
     #[test]
@@ -847,7 +646,7 @@ mod tests {
             Arc::new(Msp::single_org(3)),
             EndorsementPolicy::AnyMember,
             snap,
-            Some(5),
+            Some(SnapshotPolicy::full(5)),
         )
         .unwrap();
         assert_eq!(joiner.height(), 11, "resumes above the checkpoint");

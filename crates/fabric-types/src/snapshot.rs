@@ -309,68 +309,6 @@ impl SnapshotAssembler {
     }
 }
 
-/// The state entries written between two consecutive checkpoints: applying
-/// the delta over the full state at `base` yields the full state at
-/// `checkpoint`. Retaining one delta per checkpoint costs O(writes in the
-/// interval) instead of O(total state), which is what keeps per-checkpoint
-/// retained bytes flat as the chain grows (the incremental-snapshot layout
-/// of Solana's `snapshot_utils`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeltaSnapshot {
-    /// The checkpoint this delta applies on top of.
-    pub base: Checkpoint,
-    /// The checkpoint the application produces.
-    pub checkpoint: Checkpoint,
-    /// Header hash of block `checkpoint.height`.
-    pub last_block_hash: Hash256,
-    /// Entries written in `(base.height, checkpoint.height]`, key order.
-    pub entries: Vec<StateEntry>,
-}
-
-impl DeltaSnapshot {
-    /// Size of the delta on the wire: two checkpoints, tip hash, framing,
-    /// and the per-entry cost of [`Snapshot::wire_size`].
-    pub fn wire_size(&self) -> usize {
-        const FRAMING: usize = 16;
-        const PER_ENTRY: usize = 8 + 8 + 12;
-        2 * Checkpoint::WIRE
-            + 32
-            + FRAMING
-            + self
-                .entries
-                .iter()
-                .map(|(k, v, _)| k.wire_size() + v.wire_size() + PER_ENTRY)
-                .sum::<usize>()
-    }
-
-    /// Applies the delta over its base snapshot, producing the next full
-    /// snapshot. `None` when the base checkpoint doesn't match or when the
-    /// merged entries fail to hash to the claimed checkpoint — the chain
-    /// link a receiver must verify before trusting a delta.
-    pub fn apply_to(&self, base: &Snapshot) -> Option<Snapshot> {
-        if base.checkpoint != self.base {
-            return None;
-        }
-        let mut merged: BTreeMap<Key, (Value, Version)> = base
-            .entries
-            .iter()
-            .map(|(k, v, ver)| (k.clone(), (v.clone(), *ver)))
-            .collect();
-        for (k, v, ver) in &self.entries {
-            merged.insert(k.clone(), (v.clone(), *ver));
-        }
-        let snapshot = Snapshot {
-            checkpoint: self.checkpoint,
-            last_block_hash: self.last_block_hash,
-            entries: merged
-                .into_iter()
-                .map(|(k, (v, ver))| (k, v, ver))
-                .collect(),
-        };
-        snapshot.verify().then_some(snapshot)
-    }
-}
-
 /// The canonical state digest: a [`Sha256`] over the count and the
 /// length-prefixed `(key, value, version)` triples **in key order**. Both
 /// the ledger (computing a checkpoint) and a snapshot receiver (verifying
@@ -568,38 +506,6 @@ mod tests {
         let asm = SnapshotAssembler::new(&chunks[0]);
         assert!(asm.is_complete());
         assert!(asm.assemble().unwrap().verify());
-    }
-
-    #[test]
-    fn delta_applies_over_its_base_and_verifies_the_chain_link() {
-        let base = snapshot(vec![entry("a", 1, 1), entry("b", 2, 2)], 4);
-        // Block 5..8 rewrote "b" and introduced "c".
-        let next_entries = vec![entry("a", 1, 1), entry("b", 9, 6), entry("c", 3, 7)];
-        let next_hash = hash_state_entries(next_entries.iter().map(|(k, v, ver)| (k, v, *ver)));
-        let delta = DeltaSnapshot {
-            base: base.checkpoint,
-            checkpoint: Checkpoint {
-                height: 8,
-                state_hash: next_hash,
-            },
-            last_block_hash: Hash256([8; 32]),
-            entries: vec![entry("b", 9, 6), entry("c", 3, 7)],
-        };
-        assert!(
-            delta.wire_size() < snapshot(next_entries.clone(), 8).wire_size() + Checkpoint::WIRE
-        );
-        let applied = delta.apply_to(&base).expect("chained delta applies");
-        assert_eq!(applied.entries, next_entries);
-        assert_eq!(applied.checkpoint.height, 8);
-        assert!(applied.verify());
-
-        // A delta over the wrong base is refused outright.
-        let wrong_base = snapshot(vec![entry("a", 5, 1)], 4);
-        assert!(delta.apply_to(&wrong_base).is_none());
-        // A tampered delta fails the chain-link hash.
-        let mut forged = delta.clone();
-        forged.entries[0].1 = Value::from_u64(999);
-        assert!(forged.apply_to(&base).is_none());
     }
 
     #[test]
