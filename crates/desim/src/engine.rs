@@ -363,7 +363,8 @@ impl<P: Protocol> Simulation<P> {
     ///
     /// Panics if `config` fails validation.
     pub fn new(protocol: P, config: NetworkConfig, seed: u64) -> Self {
-        let metrics = NetMetrics::new(config.nodes, config.metrics_bucket);
+        // The paper aggregates bandwidth over 10-second windows.
+        let metrics = NetMetrics::new(config.nodes, Duration::from_secs(10));
         Simulation {
             protocol,
             core: EngineCore {

@@ -161,11 +161,6 @@ impl NetMetrics {
         self.sent[node.index()].iter().sum()
     }
 
-    /// Total bytes received by `node`.
-    pub fn total_received(&self, node: NodeId) -> u64 {
-        self.received[node.index()].iter().sum()
-    }
-
     /// Total bytes sent across all nodes.
     pub fn network_total_sent(&self) -> u64 {
         (0..self.sent.len())

@@ -45,13 +45,6 @@ impl std::fmt::Display for NodeId {
 pub enum LatencyModel {
     /// Fixed latency for every message.
     Constant(Duration),
-    /// Uniformly distributed latency in `[min, max]`.
-    Uniform {
-        /// Lower bound (inclusive).
-        min: Duration,
-        /// Upper bound (inclusive).
-        max: Duration,
-    },
     /// LAN-like latency: `base` plus exponential jitter with mean `jitter`,
     /// with probability `spike_prob` multiplied by `spike_mult` (models GC
     /// pauses, CPU scheduling hiccups and switch queueing on a busy cluster).
@@ -78,13 +71,6 @@ impl LatencyModel {
     pub fn sample(&self, rng: &mut StdRng) -> Duration {
         match *self {
             LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, max } => {
-                if max <= min {
-                    min
-                } else {
-                    Duration::from_nanos(rng.random_range(min.as_nanos()..=max.as_nanos()))
-                }
-            }
             LatencyModel::Lan {
                 base,
                 jitter,
@@ -106,7 +92,6 @@ impl LatencyModel {
     pub fn mean(&self) -> Duration {
         match *self {
             LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, max } => (min + max) / 2,
             LatencyModel::Lan {
                 base,
                 jitter,
@@ -203,8 +188,6 @@ pub struct NetworkConfig {
     pub proc_delay: LatencyModel,
     /// Independent loss probability per message, in `[0, 1]`.
     pub loss: f64,
-    /// Width of the byte-accounting buckets used by the metrics collector.
-    pub metrics_bucket: Duration,
 }
 
 impl NetworkConfig {
@@ -217,7 +200,6 @@ impl NetworkConfig {
             egress_bandwidth_bps: None,
             proc_delay: LatencyModel::ZERO,
             loss: 0.0,
-            metrics_bucket: Duration::from_secs(10),
         }
     }
 
@@ -243,7 +225,6 @@ impl NetworkConfig {
                 spike_mult: 25,
             },
             loss: 0.0,
-            metrics_bucket: Duration::from_secs(10),
         }
     }
 
@@ -258,9 +239,6 @@ impl NetworkConfig {
         }
         if !(0.0..=1.0).contains(&self.loss) {
             return Err(format!("loss probability {} outside [0, 1]", self.loss));
-        }
-        if self.metrics_bucket.is_zero() {
-            return Err("metrics bucket width must be positive".into());
         }
         if let Some(0) = self.egress_bandwidth_bps {
             return Err("egress bandwidth must be positive when set".into());
@@ -522,29 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_latency_within_bounds() {
-        let m = LatencyModel::Uniform {
-            min: Duration::from_millis(1),
-            max: Duration::from_millis(5),
-        };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let d = m.sample(&mut r);
-            assert!(d >= Duration::from_millis(1) && d <= Duration::from_millis(5));
-        }
-        assert_eq!(m.mean(), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn uniform_degenerate_range() {
-        let m = LatencyModel::Uniform {
-            min: Duration::from_millis(2),
-            max: Duration::from_millis(2),
-        };
-        assert_eq!(m.sample(&mut rng()), Duration::from_millis(2));
-    }
-
-    #[test]
     fn lan_latency_at_least_base() {
         let m = LatencyModel::Lan {
             base: Duration::from_micros(100),
@@ -751,9 +706,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = NetworkConfig::ideal(1);
         c.egress_bandwidth_bps = Some(0);
-        assert!(c.validate().is_err());
-        let mut c = NetworkConfig::ideal(1);
-        c.metrics_bucket = Duration::ZERO;
         assert!(c.validate().is_err());
         assert!(NetworkConfig::lan(100).validate().is_ok());
     }

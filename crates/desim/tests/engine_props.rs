@@ -63,9 +63,11 @@ proptest! {
     #[test]
     fn causality_holds(plan in traffic()) {
         let mut cfg = NetworkConfig::ideal(6);
-        cfg.latency = LatencyModel::Uniform {
-            min: Duration::from_micros(50),
-            max: Duration::from_micros(500),
+        cfg.latency = LatencyModel::Lan {
+            base: Duration::from_micros(50),
+            jitter: Duration::from_micros(150),
+            spike_prob: 0.0,
+            spike_mult: 1,
         };
         let deliveries = run(&plan, cfg, 7);
         for (at, _, _, _) in &deliveries {

@@ -2,10 +2,10 @@
 //!
 //! [`crate::peer::GossipPeer`] is sans-io: it never sleeps, sends or reads a
 //! clock directly. Every interaction with the outside world goes through an
-//! [`Effects`] implementation — the discrete-event simulation provides one,
-//! the real-threads runtime another, and unit tests use
-//! [`crate::testing::MockEffects`] to assert on exactly what the protocol
-//! did.
+//! [`Effects`] implementation. There are two: the discrete-event
+//! simulation's `SimFx` (crate `fabric-experiments`), and
+//! [`crate::testing::MockEffects`], which unit tests use to assert on
+//! exactly what the protocol did.
 //!
 //! Every side effect is tagged with the [`ChannelId`] it belongs to: a peer
 //! joined to several channels runs one protocol instance per channel, and

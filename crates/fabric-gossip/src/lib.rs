@@ -13,10 +13,9 @@
 //!   per-`(block, counter)` TTL, digests above `TTL_direct`, a randomized
 //!   initial gossiper (`f_leader_out = 1`), and no pull.
 //!
-//! The state machine ([`peer::GossipPeer`]) is sans-io: it runs under the
-//! deterministic simulator (crate `fabric-experiments`), under the bundled
-//! real-threads runtime ([`runtime::ThreadedNet`]), or under
-//! [`testing::MockEffects`] in tests.
+//! The state machine ([`peer::GossipPeer`]) is sans-io: it runs under two
+//! hosts, the deterministic simulator's `SimFx` (crate
+//! `fabric-experiments`) and [`testing::MockEffects`] in tests.
 //!
 //! ## Module map: multiplexer → engines → effects
 //!
@@ -98,7 +97,6 @@ mod peertable;
 pub mod pull;
 pub mod push;
 pub mod recovery;
-pub mod runtime;
 pub mod scenario;
 pub mod store;
 pub mod testing;

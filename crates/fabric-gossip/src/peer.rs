@@ -246,12 +246,6 @@ impl GossipPeer {
         &self.cfg
     }
 
-    /// Whether [`GossipPeer::init`] has run (runtime joins arm their own
-    /// timers from then on).
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// Channels this peer has joined, in id order.
     pub fn channel_ids(&self) -> Vec<ChannelId> {
         self.channels.iter().map(|(ch, _)| *ch).collect()

@@ -10,7 +10,7 @@
 //!
 //! Every digest asks the dedup memory "was this `(block, counter)` pair
 //! seen?", so that memory is one word per block — a bitmask over the
-//! counters, indexed by block number ([`BlockMap`]) — not an entry per
+//! counters, indexed by block number (`BlockMap`) — not an entry per
 //! pair. It is never pruned while the store holds the block (a late
 //! digest must stay silent), and is released together with the block rows
 //! a snapshot absorbs ([`PushEngine::release_through`]).

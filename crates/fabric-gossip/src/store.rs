@@ -5,7 +5,7 @@
 //! (serving pull, push-digest fetches and recovery) and tracks the
 //! contiguous prefix already handed to the application.
 //!
-//! Blocks are held one dense row per number (a [`BlockMap`]: a window
+//! Blocks are held one dense row per number (a `BlockMap`: a window
 //! anchored at the lowest held number, plus an ordered spill for the rare
 //! number too far from it to index), so the per-message questions — is
 //! this number held, hand me its block — are index arithmetic, and a
