@@ -226,6 +226,12 @@ impl<T> BlockMap<T> {
     pub fn capacity(&self) -> usize {
         self.window.capacity() + self.spill.len()
     }
+
+    /// Bytes one window slot takes, held or empty: what a row costs.
+    #[cfg(test)]
+    pub fn row_bytes(&self) -> usize {
+        std::mem::size_of::<Option<T>>()
+    }
 }
 
 #[cfg(test)]

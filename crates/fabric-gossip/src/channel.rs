@@ -17,7 +17,8 @@
 //! ([`DiscoveryEngine::self_is_most_senior`]), re-enforced on every
 //! discovery step: that is the failover path.
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::num::NonZeroU64;
 
 use desim::{Duration, KindBytes, Message as _, Time};
 use rand::RngExt;
@@ -25,6 +26,7 @@ use rand::RngExt;
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
 
+use crate::blockmap::BlockMap;
 use crate::config::GossipConfig;
 use crate::discovery::{DiscoveryDelta, DiscoveryEngine};
 use crate::effects::Effects;
@@ -45,7 +47,7 @@ use crate::store::BlockStore;
 #[derive(Debug, Clone, Default)]
 pub struct PeerStats {
     /// First content reception time per block number.
-    pub first_seen: BTreeMap<u64, Time>,
+    pub first_seen: FirstSeen,
     /// Content receptions for blocks already held.
     pub duplicate_blocks: u64,
     /// Push digests received.
@@ -124,6 +126,78 @@ impl PeerStats {
         self.invalid_payloads += other.invalid_payloads;
         self.equivocations_rejected += other.equivocations_rejected;
         self.bytes_sent_by_kind.absorb(&other.bytes_sent_by_kind);
+    }
+}
+
+/// When each block's content first arrived, one 8-byte cell per block.
+///
+/// Every peer keeps a row for every block of the run, so the row is a
+/// `NonZeroU64` stamp — the instant plus one — in the crate's dense
+/// per-block table: an absent row needs no tag word, and a block number
+/// from the wire costs one row however far it lies from the others. Reads
+/// as an ordered map from block number to [`Time`].
+#[derive(Clone, Default)]
+pub struct FirstSeen {
+    stamps: BlockMap<NonZeroU64>,
+}
+
+impl FirstSeen {
+    /// Blocks with a recorded first reception.
+    pub fn len(&self) -> usize {
+        self.stamps.len()
+    }
+
+    /// `true` when no block has arrived.
+    pub fn is_empty(&self) -> bool {
+        self.stamps.is_empty()
+    }
+
+    /// When block `num` first arrived.
+    pub fn get(&self, num: u64) -> Option<Time> {
+        self.stamps.get(num).map(|stamp| Self::time(*stamp))
+    }
+
+    /// Every `(block, first arrival)`, in block order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
+        self.stamps
+            .range(0, u64::MAX)
+            .map(|(num, stamp)| (num, Self::time(*stamp)))
+    }
+
+    /// Records block `num` as first arrived at `at`, replacing any earlier
+    /// record.
+    ///
+    /// # Panics
+    ///
+    /// Panics at [`Time::MAX`], the clock's "never", which has no stamp.
+    pub(crate) fn insert(&mut self, num: u64, at: Time) {
+        let stamp = at.as_nanos().checked_add(1).and_then(NonZeroU64::new);
+        self.stamps
+            .insert(num, stamp.expect("Time::MAX is never an arrival"));
+    }
+
+    fn time(stamp: NonZeroU64) -> Time {
+        Time::from_nanos(stamp.get() - 1)
+    }
+
+    /// `(rows allocated, rows held)`, for the bound checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> (usize, usize) {
+        (self.stamps.capacity(), self.stamps.len())
+    }
+}
+
+impl PartialEq for FirstSeen {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for FirstSeen {}
+
+impl fmt::Debug for FirstSeen {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -492,9 +566,10 @@ impl ChannelState {
     /// `(rows allocated, rows held)` of every table this instance keys by
     /// block number, for the bound checks of the wire tests.
     #[cfg(test)]
-    pub(crate) fn tables(&self) -> [(usize, usize); 3] {
+    pub(crate) fn tables(&self) -> [(usize, usize); 4] {
         let [seen, pending] = self.push.tables();
-        [self.core.store.table(), seen, pending]
+        let first_seen = self.core.stats.first_seen.table();
+        [self.core.store.table(), seen, pending, first_seen]
     }
 
     /// `(dense slots, spilled rows, rows)` of every table this instance
@@ -583,6 +658,82 @@ pub(crate) fn random_phase(fx: &mut dyn Effects, period: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A first-seen row is its stamp: `at + 1` is never zero, so an empty
+    /// slot needs no tag word.
+    #[test]
+    fn row_size_first_seen_row_is_8_bytes() {
+        assert_eq!(FirstSeen::default().stamps.row_bytes(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "Time::MAX is never an arrival")]
+    fn first_seen_has_no_stamp_for_never() {
+        FirstSeen::default().insert(1, Time::MAX);
+    }
+
+    mod model {
+        use super::*;
+        use crate::blockmap::SPAN;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        fn num_of(class: u8, small: u64) -> u64 {
+            match class {
+                0..=5 => small,
+                6 => SPAN as u64 + small,
+                7 => (1 << 32) + small,
+                _ => u64::MAX - small,
+            }
+        }
+
+        fn time_of(class: u8, small: u64) -> Time {
+            match class {
+                0 => Time::ZERO,
+                1 => Time::from_nanos(small),
+                2 => Time::from_nanos(1 << 40) + Duration::from_nanos(small),
+                _ => Time::from_nanos(u64::MAX - 1 - small),
+            }
+        }
+
+        proptest! {
+            /// The stamp row against the `BTreeMap<u64, Time>` it
+            /// replaced: same lookups, same order, same equality and the
+            /// same `Debug` rendering, over block 0, far and extreme
+            /// numbers and instants from `Time::ZERO` to one below
+            /// `Time::MAX`.
+            #[test]
+            fn model_first_seen_matches_btreemap(
+                ops in proptest::collection::vec((0u8..9, 0u64..8, 0u8..4), 1..120),
+            ) {
+                let mut seen = FirstSeen::default();
+                let mut model: BTreeMap<u64, Time> = BTreeMap::new();
+                let mut reversed = FirstSeen::default();
+                for &(class, small, when) in &ops {
+                    let (num, at) = (num_of(class, small), time_of(when, small));
+                    seen.insert(num, at);
+                    model.insert(num, at);
+                    prop_assert_eq!(seen.get(num), Some(at));
+                    prop_assert_eq!(seen.get(num.wrapping_add(1)), model.get(&num.wrapping_add(1)).copied());
+                    prop_assert_eq!(seen.len(), model.len());
+                    prop_assert!(!seen.is_empty());
+                }
+                prop_assert_eq!(
+                    seen.iter().collect::<Vec<_>>(),
+                    model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(format!("{seen:?}"), format!("{model:?}"));
+                // The same final rows written in another order compare equal.
+                for (num, at) in model.iter().rev() {
+                    reversed.insert(*num, *at);
+                }
+                prop_assert_eq!(&reversed, &seen);
+                // One row more (no op names this number) and they differ.
+                reversed.insert(u64::MAX - 100, Time::ZERO);
+                prop_assert_ne!(&reversed, &seen);
+            }
+        }
+    }
 
     #[test]
     fn stats_absorb_sums_counters_and_bytes() {

@@ -9,13 +9,14 @@
 //! [`crate::testing::MockEffects`].
 //!
 //! Every digest asks the dedup memory "was this `(block, counter)` pair
-//! seen?", so that memory is one word per block — a bitmask over the
-//! counters, indexed by block number (`BlockMap`) — not an entry per
+//! seen?", so that memory is one 8-byte word per block — a bitmask over
+//! the counters, indexed by block number (`BlockMap`) — not an entry per
 //! pair. It is never pruned while the store holds the block (a late
 //! digest must stay silent), and is released together with the block rows
 //! a snapshot absorbs ([`PushEngine::release_through`]).
 
 use std::collections::BTreeSet;
+use std::num::NonZeroU64;
 
 use desim::Duration;
 use fabric_types::block::BlockRef;
@@ -51,12 +52,14 @@ struct PendingFetch {
 }
 
 /// The `(block, counter)` pairs already processed: per block, bit `c` of
-/// the mask is counter `c`. Every preset's TTL is 9 or 19; a counter the
-/// word cannot hold (the wire allows any `u32`) goes to an ordered set, so
-/// the answer is exact on every input.
+/// the mask is counter `c`. A stored mask has at least its first counter's
+/// bit set, so it is a `NonZeroU64` and a window slot needs no tag word.
+/// Every preset's TTL is 9 or 19; a counter the word cannot hold (the wire
+/// allows any `u32`) goes to an ordered set, so the answer is exact on
+/// every input.
 #[derive(Debug, Default)]
 struct SeenPairs {
-    masks: BlockMap<u64>,
+    masks: BlockMap<NonZeroU64>,
     wide: BTreeSet<(u64, u32)>,
 }
 
@@ -69,12 +72,13 @@ impl SeenPairs {
         let bit = 1u64 << counter;
         match self.masks.get_mut(block_num) {
             Some(mask) => {
-                let new = *mask & bit == 0;
+                let new = mask.get() & bit == 0;
                 *mask |= bit;
                 new
             }
             None => {
-                self.masks.insert(block_num, bit);
+                let mask = NonZeroU64::new(bit).expect("a counter below 64 sets one bit");
+                self.masks.insert(block_num, mask);
                 true
             }
         }
@@ -540,6 +544,13 @@ mod tests {
 
     fn block(num: u64) -> BlockRef {
         BlockRef::new(Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]))
+    }
+
+    /// A mask row is the mask itself: a stored mask is never zero, so an
+    /// empty slot needs no tag word.
+    #[test]
+    fn row_size_dedup_mask_is_8_bytes() {
+        assert_eq!(SeenPairs::default().masks.row_bytes(), 8);
     }
 
     #[test]

@@ -200,6 +200,12 @@ mod tests {
         BlockRef::new(Block::new(num, Hash256::ZERO, vec![]))
     }
 
+    /// A block row is one pointer: an empty slot is the null one.
+    #[test]
+    fn row_size_store_row_is_8_bytes() {
+        assert_eq!(BlockStore::new().blocks.row_bytes(), 8);
+    }
+
     #[test]
     fn in_order_insertion_delivers_immediately() {
         let mut store = BlockStore::new();

@@ -7,8 +7,13 @@
 //!
 //! * **peer level** (Figs. 4/7/12): one CDF per peer across blocks;
 //! * **block level** (Figs. 5/8/13): one CDF per block across peers.
+//!
+//! The matrix holds one cell per (block, peer) for the whole run, so a
+//! cell is 8 bytes: a `NonZeroU64` stamp, the latency in nanoseconds plus
+//! one, and `None` for a peer the block has not reached needs no tag word.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 use desim::{Duration, Time};
 
@@ -25,7 +30,14 @@ pub struct LatencyRecorder {
 #[derive(Debug, Clone)]
 struct BlockRecord {
     start: Time,
-    latencies: Vec<Option<Duration>>,
+    /// Per peer: the stamp of the latency from `start` to its first
+    /// reception.
+    latencies: Vec<Option<NonZeroU64>>,
+}
+
+/// The latency a stamp holds.
+fn latency(stamp: NonZeroU64) -> Duration {
+    Duration::from_nanos(stamp.get() - 1)
 }
 
 impl LatencyRecorder {
@@ -48,13 +60,23 @@ impl LatencyRecorder {
 
     /// Records `peer`'s first reception of `block` at `at`. Receptions for
     /// unstarted blocks or duplicate receptions are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the latency is the largest a [`Duration`] holds (`at` is
+    /// [`Time::MAX`] and the block started at [`Time::ZERO`]).
     pub fn record(&mut self, block: u64, peer: usize, at: Time) {
         let Some(rec) = self.blocks.get_mut(&block) else {
             return;
         };
         let slot = &mut rec.latencies[peer];
         if slot.is_none() {
-            *slot = Some(at.since(rec.start));
+            let stamp = at.since(rec.start).as_nanos().checked_add(1);
+            *slot = Some(
+                stamp
+                    .and_then(NonZeroU64::new)
+                    .expect("Time::MAX is never an arrival"),
+            );
         }
     }
 
@@ -78,7 +100,7 @@ impl LatencyRecorder {
         let filled: usize = self
             .blocks
             .values()
-            .map(|r| r.latencies.iter().filter(|l| l.is_some()).count())
+            .map(|r| r.latencies.iter().flatten().count())
             .sum();
         filled as f64 / total as f64
     }
@@ -87,14 +109,14 @@ impl LatencyRecorder {
     pub fn peer_latencies(&self, peer: usize) -> Vec<Duration> {
         self.blocks
             .values()
-            .filter_map(|r| r.latencies[peer])
+            .filter_map(|r| r.latencies[peer].map(latency))
             .collect()
     }
 
     /// All latencies of one block across peers (missing cells skipped).
     pub fn block_latencies(&self, block: u64) -> Vec<Duration> {
         match self.blocks.get(&block) {
-            Some(r) => r.latencies.iter().flatten().copied().collect(),
+            Some(r) => r.latencies.iter().flatten().copied().map(latency).collect(),
             None => Vec::new(),
         }
     }
@@ -248,5 +270,82 @@ mod tests {
         let rec = LatencyRecorder::new(3);
         assert!(rec.peer_extremes().is_none());
         assert!(rec.block_extremes().is_none());
+    }
+
+    /// A cell is one word: no tag beside the latency.
+    #[test]
+    fn row_size_latency_cell_is_8_bytes() {
+        let mut rec = LatencyRecorder::new(1);
+        rec.start_block(1, t(0));
+        assert_eq!(std::mem::size_of_val(&rec.blocks[&1].latencies[0]), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "Time::MAX is never an arrival")]
+    fn a_reception_at_never_is_refused() {
+        let mut rec = LatencyRecorder::new(1);
+        rec.start_block(1, Time::ZERO);
+        rec.record(1, 0, Time::MAX);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The matrix as it was: one `Option<Duration>` per cell.
+        #[derive(Default)]
+        struct Model {
+            blocks: BTreeMap<u64, (Time, Vec<Option<Duration>>)>,
+        }
+
+        proptest! {
+            /// The nanosecond cells against `Option<Duration>` cells: the
+            /// same views, completeness and counts, over block 0 and
+            /// `u64::MAX`, starts at `Time::ZERO` and zero latencies.
+            #[test]
+            fn model_latency_cells_match_option_duration(
+                peers in 1usize..5,
+                ops in proptest::collection::vec((0u8..2, 0u8..4, 0usize..5, 0u8..4), 1..80),
+            ) {
+                let mut rec = LatencyRecorder::new(peers);
+                let mut model = Model::default();
+                let blocks = [0, 1, 2, u64::MAX];
+                for (op, b, peer, when) in ops {
+                    let block = blocks[usize::from(b)];
+                    let offset = Duration::from_nanos([0, 1, 1_000_000, 1 << 50][usize::from(when)]);
+                    if op == 0 {
+                        let at = Time::ZERO + offset;
+                        rec.start_block(block, at);
+                        model.blocks.entry(block).or_insert((at, vec![None; peers]));
+                    } else {
+                        let peer = peer % peers;
+                        let start = model.blocks.get(&block).map_or(Time::ZERO, |(s, _)| *s);
+                        let at = start + offset;
+                        rec.record(block, peer, at);
+                        if let Some((start, cells)) = model.blocks.get_mut(&block) {
+                            cells[peer].get_or_insert(at.since(*start));
+                        }
+                    }
+                }
+                prop_assert_eq!(rec.block_count(), model.blocks.len());
+                let (filled, total) = model.blocks.values().fold((0, 0), |(f, n), (_, cells)| {
+                    (f + cells.iter().flatten().count(), n + cells.len())
+                });
+                let completeness = if total == 0 { 1.0 } else { filled as f64 / total as f64 };
+                prop_assert_eq!(rec.completeness(), completeness);
+                for peer in 0..peers {
+                    let column: Vec<Duration> =
+                        model.blocks.values().filter_map(|(_, cells)| cells[peer]).collect();
+                    prop_assert_eq!(rec.peer_latencies(peer), column);
+                }
+                for block in blocks {
+                    let row: Vec<Duration> = model
+                        .blocks
+                        .get(&block)
+                        .map_or(Vec::new(), |(_, cells)| cells.iter().flatten().copied().collect());
+                    prop_assert_eq!(rec.block_latencies(block), row);
+                }
+            }
+        }
     }
 }
