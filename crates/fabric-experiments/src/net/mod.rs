@@ -282,7 +282,10 @@ pub struct FabricNet {
     /// so attaching one re-rolls no honest draw.
     attack_rng: StdRng,
     orderer: OrderingService,
-    schedule: Arc<Vec<ScheduledInvocation>>,
+    /// The client's invocations in issue order. An invocation's `args`
+    /// are released once its endorsement round closes: nothing reads them
+    /// again.
+    schedule: Vec<ScheduledInvocation>,
     next_invocation: usize,
     issued: u64,
     endorse_failures: u64,
@@ -501,7 +504,7 @@ impl FabricNet {
             channels,
             attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             orderer,
-            schedule: Arc::new(schedule),
+            schedule,
             next_invocation: 0,
             issued: 0,
             endorse_failures: 0,
@@ -711,4 +714,27 @@ fn ledger_snapshot_policy(g: &GossipConfig) -> Option<SnapshotPolicy> {
         every: g.snapshot.interval,
         full_every: 2,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use desim::Duration;
+
+    use crate::dissemination::DisseminationConfig;
+
+    /// The client releases an invocation's arguments once its endorsement
+    /// round closes: the endorsed transaction carries what they produced,
+    /// and nothing reads them again.
+    #[test]
+    fn held_once_endorsed_invocation_drops_its_arguments() {
+        let mut cfg = DisseminationConfig::fig07_09_enhanced_f4().scaled(1);
+        cfg.peers = 8;
+        let mut d = cfg.deployment();
+        d.idle_tail = Duration::ZERO;
+        assert!(!d.net.schedule[0].args.is_empty());
+        let sim = d.run();
+        let net = sim.protocol();
+        assert_eq!((net.issued(), net.blocks_cut()), (1, 1));
+        assert!(net.schedule[0].args.is_empty());
+    }
 }

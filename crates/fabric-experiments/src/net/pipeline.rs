@@ -224,7 +224,7 @@ impl FabricNet {
     }
 
     fn handle_propose(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, to: NodeId, index: usize) {
-        let invocation = self.schedule[index].clone();
+        let invocation = &self.schedule[index];
         let endorser = PeerId(to.0);
         let channel = invocation.channel;
         debug_assert!(
@@ -239,7 +239,7 @@ impl FabricNet {
             .expect("every endorser maintains a ledger for its channel")
             .state();
         let tx_id = TxId(index as u64 + 1);
-        match endorse_invocation(&invocation, tx_id, ClientId(0), endorser, state, &self.msp) {
+        match endorse_invocation(invocation, tx_id, ClientId(0), endorser, state, &self.msp) {
             Ok(tx) => {
                 ctx.occupy(to, self.params.endorse_cost);
                 ctx.send(
@@ -260,7 +260,8 @@ impl FabricNet {
     /// Collects one endorsement; once all of the channel's endorsers
     /// answered, compares the read sets (the client-side detection of
     /// §II-C) and either submits the merged proposal on the channel or
-    /// discards it as a proposal-time conflict.
+    /// discards it as a proposal-time conflict. Either way the round is
+    /// closed, so the invocation's arguments are released.
     fn handle_endorsed(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NetTimer>,
@@ -274,12 +275,14 @@ impl FabricNet {
         if entry.len() < wanted {
             return;
         }
-        let collected = self
+        let mut collected = self
             .pending_endorsements
             .remove(&index)
-            .expect("just inserted");
-        let first = &collected[0];
-        let consistent = collected.iter().all(|t| t.rwset == first.rwset);
+            .expect("just inserted")
+            .into_iter();
+        self.schedule[index].args = Vec::new();
+        let mut merged = collected.next().expect("at least one endorsement");
+        let consistent = collected.as_slice().iter().all(|t| t.rwset == merged.rwset);
         if !consistent {
             // Version numbers differ across endorsements: the client
             // detects the mismatch, wastes the round trip, and must try
@@ -289,12 +292,12 @@ impl FabricNet {
             return;
         }
         // Identical read/write sets mean identical digests: merge every
-        // endorser's signature into one proposal.
-        let mut merged = collected[0].clone();
-        for other in &collected[1..] {
-            merged
-                .endorsements
-                .extend(other.endorsements.iter().copied());
+        // endorser's signature into the first proposal, in order, with no
+        // spare capacity (the transaction lives as long as its block).
+        let more = collected.as_slice().iter().map(|t| t.endorsements.len());
+        merged.endorsements.reserve_exact(more.sum());
+        for other in collected {
+            merged.endorsements.extend(other.endorsements);
         }
         ctx.send(
             self.client_node(),

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use fabric_types::rwset::{RwSet, Value};
+use fabric_types::rwset::{Key, RwSet, Value};
 
 use crate::state::StateReader;
 
@@ -59,8 +59,10 @@ impl ChaincodeInput {
 /// Determinism matters: Fabric executes the same chaincode on multiple
 /// mutually untrusted endorsers and compares the resulting read/write sets.
 pub trait Chaincode {
-    /// The chaincode's registered name.
-    fn name(&self) -> &str;
+    /// The chaincode's registered name: a constant of the chaincode's type,
+    /// stored by reference in every transaction it endorses
+    /// ([`Transaction::chaincode`](fabric_types::transaction::Transaction::chaincode)).
+    fn name(&self) -> &'static str;
 
     /// Simulates the invocation against `state`, producing the read/write
     /// set an endorser would sign.
@@ -84,7 +86,7 @@ pub trait Chaincode {
 pub struct IncrementChaincode;
 
 impl Chaincode for IncrementChaincode {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "increment"
     }
 
@@ -93,12 +95,14 @@ impl Chaincode for IncrementChaincode {
         input: &ChaincodeInput,
         state: &dyn StateReader,
     ) -> Result<RwSet, ChaincodeError> {
-        let key = input
-            .args
-            .first()
-            .ok_or_else(|| ChaincodeError::BadArguments("missing counter key".into()))?;
-        let key_typed = fabric_types::rwset::Key::new(key.clone());
-        let (current, version) = match state.get(&key_typed) {
+        let key = Key::new(
+            input
+                .args
+                .first()
+                .ok_or_else(|| ChaincodeError::BadArguments("missing counter key".into()))?
+                .as_str(),
+        );
+        let (current, version) = match state.get(&key) {
             Some((v, ver)) => {
                 let n = v.as_u64().ok_or_else(|| {
                     ChaincodeError::BadArguments(format!("key {key} does not hold a counter"))
@@ -107,9 +111,10 @@ impl Chaincode for IncrementChaincode {
             }
             None => (0, None),
         };
+        // One allocation for the key: the read and the write share it.
         Ok(RwSet::builder()
             .read(key.clone(), version)
-            .write_u64(key.clone(), current + 1)
+            .write_u64(key, current + 1)
             .build())
     }
 }
@@ -135,7 +140,7 @@ impl PayloadChaincode {
 }
 
 impl Chaincode for PayloadChaincode {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "high-throughput"
     }
 
@@ -161,7 +166,7 @@ impl Chaincode for PayloadChaincode {
 mod tests {
     use super::*;
     use crate::state::StateDb;
-    use fabric_types::rwset::{Key, Version, WriteItem};
+    use fabric_types::rwset::{Version, WriteItem};
 
     #[test]
     fn increment_of_absent_key_starts_at_one() {
@@ -171,6 +176,17 @@ mod tests {
             .unwrap();
         assert_eq!(rwset.reads[0].version, None);
         assert_eq!(rwset.writes[0].value.as_u64(), Some(1));
+    }
+
+    #[test]
+    fn held_once_increment_reads_and_writes_one_key() {
+        let rwset = IncrementChaincode
+            .simulate(&ChaincodeInput::new(["counter7"]), &StateDb::new())
+            .unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            &rwset.reads[0].key.0,
+            &rwset.writes[0].key.0
+        ));
     }
 
     #[test]
@@ -201,7 +217,7 @@ mod tests {
             Version::new(1, 0),
             &[WriteItem {
                 key: Key::from("blob"),
-                value: Value(vec![1, 2, 3]),
+                value: Value(vec![1, 2, 3].into()),
             }],
         );
         assert!(IncrementChaincode

@@ -477,6 +477,24 @@ mod tests {
         assert_eq!(led.stats().valid_txs, 1);
     }
 
+    /// The world state holds a committed write's key and value by
+    /// reference: the block and the state share one copy, and so do a
+    /// snapshot export and the state rebuilt from it.
+    #[test]
+    fn held_once_state_shares_the_committed_write() {
+        let mut led = ledger();
+        let tx = endorsed_increment(&led, 1, "k", None, 1);
+        let block = BlockRef::new(Block::new(1, led.latest_hash(), vec![tx]));
+        let write = block.txs[0].rwset.writes[0].clone();
+        led.commit(block).unwrap();
+        let shares = |state: &StateDb| {
+            let (key, value, _) = state.iter().next().expect("one key committed");
+            Arc::ptr_eq(&key.0, &write.key.0) && Arc::ptr_eq(&value.0, &write.value.0)
+        };
+        assert!(shares(led.state()));
+        assert!(shares(&StateDb::from_entries(led.state().export_entries())));
+    }
+
     #[test]
     fn commit_rejects_wrong_height() {
         let mut led = ledger();

@@ -44,7 +44,9 @@ impl StateDb {
         Self::default()
     }
 
-    /// Applies the writes of one committed transaction at `version`.
+    /// Applies the writes of one committed transaction at `version`. The
+    /// state shares each write's key and value with the transaction (a
+    /// reference-count bump); nothing is copied.
     pub fn apply(&mut self, version: Version, writes: &[WriteItem]) {
         for w in writes {
             self.entries
@@ -77,7 +79,7 @@ impl StateDb {
     }
 
     /// Exports every `(key, value, version)` in key order — the snapshot
-    /// payload.
+    /// payload. The entries share their bytes with this state.
     pub fn export_entries(&self) -> Vec<StateEntry> {
         self.entries
             .iter()
@@ -85,7 +87,8 @@ impl StateDb {
             .collect()
     }
 
-    /// Rebuilds a database from exported entries (snapshot installation).
+    /// Rebuilds a database from exported entries (snapshot installation),
+    /// keeping the entries' shared bytes.
     pub fn from_entries(entries: Vec<StateEntry>) -> Self {
         StateDb {
             entries: entries
@@ -147,7 +150,7 @@ mod tests {
     fn iter_is_key_ordered() {
         let mut db = StateDb::new();
         db.apply(Version::new(1, 0), &[w("b", 2), w("a", 1), w("c", 3)]);
-        let keys: Vec<_> = db.iter().map(|(k, _, _)| k.0.clone()).collect();
+        let keys: Vec<_> = db.iter().map(|(k, _, _)| k.to_string()).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
     }
 
@@ -169,6 +172,28 @@ mod tests {
         assert_ne!(same_values.state_hash(), hash);
     }
 
+    /// The checkpoint fingerprint of a small state is a constant: how keys
+    /// and values are held must not move a hashed byte.
+    #[test]
+    fn state_hash_is_pinned() {
+        let mut db = StateDb::new();
+        db.apply(Version::new(1, 0), &[w("counter1", 4), w("delta:7", 1)]);
+        db.apply(
+            Version::new(2, 3),
+            &[
+                w("counter1", 5),
+                WriteItem {
+                    key: Key::from("größe"),
+                    value: Value::default(),
+                },
+            ],
+        );
+        assert_eq!(
+            db.state_hash().to_hex(),
+            "7264858de53bdd228ec898d0dde82459e19837c97a149198a505e7fbd0338c7a"
+        );
+    }
+
     #[test]
     fn counter_sum_adds_counters() {
         let mut db = StateDb::new();
@@ -178,7 +203,7 @@ mod tests {
             Version::new(1, 1),
             &[WriteItem {
                 key: Key::from("c"),
-                value: Value(vec![1]),
+                value: Value(vec![1].into()),
             }],
         );
         assert_eq!(db.counter_sum(), None);

@@ -7,18 +7,25 @@
 //! committed state, otherwise the transaction is invalidated.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 /// A state key. Fabric keys are strings; experiments use short synthetic
 /// names such as `"asset17"`.
+///
+/// The bytes are shared: a clone is a reference-count bump, so the write
+/// set of a committed transaction and the world state that applied it hold
+/// one copy of the key between them. Order, equality, hashing, `Debug` and
+/// [`Key::wire_size`] are those of the string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Key(pub String);
+pub struct Key(pub Arc<str>);
 
 impl Key {
-    /// Builds a key from anything string-like.
-    pub fn new(s: impl Into<String>) -> Self {
-        Key(s.into())
+    /// Builds a key from anything string-like: a literal or a `String`
+    /// costs one allocation, an existing [`Key`] none.
+    pub fn new(s: impl Into<Key>) -> Self {
+        s.into()
     }
 
     /// Byte length of the key on the wire.
@@ -35,24 +42,34 @@ impl fmt::Display for Key {
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(s.to_owned())
+        Key(s.into())
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Self {
+        Key(s.into())
     }
 }
 
 /// A state value: opaque bytes, with helpers for the integer counters used
 /// by the paper's conflict workload.
+///
+/// Like [`Key`], the bytes are shared: a clone is a reference-count bump.
+/// Equality, hashing, `Debug` and [`Value::wire_size`] are those of the
+/// byte slice.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct Value(pub Vec<u8>);
+pub struct Value(pub Arc<[u8]>);
 
 impl Value {
     /// Encodes a `u64` counter value.
     pub fn from_u64(v: u64) -> Self {
-        Value(v.to_be_bytes().to_vec())
+        Value(Arc::new(v.to_be_bytes()))
     }
 
     /// Decodes a counter value written by [`Value::from_u64`].
     pub fn as_u64(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.0.as_slice().try_into().ok()?;
+        let bytes: [u8; 8] = self.0[..].try_into().ok()?;
         Some(u64::from_be_bytes(bytes))
     }
 
@@ -153,6 +170,10 @@ impl RwSet {
 }
 
 /// Incremental builder for [`RwSet`].
+///
+/// Each record grows its list by exactly one slot, so a built set holds no
+/// spare capacity: a committed transaction's set lives as long as its
+/// block, and a chaincode records a handful of items.
 #[derive(Debug, Default)]
 pub struct RwSetBuilder {
     rwset: RwSet,
@@ -160,25 +181,27 @@ pub struct RwSetBuilder {
 
 impl RwSetBuilder {
     /// Records a read of `key` at `version`.
-    pub fn read(mut self, key: impl Into<String>, version: Option<Version>) -> Self {
+    pub fn read(mut self, key: impl Into<Key>, version: Option<Version>) -> Self {
+        self.rwset.reads.reserve_exact(1);
         self.rwset.reads.push(ReadItem {
-            key: Key::new(key),
+            key: key.into(),
             version,
         });
         self
     }
 
     /// Records a write of `value` to `key`.
-    pub fn write(mut self, key: impl Into<String>, value: Value) -> Self {
+    pub fn write(mut self, key: impl Into<Key>, value: Value) -> Self {
+        self.rwset.writes.reserve_exact(1);
         self.rwset.writes.push(WriteItem {
-            key: Key::new(key),
+            key: key.into(),
             value,
         });
         self
     }
 
     /// Records a write of a counter value to `key`.
-    pub fn write_u64(self, key: impl Into<String>, value: u64) -> Self {
+    pub fn write_u64(self, key: impl Into<Key>, value: u64) -> Self {
         self.write(key, Value::from_u64(value))
     }
 
@@ -202,7 +225,7 @@ mod tests {
     #[test]
     fn value_u64_round_trip() {
         assert_eq!(Value::from_u64(12345).as_u64(), Some(12345));
-        assert_eq!(Value(vec![1, 2, 3]).as_u64(), None);
+        assert_eq!(Value(vec![1, 2, 3].into()).as_u64(), None);
         assert_eq!(Value::default().as_u64(), None);
     }
 
@@ -239,8 +262,85 @@ mod tests {
     }
 
     #[test]
+    fn held_once_clones_share_the_bytes() {
+        let key = Key::new("asset1");
+        assert!(Arc::ptr_eq(&key.clone().0, &key.0));
+        assert!(Arc::ptr_eq(&Key::new(key.clone()).0, &key.0));
+        let value = Value::from_u64(7);
+        assert!(Arc::ptr_eq(&value.clone().0, &value.0));
+        let s = RwSet::builder()
+            .read(key.clone(), None)
+            .write(key.clone(), value.clone())
+            .build();
+        assert!(Arc::ptr_eq(&s.reads[0].key.0, &key.0));
+        assert!(Arc::ptr_eq(&s.writes[0].key.0, &key.0));
+        assert!(Arc::ptr_eq(&s.writes[0].value.0, &value.0));
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(Version::new(4, 2).to_string(), "v4.2");
         assert_eq!(Key::from("asset1").to_string(), "asset1");
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        /// Key pieces: empty, ASCII, two-, three- and four-byte UTF-8.
+        const PIECES: [&str; 6] = ["", "a", "delta:", "é", "日", "🦀"];
+
+        fn key_of(pieces: &[u8]) -> String {
+            pieces.iter().map(|&i| PIECES[i as usize]).collect()
+        }
+
+        /// Empty, an 8-byte counter, or any short run of bytes.
+        fn bytes_of(class: u8, word: u64, bytes: &[u8]) -> Vec<u8> {
+            match class {
+                0 => Vec::new(),
+                1 => word.to_be_bytes().to_vec(),
+                _ => bytes.to_vec(),
+            }
+        }
+
+        fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+
+        proptest! {
+            /// `Key` against the `String` it held before its bytes were
+            /// shared, and `Value` against the `Vec<u8>`: same order,
+            /// equality, hash, `Display`, `Debug`, counter decoding and
+            /// wire size, over empty, multi-byte UTF-8 and 8-byte inputs.
+            #[test]
+            fn model_key_value_match_owned_bytes(
+                a in proptest::collection::vec(0u8..6, 0..5),
+                b in proptest::collection::vec(0u8..6, 0..5),
+                x in (0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..12)),
+                y in (0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..12)),
+            ) {
+                let (sa, sb) = (key_of(&a), key_of(&b));
+                let (ka, kb) = (Key::new(sa.as_str()), Key::from(sb.clone()));
+                prop_assert_eq!(ka.cmp(&kb), sa.cmp(&sb));
+                prop_assert_eq!(ka == kb, sa == sb);
+                prop_assert_eq!(hash_of(&ka), hash_of(&sa));
+                prop_assert_eq!(ka.to_string(), sa.clone());
+                prop_assert_eq!(format!("{ka:?}"), format!("Key({sa:?})"));
+                prop_assert_eq!(ka.wire_size(), sa.len());
+
+                let (vx, vy) = (bytes_of(x.0, x.1, &x.2), bytes_of(y.0, y.1, &y.2));
+                let (wx, wy) = (Value(vx.clone().into()), Value(vy.clone().into()));
+                prop_assert_eq!(wx == wy, vx == vy);
+                prop_assert_eq!(hash_of(&wx), hash_of(&vx));
+                prop_assert_eq!(format!("{wx:?}"), format!("Value({vx:?})"));
+                let counter = <[u8; 8]>::try_from(vx.as_slice()).ok().map(u64::from_be_bytes);
+                prop_assert_eq!(wx.as_u64(), counter);
+                prop_assert_eq!(wx.wire_size(), vx.len());
+            }
+        }
     }
 }

@@ -390,12 +390,12 @@ mod tests {
         // ("ab", "c") and ("a", "bc") concatenate identically; the length
         // prefixes must keep their digests apart.
         let one = hash_state_entries(
-            [(Key::from("ab"), Value(b"c".to_vec()), Version::new(1, 0))]
+            [(Key::from("ab"), Value(b"c"[..].into()), Version::new(1, 0))]
                 .iter()
                 .map(|(k, v, ver)| (k, v, *ver)),
         );
         let two = hash_state_entries(
-            [(Key::from("a"), Value(b"bc".to_vec()), Version::new(1, 0))]
+            [(Key::from("a"), Value(b"bc"[..].into()), Version::new(1, 0))]
                 .iter()
                 .map(|(k, v, ver)| (k, v, *ver)),
         );
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn oversized_entry_and_empty_snapshot_still_plan() {
-        let big = Value(vec![7u8; 512]);
+        let big = Value(vec![7u8; 512].into());
         let snap = SnapshotRef::new(snapshot(
             vec![
                 (Key::from("a"), big.clone(), Version::new(1, 0)),

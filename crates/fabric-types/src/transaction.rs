@@ -82,8 +82,10 @@ impl EndorsementPolicy {
 pub struct Transaction {
     /// Unique transaction id.
     pub id: TxId,
-    /// Name of the chaincode that produced the read/write set.
-    pub chaincode: String,
+    /// Name of the chaincode that produced the read/write set. It is a
+    /// constant of the chaincode's type (`fabric_ledger`'s
+    /// `Chaincode::name`), so no transaction allocates one.
+    pub chaincode: &'static str,
     /// The submitting client.
     pub creator: ClientId,
     /// The simulated read/write set.
@@ -96,10 +98,10 @@ pub struct Transaction {
 
 impl Transaction {
     /// Creates a transaction with no endorsements attached yet.
-    pub fn new(id: TxId, chaincode: impl Into<String>, creator: ClientId, rwset: RwSet) -> Self {
+    pub fn new(id: TxId, chaincode: &'static str, creator: ClientId, rwset: RwSet) -> Self {
         Transaction {
             id,
-            chaincode: chaincode.into(),
+            chaincode,
             creator,
             rwset,
             endorsements: Vec::new(),
@@ -138,10 +140,14 @@ impl Transaction {
 
     /// Appends `endorser`'s endorsement, signing through the MSP.
     /// Returns `false` if the peer is not enrolled.
+    ///
+    /// The list grows by exactly one slot: a transaction carries a handful
+    /// of endorsements for as long as its block lives, and no spare ones.
     pub fn endorse(&mut self, msp: &Msp, endorser: PeerId) -> bool {
         let digest = self.digest();
         match msp.sign_as(endorser, &digest.0) {
             Some(signature) => {
+                self.endorsements.reserve_exact(1);
                 self.endorsements.push(Endorsement {
                     endorser,
                     signature,
@@ -236,6 +242,33 @@ mod tests {
         t.rwset.writes[0].value = crate::rwset::Value::from_u64(999);
         let policy = EndorsementPolicy::single(PeerId(1));
         assert!(!policy.is_satisfied(&msp, &t.digest(), &t.endorsements));
+    }
+
+    /// The layout the paper's 50 000 transactions are held in: a key and
+    /// a value are one shared pointer each, and the chaincode name is a
+    /// static string, not a heap one.
+    #[test]
+    fn held_once_sizes_are_pinned() {
+        use crate::rwset::{Key, Value, WriteItem};
+        use std::mem::size_of;
+        assert_eq!(size_of::<Key>(), 16);
+        assert_eq!(size_of::<Value>(), 16);
+        assert_eq!(size_of::<WriteItem>(), 32);
+        assert_eq!(size_of::<Transaction>(), 104);
+    }
+
+    /// A transaction lives as long as its block: its read set, write set
+    /// and endorsement list carry no spare slots (a growing `Vec`'s first
+    /// push reserves four).
+    #[test]
+    fn held_once_lists_hold_no_spare_capacity() {
+        let msp = Msp::single_org(3);
+        let mut t = tx(1);
+        assert!(t.endorse(&msp, PeerId(0)));
+        assert!(t.endorse(&msp, PeerId(1)));
+        assert_eq!(t.rwset.reads.capacity(), 1);
+        assert_eq!(t.rwset.writes.capacity(), 1);
+        assert_eq!(t.endorsements.capacity(), 2);
     }
 
     #[test]

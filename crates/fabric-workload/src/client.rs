@@ -35,11 +35,11 @@ pub fn endorse_invocation(
     let (name, rwset) = match invocation.chaincode {
         ChaincodeKind::Increment => {
             let cc = IncrementChaincode;
-            (cc.name().to_owned(), cc.simulate(&input, endorser_state)?)
+            (cc.name(), cc.simulate(&input, endorser_state)?)
         }
         ChaincodeKind::Payload => {
             let cc = PayloadChaincode::new(invocation.padding as usize);
-            (cc.name().to_owned(), cc.simulate(&input, endorser_state)?)
+            (cc.name(), cc.simulate(&input, endorser_state)?)
         }
     };
     let mut tx = Transaction::new(tx_id, name, client, rwset).with_padding(invocation.padding);
@@ -111,6 +111,46 @@ mod tests {
         .unwrap();
         assert!(tx.rwset.reads.is_empty());
         assert_eq!(tx.rwset.writes[0].key, Key::from("delta:row42"));
+    }
+
+    /// One increment and one payload transaction, endorsed as the
+    /// pipeline endorses them: their signed digest and wire size are
+    /// constants, so a change to how keys, values or chaincode names are
+    /// held cannot move a byte that is hashed or put on the wire.
+    #[test]
+    fn endorsed_digest_and_wire_size_are_pinned() {
+        let msp = Msp::single_org(3);
+        let mut state = StateDb::new();
+        state.apply(
+            Version::new(5, 2),
+            &[WriteItem {
+                key: Key::from("counter3"),
+                value: Value::from_u64(9),
+            }],
+        );
+        let increment = endorse_invocation(
+            &invocation(ChaincodeKind::Increment, "counter3"),
+            TxId(17),
+            ClientId(0),
+            PeerId(1),
+            &state,
+            &msp,
+        )
+        .unwrap();
+        let mut payload = invocation(ChaincodeKind::Payload, "18");
+        payload.padding = 3_100;
+        let payload =
+            endorse_invocation(&payload, TxId(18), ClientId(0), PeerId(1), &state, &msp).unwrap();
+        assert_eq!(
+            increment.digest().to_hex(),
+            "9b55feb4827b1b7658aedbdc65be597f9aea819a8a35e3a1b8735a80ccace825"
+        );
+        assert_eq!(increment.wire_size(), 309);
+        assert_eq!(
+            payload.digest().to_hex(),
+            "5639651888d12a72c2d3609b436a772acefacc6d56c749241c32a7502c69f792"
+        );
+        assert_eq!(payload.wire_size(), 3291);
     }
 
     #[test]
