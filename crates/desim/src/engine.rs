@@ -6,11 +6,12 @@
 //! Events are totally ordered by `(time, insertion sequence)`, so a given
 //! seed always replays the exact same execution.
 //!
-//! The event queue is a hierarchical [`TimingWheel`] (see [`crate::sched`]):
-//! payloads sit still in a slab whose slots are chained into 131 µs time
-//! buckets, and the pop order is the exact `(time, seq)` total order the
-//! seed's global `BinaryHeap` produced — the scheduler-equivalence
-//! proptest in `tests/scheduler.rs` pins the two against each other.
+//! The event queue is a single-level [`TimingWheel`] with a far heap (see
+//! [`crate::sched`]): payloads sit still in a slab whose slots are chained
+//! into 131 µs time buckets on a ≈ 17 s ring, and the pop order is the
+//! exact `(time, seq)` total order the seed's global `BinaryHeap`
+//! produced — the scheduler-equivalence proptest in `tests/scheduler.rs`
+//! pins the two against each other.
 //!
 //! ## The life of a message
 //!

@@ -1,4 +1,4 @@
-//! The event scheduler: a hierarchical timing wheel.
+//! The event scheduler: a single-level timing wheel with a far heap.
 //!
 //! Events pop in exact `(time, insertion sequence)` order, each exactly
 //! once: nothing is cancelled. Every protocol timer is a periodic round
@@ -9,20 +9,29 @@
 //!
 //! ## The wheel
 //!
-//! [`TimingWheel`] buckets pending events by discrete sim time: a ring of
-//! `NUM_BUCKETS` buckets of [`BUCKET_NS`] each (131 µs buckets over a
-//! [`HORIZON_NS`] ≈ 1.07 s horizon), with a small binary heap holding the
-//! far-future overflow. Payloads live in a slab and never move. A ring
-//! bucket is one `u32`: the head of an intrusive chain threaded through
-//! the slab, each slot carrying its event's `(time, seq)` and the index of
-//! the next slot in the same bucket, so an insert is three stores and
-//! allocates nothing. The drain vector and the two heaps hold
+//! [`TimingWheel`] buckets pending events by discrete sim time: one ring
+//! of 2¹⁷ buckets of [`BUCKET_NS`] each (131 µs buckets over a
+//! [`HORIZON_NS`] ≈ 17.2 s horizon), with a binary heap holding what lies
+//! past the horizon. Payloads live in a slab and never move. A ring
+//! bucket is one `u32`: the link to the head of an intrusive chain
+//! threaded through the slab, each slot carrying its event's
+//! `(time, seq)` and the link to the next slot in the same bucket, so an
+//! insert is three stores and allocates nothing. A link to slot `s` is
+//! stored as `s + 1` and `0` is the empty bucket, so the ring starts as
+//! zero-filled memory: the allocator can hand its 512 KiB over without
+//! writing them, and a page becomes resident only once the cursor or an
+//! insert reaches it. The drain vector and the two heaps hold
 //! `(time, seq, slot)` stubs instead.
 //!
 //! The bucket is narrower than `NetworkConfig::lan`'s 250 µs link-latency
 //! floor, so under `lan` a send never lands in the bucket being drained,
-//! and neither does an ingress re-queue; periodic protocol timers longer
-//! than the horizon (state-info, alive, recovery rounds) take the far heap.
+//! and neither does an ingress re-queue. The horizon is longer than every
+//! round a preset arms — the 10 s recovery round is the longest, and
+//! `fabric-gossip` tests that each one fits — so pull, state-info, alive
+//! and recovery rounds stay on the ring too. The far heap takes only what
+//! is scheduled more than ≈ 17 s out: the joins and leaves a churn plan
+//! arms at the start of a run, and rounds a run stretches to an hour to
+//! keep them out of the way.
 //!
 //! ## The sorted drain
 //!
@@ -57,13 +66,16 @@ const BUCKET_SHIFT: u32 = 17;
 /// drained pop through the side heap, later ones are chained.
 pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
 /// Number of ring buckets (power of two).
-const NUM_BUCKETS: usize = 8192;
+const NUM_BUCKETS: usize = 1 << 17;
 const BUCKET_MASK: u64 = (NUM_BUCKETS as u64) - 1;
-/// Span of the ring (≈ 1.07 s): an event whose bucket starts this far or
+/// Words of the occupancy bitmap (power of two).
+const WORDS: usize = NUM_BUCKETS / 64;
+/// Span of the ring (≈ 17.2 s): an event whose bucket starts this far or
 /// further past the draining bucket's start waits in the far heap.
 pub const HORIZON_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
-/// End of a bucket chain.
-const NIL: u32 = u32::MAX;
+/// The empty bucket head and the end of a bucket chain. A link to slot
+/// `s` is stored as `s + 1`, so an empty ring is zero-filled memory.
+const EMPTY: u32 = 0;
 
 /// One scheduler pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,8 +163,8 @@ impl Ord for FarStub {
 
 #[derive(Debug)]
 struct Slot<E> {
-    /// The next slot of this one's ring-bucket chain (`NIL` ends it);
-    /// stale once the slot is unlinked.
+    /// The link to the next slot of this one's ring-bucket chain (`EMPTY`
+    /// ends it); stale once the slot is unlinked.
     next: u32,
     /// The chained event's key; stale once the slot is unlinked.
     at_ns: u64,
@@ -169,7 +181,8 @@ pub struct TimingWheel<E> {
     slab: Vec<Slot<E>>,
     /// Vacant slab slots, reused last in, first out.
     free: Vec<u32>,
-    /// The first slot of each ring bucket's chain, `NIL` when empty.
+    /// The link to the first slot of each ring bucket's chain, `EMPTY`
+    /// when the bucket is.
     heads: Vec<u32>,
     /// One occupancy bit per ring bucket.
     occupied: Vec<u64>,
@@ -203,8 +216,8 @@ impl<E> TimingWheel<E> {
             pending: 0,
             slab: Vec::with_capacity(1024),
             free: Vec::with_capacity(1024),
-            heads: vec![NIL; NUM_BUCKETS],
-            occupied: vec![0; NUM_BUCKETS / 64],
+            heads: vec![EMPTY; NUM_BUCKETS],
+            occupied: vec![0; WORDS],
             cursor: 0,
             run: Vec::new(),
             cur: BinaryHeap::new(),
@@ -220,9 +233,9 @@ impl<E> TimingWheel<E> {
             s
         } else {
             let s = self.slab.len() as u32;
-            assert!(s < NIL, "timing wheel slab full");
+            assert!(s < u32::MAX, "timing wheel slab full");
             self.slab.push(Slot {
-                next: NIL,
+                next: EMPTY,
                 at_ns: 0,
                 seq: 0,
                 payload: Some(payload),
@@ -236,11 +249,11 @@ impl<E> TimingWheel<E> {
         let b = at_ns >> BUCKET_SHIFT;
         if b > self.cursor && b - self.cursor < NUM_BUCKETS as u64 {
             let s = (b & BUCKET_MASK) as usize;
-            let link = &mut self.slab[slot as usize];
-            link.at_ns = at_ns;
-            link.seq = seq;
-            link.next = self.heads[s];
-            self.heads[s] = slot;
+            let entry = &mut self.slab[slot as usize];
+            entry.at_ns = at_ns;
+            entry.seq = seq;
+            entry.next = self.heads[s];
+            self.heads[s] = slot + 1;
             self.occupied[s >> 6] |= 1u64 << (s & 63);
             return;
         }
@@ -322,14 +335,13 @@ impl<E> TimingWheel<E> {
     fn next_occupied(&self) -> Option<u64> {
         let cursor_slot = (self.cursor & BUCKET_MASK) as usize;
         let start = (cursor_slot + 1) & (NUM_BUCKETS - 1);
-        let words = self.occupied.len();
-        for step in 0..=words {
-            let wi = (start / 64 + step) % words;
+        for step in 0..=WORDS {
+            let wi = (start / 64 + step) & (WORDS - 1);
             let mut bits = self.occupied[wi];
             if step == 0 {
                 bits &= !0u64 << (start & 63);
             }
-            if step == words {
+            if step == WORDS {
                 bits &= !(!0u64 << (start & 63));
             }
             if bits != 0 {
@@ -391,15 +403,15 @@ impl<E> TimingWheel<E> {
         self.cursor = target;
         let s = (target & BUCKET_MASK) as usize;
         if self.occupied[s >> 6] & (1u64 << (s & 63)) != 0 {
-            let mut next = std::mem::replace(&mut self.heads[s], NIL);
-            while next != NIL {
-                let slot = &self.slab[next as usize];
+            let mut link = std::mem::replace(&mut self.heads[s], EMPTY);
+            while link != EMPTY {
+                let slot = &self.slab[link as usize - 1];
                 self.run.push(Stub {
                     at_ns: slot.at_ns,
                     seq: slot.seq,
-                    slot: next,
+                    slot: link - 1,
                 });
-                next = slot.next;
+                link = slot.next;
             }
             self.run
                 .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
@@ -499,7 +511,7 @@ mod tests {
     #[test]
     fn far_future_events_cross_the_horizon_correctly() {
         let mut w = TimingWheel::new();
-        w.push(Time::from_secs(120), "far"); // beyond the ≈1 s horizon
+        w.push(Time::from_secs(120), "far"); // beyond the ≈17 s horizon
         w.push(t(1), "near");
         w.push(Time::from_secs(119), "far-but-earlier");
         assert_eq!(w.len(), 3);

@@ -244,8 +244,9 @@ proptest! {
 
 /// A deterministic heavy mix shaped like a gossip run under
 /// `NetworkConfig::lan`: sends one 250 µs link floor plus exponential
-/// jitter ahead, ingress re-queues at least 1.5 ms ahead, periodic timers
-/// of 0.5–10 s on both sides of the horizon.
+/// jitter ahead, ingress re-queues at least 1.5 ms ahead, timers from
+/// 0.5 s out to two horizons: the periodic rounds inside the ring, and
+/// later ones (a churn plan, a sentinel) past it in the far heap.
 #[test]
 fn dense_gossip_shaped_workload_matches() {
     let mut script = Vec::new();
@@ -272,7 +273,7 @@ fn dense_gossip_shaped_workload_matches() {
                 at: Lands::After(1_500_000 + exp(next(), 2_000_000.0)), // ingress
             }),
             5 => script.push(Op::Push {
-                at: Lands::After(500_000_000 + r % 9_500_000_000), // periodic timers
+                at: Lands::After(500_000_000 + r % (2 * HORIZON_NS)), // timers
                 tag: i,
             }),
             _ => script.push(Op::Pop),

@@ -274,6 +274,23 @@ mod tests {
         run_churn_waves(&cfg)
     }
 
+    /// The `churn` and `churn_waves` presets override discovery and
+    /// recovery rounds; every delay they arm still fits on the engine's
+    /// timing wheel ring.
+    #[test]
+    fn ring_holds_every_delay_the_churn_presets_arm() {
+        let churn = crate::churn::ChurnConfig::standard(24, 10, 20).gossip;
+        let waves = ChurnWavesConfig::standard(2, 8, 20).gossip;
+        for cfg in [churn, waves] {
+            for (name, delay) in cfg.timer_delays() {
+                assert!(
+                    delay.as_nanos() < desim::sched::HORIZON_NS,
+                    "{name} = {delay:?} outgrows the ring"
+                );
+            }
+        }
+    }
+
     #[test]
     fn plan_reserves_distinct_joiners_and_never_drains_a_channel() {
         let cfg = ChurnWavesConfig::standard(2, 8, 20);

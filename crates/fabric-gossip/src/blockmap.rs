@@ -146,7 +146,9 @@ impl<T> BlockMap<T> {
     }
 
     /// The rows with keys in `lo..=hi`, in key order. Costs the part of
-    /// the window the bounds cover, however far apart they are.
+    /// the window the bounds cover, however far apart they are. While the
+    /// spill holds no row this is a plain walk over the window's slots; a
+    /// populated spill is merged in key order.
     pub fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &T)> {
         let len = self.window.len() as u64;
         let start = lo.saturating_sub(self.base).min(len);
@@ -155,23 +157,28 @@ impl<T> BlockMap<T> {
             None => 0,
         };
         let first = self.base.wrapping_add(start);
-        let mut near = self
+        let near = self
             .window
             .range(start.min(end) as usize..end as usize)
             .enumerate()
-            .filter_map(move |(i, slot)| Some((first + i as u64, slot.as_ref()?)))
-            .peekable();
+            .filter_map(move |(i, slot)| Some((first + i as u64, slot.as_ref()?)));
+        if self.spill.is_empty() {
+            return Walk::Window(near);
+        }
+        let mut near = near.peekable();
         let mut far = (lo <= hi)
             .then(|| self.spill.range(lo..=hi))
             .into_iter()
             .flatten()
             .map(|(key, row)| (*key, row))
             .peekable();
-        std::iter::from_fn(move || match (near.peek(), far.peek()) {
-            (Some(a), Some(b)) if b.0 < a.0 => far.next(),
-            (Some(_), _) => near.next(),
-            (None, _) => far.next(),
-        })
+        Walk::Merged(std::iter::from_fn(move || {
+            match (near.peek(), far.peek()) {
+                (Some(a), Some(b)) if b.0 < a.0 => far.next(),
+                (Some(_), _) => near.next(),
+                (None, _) => far.next(),
+            }
+        }))
     }
 
     /// Where `key`'s slot would be in the window; a key below the base
@@ -231,6 +238,24 @@ impl<T> BlockMap<T> {
     #[cfg(test)]
     pub fn row_bytes(&self) -> usize {
         std::mem::size_of::<Option<T>>()
+    }
+}
+
+/// [`BlockMap::range`]'s two walks: the window alone, or the window
+/// merged with the spill.
+enum Walk<W, M> {
+    Window(W),
+    Merged(M),
+}
+
+impl<I, W: Iterator<Item = I>, M: Iterator<Item = I>> Iterator for Walk<W, M> {
+    type Item = I;
+
+    fn next(&mut self) -> Option<I> {
+        match self {
+            Walk::Window(w) => w.next(),
+            Walk::Merged(m) => m.next(),
+        }
     }
 }
 
@@ -332,7 +357,11 @@ mod tests {
 
     proptest! {
         /// Random operations over near, far and extreme keys against a
-        /// `BTreeMap`: same answers, same order, bounded window.
+        /// `BTreeMap`: same answers, same order, bounded window. A second
+        /// map takes the same operations on keys folded below 2¹¹, so its
+        /// spill stays empty and every `range` on it is the window walk;
+        /// the first map's far keys populate its spill, so its `range`
+        /// takes the merged path.
         #[test]
         fn model_blockmap_matches_btreemap(
             ops in proptest::collection::vec((0u8..6, 0u8..12, 0u64..40), 1..120),
@@ -347,9 +376,28 @@ mod tests {
             };
             let mut map: BlockMap<u64> = BlockMap::default();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut near: BlockMap<u64> = BlockMap::default();
+            let mut near_model: BTreeMap<u64, u64> = BTreeMap::new();
             for (step, (op, class, small)) in ops.into_iter().enumerate() {
                 let key = key_of(class, small);
                 let value = step as u64;
+                let folded = key & 0x7ff;
+                match op {
+                    0..=2 => prop_assert_eq!(near.insert(folded, value), near_model.insert(folded, value)),
+                    3 => prop_assert_eq!(near.remove(folded), near_model.remove(&folded)),
+                    4 => {
+                        near.drop_through(folded);
+                        near_model.retain(|k, _| *k > folded);
+                    }
+                    _ => {}
+                }
+                prop_assert!(near.spill.is_empty(), "folded keys never spill");
+                for (lo, hi) in [(folded.saturating_sub(50), folded + small), (0, u64::MAX)] {
+                    prop_assert_eq!(
+                        near.range(lo, hi).map(|(k, v)| (k, *v)).collect::<Vec<_>>(),
+                        near_model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+                    );
+                }
                 match op {
                     0..=2 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
                     3 => prop_assert_eq!(map.remove(key), model.remove(&key)),

@@ -320,6 +320,38 @@ impl GossipConfig {
         }
     }
 
+    /// Every delay a channel instance under this configuration waits out,
+    /// by name: its periodic rounds, the pull digest wait, the push flush
+    /// and fetch retry, and a snapshot request's first timeout. The
+    /// engine's timing wheel keeps a timer shorter than
+    /// [`desim::sched::HORIZON_NS`] on its ring; a longer one waits in the
+    /// far heap.
+    pub fn timer_delays(&self) -> Vec<(&'static str, Duration)> {
+        let tpush = match self.push {
+            PushMode::InfectAndDie { tpush } | PushMode::InfectUponContagion { tpush, .. } => tpush,
+        };
+        let mut delays = vec![
+            ("push.tpush", tpush),
+            ("push::FETCH_TIMEOUT", crate::push::FETCH_TIMEOUT),
+            ("recovery.interval", self.recovery.interval),
+            (
+                "recovery.state_info_interval",
+                self.recovery.state_info_interval,
+            ),
+            ("membership.alive_interval", self.membership.alive_interval),
+            (
+                "discovery.anti_entropy_interval",
+                self.discovery.anti_entropy_interval,
+            ),
+            ("snapshot.request_timeout", self.snapshot.request_timeout),
+        ];
+        if let Some(pull) = &self.pull {
+            delays.push(("pull.tpull", pull.tpull));
+            delays.push(("pull.digest_wait", pull.digest_wait));
+        }
+        delays
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -502,6 +534,32 @@ mod tests {
         let mut off = GossipConfig::enhanced_f4();
         off.snapshot.interval = 0;
         assert!(off.validate().is_ok());
+    }
+
+    /// Every round and wait a preset arms fits on the engine's timing
+    /// wheel ring: a preset that outgrows it fails here instead of sending
+    /// its rounds through the far heap.
+    #[test]
+    fn ring_holds_every_delay_a_preset_arms() {
+        let presets = [
+            GossipConfig::original_fabric(),
+            GossipConfig::enhanced_f4(),
+            GossipConfig::enhanced_f2(),
+            GossipConfig::enhanced_heavy_leader(),
+            GossipConfig::enhanced_no_digests(),
+            GossipConfig::original_fabric().with_discovery_protocol(),
+            GossipConfig::enhanced_f4()
+                .with_discovery_protocol()
+                .with_snapshots(16),
+        ];
+        for cfg in presets {
+            for (name, delay) in cfg.timer_delays() {
+                assert!(
+                    delay.as_nanos() < desim::sched::HORIZON_NS,
+                    "{name} = {delay:?} outgrows the ring"
+                );
+            }
+        }
     }
 
     #[test]

@@ -87,8 +87,11 @@ impl PullEngine {
         if nonce != self.nonce {
             return; // stale round
         }
+        // Every number below the height is held or absorbed by a snapshot:
+        // one compare answers `has` for the delivered prefix.
+        let height = core.store.height();
         for num in block_nums {
-            if !core.store.has(num) {
+            if num >= height && !core.store.has(num) {
                 let offers = self.offers.entry(num).or_default();
                 if !offers.contains(&from) {
                     offers.push(from);
@@ -192,6 +195,24 @@ mod tests {
             GossipMsg::PullRequest { block_nums, .. } if block_nums == &vec![1, 2]
         ));
         assert_eq!(c.stats.pull_rounds, 1);
+
+        // A snapshot floor at 5, held 6, 7 and 9, a gap at 8: the numbers
+        // below the height take the one-compare path, the rest the table.
+        c.store.adopt_snapshot(5);
+        for n in [6, 7, 9] {
+            c.store.insert(block(n));
+        }
+        assert_eq!(c.store.height(), 8);
+        e.on_round(&mut c, &mut fx);
+        fx.take_sent();
+        let advertised: Vec<u64> = (0..=12).collect();
+        e.on_digest_response(&mut c, PeerId(2), 2, advertised.clone());
+        let missing: Vec<u64> = advertised
+            .into_iter()
+            .filter(|n| !c.store.has(*n))
+            .collect();
+        assert_eq!(missing, [8, 10, 11, 12]);
+        assert_eq!(e.offers.keys().copied().collect::<Vec<_>>(), missing);
     }
 
     #[test]
