@@ -7,10 +7,10 @@
 //! workloads end to end (client → endorser → orderer → leader → gossip),
 //! and the *side channel* churns mid-run —
 //!
-//! * **late joiners** enter at [`ChurnConfig::join_at`], announce
-//!   themselves through discovery and bootstrap to the channel head
-//!   through the existing StateInfo + recovery machinery (catch-up
-//!   latency is measured per joiner);
+//! * a **late joiner** enters at [`ChurnConfig::join_at`], announces
+//!   itself through discovery and bootstraps to the channel head through
+//!   the existing StateInfo + recovery machinery (its catch-up latency is
+//!   measured);
 //! * the side channel's **leader leaves** at
 //!   [`ChurnConfig::leader_leave_at`] — in silence: the members reap it
 //!   after the alive timeout and the most senior survivor stands up (one
@@ -57,16 +57,13 @@ pub const DISCOVERY_KINDS: [&str; 3] = ["alive-msg", "membership-request", "memb
 pub struct ChurnConfig {
     /// Total peers. Every peer is a member of the main channel
     /// ([`ChannelId::DEFAULT`]); peers `0..side_members` start on the side
-    /// channel (`ChannelId(1)`), and the `joiners` highest-numbered side
-    /// candidates — peers `side_members..side_members + joiners` — enter
-    /// it at runtime.
+    /// channel (`ChannelId(1)`), and peer `side_members` enters it at
+    /// runtime.
     pub peers: usize,
     /// Initial membership of the side channel (≥ 2: its static leader is
     /// peer 0 and its endorser peer 1).
     pub side_members: usize,
-    /// Number of late joiners.
-    pub joiners: usize,
-    /// When the late joiners enter the side channel.
+    /// When the late joiner enters the side channel.
     pub join_at: Time,
     /// When the side channel's leader (peer 0) leaves it, forcing a
     /// hand-off; `None` keeps the leader seated.
@@ -86,9 +83,6 @@ pub struct ChurnConfig {
     pub drain: Duration,
     /// Simulation seed.
     pub seed: u64,
-    /// Joiners enter knowing only the channel's lowest-id sitting member
-    /// (anchor-peer entry) instead of the full roster.
-    pub anchor_join: bool,
     /// Maintain a ledger on every member of every channel, so checkpoint
     /// snapshots can be built and installed anywhere (off by default —
     /// the historical shape keeps ledgers on endorsers only).
@@ -124,7 +118,6 @@ impl ChurnConfig {
         ChurnConfig {
             peers,
             side_members,
-            joiners: 1,
             join_at: Time::ZERO + Duration::from_secs_f64(span / 3.0),
             leader_leave_at: Some(Time::ZERO + Duration::from_secs_f64(2.0 * span / 3.0)),
             gossip,
@@ -134,7 +127,6 @@ impl ChurnConfig {
             network: NetworkConfig::lan(peers + 2),
             drain: Duration::from_secs(40),
             seed: 1,
-            anchor_join: false,
             full_ledgers: false,
         }
     }
@@ -149,30 +141,23 @@ impl ChurnConfig {
         self
     }
 
-    /// Hands joiners a single anchor peer instead of the full roster.
-    pub fn with_anchor_join(mut self) -> Self {
-        self.anchor_join = true;
-        self
-    }
-
     /// The side channel's id.
     pub fn side_channel() -> ChannelId {
         ChannelId(1)
     }
 
     /// The deployment [`run_churn`] runs: both channels' payload
-    /// schedules, the side channel over peers `0..side_members`, its joins
+    /// schedules, the side channel over peers `0..side_members`, its join
     /// and the leader's leave as churn events, drained `drain` past the
     /// last transaction.
     ///
     /// # Panics
     ///
-    /// Panics when the joiners are not existing deployment peers.
+    /// Panics when the joiner is not an existing deployment peer.
     pub fn deployment(&self) -> Deployment {
         let side = ChurnConfig::side_channel();
         let mut params = NetParams::new(self.peers, self.gossip.clone(), self.orderer.clone());
         params.validation_per_tx = Duration::from_micros(300);
-        params.anchor_join = self.anchor_join;
         params.full_ledgers = self.full_ledgers;
         params.extra_channels = vec![ChannelSpec {
             channel: side,
@@ -181,14 +166,12 @@ impl ChurnConfig {
             endorsers: vec![PeerId(1)],
             policy: EndorsementPolicy::AnyMember,
         }];
-        for j in 0..self.joiners {
-            params.churn.push(ChurnEvent {
-                at: self.join_at,
-                peer: PeerId((self.side_members + j) as u32),
-                channel: side,
-                action: ChurnAction::Join,
-            });
-        }
+        params.churn.push(ChurnEvent {
+            at: self.join_at,
+            peer: PeerId(self.side_members as u32),
+            channel: side,
+            action: ChurnAction::Join,
+        });
         if let Some(at) = self.leader_leave_at {
             params.churn.push(ChurnEvent {
                 at,
@@ -198,8 +181,8 @@ impl ChurnConfig {
             });
         }
         assert!(
-            self.side_members + self.joiners <= self.peers,
-            "joiners must be existing deployment peers"
+            self.side_members < self.peers,
+            "the joiner must be an existing deployment peer"
         );
         Deployment::new(
             params,
@@ -662,7 +645,7 @@ mod tests {
         cfg.network = NetworkConfig::lan(18);
         cfg.seed = 9;
         let chunk_size = 256;
-        cfg.gossip.snapshot.chunk_size = chunk_size;
+        cfg.gossip.snapshot.as_mut().unwrap().chunk_size = chunk_size;
         let run = run_churn(&cfg);
 
         let c = &run.catchups[0];
@@ -718,37 +701,5 @@ mod tests {
         d.latency().expect("catch-up completes");
         assert!(d.snapshot_height >= 8);
         assert_eq!(run.net.commit_errors(), 0);
-    }
-
-    /// Anchor-peer entry: the joiner knows a single sitting member and
-    /// still catches up — the rest of the roster arrives via discovery
-    /// push-pull.
-    #[test]
-    fn anchored_join_catches_up_from_one_seed() {
-        let mut cfg = ChurnConfig::standard(16, 8, 20).with_anchor_join();
-        cfg.network = NetworkConfig::lan(18);
-        cfg.seed = 3;
-        let res = run_churn(&cfg);
-        let cu = &res.catchups[0];
-        assert!(cu.target > 0);
-        cu.latency().expect("anchored catch-up completes");
-        // Discovery converged: every sitting member admitted the joiner.
-        let records = res.net.convergence_on(ChannelId(1));
-        let join = records.iter().find(|r| r.join).expect("join record");
-        assert!(
-            join.latency().is_some(),
-            "all sitting members must learn of the anchored joiner"
-        );
-        // And the joiner's own view grew past its single anchor.
-        let view = res
-            .net
-            .gossip(cu.peer.index())
-            .membership_on(ChannelId(1))
-            .expect("joiner is on the side channel")
-            .len();
-        assert!(
-            view > 2,
-            "the joiner must discover members beyond its anchor, saw {view}"
-        );
     }
 }

@@ -20,7 +20,7 @@
 //!   fanned out over worker shards — reporting per-channel latency and
 //!   Jain's fairness;
 //! * [`churn`] — beyond the paper: runtime channel membership over the
-//!   full pipeline — late joiners catching up via StateInfo + recovery
+//!   full pipeline — a late joiner catching up via StateInfo + recovery
 //!   (catch-up latency) and a departing leader handing off, with
 //!   discovery's timers tightened out of the picture;
 //! * [`churn_waves`] — churn at scale under the gossiped **discovery

@@ -16,42 +16,36 @@
 //! replay grows O(chain) in bytes and time, snapshot bootstrap O(tail) —
 //! the gap widens as the chain grows.
 
-use desim::{Duration, NetworkConfig};
+use desim::Duration;
 
 use crate::churn::{run_churn, ChurnConfig};
 use crate::net::Catchup;
 
-/// The sweep: chain heights, deployment shape, checkpoint cadence.
+/// Total peers of each deployment.
+const PEERS: usize = 12;
+/// Initial members of the churned side channel.
+const SIDE_MEMBERS: usize = 6;
+/// Checkpoint cadence of the snapshot-on runs.
+const CHECKPOINT_INTERVAL: u64 = 8;
+/// Chunk size of the snapshot-on runs: no snapshot-transfer wire message
+/// may exceed this many bytes. Far below the gossip default because the
+/// sweep's states are tiny.
+const CHUNK_SIZE: usize = 512;
+
+/// The sweep: chain heights over a 12-peer deployment whose side channel
+/// starts with 6 members, checkpoints every 8 blocks.
 #[derive(Debug, Clone)]
 pub struct LongChainConfig {
     /// Blocks the side channel cuts per sweep point (the joiner enters at
     /// two thirds of the run, so the head it chases grows with this).
     pub heights: Vec<u64>,
-    /// Total peers of each deployment.
-    pub peers: usize,
-    /// Initial members of the churned side channel.
-    pub side_members: usize,
-    /// Checkpoint cadence of the snapshot-on runs.
-    pub checkpoint_interval: u64,
-    /// Chunk size of the snapshot-on runs: no snapshot-transfer wire
-    /// message may exceed this many bytes. Far below the gossip default
-    /// because the sweep's states are tiny.
-    pub chunk_size: usize,
-    /// Simulation seed (shared by every run of the sweep).
-    pub seed: u64,
 }
 
 impl LongChainConfig {
-    /// The standard sweep: 20 → 40 → 80 blocks over a 12-peer deployment,
-    /// checkpoints every 8 blocks.
+    /// The standard sweep: 20 → 40 → 80 blocks.
     pub fn standard() -> Self {
         LongChainConfig {
             heights: vec![20, 40, 80],
-            peers: 12,
-            side_members: 6,
-            checkpoint_interval: 8,
-            chunk_size: 512,
-            seed: 1,
         }
     }
 
@@ -59,7 +53,6 @@ impl LongChainConfig {
     pub fn quick() -> Self {
         LongChainConfig {
             heights: vec![16, 32],
-            ..Self::standard()
         }
     }
 }
@@ -106,8 +99,6 @@ pub struct LongChainRow {
 pub struct LongChainResult {
     /// One row per sweep height, in sweep order.
     pub rows: Vec<LongChainRow>,
-    /// The checkpoint cadence the snapshot runs used.
-    pub checkpoint_interval: u64,
 }
 
 impl LongChainResult {
@@ -157,9 +148,7 @@ fn completed_catchup(catchups: &[Catchup], blocks: u64, mode: &str) -> Catchup {
 pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
     let mut rows = Vec::with_capacity(cfg.heights.len());
     for &blocks in &cfg.heights {
-        let mut base = ChurnConfig::standard(cfg.peers, cfg.side_members, blocks);
-        base.network = NetworkConfig::lan(cfg.peers + 2);
-        base.seed = cfg.seed;
+        let mut base = ChurnConfig::standard(PEERS, SIDE_MEMBERS, blocks);
         base.leader_leave_at = None;
         base.full_ledgers = true;
         // Join late so the chain the joiner faces scales with the
@@ -173,8 +162,8 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
         let genesis = run_churn(&base);
         let g = completed_catchup(&genesis.catchups, blocks, "genesis");
 
-        let mut snap_cfg = base.with_snapshots(cfg.checkpoint_interval);
-        snap_cfg.gossip.snapshot.chunk_size = cfg.chunk_size;
+        let mut snap_cfg = base.with_snapshots(CHECKPOINT_INTERVAL);
+        snap_cfg.gossip.snapshot.as_mut().unwrap().chunk_size = CHUNK_SIZE;
         let snap_run = run_churn(&snap_cfg);
         let s = completed_catchup(&snap_run.catchups, blocks, "snapshot");
         // What a sitting endorser retained to be able to serve.
@@ -201,18 +190,12 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             full_bytes_per_checkpoint: log.iter().map(|r| r.full_bytes).max().unwrap_or(0),
         });
     }
-    LongChainResult {
-        rows,
-        checkpoint_interval: cfg.checkpoint_interval,
-    }
+    LongChainResult { rows }
 }
 
 /// Plain-text rendering of a sweep, preset-report style.
 pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
-    let mut out = format!(
-        "== {title} (checkpoints every {} blocks) ==\n",
-        result.checkpoint_interval
-    );
+    let mut out = format!("== {title} (checkpoints every {CHECKPOINT_INTERVAL} blocks) ==\n");
     for r in &result.rows {
         out.push_str(&format!(
             "{:>4} blocks | genesis: head {:>4}, {:>8} B, {} to serving, {:>4} replayed | \
@@ -261,7 +244,7 @@ mod tests {
         // wherever the chain stands. Inside that bound the tail is a
         // sawtooth in the chain height — the bound is the claim, not a
         // ratio between two samples of it.
-        let period = 2 * res.checkpoint_interval;
+        let period = 2 * CHECKPOINT_INTERVAL;
         for r in &res.rows {
             assert!(r.genesis_target > 0, "the joiner must have a head to chase");
             assert!(
@@ -276,7 +259,7 @@ mod tests {
                 r.snapshot_blocks_replayed
             );
             assert!(
-                r.snapshot_height >= res.checkpoint_interval,
+                r.snapshot_height >= CHECKPOINT_INTERVAL,
                 "{} blocks: no snapshot was installed (floor {})",
                 r.blocks,
                 r.snapshot_height
@@ -318,15 +301,13 @@ mod tests {
 
     #[test]
     fn chunking_bounds_the_wire_while_the_state_grows() {
-        let cfg = LongChainConfig::quick();
-        let res = run_long_chain(&cfg);
+        let res = sweep();
         for r in &res.rows {
             assert!(
-                r.max_msg_bytes > 0 && r.max_msg_bytes as usize <= cfg.chunk_size,
-                "{} blocks: snapshot message {} exceeds the {} budget",
+                r.max_msg_bytes > 0 && r.max_msg_bytes as usize <= CHUNK_SIZE,
+                "{} blocks: snapshot message {} exceeds the {CHUNK_SIZE} budget",
                 r.blocks,
                 r.max_msg_bytes,
-                cfg.chunk_size
             );
             assert!(r.chunks > 1, "the transfer must actually chunk");
             assert_eq!(r.resumes, 0, "a lossless LAN sweep needs no resumes");
@@ -334,7 +315,7 @@ mod tests {
         // The state a joiner installs outgrows the chunk budget many
         // times over; the largest message does not move.
         let last = res.rows.last().unwrap();
-        assert!(last.full_bytes_per_checkpoint as usize > 10 * cfg.chunk_size);
+        assert!(last.full_bytes_per_checkpoint as usize > 10 * CHUNK_SIZE);
     }
 
     #[test]
@@ -360,7 +341,6 @@ mod tests {
         // on every common height, and at equal final height their state
         // hashes are byte-identical.
         let mut base = ChurnConfig::standard(10, 5, 24);
-        base.network = NetworkConfig::lan(12);
         base.leader_leave_at = None;
         base.drain = Duration::from_secs(60);
         // Join at two thirds of the run so the chain is deep enough for a

@@ -173,20 +173,12 @@ impl FabricNet {
     }
 
     /// Applies one churn event, now (`ev.at` is when a *scheduled* event
-    /// is due; here it is not read): a runtime join — through the
-    /// channel's lowest-id member alone under
-    /// [`NetParams::anchor_join`], else knowing the whole sitting
-    /// membership — or a leave.
-    ///
-    /// [`NetParams::anchor_join`]: super::NetParams::anchor_join
+    /// is due; here it is not read): a runtime join knowing the whole
+    /// sitting membership, or a leave.
     pub fn apply_churn(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, ev: ChurnEvent) {
         match ev.action {
             ChurnAction::Join => {
-                let sitting = &self.members[ev.channel.index()];
-                let seeds = match sitting.iter().min() {
-                    Some(anchor) if self.params.anchor_join => vec![*anchor],
-                    _ => sitting.clone(),
-                };
+                let seeds = self.members[ev.channel.index()].clone();
                 self.join(ctx, ev.channel, ev.peer, seeds);
             }
             ChurnAction::Leave => self.leave(ctx, ev.channel, ev.peer),

@@ -127,8 +127,6 @@ pub struct NetParams {
     pub orderer: OrdererConfig,
     /// Validation CPU cost per transaction at commit (paper §V-D: 50 ms).
     pub validation_per_tx: Duration,
-    /// CPU cost of simulating + signing one endorsement.
-    pub endorse_cost: Duration,
     /// The **default channel's** endorsing peers. §V-D uses one; with
     /// several, the client compares read sets across endorsements and
     /// discards mismatches — the paper's *proposal-time* conflicts (§II-C).
@@ -155,10 +153,6 @@ pub struct NetParams {
     /// and `benchmark/` was frozen when the oracle mode was retired; the
     /// next `benchmark` PR can drop that assignment, and then this field.
     pub discovery: DiscoveryMode,
-    /// Runtime joiners enter knowing **one anchor peer** (the channel's
-    /// lowest-id sitting member) instead of the full roster, and learn the
-    /// rest through discovery push-pull.
-    pub anchor_join: bool,
 }
 
 impl NetParams {
@@ -176,7 +170,6 @@ impl NetParams {
             gossip,
             orderer,
             validation_per_tx: Duration::from_micros(500),
-            endorse_cost: Duration::from_millis(2),
             endorsers: vec![PeerId(1)],
             full_ledgers: false,
             policy: EndorsementPolicy::AnyMember,
@@ -184,7 +177,6 @@ impl NetParams {
             extra_channels: Vec::new(),
             churn: Vec::new(),
             discovery,
-            anchor_join: false,
         }
     }
 
@@ -710,8 +702,8 @@ impl FabricNet {
 /// full export at the first and every second one after it, so the
 /// served snapshot lags the newest checkpoint by at most one interval.
 fn ledger_snapshot_policy(g: &GossipConfig) -> Option<SnapshotPolicy> {
-    g.snapshot.enabled.then_some(SnapshotPolicy {
-        every: g.snapshot.interval,
+    g.snapshot.as_ref().map(|s| SnapshotPolicy {
+        every: s.interval,
         full_every: 2,
     })
 }

@@ -83,6 +83,9 @@ impl desim::Message for NetMsg {
 /// [`NetMsg::kind_index`].
 const PIPELINE_KINDS: [&str; 4] = ["propose", "endorsed", "submit", "orderer-deliver"];
 
+/// CPU cost of simulating + signing one endorsement.
+const ENDORSE_COST: Duration = Duration::from_millis(2);
+
 impl NetMsg {
     /// Where this message's tag sits in [`PIPELINE_KINDS`], or the gossip
     /// envelope that carries its own.
@@ -241,7 +244,7 @@ impl FabricNet {
         let tx_id = TxId(index as u64 + 1);
         match endorse_invocation(invocation, tx_id, ClientId(0), endorser, state, &self.msp) {
             Ok(tx) => {
-                ctx.occupy(to, self.params.endorse_cost);
+                ctx.occupy(to, ENDORSE_COST);
                 ctx.send(
                     to,
                     self.client_node(),

@@ -201,6 +201,46 @@ fn one_honest_anchor_defeats_the_eclipse() {
     assert_eq!(net.leaders(0).len(), 1);
 }
 
+/// Anchor-peer entry on a side channel: the joiner knows a single sitting
+/// member and still catches up gap-free — the rest of the roster arrives
+/// via discovery push-pull, and every sitting member admits it.
+#[test]
+fn anchored_join_catches_up_from_one_seed() {
+    let mut cfg = discovery_cfg();
+    cfg.recovery.interval = Duration::from_secs(2);
+    cfg.recovery.state_info_interval = Duration::from_secs(1);
+    let everyone: Vec<PeerId> = (0..9).map(PeerId).collect();
+    let side: Vec<PeerId> = (0..8).map(PeerId).collect();
+    let (anchor, joiner) = (PeerId(0), PeerId(8));
+    let mut net = ideal(9, vec![everyone, side], &cfg);
+    let mut prev = Hash256::ZERO;
+    for num in 1..=20u64 {
+        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
+        prev = block.hash();
+        net.inject(1, block);
+        net.run_for(Duration::from_millis(200));
+    }
+    net.join_via(1, joiner, &[anchor]);
+    let caught = net.time_until(Duration::from_secs(60), |net| {
+        net.check(&Predicate::GapFreeCatchup { channel: 1 }).is_ok()
+    });
+    caught.expect("the anchored joiner catches up gap-free");
+    // Discovery converged: every sitting member admitted the joiner.
+    net.run_for(Duration::from_secs(10));
+    let records = net.sim().protocol().convergence_on(ChannelId(1));
+    let join = records.iter().find(|r| r.join).expect("join record");
+    assert!(
+        join.latency().is_some(),
+        "all sitting members must learn of the anchored joiner"
+    );
+    // And the joiner's own view grew past its single anchor.
+    let view = net.view_of(joiner, 1);
+    assert!(
+        view.len() > 2,
+        "the joiner must discover members beyond its anchor, saw {view:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Snapshot-equivalence under faults: the ledger-level proptest
 // (fabric-ledger/tests/snapshot_equivalence.rs) pins the contract on a
@@ -360,8 +400,7 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
     use std::sync::Arc;
 
     let mut cfg = snapshot_cfg(4);
-    cfg.snapshot.chunk_size = 256;
-    cfg.snapshot.request_timeout = Duration::from_secs(4);
+    cfg.snapshot.as_mut().unwrap().chunk_size = 256;
 
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let joiner = PeerId(4);
@@ -455,8 +494,7 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
     use fabric_types::transaction::EndorsementPolicy;
     use std::sync::Arc;
 
-    let mut cfg = snapshot_cfg(4);
-    cfg.snapshot.request_timeout = Duration::from_secs(4);
+    let cfg = snapshot_cfg(4);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let joiner = PeerId(4);
     let mut net = ideal(5, vec![members.clone()], &cfg);
@@ -541,7 +579,6 @@ fn run_random_adversarial(seed: u64, env: u64, attacker_kind: u8) -> Result<(), 
     let initial: Vec<PeerId> = (0..5).map(PeerId).collect();
     let attacker = PeerId(4);
     let shape = ScenarioShape {
-        deployment: 8,
         ops: 10,
         // The attacker, and one honest peer no attacker of the catalog
         // targets (the forger buries 1, the selective forwarder starves 0
@@ -554,7 +591,6 @@ fn run_random_adversarial(seed: u64, env: u64, attacker_kind: u8) -> Result<(), 
         // redundancy away is not the attack under test.
         protected: vec![attacker, PeerId(3)],
         settle_secs: 40,
-        ..ScenarioShape::default()
     };
     let mixed = seed.wrapping_add(env.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let script = random_scenario(mixed, &initial, &shape);
@@ -610,11 +646,9 @@ fn run_random_coalition(seed: u64, mask: u8) -> Result<(), String> {
     let coalition = [PeerId(4), PeerId(5), PeerId(6)];
     let victim = PeerId(1);
     let shape = ScenarioShape {
-        deployment: 8,
         ops: 10,
         protected: coalition.to_vec(),
         settle_secs: 40,
-        ..ScenarioShape::default()
     };
     let mixed = seed.wrapping_add(env_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let script = random_scenario(mixed, &initial, &shape);

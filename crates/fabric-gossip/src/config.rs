@@ -13,9 +13,12 @@
 //! What has one value in every deployment is a named constant beside the
 //! code that reads it, not a field: the infect-and-die burst of 10 blocks
 //! (`push::PUSH_BURST`), the content-fetch retry policy of 500 ms and 5
-//! attempts (`push::FETCH_TIMEOUT`, `push::FETCH_ATTEMPTS`) and the pull
-//! digest window of 64 blocks (`pull::DIGEST_WINDOW`). Who leads is no
-//! setting either: it follows the membership shape ([`DiscoveryConfig`]).
+//! attempts (`push::FETCH_TIMEOUT`, `push::FETCH_ATTEMPTS`), the pull
+//! fan-in of 3 peers (`pull::FIN`), its 1 s digest wait
+//! (`pull::DIGEST_WAIT`) and digest window of 64 blocks
+//! (`pull::DIGEST_WINDOW`), and a snapshot request's first timeout of 8 s
+//! (`recovery::SNAPSHOT_REQUEST_TIMEOUT`). Who leads is no setting either:
+//! it follows the membership shape ([`DiscoveryConfig`]).
 
 use desim::Duration;
 use serde::{Deserialize, Serialize};
@@ -50,23 +53,18 @@ pub enum PushMode {
 }
 
 /// Pull engine parameters (stock Fabric; removed by the enhanced protocol).
+/// A round contacts `pull::FIN` = 3 peers and gathers digests for
+/// `pull::DIGEST_WAIT` = 1 s (Fabric's `digestWaitTime`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PullConfig {
-    /// Number of random peers contacted per pull round (Fabric: 3).
-    pub fin: usize,
     /// Pull round period (Fabric: 4 s).
     pub tpull: Duration,
-    /// How long the requester gathers digest responses before sending its
-    /// block requests (Fabric's `digestWaitTime`: 1 s).
-    pub digest_wait: Duration,
 }
 
 impl Default for PullConfig {
     fn default() -> Self {
         PullConfig {
-            fin: 3,
             tpull: Duration::from_secs(4),
-            digest_wait: Duration::from_secs(1),
         }
     }
 }
@@ -155,11 +153,12 @@ impl Default for DiscoveryConfig {
 }
 
 /// Snapshot-bootstrap parameters (checkpoints + snapshot transfer in the
-/// recovery phase).
+/// recovery phase), present only when snapshots are on
+/// ([`GossipConfig::snapshot`]).
 ///
 /// Off by default: StateInfo broadcasts then carry no checkpoint and every
 /// joiner catches up by block replay, byte-identical to the pre-snapshot
-/// wire format. When enabled, StateInfo messages piggyback the sender's
+/// wire format. When on, StateInfo messages piggyback the sender's
 /// latest [`fabric_types::Checkpoint`] (+40 wire bytes when present), and
 /// a peer whose height trails the best advertised checkpoint by at least
 /// one checkpoint `interval` requests the snapshot instead of replaying the
@@ -169,10 +168,11 @@ impl Default for DiscoveryConfig {
 /// The snapshot streams as [`fabric_types::snapshot::SnapshotChunk`]s of
 /// at most `chunk_size` wire bytes, reassembled and verified by the
 /// receiver and resumable from any server holding the same checkpoint.
+/// A request in flight for `recovery::SNAPSHOT_REQUEST_TIMEOUT` (8 s,
+/// doubling per failed attempt) gives its server up and resumes from a
+/// different peer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotConfig {
-    /// Advertise checkpoints and bootstrap joiners from snapshots.
-    pub enabled: bool,
     /// Checkpoint cadence in blocks: the embedding's ledger emits a
     /// checkpoint every `interval` blocks and exports the full snapshot it
     /// serves at the first checkpoint and every second one after it (see
@@ -183,21 +183,6 @@ pub struct SnapshotConfig {
     /// Upper bound on one snapshot-chunk message on the wire (envelope
     /// included). At least 128 bytes: a chunk must fit its header.
     pub chunk_size: usize,
-    /// How long a snapshot request stays in flight before the requester
-    /// gives the server up and resumes from a different peer. Doubles per
-    /// failed attempt (the fetch-retry idiom applied to bulk transfer).
-    pub request_timeout: Duration,
-}
-
-impl Default for SnapshotConfig {
-    fn default() -> Self {
-        SnapshotConfig {
-            enabled: false,
-            interval: 32,
-            chunk_size: 64 * 1024,
-            request_timeout: Duration::from_secs(8),
-        }
-    }
 }
 
 /// Complete gossip-layer configuration for one peer.
@@ -221,9 +206,9 @@ pub struct GossipConfig {
     /// membership, and its minimum the leader, as in the paper's
     /// evaluation).
     pub discovery: DiscoveryConfig,
-    /// Snapshot bootstrap (off by default: wire format and golden traces
-    /// are unchanged unless a deployment opts in).
-    pub snapshot: SnapshotConfig,
+    /// Snapshot bootstrap; `None` disables it (the default: wire format
+    /// and golden traces are unchanged unless a deployment opts in).
+    pub snapshot: Option<SnapshotConfig>,
 }
 
 impl GossipConfig {
@@ -240,7 +225,7 @@ impl GossipConfig {
             recovery: RecoveryConfig::default(),
             membership: MembershipConfig::default(),
             discovery: DiscoveryConfig::default(),
-            snapshot: SnapshotConfig::default(),
+            snapshot: None,
         }
     }
 
@@ -272,7 +257,7 @@ impl GossipConfig {
             recovery: RecoveryConfig::default(),
             membership: MembershipConfig::default(),
             discovery: DiscoveryConfig::default(),
-            snapshot: SnapshotConfig::default(),
+            snapshot: None,
         }
     }
 
@@ -285,11 +270,14 @@ impl GossipConfig {
     }
 
     /// Turns on snapshot bootstrap with checkpoints every `interval`
-    /// blocks: a joiner more than one checkpoint behind takes the snapshot
-    /// path, a steady-state straggler keeps cheap block recovery.
+    /// blocks and 64 KiB chunks: a joiner more than one checkpoint behind
+    /// takes the snapshot path, a steady-state straggler keeps cheap block
+    /// recovery.
     pub fn with_snapshots(mut self, interval: u64) -> Self {
-        self.snapshot.enabled = true;
-        self.snapshot.interval = interval;
+        self.snapshot = Some(SnapshotConfig {
+            interval,
+            chunk_size: 64 * 1024,
+        });
         self
     }
 
@@ -343,11 +331,16 @@ impl GossipConfig {
                 "discovery.anti_entropy_interval",
                 self.discovery.anti_entropy_interval,
             ),
-            ("snapshot.request_timeout", self.snapshot.request_timeout),
         ];
         if let Some(pull) = &self.pull {
             delays.push(("pull.tpull", pull.tpull));
-            delays.push(("pull.digest_wait", pull.digest_wait));
+            delays.push(("pull::DIGEST_WAIT", crate::pull::DIGEST_WAIT));
+        }
+        if self.snapshot.is_some() {
+            delays.push((
+                "recovery::SNAPSHOT_REQUEST_TIMEOUT",
+                crate::recovery::SNAPSHOT_REQUEST_TIMEOUT,
+            ));
         }
         delays
     }
@@ -376,14 +369,8 @@ impl GossipConfig {
             }
         }
         if let Some(pull) = &self.pull {
-            if pull.fin == 0 {
-                return Err("fin must be positive".into());
-            }
-            if pull.tpull.is_zero() {
-                return Err("tpull must be positive".into());
-            }
-            if pull.digest_wait >= pull.tpull {
-                return Err("digest_wait must be shorter than tpull".into());
+            if crate::pull::DIGEST_WAIT >= pull.tpull {
+                return Err("tpull must be longer than the 1 s digest wait".into());
             }
         }
         if self.recovery.interval.is_zero() || self.recovery.state_info_interval.is_zero() {
@@ -401,14 +388,11 @@ impl GossipConfig {
         if self.discovery.protocol && self.membership.alive_timeout.is_zero() {
             return Err("alive timeout must be positive under discovery".into());
         }
-        if self.snapshot.enabled {
-            if self.snapshot.interval == 0 {
+        if let Some(snapshot) = &self.snapshot {
+            if snapshot.interval == 0 {
                 return Err("snapshot checkpoint interval must be positive".into());
             }
-            if self.snapshot.request_timeout.is_zero() {
-                return Err("snapshot request_timeout must be positive".into());
-            }
-            if self.snapshot.chunk_size < 128 {
+            if snapshot.chunk_size < 128 {
                 return Err("snapshot chunk_size must be at least 128 bytes".into());
             }
         }
@@ -435,7 +419,6 @@ mod tests {
         assert_eq!(orig.fout, 3);
         assert_eq!(orig.f_leader_out, 3);
         assert!(matches!(orig.push, PushMode::InfectAndDie { .. }));
-        assert_eq!(orig.pull.as_ref().unwrap().fin, 3);
         assert_eq!(orig.pull.as_ref().unwrap().tpull, Duration::from_secs(4));
         assert_eq!(orig.recovery.interval, Duration::from_secs(10));
 
@@ -474,7 +457,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = GossipConfig::original_fabric();
-        c.pull.as_mut().unwrap().fin = 0;
+        c.pull.as_mut().unwrap().tpull = crate::pull::DIGEST_WAIT;
         assert!(c.validate().is_err());
 
         let mut c = GossipConfig::original_fabric();
@@ -509,38 +492,46 @@ mod tests {
     #[test]
     fn snapshots_default_off_and_builder_validates() {
         let cfg = GossipConfig::enhanced_f4();
-        assert!(!cfg.snapshot.enabled, "wire format unchanged by default");
+        assert!(cfg.snapshot.is_none(), "wire format unchanged by default");
         let snap = GossipConfig::enhanced_f4().with_snapshots(16);
-        assert!(snap.snapshot.enabled);
-        assert_eq!(snap.snapshot.interval, 16);
-        assert_eq!(snap.snapshot.chunk_size, 64 * 1024);
+        assert_eq!(
+            snap.snapshot,
+            Some(SnapshotConfig {
+                interval: 16,
+                chunk_size: 64 * 1024
+            })
+        );
         assert!(snap.validate().is_ok());
 
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
-        bad.snapshot.interval = 0;
+        bad.snapshot.as_mut().unwrap().interval = 0;
         assert!(bad.validate().is_err());
         let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
-        bad.snapshot.request_timeout = Duration::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = GossipConfig::enhanced_f4().with_snapshots(16);
-        bad.snapshot.chunk_size = 64;
+        bad.snapshot.as_mut().unwrap().chunk_size = 64;
         assert!(
             bad.validate().is_err(),
             "a chunk must fit at least a header"
         );
-        bad.snapshot.chunk_size = 128;
+        bad.snapshot.as_mut().unwrap().chunk_size = 128;
         assert!(bad.validate().is_ok());
-        // Disabled snapshots never fail validation, whatever the fields say.
-        let mut off = GossipConfig::enhanced_f4();
-        off.snapshot.interval = 0;
-        assert!(off.validate().is_ok());
     }
 
     /// Every round and wait a preset arms fits on the engine's timing
     /// wheel ring: a preset that outgrows it fails here instead of sending
-    /// its rounds through the far heap.
+    /// its rounds through the far heap. The waits that are constants, not
+    /// fields, are listed too.
     #[test]
     fn ring_holds_every_delay_a_preset_arms() {
+        let names = |cfg: GossipConfig| -> Vec<&str> {
+            cfg.timer_delays().into_iter().map(|(n, _)| n).collect()
+        };
+        assert!(names(GossipConfig::original_fabric()).contains(&"pull::DIGEST_WAIT"));
+        let snap = names(GossipConfig::enhanced_f4().with_snapshots(16));
+        assert!(snap.contains(&"recovery::SNAPSHOT_REQUEST_TIMEOUT"));
+        assert!(
+            !snap.contains(&"pull::DIGEST_WAIT"),
+            "the enhanced preset runs no pull"
+        );
         let presets = [
             GossipConfig::original_fabric(),
             GossipConfig::enhanced_f4(),

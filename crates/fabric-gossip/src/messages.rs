@@ -139,7 +139,7 @@ pub enum GossipMsg {
         /// The sender's contiguous ledger height.
         height: u64,
         /// The sender's latest ledger checkpoint, when snapshot bootstrap
-        /// is on ([`crate::config::SnapshotConfig::enabled`]) and one
+        /// is on ([`crate::config::GossipConfig::snapshot`]) and one
         /// exists. `None` adds zero wire bytes, so the default-off format
         /// is byte-identical to the pre-snapshot one.
         checkpoint: Option<Checkpoint>,

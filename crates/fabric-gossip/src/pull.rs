@@ -1,6 +1,6 @@
 //! The four-phase pull engine of stock Fabric gossip:
 //!
-//! 1. **Hello** — solicit digests from `fin` random organization peers;
+//! 1. **Hello** — solicit digests from `FIN` (3) random organization peers;
 //! 2. **DigestResponse** — each responder advertises its recent blocks;
 //! 3. **Request** — after the digest-wait window, ask one random advertiser
 //!    per missing block;
@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use desim::Duration;
 use rand::RngExt;
 
 use fabric_types::block::BlockRef;
@@ -21,6 +22,13 @@ use fabric_types::ids::PeerId;
 use crate::channel::ChannelCore;
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer};
+
+/// How many random peers a pull round solicits (Fabric's `PullPeerNum`).
+pub(crate) const FIN: usize = 3;
+
+/// How long the requester gathers digest responses before sending its
+/// block requests (Fabric's `digestWaitTime`).
+pub(crate) const DIGEST_WAIT: Duration = Duration::from_secs(1);
 
 /// How many recent block numbers a digest response advertises.
 pub(crate) const DIGEST_WINDOW: u64 = 64;
@@ -43,21 +51,21 @@ impl PullEngine {
 
     /// Phase 1 (the PullRound timer): open a round and solicit digests.
     pub fn on_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        let Some(pull) = core.cfg.pull.clone() else {
+        let Some(tpull) = core.cfg.pull.as_ref().map(|p| p.tpull) else {
             return;
         };
         self.nonce += 1;
         self.offers.clear();
         core.stats.pull_rounds += 1;
         let nonce = self.nonce;
-        let targets = core.membership.sample(fx.rng(), pull.fin);
+        let targets = core.membership.sample(fx.rng(), FIN);
         for t in targets {
             core.send(fx, t, GossipMsg::PullHello { nonce });
         }
         // Fabric's pull engine gathers digests for `digestWaitTime` before
         // deciding what to request from whom.
-        core.schedule(fx, pull.digest_wait, GossipTimer::PullDigestWait { nonce });
-        core.schedule(fx, pull.tpull, GossipTimer::PullRound);
+        core.schedule(fx, DIGEST_WAIT, GossipTimer::PullDigestWait { nonce });
+        core.schedule(fx, tpull, GossipTimer::PullRound);
     }
 
     /// Phase 2 (responder side): serve our recent block numbers.

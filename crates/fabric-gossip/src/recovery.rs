@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use desim::Time;
+use desim::{Duration, Time};
 use rand::RngExt;
 
 use fabric_types::ids::PeerId;
@@ -21,6 +21,11 @@ use crate::channel::ChannelCore;
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer, ENVELOPE};
 use crate::peertable::PeerTable;
+
+/// How long a snapshot request stays in flight before the requester gives
+/// the server up and resumes from a different peer. Doubles per failed
+/// attempt (the fetch-retry idiom applied to bulk transfer).
+pub(crate) const SNAPSHOT_REQUEST_TIMEOUT: Duration = Duration::from_secs(8);
 
 /// One snapshot transfer in progress: the request this peer has in flight
 /// and the partial assembly. The in-flight guard keeps every RecoveryRound
@@ -115,11 +120,12 @@ impl RecoveryEngine {
     /// (piggybacking our latest checkpoint under snapshot bootstrap).
     pub fn on_state_info_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let height = core.store.height();
-        let checkpoint = if core.cfg.snapshot.enabled {
-            core.snapshot.as_ref().map(|s| s.checkpoint)
-        } else {
-            None
-        };
+        let checkpoint = core
+            .cfg
+            .snapshot
+            .as_ref()
+            .and(core.snapshot.as_ref())
+            .map(|s| s.checkpoint);
         // StateInfo metadata crosses organization boundaries (§III).
         let targets = {
             let k = core.cfg.fout;
@@ -139,7 +145,7 @@ impl RecoveryEngine {
     /// instead — O(state + tail) rather than O(chain) replay.
     pub fn on_recovery_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let my_height = core.store.height();
-        if core.cfg.snapshot.enabled && self.snapshot_round(core, fx, my_height) {
+        if self.snapshot_round(core, fx, my_height) {
             let interval = core.cfg.recovery.interval;
             core.schedule(fx, interval, GossipTimer::RecoveryRound);
             return;
@@ -172,16 +178,19 @@ impl RecoveryEngine {
     /// The snapshot half of a recovery round. Returns `true` when the
     /// round was consumed by the snapshot path — a transfer is in flight
     /// within its timeout, or a (re-)request just went out. Returns `false`
-    /// to fall through to block recovery: the lag trigger didn't fire, or
-    /// no eligible server remains (every candidate timed out or departed,
-    /// or the requested floor was pruned everywhere).
+    /// to fall through to block recovery: snapshots are off, the lag
+    /// trigger didn't fire, or no eligible server remains (every candidate
+    /// timed out or departed, or the requested floor was pruned
+    /// everywhere).
     fn snapshot_round(
         &mut self,
         core: &mut ChannelCore,
         fx: &mut dyn Effects,
         my_height: u64,
     ) -> bool {
-        let min_lag = core.cfg.snapshot.interval;
+        let Some(min_lag) = core.cfg.snapshot.as_ref().map(|s| s.interval) else {
+            return false;
+        };
         // Saturating: an advertised checkpoint at `u64::MAX` is a number
         // off the wire, not a reason to overflow.
         let trigger = move |cp_height: u64| cp_height.saturating_add(1) >= my_height + min_lag;
@@ -199,7 +208,7 @@ impl RecoveryEngine {
         // in transit must not be requested again every round.
         if let Some(t) = &self.inflight {
             let backoff = 2u64.saturating_pow(t.attempts.saturating_sub(1).min(10));
-            let timeout = core.cfg.snapshot.request_timeout * backoff;
+            let timeout = SNAPSHOT_REQUEST_TIMEOUT * backoff;
             if !t.server_gone && fx.now().since(t.requested_at) < timeout {
                 return true;
             }
@@ -306,7 +315,7 @@ impl RecoveryEngine {
         height: u64,
         from_chunk: u32,
     ) {
-        let Some(snapshot) = core.snapshot.clone() else {
+        let (Some(snapshot), Some(cfg)) = (core.snapshot.clone(), &core.cfg.snapshot) else {
             return;
         };
         if snapshot.checkpoint.height < height {
@@ -315,7 +324,7 @@ impl RecoveryEngine {
         if from_chunk > 0 && snapshot.checkpoint.height != height {
             return;
         }
-        let budget = core.cfg.snapshot.chunk_size.saturating_sub(ENVELOPE);
+        let budget = cfg.chunk_size.saturating_sub(ENVELOPE);
         let chunks = SnapshotChunk::plan(&snapshot, budget);
         if (from_chunk as usize) >= chunks.len() {
             return;
@@ -460,7 +469,7 @@ mod tests {
 
     fn snapshot_cfg() -> GossipConfig {
         let mut cfg = GossipConfig::enhanced_f4().with_snapshots(8);
-        cfg.snapshot.chunk_size = CHUNK;
+        cfg.snapshot.as_mut().unwrap().chunk_size = CHUNK;
         cfg
     }
 

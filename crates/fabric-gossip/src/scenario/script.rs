@@ -127,21 +127,18 @@ impl fmt::Display for ScenarioError {
     }
 }
 
+/// The channel a generated scenario acts on.
+const CHANNEL: usize = 0;
+/// Generated ops involve peers `0..DEPLOYMENT`.
+const DEPLOYMENT: u32 = 8;
+/// Generated `SetLoss` rates stay below this many thousandths.
+const MAX_LOSS_MILLI: u32 = 300;
+
 /// Shape of a seeded-random scenario (see [`random_scenario`]).
 #[derive(Debug, Clone)]
 pub struct ScenarioShape {
-    /// The channel the ops act on.
-    pub channel: usize,
-    /// Ops may involve peers `0..deployment`.
-    pub deployment: u32,
     /// Number of random ops before the settle-and-assert epilogue.
     pub ops: usize,
-    /// Upper bound for generated `SetLoss` rates, in thousandths.
-    pub max_loss_milli: u32,
-    /// Whether `Crash` ops may be generated.
-    pub allow_crash: bool,
-    /// Whether `Partition` ops may be generated.
-    pub allow_partition: bool,
     /// Peers that never leave or crash (e.g. an attached attacker).
     pub protected: Vec<PeerId>,
     /// The epilogue's settle window, in seconds.
@@ -151,26 +148,22 @@ pub struct ScenarioShape {
 impl Default for ScenarioShape {
     fn default() -> Self {
         ScenarioShape {
-            channel: 0,
-            deployment: 8,
             ops: 12,
-            max_loss_milli: 300,
-            allow_crash: true,
-            allow_partition: true,
             protected: Vec::new(),
             settle_secs: 30,
         }
     }
 }
 
-/// Generates a seeded-random scenario: `shape.ops` weighted fault ops
-/// (each membership op followed by a short wait so incarnations stay
-/// distinct), then a `Heal`, a settle window and the three core
-/// invariant asserts. The same `(seed, initial, shape)` always yields
-/// the same script.
+/// Generates a seeded-random scenario on channel 0 over peers `0..8`:
+/// `shape.ops` weighted fault ops — joins, leaves, crashes, partitions,
+/// dropped links and loss below 30 % — each membership op followed by a
+/// short wait so incarnations stay distinct, then a `Heal`, a settle
+/// window and the three core invariant asserts. The same
+/// `(seed, initial, shape)` always yields the same script.
 pub fn random_scenario(seed: u64, initial: &[PeerId], shape: &ScenarioShape) -> Vec<ScenarioOp> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let c = shape.channel;
+    let c = CHANNEL;
     let mut members: Vec<PeerId> = initial.to_vec();
     let mut crashed: HashSet<u32> = HashSet::new();
     let mut ops: Vec<ScenarioOp> = Vec::with_capacity(2 * shape.ops + 5);
@@ -181,7 +174,7 @@ pub fn random_scenario(seed: u64, initial: &[PeerId], shape: &ScenarioShape) -> 
                 secs: rng.random_range(1u64..4),
             },
             3 | 4 => {
-                let candidates: Vec<PeerId> = (0..shape.deployment)
+                let candidates: Vec<PeerId> = (0..DEPLOYMENT)
                     .map(PeerId)
                     .filter(|p| {
                         !members.contains(p)
@@ -206,14 +199,14 @@ pub fn random_scenario(seed: u64, initial: &[PeerId], shape: &ScenarioShape) -> 
                 None => ScenarioOp::Wait { secs: 1 },
             },
             7 => ScenarioOp::SetLoss {
-                loss_milli: rng.random_range(0..shape.max_loss_milli.max(1)),
+                loss_milli: rng.random_range(0..MAX_LOSS_MILLI),
             },
             8 => match pick_two(&members, &mut rng) {
                 Some((a, b)) => ScenarioOp::DropLink { a, b },
                 None => ScenarioOp::Wait { secs: 1 },
             },
             9 => ScenarioOp::Heal,
-            10 if shape.allow_crash => match removable(&members, &shape.protected, &mut rng) {
+            10 => match removable(&members, &shape.protected, &mut rng) {
                 Some(peer) => {
                     members.retain(|m| *m != peer);
                     crashed.insert(peer.0);
@@ -221,7 +214,7 @@ pub fn random_scenario(seed: u64, initial: &[PeerId], shape: &ScenarioShape) -> 
                 }
                 None => ScenarioOp::Wait { secs: 1 },
             },
-            11 if shape.allow_partition && members.len() >= 2 => {
+            11 if members.len() >= 2 => {
                 let mut shuffled = members.clone();
                 for i in (1..shuffled.len()).rev() {
                     let j = rng.random_range(0..i + 1);
@@ -307,21 +300,53 @@ mod tests {
             matches!(a.last(), Some(ScenarioOp::Assert(_))),
             "scripts end in asserts"
         );
-        // Protected peers never leave or crash.
+        // Protected peers never leave or crash; every op stays on the
+        // channel, within the deployment and below the loss cap; and the
+        // crash and partition branches do fire.
         let protected_shape = ScenarioShape {
             protected: vec![PeerId(1)],
             ops: 40,
             ..ScenarioShape::default()
         };
+        let (mut crashes, mut partitions) = (0, 0);
+        let in_deployment = |p: &PeerId| p.0 < DEPLOYMENT;
         for seed in 0..10u64 {
             for op in random_scenario(seed, &initial, &protected_shape) {
                 match op {
-                    ScenarioOp::Leave { peer, .. } | ScenarioOp::Crash { peer } => {
+                    ScenarioOp::Leave { peer, channel } => {
                         assert_ne!(peer, PeerId(1), "protected peer was removed");
+                        assert_eq!(channel, CHANNEL);
+                        assert!(in_deployment(&peer));
                     }
+                    ScenarioOp::Crash { peer } => {
+                        assert_ne!(peer, PeerId(1), "protected peer was removed");
+                        assert!(in_deployment(&peer));
+                        crashes += 1;
+                    }
+                    ScenarioOp::Join { peer, channel } => {
+                        assert_eq!(channel, CHANNEL);
+                        assert!(in_deployment(&peer));
+                    }
+                    ScenarioOp::SetLoss { loss_milli } => assert!(loss_milli < MAX_LOSS_MILLI),
+                    ScenarioOp::Partition { groups } => {
+                        assert!(groups.iter().flatten().all(in_deployment));
+                        partitions += 1;
+                    }
+                    ScenarioOp::DropLink { a, b } => {
+                        assert!(in_deployment(&a) && in_deployment(&b));
+                    }
+                    ScenarioOp::Assert(
+                        Predicate::ViewAgreement { channel }
+                        | Predicate::ExactlyOneLeader { channel }
+                        | Predicate::NoResurrectionBelowObituary { channel },
+                    ) => assert_eq!(channel, CHANNEL),
                     _ => {}
                 }
             }
         }
+        assert!(
+            crashes > 0 && partitions > 0,
+            "{crashes} crashes, {partitions} partitions"
+        );
     }
 }

@@ -393,8 +393,7 @@ fn fetch_retry_rotates_advertisers_and_gives_up() {
 
 #[test]
 fn pull_engine_four_phase_flow() {
-    let mut cfg = GossipConfig::original_fabric();
-    cfg.pull.as_mut().unwrap().fin = 1;
+    let cfg = GossipConfig::original_fabric();
     let ids = roster(3);
     let mut requester = GossipPeer::new(PeerId(1), ids.clone(), cfg.clone());
     let mut responder = GossipPeer::new(PeerId(2), ids, cfg);
@@ -412,10 +411,11 @@ fn pull_engine_four_phase_flow() {
     );
     sfx.take_sent();
 
-    // Phase 1: requester initiates a round.
+    // Phase 1: requester initiates a round; a fan-in of 3 reaches both
+    // other members.
     requester.on_timer(&mut rfx, GossipTimer::PullRound);
     let hello = rfx.take_sent();
-    assert_eq!(hello.len(), 1);
+    assert_eq!(hello.len(), 2);
     let GossipMsg::PullHello { nonce } = hello[0].1 else {
         panic!("expected hello")
     };
@@ -480,15 +480,14 @@ fn stale_pull_responses_are_ignored() {
 
 #[test]
 fn pull_round_requests_each_block_from_one_advertiser() {
-    let mut cfg = GossipConfig::original_fabric();
-    cfg.pull.as_mut().unwrap().fin = 2;
+    let cfg = GossipConfig::original_fabric();
     let ids = roster(4);
     let mut peer = GossipPeer::new(PeerId(1), ids, cfg);
     let mut fx = MockEffects::new(1);
 
     peer.on_timer(&mut fx, GossipTimer::PullRound);
     let hellos = fx.take_sent();
-    assert_eq!(hellos.len(), 2);
+    assert_eq!(hellos.len(), 3);
     let GossipMsg::PullHello { nonce } = hellos[0].1 else {
         panic!()
     };

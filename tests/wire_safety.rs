@@ -57,7 +57,7 @@ fn snapshot(height: u64) -> SnapshotRef {
 /// that [`snapshot`] spans several.
 fn peer_with_id(id: u32) -> (GossipPeer, MockEffects) {
     let mut cfg = GossipConfig::enhanced(FOUT, TTL, 2).with_snapshots(8);
-    cfg.snapshot.chunk_size = 256;
+    cfg.snapshot.as_mut().unwrap().chunk_size = 256;
     let mut peer = GossipPeer::new(PeerId(id), (0..10).map(PeerId).collect(), cfg);
     let mut fx = MockEffects::new(1);
     peer.init(&mut fx);
