@@ -381,10 +381,9 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Enables (or disables) hashing every handled event into
-    /// [`Simulation::content_hash`]. Used by the cross-shard equivalence
-    /// tests and the golden content pins; costs one branch per event when
-    /// off, so leave it off in production runs. Switching it on starts a
-    /// fresh hash.
+    /// [`Simulation::content_hash`]. Used by the golden content pins;
+    /// costs one branch per event when off, so leave it off in production
+    /// runs. Switching it on starts a fresh hash.
     pub fn set_trace(&mut self, on: bool) {
         self.core.trace = on.then(Trace::new);
     }

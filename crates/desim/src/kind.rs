@@ -10,9 +10,9 @@
 //!
 //! Ids are assigned in first-intern order, so their numeric values are an
 //! artifact of which code path ran first — never expose them in reports.
-//! Report-facing APIs ([`crate::NetMetrics::kinds`],
-//! [`KindBytes::iter_named`]) resolve ids back to names and sort by name,
-//! keeping rendered output independent of interning order.
+//! Reports read kinds by name: [`crate::NetMetrics::kinds`] resolves ids
+//! back to names and sorts by name, and [`KindBytes::get_named`] looks one
+//! up, keeping rendered output independent of interning order.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -114,20 +114,6 @@ impl KindBytes {
             *mine += theirs;
         }
     }
-
-    /// Non-zero counters resolved to names, sorted by name — the stable,
-    /// interning-order-independent view for reports.
-    pub fn iter_named(&self) -> Vec<(&'static str, u64)> {
-        let mut rows: Vec<(&'static str, u64)> = self
-            .by_kind
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b > 0)
-            .map(|(i, b)| (KindId(i as u32).name(), *b))
-            .collect();
-        rows.sort_unstable_by_key(|(name, _)| *name);
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_bytes_accumulate_absorb_and_render_sorted() {
+    fn kind_bytes_accumulate_and_absorb() {
         let blk = KindId::intern("kindtest-block");
         let dig = KindId::intern("kindtest-digest");
         let mut a = KindBytes::new();
@@ -166,8 +152,6 @@ mod tests {
         assert_eq!(a.get_named("kindtest-digest"), 7);
         assert_eq!(a.get_named("kindtest-absent"), 0);
         assert_eq!(a.total(), 157);
-        let named = a.iter_named();
-        assert!(named.windows(2).all(|w| w[0].0 <= w[1].0), "sorted by name");
-        assert!(named.contains(&("kindtest-block", 150)));
+        assert_eq!(a.get_named("kindtest-block"), 150);
     }
 }

@@ -146,16 +146,6 @@ impl NetMetrics {
         self.dropped_partition
     }
 
-    /// Raw per-bucket bytes sent by `node`.
-    pub fn sent_series(&self, node: NodeId) -> &[u64] {
-        &self.sent[node.index()]
-    }
-
-    /// Raw per-bucket bytes received by `node`.
-    pub fn received_series(&self, node: NodeId) -> &[u64] {
-        &self.received[node.index()]
-    }
-
     /// Total bytes sent by `node`.
     pub fn total_sent(&self, node: NodeId) -> u64 {
         self.sent[node.index()].iter().sum()
@@ -227,7 +217,11 @@ mod tests {
         m.record_sent(n, Time::from_secs(1), 100, k("block"));
         m.record_sent(n, Time::from_secs(9), 50, k("block"));
         m.record_sent(n, Time::from_secs(10), 25, k("digest"));
-        assert_eq!(m.sent_series(n), &[150, 25]);
+        let mbps = |bytes: f64| bytes / 1e6 / 10.0;
+        assert_eq!(
+            m.utilization_mbps(n, Time::from_secs(10)),
+            [mbps(150.0), mbps(25.0)]
+        );
         assert_eq!(m.total_sent(n), 175);
     }
 
@@ -241,8 +235,13 @@ mod tests {
         m.record_sent(n, Time::from_secs(25), 2, k("block"));
         m.record_sent(n, Time::from_secs(7), 4, k("block"));
         m.record_received(n, Time::from_secs(15), 8);
-        assert_eq!(m.sent_series(n), &[5, 0, 2]);
-        assert_eq!(m.received_series(n), &[0, 8]);
+        // Sent [5, 0, 2] plus received [0, 8], per 10 s bucket.
+        let mbps = |bytes: f64| bytes / 1e6 / 10.0;
+        assert_eq!(
+            m.utilization_mbps(n, Time::from_secs(25)),
+            [mbps(5.0), mbps(8.0), mbps(2.0)]
+        );
+        assert_eq!(m.total_sent(n), 7);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl Duration {
         self.0
     }
 
-    /// Whole milliseconds in this span (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds in this span, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -287,7 +282,7 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(Duration::from_micros(1_500).as_nanos(), 1_500_000);
         assert_eq!(Duration::from_secs_f64(0.25), Duration::from_millis(250));
-        assert_eq!(Duration::from_secs(5).as_millis(), 5_000);
+        assert_eq!(Duration::from_secs(5), Duration::from_millis(5_000));
         assert!((Duration::from_millis(1).as_secs_f64() - 0.001).abs() < 1e-12);
     }
 

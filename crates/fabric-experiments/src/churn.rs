@@ -30,7 +30,9 @@
 //! [`ChurnResult`] a churned run is read off into
 //! ([`ChurnResult::read_off`], one [`ChannelReport`] per channel of the
 //! deployment) and its one renderer, [`render_churn`]. `churn_waves` adds
-//! only its configuration and wave plan.
+//! only its configuration and wave plan. The multi-channel runner reads
+//! its channels off through the same [`ChannelReport::read_off`] and
+//! prints the same row ([`ChannelReport::render`]).
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
 use fabric_gossip::config::GossipConfig;
@@ -212,13 +214,13 @@ pub(crate) fn churned_schedule(
     merge_schedules(schedules)
 }
 
-/// One channel's measured outcome.
+/// One channel's measured outcome — the per-channel row of every
+/// multi-channel report ([`ChurnResult`] and
+/// [`MultiChannelResult`](crate::multichannel::MultiChannelResult)).
 #[derive(Debug, Clone)]
 pub struct ChannelReport {
     /// The channel.
     pub channel: ChannelId,
-    /// Members at end of run.
-    pub members: usize,
     /// Blocks cut on the channel.
     pub blocks: u64,
     /// Fraction of (block, slot) deliveries over **initial** members —
@@ -229,6 +231,8 @@ pub struct ChannelReport {
     pub p50: Duration,
     /// 99.9th percentile of the same pool.
     pub p999: Duration,
+    /// Worst cell of the same pool.
+    pub max: Duration,
     /// Leadership acquisitions observed (hand-offs; static initial
     /// leaders are seeded, not counted).
     pub handoffs: u64,
@@ -237,12 +241,124 @@ pub struct ChannelReport {
     pub leader_gaps: Vec<Duration>,
     /// Peers claiming leadership at end of run.
     pub leaders: Vec<PeerId>,
+    /// The members at end of run, each with the gossip bytes it sent on
+    /// this channel — the rows the run's fairness report is computed from.
+    pub member_bytes: Vec<(PeerId, u64)>,
     /// Total gossip bytes sent by the channel's members on this channel.
     pub gossip_bytes: u64,
     /// Bytes of that total spent on discovery (heartbeats + anti-entropy).
     pub discovery_bytes: u64,
     /// Share of the channel's gossip bytes spent on discovery, in `[0, 1]`.
     pub discovery_share: f64,
+}
+
+impl ChannelReport {
+    /// Reads `spec`'s channel off a finished run, in `net`'s own peer ids.
+    /// `spec.members` are the initial members completeness counts over;
+    /// the latency pool also takes every joiner's slot.
+    pub fn read_off(net: &FabricNet, spec: &ChannelSpec) -> Self {
+        let channel = spec.channel;
+        let initial = spec.members.len();
+        let rec = net.latency_on(channel).expect("channel exists");
+        let blocks = rec.block_count();
+        let mut pool = Vec::new();
+        let mut filled = 0usize;
+        for slot in 0..initial {
+            let lat = rec.peer_latencies(slot);
+            filled += lat.len();
+            pool.extend(lat);
+        }
+        // Joiner slots contribute latencies but not completeness cells.
+        // The recorder is sized over initial members + scheduled joiners —
+        // NOT the end-of-run member count, which a leaver shrinks back.
+        for slot in initial..rec.peers() {
+            pool.extend(rec.peer_latencies(slot));
+        }
+        let cdf = Cdf::new(pool);
+        let (p50, p999) = if cdf.is_empty() {
+            (Duration::ZERO, Duration::ZERO)
+        } else {
+            (cdf.quantile(0.5), cdf.quantile(0.999))
+        };
+
+        let mut discovery_bytes = 0u64;
+        let member_bytes: Vec<(PeerId, u64)> = net
+            .members_on(channel)
+            .iter()
+            .map(|&m| {
+                let bytes = net.gossip(m.index()).stats_on(channel).map_or(0, |s| {
+                    discovery_bytes += DISCOVERY_KINDS
+                        .iter()
+                        .map(|k| s.bytes_of_kind(k))
+                        .sum::<u64>();
+                    s.bytes_sent()
+                });
+                (m, bytes)
+            })
+            .collect();
+        let gossip_bytes = member_bytes.iter().map(|&(_, bytes)| bytes).sum();
+        ChannelReport {
+            channel,
+            blocks: net.blocks_cut_on(channel),
+            completeness: if blocks * initial == 0 {
+                1.0
+            } else {
+                filled as f64 / (blocks * initial) as f64
+            },
+            p50,
+            p999,
+            max: cdf.max(),
+            handoffs: net.handoffs_on(channel),
+            leader_gaps: net.leader_gaps_on(channel).to_vec(),
+            leaders: net.current_leaders_on(channel),
+            member_bytes,
+            gossip_bytes,
+            discovery_bytes,
+            discovery_share: if gossip_bytes == 0 {
+                0.0
+            } else {
+                discovery_bytes as f64 / gossip_bytes as f64
+            },
+        }
+    }
+
+    /// The report's one line of [`render_churn`] and
+    /// [`render_multichannel`](crate::multichannel::render_multichannel).
+    pub fn render(&self) -> String {
+        let leaders: Vec<String> = self.leaders.iter().map(PeerId::to_string).collect();
+        let gaps: Vec<String> = self.leader_gaps.iter().map(Duration::to_string).collect();
+        format!(
+            "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | max {} | \
+             handoffs {} | leaders [{}] | discovery share {:.3} | gaps [{}]\n",
+            self.channel,
+            self.member_bytes.len(),
+            self.blocks,
+            self.completeness,
+            self.p50,
+            self.p999,
+            self.max,
+            self.handoffs,
+            leaders.join(", "),
+            self.discovery_share,
+            gaps.join(", "),
+        )
+    }
+}
+
+/// Per-channel and overall Jain fairness over the reports' member bytes.
+pub(crate) fn fairness_of(channels: &[ChannelReport]) -> FairnessReport {
+    let rows: Vec<(String, Vec<(usize, f64)>)> = channels
+        .iter()
+        .map(|c| {
+            let shares = c
+                .member_bytes
+                .iter()
+                .map(|&(peer, bytes)| (peer.index(), bytes as f64))
+                .collect();
+            (c.channel.to_string(), shares)
+        })
+        .collect();
+    FairnessReport::from_per_channel(&rows)
 }
 
 /// What a churned run — [`run_churn`] or
@@ -268,90 +384,26 @@ pub struct ChurnResult {
 }
 
 impl ChurnResult {
-    /// Reads a finished churned run off its simulation, channel by
-    /// channel of the deployment's [`NetParams::channel_specs`].
+    /// Reads a finished churned run off its simulation, one
+    /// [`ChannelReport`] per channel of the deployment's
+    /// [`NetParams::channel_specs`].
     pub fn read_off(sim: Simulation<FabricNet>) -> Self {
         let events = sim.events_processed();
         let sim_end = sim.now();
         let net = sim.into_protocol();
-
         let specs = net.params().channel_specs();
-        let mut channels = Vec::with_capacity(specs.len());
-        let mut convergence = Vec::new();
-        let mut fairness_rows: Vec<(String, Vec<(usize, f64)>)> = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let channel = spec.channel;
-            let initial = spec.members.len();
-            let rec = net.latency_on(channel).expect("channel exists");
-            let blocks = rec.block_count();
-            let mut pool = Vec::new();
-            let mut filled = 0usize;
-            for slot in 0..initial {
-                let lat = rec.peer_latencies(slot);
-                filled += lat.len();
-                pool.extend(lat);
-            }
-            // Joiner slots contribute latencies but not completeness
-            // cells. The recorder is sized over initial members +
-            // scheduled joiners — NOT the end-of-run member count, which
-            // a leaver shrinks back.
-            for slot in initial..rec.peers() {
-                pool.extend(rec.peer_latencies(slot));
-            }
-            let cdf = Cdf::new(pool);
-            let (p50, p999) = if cdf.is_empty() {
-                (Duration::ZERO, Duration::ZERO)
-            } else {
-                (cdf.quantile(0.5), cdf.quantile(0.999))
-            };
-
-            let members = net.members_on(channel);
-            let mut gossip_bytes = 0u64;
-            let mut discovery_bytes = 0u64;
-            let shares: Vec<(usize, f64)> = members
-                .iter()
-                .map(|m| {
-                    let bytes = net.gossip(m.index()).stats_on(channel).map_or(0, |s| {
-                        discovery_bytes += DISCOVERY_KINDS
-                            .iter()
-                            .map(|k| s.bytes_of_kind(k))
-                            .sum::<u64>();
-                        s.bytes_sent()
-                    });
-                    gossip_bytes += bytes;
-                    (m.index(), bytes as f64)
-                })
-                .collect();
-            channels.push(ChannelReport {
-                channel,
-                members: members.len(),
-                blocks: net.blocks_cut_on(channel),
-                completeness: if blocks * initial == 0 {
-                    1.0
-                } else {
-                    filled as f64 / (blocks * initial) as f64
-                },
-                p50,
-                p999,
-                handoffs: net.handoffs_on(channel),
-                leader_gaps: net.leader_gaps_on(channel).to_vec(),
-                leaders: net.current_leaders_on(channel),
-                gossip_bytes,
-                discovery_bytes,
-                discovery_share: if gossip_bytes == 0 {
-                    0.0
-                } else {
-                    discovery_bytes as f64 / gossip_bytes as f64
-                },
-            });
-            convergence.extend(net.convergence_on(channel).iter().cloned());
-            fairness_rows.push((channel.to_string(), shares));
-        }
+        let channels: Vec<ChannelReport> = specs
+            .iter()
+            .map(|spec| ChannelReport::read_off(&net, spec))
+            .collect();
         ChurnResult {
-            channels,
-            convergence,
+            convergence: specs
+                .iter()
+                .flat_map(|spec| net.convergence_on(spec.channel).iter().cloned())
+                .collect(),
             catchups: net.catchups().to_vec(),
-            fairness: FairnessReport::from_per_channel(&fairness_rows),
+            fairness: fairness_of(&channels),
+            channels,
             events,
             sim_end,
             net,
@@ -373,21 +425,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
 pub fn render_churn(title: &str, result: &ChurnResult) -> String {
     let mut out = format!("== {title} ==\n");
     for c in &result.channels {
-        let gaps: Vec<String> = c.leader_gaps.iter().map(|g| g.to_string()).collect();
-        out.push_str(&format!(
-            "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | \
-             handoffs {} | leaders {:?} | discovery share {:.3} | gaps [{}]\n",
-            c.channel,
-            c.members,
-            c.blocks,
-            c.completeness,
-            c.p50,
-            c.p999,
-            c.handoffs,
-            c.leaders,
-            c.discovery_share,
-            gaps.join(", "),
-        ));
+        out.push_str(&c.render());
     }
     for r in &result.convergence {
         let kind = if r.join { "join" } else { "leave" };
@@ -546,7 +584,11 @@ mod tests {
         assert!(!res.net.leader_gap_open_on(side));
         assert_eq!(res.channels[1].handoffs, 1);
         assert_eq!(res.channels[1].leaders, vec![PeerId(1)]);
-        assert_eq!(res.channels[1].members, 10, "10 + 1 joiner - 1 leaver");
+        assert_eq!(
+            res.channels[1].member_bytes.len(),
+            10,
+            "10 + 1 joiner - 1 leaver"
+        );
         res.catchups[0].latency().expect("catch-up completes");
     }
 

@@ -9,31 +9,30 @@
 //! coupling structure of a deployment: two channels with no member in
 //! common cannot influence each other's events in any way.
 //! [`plan_groups`] computes the connected components of that graph, and
-//! [`run_multichannel`] simulates each component as its own
-//! [`FabricNet`](crate::net::FabricNet) — own client, ordering service,
-//! endorsers, validation and virtual clock, the same pipeline Figs. 4–9
-//! run on — over [`desim::run_batch_with_workers`], then merges the
-//! per-group results.
+//! [`MultiChannelConfig::deployments`] gives each component its own
+//! [`Deployment`] — own client, ordering service, endorsers, validation and
+//! virtual clock, the same pipeline Figs. 4–9 run on. [`run_multichannel`]
+//! is those deployments run over [`desim::run_batch`], each read off into
+//! one [`ChannelReport`] per channel (the read-off of the churn runners,
+//! mapped back to global channel and peer ids), then merged.
 //! A deployment whose channels all overlap ([`MultiChannelConfig::skewed`])
-//! is one component and so one `FabricNet` on the calling thread;
+//! is one component and so one `FabricNet`;
 //! [`MultiChannelConfig::large`] is 126 of them, same code.
 //!
 //! # Determinism
 //!
 //! Every result is a pure function of the configuration and seed,
-//! **independent of the shard count**: each group's RNG seed mixes only the
-//! run seed and the group's index (never a worker id), and each group's
-//! simulation is bit-for-bit replayable on its own. `shards = 1` and
-//! `shards = N` therefore produce identical results, down to each group's
-//! [`desim::Simulation::content_hash`] — the property `tests/sharding.rs`
-//! pins. Components that share peers stay on one shard by construction,
-//! so the merge concatenates already-closed per-group results; it is not a
-//! synchronization protocol.
+//! **independent of the worker count**: each group's RNG seed mixes only
+//! the run seed and the group's index (never a worker id), each group's
+//! simulation is bit-for-bit replayable on its own, and `run_batch` returns
+//! results in job order. Components that share peers are one group by
+//! construction, so the merge concatenates already-closed per-group
+//! results; it is not a synchronization protocol.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use desim::{run_batch_with_workers, Duration, NetworkConfig, Time};
+use desim::{run_batch, Duration, NetworkConfig, Time};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
@@ -42,10 +41,10 @@ use fabric_types::transaction::EndorsementPolicy;
 use fabric_workload::schedule::{
     merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload,
 };
-use gossip_metrics::cdf::Cdf;
 use gossip_metrics::fairness::FairnessReport;
 
-use crate::deployment::{run_out, Deployment};
+use crate::churn::{fairness_of, ChannelReport};
+use crate::deployment::Deployment;
 use crate::net::{ChannelSpec, NetParams};
 
 /// One channel of a multi-channel deployment: its membership and its
@@ -76,12 +75,6 @@ pub struct MultiChannelConfig {
     pub orderer: OrdererConfig,
     /// Physical network template; `nodes` is overridden per group.
     pub network: NetworkConfig,
-    /// Worker shards (1 = serial reference run; results are identical).
-    pub shards: usize,
-    /// Record each group's content hash in
-    /// [`MultiChannelResult::group_hashes`]. Costs a hash update per
-    /// event — leave off for throughput measurements.
-    pub record_trace: bool,
     /// Extra idle time simulated after each group's drain window.
     pub idle_tail: Duration,
     /// Run seed; group `g` derives its own seed from `(seed, g)` only.
@@ -98,10 +91,6 @@ impl MultiChannelConfig {
             gossip: GossipConfig::enhanced_f4(),
             orderer: OrdererConfig::kafka(BatchConfig::paper_dissemination()),
             network: NetworkConfig::lan(0),
-            shards: std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(1),
-            record_trace: false,
             idle_tail: Duration::from_secs(5),
             seed: 1,
         }
@@ -130,11 +119,11 @@ impl MultiChannelConfig {
     ///
     /// The orderer's 2 s batch timeout stays. A block fills in
     /// `0.45 s · (c + 1)`: up to channel index 2 it is cut by count and
-    /// [`ChannelOutcome::blocks`] equals the planned `txs / 10`; index 3
+    /// [`ChannelReport::blocks`] equals the planned `txs / 10`; index 3
     /// fills in 1.8 s, within one latency spike of the timeout (61 cut for
     /// 60 planned at the quick bench scale); from index 4 up (only the
     /// 8-channel full scale has them) the timeout cuts more, smaller
-    /// blocks. `ChannelOutcome::blocks` therefore always reports blocks
+    /// blocks. `ChannelReport::blocks` therefore always reports blocks
     /// **cut**, never the plan.
     ///
     /// # Panics
@@ -199,9 +188,9 @@ impl MultiChannelConfig {
         Self::over(groups * cluster_peers, channels)
     }
 
-    /// The `large` preset: thousands of peers across hundreds of channels
-    /// — the production-scale class a single event loop cannot reach in a
-    /// bench-job budget.
+    /// The `large` preset: thousands of peers across hundreds of channels,
+    /// the production-scale class. It runs in 0.9–1.3 s on one core of a
+    /// shared 2-core Xeon, and 0.46–0.61 s on both.
     pub fn large() -> Self {
         Self::clustered(126, 16, 600)
     }
@@ -272,36 +261,12 @@ pub fn plan_groups(memberships: &[Vec<PeerId>]) -> Vec<ChannelGroup> {
     groups.into_values().collect()
 }
 
-/// One channel's measured outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelOutcome {
-    /// Global channel index (position in [`MultiChannelConfig::channels`]).
-    pub channel: usize,
-    /// The group (connected component) that simulated it.
-    pub group: usize,
-    /// Member count.
-    pub members: usize,
-    /// Blocks the orderer cut on this channel's chain.
-    pub blocks: u64,
-    /// Fraction of (block, member) deliveries that happened.
-    pub completeness: f64,
-    /// Median dissemination latency over all (block, member) cells.
-    pub p50: Duration,
-    /// 99.9th percentile of the same pool.
-    pub p999: Duration,
-    /// Worst cell.
-    pub max: Duration,
-    /// Gossip bytes each member sent on this channel, by global peer id —
-    /// the rows [`MultiChannelResult::fairness`] is computed from.
-    pub member_bytes: Vec<(PeerId, u64)>,
-}
-
-/// What a multi-channel run produces. Equality is exact — the
-/// shard-count-invariance tests compare whole results.
-#[derive(Debug, PartialEq)]
+/// What a multi-channel run produces.
+#[derive(Debug)]
 pub struct MultiChannelResult {
-    /// Per-channel outcomes, global channel order.
-    pub channels: Vec<ChannelOutcome>,
+    /// Per-channel outcomes, global channel order; channel `c` is
+    /// `ChannelId(c)`, and its members and leaders carry global peer ids.
+    pub channels: Vec<ChannelReport>,
     /// Per-channel and overall Jain fairness over per-member gossip bytes.
     pub fairness: FairnessReport,
     /// Gossip bytes each peer sent across all its channels, by global peer
@@ -315,9 +280,6 @@ pub struct MultiChannelResult {
     pub events: u64,
     /// Latest virtual end time over the groups.
     pub sim_end: Time,
-    /// Each group's [`desim::Simulation::content_hash`], in group order,
-    /// when [`MultiChannelConfig::record_trace`] was set.
-    pub group_hashes: Option<Vec<u64>>,
 }
 
 impl MultiChannelResult {
@@ -332,206 +294,178 @@ impl MultiChannelResult {
     }
 }
 
-struct GroupOutcome {
-    channels: Vec<ChannelOutcome>,
-    /// Total gossip bytes sent, one entry per group member.
-    peer_bytes: Vec<u64>,
-    events: u64,
-    end: Time,
-    hash: Option<u64>,
+impl MultiChannelConfig {
+    /// The deployments [`run_multichannel`] runs: one per connected
+    /// component of the channel-overlap graph, in group order, each with
+    /// its group's seed and [`MultiChannelConfig::idle_tail`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty channel list, unsorted or out-of-range
+    /// memberships, or an empty workload.
+    pub fn deployments(&self) -> Vec<(ChannelGroup, Deployment)> {
+        self.groups()
+            .into_iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let d = self.deployment(&group, g);
+                (group, d)
+            })
+            .collect()
+    }
+
+    fn groups(&self) -> Vec<ChannelGroup> {
+        assert!(!self.channels.is_empty(), "need at least one channel");
+        for (c, chan) in self.channels.iter().enumerate() {
+            assert!(!chan.members.is_empty(), "channel {c} has no members");
+            assert!(
+                chan.members.windows(2).all(|w| w[0] < w[1]),
+                "channel {c} members must be ascending"
+            );
+            assert!(
+                chan.members.iter().all(|p| p.index() < self.peers),
+                "channel {c} member outside the deployment"
+            );
+            assert!(chan.txs >= 1, "channel {c} has an empty workload");
+        }
+        let memberships: Vec<Vec<PeerId>> =
+            self.channels.iter().map(|c| c.members.clone()).collect();
+        plan_groups(&memberships)
+    }
+
+    /// Group `group_index`'s own deployment, with densely remapped local
+    /// peer ids (ascending order preserved, so the roster minimum leads
+    /// the same relative peer as it would globally) and local channel
+    /// `i` for the group's `i`-th channel.
+    fn deployment(&self, group: &ChannelGroup, group_index: usize) -> Deployment {
+        let local_of = |peer: PeerId| -> PeerId {
+            let slot = group
+                .members
+                .binary_search(&peer)
+                .expect("group members cover its channels");
+            PeerId(slot as u32)
+        };
+        let mut specs = group.channels.iter().enumerate().map(|(local, &c)| {
+            let members: Vec<PeerId> = self.channels[c]
+                .members
+                .iter()
+                .map(|&p| local_of(p))
+                .collect();
+            ChannelSpec {
+                channel: ChannelId(local as u16),
+                endorsers: vec![members[0]],
+                members,
+                orgs: 1,
+                policy: EndorsementPolicy::AnyMember,
+            }
+        });
+        let default = specs.next().expect("a group has a channel");
+
+        let mut params = NetParams::new(
+            group.members.len(),
+            self.gossip.clone(),
+            self.orderer.clone(),
+        );
+        // Dissemination-style commit cost, as in `run_dissemination`.
+        params.validation_per_tx = Duration::from_micros(300);
+        params.full_ledgers = false;
+        params.orgs = default.orgs;
+        params.endorsers = default.endorsers;
+        params.policy = default.policy;
+        params.default_members = Some(default.members);
+        params.extra_channels = specs.collect();
+
+        let schedule = merge_schedules(
+            group
+                .channels
+                .iter()
+                .enumerate()
+                .map(|(local, &c)| {
+                    let chan = &self.channels[c];
+                    let workload = PayloadWorkload {
+                        total_txs: chan.txs,
+                        rate_per_sec: chan.rate_per_sec,
+                        tx_padding: chan.tx_padding,
+                    };
+                    retarget_schedule(payload_schedule(&workload), ChannelId(local as u16))
+                })
+                .collect(),
+        );
+        // Group seeds mix the run seed with the group index only — never a
+        // worker id — so results cannot depend on the worker count.
+        let seed = self
+            .seed
+            .wrapping_add((group_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut d = Deployment::new(
+            params,
+            schedule,
+            &self.network,
+            seed,
+            Duration::from_secs(40),
+        );
+        d.idle_tail = self.idle_tail;
+        d
+    }
 }
 
-/// Runs one multi-channel experiment to completion.
+/// Runs one multi-channel experiment to completion: each of
+/// [`MultiChannelConfig::deployments`], built and run in its own
+/// [`run_batch`] job and read off channel by channel.
 ///
 /// # Panics
 ///
 /// Panics on an empty channel list, unsorted or out-of-range memberships,
 /// or an empty workload.
 pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
-    assert!(!cfg.channels.is_empty(), "need at least one channel");
-    for (c, chan) in cfg.channels.iter().enumerate() {
-        assert!(!chan.members.is_empty(), "channel {c} has no members");
-        assert!(
-            chan.members.windows(2).all(|w| w[0] < w[1]),
-            "channel {c} members must be ascending"
-        );
-        assert!(
-            chan.members.iter().all(|p| p.index() < cfg.peers),
-            "channel {c} member outside the deployment"
-        );
-        assert!(chan.txs >= 1, "channel {c} has an empty workload");
-    }
-    let memberships: Vec<Vec<PeerId>> = cfg.channels.iter().map(|c| c.members.clone()).collect();
-    let groups = plan_groups(&memberships);
+    let groups = cfg.groups();
+    let runs = run_batch(groups.iter().enumerate().collect(), |(g, group)| {
+        let sim = cfg.deployment(group, g).run();
+        let (events, end) = (sim.events_processed(), sim.now());
+        let net = sim.into_protocol();
+        let global = |local: &mut PeerId| *local = group.members[local.index()];
+        let channels: Vec<ChannelReport> = net
+            .params()
+            .channel_specs()
+            .iter()
+            .zip(&group.channels)
+            .map(|(spec, &c)| {
+                let mut report = ChannelReport::read_off(&net, spec);
+                report.channel = ChannelId(c as u16);
+                report.leaders.iter_mut().for_each(global);
+                report
+                    .member_bytes
+                    .iter_mut()
+                    .for_each(|(peer, _)| global(peer));
+                report
+            })
+            .collect();
+        let peer_bytes: Vec<u64> = (0..group.members.len())
+            .map(|local| net.gossip(local).total_stats().bytes_sent())
+            .collect();
+        (channels, peer_bytes, events, end)
+    });
 
-    let outcomes: Vec<GroupOutcome> =
-        run_batch_with_workers((0..groups.len()).collect(), cfg.shards.max(1), |g| {
-            run_group(cfg, &groups[g], g)
-        });
-
-    let group_hashes = outcomes.iter().map(|o| o.hash).collect();
     let mut channels = Vec::with_capacity(cfg.channels.len());
     let mut peer_bytes = vec![0u64; cfg.peers];
     let mut events = 0;
     let mut sim_end = Time::ZERO;
-    for (group, outcome) in outcomes.into_iter().enumerate() {
-        channels.extend(outcome.channels);
-        for (peer, bytes) in groups[group].members.iter().zip(outcome.peer_bytes) {
+    for (group, (reports, bytes, group_events, end)) in groups.iter().zip(runs) {
+        channels.extend(reports);
+        for (peer, bytes) in group.members.iter().zip(bytes) {
             peer_bytes[peer.index()] = bytes;
         }
-        events += outcome.events;
-        sim_end = sim_end.max(outcome.end);
+        events += group_events;
+        sim_end = sim_end.max(end);
     }
     channels.sort_by_key(|c| c.channel);
-    let fairness_rows: Vec<(String, Vec<(usize, f64)>)> = channels
-        .iter()
-        .map(|c| {
-            let shares = c
-                .member_bytes
-                .iter()
-                .map(|&(peer, bytes)| (peer.index(), bytes as f64))
-                .collect();
-            (ChannelId(c.channel as u16).to_string(), shares)
-        })
-        .collect();
     MultiChannelResult {
-        fairness: FairnessReport::from_per_channel(&fairness_rows),
+        fairness: fairness_of(&channels),
         peer_bytes,
         groups: groups.len(),
         blocks: channels.iter().map(|c| c.blocks).sum(),
         events,
         sim_end,
-        group_hashes,
         channels,
-    }
-}
-
-/// Simulates one connected component as its own [`FabricNet`](crate::net::FabricNet) deployment
-/// with densely remapped local peer ids (ascending order preserved, so
-/// leader election picks the same relative peer as it would globally).
-fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize) -> GroupOutcome {
-    let local_of = |peer: PeerId| -> PeerId {
-        let slot = group
-            .members
-            .binary_search(&peer)
-            .expect("group members cover its channels");
-        PeerId(slot as u32)
-    };
-    let local_members: Vec<Vec<PeerId>> = group
-        .channels
-        .iter()
-        .map(|&c| {
-            cfg.channels[c]
-                .members
-                .iter()
-                .map(|&p| local_of(p))
-                .collect()
-        })
-        .collect();
-
-    let mut params = NetParams::new(group.members.len(), cfg.gossip.clone(), cfg.orderer.clone());
-    // Dissemination-style commit cost, as in `run_dissemination`.
-    params.validation_per_tx = Duration::from_micros(300);
-    params.full_ledgers = false;
-    params.orgs = 1;
-    params.default_members = Some(local_members[0].clone());
-    params.endorsers = vec![local_members[0][0]];
-    params.policy = EndorsementPolicy::AnyMember;
-    params.extra_channels = local_members[1..]
-        .iter()
-        .enumerate()
-        .map(|(i, members)| ChannelSpec {
-            channel: ChannelId((i + 1) as u16),
-            members: members.clone(),
-            orgs: 1,
-            endorsers: vec![members[0]],
-            policy: EndorsementPolicy::AnyMember,
-        })
-        .collect();
-
-    let schedule = merge_schedules(
-        group
-            .channels
-            .iter()
-            .enumerate()
-            .map(|(local, &c)| {
-                let chan = &cfg.channels[c];
-                let workload = PayloadWorkload {
-                    total_txs: chan.txs,
-                    rate_per_sec: chan.rate_per_sec,
-                    tx_padding: chan.tx_padding,
-                };
-                retarget_schedule(payload_schedule(&workload), ChannelId(local as u16))
-            })
-            .collect(),
-    );
-    // Group seeds mix the run seed with the group index only — never a
-    // worker or shard id — so results cannot depend on the shard count.
-    let seed = cfg
-        .seed
-        .wrapping_add((group_index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let d = Deployment::new(
-        params,
-        schedule,
-        &cfg.network,
-        seed,
-        Duration::from_secs(40),
-    );
-    let drain_until = d.drain_until;
-    let mut sim = d.start();
-    sim.set_trace(cfg.record_trace);
-    run_out(&mut sim, drain_until, cfg.idle_tail);
-
-    let events = sim.events_processed();
-    let end = sim.now();
-    let hash = sim.content_hash();
-    let net = sim.into_protocol();
-    let channels = group
-        .channels
-        .iter()
-        .enumerate()
-        .map(|(local, &c)| {
-            let channel = ChannelId(local as u16);
-            let rec = net.latency_on(channel).expect("group channel exists");
-            let members = &local_members[local];
-            let mut pool = Vec::new();
-            for slot in 0..members.len() {
-                pool.extend(rec.peer_latencies(slot));
-            }
-            let cdf = Cdf::new(pool);
-            let (p50, p999, max) = if cdf.is_empty() {
-                (Duration::ZERO, Duration::ZERO, Duration::ZERO)
-            } else {
-                (cdf.quantile(0.5), cdf.quantile(0.999), cdf.max())
-            };
-            ChannelOutcome {
-                channel: c,
-                group: group_index,
-                members: members.len(),
-                blocks: net.blocks_cut_on(channel),
-                completeness: rec.completeness(),
-                p50,
-                p999,
-                max,
-                member_bytes: members
-                    .iter()
-                    .map(|m| {
-                        let stats = net.gossip(m.index()).stats_on(channel);
-                        let bytes = stats.map_or(0, |s| s.bytes_sent());
-                        (group.members[m.index()], bytes)
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    GroupOutcome {
-        channels,
-        peer_bytes: (0..group.members.len())
-            .map(|local| net.gossip(local).total_stats().bytes_sent())
-            .collect(),
-        events,
-        end,
-        hash,
     }
 }
 
@@ -539,16 +473,7 @@ fn run_group(cfg: &MultiChannelConfig, group: &ChannelGroup, group_index: usize)
 pub fn render_multichannel(title: &str, result: &MultiChannelResult) -> String {
     let mut out = format!("== {title} ==\n");
     for c in &result.channels {
-        out.push_str(&format!(
-            "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | max {}\n",
-            ChannelId(c.channel as u16),
-            c.members,
-            c.blocks,
-            c.completeness,
-            c.p50,
-            c.p999,
-            c.max,
-        ));
+        out.push_str(&c.render());
     }
     out.push_str(&result.fairness.render());
     out
@@ -612,6 +537,11 @@ mod tests {
             assert_eq!(c.completeness, 1.0, "channel {} starved", c.channel);
             assert_eq!(c.blocks, plan.txs as u64 / 10, "channel {}", c.channel);
             assert!(c.p50 > Duration::ZERO && c.p999 >= c.p50 && c.max >= c.p999);
+            // Each channel's roster minimum leads it, seated from the start.
+            assert_eq!(c.leaders, [plan.members[0]], "channel {}", c.channel);
+            assert_eq!((c.handoffs, c.leader_gaps.len()), (0, 0));
+            // A static roster's heartbeat is `alive`, not discovery.
+            assert_eq!(c.discovery_bytes, 0, "channel {}", c.channel);
         }
         assert_eq!(res.completeness(), 1.0);
         assert_eq!(res.blocks, 12 + 6 + 4);
@@ -619,8 +549,7 @@ mod tests {
 
     #[test]
     fn clustered_run_is_complete_and_deterministic() {
-        let mut cfg = MultiChannelConfig::clustered(3, 9, 60);
-        cfg.shards = 2;
+        let cfg = MultiChannelConfig::clustered(3, 9, 60);
         let a = run_multichannel(&cfg);
         let b = run_multichannel(&cfg);
         assert_eq!((a.groups, a.channels.len()), (3, 6));
@@ -631,23 +560,35 @@ mod tests {
             assert_eq!((x.p50, x.p999), (y.p50, y.p999));
         }
         assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
+        // Groups 1 and 2 start at peers 9 and 18 and simulate their
+        // channels as local channels 0 and 1: an id left local fails here.
+        for (c, (report, plan)) in a.channels.iter().zip(&cfg.channels).enumerate() {
+            assert_eq!(report.channel, ChannelId(c as u16));
+            assert_eq!(report.leaders, [plan.members[0]], "channel {c}");
+            let members: Vec<PeerId> = report.member_bytes.iter().map(|&(p, _)| p).collect();
+            assert_eq!(members, plan.members, "channel {c}");
+        }
     }
 
     #[test]
-    fn shard_count_does_not_change_the_group_hashes() {
-        let mut cfg = MultiChannelConfig::clustered(3, 9, 40);
-        cfg.record_trace = true;
-        cfg.shards = 1;
-        let serial = run_multichannel(&cfg);
-        cfg.shards = 4;
-        let sharded = run_multichannel(&cfg);
-        assert_eq!(serial.events, sharded.events);
-        assert_eq!(serial.group_hashes, sharded.group_hashes);
-        let hashes = serial.group_hashes.expect("recorded");
-        assert_eq!(hashes.len(), 3, "one hash per group");
-        assert_ne!(hashes[0], hashes[1], "groups run different seeds");
-        cfg.record_trace = false;
-        assert_eq!(run_multichannel(&cfg).group_hashes, None);
+    fn deployments_are_one_per_group_and_the_runner_runs_them() {
+        let cfg = MultiChannelConfig::clustered(3, 9, 40);
+        let deployments = cfg.deployments();
+        assert_eq!(deployments.len(), 3, "one deployment per group");
+        let seeds: Vec<u64> = deployments.iter().map(|(_, d)| d.seed).collect();
+        assert!(
+            seeds[0] != seeds[1] && seeds[1] != seeds[2] && seeds[0] != seeds[2],
+            "groups run different seeds"
+        );
+        for (group, d) in &deployments {
+            assert_eq!(d.idle_tail, cfg.idle_tail);
+            assert_eq!(d.net.params().peers, group.members.len());
+        }
+        let events: u64 = deployments
+            .into_iter()
+            .map(|(_, d)| d.run().events_processed())
+            .sum();
+        assert_eq!(run_multichannel(&cfg).events, events);
     }
 
     #[test]

@@ -137,9 +137,9 @@ pub struct NetParams {
     /// The **default channel's** endorsement policy.
     pub policy: EndorsementPolicy,
     /// The **default channel's** members, in ascending id order. `None`
-    /// (the historical shape) joins every peer of the deployment; sharded
-    /// runners set an explicit subset so a shard-local default channel can
-    /// coexist with other channels over the same peer pool.
+    /// (the historical shape) joins every peer of the deployment; the
+    /// multi-channel runner sets an explicit subset so a group's default
+    /// channel can coexist with other channels over the same peer pool.
     pub default_members: Option<Vec<PeerId>>,
     /// Further channels beyond the default one. Ids must continue the
     /// dense range (`ChannelId(1)`, `ChannelId(2)`, …).

@@ -93,15 +93,6 @@ impl Msp {
         self.members.keys().copied()
     }
 
-    /// All peers of `org`, in id order.
-    pub fn peers_of_org(&self, org: OrgId) -> Vec<PeerId> {
-        self.members
-            .values()
-            .filter(|(id, _)| id.org == org)
-            .map(|(id, _)| id.peer)
-            .collect()
-    }
-
     /// Number of enrolled peers.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -149,8 +140,7 @@ mod tests {
         assert_eq!(msp.len(), 5);
         let peers: Vec<_> = msp.peers().collect();
         assert_eq!(peers, (0..5).map(PeerId).collect::<Vec<_>>());
-        assert_eq!(msp.peers_of_org(OrgId(0)).len(), 5);
-        assert!(msp.peers_of_org(OrgId(1)).is_empty());
+        assert!(peers.iter().all(|&p| msp.org_of(p) == Some(OrgId(0))));
     }
 
     #[test]

@@ -276,11 +276,6 @@ impl SnapshotAssembler {
         self.total_chunks
     }
 
-    /// Distinct chunks absorbed so far.
-    pub fn received_chunks(&self) -> u32 {
-        self.chunks.len() as u32
-    }
-
     /// Lowest chunk index not yet received — the resume offset for a
     /// follow-up request. Equals [`Self::total_chunks`] when complete.
     pub fn first_missing(&self) -> u32 {
@@ -482,7 +477,7 @@ mod tests {
         let other = SnapshotRef::new(snapshot(vec![entry("x", 1, 1)], 16));
         let foreign = SnapshotChunk::plan(&other, 4096);
         assert!(!asm.accept(&foreign[0]));
-        assert_eq!(asm.received_chunks(), 2);
+        assert_eq!(asm.first_missing(), 2);
     }
 
     #[test]

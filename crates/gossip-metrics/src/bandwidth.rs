@@ -64,11 +64,6 @@ impl BandwidthSeries {
         self.mbps.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Total megabytes moved over the series.
-    pub fn total_mb(&self) -> f64 {
-        self.mbps.iter().sum::<f64>() * self.bucket_secs
-    }
-
     /// Renders `time  MB/s` rows (the figure's data).
     pub fn render(&self) -> String {
         let mut out = format!("# {}\n", self.label);
@@ -127,12 +122,6 @@ mod tests {
     fn background_lifts_every_bucket() {
         let s = series(&[0.0, 1.0]).with_background(0.4);
         assert_eq!(s.mbps, vec![0.4, 1.4]);
-    }
-
-    #[test]
-    fn total_mb_integrates_over_time() {
-        let s = series(&[2.0, 2.0]);
-        assert!((s.total_mb() - 40.0).abs() < 1e-12);
     }
 
     #[test]

@@ -61,15 +61,6 @@ impl Cdf {
         self.sorted[rank - 1]
     }
 
-    /// Fraction of samples `≤ t`.
-    pub fn fraction_below(&self, t: Duration) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|s| *s <= t);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Arithmetic mean of the samples.
     pub fn mean(&self) -> Duration {
         if self.sorted.is_empty() {
@@ -193,15 +184,6 @@ mod tests {
         assert_eq!(c.quantile(0.5), ms(50));
         assert_eq!(c.quantile(0.99), ms(99));
         assert_eq!(c.quantile(1.0), ms(100));
-    }
-
-    #[test]
-    fn fraction_below_is_inverse_of_quantile() {
-        let c = cdf_1_to_100();
-        assert_eq!(c.fraction_below(ms(50)), 0.5);
-        assert_eq!(c.fraction_below(ms(0)), 0.0);
-        assert_eq!(c.fraction_below(ms(100)), 1.0);
-        assert_eq!(c.fraction_below(ms(500)), 1.0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn main() {
     if let Some((peer, split)) = overlap {
         println!("\npeer {peer} serves {} channels:", split.len());
         for (channel, bytes) in split {
-            println!("  ch{channel}: {:.2} MB sent", bytes as f64 / 1e6);
+            println!("  {channel}: {:.2} MB sent", bytes as f64 / 1e6);
         }
         println!(
             "  total: {:.2} MB sent (channels sum exactly)",
