@@ -104,16 +104,6 @@ impl KindBytes {
     pub fn total(&self) -> u64 {
         self.by_kind.iter().sum()
     }
-
-    /// Adds `other`'s counters into `self`.
-    pub fn absorb(&mut self, other: &KindBytes) {
-        if self.by_kind.len() < other.by_kind.len() {
-            self.by_kind.resize(other.by_kind.len(), 0);
-        }
-        for (mine, theirs) in self.by_kind.iter_mut().zip(&other.by_kind) {
-            *mine += theirs;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,15 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn kind_bytes_accumulate_and_absorb() {
+    fn kind_bytes_accumulate() {
         let blk = KindId::intern("kindtest-block");
         let dig = KindId::intern("kindtest-digest");
         let mut a = KindBytes::new();
         a.add(blk, 100);
         a.add(blk, 50);
-        let mut b = KindBytes::new();
-        b.add(dig, 7);
-        a.absorb(&b);
+        a.add(dig, 7);
         assert_eq!(a.get(blk), 150);
         assert_eq!(a.get_named("kindtest-digest"), 7);
         assert_eq!(a.get_named("kindtest-absent"), 0);

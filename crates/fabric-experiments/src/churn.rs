@@ -244,12 +244,9 @@ pub struct ChannelReport {
     /// The members at end of run, each with the gossip bytes it sent on
     /// this channel — the rows the run's fairness report is computed from.
     pub member_bytes: Vec<(PeerId, u64)>,
-    /// Total gossip bytes sent by the channel's members on this channel.
-    pub gossip_bytes: u64,
-    /// Bytes of that total spent on discovery (heartbeats + anti-entropy).
+    /// Bytes of [`ChannelReport::gossip_bytes`] spent on discovery
+    /// (heartbeats + anti-entropy).
     pub discovery_bytes: u64,
-    /// Share of the channel's gossip bytes spent on discovery, in `[0, 1]`.
-    pub discovery_share: f64,
 }
 
 impl ChannelReport {
@@ -296,7 +293,6 @@ impl ChannelReport {
                 (m, bytes)
             })
             .collect();
-        let gossip_bytes = member_bytes.iter().map(|&(_, bytes)| bytes).sum();
         ChannelReport {
             channel,
             blocks: net.blocks_cut_on(channel),
@@ -312,13 +308,20 @@ impl ChannelReport {
             leader_gaps: net.leader_gaps_on(channel).to_vec(),
             leaders: net.current_leaders_on(channel),
             member_bytes,
-            gossip_bytes,
             discovery_bytes,
-            discovery_share: if gossip_bytes == 0 {
-                0.0
-            } else {
-                discovery_bytes as f64 / gossip_bytes as f64
-            },
+        }
+    }
+
+    /// Total gossip bytes sent by the channel's members on this channel.
+    pub fn gossip_bytes(&self) -> u64 {
+        self.member_bytes.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Share of the channel's gossip bytes spent on discovery, in `[0, 1]`.
+    pub fn discovery_share(&self) -> f64 {
+        match self.gossip_bytes() {
+            0 => 0.0,
+            total => self.discovery_bytes as f64 / total as f64,
         }
     }
 
@@ -339,7 +342,7 @@ impl ChannelReport {
             self.max,
             self.handoffs,
             leaders.join(", "),
-            self.discovery_share,
+            self.discovery_share(),
             gaps.join(", "),
         )
     }

@@ -400,15 +400,15 @@ mod tests {
         // drown dissemination.
         for c in &res.channels {
             assert!(
-                c.discovery_share > 0.0,
+                c.discovery_share() > 0.0,
                 "no discovery bytes on {}",
                 c.channel
             );
             assert!(
-                c.discovery_share < 0.9,
+                c.discovery_share() < 0.9,
                 "discovery swamped {}: {}",
                 c.channel,
-                c.discovery_share
+                c.discovery_share()
             );
         }
         assert_eq!(res.fairness.channels.len(), res.channels.len());

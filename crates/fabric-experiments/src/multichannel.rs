@@ -270,7 +270,8 @@ pub struct MultiChannelResult {
     /// Per-channel and overall Jain fairness over per-member gossip bytes.
     pub fairness: FairnessReport,
     /// Gossip bytes each peer sent across all its channels, by global peer
-    /// index (0 for a peer no channel covers).
+    /// index (0 for a peer no channel covers): the channels'
+    /// [`ChannelReport::member_bytes`] summed.
     pub peer_bytes: Vec<u64>,
     /// Connected components simulated (the parallelism grain).
     pub groups: usize,
@@ -439,21 +440,18 @@ pub fn run_multichannel(cfg: &MultiChannelConfig) -> MultiChannelResult {
                 report
             })
             .collect();
-        let peer_bytes: Vec<u64> = (0..group.members.len())
-            .map(|local| net.gossip(local).total_stats().bytes_sent())
-            .collect();
-        (channels, peer_bytes, events, end)
+        (channels, events, end)
     });
 
     let mut channels = Vec::with_capacity(cfg.channels.len());
     let mut peer_bytes = vec![0u64; cfg.peers];
     let mut events = 0;
     let mut sim_end = Time::ZERO;
-    for (group, (reports, bytes, group_events, end)) in groups.iter().zip(runs) {
-        channels.extend(reports);
-        for (peer, bytes) in group.members.iter().zip(bytes) {
-            peer_bytes[peer.index()] = bytes;
+    for (reports, group_events, end) in runs {
+        for &(peer, bytes) in reports.iter().flat_map(|c| &c.member_bytes) {
+            peer_bytes[peer.index()] += bytes;
         }
+        channels.extend(reports);
         events += group_events;
         sim_end = sim_end.max(end);
     }

@@ -354,12 +354,14 @@ fn duplicate_block_accounting_is_unchanged_across_runs() {
         dup_a.iter().sum::<u64>() > 0,
         "original gossip at this scale must produce duplicate receptions"
     );
-    // The remaining per-peer counters must agree too.
+    // The remaining per-peer counters, and every first reception, must
+    // agree too.
     for i in 0..20 {
         let (sa, sb) = (a.gossip(i).stats(), b.gossip(i).stats());
         assert_eq!(sa.blocks_sent, sb.blocks_sent);
         assert_eq!(sa.digests_received, sb.digests_received);
-        assert_eq!(sa.first_seen, sb.first_seen);
+        assert_eq!(sa.first_seen.len(), sb.first_seen.len());
+        assert_eq!(a.latency().peer_latencies(i), b.latency().peer_latencies(i));
     }
 }
 

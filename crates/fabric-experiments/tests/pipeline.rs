@@ -2,8 +2,10 @@
 //! propose→endorse→submit→order→deliver flow, observed step by step.
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
+use fabric_experiments::churn_waves::ChurnWavesConfig;
 use fabric_experiments::deployment::Deployment;
-use fabric_experiments::net::{FabricNet, NetParams};
+use fabric_experiments::dissemination::DisseminationConfig;
+use fabric_experiments::net::{ChurnAction, FabricNet, NetParams};
 use fabric_gossip::config::GossipConfig;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
@@ -126,4 +128,66 @@ fn per_kind_accounting_covers_the_whole_pipeline() {
     assert_eq!(m.kind("propose").unwrap().count, 20);
     assert_eq!(m.kind("endorsed").unwrap().count, 20);
     assert_eq!(m.kind("submit").unwrap().count, 20);
+}
+
+/// Checks every sitting member's first-reception count against its row of
+/// the channel's latency matrix, and returns how many members it checked.
+/// Slots follow the layout `FabricNet::new` documents: initial members,
+/// then scheduled joiners in plan order.
+fn first_receptions_match_the_matrix(net: &FabricNet) -> usize {
+    let params = net.params();
+    let mut checked = 0;
+    for spec in params.channel_specs() {
+        let ch = spec.channel;
+        let mut slots = spec.members.clone();
+        for ev in &params.churn {
+            if ev.channel == ch && ev.action == ChurnAction::Join && !slots.contains(&ev.peer) {
+                slots.push(ev.peer);
+            }
+        }
+        let matrix = net.latency_on(ch).expect("every spec has a channel");
+        for member in net.members_on(ch) {
+            let slot = slots
+                .iter()
+                .position(|p| p == member)
+                .expect("a sitting member was initial or a scheduled joiner");
+            let count = net
+                .gossip(member.index())
+                .stats_on(ch)
+                .expect("a member has joined its channel")
+                .first_seen
+                .len();
+            assert_eq!(count, matrix.peer_latencies(slot).len(), "{member} on {ch}");
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// A first reception is recorded once, in the latency matrix; the peer
+/// keeps only a count, and the two agree for every member of a
+/// dissemination run under either protocol and of a churned run with
+/// joiners, leavers and a flash crowd.
+#[test]
+fn one_record_first_receptions_match_the_latency_matrix() {
+    for base in [
+        DisseminationConfig::fig04_06_original(),
+        DisseminationConfig::fig07_09_enhanced_f4(),
+    ] {
+        let mut cfg = base.scaled(500);
+        cfg.peers = 30;
+        cfg.network = NetworkConfig::lan(32);
+        let net = cfg.deployment().run().into_protocol();
+        assert_eq!(first_receptions_match_the_matrix(&net), 30);
+        assert_eq!(
+            net.gossip(29).stats().first_seen.len(),
+            10,
+            "500 txs are 10 blocks"
+        );
+    }
+    let net = ChurnWavesConfig::standard(2, 8, 20)
+        .deployment()
+        .run()
+        .into_protocol();
+    assert_eq!(first_receptions_match_the_matrix(&net), 46);
 }

@@ -17,16 +17,12 @@
 //! ([`DiscoveryEngine::self_is_most_senior`]), re-enforced on every
 //! discovery step: that is the failover path.
 
-use std::fmt;
-use std::num::NonZeroU64;
-
-use desim::{Duration, KindBytes, Message as _, Time};
+use desim::{Duration, KindBytes, Message as _};
 use rand::RngExt;
 
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
 
-use crate::blockmap::BlockMap;
 use crate::config::GossipConfig;
 use crate::discovery::{DiscoveryDelta, DiscoveryEngine};
 use crate::effects::Effects;
@@ -39,14 +35,12 @@ use crate::store::BlockStore;
 
 /// Counters exposed for experiments and tests, kept **per channel**.
 ///
-/// A peer joined to several channels owns one `PeerStats` per channel;
-/// [`crate::peer::GossipPeer::total_stats`] sums them back into the
-/// peer-global view (numeric counters and byte counters add up exactly;
-/// `first_seen` stays per-channel because block numbers collide across
-/// channels).
+/// A peer joined to several channels owns one `PeerStats` per channel; a
+/// peer-wide figure is the sum of its channels' rows.
 #[derive(Debug, Clone, Default)]
 pub struct PeerStats {
-    /// First content reception time per block number.
+    /// How many blocks arrived for the first time. When each arrived is
+    /// the host's one record ([`Effects::block_received`]).
     pub first_seen: FirstSeen,
     /// Content receptions for blocks already held.
     pub duplicate_blocks: u64,
@@ -60,16 +54,12 @@ pub struct PeerStats {
     pub fetch_requests: u64,
     /// Pull rounds initiated.
     pub pull_rounds: u64,
-    /// Recovery requests issued.
-    pub recovery_requests: u64,
     /// Snapshot requests issued (snapshot bootstrap).
     pub snapshot_requests: u64,
     /// Snapshots served to other peers.
     pub snapshots_served: u64,
     /// Snapshots verified and installed locally.
     pub snapshots_installed: u64,
-    /// Snapshot chunks put on the wire (chunked transfer).
-    pub snapshot_chunks_sent: u64,
     /// Distinct snapshot chunks absorbed into an assembly (duplicates and
     /// foreign-checkpoint chunks excluded).
     pub snapshot_chunks_received: u64,
@@ -89,7 +79,7 @@ pub struct PeerStats {
     /// (the metrics tags of [`GossipMsg::kind`]), indexed by interned
     /// [`desim::KindId`] — a dense array add per send instead of the
     /// seed's string-keyed `BTreeMap` walk. Dissemination fairness is
-    /// judged on this breakdown; per-channel values sum to the peer totals.
+    /// judged on this breakdown.
     pub bytes_sent_by_kind: KindBytes,
 }
 
@@ -103,101 +93,21 @@ impl PeerStats {
     pub fn bytes_of_kind(&self, kind: &str) -> u64 {
         self.bytes_sent_by_kind.get_named(kind)
     }
-
-    /// Adds `other`'s numeric and byte counters into `self`.
-    ///
-    /// `first_seen` is intentionally left untouched: block numbers are only
-    /// meaningful within one channel, so a cross-channel union would
-    /// conflate unrelated blocks.
-    pub fn absorb(&mut self, other: &PeerStats) {
-        self.duplicate_blocks += other.duplicate_blocks;
-        self.digests_received += other.digests_received;
-        self.blocks_sent += other.blocks_sent;
-        self.digests_sent += other.digests_sent;
-        self.fetch_requests += other.fetch_requests;
-        self.pull_rounds += other.pull_rounds;
-        self.recovery_requests += other.recovery_requests;
-        self.snapshot_requests += other.snapshot_requests;
-        self.snapshots_served += other.snapshots_served;
-        self.snapshots_installed += other.snapshots_installed;
-        self.snapshot_chunks_sent += other.snapshot_chunks_sent;
-        self.snapshot_chunks_received += other.snapshot_chunks_received;
-        self.snapshot_resumes += other.snapshot_resumes;
-        self.invalid_payloads += other.invalid_payloads;
-        self.equivocations_rejected += other.equivocations_rejected;
-        self.bytes_sent_by_kind.absorb(&other.bytes_sent_by_kind);
-    }
 }
 
-/// When each block's content first arrived, one 8-byte cell per block.
-///
-/// Every peer keeps a row for every block of the run, so the row is a
-/// `NonZeroU64` stamp — the instant plus one — in the crate's dense
-/// per-block table: an absent row needs no tag word, and a block number
-/// from the wire costs one row however far it lies from the others. Reads
-/// as an ordered map from block number to [`Time`].
-#[derive(Clone, Default)]
-pub struct FirstSeen {
-    stamps: BlockMap<NonZeroU64>,
-}
+/// How many blocks have arrived for the first time: a count, not a table.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FirstSeen(u64);
 
 impl FirstSeen {
-    /// Blocks with a recorded first reception.
+    /// Blocks with a first reception.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.0 as usize
     }
 
     /// `true` when no block has arrived.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
-    }
-
-    /// When block `num` first arrived.
-    pub fn get(&self, num: u64) -> Option<Time> {
-        self.stamps.get(num).map(|stamp| Self::time(*stamp))
-    }
-
-    /// Every `(block, first arrival)`, in block order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
-        self.stamps
-            .range(0, u64::MAX)
-            .map(|(num, stamp)| (num, Self::time(*stamp)))
-    }
-
-    /// Records block `num` as first arrived at `at`, replacing any earlier
-    /// record.
-    ///
-    /// # Panics
-    ///
-    /// Panics at [`Time::MAX`], the clock's "never", which has no stamp.
-    pub(crate) fn insert(&mut self, num: u64, at: Time) {
-        let stamp = at.as_nanos().checked_add(1).and_then(NonZeroU64::new);
-        self.stamps
-            .insert(num, stamp.expect("Time::MAX is never an arrival"));
-    }
-
-    fn time(stamp: NonZeroU64) -> Time {
-        Time::from_nanos(stamp.get() - 1)
-    }
-
-    /// `(rows allocated, rows held)`, for the bound checks of the wire tests.
-    #[cfg(test)]
-    pub(crate) fn table(&self) -> (usize, usize) {
-        (self.stamps.capacity(), self.stamps.len())
-    }
-}
-
-impl PartialEq for FirstSeen {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for FirstSeen {}
-
-impl fmt::Debug for FirstSeen {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        self.0 == 0
     }
 }
 
@@ -318,7 +228,7 @@ impl ChannelCore {
             }
             Some(deliverable) => {
                 let num = block.number();
-                self.stats.first_seen.insert(num, fx.now());
+                self.stats.first_seen.0 += 1;
                 fx.block_received(self.channel, num);
                 for b in deliverable {
                     fx.deliver(self.channel, b);
@@ -566,10 +476,9 @@ impl ChannelState {
     /// `(rows allocated, rows held)` of every table this instance keys by
     /// block number, for the bound checks of the wire tests.
     #[cfg(test)]
-    pub(crate) fn tables(&self) -> [(usize, usize); 4] {
+    pub(crate) fn tables(&self) -> [(usize, usize); 3] {
         let [seen, pending] = self.push.tables();
-        let first_seen = self.core.stats.first_seen.table();
-        [self.core.store.table(), seen, pending, first_seen]
+        [self.core.store.table(), seen, pending]
     }
 
     /// `(dense slots, spilled rows, rows)` of every table this instance
@@ -658,105 +567,6 @@ pub(crate) fn random_phase(fx: &mut dyn Effects, period: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A first-seen row is its stamp: `at + 1` is never zero, so an empty
-    /// slot needs no tag word.
-    #[test]
-    fn row_size_first_seen_row_is_8_bytes() {
-        assert_eq!(FirstSeen::default().stamps.row_bytes(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "Time::MAX is never an arrival")]
-    fn first_seen_has_no_stamp_for_never() {
-        FirstSeen::default().insert(1, Time::MAX);
-    }
-
-    mod model {
-        use super::*;
-        use crate::blockmap::SPAN;
-        use proptest::prelude::*;
-        use std::collections::BTreeMap;
-
-        fn num_of(class: u8, small: u64) -> u64 {
-            match class {
-                0..=5 => small,
-                6 => SPAN as u64 + small,
-                7 => (1 << 32) + small,
-                _ => u64::MAX - small,
-            }
-        }
-
-        fn time_of(class: u8, small: u64) -> Time {
-            match class {
-                0 => Time::ZERO,
-                1 => Time::from_nanos(small),
-                2 => Time::from_nanos(1 << 40) + Duration::from_nanos(small),
-                _ => Time::from_nanos(u64::MAX - 1 - small),
-            }
-        }
-
-        proptest! {
-            /// The stamp row against the `BTreeMap<u64, Time>` it
-            /// replaced: same lookups, same order, same equality and the
-            /// same `Debug` rendering, over block 0, far and extreme
-            /// numbers and instants from `Time::ZERO` to one below
-            /// `Time::MAX`.
-            #[test]
-            fn model_first_seen_matches_btreemap(
-                ops in proptest::collection::vec((0u8..9, 0u64..8, 0u8..4), 1..120),
-            ) {
-                let mut seen = FirstSeen::default();
-                let mut model: BTreeMap<u64, Time> = BTreeMap::new();
-                let mut reversed = FirstSeen::default();
-                for &(class, small, when) in &ops {
-                    let (num, at) = (num_of(class, small), time_of(when, small));
-                    seen.insert(num, at);
-                    model.insert(num, at);
-                    prop_assert_eq!(seen.get(num), Some(at));
-                    prop_assert_eq!(seen.get(num.wrapping_add(1)), model.get(&num.wrapping_add(1)).copied());
-                    prop_assert_eq!(seen.len(), model.len());
-                    prop_assert!(!seen.is_empty());
-                }
-                prop_assert_eq!(
-                    seen.iter().collect::<Vec<_>>(),
-                    model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-                );
-                prop_assert_eq!(format!("{seen:?}"), format!("{model:?}"));
-                // The same final rows written in another order compare equal.
-                for (num, at) in model.iter().rev() {
-                    reversed.insert(*num, *at);
-                }
-                prop_assert_eq!(&reversed, &seen);
-                // One row more (no op names this number) and they differ.
-                reversed.insert(u64::MAX - 100, Time::ZERO);
-                prop_assert_ne!(&reversed, &seen);
-            }
-        }
-    }
-
-    #[test]
-    fn stats_absorb_sums_counters_and_bytes() {
-        use desim::KindId;
-        let mut a = PeerStats {
-            blocks_sent: 3,
-            ..PeerStats::default()
-        };
-        a.bytes_sent_by_kind.add(KindId::intern("block"), 1000);
-        let mut b = PeerStats {
-            blocks_sent: 2,
-            duplicate_blocks: 7,
-            ..PeerStats::default()
-        };
-        b.bytes_sent_by_kind.add(KindId::intern("block"), 500);
-        b.bytes_sent_by_kind.add(KindId::intern("alive"), 150);
-        a.absorb(&b);
-        assert_eq!(a.blocks_sent, 5);
-        assert_eq!(a.duplicate_blocks, 7);
-        assert_eq!(a.bytes_of_kind("block"), 1500);
-        assert_eq!(a.bytes_of_kind("alive"), 150);
-        assert_eq!(a.bytes_sent(), 1650);
-    }
 
     #[test]
     fn core_send_accounts_bytes_per_kind() {

@@ -38,7 +38,9 @@ pub trait Effects {
     fn rng(&mut self) -> &mut StdRng;
 
     /// Called exactly once per block per channel, on first reception of its
-    /// content — the measurement point of the paper's latency figures.
+    /// content — the measurement point of the paper's latency figures, and
+    /// the host's one record of when the block arrived: the peer keeps
+    /// only a count ([`crate::channel::PeerStats::first_seen`]).
     fn block_received(&mut self, channel: ChannelId, block_num: u64) {
         let _ = (channel, block_num);
     }

@@ -481,17 +481,6 @@ impl GossipPeer {
         self.state(channel).map(|s| s.discovery())
     }
 
-    /// Peer-global counters: every per-channel [`PeerStats`] summed
-    /// (numeric and per-kind byte counters add exactly; `first_seen` stays
-    /// per-channel — block numbers collide across channels).
-    pub fn total_stats(&self) -> PeerStats {
-        let mut total = PeerStats::default();
-        for (_, state) in &self.channels {
-            total.absorb(&state.core().stats);
-        }
-        total
-    }
-
     // ------------------------------------------------------------------
     // Lifecycle (all channels)
     // ------------------------------------------------------------------
