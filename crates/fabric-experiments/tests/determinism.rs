@@ -276,6 +276,21 @@ fn event_content_hash_is_pinned() {
     );
 }
 
+/// The same guard on stock Fabric gossip: infect-and-die push plus the
+/// four-phase pull, the one trajectory where digests travel. A change to
+/// how a digest is built, sized or read moves it.
+#[test]
+fn original_event_content_is_pinned() {
+    let sim = drive_sim(GossipConfig::original_fabric(), 3, 40, 2_000, true);
+    let digests = sim.metrics().kind("pull-digest").map_or(0, |k| k.count);
+    assert_eq!(digests, 3_000, "the run pulled");
+    assert_eq!(
+        pin(&sim),
+        (31_537, 10_404_560_148_057_097_024),
+        "event content moved"
+    );
+}
+
 /// The same guard on the waves preset's discovery traffic: a rewrite of
 /// the discovery tables that reordered merges, joins or reaps behind
 /// unchanged counts moves this hash.
