@@ -145,42 +145,6 @@ impl<T> BlockMap<T> {
         }
     }
 
-    /// The rows with keys in `lo..=hi`, in key order. Costs the part of
-    /// the window the bounds cover, however far apart they are. While the
-    /// spill holds no row this is a plain walk over the window's slots; a
-    /// populated spill is merged in key order.
-    pub fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &T)> {
-        let len = self.window.len() as u64;
-        let start = lo.saturating_sub(self.base).min(len);
-        let end = match hi.checked_sub(self.base) {
-            Some(off) => off.saturating_add(1).min(len),
-            None => 0,
-        };
-        let first = self.base.wrapping_add(start);
-        let near = self
-            .window
-            .range(start.min(end) as usize..end as usize)
-            .enumerate()
-            .filter_map(move |(i, slot)| Some((first + i as u64, slot.as_ref()?)));
-        if self.spill.is_empty() {
-            return Walk::Window(near);
-        }
-        let mut near = near.peekable();
-        let mut far = (lo <= hi)
-            .then(|| self.spill.range(lo..=hi))
-            .into_iter()
-            .flatten()
-            .map(|(key, row)| (*key, row))
-            .peekable();
-        Walk::Merged(std::iter::from_fn(move || {
-            match (near.peek(), far.peek()) {
-                (Some(a), Some(b)) if b.0 < a.0 => far.next(),
-                (Some(_), _) => near.next(),
-                (None, _) => far.next(),
-            }
-        }))
-    }
-
     /// Where `key`'s slot would be in the window; a key below the base
     /// wraps to an offset no window is long enough for.
     fn offset(&self, key: u64) -> usize {
@@ -241,24 +205,6 @@ impl<T> BlockMap<T> {
     }
 }
 
-/// [`BlockMap::range`]'s two walks: the window alone, or the window
-/// merged with the spill.
-enum Walk<W, M> {
-    Window(W),
-    Merged(M),
-}
-
-impl<I, W: Iterator<Item = I>, M: Iterator<Item = I>> Iterator for Walk<W, M> {
-    type Item = I;
-
-    fn next(&mut self) -> Option<I> {
-        match self {
-            Walk::Window(w) => w.next(),
-            Walk::Merged(m) => m.next(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,8 +212,9 @@ mod tests {
 
     const FAR: u64 = 1 << 32;
 
-    fn keys<T>(map: &BlockMap<T>) -> Vec<u64> {
-        map.range(0, u64::MAX).map(|(k, _)| k).collect()
+    /// `map` holds exactly `keys`: as many rows, each of them found.
+    fn holds<T>(map: &BlockMap<T>, keys: &[u64]) -> bool {
+        map.len() == keys.len() && keys.iter().all(|key| map.get(*key).is_some())
     }
 
     #[test]
@@ -276,18 +223,13 @@ mod tests {
         for key in [300u64, 301, 299, 1, 150] {
             assert!(map.insert(key, key * 10).is_none());
         }
-        assert_eq!(keys(&map), vec![1, 150, 299, 300, 301]);
+        assert!(holds(&map, &[1, 150, 299, 300, 301]));
         assert_eq!(map.get(150), Some(&1500));
         assert_eq!(map.get(2), None);
         assert_eq!(map.insert(150, 7), Some(1500), "re-insert replaces");
         assert_eq!(map.len(), 5);
         assert_eq!(map.last_key(), Some(301));
         assert!(map.spill.is_empty(), "nothing here is far");
-        assert_eq!(
-            map.range(2, 299).map(|(k, _)| k).collect::<Vec<_>>(),
-            [150, 299]
-        );
-        assert_eq!(map.range(5, 4).count(), 0, "empty bounds, empty range");
     }
 
     #[test]
@@ -302,7 +244,7 @@ mod tests {
         assert_eq!(map.spill.len(), 3);
         assert_eq!(map.capacity(), before + 3, "the window did not move");
         assert_eq!(map.last_key(), Some(u64::MAX));
-        assert_eq!(keys(&map), vec![5, FAR, u64::MAX - 1, u64::MAX]);
+        assert!(holds(&map, &[5, FAR, u64::MAX - 1, u64::MAX]));
         assert_eq!(map.remove(FAR), Some('z'));
         assert_eq!(map.remove(FAR), None);
         map.drop_through(u64::MAX);
@@ -315,10 +257,9 @@ mod tests {
         map.insert(u64::MAX, 1);
         map.insert(u64::MAX - 2, 2);
         map.insert(0, 3);
-        assert_eq!(keys(&map), vec![0, u64::MAX - 2, u64::MAX]);
-        assert_eq!(map.range(u64::MAX, u64::MAX).count(), 1);
+        assert!(holds(&map, &[0, u64::MAX - 2, u64::MAX]));
         map.drop_through(u64::MAX - 1);
-        assert_eq!(keys(&map), vec![u64::MAX]);
+        assert!(holds(&map, &[u64::MAX]));
         map.drop_through(u64::MAX);
         assert!(map.is_empty());
     }
@@ -335,7 +276,7 @@ mod tests {
         }
         assert_eq!(map.len() as u64, far + 5, "the spilled key was not doubled");
         assert_eq!(map.get(far), Some(&far));
-        assert!(keys(&map).windows(2).all(|w| w[0] + 1 == w[1]));
+        assert!(holds(&map, &(1..=far + 5).collect::<Vec<_>>()));
         assert!(map.capacity() <= map.len() + SPAN);
     }
 
@@ -350,18 +291,15 @@ mod tests {
         for key in 2..n {
             map.remove(key);
         }
-        assert_eq!(keys(&map), vec![1, n]);
+        assert!(holds(&map, &[1, n]));
         assert_eq!(map.spill.len(), 1, "the far end left the window");
         assert!(map.capacity() <= map.len() + SPAN);
     }
 
     proptest! {
         /// Random operations over near, far and extreme keys against a
-        /// `BTreeMap`: same answers, same order, bounded window. A second
-        /// map takes the same operations on keys folded below 2¹¹, so its
-        /// spill stays empty and every `range` on it is the window walk;
-        /// the first map's far keys populate its spill, so its `range`
-        /// takes the merged path.
+        /// `BTreeMap`: same answers around every key touched, the same
+        /// rows at the end, bounded window.
         #[test]
         fn model_blockmap_matches_btreemap(
             ops in proptest::collection::vec((0u8..6, 0u8..12, 0u64..40), 1..120),
@@ -376,28 +314,9 @@ mod tests {
             };
             let mut map: BlockMap<u64> = BlockMap::default();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-            let mut near: BlockMap<u64> = BlockMap::default();
-            let mut near_model: BTreeMap<u64, u64> = BTreeMap::new();
             for (step, (op, class, small)) in ops.into_iter().enumerate() {
                 let key = key_of(class, small);
                 let value = step as u64;
-                let folded = key & 0x7ff;
-                match op {
-                    0..=2 => prop_assert_eq!(near.insert(folded, value), near_model.insert(folded, value)),
-                    3 => prop_assert_eq!(near.remove(folded), near_model.remove(&folded)),
-                    4 => {
-                        near.drop_through(folded);
-                        near_model.retain(|k, _| *k > folded);
-                    }
-                    _ => {}
-                }
-                prop_assert!(near.spill.is_empty(), "folded keys never spill");
-                for (lo, hi) in [(folded.saturating_sub(50), folded + small), (0, u64::MAX)] {
-                    prop_assert_eq!(
-                        near.range(lo, hi).map(|(k, v)| (k, *v)).collect::<Vec<_>>(),
-                        near_model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-                    );
-                }
                 match op {
                     0..=2 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
                     3 => prop_assert_eq!(map.remove(key), model.remove(&key)),
@@ -414,22 +333,18 @@ mod tests {
                         }
                     }
                 }
-                prop_assert_eq!(map.get(key), model.get(&key));
+                for near in key.saturating_sub(50)..=key.saturating_add(small) {
+                    prop_assert_eq!(map.get(near), model.get(&near));
+                }
                 prop_assert_eq!(map.len(), model.len());
                 prop_assert_eq!(map.is_empty(), model.is_empty());
                 prop_assert_eq!(map.last_key(), model.keys().next_back().copied());
-                let (lo, hi) = (key.saturating_sub(50), key.saturating_add(small));
-                prop_assert_eq!(
-                    map.range(lo, hi).map(|(k, v)| (k, *v)).collect::<Vec<_>>(),
-                    model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-                );
                 prop_assert!(map.capacity() <= map.len() + SPAN);
                 prop_assert!(map.window.len() - map.held <= SPAN);
             }
-            prop_assert_eq!(
-                map.range(0, u64::MAX).map(|(k, v)| (k, *v)).collect::<Vec<_>>(),
-                model.into_iter().collect::<Vec<_>>()
-            );
+            for (key, value) in model {
+                prop_assert_eq!(map.get(key), Some(&value));
+            }
         }
     }
 }

@@ -386,9 +386,9 @@ impl ChannelState {
                     .on_push_request(&mut self.core, fx, from, block_num, counter)
             }
             GossipMsg::PullHello { nonce } => self.pull.on_hello(&mut self.core, fx, from, nonce),
-            GossipMsg::PullDigestResponse { nonce, block_nums } => {
+            GossipMsg::PullDigestResponse { nonce, top, held } => {
                 self.pull
-                    .on_digest_response(&mut self.core, from, nonce, block_nums)
+                    .on_digest_response(&mut self.core, from, nonce, top, held)
             }
             GossipMsg::PullRequest { nonce, block_nums } => {
                 self.pull
@@ -474,11 +474,12 @@ impl ChannelState {
     }
 
     /// `(rows allocated, rows held)` of every table this instance keys by
-    /// block number, for the bound checks of the wire tests.
+    /// block number (the store, push's dedup memory and fetches, the pull
+    /// round's offers), for the bound checks of the wire tests.
     #[cfg(test)]
-    pub(crate) fn tables(&self) -> [(usize, usize); 3] {
+    pub(crate) fn tables(&self) -> [(usize, usize); 4] {
         let [seen, pending] = self.push.tables();
-        [self.core.store.table(), seen, pending]
+        [self.core.store.table(), seen, pending, self.pull.table()]
     }
 
     /// `(dense slots, spilled rows, rows)` of every table this instance

@@ -15,10 +15,11 @@
 //! (`push::PUSH_BURST`), the content-fetch retry policy of 500 ms and 5
 //! attempts (`push::FETCH_TIMEOUT`, `push::FETCH_ATTEMPTS`), the pull
 //! fan-in of 3 peers (`pull::FIN`), its 1 s digest wait
-//! (`pull::DIGEST_WAIT`) and digest window of 64 blocks
-//! (`pull::DIGEST_WINDOW`), and a snapshot request's first timeout of 8 s
-//! (`recovery::SNAPSHOT_REQUEST_TIMEOUT`). Who leads is no setting either:
-//! it follows the membership shape ([`DiscoveryConfig`]).
+//! (`pull::DIGEST_WAIT`) and digest window of 64 blocks, one bit each of
+//! the digest's mask (`pull::DIGEST_WINDOW`), and a snapshot request's
+//! first timeout of 8 s (`recovery::SNAPSHOT_REQUEST_TIMEOUT`). Who leads
+//! is no setting either: it follows the membership shape
+//! ([`DiscoveryConfig`]).
 
 use desim::Duration;
 use serde::{Deserialize, Serialize};

@@ -113,12 +113,16 @@ pub enum GossipMsg {
         /// Round nonce correlating the four pull phases.
         nonce: u64,
     },
-    /// Pull engine, phase 2: recent block numbers held by the responder.
+    /// Pull engine, phase 2: the block numbers the responder holds among
+    /// the 64 from its highest down. In memory a mask; on the modelled
+    /// wire the list of the numbers it names.
     PullDigestResponse {
         /// Echoed round nonce.
         nonce: u64,
-        /// Block numbers the responder can serve.
-        block_nums: Vec<u64>,
+        /// The highest block number the responder has seen.
+        top: u64,
+        /// Bit `i` set: block `top − i` is held.
+        held: u64,
     },
     /// Pull engine, phase 3: request missing blocks.
     PullRequest {
@@ -260,7 +264,9 @@ impl desim::Message for GossipMsg {
             GossipMsg::PushDigest { .. } => ENVELOPE + 12,
             GossipMsg::PushRequest { .. } => ENVELOPE + 12,
             GossipMsg::PullHello { .. } => ENVELOPE + 8,
-            GossipMsg::PullDigestResponse { block_nums, .. } => ENVELOPE + 8 + 8 * block_nums.len(),
+            GossipMsg::PullDigestResponse { held, .. } => {
+                ENVELOPE + 8 + 8 * held.count_ones() as usize
+            }
             GossipMsg::PullRequest { block_nums, .. } => ENVELOPE + 8 + 8 * block_nums.len(),
             GossipMsg::PullResponse { blocks, .. } => {
                 ENVELOPE + 8 + blocks.iter().map(|b| b.wire_size()).sum::<usize>()
@@ -428,15 +434,15 @@ mod tests {
 
     #[test]
     fn pull_sizes_scale_with_content() {
-        let digest = GossipMsg::PullDigestResponse {
+        // A digest costs the numbers its mask names, 8 bytes each.
+        let digest = |held| GossipMsg::PullDigestResponse {
             nonce: 1,
-            block_nums: vec![1, 2, 3],
+            top: 100,
+            held,
         };
-        let digest_bigger = GossipMsg::PullDigestResponse {
-            nonce: 1,
-            block_nums: (0..10).collect(),
-        };
-        assert!(digest_bigger.wire_size() > digest.wire_size());
+        let empty = digest(0).wire_size();
+        assert_eq!(digest(0b1011).wire_size(), empty + 3 * 8);
+        assert_eq!(digest(u64::MAX).wire_size(), empty + 64 * 8);
         let resp = GossipMsg::PullResponse {
             nonce: 1,
             blocks: vec![block(1000), block(1000)],
@@ -595,7 +601,8 @@ mod tests {
             GossipMsg::PullHello { nonce: 0 }.kind(),
             GossipMsg::PullDigestResponse {
                 nonce: 0,
-                block_nums: vec![],
+                top: 0,
+                held: 0,
             }
             .kind(),
             GossipMsg::PullRequest {

@@ -1,7 +1,11 @@
 //! The four-phase pull engine of stock Fabric gossip:
 //!
 //! 1. **Hello** — solicit digests from `FIN` (3) random organization peers;
-//! 2. **DigestResponse** — each responder advertises its recent blocks;
+//! 2. **DigestResponse** — each responder advertises which of the 64
+//!    numbers from its highest down it holds, as one 64-bit mask: a peer
+//!    whose window is delivered builds it with one compare, a requester
+//!    whose height is above its top reads it with one, and no digest names
+//!    more than 64 numbers whatever its sender puts in it;
 //! 3. **Request** — after the digest-wait window, ask one random advertiser
 //!    per missing block;
 //! 4. **Response** — the requested content (accepted by the dispatcher's
@@ -30,8 +34,10 @@ pub(crate) const FIN: usize = 3;
 /// block requests (Fabric's `digestWaitTime`).
 pub(crate) const DIGEST_WAIT: Duration = Duration::from_secs(1);
 
-/// How many recent block numbers a digest response advertises.
+/// How many recent block numbers a digest response advertises: one bit
+/// each of its mask.
 pub(crate) const DIGEST_WINDOW: u64 = 64;
+const _: () = assert!(DIGEST_WINDOW == u64::BITS as u64);
 
 /// Pull-phase state of one channel instance.
 #[derive(Debug, Default)]
@@ -47,6 +53,13 @@ impl PullEngine {
     /// a rebooted peer never confuses pre-crash digests for fresh ones).
     pub fn clear_volatile(&mut self) {
         self.offers.clear();
+    }
+
+    /// `(rows allocated, rows held)` of the round's offers, for the bound
+    /// checks of the wire tests.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> (usize, usize) {
+        (self.offers.len(), self.offers.len())
     }
 
     /// Phase 1 (the PullRound timer): open a round and solicit digests.
@@ -76,30 +89,35 @@ impl PullEngine {
         from: PeerId,
         nonce: u64,
     ) {
-        let block_nums = core.store.recent(DIGEST_WINDOW);
-        core.send(
-            fx,
-            from,
-            GossipMsg::PullDigestResponse { nonce, block_nums },
-        );
+        let (top, held) = core.store.digest();
+        core.send(fx, from, GossipMsg::PullDigestResponse { nonce, top, held });
     }
 
-    /// Phase 2 (requester side): collect an advertiser's digest.
+    /// Phase 2 (requester side): collect an advertiser's digest. Every
+    /// number below the height is held or absorbed by a snapshot, so only
+    /// the set bits naming `height..=top` are visited, lowest number first.
     pub fn on_digest_response(
         &mut self,
         core: &mut ChannelCore,
         from: PeerId,
         nonce: u64,
-        block_nums: Vec<u64>,
+        top: u64,
+        held: u64,
     ) {
         if nonce != self.nonce {
             return; // stale round
         }
-        // Every number below the height is held or absorbed by a snapshot:
-        // one compare answers `has` for the delivered prefix.
-        let height = core.store.height();
-        for num in block_nums {
-            if num >= height && !core.store.has(num) {
+        let Some(above) = top.checked_sub(core.store.height()) else {
+            return; // everything it names is delivered
+        };
+        // Bits `0..=above` name `top` down to the height (at least 1), so a
+        // bit naming genesis or nothing at all is never visited.
+        let mut wanted = held & (u64::MAX >> (63 - above.min(63)));
+        while wanted != 0 {
+            let i = 63 - wanted.leading_zeros();
+            wanted ^= 1 << i;
+            let num = top - u64::from(i);
+            if !core.store.has(num) {
                 let offers = self.offers.entry(num).or_default();
                 if !offers.contains(&from) {
                     offers.push(from);
@@ -194,7 +212,7 @@ mod tests {
         e.on_round(&mut c, &mut fx);
         let hellos = fx.take_sent();
         assert_eq!(hellos.len(), 3, "fin = 3 hellos");
-        e.on_digest_response(&mut c, PeerId(2), 1, vec![1, 2]);
+        e.on_digest_response(&mut c, PeerId(2), 1, 2, 0b11);
         e.on_digest_wait(&mut c, &mut fx, 1);
         let requests = fx.take_sent();
         assert_eq!(requests.len(), 1);
@@ -204,8 +222,10 @@ mod tests {
         ));
         assert_eq!(c.stats.pull_rounds, 1);
 
-        // A snapshot floor at 5, held 6, 7 and 9, a gap at 8: the numbers
-        // below the height take the one-compare path, the rest the table.
+        // A snapshot floor at 5, held 6, 7 and 9, a gap at 8: the bits
+        // below the height are never visited, the rest ask the table. A
+        // digest topped below the height adds nothing, nor does a bit
+        // naming genesis or no block at all.
         c.store.adopt_snapshot(5);
         for n in [6, 7, 9] {
             c.store.insert(block(n));
@@ -213,12 +233,9 @@ mod tests {
         assert_eq!(c.store.height(), 8);
         e.on_round(&mut c, &mut fx);
         fx.take_sent();
-        let advertised: Vec<u64> = (0..=12).collect();
-        e.on_digest_response(&mut c, PeerId(2), 2, advertised.clone());
-        let missing: Vec<u64> = advertised
-            .into_iter()
-            .filter(|n| !c.store.has(*n))
-            .collect();
+        e.on_digest_response(&mut c, PeerId(2), 2, 7, u64::MAX);
+        e.on_digest_response(&mut c, PeerId(2), 2, 12, u64::MAX);
+        let missing: Vec<u64> = (0..=12).filter(|n| !c.store.has(*n)).collect();
         assert_eq!(missing, [8, 10, 11, 12]);
         assert_eq!(e.offers.keys().copied().collect::<Vec<_>>(), missing);
     }
@@ -232,7 +249,7 @@ mod tests {
         fx.take_sent();
         e.on_round(&mut c, &mut fx); // nonce now 2; round 1 is stale
         fx.take_sent();
-        e.on_digest_response(&mut c, PeerId(2), 1, vec![1]);
+        e.on_digest_response(&mut c, PeerId(2), 1, 1, 1);
         e.on_digest_wait(&mut c, &mut fx, 1);
         assert!(fx.take_sent().is_empty(), "stale round must stay silent");
 

@@ -21,6 +21,7 @@
 use fabric_types::block::BlockRef;
 
 use crate::blockmap::BlockMap;
+use crate::pull::DIGEST_WINDOW;
 
 /// Block storage plus payload-buffer bookkeeping for one peer.
 ///
@@ -156,21 +157,22 @@ impl BlockStore {
         deliverable
     }
 
-    /// Block numbers available in `[lo, hi]`, for pull digests and
-    /// recovery responses. Costs what is held between the bounds, not
-    /// their distance.
-    pub fn available_in(&self, lo: u64, hi: u64) -> Vec<u64> {
-        let span = hi.saturating_sub(lo).saturating_add(1);
-        let mut nums = Vec::with_capacity(span.min(self.len() as u64) as usize);
-        nums.extend(self.blocks.range(lo, hi).map(|(n, _)| n));
-        nums
-    }
-
-    /// The most recent `window` block numbers present (pull digest body).
-    pub fn recent(&self, window: u64) -> Vec<u64> {
-        let hi = self.max_seen();
-        let lo = hi.saturating_sub(window.saturating_sub(1)).max(1);
-        self.available_in(lo, hi)
+    /// The pull digest body `(top, held)`: the highest number seen, and a
+    /// mask whose bit `i` says block `top − i` is held, over the 64
+    /// numbers from `top` down to block 1. Every number between the
+    /// snapshot floor and the height is held, so a window wholly inside
+    /// that range is all ones, one compare; any other takes one lookup per
+    /// number.
+    pub fn digest(&self) -> (u64, u64) {
+        let top = self.max_seen();
+        let span = top.min(DIGEST_WINDOW) as u32;
+        if top < self.next_expected && top - u64::from(span) >= self.snapshot_floor {
+            return (top, u64::MAX.checked_shr(u64::BITS - span).unwrap_or(0));
+        }
+        let held = (0..span)
+            .filter(|i| self.blocks.get(top - u64::from(*i)).is_some())
+            .fold(0, |mask, i| mask | (1 << i));
+        (top, held)
     }
 
     /// Blocks serving a recovery request for `[from, to]`, capped at
@@ -273,14 +275,21 @@ mod tests {
     }
 
     #[test]
-    fn recent_window_returns_last_numbers() {
+    fn digest_masks_the_numbers_held_below_the_top() {
         let mut store = BlockStore::new();
-        for n in 1..=10 {
+        assert_eq!(store.digest(), (0, 0));
+        for n in 1..=70 {
             store.insert(block(n));
         }
-        assert_eq!(store.recent(3), vec![8, 9, 10]);
-        assert_eq!(store.recent(100), (1..=10).collect::<Vec<_>>());
-        assert!(BlockStore::new().recent(5).is_empty());
+        assert_eq!(store.digest(), (70, u64::MAX));
+        store.insert(block(72));
+        assert_eq!(store.digest(), (72, (u64::MAX << 2) | 1));
+        // Nothing at or below a snapshot floor is held, the floor included.
+        store.adopt_snapshot(100);
+        for n in 101..=163 {
+            store.insert(block(n));
+        }
+        assert_eq!(store.digest(), (163, u64::MAX >> 1));
     }
 
     #[test]
@@ -339,21 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn available_in_is_range_inclusive() {
-        let mut store = BlockStore::new();
-        for n in 1..=5 {
-            store.insert(block(n));
-        }
-        assert_eq!(store.available_in(2, 4), vec![2, 3, 4]);
-    }
-
-    #[test]
     fn hostile_ranges_cost_what_is_held_not_what_they_span() {
         let mut store = BlockStore::new();
         for n in [1u64, 2, 3, 7, u64::MAX] {
             store.insert(block(n));
         }
-        assert_eq!(store.available_in(0, u64::MAX), vec![1, 2, 3, 7, u64::MAX]);
         assert_eq!(
             store.consecutive_run(0, u64::MAX, 10).len(),
             0,
@@ -361,7 +360,7 @@ mod tests {
         );
         assert_eq!(store.consecutive_run(1, u64::MAX, 10).len(), 3);
         assert_eq!(store.consecutive_run(u64::MAX, u64::MAX, 10).len(), 1);
-        assert_eq!(store.recent(3), vec![u64::MAX]);
+        assert_eq!(store.digest(), (u64::MAX, 1));
         assert_eq!(store.height(), 4);
         assert!(store.adopt_snapshot(u64::MAX).is_empty(), "no such chain");
         assert_eq!(store.height(), 4);
@@ -421,7 +420,7 @@ mod tests {
                     .is_some_and(|held| held.hash() != block.hash())
             }
 
-            fn available_in(&self, lo: u64, hi: u64) -> Vec<u64> {
+            fn held_in(&self, lo: u64, hi: u64) -> Vec<u64> {
                 if lo > hi {
                     return Vec::new(); // the tree's `range` refuses these
                 }
@@ -442,8 +441,11 @@ mod tests {
 
         proptest! {
             /// Random inserts (in order, out of order, descending, below
-            /// the floor, far, extreme), snapshots and every query against
-            /// the model: same answers, same deliveries, bounded table.
+            /// the floor, far, extreme, runs that extend the chain past a
+            /// digest window), snapshots and every query against the
+            /// model: same answers, same deliveries, bounded table. The
+            /// digest mask names the model's held numbers among the 64
+            /// from its top down, whichever path built it.
             #[test]
             fn model_store_matches_btreemap_and_cursor(
                 ops in proptest::collection::vec((0u8..10, 0u8..12, 0u64..24), 1..160),
@@ -484,6 +486,12 @@ mod tests {
                         5 if num < u64::MAX => {
                             prop_assert_eq!(store.adopt_snapshot(num), model.adopt_snapshot(num));
                         }
+                        6 if model.next_expected < 1 << 32 => {
+                            let from = model.next_expected;
+                            for n in from..from + 63 + small {
+                                prop_assert_eq!(store.insert(block(n)), model.insert(block(n)));
+                            }
+                        }
                         _ => {}
                     }
                     prop_assert_eq!(store.has(num), model.has(num));
@@ -493,12 +501,12 @@ mod tests {
                     prop_assert_eq!(store.len(), model.blocks.len());
                     prop_assert_eq!(store.is_empty(), model.blocks.is_empty());
                     prop_assert_eq!(store.max_seen(), model.max_seen());
-                    let window = small + 1;
-                    let hi = model.max_seen();
-                    let lo = hi.saturating_sub(window - 1).max(1);
-                    prop_assert_eq!(store.recent(window), model.available_in(lo, hi));
+                    let (top, held) = store.digest();
+                    prop_assert_eq!(top, model.max_seen());
+                    let named: Vec<u64> =
+                        (0..64).rev().filter(|i| (held >> i) & 1 == 1).map(|i| top - i).collect();
+                    prop_assert_eq!(named, model.held_in(top.saturating_sub(63).max(1), top));
                     for (lo, hi) in [(0, u64::MAX), (num.saturating_sub(small), num), (num, small)] {
-                        prop_assert_eq!(store.available_in(lo, hi), model.available_in(lo, hi));
                         for cap in [small, 1000] {
                             prop_assert_eq!(
                                 store.consecutive_run(lo, hi, cap),

@@ -7,7 +7,9 @@
 //! interleaves such messages, from members, strangers and the peer's own
 //! id, with honest in-order traffic and checks after every step that
 //! nothing panicked, the chain still grows in order, and no table outgrew
-//! the rows it holds plus [`SPAN`].
+//! the rows it holds plus [`SPAN`]. A hostile digest pairs such a top
+//! with an empty, full or lone-bit mask, or one naming genesis and below:
+//! it adds at most 64 rows to the round's offers, as an honest one can.
 //!
 //! `StateInfo` rides along, the tables it reaches being keyed by *peer*:
 //! the recovery engine's height and checkpoint views never hold more rows
@@ -69,6 +71,13 @@ fn hostile_number(class: u8, height: u64) -> u64 {
     }
 }
 
+/// Digest masks: empty, the top alone, all 64, the lowest alone, bits
+/// naming genesis and nothing (from `top` up), and every other number.
+fn hostile_mask(class: u8, top: u64) -> u64 {
+    let from_top = u64::MAX << top.min(63);
+    [0, 1, u64::MAX, 1 << 63, from_top, 0x5555_5555_5555_5555][usize::from(class)]
+}
+
 fn hostile_counter(class: u8) -> u32 {
     [0, TTL - 1, TTL, 63, 64, u32::MAX][usize::from(class)]
 }
@@ -108,7 +117,8 @@ proptest! {
                 1 => GossipMsg::PushRequest { block_num: num, counter },
                 2 => GossipMsg::PullDigestResponse {
                     nonce: pull_rounds,
-                    block_nums: vec![num, other, num],
+                    top: num,
+                    held: hostile_mask(counter_class, num),
                 },
                 3 => GossipMsg::PullRequest { nonce: pull_rounds, block_nums: vec![num, other] },
                 4 => GossipMsg::RecoveryRequest { from: num, to: other },
@@ -145,8 +155,11 @@ proptest! {
                     GossipMsg::BlockPush { block: block(honest_head), counter: 3 }
                 }
             };
+            // The fourth table is the pull round's offers.
+            let offers = peer.tables()[3].1;
             peer.on_message(&mut fx, from, msg);
             fx.take_sent();
+            prop_assert!(peer.tables()[3].1 <= offers + 64, "a digest named over 64 numbers");
 
             let height = peer.height();
             prop_assert!(height >= before, "height went back");
@@ -154,8 +167,14 @@ proptest! {
             let store = peer.store();
             prop_assert!((1..height).all(|n| store.get(n).is_some()), "gap below the height");
             prop_assert_eq!(fx.delivered_numbers(), (1..height).collect::<Vec<_>>());
+            // The digest returns, naming exactly the numbers held among the
+            // 64 from its top down, however far a hostile row put the top.
+            let (top, held) = store.digest();
+            prop_assert_eq!(top, store.max_seen());
+            for i in 0..64 {
+                prop_assert_eq!((held >> i) & 1 == 1, i < top && store.get(top - i).is_some());
+            }
             // Whole-range queries cost what is held, or this never returns.
-            prop_assert_eq!(store.available_in(0, u64::MAX).len(), store.len());
             prop_assert!(store.consecutive_run(0, u64::MAX, batch_max).is_empty());
             prop_assert_eq!(
                 store.consecutive_run(1, u64::MAX, batch_max).len() as u64,

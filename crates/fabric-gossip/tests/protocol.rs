@@ -424,10 +424,10 @@ fn pull_engine_four_phase_flow() {
     responder.on_message(&mut sfx, PeerId(1), GossipMsg::PullHello { nonce });
     let digest = sfx.take_sent();
     assert_eq!(digest.len(), 1);
-    let GossipMsg::PullDigestResponse { block_nums, .. } = &digest[0].1 else {
+    let GossipMsg::PullDigestResponse { top, held, .. } = digest[0].1 else {
         panic!("expected digest response")
     };
-    assert_eq!(block_nums, &vec![1, 2, 3]);
+    assert_eq!((top, held), (3, 0b111), "blocks 3, 2 and 1");
 
     // Phase 3: digests accumulate during the digest-wait window; at its
     // expiry the requester asks for everything it lacks.
@@ -471,7 +471,8 @@ fn stale_pull_responses_are_ignored() {
         PeerId(2),
         GossipMsg::PullDigestResponse {
             nonce: 1,
-            block_nums: vec![1, 2],
+            top: 2,
+            held: 0b11,
         },
     );
     peer.on_timer(&mut fx, GossipTimer::PullDigestWait { nonce: 1 });
@@ -498,7 +499,8 @@ fn pull_round_requests_each_block_from_one_advertiser() {
         PeerId(2),
         GossipMsg::PullDigestResponse {
             nonce,
-            block_nums: vec![1, 2],
+            top: 2,
+            held: 0b11,
         },
     );
     peer.on_message(
@@ -506,7 +508,8 @@ fn pull_round_requests_each_block_from_one_advertiser() {
         PeerId(3),
         GossipMsg::PullDigestResponse {
             nonce,
-            block_nums: vec![2, 3],
+            top: 3,
+            held: 0b11,
         },
     );
     assert!(fx.take_sent().is_empty());
