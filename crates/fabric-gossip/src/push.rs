@@ -546,6 +546,106 @@ mod tests {
         BlockRef::new(Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]))
     }
 
+    /// A push item as `(kind, block, counter)`, and one sent to a target.
+    type Item = (&'static str, u64, u32);
+    type Sent = (PeerId, &'static str, u64, u32);
+
+    /// What went out since the last call.
+    fn sends(fx: &mut MockEffects) -> Vec<Sent> {
+        let row = |(to, msg)| match msg {
+            GossipMsg::BlockPush { block, counter } => (to, "block", block.number(), counter),
+            GossipMsg::PushDigest { block_num, counter } => (to, "digest", block_num, counter),
+            GossipMsg::PushRequest { block_num, counter } => (to, "request", block_num, counter),
+            other => panic!("not a push message: {other:?}"),
+        };
+        fx.take_sent().into_iter().map(row).collect()
+    }
+
+    /// Each item in order, to every member of the next sample of `k` that
+    /// `twin` (the engine's seed) draws: what one emission sends.
+    fn emitted(c: &ChannelCore, twin: &mut MockEffects, k: usize, items: &[Item]) -> Vec<Sent> {
+        let targets = c.membership.sample(twin.rng(), k);
+        let each = |&(kind, num, counter)| targets.iter().map(move |&t| (t, kind, num, counter));
+        items.iter().flat_map(each).collect()
+    }
+
+    const FLUSH: (Duration, GossipTimer) = (Duration::from_millis(10), GossipTimer::PushFlush);
+
+    /// Infect-and-die: the tenth block sends all ten to one sample, the one
+    /// armed timer a later one alone; an empty flush draws nothing.
+    #[test]
+    fn emitter_infect_and_die_burst_shares_one_sample() {
+        let mut c = core(GossipConfig::original_fabric());
+        let mut e = PushEngine::default();
+        let (mut fx, mut twin) = (MockEffects::new(3), MockEffects::new(3));
+        for num in 1..=9 {
+            e.on_block_push(&mut c, &mut fx, PeerId(1), block(num), 0);
+        }
+        assert!(sends(&mut fx).is_empty());
+        e.on_block_push(&mut c, &mut fx, PeerId(1), block(10), 0);
+        let burst: Vec<_> = (1..=10).map(|n| ("block", n, 0)).collect();
+        assert_eq!(sends(&mut fx), emitted(&c, &mut twin, 3, &burst));
+        assert_eq!(fx.take_scheduled(), [FLUSH]);
+        e.on_block_push(&mut c, &mut fx, PeerId(1), block(11), 0);
+        assert!(sends(&mut fx).is_empty() && fx.take_scheduled().is_empty());
+        e.on_flush(&mut c, &mut fx);
+        let late = [("block", 11, 0)];
+        assert_eq!(sends(&mut fx), emitted(&c, &mut twin, 3, &late));
+        e.on_flush(&mut c, &mut fx);
+        assert!(sends(&mut fx).is_empty() && fx.rng() == twin.rng());
+        assert_eq!((c.stats.blocks_sent, c.stats.digests_sent), (33, 0));
+    }
+
+    /// A free rider fetches what it lacks as an honest peer does, and
+    /// forwards nothing.
+    #[test]
+    fn emitter_free_rider_fetches_and_never_forwards() {
+        let mut c = core(GossipConfig::enhanced_f4());
+        c.forwarding = false;
+        let (mut e, mut fx) = (PushEngine::default(), MockEffects::new(3));
+        e.on_push_digest(&mut c, &mut fx, PeerId(1), 1, 3);
+        assert_eq!(sends(&mut fx), [(PeerId(1), "request", 1, 3)]);
+        let block_num = 1;
+        let retry = |attempt| GossipTimer::FetchRetry { block_num, attempt };
+        assert_eq!(fx.take_scheduled(), [(FETCH_TIMEOUT, retry(1))]);
+        e.on_push_digest(&mut c, &mut fx, PeerId(2), 1, 4);
+        assert!(sends(&mut fx).is_empty() && fx.take_scheduled().is_empty());
+        e.on_fetch_retry(&mut c, &mut fx, 1, 1);
+        assert_eq!(sends(&mut fx), [(PeerId(2), "request", 1, 4)]);
+        assert_eq!(fx.take_scheduled(), [(FETCH_TIMEOUT, retry(2))]);
+        e.on_block_push(&mut c, &mut fx, PeerId(2), block(1), 4);
+        e.on_push_digest(&mut c, &mut fx, PeerId(3), 1, 5);
+        assert!(sends(&mut fx).is_empty() && fx.take_scheduled().is_empty());
+        let s = &c.stats;
+        assert_eq!((s.fetch_requests, s.blocks_sent, s.digests_sent), (2, 0, 0));
+    }
+
+    /// Contagion with `tpush` = 10 ms: the leader's hand-off goes out at
+    /// once; forwards share one flush, past `ttl_direct` as digests.
+    #[test]
+    fn emitter_contagion_leader_skips_the_buffer_forwards_share_it() {
+        let mut cfg = GossipConfig::enhanced_f4();
+        if let PushMode::InfectUponContagion { tpush, .. } = &mut cfg.push {
+            *tpush = FLUSH.0;
+        }
+        let mut c = core(cfg);
+        let mut e = PushEngine::default();
+        let (mut fx, mut twin) = (MockEffects::new(3), MockEffects::new(3));
+        e.on_block_from_orderer(&mut c, &mut fx, block(1));
+        let hand_off = [("block", 1, 0)];
+        assert_eq!(sends(&mut fx), emitted(&c, &mut twin, 1, &hand_off));
+        assert!(fx.take_scheduled().is_empty());
+        e.on_block_push(&mut c, &mut fx, PeerId(1), block(2), 2);
+        e.on_push_digest(&mut c, &mut fx, PeerId(2), 2, 0);
+        assert!(sends(&mut fx).is_empty());
+        assert_eq!(fx.take_scheduled(), [FLUSH]);
+        e.on_flush(&mut c, &mut fx);
+        let items = [("digest", 2, 3), ("block", 2, 1)];
+        assert_eq!(sends(&mut fx), emitted(&c, &mut twin, 4, &items));
+        assert!(fx.rng() == twin.rng());
+        assert_eq!((c.stats.blocks_sent, c.stats.digests_sent), (5, 4));
+    }
+
     /// A mask row is the mask itself: a stored mask is never zero, so an
     /// empty slot needs no tag word.
     #[test]
