@@ -36,7 +36,8 @@ use crate::store::BlockStore;
 /// Counters exposed for experiments and tests, kept **per channel**.
 ///
 /// A peer joined to several channels owns one `PeerStats` per channel; a
-/// peer-wide figure is the sum of its channels' rows.
+/// peer-wide figure is the sum of its channels' rows. Sent messages are
+/// counted by [`ChannelCore::send`] alone.
 #[derive(Debug, Clone, Default)]
 pub struct PeerStats {
     /// How many blocks arrived for the first time. When each arrived is
@@ -50,11 +51,11 @@ pub struct PeerStats {
     pub blocks_sent: u64,
     /// Push digests sent.
     pub digests_sent: u64,
-    /// Push content fetch requests issued.
+    /// Push content fetch requests sent.
     pub fetch_requests: u64,
     /// Pull rounds initiated.
     pub pull_rounds: u64,
-    /// Snapshot requests issued (snapshot bootstrap).
+    /// Snapshot requests sent (snapshot bootstrap).
     pub snapshot_requests: u64,
     /// Snapshots served to other peers.
     pub snapshots_served: u64,
@@ -182,10 +183,20 @@ impl ChannelCore {
         }
     }
 
-    /// Sends `msg` to `to` on this core's channel, recording the byte cost
-    /// in the per-kind breakdown. Every engine send goes through here so
-    /// the fairness accounting can never miss a message.
+    /// Sends `msg` to `to` on this core's channel and counts it in
+    /// [`PeerStats`] (blocks, digests, requests, bytes per kind). Every
+    /// engine send goes through here; a Byzantine injection does not.
     pub fn send(&mut self, fx: &mut dyn Effects, to: PeerId, msg: GossipMsg) {
+        match &msg {
+            GossipMsg::BlockPush { .. } => self.stats.blocks_sent += 1,
+            GossipMsg::PullResponse { blocks, .. } | GossipMsg::RecoveryResponse { blocks } => {
+                self.stats.blocks_sent += blocks.len() as u64;
+            }
+            GossipMsg::PushDigest { .. } => self.stats.digests_sent += 1,
+            GossipMsg::PushRequest { .. } => self.stats.fetch_requests += 1,
+            GossipMsg::SnapshotRequest { .. } => self.stats.snapshot_requests += 1,
+            _ => {}
+        }
         self.stats
             .bytes_sent_by_kind
             .add(msg.kind_id(), msg.wire_size() as u64);

@@ -12,14 +12,14 @@
 //!
 //! What has one value in every deployment is a named constant beside the
 //! code that reads it, not a field: the infect-and-die burst of 10 blocks
-//! (`push::PUSH_BURST`), the content-fetch retry policy of 500 ms and 5
-//! attempts (`push::FETCH_TIMEOUT`, `push::FETCH_ATTEMPTS`), the pull
-//! fan-in of 3 peers (`pull::FIN`), its 1 s digest wait
-//! (`pull::DIGEST_WAIT`) and digest window of 64 blocks, one bit each of
-//! the digest's mask (`pull::DIGEST_WINDOW`), and a snapshot request's
-//! first timeout of 8 s (`recovery::SNAPSHOT_REQUEST_TIMEOUT`). Who leads
-//! is no setting either: it follows the membership shape
-//! ([`DiscoveryConfig`]).
+//! (`push::PUSH_BURST`; contagion buffers by time only), the content-fetch
+//! retry policy of 500 ms and 5 attempts (`push::FETCH_TIMEOUT`,
+//! `push::FETCH_ATTEMPTS`), the pull fan-in of 3 peers (`pull::FIN`), its
+//! 1 s digest wait (`pull::DIGEST_WAIT`) and digest window of 64 blocks,
+//! one bit each of the digest's mask (`pull::DIGEST_WINDOW`), and a
+//! snapshot request's first timeout of 8 s
+//! (`recovery::SNAPSHOT_REQUEST_TIMEOUT`). Who leads is no setting either:
+//! it follows the membership shape ([`DiscoveryConfig`]).
 
 use desim::Duration;
 use serde::{Deserialize, Serialize};
@@ -28,10 +28,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PushMode {
     /// Stock Fabric: a peer pushes a block once, on first reception, to
-    /// `fout` random peers, then never again ("infect and die"). Newly
-    /// received blocks wait in a buffer flushed after `tpush` or when it
-    /// holds 10 blocks (Fabric's burst size); every flush shares one random
-    /// target sample.
+    /// `fout` random peers, then never again ("infect and die"). The leader
+    /// does the same with the blocks of the ordering service, so
+    /// `f_leader_out` must equal `fout`. Newly received blocks wait in a
+    /// buffer flushed after `tpush` or when it holds 10 blocks (Fabric's
+    /// burst size); every flush shares one random target sample.
     InfectAndDie {
         /// Buffer flush timer (Fabric default: 10 ms).
         tpush: Duration,
@@ -48,7 +49,8 @@ pub enum PushMode {
         digests: bool,
         /// Forward buffering timer. The paper sets this to zero for data
         /// blocks to keep every `(block, counter)` pair on an independent
-        /// random sample; nonzero values reproduce the bias ablation.
+        /// random sample; nonzero values reproduce the bias ablation (no
+        /// burst; the leader's hand-off is never buffered).
         tpush: Duration,
     },
 }
@@ -192,8 +194,9 @@ pub struct GossipConfig {
     /// Push fan-out for regular peers.
     pub fout: usize,
     /// Push fan-out of the leader peer when it receives a block from the
-    /// ordering service. Stock Fabric uses `fout`; the enhanced protocol
-    /// sets 1 and lets the chosen peer start the dissemination.
+    /// ordering service, read under contagion only: the enhanced protocol
+    /// sets 1 and lets the chosen peer start the dissemination. Stock
+    /// Fabric's leader pushes like any peer, so this must equal `fout`.
     pub f_leader_out: usize,
     /// Push phase behaviour.
     pub push: PushMode,
@@ -358,6 +361,9 @@ impl GossipConfig {
         if self.f_leader_out == 0 {
             return Err("f_leader_out must be positive".into());
         }
+        if matches!(self.push, PushMode::InfectAndDie { .. }) && self.f_leader_out != self.fout {
+            return Err("infect-and-die pushes at fout: f_leader_out must equal it".into());
+        }
         if let PushMode::InfectUponContagion {
             ttl, ttl_direct, ..
         } = &self.push
@@ -463,6 +469,9 @@ mod tests {
 
         let mut c = GossipConfig::original_fabric();
         c.recovery.batch_max = 0;
+        assert!(c.validate().is_err());
+        let mut c = GossipConfig::original_fabric();
+        c.f_leader_out = 1;
         assert!(c.validate().is_err());
     }
 

@@ -160,7 +160,6 @@ impl PullEngine {
             .filter_map(|n| core.store.get(*n).cloned())
             .collect();
         if !blocks.is_empty() {
-            core.stats.blocks_sent += blocks.len() as u64;
             core.send(fx, from, GossipMsg::PullResponse { nonce, blocks });
         }
     }

@@ -2,6 +2,17 @@
 //! (the paper's enhancement), including digest announcements and the
 //! content-fetch retry machinery.
 //!
+//! The two protocols differ in *what* a peer forwards and *when* — a first
+//! reception once, or each new counter until the TTL — but send the same
+//! way. A forward is due as a `(block, counter)` item; with `tpush = 0` it
+//! leaves at once, otherwise it waits in the one buffer for the `tpush`
+//! flush (under infect-and-die also for `PUSH_BURST` items). Either way
+//! it leaves through one emitter: sample `k` members once, send every item
+//! to each. Items that leave in one flush share a target sample — the bias
+//! of §IV, which the paper's `tpush = 0` removes by giving every item its
+//! own. The contagion leader's hand-off takes the emitter directly, at
+//! `f_leader_out`.
+//!
 //! The engine owns only push-private state; everything shared with the
 //! other engines (store, membership, counters, configuration) lives in the
 //! [`ChannelCore`] passed into every entry point, which makes the protocol
@@ -45,10 +56,9 @@ struct PendingFetch {
     /// Counters received in digests while the content was missing; each one
     /// owes a forward once the content arrives.
     counters: Vec<u32>,
-    /// Peers that advertised the block (retry candidates).
+    /// Peers that advertised the block, the first one asked first (retry
+    /// candidates, in order).
     advertisers: Vec<PeerId>,
-    /// Fetch attempts made so far.
-    attempts: u32,
 }
 
 /// The `(block, counter)` pairs already processed: per block, bit `c` of
@@ -94,28 +104,22 @@ impl SeenPairs {
 /// Push-phase state of one channel instance.
 #[derive(Debug, Default)]
 pub struct PushEngine {
-    // ---- push: original (infect-and-die) ----
-    /// Blocks awaiting the buffered push flush.
-    push_buffer: Vec<BlockRef>,
+    /// Items awaiting the `tpush` flush, in the order they fell due.
+    buffer: Vec<(BlockRef, u32)>,
     /// Whether a PushFlush timer is armed.
     flush_armed: bool,
-
-    // ---- push: enhanced (infect-upon-contagion) ----
-    /// `(block, counter)` pairs already processed.
+    /// `(block, counter)` pairs already processed (infect-upon-contagion).
     seen_pairs: SeenPairs,
     /// Content fetches in flight, by block number.
     pending_fetch: BlockMap<PendingFetch>,
-    /// Pairs awaiting a buffered forward (`tpush > 0` ablation).
-    forward_buffer: Vec<(BlockRef, u32)>,
 }
 
 impl PushEngine {
-    /// Drops everything a process crash would lose (buffers, in-flight
-    /// fetches, dedup memory is *kept* — it mirrors the store, which
+    /// Drops everything a process crash would lose (the buffer, in-flight
+    /// fetches; dedup memory is *kept* — it mirrors the store, which
     /// survives).
     pub fn clear_volatile(&mut self) {
-        self.push_buffer.clear();
-        self.forward_buffer.clear();
+        self.buffer.clear();
         self.flush_armed = false;
         self.pending_fetch = BlockMap::default();
     }
@@ -150,39 +154,19 @@ impl PushEngine {
         fx: &mut dyn Effects,
         block: BlockRef,
     ) {
-        let num = block.number();
-        let is_new = core.accept_content(fx, &block);
-        if !is_new {
-            return;
-        }
-        if !core.forwarding {
+        if !core.accept_content(fx, &block) || !core.forwarding {
             return;
         }
         match core.cfg.push {
-            PushMode::InfectAndDie { .. } => {
-                // The leader pushes through the same buffered emitter as any
-                // first reception (f_leader_out == fout in stock Fabric).
-                self.buffer_for_push(core, fx, block);
-            }
+            // The leader's first reception is any peer's: buffered, at
+            // `fout` (`f_leader_out` equals it, as in stock Fabric).
+            PushMode::InfectAndDie { .. } => self.queue(core, fx, block, 0),
             PushMode::InfectUponContagion { .. } => {
-                // Hand the block to f_leader_out random peers with counter 0;
-                // they start the infect-upon-contagion dissemination.
-                self.seen_pairs.insert(num, 0);
-                let targets = {
-                    let k = core.cfg.f_leader_out;
-                    core.membership.sample(fx.rng(), k)
-                };
-                for t in targets {
-                    core.stats.blocks_sent += 1;
-                    core.send(
-                        fx,
-                        t,
-                        GossipMsg::BlockPush {
-                            block: block.clone(),
-                            counter: 0,
-                        },
-                    );
-                }
+                // Hand the block to f_leader_out random peers with counter 0,
+                // never buffered; they start the dissemination.
+                self.seen_pairs.insert(block.number(), 0);
+                let k = core.cfg.f_leader_out;
+                emit(core, fx, k, &[(block, 0)]);
             }
         }
     }
@@ -218,36 +202,28 @@ impl PushEngine {
             return;
         }
         match core.cfg.push {
-            PushMode::InfectAndDie { .. } => {
-                // Infect and die: forward only on first content reception.
-                if is_new {
-                    self.buffer_for_push(core, fx, block);
-                }
-            }
+            // Infect and die: forward only on first content reception.
+            PushMode::InfectAndDie { .. } if is_new => self.queue(core, fx, block, 0),
+            PushMode::InfectAndDie { .. } => {}
             PushMode::InfectUponContagion { ttl, .. } => {
                 // Forward once per distinct counter; content arrival also
                 // settles the forwards owed by digests that preceded it.
-                let mut owed: Vec<u32> = Vec::new();
-                if is_new {
-                    if let Some(pending) = self.pending_fetch.remove(num) {
-                        owed.extend(pending.counters);
-                    }
-                }
+                let fetched = is_new.then(|| self.pending_fetch.remove(num)).flatten();
+                let mut owed = fetched.map_or_else(Vec::new, |pending| pending.counters);
                 if self.seen_pairs.insert(num, counter) {
                     owed.push(counter);
                 }
                 owed.sort_unstable();
                 owed.dedup();
-                for c in owed {
-                    if c < ttl {
-                        self.queue_forward(core, fx, block.clone(), c + 1);
-                    }
+                for c in owed.into_iter().filter(|&c| c < ttl) {
+                    self.queue(core, fx, block.clone(), c + 1);
                 }
             }
         }
     }
 
-    /// A digest announcing content this peer may lack.
+    /// A digest announcing content this peer may lack. A free rider takes
+    /// the same path — it wants the chain — but never forwards.
     pub fn on_push_digest(
         &mut self,
         core: &mut ChannelCore,
@@ -260,40 +236,14 @@ impl PushEngine {
         let PushMode::InfectUponContagion { ttl, .. } = core.cfg.push else {
             return; // digests are not part of the original protocol
         };
-        if !core.forwarding {
-            // A free-rider still fetches content it lacks (it wants the
-            // chain) but never re-announces it.
-            if !self.seen_pairs.insert(block_num, counter) || core.store.has(block_num) {
-                return;
-            }
-            let pending = self.pending(block_num);
-            pending.counters.push(counter);
-            if !pending.advertisers.contains(&from) {
-                pending.advertisers.push(from);
-            }
-            if pending.attempts == 0 {
-                pending.attempts = 1;
-                core.stats.fetch_requests += 1;
-                core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
-                core.schedule(
-                    fx,
-                    FETCH_TIMEOUT,
-                    GossipTimer::FetchRetry {
-                        block_num,
-                        attempt: 1,
-                    },
-                );
-            }
-            return;
-        }
         if !self.seen_pairs.insert(block_num, counter) {
             return;
         }
         match core.store.get(block_num) {
             Some(block) => {
-                if counter < ttl {
+                if core.forwarding && counter < ttl {
                     let block = block.clone();
-                    self.queue_forward(core, fx, block, counter + 1);
+                    self.queue(core, fx, block, counter + 1);
                 }
                 return;
             }
@@ -303,26 +253,28 @@ impl PushEngine {
             None => {}
         }
         // Content missing: fetch it, remembering the counter so the forward
-        // happens when the block arrives.
-        let pending = self.pending(block_num);
-        pending.counters.push(counter);
-        if !pending.advertisers.contains(&from) {
-            pending.advertisers.push(from);
+        // happens when the block arrives. The first digest opens the fetch
+        // and asks its sender; later ones join the rotation.
+        if let Some(pending) = self.pending_fetch.get_mut(block_num) {
+            pending.counters.push(counter);
+            if !pending.advertisers.contains(&from) {
+                pending.advertisers.push(from);
+            }
+            return;
         }
-        let first_request = pending.attempts == 0;
-        if first_request {
-            pending.attempts = 1;
-            core.stats.fetch_requests += 1;
-            core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
-            core.schedule(
-                fx,
-                FETCH_TIMEOUT,
-                GossipTimer::FetchRetry {
-                    block_num,
-                    attempt: 1,
-                },
-            );
-        }
+        let mut fetch = PendingFetch::default();
+        fetch.counters.push(counter);
+        fetch.advertisers.push(from);
+        self.pending_fetch.insert(block_num, fetch);
+        core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
+        core.schedule(
+            fx,
+            FETCH_TIMEOUT,
+            GossipTimer::FetchRetry {
+                block_num,
+                attempt: 1,
+            },
+        );
     }
 
     /// Serves a content request issued after one of our digests.
@@ -334,9 +286,7 @@ impl PushEngine {
         block_num: u64,
         counter: u32,
     ) {
-        if let Some(block) = core.store.get(block_num) {
-            let block = block.clone();
-            core.stats.blocks_sent += 1;
+        if let Some(block) = core.store.get(block_num).cloned() {
             core.send(fx, from, GossipMsg::BlockPush { block, counter });
         }
     }
@@ -361,22 +311,10 @@ impl PushEngine {
             self.pending_fetch.remove(block_num);
             return;
         }
-        pending.attempts = attempt + 1;
         let counter = pending.counters.last().copied().unwrap_or(0);
-        // Prefer an advertiser we have not asked yet (they rotate by
-        // attempt); any advertiser certainly has the content.
-        let advertisers = pending.advertisers.clone();
-        let target = advertisers
-            .get(attempt as usize % advertisers.len().max(1))
-            .copied()
-            .unwrap_or_else(|| {
-                core.membership
-                    .sample(fx.rng(), 1)
-                    .first()
-                    .copied()
-                    .unwrap_or(core.self_id)
-            });
-        core.stats.fetch_requests += 1;
+        // A fetch opens with its first advertiser, and any advertiser
+        // certainly has the content: the attempt rotates through them.
+        let target = pending.advertisers[attempt as usize % pending.advertisers.len()];
         core.send(fx, target, GossipMsg::PushRequest { block_num, counter });
         core.schedule(
             fx,
@@ -388,139 +326,78 @@ impl PushEngine {
         );
     }
 
-    /// The fetch in flight for `block_num`, opened if there is none.
-    fn pending(&mut self, block_num: u64) -> &mut PendingFetch {
-        if self.pending_fetch.get(block_num).is_none() {
-            self.pending_fetch
-                .insert(block_num, PendingFetch::default());
-        }
-        self.pending_fetch
-            .get_mut(block_num)
-            .expect("opened just above")
-    }
-
-    /// Original protocol: stage a first-reception block in the push buffer.
-    fn buffer_for_push(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects, block: BlockRef) {
-        let PushMode::InfectAndDie { tpush } = core.cfg.push else {
-            unreachable!("buffer_for_push is an infect-and-die path");
-        };
-        self.push_buffer.push(block);
-        if self.push_buffer.len() >= PUSH_BURST || tpush.is_zero() {
-            self.flush_push_buffer(core, fx);
-        } else if !self.flush_armed {
-            self.flush_armed = true;
-            core.schedule(fx, tpush, GossipTimer::PushFlush);
-        }
-    }
-
-    /// Enhanced protocol: forward `(block, counter)`, immediately or via the
-    /// `tpush` buffer (the bias ablation).
-    fn queue_forward(
+    /// Forwards `(block, counter)`: at once when the mode's `tpush` is
+    /// zero, otherwise through the buffer, which infect-and-die also
+    /// flushes when it holds [`PUSH_BURST`] items.
+    fn queue(
         &mut self,
         core: &mut ChannelCore,
         fx: &mut dyn Effects,
         block: BlockRef,
         counter: u32,
     ) {
-        let PushMode::InfectUponContagion { tpush, .. } = core.cfg.push else {
-            unreachable!("queue_forward is an infect-upon-contagion path");
+        let (tpush, burst) = match core.cfg.push {
+            PushMode::InfectAndDie { tpush } => (tpush, PUSH_BURST),
+            PushMode::InfectUponContagion { tpush, .. } => (tpush, usize::MAX),
         };
         if tpush.is_zero() {
-            self.forward_pairs(core, fx, &[(block, counter)]);
-        } else {
-            self.forward_buffer.push((block, counter));
-            if !self.flush_armed {
-                self.flush_armed = true;
-                core.schedule(fx, tpush, GossipTimer::PushFlush);
-            }
+            let k = core.cfg.fout;
+            return emit(core, fx, k, &[(block, counter)]);
+        }
+        self.buffer.push((block, counter));
+        if self.buffer.len() >= burst {
+            self.flush(core, fx);
+        } else if !self.flush_armed {
+            self.flush_armed = true;
+            core.schedule(fx, tpush, GossipTimer::PushFlush);
         }
     }
 
-    /// The PushFlush timer: emit whatever the active protocol buffered.
+    /// The PushFlush timer: emit whatever is buffered.
     pub fn on_flush(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         self.flush_armed = false;
-        match core.cfg.push {
-            PushMode::InfectAndDie { .. } => self.flush_push_buffer(core, fx),
-            PushMode::InfectUponContagion { .. } => {
-                let items = std::mem::take(&mut self.forward_buffer);
-                if !items.is_empty() {
-                    self.forward_pairs(core, fx, &items);
-                }
-            }
-        }
+        self.flush(core, fx);
     }
 
-    /// Infect-and-die flush: one random target sample shared by every
-    /// buffered block (the bias the paper describes), then die.
-    fn flush_push_buffer(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        if self.push_buffer.is_empty() {
-            return;
-        }
-        let blocks = std::mem::take(&mut self.push_buffer);
-        let targets = {
+    /// Sends the buffer on one sample of `fout`; an empty one draws and
+    /// sends nothing.
+    fn flush(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
+        if !self.buffer.is_empty() {
             let k = core.cfg.fout;
-            core.membership.sample(fx.rng(), k)
-        };
-        for block in &blocks {
-            for t in &targets {
-                core.stats.blocks_sent += 1;
-                core.send(
-                    fx,
-                    *t,
-                    GossipMsg::BlockPush {
-                        block: block.clone(),
-                        counter: 0,
-                    },
-                );
-            }
+            emit(core, fx, k, &self.buffer);
+            self.buffer.clear();
         }
     }
+}
 
-    /// Enhanced forward of one or more pairs sharing a target sample (a
-    /// single pair when `tpush = 0`, the unbiased setting).
-    fn forward_pairs(
-        &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
-        items: &[(BlockRef, u32)],
-    ) {
-        let PushMode::InfectUponContagion {
+/// The one way a push leaves: sample `k` members once, then send every
+/// item to each of them, in item order. An item goes as its block, or —
+/// under contagion with digests — as a digest once its counter exceeds
+/// `ttl_direct`.
+fn emit(core: &mut ChannelCore, fx: &mut dyn Effects, k: usize, items: &[(BlockRef, u32)]) {
+    let digest_above = match core.cfg.push {
+        PushMode::InfectUponContagion {
             ttl_direct,
-            digests,
+            digests: true,
             ..
-        } = core.cfg.push
-        else {
-            unreachable!("forward_pairs is an infect-upon-contagion path");
-        };
-        let targets = {
-            let k = core.cfg.fout;
-            core.membership.sample(fx.rng(), k)
-        };
-        for (block, counter) in items {
-            let direct = !digests || *counter <= ttl_direct;
-            for t in &targets {
-                if direct {
-                    core.stats.blocks_sent += 1;
-                    core.send(
-                        fx,
-                        *t,
-                        GossipMsg::BlockPush {
-                            block: block.clone(),
-                            counter: *counter,
-                        },
-                    );
-                } else {
-                    core.stats.digests_sent += 1;
-                    core.send(
-                        fx,
-                        *t,
-                        GossipMsg::PushDigest {
-                            block_num: block.number(),
-                            counter: *counter,
-                        },
-                    );
+        } => ttl_direct,
+        _ => u32::MAX,
+    };
+    let targets = core.membership.sample(fx.rng(), k);
+    for (block, counter) in items {
+        for &to in &targets {
+            let msg = if *counter > digest_above {
+                GossipMsg::PushDigest {
+                    block_num: block.number(),
+                    counter: *counter,
                 }
-            }
+            } else {
+                GossipMsg::BlockPush {
+                    block: block.clone(),
+                    counter: *counter,
+                }
+            };
+            core.send(fx, to, msg);
         }
     }
 }

@@ -267,7 +267,6 @@ impl RecoveryEngine {
                 (advertised.expect("a candidate advertised").height, 0)
             }
         };
-        core.stats.snapshot_requests += 1;
         core.send(fx, pick, GossipMsg::SnapshotRequest { height, from_chunk });
         self.inflight = Some(SnapshotTransfer {
             server: pick,
@@ -292,7 +291,6 @@ impl RecoveryEngine {
             .store
             .consecutive_run(lo, to, core.cfg.recovery.batch_max);
         if !blocks.is_empty() {
-            core.stats.blocks_sent += blocks.len() as u64;
             core.send(fx, from, GossipMsg::RecoveryResponse { blocks });
         }
     }

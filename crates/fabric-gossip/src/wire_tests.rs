@@ -5,11 +5,12 @@
 //! `PullDigestResponse`, `PullRequest`, `RecoveryRequest` and as the
 //! number of a pushed, pulled or recovered payload. The property test
 //! interleaves such messages, from members, strangers and the peer's own
-//! id, with honest in-order traffic and checks after every step that
-//! nothing panicked, the chain still grows in order, and no table outgrew
-//! the rows it holds plus [`SPAN`]. A hostile digest pairs such a top
-//! with an empty, full or lone-bit mask, or one naming genesis and below:
-//! it adds at most 64 rows to the round's offers, as an honest one can.
+//! id, with honest in-order traffic, on an honest peer or a free rider,
+//! and checks after every step that nothing panicked, the chain still
+//! grows in order, and no table outgrew the rows it holds plus [`SPAN`].
+//! A hostile digest pairs such a top with an empty, full or lone-bit
+//! mask, or one naming genesis and below: it adds at most 64 rows to the
+//! round's offers, as an honest one can.
 //!
 //! `StateInfo` rides along, the tables it reaches being keyed by *peer*:
 //! the recovery engine's height and checkpoint views never hold more rows
@@ -85,10 +86,10 @@ fn hostile_counter(class: u8) -> u32 {
 proptest! {
     #[test]
     fn wire_hostile_numbers_neither_panic_nor_grow_the_tables(
-        mode in 0u8..8,
+        mode in 0u8..16,
         ops in proptest::collection::vec((0u8..16, 0u8..10, 0u8..6, 0u8..11), 1..220),
     ) {
-        let [enhanced, leading, snapshots] = [1, 2, 4].map(|bit| mode & bit != 0);
+        let [enhanced, leading, snapshots, free_riding] = [1, 2, 4, 8].map(|bit| mode & bit != 0);
         let mut cfg = if enhanced {
             GossipConfig::enhanced(4, TTL, 2)
         } else {
@@ -100,6 +101,7 @@ proptest! {
         let batch_max = cfg.recovery.batch_max;
         let roster = if leading { 5..15 } else { 0..10 };
         let mut peer = GossipPeer::new(ME, roster.map(PeerId).collect(), cfg);
+        peer.set_forwarding(!free_riding);
         let mut fx = MockEffects::new(11);
         peer.init(&mut fx);
         let seated = peer.is_leader();
