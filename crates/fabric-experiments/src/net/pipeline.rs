@@ -263,8 +263,7 @@ impl FabricNet {
     /// Collects one endorsement; once all of the channel's endorsers
     /// answered, compares the read sets (the client-side detection of
     /// §II-C) and either submits the merged proposal on the channel or
-    /// discards it as a proposal-time conflict. Either way the round is
-    /// closed, so the invocation's arguments are released.
+    /// discards it as a proposal-time conflict.
     fn handle_endorsed(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NetTimer>,
@@ -283,7 +282,6 @@ impl FabricNet {
             .remove(&index)
             .expect("just inserted")
             .into_iter();
-        self.schedule[index].args = Vec::new();
         let mut merged = collected.next().expect("at least one endorsement");
         let consistent = collected.as_slice().iter().all(|t| t.rwset == merged.rwset);
         if !consistent {

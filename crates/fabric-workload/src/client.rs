@@ -31,7 +31,7 @@ pub fn endorse_invocation(
     endorser_state: &StateDb,
     msp: &Msp,
 ) -> Result<Transaction, ChaincodeError> {
-    let input = ChaincodeInput::new(invocation.args.iter().cloned());
+    let input = ChaincodeInput::new([invocation.arg.as_str()]);
     let (name, rwset) = match invocation.chaincode {
         ChaincodeKind::Increment => {
             let cc = IncrementChaincode;
@@ -58,12 +58,14 @@ mod tests {
     use fabric_types::rwset::{Key, Value, Version, WriteItem};
     use fabric_types::transaction::EndorsementPolicy;
 
+    use crate::schedule::InvocationArg;
+
     fn invocation(kind: ChaincodeKind, arg: &str) -> ScheduledInvocation {
         ScheduledInvocation {
             at: Time::ZERO,
             channel: fabric_types::ids::ChannelId::DEFAULT,
             chaincode: kind,
-            args: vec![arg.to_owned()],
+            arg: InvocationArg::new(arg),
             padding: 100,
         }
     }

@@ -19,6 +19,6 @@ pub mod schedule;
 
 pub use client::endorse_invocation;
 pub use schedule::{
-    increment_schedule, payload_schedule, ChaincodeKind, IncrementWorkload, PayloadWorkload,
-    ScheduledInvocation,
+    increment_schedule, payload_schedule, ChaincodeKind, IncrementWorkload, InvocationArg,
+    PayloadWorkload, ScheduledInvocation,
 };

@@ -8,6 +8,14 @@
 //! * [`increment_schedule`] — §V-D: 100 integer counters incremented 100
 //!   times each (10 000 transactions) at a fixed 5 tx/s, with a fresh
 //!   random permutation of the counter order in every round.
+//!
+//! A row is plain data: its one argument (`row{i}` or `counter{key}`) is an
+//! [`InvocationArg`] rendered once, inline, when the generator writes the
+//! row. A schedule is one `Vec` of 32-byte rows with nothing on the heap
+//! behind them: generating it allocates that `Vec` and nothing else, and
+//! an endorser builds its chaincode input from the inline string.
+
+use std::fmt;
 
 use desim::{Duration, Time};
 use fabric_types::ids::ChannelId;
@@ -24,8 +32,89 @@ pub enum ChaincodeKind {
     Payload,
 }
 
-/// One scheduled chaincode invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A chaincode argument of at most [`InvocationArg::CAPACITY`] bytes of
+/// UTF-8, held inline: `Copy`, 16 bytes, nothing on the heap. Equality and
+/// `Debug` go by the string.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct InvocationArg {
+    len: u8,
+    /// The string, then zeros: every constructor clears the tail, so the
+    /// derived equality is the string's.
+    bytes: [u8; InvocationArg::CAPACITY],
+}
+
+impl InvocationArg {
+    /// The most bytes an argument holds.
+    pub const CAPACITY: usize = 15;
+
+    /// The argument `arg`, or `None` when it is longer than
+    /// [`InvocationArg::CAPACITY`] bytes.
+    fn try_new(arg: &str) -> Option<Self> {
+        let len = arg.len();
+        if len > Self::CAPACITY {
+            return None;
+        }
+        let mut bytes = [0; Self::CAPACITY];
+        bytes[..len].copy_from_slice(arg.as_bytes());
+        Some(InvocationArg {
+            len: len as u8,
+            bytes,
+        })
+    }
+
+    /// The argument `arg`.
+    ///
+    /// # Panics
+    ///
+    /// If `arg` is longer than [`InvocationArg::CAPACITY`] bytes.
+    pub fn new(arg: &str) -> Self {
+        Self::try_new(arg).unwrap_or_else(|| {
+            panic!(
+                "invocation argument {arg:?} is {} bytes; at most {} fit inline",
+                arg.len(),
+                Self::CAPACITY
+            )
+        })
+    }
+
+    /// `prefix` followed by the decimal digits of `n` — what
+    /// `format!("{prefix}{n}")` renders — or `None` when that is longer
+    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written right
+    /// to left straight into the inline buffer.
+    fn numbered(prefix: &str, n: u64) -> Option<Self> {
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let len = prefix.len() + digits;
+        if len > Self::CAPACITY {
+            return None;
+        }
+        let mut bytes = [0; Self::CAPACITY];
+        bytes[..prefix.len()].copy_from_slice(prefix.as_bytes());
+        let mut rest = n;
+        for digit in bytes[prefix.len()..len].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        Some(InvocationArg {
+            len: len as u8,
+            bytes,
+        })
+    }
+
+    /// The argument as a string.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)])
+            .expect("built from a str or from ASCII digits")
+    }
+}
+
+impl fmt::Debug for InvocationArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// One scheduled chaincode invocation: plain `Copy` data, 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledInvocation {
     /// When the client issues the proposal.
     pub at: Time,
@@ -37,8 +126,8 @@ pub struct ScheduledInvocation {
     pub channel: ChannelId,
     /// Target chaincode.
     pub chaincode: ChaincodeKind,
-    /// Invocation arguments.
-    pub args: Vec<String>,
+    /// The invocation's one argument: the payload row or the counter key.
+    pub arg: InvocationArg,
     /// Wire padding applied to the resulting transaction.
     pub padding: u32,
 }
@@ -135,20 +224,43 @@ impl IncrementWorkload {
     }
 }
 
+/// Payload rows are numbered below this: `"row"` and twelve digits fill
+/// an [`InvocationArg`].
+const MAX_PAYLOAD_TXS: usize = 1_000_000_000_000;
+
+/// Counter keys are numbered below this: `"counter"` and eight digits fill
+/// an [`InvocationArg`].
+const MAX_COUNTER_KEYS: usize = 100_000_000;
+
+/// `prefix` and `n` rendered inline; the generators check their limits
+/// first, so the argument always fits.
+fn numbered_arg(prefix: &str, n: usize) -> InvocationArg {
+    InvocationArg::numbered(prefix, n as u64).expect("within the generator's limit")
+}
+
 fn issue_time(index: usize, rate_per_sec: f64) -> Time {
     Time::ZERO + Duration::from_secs_f64(index as f64 / rate_per_sec)
 }
 
 /// Generates the dissemination schedule: conflict-free payload writes, one
 /// unique delta row per transaction.
+///
+/// # Panics
+///
+/// If the rate is not positive or `total_txs` exceeds 10^12 (`"row"` and
+/// twelve digits fill an [`InvocationArg`]).
 pub fn payload_schedule(cfg: &PayloadWorkload) -> Vec<ScheduledInvocation> {
     assert!(cfg.rate_per_sec > 0.0, "rate must be positive");
+    assert!(
+        cfg.total_txs <= MAX_PAYLOAD_TXS,
+        "at most {MAX_PAYLOAD_TXS} payload rows fit an inline argument"
+    );
     (0..cfg.total_txs)
         .map(|i| ScheduledInvocation {
             at: issue_time(i, cfg.rate_per_sec),
             channel: ChannelId::DEFAULT,
             chaincode: ChaincodeKind::Payload,
-            args: vec![format!("row{i}")],
+            arg: numbered_arg("row", i),
             padding: cfg.tx_padding,
         })
         .collect()
@@ -157,9 +269,18 @@ pub fn payload_schedule(cfg: &PayloadWorkload) -> Vec<ScheduledInvocation> {
 /// Generates the conflict schedule: `rounds` random permutations of the
 /// counter keys, issued back to back at the configured rate. Deterministic
 /// in `seed`.
+///
+/// # Panics
+///
+/// If the rate is not positive, the workload is empty or `keys` exceeds
+/// 10^8 (`"counter"` and eight digits fill an [`InvocationArg`]).
 pub fn increment_schedule(cfg: &IncrementWorkload, seed: u64) -> Vec<ScheduledInvocation> {
     assert!(cfg.rate_per_sec > 0.0, "rate must be positive");
     assert!(cfg.keys > 0 && cfg.rounds > 0, "empty workload");
+    assert!(
+        cfg.keys <= MAX_COUNTER_KEYS,
+        "at most {MAX_COUNTER_KEYS} counter keys fit an inline argument"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..cfg.keys).collect();
     let mut out = Vec::with_capacity(cfg.total_txs());
@@ -175,7 +296,7 @@ pub fn increment_schedule(cfg: &IncrementWorkload, seed: u64) -> Vec<ScheduledIn
                 at: issue_time(index, cfg.rate_per_sec),
                 channel: ChannelId::DEFAULT,
                 chaincode: ChaincodeKind::Increment,
-                args: vec![format!("counter{key}")],
+                arg: numbered_arg("counter", key),
                 padding: 64,
             });
             index += 1;
@@ -198,8 +319,100 @@ mod tests {
         let last = sched.last().unwrap().at;
         assert!((last.as_secs_f64() - 1_500.0).abs() < 1.0);
         // All rows unique (conflict-free by construction).
-        let rows: HashSet<&String> = sched.iter().map(|s| &s.args[0]).collect();
+        let rows: HashSet<&str> = sched.iter().map(|s| s.arg.as_str()).collect();
         assert_eq!(rows.len(), 50_000);
+    }
+
+    /// The generators render the strings `format!` rendered before the
+    /// arguments were held inline.
+    #[test]
+    fn generated_arguments_are_unchanged() {
+        let sched = payload_schedule(&PayloadWorkload::default());
+        assert_eq!(sched[0].arg.as_str(), "row0");
+        assert_eq!(sched[49_999].arg.as_str(), "row49999");
+        let sched = increment_schedule(&IncrementWorkload::default(), 1);
+        let keys: Vec<&str> = sched[..10].iter().map(|s| s.arg.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "counter92",
+                "counter96",
+                "counter71",
+                "counter52",
+                "counter37",
+                "counter73",
+                "counter66",
+                "counter80",
+                "counter70",
+                "counter78",
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 15 fit inline")]
+    fn an_argument_past_the_capacity_is_refused() {
+        InvocationArg::new("counter123456789");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1000000000000 payload rows")]
+    fn a_payload_schedule_past_its_limit_panics() {
+        payload_schedule(&PayloadWorkload::shortened(MAX_PAYLOAD_TXS + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 100000000 counter keys")]
+    fn an_increment_schedule_past_its_limit_panics() {
+        increment_schedule(
+            &IncrementWorkload {
+                keys: MAX_COUNTER_KEYS + 1,
+                ..IncrementWorkload::default()
+            },
+            1,
+        );
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PREFIXES: [&str; 3] = ["row", "counter", ""];
+
+        /// The largest number each prefix holds: the generators' limits,
+        /// and fifteen digits for the bare number.
+        const EDGES: [u64; 3] = [
+            MAX_PAYLOAD_TXS as u64 - 1,
+            MAX_COUNTER_KEYS as u64 - 1,
+            999_999_999_999_999,
+        ];
+
+        proptest! {
+            /// An inline argument against the `format!` string it
+            /// replaced: same text for every prefix at 0, 9, 10, 99 999,
+            /// each limit's edge and any number in between; one past the
+            /// edge does not fit; and 16 bytes or more are refused (`new`
+            /// panics on what `try_new` refuses).
+            #[test]
+            fn model_invocation_arg_matches_format(
+                which in 0usize..3,
+                pick in 0usize..6,
+                any_n in 0u64..1_000_000_000_000_000,
+                long in proptest::collection::vec(0u8..26, 16..24),
+            ) {
+                let (prefix, edge) = (PREFIXES[which], EDGES[which]);
+                let n = [0, 9, 10, 99_999, edge, any_n % (edge + 1)][pick];
+                let arg = InvocationArg::numbered(prefix, n).expect("within the limit");
+                let rendered = format!("{prefix}{n}");
+                prop_assert_eq!(arg.as_str(), rendered.as_str());
+                prop_assert_eq!(arg, InvocationArg::new(&rendered));
+                prop_assert_eq!(format!("{arg:?}"), format!("{rendered:?}"));
+                prop_assert!(InvocationArg::numbered(prefix, edge + 1).is_none());
+
+                let long: String = long.iter().map(|&c| char::from(b'a' + c)).collect();
+                prop_assert!(InvocationArg::try_new(&long).is_none());
+            }
+        }
     }
 
     #[test]
@@ -223,9 +436,9 @@ mod tests {
         let sched = increment_schedule(&cfg, 42);
         assert_eq!(sched.len(), 50);
         for round in 0..5 {
-            let keys: HashSet<&String> = sched[round * 10..(round + 1) * 10]
+            let keys: HashSet<&str> = sched[round * 10..(round + 1) * 10]
                 .iter()
-                .map(|s| &s.args[0])
+                .map(|s| s.arg.as_str())
                 .collect();
             assert_eq!(keys.len(), 10, "round {round} must touch every key once");
         }
@@ -265,8 +478,8 @@ mod tests {
             rate_per_sec: 5.0,
         };
         let sched = increment_schedule(&cfg, 3);
-        let round1: Vec<&String> = sched[..50].iter().map(|s| &s.args[0]).collect();
-        let round2: Vec<&String> = sched[50..].iter().map(|s| &s.args[0]).collect();
+        let round1: Vec<&str> = sched[..50].iter().map(|s| s.arg.as_str()).collect();
+        let round2: Vec<&str> = sched[50..].iter().map(|s| s.arg.as_str()).collect();
         assert_ne!(
             round1, round2,
             "identical permutations are astronomically unlikely"
