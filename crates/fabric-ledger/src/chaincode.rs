@@ -178,15 +178,26 @@ mod tests {
         assert_eq!(rwset.writes[0].value.as_u64(), Some(1));
     }
 
+    /// An increment builds its counter's key once: a short key is held
+    /// inline by the read and the write, a long one is shared by both.
     #[test]
     fn held_once_increment_reads_and_writes_one_key() {
         let rwset = IncrementChaincode
             .simulate(&ChaincodeInput::new(["counter7"]), &StateDb::new())
             .unwrap();
-        assert!(std::sync::Arc::ptr_eq(
-            &rwset.reads[0].key.0,
-            &rwset.writes[0].key.0
-        ));
+        let (read, write) = (&rwset.reads[0].key, &rwset.writes[0].key);
+        assert!(crate::held_inline(read, read.as_bytes()));
+        assert!(crate::held_inline(write, write.as_bytes()));
+        let rwset = IncrementChaincode
+            .simulate(
+                &ChaincodeInput::new(["counter-past-sixteen"]),
+                &StateDb::new(),
+            )
+            .unwrap();
+        assert_eq!(
+            rwset.reads[0].key.as_bytes().as_ptr(),
+            rwset.writes[0].key.as_bytes().as_ptr()
+        );
     }
 
     #[test]
@@ -217,7 +228,7 @@ mod tests {
             Version::new(1, 0),
             &[WriteItem {
                 key: Key::from("blob"),
-                value: Value(vec![1, 2, 3].into()),
+                value: Value::from_bytes(&[1, 2, 3]),
             }],
         );
         assert!(IncrementChaincode

@@ -432,7 +432,7 @@ mod tests {
     use super::*;
     use crate::state::StateReader;
     use fabric_types::ids::{ClientId, PeerId, TxId};
-    use fabric_types::rwset::RwSet;
+    use fabric_types::rwset::{RwSet, Value};
     use fabric_types::transaction::Transaction;
 
     fn ledger() -> Ledger {
@@ -477,22 +477,37 @@ mod tests {
         assert_eq!(led.stats().valid_txs, 1);
     }
 
-    /// The world state holds a committed write's key and value by
-    /// reference: the block and the state share one copy, and so do a
-    /// snapshot export and the state rebuilt from it.
+    /// The world state holds a committed write's key and value inline
+    /// when they fit in 15 bytes, and by reference when they do not: the
+    /// block and the state then share one copy, and so do a snapshot
+    /// export and the state rebuilt from it.
     #[test]
     fn held_once_state_shares_the_committed_write() {
         let mut led = ledger();
-        let tx = endorsed_increment(&led, 1, "k", None, 1);
-        let block = BlockRef::new(Block::new(1, led.latest_hash(), vec![tx]));
-        let write = block.txs[0].rwset.writes[0].clone();
+        let short = endorsed_increment(&led, 1, "k", None, 1);
+        let rwset = RwSet::builder()
+            .write("a key past sixteen bytes", Value::from_bytes(&[7; 32]))
+            .build();
+        let mut long = Transaction::new(TxId(2), "blob", ClientId(0), rwset);
+        long.endorse(&led.msp, PeerId(0));
+        let block = BlockRef::new(Block::new(1, led.latest_hash(), vec![short, long]));
+        let write = block.txs[1].rwset.writes[0].clone();
         led.commit(block).unwrap();
-        let shares = |state: &StateDb| {
-            let (key, value, _) = state.iter().next().expect("one key committed");
-            Arc::ptr_eq(&key.0, &write.key.0) && Arc::ptr_eq(&value.0, &write.value.0)
+        let holds = |state: &StateDb| {
+            let entries: Vec<_> = state.iter().collect();
+            let [(long_key, long_value, _), (key, value, _)] = entries[..] else {
+                panic!("two keys committed");
+            };
+            assert!(crate::held_inline(key, key.as_bytes()));
+            assert!(crate::held_inline(value, value.as_bytes()));
+            assert_eq!(long_key.as_bytes().as_ptr(), write.key.as_bytes().as_ptr());
+            assert_eq!(
+                long_value.as_bytes().as_ptr(),
+                write.value.as_bytes().as_ptr()
+            );
         };
-        assert!(shares(led.state()));
-        assert!(shares(&StateDb::from_entries(led.state().export_entries())));
+        holds(led.state());
+        holds(&StateDb::from_entries(led.state().export_entries()));
     }
 
     #[test]

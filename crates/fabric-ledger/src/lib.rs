@@ -31,3 +31,11 @@ pub use chaincode::{
 pub use ledger::{CommitError, CommitSummary, Ledger, LedgerStats};
 pub use state::{StateDb, StateReader};
 pub use validate::{validate_block, BlockValidation, TxValidation};
+
+/// Whether `bytes` lie inside `holder` itself rather than on the heap: how
+/// the `held_once_` pins tell an inline key or value from a shared one.
+#[cfg(test)]
+fn held_inline<T>(holder: &T, bytes: &[u8]) -> bool {
+    let start = holder as *const T as usize;
+    (start..start + std::mem::size_of::<T>()).contains(&(bytes.as_ptr() as usize))
+}

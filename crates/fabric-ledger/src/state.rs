@@ -203,7 +203,7 @@ mod tests {
             Version::new(1, 1),
             &[WriteItem {
                 key: Key::from("c"),
-                value: Value(vec![1].into()),
+                value: Value::from_bytes(&[1]),
             }],
         );
         assert_eq!(db.counter_sum(), None);

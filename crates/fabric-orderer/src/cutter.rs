@@ -137,9 +137,14 @@ impl BlockCutter {
         self.take_pending()
     }
 
+    /// Hands over the pending batch with exactly its length. A cut block
+    /// lives as long as the run, and so would the spare slots that the
+    /// batch's doubling left: 14 of a 50-transaction block's 64.
     fn take_pending(&mut self) -> Vec<Transaction> {
         self.pending_bytes = 0;
-        std::mem::take(&mut self.pending)
+        let mut batch = std::mem::take(&mut self.pending);
+        batch.shrink_to_fit();
+        batch
     }
 }
 
@@ -209,6 +214,43 @@ mod tests {
         let batch = cutter.cut();
         assert_eq!(batch.len(), 2);
         assert!(cutter.cut().is_empty());
+    }
+
+    /// Every way a batch is cut hands it over without spare slots.
+    #[test]
+    fn held_once_cut_batch_holds_no_spare_slots() {
+        let exact = |batches: &[Vec<Transaction>]| {
+            assert!(!batches.is_empty());
+            assert!(batches
+                .iter()
+                .all(|b| !b.is_empty() && b.capacity() == b.len()));
+        };
+        // By count: five pushes leave eight slots.
+        let mut cutter = BlockCutter::new(config(5, 1 << 20));
+        let mut cut = Vec::new();
+        for id in 0..5 {
+            cut.extend(cutter.ordered(tx(id, 0)).0);
+        }
+        exact(&cut);
+        // By bytes: three pending transactions flushed by a fourth.
+        let mut cutter = BlockCutter::new(config(100, 3500));
+        for id in 0..3 {
+            cutter.ordered(tx(id, 1000));
+        }
+        exact(&cutter.ordered(tx(3, 1000)).0);
+        // An oversized transaction: the pending flush and its own batch.
+        let mut cutter = BlockCutter::new(config(100, 3500));
+        for id in 0..3 {
+            cutter.ordered(tx(id, 100));
+        }
+        let (cut, _) = cutter.ordered(tx(3, 50_000));
+        assert_eq!(cut.len(), 2);
+        exact(&cut);
+        // By timeout: three pending transactions.
+        for id in 4..7 {
+            cutter.ordered(tx(id, 100));
+        }
+        exact(&[cutter.cut()]);
     }
 
     #[test]

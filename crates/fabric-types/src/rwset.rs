@@ -6,76 +6,243 @@
 //! produced it). At validation time the read versions must still match the
 //! committed state, otherwise the transaction is invalidated.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU8;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+/// At most [`InlineBytes::CAPACITY`] bytes held inline: `Copy`, 16 bytes,
+/// nothing on the heap. A short [`Key`] or [`Value`] keeps its bytes in
+/// one, and so does a scheduled invocation's argument. Equality goes by
+/// the bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct InlineBytes {
+    /// The length plus one. The zero it never holds is the niche that
+    /// keeps a [`Key`] or a [`Value`] at 16 bytes.
+    len: NonZeroU8,
+    /// The bytes, then zeros: every constructor clears the tail, so the
+    /// derived equality is the bytes'.
+    bytes: [u8; InlineBytes::CAPACITY],
+}
+
+impl InlineBytes {
+    /// The most bytes held inline.
+    pub const CAPACITY: usize = 15;
+
+    /// `prefix` followed by `rest`, or `None` when together they are
+    /// longer than [`InlineBytes::CAPACITY`] bytes.
+    pub fn try_concat(prefix: &[u8], rest: &[u8]) -> Option<Self> {
+        let len = prefix.len() + rest.len();
+        if len > Self::CAPACITY {
+            return None;
+        }
+        let mut bytes = [0; Self::CAPACITY];
+        bytes[..prefix.len()].copy_from_slice(prefix);
+        bytes[prefix.len()..len].copy_from_slice(rest);
+        Some(InlineBytes {
+            len: NonZeroU8::MIN.saturating_add(len as u8),
+            bytes,
+        })
+    }
+
+    /// The bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len.get() - 1)]
+    }
+}
+
+impl fmt::Debug for InlineBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("InlineBytes")
+            .field(&self.as_bytes())
+            .finish()
+    }
+}
+
+/// The bytes of a [`Key`] or a [`Value`]: inline when they fit, otherwise
+/// shared behind a thin reference count. Every constructor goes through
+/// [`Bytes::new`] or [`Bytes::from_vec`], so bytes that fit are never
+/// shared. Equality and order are the bytes'.
+#[derive(Clone, Serialize, Deserialize)]
+enum Bytes {
+    Inline(InlineBytes),
+    Shared(Arc<Box<[u8]>>),
+}
+
+impl Bytes {
+    fn new(bytes: &[u8]) -> Self {
+        InlineBytes::try_concat(bytes, &[])
+            .map_or_else(|| Bytes::Shared(Arc::new(bytes.into())), Bytes::Inline)
+    }
+
+    /// Keeps the vector's allocation for bytes that do not fit inline.
+    fn from_vec(bytes: Vec<u8>) -> Self {
+        InlineBytes::try_concat(&bytes, &[]).map_or_else(
+            || Bytes::Shared(Arc::new(bytes.into_boxed_slice())),
+            Bytes::Inline,
+        )
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Bytes::Inline(inline) => inline.as_bytes(),
+            Bytes::Shared(shared) => shared,
+        }
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
 /// A state key. Fabric keys are strings; experiments use short synthetic
 /// names such as `"asset17"`.
 ///
-/// The bytes are shared: a clone is a reference-count bump, so the write
-/// set of a committed transaction and the world state that applied it hold
-/// one copy of the key between them. Order, equality, hashing, `Debug` and
+/// A key of at most [`InlineBytes::CAPACITY`] bytes is held inline: a
+/// clone is a 16-byte copy and touches no heap. A longer key is shared: a
+/// clone is a reference-count bump, so the write set of a committed
+/// transaction and the world state that applied it hold one copy of the
+/// key between them. Order, equality, hashing, `Display`, `Debug` and
 /// [`Key::wire_size`] are those of the string.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Key(pub Arc<str>);
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Key(Bytes);
 
 impl Key {
-    /// Builds a key from anything string-like: a literal or a `String`
-    /// costs one allocation, an existing [`Key`] none.
+    /// Builds a key from anything string-like: a short one is copied
+    /// inline, a long literal costs one allocation, a long `String` keeps
+    /// its own, and an existing [`Key`] costs none.
     pub fn new(s: impl Into<Key>) -> Self {
         s.into()
     }
 
+    /// `prefix` followed by `rest`, what `format!("{prefix}{rest}")`
+    /// renders: written straight into the key when it fits inline.
+    pub fn concat(prefix: &str, rest: &str) -> Self {
+        match InlineBytes::try_concat(prefix.as_bytes(), rest.as_bytes()) {
+            Some(inline) => Key(Bytes::Inline(inline)),
+            None => Key::from([prefix, rest].concat()),
+        }
+    }
+
+    /// The key as a string.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a key is built from strings")
+    }
+
+    /// The key's UTF-8 bytes, without checking them again.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+
     /// Byte length of the key on the wire.
     pub fn wire_size(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
+    }
+}
+
+/// Hashes the bytes and then `0xff`, as `str` does.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Key").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(s.into())
+        Key(Bytes::new(s.as_bytes()))
     }
 }
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(s.into())
+        Key(Bytes::from_vec(s.into_bytes()))
     }
 }
 
 /// A state value: opaque bytes, with helpers for the integer counters used
 /// by the paper's conflict workload.
 ///
-/// Like [`Key`], the bytes are shared: a clone is a reference-count bump.
-/// Equality, hashing, `Debug` and [`Value::wire_size`] are those of the
-/// byte slice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct Value(pub Arc<[u8]>);
+/// Like a [`Key`], a value of at most [`InlineBytes::CAPACITY`] bytes (an
+/// 8-byte counter, say) is held inline, and a longer one is shared: a
+/// clone is a reference-count bump. Equality, hashing, `Debug` and
+/// [`Value::wire_size`] are those of the byte slice.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Value(Bytes);
 
 impl Value {
+    /// A value holding a copy of `bytes`.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        Value(Bytes::new(bytes))
+    }
+
     /// Encodes a `u64` counter value.
     pub fn from_u64(v: u64) -> Self {
-        Value(Arc::new(v.to_be_bytes()))
+        Value::from_bytes(&v.to_be_bytes())
     }
 
     /// Decodes a counter value written by [`Value::from_u64`].
     pub fn as_u64(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.0[..].try_into().ok()?;
-        Some(u64::from_be_bytes(bytes))
+        self.as_bytes().try_into().ok().map(u64::from_be_bytes)
+    }
+
+    /// The value's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
     }
 
     /// Byte length of the value on the wire.
     pub fn wire_size(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
+    }
+}
+
+impl Default for Value {
+    fn default() -> Self {
+        Value::from_bytes(&[])
+    }
+}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Value").field(&self.as_bytes()).finish()
     }
 }
 
@@ -225,7 +392,7 @@ mod tests {
     #[test]
     fn value_u64_round_trip() {
         assert_eq!(Value::from_u64(12345).as_u64(), Some(12345));
-        assert_eq!(Value(vec![1, 2, 3].into()).as_u64(), None);
+        assert_eq!(Value::from_bytes(&[1, 2, 3]).as_u64(), None);
         assert_eq!(Value::default().as_u64(), None);
     }
 
@@ -261,20 +428,45 @@ mod tests {
         assert_eq!(RwSet::default().wire_size(), 0);
     }
 
+    /// Whether `bytes` lie inside `holder` itself, not on the heap.
+    fn held_inline<T>(holder: &T, bytes: &[u8]) -> bool {
+        let start = holder as *const T as usize;
+        (start..start + std::mem::size_of::<T>()).contains(&(bytes.as_ptr() as usize))
+    }
+
+    /// A key or value of at most 15 bytes lives inside itself, so a clone
+    /// copies 16 bytes and touches no heap; a longer one is shared, so a
+    /// clone and the sets built from clones point at one copy.
     #[test]
     fn held_once_clones_share_the_bytes() {
-        let key = Key::new("asset1");
-        assert!(Arc::ptr_eq(&key.clone().0, &key.0));
-        assert!(Arc::ptr_eq(&Key::new(key.clone()).0, &key.0));
-        let value = Value::from_u64(7);
-        assert!(Arc::ptr_eq(&value.clone().0, &value.0));
+        let (key, value) = (Key::new("fifteen-bytes:0"), Value::from_u64(7));
         let s = RwSet::builder()
             .read(key.clone(), None)
             .write(key.clone(), value.clone())
             .build();
-        assert!(Arc::ptr_eq(&s.reads[0].key.0, &key.0));
-        assert!(Arc::ptr_eq(&s.writes[0].key.0, &key.0));
-        assert!(Arc::ptr_eq(&s.writes[0].value.0, &value.0));
+        for k in [&key, &key.clone(), &s.reads[0].key, &s.writes[0].key] {
+            assert!(held_inline(k, k.as_bytes()));
+        }
+        for v in [&value, &value.clone(), &s.writes[0].value] {
+            assert!(held_inline(v, v.as_bytes()));
+        }
+
+        let (key, value) = (Key::new("sixteen-bytes:00"), Value::from_bytes(&[7; 16]));
+        assert!(!held_inline(&key, key.as_bytes()));
+        assert!(!held_inline(&value, value.as_bytes()));
+        let s = RwSet::builder()
+            .read(key.clone(), None)
+            .write(Key::new(key.clone()), value.clone())
+            .build();
+        for k in [&key.clone(), &s.reads[0].key, &s.writes[0].key] {
+            assert_eq!(k.as_bytes().as_ptr(), key.as_bytes().as_ptr());
+        }
+        for v in [&value.clone(), &s.writes[0].value] {
+            assert_eq!(v.as_bytes().as_ptr(), value.as_bytes().as_ptr());
+        }
+        let long = String::from("a key that keeps its String's bytes");
+        let at = long.as_ptr();
+        assert_eq!(Key::from(long).as_bytes().as_ptr(), at);
     }
 
     #[test]
@@ -292,16 +484,33 @@ mod tests {
         /// Key pieces: empty, ASCII, two-, three- and four-byte UTF-8.
         const PIECES: [&str; 6] = ["", "a", "delta:", "é", "日", "🦀"];
 
-        fn key_of(pieces: &[u8]) -> String {
-            pieces.iter().map(|&i| PIECES[i as usize]).collect()
+        /// Keys of 15, 16 and 17 bytes, in ASCII and in multi-byte UTF-8:
+        /// both sides of the inline limit.
+        const EDGE_KEYS: [&str; 6] = [
+            "fifteen-bytes:0",
+            "sixteen-bytes:00",
+            "seventeen-bytes:0",
+            "delta:日日日",
+            "🦀🦀🦀🦀",
+            "aéééééééé",
+        ];
+
+        /// An edge key, or a string of pieces.
+        fn key_of(edge: usize, pieces: &[u8]) -> String {
+            match EDGE_KEYS.get(edge) {
+                Some(key) => key.to_string(),
+                None => pieces.iter().map(|&i| PIECES[i as usize]).collect(),
+            }
         }
 
-        /// Empty, an 8-byte counter, or any short run of bytes.
+        /// Empty, an 8-byte counter, any run of up to 39 bytes, or a run
+        /// of 15, 16 or 17 bytes.
         fn bytes_of(class: u8, word: u64, bytes: &[u8]) -> Vec<u8> {
             match class {
                 0 => Vec::new(),
                 1 => word.to_be_bytes().to_vec(),
-                _ => bytes.to_vec(),
+                2 => bytes.to_vec(),
+                _ => word.to_be_bytes().repeat(3)[..15 + (word % 3) as usize].to_vec(),
             }
         }
 
@@ -312,34 +521,43 @@ mod tests {
         }
 
         proptest! {
-            /// `Key` against the `String` it held before its bytes were
-            /// shared, and `Value` against the `Vec<u8>`: same order,
-            /// equality, hash, `Display`, `Debug`, counter decoding and
-            /// wire size, over empty, multi-byte UTF-8 and 8-byte inputs.
+            /// `Key` against the `String` it held before it was inlined,
+            /// and `Value` against the `Vec<u8>`: same order, equality,
+            /// hash, `Display`, `Debug`, counter decoding and wire size,
+            /// over empty, multi-byte UTF-8, 8-byte and 15- to 17-byte
+            /// inputs. At most 15 bytes are held inline, more are not.
             #[test]
             fn model_key_value_match_owned_bytes(
-                a in proptest::collection::vec(0u8..6, 0..5),
-                b in proptest::collection::vec(0u8..6, 0..5),
-                x in (0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..12)),
-                y in (0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..12)),
+                a in (0usize..12, proptest::collection::vec(0u8..6, 0..5)),
+                b in (0usize..12, proptest::collection::vec(0u8..6, 0..5)),
+                x in (0u8..4, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)),
+                y in (0u8..4, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)),
             ) {
-                let (sa, sb) = (key_of(&a), key_of(&b));
+                let (sa, sb) = (key_of(a.0, &a.1), key_of(b.0, &b.1));
                 let (ka, kb) = (Key::new(sa.as_str()), Key::from(sb.clone()));
                 prop_assert_eq!(ka.cmp(&kb), sa.cmp(&sb));
                 prop_assert_eq!(ka == kb, sa == sb);
                 prop_assert_eq!(hash_of(&ka), hash_of(&sa));
+                prop_assert_eq!(hash_of(&kb), hash_of(&sb));
                 prop_assert_eq!(ka.to_string(), sa.clone());
                 prop_assert_eq!(format!("{ka:?}"), format!("Key({sa:?})"));
+                prop_assert_eq!(ka.as_bytes(), sa.as_bytes());
+                prop_assert_eq!(kb.as_str(), sb.as_str());
                 prop_assert_eq!(ka.wire_size(), sa.len());
+                prop_assert_eq!(Key::concat(&sa, &sb), Key::from(format!("{sa}{sb}")));
+                prop_assert_eq!(held_inline(&ka, ka.as_bytes()), sa.len() <= 15);
+                prop_assert_eq!(held_inline(&kb, kb.as_bytes()), sb.len() <= 15);
 
                 let (vx, vy) = (bytes_of(x.0, x.1, &x.2), bytes_of(y.0, y.1, &y.2));
-                let (wx, wy) = (Value(vx.clone().into()), Value(vy.clone().into()));
+                let (wx, wy) = (Value::from_bytes(&vx), Value::from_bytes(&vy));
                 prop_assert_eq!(wx == wy, vx == vy);
                 prop_assert_eq!(hash_of(&wx), hash_of(&vx));
                 prop_assert_eq!(format!("{wx:?}"), format!("Value({vx:?})"));
+                prop_assert_eq!(wx.as_bytes(), vx.as_slice());
                 let counter = <[u8; 8]>::try_from(vx.as_slice()).ok().map(u64::from_be_bytes);
                 prop_assert_eq!(wx.as_u64(), counter);
                 prop_assert_eq!(wx.wire_size(), vx.len());
+                prop_assert_eq!(held_inline(&wx, wx.as_bytes()), vx.len() <= 15);
             }
         }
     }

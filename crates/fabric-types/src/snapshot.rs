@@ -316,10 +316,10 @@ where
     let mut h = Sha256::new();
     let mut count: u64 = 0;
     for (key, value, version) in entries {
-        h.update_u64(key.0.len() as u64);
-        h.update(key.0.as_bytes());
-        h.update_u64(value.0.len() as u64);
-        h.update(&value.0);
+        h.update_u64(key.as_bytes().len() as u64);
+        h.update(key.as_bytes());
+        h.update_u64(value.as_bytes().len() as u64);
+        h.update(value.as_bytes());
         h.update_u64(version.block_num);
         h.update_u32(version.tx_num);
         count += 1;
@@ -385,12 +385,12 @@ mod tests {
         // ("ab", "c") and ("a", "bc") concatenate identically; the length
         // prefixes must keep their digests apart.
         let one = hash_state_entries(
-            [(Key::from("ab"), Value(b"c"[..].into()), Version::new(1, 0))]
+            [(Key::from("ab"), Value::from_bytes(b"c"), Version::new(1, 0))]
                 .iter()
                 .map(|(k, v, ver)| (k, v, *ver)),
         );
         let two = hash_state_entries(
-            [(Key::from("a"), Value(b"bc"[..].into()), Version::new(1, 0))]
+            [(Key::from("a"), Value::from_bytes(b"bc"), Version::new(1, 0))]
                 .iter()
                 .map(|(k, v, ver)| (k, v, *ver)),
         );
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn oversized_entry_and_empty_snapshot_still_plan() {
-        let big = Value(vec![7u8; 512].into());
+        let big = Value::from_bytes(&[7u8; 512]);
         let snap = SnapshotRef::new(snapshot(
             vec![
                 (Key::from("a"), big.clone(), Version::new(1, 0)),

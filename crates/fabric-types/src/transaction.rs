@@ -122,7 +122,7 @@ impl Transaction {
         h.update(self.chaincode.as_bytes());
         h.update_u32(self.creator.0);
         for r in &self.rwset.reads {
-            h.update(r.key.0.as_bytes());
+            h.update(r.key.as_bytes());
             match r.version {
                 Some(v) => {
                     h.update_u64(v.block_num);
@@ -132,8 +132,8 @@ impl Transaction {
             }
         }
         for w in &self.rwset.writes {
-            h.update(w.key.0.as_bytes());
-            h.update(&w.value.0);
+            h.update(w.key.as_bytes());
+            h.update(w.value.as_bytes());
         }
         h.finalize()
     }
