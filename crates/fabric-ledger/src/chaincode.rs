@@ -157,7 +157,7 @@ impl Chaincode for PayloadChaincode {
         // (see `Transaction::payload_padding`), so the state DB does not
         // balloon during long dissemination runs.
         Ok(RwSet::builder()
-            .write(format!("delta:{row}"), Value::from_u64(1))
+            .write(Key::concat("delta:", row), Value::from_u64(1))
             .build())
     }
 }

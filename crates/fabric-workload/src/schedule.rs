@@ -19,6 +19,7 @@ use std::fmt;
 
 use desim::{Duration, Time};
 use fabric_types::ids::ChannelId;
+use fabric_types::rwset::InlineBytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -36,30 +37,16 @@ pub enum ChaincodeKind {
 /// UTF-8, held inline: `Copy`, 16 bytes, nothing on the heap. Equality and
 /// `Debug` go by the string.
 #[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvocationArg {
-    len: u8,
-    /// The string, then zeros: every constructor clears the tail, so the
-    /// derived equality is the string's.
-    bytes: [u8; InvocationArg::CAPACITY],
-}
+pub struct InvocationArg(InlineBytes);
 
 impl InvocationArg {
     /// The most bytes an argument holds.
-    pub const CAPACITY: usize = 15;
+    pub const CAPACITY: usize = InlineBytes::CAPACITY;
 
     /// The argument `arg`, or `None` when it is longer than
     /// [`InvocationArg::CAPACITY`] bytes.
     fn try_new(arg: &str) -> Option<Self> {
-        let len = arg.len();
-        if len > Self::CAPACITY {
-            return None;
-        }
-        let mut bytes = [0; Self::CAPACITY];
-        bytes[..len].copy_from_slice(arg.as_bytes());
-        Some(InvocationArg {
-            len: len as u8,
-            bytes,
-        })
+        InlineBytes::try_concat(arg.as_bytes(), &[]).map(InvocationArg)
     }
 
     /// The argument `arg`.
@@ -79,31 +66,23 @@ impl InvocationArg {
 
     /// `prefix` followed by the decimal digits of `n` — what
     /// `format!("{prefix}{n}")` renders — or `None` when that is longer
-    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written right
-    /// to left straight into the inline buffer.
+    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written
+    /// right to left on the stack, not through a `String`.
     fn numbered(prefix: &str, n: u64) -> Option<Self> {
-        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let len = prefix.len() + digits;
-        if len > Self::CAPACITY {
-            return None;
-        }
-        let mut bytes = [0; Self::CAPACITY];
-        bytes[..prefix.len()].copy_from_slice(prefix.as_bytes());
+        let mut digits = [0; 20];
+        let mut start = digits.len();
         let mut rest = n;
-        for digit in bytes[prefix.len()..len].iter_mut().rev() {
-            *digit = b'0' + (rest % 10) as u8;
+        while start == digits.len() || rest > 0 {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
             rest /= 10;
         }
-        Some(InvocationArg {
-            len: len as u8,
-            bytes,
-        })
+        InlineBytes::try_concat(prefix.as_bytes(), &digits[start..]).map(InvocationArg)
     }
 
     /// The argument as a string.
     pub fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.bytes[..usize::from(self.len)])
-            .expect("built from a str or from ASCII digits")
+        std::str::from_utf8(self.0.as_bytes()).expect("built from a str or from ASCII digits")
     }
 }
 
