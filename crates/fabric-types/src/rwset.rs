@@ -32,19 +32,27 @@ impl InlineBytes {
     /// The most bytes held inline.
     pub const CAPACITY: usize = 15;
 
-    /// `prefix` followed by `rest`, or `None` when together they are
-    /// longer than [`InlineBytes::CAPACITY`] bytes.
-    pub fn try_concat(prefix: &[u8], rest: &[u8]) -> Option<Self> {
-        let len = prefix.len() + rest.len();
+    /// `len` bytes that `fill` writes into a zeroed buffer, or `None` when
+    /// `len` is more than [`InlineBytes::CAPACITY`].
+    pub fn try_fill(len: usize, fill: impl FnOnce(&mut [u8])) -> Option<Self> {
         if len > Self::CAPACITY {
             return None;
         }
         let mut bytes = [0; Self::CAPACITY];
-        bytes[..prefix.len()].copy_from_slice(prefix);
-        bytes[prefix.len()..len].copy_from_slice(rest);
+        fill(&mut bytes[..len]);
         Some(InlineBytes {
             len: NonZeroU8::MIN.saturating_add(len as u8),
             bytes,
+        })
+    }
+
+    /// `prefix` followed by `rest`, or `None` when together they are
+    /// longer than [`InlineBytes::CAPACITY`] bytes.
+    pub fn try_concat(prefix: &[u8], rest: &[u8]) -> Option<Self> {
+        Self::try_fill(prefix.len() + rest.len(), |bytes| {
+            let (head, tail) = bytes.split_at_mut(prefix.len());
+            head.copy_from_slice(prefix);
+            tail.copy_from_slice(rest);
         })
     }
 

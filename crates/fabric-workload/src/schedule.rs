@@ -66,18 +66,20 @@ impl InvocationArg {
 
     /// `prefix` followed by the decimal digits of `n` — what
     /// `format!("{prefix}{n}")` renders — or `None` when that is longer
-    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written
-    /// right to left on the stack, not through a `String`.
+    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written right
+    /// to left straight into the inline buffer.
     fn numbered(prefix: &str, n: u64) -> Option<Self> {
-        let mut digits = [0; 20];
-        let mut start = digits.len();
-        let mut rest = n;
-        while start == digits.len() || rest > 0 {
-            start -= 1;
-            digits[start] = b'0' + (rest % 10) as u8;
-            rest /= 10;
-        }
-        InlineBytes::try_concat(prefix.as_bytes(), &digits[start..]).map(InvocationArg)
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        InlineBytes::try_fill(prefix.len() + digits, |bytes| {
+            let (head, tail) = bytes.split_at_mut(prefix.len());
+            head.copy_from_slice(prefix.as_bytes());
+            let mut rest = n;
+            for digit in tail.iter_mut().rev() {
+                *digit = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+        })
+        .map(InvocationArg)
     }
 
     /// The argument as a string.
