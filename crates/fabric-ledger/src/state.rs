@@ -44,9 +44,9 @@ impl StateDb {
         Self::default()
     }
 
-    /// Applies the writes of one committed transaction at `version`. The
-    /// state shares each write's key and value with the transaction (a
-    /// reference-count bump); nothing is copied.
+    /// Applies the writes of one committed transaction at `version`. A
+    /// key or value of at most 15 bytes is copied inline; a longer one is
+    /// shared with the transaction (a reference-count bump).
     pub fn apply(&mut self, version: Version, writes: &[WriteItem]) {
         for w in writes {
             self.entries
@@ -79,7 +79,7 @@ impl StateDb {
     }
 
     /// Exports every `(key, value, version)` in key order — the snapshot
-    /// payload. The entries share their bytes with this state.
+    /// payload. The entries share long keys and values with this state.
     pub fn export_entries(&self) -> Vec<StateEntry> {
         self.entries
             .iter()

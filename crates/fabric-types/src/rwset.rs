@@ -72,8 +72,8 @@ impl fmt::Debug for InlineBytes {
 
 /// The bytes of a [`Key`] or a [`Value`]: inline when they fit, otherwise
 /// shared behind a thin reference count. Every constructor goes through
-/// [`Bytes::new`] or [`Bytes::from_vec`], so bytes that fit are never
-/// shared. Equality and order are the bytes'.
+/// [`Bytes::new`], so bytes that fit are never shared. Equality and order
+/// are the bytes'.
 #[derive(Clone, Serialize, Deserialize)]
 enum Bytes {
     Inline(InlineBytes),
@@ -84,14 +84,6 @@ impl Bytes {
     fn new(bytes: &[u8]) -> Self {
         InlineBytes::try_concat(bytes, &[])
             .map_or_else(|| Bytes::Shared(Arc::new(bytes.into())), Bytes::Inline)
-    }
-
-    /// Keeps the vector's allocation for bytes that do not fit inline.
-    fn from_vec(bytes: Vec<u8>) -> Self {
-        InlineBytes::try_concat(&bytes, &[]).map_or_else(
-            || Bytes::Shared(Arc::new(bytes.into_boxed_slice())),
-            Bytes::Inline,
-        )
     }
 
     fn as_bytes(&self) -> &[u8] {
@@ -136,8 +128,8 @@ pub struct Key(Bytes);
 
 impl Key {
     /// Builds a key from anything string-like: a short one is copied
-    /// inline, a long literal costs one allocation, a long `String` keeps
-    /// its own, and an existing [`Key`] costs none.
+    /// inline, a long one is copied to the heap once, and an existing
+    /// [`Key`] costs nothing.
     pub fn new(s: impl Into<Key>) -> Self {
         s.into()
     }
@@ -195,7 +187,7 @@ impl From<&str> for Key {
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(Bytes::from_vec(s.into_bytes()))
+        Key::from(s.as_str())
     }
 }
 
@@ -472,9 +464,6 @@ mod tests {
         for v in [&value.clone(), &s.writes[0].value] {
             assert_eq!(v.as_bytes().as_ptr(), value.as_bytes().as_ptr());
         }
-        let long = String::from("a key that keeps its String's bytes");
-        let at = long.as_ptr();
-        assert_eq!(Key::from(long).as_bytes().as_ptr(), at);
     }
 
     #[test]

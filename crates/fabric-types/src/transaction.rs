@@ -245,8 +245,8 @@ mod tests {
     }
 
     /// The layout the paper's 50 000 transactions are held in: a key and
-    /// a value are one shared pointer each, and the chaincode name is a
-    /// static string, not a heap one.
+    /// a value are 16 bytes each, inline or one shared pointer, and the
+    /// chaincode name is a static string, not a heap one.
     #[test]
     fn held_once_sizes_are_pinned() {
         use crate::rwset::{Key, Value, WriteItem};
