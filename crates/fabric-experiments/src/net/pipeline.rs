@@ -293,10 +293,10 @@ impl FabricNet {
             return;
         }
         // Identical read/write sets mean identical digests: merge every
-        // endorser's signature into the first proposal, in order, with no
-        // spare capacity (the transaction lives as long as its block).
-        let more = collected.as_slice().iter().map(|t| t.endorsements.len());
-        merged.endorsements.reserve_exact(more.sum());
+        // endorser's signature into the first proposal, in order. The
+        // transaction lives as long as its block, and its endorsement list
+        // (an `InlineOne`) is exact by its type: one endorsement stays
+        // inline, more take a slice of exactly their number.
         for other in collected {
             merged.endorsements.extend(other.endorsements);
         }

@@ -37,6 +37,7 @@
 pub mod block;
 pub mod crypto;
 pub mod ids;
+pub mod list;
 pub mod msp;
 pub mod rwset;
 pub mod snapshot;

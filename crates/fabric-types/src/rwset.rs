@@ -14,6 +14,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::list::InlineOne;
+
 /// At most [`InlineBytes::CAPACITY`] bytes held inline: `Copy`, 16 bytes,
 /// nothing on the heap. A short [`Key`] or [`Value`] keeps its bytes in
 /// one, and so does a scheduled invocation's argument. Equality goes by
@@ -302,9 +304,9 @@ pub struct WriteItem {
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RwSet {
     /// Keys read, with the versions observed.
-    pub reads: Vec<ReadItem>,
-    /// Keys written, with the new values.
-    pub writes: Vec<WriteItem>,
+    pub reads: Box<[ReadItem]>,
+    /// Keys written, with the new values: one write lives inline.
+    pub writes: InlineOne<WriteItem>,
 }
 
 impl RwSet {
@@ -338,19 +340,24 @@ impl RwSet {
 
 /// Incremental builder for [`RwSet`].
 ///
-/// Each record grows its list by exactly one slot, so a built set holds no
-/// spare capacity: a committed transaction's set lives as long as its
-/// block, and a chaincode records a handful of items.
+/// A built set holds no spare capacity: a committed transaction's set
+/// lives as long as its block, and a chaincode records a handful of items.
+/// Reads grow by exactly one slot each and are boxed by [`build`]; the
+/// writes are an [`InlineOne`], exact by its type, which holds a lone
+/// write inside the set.
+///
+/// [`build`]: RwSetBuilder::build
 #[derive(Debug, Default)]
 pub struct RwSetBuilder {
-    rwset: RwSet,
+    reads: Vec<ReadItem>,
+    writes: InlineOne<WriteItem>,
 }
 
 impl RwSetBuilder {
     /// Records a read of `key` at `version`.
     pub fn read(mut self, key: impl Into<Key>, version: Option<Version>) -> Self {
-        self.rwset.reads.reserve_exact(1);
-        self.rwset.reads.push(ReadItem {
+        self.reads.reserve_exact(1);
+        self.reads.push(ReadItem {
             key: key.into(),
             version,
         });
@@ -359,8 +366,7 @@ impl RwSetBuilder {
 
     /// Records a write of `value` to `key`.
     pub fn write(mut self, key: impl Into<Key>, value: Value) -> Self {
-        self.rwset.writes.reserve_exact(1);
-        self.rwset.writes.push(WriteItem {
+        self.writes.push(WriteItem {
             key: key.into(),
             value,
         });
@@ -374,7 +380,10 @@ impl RwSetBuilder {
 
     /// Finishes the build.
     pub fn build(self) -> RwSet {
-        self.rwset
+        RwSet {
+            reads: self.reads.into_boxed_slice(),
+            writes: self.writes,
+        }
     }
 }
 

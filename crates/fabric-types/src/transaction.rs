@@ -6,6 +6,7 @@ use crypto::{Hash256, Sha256, Signature};
 
 use crate::crypto;
 use crate::ids::{ClientId, PeerId, TxId};
+use crate::list::InlineOne;
 use crate::msp::Msp;
 use crate::rwset::RwSet;
 
@@ -90,8 +91,8 @@ pub struct Transaction {
     pub creator: ClientId,
     /// The simulated read/write set.
     pub rwset: RwSet,
-    /// Endorsements collected by the client.
-    pub endorsements: Vec<Endorsement>,
+    /// Endorsements collected by the client: one lives inline.
+    pub endorsements: InlineOne<Endorsement>,
     /// Extra bytes accounted on the wire (see type docs).
     pub payload_padding: u32,
 }
@@ -104,7 +105,7 @@ impl Transaction {
             chaincode,
             creator,
             rwset,
-            endorsements: Vec::new(),
+            endorsements: InlineOne::default(),
             payload_padding: 0,
         }
     }
@@ -141,13 +142,13 @@ impl Transaction {
     /// Appends `endorser`'s endorsement, signing through the MSP.
     /// Returns `false` if the peer is not enrolled.
     ///
-    /// The list grows by exactly one slot: a transaction carries a handful
-    /// of endorsements for as long as its block lives, and no spare ones.
+    /// A transaction carries its endorsements for as long as its block
+    /// lives, so the list holds no spare slot: it is an [`InlineOne`],
+    /// which keeps one endorsement inline and more in an exact slice.
     pub fn endorse(&mut self, msp: &Msp, endorser: PeerId) -> bool {
         let digest = self.digest();
         match msp.sign_as(endorser, &digest.0) {
             Some(signature) => {
-                self.endorsements.reserve_exact(1);
                 self.endorsements.push(Endorsement {
                     endorser,
                     signature,
@@ -245,8 +246,9 @@ mod tests {
     }
 
     /// The layout the paper's 50 000 transactions are held in: a key and
-    /// a value are 16 bytes each, inline or one shared pointer, and the
-    /// chaincode name is a static string, not a heap one.
+    /// a value are 16 bytes each, inline or one shared pointer, the
+    /// chaincode name is a static string, not a heap one, and a lone write
+    /// and a lone endorsement live inside the transaction's 128 bytes.
     #[test]
     fn held_once_sizes_are_pinned() {
         use crate::rwset::{Key, Value, WriteItem};
@@ -254,21 +256,25 @@ mod tests {
         assert_eq!(size_of::<Key>(), 16);
         assert_eq!(size_of::<Value>(), 16);
         assert_eq!(size_of::<WriteItem>(), 32);
-        assert_eq!(size_of::<Transaction>(), 104);
+        assert_eq!(size_of::<InlineOne<WriteItem>>(), 40);
+        assert_eq!(size_of::<InlineOne<Endorsement>>(), 40);
+        assert_eq!(size_of::<Transaction>(), 128);
     }
 
     /// A transaction lives as long as its block: its read set, write set
     /// and endorsement list carry no spare slots (a growing `Vec`'s first
-    /// push reserves four).
+    /// push reserves four). The reads are a boxed slice and the other two
+    /// are `InlineOne`s, so each holds exactly its items.
     #[test]
     fn held_once_lists_hold_no_spare_capacity() {
         let msp = Msp::single_org(3);
         let mut t = tx(1);
         assert!(t.endorse(&msp, PeerId(0)));
         assert!(t.endorse(&msp, PeerId(1)));
-        assert_eq!(t.rwset.reads.capacity(), 1);
-        assert_eq!(t.rwset.writes.capacity(), 1);
-        assert_eq!(t.endorsements.capacity(), 2);
+        assert_eq!(std::mem::take(&mut t.rwset.reads).into_vec().capacity(), 1);
+        assert_eq!(t.rwset.writes.len(), 1);
+        let endorsers: Vec<PeerId> = t.endorsements.into_iter().map(|e| e.endorser).collect();
+        assert_eq!(endorsers, [PeerId(0), PeerId(1)]);
     }
 
     #[test]

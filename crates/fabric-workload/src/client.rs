@@ -155,6 +155,45 @@ mod tests {
         assert_eq!(payload.wire_size(), 3291);
     }
 
+    /// Whether `item` lies inside `tx` itself, not on the heap.
+    fn inside<T>(tx: &Transaction, item: *const T) -> bool {
+        let start = tx as *const Transaction as usize;
+        (start..start + std::mem::size_of::<Transaction>()).contains(&(item as usize))
+    }
+
+    /// The dissemination workload's 50 000 transactions live to the end
+    /// of a run: each one, endorsed from a real schedule row, is its 128
+    /// bytes and owns no heap chunk. Its one write and its one endorsement
+    /// lie inside it, and it reads nothing. An increment keeps one heap
+    /// list, its one read.
+    #[test]
+    fn held_once_payload_transaction_holds_no_heap() {
+        use crate::schedule::{
+            increment_schedule, payload_schedule, IncrementWorkload, PayloadWorkload,
+        };
+
+        let msp = Msp::single_org(2);
+        let state = StateDb::new();
+        let rows = payload_schedule(&PayloadWorkload::shortened(3));
+        let tx =
+            endorse_invocation(&rows[2], TxId(2), ClientId(0), PeerId(1), &state, &msp).unwrap();
+        assert!(tx.rwset.reads.is_empty());
+        assert_eq!((tx.rwset.writes.len(), tx.endorsements.len()), (1, 1));
+        let write = &tx.rwset.writes[0];
+        assert!(inside(&tx, write));
+        assert!(inside(&tx, write.key.as_bytes().as_ptr()));
+        assert!(inside(&tx, write.value.as_bytes().as_ptr()));
+        assert!(inside(&tx, &tx.endorsements[0]));
+
+        let rows = increment_schedule(&IncrementWorkload::default(), 7);
+        let tx =
+            endorse_invocation(&rows[0], TxId(0), ClientId(0), PeerId(1), &state, &msp).unwrap();
+        assert_eq!(tx.rwset.reads.len(), 1);
+        assert!(!inside(&tx, tx.rwset.reads.as_ptr()));
+        assert!(inside(&tx, &tx.rwset.writes[0]));
+        assert!(inside(&tx, &tx.endorsements[0]));
+    }
+
     #[test]
     fn unenrolled_endorser_is_an_error() {
         let msp = Msp::single_org(1);
