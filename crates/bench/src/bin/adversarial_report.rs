@@ -1,7 +1,7 @@
 //! `adversarial_report` — the Byzantine-tolerance emitter.
 //!
 //! Sweeps every attacker family of `fabric_experiments::adversarial`
-//! (membership, coalition, adaptive and dissemination attacks) over the
+//! (membership and dissemination attacks) over the
 //! attacker count `f` at each deployment size `N`, in the LAN model of
 //! the benchmark of record (`fabric_experiments::adversarial::world`),
 //! and writes `ADVERSARIAL_report.json`: per family and `N` the measured

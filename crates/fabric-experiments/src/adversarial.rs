@@ -19,8 +19,7 @@
 //! | selective-forwarding | membership    | a joiner converges on redundancy, no faster       | join convergence (s)    |
 //! | flood                | membership    | views agree with one leader                       | discovery bytes         |
 //! | eclipse              | membership    | honest views clean; one honest seed escapes it    | time to escape (s)      |
-//! | obituary-coalition   | coalition     | the victim's bump heals every view within bound   | disruption (s)          |
-//! | adaptive-leader-hunt | adaptive      | one leader after the hunt                         | disruption (s)          |
+//! | obituary-forgery     | membership    | the leader keeps its seat, views re-admit it fast | disruption (s)          |
 //! | withholder           | dissemination | gap-free catch-up within bound, no faster         | time to completeness (s)|
 //! | equivocator          | dissemination | doctored payloads rejected; completeness 1.0      | rejected payloads       |
 //!
@@ -38,8 +37,8 @@ use std::fmt::Write as _;
 use desim::{Duration, NetworkConfig};
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::scenario::{
-    Byzantine, CoalitionForger, Eclipser, Equivocator, Flooder, LeaderHunter, Predicate,
-    RefutationSuppressor, ScenarioOp, SelectiveForwarder, SideChannel, StaleReplayer, Withholder,
+    Byzantine, Eclipser, Equivocator, Flooder, ObituaryForger, Predicate, ScenarioOp,
+    SelectiveForwarder, StaleReplayer, Withholder,
 };
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ChannelId, PeerId};
@@ -92,8 +91,7 @@ const DEPLOYMENTS: [u32; 2] = [6, 9];
 pub struct Family {
     /// Stable name (`"stale-replay"`, ...).
     pub name: &'static str,
-    /// Attack class: `"membership"`, `"coalition"`, `"adaptive"` or
-    /// `"dissemination"`.
+    /// Attack class: `"membership"` or `"dissemination"`.
     pub class: &'static str,
     /// The guarantee every point asserts.
     pub guarantee: &'static str,
@@ -382,7 +380,7 @@ pub fn render_adversarial(report: &AdversarialReport) -> String {
 }
 
 /// The attacker families, in report order.
-pub const FAMILIES: [Family; 8] = [
+pub const FAMILIES: [Family; 7] = [
     Family {
         name: "stale-replay",
         class: "membership",
@@ -420,22 +418,13 @@ pub const FAMILIES: [Family; 8] = [
         run: eclipse,
     },
     Family {
-        name: "obituary-coalition",
-        class: "coalition",
-        guarantee: "refutation-heals-views-within-bound",
+        name: "obituary-forgery",
+        class: "membership",
+        guarantee: "leader-keeps-its-seat-and-views-re-admit-it-within-bound",
         metric: "disruption",
         unit: "secs",
         cost: Cost::Free,
-        run: obituary_coalition,
-    },
-    Family {
-        name: "adaptive-leader-hunt",
-        class: "adaptive",
-        guarantee: "exactly-one-leader-after-the-hunt",
-        metric: "disruption",
-        unit: "secs",
-        cost: Cost::Free,
-        run: adaptive_leader_hunt,
+        run: obituary_forgery,
     },
     Family {
         name: "withholder",
@@ -467,10 +456,9 @@ fn gossip() -> GossipConfig {
     gossip
 }
 
-/// The honest seed a runtime joiner may bootstrap through.
+/// The honest seed a runtime joiner may bootstrap through, and the
+/// seated leader the obituary forgers aim at.
 const ANCHOR: PeerId = PeerId(0);
-/// The victim of the obituary coalition.
-const VICTIM: PeerId = PeerId(1);
 /// The peers the selective forwarders starve.
 const TARGETS: [PeerId; 2] = [PeerId(0), PeerId(1)];
 /// The member that leaves under the stale replayers.
@@ -514,57 +502,6 @@ fn secs(time: Option<Duration>, limit: Duration) -> f64 {
 /// A measured time for a detail line.
 fn shown(time: Option<Duration>) -> String {
     time.map_or_else(|| "never".into(), |t| t.to_string())
-}
-
-/// How long a campaign may stay disrupted past its horizon before it
-/// counts as never healed.
-const HEAL_LIMIT: Duration = Duration::from_secs(40);
-
-/// What [`campaign`] observed.
-struct Campaign {
-    /// Total time `disrupted` held, horizon and healing tail together.
-    disrupted: Duration,
-    /// When `disrupted` first cleared after first holding.
-    first_heal: Option<Duration>,
-    /// Whether `disrupted` had cleared when sampling stopped.
-    healed: bool,
-}
-
-/// Runs `net` for `horizon`, then on until `disrupted` clears (at most
-/// [`HEAL_LIMIT`] more), sampling `disrupted` every [`POLL`].
-fn campaign(
-    net: &mut ScenarioNet,
-    horizon: Duration,
-    disrupted: impl Fn(&ScenarioNet) -> bool,
-) -> Campaign {
-    let mut total = Duration::ZERO;
-    let mut first_heal = None;
-    let mut elapsed = Duration::ZERO;
-    loop {
-        net.run_for(POLL);
-        elapsed += POLL;
-        let now = disrupted(net);
-        if now {
-            total += POLL;
-        } else if !total.is_zero() && first_heal.is_none() {
-            first_heal = Some(elapsed);
-        }
-        if (elapsed >= horizon && !now) || elapsed >= horizon + HEAL_LIMIT {
-            return Campaign {
-                disrupted: total,
-                first_heal,
-                healed: !now,
-            };
-        }
-    }
-}
-
-/// `peer`'s incarnation as `observer` sees it (0 when unknown).
-fn incarnation_of(net: &ScenarioNet, observer: PeerId, peer: PeerId) -> u64 {
-    net.gossip(observer.index())
-        .discovery_on(ChannelId(0))
-        .and_then(|e| e.claim_of(peer))
-        .map_or(0, |c| c.incarnation)
 }
 
 /// The three core invariants every attacked network must settle to.
@@ -706,76 +643,59 @@ fn eclipse(n: u32, f: u32) -> Point {
     }
 }
 
-/// One [`CoalitionForger`] plus `f − 1` [`RefutationSuppressor`]s sharing
-/// a [`SideChannel`] bury [`VICTIM`] twice: the forgery must land (views
-/// disrupted, coordinated through the side channel), and the victim's
-/// incarnation bump must heal every view — first inside the campaign's
-/// horizon, finally within [`HEAL_LIMIT`] after it, disrupted no longer
-/// than the bound in total — with one leader and no resurrection. The
-/// metric is the total disrupted time.
-fn obituary_coalition(n: u32, f: u32) -> Point {
-    const HORIZON: Duration = Duration::from_secs(30);
-    const BOUND: Duration = Duration::from_secs(20);
-    let mut net = channel(n, n, &gossip());
-    net.run_for(Duration::from_secs(3));
-    let before = incarnation_of(&net, ANCHOR, VICTIM);
-    let side = SideChannel::new();
-    let roster = attack(&mut net, n, f, |rank| match rank {
-        0 => Box::new(CoalitionForger::new(VICTIM, 2, side.clone())),
-        _ => Box::new(RefutationSuppressor::new(VICTIM, side.clone())),
-    });
-    let run = campaign(&mut net, HORIZON, |net| !net.views_converged(0));
-    let after = incarnation_of(&net, ANCHOR, VICTIM);
-    let leaders = net.leaders(0);
-    let settled = net
-        .check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
-        .is_ok();
-    let signalled = side.read("forged-incarnation").is_some();
-    let landed =
-        f == 0 || (run.first_heal.is_some_and(|t| t <= HORIZON) && after > before && signalled);
-    Point {
-        f,
-        held: landed && run.disrupted <= BOUND && run.healed && leaders.len() == 1 && settled,
-        metric: run.disrupted.as_secs_f64(),
-        roster,
-        detail: format!(
-            "first healed after {}, healed: {}, incarnation {before} -> {after}, signalled: \
-             {signalled}, leaders {leaders:?}, no-resurrection: {settled}",
-            shown(run.first_heal),
-            run.healed
-        ),
-    }
-}
-
-/// `f` [`LeaderHunter`]s infer the sitting leader from wiretapped
-/// seniority and forge its obituary, re-targeting whoever succeeds it.
-/// Peer 0 leads after warm-up; the hunt must land (disruption, the
-/// leader's incarnation bump), and afterwards views must agree on exactly
-/// one leader with no resurrection. The metric is the disrupted time over
-/// the campaign.
-fn adaptive_leader_hunt(n: u32, f: u32) -> Point {
-    let mut net = channel(n, n, &gossip());
+/// `f` [`ObituaryForger`]s forge the seated leader's ([`ANCHOR`]'s)
+/// obituary at the freshest claim of it they have wiretapped, two shots
+/// each. A forgery is a claim like any other: it must land (some honest
+/// view reaps the leader), yet the leader must keep its seat at every
+/// poll, and no honest view may lack it for longer than one alive interval
+/// plus one anti-entropy interval at a stretch — the leader's next
+/// heartbeat reaches `fout` peers, the rest hear it through one exchange.
+/// Afterwards the channel must settle on one leader with no resurrection
+/// below an obituary, by `(incarnation, seq)`. The metric is the total
+/// time some honest view lacked the leader.
+fn obituary_forgery(n: u32, f: u32) -> Point {
+    const HORIZON: Duration = Duration::from_secs(20);
+    let gossip = gossip();
+    let mut net = channel(n, n, &gossip);
     net.run_for(Duration::from_secs(5));
     let warm = net.leaders(0) == [ANCHOR];
-    let before = incarnation_of(&net, VICTIM, ANCHOR);
-    let roster = attack(&mut net, n, f, |_| Box::new(LeaderHunter::new(2)));
-    let run = campaign(&mut net, Duration::from_secs(40), |net| {
-        !net.views_converged(0) || net.leaders(0).len() != 1
-    });
-    let after = incarnation_of(&net, VICTIM, ANCHOR);
-    let leaders = net.leaders(0);
-    let settled = net
-        .check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
-        .is_ok();
-    let landed = f == 0 || (!run.disrupted.is_zero() && after > before);
+    let roster = attack(&mut net, n, f, |_| Box::new(ObituaryForger::new(ANCHOR, 2)));
+    // Per peer, how long its view has lacked the leader so far.
+    let mut stretch = vec![Duration::ZERO; n as usize];
+    let (mut seated, mut disrupted, mut longest) = (true, Duration::ZERO, Duration::ZERO);
+    let mut elapsed = Duration::ZERO;
+    while elapsed < HORIZON {
+        net.run_for(POLL);
+        elapsed += POLL;
+        seated &= net.gossip(ANCHOR.index()).is_leader_on(ChannelId(0));
+        let mut lacking = false;
+        for m in (1..n - f).map(PeerId) {
+            let absent = !net.view_of(m, 0).contains(&ANCHOR);
+            let run = &mut stretch[m.index()];
+            *run = if absent { *run + POLL } else { Duration::ZERO };
+            longest = longest.max(*run);
+            lacking |= absent;
+        }
+        if lacking {
+            disrupted += POLL;
+        }
+    }
+    let mut script = vec![ScenarioOp::Wait { secs: 5 }];
+    script.extend(core_asserts());
+    let settled = net.run_script(&script);
+    let bound = gossip.membership.alive_interval + gossip.discovery.anti_entropy_interval;
+    let landed = f == 0 || !disrupted.is_zero();
     Point {
         f,
-        held: warm && landed && run.healed && leaders.len() == 1 && settled,
-        metric: run.disrupted.as_secs_f64(),
+        held: warm && landed && seated && longest <= bound && settled.is_ok(),
+        metric: disrupted.as_secs_f64(),
         roster,
         detail: format!(
-            "leaders after the hunt: {leaders:?}, leader incarnation {before} -> {after}, \
-             no-resurrection: {settled}"
+            "leader seated throughout: {seated}, longest absence from a view {longest}; {}",
+            settled.map_or_else(
+                |e| e.to_string(),
+                |()| "one leader, views agree, no resurrection".into()
+            )
         ),
     }
 }
@@ -927,18 +847,18 @@ mod tests {
                 assert_eq!(p.roster.len(), p.f as usize, "{}", r.family.name);
             }
         }
-        let coalition = &report.families[8];
+        let forgery = &report.families[8];
         assert_eq!(
-            (coalition.family.name, coalition.deployment),
-            ("obituary-coalition", 6)
+            (forgery.family.name, forgery.deployment),
+            ("obituary-forgery", 6)
         );
         assert_eq!(
-            coalition.points[2].roster,
+            forgery.points[2].roster,
             [
-                (PeerId(4), "coalition-forger"),
-                (PeerId(5), "refutation-suppressor")
+                (PeerId(4), "obituary-forger"),
+                (PeerId(5), "obituary-forger")
             ],
-            "rosters name each attacker by its behavior, the forger lowest"
+            "rosters name each attacker by its behavior, lowest id first"
         );
         assert!(
             report.meets_floors(FLOORS),

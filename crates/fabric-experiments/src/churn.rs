@@ -239,6 +239,9 @@ pub struct ChannelReport {
     /// Closed leader-gap windows (leader leave → successor claim), in
     /// event order.
     pub leader_gaps: Vec<Duration>,
+    /// Reaps of a peer that was still a member, one per observing view
+    /// ([`FabricNet::false_reaps_on`]).
+    pub false_reaps: u64,
     /// Peers claiming leadership at end of run.
     pub leaders: Vec<PeerId>,
     /// The members at end of run, each with the gossip bytes it sent on
@@ -306,6 +309,7 @@ impl ChannelReport {
             max: cdf.max(),
             handoffs: net.handoffs_on(channel),
             leader_gaps: net.leader_gaps_on(channel).to_vec(),
+            false_reaps: net.false_reaps_on(channel),
             leaders: net.current_leaders_on(channel),
             member_bytes,
             discovery_bytes,
@@ -332,7 +336,7 @@ impl ChannelReport {
         let gaps: Vec<String> = self.leader_gaps.iter().map(Duration::to_string).collect();
         format!(
             "{} {:>3} members | {:>4} blocks | completeness {:.4} | p50 {} | p99.9 {} | max {} | \
-             handoffs {} | leaders [{}] | discovery share {:.3} | gaps [{}]\n",
+             handoffs {} | false reaps {} | leaders [{}] | discovery share {:.3} | gaps [{}]\n",
             self.channel,
             self.member_bytes.len(),
             self.blocks,
@@ -341,6 +345,7 @@ impl ChannelReport {
             self.p999,
             self.max,
             self.handoffs,
+            self.false_reaps,
             leaders.join(", "),
             self.discovery_share(),
             gaps.join(", "),

@@ -37,8 +37,8 @@
 //!   `Simulation<FabricNet>` in whatever `NetworkConfig` it is given —
 //!   there is no other simulator under any number this crate reports;
 //! * [`adversarial`] — beyond the paper: the Byzantine catalog as one
-//!   table of attacker families (membership, coalition, adaptive and
-//!   dissemination attacks), each swept over the attacker count `f` at
+//!   table of attacker families (membership and dissemination
+//!   attacks), each swept over the attacker count `f` at
 //!   deployments of `N` in the LAN model, reporting per point whether the
 //!   family's guarantee held and what the attack cost over the
 //!   attacker-free baseline, and per family the measured `f*(N)`;

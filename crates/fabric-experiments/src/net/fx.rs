@@ -44,6 +44,7 @@ impl FabricNet {
         let fx = SimFx {
             ctx,
             me: node,
+            members: &self.members,
             pending_commits,
             validation_free,
             ledgers,
@@ -61,6 +62,8 @@ impl FabricNet {
 pub(super) struct SimFx<'a, 'c> {
     ctx: &'a mut Ctx<'c, NetMsg, NetTimer>,
     me: NodeId,
+    /// Ground-truth membership per channel.
+    members: &'a [Vec<PeerId>],
     pending_commits: &'a mut VecDeque<(ChannelId, BlockRef)>,
     validation_free: &'a mut Time,
     ledgers: &'a mut Vec<(ChannelId, Ledger)>,
@@ -208,6 +211,9 @@ impl Effects for SimFx<'_, '_> {
         let me = PeerId(self.me.0);
         let now = self.ctx.now();
         let rt = &mut self.channels[channel.index()];
+        if !joined && self.members[channel.index()].contains(&peer) {
+            rt.false_reaps += 1;
+        }
         if let Some(record) = rt.convergence.iter_mut().find(|r| {
             r.peer == peer
                 && r.join == joined

@@ -222,6 +222,9 @@ struct ChannelRuntime {
     gap_open: Option<Time>,
     /// Closed leadership-gap windows (leader leave → successor claim).
     leader_gaps: Vec<Duration>,
+    /// Reaps observed of a peer that was still a member (see
+    /// [`FabricNet::false_reaps_on`]).
+    false_reaps: u64,
 }
 
 struct PeerNode {
@@ -438,6 +441,7 @@ impl FabricNet {
                     convergence: Vec::new(),
                     gap_open: None,
                     leader_gaps: Vec::new(),
+                    false_reaps: 0,
                     spec,
                 }
             })
@@ -591,6 +595,14 @@ impl FabricNet {
     /// successor claim), in event order.
     pub fn leader_gaps_on(&self, channel: ChannelId) -> &[Duration] {
         &self.channels[channel.index()].leader_gaps
+    }
+
+    /// Reaps observed on `channel` of a peer the ground truth still lists
+    /// as a member: one per observing view, counted from the leave
+    /// observations discovery reports (a rejoin faster than the alive
+    /// timeout reports one too, for a member).
+    pub fn false_reaps_on(&self, channel: ChannelId) -> u64 {
+        self.channels[channel.index()].false_reaps
     }
 
     /// Whether `channel` currently has an unclosed leadership gap.

@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 
 use desim::{Duration, NetworkConfig, NodeId, Simulation};
 use fabric_gossip::config::GossipConfig;
+use fabric_gossip::messages::PeerAlive;
 use fabric_gossip::peer::GossipPeer;
 use fabric_gossip::scenario::{Byzantine, Predicate, ScenarioError, ScenarioOp};
 use fabric_ledger::ledger::Ledger;
@@ -58,10 +59,10 @@ pub const POLL: Duration = Duration::from_millis(100);
 #[derive(Debug)]
 pub struct ScenarioNet {
     sim: Simulation<FabricNet>,
-    /// Highest obituary incarnation each peer recorded in its current
-    /// life, keyed by `(observer index, channel, subject)` — the ratchet
-    /// behind [`Predicate::NoResurrectionBelowObituary`].
-    obituary_floor: BTreeMap<(usize, u16, u32), u64>,
+    /// Freshest obituary each peer recorded in its current life, keyed
+    /// by `(observer index, channel, subject)` — the ratchet behind
+    /// [`Predicate::NoResurrectionBelowObituary`].
+    obituary_floor: BTreeMap<(usize, u16, u32), PeerAlive>,
     /// Highest injected block number per channel.
     heads: Vec<u64>,
 }
@@ -439,14 +440,17 @@ impl ScenarioNet {
                     };
                     for claim in engine.claims() {
                         let floor = self.obituary_floor.get(&(i, chan.0, claim.peer.0));
-                        if let Some(&floor) = floor {
-                            if claim.incarnation <= floor {
-                                return Err(format!(
-                                    "peer {} holds {:?} at incarnation {} ≤ its own past \
-                                     obituary {floor} — a resurrection below the obituary",
-                                    i, claim.peer, claim.incarnation
-                                ));
-                            }
+                        if let Some(floor) = floor.filter(|floor| !claim.fresher_than(floor)) {
+                            return Err(format!(
+                                "peer {i} holds {:?} at (incarnation, seq) ({}, {}), no fresher \
+                                 than its own past obituary ({}, {}) — a resurrection below \
+                                 the obituary",
+                                claim.peer,
+                                claim.incarnation,
+                                claim.seq,
+                                floor.incarnation,
+                                floor.seq
+                            ));
                         }
                     }
                 }
@@ -499,12 +503,14 @@ impl ScenarioNet {
                 let Some(engine) = net.gossip(i).discovery_on(chan) else {
                     continue;
                 };
-                for (subject, incarnation) in engine.obituary_iter() {
-                    let entry = self
+                for obituary in engine.obituary_iter() {
+                    let floor = self
                         .obituary_floor
-                        .entry((i, chan.0, subject.0))
-                        .or_insert(0);
-                    *entry = (*entry).max(incarnation);
+                        .entry((i, chan.0, obituary.peer.0))
+                        .or_insert(*obituary);
+                    if obituary.fresher_than(floor) {
+                        *floor = *obituary;
+                    }
                 }
             }
         }

@@ -166,8 +166,9 @@ fn a_partitioned_minority_is_reaped_and_resurrects_on_heal() {
         "majority reaps the cut-off peer"
     );
 
-    // Heal: the refutation machinery (obituary about self → higher
-    // incarnation) brings it back without any join event.
+    // Heal: the tombstone probes carry each side's claims, fresher than
+    // the other side's obituaries of them, and bring it back in the same
+    // life without any join event.
     net.heal();
     net.run_for(Duration::from_secs(20));
     assert!(
@@ -231,8 +232,8 @@ proptest! {
             net.run_for(Duration::from_secs(1));
         }
         // Loss stops; the protocol must converge within the settle window
-        // (drops during churn may have reaped live peers — the refutation
-        // path has to repair exactly that).
+        // (drops during churn may have reaped live peers — their next
+        // claims have to repair exactly that).
         net.heal();
         net.run_for(Duration::from_secs(30));
         prop_assert!(
@@ -273,7 +274,8 @@ proptest! {
             .discovery_on(ChannelId(0))
             .unwrap()
             .obituary_of(PeerId(4))
-            .expect("an obituary was recorded");
+            .expect("an obituary was recorded")
+            .incarnation;
 
         // Arbitrary quiet time: stale state must not decay into a
         // resurrection.

@@ -508,13 +508,7 @@ impl ChannelState {
     /// of received gossip*, never of a callback — and each one is reported
     /// through [`Effects::discovery_event`] so the embedding can measure
     /// convergence.
-    ///
-    /// A refuted self-obituary additionally drops any leadership claim —
-    /// the seat was reassigned while this peer was presumed dead.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
-        if delta.self_deposed {
-            self.set_leader(fx, false);
-        }
         for peer in delta.joined {
             // Sampleable at once; its reap deadline is discovery's,
             // counted from the claim just merged. Leadership follows
@@ -615,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn static_claim_follows_the_seniority_verdict_and_reports_each_change() {
+    fn dead_list_claim_follows_the_seniority_verdict_and_reports_each_change() {
         use crate::messages::PeerAlive;
         use crate::testing::MockEffects;
         // Peer 1 in a {0, 1, 2, 3} roster under discovery: peer 0 leads.
@@ -623,25 +617,31 @@ mod tests {
         let mut fx = MockEffects::new(1);
         s.init(&mut fx);
         assert!(!s.is_leader());
-        let claim = |peer, incarnation| PeerAlive {
+        let claim = |peer, incarnation, seq| PeerAlive {
             peer: PeerId(peer),
             incarnation,
-            seq: 1,
+            seq,
         };
         let obituary = |dead| GossipMsg::MembershipResponse {
             entries: vec![],
             dead: vec![dead],
         };
         // A discovery step that leaves the verdict where it was is silent.
-        s.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(claim(2, 1)));
+        s.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(claim(2, 1, 1)));
         assert!(fx.leadership.is_empty(), "an unchanged verdict is silent");
         // Peer 0 is reaped: this peer is the most senior survivor.
-        s.on_message(&mut fx, PeerId(2), obituary(claim(0, 1)));
+        s.on_message(&mut fx, PeerId(2), obituary(claim(0, 1, 1)));
         assert!(s.is_leader(), "the senior survivor must claim leadership");
-        // Its own obituary: the refutation ranks it junior, the seat goes.
-        let me = claim(1, s.discovery().incarnation());
-        s.on_message(&mut fx, PeerId(2), obituary(me));
-        assert!(!s.is_leader(), "a refuted obituary concedes the seat");
+        // Its own obituary, even at the top of the order, changes nothing.
+        let life = s.discovery().incarnation();
+        s.on_message(&mut fx, PeerId(2), obituary(claim(1, u64::MAX, u64::MAX)));
+        assert!(s.is_leader(), "an obituary about self moved the seat");
+        assert_eq!(s.discovery().incarnation(), life);
+        // Peer 0's next heartbeat undoes its reap in the same life, and the
+        // seat goes back to it.
+        s.on_message(&mut fx, PeerId(0), GossipMsg::AliveMsg(claim(0, 1, 2)));
+        assert!(s.core().membership.contains(PeerId(0)));
+        assert!(!s.is_leader(), "the falsely reaped leader is senior again");
         assert_eq!(fx.leadership, vec![true, false]);
     }
 
@@ -725,8 +725,8 @@ mod tests {
             };
             s.on_message(&mut fx, PeerId(8), request);
             assert_eq!(s.is_leader(), self_id == 5, "peer {self_id}'s seat moved");
-            // Not even for a moment: a refutation that deposes the leader
-            // and a verdict that re-seats it would report both moves.
+            // Not even for a moment: a reap that unseats the leader and a
+            // verdict that re-seats it would report both moves.
             assert!(
                 fx.leadership.is_empty(),
                 "peer {self_id}: {:?}",

@@ -16,14 +16,16 @@
 //! * a **leave** is silence: each claim row carries the instant this peer
 //!   last heard from (or, by a strictly fresher claim, about) its peer;
 //!   once that is older than the alive timeout the sweep **reaps** the
-//!   entry — recording an obituary (the incarnation the peer died at) that
-//!   anti-entropy then spreads, so one peer's timeout detection becomes
-//!   everyone's;
-//! * a **false death** (drops or a partition) is refuted: a peer that
-//!   learns it was declared dead bumps its incarnation above the obituary
-//!   and resurrects in every view — ranking junior from then on, exactly
-//!   where every other peer ranks the new life — so leadership
-//!   seniority stays consistent.
+//!   entry — recording an obituary, the last claim held about the peer,
+//!   that anti-entropy then spreads, so one peer's timeout detection
+//!   becomes everyone's (Fabric's dead list);
+//! * a **false death** (drops or a partition) undoes itself: obituaries
+//!   and claims are judged by the same `(incarnation, seq)` freshness, so
+//!   the victim's next heartbeat is fresher than any report of its death
+//!   and resurrects it in every view. Nobody bumps an incarnation for it,
+//!   so the victim keeps its seniority and never loses its own seat (a
+//!   view that reaped a leader may claim the seat until that heartbeat
+//!   arrives).
 //!
 //! The engine owns only discovery-private state (claims with their
 //! heard-at stamps, obituaries, its own incarnation/seq): liveness is
@@ -58,19 +60,12 @@ pub struct DiscoveryDelta {
     /// is told about both halves (a leave observation, then a join
     /// observation) so convergence accounting never dangles.
     pub renewed: Vec<PeerId>,
-    /// This peer learned it was declared dead and refuted the obituary:
-    /// it must drop any leadership claim (its seat was reassigned; the
-    /// bumped incarnation already ranks it junior).
-    pub self_deposed: bool,
 }
 
 impl DiscoveryDelta {
     /// Whether the step changed nothing.
     pub fn is_empty(&self) -> bool {
-        self.joined.is_empty()
-            && self.left.is_empty()
-            && self.renewed.is_empty()
-            && !self.self_deposed
+        self.joined.is_empty() && self.left.is_empty() && self.renewed.is_empty()
     }
 }
 
@@ -98,9 +93,9 @@ pub struct DiscoveryEngine {
     /// Freshest claim held per peer (self excluded), with its heard-at
     /// stamp.
     view: PeerTable<Row>,
-    /// Obituaries: the incarnation each reaped peer died at. A claim only
-    /// resurrects its peer when its incarnation is **strictly** higher.
-    dead: PeerTable<u64>,
+    /// Obituaries: the last claim held about each reaped peer. A claim
+    /// only resurrects its peer when it is **strictly** fresher.
+    dead: PeerTable<PeerAlive>,
     /// An observer life: this peer was handed a roster excluding itself
     /// (a deliberate non-member), so it ranks junior to every member and
     /// never claims static seniority while anyone else sits.
@@ -129,8 +124,8 @@ impl DiscoveryEngine {
         self.view.get(peer).map(|row| &row.claim)
     }
 
-    /// The obituary incarnation of `peer`, if it was reaped.
-    pub fn obituary_of(&self, peer: PeerId) -> Option<u64> {
+    /// The obituary of `peer` (its last claim held), if it was reaped.
+    pub fn obituary_of(&self, peer: PeerId) -> Option<PeerAlive> {
         self.dead.get(peer).copied()
     }
 
@@ -149,10 +144,9 @@ impl DiscoveryEngine {
         }
     }
 
-    /// Every obituary held, as `(peer, incarnation-it-died-at)`, in id
-    /// order.
-    pub fn obituary_iter(&self) -> impl Iterator<Item = (PeerId, u64)> + '_ {
-        self.dead.iter().map(|(p, inc)| (p, *inc))
+    /// Every obituary held, in id order.
+    pub fn obituary_iter(&self) -> impl Iterator<Item = &PeerAlive> {
+        self.dead.values()
     }
 
     /// `(dense slots, spilled rows, rows)` of the claim and the obituary
@@ -226,9 +220,10 @@ impl DiscoveryEngine {
     /// ([`GossipMsg::MembershipRequest`]) with one random live member —
     /// plus one **tombstone probe** to a random reaped peer. If the "dead"
     /// peer is in fact alive (a false death, e.g. across a healed
-    /// partition), the obituary about itself it finds in the probe lets it
-    /// refute, which is the only way two sides that reaped each other ever
-    /// reconnect.
+    /// partition), each side's claims are fresher than the other side's
+    /// obituaries of them: the probe resurrects this side at the target,
+    /// the reply resurrects the target's side here. That is the only way
+    /// two sides that reaped each other ever meet again.
     pub fn on_anti_entropy_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
         let mut targets = core.membership.sample(fx.rng(), 1);
         if !self.dead.is_empty() {
@@ -273,7 +268,7 @@ impl DiscoveryEngine {
             self.merge(core, fx.now(), claim, &mut delta);
         }
         for obituary in dead {
-            self.apply_death(core, fx, obituary, &mut delta);
+            self.apply_death(core, obituary, &mut delta);
         }
         let response = GossipMsg::MembershipResponse {
             entries: self.entries_with_self(core),
@@ -297,7 +292,7 @@ impl DiscoveryEngine {
             self.merge(core, fx.now(), claim, &mut delta);
         }
         for obituary in dead {
-            self.apply_death(core, fx, obituary, &mut delta);
+            self.apply_death(core, obituary, &mut delta);
         }
         delta
     }
@@ -323,8 +318,8 @@ impl DiscoveryEngine {
     /// Whether this peer is the most **senior** member it knows of:
     /// seniority ranks by `(incarnation, id)` — initial members (who all
     /// share the deployment-start incarnation) rank in id order, runtime
-    /// joiners rank by join time, and a refuted false death demotes (the
-    /// refutation bumps the incarnation). This is the leadership
+    /// joiners rank by join time, and a false death demotes nobody (the
+    /// victim's life never changes). This is the leadership
     /// rule of protocol-discovery channels: because it is computed from
     /// the gossiped view, it converges to exactly one claimant as the
     /// views converge — something a roster-order rule cannot promise when
@@ -350,14 +345,7 @@ impl DiscoveryEngine {
 
     /// The recorded obituaries, serialized for the wire.
     fn obituaries(&self) -> Vec<PeerAlive> {
-        self.dead
-            .iter()
-            .map(|(peer, inc)| PeerAlive {
-                peer,
-                incarnation: *inc,
-                seq: 0,
-            })
-            .collect()
+        self.obituary_iter().copied().collect()
     }
 
     /// Every claim this peer would share: its own (current incarnation and
@@ -389,9 +377,9 @@ impl DiscoveryEngine {
             return; // nobody knows this peer's life better than itself
         }
         let row = Row { claim, heard: now };
-        if let Some(&obituary) = self.dead.get(peer) {
-            if claim.incarnation <= obituary {
-                return; // no resurrection without a strictly higher life
+        if let Some(obituary) = self.dead.get(peer) {
+            if !claim.fresher_than(obituary) {
+                return; // not heard after the death: an echo
             }
             self.dead.remove(peer);
             self.view.insert(peer, row);
@@ -424,53 +412,38 @@ impl DiscoveryEngine {
         }
     }
 
-    /// Applies one obituary: deaths win ties (equal incarnation means the
-    /// peer really fell silent in that life), refutation beats both (a
-    /// live peer bumps above its own obituary).
-    fn apply_death(
-        &mut self,
-        core: &mut ChannelCore,
-        fx: &mut dyn Effects,
-        obituary: PeerAlive,
-        delta: &mut DiscoveryDelta,
-    ) {
+    /// Applies one obituary by the freshness order of [`Self::merge`]. A
+    /// claim held that is fresher than the obituary was heard after that
+    /// death and wins; otherwise (ties included) the peer is reaped, and
+    /// the fresher of the two claims is kept as its obituary. An obituary
+    /// about this peer itself changes nothing: its next heartbeat is
+    /// fresher than any report of its death.
+    fn apply_death(&mut self, core: &ChannelCore, obituary: PeerAlive, delta: &mut DiscoveryDelta) {
         let peer = obituary.peer;
-        if peer == core.self_id {
-            if obituary.incarnation >= self.incarnation {
-                // Refute: claim a strictly higher life and accept the
-                // demotion (the seat was reassigned while we were
-                // presumed dead).
-                self.incarnation = (obituary.incarnation + 1).max(fx.now().as_nanos().max(1));
-                self.seq = 0;
-                delta.self_deposed = true;
-            }
+        let outlived = self
+            .claim_of(peer)
+            .is_some_and(|held| held.fresher_than(&obituary));
+        if peer == core.self_id || outlived {
             return;
         }
-        match self.claim_of(peer) {
-            Some(held) if held.incarnation > obituary.incarnation => {
-                // We know a newer life: the obituary is history.
-            }
-            Some(_) => self.reap_at(peer, obituary.incarnation, delta),
-            None => self.record_death(peer, obituary.incarnation),
+        self.reap(peer, delta);
+        self.record_death(obituary);
+    }
+
+    /// Reaps `peer` at the claim currently held for it, if any.
+    fn reap(&mut self, peer: PeerId, delta: &mut DiscoveryDelta) {
+        if let Some(row) = self.view.remove(peer) {
+            self.record_death(row.claim);
+            delta.left.push(peer);
         }
     }
 
-    /// Reaps `peer` at the incarnation currently held for it.
-    fn reap(&mut self, peer: PeerId, delta: &mut DiscoveryDelta) {
-        let at = self.claim_of(peer).map_or(0, |c| c.incarnation);
-        self.reap_at(peer, at, delta);
-    }
-
-    fn reap_at(&mut self, peer: PeerId, incarnation: u64, delta: &mut DiscoveryDelta) {
-        self.view.remove(peer);
-        self.record_death(peer, incarnation);
-        delta.left.push(peer);
-    }
-
-    /// Keeps the highest incarnation `peer` is known to have died at.
-    fn record_death(&mut self, peer: PeerId, incarnation: u64) {
-        let entry = self.dead.get_or_insert(peer, incarnation);
-        *entry = (*entry).max(incarnation);
+    /// Keeps the fresher of `claim` and the obituary already held.
+    fn record_death(&mut self, claim: PeerAlive) {
+        let held = self.dead.get_or_insert(claim.peer, claim);
+        if claim.fresher_than(held) {
+            *held = claim;
+        }
     }
 }
 
@@ -615,39 +588,30 @@ mod tests {
     }
 
     #[test]
-    fn silence_reaps_and_equal_incarnation_cannot_resurrect() {
+    fn dead_list_silence_reaps_and_an_equal_claim_cannot_resurrect() {
         let mut c = core(0, 3);
         let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(4);
         e.init(&mut c, &mut fx);
-        let life = PeerAlive {
-            peer: PeerId(1),
-            incarnation: 10,
-            seq: 3,
-        };
+        let life = claim(1, 10, 3);
         e.on_alive(&mut c, &mut fx, life);
-        // Silence past the alive timeout (25 s default): the sweep reaps.
+        // Silence past the alive timeout (25 s default): the sweep reaps,
+        // and the obituary is the last claim held.
         fx.now = Time::from_secs(60);
         let delta = e.on_round(&mut c, &mut fx);
         assert!(delta.left.contains(&PeerId(1)));
-        assert_eq!(e.obituary_of(PeerId(1)), Some(10));
+        assert_eq!(e.obituary_of(PeerId(1)), Some(life));
 
-        // Same-incarnation claims are stale echoes of the dead life.
-        let echo = PeerAlive {
-            peer: PeerId(1),
-            incarnation: 10,
-            seq: 99,
-        };
-        assert!(e.on_alive(&mut c, &mut fx, echo).is_empty());
-        // A strictly higher incarnation is a genuine new life.
-        let reborn = PeerAlive {
-            peer: PeerId(1),
-            incarnation: 11,
-            seq: 1,
-        };
-        let delta = e.on_alive(&mut c, &mut fx, reborn);
+        // The reaped claim and older ones of its life are stale echoes.
+        for echo in [life, claim(1, 10, 2), claim(1, 9, 99)] {
+            assert!(e.on_alive(&mut c, &mut fx, echo).is_empty(), "{echo:?}");
+        }
+        // The next heartbeat of the same life is fresher: the reap was
+        // false, and it is undone without a new incarnation.
+        let delta = e.on_alive(&mut c, &mut fx, claim(1, 10, 4));
         assert_eq!(delta.joined, vec![PeerId(1)]);
         assert_eq!(e.obituary_of(PeerId(1)), None);
+        assert_eq!(e.claim_of(PeerId(1)), Some(&claim(1, 10, 4)));
     }
 
     #[test]
@@ -740,68 +704,58 @@ mod tests {
     }
 
     #[test]
-    fn obituary_about_self_is_refuted_with_a_higher_life() {
+    fn dead_list_an_obituary_about_self_changes_nothing() {
         let mut c = core(0, 3);
         let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(6);
         e.init(&mut c, &mut fx);
-        let my_death = PeerAlive {
-            peer: PeerId(0),
-            incarnation: e.incarnation(),
-            seq: 0,
-        };
-        let delta = e.on_membership_response(&mut c, &mut fx, vec![], vec![my_death]);
-        assert!(delta.self_deposed, "a refutation concedes the old seat");
-        assert!(e.incarnation() > my_death.incarnation);
-        // An obituary for a life we already outgrew is ignored.
-        let old_death = PeerAlive {
-            peer: PeerId(0),
-            incarnation: 1,
-            seq: 0,
-        };
-        let delta = e.on_membership_response(&mut c, &mut fx, vec![], vec![old_death]);
-        assert!(!delta.self_deposed);
+        let life = e.incarnation();
+        for my_death in [
+            claim(0, life, 0),
+            claim(0, life + 1, 5),
+            claim(0, u64::MAX, u64::MAX),
+        ] {
+            let delta = e.on_membership_response(&mut c, &mut fx, vec![], vec![my_death]);
+            assert!(delta.is_empty(), "{my_death:?}");
+            assert_eq!(e.incarnation(), life, "{my_death:?}: no bump");
+            assert_eq!(e.obituary_iter().count(), 0, "{my_death:?}: not kept");
+        }
     }
 
     #[test]
-    fn obituaries_spread_deaths_but_newer_lives_survive_them() {
-        let mut c = core(0, 4);
+    fn dead_list_a_fresher_held_claim_survives_an_obituary_and_ties_reap() {
+        let mut c = core(0, 5);
         let mut e = DiscoveryEngine::new(&c);
         let mut fx = MockEffects::new(7);
         e.init(&mut c, &mut fx);
-        e.on_alive(
-            &mut c,
-            &mut fx,
-            PeerAlive {
-                peer: PeerId(1),
-                incarnation: 7,
-                seq: 2,
-            },
-        );
-        e.on_alive(
-            &mut c,
-            &mut fx,
-            PeerAlive {
-                peer: PeerId(2),
-                incarnation: 9,
-                seq: 1,
-            },
-        );
+        for held in [
+            claim(1, 7, 2),
+            claim(2, 9, 5),
+            claim(3, 9, 1),
+            claim(4, 7, 2),
+        ] {
+            e.on_alive(&mut c, &mut fx, held);
+        }
         let deaths = vec![
-            PeerAlive {
-                peer: PeerId(1),
-                incarnation: 7,
-                seq: 0,
-            },
-            PeerAlive {
-                peer: PeerId(2),
-                incarnation: 8, // we hold incarnation 9: obituary is history
-                seq: 0,
-            },
+            claim(1, 7, 2), // a tie: nothing was heard after that death
+            claim(2, 9, 4), // seq 5 was heard after it
+            claim(3, 8, 9), // a newer life was heard after it
+            claim(4, 7, 3), // that death came after the claim held
         ];
         let delta = e.on_membership_response(&mut c, &mut fx, vec![], deaths);
-        assert_eq!(delta.left, vec![PeerId(1)]);
-        assert!(e.claim_of(PeerId(2)).is_some(), "newer life survives");
+        assert_eq!(delta.left, vec![PeerId(1), PeerId(4)]);
+        assert!(e.claim_of(PeerId(2)).is_some() && e.claim_of(PeerId(3)).is_some());
+        // Each obituary kept is the fresher of the claim held and the
+        // one reported.
+        assert_eq!(e.obituary_of(PeerId(1)), Some(claim(1, 7, 2)));
+        assert_eq!(e.obituary_of(PeerId(4)), Some(claim(4, 7, 3)));
+        // An obituary about a peer this view never held is kept as told,
+        // and a staler report of the same death does not lower it.
+        let stranger = vec![claim(9, 3, 3), claim(9, 3, 1)];
+        assert!(e
+            .on_membership_response(&mut c, &mut fx, vec![], stranger)
+            .is_empty());
+        assert_eq!(e.obituary_of(PeerId(9)), Some(claim(9, 3, 3)));
     }
 
     #[test]

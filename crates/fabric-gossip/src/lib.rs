@@ -46,9 +46,9 @@
 //!     [`config::DiscoveryConfig::protocol`] is on): `AliveMsg`
 //!     heartbeats with monotonic `(incarnation, seq)` claims,
 //!     `MembershipRequest`/`MembershipResponse` anti-entropy, expiry of
-//!     silent peers and obituary spreading — joins and leaves are local
-//!     consequences of received gossip. With it off the build-time roster
-//!     is the membership for the whole run;
+//!     silent peers and a dead list of their last claims — joins and
+//!     leaves are local consequences of received gossip. With it off the
+//!     build-time roster is the membership for the whole run;
 //! * [`effects::Effects`] — the side-effect boundary every engine drives;
 //!   all I/O is tagged with its [`fabric_types::ids::ChannelId`], and the
 //!   wire unit is [`messages::ChannelMsg`] (channel tag + payload).

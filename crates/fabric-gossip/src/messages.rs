@@ -58,8 +58,9 @@ impl desim::Message for ChannelMsg {
 /// `incarnation` is fixed for one life of the peer on the channel (a
 /// rejoin or reboot picks a strictly higher one), `seq` increments with
 /// every heartbeat of that life. A claim only displaces a stored one when
-/// strictly fresher, so stale relays can never resurrect a reaped peer —
-/// only a genuinely new life (higher incarnation) can.
+/// strictly fresher, and an obituary is the last claim held about a reaped
+/// peer, so stale relays can never resurrect it — only a later heartbeat
+/// of that life, or a new life, can.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerAlive {
     /// The peer the claim is about (not necessarily the sender: anti-
@@ -191,12 +192,14 @@ pub enum GossipMsg {
     /// Discovery anti-entropy, phase 1: the requester pushes its full
     /// alive view and obituaries and solicits the responder's. Also sent
     /// as a **tombstone probe** to one reaped peer per round — if that
-    /// peer is in fact alive (a false death), the obituary it finds in
-    /// here lets it refute, which is what reconnects healed partitions.
+    /// peer is in fact alive (a false death), the claims each side sends
+    /// are fresher than the other side's obituaries of them, which is what
+    /// reconnects healed partitions.
     MembershipRequest {
         /// Every alive claim the requester holds (its own included).
         entries: Vec<PeerAlive>,
-        /// Reaped peers with the incarnation they died at.
+        /// The requester's obituaries: the last claim it held about each
+        /// peer it reaped.
         dead: Vec<PeerAlive>,
     },
     /// Discovery anti-entropy, phase 2: the responder's view plus its
@@ -204,8 +207,9 @@ pub enum GossipMsg {
     MembershipResponse {
         /// Every alive claim the responder holds (its own included).
         entries: Vec<PeerAlive>,
-        /// Reaped peers with the incarnation they died at; receivers apply
-        /// the death unless they know a strictly higher incarnation.
+        /// The responder's obituaries: the last claim it held about each
+        /// peer it reaped. A receiver applies one unless it holds a
+        /// strictly fresher claim.
         dead: Vec<PeerAlive>,
     },
 }

@@ -10,9 +10,8 @@
 //! ([`Byzantine::on_step`]: inject). Nothing here knows which host that
 //! is — the hooks take an [`AttackCtx`] and return messages.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use desim::Time;
 use rand::rngs::StdRng;
@@ -213,37 +212,6 @@ impl Byzantine for StaleReplayer {
             }
         }
         out
-    }
-}
-
-/// One forged obituary: `victim` declared dead at `incarnation` (deaths
-/// win ties, so honest peers apply it), sent as an unsolicited
-/// `MembershipResponse` to every member of `channel` but the attacker and
-/// the victim — the longer the victim takes to find its own obituary, the
-/// longer the disruption.
-fn obituary_shot(
-    ctx: &AttackCtx<'_>,
-    channel: ChannelId,
-    victim: PeerId,
-    incarnation: u64,
-    out: &mut Vec<(ChannelId, PeerId, GossipMsg)>,
-) {
-    let forged = PeerAlive {
-        peer: victim,
-        incarnation,
-        seq: 0,
-    };
-    for target in ctx.honest(channel) {
-        if target != victim {
-            out.push((
-                channel,
-                target,
-                GossipMsg::MembershipResponse {
-                    entries: Vec::new(),
-                    dead: vec![forged],
-                },
-            ));
-        }
     }
 }
 
@@ -458,254 +426,35 @@ impl Byzantine for Eclipser {
     }
 }
 
-/// Zero-latency coordination between the members of a Byzantine
-/// *coalition*: pooled wiretap intel plus a small board of named signals,
-/// shared outside the gossip wire (colluding processes talk out of band).
-/// Cloning the handle shares the underlying state, so every member wired
-/// with the same `SideChannel` reads and writes one pool. One simulation
-/// runs on one thread, so the lock is never contended; it is there so a
-/// deployment with a coalition attached stays `Send`.
-#[derive(Debug, Clone, Default)]
-pub struct SideChannel {
-    inner: Arc<Mutex<SideState>>,
-}
-
-#[derive(Debug, Default)]
-struct SideState {
-    intel: ClaimIntel,
-    signals: BTreeMap<&'static str, u64>,
-}
-
-impl SideChannel {
-    /// A fresh, empty coalition blackboard.
-    pub fn new() -> Self {
-        SideChannel::default()
-    }
-
-    fn state(&self) -> MutexGuard<'_, SideState> {
-        self.inner
-            .lock()
-            .expect("a coalition member panicked holding the side channel")
-    }
-
-    /// Pools every claim carried by `msg` into the coalition's shared
-    /// intel — what *any* member hears, every member knows.
-    pub fn observe(&self, channel: ChannelId, msg: &GossipMsg) {
-        self.state().intel.observe(channel, msg);
-    }
-
-    /// The freshest claim any coalition member ever heard about `peer`.
-    pub fn freshest_of(&self, channel: ChannelId, peer: PeerId) -> Option<PeerAlive> {
-        self.state().intel.freshest_of(channel, peer)
-    }
-
-    /// The stalest pooled claim per peer — replay ammunition.
-    pub fn stale_claims(&self, channel: ChannelId) -> Vec<PeerAlive> {
-        self.state().intel.stale_claims(channel)
-    }
-
-    /// Posts a named signal (e.g. the incarnation a forger just buried)
-    /// for the rest of the coalition to read.
-    pub fn post(&self, key: &'static str, value: u64) {
-        self.state().signals.insert(key, value);
-    }
-
-    /// Reads a posted signal, if any member posted it.
-    pub fn read(&self, key: &'static str) -> Option<u64> {
-        self.state().signals.get(key).copied()
-    }
-}
-
-/// **Obituary forgery**, alone or in a coalition: declares a live victim
-/// dead at the freshest incarnation *any* coalition member has wiretapped
-/// (via the shared [`SideChannel`]; a forger with a `SideChannel` of its
-/// own is a lone forger), and each shot posts the buried incarnation as
-/// the `"forged-incarnation"` signal so [`RefutationSuppressor`]s know
-/// exactly which refutation to hunt. The surviving guarantee is the
-/// refutation bound: the victim finds its own obituary through
-/// anti-entropy, bumps its incarnation, and re-enters every view — the
-/// attack costs a bounded disruption window, not the victim's membership.
-/// Suppressors on other wires thin the redundancy margin the bump must
-/// fight through. `shots` bounds the campaign so scenarios can measure
-/// recovery after it ends.
+/// **Obituary forgery**: declares a live victim dead at the freshest
+/// claim of it this attacker has wiretapped, in an unsolicited
+/// `MembershipResponse` to every member of the channel but itself and the
+/// victim. A forgery is a claim like any other: a peer that heard the
+/// victim since ignores it, one that holds the same claim reaps the
+/// victim, and the victim's next heartbeat, fresher than the forgery,
+/// re-admits it in the same life. `shots` bounds the campaign so a
+/// scenario can measure recovery after it ends.
 #[derive(Debug)]
-pub struct CoalitionForger {
+pub struct ObituaryForger {
     victim: PeerId,
     shots: u32,
-    side: SideChannel,
+    intel: ClaimIntel,
 }
 
-impl CoalitionForger {
-    /// Forges `shots` obituary broadcasts against `victim`, coordinating
-    /// through `side`.
-    pub fn new(victim: PeerId, shots: u32, side: SideChannel) -> Self {
-        CoalitionForger {
+impl ObituaryForger {
+    /// Forges `shots` obituary broadcasts against `victim`.
+    pub fn new(victim: PeerId, shots: u32) -> Self {
+        ObituaryForger {
             victim,
             shots,
-            side,
-        }
-    }
-}
-
-impl Byzantine for CoalitionForger {
-    fn name(&self) -> &'static str {
-        "coalition-forger"
-    }
-
-    fn on_inbound(
-        &mut self,
-        _ctx: &mut AttackCtx<'_>,
-        channel: ChannelId,
-        _from: PeerId,
-        msg: &GossipMsg,
-    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        self.side.observe(channel, msg);
-        Vec::new()
-    }
-
-    fn on_step(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        if self.shots == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for c in 0..ctx.members.len() {
-            let channel = ChannelId(c as u16);
-            let Some(claim) = self.side.freshest_of(channel, self.victim) else {
-                continue;
-            };
-            self.side.post("forged-incarnation", claim.incarnation);
-            obituary_shot(ctx, channel, self.victim, claim.incarnation, &mut out);
-        }
-        if !out.is_empty() {
-            self.shots -= 1;
-        }
-        out
-    }
-}
-
-/// Coalition attacker — **refutation suppression**: feeds its wiretap
-/// into the coalition's [`SideChannel`] and scrubs from its *own*
-/// outbound anti-entropy every claim about the victim strictly fresher
-/// than the incarnation the coalition's forger buried (the
-/// `"forged-incarnation"` signal) — the refutation path, selectively.
-/// Because [`Byzantine::on_inbound`] is wiretap-only (a compromised
-/// process cannot stop a packet that already reached its honest engine),
-/// the suppressor can only darken its own wire: the refutation must
-/// survive on the redundancy of the remaining honest paths.
-#[derive(Debug)]
-pub struct RefutationSuppressor {
-    victim: PeerId,
-    side: SideChannel,
-}
-
-impl RefutationSuppressor {
-    /// Suppresses `victim`'s refutations, coordinating through `side`.
-    pub fn new(victim: PeerId, side: SideChannel) -> Self {
-        RefutationSuppressor { victim, side }
-    }
-}
-
-impl Byzantine for RefutationSuppressor {
-    fn name(&self) -> &'static str {
-        "refutation-suppressor"
-    }
-
-    fn on_inbound(
-        &mut self,
-        _ctx: &mut AttackCtx<'_>,
-        channel: ChannelId,
-        _from: PeerId,
-        msg: &GossipMsg,
-    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        self.side.observe(channel, msg);
-        Vec::new()
-    }
-
-    fn on_outbound(
-        &mut self,
-        _ctx: &mut AttackCtx<'_>,
-        channel: ChannelId,
-        to: PeerId,
-        msg: GossipMsg,
-    ) -> Vec<(ChannelId, PeerId, GossipMsg)> {
-        let Some(floor) = self.side.read("forged-incarnation") else {
-            return vec![(channel, to, msg)];
-        };
-        if !msg.is_membership_exchange() {
-            return vec![(channel, to, msg)];
-        }
-        let victim = self.victim;
-        let scrub = |entries: Vec<PeerAlive>| -> Vec<PeerAlive> {
-            entries
-                .into_iter()
-                .filter(|c| c.peer != victim || c.incarnation <= floor)
-                .collect()
-        };
-        let scrubbed = match msg {
-            GossipMsg::MembershipRequest { entries, dead } => GossipMsg::MembershipRequest {
-                entries: scrub(entries),
-                dead,
-            },
-            GossipMsg::MembershipResponse { entries, dead } => GossipMsg::MembershipResponse {
-                entries: scrub(entries),
-                dead,
-            },
-            other => other,
-        };
-        vec![(channel, to, scrubbed)]
-    }
-}
-
-/// **Adaptive** attacker — instead of running a fixed campaign it watches
-/// the wire ([`Byzantine::on_inbound`]) and decides each step, clocked by
-/// its own timers ([`Byzantine::on_step`]), from the observed state; its
-/// outbound traffic passes untouched (it attacks with injections, not
-/// with its own wire). **Leader hunting**: infers who currently leads the
-/// way the honest peers decide it — the live member whose freshest
-/// wiretapped claim is most senior, the minimum `(incarnation.max(1), id)`
-/// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]) — forges
-/// *that* peer's obituary at the freshest incarnation it has heard, and
-/// adapts on both axes: when leadership moves (say, because its own
-/// forgery deposed the previous leader, whose refutation ranks it junior)
-/// it re-targets the successor, and when a victim refutes by bumping its
-/// incarnation it re-forges at the bumped value — each `(victim,
-/// incarnation)` pair is shot at most once, so the campaign only ever
-/// acts on *new* observed state. `shots` bounds the total. The guarantees
-/// under test: leadership recovers to exactly one claimant and every
-/// deposed victim re-enters the view.
-#[derive(Debug)]
-pub struct LeaderHunter {
-    shots: u32,
-    intel: ClaimIntel,
-    /// `(channel, victim, incarnation)` triples already shot — firing
-    /// again would waste a shot on state the network already refuted.
-    fired: HashSet<(u16, u32, u64)>,
-}
-
-impl LeaderHunter {
-    /// Hunts leaders with a budget of `shots` forgeries.
-    pub fn new(shots: u32) -> Self {
-        LeaderHunter {
-            shots,
             intel: ClaimIntel::default(),
-            fired: HashSet::new(),
         }
-    }
-
-    /// The member of `channel` whose freshest heard claim ranks most
-    /// senior, with that claim; `None` before any claim was heard.
-    fn senior(&self, ctx: &AttackCtx<'_>, channel: ChannelId) -> Option<PeerAlive> {
-        ctx.members
-            .get(channel.0 as usize)?
-            .iter()
-            .filter_map(|p| self.intel.freshest_of(channel, *p))
-            .min_by_key(|c| (c.incarnation.max(1), c.peer))
     }
 }
 
-impl Byzantine for LeaderHunter {
+impl Byzantine for ObituaryForger {
     fn name(&self) -> &'static str {
-        "leader-hunter"
+        "obituary-forger"
     }
 
     fn on_inbound(
@@ -720,23 +469,26 @@ impl Byzantine for LeaderHunter {
     }
 
     fn on_step(&mut self, ctx: &mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)> {
+        if self.shots == 0 {
+            return Vec::new();
+        }
         let mut out = Vec::new();
         for c in 0..ctx.members.len() {
-            if self.shots == 0 {
-                break;
-            }
             let channel = ChannelId(c as u16);
-            let Some(claim) = self.senior(ctx, channel) else {
-                continue; // no claim heard yet: nothing to react to
-            };
-            let victim = claim.peer;
-            if victim == ctx.self_id {
+            let Some(forged) = self.intel.freshest_of(channel, self.victim) else {
                 continue;
+            };
+            for target in ctx.honest(channel) {
+                if target != self.victim {
+                    let shot = GossipMsg::MembershipResponse {
+                        entries: Vec::new(),
+                        dead: vec![forged],
+                    };
+                    out.push((channel, target, shot));
+                }
             }
-            if !self.fired.insert((channel.0, victim.0, claim.incarnation)) {
-                continue; // already shot this life; wait for new state
-            }
-            obituary_shot(ctx, channel, victim, claim.incarnation, &mut out);
+        }
+        if !out.is_empty() {
             self.shots -= 1;
         }
         out
@@ -883,27 +635,6 @@ impl Byzantine for SnapshotPoisoner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn side_channel_clones_share_intel_and_signals() {
-        let side = SideChannel::new();
-        let clone = side.clone();
-        let claim = PeerAlive {
-            peer: PeerId(3),
-            incarnation: 7,
-            seq: 2,
-        };
-        clone.observe(ChannelId(0), &GossipMsg::AliveMsg(claim));
-        assert_eq!(
-            side.freshest_of(ChannelId(0), PeerId(3)),
-            Some(claim),
-            "intel observed through one handle is visible through the other"
-        );
-        clone.post("forged-incarnation", 7);
-        assert_eq!(side.read("forged-incarnation"), Some(7));
-        assert_eq!(side.read("unposted"), None);
-        assert_eq!(side.stale_claims(ChannelId(0)), vec![claim]);
-    }
 
     #[test]
     fn equivocator_doctoring_keeps_the_header_and_breaks_the_data_hash() {

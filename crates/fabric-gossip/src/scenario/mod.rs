@@ -14,29 +14,18 @@
 //!   grants an injection opportunity via [`Byzantine::on_step`]. The
 //!   underlying peer keeps running the honest protocol — the attacker is
 //!   a *man-on-its-own-wire*, exactly the power a compromised process
-//!   has. Four discovery-layer behaviors ship: [`StaleReplayer`],
-//!   [`SelectiveForwarder`], [`Flooder`] and [`Eclipser`]. On top of
-//!   them:
-//!
-//!   - **Coalitions** — several Byzantine peers coordinate through a
-//!     shared [`SideChannel`] (pooled wiretap intel plus named signals):
-//!     [`CoalitionForger`] forges a victim's obituary at the coalition's
-//!     *pooled* freshest incarnation and announces what it buried (with a
-//!     `SideChannel` of its own it is a lone forger), and every
-//!     [`RefutationSuppressor`] scrubs exactly that refutation from its
-//!     own wire.
-//!   - **Adaptive attackers** — [`LeaderHunter`] wiretaps through
-//!     [`Byzantine::on_inbound`] and reacts on its own timers
-//!     ([`Byzantine::on_step`]): it targets whichever peer currently
-//!     claims leadership and re-forges after observing an incarnation
-//!     bump.
-//!   - **Dissemination-layer attackers** — [`Withholder`] advertises
-//!     blocks but never serves payloads toward its targets;
-//!     [`Equivocator`] serves conflicting payloads for the same height to
-//!     different peers; [`SnapshotPoisoner`] serves corrupted snapshots.
-//!     All are classified through the wiretap hooks on
-//!     [`crate::messages::GossipMsg::carries_blocks`] /
-//!     [`crate::messages::GossipMsg::map_blocks`].
+//!   has. Five discovery-layer behaviors ship: [`StaleReplayer`],
+//!   [`SelectiveForwarder`], [`Flooder`], [`Eclipser`] and
+//!   [`ObituaryForger`], which wiretaps a victim's freshest claim and
+//!   forges its obituary at exactly that claim (under the dead list a
+//!   forgery any older is inert, and the victim's next heartbeat outruns
+//!   this one). Three dissemination-layer behaviors ship beside them:
+//!   [`Withholder`] advertises blocks but never serves payloads toward
+//!   its targets; [`Equivocator`] serves conflicting payloads for the
+//!   same height to different peers; [`SnapshotPoisoner`] serves
+//!   corrupted snapshots. All three classify traffic through
+//!   [`crate::messages::GossipMsg::carries_blocks`] /
+//!   [`crate::messages::GossipMsg::map_blocks`].
 //!
 //! Neither half simulates anything. The one simulator is `desim`, the one
 //! host `fabric_experiments::net::FabricNet`; the script interpreter and
@@ -50,8 +39,7 @@ mod attackers;
 mod script;
 
 pub use attackers::{
-    AttackCtx, Byzantine, ClaimIntel, CoalitionForger, Eclipser, Equivocator, Flooder,
-    LeaderHunter, RefutationSuppressor, SelectiveForwarder, SideChannel, SnapshotPoisoner,
-    StaleReplayer, Withholder,
+    AttackCtx, Byzantine, ClaimIntel, Eclipser, Equivocator, Flooder, ObituaryForger,
+    SelectiveForwarder, SnapshotPoisoner, StaleReplayer, Withholder,
 };
 pub use script::{random_scenario, Predicate, ScenarioError, ScenarioOp, ScenarioShape};

@@ -84,9 +84,9 @@ pub enum Predicate {
         /// Channel index.
         channel: usize,
     },
-    /// No peer holds an alive claim at an incarnation less than or equal
-    /// to an obituary *it itself* ever recorded for that peer — replays
-    /// of a reaped life must stay dead.
+    /// No peer holds an alive claim that is not strictly fresher, by
+    /// `(incarnation, seq)`, than an obituary *it itself* ever recorded
+    /// for that peer — a replay of a reaped claim must stay dead.
     NoResurrectionBelowObituary {
         /// Channel index.
         channel: usize,

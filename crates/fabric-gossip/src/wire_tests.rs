@@ -24,11 +24,15 @@
 //! thousand such ids, the largest of them at the top of the id space, and
 //! checks that each costs one row in every per-peer table while the dense
 //! index keeps the range it was seeded with.
+//!
+//! An obituary is a claim like any other, and one naming the receiver
+//! itself, even at `u64::MAX` incarnation and seq, moves nothing there: no
+//! incarnation, no seat, no view.
 
 use desim::Duration;
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::crypto::Hash256;
-use fabric_types::ids::PeerId;
+use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::snapshot::Checkpoint;
 use proptest::prelude::*;
 
@@ -248,4 +252,51 @@ fn wire_hostile_discovery_ids_cost_one_row_each() {
     assert_eq!(obituaries, (RANGE, 1_000, 1_000));
     assert_eq!(heights, (RANGE, 1, 1));
     assert_eq!(checkpoints, (RANGE, 1, 1));
+}
+
+#[test]
+fn wire_hostile_obituary_of_the_receiver_at_the_top_changes_nothing() {
+    // The seated peer 0 of the roster 0..4 under discovery.
+    let cfg = GossipConfig::enhanced(4, TTL, 2).with_discovery_protocol();
+    let mut peer = GossipPeer::new(PeerId(0), (0..4).map(PeerId).collect(), cfg);
+    let mut fx = MockEffects::new(5);
+    peer.init(&mut fx);
+    fn discovery(peer: &GossipPeer) -> &crate::discovery::DiscoveryEngine {
+        peer.discovery_on(ChannelId::DEFAULT).unwrap()
+    }
+    let life = discovery(&peer).incarnation();
+    let seated = peer.is_leader();
+    let views = (
+        peer.membership().peers().to_vec(),
+        peer.channel().peers().to_vec(),
+    );
+    let forged = PeerAlive {
+        peer: PeerId(0),
+        incarnation: u64::MAX,
+        seq: u64::MAX,
+    };
+    for from in [PeerId(1), PeerId(77), PeerId(0)] {
+        let response = GossipMsg::MembershipResponse {
+            entries: vec![],
+            dead: vec![forged],
+        };
+        peer.on_message(&mut fx, from, response);
+        let request = GossipMsg::MembershipRequest {
+            entries: vec![],
+            dead: vec![forged],
+        };
+        peer.on_message(&mut fx, from, request);
+        assert_eq!(discovery(&peer).incarnation(), life, "from {from}");
+        assert_eq!(peer.is_leader(), seated, "from {from}");
+        assert_eq!(
+            (
+                peer.membership().peers().to_vec(),
+                peer.channel().peers().to_vec()
+            ),
+            views,
+            "from {from}"
+        );
+        assert_eq!(discovery(&peer).obituary_iter().count(), 0, "from {from}");
+    }
+    assert!(seated && fx.leadership.is_empty());
 }

@@ -1,7 +1,8 @@
 //! Failure injection: packet loss, crashed followers, crashed and rebooted
-//! leaders, and network partitions. The gossip layer must keep every
-//! surviving peer converging.
+//! leaders, network partitions and false reaps. The gossip layer must keep
+//! every surviving peer converging.
 
+use fair_gossip::experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fair_gossip::experiments::dissemination::{run_dissemination, DisseminationConfig};
 use fair_gossip::experiments::net::{FabricNet, NetParams};
 use fair_gossip::gossip::config::GossipConfig;
@@ -166,6 +167,26 @@ fn partition_heals_and_recovery_reconciles() {
         assert!(
             reference.saturating_sub(net.gossip(i).height()) <= 1,
             "peer {i} must reconcile after the partition heals"
+        );
+    }
+}
+
+/// Regression: nobody ever leaves the main channel, yet a false reap of
+/// its leader spread as an obituary that tied with every view's claim,
+/// and the leader's escape from it, a higher incarnation, ranked it junior
+/// and moved the seat. Each of these seeds moved it once that way. Under
+/// the dead list an obituary is the last claim held, so the leader's next
+/// heartbeat undoes the reap in the same life.
+#[test]
+fn a_false_reap_never_moves_the_main_channels_seat() {
+    for seed in [5, 27, 28] {
+        let mut cfg = ChurnWavesConfig::standard(3, 16, 60);
+        cfg.seed = seed;
+        let main = &run_churn_waves(&cfg).channels[0];
+        assert_eq!(
+            main.handoffs, 0,
+            "seed {seed}: the main channel's seat moved ({} false reaps)",
+            main.false_reaps
         );
     }
 }
