@@ -40,7 +40,7 @@ use fabric_gossip::scenario::{
     Byzantine, Eclipser, Equivocator, Flooder, ObituaryForger, Predicate, ScenarioOp,
     SelectiveForwarder, StaleReplayer, Withholder,
 };
-use fabric_types::block::{Block, BlockRef};
+use fabric_types::block::Block;
 use fabric_types::ids::{ChannelId, PeerId};
 
 use crate::net::FabricNet;
@@ -57,15 +57,6 @@ pub const WORLD: &str = "lan";
 /// number describe the same world.
 pub fn world(peers: usize) -> NetworkConfig {
     NetworkConfig::lan(peers)
-}
-
-/// A deployment of `peers` peers in [`world`], seeded with [`SEED`].
-pub(crate) fn deployment(
-    peers: usize,
-    memberships: Vec<Vec<PeerId>>,
-    gossip: &GossipConfig,
-) -> ScenarioNet {
-    ScenarioNet::new(world(peers), memberships, gossip, SEED)
 }
 
 /// The measured tolerance bounds `(family, N, f*)` of the swept
@@ -449,11 +440,7 @@ pub const FAMILIES: [Family; 7] = [
 /// The discovery protocol with timers tightened so convergence happens in
 /// seconds of simulated time (the shape the discovery suite uses).
 fn gossip() -> GossipConfig {
-    let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
-    gossip.membership.alive_interval = Duration::from_secs(1);
-    gossip.discovery.anti_entropy_interval = Duration::from_secs(1);
-    gossip.membership.alive_timeout = Duration::from_secs(5);
-    gossip
+    GossipConfig::enhanced_f4().with_quick_discovery()
 }
 
 /// The honest seed a runtime joiner may bootstrap through, and the
@@ -464,9 +451,11 @@ const TARGETS: [PeerId; 2] = [PeerId(0), PeerId(1)];
 /// The member that leaves under the stale replayers.
 const LEAVER: PeerId = PeerId(2);
 
-/// Members `0..n` on channel 0 of a [`deployment`] of `peers`.
+/// Members `0..n` on channel 0 of `peers` peers in [`world`], seeded with
+/// [`SEED`].
 fn channel(n: u32, peers: u32, gossip: &GossipConfig) -> ScenarioNet {
-    deployment(peers as usize, vec![(0..n).map(PeerId).collect()], gossip)
+    let members = vec![(0..n).map(PeerId).collect()];
+    ScenarioNet::new(world(peers as usize), members, gossip, SEED)
 }
 
 /// The compromised set: the `f` highest ids of an `n`-member channel.
@@ -729,15 +718,7 @@ fn catch_up(n: u32, f: u32, make: impl FnMut(usize) -> Box<dyn Byzantine>) -> Ca
     let joiner = PeerId(n);
     let mut net = channel(n, n + 1, &gossip);
     let roster = attack(&mut net, n, f, make);
-    // Chained from genesis, so every member's ledger commits what gossip
-    // delivers to it.
-    let mut prev = Block::genesis().hash();
-    for num in 1..=HEIGHT {
-        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
-        prev = block.hash();
-        net.inject(0, block);
-        net.run_for(Duration::from_millis(200));
-    }
+    net.stream(0, HEIGHT);
     net.run_for(Duration::from_secs(10));
     let sitting = net.check(&Predicate::GapFreeCatchup { channel: 0 }).is_ok();
     net.join(0, joiner);

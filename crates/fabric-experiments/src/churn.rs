@@ -223,9 +223,11 @@ pub struct ChannelReport {
     pub channel: ChannelId,
     /// Blocks cut on the channel.
     pub blocks: u64,
-    /// Fraction of (block, slot) deliveries over **initial** members —
-    /// late joiners legitimately miss pre-join starts, so they are
-    /// excluded from the denominator.
+    /// Share of the blocks owed to the members sitting at end of run that
+    /// they hold. A member is owed every block cut since it joined (an
+    /// initial member, every block cut) and holds what its contiguous
+    /// height covers, blocks absorbed through a snapshot included; a
+    /// leaver owes nothing.
     pub completeness: f64,
     /// Median dissemination latency over all recorded cells.
     pub p50: Duration,
@@ -254,27 +256,28 @@ pub struct ChannelReport {
 
 impl ChannelReport {
     /// Reads `spec`'s channel off a finished run, in `net`'s own peer ids.
-    /// `spec.members` are the initial members completeness counts over;
-    /// the latency pool also takes every joiner's slot.
+    /// The latency pool takes every slot: the initial members' and every
+    /// scheduled joiner's.
     pub fn read_off(net: &FabricNet, spec: &ChannelSpec) -> Self {
         let channel = spec.channel;
-        let initial = spec.members.len();
         let rec = net.latency_on(channel).expect("channel exists");
-        let blocks = rec.block_count();
-        let mut pool = Vec::new();
-        let mut filled = 0usize;
-        for slot in 0..initial {
-            let lat = rec.peer_latencies(slot);
-            filled += lat.len();
-            pool.extend(lat);
+        let blocks = net.blocks_cut_on(channel);
+        let (mut owed, mut held) = (0, 0);
+        for &m in net.members_on(channel) {
+            let joined_at_head = net
+                .catchups()
+                .iter()
+                .rev()
+                .find(|c| c.peer == m && c.channel == channel)
+                .map_or(0, |c| c.target.min(blocks));
+            let contiguous = net.gossip(m.index()).height_on(channel).saturating_sub(1);
+            owed += blocks - joined_at_head;
+            held += contiguous.min(blocks).saturating_sub(joined_at_head);
         }
-        // Joiner slots contribute latencies but not completeness cells.
         // The recorder is sized over initial members + scheduled joiners —
         // NOT the end-of-run member count, which a leaver shrinks back.
-        for slot in initial..rec.peers() {
-            pool.extend(rec.peer_latencies(slot));
-        }
-        let cdf = Cdf::new(pool);
+        let pool = (0..rec.peers()).flat_map(|slot| rec.peer_latencies(slot));
+        let cdf = Cdf::new(pool.collect());
         let (p50, p999) = if cdf.is_empty() {
             (Duration::ZERO, Duration::ZERO)
         } else {
@@ -298,11 +301,11 @@ impl ChannelReport {
             .collect();
         ChannelReport {
             channel,
-            blocks: net.blocks_cut_on(channel),
-            completeness: if blocks * initial == 0 {
+            blocks,
+            completeness: if owed == 0 {
                 1.0
             } else {
-                filled as f64 / (blocks * initial) as f64
+                held as f64 / owed as f64
             },
             p50,
             p999,
@@ -532,12 +535,10 @@ mod tests {
             !res.net.gossip(0).has_channel(ChannelId(1)),
             "the leaver dropped its side-channel instance"
         );
-        // Dissemination survived the hand-off: blocks cut after the leave
-        // still reached the members (completeness counts initial members,
-        // including the leaver's pre-leave cells, so allow the cells the
-        // leaver missed after departing).
+        // Dissemination survived the hand-off: every member sitting at the
+        // end holds every block cut since it joined.
         assert!(side.blocks > 10);
-        assert!(side.completeness > 0.8, "got {}", side.completeness);
+        assert_eq!(side.completeness, 1.0);
     }
 
     #[test]

@@ -364,14 +364,8 @@ mod tests {
                 );
             }
             assert_eq!(c.leaders.len(), 1, "exactly one leader on {}", c.channel);
-            // Blocks kept reaching the initial members through the waves,
-            // though the leavers miss what was cut after they left.
-            assert!(
-                c.completeness > 0.0 && c.completeness <= 1.0,
-                "completeness {} on {}",
-                c.completeness,
-                c.channel
-            );
+            // Blocks kept reaching the sitting members through the waves.
+            assert_eq!(c.completeness, 1.0, "on {}", c.channel);
             assert!(c.p50 > Duration::ZERO);
         }
         // The stable main channel never elects.

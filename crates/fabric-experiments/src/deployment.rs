@@ -10,7 +10,9 @@
 //! phases in between — set-up timed apart from the event loop, the
 //! protocol wrapped for spans — takes the public fields and drives the
 //! same stages itself: `Simulation::new(wrap(d.net), d.network, d.seed)`,
-//! [`FabricNet::start`], then [`run_out`].
+//! [`FabricNet::start`], then [`run_out`]. One that injects faults or
+//! checks invariants on the way runs it through
+//! [`ScenarioNet::over`](crate::scenario::ScenarioNet::over).
 //!
 //! The fields are what a configuration *produced*, not options a run
 //! reads: nothing branches on them except [`run_out`] on a zero idle tail.

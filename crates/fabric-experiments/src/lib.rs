@@ -33,9 +33,10 @@
 //!   (O(chain) vs O(tail) bytes and time-to-serving);
 //! * [`scenario`] — the interpreter of `fabric_gossip::scenario`'s op
 //!   DSL ([`scenario::ScenarioNet`]): scripted joins, leaves, crashes,
-//!   partitions, loss and attached Byzantine behaviors over a
-//!   `Simulation<FabricNet>` in whatever `NetworkConfig` it is given —
-//!   there is no other simulator under any number this crate reports;
+//!   power cycles, partitions, loss and attached Byzantine behaviors over
+//!   any [`deployment::Deployment`], in whatever `NetworkConfig` it is
+//!   given — there is no other simulator under any number this crate
+//!   reports;
 //! * [`adversarial`] — beyond the paper: the Byzantine catalog as one
 //!   table of attacker families (membership and dissemination
 //!   attacks), each swept over the attacker count `f` at

@@ -310,9 +310,10 @@ impl FabricNet {
     /// attached behavior are lost, and it [leaves](FabricNet::leave) every
     /// channel it was in — in silence; the sitting members must reap it.
     /// A later [`FabricNet::join`] brings it back up into the channel that
-    /// join names, and no other. (Taking a node down and up through the
-    /// engine, [`Ctx::set_node_status_after`], is a reboot into the same
-    /// channels, not a membership change, and works on static rosters.)
+    /// join names, and no other. (Powering a node off and on through the
+    /// engine, [`Ctx::set_node_status_after`] or a scenario's
+    /// `ScenarioOp::Power`, is a reboot into the same channels, not a
+    /// membership change, and works on static rosters.)
     ///
     /// # Panics
     ///

@@ -2,34 +2,38 @@
 //! [`fabric_gossip::scenario`]'s op DSL and the checks behind its
 //! predicates, over a [`desim::Simulation`] of a [`FabricNet`].
 //!
-//! [`ScenarioNet`] owns the simulation and models nothing itself. Time is
-//! `desim`'s clock and timing wheel; latency, bandwidth and processing
-//! delay are whatever the [`NetworkConfig`] it was given says
-//! ([`NetworkConfig::ideal`] for protocol logic, [`NetworkConfig::lan`]
-//! for the model every benchmark workload runs in); `Partition` / `Heal` /
-//! `DropLink` go to [`desim::NetState`], `SetLoss` to
-//! [`Simulation::set_loss`], `Crash` to the engine's node status; `Join` /
-//! `Leave` are the churn [`FabricNet`] applies for its presets; attached
-//! [`Byzantine`] behaviors sit on [`FabricNet`]'s outbound edge. What is
-//! left here is the script: ground-truth accessors, `apply` /
-//! `run_script` / `check`, and the obituary-floor ratchet behind
+//! [`ScenarioNet`] runs any [`Deployment`] ([`ScenarioNet::over`]): one
+//! with a client schedule, an orderer and scheduled churn as well as the
+//! schedule-less one [`ScenarioNet::new`] stands up, where no client and
+//! no orderer traffic exist (blocks enter through
+//! [`ScenarioNet::inject`]) and every member keeps a ledger. It models
+//! nothing itself. Time is `desim`'s clock and timing wheel; latency,
+//! bandwidth and processing delay are whatever the [`NetworkConfig`]
+//! says ([`NetworkConfig::ideal`] for protocol logic,
+//! [`NetworkConfig::lan`] for the model every benchmark workload runs in);
+//! `Partition` / `Heal` / `DropLink` go to [`desim::NetState`], `SetLoss`
+//! to [`Simulation::set_loss`], `Power` to the engine's node status;
+//! `Join` / `Leave` / `Crash` are the runtime membership [`FabricNet`]
+//! applies for its churn presets; attached [`Byzantine`] behaviors sit on
+//! [`FabricNet`]'s outbound edge. What is left here is the script:
+//! ground-truth accessors, `apply` / `run_script` / `check`, and the
+//! obituary-floor ratchet behind
 //! [`Predicate::NoResurrectionBelowObituary`].
 //!
-//! The deployment is a schedule-less [`FabricNet`]: no client and no
-//! traffic from the orderer (blocks enter through [`ScenarioNet::inject`]),
-//! every member keeps a ledger, and nobody is ever told about a join or a
-//! leave — a join is only the joiner's own announcement, a leave or a
-//! crash only silence. A configuration without protocol discovery makes
-//! a static deployment: it can be attacked and partitioned, but `Join`,
-//! `Leave` and `Crash` panic (see [`FabricNet::join`]).
+//! Nobody is ever told about a join or a leave — a join is only the
+//! joiner's own announcement, a leave or a crash only silence. A
+//! configuration without protocol discovery makes a static deployment: it
+//! can be attacked, partitioned and power-cycled, but `Join`, `Leave` and
+//! `Crash` panic (see [`FabricNet::join`]).
 //!
 //! ## Determinism contract
 //!
 //! There is one: [`Simulation::new`]'s documented draw order. The same
-//! `(network, memberships, cfg, seed)` and the same ops replay event for
-//! event. Attached behaviors draw from [`FabricNet`]'s separate attack
-//! generator ([`FabricNet::ATTACK_SEED`]), so attaching one never
-//! re-rolls an honest draw.
+//! deployment and the same ops replay event for event, and a deployment
+//! driven here handles exactly the events its runner's
+//! [`Deployment::run`] does. Attached behaviors draw from [`FabricNet`]'s
+//! separate attack generator ([`FabricNet::ATTACK_SEED`]), so attaching
+//! one never re-rolls an honest draw.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +45,7 @@ use fabric_gossip::scenario::{Byzantine, Predicate, ScenarioError, ScenarioOp};
 use fabric_ledger::ledger::Ledger;
 use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
-use fabric_types::block::BlockRef;
+use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::snapshot::SnapshotRef;
 use fabric_types::transaction::EndorsementPolicy;
@@ -54,30 +58,41 @@ use crate::net::{ChannelSpec, FabricNet, NetParams};
 /// time a scenario measures.
 pub const POLL: Duration = Duration::from_millis(100);
 
-/// A scripted multi-peer deployment for discovery-protocol tests and
-/// adversarial scenarios. See the [module docs](self).
+/// A scripted deployment for discovery-protocol tests, adversarial
+/// scenarios and fault injection. See the [module docs](self).
 #[derive(Debug)]
 pub struct ScenarioNet {
     sim: Simulation<FabricNet>,
-    /// Freshest obituary each peer recorded in its current life, keyed
-    /// by `(observer index, channel, subject)` — the ratchet behind
-    /// [`Predicate::NoResurrectionBelowObituary`].
-    obituary_floor: BTreeMap<(usize, u16, u32), PeerAlive>,
+    /// Freshest obituary each peer recorded in one life, keyed by
+    /// `(observer index, channel, observer's incarnation, subject)` — the
+    /// ratchet behind [`Predicate::NoResurrectionBelowObituary`]. Each
+    /// life of an engine has its own incarnation, so a leave, crash or
+    /// power cycle, which loses the obituaries, starts a fresh floor.
+    obituary_floor: BTreeMap<(usize, u16, u64, u32), PeerAlive>,
     /// Highest injected block number per channel.
-    heads: Vec<u64>,
+    injected: Vec<u64>,
 }
 
 impl ScenarioNet {
-    /// Builds and starts `network.nodes` peers in `network` (stood up as
-    /// a [`Deployment`] like every other run, so the simulated network
-    /// also has the two nodes of the orderer and the client, which a
-    /// schedule-less deployment never addresses). Peer `i` starts joined
-    /// to every channel whose member list (ascending ids) contains it.
-    ///
-    /// Every peer's timers are armed and discovery has announced each
-    /// initial member to its samples; nothing has been delivered yet —
-    /// like every op, the start happens at an instant and the simulation
-    /// runs when told to ([`ScenarioNet::run_for`]).
+    /// Starts `d` ([`Deployment::start`]): every peer's timers, the
+    /// client's first submission and the churn plan are armed, and
+    /// nothing has run yet — like every op, the start happens at an
+    /// instant and the simulation runs when told to
+    /// ([`ScenarioNet::run_for`]).
+    pub fn over(d: Deployment) -> Self {
+        let channels = 1 + d.net.params().extra_channels.len();
+        ScenarioNet {
+            sim: d.start(),
+            obituary_floor: BTreeMap::new(),
+            injected: vec![0; channels],
+        }
+    }
+
+    /// A schedule-less deployment of `network.nodes` peers in `network`
+    /// (its simulated network also has the two nodes of the orderer and
+    /// the client, which it never addresses), with a ledger on every
+    /// member, run [over](ScenarioNet::over). Peer `i` starts joined to
+    /// every channel whose member list (ascending ids) contains it.
     pub fn new(
         network: NetworkConfig,
         memberships: Vec<Vec<PeerId>>,
@@ -91,7 +106,6 @@ impl ScenarioNet {
         );
         params.endorsers = Vec::new();
         params.full_ledgers = true;
-        let heads = vec![0; memberships.len()];
         let mut specs = memberships
             .into_iter()
             .enumerate()
@@ -104,11 +118,8 @@ impl ScenarioNet {
             });
         params.default_members = specs.next().map(|spec| spec.members);
         params.extra_channels = specs.collect();
-        ScenarioNet {
-            sim: Deployment::new(params, Vec::new(), &network, seed, Duration::ZERO).start(),
-            obituary_floor: BTreeMap::new(),
-            heads,
-        }
+        let d = Deployment::new(params, Vec::new(), &network, seed, Duration::ZERO);
+        Self::over(d)
     }
 
     /// The simulation underneath: clock, event count, network accounting,
@@ -139,12 +150,14 @@ impl ScenarioNet {
         self.sim.net().config().loss
     }
 
-    /// Highest injected block number of channel `c`.
+    /// The head of channel `c`: the highest block number injected or cut
+    /// by the orderer.
     pub fn head(&self, c: usize) -> u64 {
-        self.heads[c]
+        let cut = self.sim.protocol().blocks_cut_on(ChannelId(c as u16));
+        self.injected[c].max(cut)
     }
 
-    /// Whether `peer` is crashed.
+    /// Whether `peer` is down: crashed, or powered off.
     pub fn is_crashed(&self, peer: PeerId) -> bool {
         !self.sim.net().is_up(NodeId(peer.0))
     }
@@ -180,8 +193,9 @@ impl ScenarioNet {
 
     /// Partitions the network into `groups`: every link between two
     /// different groups is blocked (links inside a group are restored).
-    /// A configured loss rate keeps applying — partition and loss
-    /// compose.
+    /// A node no group lists, such as the orderer or the client, keeps
+    /// every link. A configured loss rate keeps applying — partition and
+    /// loss compose.
     pub fn partition(&mut self, groups: &[Vec<PeerId>]) {
         let groups: Vec<Vec<NodeId>> = groups
             .iter()
@@ -243,9 +257,6 @@ impl ScenarioNet {
         if peer.index() >= self.sim.protocol().params().peers || self.members(c).contains(&peer) {
             return;
         }
-        // A fresh life starts with empty obituaries, so its resurrection
-        // floor restarts too.
-        self.clear_floors_of(peer.index(), Some(c as u16));
         let (channel, seeds) = (ChannelId(c as u16), seeds.to_vec());
         self.sim
             .with_ctx(|net, ctx| net.join(ctx, channel, peer, seeds));
@@ -267,7 +278,6 @@ impl ScenarioNet {
     pub fn leave(&mut self, c: usize, peer: PeerId) {
         self.sim
             .with_ctx(|net, ctx| net.leave(ctx, ChannelId(c as u16), peer));
-        self.clear_floors_of(peer.index(), Some(c as u16));
     }
 
     /// Silent crash (see [`FabricNet::crash`]): the node goes down with
@@ -278,9 +288,21 @@ impl ScenarioNet {
             return;
         }
         self.sim.with_ctx(|net, ctx| net.crash(ctx, peer));
-        // The crash loses the volatile obituaries; the rebooted life's
-        // resurrection floor must restart with them.
-        self.clear_floors_of(peer.index(), None);
+    }
+
+    /// Powers `peer`'s node off or on, as the engine's next event at the
+    /// current instant. Off, the node loses what a crash loses (timers,
+    /// buffers, leadership, discovery's views) but stays in every channel;
+    /// on, it reboots into the same channels and re-arms its timers. Not a
+    /// membership change, so it works on a static roster too, and the
+    /// ground truth keeps listing the peer while it is off.
+    pub fn power(&mut self, peer: PeerId, on: bool) {
+        if peer.index() >= self.sim.protocol().params().peers {
+            return;
+        }
+        let node = NodeId(peer.0);
+        self.sim
+            .with_ctx(|_, ctx| ctx.set_node_status_after(Duration::ZERO, node, on));
     }
 
     /// Hands `block` of channel `c` to its lowest current member, as the
@@ -289,11 +311,23 @@ impl ScenarioNet {
         if self.members(c).is_empty() {
             return;
         }
-        self.heads[c] = self.heads[c].max(block.number());
+        self.injected[c] = self.injected[c].max(block.number());
         self.sim
             .with_ctx(|net, ctx| net.inject(ctx, ChannelId(c as u16), block));
     }
 
+    /// Injects blocks `1..=height` into channel `c`, chained from genesis
+    /// (so every member's ledger commits what gossip delivers to it), 200
+    /// bytes of padding each, 200 ms apart.
+    pub fn stream(&mut self, c: usize, height: u64) {
+        let mut prev = Block::genesis().hash();
+        for num in 1..=height {
+            let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
+            prev = block.hash();
+            self.inject(c, block);
+            self.run_for(Duration::from_millis(200));
+        }
+    }
     /// Peer `m`'s organization view of channel `c`, in id order.
     pub fn view_of(&self, m: PeerId, c: usize) -> Vec<PeerId> {
         let mut view = self
@@ -375,6 +409,7 @@ impl ScenarioNet {
             ScenarioOp::Join { channel, peer } => self.join(*channel, *peer),
             ScenarioOp::Leave { channel, peer } => self.leave(*channel, *peer),
             ScenarioOp::Crash { peer } => self.crash(*peer),
+            ScenarioOp::Power { peer, on } => self.power(*peer, *on),
             ScenarioOp::Partition { groups } => self.partition(groups),
             ScenarioOp::Heal => self.heal(),
             ScenarioOp::DropLink { a, b } => self.set_link(*a, *b, false),
@@ -438,8 +473,9 @@ impl ScenarioNet {
                     let Some(engine) = self.gossip(i).discovery_on(chan) else {
                         continue;
                     };
+                    let life = engine.incarnation();
                     for claim in engine.claims() {
-                        let floor = self.obituary_floor.get(&(i, chan.0, claim.peer.0));
+                        let floor = self.obituary_floor.get(&(i, chan.0, life, claim.peer.0));
                         if let Some(floor) = floor.filter(|floor| !claim.fresher_than(floor)) {
                             return Err(format!(
                                 "peer {i} holds {:?} at (incarnation, seq) ({}, {}), no fresher \
@@ -457,7 +493,7 @@ impl ScenarioNet {
                 Ok(())
             }
             Predicate::GapFreeCatchup { channel } => {
-                let head = self.heads[*channel];
+                let head = self.head(*channel);
                 let chan = ChannelId(*channel as u16);
                 for m in self.members(*channel) {
                     let Some(store) = self.gossip(m.index()).store_on(chan) else {
@@ -486,27 +522,21 @@ impl ScenarioNet {
         }
     }
 
-    /// Drops the resurrection floors of one observer (one channel or
-    /// all): the floor tracks the obituaries of the observer's *current*
-    /// life, and a leave, crash or reboot deliberately loses them.
-    fn clear_floors_of(&mut self, observer: usize, channel: Option<u16>) {
-        self.obituary_floor
-            .retain(|(obs, chan, _), _| *obs != observer || channel.is_some_and(|c| *chan != c));
-    }
-
     /// Ratchets the per-observer obituary floors from every engine's
     /// current dead set.
     fn record_obituary_floors(&mut self) {
         let net = self.sim.protocol();
         for i in 0..net.params().peers {
-            for chan in net.gossip(i).channel_ids() {
+            for c in 0..self.injected.len() {
+                let chan = ChannelId(c as u16);
                 let Some(engine) = net.gossip(i).discovery_on(chan) else {
                     continue;
                 };
+                let life = engine.incarnation();
                 for obituary in engine.obituary_iter() {
                     let floor = self
                         .obituary_floor
-                        .entry((i, chan.0, obituary.peer.0))
+                        .entry((i, chan.0, life, obituary.peer.0))
                         .or_insert(*obituary);
                     if obituary.fresher_than(floor) {
                         *floor = *obituary;
@@ -522,17 +552,10 @@ mod tests {
     use super::*;
     use fabric_gossip::scenario::{random_scenario, ScenarioShape};
 
-    fn cfg() -> GossipConfig {
-        let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-        cfg.membership.alive_interval = Duration::from_secs(1);
-        cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-        cfg.membership.alive_timeout = Duration::from_secs(5);
-        cfg
-    }
-
     /// `n` peers in the ideal network, fixed simulation seed.
     fn ideal(n: usize, memberships: Vec<Vec<PeerId>>) -> ScenarioNet {
-        ScenarioNet::new(NetworkConfig::ideal(n), memberships, &cfg(), 9_000)
+        let cfg = GossipConfig::enhanced_f4().with_quick_discovery();
+        ScenarioNet::new(NetworkConfig::ideal(n), memberships, &cfg, 9_000)
     }
 
     #[test]
@@ -618,9 +641,26 @@ mod tests {
             "reboot must rejoin cleanly: {:?}",
             net.divergent_views(0)
         );
-        assert!(net
-            .check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
-            .is_ok());
+        net.check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
+            .unwrap();
+
+        // A power cycle is a new life in the same channel: while off the
+        // peer is reaped, and its reboot seeds its view at (0, 0), below
+        // its last life's obituaries (peer 3's first life among them),
+        // which are no floor of the next.
+        net.power(PeerId(0), false);
+        net.run_for(Duration::from_secs(10));
+        assert!(net.is_crashed(PeerId(0)) && net.members(0).len() == 4);
+        assert!(!net.view_of(PeerId(1), 0).contains(&PeerId(0)));
+        net.power(PeerId(0), true);
+        for wait in [Duration::from_millis(1), Duration::from_secs(15)] {
+            net.run_for(wait);
+            net.check(&Predicate::NoResurrectionBelowObituary { channel: 0 })
+                .unwrap();
+        }
+        assert!(net.views_converged(0), "{:?}", net.divergent_views(0));
+        net.check(&Predicate::ExactlyOneLeader { channel: 0 })
+            .unwrap();
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! heartbeat, a differently-sized digest, a reordered RNG draw or merge —
 //! fails loudly instead of sliding into the baseline.
 
-use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation};
+use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation, Time};
 use fabric_experiments::churn::{run_churn, ChurnConfig, ChurnResult};
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
 use fabric_experiments::deployment::{run_out, Deployment};
 use fabric_experiments::dissemination::{run_dissemination, DisseminationConfig};
 use fabric_experiments::net::{FabricNet, NetMsg, NetTimer};
+use fabric_experiments::scenario::ScenarioNet;
 use fabric_gossip::config::GossipConfig;
 use fabric_types::block::BlockRef;
 
@@ -191,30 +192,38 @@ fn through_a_wrapper(d: Deployment) -> (u64, FabricNet) {
     (events, host.inner)
 }
 
+/// Runs `d` out through the scenario harness, its obituary ratchet
+/// stepping after every event under protocol discovery: the events it
+/// handled.
+fn through_the_harness(d: Deployment) -> u64 {
+    let run = (d.drain_until + d.idle_tail).since(Time::ZERO);
+    let mut net = ScenarioNet::over(d);
+    net.run_for(run);
+    net.sim().events_processed()
+}
+
 /// The seam a per-phase breakdown stands on: `cfg.deployment()` hands out
 /// everything its `run_*` runs, so a caller that wraps the protocol and
-/// drives the stages itself simulates the same run, event for event.
+/// drives the stages itself simulates the same run, event for event — and
+/// so does the scenario harness, which adds nothing to the run it drives.
 #[test]
 fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
     let dissemination = quick(GossipConfig::enhanced_f4(), 11);
-    assert_eq!(
-        through_a_wrapper(dissemination.deployment()).0,
-        run_dissemination(&dissemination).events
-    );
+    let events = run_dissemination(&dissemination).events;
+    assert_eq!(through_a_wrapper(dissemination.deployment()).0, events);
+    assert_eq!(through_the_harness(dissemination.deployment()), events);
 
     let mut churn = ChurnConfig::standard(16, 8, 20);
     churn.seed = 42;
-    assert_eq!(
-        through_a_wrapper(churn.deployment()).0,
-        run_churn(&churn).events
-    );
+    let events = run_churn(&churn).events;
+    assert_eq!(through_a_wrapper(churn.deployment()).0, events);
+    assert_eq!(through_the_harness(churn.deployment()), events);
 
     let mut waves = ChurnWavesConfig::standard(2, 8, 20);
     waves.seed = 3;
-    assert_eq!(
-        through_a_wrapper(waves.deployment()).0,
-        run_churn_waves(&waves).events
-    );
+    let events = run_churn_waves(&waves).events;
+    assert_eq!(through_a_wrapper(waves.deployment()).0, events);
+    assert_eq!(through_the_harness(waves.deployment()), events);
 
     // `ConflictResult` carries no event count: compare what the run left
     // on the endorser's ledger instead.
@@ -222,7 +231,8 @@ fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
         ConflictConfig::paper(GossipConfig::enhanced_f4(), Duration::from_secs(1)).scaled(20, 10);
     conflicts.peers = 30;
     conflicts.seed = 3;
-    let (_, net) = through_a_wrapper(conflicts.deployment());
+    let (events, net) = through_a_wrapper(conflicts.deployment());
+    assert_eq!(through_the_harness(conflicts.deployment()), events);
     let stats = net.ledger(1).expect("the endorser's ledger").stats();
     let reported = run_conflicts(&conflicts);
     assert_eq!(

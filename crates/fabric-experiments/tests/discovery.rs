@@ -23,11 +23,7 @@ use proptest::prelude::*;
 /// Discovery timers tightened so convergence happens in seconds of
 /// scripted time: 1 s heartbeats/anti-entropy, 5 s alive timeout.
 fn discovery_cfg() -> GossipConfig {
-    let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.membership.alive_interval = Duration::from_secs(1);
-    cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-    cfg.membership.alive_timeout = Duration::from_secs(5);
-    cfg
+    GossipConfig::enhanced_f4().with_quick_discovery()
 }
 
 /// `n` peers in the ideal network, fixed simulation seed.

@@ -25,10 +25,7 @@ mod discovery_ported {
     /// and recovery tightened so ledger catch-up completes within a short
     /// settle window.
     fn cfg() -> GossipConfig {
-        let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-        cfg.membership.alive_interval = Duration::from_secs(1);
-        cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-        cfg.membership.alive_timeout = Duration::from_secs(5);
+        let mut cfg = GossipConfig::enhanced_f4().with_quick_discovery();
         cfg.recovery.interval = Duration::from_secs(2);
         cfg.recovery.state_info_interval = Duration::from_secs(1);
         cfg

@@ -20,18 +20,13 @@ use fabric_gossip::scenario::{
     ScenarioShape, SelectiveForwarder, SnapshotPoisoner, StaleReplayer,
 };
 use fabric_types::block::{Block, BlockRef};
-use fabric_types::crypto::Hash256;
 use fabric_types::ids::{ChannelId, PeerId};
 use proptest::prelude::*;
 
 /// Discovery timers tightened so convergence happens in seconds of
 /// scripted time (same shape as the discovery suite).
 fn discovery_cfg() -> GossipConfig {
-    let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.membership.alive_interval = Duration::from_secs(1);
-    cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-    cfg.membership.alive_timeout = Duration::from_secs(5);
-    cfg
+    GossipConfig::enhanced_f4().with_quick_discovery()
 }
 
 /// The CI seed matrix knob: shifts which random scenarios a run explores
@@ -135,13 +130,7 @@ fn gap_free_catchup_holds_for_a_late_joiner_under_the_dsl() {
     cfg.recovery.state_info_interval = Duration::from_secs(1);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let mut net = ideal(5, vec![members], &cfg);
-    let mut prev = Hash256::ZERO;
-    for num in 1..=5u64 {
-        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
-        prev = block.hash();
-        net.inject(0, block);
-        net.run_for(Duration::from_millis(200));
-    }
+    net.stream(0, 5);
     net.run_script(&[
         ScenarioOp::Assert(Predicate::GapFreeCatchup { channel: 0 }),
         ScenarioOp::Join {
@@ -212,13 +201,7 @@ fn anchored_join_catches_up_from_one_seed() {
     let side: Vec<PeerId> = (0..8).map(PeerId).collect();
     let (anchor, joiner) = (PeerId(0), PeerId(8));
     let mut net = ideal(9, vec![everyone, side], &cfg);
-    let mut prev = Hash256::ZERO;
-    for num in 1..=20u64 {
-        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
-        prev = block.hash();
-        net.inject(1, block);
-        net.run_for(Duration::from_millis(200));
-    }
+    net.stream(1, 20);
     net.join_via(1, joiner, &[anchor]);
     let caught = net.time_until(Duration::from_secs(60), |net| {
         net.check(&Predicate::GapFreeCatchup { channel: 1 }).is_ok()

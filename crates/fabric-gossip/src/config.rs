@@ -273,6 +273,17 @@ impl GossipConfig {
         self
     }
 
+    /// [`GossipConfig::with_discovery_protocol`] with its timers tightened
+    /// so a scripted run settles in seconds of simulated time: 1 s
+    /// heartbeats, 1 s anti-entropy and a 5 s alive timeout.
+    pub fn with_quick_discovery(self) -> Self {
+        let mut cfg = self.with_discovery_protocol();
+        cfg.membership.alive_interval = Duration::from_secs(1);
+        cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
+        cfg.membership.alive_timeout = Duration::from_secs(5);
+        cfg
+    }
+
     /// Turns on snapshot bootstrap with checkpoints every `interval`
     /// blocks and 64 KiB chunks: a joiner more than one checkpoint behind
     /// takes the snapshot path, a steady-state straggler keeps cheap block

@@ -2,7 +2,7 @@
 //! writes and the attackers it attaches.
 //!
 //! * [`script`](self) — [`ScenarioOp`]: `Join`, `Leave`, `Crash`,
-//!   `Partition`, `Heal`, `DropLink`, `SetLoss`, `Wait` and
+//!   `Power`, `Partition`, `Heal`, `DropLink`, `SetLoss`, `Wait` and
 //!   `Assert(`[`Predicate`]`)`. Scripts are plain data: tests write them
 //!   literally, property tests generate them with [`random_scenario`]
 //!   and shrink them on failure.

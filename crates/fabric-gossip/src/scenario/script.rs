@@ -39,6 +39,15 @@ pub enum ScenarioOp {
         /// The crashing peer.
         peer: PeerId,
     },
+    /// Power the peer's node off or on: off, it loses what a crash loses
+    /// but stays in every channel; on, it reboots into the same channels.
+    /// Not a membership change, so a static roster takes it too.
+    Power {
+        /// The peer.
+        peer: PeerId,
+        /// `true` powers on, `false` off.
+        on: bool,
+    },
     /// Partition the network into groups (cross-group links blocked;
     /// previously blocked links inside a group are restored — the loss
     /// rate is **not** touched).
@@ -91,8 +100,8 @@ pub enum Predicate {
         /// Channel index.
         channel: usize,
     },
-    /// Every current member's store holds every injected block of the
-    /// channel, gap-free up to the injection head.
+    /// Every current member's store holds every block of the channel,
+    /// gap-free up to its head: the highest block injected or cut.
     GapFreeCatchup {
         /// Channel index.
         channel: usize,

@@ -2,7 +2,6 @@
 //! one peer, hand-fed messages. The multi-peer convergence properties
 //! need a simulator and live in `fabric-experiments/tests/discovery.rs`.
 
-use desim::Duration;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::messages::{GossipMsg, PeerAlive};
 use fabric_gossip::peer::GossipPeer;
@@ -12,11 +11,7 @@ use proptest::prelude::*;
 
 /// Protocol discovery with its timers tightened.
 fn discovery_cfg() -> GossipConfig {
-    let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.membership.alive_interval = Duration::from_secs(1);
-    cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-    cfg.membership.alive_timeout = Duration::from_secs(5);
-    cfg
+    GossipConfig::enhanced_f4().with_quick_discovery()
 }
 
 proptest! {

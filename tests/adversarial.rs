@@ -2,14 +2,16 @@
 //! blocks but never forward. The enhanced protocol's p_e margin and the
 //! recovery component must absorb a sizable fraction of them.
 
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::deployment::Deployment;
+use fair_gossip::experiments::net::NetParams;
+use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
 use fair_gossip::gossip::messages::GossipMsg;
 use fair_gossip::gossip::peer::GossipPeer;
 use fair_gossip::gossip::testing::MockEffects;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{NetworkConfig, Simulation, Time};
+use fair_gossip::sim::{Duration, NetworkConfig};
 use fair_gossip::types::block::Block;
 use fair_gossip::types::block::BlockRef;
 use fair_gossip::types::ids::PeerId;
@@ -68,28 +70,20 @@ fn free_rider_receives_but_never_forwards() {
 
 fn run_with_free_riders(fraction: f64, seed: u64) -> (f64, u64) {
     let peers = 60;
-    let params = NetParams::new(
-        peers,
-        GossipConfig::enhanced_f4(),
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
-    let workload = PayloadWorkload {
-        total_txs: 1_000,
-        ..PayloadWorkload::default()
-    };
-    let schedule = payload_schedule(&workload);
-    let network = NetworkConfig::lan(FabricNet::node_count(&params));
-    let mut net = FabricNet::new(params, schedule);
+    let orderer = OrdererConfig::kafka(BatchConfig::paper_dissemination());
+    let params = NetParams::new(peers, GossipConfig::enhanced_f4(), orderer);
+    let schedule = payload_schedule(&PayloadWorkload::shortened(1_000));
+    let network = NetworkConfig::lan(0);
+    let mut d = Deployment::new(params, schedule, &network, seed, Duration::ZERO);
     // Mark the tail of the roster as free riders (never the leader: a
     // free-riding contact peer would nullify the experiment trivially).
     let riders = ((peers as f64) * fraction) as usize;
     for i in (peers - riders)..peers {
-        net.set_forwarding(i, false);
+        d.net.set_forwarding(i, false);
     }
-    let mut sim = Simulation::new(net, network, seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(Time::from_secs(150));
-    let net = sim.protocol();
+    let mut scenario = ScenarioNet::over(d);
+    scenario.run_for(Duration::from_secs(150));
+    let net = scenario.sim().protocol();
     (net.latency().completeness(), net.blocks_cut())
 }
 

@@ -2,12 +2,14 @@
 //! claims at reduced scale, ledger convergence, and determinism.
 
 use fair_gossip::experiments::conflicts::{run_conflicts, ConflictConfig};
+use fair_gossip::experiments::deployment::Deployment;
 use fair_gossip::experiments::dissemination::{run_dissemination, DisseminationConfig};
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::net::NetParams;
+use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{Duration, NetworkConfig, Simulation, Time};
+use fair_gossip::sim::{Duration, NetworkConfig};
 use fair_gossip::types::block::verify_chain;
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
@@ -99,24 +101,16 @@ fn every_ledger_converges_to_the_same_chain() {
     // Full ledgers on all peers: after dissemination, every copy must hold
     // the identical, hash-valid chain with identical validation stats.
     let peers = 25;
-    let mut params = NetParams::new(
-        peers,
-        GossipConfig::enhanced_f4(),
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
+    let orderer = OrdererConfig::kafka(BatchConfig::paper_dissemination());
+    let mut params = NetParams::new(peers, GossipConfig::enhanced_f4(), orderer);
     params.full_ledgers = true;
-    let workload = PayloadWorkload {
-        total_txs: 500,
-        ..PayloadWorkload::default()
-    };
-    let schedule = payload_schedule(&workload);
-    let network = NetworkConfig::lan(FabricNet::node_count(&params));
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, 11);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(Time::from_secs(120));
+    let schedule = payload_schedule(&PayloadWorkload::shortened(500));
+    let network = NetworkConfig::lan(0);
+    let d = Deployment::new(params, schedule, &network, 11, Duration::ZERO);
+    let mut scenario = ScenarioNet::over(d);
+    scenario.run_for(Duration::from_secs(120));
 
-    let net = sim.protocol();
+    let net = scenario.sim().protocol();
     assert_eq!(net.commit_errors(), 0);
     let reference = net.ledger(0).unwrap();
     assert_eq!(

@@ -3,39 +3,38 @@
 //! every surviving peer converging.
 
 use fair_gossip::experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
+use fair_gossip::experiments::deployment::Deployment;
 use fair_gossip::experiments::dissemination::{run_dissemination, DisseminationConfig};
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::net::NetParams;
+use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
+use fair_gossip::gossip::scenario::ScenarioOp;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{Duration, NetworkConfig, NodeId, Simulation, Time};
+use fair_gossip::sim::{Duration, NetworkConfig};
 use fair_gossip::types::ids::PeerId;
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
-/// Builds a running simulation with `peers` peers and `txs` transactions.
-fn simulation(
-    peers: usize,
-    txs: usize,
-    gossip: GossipConfig,
-    loss: f64,
-    seed: u64,
-) -> Simulation<FabricNet> {
-    let params = NetParams::new(
-        peers,
-        gossip,
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
-    let workload = PayloadWorkload {
-        total_txs: txs,
-        ..PayloadWorkload::default()
-    };
-    let schedule = payload_schedule(&workload);
-    let mut network = NetworkConfig::lan(FabricNet::node_count(&params));
-    network.loss = loss;
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim
+/// `peers` peers in the LAN model with the client issuing `txs`
+/// transactions, started and not yet run.
+fn deployment(peers: usize, txs: usize, gossip: GossipConfig, seed: u64) -> ScenarioNet {
+    let orderer = OrdererConfig::kafka(BatchConfig::paper_dissemination());
+    let params = NetParams::new(peers, gossip, orderer);
+    let schedule = payload_schedule(&PayloadWorkload::shortened(txs));
+    let network = NetworkConfig::lan(0);
+    let d = Deployment::new(params, schedule, &network, seed, Duration::ZERO);
+    ScenarioNet::over(d)
+}
+
+/// Lets `secs` seconds of simulated time pass.
+fn wait(secs: u64) -> ScenarioOp {
+    ScenarioOp::Wait { secs }
+}
+
+/// Powers peer `p` off or on.
+fn power(peer: u32, on: bool) -> ScenarioOp {
+    let peer = PeerId(peer);
+    ScenarioOp::Power { peer, on }
 }
 
 #[test]
@@ -63,16 +62,17 @@ fn original_gossip_survives_packet_loss_via_pull() {
 
 #[test]
 fn crashed_follower_catches_up_through_recovery() {
-    let mut sim = simulation(30, 2_000, GossipConfig::enhanced_f4(), 0.0, 5);
-    sim.run_until(Time::from_secs(10));
-    sim.with_ctx(|_, ctx| {
-        ctx.set_node_status_after(Duration::ZERO, NodeId(9), false);
-        // Reboot after 25 s — long enough to miss many blocks.
-        ctx.set_node_status_after(Duration::from_secs(25), NodeId(9), true);
-    });
-    // Run past the workload plus several recovery rounds.
-    sim.run_until(Time::from_secs(140));
-    let net = sim.protocol();
+    let mut net = deployment(30, 2_000, GossipConfig::enhanced_f4(), 5);
+    // Reboot after 25 s — long enough to miss many blocks — then run past
+    // the workload plus several recovery rounds.
+    net.run_script(&[
+        wait(10),
+        power(9, false),
+        wait(25),
+        power(9, true),
+        wait(105),
+    ])
+    .unwrap();
     let healthy = net.gossip(5).height();
     let rebooted = net.gossip(9).height();
     assert!(healthy > 30, "the network must have made progress");
@@ -87,23 +87,16 @@ fn crashed_follower_catches_up_through_recovery() {
 /// senior survivor claims the seat. (A static roster has no failover.)
 #[test]
 fn leader_crash_with_dynamic_election_keeps_blocks_flowing() {
-    let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
-    gossip.membership.alive_interval = Duration::from_secs(1);
-    gossip.discovery.anti_entropy_interval = Duration::from_secs(1);
-    gossip.membership.alive_timeout = Duration::from_secs(5);
-
+    let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
     for seed in [1, 2, 3, 4, 5, 6, 7, 13] {
-        let mut sim = simulation(30, 2_000, gossip.clone(), 0.0, seed);
-        sim.run_until(Time::from_secs(15));
-        assert_eq!(sim.protocol().current_leaders(), [PeerId(0)], "seed {seed}");
-        let height_before = sim.protocol().gossip(20).height();
+        let mut net = deployment(30, 2_000, gossip.clone(), seed);
+        net.run_for(Duration::from_secs(15));
+        assert_eq!(net.leaders(0), [PeerId(0)], "seed {seed}");
+        let height_before = net.gossip(20).height();
 
-        sim.with_ctx(|_, ctx| ctx.set_node_status_after(Duration::ZERO, NodeId(0), false));
-        sim.run_until(Time::from_secs(60));
-
-        let net = sim.protocol();
+        net.run_script(&[power(0, false), wait(45)]).unwrap();
         assert_eq!(
-            net.current_leaders(),
+            net.leaders(0),
             [PeerId(1)],
             "seed {seed}: the most senior survivor must take over"
         );
@@ -121,18 +114,14 @@ fn leader_crash_with_dynamic_election_keeps_blocks_flowing() {
 /// deliver to.
 #[test]
 fn a_rebooted_static_leader_takes_its_seat_back() {
-    let mut sim = simulation(30, 2_000, GossipConfig::enhanced_f4(), 0.0, 5);
-    sim.run_until(Time::from_secs(10));
-    sim.with_ctx(|_, ctx| {
-        ctx.set_node_status_after(Duration::ZERO, NodeId(0), false);
-        ctx.set_node_status_after(Duration::from_secs(10), NodeId(0), true);
-    });
-    sim.run_until(Time::from_secs(25));
-    assert_eq!(sim.protocol().current_leaders(), [PeerId(0)]);
-    let height_back = sim.protocol().gossip(20).height();
+    let mut net = deployment(30, 2_000, GossipConfig::enhanced_f4(), 5);
+    net.run_script(&[wait(10), power(0, false), wait(10), power(0, true), wait(5)])
+        .unwrap();
+    assert_eq!(net.leaders(0), [PeerId(0)]);
+    let height_back = net.gossip(20).height();
 
-    sim.run_until(Time::from_secs(140));
-    let height_after = sim.protocol().gossip(20).height();
+    net.run_for(Duration::from_secs(115));
+    let height_after = net.gossip(20).height();
     assert!(
         height_after > height_back + 10,
         "blocks must flow again after the reboot ({height_back} -> {height_after})"
@@ -141,27 +130,22 @@ fn a_rebooted_static_leader_takes_its_seat_back() {
 
 #[test]
 fn partition_heals_and_recovery_reconciles() {
-    let mut sim = simulation(20, 1_500, GossipConfig::enhanced_f4(), 0.0, 21);
-    sim.run_until(Time::from_secs(8));
-
-    // Cut peers 15..20 off from everyone (orderer node 20 and client 21
-    // stay connected to the majority side).
-    sim.with_ctx(|_, ctx| {
-        let minority: Vec<NodeId> = (15..20).map(NodeId).collect();
-        let majority: Vec<NodeId> = (0..15).chain(20..22).map(NodeId).collect();
-        ctx.net_mut().partition(&[majority, minority]);
-    });
-    sim.run_until(Time::from_secs(30));
-    let minority_height = sim.protocol().gossip(17).height();
-    let majority_height = sim.protocol().gossip(3).height();
+    let mut net = deployment(20, 1_500, GossipConfig::enhanced_f4(), 21);
+    // Cut peers 15..20 off from the other peers (the orderer and the
+    // client, in no group, keep every link; neither addresses them).
+    let majority: Vec<PeerId> = (0..15).map(PeerId).collect();
+    let minority: Vec<PeerId> = (15..20).map(PeerId).collect();
+    let groups = vec![majority, minority];
+    net.run_script(&[wait(8), ScenarioOp::Partition { groups }, wait(22)])
+        .unwrap();
+    let minority_height = net.gossip(17).height();
+    let majority_height = net.gossip(3).height();
     assert!(
         majority_height > minority_height,
         "the cut-off peers must fall behind ({majority_height} vs {minority_height})"
     );
 
-    sim.with_ctx(|_, ctx| ctx.net_mut().heal());
-    sim.run_until(Time::from_secs(120));
-    let net = sim.protocol();
+    net.run_script(&[ScenarioOp::Heal, wait(90)]).unwrap();
     let reference = net.gossip(3).height();
     for i in 15..20 {
         assert!(

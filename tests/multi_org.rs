@@ -2,48 +2,42 @@
 //! confined to each organization, the ordering service feeds one leader per
 //! organization, and StateInfo/recovery cross organization boundaries.
 
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::deployment::Deployment;
+use fair_gossip::experiments::net::NetParams;
+use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
+use fair_gossip::gossip::scenario::ScenarioOp;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{Duration, NetworkConfig, NodeId, Simulation, Time};
+use fair_gossip::sim::{Duration, NetworkConfig};
 use fair_gossip::types::ids::PeerId;
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
-fn multi_org_sim(peers: usize, orgs: usize, txs: usize, seed: u64) -> Simulation<FabricNet> {
-    let mut params = NetParams::new(
-        peers,
-        GossipConfig::enhanced_f4(),
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
+fn multi_org(peers: usize, orgs: usize, txs: usize, seed: u64) -> ScenarioNet {
+    let orderer = OrdererConfig::kafka(BatchConfig::paper_dissemination());
+    let mut params = NetParams::new(peers, GossipConfig::enhanced_f4(), orderer);
     params.orgs = orgs;
-    let workload = PayloadWorkload {
-        total_txs: txs,
-        ..PayloadWorkload::default()
-    };
-    let schedule = payload_schedule(&workload);
-    let network = NetworkConfig::lan(FabricNet::node_count(&params));
-    let net = FabricNet::new(params, schedule);
-    let mut sim = Simulation::new(net, network, seed);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim
+    let schedule = payload_schedule(&PayloadWorkload::shortened(txs));
+    let network = NetworkConfig::lan(0);
+    let d = Deployment::new(params, schedule, &network, seed, Duration::ZERO);
+    ScenarioNet::over(d)
 }
 
 #[test]
 fn three_orgs_have_one_static_leader_each() {
-    let sim = multi_org_sim(60, 3, 50, 1);
-    let leaders = sim.protocol().current_leaders();
+    let scenario = multi_org(60, 3, 50, 1);
+    let net = scenario.sim().protocol();
+    let leaders = net.current_leaders();
     assert_eq!(leaders, vec![PeerId(0), PeerId(20), PeerId(40)]);
     for (i, leader) in leaders.iter().enumerate() {
-        assert_eq!(sim.protocol().org_of(*leader), i);
+        assert_eq!(net.org_of(*leader), i);
     }
 }
 
 #[test]
 fn push_membership_is_org_confined_but_channel_view_is_global() {
-    let sim = multi_org_sim(60, 3, 50, 1);
-    let net = sim.protocol();
-    let peer = net.gossip(25); // org 1 owns peers 20..40
+    let scenario = multi_org(60, 3, 50, 1);
+    let peer = scenario.gossip(25); // org 1 owns peers 20..40
     assert!(peer
         .membership()
         .peers()
@@ -55,9 +49,9 @@ fn push_membership_is_org_confined_but_channel_view_is_global() {
 
 #[test]
 fn every_peer_of_every_org_receives_every_block() {
-    let mut sim = multi_org_sim(60, 3, 1_000, 3);
-    sim.run_until(Time::from_secs(120));
-    let net = sim.protocol();
+    let mut scenario = multi_org(60, 3, 1_000, 3);
+    scenario.run_for(Duration::from_secs(120));
+    let net = scenario.sim().protocol();
     assert_eq!(net.blocks_cut(), 20);
     assert_eq!(
         net.latency().completeness(),
@@ -89,13 +83,17 @@ fn org_without_a_live_leader_catches_up_via_cross_org_recovery() {
     // the org replaces it and the orderer cannot feed the org. Its peers
     // must still converge through the channel-wide StateInfo + recovery
     // path (§III: recovery is not limited to the organization).
-    let mut sim = multi_org_sim(30, 3, 1_500, 7);
-    sim.run_until(Time::from_secs(5));
-    sim.with_ctx(|_, ctx| {
-        ctx.set_node_status_after(Duration::ZERO, NodeId(20), false);
-    });
-    sim.run_until(Time::from_secs(180));
-    let net = sim.protocol();
+    let mut net = multi_org(30, 3, 1_500, 7);
+    let power_off = ScenarioOp::Power {
+        peer: PeerId(20),
+        on: false,
+    };
+    let script = [
+        ScenarioOp::Wait { secs: 5 },
+        power_off,
+        ScenarioOp::Wait { secs: 175 },
+    ];
+    net.run_script(&script).unwrap();
     let reference = net.gossip(5).height(); // org 0 is fed normally
     assert!(reference > 25, "the fed organizations made progress");
     for i in 21..30 {
@@ -109,9 +107,8 @@ fn org_without_a_live_leader_catches_up_via_cross_org_recovery() {
 
 #[test]
 fn single_org_deployment_is_the_default_and_unchanged() {
-    let sim = multi_org_sim(20, 1, 50, 1);
-    let net = sim.protocol();
-    assert_eq!(net.current_leaders(), vec![PeerId(0)]);
+    let net = multi_org(20, 1, 50, 1);
+    assert_eq!(net.leaders(0), vec![PeerId(0)]);
     assert_eq!(net.gossip(5).membership().len(), 19);
     assert_eq!(net.gossip(5).channel().len(), 19);
 }

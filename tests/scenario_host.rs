@@ -11,30 +11,16 @@ use fair_gossip::gossip::scenario::{
     Withholder,
 };
 use fair_gossip::sim::{Duration, NetworkConfig};
-use fair_gossip::types::block::{Block, BlockRef};
+use fair_gossip::types::block::Block;
 use fair_gossip::types::ids::{ChannelId, PeerId};
 
 /// Discovery and recovery timers tightened so a scenario settles in
 /// seconds of simulated time (the shape the adversarial suite uses).
 fn cfg() -> GossipConfig {
-    let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.membership.alive_interval = Duration::from_secs(1);
-    cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-    cfg.membership.alive_timeout = Duration::from_secs(5);
+    let mut cfg = GossipConfig::enhanced_f4().with_quick_discovery();
     cfg.recovery.interval = Duration::from_secs(2);
     cfg.recovery.state_info_interval = Duration::from_secs(1);
     cfg
-}
-
-/// Streams `height` blocks, chained from genesis, into channel 0.
-fn stream(net: &mut ScenarioNet, height: u64) {
-    let mut prev = Block::genesis().hash();
-    for num in 1..=height {
-        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
-        prev = block.hash();
-        net.inject(0, block);
-        net.run_for(Duration::from_millis(200));
-    }
 }
 
 /// What a run leaves behind, for whole-run comparisons: the engine's
@@ -59,7 +45,7 @@ fn the_same_script_seed_and_network_replay_event_for_event() {
     let script = random_scenario(12345, &initial, &ScenarioShape::default());
     let run = |network: NetworkConfig, seed: u64| {
         let mut net = ScenarioNet::new(network, vec![initial.clone()], &cfg(), seed);
-        stream(&mut net, 3);
+        net.stream(0, 3);
         net.run_script(&script).expect("invariants hold");
         fingerprint(&net, 8)
     };
@@ -79,7 +65,7 @@ fn a_withholder_and_an_equivocator_are_outlived_in_the_benchmarks_network_model(
     let mut net = ScenarioNet::new(NetworkConfig::lan(8), vec![members], &cfg(), 7);
     net.set_byzantine(PeerId(1), Box::new(Equivocator));
     net.set_byzantine(PeerId(2), Box::new(Withholder::new(Vec::new())));
-    stream(&mut net, 6);
+    net.stream(0, 6);
     net.run_script(&[
         ScenarioOp::Wait { secs: 10 },
         ScenarioOp::Assert(Predicate::GapFreeCatchup { channel: 0 }),
@@ -168,7 +154,7 @@ fn attaching_a_behavior_that_changes_nothing_re_rolls_no_honest_draw() {
             net.set_byzantine(PeerId(2), Box::new(PassThrough));
             net.set_byzantine(PeerId(3), Box::new(PassThrough));
         }
-        stream(&mut net, 4);
+        net.stream(0, 4);
         net.join(0, PeerId(5));
         net.run_for(Duration::from_secs(20));
         fingerprint(&net, 6)

@@ -6,7 +6,8 @@
 //! became a ziggurat draw; they are pure functions of seed + protocol +
 //! network model.
 
-use fair_gossip::experiments::net::{FabricNet, NetParams};
+use fair_gossip::experiments::deployment::Deployment;
+use fair_gossip::experiments::net::NetParams;
 use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::gossip::config::GossipConfig;
 use fair_gossip::gossip::messages::GossipMsg;
@@ -15,7 +16,7 @@ use fair_gossip::gossip::scenario::{Equivocator, Predicate, ScenarioOp};
 use fair_gossip::gossip::testing::MockEffects;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
-use fair_gossip::sim::{Duration, NetworkConfig, Simulation, Time};
+use fair_gossip::sim::{Duration, NetworkConfig};
 use fair_gossip::types::block::{Block, BlockRef};
 use fair_gossip::types::crypto::Hash256;
 use fair_gossip::types::ids::{ChannelId, PeerId};
@@ -31,20 +32,14 @@ struct Work {
 
 /// 30 peers, 10 blocks of 50 transactions, LAN, seed 7.
 fn disseminate(gossip: GossipConfig) -> Work {
-    let params = NetParams::new(
-        30,
-        gossip,
-        OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-    );
-    let schedule = payload_schedule(&PayloadWorkload {
-        total_txs: 500,
-        ..PayloadWorkload::default()
-    });
-    let network = NetworkConfig::lan(FabricNet::node_count(&params));
-    let mut sim = Simulation::new(FabricNet::new(params, schedule), network, 7);
-    sim.with_ctx(|net, ctx| net.start(ctx));
-    sim.run_until(Time::from_secs(60));
-    let net = sim.protocol();
+    let orderer = OrdererConfig::kafka(BatchConfig::paper_dissemination());
+    let params = NetParams::new(30, gossip, orderer);
+    let schedule = payload_schedule(&PayloadWorkload::shortened(500));
+    let network = NetworkConfig::lan(0);
+    let d = Deployment::new(params, schedule, &network, 7, Duration::ZERO);
+    let mut scenario = ScenarioNet::over(d);
+    scenario.run_for(Duration::from_secs(60));
+    let (sim, net) = (scenario.sim(), scenario.sim().protocol());
     assert_eq!(net.blocks_cut(), 10);
     assert_eq!(net.latency().completeness(), 1.0);
     Work {
@@ -84,24 +79,13 @@ fn enhanced_gossip_does_the_same_simulated_work() {
 /// stored or delivered, and honest redundancy still completes the chain.
 #[test]
 fn an_equivocator_is_still_rejected_counted_and_outlived() {
-    let mut cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
-    cfg.membership.alive_interval = Duration::from_secs(1);
-    cfg.discovery.anti_entropy_interval = Duration::from_secs(1);
-    cfg.membership.alive_timeout = Duration::from_secs(5);
+    let mut cfg = GossipConfig::enhanced_f4().with_quick_discovery();
     cfg.recovery.interval = Duration::from_secs(2);
     cfg.recovery.state_info_interval = Duration::from_secs(1);
     let members: Vec<PeerId> = (0..4).map(PeerId).collect();
     let mut net = ScenarioNet::new(NetworkConfig::lan(5), vec![members], &cfg, 7);
     net.set_byzantine(PeerId(1), Box::new(Equivocator));
-    // Chained from genesis, so every peer's ledger commits what gossip
-    // delivers to it.
-    let mut prev = Block::genesis().hash();
-    for num in 1..=5u64 {
-        let block = BlockRef::new(Block::new(num, prev, vec![]).with_padding(200));
-        prev = block.hash();
-        net.inject(0, block);
-        net.run_for(Duration::from_millis(200));
-    }
+    net.stream(0, 5);
     net.run_script(&[
         ScenarioOp::Wait { secs: 10 },
         ScenarioOp::Join {
