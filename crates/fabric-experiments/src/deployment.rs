@@ -10,14 +10,14 @@
 //! phases in between — set-up timed apart from the event loop, the
 //! protocol wrapped for spans — takes the public fields and drives the
 //! same stages itself: `Simulation::new(wrap(d.net), d.network, d.seed)`,
-//! [`FabricNet::start`], then [`run_out`]. One that injects faults or
-//! checks invariants on the way runs it through
-//! [`ScenarioNet::over`](crate::scenario::ScenarioNet::over).
+//! [`FabricNet::start`], then `sim.run_until(d.drain_until + d.idle_tail)`.
+//! One that injects faults or checks invariants on the way runs it
+//! through [`ScenarioNet::over`](crate::scenario::ScenarioNet::over).
 //!
 //! The fields are what a configuration *produced*, not options a run
-//! reads: nothing branches on them except [`run_out`] on a zero idle tail.
+//! reads: nothing branches on them.
 
-use desim::{Duration, NetworkConfig, Protocol, Simulation, Time};
+use desim::{Duration, NetworkConfig, Simulation, Time};
 use fabric_workload::schedule::ScheduledInvocation;
 
 use crate::net::{FabricNet, NetParams};
@@ -70,18 +70,11 @@ impl Deployment {
         sim
     }
 
-    /// [`Deployment::start`], then [`run_out`].
+    /// [`Deployment::start`], then the drain and the idle tail.
     pub fn run(self) -> Simulation<FabricNet> {
-        let (drain_until, idle_tail) = (self.drain_until, self.idle_tail);
+        let end = self.drain_until + self.idle_tail;
         let mut sim = self.start();
-        run_out(&mut sim, drain_until, idle_tail);
+        sim.run_until(end);
         sim
     }
-}
-
-/// Runs a started deployment out: the drain, then the idle tail. Generic
-/// over the protocol so that a wrapper around [`FabricNet`] is run out the
-/// same way.
-pub fn run_out<P: Protocol>(sim: &mut Simulation<P>, drain_until: Time, idle_tail: Duration) {
-    sim.run_until(drain_until + idle_tail);
 }

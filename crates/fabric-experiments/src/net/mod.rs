@@ -648,20 +648,8 @@ impl FabricNet {
         self.peers.iter().map(|p| p.commit_errors).sum()
     }
 
-    /// The id of the peer currently acting as leader on the default
-    /// channel, if any (first claimant in a multi-organization
-    /// deployment).
-    pub fn current_leader(&self) -> Option<PeerId> {
-        self.current_leaders_on(ChannelId::DEFAULT).first().copied()
-    }
-
-    /// Every peer currently claiming leadership on the default channel
+    /// Every peer currently claiming leadership on `channel`, in id order
     /// (normally one per organization).
-    pub fn current_leaders(&self) -> Vec<PeerId> {
-        self.current_leaders_on(ChannelId::DEFAULT)
-    }
-
-    /// Every peer currently claiming leadership on `channel`.
     pub fn current_leaders_on(&self, channel: ChannelId) -> Vec<PeerId> {
         self.peers
             .iter()

@@ -17,7 +17,7 @@ use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation, Time};
 use fabric_experiments::churn::{run_churn, ChurnConfig, ChurnResult};
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
-use fabric_experiments::deployment::{run_out, Deployment};
+use fabric_experiments::deployment::Deployment;
 use fabric_experiments::dissemination::{run_dissemination, DisseminationConfig};
 use fabric_experiments::net::{FabricNet, NetMsg, NetTimer};
 use fabric_experiments::scenario::ScenarioNet;
@@ -185,7 +185,7 @@ fn through_a_wrapper(d: Deployment) -> (u64, FabricNet) {
     };
     let mut sim = Simulation::new(host, d.network, d.seed);
     sim.with_ctx(|host, ctx| host.inner.start(ctx));
-    run_out(&mut sim, d.drain_until, d.idle_tail);
+    sim.run_until(d.drain_until + d.idle_tail);
     let events = sim.events_processed();
     let host = sim.into_protocol();
     assert_eq!(host.forwarded, events);
@@ -261,10 +261,10 @@ fn pin(sim: &Simulation<FabricNet>) -> (u64, u64) {
 /// Runs `d` out with the trace on: the finished simulation and its
 /// [`pin`].
 fn run_traced(d: Deployment) -> (Simulation<FabricNet>, (u64, u64)) {
-    let (drain_until, idle_tail) = (d.drain_until, d.idle_tail);
+    let end = d.drain_until + d.idle_tail;
     let mut sim = d.start();
     sim.set_trace(true);
-    run_out(&mut sim, drain_until, idle_tail);
+    sim.run_until(end);
     let pin = pin(&sim);
     (sim, pin)
 }

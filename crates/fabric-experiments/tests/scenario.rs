@@ -246,7 +246,6 @@ fn endorsed_write(
     key: &str,
     value: u64,
 ) -> fabric_types::transaction::Transaction {
-    use fabric_ledger::state::StateReader;
     let rwset = fabric_types::rwset::RwSet::builder()
         .read(key, led.state().get_version(&key.into()))
         .write_u64(key, value)

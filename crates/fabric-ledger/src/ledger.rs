@@ -11,7 +11,7 @@ use fabric_types::snapshot::{Checkpoint, Snapshot, SnapshotRef};
 use fabric_types::transaction::EndorsementPolicy;
 
 use crate::state::StateDb;
-use crate::validate::{validate_block, BlockValidation};
+use crate::validate::{validate_block, TxValidation};
 
 /// Why a block was rejected at commit time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,15 +102,6 @@ pub struct RetentionRecord {
     pub height: u64,
     /// Wire bytes of the full snapshot emitted here, if any.
     pub full_bytes: u64,
-}
-
-/// Summary of one committed block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitSummary {
-    /// Height of the committed block.
-    pub block_num: u64,
-    /// Per-transaction validation outcome.
-    pub validation: BlockValidation,
 }
 
 /// Cumulative validation statistics across all committed blocks.
@@ -355,7 +346,7 @@ impl Ledger {
     ///
     /// Returns a [`CommitError`] without mutating anything when the block is
     /// not the next height, does not link to the tip, or is corrupted.
-    pub fn commit(&mut self, block: BlockRef) -> Result<CommitSummary, CommitError> {
+    pub fn commit(&mut self, block: BlockRef) -> Result<(), CommitError> {
         let expected = self.height();
         if block.number() != expected {
             return Err(CommitError::NotNext {
@@ -371,18 +362,14 @@ impl Ledger {
         }
         let validation = validate_block(&self.msp, &self.policy, &block, &self.state);
         for (tx_num, (tx, flag)) in block.txs.iter().zip(validation.flags.iter()).enumerate() {
-            if flag.is_valid() {
-                let version = Version::new(block.number(), tx_num as u32);
-                self.state.apply(version, &tx.rwset.writes);
-                self.stats.valid_txs += 1;
-            } else {
-                match flag {
-                    crate::validate::TxValidation::MvccConflict => self.stats.mvcc_conflicts += 1,
-                    crate::validate::TxValidation::EndorsementFailure => {
-                        self.stats.endorsement_failures += 1
-                    }
-                    crate::validate::TxValidation::Valid => unreachable!(),
+            match flag {
+                TxValidation::Valid => {
+                    let version = Version::new(block.number(), tx_num as u32);
+                    self.state.apply(version, &tx.rwset.writes);
+                    self.stats.valid_txs += 1;
                 }
+                TxValidation::MvccConflict => self.stats.mvcc_conflicts += 1,
+                TxValidation::EndorsementFailure => self.stats.endorsement_failures += 1,
             }
         }
         let block_num = block.number();
@@ -392,10 +379,7 @@ impl Ledger {
                 self.emit_checkpoint(block_num, policy);
             }
         }
-        Ok(CommitSummary {
-            block_num,
-            validation,
-        })
+        Ok(())
     }
 
     /// Records the checkpoint for the just-committed `height` and, when a
@@ -430,10 +414,16 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StateReader;
     use fabric_types::ids::{ClientId, PeerId, TxId};
     use fabric_types::rwset::{RwSet, Value};
     use fabric_types::transaction::Transaction;
+
+    /// Whether `bytes` lie inside `holder` itself rather than on the heap:
+    /// how a `held_once_` pin tells an inline key or value from a shared one.
+    fn held_inline<T>(holder: &T, bytes: &[u8]) -> bool {
+        let start = holder as *const T as usize;
+        (start..start + std::mem::size_of::<T>()).contains(&(bytes.as_ptr() as usize))
+    }
 
     fn ledger() -> Ledger {
         Ledger::new(Arc::new(Msp::single_org(3)), EndorsementPolicy::AnyMember)
@@ -469,9 +459,7 @@ mod tests {
         let mut led = ledger();
         let tx = endorsed_increment(&led, 1, "k", None, 1);
         let block = BlockRef::new(Block::new(1, led.latest_hash(), vec![tx]));
-        let summary = led.commit(block).unwrap();
-        assert_eq!(summary.block_num, 1);
-        assert_eq!(summary.validation.valid_count(), 1);
+        led.commit(block).unwrap();
         assert_eq!(led.height(), 2);
         assert_eq!(led.state().counter_sum(), Some(1));
         assert_eq!(led.stats().valid_txs, 1);
@@ -498,8 +486,8 @@ mod tests {
             let [(long_key, long_value, _), (key, value, _)] = entries[..] else {
                 panic!("two keys committed");
             };
-            assert!(crate::held_inline(key, key.as_bytes()));
-            assert!(crate::held_inline(value, value.as_bytes()));
+            assert!(held_inline(key, key.as_bytes()));
+            assert!(held_inline(value, value.as_bytes()));
             assert_eq!(long_key.as_bytes().as_ptr(), write.key.as_bytes().as_ptr());
             assert_eq!(
                 long_value.as_bytes().as_ptr(),
@@ -549,8 +537,7 @@ mod tests {
         let tx1 = endorsed_increment(&led, 1, "k", None, 1);
         let tx2 = endorsed_increment(&led, 2, "k", None, 1); // same base read
         let block = BlockRef::new(Block::new(1, led.latest_hash(), vec![tx1, tx2]));
-        let summary = led.commit(block).unwrap();
-        assert_eq!(summary.validation.mvcc_conflicts(), 1);
+        led.commit(block).unwrap();
         assert_eq!(led.stats().mvcc_conflicts, 1);
         assert_eq!(led.state().counter_sum(), Some(1));
     }
@@ -564,8 +551,8 @@ mod tests {
         // Endorsed before block 1 committed: still reads version None.
         let tx2 = endorsed_increment(&led, 2, "k", None, 1);
         let b2 = BlockRef::new(Block::new(2, led.latest_hash(), vec![tx2]));
-        let summary = led.commit(b2).unwrap();
-        assert_eq!(summary.validation.mvcc_conflicts(), 1);
+        led.commit(b2).unwrap();
+        assert_eq!(led.stats().mvcc_conflicts, 1);
         assert_eq!(led.stats().invalid_txs(), 1);
     }
 

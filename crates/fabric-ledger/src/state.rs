@@ -10,21 +10,10 @@ use fabric_types::crypto::Hash256;
 use fabric_types::rwset::{Key, Value, Version, WriteItem};
 use fabric_types::snapshot::{hash_state_entries, StateEntry};
 
-/// Read access to versioned state, as seen by a simulating chaincode.
-pub trait StateReader {
-    /// The current value and version of `key`, or `None` if absent.
-    fn get(&self, key: &Key) -> Option<(&Value, Version)>;
-
-    /// The current version of `key`, or `None` if absent.
-    fn get_version(&self, key: &Key) -> Option<Version> {
-        self.get(key).map(|(_, v)| v)
-    }
-}
-
 /// The materialized world state: latest value and version per key.
 ///
 /// ```
-/// use fabric_ledger::state::{StateDb, StateReader};
+/// use fabric_ledger::state::StateDb;
 /// use fabric_types::rwset::{Key, Value, Version, WriteItem};
 ///
 /// let mut db = StateDb::new();
@@ -52,6 +41,16 @@ impl StateDb {
             self.entries
                 .insert(w.key.clone(), (w.value.clone(), version));
         }
+    }
+
+    /// The current value and version of `key`, or `None` if absent.
+    pub fn get(&self, key: &Key) -> Option<(&Value, Version)> {
+        self.entries.get(key).map(|(v, ver)| (v, *ver))
+    }
+
+    /// The current version of `key`, or `None` if absent.
+    pub fn get_version(&self, key: &Key) -> Option<Version> {
+        self.entries.get(key).map(|(_, ver)| *ver)
     }
 
     /// Number of keys present.
@@ -107,12 +106,6 @@ impl StateDb {
             sum += v.as_u64()?;
         }
         Some(sum)
-    }
-}
-
-impl StateReader for StateDb {
-    fn get(&self, key: &Key) -> Option<(&Value, Version)> {
-        self.entries.get(key).map(|(v, ver)| (v, *ver))
     }
 }
 

@@ -14,7 +14,7 @@ use fabric_types::msp::Msp;
 use fabric_types::rwset::{Key, Version};
 use fabric_types::transaction::{EndorsementPolicy, Transaction};
 
-use crate::state::{StateDb, StateReader};
+use crate::state::StateDb;
 
 /// The outcome of validating one transaction, mirroring Fabric's
 /// `TxValidationCode` values relevant to this study.

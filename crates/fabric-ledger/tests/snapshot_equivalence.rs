@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use fabric_ledger::ledger::{Ledger, SnapshotPolicy};
-use fabric_ledger::state::StateReader;
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ClientId, PeerId, TxId};
 use fabric_types::msp::Msp;

@@ -16,10 +16,12 @@
 //! Like a real Fabric ordering service, one instance orders **many
 //! channels**: each registered channel owns an independent block cutter,
 //! block numbering and prev-hash chain, multiplexed behind the shared
-//! consenter model. Single-channel embeddings use the channel-less methods
-//! ([`OrderingService::submit`] et al.), which operate on
-//! [`ChannelId::DEFAULT`]; multi-channel embeddings register channels with
-//! [`OrderingService::add_channel`] and route with the `*_on` variants.
+//! consenter model. [`OrderingService::new`] serves [`ChannelId::DEFAULT`],
+//! and the one channel-less method, [`OrderingService::submit`], submits
+//! on it (a single-channel embedding such as the benchmark's direct
+//! orderer measurement); further channels are registered with
+//! [`OrderingService::add_channel`], and everything else routes with the
+//! `*_on` methods.
 //! Batch epochs are per-channel, so an embedding arming timers must carry
 //! the channel alongside the epoch.
 
@@ -105,7 +107,7 @@ pub struct SubmitOutcome {
 #[derive(Debug)]
 pub struct OrderingService {
     config: OrdererConfig,
-    /// One independent chain per served channel, sorted by [`ChannelId`].
+    /// One independent chain per served channel, in registration order.
     chains: Vec<(ChannelId, ChannelChain)>,
 }
 
@@ -189,18 +191,7 @@ impl OrderingService {
             "channel {channel} already served"
         );
         let chain = ChannelChain::new(self.config.batch.clone(), prev_hash, next_number);
-        let at = self.chains.partition_point(|(ch, _)| *ch < channel);
-        self.chains.insert(at, (channel, chain));
-    }
-
-    /// The channels this service orders, in id order.
-    pub fn channel_ids(&self) -> Vec<ChannelId> {
-        self.chains.iter().map(|(ch, _)| *ch).collect()
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &OrdererConfig {
-        &self.config
+        self.chains.push((channel, chain));
     }
 
     /// The batch timeout the embedding should use when arming timers (one
@@ -225,13 +216,7 @@ impl OrderingService {
             .unwrap_or_else(|| panic!("channel {channel} is not served by this orderer"))
     }
 
-    /// Current batch epoch of the default channel (see
-    /// [`SubmitOutcome::arm_timer`]).
-    pub fn batch_epoch(&self) -> u64 {
-        self.batch_epoch_on(ChannelId::DEFAULT)
-    }
-
-    /// Current batch epoch of `channel`.
+    /// Current batch epoch of `channel` (see [`SubmitOutcome::arm_timer`]).
     ///
     /// # Panics
     ///
@@ -264,11 +249,6 @@ impl OrderingService {
         self.chain(channel).next_number - 1
     }
 
-    /// Transactions waiting in the default channel's pending batch.
-    pub fn pending_count(&self) -> usize {
-        self.pending_count_on(ChannelId::DEFAULT)
-    }
-
     /// Transactions waiting in `channel`'s pending batch.
     ///
     /// # Panics
@@ -295,14 +275,9 @@ impl OrderingService {
         self.chain_mut(channel).submit(tx)
     }
 
-    /// Batch timer expiry for `epoch` on the default channel. Returns the
-    /// cut block, or `None` when the timer was stale (the batch it guarded
-    /// was already cut) or nothing was pending.
-    pub fn on_batch_timeout(&mut self, epoch: u64) -> Option<Block> {
-        self.on_batch_timeout_on(ChannelId::DEFAULT, epoch)
-    }
-
-    /// Batch timer expiry for `epoch` on `channel`.
+    /// Batch timer expiry for `epoch` on `channel`. Returns the cut block,
+    /// or `None` when the timer was stale (the batch it guarded was already
+    /// cut) or nothing was pending.
     ///
     /// # Panics
     ///
@@ -361,10 +336,12 @@ mod tests {
         let mut orderer = service(10);
         let epoch = orderer.submit(tx(1)).arm_timer.unwrap();
         orderer.submit(tx(2));
-        let block = orderer.on_batch_timeout(epoch).unwrap();
+        let block = orderer
+            .on_batch_timeout_on(ChannelId::DEFAULT, epoch)
+            .unwrap();
         assert_eq!(block.txs.len(), 2);
         assert_eq!(block.number(), 1);
-        assert_eq!(orderer.pending_count(), 0);
+        assert_eq!(orderer.pending_count_on(ChannelId::DEFAULT), 0);
     }
 
     #[test]
@@ -376,21 +353,20 @@ mod tests {
         assert_eq!(cut.blocks.len(), 1);
         // New batch starts pending; the old timer must not cut it.
         orderer.submit(tx(3));
-        assert_eq!(orderer.on_batch_timeout(epoch), None);
-        assert_eq!(orderer.pending_count(), 1);
+        assert_eq!(orderer.on_batch_timeout_on(ChannelId::DEFAULT, epoch), None);
+        assert_eq!(orderer.pending_count_on(ChannelId::DEFAULT), 1);
     }
 
     #[test]
     fn empty_timeout_returns_none() {
         let mut orderer = service(10);
-        assert_eq!(orderer.on_batch_timeout(0), None);
+        assert_eq!(orderer.on_batch_timeout_on(ChannelId::DEFAULT, 0), None);
     }
 
     #[test]
     fn channels_cut_and_number_independently() {
         let mut orderer = service(2);
         orderer.add_channel(ChannelId(1), Block::genesis().hash(), 1);
-        assert_eq!(orderer.channel_ids(), vec![ChannelId(0), ChannelId(1)]);
 
         // Interleaved submissions: each channel batches on its own.
         orderer.submit_on(ChannelId(0), tx(1));
@@ -448,7 +424,10 @@ mod tests {
     fn numbering_continues_across_timeout_and_count_cuts() {
         let mut orderer = service(2);
         orderer.submit(tx(1));
-        let b1 = orderer.on_batch_timeout(orderer.batch_epoch()).unwrap();
+        let epoch = orderer.batch_epoch_on(ChannelId::DEFAULT);
+        let b1 = orderer
+            .on_batch_timeout_on(ChannelId::DEFAULT, epoch)
+            .unwrap();
         assert_eq!(b1.number(), 1);
         orderer.submit(tx(2));
         let b2 = orderer.submit(tx(3)).blocks.pop().unwrap();

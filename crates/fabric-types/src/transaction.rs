@@ -84,8 +84,8 @@ pub struct Transaction {
     /// Unique transaction id.
     pub id: TxId,
     /// Name of the chaincode that produced the read/write set. It is a
-    /// constant of the chaincode's type (`fabric_ledger`'s
-    /// `Chaincode::name`), so no transaction allocates one.
+    /// constant (`fabric_workload`'s `client::INCREMENT_NAME` and
+    /// `client::PAYLOAD_NAME`), so no transaction allocates one.
     pub chaincode: &'static str,
     /// The submitting client.
     pub creator: ClientId,

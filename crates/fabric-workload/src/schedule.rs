@@ -13,7 +13,7 @@
 //! [`InvocationArg`] rendered once, inline, when the generator writes the
 //! row. A schedule is one `Vec` of 32-byte rows with nothing on the heap
 //! behind them: generating it allocates that `Vec` and nothing else, and
-//! an endorser builds its chaincode input from the inline string.
+//! an endorser passes the inline string straight to its chaincode.
 
 use std::fmt;
 
@@ -27,9 +27,9 @@ use serde::{Deserialize, Serialize};
 /// Which chaincode an invocation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaincodeKind {
-    /// [`fabric_ledger::IncrementChaincode`] — the conflict workload.
+    /// [`increment`](crate::client::increment) — the conflict workload.
     Increment,
-    /// [`fabric_ledger::PayloadChaincode`] — the dissemination workload.
+    /// [`payload`](crate::client::payload) — the dissemination workload.
     Payload,
 }
 

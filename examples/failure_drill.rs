@@ -13,7 +13,7 @@ use fair_gossip::experiments::scenario::ScenarioNet;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
 use fair_gossip::sim::{Duration, NetworkConfig};
-use fair_gossip::types::ids::PeerId;
+use fair_gossip::types::ids::{ChannelId, PeerId};
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
 fn main() {
@@ -41,7 +41,9 @@ fn main() {
     let leader_before = net
         .sim()
         .protocol()
-        .current_leader()
+        .current_leaders_on(ChannelId::DEFAULT)
+        .first()
+        .copied()
         .expect("a leader stood up");
     println!(
         "t=20s   leader is {leader_before}, height(peer 5) = {}",
@@ -57,7 +59,9 @@ fn main() {
     let leader_after = net
         .sim()
         .protocol()
-        .current_leader()
+        .current_leaders_on(ChannelId::DEFAULT)
+        .first()
+        .copied()
         .expect("someone took over");
     println!("t=40s   new leader is {leader_after}, blocks keep flowing");
     assert_ne!(leader_after, leader_before);

@@ -10,7 +10,7 @@ use fair_gossip::gossip::scenario::ScenarioOp;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
 use fair_gossip::sim::{Duration, NetworkConfig};
-use fair_gossip::types::ids::PeerId;
+use fair_gossip::types::ids::{ChannelId, PeerId};
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
 fn multi_org(peers: usize, orgs: usize, txs: usize, seed: u64) -> ScenarioNet {
@@ -27,7 +27,7 @@ fn multi_org(peers: usize, orgs: usize, txs: usize, seed: u64) -> ScenarioNet {
 fn three_orgs_have_one_static_leader_each() {
     let scenario = multi_org(60, 3, 50, 1);
     let net = scenario.sim().protocol();
-    let leaders = net.current_leaders();
+    let leaders = net.current_leaders_on(ChannelId::DEFAULT);
     assert_eq!(leaders, vec![PeerId(0), PeerId(20), PeerId(40)]);
     for (i, leader) in leaders.iter().enumerate() {
         assert_eq!(net.org_of(*leader), i);

@@ -5,7 +5,6 @@
 //! of every handled event of `cfg.deployments()` run traced, so a
 //! reordering cannot hide behind an unchanged count.
 
-use fair_gossip::experiments::deployment::run_out;
 use fair_gossip::experiments::multichannel::{
     run_multichannel, MultiChannelConfig, MultiChannelResult,
 };
@@ -26,10 +25,10 @@ fn run_pinned(cfg: &MultiChannelConfig) -> (MultiChannelResult, Vec<u64>) {
         .deployments()
         .into_iter()
         .map(|(_, d)| {
-            let (drain_until, idle_tail) = (d.drain_until, d.idle_tail);
+            let end = d.drain_until + d.idle_tail;
             let mut sim = d.start();
             sim.set_trace(true);
-            run_out(&mut sim, drain_until, idle_tail);
+            sim.run_until(end);
             events += sim.events_processed();
             sim.content_hash().expect("the run was traced")
         })
