@@ -43,26 +43,6 @@ pub struct BlockValidation {
     pub flags: Vec<TxValidation>,
 }
 
-impl BlockValidation {
-    /// Number of valid transactions.
-    pub fn valid_count(&self) -> usize {
-        self.flags.iter().filter(|f| f.is_valid()).count()
-    }
-
-    /// Number of invalidated transactions (any reason).
-    pub fn invalid_count(&self) -> usize {
-        self.flags.len() - self.valid_count()
-    }
-
-    /// Number of MVCC (validation-time) conflicts.
-    pub fn mvcc_conflicts(&self) -> usize {
-        self.flags
-            .iter()
-            .filter(|f| **f == TxValidation::MvccConflict)
-            .count()
-    }
-}
-
 /// Validates `block` against `state`, without mutating it.
 ///
 /// The caller applies the writes of valid transactions afterwards (see
@@ -157,8 +137,6 @@ mod tests {
         let block = Block::new(2, Hash256::ZERO, vec![tx]);
         let v = validate_block(&msp, &policy, &block, &state);
         assert_eq!(v.flags, vec![TxValidation::Valid]);
-        assert_eq!(v.valid_count(), 1);
-        assert_eq!(v.mvcc_conflicts(), 0);
     }
 
     #[test]
@@ -176,7 +154,6 @@ mod tests {
         let block = Block::new(3, Hash256::ZERO, vec![tx]);
         let v = validate_block(&msp, &policy, &block, &state);
         assert_eq!(v.flags, vec![TxValidation::MvccConflict]);
-        assert_eq!(v.invalid_count(), 1);
     }
 
     #[test]
@@ -192,7 +169,6 @@ mod tests {
             v.flags,
             vec![TxValidation::Valid, TxValidation::MvccConflict]
         );
-        assert_eq!(v.mvcc_conflicts(), 1);
     }
 
     #[test]

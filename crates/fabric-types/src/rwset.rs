@@ -62,6 +62,18 @@ impl InlineBytes {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..usize::from(self.len.get() - 1)]
     }
+
+    /// The byte order in two word compares: the zero-padded bytes as one
+    /// big-endian number, then the lengths. Equal words leave one side a
+    /// prefix of the other, and the shorter sorts first.
+    fn cmp_bytes(&self, other: &Self) -> Ordering {
+        let word = |b: &Self| {
+            let mut padded = [0; 16];
+            padded[..Self::CAPACITY].copy_from_slice(&b.bytes);
+            u128::from_be_bytes(padded)
+        };
+        word(self).cmp(&word(other)).then(self.len.cmp(&other.len))
+    }
 }
 
 impl fmt::Debug for InlineBytes {
@@ -112,7 +124,10 @@ impl PartialOrd for Bytes {
 
 impl Ord for Bytes {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_bytes().cmp(other.as_bytes())
+        match (self, other) {
+            (Bytes::Inline(a), Bytes::Inline(b)) => a.cmp_bytes(b),
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
 }
 
@@ -487,8 +502,9 @@ mod tests {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
 
-        /// Key pieces: empty, ASCII, two-, three- and four-byte UTF-8.
-        const PIECES: [&str; 6] = ["", "a", "delta:", "é", "日", "🦀"];
+        /// Key pieces: empty, ASCII, two-, three- and four-byte UTF-8, and
+        /// a NUL, which pads an inline key's word as its tail does.
+        const PIECES: [&str; 7] = ["", "a", "delta:", "é", "日", "🦀", "\0"];
 
         /// Keys of 15, 16 and 17 bytes, in ASCII and in multi-byte UTF-8:
         /// both sides of the inline limit.
@@ -534,8 +550,8 @@ mod tests {
             /// inputs. At most 15 bytes are held inline, more are not.
             #[test]
             fn model_key_value_match_owned_bytes(
-                a in (0usize..12, proptest::collection::vec(0u8..6, 0..5)),
-                b in (0usize..12, proptest::collection::vec(0u8..6, 0..5)),
+                a in (0usize..12, proptest::collection::vec(0u8..7, 0..5)),
+                b in (0usize..12, proptest::collection::vec(0u8..7, 0..5)),
                 x in (0u8..4, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)),
                 y in (0u8..4, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..40)),
             ) {
