@@ -62,18 +62,6 @@ impl InlineBytes {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..usize::from(self.len.get() - 1)]
     }
-
-    /// The byte order in two word compares: the zero-padded bytes as one
-    /// big-endian number, then the lengths. Equal words leave one side a
-    /// prefix of the other, and the shorter sorts first.
-    fn cmp_bytes(&self, other: &Self) -> Ordering {
-        let word = |b: &Self| {
-            let mut padded = [0; 16];
-            padded[..Self::CAPACITY].copy_from_slice(&b.bytes);
-            u128::from_be_bytes(padded)
-        };
-        word(self).cmp(&word(other)).then(self.len.cmp(&other.len))
-    }
 }
 
 impl fmt::Debug for InlineBytes {
@@ -124,10 +112,7 @@ impl PartialOrd for Bytes {
 
 impl Ord for Bytes {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Bytes::Inline(a), Bytes::Inline(b)) => a.cmp_bytes(b),
-            _ => self.as_bytes().cmp(other.as_bytes()),
-        }
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
@@ -503,7 +488,7 @@ mod tests {
         use std::hash::{Hash, Hasher};
 
         /// Key pieces: empty, ASCII, two-, three- and four-byte UTF-8, and
-        /// a NUL, which pads an inline key's word as its tail does.
+        /// a NUL, so two keys can differ only in a zero tail.
         const PIECES: [&str; 7] = ["", "a", "delta:", "é", "日", "🦀", "\0"];
 
         /// Keys of 15, 16 and 17 bytes, in ASCII and in multi-byte UTF-8:
