@@ -26,13 +26,12 @@
 //! The stable main channel doubles as the control group: its latency and
 //! fairness must stay unremarkable while the side channel churns.
 //!
-//! This module also holds what both churn families share: the
-//! [`ChurnResult`] a churned run is read off into
+//! This module also holds what both churn families and the multi-channel
+//! runner share: the [`ChurnResult`] a run is read off into
 //! ([`ChurnResult::read_off`], one [`ChannelReport`] per channel of the
 //! deployment) and its one renderer, [`render_churn`]. `churn_waves` adds
-//! only its configuration and wave plan. The multi-channel runner reads
-//! its channels off through the same [`ChannelReport::read_off`] and
-//! prints the same row ([`ChannelReport::render`]).
+//! only its configuration and wave plan, `multichannel` only its channel
+//! plans.
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
 use fabric_gossip::config::GossipConfig;
@@ -215,8 +214,7 @@ pub(crate) fn churned_schedule(
 }
 
 /// One channel's measured outcome — the per-channel row of every
-/// multi-channel report ([`ChurnResult`] and
-/// [`MultiChannelResult`](crate::multichannel::MultiChannelResult)).
+/// multi-channel report ([`ChurnResult`]).
 #[derive(Debug, Clone)]
 pub struct ChannelReport {
     /// The channel.
@@ -332,8 +330,7 @@ impl ChannelReport {
         }
     }
 
-    /// The report's one line of [`render_churn`] and
-    /// [`render_multichannel`](crate::multichannel::render_multichannel).
+    /// The report's one line of [`render_churn`].
     pub fn render(&self) -> String {
         let leaders: Vec<String> = self.leaders.iter().map(PeerId::to_string).collect();
         let gaps: Vec<String> = self.leader_gaps.iter().map(Duration::to_string).collect();
@@ -357,7 +354,7 @@ impl ChannelReport {
 }
 
 /// Per-channel and overall Jain fairness over the reports' member bytes.
-pub(crate) fn fairness_of(channels: &[ChannelReport]) -> FairnessReport {
+fn fairness_of(channels: &[ChannelReport]) -> FairnessReport {
     let rows: Vec<(String, Vec<(usize, f64)>)> = channels
         .iter()
         .map(|c| {
@@ -372,8 +369,9 @@ pub(crate) fn fairness_of(channels: &[ChannelReport]) -> FairnessReport {
     FairnessReport::from_per_channel(&rows)
 }
 
-/// What a churned run — [`run_churn`] or
-/// [`run_churn_waves`](crate::churn_waves::run_churn_waves) — produces.
+/// What a multi-channel run — [`run_churn`],
+/// [`run_churn_waves`](crate::churn_waves::run_churn_waves) or
+/// [`run_multichannel`](crate::multichannel::run_multichannel) — produces.
 #[derive(Debug)]
 pub struct ChurnResult {
     /// Per-channel outcomes, channel order (default channel first).

@@ -5,8 +5,7 @@
 //! [`FabricNet`], drain it, read results off. The first two are here. A
 //! runner's configuration produces a [`Deployment`] (`cfg.deployment()`)
 //! and its `run_*` is `cfg.deployment().run()` plus a read-off of its
-//! own; every runner takes this path, the multi-channel one once per
-//! connected component (`cfg.deployments()`). A caller that needs the
+//! own; every runner takes this path. A caller that needs the
 //! phases in between — set-up timed apart from the event loop, the
 //! protocol wrapped for spans — takes the public fields and drives the
 //! same stages itself: `Simulation::new(wrap(d.net), d.network, d.seed)`,

@@ -5,8 +5,7 @@
 //! ordering service cutting blocks, and an organization of gossip peers
 //! validating and committing them. [`deployment::Deployment`] is the one
 //! way such a network is stood up and run out; on top of it, one runner
-//! per experiment family (`cfg.deployment().run()` + its own read-off;
-//! `multichannel` runs one deployment per group, `cfg.deployments()`):
+//! per experiment family (`cfg.deployment().run()` + its own read-off):
 //!
 //! * [`dissemination`] — Figs. 4–14: latency and bandwidth of block
 //!   dissemination, original vs enhanced, with the leader-fan-out and
@@ -16,10 +15,9 @@
 //! * [`conflicts`] — Table II: invalidated transactions under different
 //!   block periods;
 //! * [`multichannel`] — beyond the paper: C channels × N peers with
-//!   overlapping memberships and per-channel client workloads — one
-//!   deployment per connected component of the channel-overlap graph
-//!   (`cfg.deployments()`), run over `desim::run_batch` — reporting the
-//!   churn runners' per-channel row and Jain's fairness;
+//!   overlapping memberships and per-channel client workloads, one
+//!   deployment with one client and ordering service for every channel,
+//!   reporting the churn runners' per-channel row and Jain's fairness;
 //! * [`churn`] — beyond the paper: runtime channel membership over the
 //!   full pipeline — a late joiner catching up via StateInfo + recovery
 //!   (catch-up latency) and a departing leader handing off, with
@@ -81,10 +79,7 @@ pub use dissemination::{
 pub use long_chain::{
     render_long_chain, run_long_chain, LongChainConfig, LongChainResult, LongChainRow,
 };
-pub use multichannel::{
-    plan_groups, render_multichannel, run_multichannel, ChannelGroup, ChannelPlan,
-    MultiChannelConfig, MultiChannelResult,
-};
+pub use multichannel::{run_multichannel, ChannelPlan, MultiChannelConfig};
 pub use net::{
     ChannelSpec, ChurnAction, ChurnEvent, DiscoveryMode, FabricNet, NetMsg, NetParams, NetTimer,
     ViewConvergence,
