@@ -426,11 +426,7 @@ impl<P: Protocol> Simulation<P> {
     /// neither the clock nor any handler ever runs past it.
     pub fn step_until(&mut self, limit: Time) -> bool {
         loop {
-            // `Time::MAX` bounds nothing, so a plain `step` skips the peek.
-            if limit < Time::MAX && self.core.queue.peek_time().is_none_or(|at| at > limit) {
-                return false;
-            }
-            let Some((at, seq, held)) = self.core.queue.pop_held() else {
+            let Some((at, seq, held)) = self.core.queue.pop_held_by(limit) else {
                 return false;
             };
             debug_assert!(at >= self.core.time, "event from the past");

@@ -33,16 +33,26 @@
 //! arms at the start of a run, and rounds a run stretches to an hour to
 //! keep them out of the way.
 //!
-//! ## The sorted drain
+//! ## The ordered drain
 //!
 //! When the cursor reaches a bucket, its chain is walked once into a
-//! reused vector of stubs, which is sorted once, descending, so each pop
-//! is a `Vec::pop` off the end — no per-pop sift. Only what joins the
-//! bucket *while* it drains (a handler scheduling inside the current
-//! 131 µs, or a far-heap entry the cursor caught up with) goes through a
-//! small side min-heap; the next entry is the smaller of the two heads.
-//! Both hold unique `(time, seq)` keys, so the merged order is the exact
-//! total order.
+//! reused vector of stubs kept in `(time, seq)` order, descending, so each
+//! pop is a `Vec::pop` off the end — no per-pop sift. The chain comes out
+//! newest first, so `seq` falls along the walk, and each stub is inserted
+//! behind every entry at or after its time: in the usual chain, whose
+//! times fall with its `seq`, that is the end of the vector, and a load
+//! costs one compare per stub and no sort. A chain further out of time
+//! order (more than `LOAD_SHIFTS` = 16 entries moved) has the rest of its
+//! stubs appended and is sorted once, so the worst load stays
+//! O(n log n). Only what joins the bucket *while* it drains (a handler
+//! scheduling inside the current 131 µs, or a far-heap entry the cursor
+//! caught up with) goes through a small side min-heap; the next entry is
+//! the smaller of the two heads. Both hold unique `(time, seq)` keys, so
+//! the merged order is the exact total order.
+//!
+//! The engine pops through [`TimingWheel::pop_held_by`]: one call finds
+//! the head, and either takes it or, when it lies past the step's limit,
+//! leaves it queued. A bounded step does not peek first.
 //!
 //! ## One slot per message
 //!
@@ -73,6 +83,9 @@ const WORDS: usize = NUM_BUCKETS / 64;
 /// Span of the ring (≈ 17.2 s): an event whose bucket starts this far or
 /// further past the draining bucket's start waits in the far heap.
 pub const HORIZON_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+/// Entries a bucket load may move to insert its stubs in order; a chain
+/// further out of time order is appended and sorted once.
+const LOAD_SHIFTS: usize = 16;
 /// The empty bucket head and the end of a bucket chain. A link to slot
 /// `s` is stored as `s + 1`, so an empty ring is zero-filled memory.
 const EMPTY: u32 = 0;
@@ -116,7 +129,9 @@ pub trait Scheduler<E> {
     /// Pops the next event in `(time, seq)` order, or `None` when the
     /// queue is empty.
     fn pop(&mut self) -> Option<Popped<E>>;
-    /// The instant of the next event.
+    /// The instant of the next event. The engine no longer calls it: a
+    /// bounded step pops through [`TimingWheel::pop_held_by`], which finds
+    /// the head once.
     fn peek_time(&mut self) -> Option<Time>;
     /// Events still queued.
     fn len(&self) -> usize;
@@ -189,8 +204,8 @@ pub struct TimingWheel<E> {
     /// Absolute index of the bucket currently draining.
     cursor: u64,
     /// What the draining bucket's chain held when the cursor reached it,
-    /// sorted once on `(time, seq)`, descending: the next entry pops off
-    /// the end.
+    /// in `(time, seq)` order, descending: the next entry pops off the
+    /// end.
     run: Vec<Stub>,
     /// What joined the draining bucket after it was loaded — inserts at
     /// or before the cursor, and far-heap entries the cursor caught up
@@ -280,20 +295,26 @@ impl<E> TimingWheel<E> {
     /// message through [`TimingWheel::payload_mut`] and either takes it
     /// for the handler or re-queues it in place.
     pub fn pop_held(&mut self) -> Option<(Time, u64, Held)> {
-        loop {
-            if let Some(stub) = self.pop_head() {
-                self.pending -= 1;
-                let held = Held { slot: stub.slot };
-                return Some((Time::from_nanos(stub.at_ns), stub.seq, held));
-            }
-            if self.pending == 0 {
-                return None;
-            }
-            if !self.advance() {
-                debug_assert!(false, "pending entries but no occupied bucket");
-                return None;
-            }
+        self.pop_held_by(Time::MAX)
+    }
+
+    /// [`TimingWheel::pop_held`] bounded by `limit`: the next event if it
+    /// is due at or before `limit`, else `None` with nothing consumed.
+    /// The head is found once, so a bounded step walks it once, not once
+    /// to peek and again to pop.
+    pub fn pop_held_by(&mut self, limit: Time) -> Option<(Time, u64, Held)> {
+        let (stub, from_cur) = self.head()?;
+        if stub.at_ns > limit.as_nanos() {
+            return None;
         }
+        if from_cur {
+            self.cur.pop();
+        } else {
+            self.run.pop();
+        }
+        self.pending -= 1;
+        let held = Held { slot: stub.slot };
+        Some((Time::from_nanos(stub.at_ns), stub.seq, held))
     }
 
     /// The payload of a held event.
@@ -354,39 +375,33 @@ impl<E> TimingWheel<E> {
         None
     }
 
-    /// Whether the draining bucket's next entry is `cur`'s head rather
-    /// than `run`'s: the smaller `(time, seq)` of the two goes first.
-    fn cur_goes_first(&self) -> bool {
-        match (self.run.last(), self.cur.peek()) {
-            (Some(r), Some(FarStub(c))) => c.key() < r.key(),
-            (None, Some(_)) => true,
-            (_, None) => false,
-        }
-    }
-
-    /// The head of the draining bucket, without removing it.
-    fn head(&self) -> Option<&Stub> {
-        if self.cur_goes_first() {
-            self.cur.peek().map(|f| &f.0)
-        } else {
-            self.run.last()
-        }
-    }
-
-    /// Removes the head of the draining bucket.
-    fn pop_head(&mut self) -> Option<Stub> {
-        if self.cur_goes_first() {
-            self.cur.pop().map(|f| f.0)
-        } else {
-            self.run.pop()
+    /// The next entry to pop — the smaller `(time, seq)` of `run`'s and
+    /// `cur`'s heads — and whether it is `cur`'s; when the draining bucket
+    /// is spent, the cursor first advances to the next non-empty one.
+    /// `None` when nothing is queued.
+    fn head(&mut self) -> Option<(Stub, bool)> {
+        loop {
+            match (self.run.last(), self.cur.peek()) {
+                (Some(r), Some(FarStub(c))) if c.key() < r.key() => return Some((*c, true)),
+                (None, Some(FarStub(c))) => return Some((*c, true)),
+                (Some(r), _) => return Some((*r, false)),
+                (None, None) => {}
+            }
+            if self.pending == 0 {
+                return None;
+            }
+            if !self.advance() {
+                debug_assert!(false, "pending entries but no occupied bucket");
+                return None;
+            }
         }
     }
 
     /// Moves the cursor to the next non-empty bucket (near ring or far
     /// heap, whichever is earlier) and loads it: the ring bucket's chain
-    /// is walked into `run` and sorted once, and far-heap entries of the
-    /// same bucket spill into `cur`. Returns `false` when nothing is
-    /// queued anywhere.
+    /// is walked into `run`, each stub inserted in order (see the module
+    /// docs), and far-heap entries of the same bucket spill into `cur`.
+    /// Returns `false` when nothing is queued anywhere.
     fn advance(&mut self) -> bool {
         debug_assert!(
             self.run.is_empty() && self.cur.is_empty(),
@@ -404,17 +419,35 @@ impl<E> TimingWheel<E> {
         let s = (target & BUCKET_MASK) as usize;
         if self.occupied[s >> 6] & (1u64 << (s & 63)) != 0 {
             let mut link = std::mem::replace(&mut self.heads[s], EMPTY);
+            // Stubs moved so far to insert the walked one in order; past
+            // `LOAD_SHIFTS` the rest is appended and sorted once.
+            let mut shifts = 0;
             while link != EMPTY {
                 let slot = &self.slab[link as usize - 1];
-                self.run.push(Stub {
+                let stub = Stub {
                     at_ns: slot.at_ns,
                     seq: slot.seq,
                     slot: link - 1,
-                });
+                };
                 link = slot.next;
+                if shifts > LOAD_SHIFTS {
+                    self.run.push(stub);
+                    continue;
+                }
+                // The chain runs newest first, so `seq` falls along the
+                // walk and the stub goes behind every entry at or after
+                // its time: usually at the end.
+                let mut at = self.run.len();
+                while at > 0 && self.run[at - 1].at_ns < stub.at_ns {
+                    at -= 1;
+                }
+                shifts += self.run.len() - at;
+                self.run.insert(at, stub);
             }
-            self.run
-                .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
+            if shifts > LOAD_SHIFTS {
+                self.run
+                    .sort_unstable_by_key(|stub| std::cmp::Reverse(stub.key()));
+            }
             self.occupied[s >> 6] &= !(1u64 << (s & 63));
         }
         while let Some(f) = self.far.peek() {
@@ -448,17 +481,7 @@ impl<E> Scheduler<E> for TimingWheel<E> {
     }
 
     fn peek_time(&mut self) -> Option<Time> {
-        loop {
-            if let Some(stub) = self.head() {
-                return Some(Time::from_nanos(stub.at_ns));
-            }
-            if self.pending == 0 {
-                return None;
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+        self.head().map(|(stub, _)| Time::from_nanos(stub.at_ns))
     }
 
     fn len(&self) -> usize {

@@ -7,9 +7,12 @@
 //! properties pin the wheel to the reference under random pushes spanning
 //! the near ring and the far-future heap, pops interleaved at arbitrary
 //! points — the same interleaving a protocol produces when its handlers
-//! schedule new work mid-drain — and in-place re-queues
+//! schedule new work mid-drain — in-place re-queues
 //! ([`TimingWheel::requeue`], the engine's Arrive → Deliver hop), whose
-//! oracle is a pop followed by a push of the same payload.
+//! oracle is a pop followed by a push of the same payload, and bounded
+//! pops ([`TimingWheel::pop_held_by`], the engine's step), whose oracle
+//! is a peek at the heap's head. Buckets whose chains load out of time
+//! order, up to a fully reversed one, are scripted on their own.
 //!
 //! Below the lockstep properties, the engine-level consequences of the
 //! one-slot life of a message: the slab does not grow per hop, and a
@@ -42,6 +45,12 @@ impl HeapScheduler {
     fn pop(&mut self) -> Option<Ev> {
         let Reverse((at_ns, seq, payload)) = self.heap.pop()?;
         Some((Time::from_nanos(at_ns), seq, payload))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap
+            .peek()
+            .map(|Reverse((at_ns, ..))| Time::from_nanos(*at_ns))
     }
 }
 
@@ -99,17 +108,32 @@ enum Op {
     /// Pop once and, if an event came out, schedule it again where `at`
     /// lands without moving its payload.
     Requeue { at: Lands },
+    /// Pop once if the head is due by a limit drawn against it.
+    PopBy { limit: Limit },
+}
+
+/// Where a bounded pop's limit lies, relative to the queue's head (to the
+/// last popped instant when the queue is empty).
+#[derive(Debug, Clone, Copy)]
+enum Limit {
+    /// One nanosecond before the head: nothing pops.
+    JustBefore,
+    /// On the head's instant: the head pops.
+    At,
+    /// `ns` past the head.
+    Past(u64),
 }
 
 /// Raw op tuples (the vendored proptest has no mapped strategies):
 /// `(selector, offset_ns, tag)` decoded by [`decode`].
 fn raw_ops() -> impl Strategy<Value = Vec<(u8, u64, u32)>> {
-    proptest::collection::vec((0u8..14, 0u64..u64::MAX / 2, 0u32..1_000_000), 1..300)
+    proptest::collection::vec((0u8..17, 0u64..u64::MAX / 2, 0u32..1_000_000), 1..300)
 }
 
 /// Pushes and re-queues in every landing class — the draining bucket
 /// twice as often as the others, so the side heap and same-bucket ties
-/// are exercised hard — and plain pops.
+/// are exercised hard — plain pops, and pops bounded just before, at and
+/// past the head.
 fn decode(raw: &[(u8, u64, u32)]) -> Vec<Op> {
     raw.iter()
         .map(|(sel, ns, tag)| match sel {
@@ -119,6 +143,13 @@ fn decode(raw: &[(u8, u64, u32)]) -> Vec<Op> {
             },
             5..=9 => Op::Requeue {
                 at: Lands::drawn(sel - 5, *ns),
+            },
+            14 => Op::PopBy {
+                limit: Limit::JustBefore,
+            },
+            15 => Op::PopBy { limit: Limit::At },
+            16 => Op::PopBy {
+                limit: Limit::Past(ns % (2 * HORIZON_NS)),
             },
             _ => Op::Pop,
         })
@@ -162,6 +193,32 @@ impl Lockstep {
         popped
     }
 
+    /// Pops the wheel only if its head is due by `limit` (drawn against
+    /// the oracle's head): a head past the limit stays queued, untouched.
+    fn pop_by(&mut self, limit: Limit) {
+        let head = self.heap.peek_time().unwrap_or(self.now).as_nanos();
+        let limit = Time::from_nanos(match limit {
+            Limit::JustBefore => head.saturating_sub(1),
+            Limit::At => head,
+            Limit::Past(ns) => head + ns,
+        });
+        let queued = self.wheel.len();
+        match self.wheel.pop_held_by(limit) {
+            Some((at, seq, held)) => {
+                assert!(at <= limit, "popped {at:?} past the limit {limit:?}");
+                let payload = self.wheel.take(held);
+                self.observe(Some((at, seq, payload)));
+            }
+            None => {
+                assert_eq!(self.wheel.len(), queued, "a refused pop consumed");
+                assert!(
+                    self.heap.peek_time().is_none_or(|at| at > limit),
+                    "the head is due by {limit:?} but did not pop"
+                );
+            }
+        }
+    }
+
     /// Pops the wheel without moving the payload and, if an event came
     /// out, re-queues it in place; the oracle pops and pushes.
     fn requeue(&mut self, lands: Lands) {
@@ -187,6 +244,7 @@ impl Lockstep {
                 self.pop();
             }
             Op::Requeue { at } => self.requeue(*at),
+            Op::PopBy { limit } => self.pop_by(*limit),
         }
     }
 
@@ -280,6 +338,97 @@ fn dense_gossip_shaped_workload_matches() {
         }
     }
     run(&script);
+}
+
+proptest! {
+    /// Buckets loaded from chains out of time order: every push lands,
+    /// before the first pop, on one of 64 instants in one of three
+    /// buckets, so each chain holds its bucket in push order — ties,
+    /// inversions and, past a few dozen pushes, more disorder than a load
+    /// inserts before it sorts.
+    #[test]
+    fn out_of_order_chains_load_exactly(
+        raw in proptest::collection::vec((1u64..4, 0u64..64), 1..200)
+    ) {
+        let script: Vec<Op> = raw
+            .iter()
+            .zip(0..)
+            .map(|(&(bucket, instant), tag)| Op::Push {
+                at: Lands::After(bucket * BUCKET_NS + instant * (BUCKET_NS / 64)),
+                tag,
+            })
+            .collect();
+        run(&script);
+    }
+}
+
+/// Three buckets whose chains load in time order, five stubs out of
+/// it, and fully reversed — 2 000 pushes, each earlier than the last, so
+/// every stub the walk meets belongs in front — then bounded pops just
+/// before, at and past a head: the refused ones leave it queued.
+#[test]
+fn reversed_and_shuffled_buckets_load_exactly() {
+    let push = |ns, tag| Op::Push {
+        at: Lands::After(ns),
+        tag,
+    };
+    let mut script = Vec::new();
+    for i in 0..100 {
+        script.push(push(BUCKET_NS + i * 1_000, i as u32));
+    }
+    for i in 0..100 {
+        // The first five pairs swapped: five inversions, fewer than a
+        // load inserts before it sorts.
+        let slot = if i < 10 { i ^ 1 } else { i };
+        script.push(push(2 * BUCKET_NS + slot * 1_000, 100 + i as u32));
+    }
+    for i in 0..2_000 {
+        script.push(push(4 * BUCKET_NS - 1 - i * 60, 200 + i as u32));
+    }
+    script.extend([
+        Op::PopBy {
+            limit: Limit::JustBefore,
+        },
+        Op::PopBy { limit: Limit::At },
+        Op::PopBy {
+            limit: Limit::JustBefore,
+        },
+        Op::PopBy {
+            limit: Limit::Past(1),
+        },
+    ]);
+    let stream = run(&script);
+    assert_eq!(stream.len(), 2_200);
+    let swapped = (0..100).map(|i| 100 + if i < 10 { i ^ 1 } else { i });
+    let reversed = (0..2_000).rev().map(|i| 200 + i);
+    let expected: Vec<u32> = (0..100).chain(swapped).chain(reversed).collect();
+    assert_eq!(tags(&stream), expected);
+}
+
+/// A bounded pop never reaches past its limit, wherever the head lies:
+/// in the draining bucket, in a later ring bucket, or in the far heap.
+#[test]
+fn a_bounded_pop_leaves_a_later_head_queued() {
+    let mut wheel = TimingWheel::new();
+    let times = [
+        Time::from_nanos(100),
+        Time::from_millis(3),
+        Time::from_secs(40),
+    ];
+    for (tag, at) in times.into_iter().enumerate() {
+        wheel.push(at, tag as u32);
+    }
+    for (tag, at) in times.into_iter().enumerate() {
+        let before = Time::from_nanos(at.as_nanos() - 1);
+        assert!(
+            wheel.pop_held_by(before).is_none(),
+            "head {tag} popped early"
+        );
+        assert_eq!(wheel.len(), times.len() - tag);
+        let (popped_at, _, held) = wheel.pop_held_by(at).expect("due at its limit");
+        assert_eq!((popped_at, wheel.take(held)), (at, tag as u32));
+    }
+    assert!(wheel.pop_held_by(Time::MAX).is_none());
 }
 
 /// A hand-written script: ties on time, a far-future entry.

@@ -372,6 +372,13 @@ impl GossipConfig {
         if self.f_leader_out == 0 {
             return Err("f_leader_out must be positive".into());
         }
+        let most = crate::membership::MAX_FANOUT;
+        if self.fout.max(self.f_leader_out) > most {
+            return Err(format!(
+                "fout {} and f_leader_out {} must be at most {most}, the most peers one sample holds",
+                self.fout, self.f_leader_out
+            ));
+        }
         if matches!(self.push, PushMode::InfectAndDie { .. }) && self.f_leader_out != self.fout {
             return Err("infect-and-die pushes at fout: f_leader_out must equal it".into());
         }
@@ -483,6 +490,19 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = GossipConfig::original_fabric();
         c.f_leader_out = 1;
+        assert!(c.validate().is_err());
+
+        // A sample is held inline: a fan-out past its capacity is refused.
+        let most = crate::membership::MAX_FANOUT;
+        let mut c = GossipConfig::enhanced_f4();
+        c.fout = most;
+        c.f_leader_out = most;
+        assert!(c.validate().is_ok());
+        c.f_leader_out = most + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("the most peers one sample holds"), "{err}");
+        c.f_leader_out = 1;
+        c.fout = most + 1;
         assert!(c.validate().is_err());
     }
 

@@ -225,12 +225,14 @@ impl DiscoveryEngine {
     /// the reply resurrects the target's side here. That is the only way
     /// two sides that reaped each other ever meet again.
     pub fn on_anti_entropy_round(&mut self, core: &mut ChannelCore, fx: &mut dyn Effects) {
-        let mut targets = core.membership.sample(fx.rng(), 1);
-        if !self.dead.is_empty() {
+        let live = core.membership.sample(fx.rng(), 1);
+        let probe = if self.dead.is_empty() {
+            None
+        } else {
             let pick = fx.rng().random_range(0..self.dead.len());
-            targets.extend(self.dead.iter().nth(pick).map(|(p, _)| p));
-        }
-        for to in targets {
+            self.dead.iter().nth(pick).map(|(p, _)| p)
+        };
+        for to in live.into_iter().chain(probe) {
             let request = GossipMsg::MembershipRequest {
                 entries: self.entries_with_self(core),
                 dead: self.obituaries(),

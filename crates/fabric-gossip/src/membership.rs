@@ -8,12 +8,67 @@
 //! keeps that beside each claim and edits the roster on a join or a reap,
 //! and on a static roster nothing asks.
 
+use std::fmt;
+use std::ops::Deref;
+
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 use fabric_types::ids::PeerId;
 
 use crate::peertable::{PeerIndex, PeerTable};
+
+/// The most peers one [`Membership::sample`] draws: a draw is held
+/// inline, and `GossipConfig::validate` holds `fout` and `f_leader_out` to
+/// it.
+pub const MAX_FANOUT: usize = 16;
+
+/// Up to [`MAX_FANOUT`] distinct peers drawn by [`Membership::sample`], in
+/// draw order, held inline: a draw allocates nothing. Derefs to the drawn
+/// peers.
+#[derive(Clone, Copy)]
+pub struct Sample {
+    len: usize,
+    peers: [PeerId; MAX_FANOUT],
+}
+
+impl Deref for Sample {
+    type Target = [PeerId];
+
+    fn deref(&self) -> &[PeerId] {
+        &self.peers[..self.len]
+    }
+}
+
+impl fmt::Debug for Sample {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq<Vec<PeerId>> for Sample {
+    fn eq(&self, other: &Vec<PeerId>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl IntoIterator for Sample {
+    type Item = PeerId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<PeerId, MAX_FANOUT>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.peers.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Sample {
+    type Item = &'a PeerId;
+    type IntoIter = std::slice::Iter<'a, PeerId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// The local peer's view of its organization (or, widened, its channel).
 ///
@@ -118,29 +173,46 @@ impl Membership {
     ///
     /// Partial Fisher–Yates over a virtual copy of the roster: the draw
     /// for slot `i` is `random_range(i..n)`, as over a real copy, but only
-    /// the entries the swaps displaced are written down (at most `k`), so
-    /// a draw costs O(k²) with `k` the fan-out, whatever the roster size.
-    /// Exact uniformity, deterministic under the simulation RNG.
-    pub fn sample(&self, rng: &mut StdRng, k: usize) -> Vec<PeerId> {
+    /// the entries the swaps displaced are written down (at most `k`, on
+    /// the stack), so a draw costs O(k²) with `k` the fan-out, whatever
+    /// the roster size, and allocates nothing. Exact uniformity,
+    /// deterministic under the simulation RNG.
+    ///
+    /// # Panics
+    ///
+    /// If `k` exceeds [`MAX_FANOUT`].
+    pub fn sample(&self, rng: &mut StdRng, k: usize) -> Sample {
+        assert!(
+            k <= MAX_FANOUT,
+            "a sample holds at most {MAX_FANOUT} peers; {k} were asked for"
+        );
         let n = self.peers.len();
         let take = k.min(n);
-        let mut picked = Vec::with_capacity(take);
+        let mut picked = Sample {
+            len: take,
+            peers: [PeerId(0); MAX_FANOUT],
+        };
         // `(position, peer)`: what the copy holds where it differs from
-        // `peers`. Slots below `i` are never read again.
-        let mut displaced: Vec<(usize, PeerId)> = Vec::with_capacity(take);
+        // `peers`, in its first `moved` entries. Slots below `i` are never
+        // read again.
+        let mut displaced = [(0usize, PeerId(0)); MAX_FANOUT];
+        let mut moved = 0;
         for i in 0..take {
             let j = rng.random_range(i..n);
             let at = |pos: usize| {
-                displaced
+                displaced[..moved]
                     .iter()
                     .find(|(p, _)| *p == pos)
                     .map_or(self.peers[pos], |(_, peer)| *peer)
             };
             let (head, drawn) = (at(i), at(j));
-            picked.push(drawn);
-            match displaced.iter_mut().find(|(p, _)| *p == j) {
+            picked.peers[i] = drawn;
+            match displaced[..moved].iter_mut().find(|(p, _)| *p == j) {
                 Some(slot) => slot.1 = head,
-                None => displaced.push((j, head)),
+                None => {
+                    displaced[moved] = (j, head);
+                    moved += 1;
+                }
             }
         }
         picked
@@ -176,7 +248,7 @@ mod tests {
             let s = m.sample(&mut r, 4);
             assert_eq!(s.len(), 4);
             assert!(!s.contains(&PeerId(0)));
-            let mut dedup = s.clone();
+            let mut dedup = s.to_vec();
             dedup.sort_unstable();
             dedup.dedup();
             assert_eq!(dedup.len(), 4);
