@@ -16,12 +16,11 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::time::{Duration, Time};
 
 /// Identifier of a simulated node (peer, orderer, client, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -41,7 +40,7 @@ impl std::fmt::Display for NodeId {
 ///
 /// All variants are sampled with the simulation's deterministic RNG, so a
 /// given seed always produces the same latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Fixed latency for every message.
     Constant(Duration),
@@ -176,7 +175,7 @@ fn exp1(rng: &mut StdRng) -> f64 {
 }
 
 /// Static description of the simulated network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of nodes; ids are `0..nodes`.
     pub nodes: usize,

@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the virtual clock, in nanoseconds since simulation start.
 ///
 /// ```
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let t = Time::ZERO + Duration::from_millis(250);
 /// assert_eq!(t.as_secs_f64(), 0.25);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 /// A span of virtual time, in nanoseconds.
@@ -30,9 +26,7 @@ pub struct Time(u64);
 /// use desim::Duration;
 /// assert_eq!(Duration::from_secs(2) / 4, Duration::from_millis(500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Time {

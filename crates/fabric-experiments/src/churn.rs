@@ -712,43 +712,44 @@ mod tests {
         assert_eq!(c.resumes, 0);
     }
 
-    /// The endorser ledgers checkpoint every 8 blocks and export a full
-    /// snapshot at the first checkpoint and every second one after it; the
-    /// exports grow with state size, and the joiner still bootstraps from
-    /// one.
+    /// The endorser ledgers checkpoint every 8 blocks, and each checkpoint
+    /// is the snapshot export served until the next one; the joiner
+    /// bootstraps from one of them.
     #[test]
-    fn fulls_are_exported_every_second_checkpoint() {
+    fn every_checkpoint_is_the_served_export() {
         let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
         cfg.network = NetworkConfig::lan(18);
         cfg.seed = 9;
         let run = run_churn(&cfg);
 
-        // The export log of a sitting endorser's side-channel ledger.
-        let log = run
+        // A sitting endorser's side-channel ledger.
+        let ledger = run
             .net
             .ledger_on(1, ChannelId(1))
-            .expect("sitting member keeps a side-channel ledger")
-            .retention_log();
-        assert!(log.len() >= 3, "checkpoints past the second full fired");
-        for r in log {
-            assert_eq!(
-                r.full_bytes > 0,
-                r.height == 8 || r.height % 16 == 0,
-                "a full lands only at the first boundary and at even multiples of 8: {log:?}"
-            );
-        }
-        let fulls: Vec<u64> = log
-            .iter()
-            .filter(|r| r.full_bytes > 0)
-            .map(|r| r.full_bytes)
-            .collect();
-        assert!(
-            fulls.windows(2).all(|w| w[1] > w[0]),
-            "full exports grow with state size: {fulls:?}"
+            .expect("sitting member keeps a side-channel ledger");
+        let checkpoints = ledger.checkpoints();
+        let heights: Vec<u64> = checkpoints.iter().map(|c| c.height).collect();
+        let newest = (ledger.height() - 1) / 8 * 8;
+        assert!(heights.len() >= 3, "several checkpoints fired: {heights:?}");
+        assert_eq!(
+            heights,
+            (1..=newest / 8).map(|k| 8 * k).collect::<Vec<_>>(),
+            "a checkpoint at every boundary"
+        );
+        let served = ledger.snapshot().expect("the endorser serves an export");
+        assert!(served.verify());
+        assert_eq!(
+            Some(&served.checkpoint),
+            checkpoints.last(),
+            "the served export is the newest checkpoint"
         );
         let d = &run.catchups[0];
         d.latency().expect("catch-up completes");
-        assert!(d.snapshot_height >= 8);
+        assert!(
+            heights.contains(&d.snapshot_height),
+            "the joiner installed one of the endorser's checkpoints, not {}",
+            d.snapshot_height
+        );
         assert_eq!(run.net.commit_errors(), 0);
     }
 }

@@ -9,7 +9,8 @@
 //! only the tail) — and the per-join [`Catchup`] record reports the
 //! transfer bytes, the time-to-serving and the blocks actually replayed.
 //! The snapshot run's ledgers also report what a *sitting* peer pays to be
-//! able to serve: the bytes of its largest full export.
+//! able to serve: the bytes of the export it serves, its newest
+//! checkpoint's.
 //!
 //! The paper's enhancement makes steady-state dissemination fair and
 //! cheap; this sweep shows the complementary claim for bootstrap: genesis
@@ -89,8 +90,9 @@ pub struct LongChainRow {
     /// Transfers the joiner re-requested after a timeout or server loss
     /// (0 on a lossless sweep).
     pub resumes: u64,
-    /// Largest full snapshot export a sitting endorser took — grows
-    /// linearly with state size.
+    /// The snapshot export a sitting endorser serves at the end of the
+    /// run (its newest checkpoint's, the largest) — grows linearly with
+    /// state size.
     pub full_bytes_per_checkpoint: u64,
 }
 
@@ -166,12 +168,13 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
         snap_cfg.gossip.snapshot.as_mut().unwrap().chunk_size = CHUNK_SIZE;
         let snap_run = run_churn(&snap_cfg);
         let s = completed_catchup(&snap_run.catchups, blocks, "snapshot");
-        // What a sitting endorser retained to be able to serve.
-        let log = snap_run
+        // What a sitting endorser exports to be able to serve: its newest
+        // checkpoint's, the largest, as the state only grows.
+        let served = snap_run
             .net
             .ledger_on(1, ChurnConfig::side_channel())
             .expect("sitting members keep side-channel ledgers under full_ledgers")
-            .retention_log();
+            .snapshot();
 
         rows.push(LongChainRow {
             blocks,
@@ -187,7 +190,7 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             max_msg_bytes: s.max_msg_bytes,
             chunks: s.chunks,
             resumes: s.resumes,
-            full_bytes_per_checkpoint: log.iter().map(|r| r.full_bytes).max().unwrap_or(0),
+            full_bytes_per_checkpoint: served.map_or(0, |s| s.wire_size() as u64),
         });
     }
     LongChainResult { rows }
@@ -239,12 +242,12 @@ mod tests {
     fn snapshot_bootstrap_beats_genesis_replay_at_every_height() {
         let res = sweep();
         assert_eq!(res.rows.len(), 2);
-        // A full export is cut every second checkpoint, so the freshest
-        // servable floor trails the head by less than two intervals
-        // wherever the chain stands. Inside that bound the tail is a
-        // sawtooth in the chain height — the bound is the claim, not a
-        // ratio between two samples of it.
-        let period = 2 * CHECKPOINT_INTERVAL;
+        // Every checkpoint is the export it serves, so the freshest
+        // servable floor trails the head by at most one interval wherever
+        // the chain stands. Inside that bound the tail is a sawtooth in
+        // the chain height — the bound is the claim, not a ratio between
+        // two samples of it.
+        let period = CHECKPOINT_INTERVAL;
         for r in &res.rows {
             assert!(r.genesis_target > 0, "the joiner must have a head to chase");
             assert!(
@@ -254,7 +257,7 @@ mod tests {
             );
             assert!(
                 r.snapshot_blocks_replayed <= period,
-                "{} blocks: tail {} exceeds the full-export period {period}",
+                "{} blocks: tail {} exceeds the checkpoint interval {period}",
                 r.blocks,
                 r.snapshot_blocks_replayed
             );
@@ -284,6 +287,24 @@ mod tests {
             genesis_bytes > 1.2,
             "the sweep must actually grow the genesis cost, got {genesis_bytes:.2}x"
         );
+    }
+
+    /// The 40-block point of the standard sweep: the joiner chases head
+    /// 25 and installs the export of checkpoint 24, the newest below it,
+    /// so it replays one block.
+    #[test]
+    fn the_joiner_installs_the_newest_checkpoint_below_its_head() {
+        let res = run_long_chain(&LongChainConfig { heights: vec![40] });
+        let r = &res.rows[0];
+        assert_eq!(
+            (
+                r.snapshot_target,
+                r.snapshot_height,
+                r.snapshot_blocks_replayed
+            ),
+            (25, 24, 1)
+        );
+        assert!(r.snapshot_blocks_replayed < CHECKPOINT_INTERVAL);
     }
 
     #[test]

@@ -10,13 +10,13 @@ use fabric_gossip::effects::Effects;
 use fabric_gossip::messages::{ChannelMsg, GossipMsg, GossipTimer};
 use fabric_gossip::peer::GossipPeer;
 use fabric_gossip::scenario::{AttackCtx, Byzantine};
-use fabric_ledger::ledger::{Ledger, SnapshotPolicy};
+use fabric_ledger::ledger::Ledger;
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::msp::Msp;
 use rand::rngs::StdRng;
 
-use super::{ledger_snapshot_policy, ChannelRuntime, FabricNet, NetMsg, NetTimer, PeerNode};
+use super::{channel_ledger, ChannelRuntime, FabricNet, NetMsg, NetParams, NetTimer, PeerNode};
 
 impl FabricNet {
     /// Splits the borrows one peer's handler needs, once: the peer's
@@ -50,8 +50,7 @@ impl FabricNet {
             ledgers,
             msp: &self.msp,
             channels: &mut self.channels,
-            validation_per_tx: self.params.validation_per_tx,
-            snapshot_policy: ledger_snapshot_policy(&self.params.gossip),
+            params: &self.params,
             edge,
         };
         (gossip, fx)
@@ -69,8 +68,7 @@ pub(super) struct SimFx<'a, 'c> {
     ledgers: &'a mut Vec<(ChannelId, Ledger)>,
     msp: &'a Arc<Msp>,
     channels: &'a mut [ChannelRuntime],
-    validation_per_tx: Duration,
-    snapshot_policy: Option<SnapshotPolicy>,
+    params: &'a NetParams,
     /// The behavior attached to this peer, if any: every send passes
     /// through it.
     edge: Option<Edge<'a>>,
@@ -96,6 +94,24 @@ impl SimFx<'_, '_> {
         };
         for (channel, to, msg) in turn(edge.behavior, &mut actx) {
             send_gossip(self.ctx, self.me, channel, to, msg);
+        }
+    }
+
+    /// Queues every block `gossip` stores above this peer's ledgers back
+    /// on the validation pipeline, in height order, as [`Effects::deliver`]
+    /// queued it the first time: a rebooted peer redoes the validations
+    /// its crash destroyed.
+    pub(super) fn requeue_stored(&mut self, gossip: &GossipPeer) {
+        for i in 0..self.ledgers.len() {
+            let (channel, from) = (self.ledgers[i].0, self.ledgers[i].1.height());
+            let Some(store) = gossip.store_on(channel) else {
+                continue;
+            };
+            for n in from..store.height() {
+                if let Some(block) = store.get(n) {
+                    self.deliver(channel, block.clone());
+                }
+            }
         }
     }
 }
@@ -159,7 +175,7 @@ impl Effects for SimFx<'_, '_> {
         // reading them — only once the serial validation pipeline has
         // chewed through it. Proposals endorsed in the meantime read the
         // pre-commit state, exactly the window that produces conflicts.
-        let cost = self.validation_per_tx * block.txs.len() as u64;
+        let cost = self.params.validation_per_tx * block.txs.len() as u64;
         let now = self.ctx.now();
         let start = now.max(*self.validation_free);
         let done = start + cost;
@@ -194,13 +210,10 @@ impl Effects for SimFx<'_, '_> {
         if snapshot.checkpoint.height < entry.1.height() {
             return; // the ledger already replayed past the checkpoint
         }
-        let policy = self.channels[channel.index()].spec.policy.clone();
-        if let Ok(ledger) = Ledger::from_snapshot(
-            self.msp.clone(),
-            policy,
-            snapshot.clone(),
-            self.snapshot_policy,
-        ) {
+        let spec = &self.channels[channel.index()].spec;
+        if let Ok(ledger) =
+            channel_ledger(self.msp, spec, &self.params.gossip, Some(snapshot.clone()))
+        {
             entry.1 = ledger;
         }
     }

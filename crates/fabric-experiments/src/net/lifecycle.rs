@@ -2,11 +2,10 @@
 //! catch-up and view-convergence bookkeeping that follows each change.
 
 use desim::{Ctx, Duration, NodeId, Time};
-use fabric_ledger::ledger::Ledger;
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_workload::schedule::ScheduledInvocation;
 
-use super::{ledger_snapshot_policy, ChannelSpec, DiscoveryMode, FabricNet, NetMsg, NetTimer};
+use super::{channel_ledger, ChannelSpec, DiscoveryMode, FabricNet, NetMsg, NetTimer};
 
 /// What a churn event does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,10 +221,9 @@ impl FabricNet {
         // join (build-time ledgers cover initial members only), so a
         // verified snapshot can seed it.
         if self.params.full_ledgers && self.peers[peer.index()].ledger(channel).is_none() {
-            let mut ledger = Ledger::new(self.msp.clone(), self.channels[c].spec.policy.clone());
-            if let Some(policy) = ledger_snapshot_policy(&self.params.gossip) {
-                ledger = ledger.with_snapshot_policy(policy);
-            }
+            let ledger =
+                channel_ledger(&self.msp, &self.channels[c].spec, &self.params.gossip, None)
+                    .expect("only a snapshot can fail verification");
             self.peers[peer.index()].ledgers.push((channel, ledger));
         }
         {

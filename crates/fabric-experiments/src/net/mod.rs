@@ -47,11 +47,12 @@ use desim::{Duration, NodeId, Time};
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::peer::GossipPeer;
 use fabric_gossip::scenario::Byzantine;
-use fabric_ledger::ledger::{Ledger, SnapshotPolicy};
+use fabric_ledger::ledger::{Ledger, SnapshotError};
 use fabric_orderer::service::{OrdererConfig, OrderingService};
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::msp::Msp;
+use fabric_types::snapshot::SnapshotRef;
 use fabric_types::transaction::{EndorsementPolicy, Transaction};
 use fabric_workload::schedule::ScheduledInvocation;
 use gossip_metrics::latency::LatencyRecorder;
@@ -469,10 +470,8 @@ impl FabricNet {
                         .join_channel(spec.channel, org_roster)
                         .widen_channel_view(spec.channel, spec.members.clone());
                     if params.full_ledgers || spec.endorsers.contains(&id) {
-                        let mut ledger = Ledger::new(msp.clone(), spec.policy.clone());
-                        if let Some(policy) = ledger_snapshot_policy(&params.gossip) {
-                            ledger = ledger.with_snapshot_policy(policy);
-                        }
+                        let ledger = channel_ledger(&msp, spec, &params.gossip, None)
+                            .expect("only a snapshot can fail verification");
                         ledgers.push((spec.channel, ledger));
                     }
                 }
@@ -696,15 +695,27 @@ impl FabricNet {
     }
 }
 
-/// The ledger-side snapshot policy implied by a gossip config: `None`
-/// with snapshots off (checkpoint-free ledgers, the byte-identical
-/// historical pipeline); otherwise a checkpoint every interval and a
-/// full export at the first and every second one after it, so the
-/// served snapshot lags the newest checkpoint by at most one interval.
-fn ledger_snapshot_policy(g: &GossipConfig) -> Option<SnapshotPolicy> {
-    g.snapshot.as_ref().map(|s| SnapshotPolicy {
-        every: s.interval,
-        full_every: 2,
+/// The one place a member's ledger for `spec`'s channel is built: from
+/// genesis, or stood up from `from` once it verifies. With snapshots off
+/// it never checkpoints (the byte-identical historical pipeline); with
+/// them on it checkpoints every [`SnapshotConfig::interval`] blocks, each
+/// checkpoint the export it serves until the next, so the served snapshot
+/// is the newest boundary the ledger passed.
+///
+/// [`SnapshotConfig::interval`]: fabric_gossip::config::SnapshotConfig::interval
+fn channel_ledger(
+    msp: &Arc<Msp>,
+    spec: &ChannelSpec,
+    gossip: &GossipConfig,
+    from: Option<SnapshotRef>,
+) -> Result<Ledger, SnapshotError> {
+    let ledger = match from {
+        None => Ledger::new(msp.clone(), spec.policy.clone()),
+        Some(snapshot) => Ledger::from_snapshot(msp.clone(), spec.policy.clone(), snapshot)?,
+    };
+    Ok(match &gossip.snapshot {
+        Some(s) => ledger.with_checkpoints(s.interval),
+        None => ledger,
     })
 }
 

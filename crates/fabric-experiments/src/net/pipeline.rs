@@ -9,7 +9,7 @@ use fabric_types::ids::{ChannelId, ClientId, PeerId, TxId};
 use fabric_types::transaction::Transaction;
 use fabric_workload::client::endorse_invocation;
 
-use super::{FabricNet, PeerNode};
+use super::FabricNet;
 
 /// Messages on the simulated wire.
 #[derive(Debug, Clone)]
@@ -503,30 +503,8 @@ impl desim::Protocol for FabricNet {
         // A rebooted peer re-arms its periodic timers (its old ones died
         // with it — the engine drops timers of down nodes) and re-validates
         // any stored blocks whose in-flight validation the crash destroyed.
-        let validation = self.params.validation_per_tx;
-        let PeerNode {
-            gossip,
-            ledgers,
-            pending_commits,
-            validation_free,
-            ..
-        } = &mut self.peers[node.index()];
-        for (channel, ledger) in ledgers.iter() {
-            let Some(store) = gossip.store_on(*channel) else {
-                continue;
-            };
-            for n in ledger.height()..store.height() {
-                if let Some(block) = store.get(n) {
-                    let cost = validation * block.txs.len() as u64;
-                    let start = ctx.now().max(*validation_free);
-                    let done = start + cost;
-                    *validation_free = done;
-                    pending_commits.push_back((*channel, block.clone()));
-                    ctx.set_timer(node, done.since(ctx.now()), NetTimer::CommitDone);
-                }
-            }
-        }
         let (gossip, mut fx) = self.peer_fx(ctx, node);
+        fx.requeue_stored(gossip);
         gossip.init(&mut fx);
     }
 }

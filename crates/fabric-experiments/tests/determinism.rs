@@ -23,6 +23,7 @@ use fabric_experiments::net::{FabricNet, NetMsg, NetTimer};
 use fabric_experiments::scenario::ScenarioNet;
 use fabric_gossip::config::GossipConfig;
 use fabric_types::block::BlockRef;
+use fabric_types::ids::ChannelId;
 
 fn quick(gossip: GossipConfig, seed: u64) -> DisseminationConfig {
     let mut cfg = DisseminationConfig::fig07_09_enhanced_f4().scaled(400);
@@ -521,4 +522,52 @@ fn every_peer_shares_one_block_allocation() {
             );
         }
     }
+}
+
+/// The same guard across a reboot: a conflicts run (300 ms of validation
+/// per transaction, so delivered blocks queue) in which an endorser powers off
+/// with blocks stored above its ledger and comes back 3 s later. The
+/// reboot queues those blocks on the validation pipeline again; a change
+/// to that queueing's cost, order or timers moves the hash.
+#[test]
+fn reboot_requeue_event_content_is_pinned() {
+    let mut cfg =
+        ConflictConfig::paper(GossipConfig::enhanced_f4(), Duration::from_secs(1)).scaled(20, 10);
+    cfg.peers = 30;
+    cfg.network = NetworkConfig::lan(32);
+    cfg.seed = 1;
+    cfg.validation_per_tx = Duration::from_millis(300);
+    let d = cfg.deployment();
+    let end = d.drain_until + d.idle_tail;
+    let mut sim = d.start();
+    sim.set_trace(true);
+    let node = NodeId(1);
+    let power = |sim: &mut Simulation<FabricNet>, on: bool| {
+        sim.with_ctx(|_, ctx| ctx.set_node_status_after(Duration::ZERO, node, on));
+    };
+    sim.run_until(Time::ZERO + Duration::from_secs(12));
+    power(&mut sim, false);
+    sim.run_until(Time::ZERO + Duration::from_secs(15));
+    let net = sim.protocol();
+    let stored = net.gossip(1).height();
+    let committed = net
+        .ledger_on(1, ChannelId::DEFAULT)
+        .expect("an endorser")
+        .height();
+    assert!(
+        stored > committed,
+        "the reboot has blocks to queue again: stored {stored}, committed {committed}"
+    );
+    power(&mut sim, true);
+    sim.run_until(end);
+    let net = sim.protocol();
+    assert_eq!(
+        net.ledger_on(1, ChannelId::DEFAULT).unwrap().height(),
+        net.gossip(1).height()
+    );
+    assert_eq!(
+        pin(&sim),
+        (36_157, 6_586_966_021_559_473_802),
+        "event content moved"
+    );
 }

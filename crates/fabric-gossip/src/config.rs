@@ -22,10 +22,9 @@
 //! it follows the membership shape ([`DiscoveryConfig`]).
 
 use desim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// How the push phase forwards blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PushMode {
     /// Stock Fabric: a peer pushes a block once, on first reception, to
     /// `fout` random peers, then never again ("infect and die"). The leader
@@ -58,7 +57,7 @@ pub enum PushMode {
 /// Pull engine parameters (stock Fabric; removed by the enhanced protocol).
 /// A round contacts `pull::FIN` = 3 peers and gathers digests for
 /// `pull::DIGEST_WAIT` = 1 s (Fabric's `digestWaitTime`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PullConfig {
     /// Pull round period (Fabric: 4 s).
     pub tpull: Duration,
@@ -74,7 +73,7 @@ impl Default for PullConfig {
 
 /// Recovery (anti-entropy/state transfer) parameters. Kept by both
 /// protocols: it also serves crash recovery and late joiners.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Recovery check period (Fabric: 10 s).
     pub interval: Duration,
@@ -95,7 +94,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Membership heartbeat parameters (background "alive" traffic).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipConfig {
     /// Alive heartbeat period (Fabric: 5 s), in either membership shape:
     /// the payload-less [`crate::messages::GossipMsg::Alive`] on a static
@@ -137,7 +136,7 @@ impl Default for MembershipConfig {
 /// senior live claim leads
 /// ([`crate::discovery::DiscoveryEngine::self_is_most_senior`]), so a
 /// reaped leader is succeeded: this is the failover path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscoveryConfig {
     /// Run discovery as a gossip protocol; `false` freezes the membership
     /// at the build-time roster.
@@ -174,12 +173,12 @@ impl Default for DiscoveryConfig {
 /// A request in flight for `recovery::SNAPSHOT_REQUEST_TIMEOUT` (8 s,
 /// doubling per failed attempt) gives its server up and resumes from a
 /// different peer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotConfig {
-    /// Checkpoint cadence in blocks: the embedding's ledger emits a
-    /// checkpoint every `interval` blocks and exports the full snapshot it
-    /// serves at the first checkpoint and every second one after it (see
-    /// `fabric_ledger::ledger::SnapshotPolicy`). Also the lag (best
+    /// Checkpoint cadence in blocks, and the whole export policy: the
+    /// embedding's ledger emits a checkpoint every `interval` blocks, each
+    /// one the snapshot it serves until the next (see
+    /// `fabric_ledger::ledger::Ledger::with_checkpoints`). Also the lag (best
     /// advertised checkpoint height + 1 − own height) from which a peer
     /// prefers a snapshot over block replay.
     pub interval: u64,
@@ -189,7 +188,7 @@ pub struct SnapshotConfig {
 }
 
 /// Complete gossip-layer configuration for one peer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GossipConfig {
     /// Push fan-out for regular peers.
     pub fout: usize,

@@ -65,45 +65,6 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// When a ledger checkpoints and when it exports the full snapshot it
-/// serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotPolicy {
-    /// Emit a checkpoint every this many blocks. Must be positive.
-    pub every: u64,
-    /// Export a full snapshot at the first checkpoint and then at every
-    /// height `h` with `(h / every) % full_every == 0`. Must be positive.
-    pub full_every: u64,
-}
-
-impl SnapshotPolicy {
-    /// A checkpoint and a full export every `every` blocks.
-    pub fn full(every: u64) -> Self {
-        SnapshotPolicy {
-            every,
-            full_every: 1,
-        }
-    }
-
-    fn assert_valid(&self) {
-        assert!(self.every > 0, "checkpoint interval must be positive");
-        assert!(
-            self.full_every > 0,
-            "full-snapshot cadence must be positive"
-        );
-    }
-}
-
-/// What one checkpoint exported: the wire bytes of the full snapshot taken
-/// at that boundary (0 when none was). Grows with state size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetentionRecord {
-    /// Block height of the checkpoint.
-    pub height: u64,
-    /// Wire bytes of the full snapshot emitted here, if any.
-    pub full_bytes: u64,
-}
-
 /// Cumulative validation statistics across all committed blocks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerStats {
@@ -156,12 +117,11 @@ pub struct Ledger {
     base_hash: Hash256,
     state: StateDb,
     stats: LedgerStats,
-    /// Checkpoint and export cadence (`None`: never checkpoint).
-    snapshot_policy: Option<SnapshotPolicy>,
-    /// The latest full export, the one [`Ledger::snapshot`] serves.
+    /// Checkpoint interval in blocks (`None`: never checkpoint).
+    checkpoint_every: Option<u64>,
+    /// The export taken at the newest checkpoint, the one
+    /// [`Ledger::snapshot`] serves.
     snapshot: Option<SnapshotRef>,
-    /// Per-checkpoint export accounting, in height order.
-    retention_log: Vec<RetentionRecord>,
     /// Every checkpoint emitted by this ledger, in height order — the
     /// cross-run equivalence trail (40 bytes each, so keeping all is
     /// cheap).
@@ -179,9 +139,8 @@ impl Ledger {
             base_hash: Hash256::ZERO,
             state: StateDb::new(),
             stats: LedgerStats::default(),
-            snapshot_policy: None,
+            checkpoint_every: None,
             snapshot: None,
-            retention_log: Vec::new(),
             checkpoint_log: Vec::new(),
         }
     }
@@ -189,7 +148,8 @@ impl Ledger {
     /// Turns on checkpoint emission: after committing block `n` with
     /// `n % every == 0`, the ledger records a [`Checkpoint`] (state hash +
     /// height) and exports the matching [`Snapshot`] for serving in place
-    /// of the previous export. The work happens inside `commit` of the
+    /// of the previous export: every checkpoint is the snapshot served
+    /// until the next one. The work happens inside `commit` of the
     /// boundary block only — in a real deployment it would run on a background
     /// thread (cf. Solana's accounts-background-service); in the simulation
     /// it adds no events and no virtual time, so dissemination timing is
@@ -198,19 +158,9 @@ impl Ledger {
     /// # Panics
     ///
     /// Panics when `every` is zero.
-    pub fn with_checkpoints(self, every: u64) -> Self {
-        self.with_snapshot_policy(SnapshotPolicy::full(every))
-    }
-
-    /// Turns on checkpoint emission under an explicit [`SnapshotPolicy`]
-    /// (checkpoint interval and full-export cadence).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy has a zero interval or cadence.
-    pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
-        policy.assert_valid();
-        self.snapshot_policy = Some(policy);
+    pub fn with_checkpoints(mut self, every: u64) -> Self {
+        assert!(every > 0, "checkpoint interval must be positive");
+        self.checkpoint_every = Some(every);
         self
     }
 
@@ -220,28 +170,20 @@ impl Ledger {
     /// logically committed but not physically held ([`Ledger::block`]
     /// returns `None` for them).
     ///
-    /// The resulting ledger re-serves the installed snapshot and, under
-    /// `snapshot_policy`, keeps emitting its own checkpoints, so
-    /// equivalence with a genesis-replay ledger is checkable checkpoint by
-    /// checkpoint.
+    /// The resulting ledger re-serves the installed snapshot and never
+    /// checkpoints; chained with [`Ledger::with_checkpoints`] it keeps
+    /// emitting its own checkpoints, so equivalence with a genesis-replay
+    /// ledger is checkable checkpoint by checkpoint.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::StateHashMismatch`] when the entries do not hash to
     /// the advertised checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy has a zero interval or cadence.
     pub fn from_snapshot(
         msp: Arc<Msp>,
         policy: EndorsementPolicy,
         snapshot: SnapshotRef,
-        snapshot_policy: Option<SnapshotPolicy>,
     ) -> Result<Self, SnapshotError> {
-        if let Some(p) = &snapshot_policy {
-            p.assert_valid();
-        }
         if !snapshot.verify() {
             return Err(SnapshotError::StateHashMismatch);
         }
@@ -253,8 +195,7 @@ impl Ledger {
             base_hash: snapshot.last_block_hash,
             state: StateDb::from_entries(snapshot.entries.clone()),
             stats: LedgerStats::default(),
-            snapshot_policy,
-            retention_log: Vec::new(),
+            checkpoint_every: None,
             checkpoint_log: vec![snapshot.checkpoint],
             snapshot: Some(snapshot),
         })
@@ -299,11 +240,6 @@ impl Ledger {
         &self.blocks
     }
 
-    /// The latest checkpoint emitted or installed, if any.
-    pub fn latest_checkpoint(&self) -> Option<Checkpoint> {
-        self.checkpoint_log.last().copied()
-    }
-
     /// Every checkpoint this ledger has emitted or installed, in height
     /// order — byte-identical across a genesis-replay ledger and a
     /// snapshot-bootstrapped one for all common heights (the equivalence
@@ -312,17 +248,11 @@ impl Ledger {
         &self.checkpoint_log
     }
 
-    /// The latest full snapshot, ready to serve (a reference-count bump,
-    /// never a state copy). `None` until the first checkpoint boundary.
+    /// The export taken at the newest checkpoint emitted or installed,
+    /// ready to serve (a reference-count bump, never a state copy). `None`
+    /// until the first checkpoint boundary.
     pub fn snapshot(&self) -> Option<SnapshotRef> {
         self.snapshot.clone()
-    }
-
-    /// Per-checkpoint export accounting: the full-snapshot bytes each
-    /// boundary exported, growing with state size — the curve the
-    /// `long_chain` sweep records.
-    pub fn retention_log(&self) -> &[RetentionRecord] {
-        &self.retention_log
     }
 
     /// The materialized world state.
@@ -374,40 +304,29 @@ impl Ledger {
         }
         let block_num = block.number();
         self.blocks.push(block);
-        if let Some(policy) = self.snapshot_policy {
-            if block_num > 0 && block_num.is_multiple_of(policy.every) {
-                self.emit_checkpoint(block_num, policy);
-            }
+        if self
+            .checkpoint_every
+            .is_some_and(|every| block_num > 0 && block_num.is_multiple_of(every))
+        {
+            self.emit_checkpoint(block_num);
         }
         Ok(())
     }
 
-    /// Records the checkpoint for the just-committed `height` and, when a
-    /// full export is due, replaces the served snapshot with one taken
-    /// here. The checkpoint log keeps every fingerprint.
-    fn emit_checkpoint(&mut self, height: u64, policy: SnapshotPolicy) {
+    /// Records the checkpoint for the just-committed `height` and replaces
+    /// the served snapshot with the export taken here. The checkpoint log
+    /// keeps every fingerprint.
+    fn emit_checkpoint(&mut self, height: u64) {
         let checkpoint = Checkpoint {
             height,
             state_hash: self.state.state_hash(),
         };
-        let first = self.checkpoint_log.is_empty();
         self.checkpoint_log.push(checkpoint);
-        let mut record = RetentionRecord {
-            height,
-            full_bytes: 0,
-        };
-        // The height-based full cadence keeps genesis-replay and
-        // snapshot-seeded ledgers agreeing on which boundaries carry fulls.
-        if first || (height / policy.every).is_multiple_of(policy.full_every) {
-            let snapshot = SnapshotRef::new(Snapshot {
-                checkpoint,
-                last_block_hash: self.latest_hash(),
-                entries: self.state.export_entries(),
-            });
-            record.full_bytes = snapshot.wire_size() as u64;
-            self.snapshot = Some(snapshot);
-        }
-        self.retention_log.push(record);
+        self.snapshot = Some(SnapshotRef::new(Snapshot {
+            checkpoint,
+            last_block_hash: self.latest_hash(),
+            entries: self.state.export_entries(),
+        }));
     }
 }
 
@@ -566,16 +485,17 @@ mod tests {
 
     #[test]
     fn checkpoints_fire_on_interval_boundaries_only() {
+        let served = |led: &Ledger| led.snapshot().map(|s| s.checkpoint);
         let mut led = ledger().with_checkpoints(4);
-        assert!(led.latest_checkpoint().is_none());
+        assert!(served(&led).is_none());
         grow(&mut led, 1, 3);
-        assert!(led.latest_checkpoint().is_none(), "below the boundary");
+        assert!(served(&led).is_none(), "below the boundary");
         grow(&mut led, 4, 4);
-        let cp = led.latest_checkpoint().unwrap();
+        let cp = served(&led).unwrap();
         assert_eq!(cp.height, 4);
         assert_eq!(cp.state_hash, led.state().state_hash());
         grow(&mut led, 5, 9);
-        assert_eq!(led.latest_checkpoint().unwrap().height, 8);
+        assert_eq!(served(&led).unwrap().height, 8);
         assert_eq!(
             led.checkpoints()
                 .iter()
@@ -584,7 +504,6 @@ mod tests {
             vec![4, 8]
         );
         let snap = led.snapshot().unwrap();
-        assert_eq!(snap.checkpoint.height, 8);
         assert!(snap.verify());
         // Serving is a pointer bump, not a state copy.
         let again = led.snapshot().unwrap();
@@ -592,7 +511,7 @@ mod tests {
     }
 
     /// Commits one uniquely-keyed write per block, so state size grows
-    /// with height (the retention-curve shape the churn workload has).
+    /// with height (the export-size shape the churn workload has).
     fn grow_unique(led: &mut Ledger, from: u64, to: u64) {
         for n in from..=to {
             let key = format!("k{n:03}");
@@ -606,53 +525,33 @@ mod tests {
     fn each_full_export_replaces_the_served_one() {
         let mut led = ledger().with_checkpoints(2);
         let mut served = Vec::new();
-        for n in 1..=8 {
+        let mut exports = Vec::new();
+        for n in 1..=9 {
             grow_unique(&mut led, n, n);
+            assert_eq!(
+                led.snapshot().map(|s| s.checkpoint).as_ref(),
+                led.checkpoints().last(),
+                "the served export is the newest checkpoint"
+            );
             if let Some(snap) = led.snapshot() {
                 assert!(snap.verify());
                 served.push(snap.checkpoint.height);
+                if snap.checkpoint.height == n {
+                    exports.push(snap);
+                }
             }
         }
-        assert_eq!(served, vec![2, 2, 4, 4, 6, 6, 8]);
-        assert_eq!(
-            led.snapshot().unwrap().checkpoint,
-            led.latest_checkpoint().unwrap()
-        );
-        let log = led.retention_log();
-        assert_eq!(log.len(), 4);
+        assert_eq!(served, vec![2, 2, 4, 4, 6, 6, 8, 8]);
         assert!(
-            log.windows(2)
-                .all(|w| 0 < w[0].full_bytes && w[0].full_bytes < w[1].full_bytes),
-            "full-snapshot bytes grow with state size"
+            exports.iter().map(|s| &s.checkpoint).eq(led.checkpoints()),
+            "one export per checkpoint"
         );
-    }
-
-    #[test]
-    fn fulls_follow_the_cadence_and_checkpoints_every_boundary() {
-        let mut led = ledger().with_snapshot_policy(SnapshotPolicy {
-            every: 2,
-            full_every: 2,
-        });
-        grow_unique(&mut led, 1, 9);
-        assert_eq!(
-            led.checkpoints()
-                .iter()
-                .map(|c| c.height)
-                .collect::<Vec<_>>(),
-            vec![2, 4, 6, 8]
+        assert!(
+            exports
+                .windows(2)
+                .all(|w| 0 < w[0].wire_size() && w[0].wire_size() < w[1].wire_size()),
+            "exports grow with state size"
         );
-        let fulls: Vec<u64> = led
-            .retention_log()
-            .iter()
-            .filter(|r| r.full_bytes > 0)
-            .map(|r| r.height)
-            .collect();
-        assert_eq!(
-            fulls,
-            vec![2, 4, 8],
-            "the first boundary, then every second"
-        );
-        assert_eq!(led.snapshot().unwrap().checkpoint.height, 8);
     }
 
     #[test]
@@ -666,9 +565,9 @@ mod tests {
             Arc::new(Msp::single_org(3)),
             EndorsementPolicy::AnyMember,
             snap,
-            Some(SnapshotPolicy::full(5)),
         )
-        .unwrap();
+        .unwrap()
+        .with_checkpoints(5);
         assert_eq!(joiner.height(), 11, "resumes above the checkpoint");
         assert_eq!(joiner.base_height(), 11);
         assert!(joiner.contains(10), "absorbed blocks count as committed");
@@ -694,7 +593,6 @@ mod tests {
             Arc::new(Msp::single_org(3)),
             EndorsementPolicy::AnyMember,
             snap,
-            None,
         )
         .unwrap();
         // Wrong height and broken link are both caught above the snapshot.
@@ -724,7 +622,6 @@ mod tests {
                 Arc::new(Msp::single_org(3)),
                 EndorsementPolicy::AnyMember,
                 forged.into(),
-                None,
             )
             .err(),
             Some(SnapshotError::StateHashMismatch)

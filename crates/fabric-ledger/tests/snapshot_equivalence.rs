@@ -1,16 +1,16 @@
 //! Property: a snapshot-bootstrapped ledger is byte-identical to a
 //! genesis-replay ledger.
 //!
-//! For arbitrary chain heights, checkpoint cadences and full-export
-//! cadences, grow a full ledger from genesis, take the snapshot it serves,
-//! stand a joiner up from it and replay only the tail. The joiner must reach the same
+//! For arbitrary chain heights and checkpoint cadences, grow a full
+//! ledger from genesis, take the snapshot it serves (the export of its
+//! newest checkpoint), stand a joiner up from it and replay only the tail. The joiner must reach the same
 //! height, the same head hash and a byte-identical state hash while
 //! physically holding only `height - checkpoint.height` blocks — the
 //! O(tail) claim at the ledger layer.
 
 use std::sync::Arc;
 
-use fabric_ledger::ledger::{Ledger, SnapshotPolicy};
+use fabric_ledger::ledger::Ledger;
 use fabric_types::block::{Block, BlockRef};
 use fabric_types::ids::{ClientId, PeerId, TxId};
 use fabric_types::msp::Msp;
@@ -48,37 +48,30 @@ proptest! {
     fn snapshot_bootstrap_matches_genesis_replay(
         height in 1u64..61,
         every in 1u64..17,
-        full_every in 1u64..5,
         salt in 0u64..1_000,
     ) {
         // The vendored proptest derives strategies for up to 4-tuples;
         // the key spread rides on the salt.
         let keys = salt % 5 + 1;
-        let policy = SnapshotPolicy { every, full_every };
         let msp = msp();
-        let mut full = Ledger::new(msp.clone(), EndorsementPolicy::AnyMember)
-            .with_snapshot_policy(policy);
+        let mut full =
+            Ledger::new(msp.clone(), EndorsementPolicy::AnyMember).with_checkpoints(every);
         grow(&msp, &mut full, 1, height, keys, salt);
 
         let Some(snapshot) = full.snapshot() else {
             // Below the first boundary there is nothing to bootstrap from.
             prop_assert!(height < every);
-            prop_assert!(full.latest_checkpoint().is_none());
+            prop_assert!(full.checkpoints().is_empty());
             return Ok(());
         };
         let floor = snapshot.checkpoint.height;
-        let newest = (height / every) * every;
-        prop_assert!(floor > 0 && floor % every == 0, "exports land on boundaries");
-        prop_assert!(
-            newest - floor < full_every * every,
-            "the served export at {} trails the newest boundary {} by a full cadence or more",
-            floor,
-            newest
-        );
+        prop_assert_eq!(floor, (height / every) * every, "the served export is the newest boundary");
+        prop_assert_eq!(Some(&snapshot.checkpoint), full.checkpoints().last());
 
         let mut joiner =
-            Ledger::from_snapshot(msp.clone(), EndorsementPolicy::AnyMember, snapshot, Some(policy))
-                .expect("a snapshot the full ledger served must verify");
+            Ledger::from_snapshot(msp.clone(), EndorsementPolicy::AnyMember, snapshot)
+                .expect("a snapshot the full ledger served must verify")
+                .with_checkpoints(every);
         prop_assert_eq!(joiner.height(), floor + 1);
         for n in (floor + 1)..=height {
             let block = full.block(n).expect("the full ledger holds its whole chain");

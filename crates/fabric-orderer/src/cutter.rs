@@ -10,12 +10,11 @@
 //! * otherwise a timer cuts whatever is pending after `batch_timeout`.
 
 use desim::Duration;
-use serde::{Deserialize, Serialize};
 
 use fabric_types::transaction::Transaction;
 
 /// Batching parameters (Fabric's `BatchSize` / `BatchTimeout`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Maximum number of transactions per block.
     pub max_message_count: usize,

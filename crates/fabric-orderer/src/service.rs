@@ -26,7 +26,6 @@
 //! the channel alongside the epoch.
 
 use desim::{Duration, LatencyModel};
-use serde::{Deserialize, Serialize};
 
 use fabric_types::block::Block;
 use fabric_types::crypto::Hash256;
@@ -36,7 +35,7 @@ use fabric_types::transaction::Transaction;
 use crate::cutter::{BatchConfig, BlockCutter};
 
 /// Ordering-service parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrdererConfig {
     /// Block cutting parameters.
     pub batch: BatchConfig,

@@ -2,14 +2,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::{Hash256, Sha256};
 use crate::transaction::Transaction;
 
 /// A block header: number, link to the previous block, and a digest of the
 /// block's transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Height of this block; the genesis block is number 0.
     pub number: u64,
@@ -36,7 +34,7 @@ impl BlockHeader {
 ///
 /// Blocks are immutable once cut; dissemination code shares them as
 /// [`BlockRef`] so a 100-peer simulation stores each block once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// The chained header.
     pub header: BlockHeader,

@@ -37,10 +37,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 256-bit digest.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Hash256(pub [u8; 32]);
 
 impl Hash256 {
@@ -333,7 +331,7 @@ pub fn sha256(data: &[u8]) -> Hash256 {
 }
 
 /// A simulated signing key (see module docs for the security caveat).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecretKey(pub [u8; 32]);
 
 impl SecretKey {
@@ -349,7 +347,7 @@ impl SecretKey {
 }
 
 /// A simulated signature over a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(pub Hash256);
 
 impl Signature {

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a peer within the network.
 ///
 /// Peers are numbered densely from zero so that per-peer state can live in
 /// plain vectors. The simulation layer maps `PeerId(i)` to its own node ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(pub u32);
 
 impl PeerId {
@@ -30,7 +28,7 @@ impl fmt::Display for PeerId {
 /// Channels are numbered densely from zero so per-channel state can live in
 /// small vectors; [`ChannelId::DEFAULT`] is the single channel of the
 /// paper's evaluation deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub u16);
 
 impl ChannelId {
@@ -50,7 +48,7 @@ impl fmt::Display for ChannelId {
 }
 
 /// Identity of an organization participating in the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrgId(pub u16);
 
 impl fmt::Display for OrgId {
@@ -64,7 +62,7 @@ impl fmt::Display for OrgId {
 /// Real Fabric derives transaction ids from a client nonce and certificate;
 /// a counter preserves uniqueness, which is the only property the pipeline
 /// relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 impl fmt::Display for TxId {
@@ -74,7 +72,7 @@ impl fmt::Display for TxId {
 }
 
 /// Identity of a client application submitting transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {

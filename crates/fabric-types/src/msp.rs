@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::{sign, verify, SecretKey, Signature};
 use crate::ids::{OrgId, PeerId};
 
 /// A certified identity: the binding of a peer to an organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Identity {
     /// The enrolled peer.
     pub peer: PeerId,

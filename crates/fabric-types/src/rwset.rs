@@ -12,15 +12,13 @@ use std::hash::{Hash, Hasher};
 use std::num::NonZeroU8;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::list::InlineOne;
 
 /// At most [`InlineBytes::CAPACITY`] bytes held inline: `Copy`, 16 bytes,
 /// nothing on the heap. A short [`Key`] or [`Value`] keeps its bytes in
 /// one, and so does a scheduled invocation's argument. Equality goes by
 /// the bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct InlineBytes {
     /// The length plus one. The zero it never holds is the niche that
     /// keeps a [`Key`] or a [`Value`] at 16 bytes.
@@ -76,7 +74,7 @@ impl fmt::Debug for InlineBytes {
 /// shared behind a thin reference count. Every constructor goes through
 /// [`Bytes::new`], so bytes that fit are never shared. Equality and order
 /// are the bytes'.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Bytes {
     Inline(InlineBytes),
     Shared(Arc<Box<[u8]>>),
@@ -125,7 +123,7 @@ impl Ord for Bytes {
 /// transaction and the world state that applied it hold one copy of the
 /// key between them. Order, equality, hashing, `Display`, `Debug` and
 /// [`Key::wire_size`] are those of the string.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key(Bytes);
 
 impl Key {
@@ -200,7 +198,7 @@ impl From<String> for Key {
 /// 8-byte counter, say) is held inline, and a longer one is shared: a
 /// clone is a reference-count bump. Equality, hashing, `Debug` and
 /// [`Value::wire_size`] are those of the byte slice.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Value(Bytes);
 
 impl Value {
@@ -250,7 +248,7 @@ impl fmt::Debug for Value {
 
 /// The commit coordinate of a write: which transaction of which block
 /// produced the current value of a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Version {
     /// Block number of the committing block.
     pub block_num: u64,
@@ -273,7 +271,7 @@ impl fmt::Display for Version {
 
 /// One read recorded during simulation: the key and the version observed
 /// (`None` when the key did not exist yet).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadItem {
     /// The key that was read.
     pub key: Key,
@@ -282,7 +280,7 @@ pub struct ReadItem {
 }
 
 /// One write recorded during simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteItem {
     /// The key being written.
     pub key: Key,
@@ -301,7 +299,7 @@ pub struct WriteItem {
 /// assert_eq!(rwset.reads.len(), 1);
 /// assert_eq!(rwset.writes.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RwSet {
     /// Keys read, with the versions observed.
     pub reads: Box<[ReadItem]>,

@@ -17,8 +17,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::{Hash256, Sha256};
 use crate::rwset::{Key, Value, Version};
 
@@ -28,7 +26,7 @@ pub type StateEntry = (Key, Value, Version);
 
 /// The fingerprint of a ledger prefix: its height and the hash of the
 /// materialized state after committing block `height`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Number of the last block covered by this checkpoint.
     pub height: u64,
@@ -44,7 +42,7 @@ impl Checkpoint {
 /// The transferable state behind a [`Checkpoint`]: everything a joiner
 /// needs to stand up a ledger at `checkpoint.height` and resume committing
 /// at `checkpoint.height + 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// The checkpoint this snapshot materializes.
     pub checkpoint: Checkpoint,

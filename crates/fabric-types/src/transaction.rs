@@ -1,7 +1,5 @@
 //! Transactions, endorsements and endorsement policies.
 
-use serde::{Deserialize, Serialize};
-
 use crypto::{Hash256, Sha256, Signature};
 
 use crate::crypto;
@@ -12,7 +10,7 @@ use crate::rwset::RwSet;
 
 /// An endorsement: a peer's signature over a transaction digest, attesting
 /// that simulating the chaincode produced this read/write set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Endorsement {
     /// The endorsing peer.
     pub endorser: PeerId,
@@ -25,7 +23,7 @@ pub struct Endorsement {
 /// Fabric policies are boolean expressions over principals; the two shapes
 /// used in the paper's experiments (a single endorser, and k-out-of-n) are
 /// covered here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EndorsementPolicy {
     /// Any one valid endorsement from an enrolled peer satisfies the policy.
     AnyMember,
@@ -79,7 +77,7 @@ impl EndorsementPolicy {
 /// Fabric transaction this model does not materialize (certificates,
 /// chaincode arguments, channel headers); the dissemination experiments use
 /// it to reach the paper's ~160 KB blocks of 50 transactions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// Unique transaction id.
     pub id: TxId,

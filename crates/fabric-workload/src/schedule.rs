@@ -24,10 +24,9 @@ use fabric_types::ids::ChannelId;
 use fabric_types::rwset::InlineBytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which chaincode an invocation targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaincodeKind {
     /// [`increment`](crate::client::increment) — the conflict workload.
     Increment,
@@ -38,7 +37,7 @@ pub enum ChaincodeKind {
 /// A chaincode argument of at most [`InvocationArg::CAPACITY`] bytes of
 /// UTF-8, held inline: `Copy`, 16 bytes, nothing on the heap. Equality and
 /// `Debug` go by the string.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct InvocationArg(InlineBytes);
 
 impl InvocationArg {
@@ -97,7 +96,7 @@ impl fmt::Debug for InvocationArg {
 }
 
 /// One scheduled chaincode invocation: plain `Copy` data, 32 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledInvocation {
     /// When the client issues the proposal.
     pub at: Time,
@@ -183,7 +182,7 @@ pub fn merge_schedules(schedules: Vec<Vec<ScheduledInvocation>>) -> Vec<Schedule
 }
 
 /// Parameters of the dissemination workload (§V-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PayloadWorkload {
     /// Total transactions to issue (paper: 50 000).
     pub total_txs: usize,
@@ -217,7 +216,7 @@ impl PayloadWorkload {
 }
 
 /// Parameters of the conflict workload (§V-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncrementWorkload {
     /// Number of distinct counters (paper: 100).
     pub keys: usize,

@@ -7,10 +7,8 @@
 //! *background traffic* the paper observes (≈0.4 MB/s of non-dissemination
 //! system chatter on an idle network) and computes the summary numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// One peer's utilization series plus its average.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthSeries {
     /// Series label (e.g. `"leader peer"`).
     pub label: String,
@@ -79,7 +77,7 @@ impl BandwidthSeries {
 }
 
 /// The leader-vs-regular comparison a bandwidth figure shows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthComparison {
     /// The leader peer's series.
     pub leader: BandwidthSeries,

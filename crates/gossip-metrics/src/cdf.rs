@@ -7,7 +7,6 @@
 //! exactly the series the figures draw.
 
 use desim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The y ticks of the paper's peer-level plots (Figs. 4, 7, 12).
 pub const PEER_LEVEL_TICKS: &[f64] = &[
@@ -21,7 +20,7 @@ pub const BLOCK_LEVEL_TICKS: &[f64] = &[
 ];
 
 /// An empirical cumulative distribution over durations.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Cdf {
     sorted: Vec<Duration>,
 }
@@ -134,7 +133,7 @@ pub fn logistic_fit_r2(cdf: &Cdf) -> f64 {
 }
 
 /// One series of a probability plot: the latency reaching each tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbabilityPlot {
     /// Series label (e.g. `"median peer"`).
     pub label: String,
