@@ -420,4 +420,54 @@ mod tests {
         assert_eq!(latencies(&a), latencies(&b));
         assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
     }
+
+    /// The `churn_waves` benchmark workload's client schedule, pinned by
+    /// content: FNV-1a over each merged row's `at` nanos, channel,
+    /// chaincode and padding, and the key its endorsement writes against
+    /// a fresh ledger's state.
+    #[test]
+    fn churned_schedule_content_is_pinned() {
+        use std::sync::Arc;
+
+        use fabric_ledger::ledger::Ledger;
+        use fabric_types::ids::{ClientId, TxId};
+        use fabric_types::msp::Msp;
+        use fabric_workload::endorse_invocation;
+        use fabric_workload::schedule::ChaincodeKind;
+
+        let cfg = ChurnWavesConfig::standard(3, 16, 300);
+        let rows = churned_schedule(&cfg.main_workload, &cfg.side_workload, cfg.side_channels);
+        assert_eq!(rows.len(), 4 * 15_000);
+        let msp = Arc::new(Msp::single_org(1));
+        let ledger = Ledger::new(msp.clone(), EndorsementPolicy::single(PeerId(0)));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (i, row) in rows.iter().enumerate() {
+            eat(&row.at.as_nanos().to_le_bytes());
+            eat(&row.channel.0.to_le_bytes());
+            eat(&[match row.chaincode {
+                ChaincodeKind::Increment => 0,
+                ChaincodeKind::Payload => 1,
+            }]);
+            eat(&row.padding.to_le_bytes());
+            let tx = endorse_invocation(
+                row,
+                TxId(i as u64),
+                ClientId(0),
+                PeerId(0),
+                ledger.state(),
+                &msp,
+            )
+            .expect("a fresh state endorses every row");
+            for write in tx.rwset.writes.iter() {
+                eat(write.key.as_bytes());
+                eat(&[0xff]);
+            }
+        }
+        assert_eq!(hash, 11_003_592_510_244_289_813);
+    }
 }
