@@ -377,6 +377,9 @@ impl RecoveryEngine {
         else {
             return; // plan still incomplete
         };
+        // Wrapped first, so the verdict is sealed in the handle the ledger
+        // installs and the state is hashed once.
+        let snapshot = SnapshotRef::new(snapshot);
         if !snapshot.verify() {
             // Entries don't hash to the checkpoint. Discard the assembly
             // but leave the request in flight: its timeout is what moves
@@ -384,7 +387,6 @@ impl RecoveryEngine {
             transfer.assembler = None;
             return;
         }
-        let snapshot = SnapshotRef::new(snapshot);
         let run = core.store.adopt_snapshot(height);
         core.stats.snapshots_installed += 1;
         fx.snapshot_installed(core.channel, &snapshot);

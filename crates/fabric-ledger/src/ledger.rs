@@ -164,8 +164,10 @@ impl Ledger {
         self
     }
 
-    /// Stands up a ledger from a snapshot: verifies the state hash, adopts
-    /// the state at `checkpoint.height`, and resumes committing at
+    /// Stands up a ledger from a snapshot: checks the handle's sealed
+    /// [`SnapshotRef::verify`] verdict (hashing the state only when no
+    /// clone of it was verified yet), adopts the state at
+    /// `checkpoint.height`, and resumes committing at
     /// `checkpoint.height + 1`. Blocks at or below the checkpoint are
     /// logically committed but not physically held ([`Ledger::block`]
     /// returns `None` for them).

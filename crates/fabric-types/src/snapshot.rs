@@ -15,7 +15,7 @@
 //! `fabric-ledger`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::crypto::{Hash256, Sha256};
 use crate::rwset::{Key, Value, Version};
@@ -81,37 +81,57 @@ impl Snapshot {
 /// [`crate::block::BlockRef`]: serving a snapshot to N joiners clones a
 /// reference count, never the state, and the wire size is cached at
 /// construction.
+///
+/// The handle also seals the verdict of [`Snapshot::verify`], as a
+/// `BlockRef` seals its data hash, but lazily: the first
+/// [`SnapshotRef::verify`] on any clone hashes the state and every later
+/// one reads the verdict, so a joiner that checks an assembled snapshot
+/// and then installs it hashes the state once, and a ledger's own export,
+/// which nobody verifies, never pays for it.
 #[derive(Debug, Clone)]
-pub struct SnapshotRef {
-    inner: Arc<Snapshot>,
+pub struct SnapshotRef(Arc<Sealed>);
+
+/// A snapshot together with the facts derived from its immutable content.
+#[derive(Debug)]
+struct Sealed {
+    snapshot: Snapshot,
     wire_size: usize,
+    verified: OnceLock<bool>,
 }
 
 impl SnapshotRef {
     /// Wraps `snapshot` in a shared handle, precomputing its wire size.
     pub fn new(snapshot: Snapshot) -> Self {
-        let wire_size = snapshot.wire_size();
-        SnapshotRef {
-            inner: Arc::new(snapshot),
-            wire_size,
-        }
+        SnapshotRef(Arc::new(Sealed {
+            wire_size: snapshot.wire_size(),
+            verified: OnceLock::new(),
+            snapshot,
+        }))
     }
 
     /// Cached size of the snapshot on the wire, in bytes.
     pub fn wire_size(&self) -> usize {
-        self.wire_size
+        self.0.wire_size
+    }
+
+    /// Sealed verdict of [`Snapshot::verify`]: computed on the first call
+    /// on any clone of this handle, read back on every later one. An
+    /// auditor that must not trust the seal calls
+    /// `Snapshot::verify(&snapshot)` and re-hashes.
+    pub fn verify(&self) -> bool {
+        *self.0.verified.get_or_init(|| self.0.snapshot.verify())
     }
 
     /// Whether two handles share the same allocation.
     pub fn ptr_eq(a: &SnapshotRef, b: &SnapshotRef) -> bool {
-        Arc::ptr_eq(&a.inner, &b.inner)
+        Arc::ptr_eq(&a.0, &b.0)
     }
 }
 
 impl std::ops::Deref for SnapshotRef {
     type Target = Snapshot;
     fn deref(&self) -> &Snapshot {
-        &self.inner
+        &self.0.snapshot
     }
 }
 
@@ -123,7 +143,7 @@ impl From<Snapshot> for SnapshotRef {
 
 impl PartialEq for SnapshotRef {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
+        SnapshotRef::ptr_eq(self, other) || self.0.snapshot == other.0.snapshot
     }
 }
 
@@ -405,6 +425,30 @@ mod tests {
         let mut wrong_claim = snap;
         wrong_claim.checkpoint.state_hash = Hash256([1; 32]);
         assert!(!wrong_claim.verify());
+    }
+
+    /// A handle hashes the state on its first `verify`, on any clone, and
+    /// not before: wrapping seals nothing, so an export nobody verifies
+    /// is never hashed. The sealed verdict is `Snapshot::verify`'s, for a
+    /// good snapshot and a tampered one alike.
+    #[test]
+    fn snapshot_ref_seals_its_verdict_on_first_verify() {
+        let good = snapshot(vec![entry("a", 1, 1), entry("b", 2, 1)], 8);
+        let mut bad = good.clone();
+        bad.entries[0].1 = Value::from_u64(99);
+        for (snap, verdict) in [(good, true), (bad, false)] {
+            let handle = SnapshotRef::new(snap);
+            let clone = handle.clone();
+            assert_eq!(handle.0.verified.get(), None, "wrapping hashes nothing");
+            assert_eq!(clone.verify(), verdict);
+            assert_eq!(
+                handle.0.verified.get(),
+                Some(&verdict),
+                "one seal per snapshot"
+            );
+            assert_eq!(handle.verify(), verdict);
+            assert_eq!(Snapshot::verify(&handle), verdict, "the auditor re-hashes");
+        }
     }
 
     #[test]
