@@ -50,15 +50,62 @@ pub(crate) const FETCH_TIMEOUT: Duration = Duration::from_millis(500);
 /// Fetch attempts per block before giving up (recovery then takes over).
 pub(crate) const FETCH_ATTEMPTS: u32 = 5;
 
-/// A fetch in flight for block content announced by push digests.
-#[derive(Debug, Clone, Default)]
+/// A fetch in flight for block content announced by push digests. The
+/// digest that opens it gives each list its first entry, held inline, so
+/// a fetch that one digest opens and one block closes allocates nothing.
+#[derive(Debug, Clone)]
 struct PendingFetch {
     /// Counters received in digests while the content was missing; each one
     /// owes a forward once the content arrives.
-    counters: Vec<u32>,
+    counters: FirstInline<u32>,
     /// Peers that advertised the block, the first one asked first (retry
     /// candidates, in order).
-    advertisers: Vec<PeerId>,
+    advertisers: FirstInline<PeerId>,
+}
+
+/// A list that is never empty: its first item inline, later ones in a
+/// `Vec` that allocates when the second arrives and then grows amortised
+/// (an exact list such as `InlineOne` reallocates on every push, and a
+/// popular block's fetch collects a digest from most of its neighbours).
+#[derive(Debug, Clone)]
+struct FirstInline<T> {
+    first: T,
+    rest: Vec<T>,
+}
+
+impl<T: Copy + Ord> FirstInline<T> {
+    fn new(first: T) -> Self {
+        FirstInline {
+            first,
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        self.rest.push(item);
+    }
+
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    fn last(&self) -> T {
+        self.rest.last().copied().unwrap_or(self.first)
+    }
+
+    /// The items in order, the first one first.
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    /// Sorts the items in place, through the buffer `rest` already owns.
+    fn sort_unstable(&mut self) {
+        if !self.rest.is_empty() {
+            self.rest.push(self.first);
+            self.rest.sort_unstable();
+            self.first = self.rest.remove(0);
+        }
+    }
 }
 
 /// The `(block, counter)` pairs already processed: per block, bit `c` of
@@ -209,14 +256,23 @@ impl PushEngine {
                 // Forward once per distinct counter; content arrival also
                 // settles the forwards owed by digests that preceded it.
                 let fetched = is_new.then(|| self.pending_fetch.remove(num)).flatten();
-                let mut owed = fetched.map_or_else(Vec::new, |pending| pending.counters);
-                if self.seen_pairs.insert(num, counter) {
-                    owed.push(counter);
-                }
+                let fresh = self.seen_pairs.insert(num, counter).then_some(counter);
+                let mut owed = match (fetched, fresh) {
+                    (Some(pending), fresh) => {
+                        let mut owed = pending.counters;
+                        owed.rest.extend(fresh);
+                        owed
+                    }
+                    (None, Some(counter)) => FirstInline::new(counter),
+                    (None, None) => return,
+                };
+                // Lowest counter first.
                 owed.sort_unstable();
-                owed.dedup();
-                for c in owed.into_iter().filter(|&c| c < ttl) {
-                    self.queue(core, fx, block.clone(), c + 1);
+                let mut last = None;
+                for c in owed.iter() {
+                    if c < ttl && last.replace(c) != Some(c) {
+                        self.queue(core, fx, block.clone(), c + 1);
+                    }
                 }
             }
         }
@@ -257,14 +313,15 @@ impl PushEngine {
         // and asks its sender; later ones join the rotation.
         if let Some(pending) = self.pending_fetch.get_mut(block_num) {
             pending.counters.push(counter);
-            if !pending.advertisers.contains(&from) {
+            if !pending.advertisers.iter().any(|peer| peer == from) {
                 pending.advertisers.push(from);
             }
             return;
         }
-        let mut fetch = PendingFetch::default();
-        fetch.counters.push(counter);
-        fetch.advertisers.push(from);
+        let fetch = PendingFetch {
+            counters: FirstInline::new(counter),
+            advertisers: FirstInline::new(from),
+        };
         self.pending_fetch.insert(block_num, fetch);
         core.send(fx, from, GossipMsg::PushRequest { block_num, counter });
         core.schedule(
@@ -311,10 +368,14 @@ impl PushEngine {
             self.pending_fetch.remove(block_num);
             return;
         }
-        let counter = pending.counters.last().copied().unwrap_or(0);
+        let counter = pending.counters.last();
         // A fetch opens with its first advertiser, and any advertiser
         // certainly has the content: the attempt rotates through them.
-        let target = pending.advertisers[attempt as usize % pending.advertisers.len()];
+        let advertisers = &pending.advertisers;
+        let target = advertisers
+            .iter()
+            .nth(attempt as usize % advertisers.len())
+            .expect("an index below the length");
         core.send(fx, target, GossipMsg::PushRequest { block_num, counter });
         core.schedule(
             fx,
