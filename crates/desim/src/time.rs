@@ -115,7 +115,7 @@ impl Duration {
             s.is_finite() && s >= 0.0,
             "duration seconds must be finite and non-negative"
         );
-        Duration((s * 1e9).round() as u64)
+        Duration(round_half_up(s * 1e9))
     }
 
     /// Whole nanoseconds in this span.
@@ -153,17 +153,20 @@ impl Duration {
             factor.is_finite() && factor >= 0.0,
             "duration factor must be finite and non-negative"
         );
-        let x = self.0 as f64 * factor;
-        // Round half up without `f64::round`, a libm call on baseline
-        // x86-64: below 2^53 the truncation and the subtraction are
-        // exact, so this is the same function. (`x` is never negative or
-        // NaN here.)
-        Duration(if x < 9_007_199_254_740_992.0 {
-            let whole = x as u64;
-            whole + u64::from(x - whole as f64 >= 0.5)
-        } else {
-            x.round() as u64
-        })
+        Duration(round_half_up(self.0 as f64 * factor))
+    }
+}
+
+/// `x.round() as u64` for a finite, non-negative `x`, without `f64::round`,
+/// a libm call on baseline x86-64: below 2^53 the truncation and the
+/// subtraction are exact, so this is the same function; at and above it
+/// every double is an integer, and the cast saturates past `u64::MAX`.
+fn round_half_up(x: f64) -> u64 {
+    if x < 9_007_199_254_740_992.0 {
+        let whole = x as u64;
+        whole + u64::from(x - whole as f64 >= 0.5)
+    } else {
+        x as u64
     }
 }
 
@@ -287,35 +290,54 @@ mod tests {
         assert_eq!(Duration::from_secs(2).mul_f64(0.5), Duration::from_secs(1));
     }
 
-    /// `mul_f64` rounds without calling `f64::round`; it must still be
-    /// that function, ties and the two sides of 2^53 included.
+    /// `mul_f64` and `from_secs_f64` round without calling `f64::round`;
+    /// they must still be that function, ties and the two sides of 2^53
+    /// included. `from_secs_f64` is handed `x` seconds' worth of
+    /// nanoseconds; where that product is not `x` itself, it is still
+    /// held to `f64::round` of the product.
     fn rounds_like_libm(x: f64) {
         let got = Duration::from_nanos(1).mul_f64(x);
         assert_eq!(got.as_nanos(), x.round() as u64, "x = {x:e}");
+        let secs = x / 1e9;
+        let got = Duration::from_secs_f64(secs);
+        assert_eq!(got.as_nanos(), (secs * 1e9).round() as u64, "x = {x:e}");
     }
 
     #[test]
-    fn mul_f64_rounds_half_up_at_the_edges() {
+    fn mul_f64_and_from_secs_f64_round_half_up_at_the_edges() {
         const TWO_53: f64 = 9_007_199_254_740_992.0;
-        for x in [
+        let edges = [
             0.0,
             0.49999999999999994, // the largest double below one half
             0.5,
             1.5,
             2.5,
+            4_503_599_627_370_495.5, // the largest tie: 2^52 - 1/2
             TWO_53 - 1.0,
             TWO_53,
             TWO_53 + 2.0,
             1e19,
             1e30, // saturates
-        ] {
+        ];
+        for x in edges {
             rounds_like_libm(x);
+            // Each edge survives the trip through seconds, so
+            // `from_secs_f64` meets the tie or the edge itself.
+            assert_eq!((x / 1e9) * 1e9, x, "x = {x:e}");
         }
         assert_eq!(
             Duration::from_nanos(3).mul_f64(0.5),
             Duration::from_nanos(2)
         );
+        assert_eq!(Duration::from_secs_f64(2.5e-9), Duration::from_nanos(3));
+        assert_eq!(
+            Duration::from_secs_f64(0.49999999999999994 / 1e9),
+            Duration::ZERO
+        );
         assert_eq!(Duration::from_secs(1).mul_f64(1e30).as_nanos(), u64::MAX);
+        // Nanosecond counts past `u64::MAX` saturate.
+        assert_eq!(Duration::from_secs_f64(1e11).as_nanos(), u64::MAX);
+        assert_eq!(Duration::from_secs_f64(f64::MAX).as_nanos(), u64::MAX);
     }
 
     proptest::proptest! {
@@ -330,9 +352,13 @@ mod tests {
             // the integers-only doubles above it.
             let frac = [0.0, 0.25, 0.49999999999999994, 0.5, 0.75][frac];
             rounds_like_libm(whole as f64 + frac);
-            // The shape the latency models call it in.
+            // The shapes the latency models and the generators call them
+            // in.
             let got = Duration::from_nanos(nanos).mul_f64(factor);
             proptest::prop_assert_eq!(got.as_nanos(), (nanos as f64 * factor).round() as u64);
+            let secs = nanos as f64 * factor / 1e9;
+            let got = Duration::from_secs_f64(secs);
+            proptest::prop_assert_eq!(got.as_nanos(), (secs * 1e9).round() as u64);
         }
     }
 

@@ -278,8 +278,8 @@ pub struct FabricNet {
     /// so attaching one re-rolls no honest draw.
     attack_rng: StdRng,
     orderer: OrderingService,
-    /// The client's invocations in issue order: plain 32-byte rows with
-    /// their argument inline, so the schedule holds nothing on the heap
+    /// The client's invocations in issue order: plain 24-byte rows of a
+    /// time and a number, so the schedule holds nothing on the heap
     /// beyond its one buffer.
     schedule: Vec<ScheduledInvocation>,
     next_invocation: usize,
@@ -723,15 +723,15 @@ fn channel_ledger(
 mod tests {
     use std::mem::{needs_drop, size_of};
 
-    use fabric_workload::schedule::{InvocationArg, ScheduledInvocation};
+    use fabric_workload::schedule::ScheduledInvocation;
 
-    /// The client's schedule is plain data: a row holds its argument
-    /// inline, so nothing is allocated behind it at set-up and nothing is
-    /// left to release once it is endorsed.
+    /// The client's schedule is plain data: a row holds a time and the
+    /// number its endorser renders into a key, so nothing is allocated
+    /// behind it at set-up and nothing is left to release once it is
+    /// endorsed.
     #[test]
     fn held_once_scheduled_invocation_is_plain_data() {
-        assert_eq!(size_of::<ScheduledInvocation>(), 32);
-        assert_eq!(size_of::<InvocationArg>(), 16);
+        assert_eq!(size_of::<ScheduledInvocation>(), 24);
         assert!(!needs_drop::<ScheduledInvocation>());
     }
 }

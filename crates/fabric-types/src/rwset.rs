@@ -16,8 +16,7 @@ use crate::list::InlineOne;
 
 /// At most [`InlineBytes::CAPACITY`] bytes held inline: `Copy`, 16 bytes,
 /// nothing on the heap. A short [`Key`] or [`Value`] keeps its bytes in
-/// one, and so does a scheduled invocation's argument. Equality goes by
-/// the bytes.
+/// one. Equality goes by the bytes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct InlineBytes {
     /// The length plus one. The zero it never holds is the niche that
@@ -140,6 +139,26 @@ impl Key {
         match InlineBytes::try_concat(prefix.as_bytes(), rest.as_bytes()) {
             Some(inline) => Key(Bytes::Inline(inline)),
             None => Key::from([prefix, rest].concat()),
+        }
+    }
+
+    /// `prefix` followed by the decimal digits of `n`, what
+    /// `format!("{prefix}{n}")` renders: the digits are written right to
+    /// left straight into the key when it fits inline.
+    pub fn numbered(prefix: &str, n: u64) -> Self {
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let inline = InlineBytes::try_fill(prefix.len() + digits, |bytes| {
+            let (head, tail) = bytes.split_at_mut(prefix.len());
+            head.copy_from_slice(prefix.as_bytes());
+            let mut rest = n;
+            for digit in tail.iter_mut().rev() {
+                *digit = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+        });
+        match inline {
+            Some(inline) => Key(Bytes::Inline(inline)),
+            None => Key::from(format!("{prefix}{n}")),
         }
     }
 
@@ -530,7 +549,10 @@ mod tests {
             /// and `Value` against the `Vec<u8>`: same order, equality,
             /// hash, `Display`, `Debug`, counter decoding and wire size,
             /// over empty, multi-byte UTF-8, 8-byte and 15- to 17-byte
-            /// inputs. At most 15 bytes are held inline, more are not.
+            /// inputs; `Key::concat` and `Key::numbered` against the
+            /// `format!` strings they render, a number at 0, 9, 10,
+            /// 99 999, `u64::MAX` or any. At most 15 bytes are held
+            /// inline, more are not.
             #[test]
             fn model_key_value_match_owned_bytes(
                 a in (0usize..12, proptest::collection::vec(0u8..7, 0..5)),
@@ -550,6 +572,11 @@ mod tests {
                 prop_assert_eq!(kb.as_str(), sb.as_str());
                 prop_assert_eq!(ka.wire_size(), sa.len());
                 prop_assert_eq!(Key::concat(&sa, &sb), Key::from(format!("{sa}{sb}")));
+                let n = [0, 9, 10, 99_999, u64::MAX, y.1][(x.1 % 6) as usize];
+                let numbered = Key::numbered(&sa, n);
+                let rendered = format!("{sa}{n}");
+                prop_assert_eq!(&numbered, &Key::from(rendered.as_str()));
+                prop_assert_eq!(held_inline(&numbered, numbered.as_bytes()), rendered.len() <= 15);
                 prop_assert_eq!(held_inline(&ka, ka.as_bytes()), sa.len() <= 15);
                 prop_assert_eq!(held_inline(&kb, kb.as_bytes()), sb.len() <= 15);
 

@@ -1,9 +1,9 @@
 //! Client-side transaction assembly: simulate at an endorser, sign, build
 //! the proposal the orderer will batch.
 //!
-//! The paper's two chaincodes are plain functions from an invocation's one
-//! argument (and, for the counter, the endorser's committed state) to the
-//! read/write set an endorser signs:
+//! The paper's two chaincodes are plain functions from the key an
+//! invocation names (and, for the counter, the endorser's committed state)
+//! to the read/write set an endorser signs:
 //!
 //! * [`increment`] — the Table II conflict workload: reads one of 100
 //!   integer counters and writes it incremented;
@@ -60,8 +60,8 @@ impl std::error::Error for EndorseError {}
 /// # Errors
 ///
 /// [`EndorseError::NotACounter`] when `key` holds a non-counter value.
-pub fn increment(key: &str, state: &StateDb) -> Result<RwSet, EndorseError> {
-    let key = Key::new(key);
+pub fn increment(key: impl Into<Key>, state: &StateDb) -> Result<RwSet, EndorseError> {
+    let key = key.into();
     let (current, version) = match state.get(&key) {
         Some((value, version)) => match value.as_u64() {
             Some(n) => (n, Some(version)),
@@ -76,19 +76,20 @@ pub fn increment(key: &str, state: &StateDb) -> Result<RwSet, EndorseError> {
         .build())
 }
 
-/// The dissemination chaincode: writes the unique delta row `delta:{row}`
-/// (the generator names rows after transactions), conflict-free by
-/// construction. The value stays tiny; the transaction's padding carries
-/// the bulk, so the state database does not balloon over a long run.
-pub fn payload(row: &str) -> RwSet {
-    RwSet::builder()
-        .write(Key::concat("delta:", row), Value::from_u64(1))
-        .build()
+/// The dissemination chaincode: writes the unique delta row `key`
+/// (`delta:row{n}`, the generator numbering rows after transactions),
+/// conflict-free by construction. The value stays tiny; the transaction's
+/// padding carries the bulk, so the state database does not balloon over
+/// a long run.
+pub fn payload(key: impl Into<Key>) -> RwSet {
+    RwSet::builder().write(key, Value::from_u64(1)).build()
 }
 
 /// Simulates `invocation` against `endorser_state` (the endorser's
 /// committed world state), signs the result as `endorser`, and assembles
-/// the transaction proposal.
+/// the transaction proposal. The invocation's number is rendered once,
+/// straight into the chaincode's key: `counter{n}` for [`increment`],
+/// `delta:row{n}` for [`payload`].
 ///
 /// This is the client↔endorser round trip of Fabric's execute phase,
 /// collapsed into a function: the experiment layer accounts its latency
@@ -106,10 +107,13 @@ pub fn endorse_invocation(
     endorser_state: &StateDb,
     msp: &Msp,
 ) -> Result<Transaction, EndorseError> {
-    let arg = invocation.arg.as_str();
+    let n = u64::from(invocation.number);
     let (name, rwset) = match invocation.chaincode {
-        ChaincodeKind::Increment => (INCREMENT_NAME, increment(arg, endorser_state)?),
-        ChaincodeKind::Payload => (PAYLOAD_NAME, payload(arg)),
+        ChaincodeKind::Increment => (
+            INCREMENT_NAME,
+            increment(Key::numbered("counter", n), endorser_state)?,
+        ),
+        ChaincodeKind::Payload => (PAYLOAD_NAME, payload(Key::numbered("delta:row", n))),
     };
     let mut tx = Transaction::new(tx_id, name, client, rwset).with_padding(invocation.padding);
     if !tx.endorse(msp, endorser) {
@@ -125,14 +129,12 @@ mod tests {
     use fabric_types::rwset::{Key, Value, Version, WriteItem};
     use fabric_types::transaction::EndorsementPolicy;
 
-    use crate::schedule::InvocationArg;
-
-    fn invocation(kind: ChaincodeKind, arg: &str) -> ScheduledInvocation {
+    fn invocation(kind: ChaincodeKind, number: u32) -> ScheduledInvocation {
         ScheduledInvocation {
             at: Time::ZERO,
             channel: fabric_types::ids::ChannelId::DEFAULT,
             chaincode: kind,
-            arg: InvocationArg::new(arg),
+            number,
             padding: 100,
         }
     }
@@ -151,7 +153,7 @@ mod tests {
             }],
         );
         let tx = endorse_invocation(
-            &invocation(ChaincodeKind::Increment, "counter3"),
+            &invocation(ChaincodeKind::Increment, 3),
             TxId(1),
             ClientId(0),
             PeerId(1),
@@ -222,7 +224,7 @@ mod tests {
             )
             .unwrap()
         };
-        let (a, b) = (endorse("row42"), endorse("row43"));
+        let (a, b) = (endorse(42), endorse(43));
         assert_eq!(a.chaincode, PAYLOAD_NAME);
         assert!(a.rwset.reads.is_empty());
         assert_eq!(a.rwset.writes[0].key, Key::from("delta:row42"));
@@ -245,7 +247,7 @@ mod tests {
             }],
         );
         let increment = endorse_invocation(
-            &invocation(ChaincodeKind::Increment, "counter3"),
+            &invocation(ChaincodeKind::Increment, 3),
             TxId(17),
             ClientId(0),
             PeerId(1),
@@ -253,10 +255,13 @@ mod tests {
             &msp,
         )
         .unwrap();
-        let mut payload = invocation(ChaincodeKind::Payload, "18");
-        payload.padding = 3_100;
-        let payload =
-            endorse_invocation(&payload, TxId(18), ClientId(0), PeerId(1), &state, &msp).unwrap();
+        // The payload transaction writes `delta:18`, a key no schedule
+        // row names, so it is assembled as `endorse_invocation` assembles
+        // one.
+        let mut payload =
+            Transaction::new(TxId(18), PAYLOAD_NAME, ClientId(0), payload("delta:18"))
+                .with_padding(3_100);
+        assert!(payload.endorse(&msp, PeerId(1)));
         assert_eq!(
             increment.digest().to_hex(),
             "9b55feb4827b1b7658aedbdc65be597f9aea819a8a35e3a1b8735a80ccace825"
@@ -313,7 +318,7 @@ mod tests {
         let msp = Msp::single_org(1);
         let state = StateDb::new();
         let err = endorse_invocation(
-            &invocation(ChaincodeKind::Payload, "row1"),
+            &invocation(ChaincodeKind::Payload, 1),
             TxId(3),
             ClientId(0),
             PeerId(9),

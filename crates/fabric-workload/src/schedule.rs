@@ -9,19 +9,17 @@
 //!   times each (10 000 transactions) at a fixed 5 tx/s, with a fresh
 //!   random permutation of the counter order in every round.
 //!
-//! A row is plain data: its one argument (`row{i}` or `counter{key}`) is an
-//! [`InvocationArg`] rendered once, inline, when the generator writes the
-//! row. A schedule is one `Vec` of 32-byte rows with nothing on the heap
-//! behind them: generating it allocates that `Vec` and nothing else, and
-//! an endorser passes the inline string straight to its chaincode.
+//! A row is plain data, a time and a number: the payload row or the
+//! counter key the invocation names, which the endorser renders into the
+//! chaincode's key (`delta:row{n}` or `counter{n}`) when it simulates the
+//! row. A schedule is one `Vec` of 24-byte rows with nothing on the heap
+//! behind them: generating it writes that `Vec` and renders nothing.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::fmt;
 
 use desim::{Duration, Time};
 use fabric_types::ids::ChannelId;
-use fabric_types::rwset::InlineBytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -34,68 +32,7 @@ pub enum ChaincodeKind {
     Payload,
 }
 
-/// A chaincode argument of at most [`InvocationArg::CAPACITY`] bytes of
-/// UTF-8, held inline: `Copy`, 16 bytes, nothing on the heap. Equality and
-/// `Debug` go by the string.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct InvocationArg(InlineBytes);
-
-impl InvocationArg {
-    /// The most bytes an argument holds.
-    pub const CAPACITY: usize = InlineBytes::CAPACITY;
-
-    /// The argument `arg`, or `None` when it is longer than
-    /// [`InvocationArg::CAPACITY`] bytes.
-    fn try_new(arg: &str) -> Option<Self> {
-        InlineBytes::try_concat(arg.as_bytes(), &[]).map(InvocationArg)
-    }
-
-    /// The argument `arg`.
-    ///
-    /// # Panics
-    ///
-    /// If `arg` is longer than [`InvocationArg::CAPACITY`] bytes.
-    pub fn new(arg: &str) -> Self {
-        Self::try_new(arg).unwrap_or_else(|| {
-            panic!(
-                "invocation argument {arg:?} is {} bytes; at most {} fit inline",
-                arg.len(),
-                Self::CAPACITY
-            )
-        })
-    }
-
-    /// `prefix` followed by the decimal digits of `n` — what
-    /// `format!("{prefix}{n}")` renders — or `None` when that is longer
-    /// than [`InvocationArg::CAPACITY`] bytes. The digits are written right
-    /// to left straight into the inline buffer.
-    fn numbered(prefix: &str, n: u64) -> Option<Self> {
-        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
-        InlineBytes::try_fill(prefix.len() + digits, |bytes| {
-            let (head, tail) = bytes.split_at_mut(prefix.len());
-            head.copy_from_slice(prefix.as_bytes());
-            let mut rest = n;
-            for digit in tail.iter_mut().rev() {
-                *digit = b'0' + (rest % 10) as u8;
-                rest /= 10;
-            }
-        })
-        .map(InvocationArg)
-    }
-
-    /// The argument as a string.
-    pub fn as_str(&self) -> &str {
-        std::str::from_utf8(self.0.as_bytes()).expect("built from a str or from ASCII digits")
-    }
-}
-
-impl fmt::Debug for InvocationArg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-/// One scheduled chaincode invocation: plain `Copy` data, 32 bytes.
+/// One scheduled chaincode invocation: plain `Copy` data, 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledInvocation {
     /// When the client issues the proposal.
@@ -108,8 +45,9 @@ pub struct ScheduledInvocation {
     pub channel: ChannelId,
     /// Target chaincode.
     pub chaincode: ChaincodeKind,
-    /// The invocation's one argument: the payload row or the counter key.
-    pub arg: InvocationArg,
+    /// The invocation's one argument: the payload row or the counter key
+    /// it names, which the endorser renders into the chaincode's key.
+    pub number: u32,
     /// Wire padding applied to the resulting transaction.
     pub padding: u32,
 }
@@ -243,19 +181,11 @@ impl IncrementWorkload {
     }
 }
 
-/// Payload rows are numbered below this: `"row"` and twelve digits fill
-/// an [`InvocationArg`].
-const MAX_PAYLOAD_TXS: usize = 1_000_000_000_000;
+/// The most payload rows a schedule numbers: a row's number is a `u32`.
+const MAX_PAYLOAD_TXS: usize = u32::MAX as usize + 1;
 
-/// Counter keys are numbered below this: `"counter"` and eight digits fill
-/// an [`InvocationArg`].
-const MAX_COUNTER_KEYS: usize = 100_000_000;
-
-/// `prefix` and `n` rendered inline; the generators check their limits
-/// first, so the argument always fits.
-fn numbered_arg(prefix: &str, n: usize) -> InvocationArg {
-    InvocationArg::numbered(prefix, n as u64).expect("within the generator's limit")
-}
+/// The most counter keys a schedule numbers: a key's number is a `u32`.
+const MAX_COUNTER_KEYS: usize = u32::MAX as usize + 1;
 
 fn issue_time(index: usize, rate_per_sec: f64) -> Time {
     Time::ZERO + Duration::from_secs_f64(index as f64 / rate_per_sec)
@@ -266,20 +196,20 @@ fn issue_time(index: usize, rate_per_sec: f64) -> Time {
 ///
 /// # Panics
 ///
-/// If the rate is not positive or `total_txs` exceeds 10^12 (`"row"` and
-/// twelve digits fill an [`InvocationArg`]).
+/// If the rate is not positive or `total_txs` exceeds 2^32 (a row's
+/// number is a `u32`).
 pub fn payload_schedule(cfg: &PayloadWorkload) -> Vec<ScheduledInvocation> {
     assert!(cfg.rate_per_sec > 0.0, "rate must be positive");
     assert!(
         cfg.total_txs <= MAX_PAYLOAD_TXS,
-        "at most {MAX_PAYLOAD_TXS} payload rows fit an inline argument"
+        "at most {MAX_PAYLOAD_TXS} payload rows are numbered"
     );
     (0..cfg.total_txs)
         .map(|i| ScheduledInvocation {
             at: issue_time(i, cfg.rate_per_sec),
             channel: ChannelId::DEFAULT,
             chaincode: ChaincodeKind::Payload,
-            arg: numbered_arg("row", i),
+            number: i as u32,
             padding: cfg.tx_padding,
         })
         .collect()
@@ -292,16 +222,16 @@ pub fn payload_schedule(cfg: &PayloadWorkload) -> Vec<ScheduledInvocation> {
 /// # Panics
 ///
 /// If the rate is not positive, the workload is empty or `keys` exceeds
-/// 10^8 (`"counter"` and eight digits fill an [`InvocationArg`]).
+/// 2^32 (a key's number is a `u32`).
 pub fn increment_schedule(cfg: &IncrementWorkload, seed: u64) -> Vec<ScheduledInvocation> {
     assert!(cfg.rate_per_sec > 0.0, "rate must be positive");
     assert!(cfg.keys > 0 && cfg.rounds > 0, "empty workload");
     assert!(
         cfg.keys <= MAX_COUNTER_KEYS,
-        "at most {MAX_COUNTER_KEYS} counter keys fit an inline argument"
+        "at most {MAX_COUNTER_KEYS} counter keys are numbered"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..cfg.keys).collect();
+    let mut order: Vec<u32> = (0..cfg.keys).map(|key| key as u32).collect();
     let mut out = Vec::with_capacity(cfg.total_txs());
     let mut index = 0usize;
     for _ in 0..cfg.rounds {
@@ -315,7 +245,7 @@ pub fn increment_schedule(cfg: &IncrementWorkload, seed: u64) -> Vec<ScheduledIn
                 at: issue_time(index, cfg.rate_per_sec),
                 channel: ChannelId::DEFAULT,
                 chaincode: ChaincodeKind::Increment,
-                arg: numbered_arg("counter", key),
+                number: key,
                 padding: 64,
             });
             index += 1;
@@ -338,50 +268,30 @@ mod tests {
         let last = sched.last().unwrap().at;
         assert!((last.as_secs_f64() - 1_500.0).abs() < 1.0);
         // All rows unique (conflict-free by construction).
-        let rows: HashSet<&str> = sched.iter().map(|s| s.arg.as_str()).collect();
+        let rows: HashSet<u32> = sched.iter().map(|s| s.number).collect();
         assert_eq!(rows.len(), 50_000);
     }
 
-    /// The generators render the strings `format!` rendered before the
-    /// arguments were held inline.
+    /// The generators number the rows and the counters they named before
+    /// a row held a number in place of a rendered argument.
     #[test]
-    fn generated_arguments_are_unchanged() {
+    fn generated_numbers_are_unchanged() {
         let sched = payload_schedule(&PayloadWorkload::default());
-        assert_eq!(sched[0].arg.as_str(), "row0");
-        assert_eq!(sched[49_999].arg.as_str(), "row49999");
+        assert_eq!(sched[0].number, 0);
+        assert_eq!(sched[49_999].number, 49_999);
         let sched = increment_schedule(&IncrementWorkload::default(), 1);
-        let keys: Vec<&str> = sched[..10].iter().map(|s| s.arg.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "counter92",
-                "counter96",
-                "counter71",
-                "counter52",
-                "counter37",
-                "counter73",
-                "counter66",
-                "counter80",
-                "counter70",
-                "counter78",
-            ]
-        );
+        let keys: Vec<u32> = sched[..10].iter().map(|s| s.number).collect();
+        assert_eq!(keys, [92, 96, 71, 52, 37, 73, 66, 80, 70, 78]);
     }
 
     #[test]
-    #[should_panic(expected = "at most 15 fit inline")]
-    fn an_argument_past_the_capacity_is_refused() {
-        InvocationArg::new("counter123456789");
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 1000000000000 payload rows")]
+    #[should_panic(expected = "at most 4294967296 payload rows")]
     fn a_payload_schedule_past_its_limit_panics() {
         payload_schedule(&PayloadWorkload::shortened(MAX_PAYLOAD_TXS + 1));
     }
 
     #[test]
-    #[should_panic(expected = "at most 100000000 counter keys")]
+    #[should_panic(expected = "at most 4294967296 counter keys")]
     fn an_increment_schedule_past_its_limit_panics() {
         increment_schedule(
             &IncrementWorkload {
@@ -396,40 +306,31 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        const PREFIXES: [&str; 3] = ["row", "counter", ""];
-
-        /// The largest number each prefix holds: the generators' limits,
-        /// and fifteen digits for the bare number.
-        const EDGES: [u64; 3] = [
-            MAX_PAYLOAD_TXS as u64 - 1,
-            MAX_COUNTER_KEYS as u64 - 1,
-            999_999_999_999_999,
+        /// The rates the presets issue at: the paper's two workloads,
+        /// the pipeline tests' and the `skewed` multi-channel plans'.
+        const RATES: [f64; 8] = [
+            50.0 / 1.5,
+            5.0,
+            10.0,
+            100.0,
+            20.0,
+            20.0 / 3.0,
+            20.0 / 7.0,
+            2.0,
         ];
 
         proptest! {
-            /// An inline argument against the `format!` string it
-            /// replaced: same text for every prefix at 0, 9, 10, 99 999,
-            /// each limit's edge and any number in between; one past the
-            /// edge does not fit; and 16 bytes or more are refused (`new`
-            /// panics on what `try_new` refuses).
+            /// An issue time against the `f64::round` it was rounded by
+            /// before `from_secs_f64` rounded without it, at every
+            /// preset's rate for the first 10^6 rows.
             #[test]
-            fn model_invocation_arg_matches_format(
-                which in 0usize..3,
-                pick in 0usize..6,
-                any_n in 0u64..1_000_000_000_000_000,
-                long in proptest::collection::vec(0u8..26, 16..24),
+            fn model_issue_time_matches_round(
+                index in 0usize..1_000_000,
+                rate in 0usize..RATES.len(),
             ) {
-                let (prefix, edge) = (PREFIXES[which], EDGES[which]);
-                let n = [0, 9, 10, 99_999, edge, any_n % (edge + 1)][pick];
-                let arg = InvocationArg::numbered(prefix, n).expect("within the limit");
-                let rendered = format!("{prefix}{n}");
-                prop_assert_eq!(arg.as_str(), rendered.as_str());
-                prop_assert_eq!(arg, InvocationArg::new(&rendered));
-                prop_assert_eq!(format!("{arg:?}"), format!("{rendered:?}"));
-                prop_assert!(InvocationArg::numbered(prefix, edge + 1).is_none());
-
-                let long: String = long.iter().map(|&c| char::from(b'a' + c)).collect();
-                prop_assert!(InvocationArg::try_new(&long).is_none());
+                let rate = RATES[rate];
+                let nanos = (index as f64 / rate * 1e9).round() as u64;
+                prop_assert_eq!(issue_time(index, rate), Time::from_nanos(nanos));
             }
 
             /// The one-pass merge against the flatten-and-stable-sort it
@@ -452,7 +353,7 @@ mod tests {
                         at: clocks[i],
                         channel: ChannelId(i as u16),
                         chaincode: ChaincodeKind::Payload,
-                        arg: numbered_arg("row", j),
+                        number: j as u32,
                         padding: 0,
                     });
                 }
@@ -497,9 +398,9 @@ mod tests {
         let sched = increment_schedule(&cfg, 42);
         assert_eq!(sched.len(), 50);
         for round in 0..5 {
-            let keys: HashSet<&str> = sched[round * 10..(round + 1) * 10]
+            let keys: HashSet<u32> = sched[round * 10..(round + 1) * 10]
                 .iter()
-                .map(|s| s.arg.as_str())
+                .map(|s| s.number)
                 .collect();
             assert_eq!(keys.len(), 10, "round {round} must touch every key once");
         }
@@ -539,8 +440,8 @@ mod tests {
             rate_per_sec: 5.0,
         };
         let sched = increment_schedule(&cfg, 3);
-        let round1: Vec<&str> = sched[..50].iter().map(|s| s.arg.as_str()).collect();
-        let round2: Vec<&str> = sched[50..].iter().map(|s| s.arg.as_str()).collect();
+        let round1: Vec<u32> = sched[..50].iter().map(|s| s.number).collect();
+        let round2: Vec<u32> = sched[50..].iter().map(|s| s.number).collect();
         assert_ne!(
             round1, round2,
             "identical permutations are astronomically unlikely"
