@@ -45,16 +45,6 @@ impl InlineBytes {
         })
     }
 
-    /// `prefix` followed by `rest`, or `None` when together they are
-    /// longer than [`InlineBytes::CAPACITY`] bytes.
-    pub fn try_concat(prefix: &[u8], rest: &[u8]) -> Option<Self> {
-        Self::try_fill(prefix.len() + rest.len(), |bytes| {
-            let (head, tail) = bytes.split_at_mut(prefix.len());
-            head.copy_from_slice(prefix);
-            tail.copy_from_slice(rest);
-        })
-    }
-
     /// The bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..usize::from(self.len.get() - 1)]
@@ -81,7 +71,7 @@ enum Bytes {
 
 impl Bytes {
     fn new(bytes: &[u8]) -> Self {
-        InlineBytes::try_concat(bytes, &[])
+        InlineBytes::try_fill(bytes.len(), |inline| inline.copy_from_slice(bytes))
             .map_or_else(|| Bytes::Shared(Arc::new(bytes.into())), Bytes::Inline)
     }
 
@@ -131,15 +121,6 @@ impl Key {
     /// [`Key`] costs nothing.
     pub fn new(s: impl Into<Key>) -> Self {
         s.into()
-    }
-
-    /// `prefix` followed by `rest`, what `format!("{prefix}{rest}")`
-    /// renders: written straight into the key when it fits inline.
-    pub fn concat(prefix: &str, rest: &str) -> Self {
-        match InlineBytes::try_concat(prefix.as_bytes(), rest.as_bytes()) {
-            Some(inline) => Key(Bytes::Inline(inline)),
-            None => Key::from([prefix, rest].concat()),
-        }
     }
 
     /// `prefix` followed by the decimal digits of `n`, what
@@ -549,9 +530,8 @@ mod tests {
             /// and `Value` against the `Vec<u8>`: same order, equality,
             /// hash, `Display`, `Debug`, counter decoding and wire size,
             /// over empty, multi-byte UTF-8, 8-byte and 15- to 17-byte
-            /// inputs; `Key::concat` and `Key::numbered` against the
-            /// `format!` strings they render, a number at 0, 9, 10,
-            /// 99 999, `u64::MAX` or any. At most 15 bytes are held
+            /// inputs; `Key::numbered` against the `format!` string it
+            /// renders, a number at 0, 9, 10, 99 999, `u64::MAX` or any. At most 15 bytes are held
             /// inline, more are not.
             #[test]
             fn model_key_value_match_owned_bytes(
@@ -571,7 +551,6 @@ mod tests {
                 prop_assert_eq!(ka.as_bytes(), sa.as_bytes());
                 prop_assert_eq!(kb.as_str(), sb.as_str());
                 prop_assert_eq!(ka.wire_size(), sa.len());
-                prop_assert_eq!(Key::concat(&sa, &sb), Key::from(format!("{sa}{sb}")));
                 let n = [0, 9, 10, 99_999, u64::MAX, y.1][(x.1 % 6) as usize];
                 let numbered = Key::numbered(&sa, n);
                 let rendered = format!("{sa}{n}");
