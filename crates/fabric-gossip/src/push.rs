@@ -584,6 +584,39 @@ mod tests {
         assert_eq!((c.stats.blocks_sent, c.stats.digests_sent), (5, 4));
     }
 
+    /// A fetch holds its opening digest inline and allocates nothing for
+    /// it. Digests that join it while the content is missing rotate the
+    /// retries through their senders, each named once, with the latest
+    /// counter; when the block arrives, each owed counter below the TTL
+    /// forwards once, lowest first, the block's own counter among them.
+    #[test]
+    fn emitter_fetch_settles_owed_counters_lowest_first() {
+        let mut c = core(GossipConfig::enhanced(1, 9, 9));
+        let (mut e, mut fx) = (PushEngine::default(), MockEffects::new(3));
+        e.on_push_digest(&mut c, &mut fx, PeerId(1), 1, 5);
+        let fetch = e.pending_fetch.get(1).expect("the digest opened a fetch");
+        assert_eq!(fetch.counters.rest.capacity(), 0);
+        assert_eq!(fetch.advertisers.rest.capacity(), 0);
+        for (from, counter) in [(2, 2), (1, 9), (1, 7)] {
+            e.on_push_digest(&mut c, &mut fx, PeerId(from), 1, counter);
+        }
+        let fetch = e.pending_fetch.get(1).expect("still in flight");
+        assert_eq!(
+            fetch.advertisers.iter().collect::<Vec<_>>(),
+            [PeerId(1), PeerId(2)]
+        );
+        assert_eq!(sends(&mut fx), [(PeerId(1), "request", 1, 5)]);
+        e.on_fetch_retry(&mut c, &mut fx, 1, 1);
+        assert_eq!(sends(&mut fx), [(PeerId(2), "request", 1, 7)]);
+        e.on_block_push(&mut c, &mut fx, PeerId(2), block(1), 4);
+        let forwarded: Vec<u32> = sends(&mut fx)
+            .iter()
+            .map(|&(.., counter)| counter)
+            .collect();
+        assert_eq!(forwarded, [3, 5, 6, 8]);
+        assert!(e.pending_fetch.get(1).is_none());
+    }
+
     /// A mask row is the mask itself: a stored mask is never zero, so an
     /// empty slot needs no tag word.
     #[test]
