@@ -221,19 +221,25 @@ impl Effects for SimFx<'_, '_> {
     fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {
         // This member's view just admitted (or reaped) `peer`: complete
         // the oldest matching convergence record that still waits on us.
+        // An admission also completes a leave record still waiting on us:
+        // a view that never reaped the leaver before its rejoin (a
+        // renewal) has seen its new life, so it is past the leave.
         let me = PeerId(self.me.0);
         let now = self.ctx.now();
         let rt = &mut self.channels[channel.index()];
         if !joined && self.members[channel.index()].contains(&peer) {
             rt.false_reaps += 1;
         }
-        if let Some(record) = rt.convergence.iter_mut().find(|r| {
-            r.peer == peer
-                && r.join == joined
-                && r.expected.contains(&me)
-                && !r.observed.iter().any(|(p, _)| *p == me)
-        }) {
-            record.observed.push((me, now));
+        let kinds: &[bool] = if joined { &[true, false] } else { &[false] };
+        for &join in kinds {
+            if let Some(record) = rt.convergence.iter_mut().find(|r| {
+                r.peer == peer
+                    && r.join == join
+                    && r.expected.contains(&me)
+                    && !r.observed.iter().any(|(p, _)| *p == me)
+            }) {
+                record.observed.push((me, now));
+            }
         }
     }
 }

@@ -598,8 +598,7 @@ impl FabricNet {
 
     /// Reaps observed on `channel` of a peer the ground truth still lists
     /// as a member: one per observing view, counted from the leave
-    /// observations discovery reports (a rejoin faster than the alive
-    /// timeout reports one too, for a member).
+    /// observations discovery reports.
     pub fn false_reaps_on(&self, channel: ChannelId) -> u64 {
         self.channels[channel.index()].false_reaps
     }

@@ -510,20 +510,13 @@ impl ChannelState {
     /// convergence.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
         for peer in delta.joined {
-            // Sampleable at once; its reap deadline is discovery's,
-            // counted from the claim just merged. Leadership follows
-            // seniority, so a newcomer with a lower id does not depose a
-            // seated leader (Fabric's `orgLeader` semantics).
+            // Sampleable at once (a renewal is already in both views);
+            // its reap deadline is discovery's, counted from the claim
+            // just merged. Leadership follows seniority, so a newcomer
+            // with a lower id does not depose a seated leader (Fabric's
+            // `orgLeader` semantics).
             self.core.membership.add_peer(peer);
             self.core.channel_view.add_peer(peer);
-            fx.discovery_event(self.core.channel, peer, true);
-        }
-        for peer in delta.renewed {
-            // A rejoin this view never saw as a leave: membership is
-            // already correct, but both halves must reach the embedding
-            // (leave observed, then join observed) or its convergence
-            // accounting dangles forever.
-            fx.discovery_event(self.core.channel, peer, false);
             fx.discovery_event(self.core.channel, peer, true);
         }
         for peer in &delta.left {

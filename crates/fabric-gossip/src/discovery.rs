@@ -49,23 +49,20 @@ use fabric_types::ids::PeerId;
 /// channel dispatcher (the engine cannot reach its sibling engines).
 #[derive(Debug, Default)]
 pub struct DiscoveryDelta {
-    /// Peers that entered the alive view (joins and resurrections).
+    /// Peers that entered the alive view (joins and resurrections), and
+    /// peers that started a new life without ever being reaped here (a
+    /// renewal: a strictly higher incarnation displaced a live claim, so
+    /// the peer left and rejoined faster than this view could expire it;
+    /// the entry just stays).
     pub joined: Vec<PeerId>,
     /// Peers reaped from the alive view (expired silent or learned dead).
     pub left: Vec<PeerId>,
-    /// Peers observed starting a **new life without ever being reaped
-    /// here**: a strictly higher incarnation displaced a live claim (the
-    /// peer left and rejoined faster than this view could expire it).
-    /// Membership is untouched — the entry just stays — but the embedding
-    /// is told about both halves (a leave observation, then a join
-    /// observation) so convergence accounting never dangles.
-    pub renewed: Vec<PeerId>,
 }
 
 impl DiscoveryDelta {
     /// Whether the step changed nothing.
     pub fn is_empty(&self) -> bool {
-        self.joined.is_empty() && self.left.is_empty() && self.renewed.is_empty()
+        self.joined.is_empty() && self.left.is_empty()
     }
 }
 
@@ -394,12 +391,11 @@ impl DiscoveryEngine {
                     return; // stale relay: must not postpone the reap
                 }
                 // A higher incarnation over a *live* claim is a rejoin
-                // this view never saw as a leave — report the renewal so
-                // the embedding's leave/join accounting completes. Seed
+                // this view never saw as a leave: a join. Seed
                 // displacement (incarnation 0 → first real claim) is
                 // first contact, not a renewal.
                 if claim.incarnation > held.claim.incarnation && held.claim.incarnation > 0 {
-                    delta.renewed.push(peer);
+                    delta.joined.push(peer);
                 }
                 *held = row;
             }
@@ -629,7 +625,7 @@ mod tests {
         };
         // Displacing the seed (incarnation 0) is first contact, never a
         // renewal.
-        assert!(e.on_alive(&mut c, &mut fx, first_life).renewed.is_empty());
+        assert!(e.on_alive(&mut c, &mut fx, first_life).is_empty());
         // The peer leaves and rejoins before this view's timeout expires:
         // the higher incarnation over a live claim is the only trace.
         let second_life = PeerAlive {
@@ -638,8 +634,8 @@ mod tests {
             seq: 1,
         };
         let delta = e.on_alive(&mut c, &mut fx, second_life);
-        assert_eq!(delta.renewed, vec![PeerId(1)]);
-        assert!(delta.joined.is_empty() && delta.left.is_empty());
+        assert_eq!(delta.joined, vec![PeerId(1)]);
+        assert!(delta.left.is_empty());
         // Same-incarnation progress is an ordinary refresh.
         let heartbeat = PeerAlive {
             peer: PeerId(1),
@@ -650,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_reports_a_renewal_as_leave_then_join_events() {
+    fn channel_reports_a_renewal_as_a_join() {
         let roster: Vec<PeerId> = (0..3).map(PeerId).collect();
         let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
         let mut peer = GossipPeer::new(PeerId(0), roster, cfg);
@@ -668,11 +664,8 @@ mod tests {
         peer.on_channel_message(&mut fx, ChannelId::DEFAULT, PeerId(1), alive(20, 1));
         assert_eq!(
             fx.discovery_events,
-            vec![
-                (ChannelId::DEFAULT, PeerId(1), false),
-                (ChannelId::DEFAULT, PeerId(1), true),
-            ],
-            "a renewal must surface as leave-observed then join-observed"
+            vec![(ChannelId::DEFAULT, PeerId(1), true)],
+            "a renewal is a join observation, and no reap"
         );
         // Membership itself never flinched.
         assert!(peer.membership().peers().contains(&PeerId(1)));

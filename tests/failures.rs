@@ -12,7 +12,7 @@ use fair_gossip::gossip::scenario::ScenarioOp;
 use fair_gossip::orderer::cutter::BatchConfig;
 use fair_gossip::orderer::service::OrdererConfig;
 use fair_gossip::sim::{Duration, NetworkConfig};
-use fair_gossip::types::ids::PeerId;
+use fair_gossip::types::ids::{ChannelId, PeerId};
 use fair_gossip::workload::schedule::{payload_schedule, PayloadWorkload};
 
 /// `peers` peers in the LAN model with the client issuing `txs`
@@ -173,4 +173,51 @@ fn a_false_reap_never_moves_the_main_channels_seat() {
             main.false_reaps
         );
     }
+}
+
+/// Regression: a member that comes back in a new life before any view
+/// reaped it (a renewal) was reported as a leave and then a join, and the
+/// leave half of a sitting member counted as a false reap: power-cycling
+/// one member for 1 s, inside the 5 s alive timeout, counted one false
+/// reap per other member although no view reaped anyone.
+#[test]
+fn a_power_cycle_inside_the_alive_timeout_is_no_false_reap() {
+    let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
+    for seed in [1, 2, 3] {
+        let mut net = deployment(20, 1_000, gossip.clone(), seed);
+        net.run_script(&[wait(10), power(7, false), wait(1), power(7, true), wait(10)])
+            .unwrap();
+        let fabric = net.sim().protocol();
+        assert_eq!(fabric.false_reaps_on(ChannelId::DEFAULT), 0, "seed {seed}");
+        assert_eq!(net.leaders(0), [PeerId(0)], "seed {seed}");
+    }
+}
+
+/// A leave answered by a rejoin inside the alive timeout is a renewal in
+/// every view that had not reaped the leaver yet: the join observation
+/// settles both the leave record and the join record.
+#[test]
+fn a_rejoin_inside_the_alive_timeout_completes_both_convergence_records() {
+    let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
+    let mut net = deployment(20, 1_000, gossip, 4);
+    net.run_for(Duration::from_secs(10));
+    net.leave(0, PeerId(7));
+    net.run_for(Duration::from_secs(1));
+    net.join(0, PeerId(7));
+    net.run_for(Duration::from_secs(10));
+    let records = net.sim().protocol().convergence_on(ChannelId::DEFAULT);
+    let kinds: Vec<bool> = records.iter().map(|r| r.join).collect();
+    assert_eq!(
+        kinds,
+        [false, true],
+        "one leave record, then one join record"
+    );
+    for r in records {
+        assert!(
+            r.latency().is_some(),
+            "the {} record of peer 7 never completed",
+            if r.join { "join" } else { "leave" }
+        );
+    }
+    assert_eq!(net.sim().protocol().false_reaps_on(ChannelId::DEFAULT), 0);
 }
