@@ -236,8 +236,8 @@ pub struct ChannelReport {
     /// Leadership acquisitions observed (hand-offs; static initial
     /// leaders are seeded, not counted).
     pub handoffs: u64,
-    /// Closed leader-gap windows (leader leave → successor claim), in
-    /// event order.
+    /// Closed leader-gap windows (leader leave or power-off → the next
+    /// claim), in event order.
     pub leader_gaps: Vec<Duration>,
     /// Reaps of a peer that was still a member, one per observing view
     /// ([`FabricNet::false_reaps_on`]).

@@ -326,7 +326,7 @@ impl FabricNet {
             self.leave(ctx, ChannelId(c as u16), peer);
         }
         ctx.net_mut().set_up(node, false);
-        self.on_node_down(node);
+        self.on_node_down(ctx.now(), node);
         self.peers[peer.index()].byzantine = None;
     }
 
@@ -340,8 +340,18 @@ impl FabricNet {
     }
 
     /// What a node loses when it goes down: leadership, buffers, fetches
-    /// and the RAM-only commit queue.
-    pub(super) fn on_node_down(&mut self, node: NodeId) {
+    /// and the RAM-only commit queue. A seat it held is empty from `now`
+    /// until a successor (or, on a static roster, the rebooted leader)
+    /// claims it.
+    pub(super) fn on_node_down(&mut self, now: Time, node: NodeId) {
+        for (c, rt) in self.channels.iter_mut().enumerate() {
+            let led = self.peers[node.index()]
+                .gossip
+                .is_leader_on(ChannelId(c as u16));
+            if led && rt.gap_open.is_none() {
+                rt.gap_open = Some(now);
+            }
+        }
         let peer = &mut self.peers[node.index()];
         peer.gossip.on_crash();
         peer.pending_commits.clear();

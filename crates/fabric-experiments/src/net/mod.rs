@@ -218,10 +218,11 @@ struct ChannelRuntime {
     handoffs: u64,
     /// Discovery-convergence records of the channel's churn events.
     convergence: Vec<ViewConvergence>,
-    /// Instant a leader-leave opened a leadership gap, until the next
-    /// acquisition closes it.
+    /// Instant a leader's leave or power-off opened a leadership gap,
+    /// until the next acquisition closes it.
     gap_open: Option<Time>,
-    /// Closed leadership-gap windows (leader leave → successor claim).
+    /// Closed leadership-gap windows (leader leave or power-off → next
+    /// claim).
     leader_gaps: Vec<Duration>,
     /// Reaps observed of a peer that was still a member (see
     /// [`FabricNet::false_reaps_on`]).
@@ -590,8 +591,8 @@ impl FabricNet {
         &self.channels[channel.index()].convergence
     }
 
-    /// Closed leadership-gap windows of `channel` (leader leave →
-    /// successor claim), in event order.
+    /// Closed leadership-gap windows of `channel` (leader leave or
+    /// power-off → the next claim), in event order.
     pub fn leader_gaps_on(&self, channel: ChannelId) -> &[Duration] {
         &self.channels[channel.index()].leader_gaps
     }

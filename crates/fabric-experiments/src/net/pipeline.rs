@@ -497,7 +497,7 @@ impl desim::Protocol for FabricNet {
             return;
         }
         if !up {
-            self.on_node_down(node);
+            self.on_node_down(ctx.now(), node);
             return;
         }
         // A rebooted peer re-arms its periodic timers (its old ones died

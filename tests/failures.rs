@@ -221,3 +221,39 @@ fn a_rejoin_inside_the_alive_timeout_completes_both_convergence_records() {
     }
     assert_eq!(net.sim().protocol().false_reaps_on(ChannelId::DEFAULT), 0);
 }
+
+/// Regression: only a leave opened a leader gap, so powering a leader off
+/// recorded the successor's hand-off and no gap. The seat is empty from
+/// power-off until someone claims it: after the alive timeout under
+/// discovery, at the reboot on a static roster.
+#[test]
+fn powering_a_leader_off_opens_its_leader_gap() {
+    let main = ChannelId::DEFAULT;
+    let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
+    for seed in [1, 2] {
+        let mut net = deployment(20, 1_000, gossip.clone(), seed);
+        net.run_script(&[wait(10), power(0, false), wait(20)])
+            .unwrap();
+        let fabric = net.sim().protocol();
+        assert_eq!(net.leaders(0), [PeerId(1)], "seed {seed}");
+        assert_eq!(fabric.handoffs_on(main), 1, "seed {seed}");
+        let gaps = fabric.leader_gaps_on(main);
+        assert_eq!(gaps.len(), 1, "seed {seed}: one closed gap");
+        // The 5 s alive timeout runs from the leader's last heartbeat, at
+        // most one 1 s alive period before it went dark.
+        assert!(
+            gaps[0] >= Duration::from_secs(4) && gaps[0] < Duration::from_secs(10),
+            "seed {seed}: the seat must stay empty until the timeout: {}",
+            gaps[0]
+        );
+        assert!(!fabric.leader_gap_open_on(main), "seed {seed}");
+    }
+
+    let mut net = deployment(20, 1_000, GossipConfig::enhanced_f4(), 5);
+    net.run_script(&[wait(10), power(0, false), wait(10), power(0, true), wait(5)])
+        .unwrap();
+    let fabric = net.sim().protocol();
+    assert_eq!(fabric.handoffs_on(main), 1);
+    assert_eq!(fabric.leader_gaps_on(main), [Duration::from_secs(10)]);
+    assert!(!fabric.leader_gap_open_on(main));
+}
