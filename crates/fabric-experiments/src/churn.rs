@@ -1,217 +1,25 @@
-//! Runtime channel-membership churn over the full transaction pipeline.
-//!
-//! The paper evaluates gossip on live Fabric channels where peers join,
-//! catch up from the channel via pull/state transfer, and leave. This
-//! scenario drives exactly that against the channel-routed
-//! [`FabricNet`] pipeline: two channels carry independent payload
-//! workloads end to end (client → endorser → orderer → leader → gossip),
-//! and the *side channel* churns mid-run —
-//!
-//! * a **late joiner** enters at [`ChurnConfig::join_at`], announces
-//!   itself through discovery and bootstraps to the channel head through
-//!   the existing StateInfo + recovery machinery (its catch-up latency is
-//!   measured);
-//! * the side channel's **leader leaves** at
-//!   [`ChurnConfig::leader_leave_at`] — in silence: the members reap it
-//!   after the alive timeout and the most senior survivor stands up (one
-//!   hand-off, counted through the `leadership_changed` effect) while the
-//!   ordering service retries delivery until it does.
-//!
-//! Membership news travels by the gossiped discovery protocol alone, with
-//! its timers tightened so far (100 ms heartbeats, a 1 s alive timeout)
-//! that convergence is negligible next to the 2 s recovery rounds: what
-//! the scenario measures is the pipeline's reaction to churn, not
-//! discovery's (`churn_waves` measures that).
-//!
-//! The stable main channel doubles as the control group: its latency and
-//! fairness must stay unremarkable while the side channel churns.
-//!
-//! This module also holds what both churn families and the multi-channel
-//! runner share: the [`ChurnResult`] a run is read off into
-//! ([`ChurnResult::read_off`], one [`ChannelReport`] per channel of the
-//! deployment) and its one renderer, [`render_churn`]. `churn_waves` adds
+//! What every multi-channel run shares: the [`ChurnResult`] a run is read
+//! off into ([`ChurnResult::read_off`], one [`ChannelReport`] per channel
+//! of the deployment) and its one renderer, [`render_churn`]. The churn
+//! runner ([`run_churn_waves`](crate::churn_waves::run_churn_waves)) adds
 //! only its configuration and wave plan, `multichannel` only its channel
 //! plans.
+//!
+//! The tests here hold the late-joiner preset
+//! ([`ChurnWavesConfig::late_joiner`](crate::churn_waves::ChurnWavesConfig::late_joiner))
+//! to its guarantees: the joiner reaches the join-time head, the leader's
+//! leave hands off exactly once, the stable main channel (the control
+//! group) is undisturbed, and a snapshot-on joiner replays only the tail.
 
-use desim::{Duration, NetworkConfig, Simulation, Time};
-use fabric_gossip::config::GossipConfig;
-use fabric_orderer::cutter::BatchConfig;
-use fabric_orderer::service::OrdererConfig;
+use desim::{Duration, Simulation, Time};
 use fabric_types::ids::{ChannelId, PeerId};
-use fabric_types::transaction::EndorsementPolicy;
-use fabric_workload::schedule::{
-    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload, ScheduledInvocation,
-};
 use gossip_metrics::cdf::Cdf;
 use gossip_metrics::fairness::FairnessReport;
 
-use crate::deployment::Deployment;
-use crate::net::{
-    Catchup, ChannelSpec, ChurnAction, ChurnEvent, FabricNet, NetParams, ViewConvergence,
-};
+use crate::net::{Catchup, ChannelSpec, FabricNet, ViewConvergence};
 
 /// The per-kind metric tags that count as discovery overhead.
 pub const DISCOVERY_KINDS: [&str; 3] = ["alive-msg", "membership-request", "membership-response"];
-
-/// Everything a churn run needs.
-#[derive(Debug, Clone)]
-pub struct ChurnConfig {
-    /// Total peers. Every peer is a member of the main channel
-    /// ([`ChannelId::DEFAULT`]); peers `0..side_members` start on the side
-    /// channel (`ChannelId(1)`), and peer `side_members` enters it at
-    /// runtime.
-    pub peers: usize,
-    /// Initial membership of the side channel (≥ 2: its static leader is
-    /// peer 0 and its endorser peer 1).
-    pub side_members: usize,
-    /// When the late joiner enters the side channel.
-    pub join_at: Time,
-    /// When the side channel's leader (peer 0) leaves it, forcing a
-    /// hand-off; `None` keeps the leader seated.
-    pub leader_leave_at: Option<Time>,
-    /// Gossip configuration shared by every peer (the preset tightens
-    /// recovery so catch-up is observable at bench scale).
-    pub gossip: GossipConfig,
-    /// Ordering service configuration, shared by both channels' chains.
-    pub orderer: OrdererConfig,
-    /// The main channel's workload.
-    pub main_workload: PayloadWorkload,
-    /// The side channel's workload.
-    pub side_workload: PayloadWorkload,
-    /// Physical network model.
-    pub network: NetworkConfig,
-    /// Drain window after the last scheduled transaction.
-    pub drain: Duration,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Maintain a ledger on every member of every channel, so checkpoint
-    /// snapshots can be built and installed anywhere (off by default —
-    /// the historical shape keeps ledgers on endorsers only).
-    pub full_ledgers: bool,
-}
-
-impl ChurnConfig {
-    /// The standard churn shape: `peers` peers, a side channel of
-    /// `side_members` + 1 late joiner, `blocks` blocks per channel at the
-    /// paper's 160 KB block size, join at one third of the run and the
-    /// side leader leaving at two thirds. Recovery is tightened (2 s
-    /// rounds, 64-block batches) so a joiner's catch-up completes within
-    /// the run rather than across many 10 s default rounds, and discovery
-    /// further still (100 ms heartbeats, 200 ms anti-entropy, a 1 s alive
-    /// timeout): on the lossless [`NetworkConfig::lan`] the news of a join
-    /// or a leave is everywhere long before the next recovery round.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `side_members < 2` or `peers <= side_members` (the
-    /// joiner must come from outside the side channel).
-    pub fn standard(peers: usize, side_members: usize, blocks: u64) -> Self {
-        assert!(side_members >= 2, "side channel needs a leader + endorser");
-        assert!(peers > side_members, "no peer left to join late");
-        let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
-        gossip.recovery.interval = Duration::from_secs(2);
-        gossip.recovery.batch_max = 64;
-        gossip.membership.alive_interval = Duration::from_millis(100);
-        gossip.discovery.anti_entropy_interval = Duration::from_millis(200);
-        gossip.membership.alive_timeout = Duration::from_secs(1);
-        let txs = (blocks * 50) as usize;
-        let span = txs as f64 / PayloadWorkload::default().rate_per_sec;
-        ChurnConfig {
-            peers,
-            side_members,
-            join_at: Time::ZERO + Duration::from_secs_f64(span / 3.0),
-            leader_leave_at: Some(Time::ZERO + Duration::from_secs_f64(2.0 * span / 3.0)),
-            gossip,
-            orderer: OrdererConfig::kafka(BatchConfig::paper_dissemination()),
-            main_workload: PayloadWorkload::shortened(txs),
-            side_workload: PayloadWorkload::shortened(txs),
-            network: NetworkConfig::lan(peers + 2),
-            drain: Duration::from_secs(40),
-            seed: 1,
-            full_ledgers: false,
-        }
-    }
-
-    /// Turns on checkpoint snapshots at the given cadence and gives every
-    /// member a ledger, so a late joiner bootstraps from the freshest
-    /// full snapshot (streamed as bounded chunks) and replays only the
-    /// tail (O(tail) instead of O(chain)).
-    pub fn with_snapshots(mut self, interval: u64) -> Self {
-        self.gossip = self.gossip.with_snapshots(interval);
-        self.full_ledgers = true;
-        self
-    }
-
-    /// The side channel's id.
-    pub fn side_channel() -> ChannelId {
-        ChannelId(1)
-    }
-
-    /// The deployment [`run_churn`] runs: both channels' payload
-    /// schedules, the side channel over peers `0..side_members`, its join
-    /// and the leader's leave as churn events, drained `drain` past the
-    /// last transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the joiner is not an existing deployment peer.
-    pub fn deployment(&self) -> Deployment {
-        let side = ChurnConfig::side_channel();
-        let mut params = NetParams::new(self.peers, self.gossip.clone(), self.orderer.clone());
-        params.validation_per_tx = Duration::from_micros(300);
-        params.full_ledgers = self.full_ledgers;
-        params.extra_channels = vec![ChannelSpec {
-            channel: side,
-            members: (0..self.side_members as u32).map(PeerId).collect(),
-            orgs: 1,
-            endorsers: vec![PeerId(1)],
-            policy: EndorsementPolicy::AnyMember,
-        }];
-        params.churn.push(ChurnEvent {
-            at: self.join_at,
-            peer: PeerId(self.side_members as u32),
-            channel: side,
-            action: ChurnAction::Join,
-        });
-        if let Some(at) = self.leader_leave_at {
-            params.churn.push(ChurnEvent {
-                at,
-                peer: PeerId(0),
-                channel: side,
-                action: ChurnAction::Leave,
-            });
-        }
-        assert!(
-            self.side_members < self.peers,
-            "the joiner must be an existing deployment peer"
-        );
-        Deployment::new(
-            params,
-            churned_schedule(&self.main_workload, &self.side_workload, 1),
-            &self.network,
-            self.seed,
-            self.drain,
-        )
-    }
-}
-
-/// The main channel's payload schedule merged with `side_channels` copies
-/// of the side workload, one per `ChannelId(1)..=ChannelId(side_channels)`
-/// — the client traffic of both churn families.
-pub(crate) fn churned_schedule(
-    main: &PayloadWorkload,
-    side: &PayloadWorkload,
-    side_channels: usize,
-) -> Vec<ScheduledInvocation> {
-    let mut schedules = vec![payload_schedule(main)];
-    for c in 1..=side_channels {
-        schedules.push(retarget_schedule(
-            payload_schedule(side),
-            ChannelId(c as u16),
-        ));
-    }
-    merge_schedules(schedules)
-}
 
 /// One channel's measured outcome — the per-channel row of every
 /// multi-channel report ([`ChurnResult`]).
@@ -369,7 +177,7 @@ fn fairness_of(channels: &[ChannelReport]) -> FairnessReport {
     FairnessReport::from_per_channel(&rows)
 }
 
-/// What a multi-channel run — [`run_churn`],
+/// What a multi-channel run —
 /// [`run_churn_waves`](crate::churn_waves::run_churn_waves) or
 /// [`run_multichannel`](crate::multichannel::run_multichannel) — produces.
 #[derive(Debug)]
@@ -395,7 +203,7 @@ pub struct ChurnResult {
 impl ChurnResult {
     /// Reads a finished churned run off its simulation, one
     /// [`ChannelReport`] per channel of the deployment's
-    /// [`NetParams::channel_specs`].
+    /// [`NetParams::channel_specs`](crate::net::NetParams::channel_specs).
     pub fn read_off(sim: Simulation<FabricNet>) -> Self {
         let events = sim.events_processed();
         let sim_end = sim.now();
@@ -418,15 +226,6 @@ impl ChurnResult {
             net,
         }
     }
-}
-
-/// Runs one churn experiment to completion.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (see [`ChurnConfig::standard`]).
-pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
-    ChurnResult::read_off(cfg.deployment().run())
 }
 
 /// Plain-text rendering of a churned run, preset-report style: one line
@@ -475,44 +274,54 @@ pub fn render_churn(title: &str, result: &ChurnResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn_waves::{run_churn_waves, ChurnWavesConfig};
 
+    /// The side channel of the late-joiner preset.
+    const SIDE: ChannelId = ChannelId(1);
+
+    /// Ten side members (0..10, endorser 9) and twelve peers: the flash
+    /// joiner, peer 11, enters at a third of the run; at two thirds peer 0
+    /// leaves and the wave joiner, peer 10, enters.
     fn quick(seed: u64) -> ChurnResult {
-        let mut cfg = ChurnConfig::standard(24, 10, 20);
-        cfg.network = NetworkConfig::lan(26);
+        let mut cfg = ChurnWavesConfig::late_joiner(10, 20);
         cfg.seed = seed;
-        run_churn(&cfg)
+        run_churn_waves(&cfg)
     }
 
     #[test]
     fn joiner_reaches_the_join_time_head_and_beyond() {
         let res = quick(3);
-        assert_eq!(res.catchups.len(), 1);
-        // The run's one join and one leave each have a convergence record.
+        // Two catch-ups (the flash joiner first), and three convergence
+        // records: the two joins and the leader's leave.
+        let joiners: Vec<PeerId> = res.catchups.iter().map(|c| c.peer).collect();
+        assert_eq!(joiners, [PeerId(11), PeerId(10)]);
         let joins: Vec<bool> = res.convergence.iter().map(|r| r.join).collect();
-        assert_eq!(joins, [true, false]);
+        assert_eq!(joins, [true, true, false]);
         let cu = &res.catchups[0];
-        assert_eq!(cu.peer, PeerId(10));
-        assert_eq!(cu.channel, ChannelId(1));
+        assert_eq!(cu.channel, SIDE);
         assert!(cu.target > 0, "the side channel must have a head to chase");
         let lat = cu.latency().expect("catch-up must complete within the run");
         assert!(lat > Duration::ZERO);
         // The joiner keeps converging after catch-up: by end of run it
         // holds (nearly) the full side chain, gap-free.
-        let height = res.net.gossip(10).height_on(ChannelId(1));
+        let height = res.net.gossip(11).height_on(SIDE);
         assert!(
             height > cu.target,
             "contiguous height {height} must pass the join-time head {}",
             cu.target
         );
-        // The joiner owns a latency slot past the initial members, and its
-        // post-join receptions are recorded there (the report's latency
-        // pool draws on it even after the leaver shrinks the member list).
-        let rec = res.net.latency_on(ChannelId(1)).unwrap();
-        assert_eq!(rec.peers(), 11, "10 initial members + 1 joiner slot");
-        assert!(
-            !rec.peer_latencies(10).is_empty(),
-            "the joiner's dissemination latencies must be recorded"
-        );
+        // Each joiner owns a latency slot past the initial members, and
+        // its post-join receptions are recorded there (the report's
+        // latency pool draws on them even after the leaver shrinks the
+        // member list).
+        let rec = res.net.latency_on(SIDE).unwrap();
+        assert_eq!(rec.peers(), 12, "10 initial members + 2 joiner slots");
+        for slot in [10, 11] {
+            assert!(
+                !rec.peer_latencies(slot).is_empty(),
+                "slot {slot}: a joiner's dissemination latencies must be recorded"
+            );
+        }
     }
 
     #[test]
@@ -520,6 +329,7 @@ mod tests {
         let res = quick(5);
         let side = &res.channels[1];
         assert_eq!(side.handoffs, 1, "one hand-off after the leader left");
+        assert_eq!(side.leader_gaps.len(), 1, "one closed gap");
         assert_eq!(
             side.leaders,
             vec![PeerId(1)],
@@ -530,7 +340,7 @@ mod tests {
         assert_eq!(main.handoffs, 0);
         assert_eq!(main.leaders, vec![PeerId(0)]);
         assert!(
-            !res.net.gossip(0).has_channel(ChannelId(1)),
+            !res.net.gossip(0).has_channel(SIDE),
             "the leaver dropped its side-channel instance"
         );
         // Dissemination survived the hand-off: every member sitting at the
@@ -548,7 +358,8 @@ mod tests {
             "the stable channel must deliver everything to everyone"
         );
         assert!(main.blocks >= 19);
-        assert!(res.fairness.channels.len() == 2);
+        assert_eq!((main.handoffs, main.leader_gaps.len()), (0, 0));
+        assert_eq!(res.fairness.channels.len(), 2);
         assert!(
             res.fairness.channels[0].jain > 0.5,
             "main-channel load should stay broadly balanced: {}",
@@ -561,7 +372,10 @@ mod tests {
         let a = quick(11);
         let b = quick(11);
         assert_eq!(a.events, b.events);
-        assert_eq!(a.catchups[0].completed_at, b.catchups[0].completed_at);
+        let completed = |r: &ChurnResult| -> Vec<Option<Time>> {
+            r.catchups.iter().map(|c| c.completed_at).collect()
+        };
+        assert_eq!(completed(&a), completed(&b));
         assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
         for (x, y) in a.channels.iter().zip(&b.channels) {
             assert_eq!(x.p50, y.p50);
@@ -569,16 +383,14 @@ mod tests {
         }
     }
 
-    /// What the retired oracle-equivalence test kept of the gossiped run:
-    /// the join and the leader's leave both reach every member's view,
-    /// the leaderless window is one finite gap, and the seat passes once,
-    /// to the next most senior member.
+    /// Both joins and the leader's leave reach every member's view, the
+    /// leaderless window is one finite gap, and the seat passes once, to
+    /// the next most senior member.
     #[test]
     fn the_join_and_the_leave_converge_with_one_finite_gap_and_one_handoff() {
         let res = quick(3);
-        let side = ChurnConfig::side_channel();
-        let records = res.net.convergence_on(side);
-        assert_eq!(records.len(), 2, "one join + one leave record");
+        let records = res.net.convergence_on(SIDE);
+        assert_eq!(records.len(), 3, "two join records + one leave record");
         for r in records {
             assert!(
                 r.latency().is_some(),
@@ -587,16 +399,18 @@ mod tests {
                 r.join
             );
         }
-        assert_eq!(res.net.leader_gaps_on(side).len(), 1);
-        assert!(!res.net.leader_gap_open_on(side));
+        assert_eq!(res.net.leader_gaps_on(SIDE).len(), 1);
+        assert!(!res.net.leader_gap_open_on(SIDE));
         assert_eq!(res.channels[1].handoffs, 1);
         assert_eq!(res.channels[1].leaders, vec![PeerId(1)]);
         assert_eq!(
             res.channels[1].member_bytes.len(),
-            10,
-            "10 + 1 joiner - 1 leaver"
+            11,
+            "10 + 2 joiners - 1 leaver"
         );
-        res.catchups[0].latency().expect("catch-up completes");
+        for cu in &res.catchups {
+            cu.latency().expect("catch-up completes");
+        }
     }
 
     #[test]
@@ -618,18 +432,27 @@ mod tests {
     #[test]
     fn catchup_records_transfer_bytes_and_replayed_blocks() {
         let res = quick(3);
-        let cu = &res.catchups[0];
-        assert!(
-            cu.bytes > 0,
-            "a genesis-replay catch-up must receive recovery bytes"
-        );
-        assert_eq!(cu.snapshot_height, 0, "snapshots are off by default");
-        assert!(
-            cu.blocks_replayed >= cu.target,
-            "genesis replay pulls the whole chain: {} replayed, head {}",
-            cu.blocks_replayed,
-            cu.target
-        );
+        assert_eq!(res.catchups.len(), 2);
+        for cu in &res.catchups {
+            assert!(
+                cu.bytes > 0,
+                "a genesis-replay catch-up must receive recovery bytes"
+            );
+            assert_eq!(cu.snapshot_height, 0, "snapshots are off by default");
+            assert!(
+                cu.blocks_replayed >= cu.target,
+                "genesis replay pulls the whole chain: {} replayed, head {}",
+                cu.blocks_replayed,
+                cu.target
+            );
+        }
+    }
+
+    /// The late-joiner preset over 8 side members and 30 blocks, seed 9.
+    fn snapshot_base() -> ChurnWavesConfig {
+        let mut cfg = ChurnWavesConfig::late_joiner(8, 30);
+        cfg.seed = 9;
+        cfg
     }
 
     /// The snapshot-on churn smoke: same deployment, checkpoints every 8
@@ -637,11 +460,8 @@ mod tests {
     /// tail, with fewer catch-up bytes than the genesis-replay run.
     #[test]
     fn snapshot_bootstrap_replays_only_the_tail() {
-        let mut base = ChurnConfig::standard(16, 8, 30);
-        base.network = NetworkConfig::lan(18);
-        base.seed = 9;
-        let genesis = run_churn(&base);
-        let snap = run_churn(&base.clone().with_snapshots(8));
+        let genesis = run_churn_waves(&snapshot_base());
+        let snap = run_churn_waves(&snapshot_base().with_snapshots(8));
 
         let g = &genesis.catchups[0];
         let s = &snap.catchups[0];
@@ -668,11 +488,11 @@ mod tests {
         assert_eq!(snap.net.commit_errors(), 0);
 
         // The joiner's ledger was stood up from the snapshot, not genesis.
-        let joiner = &snap.catchups[0].peer;
+        let joiner = s.peer.index();
         let ledger = snap
             .net
-            .ledger_on(joiner.index(), ChannelId(1))
-            .expect("full_ledgers gives the joiner a side-channel ledger");
+            .ledger_on(joiner, SIDE)
+            .expect("snapshots on give every member a side-channel ledger");
         assert!(
             ledger.base_height() > 1,
             "the joiner's ledger must be snapshot-based, base {}",
@@ -680,7 +500,7 @@ mod tests {
         );
         assert_eq!(
             ledger.height(),
-            snap.net.gossip(joiner.index()).height_on(ChannelId(1)),
+            snap.net.gossip(joiner).height_on(SIDE),
             "ledger and gossip store agree on the contiguous height"
         );
     }
@@ -690,12 +510,10 @@ mod tests {
     /// reassembles to one verified install.
     #[test]
     fn chunked_bootstrap_bounds_the_largest_catchup_message() {
-        let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
-        cfg.network = NetworkConfig::lan(18);
-        cfg.seed = 9;
+        let mut cfg = snapshot_base().with_snapshots(8);
         let chunk_size = 256;
         cfg.gossip.snapshot.as_mut().unwrap().chunk_size = chunk_size;
-        let run = run_churn(&cfg);
+        let run = run_churn_waves(&cfg);
 
         let c = &run.catchups[0];
         c.latency().expect("catch-up completes");
@@ -712,20 +530,17 @@ mod tests {
         assert_eq!(c.resumes, 0);
     }
 
-    /// The endorser ledgers checkpoint every 8 blocks, and each checkpoint
-    /// is the snapshot export served until the next one; the joiner
-    /// bootstraps from one of them.
+    /// The endorser's ledger checkpoints every 8 blocks, and each
+    /// checkpoint is the snapshot export served until the next one; the
+    /// joiner bootstraps from one of them.
     #[test]
     fn every_checkpoint_is_the_served_export() {
-        let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
-        cfg.network = NetworkConfig::lan(18);
-        cfg.seed = 9;
-        let run = run_churn(&cfg);
+        let run = run_churn_waves(&snapshot_base().with_snapshots(8));
 
-        // A sitting endorser's side-channel ledger.
+        // The side channel's endorser sits at the top of its id block.
         let ledger = run
             .net
-            .ledger_on(1, ChannelId(1))
+            .ledger_on(7, SIDE)
             .expect("sitting member keeps a side-channel ledger");
         let checkpoints = ledger.checkpoints();
         let heights: Vec<u64> = checkpoints.iter().map(|c| c.height).collect();

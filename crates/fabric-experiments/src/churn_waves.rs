@@ -1,26 +1,40 @@
-//! Churn at scale under the gossiped discovery protocol: waves of joiners
-//! and leavers plus a flash crowd, with convergence measured end to end.
+//! Runtime channel churn over the full transaction pipeline: waves of
+//! joiners and leavers plus a flash crowd, with convergence measured end
+//! to end.
 //!
-//! The `churn` scenario drives one joiner and one leaving leader through
-//! the full pipeline with discovery tuned out of the picture. This
-//! scenario is about discovery itself, at timers a deployment could run:
-//! C side channels churn in **waves** — at
-//! every wave instant, W fresh peers join each side channel (announcing
-//! themselves through their own heartbeats) while the W most senior
-//! sitting members, the current leader included, leave (silently: the
-//! sitting members must detect each departure by alive-timeout expiry) —
-//! and one side channel additionally absorbs a **flash crowd** of F
-//! simultaneous joiners. The stable default channel carries the main
-//! payload workload throughout, so discovery traffic competes with block
+//! The paper evaluates gossip on live Fabric channels where peers join,
+//! catch up from the channel via StateInfo + recovery, and leave. One
+//! configuration, [`ChurnWavesConfig`], drives all of it against the
+//! channel-routed pipeline (client → endorser → orderer → leader →
+//! gossip): C side channels churn in **waves** — at every wave instant,
+//! W fresh peers join each side channel (announcing themselves through
+//! their own heartbeats) while the W most senior sitting members, the
+//! current leader included, leave (silently: the sitting members must
+//! detect each departure by alive-timeout expiry) — and side channel 1
+//! additionally absorbs a **flash crowd** of F simultaneous joiners. The
+//! stable default channel carries the main payload workload throughout,
+//! the control group, so discovery traffic competes with block
 //! dissemination for the same links — the bandwidth contention Wang &
 //! Chu's bottleneck analysis of Fabric flags as first-order.
 //!
+//! Two presets:
+//!
+//! * [`ChurnWavesConfig::standard`] — discovery itself, at timers a
+//!   deployment could run: two waves of two per side channel and a flash
+//!   crowd of three (the `churn_waves` benchmark workload);
+//! * [`ChurnWavesConfig::late_joiner`] — the pipeline's reaction to
+//!   churn, with discovery's timers tightened out of the picture: one
+//!   side channel, one late joiner catching up to the join-time head,
+//!   then the leader leaving (one hand-off) as one more peer joins.
+//!   [`ChurnWavesConfig::with_snapshots`] makes its joiners bootstrap
+//!   from a checkpoint snapshot; `long_chain` sweeps that against
+//!   genesis replay.
+//!
 //! Reported per run, in the [`ChurnResult`] /
-//! [`render_churn`](crate::churn::render_churn) format it shares with the
-//! `churn` scenario:
+//! [`render_churn`](crate::churn::render_churn) format:
 //!
 //! * **join convergence** — join → every sitting member's view includes
-//!   the joiner (plus the ledger catch-up latency, as in `churn`);
+//!   the joiner, plus the ledger catch-up latency;
 //! * **stale-view duration** — leave → the last member reaps the leaver;
 //! * **leader-gap windows** — leader leave → successor claim (by
 //!   discovery seniority, not callback);
@@ -33,10 +47,12 @@ use fabric_orderer::cutter::BatchConfig;
 use fabric_orderer::service::OrdererConfig;
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::transaction::EndorsementPolicy;
-use fabric_workload::schedule::PayloadWorkload;
+use fabric_workload::schedule::{
+    merge_schedules, payload_schedule, retarget_schedule, PayloadWorkload, ScheduledInvocation,
+};
 
+use crate::churn::ChurnResult;
 pub use crate::churn::DISCOVERY_KINDS;
-use crate::churn::{churned_schedule, ChurnResult};
 use crate::deployment::Deployment;
 use crate::net::{ChannelSpec, ChurnAction, ChurnEvent, NetParams};
 
@@ -83,13 +99,9 @@ impl ChurnWavesConfig {
     /// with `blocks` blocks per channel: two waves of two, a flash crowd
     /// of three on channel 1, discovery tuned for convergence within a
     /// wave interval (500 ms heartbeats, 700 ms anti-entropy, 3 s alive
-    /// timeout) and recovery tightened as in the `churn` preset so
-    /// catch-up completes at bench scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the wave plan would exhaust a side channel (see
-    /// [`ChurnWavesConfig::validate`]).
+    /// timeout) and recovery tightened (2 s rounds, 64-block batches) so
+    /// catch-up completes at bench scale. The plan is checked when the
+    /// deployment is built ([`ChurnWavesConfig::validate`]).
     pub fn standard(side_channels: usize, side_members: usize, blocks: u64) -> Self {
         let mut gossip = GossipConfig::enhanced_f4().with_discovery_protocol();
         gossip.membership.alive_interval = Duration::from_millis(500);
@@ -98,9 +110,9 @@ impl ChurnWavesConfig {
         gossip.recovery.interval = Duration::from_secs(2);
         gossip.recovery.batch_max = 64;
         let txs = (blocks * 50) as usize;
-        let span = txs as f64 / PayloadWorkload::default().rate_per_sec;
+        let span = issue_span(blocks);
         let waves = 2;
-        let cfg = ChurnWavesConfig {
+        ChurnWavesConfig {
             side_channels,
             side_members,
             waves,
@@ -116,9 +128,44 @@ impl ChurnWavesConfig {
             network: NetworkConfig::lan(0), // resized to the deployment below
             drain: Duration::from_secs(45),
             seed: 1,
+        }
+    }
+
+    /// The late-joiner shape: one side channel of `side_members` and
+    /// `blocks` blocks per channel. A flash crowd of one joins at a third
+    /// of the issue span and catches up to the join-time head; at two
+    /// thirds one wave of one removes the seated leader (peer 0), whose
+    /// seat passes to peer 1, and adds one more joiner. Discovery's timers
+    /// are tightened until they stop mattering (100 ms heartbeats, 200 ms
+    /// anti-entropy, a 1 s alive timeout, next to 2 s recovery rounds):
+    /// the run measures what the pipeline does with churn, not discovery.
+    /// Drained 40 s past the last transaction; `side_members` must be at
+    /// least 2 (the side channel keeps its endorser and needs a successor
+    /// to the leader).
+    pub fn late_joiner(side_members: usize, blocks: u64) -> Self {
+        let span = issue_span(blocks);
+        let mut cfg = ChurnWavesConfig {
+            waves: 1,
+            wave_size: 1,
+            first_wave_at: Time::ZERO + Duration::from_secs_f64(2.0 * span / 3.0),
+            flash_crowd: 1,
+            flash_at: Time::ZERO + Duration::from_secs_f64(span / 3.0),
+            drain: Duration::from_secs(40),
+            ..Self::standard(1, side_members, blocks)
         };
-        cfg.validate();
+        cfg.gossip.membership.alive_interval = Duration::from_millis(100);
+        cfg.gossip.discovery.anti_entropy_interval = Duration::from_millis(200);
+        cfg.gossip.membership.alive_timeout = Duration::from_secs(1);
         cfg
+    }
+
+    /// Turns on checkpoint snapshots every `interval` blocks. The
+    /// deployment then keeps a ledger on every member, so a joiner
+    /// bootstraps from the freshest served export (streamed as bounded
+    /// chunks) and replays only the tail.
+    pub fn with_snapshots(mut self, interval: u64) -> Self {
+        self.gossip = self.gossip.with_snapshots(interval);
+        self
     }
 
     /// Total peers the plan needs: the side-channel blocks, one reserved
@@ -213,7 +260,9 @@ impl ChurnWavesConfig {
 
     /// The deployment [`run_churn_waves`] runs: one payload schedule per
     /// channel, the side channels as contiguous id blocks, the wave plan
-    /// as churn events, drained `drain` past the last transaction.
+    /// as churn events, drained `drain` past the last transaction. With
+    /// snapshots on, every member keeps a ledger, so any member can serve
+    /// and install a checkpoint snapshot.
     ///
     /// # Panics
     ///
@@ -227,6 +276,7 @@ impl ChurnWavesConfig {
         );
         let mut params = NetParams::new(self.peers(), self.gossip.clone(), self.orderer.clone());
         params.validation_per_tx = Duration::from_micros(300);
+        params.full_ledgers = self.gossip.snapshot.is_some();
         params.extra_channels = (1..=self.side_channels)
             .map(|c| {
                 let members = self.initial_members(c);
@@ -254,6 +304,30 @@ impl ChurnWavesConfig {
     }
 }
 
+/// The main channel's payload schedule merged with `side_channels` copies
+/// of the side workload, one per `ChannelId(1)..=ChannelId(side_channels)`
+/// — the client traffic of every churn run.
+fn churned_schedule(
+    main: &PayloadWorkload,
+    side: &PayloadWorkload,
+    side_channels: usize,
+) -> Vec<ScheduledInvocation> {
+    let mut schedules = vec![payload_schedule(main)];
+    for c in 1..=side_channels {
+        schedules.push(retarget_schedule(
+            payload_schedule(side),
+            ChannelId(c as u16),
+        ));
+    }
+    merge_schedules(schedules)
+}
+
+/// Seconds the client takes to issue `blocks` blocks of 50 transactions
+/// at the payload workload's rate.
+fn issue_span(blocks: u64) -> f64 {
+    (blocks * 50) as f64 / PayloadWorkload::default().rate_per_sec
+}
+
 /// Runs one churn-waves experiment to completion.
 ///
 /// # Panics
@@ -274,14 +348,15 @@ mod tests {
         run_churn_waves(&cfg)
     }
 
-    /// The `churn` and `churn_waves` presets override discovery and
-    /// recovery rounds; every delay they arm still fits on the engine's
-    /// timing wheel ring.
+    /// Both presets override discovery and recovery rounds; every delay
+    /// they arm still fits on the engine's timing wheel ring.
     #[test]
     fn ring_holds_every_delay_the_churn_presets_arm() {
-        let churn = crate::churn::ChurnConfig::standard(24, 10, 20).gossip;
+        let late = ChurnWavesConfig::late_joiner(10, 20)
+            .with_snapshots(8)
+            .gossip;
         let waves = ChurnWavesConfig::standard(2, 8, 20).gossip;
-        for cfg in [churn, waves] {
+        for cfg in [late, waves] {
             for (name, delay) in cfg.timer_delays() {
                 assert!(
                     delay.as_nanos() < desim::sched::HORIZON_NS,

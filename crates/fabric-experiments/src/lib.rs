@@ -18,14 +18,15 @@
 //!   overlapping memberships and per-channel client workloads, one
 //!   deployment with one client and ordering service for every channel,
 //!   reporting the churn runners' per-channel row and Jain's fairness;
-//! * [`churn`] — beyond the paper: runtime channel membership over the
-//!   full pipeline — a late joiner catching up via StateInfo + recovery
-//!   (catch-up latency) and a departing leader handing off, with
-//!   discovery's timers tightened out of the picture;
-//! * [`churn_waves`] — churn at scale under the gossiped **discovery
-//!   protocol**: waves of joiners/leavers and a flash crowd, reporting
-//!   discovery convergence, stale-view windows, leader gaps and fairness
-//!   including discovery overhead;
+//! * [`churn_waves`] — beyond the paper: runtime channel membership over
+//!   the full pipeline under the gossiped **discovery protocol**: waves
+//!   of joiners/leavers and a flash crowd, reporting discovery
+//!   convergence, stale-view windows, leader gaps and fairness including
+//!   discovery overhead; its `late_joiner` preset is one joiner catching
+//!   up via StateInfo + recovery (catch-up latency) and a departing
+//!   leader handing off, with discovery's timers tightened out of the
+//!   picture. Every churned and multi-channel run is read off by
+//!   [`churn`]'s [`ChurnResult`];
 //! * [`long_chain`] — beyond the paper: joiner catch-up cost vs chain
 //!   height, genesis replay against checkpoint-snapshot bootstrap
 //!   (O(chain) vs O(tail) bytes and time-to-serving);
@@ -68,7 +69,7 @@ pub mod scenario;
 pub use adversarial::{
     render_adversarial, run_adversarial, AdversarialReport, Family, FamilyReport, Point,
 };
-pub use churn::{run_churn, ChurnConfig, ChurnResult};
+pub use churn::ChurnResult;
 pub use churn_waves::{run_churn_waves, ChurnWavesConfig};
 pub use conflicts::{run_conflicts, run_table2, ConflictConfig, ConflictResult, Table2Row};
 pub use deployment::Deployment;

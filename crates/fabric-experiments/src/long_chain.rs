@@ -18,13 +18,13 @@
 //! the gap widens as the chain grows.
 
 use desim::Duration;
+use fabric_types::ids::ChannelId;
 
-use crate::churn::{run_churn, ChurnConfig};
+use crate::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use crate::net::Catchup;
 
-/// Total peers of each deployment.
-const PEERS: usize = 12;
-/// Initial members of the churned side channel.
+/// Initial members of the churned side channel (peers `0..6`, endorser
+/// peer 5); peer 6 joins it late.
 const SIDE_MEMBERS: usize = 6;
 /// Checkpoint cadence of the snapshot-on runs.
 const CHECKPOINT_INTERVAL: u64 = 8;
@@ -33,7 +33,7 @@ const CHECKPOINT_INTERVAL: u64 = 8;
 /// sweep's states are tiny.
 const CHUNK_SIZE: usize = 512;
 
-/// The sweep: chain heights over a 12-peer deployment whose side channel
+/// The sweep: chain heights over a 7-peer deployment whose side channel
 /// starts with 6 members, checkpoints every 8 blocks.
 #[derive(Debug, Clone)]
 pub struct LongChainConfig {
@@ -105,8 +105,11 @@ pub struct LongChainResult {
 
 impl LongChainResult {
     /// Bytes growth factor across the sweep (last / first), per mode.
-    /// The acceptance claim is `snapshot < genesis`: snapshot catch-up
-    /// grows strictly slower than genesis replay as the chain grows.
+    /// Genesis replay grows with the chain; snapshot bytes are the state
+    /// plus a tail that is a sawtooth in the chain height (shorter than a
+    /// checkpoint interval, but still whole blocks), so their ratio
+    /// between two sweep points is a sample of that sawtooth, not a
+    /// growth rate.
     pub fn bytes_growth(&self) -> (f64, f64) {
         let first = self.rows.first().expect("sweep is non-empty");
         let last = self.rows.last().expect("sweep is non-empty");
@@ -127,6 +130,19 @@ impl LongChainResult {
                 / first.snapshot_time_to_serving.as_secs_f64().max(1e-9),
         )
     }
+}
+
+/// One late join and nothing else: the late-joiner preset without its
+/// wave (so the leader stays seated), the joiner entering at two thirds
+/// of the issue span, where the wave would have hit, so the chain it
+/// faces scales with `blocks`, and a 60 s drain so catch-up finishes
+/// even at the tallest sweep point.
+fn one_late_join(side_members: usize, blocks: u64) -> ChurnWavesConfig {
+    let mut cfg = ChurnWavesConfig::late_joiner(side_members, blocks);
+    cfg.waves = 0;
+    cfg.flash_at = cfg.first_wave_at;
+    cfg.drain = Duration::from_secs(60);
+    cfg
 }
 
 fn completed_catchup(catchups: &[Catchup], blocks: u64, mode: &str) -> Catchup {
@@ -150,30 +166,20 @@ fn completed_catchup(catchups: &[Catchup], blocks: u64, mode: &str) -> Catchup {
 pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
     let mut rows = Vec::with_capacity(cfg.heights.len());
     for &blocks in &cfg.heights {
-        let mut base = ChurnConfig::standard(PEERS, SIDE_MEMBERS, blocks);
-        base.leader_leave_at = None;
-        base.full_ledgers = true;
-        // Join late so the chain the joiner faces scales with the
-        // sweep: two thirds of the issue span (standard joins at one
-        // third).
-        let third = base.join_at.since(desim::Time::ZERO);
-        base.join_at = desim::Time::ZERO + third * 2;
-        // Catch-up must finish even at the tallest sweep point.
-        base.drain = Duration::from_secs(60);
-
-        let genesis = run_churn(&base);
+        let base = one_late_join(SIDE_MEMBERS, blocks);
+        let genesis = run_churn_waves(&base);
         let g = completed_catchup(&genesis.catchups, blocks, "genesis");
 
         let mut snap_cfg = base.with_snapshots(CHECKPOINT_INTERVAL);
         snap_cfg.gossip.snapshot.as_mut().unwrap().chunk_size = CHUNK_SIZE;
-        let snap_run = run_churn(&snap_cfg);
+        let snap_run = run_churn_waves(&snap_cfg);
         let s = completed_catchup(&snap_run.catchups, blocks, "snapshot");
-        // What a sitting endorser exports to be able to serve: its newest
-        // checkpoint's, the largest, as the state only grows.
+        // What the sitting endorser exports to be able to serve: its
+        // newest checkpoint's, the largest, as the state only grows.
         let served = snap_run
             .net
-            .ledger_on(1, ChurnConfig::side_channel())
-            .expect("sitting members keep side-channel ledgers under full_ledgers")
+            .ledger_on(SIDE_MEMBERS - 1, ChannelId(1))
+            .expect("the endorser keeps a side-channel ledger")
             .snapshot();
 
         rows.push(LongChainRow {
@@ -232,7 +238,6 @@ pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_types::ids::ChannelId;
 
     fn sweep() -> LongChainResult {
         run_long_chain(&LongChainConfig::quick())
@@ -290,8 +295,8 @@ mod tests {
     }
 
     /// The 40-block point of the standard sweep: the joiner chases head
-    /// 25 and installs the export of checkpoint 24, the newest below it,
-    /// so it replays one block.
+    /// 26 and installs the export of checkpoint 24, the newest below it;
+    /// it serves at height 29, so it replays five blocks.
     #[test]
     fn the_joiner_installs_the_newest_checkpoint_below_its_head() {
         let res = run_long_chain(&LongChainConfig { heights: vec![40] });
@@ -302,7 +307,7 @@ mod tests {
                 r.snapshot_height,
                 r.snapshot_blocks_replayed
             ),
-            (25, 24, 1)
+            (26, 24, 5)
         );
         assert!(r.snapshot_blocks_replayed < CHECKPOINT_INTERVAL);
     }
@@ -361,18 +366,13 @@ mod tests {
         // bootstraps from a snapshot — their checkpoint streams must agree
         // on every common height, and at equal final height their state
         // hashes are byte-identical.
-        let mut base = ChurnConfig::standard(10, 5, 24);
-        base.leader_leave_at = None;
-        base.drain = Duration::from_secs(60);
-        // Join at two thirds of the run so the chain is deep enough for a
-        // checkpoint to exist and the joiner's lag to clear min_lag.
-        let third = base.join_at.since(desim::Time::ZERO);
-        base.join_at = desim::Time::ZERO + third * 2;
-        let snap = run_churn(&base.clone().with_snapshots(8));
+        // Joining at two thirds of the run, the chain is deep enough for
+        // a checkpoint to exist and the joiner's lag to clear min_lag.
+        let snap = run_churn_waves(&one_late_join(5, 24).with_snapshots(8));
         let side = ChannelId(1);
         let joiner = snap.catchups[0].peer.index();
 
-        let genesis_ledger = snap.net.ledger_on(1, side).expect("endorser ledger");
+        let genesis_ledger = snap.net.ledger_on(4, side).expect("endorser ledger");
         let joiner_ledger = snap.net.ledger_on(joiner, side).expect("joiner ledger");
         assert_eq!(genesis_ledger.base_height(), 0, "the endorser replays all");
         assert!(

@@ -14,7 +14,7 @@
 //! fails loudly instead of sliding into the baseline.
 
 use desim::{Ctx, Duration, NetworkConfig, NodeId, Protocol, Simulation, Time};
-use fabric_experiments::churn::{run_churn, ChurnConfig, ChurnResult};
+use fabric_experiments::churn::ChurnResult;
 use fabric_experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fabric_experiments::conflicts::{run_conflicts, ConflictConfig};
 use fabric_experiments::deployment::Deployment;
@@ -214,11 +214,11 @@ fn a_deployment_driven_from_outside_is_the_run_its_runner_reports() {
     assert_eq!(through_a_wrapper(dissemination.deployment()).0, events);
     assert_eq!(through_the_harness(dissemination.deployment()), events);
 
-    let mut churn = ChurnConfig::standard(16, 8, 20);
-    churn.seed = 42;
-    let events = run_churn(&churn).events;
-    assert_eq!(through_a_wrapper(churn.deployment()).0, events);
-    assert_eq!(through_the_harness(churn.deployment()), events);
+    let mut late = ChurnWavesConfig::late_joiner(8, 20);
+    late.seed = 42;
+    let events = run_churn_waves(&late).events;
+    assert_eq!(through_a_wrapper(late.deployment()).0, events);
+    assert_eq!(through_the_harness(late.deployment()), events);
 
     let mut waves = ChurnWavesConfig::standard(2, 8, 20);
     waves.seed = 3;
@@ -334,27 +334,23 @@ fn conflicts_event_content_is_pinned() {
     );
 }
 
-/// The same guard on a snapshot-on run: the churn preset with checkpoints
-/// every 8 blocks, so the joiner bootstraps from a served export. A change
-/// to when a ledger checkpoints or exports, or to what a chunk carries,
-/// moves it; the second pin splits the transfer into many chunks.
+/// The same guard on a snapshot-on run: the late-joiner preset with
+/// checkpoints every 8 blocks, so both joiners bootstrap from a served
+/// export. A change to when a ledger checkpoints or exports, or to what a
+/// chunk carries, moves it; the second pin splits the transfer into many
+/// chunks.
 #[test]
 fn snapshot_on_churn_event_content_is_pinned() {
-    let mut cfg = ChurnConfig::standard(16, 8, 30).with_snapshots(8);
-    cfg.network = NetworkConfig::lan(18);
+    let mut cfg = ChurnWavesConfig::late_joiner(8, 30).with_snapshots(8);
     cfg.seed = 9;
     let (_, pin) = run_traced(cfg.deployment());
-    assert_eq!(
-        pin,
-        (172_935, 12_970_766_335_894_880_139),
-        "event content moved"
-    );
+    assert_eq!(pin, (137_662, 1_544_385_630_789_119), "event content moved");
 
     cfg.gossip.snapshot.as_mut().unwrap().chunk_size = 256;
     let (_, pin) = run_traced(cfg.deployment());
     assert_eq!(
         pin,
-        (173_061, 7_977_248_603_006_877_930),
+        (137_726, 16_530_025_182_494_461_379),
         "event content moved"
     );
 }
@@ -392,8 +388,10 @@ fn duplicate_block_accounting_is_unchanged_across_runs() {
 }
 
 /// The discovery golden trace: exact numbers from the fixed-seed
-/// two-channel protocol-discovery churn run (16 peers, side channel of 8,
-/// one runtime joiner, the side leader leaving, seed 42).
+/// two-channel protocol-discovery churn run (the late-joiner preset: 10
+/// peers, a side channel of 8, one runtime joiner at a third of the run,
+/// the side leader leaving as a second joiner enters at two thirds,
+/// seed 42).
 ///
 /// If this test fails after an intentional protocol change, re-derive the
 /// constants from the new run and update them **in the same commit** as
@@ -403,16 +401,15 @@ fn duplicate_block_accounting_is_unchanged_across_runs() {
 fn discovery_golden_trace_pins_events_and_byte_totals() {
     use fabric_types::ids::ChannelId;
 
-    let mut cfg = ChurnConfig::standard(16, 8, 20);
-    cfg.network = NetworkConfig::lan(18);
+    let mut cfg = ChurnWavesConfig::late_joiner(8, 20);
     cfg.seed = 42;
     let (sim, pin) = run_traced(cfg.deployment());
     let res = ChurnResult::read_off(sim);
 
-    assert_eq!(res.events, 136_670, "simulation event count shifted");
+    assert_eq!(res.events, 109_094, "simulation event count shifted");
     assert_eq!(
         pin,
-        (136_670, 13_130_710_489_575_642_218),
+        (109_094, 1_457_682_962_321_912_981),
         "event content moved"
     );
 
@@ -420,7 +417,7 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
         let mut alive = 0;
         let mut req = 0;
         let mut resp = 0;
-        for i in 0..16 {
+        for i in 0..cfg.peers() {
             if let Some(s) = res.net.gossip(i).stats_on(ch) {
                 alive += s.bytes_of_kind("alive-msg");
                 req += s.bytes_of_kind("membership-request");
@@ -429,30 +426,26 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
         }
         (alive, req, resp)
     };
-    // Main channel: all 16 peers heartbeat and anti-entropy for the whole
+    // Main channel: all 10 peers heartbeat and anti-entropy for the whole
     // run; request and response totals match exactly (every request is
     // answered, and both carry the same full-view payload on a channel
-    // with no churn). Nobody leaves it, yet views reap a live member
-    // twice; the victim's next heartbeat undoes each reap in the same
-    // life.
-    assert_eq!(
-        discovery_bytes(ChannelId(0)),
-        (7_443_440, 2_283_576, 2_283_576)
-    );
-    assert_eq!(res.channels[0].false_reaps, 2);
+    // with no churn). Nobody leaves it, and no view reaps a live member.
+    assert_eq!(discovery_bytes(ChannelId(0)), (4_651_320, 923_736, 923_736));
+    assert_eq!(res.channels[0].false_reaps, 0);
     // Side channel: fewer members, and tombstone probes to the departed
     // leader go unanswered — responses total less than requests.
     assert_eq!(
         discovery_bytes(ChannelId(1)),
-        (3_656_648, 1_119_744, 653_472)
+        (3_989_312, 1_343_832, 763_296)
     );
 
     // The trace stays meaningful: both chains advanced and the leader
-    // leave handed off exactly once.
+    // leave handed off exactly once, closing one gap.
     assert_eq!(res.channels[0].blocks, 20);
     assert_eq!(res.channels[1].blocks, 20);
     assert_eq!(res.channels[0].handoffs, 0);
     assert_eq!(res.channels[1].handoffs, 1);
+    assert_eq!(res.channels[1].leader_gaps.len(), 1);
 }
 
 /// The snapshot subsystem ships default-off, and off means *byte*-off:
@@ -471,7 +464,7 @@ fn snapshots_default_off_cannot_perturb_the_golden_traces() {
         GossipConfig::enhanced_f4(),
         GossipConfig::enhanced_f2(),
         GossipConfig::original_fabric(),
-        ChurnConfig::standard(16, 8, 20).gossip,
+        ChurnWavesConfig::late_joiner(8, 20).gossip,
     ] {
         assert!(cfg.snapshot.is_none(), "snapshot bootstrap must ship off");
     }

@@ -1,11 +1,11 @@
 //! Runtime channel-lifecycle walkthrough: a peer joins a live channel
 //! mid-run, catches up to the head, and the channel's leader later leaves,
-//! its seat passing to the next most senior member — all over the full
-//! channel-routed execute-order-validate pipeline, with membership news
-//! travelling by gossiped discovery alone.
+//! its seat passing to the next most senior member as one more peer
+//! joins — all over the full channel-routed execute-order-validate
+//! pipeline, with membership news travelling by gossiped discovery alone.
 //!
 //! ```text
-//! cargo run --release --example channel_churn [peers] [side_members] [blocks]
+//! cargo run --release --example channel_churn [side_members] [blocks]
 //! ```
 //!
 //! What it demonstrates, bottom-up:
@@ -26,31 +26,31 @@
 //! 4. per-channel Jain fairness over the per-channel byte breakdown —
 //!    the stable main channel doubles as the control group.
 
-use fair_gossip::experiments::churn::{render_churn, run_churn, ChurnConfig};
+use fair_gossip::experiments::churn::render_churn;
+use fair_gossip::experiments::churn_waves::{run_churn_waves, ChurnWavesConfig};
 use fair_gossip::types::ids::ChannelId;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let peers = args.first().and_then(|s| s.parse().ok()).unwrap_or(30);
-    let side = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(12);
-    let blocks = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(30);
+    let side = args.first().and_then(|s| s.parse().ok()).unwrap_or(12);
+    let blocks = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30);
 
-    let config = ChurnConfig::standard(peers, side, blocks);
+    let config = ChurnWavesConfig::late_joiner(side, blocks);
     println!(
-        "Running {peers} peers: main channel = everyone, side channel = peers 0..{side}.\n\
-         Peer {side} joins the side channel at {}, its leader (peer 0) leaves at {}.\n",
-        config.join_at,
-        config
-            .leader_leave_at
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "never".into()),
+        "Running {} peers: main channel = everyone, side channel = peers 0..{side}.\n\
+         Peer {} joins the side channel at {}; at {} its leader (peer 0) leaves \
+         and peer {side} joins.\n",
+        config.peers(),
+        side + 1,
+        config.flash_at,
+        config.first_wave_at,
     );
 
-    let result = run_churn(&config);
+    let result = run_churn_waves(&config);
     print!("{}", render_churn("channel churn", &result));
 
-    // The joiner's view after the run: it holds the side chain gap-free
-    // from its catch-up onwards.
+    // The first joiner's view after the run: it holds the side chain
+    // gap-free from its catch-up onwards.
     let joiner = &result.catchups[0];
     let height = result
         .net
