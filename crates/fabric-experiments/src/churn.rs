@@ -35,7 +35,8 @@ pub struct ChannelReport {
     /// height covers, blocks absorbed through a snapshot included; a
     /// leaver owes nothing.
     pub completeness: f64,
-    /// Median dissemination latency over all recorded cells.
+    /// Median dissemination latency over the recorded cells but a joiner's
+    /// catch-up, which its [`Catchup`] record times.
     pub p50: Duration,
     /// 99.9th percentile of the same pool.
     pub p999: Duration,
@@ -63,7 +64,8 @@ pub struct ChannelReport {
 impl ChannelReport {
     /// Reads `spec`'s channel off a finished run, in `net`'s own peer ids.
     /// The latency pool takes every slot: the initial members' and every
-    /// scheduled joiner's.
+    /// scheduled joiner's, from the block after its first catch-up's
+    /// target on (the blocks cut before it joined are its catch-up).
     pub fn read_off(net: &FabricNet, spec: &ChannelSpec) -> Self {
         let channel = spec.channel;
         let rec = net.latency_on(channel).expect("channel exists");
@@ -82,7 +84,14 @@ impl ChannelReport {
         }
         // The recorder is sized over initial members + scheduled joiners —
         // NOT the end-of-run member count, which a leaver shrinks back.
-        let pool = (0..rec.peers()).flat_map(|slot| rec.peer_latencies(slot));
+        let mut first = vec![0; rec.peers()];
+        for c in net.catchups().iter().rev().filter(|c| c.channel == channel) {
+            match net.latency_slot_on(channel, c.peer) {
+                Some(slot) if slot >= spec.members.len() => first[slot] = c.target + 1,
+                _ => {}
+            }
+        }
+        let pool = (0..rec.peers()).flat_map(|slot| rec.peer_latencies_from(slot, first[slot]));
         let cdf = Cdf::new(pool.collect());
         let (p50, p999) = if cdf.is_empty() {
             (Duration::ZERO, Duration::ZERO)

@@ -91,6 +91,14 @@ pub struct ChannelSpec {
     pub policy: EndorsementPolicy,
 }
 
+impl ChannelSpec {
+    /// Each organization's roster: the members split contiguously.
+    fn org_rosters(&self) -> std::slice::Chunks<'_, PeerId> {
+        self.members
+            .chunks(self.members.len().div_ceil(self.orgs).max(1))
+    }
+}
+
 /// Whether the deployment's membership can change at runtime — a mirror of
 /// [`fabric_gossip::config::DiscoveryConfig::protocol`], from which
 /// [`NetParams::new`] derives it.
@@ -427,9 +435,8 @@ impl FabricNet {
                     slots[member.index()] = Some(slot);
                 }
                 let mut org_of = vec![None; params.peers];
-                let per_org = spec.members.len().div_ceil(spec.orgs);
-                for (pos, member) in spec.members.iter().enumerate() {
-                    org_of[member.index()] = Some(pos / per_org);
+                for (org, roster) in spec.org_rosters().enumerate() {
+                    roster.iter().for_each(|m| org_of[m.index()] = Some(org));
                 }
                 for joiner in &eligible[spec.members.len()..] {
                     org_of[joiner.index()] = Some(0);
@@ -449,27 +456,26 @@ impl FabricNet {
             })
             .collect();
 
-        // Gossip peers: one instance per (member, channel), organization
-        // rosters confined per channel, channel views widened to the full
-        // membership.
+        // Gossip peers: one instance per (member, channel), built in one
+        // step over the member's organization and the channel's members.
+        let org_rosters: Vec<Vec<&[PeerId]>> = channels
+            .iter()
+            .map(|rt| rt.spec.org_rosters().collect())
+            .collect();
         let peers: Vec<PeerNode> = (0..params.peers as u32)
             .map(PeerId)
             .map(|id| {
                 let mut gossip = GossipPeer::with_channels(id, params.gossip.clone());
                 let mut ledgers = Vec::new();
-                for rt in &channels {
+                for (rt, orgs) in channels.iter().zip(&org_rosters) {
                     let spec = &rt.spec;
-                    if !spec.members.contains(&id) {
-                        continue;
+                    // A scheduled joiner's slot follows the initial members'.
+                    match (rt.slots[id.index()], rt.org_of[id.index()]) {
+                        (Some(slot), Some(org)) if slot < spec.members.len() => {
+                            gossip = gossip.join_channel(spec.channel, orgs[org], &spec.members)
+                        }
+                        _ => continue,
                     }
-                    let per_org = spec.members.len().div_ceil(spec.orgs);
-                    let pos = spec.members.iter().position(|m| *m == id).expect("member");
-                    let org_lo = (pos / per_org) * per_org;
-                    let org_hi = (org_lo + per_org).min(spec.members.len());
-                    let org_roster: Vec<PeerId> = spec.members[org_lo..org_hi].to_vec();
-                    gossip = gossip
-                        .join_channel(spec.channel, org_roster)
-                        .widen_channel_view(spec.channel, spec.members.clone());
                     if params.full_ledgers || spec.endorsers.contains(&id) {
                         let ledger = channel_ledger(&msp, spec, &params.gossip, None)
                             .expect("only a snapshot can fail verification");
@@ -565,6 +571,11 @@ impl FabricNet {
     /// channel's initial member order, scheduled joiners appended.
     pub fn latency_on(&self, channel: ChannelId) -> Option<&LatencyRecorder> {
         self.channels.get(channel.index()).map(|rt| &rt.latency)
+    }
+
+    /// `peer`'s slot in `channel`'s latency matrix, if it is ever a member.
+    pub fn latency_slot_on(&self, channel: ChannelId, peer: PeerId) -> Option<usize> {
+        self.channels.get(channel.index())?.slots[peer.index()]
     }
 
     /// The current members of `channel` (spec members ± churn).

@@ -127,16 +127,20 @@ pub struct ChannelCore {
     pub self_id: PeerId,
     /// The active configuration.
     pub cfg: GossipConfig,
-    /// The organization roster as passed at join time (self included or
-    /// not; a runtime joiner is appended to its own). Not kept current —
-    /// `membership` is the live view. Discovery reads it once per life to
-    /// tell a member from an observer handed a roster excluding it.
-    pub roster: Vec<PeerId>,
+    /// Whether the organization roster passed at join time listed this
+    /// peer (a runtime joiner under discovery lists itself): discovery
+    /// tells a member from an observer by it, once per life.
+    pub(crate) listed: bool,
+    /// Whether this peer statically leads that roster (the rule of
+    /// [`crate::peer::GossipPeer::new`]): its seat at the start, and on a
+    /// static roster for the whole run.
+    pub(crate) static_seat: bool,
     /// Same-organization peers: the only legal targets for push and pull.
     pub membership: Membership,
-    /// All channel peers (every organization): StateInfo and recovery may
-    /// cross organization boundaries (§III of the paper).
-    pub channel_view: Membership,
+    /// All channel peers (every organization) when they differ from
+    /// `membership`; `None` when the channel is one organization and the
+    /// two views are one. Read through [`ChannelCore::channel_view`].
+    wide: Option<Membership>,
     /// Whether this peer forwards blocks (false models a free-rider).
     pub forwarding: bool,
     /// The channel's block store.
@@ -152,35 +156,38 @@ pub struct ChannelCore {
 }
 
 impl ChannelCore {
-    /// Builds the core for `self_id` on `channel`, with the organization
-    /// roster doubling as the channel-wide view until widened.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
-    pub fn new(
+    /// Builds the core for `self_id` on `channel` over the organization
+    /// roster `org` and the channel roster `wide` (self listed or not in
+    /// either). Equal rosters build one view, which serves as both. `cfg`
+    /// is the caller's to validate.
+    pub(crate) fn new(
         channel: ChannelId,
         self_id: PeerId,
-        roster: Vec<PeerId>,
+        org: &[PeerId],
+        wide: &[PeerId],
         cfg: GossipConfig,
     ) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid gossip config: {e}");
-        }
-        let membership = Membership::new(self_id, roster.clone());
-        let channel_view = Membership::new(self_id, roster.clone());
         ChannelCore {
             channel,
             self_id,
             cfg,
-            roster,
-            membership,
-            channel_view,
+            listed: org.contains(&self_id),
+            // The lowest-id *member* leads, and a peer alone: a roster
+            // excluding `self_id` has a smaller minimum or only larger ids.
+            static_seat: org.iter().min().is_none_or(|&lowest| lowest == self_id),
+            membership: Membership::new(self_id, org),
+            wide: (wide != org).then(|| Membership::new(self_id, wide)),
             forwarding: true,
             store: BlockStore::new(),
             snapshot: None,
             stats: PeerStats::default(),
         }
+    }
+
+    /// All channel peers (every organization): StateInfo and recovery may
+    /// cross organization boundaries (§III of the paper).
+    pub fn channel_view(&self) -> &Membership {
+        self.wide.as_ref().unwrap_or(&self.membership)
     }
 
     /// Sends `msg` to `to` on this core's channel and counts it in
@@ -250,20 +257,6 @@ impl ChannelCore {
     }
 }
 
-/// Static-leadership rule shared by every channel: the lowest-id *member*
-/// of the roster leads. See [`crate::peer::GossipPeer::new`] for the exact
-/// semantics (a peer excluded from its roster never self-elects).
-fn statically_leads(id: PeerId, roster: &[PeerId]) -> bool {
-    // A roster containing `id` has min <= id, so `id == lowest` alone
-    // encodes both "member" and "lowest member"; a roster excluding
-    // `id` either has a smaller minimum (not lowest) or only larger
-    // entries (id != lowest) — never a static leader.
-    match roster.iter().copied().min() {
-        None => true, // alone in the organization
-        Some(lowest) => id == lowest,
-    }
-}
-
 /// One channel's complete gossip instance: core + engines + leader seat.
 #[derive(Debug)]
 pub struct ChannelState {
@@ -279,26 +272,17 @@ pub struct ChannelState {
 }
 
 impl ChannelState {
-    /// Builds the instance, seated when this peer statically leads the
-    /// core's roster.
-    pub fn new(core: ChannelCore) -> Self {
-        let is_leader = statically_leads(core.self_id, &core.roster);
+    /// Builds the instance over its finished core, seated when this peer
+    /// statically leads; each engine is built once, spanning its view.
+    pub(crate) fn new(core: ChannelCore) -> Self {
         ChannelState {
-            is_leader,
+            is_leader: core.static_seat,
             push: PushEngine::default(),
             pull: PullEngine::default(),
             recovery: RecoveryEngine::new(&core),
             discovery: DiscoveryEngine::new(&core),
             core,
         }
-    }
-
-    /// Replaces the channel-wide view with `widened` and spans the
-    /// recovery tables over it. A builder step: before `init` they hold
-    /// nothing.
-    pub(crate) fn widen_channel_view(&mut self, widened: Membership) {
-        self.core.channel_view = widened;
-        self.recovery = RecoveryEngine::new(&self.core);
     }
 
     /// The discovery engine's state (claims, obituaries, incarnation) —
@@ -312,8 +296,8 @@ impl ChannelState {
         &self.core
     }
 
-    /// Mutable access to the shared core (free-rider toggling, view
-    /// widening — the multiplexer's builder paths).
+    /// Mutable access to the shared core (free-rider toggling, a runtime
+    /// joiner listing itself — the multiplexer's paths).
     pub fn core_mut(&mut self) -> &mut ChannelCore {
         &mut self.core
     }
@@ -356,7 +340,7 @@ impl ChannelState {
             // A static seat is held for the whole run: a rebooted roster
             // minimum takes back the seat its crash cleared (silent on a
             // first start, where nothing changes).
-            let seat = statically_leads(self.core.self_id, &self.core.roster);
+            let seat = self.core.static_seat;
             self.set_leader(fx, seat);
             let alive_phase = random_phase(fx, self.core.cfg.membership.alive_interval);
             self.core.schedule(fx, alive_phase, GossipTimer::AliveRound);
@@ -503,9 +487,19 @@ impl ChannelState {
         [claims, obituaries, heights, checkpoints]
     }
 
+    /// Whether each of those tables holds its dense array, in the same
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn dense_peer_tables(&self) -> [bool; 4] {
+        let [claims, obituaries] = self.discovery.dense_allocated();
+        let [heights, checkpoints] = self.recovery.dense_allocated();
+        [claims, obituaries, heights, checkpoints]
+    }
+
     /// Applies the membership consequences of one discovery step: joins
-    /// and reaps edit both views — membership changes are a *consequence
-    /// of received gossip*, never of a callback — and each one is reported
+    /// and reaps edit both views (one edit when they are one) — membership
+    /// changes are a *consequence of received gossip*, never of a
+    /// callback — and each one is reported
     /// through [`Effects::discovery_event`] so the embedding can measure
     /// convergence.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
@@ -516,7 +510,9 @@ impl ChannelState {
             // with a lower id does not depose a seated leader (Fabric's
             // `orgLeader` semantics).
             self.core.membership.add_peer(peer);
-            self.core.channel_view.add_peer(peer);
+            if let Some(wide) = &mut self.core.wide {
+                wide.add_peer(peer);
+            }
             fx.discovery_event(self.core.channel, peer, true);
         }
         for peer in &delta.left {
@@ -525,7 +521,9 @@ impl ChannelState {
                 continue;
             }
             self.core.membership.remove_peer(peer);
-            self.core.channel_view.remove_peer(peer);
+            if let Some(wide) = &mut self.core.wide {
+                wide.remove_peer(peer);
+            }
             self.recovery.forget_peer(peer);
             fx.discovery_event(self.core.channel, peer, false);
         }
@@ -573,7 +571,8 @@ mod tests {
         let mut core = ChannelCore::new(
             ChannelId(3),
             PeerId(0),
-            (0..4).map(PeerId).collect(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
             GossipConfig::enhanced_f4(),
         );
         let mut fx = MockEffects::new(1);
@@ -596,7 +595,8 @@ mod tests {
         ChannelState::new(ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(self_id),
-            (0..4).map(PeerId).collect(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
             cfg,
         ))
     }
@@ -664,11 +664,42 @@ mod tests {
         let mut s = ChannelState::new(ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(self_id),
-            (5..9).map(PeerId).collect(),
+            &(5..9).map(PeerId).collect::<Vec<_>>(),
+            &(5..9).map(PeerId).collect::<Vec<_>>(),
             GossipConfig::enhanced_f4(),
         ));
         s.init(fx);
         s
+    }
+
+    #[test]
+    fn builder_static_roster_holds_no_dense_discovery_array() {
+        use crate::messages::PeerAlive;
+        use crate::testing::MockEffects;
+        let mut fx = MockEffects::new(1);
+        let mut s = started_static(6, &mut fx);
+        assert_eq!(s.dense_peer_tables(), [false; 4], "nothing written yet");
+        let heartbeat = |seq| PeerAlive {
+            peer: PeerId(7),
+            incarnation: 1,
+            seq,
+        };
+        for seq in 1..4 {
+            s.on_message(&mut fx, PeerId(7), GossipMsg::AliveMsg(heartbeat(seq)));
+            s.on_message(&mut fx, PeerId(8), GossipMsg::Alive);
+            s.on_timer(&mut fx, GossipTimer::AliveRound);
+        }
+        let advert = GossipMsg::StateInfo {
+            height: 3,
+            checkpoint: None,
+        };
+        s.on_message(&mut fx, PeerId(7), advert);
+        let [claims, obituaries, heights, checkpoints] = s.dense_peer_tables();
+        assert!(!claims && !obituaries, "a static roster wrote discovery");
+        assert!(heights, "an advert from a member is recorded densely");
+        assert!(!checkpoints, "no checkpoint was advertised");
+        let [.., (range, _, rows), _] = s.peer_tables();
+        assert_eq!((range, rows), (9, 1));
     }
 
     #[test]
@@ -691,7 +722,7 @@ mod tests {
             !core.membership.contains(PeerId(1)),
             "a stranger became a push target"
         );
-        assert!(!core.channel_view.contains(PeerId(1)));
+        assert!(!core.channel_view().contains(PeerId(1)));
         assert_eq!(core.membership.peers(), [PeerId(6), PeerId(7), PeerId(8)]);
     }
 
@@ -727,7 +758,7 @@ mod tests {
             );
             let core = s.core();
             assert_eq!(core.membership.len(), 3, "peer {self_id} reaped a member");
-            assert_eq!(core.channel_view.len(), 3, "peer {self_id}");
+            assert_eq!(core.channel_view().len(), 3, "peer {self_id}");
         }
     }
 }

@@ -153,6 +153,12 @@ impl DiscoveryEngine {
         [self.view.shape(), self.dead.shape()]
     }
 
+    /// Whether the claim and the obituary table hold their dense arrays.
+    #[cfg(test)]
+    pub(crate) fn dense_allocated(&self) -> [bool; 2] {
+        [self.view.dense_allocated(), self.dead.dense_allocated()]
+    }
+
     /// Drops what a process crash would lose: the merged view, the
     /// obituaries and the heartbeat counter. The incarnation is kept so
     /// the next [`DiscoveryEngine::init`] picks a strictly higher one.
@@ -173,7 +179,7 @@ impl DiscoveryEngine {
         let now = fx.now();
         self.incarnation = now.as_nanos().max(1).max(self.incarnation + 1);
         self.seq = 0;
-        self.junior = self.junior || !core.roster.contains(&core.self_id);
+        self.junior = self.junior || !core.listed;
         for &peer in core.membership.peers() {
             let seed = Row {
                 claim: PeerAlive {
@@ -458,7 +464,8 @@ mod tests {
         ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(self_id),
-            (0..n).map(PeerId).collect(),
+            &(0..n).map(PeerId).collect::<Vec<_>>(),
+            &(0..n).map(PeerId).collect::<Vec<_>>(),
             GossipConfig::enhanced_f4().with_discovery_protocol(),
         )
     }

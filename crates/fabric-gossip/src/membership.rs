@@ -94,29 +94,22 @@ pub struct Membership {
 impl Membership {
     /// Builds the view for `self_id` over the full `roster` (which may or
     /// may not include `self_id`; it is never sampled either way).
-    pub fn new(self_id: PeerId, roster: Vec<PeerId>) -> Self {
-        let peers: Vec<PeerId> = roster.into_iter().filter(|p| *p != self_id).collect();
-        let range = peers.iter().map(|p| p.0 as usize + 1).max().unwrap_or(0);
-        let mut m = Membership {
+    pub fn new(self_id: PeerId, roster: &[PeerId]) -> Self {
+        let mut peers = roster.to_vec();
+        while let Some(at) = peers.iter().position(|p| *p == self_id) {
+            peers.remove(at);
+        }
+        Membership {
             self_id,
+            index: PeerIndex::over(&peers),
             peers,
-            index: PeerIndex::new(range),
-        };
-        m.reindex(0);
-        m
+        }
     }
 
     /// An empty per-peer table over this view's dense range: the ids it
     /// was built with, never one admitted since.
     pub(crate) fn table<V>(&self) -> PeerTable<V> {
         PeerTable::new(self.index.range())
-    }
-
-    /// Rebuilds the id→position index for entries at `from` and beyond.
-    fn reindex(&mut self, from: usize) {
-        for (i, peer) in self.peers.iter().enumerate().skip(from) {
-            self.index.set(*peer, Some(i));
-        }
     }
 
     /// The local peer id.
@@ -152,7 +145,7 @@ impl Membership {
             return;
         }
         self.peers.push(peer);
-        self.reindex(self.peers.len() - 1);
+        self.index.set(peer, Some(self.peers.len() - 1));
     }
 
     /// Removes `peer` from the view at runtime (a channel leave). Returns
@@ -162,7 +155,7 @@ impl Membership {
             Some(idx) => {
                 self.peers.remove(idx);
                 self.index.set(peer, None);
-                self.reindex(idx);
+                self.index.reindex(idx, self.peers[idx..].iter().copied());
                 true
             }
             None => false,
@@ -226,7 +219,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn membership(n: u32) -> Membership {
-        Membership::new(PeerId(0), (0..n).map(PeerId).collect())
+        Membership::new(PeerId(0), &(0..n).map(PeerId).collect::<Vec<_>>())
     }
 
     fn rng(seed: u64) -> StdRng {
@@ -347,7 +340,8 @@ mod tests {
                 draws in proptest::collection::vec((0usize..12, 0u32..130), 1..12),
                 seed in any::<u64>(),
             ) {
-                let mut m = Membership::new(PeerId(7), roster.into_iter().map(PeerId).collect());
+                let roster: Vec<PeerId> = roster.into_iter().map(PeerId).collect();
+                let mut m = Membership::new(PeerId(7), &roster);
                 let (mut ours, mut theirs) = (rng(seed), rng(seed));
                 for (k, churn) in draws {
                     if churn % 3 == 0 {

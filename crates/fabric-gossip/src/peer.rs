@@ -75,7 +75,7 @@ impl GossipPeer {
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(id: PeerId, roster: Vec<PeerId>, cfg: GossipConfig) -> Self {
-        Self::with_channels(id, cfg).join_channel(ChannelId::DEFAULT, roster)
+        Self::with_channels(id, cfg).join_channel(ChannelId::DEFAULT, &roster, &roster)
     }
 
     /// Builder entry point for multi-channel peers: a peer with **no**
@@ -97,26 +97,30 @@ impl GossipPeer {
         }
     }
 
-    /// Joins `channel` with `roster` as the organization view (the static
-    /// leadership rule of [`GossipPeer::new`] applies per channel). The
-    /// channel-wide view starts equal to the organization view; widen it
-    /// with [`GossipPeer::widen_channel_view`].
-    ///
-    /// This builder form chains before [`GossipPeer::init`]; after `init`,
-    /// use [`GossipPeer::join_channel_live`], which creates the instance
-    /// and arms its timers in one step.
+    /// Joins `channel` in one step: `org_roster` is the organization view
+    /// (push and pull targets; the static leadership rule of
+    /// [`GossipPeer::new`] applies per channel), `channel_roster` the
+    /// channel-wide view (StateInfo and recovery cross organizations). A
+    /// single-organization channel passes one roster twice and gets one
+    /// view serving as both. Chains before [`GossipPeer::init`]; after it,
+    /// [`GossipPeer::join_channel_live`] creates and arms an instance.
     ///
     /// # Panics
     ///
     /// Panics when called after [`GossipPeer::init`] (a builder-joined
     /// channel would sit timerless) or when `channel` is already joined.
-    pub fn join_channel(mut self, channel: ChannelId, roster: Vec<PeerId>) -> Self {
+    pub fn join_channel(
+        mut self,
+        channel: ChannelId,
+        org_roster: &[PeerId],
+        channel_roster: &[PeerId],
+    ) -> Self {
         assert!(
             !self.initialized,
             "the consuming join_channel builder leaves the new channel timerless: \
              after init, join at runtime with join_channel_live"
         );
-        self.insert_channel(channel, roster);
+        self.insert_channel(channel, org_roster, channel_roster);
         self
     }
 
@@ -150,10 +154,8 @@ impl GossipPeer {
         channel: ChannelId,
         roster: Vec<PeerId>,
     ) {
-        let initialized = self.initialized;
-        let id = self.id;
-        let discovery = self.cfg.discovery.protocol;
-        let state = self.insert_channel(channel, roster);
+        let (initialized, discovery) = (self.initialized, self.cfg.discovery.protocol);
+        let state = self.insert_channel(channel, &roster, &roster);
         // Static leadership was just evaluated over the as-passed roster.
         // Under discovery, what the roster still decides is member or
         // observer: a peer handed a roster excluding it ranks junior to
@@ -161,9 +163,7 @@ impl GossipPeer {
         // joiner is a member — junior by its late incarnation alone, so two
         // joiners outliving the initial members still elect exactly one of
         // themselves. On a static roster an observer stays one.
-        if discovery && !state.core().roster.contains(&id) {
-            state.core_mut().roster.push(id);
-        }
+        state.core_mut().listed |= discovery;
         if initialized {
             state.init(fx);
         }
@@ -222,17 +222,21 @@ impl GossipPeer {
         }
     }
 
-    /// Inserts the channel instance, keeping `channels` sorted. Shared by
-    /// every join path (builder and live).
-    fn insert_channel(&mut self, channel: ChannelId, roster: Vec<PeerId>) -> &mut ChannelState {
+    /// Builds the channel instance once and inserts it, keeping `channels`
+    /// sorted. Shared by every join path (builder and live).
+    fn insert_channel(
+        &mut self,
+        channel: ChannelId,
+        org: &[PeerId],
+        wide: &[PeerId],
+    ) -> &mut ChannelState {
         assert!(
             !self.channels.iter().any(|(ch, _)| *ch == channel),
             "channel {channel} joined twice"
         );
-        let core = ChannelCore::new(channel, self.id, roster, self.cfg.clone());
-        let state = ChannelState::new(core);
+        let core = ChannelCore::new(channel, self.id, org, wide, self.cfg.clone());
         let at = self.channels.partition_point(|(ch, _)| *ch < channel);
-        self.channels.insert(at, (channel, state));
+        self.channels.insert(at, (channel, ChannelState::new(core)));
         &mut self.channels[at].1
     }
 
@@ -332,42 +336,7 @@ impl GossipPeer {
     /// The channel-wide membership view of the default channel (all
     /// organizations).
     pub fn channel(&self) -> &Membership {
-        &self.default_state().core().channel_view
-    }
-
-    /// Widens the default channel's view beyond the organization —
-    /// equivalent to [`GossipPeer::widen_channel_view`] on
-    /// [`ChannelId::DEFAULT`]; see there for the contract.
-    pub fn with_channel(self, channel_roster: Vec<PeerId>) -> Self {
-        self.widen_channel_view(ChannelId::DEFAULT, channel_roster)
-    }
-
-    /// Widens `channel`'s view beyond the organization: StateInfo
-    /// broadcasts and recovery requests may then target foreign peers,
-    /// while push and pull stay confined to the organization — Fabric's
-    /// access-control rule, preserved by the paper.
-    ///
-    /// **Builder-only.** The view is deployment-time configuration; calling
-    /// this after [`GossipPeer::init`] would race the live protocol and is
-    /// rejected. The new view replaces the old one outright; a view holds
-    /// no liveness (discovery's claim table does).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`GossipPeer::init`] or on a channel that
-    /// was never joined.
-    pub fn widen_channel_view(mut self, channel: ChannelId, channel_roster: Vec<PeerId>) -> Self {
-        assert!(
-            !self.initialized,
-            "widen_channel_view/with_channel is builder-only: \
-             channel views must be set before init"
-        );
-        let id = self.id;
-        let state = self
-            .state_mut(channel)
-            .unwrap_or_else(|| panic!("cannot widen unjoined channel {channel}"));
-        state.widen_channel_view(Membership::new(id, channel_roster));
-        self
+        self.default_state().core().channel_view()
     }
 
     /// Turns this peer into a free-rider on every joined channel: it
@@ -566,8 +535,8 @@ mod tests {
     #[test]
     fn leadership_is_independent_per_channel() {
         let peer = GossipPeer::with_channels(PeerId(2), GossipConfig::enhanced_f4())
-            .join_channel(ChannelId(0), peers(&[0, 1, 2]))
-            .join_channel(ChannelId(1), peers(&[2, 3, 4]));
+            .join_channel(ChannelId(0), &peers(&[0, 1, 2]), &peers(&[0, 1, 2]))
+            .join_channel(ChannelId(1), &peers(&[2, 3, 4]), &peers(&[2, 3, 4]));
         assert!(!peer.is_leader_on(ChannelId(0)), "peer 0 leads channel 0");
         assert!(
             peer.is_leader_on(ChannelId(1)),
@@ -594,21 +563,123 @@ mod tests {
         assert!(fx.delivered.is_empty());
     }
 
+    /// What the two-step builder's view of `roster` held for `id`: the
+    /// roster without `id`, in roster order.
+    fn separately_built(id: PeerId, roster: &[PeerId]) -> Vec<PeerId> {
+        roster.iter().copied().filter(|p| *p != id).collect()
+    }
+
+    /// `view` holds exactly `old`, answers `contains` as `old` does, and
+    /// draws from a seeded generator what a partial shuffle of a copy of
+    /// `old` draws from an equally seeded one — the sampler both builders
+    /// ran, over the roster each held.
+    fn assert_same_view(view: &Membership, old: &[PeerId], seed: u64) {
+        use rand::{RngExt, SeedableRng};
+        assert_eq!(view.peers(), old);
+        for id in (0..12).map(PeerId) {
+            assert_eq!(view.contains(id), old.contains(&id), "{id}");
+        }
+        let mut ours = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut theirs = rand::rngs::StdRng::seed_from_u64(seed);
+        for k in [1, 2, 3, 4, 8, 16, 4] {
+            let mut pool = old.to_vec();
+            let take = k.min(pool.len());
+            for i in 0..take {
+                let j = theirs.random_range(i..pool.len());
+                pool.swap(i, j);
+            }
+            assert_eq!(view.sample(&mut ours, k)[..], pool[..take]);
+        }
+        assert_eq!(ours.random::<u64>(), theirs.random::<u64>());
+    }
+
     #[test]
-    #[should_panic(expected = "builder-only")]
-    fn widening_after_init_is_rejected() {
-        let mut peer = GossipPeer::new(PeerId(0), peers(&[0, 1]), GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        peer.init(&mut fx);
-        let _ = peer.with_channel(peers(&[0, 1, 2, 3]));
+    fn builder_one_step_join_matches_separately_built_views() {
+        // Two organizations {0, 1, 2} and {3, 4, 5}: peer 1 pushes inside
+        // the first, and its channel view spans both.
+        let channel_roster = peers(&[0, 1, 2, 3, 4, 5]);
+        let org = &channel_roster[..3];
+        for cfg in [
+            GossipConfig::enhanced_f4(),
+            GossipConfig::enhanced_f4().with_discovery_protocol(),
+        ] {
+            let mut peer = GossipPeer::with_channels(PeerId(1), cfg).join_channel(
+                ChannelId::DEFAULT,
+                org,
+                &channel_roster,
+            );
+            assert_same_view(peer.membership(), &separately_built(PeerId(1), org), 3);
+            assert_same_view(
+                peer.channel(),
+                &separately_built(PeerId(1), &channel_roster),
+                3,
+            );
+            assert!(!std::ptr::eq(peer.channel(), peer.membership()));
+            assert!(!peer.is_leader(), "peer 0 leads the organization");
+            // Each engine spans its own view: discovery the organization
+            // (ids below 3), recovery the channel (ids below 6).
+            let ranges = peer
+                .default_state()
+                .peer_tables()
+                .map(|(range, _, _)| range);
+            assert_eq!(ranges, [3, 3, 6, 6]);
+            // A discovery join edits both views alike.
+            let mut fx = MockEffects::new(1);
+            peer.init(&mut fx);
+            let stranger = crate::messages::PeerAlive {
+                peer: PeerId(9),
+                incarnation: 1,
+                seq: 1,
+            };
+            peer.on_message(&mut fx, PeerId(0), GossipMsg::AliveMsg(stranger));
+            let joined = peer.config().discovery.protocol;
+            assert_eq!(peer.membership().contains(PeerId(9)), joined);
+            assert_eq!(peer.channel().contains(PeerId(9)), joined);
+        }
+        // The same peers in another order are another view: the order
+        // decides the draws.
+        let reordered = peers(&[2, 1, 0]);
+        let peer = GossipPeer::with_channels(PeerId(1), GossipConfig::enhanced_f4()).join_channel(
+            ChannelId::DEFAULT,
+            org,
+            &reordered,
+        );
+        assert_same_view(peer.membership(), &separately_built(PeerId(1), org), 7);
+        assert_same_view(peer.channel(), &separately_built(PeerId(1), &reordered), 7);
+    }
+
+    #[test]
+    fn builder_one_org_channel_view_is_the_organization_view() {
+        let roster = peers(&[0, 1, 2, 3]);
+        let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
+        let shorthand = GossipPeer::new(PeerId(2), roster.clone(), cfg.clone());
+        let one_step = GossipPeer::with_channels(PeerId(2), cfg).join_channel(
+            ChannelId::DEFAULT,
+            &roster,
+            &roster,
+        );
+        for mut peer in [shorthand, one_step] {
+            assert!(std::ptr::eq(peer.channel(), peer.membership()));
+            assert_same_view(peer.membership(), &separately_built(PeerId(2), &roster), 5);
+            let mut fx = MockEffects::new(1);
+            peer.init(&mut fx);
+            let stranger = crate::messages::PeerAlive {
+                peer: PeerId(9),
+                incarnation: 1,
+                seq: 1,
+            };
+            peer.on_message(&mut fx, PeerId(0), GossipMsg::AliveMsg(stranger));
+            assert!(peer.channel().contains(PeerId(9)));
+            assert!(std::ptr::eq(peer.channel(), peer.membership()));
+        }
     }
 
     #[test]
     #[should_panic(expected = "joined twice")]
     fn joining_a_channel_twice_is_rejected() {
         let _ = GossipPeer::with_channels(PeerId(0), GossipConfig::enhanced_f4())
-            .join_channel(ChannelId(0), peers(&[0, 1]))
-            .join_channel(ChannelId(0), peers(&[0, 1]));
+            .join_channel(ChannelId(0), &peers(&[0, 1]), &peers(&[0, 1]))
+            .join_channel(ChannelId(0), &peers(&[0, 1]), &peers(&[0, 1]));
     }
 
     #[test]
@@ -640,7 +711,7 @@ mod tests {
         peer.init(&mut fx);
         // The consuming builder would create a dormant, timerless channel;
         // post-init joins must go through join_channel_live.
-        let _ = peer.join_channel(ChannelId(2), peers(&[0, 1]));
+        let _ = peer.join_channel(ChannelId(2), &peers(&[0, 1]), &peers(&[0, 1]));
     }
 
     #[test]
@@ -656,8 +727,8 @@ mod tests {
     #[test]
     fn leaving_a_channel_makes_its_traffic_and_timers_inert() {
         let mut peer = GossipPeer::with_channels(PeerId(1), GossipConfig::enhanced_f4())
-            .join_channel(ChannelId(0), peers(&[0, 1, 2]))
-            .join_channel(ChannelId(1), peers(&[1, 2, 3]));
+            .join_channel(ChannelId(0), &peers(&[0, 1, 2]), &peers(&[0, 1, 2]))
+            .join_channel(ChannelId(1), &peers(&[1, 2, 3]), &peers(&[1, 2, 3]));
         let mut fx = MockEffects::new(1);
         peer.init(&mut fx);
         fx.take_scheduled_on();

@@ -12,15 +12,18 @@
 //! index must not let one message choose its size: its dense array covers
 //! only the ids of the view it was seeded from and never grows. An id above
 //! that range gets a row in an ordered spill instead — one row per id,
-//! found by binary search, behaving exactly like a dense one.
+//! found by binary search, behaving exactly like a dense one. A table
+//! nothing writes (discovery's, on a static roster) holds no dense array.
 
 use fabric_types::ids::PeerId;
 
 /// Maps peer ids to positions (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct PeerIndex {
-    /// `dense[id] = position + 1` (0 = absent) for ids below its length.
+    /// `dense[id] = position + 1` (0 = absent) for ids below `range`;
+    /// allocated when the first peer in that range is recorded.
     dense: Vec<u32>,
+    range: usize,
     /// `(peer, position + 1)` for present peers at or above the dense
     /// range, sorted by peer.
     spill: Vec<(PeerId, u32)>,
@@ -30,20 +33,33 @@ impl PeerIndex {
     /// An empty index with dense slots for the ids `0..range`.
     pub fn new(range: usize) -> Self {
         PeerIndex {
-            dense: vec![0; range],
+            dense: Vec::new(),
+            range,
             spill: Vec::new(),
         }
     }
 
+    /// An index of `peers` at their positions, dense up to their top id.
+    pub fn over(peers: &[PeerId]) -> Self {
+        let top = peers.iter().map(|p| p.0).max();
+        let mut index = PeerIndex::new(top.map_or(0, |id| id as usize + 1));
+        index.dense = vec![0; index.range];
+        for (i, peer) in peers.iter().enumerate() {
+            index.dense[peer.0 as usize] = i as u32 + 1;
+        }
+        index
+    }
+
     /// The number of dense slots: fixed at construction.
     pub fn range(&self) -> usize {
-        self.dense.len()
+        self.range
     }
 
     /// Position of `peer`, if present.
     pub fn get(&self, peer: PeerId) -> Option<usize> {
         let slot = match self.dense.get(peer.0 as usize) {
             Some(&v) => v,
+            None if (peer.0 as usize) < self.range => 0,
             None => match self.spill.binary_search_by_key(&peer, |e| e.0) {
                 Ok(i) => self.spill[i].1,
                 Err(_) => 0,
@@ -54,9 +70,12 @@ impl PeerIndex {
 
     /// Records `peer` at `pos`, or forgets it for `None`.
     pub fn set(&mut self, peer: PeerId, pos: Option<usize>) {
-        let slot = pos.map_or(0, |p| p as u32 + 1);
-        if let Some(v) = self.dense.get_mut(peer.0 as usize) {
-            *v = slot;
+        let (id, slot) = (peer.0 as usize, pos.map_or(0, |p| p as u32 + 1));
+        if id < self.range {
+            if slot != 0 || !self.dense.is_empty() {
+                self.dense.resize(self.range, 0);
+                self.dense[id] = slot;
+            }
             return;
         }
         match (self.spill.binary_search_by_key(&peer, |e| e.0), slot) {
@@ -66,6 +85,14 @@ impl PeerIndex {
             (Ok(i), _) => self.spill[i].1 = slot,
             (Err(_), 0) => {}
             (Err(i), _) => self.spill.insert(i, (peer, slot)),
+        }
+    }
+
+    /// Records `peers` at the positions `from`, `from + 1`, … (after a
+    /// shift).
+    pub fn reindex(&mut self, from: usize, peers: impl IntoIterator<Item = PeerId>) {
+        for (i, peer) in (from..).zip(peers) {
+            self.set(peer, Some(i));
         }
     }
 
@@ -79,6 +106,12 @@ impl PeerIndex {
     #[cfg(test)]
     pub fn spilled(&self) -> usize {
         self.spill.len()
+    }
+
+    /// Whether the dense array has been allocated.
+    #[cfg(test)]
+    pub fn dense_allocated(&self) -> bool {
+        !self.dense.is_empty()
     }
 }
 
@@ -145,7 +178,7 @@ impl<V> PeerTable<V> {
         let i = self.index.get(peer)?;
         let (_, value) = self.rows.remove(i);
         self.index.set(peer, None);
-        self.reindex(i);
+        self.index.reindex(i, self.rows[i..].iter().map(|r| r.0));
         Some(value)
     }
 
@@ -169,15 +202,8 @@ impl<V> PeerTable<V> {
     fn add(&mut self, peer: PeerId, value: V) -> usize {
         let i = self.rows.partition_point(|(p, _)| *p < peer);
         self.rows.insert(i, (peer, value));
-        self.reindex(i);
+        self.index.reindex(i, self.rows[i..].iter().map(|r| r.0));
         i
-    }
-
-    /// Points the index at the rows from `from` on, after a shift.
-    fn reindex(&mut self, from: usize) {
-        for (i, (peer, _)) in self.rows.iter().enumerate().skip(from) {
-            self.index.set(*peer, Some(i));
-        }
     }
 
     /// `(dense slots, spilled rows, rows)`: what a hostile id must not
@@ -185,6 +211,12 @@ impl<V> PeerTable<V> {
     #[cfg(test)]
     pub fn shape(&self) -> (usize, usize, usize) {
         (self.index.range(), self.index.spilled(), self.rows.len())
+    }
+
+    /// Whether the table holds its dense array.
+    #[cfg(test)]
+    pub fn dense_allocated(&self) -> bool {
+        self.index.dense_allocated()
     }
 }
 
@@ -218,7 +250,140 @@ mod tests {
         assert_eq!(t.shape(), (RANGE, 0, 0));
     }
 
+    /// The index as it was before the dense array became lazy: allocated
+    /// in full at construction.
+    struct EagerIndex {
+        dense: Vec<u32>,
+        spill: Vec<(PeerId, u32)>,
+    }
+
+    impl EagerIndex {
+        fn new(range: usize) -> Self {
+            EagerIndex {
+                dense: vec![0; range],
+                spill: Vec::new(),
+            }
+        }
+
+        fn get(&self, peer: PeerId) -> Option<usize> {
+            let slot = match self.dense.get(peer.0 as usize) {
+                Some(&v) => v,
+                None => match self.spill.binary_search_by_key(&peer, |e| e.0) {
+                    Ok(i) => self.spill[i].1,
+                    Err(_) => 0,
+                },
+            };
+            (slot as usize).checked_sub(1)
+        }
+
+        fn set(&mut self, peer: PeerId, pos: Option<usize>) {
+            let slot = pos.map_or(0, |p| p as u32 + 1);
+            if let Some(v) = self.dense.get_mut(peer.0 as usize) {
+                *v = slot;
+                return;
+            }
+            match (self.spill.binary_search_by_key(&peer, |e| e.0), slot) {
+                (Ok(i), 0) => {
+                    self.spill.remove(i);
+                }
+                (Ok(i), _) => self.spill[i].1 = slot,
+                (Err(_), 0) => {}
+                (Err(i), _) => self.spill.insert(i, (peer, slot)),
+            }
+        }
+
+        fn clear(&mut self) {
+            self.dense.fill(0);
+            self.spill.clear();
+        }
+    }
+
+    /// A table whose dense array is allocated before its first row, as
+    /// every table's was before the array became lazy.
+    fn eager_table<V>(range: usize) -> PeerTable<V> {
+        let mut table = PeerTable::new(range);
+        table.index.dense = vec![0; range];
+        table
+    }
+
+    /// Ids inside the dense range, just above it and at the top of the id
+    /// space.
+    fn id_of(class: u8, small: u32) -> PeerId {
+        match class {
+            0 | 1 => PeerId(small % RANGE as u32),
+            2 => PeerId(RANGE as u32 + small % 4),
+            _ => PeerId(u32::MAX - small % 3),
+        }
+    }
+
+    #[test]
+    fn a_table_nothing_writes_holds_no_dense_array() {
+        let mut t: PeerTable<u64> = PeerTable::new(RANGE);
+        assert_eq!(t.get(PeerId(3)), None);
+        assert_eq!(t.remove(PeerId(3)), None);
+        t.clear();
+        assert!(!t.dense_allocated(), "reads, removals and clears allocate");
+        t.insert(PeerId(RANGE as u32), 1);
+        assert!(!t.dense_allocated(), "a spilled row allocates");
+        t.insert(PeerId(0), 1);
+        assert!(t.dense_allocated());
+        assert_eq!(t.shape(), (RANGE, 1, 2));
+    }
+
     proptest! {
+        /// Random `set` / `get` / remove / `clear` scripts over ids inside
+        /// the dense range, just above it and at the top of the id space:
+        /// the lazy index answers every id exactly as the eager one did,
+        /// with the same range and spill, and holds its dense array once a
+        /// present peer in range was recorded; a lazy table answers and
+        /// iterates exactly as one allocated up front.
+        #[test]
+        fn model_lazy_peer_index_matches_eager(
+            ops in proptest::collection::vec((0u8..4, 0u8..4, 0u32..20), 1..160),
+        ) {
+            let probes: Vec<PeerId> = (0..4u8)
+                .flat_map(|class| (0..20).map(move |small| id_of(class, small)))
+                .collect();
+            let (mut lazy, mut eager) = (PeerIndex::new(RANGE), EagerIndex::new(RANGE));
+            let (mut table, mut oracle) = (PeerTable::new(RANGE), eager_table(RANGE));
+            let mut written = false;
+            for (step, (op, class, small)) in ops.into_iter().enumerate() {
+                let peer = id_of(class, small);
+                match op {
+                    0 | 1 => {
+                        lazy.set(peer, Some(step));
+                        eager.set(peer, Some(step));
+                        written |= (peer.0 as usize) < RANGE;
+                        prop_assert_eq!(table.insert(peer, step), oracle.insert(peer, step));
+                    }
+                    2 => {
+                        lazy.set(peer, None);
+                        eager.set(peer, None);
+                        prop_assert_eq!(table.remove(peer), oracle.remove(peer));
+                    }
+                    _ if small == 0 => {
+                        lazy.clear();
+                        eager.clear();
+                        table.clear();
+                        oracle.clear();
+                    }
+                    _ => {}
+                }
+                for &probe in &probes {
+                    prop_assert_eq!(lazy.get(probe), eager.get(probe), "{:?}", probe);
+                    prop_assert_eq!(table.get(probe), oracle.get(probe), "{:?}", probe);
+                }
+                prop_assert_eq!(lazy.range(), RANGE);
+                prop_assert_eq!(lazy.spilled(), eager.spill.len());
+                prop_assert_eq!(lazy.dense_allocated(), written);
+                prop_assert_eq!(
+                    table.iter().map(|(p, v)| (p, *v)).collect::<Vec<_>>(),
+                    oracle.iter().map(|(p, v)| (p, *v)).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(table.shape(), oracle.shape());
+            }
+        }
+
         /// Random operations over ids inside the dense range, just above
         /// it and at the top of the id space, against a `BTreeMap`: same
         /// answers, same iteration order, a dense range that never moves.
@@ -226,11 +391,6 @@ mod tests {
         fn model_peer_table_matches_btreemap(
             ops in proptest::collection::vec((0u8..7, 0u8..4, 0u32..20), 1..160),
         ) {
-            let id_of = |class: u8, small: u32| match class {
-                0 | 1 => PeerId(small % RANGE as u32),
-                2 => PeerId(RANGE as u32 + small % 4),
-                _ => PeerId(u32::MAX - small % 3),
-            };
             let mut table: PeerTable<u64> = PeerTable::new(RANGE);
             let mut model: BTreeMap<PeerId, u64> = BTreeMap::new();
             for (step, (op, class, small)) in ops.into_iter().enumerate() {

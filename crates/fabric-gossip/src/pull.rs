@@ -194,7 +194,8 @@ mod tests {
         ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(1),
-            (0..4).map(PeerId).collect(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
             GossipConfig::original_fabric(),
         )
     }

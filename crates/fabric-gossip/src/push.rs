@@ -475,7 +475,8 @@ mod tests {
         ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(5),
-            (0..10).map(PeerId).collect(),
+            &(0..10).map(PeerId).collect::<Vec<_>>(),
+            &(0..10).map(PeerId).collect::<Vec<_>>(),
             cfg,
         )
     }

@@ -67,8 +67,8 @@ impl RecoveryEngine {
     /// the channel-wide view, the only peers they ever record.
     pub fn new(core: &ChannelCore) -> Self {
         RecoveryEngine {
-            peer_heights: core.channel_view.table(),
-            peer_checkpoints: core.channel_view.table(),
+            peer_heights: core.channel_view().table(),
+            peer_checkpoints: core.channel_view().table(),
             inflight: None,
             failed_servers: BTreeSet::new(),
         }
@@ -90,6 +90,15 @@ impl RecoveryEngine {
         [self.peer_heights.shape(), self.peer_checkpoints.shape()]
     }
 
+    /// Whether the height and the checkpoint view hold their dense arrays.
+    #[cfg(test)]
+    pub(crate) fn dense_allocated(&self) -> [bool; 2] {
+        [
+            self.peer_heights.dense_allocated(),
+            self.peer_checkpoints.dense_allocated(),
+        ]
+    }
+
     /// A peer advertised its ledger height (and, under snapshot bootstrap,
     /// possibly its latest checkpoint). Only channel members are recorded:
     /// the height table keeps each peer's maximum and a recovery round asks
@@ -103,7 +112,7 @@ impl RecoveryEngine {
         height: u64,
         checkpoint: Option<Checkpoint>,
     ) {
-        if !core.channel_view.contains(from) {
+        if !core.channel_view().contains(from) {
             return;
         }
         let entry = self.peer_heights.get_or_insert(from, 0);
@@ -129,7 +138,7 @@ impl RecoveryEngine {
         // StateInfo metadata crosses organization boundaries (§III).
         let targets = {
             let k = core.cfg.fout;
-            core.channel_view.sample(fx.rng(), k)
+            core.channel_view().sample(fx.rng(), k)
         };
         for t in targets {
             core.send(fx, t, GossipMsg::StateInfo { height, checkpoint });
@@ -427,7 +436,8 @@ mod tests {
         ChannelCore::new(
             ChannelId::DEFAULT,
             PeerId(self_id),
-            (0..4).map(PeerId).collect(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
+            &(0..4).map(PeerId).collect::<Vec<_>>(),
             GossipConfig::enhanced_f4(),
         )
     }

@@ -38,7 +38,7 @@ proptest! {
             let mut peer = GossipPeer::with_channels(outsider, GossipConfig::enhanced_f4());
             for (other, roster) in memberships.iter().enumerate() {
                 if roster.contains(&outsider) {
-                    peer = peer.join_channel(ChannelId(other as u16), roster.clone());
+                    peer = peer.join_channel(ChannelId(other as u16), roster, roster);
                 }
             }
             let mut fx = MockEffects::new(2_000 + u64::from(outsider.0));

@@ -27,8 +27,8 @@ proptest! {
         stale_seq_raw in 0u64..1_000,
     ) {
         let roster: Vec<PeerId> = (0..3).map(PeerId).collect();
-        let mut peer =
-            GossipPeer::with_channels(PeerId(0), discovery_cfg()).join_channel(ChannelId(0), roster);
+        let mut peer = GossipPeer::with_channels(PeerId(0), discovery_cfg())
+            .join_channel(ChannelId(0), &roster, &roster);
         let mut fx = MockEffects::new(7);
         peer.init(&mut fx);
         fx.take_sent_on();

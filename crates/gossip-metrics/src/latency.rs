@@ -107,9 +107,15 @@ impl LatencyRecorder {
 
     /// All latencies of one peer across blocks (missing cells skipped).
     pub fn peer_latencies(&self, peer: usize) -> Vec<Duration> {
+        self.peer_latencies_from(peer, 0)
+    }
+
+    /// One peer's latencies of the blocks numbered `first` and above
+    /// (missing cells skipped).
+    pub fn peer_latencies_from(&self, peer: usize, first: u64) -> Vec<Duration> {
         self.blocks
-            .values()
-            .filter_map(|r| r.latencies[peer].map(latency))
+            .range(first..)
+            .filter_map(|(_, r)| r.latencies[peer].map(latency))
             .collect()
     }
 

@@ -257,3 +257,42 @@ fn powering_a_leader_off_opens_its_leader_gap() {
     assert_eq!(fabric.leader_gaps_on(main), [Duration::from_secs(10)]);
     assert!(!fabric.leader_gap_open_on(main));
 }
+
+/// Regression: a churned channel's latency pool took every cell of a
+/// joiner's slot, its catch-up receptions of blocks cut long before it
+/// joined included, so `late_joiner(12, 30)`'s side channel read p99.9 =
+/// max = 28.8 s of join lag. A joiner's cells up to its catch-up target
+/// are timed by its catch-up record instead; the rest stay in the pool.
+#[test]
+fn a_joiners_catch_up_stays_out_of_the_channels_latency_pool() {
+    let side = ChannelId(1);
+    let res = run_churn_waves(&ChurnWavesConfig::late_joiner(12, 30));
+    let net = &res.net;
+    let rec = net.latency_on(side).unwrap();
+    let worst = |cells: Vec<Duration>| cells.into_iter().max().unwrap();
+    let initial = (0..12).map(|slot| worst(rec.peer_latencies(slot))).max();
+    assert!(initial < Some(Duration::from_secs(1)), "{initial:?}");
+    let mut pooled_max = initial.unwrap();
+    assert_eq!(res.catchups.len(), 2);
+    for c in &res.catchups {
+        let slot = net.latency_slot_on(side, c.peer).unwrap();
+        assert!(slot >= 12, "{} is a scheduled joiner", c.peer);
+        assert!(c.target > 0, "{} caught up on nothing", c.peer);
+        assert!(
+            c.latency().is_some(),
+            "{}'s catch-up never completed",
+            c.peer
+        );
+        let catch_up = worst(rec.peer_latencies(slot));
+        assert!(catch_up > Duration::from_secs(10), "{catch_up}");
+        pooled_max = pooled_max.max(worst(rec.peer_latencies_from(slot, c.target + 1)));
+    }
+    let report = &res.channels[1];
+    assert_eq!(report.max, pooled_max, "the pool is the live cells");
+    assert!(report.p999 <= report.max && report.p50 <= report.p999);
+    assert!(report.max < Duration::from_secs(1), "{}", report.max);
+    // Nobody joins the main channel: its pool is every cell.
+    let main = net.latency_on(ChannelId::DEFAULT).unwrap();
+    let all = (0..main.peers()).flat_map(|slot| main.peer_latencies(slot));
+    assert_eq!(res.channels[0].max, worst(all.collect()));
+}
