@@ -159,12 +159,13 @@ impl Duration {
 
 /// `x.round() as u64` for a finite, non-negative `x`, without `f64::round`,
 /// a libm call on baseline x86-64: below 2^53 the truncation and the
-/// subtraction are exact, so this is the same function; at and above it
-/// every double is an integer, and the cast saturates past `u64::MAX`.
+/// subtraction are exact (cast through `i64`, one instruction each where
+/// an unsigned cast branches), so this is the same function; at and above
+/// it every double is an integer, and the cast saturates past `u64::MAX`.
 fn round_half_up(x: f64) -> u64 {
     if x < 9_007_199_254_740_992.0 {
-        let whole = x as u64;
-        whole + u64::from(x - whole as f64 >= 0.5)
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
     } else {
         x as u64
     }

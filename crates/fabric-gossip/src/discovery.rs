@@ -180,6 +180,7 @@ impl DiscoveryEngine {
         self.incarnation = now.as_nanos().max(1).max(self.incarnation + 1);
         self.seq = 0;
         self.junior = self.junior || !core.listed;
+        self.view.reserve(core.membership.len());
         for &peer in core.membership.peers() {
             let seed = Row {
                 claim: PeerAlive {
@@ -557,6 +558,32 @@ mod tests {
         peer.init(&mut fx);
         assert_eq!(round_at(&mut peer, &mut fx, 30), [1, 2, 3].map(PeerId));
         assert!(round_at(&mut peer, &mut fx, 46).is_empty());
+    }
+
+    /// A re-`init` over a view that already holds fresher claims than
+    /// the seed keeps each claim and restamps when it was heard: every
+    /// member gets one full alive timeout (25 s) from the reboot.
+    #[test]
+    fn liveness_a_reinit_keeps_held_claims_and_restamps_them() {
+        let mut c = core(0, 4);
+        let mut e = DiscoveryEngine::new(&c);
+        let mut fx = MockEffects::new(34);
+        e.init(&mut c, &mut fx);
+        let held = [claim(1, 10, 3), claim(2, 11, 1), claim(3, 12, 7)];
+        for claim in held {
+            e.on_alive(&mut c, &mut fx, claim);
+        }
+        fx.now = Time::from_secs(20);
+        e.init(&mut c, &mut fx);
+        for claim in held {
+            assert_eq!(e.claim_of(claim.peer), Some(&claim), "{claim:?}");
+        }
+        assert_eq!(e.claims().count(), 3, "nothing seeded twice");
+        fx.now = Time::from_secs(45);
+        assert!(e.on_round(&mut c, &mut fx).left.is_empty());
+        fx.now = Time::from_secs(46);
+        let delta = e.on_round(&mut c, &mut fx);
+        assert_eq!(delta.left, [1, 2, 3].map(PeerId));
     }
 
     #[test]

@@ -198,9 +198,18 @@ impl<V> PeerTable<V> {
         self.rows.iter().map(|(_, v)| v)
     }
 
-    /// Inserts a row for an absent `peer`, returning its position.
+    /// Makes room for `rows` rows in all.
+    pub fn reserve(&mut self, rows: usize) {
+        self.rows.reserve(rows.saturating_sub(self.rows.len()));
+    }
+
+    /// Inserts a row for an absent `peer`, returning its position: a peer
+    /// above every row (a view seeded in id order) is appended unsearched.
     fn add(&mut self, peer: PeerId, value: V) -> usize {
-        let i = self.rows.partition_point(|(p, _)| *p < peer);
+        let i = match self.rows.last() {
+            Some((last, _)) if *last > peer => self.rows.partition_point(|(p, _)| *p < peer),
+            _ => self.rows.len(),
+        };
         self.rows.insert(i, (peer, value));
         self.index.reindex(i, self.rows[i..].iter().map(|r| r.0));
         i
@@ -381,6 +390,57 @@ mod tests {
                     oracle.iter().map(|(p, v)| (p, *v)).collect::<Vec<_>>()
                 );
                 prop_assert_eq!(table.shape(), oracle.shape());
+            }
+        }
+
+        /// Scripts biased to ascending inserts — the append path a view
+        /// seeded in id order takes, across the dense edge into the spill
+        /// — mixed with out-of-order inserts, `get_or_insert`, `remove`
+        /// and `clear`, against a `BTreeMap`: same answers, same rows in
+        /// the same order, the same spill.
+        #[test]
+        fn model_peer_table_seeding_matches_btreemap(
+            ops in proptest::collection::vec((0u8..8, 0u32..4), 1..160),
+        ) {
+            let mut table: PeerTable<u64> = PeerTable::new(RANGE);
+            let mut model: BTreeMap<PeerId, u64> = BTreeMap::new();
+            let mut top = 0u32;
+            table.reserve(RANGE);
+            for (step, (op, small)) in ops.into_iter().enumerate() {
+                let value = step as u64;
+                // Ascending ids climb past the dense range into the spill;
+                // any other id lands at or below the top.
+                let below = PeerId(small * 5 % (top + 1));
+                match op {
+                    0..=3 => {
+                        top += small;
+                        let peer = PeerId(top);
+                        prop_assert_eq!(table.insert(peer, value), model.insert(peer, value));
+                    }
+                    4 => prop_assert_eq!(
+                        *table.get_or_insert(PeerId(top + small), value),
+                        *model.entry(PeerId(top + small)).or_insert(value)
+                    ),
+                    5 => prop_assert_eq!(table.insert(below, value), model.insert(below, value)),
+                    6 => prop_assert_eq!(table.remove(below), model.remove(&below)),
+                    _ if small == 0 => {
+                        table.clear();
+                        model.clear();
+                        top = 0;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(
+                    table.iter().map(|(p, v)| (p, *v)).collect::<Vec<_>>(),
+                    model.iter().map(|(p, v)| (*p, *v)).collect::<Vec<_>>()
+                );
+                for id in 0..=top + 4 {
+                    prop_assert_eq!(table.get(PeerId(id)), model.get(&PeerId(id)));
+                }
+                let (range, spilled, rows) = table.shape();
+                prop_assert_eq!(range, RANGE);
+                prop_assert_eq!(spilled, model.keys().filter(|p| p.0 as usize >= RANGE).count());
+                prop_assert_eq!(rows, model.len());
             }
         }
 

@@ -13,10 +13,8 @@
 //! counter key the invocation names, which the endorser renders into the
 //! chaincode's key (`delta:row{n}` or `counter{n}`) when it simulates the
 //! row. A schedule is one `Vec` of 24-byte rows with nothing on the heap
-//! behind them: generating it writes that `Vec` and renders nothing.
-
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+//! behind them: generating it writes that `Vec` and renders nothing, and
+//! [`merge_schedules`] interleaves one per channel instant by instant.
 
 use desim::{Duration, Time};
 use fabric_types::ids::ChannelId;
@@ -40,8 +38,7 @@ pub struct ScheduledInvocation {
     /// The channel the invocation targets: its endorsers simulate the
     /// chaincode, its ordering chain batches the transaction, its members
     /// receive the cut block. Generators produce [`ChannelId::DEFAULT`];
-    /// retarget with [`ScheduledInvocation::on_channel`] /
-    /// [`retarget_schedule`].
+    /// retarget with [`retarget_schedule`].
     pub channel: ChannelId,
     /// Target chaincode.
     pub chaincode: ChaincodeKind,
@@ -52,25 +49,16 @@ pub struct ScheduledInvocation {
     pub padding: u32,
 }
 
-impl ScheduledInvocation {
-    /// Retargets the invocation at `channel`.
-    #[must_use]
-    pub fn on_channel(mut self, channel: ChannelId) -> Self {
-        self.channel = channel;
-        self
-    }
-}
-
 /// Retargets a whole schedule at `channel` (workload generators emit
-/// [`ChannelId::DEFAULT`]).
+/// [`ChannelId::DEFAULT`]), in place.
 pub fn retarget_schedule(
-    schedule: Vec<ScheduledInvocation>,
+    mut schedule: Vec<ScheduledInvocation>,
     channel: ChannelId,
 ) -> Vec<ScheduledInvocation> {
+    for row in &mut schedule {
+        row.channel = channel;
+    }
     schedule
-        .into_iter()
-        .map(|s| s.on_channel(channel))
-        .collect()
 }
 
 /// Merges per-channel schedules into one time-sorted stream — the
@@ -78,41 +66,38 @@ pub fn retarget_schedule(
 /// the same instant keep their input-schedule order.
 ///
 /// Every input must already be sorted by issue time, as the generators
-/// emit it: the merge is one pass over the inputs' heads (a min-heap
-/// keyed on `(at, input)`) into a `Vec` of exactly the summed length, and
-/// nothing is sorted.
+/// emit it: the merge finds the earliest head instant across the inputs,
+/// then takes each input's rows due at that instant in input order, into
+/// a `Vec` of exactly the summed length; nothing is sorted and no heap is
+/// kept. That costs O(k) per distinct instant over k inputs and O(1) per
+/// row: every preset merges at most four inputs, each on the same
+/// instants.
 ///
 /// # Panics
 ///
 /// If an input is not sorted by issue time.
 pub fn merge_schedules(schedules: Vec<Vec<ScheduledInvocation>>) -> Vec<ScheduledInvocation> {
     let mut merged = Vec::with_capacity(schedules.iter().map(Vec::len).sum());
-    // The next row of each input, and each non-empty input's head as
-    // `(at, input)`: the smallest pops first, the lower input on a tie.
+    // The next row of each input.
     let mut next = vec![0usize; schedules.len()];
-    let mut heads: BinaryHeap<Reverse<(Time, usize)>> = schedules
+    while let Some(at) = schedules
         .iter()
-        .enumerate()
-        .filter_map(|(i, rows)| rows.first().map(|row| Reverse((row.at, i))))
-        .collect();
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((at, i)) = *head;
-        let rows = &schedules[i];
-        merged.push(rows[next[i]]);
-        next[i] += 1;
-        match rows.get(next[i]) {
-            Some(row) => {
+        .zip(&next)
+        .filter_map(|(rows, &n)| rows.get(n).map(|row| row.at))
+        .min()
+    {
+        for (i, (rows, n)) in schedules.iter().zip(&mut next).enumerate() {
+            while let Some(&row) = rows.get(*n).filter(|row| row.at == at) {
+                merged.push(row);
+                *n += 1;
+            }
+            if let Some(row) = rows.get(*n) {
                 assert!(
                     row.at >= at,
-                    "schedule {i} is not sorted by issue time: row {} is due at {:?}, before row {}",
-                    next[i],
+                    "schedule {i} is not sorted by issue time: row {n} is due at {:?}, before row {}",
                     row.at,
-                    next[i] - 1
+                    *n - 1
                 );
-                *head = Reverse((row.at, i));
-            }
-            None => {
-                PeekMut::pop(head);
             }
         }
     }
@@ -187,8 +172,10 @@ const MAX_PAYLOAD_TXS: usize = u32::MAX as usize + 1;
 /// The most counter keys a schedule numbers: a key's number is a `u32`.
 const MAX_COUNTER_KEYS: usize = u32::MAX as usize + 1;
 
+/// When row `index` is issued: cast through `i64`, exact below 2^63, the
+/// index converts in one instruction where the unsigned cast branches.
 fn issue_time(index: usize, rate_per_sec: f64) -> Time {
-    Time::ZERO + Duration::from_secs_f64(index as f64 / rate_per_sec)
+    Time::ZERO + Duration::from_secs_f64(index as i64 as f64 / rate_per_sec)
 }
 
 /// Generates the dissemination schedule: conflict-free payload writes, one
@@ -357,6 +344,49 @@ mod tests {
                         padding: 0,
                     });
                 }
+                let mut sorted: Vec<ScheduledInvocation> =
+                    schedules.iter().flatten().copied().collect();
+                sorted.sort_by_key(|s| s.at);
+                let merged = merge_schedules(schedules);
+                prop_assert_eq!(merged.capacity(), merged.len());
+                prop_assert_eq!(merged, sorted);
+            }
+
+            /// The merge on the presets' shape, against flatten and stable
+            /// sort: up to twelve inputs, some empty, every other one on
+            /// the same instant sequence (`gap` ms apart, ties within an
+            /// input included), as the `churn_waves` and `multichannel`
+            /// plans give every channel the same rate.
+            #[test]
+            fn model_merge_schedules_on_shared_instants(
+                present in proptest::collection::vec(any::<bool>(), 0..13),
+                gaps in proptest::collection::vec(0u64..3, 0..60),
+            ) {
+                let instants: Vec<Time> = gaps
+                    .iter()
+                    .scan(Time::ZERO, |at, &gap| {
+                        *at += Duration::from_millis(gap);
+                        Some(*at)
+                    })
+                    .collect();
+                let schedules: Vec<Vec<ScheduledInvocation>> = present
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &present)| {
+                        let instants = if present { &instants[..] } else { &[] };
+                        instants
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &at)| ScheduledInvocation {
+                                at,
+                                channel: ChannelId(i as u16),
+                                chaincode: ChaincodeKind::Payload,
+                                number: j as u32,
+                                padding: 0,
+                            })
+                            .collect()
+                    })
+                    .collect();
                 let mut sorted: Vec<ScheduledInvocation> =
                     schedules.iter().flatten().copied().collect();
                 sorted.sort_by_key(|s| s.at);
