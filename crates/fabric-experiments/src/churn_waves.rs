@@ -306,18 +306,17 @@ impl ChurnWavesConfig {
 
 /// The main channel's payload schedule merged with `side_channels` copies
 /// of the side workload, one per `ChannelId(1)..=ChannelId(side_channels)`
-/// — the client traffic of every churn run.
+/// — the client traffic of every churn run. The side schedule is
+/// generated once and copied per side channel.
 fn churned_schedule(
     main: &PayloadWorkload,
     side: &PayloadWorkload,
     side_channels: usize,
 ) -> Vec<ScheduledInvocation> {
+    let side = payload_schedule(side);
     let mut schedules = vec![payload_schedule(main)];
     for c in 1..=side_channels {
-        schedules.push(retarget_schedule(
-            payload_schedule(side),
-            ChannelId(c as u16),
-        ));
+        schedules.push(retarget_schedule(side.clone(), ChannelId(c as u16)));
     }
     merge_schedules(schedules)
 }

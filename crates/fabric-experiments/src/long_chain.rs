@@ -63,33 +63,13 @@ impl LongChainConfig {
 pub struct LongChainRow {
     /// Blocks scheduled on the side channel at this sweep point.
     pub blocks: u64,
-    /// The head the genesis-replay joiner chased (its catch-up target).
-    pub genesis_target: u64,
-    /// Catch-up transfer bytes of the genesis-replay joiner.
-    pub genesis_bytes: u64,
-    /// Join → serving the head, genesis replay.
-    pub genesis_time_to_serving: Duration,
-    /// Blocks the genesis-replay joiner received and replayed.
-    pub genesis_blocks_replayed: u64,
-    /// The head the snapshot-bootstrapped joiner chased.
-    pub snapshot_target: u64,
-    /// Catch-up transfer bytes of the snapshot-bootstrapped joiner
-    /// (snapshot chunks + tail recovery).
-    pub snapshot_bytes: u64,
-    /// Join → serving the head, snapshot bootstrap.
-    pub snapshot_time_to_serving: Duration,
-    /// Blocks the snapshot-bootstrapped joiner replayed (the tail).
-    pub snapshot_blocks_replayed: u64,
-    /// Height the installed snapshot absorbed (0 = none was installed).
-    pub snapshot_height: u64,
-    /// Largest single snapshot-transfer wire message — bounded by the
-    /// configured chunk size however large the state.
-    pub max_msg_bytes: u64,
-    /// Snapshot chunks the joiner accepted.
-    pub chunks: u64,
-    /// Transfers the joiner re-requested after a timeout or server loss
-    /// (0 on a lossless sweep).
-    pub resumes: u64,
+    /// The genesis-replay joiner's catch-up: the head it chased, the
+    /// bytes it received, the blocks it replayed.
+    pub genesis: Catchup,
+    /// The snapshot-bootstrapped joiner's catch-up: the same, plus the
+    /// installed floor, the largest transfer message (bounded by the
+    /// chunk size however large the state), chunks and resumes.
+    pub snapshot: Catchup,
     /// The snapshot export a sitting endorser serves at the end of the
     /// run (its newest checkpoint's, the largest) — grows linearly with
     /// state size.
@@ -114,8 +94,8 @@ impl LongChainResult {
         let first = self.rows.first().expect("sweep is non-empty");
         let last = self.rows.last().expect("sweep is non-empty");
         (
-            last.genesis_bytes as f64 / first.genesis_bytes.max(1) as f64,
-            last.snapshot_bytes as f64 / first.snapshot_bytes.max(1) as f64,
+            last.genesis.bytes as f64 / first.genesis.bytes.max(1) as f64,
+            last.snapshot.bytes as f64 / first.snapshot.bytes.max(1) as f64,
         )
     }
 
@@ -123,13 +103,19 @@ impl LongChainResult {
     pub fn time_growth(&self) -> (f64, f64) {
         let first = self.rows.first().expect("sweep is non-empty");
         let last = self.rows.last().expect("sweep is non-empty");
+        let growth = |first: &Catchup, last: &Catchup| {
+            serving(last).as_secs_f64() / serving(first).as_secs_f64().max(1e-9)
+        };
         (
-            last.genesis_time_to_serving.as_secs_f64()
-                / first.genesis_time_to_serving.as_secs_f64().max(1e-9),
-            last.snapshot_time_to_serving.as_secs_f64()
-                / first.snapshot_time_to_serving.as_secs_f64().max(1e-9),
+            growth(&first.genesis, &last.genesis),
+            growth(&first.snapshot, &last.snapshot),
         )
     }
+}
+
+/// Join → serving the head of a catch-up the sweep saw complete.
+fn serving(cu: &Catchup) -> Duration {
+    cu.latency().expect("a sweep row holds completed catch-ups")
 }
 
 /// One late join and nothing else: the late-joiner preset without its
@@ -168,12 +154,12 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
     for &blocks in &cfg.heights {
         let base = one_late_join(SIDE_MEMBERS, blocks);
         let genesis = run_churn_waves(&base);
-        let g = completed_catchup(&genesis.catchups, blocks, "genesis");
+        let genesis = completed_catchup(&genesis.catchups, blocks, "genesis");
 
         let mut snap_cfg = base.with_snapshots(CHECKPOINT_INTERVAL);
         snap_cfg.gossip.snapshot.as_mut().unwrap().chunk_size = CHUNK_SIZE;
         let snap_run = run_churn_waves(&snap_cfg);
-        let s = completed_catchup(&snap_run.catchups, blocks, "snapshot");
+        let snapshot = completed_catchup(&snap_run.catchups, blocks, "snapshot");
         // What the sitting endorser exports to be able to serve: its
         // newest checkpoint's, the largest, as the state only grows.
         let served = snap_run
@@ -184,18 +170,8 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
 
         rows.push(LongChainRow {
             blocks,
-            genesis_target: g.target,
-            genesis_bytes: g.bytes,
-            genesis_time_to_serving: g.latency().expect("checked above"),
-            genesis_blocks_replayed: g.blocks_replayed,
-            snapshot_target: s.target,
-            snapshot_bytes: s.bytes,
-            snapshot_time_to_serving: s.latency().expect("checked above"),
-            snapshot_blocks_replayed: s.blocks_replayed,
-            snapshot_height: s.snapshot_height,
-            max_msg_bytes: s.max_msg_bytes,
-            chunks: s.chunks,
-            resumes: s.resumes,
+            genesis,
+            snapshot,
             full_bytes_per_checkpoint: served.map_or(0, |s| s.wire_size() as u64),
         });
     }
@@ -206,24 +182,25 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
 pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
     let mut out = format!("== {title} (checkpoints every {CHECKPOINT_INTERVAL} blocks) ==\n");
     for r in &result.rows {
+        let (g, s) = (&r.genesis, &r.snapshot);
         out.push_str(&format!(
             "{:>4} blocks | genesis: head {:>4}, {:>8} B, {} to serving, {:>4} replayed | \
              snapshot: head {:>4}, {:>8} B, {} to serving, {:>4} replayed (floor {})\n",
             r.blocks,
-            r.genesis_target,
-            r.genesis_bytes,
-            r.genesis_time_to_serving,
-            r.genesis_blocks_replayed,
-            r.snapshot_target,
-            r.snapshot_bytes,
-            r.snapshot_time_to_serving,
-            r.snapshot_blocks_replayed,
-            r.snapshot_height,
+            g.target,
+            g.bytes,
+            serving(g),
+            g.blocks_replayed,
+            s.target,
+            s.bytes,
+            serving(s),
+            s.blocks_replayed,
+            s.snapshot_height,
         ));
         out.push_str(&format!(
             "            | transfer: max msg {:>6} B, {:>3} chunks, {} resumes | \
              full export {:>6} B\n",
-            r.max_msg_bytes, r.chunks, r.resumes, r.full_bytes_per_checkpoint,
+            s.max_msg_bytes, s.chunks, s.resumes, r.full_bytes_per_checkpoint,
         ));
     }
     let (gb, sb) = result.bytes_growth();
@@ -254,37 +231,37 @@ mod tests {
         // two samples of it.
         let period = CHECKPOINT_INTERVAL;
         for r in &res.rows {
-            assert!(r.genesis_target > 0, "the joiner must have a head to chase");
+            assert!(r.genesis.target > 0, "the joiner must have a head to chase");
             assert!(
-                r.genesis_blocks_replayed >= r.genesis_target,
+                r.genesis.blocks_replayed >= r.genesis.target,
                 "{} blocks: genesis replay must pull the whole chain",
                 r.blocks
             );
             assert!(
-                r.snapshot_blocks_replayed <= period,
+                r.snapshot.blocks_replayed <= period,
                 "{} blocks: tail {} exceeds the checkpoint interval {period}",
                 r.blocks,
-                r.snapshot_blocks_replayed
+                r.snapshot.blocks_replayed
             );
             assert!(
-                r.snapshot_height >= CHECKPOINT_INTERVAL,
+                r.snapshot.snapshot_height >= CHECKPOINT_INTERVAL,
                 "{} blocks: no snapshot was installed (floor {})",
                 r.blocks,
-                r.snapshot_height
+                r.snapshot.snapshot_height
             );
             assert!(
-                r.snapshot_blocks_replayed < r.genesis_blocks_replayed,
+                r.snapshot.blocks_replayed < r.genesis.blocks_replayed,
                 "{} blocks: tail replay {} not below full replay {}",
                 r.blocks,
-                r.snapshot_blocks_replayed,
-                r.genesis_blocks_replayed
+                r.snapshot.blocks_replayed,
+                r.genesis.blocks_replayed
             );
             assert!(
-                r.snapshot_bytes < r.genesis_bytes,
+                r.snapshot.bytes < r.genesis.bytes,
                 "{} blocks: snapshot bytes {} not below genesis bytes {}",
                 r.blocks,
-                r.snapshot_bytes,
-                r.genesis_bytes
+                r.snapshot.bytes,
+                r.genesis.bytes
             );
         }
         let (genesis_bytes, _) = res.bytes_growth();
@@ -303,13 +280,13 @@ mod tests {
         let r = &res.rows[0];
         assert_eq!(
             (
-                r.snapshot_target,
-                r.snapshot_height,
-                r.snapshot_blocks_replayed
+                r.snapshot.target,
+                r.snapshot.snapshot_height,
+                r.snapshot.blocks_replayed
             ),
             (26, 24, 5)
         );
-        assert!(r.snapshot_blocks_replayed < CHECKPOINT_INTERVAL);
+        assert!(r.snapshot.blocks_replayed < CHECKPOINT_INTERVAL);
     }
 
     #[test]
@@ -330,13 +307,16 @@ mod tests {
         let res = sweep();
         for r in &res.rows {
             assert!(
-                r.max_msg_bytes > 0 && r.max_msg_bytes as usize <= CHUNK_SIZE,
+                r.snapshot.max_msg_bytes > 0 && r.snapshot.max_msg_bytes as usize <= CHUNK_SIZE,
                 "{} blocks: snapshot message {} exceeds the {CHUNK_SIZE} budget",
                 r.blocks,
-                r.max_msg_bytes,
+                r.snapshot.max_msg_bytes,
             );
-            assert!(r.chunks > 1, "the transfer must actually chunk");
-            assert_eq!(r.resumes, 0, "a lossless LAN sweep needs no resumes");
+            assert!(r.snapshot.chunks > 1, "the transfer must actually chunk");
+            assert_eq!(
+                r.snapshot.resumes, 0,
+                "a lossless LAN sweep needs no resumes"
+            );
         }
         // The state a joiner installs outgrows the chunk budget many
         // times over; the largest message does not move.

@@ -38,12 +38,8 @@ pub struct ChannelPlan {
     /// Members (the channel's single organization) in ascending peer-id
     /// order; the lowest id endorses.
     pub members: Vec<PeerId>,
-    /// Transactions the client issues on this channel.
-    pub txs: usize,
-    /// Issue rate, transactions per second.
-    pub rate_per_sec: f64,
-    /// Wire padding per transaction.
-    pub tx_padding: u32,
+    /// What the client issues on this channel.
+    pub workload: PayloadWorkload,
 }
 
 /// Everything a multi-channel run needs.
@@ -123,9 +119,11 @@ impl MultiChannelConfig {
                 let slowdown = c as u64 + 1;
                 ChannelPlan {
                     members: (lo as u32..hi as u32).map(PeerId).collect(),
-                    txs: (BLOCK_TXS * (base_blocks / slowdown).max(1)) as usize,
-                    rate_per_sec: BLOCK_TXS as f64 / (0.5 * slowdown as f64),
-                    tx_padding: 32_768 / BLOCK_TXS as u32,
+                    workload: PayloadWorkload {
+                        total_txs: (BLOCK_TXS * (base_blocks / slowdown).max(1)) as usize,
+                        rate_per_sec: BLOCK_TXS as f64 / (0.5 * slowdown as f64),
+                        tx_padding: 32_768 / BLOCK_TXS as u32,
+                    },
                 }
             })
             .collect();
@@ -157,9 +155,7 @@ impl MultiChannelConfig {
             ] {
                 channels.push(ChannelPlan {
                     members: (lo..hi).map(PeerId).collect(),
-                    txs,
-                    rate_per_sec: workload.rate_per_sec,
-                    tx_padding: workload.tx_padding,
+                    workload: workload.clone(),
                 });
             }
         }
@@ -203,13 +199,9 @@ impl MultiChannelConfig {
                 .iter()
                 .enumerate()
                 .map(|(c, plan)| {
-                    assert!(plan.txs >= 1, "channel {c} has an empty workload");
-                    let workload = PayloadWorkload {
-                        total_txs: plan.txs,
-                        rate_per_sec: plan.rate_per_sec,
-                        tx_padding: plan.tx_padding,
-                    };
-                    retarget_schedule(payload_schedule(&workload), ChannelId(c as u16))
+                    let workload = &plan.workload;
+                    assert!(workload.total_txs >= 1, "channel {c} has an empty workload");
+                    retarget_schedule(payload_schedule(workload), ChannelId(c as u16))
                 })
                 .collect(),
         );
@@ -249,9 +241,12 @@ mod tests {
         // …but not their lowest id, the initial leader and endorser.
         assert_ne!(memberships[0][0], memberships[1][0]);
         // Skew: channel c runs (c + 1)× slower on (c + 1)× fewer blocks.
-        assert_eq!(cfg.channels[0].txs, 60);
-        assert_eq!(cfg.channels[2].txs, 20);
-        let (fast, slow) = (cfg.channels[0].rate_per_sec, cfg.channels[2].rate_per_sec);
+        assert_eq!(cfg.channels[0].workload.total_txs, 60);
+        assert_eq!(cfg.channels[2].workload.total_txs, 20);
+        let (fast, slow) = (
+            cfg.channels[0].workload.rate_per_sec,
+            cfg.channels[2].workload.rate_per_sec,
+        );
         assert!((fast - 3.0 * slow).abs() < 1e-9);
         // The windows run from peer 0 to the last peer, whether or not
         // `peers - window` divides by `channels - 1`.
@@ -289,7 +284,7 @@ mod tests {
             MultiChannelConfig::clustered(2, 9, 40),
             MultiChannelConfig::clustered(3, 9, 60),
         ] {
-            let issued: f64 = cfg.channels.iter().map(|c| c.rate_per_sec).sum();
+            let issued: f64 = cfg.channels.iter().map(|c| c.workload.rate_per_sec).sum();
             let ingress = 1.0 / cfg.network.proc_delay.mean().as_secs_f64();
             assert!(
                 issued < ingress,
@@ -307,7 +302,12 @@ mod tests {
         assert_eq!(res.channels.len(), 3);
         for (c, plan) in res.channels.iter().zip(&cfg.channels) {
             assert_eq!(c.completeness, 1.0, "channel {} starved", c.channel);
-            assert_eq!(c.blocks, plan.txs as u64 / 10, "channel {}", c.channel);
+            assert_eq!(
+                c.blocks,
+                plan.workload.total_txs as u64 / 10,
+                "channel {}",
+                c.channel
+            );
             assert!(c.p50 > Duration::ZERO && c.p999 >= c.p50 && c.max >= c.p999);
             // Each channel's roster minimum leads it, seated from the start.
             assert_eq!(c.leaders, [plan.members[0]], "channel {}", c.channel);

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use desim::{Ctx, Duration, NodeId, Time};
-use fabric_gossip::effects::Effects;
+use fabric_gossip::effects::{Effects, ProtocolEvent};
 use fabric_gossip::messages::{ChannelMsg, GossipMsg, GossipTimer};
 use fabric_gossip::peer::GossipPeer;
 use fabric_gossip::scenario::{AttackCtx, Byzantine};
@@ -161,13 +161,6 @@ impl Effects for SimFx<'_, '_> {
         self.ctx.rng()
     }
 
-    fn block_received(&mut self, channel: ChannelId, block_num: u64) {
-        let rt = &mut self.channels[channel.index()];
-        if let Some(slot) = rt.slots[self.me.index()] {
-            rt.latency.record(block_num, slot, self.ctx.now());
-        }
-    }
-
     fn deliver(&mut self, channel: ChannelId, block: BlockRef) {
         // "New blocks are only used by peers after their validation, which
         // takes a time proportional to the number of transactions" (§V-D):
@@ -185,12 +178,44 @@ impl Effects for SimFx<'_, '_> {
             .set_timer(self.me, done.since(now), NetTimer::CommitDone);
     }
 
-    fn leadership_changed(&mut self, channel: ChannelId, is_leader: bool) {
-        if is_leader {
-            let rt = &mut self.channels[channel.index()];
-            rt.handoffs += 1;
-            if let Some(opened) = rt.gap_open.take() {
-                rt.leader_gaps.push(self.ctx.now().since(opened));
+    fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
+        let now = self.ctx.now();
+        let rt = &mut self.channels[channel.index()];
+        match event {
+            ProtocolEvent::Received(block_num) => {
+                if let Some(slot) = rt.slots[self.me.index()] {
+                    rt.latency.record(block_num, slot, now);
+                }
+            }
+            ProtocolEvent::Seat(false) => {}
+            ProtocolEvent::Seat(true) => {
+                rt.handoffs += 1;
+                if let Some(opened) = rt.gap_open.take() {
+                    rt.leader_gaps.push(now.since(opened));
+                }
+            }
+            ProtocolEvent::View { peer, joined } => {
+                // This member's view just admitted (or reaped) `peer`:
+                // complete the oldest matching convergence record that
+                // still waits on us. An admission also completes a leave
+                // record still waiting on us: a view that never reaped the
+                // leaver before its rejoin (a renewal) has seen its new
+                // life, so it is past the leave.
+                let me = PeerId(self.me.0);
+                if !joined && self.members[channel.index()].contains(&peer) {
+                    rt.false_reaps += 1;
+                }
+                let kinds: &[bool] = if joined { &[true, false] } else { &[false] };
+                for &join in kinds {
+                    if let Some(record) = rt.convergence.iter_mut().find(|r| {
+                        r.peer == peer
+                            && r.join == join
+                            && r.expected.contains(&me)
+                            && !r.observed.iter().any(|(p, _)| *p == me)
+                    }) {
+                        record.observed.push((me, now));
+                    }
+                }
             }
         }
     }
@@ -215,31 +240,6 @@ impl Effects for SimFx<'_, '_> {
             channel_ledger(self.msp, spec, &self.params.gossip, Some(snapshot.clone()))
         {
             entry.1 = ledger;
-        }
-    }
-
-    fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {
-        // This member's view just admitted (or reaped) `peer`: complete
-        // the oldest matching convergence record that still waits on us.
-        // An admission also completes a leave record still waiting on us:
-        // a view that never reaped the leaver before its rejoin (a
-        // renewal) has seen its new life, so it is past the leave.
-        let me = PeerId(self.me.0);
-        let now = self.ctx.now();
-        let rt = &mut self.channels[channel.index()];
-        if !joined && self.members[channel.index()].contains(&peer) {
-            rt.false_reaps += 1;
-        }
-        let kinds: &[bool] = if joined { &[true, false] } else { &[false] };
-        for &join in kinds {
-            if let Some(record) = rt.convergence.iter_mut().find(|r| {
-                r.peer == peer
-                    && r.join == join
-                    && r.expected.contains(&me)
-                    && !r.observed.iter().any(|(p, _)| *p == me)
-            }) {
-                record.observed.push((me, now));
-            }
         }
     }
 }

@@ -85,9 +85,9 @@ impl Catchup {
 /// join (or leave) spread through the sitting members' views.
 ///
 /// For a **join**, an observation is the instant a member's discovery
-/// engine admitted the joiner (the `discovery_event(..., joined = true)`
-/// hook). For a **leave**, it is the instant a member reaped the leaver
-/// (`joined = false`) — so the full-convergence latency of a leave *is*
+/// engine admitted the joiner (the traced `ProtocolEvent::View` with
+/// `joined: true`). For a **leave**, it is the instant a member reaped the
+/// leaver (`joined: false`) — so the full-convergence latency of a leave *is*
 /// the stale-view duration: how long some member still believed the
 /// departed peer alive.
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@ use fabric_types::ids::{ChannelId, PeerId};
 
 use crate::config::GossipConfig;
 use crate::discovery::{DiscoveryDelta, DiscoveryEngine};
-use crate::effects::Effects;
+use crate::effects::{Effects, ProtocolEvent};
 use crate::membership::Membership;
 use crate::messages::{GossipMsg, GossipTimer};
 use crate::pull::PullEngine;
@@ -41,7 +41,7 @@ use crate::store::BlockStore;
 #[derive(Debug, Clone, Default)]
 pub struct PeerStats {
     /// How many blocks arrived for the first time. When each arrived is
-    /// the host's one record ([`Effects::block_received`]).
+    /// the host's one record ([`ProtocolEvent::Received`]).
     pub first_seen: FirstSeen,
     /// Content receptions for blocks already held.
     pub duplicate_blocks: u64,
@@ -247,7 +247,7 @@ impl ChannelCore {
             Some(deliverable) => {
                 let num = block.number();
                 self.stats.first_seen.0 += 1;
-                fx.block_received(self.channel, num);
+                fx.trace(self.channel, ProtocolEvent::Received(num));
                 for b in deliverable {
                     fx.deliver(self.channel, b);
                 }
@@ -307,12 +307,12 @@ impl ChannelState {
         self.is_leader
     }
 
-    /// Moves the seat, reporting an actual change (and only that) through
-    /// [`Effects::leadership_changed`].
+    /// Moves the seat, tracing an actual change (and only that) as
+    /// [`ProtocolEvent::Seat`].
     fn set_leader(&mut self, fx: &mut dyn Effects, leads: bool) {
         if self.is_leader != leads {
             self.is_leader = leads;
-            fx.leadership_changed(self.core.channel, leads);
+            fx.trace(self.core.channel, ProtocolEvent::Seat(leads));
         }
     }
 
@@ -499,10 +499,10 @@ impl ChannelState {
     /// Applies the membership consequences of one discovery step: joins
     /// and reaps edit both views (one edit when they are one) — membership
     /// changes are a *consequence of received gossip*, never of a
-    /// callback — and each one is reported
-    /// through [`Effects::discovery_event`] so the embedding can measure
-    /// convergence.
+    /// callback — and each one is traced as a [`ProtocolEvent::View`] so
+    /// the embedding can measure convergence.
     fn apply_discovery(&mut self, fx: &mut dyn Effects, delta: DiscoveryDelta) {
+        let view = |peer, joined| ProtocolEvent::View { peer, joined };
         for peer in delta.joined {
             // Sampleable at once (a renewal is already in both views);
             // its reap deadline is discovery's, counted from the claim
@@ -513,7 +513,7 @@ impl ChannelState {
             if let Some(wide) = &mut self.core.wide {
                 wide.add_peer(peer);
             }
-            fx.discovery_event(self.core.channel, peer, true);
+            fx.trace(self.core.channel, view(peer, true));
         }
         for peer in &delta.left {
             let peer = *peer;
@@ -525,7 +525,7 @@ impl ChannelState {
                 wide.remove_peer(peer);
             }
             self.recovery.forget_peer(peer);
-            fx.discovery_event(self.core.channel, peer, false);
+            fx.trace(self.core.channel, view(peer, false));
         }
         // Re-enforce `is_leader == most-senior-in-view` on every discovery
         // step: reaps arrive in different orders on different peers, but
@@ -602,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_list_claim_follows_the_seniority_verdict_and_reports_each_change() {
+    fn trace_dead_list_reap_comes_before_the_successors_seat() {
         use crate::messages::PeerAlive;
         use crate::testing::MockEffects;
         // Peer 1 in a {0, 1, 2, 3} roster under discovery: peer 0 leads.
@@ -621,7 +621,7 @@ mod tests {
         };
         // A discovery step that leaves the verdict where it was is silent.
         s.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(claim(2, 1, 1)));
-        assert!(fx.leadership.is_empty(), "an unchanged verdict is silent");
+        assert!(fx.traced.is_empty(), "an unchanged verdict is silent");
         // Peer 0 is reaped: this peer is the most senior survivor.
         s.on_message(&mut fx, PeerId(2), obituary(claim(0, 1, 1)));
         assert!(s.is_leader(), "the senior survivor must claim leadership");
@@ -635,28 +635,51 @@ mod tests {
         s.on_message(&mut fx, PeerId(0), GossipMsg::AliveMsg(claim(0, 1, 2)));
         assert!(s.core().membership.contains(PeerId(0)));
         assert!(!s.is_leader(), "the falsely reaped leader is senior again");
-        assert_eq!(fx.leadership, vec![true, false]);
+        // One log: each reap or admission comes before the seat it moves.
+        let peer = PeerId(0);
+        let view = |joined| (ChannelId::DEFAULT, ProtocolEvent::View { peer, joined });
+        let seat = |leads| (ChannelId::DEFAULT, ProtocolEvent::Seat(leads));
+        let log = [view(false), seat(true), view(true), seat(false)];
+        assert_eq!(fx.traced, log);
     }
 
     #[test]
-    fn a_rebooted_static_leader_takes_its_seat_back() {
+    fn trace_a_rebooted_static_leader_takes_its_seat_back() {
         use crate::testing::MockEffects;
         let mut fx = MockEffects::new(1);
         let mut leader = state(0, GossipConfig::enhanced_f4());
         leader.init(&mut fx);
         assert!(leader.is_leader());
-        assert!(fx.leadership.is_empty(), "a first start changes nothing");
+        assert!(fx.traced.is_empty(), "a first start changes nothing");
         leader.on_crash();
         assert!(!leader.is_leader(), "leadership is volatile");
         leader.init(&mut fx);
         assert!(leader.is_leader(), "the reboot re-seeds the static seat");
-        assert_eq!(fx.leadership, vec![true]);
+        let seated = [(ChannelId::DEFAULT, ProtocolEvent::Seat(true))];
+        assert_eq!(fx.traced, seated);
         // Nobody else ever takes a static seat, through a reboot or not.
         let mut follower = state(1, GossipConfig::enhanced_f4());
         follower.on_crash();
         follower.init(&mut fx);
         assert!(!follower.is_leader());
-        assert_eq!(fx.leadership, vec![true]);
+        assert_eq!(fx.traced, seated);
+    }
+
+    #[test]
+    fn trace_reception_comes_before_the_delivery_it_unlocks() {
+        use crate::testing::MockEffects;
+        use fabric_types::block::Block;
+        let mut s = state(1, GossipConfig::enhanced_f4());
+        let mut fx = MockEffects::new(1);
+        // Block 2 is traced on arrival and waits for block 1, whose
+        // reception is traced and then delivers both.
+        let mut seen = vec![];
+        for (num, delivered) in [(2, vec![]), (1, vec![1, 2])] {
+            let block = Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]);
+            assert!(s.core_mut().accept_content(&mut fx, &BlockRef::new(block)));
+            seen.push((ChannelId::DEFAULT, ProtocolEvent::Received(num)));
+            assert_eq!((&fx.traced, fx.delivered_numbers()), (&seen, delivered));
+        }
     }
 
     /// Peer `self_id` of the static roster {5, 6, 7, 8}, started.
@@ -716,7 +739,7 @@ mod tests {
         };
         leader.on_message(&mut fx, PeerId(6), GossipMsg::AliveMsg(stranger));
         assert!(leader.is_leader(), "a claim moved a static seat");
-        assert!(fx.leadership.is_empty());
+        assert!(fx.traced.is_empty());
         let core = leader.core();
         assert!(
             !core.membership.contains(PeerId(1)),
@@ -751,11 +774,7 @@ mod tests {
             assert_eq!(s.is_leader(), self_id == 5, "peer {self_id}'s seat moved");
             // Not even for a moment: a reap that unseats the leader and a
             // verdict that re-seats it would report both moves.
-            assert!(
-                fx.leadership.is_empty(),
-                "peer {self_id}: {:?}",
-                fx.leadership
-            );
+            assert!(fx.traced.is_empty(), "peer {self_id}: {:?}", fx.traced);
             let core = s.core();
             assert_eq!(core.membership.len(), 3, "peer {self_id} reaped a member");
             assert_eq!(core.channel_view().len(), 3, "peer {self_id}");

@@ -32,9 +32,9 @@
 //! asked nowhere else. Everything shared lives in the
 //! [`ChannelCore`]; membership *consequences* — view edits, the leader
 //! seat — are returned as a [`DiscoveryDelta`] and applied
-//! by [`crate::channel::ChannelState`], which also fires
-//! [`Effects::discovery_event`] per change so embeddings can measure
-//! convergence and stale-view windows.
+//! by [`crate::channel::ChannelState`], which also traces a
+//! [`ProtocolEvent::View`](crate::effects::ProtocolEvent::View) per change
+//! so embeddings can measure convergence and stale-view windows.
 
 use desim::Time;
 use rand::RngExt;
@@ -456,6 +456,7 @@ impl DiscoveryEngine {
 mod tests {
     use super::*;
     use crate::config::GossipConfig;
+    use crate::effects::ProtocolEvent;
     use crate::peer::GossipPeer;
     use crate::testing::MockEffects;
     use desim::Duration;
@@ -501,6 +502,12 @@ mod tests {
         let mut peer = GossipPeer::new(PeerId(0), (0..4).map(PeerId).collect(), cfg);
         peer.init(fx);
         peer
+    }
+
+    /// What the channel traces when its view admits `peer`.
+    fn admitted(peer: u32) -> (ChannelId, ProtocolEvent) {
+        let (peer, joined) = (PeerId(peer), true);
+        (ChannelId::DEFAULT, ProtocolEvent::View { peer, joined })
     }
 
     /// Fires one discovery round at `secs`; returns the members it kept.
@@ -599,13 +606,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_claim_is_a_join_and_stale_claims_do_not_refresh() {
+    fn trace_unknown_claim_is_a_join_and_stale_claims_do_not_refresh() {
         let mut fx = MockEffects::new(3);
         let mut peer = started_peer(&mut fx);
         let newcomer = claim(9, 50, 4);
         fx.now = Time::from_secs(1);
         peer.on_message(&mut fx, PeerId(9), GossipMsg::AliveMsg(newcomer));
-        assert_eq!(fx.discovery_events, [(ChannelId::DEFAULT, PeerId(9), true)]);
+        assert_eq!(fx.traced, [admitted(9)]);
         assert!(peer.membership().contains(PeerId(9)));
         let engine = peer.discovery_on(ChannelId::DEFAULT).unwrap();
         assert_eq!(engine.claim_of(PeerId(9)), Some(&newcomer));
@@ -614,7 +621,7 @@ mod tests {
         // move the newcomer's reap deadline: 1 s plus the 25 s timeout.
         fx.now = Time::from_secs(20);
         peer.on_message(&mut fx, PeerId(2), GossipMsg::AliveMsg(newcomer));
-        assert_eq!(fx.discovery_events.len(), 1, "a relay is not a join");
+        assert_eq!(fx.traced.len(), 1, "a relay is not a join");
         assert!(round_at(&mut peer, &mut fx, 26).contains(&PeerId(9)));
         assert!(!round_at(&mut peer, &mut fx, 27).contains(&PeerId(9)));
     }
@@ -680,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_reports_a_renewal_as_a_join() {
+    fn trace_renewal_is_a_join_and_no_reap() {
         let roster: Vec<PeerId> = (0..3).map(PeerId).collect();
         let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
         let mut peer = GossipPeer::new(PeerId(0), roster, cfg);
@@ -694,11 +701,11 @@ mod tests {
             })
         };
         peer.on_channel_message(&mut fx, ChannelId::DEFAULT, PeerId(1), alive(10, 3));
-        fx.discovery_events.clear();
+        fx.traced.clear();
         peer.on_channel_message(&mut fx, ChannelId::DEFAULT, PeerId(1), alive(20, 1));
         assert_eq!(
-            fx.discovery_events,
-            vec![(ChannelId::DEFAULT, PeerId(1), true)],
+            fx.traced,
+            [admitted(1)],
             "a renewal is a join observation, and no reap"
         );
         // Membership itself never flinched.

@@ -7,6 +7,9 @@
 //! [`crate::testing::MockEffects`], which unit tests use to assert on
 //! exactly what the protocol did.
 //!
+//! What the host only observes arrives through one method,
+//! [`Effects::trace`], as a [`ProtocolEvent`].
+//!
 //! Every side effect is tagged with the [`ChannelId`] it belongs to: a peer
 //! joined to several channels runs one protocol instance per channel, and
 //! the host environment routes messages, timers and deliveries back to the
@@ -37,34 +40,14 @@ pub trait Effects {
     /// Deterministic randomness source.
     fn rng(&mut self) -> &mut StdRng;
 
-    /// Called exactly once per block per channel, on first reception of its
-    /// content — the measurement point of the paper's latency figures, and
-    /// the host's one record of when the block arrived: the peer keeps
-    /// only a count ([`crate::channel::PeerStats::first_seen`]).
-    fn block_received(&mut self, channel: ChannelId, block_num: u64) {
-        let _ = (channel, block_num);
-    }
-
     /// Called when `block` becomes deliverable in height order on
     /// `channel` — the ledger-commit point.
     fn deliver(&mut self, channel: ChannelId, block: BlockRef);
 
-    /// Called when this peer gains or loses organization leadership on
-    /// `channel`.
-    fn leadership_changed(&mut self, channel: ChannelId, is_leader: bool) {
-        let _ = (channel, is_leader);
-    }
-
-    /// Called when the **discovery protocol** changes this peer's view of
-    /// `channel`'s membership: `joined = true` when `peer` entered the view
-    /// through received gossip (a heartbeat or anti-entropy claim about an
-    /// unknown or resurrected peer), `false` when it was reaped (expired
-    /// silent or learned dead). Every runtime membership change fires it —
-    /// there is no other way for a view to change — so it is the
-    /// measurement point of discovery convergence and stale-view metrics.
-    /// Never called on a static roster.
-    fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {
-        let _ = (channel, peer, joined);
+    /// Reports an observation-only fact on `channel`, in protocol order;
+    /// nothing the host does here feeds back into the protocol.
+    fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
+        let _ = (channel, event);
     }
 
     /// Called when this peer verified and installed a received `snapshot`
@@ -75,4 +58,27 @@ pub trait Effects {
     fn snapshot_installed(&mut self, channel: ChannelId, snapshot: &SnapshotRef) {
         let _ = (channel, snapshot);
     }
+}
+
+/// An observation-only fact for [`Effects::trace`]: the three points the
+/// paper reads its results at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolEvent {
+    /// Block `n`'s content arrived for the first time (once per block per
+    /// channel, before the deliveries it unlocks): the latency figures'
+    /// measurement point and the host's one record of when — the peer keeps
+    /// only a count ([`crate::channel::PeerStats::first_seen`]).
+    Received(u64),
+    /// The leader seat was gained (`true`) or lost; only a change is traced.
+    Seat(bool),
+    /// Discovery admitted `peer` to the view (`joined`: gossip claimed an
+    /// unknown or resurrected peer) or reaped it (expired silent or learned
+    /// dead). A view changes no other way, so this is where convergence and
+    /// stale views are measured. Never traced on a static roster.
+    View {
+        /// The peer admitted or reaped.
+        peer: PeerId,
+        /// Admitted (`true`) or reaped.
+        joined: bool,
+    },
 }

@@ -1,9 +1,9 @@
 //! Test support: a scriptable [`Effects`] implementation.
 //!
 //! `MockEffects` records everything the protocol asks for — sends, timers,
-//! deliveries — so unit and integration tests can assert on the exact
-//! behaviour of a [`crate::peer::GossipPeer`] without any engine. Sends and
-//! timers are stored once, channel-tagged; the historical channel-less
+//! deliveries, traced events — so unit and integration tests can assert on
+//! the exact behaviour of a [`crate::peer::GossipPeer`] without any engine.
+//! Sends and timers are stored once, channel-tagged; the historical channel-less
 //! accessors ([`MockEffects::take_sent`], [`MockEffects::take_scheduled`],
 //! [`MockEffects::sent_of_kind`]) project the tag away so single-channel
 //! tests read exactly as before.
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, PeerId};
 
-use crate::effects::Effects;
+use crate::effects::{Effects, ProtocolEvent};
 use crate::messages::{GossipMsg, GossipTimer};
 
 /// A recording [`Effects`] for tests.
@@ -31,14 +31,11 @@ pub struct MockEffects {
     pub sent_on: Vec<(ChannelId, PeerId, GossipMsg)>,
     /// Every timer armed, with its delay, tagged with its channel.
     pub scheduled_on: Vec<(Duration, ChannelId, GossipTimer)>,
-    /// Block numbers whose content arrived (first receptions).
-    pub received: Vec<u64>,
     /// Blocks delivered in order to the application.
     pub delivered: Vec<BlockRef>,
-    /// Leadership transitions observed.
-    pub leadership: Vec<bool>,
-    /// Discovery-driven view changes: `(channel, peer, joined)`.
-    pub discovery_events: Vec<(ChannelId, PeerId, bool)>,
+    /// Every traced event — first receptions, seat moves, view changes —
+    /// in one log, in the order the protocol traced them.
+    pub traced: Vec<(ChannelId, ProtocolEvent)>,
     /// Snapshots verified and installed, tagged with their channel.
     pub installed: Vec<(ChannelId, fabric_types::snapshot::SnapshotRef)>,
     rng: StdRng,
@@ -51,10 +48,8 @@ impl MockEffects {
             now: Time::ZERO,
             sent_on: Vec::new(),
             scheduled_on: Vec::new(),
-            received: Vec::new(),
             delivered: Vec::new(),
-            leadership: Vec::new(),
-            discovery_events: Vec::new(),
+            traced: Vec::new(),
             installed: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -125,20 +120,12 @@ impl Effects for MockEffects {
         &mut self.rng
     }
 
-    fn block_received(&mut self, _channel: ChannelId, block_num: u64) {
-        self.received.push(block_num);
-    }
-
     fn deliver(&mut self, _channel: ChannelId, block: BlockRef) {
         self.delivered.push(block);
     }
 
-    fn leadership_changed(&mut self, _channel: ChannelId, is_leader: bool) {
-        self.leadership.push(is_leader);
-    }
-
-    fn discovery_event(&mut self, channel: ChannelId, peer: PeerId, joined: bool) {
-        self.discovery_events.push((channel, peer, joined));
+    fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
+        self.traced.push((channel, event));
     }
 
     fn snapshot_installed(

@@ -298,5 +298,5 @@ fn wire_hostile_obituary_of_the_receiver_at_the_top_changes_nothing() {
         );
         assert_eq!(discovery(&peer).obituary_iter().count(), 0, "from {from}");
     }
-    assert!(seated && fx.leadership.is_empty());
+    assert!(seated && fx.traced.is_empty());
 }

@@ -36,8 +36,8 @@ fn main() {
             plan.members.len(),
             plan.members.first().unwrap(),
             plan.members.last().unwrap(),
-            plan.txs,
-            plan.rate_per_sec,
+            plan.workload.total_txs,
+            plan.workload.rate_per_sec,
         );
     }
     println!();
