@@ -564,17 +564,15 @@ pub(crate) fn random_phase(fx: &mut dyn Effects, period: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::PeerAlive;
+    use crate::testing::MockEffects;
+    use fabric_types::block::Block;
 
     #[test]
     fn core_send_accounts_bytes_per_kind() {
-        use crate::testing::MockEffects;
-        let mut core = ChannelCore::new(
-            ChannelId(3),
-            PeerId(0),
-            &(0..4).map(PeerId).collect::<Vec<_>>(),
-            &(0..4).map(PeerId).collect::<Vec<_>>(),
-            GossipConfig::enhanced_f4(),
-        );
+        let roster: Vec<_> = (0..4).map(PeerId).collect();
+        let cfg = GossipConfig::enhanced_f4();
+        let mut core = ChannelCore::new(ChannelId(3), PeerId(0), &roster, &roster, cfg);
         let mut fx = MockEffects::new(1);
         core.send(&mut fx, PeerId(1), GossipMsg::Alive);
         core.send(
@@ -591,22 +589,18 @@ mod tests {
         assert!(fx.sent_on.iter().all(|(ch, _, _)| *ch == ChannelId(3)));
     }
 
-    fn state(self_id: u32, cfg: GossipConfig) -> ChannelState {
-        ChannelState::new(ChannelCore::new(
-            ChannelId::DEFAULT,
-            PeerId(self_id),
-            &(0..4).map(PeerId).collect::<Vec<_>>(),
-            &(0..4).map(PeerId).collect::<Vec<_>>(),
-            cfg,
-        ))
+    /// Peer `self_id` of the one-organization `roster`, not yet started.
+    fn state(self_id: u32, roster: std::ops::Range<u32>, cfg: GossipConfig) -> ChannelState {
+        let roster: Vec<_> = roster.map(PeerId).collect();
+        let core = ChannelCore::new(ChannelId::DEFAULT, PeerId(self_id), &roster, &roster, cfg);
+        ChannelState::new(core)
     }
 
     #[test]
     fn trace_dead_list_reap_comes_before_the_successors_seat() {
-        use crate::messages::PeerAlive;
-        use crate::testing::MockEffects;
         // Peer 1 in a {0, 1, 2, 3} roster under discovery: peer 0 leads.
-        let mut s = state(1, GossipConfig::enhanced_f4().with_discovery_protocol());
+        let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
+        let mut s = state(1, 0..4, cfg);
         let mut fx = MockEffects::new(1);
         s.init(&mut fx);
         assert!(!s.is_leader());
@@ -645,9 +639,8 @@ mod tests {
 
     #[test]
     fn trace_a_rebooted_static_leader_takes_its_seat_back() {
-        use crate::testing::MockEffects;
         let mut fx = MockEffects::new(1);
-        let mut leader = state(0, GossipConfig::enhanced_f4());
+        let mut leader = state(0, 0..4, GossipConfig::enhanced_f4());
         leader.init(&mut fx);
         assert!(leader.is_leader());
         assert!(fx.traced.is_empty(), "a first start changes nothing");
@@ -658,49 +651,59 @@ mod tests {
         let seated = [(ChannelId::DEFAULT, ProtocolEvent::Seat(true))];
         assert_eq!(fx.traced, seated);
         // Nobody else ever takes a static seat, through a reboot or not.
-        let mut follower = state(1, GossipConfig::enhanced_f4());
+        let mut follower = state(1, 0..4, GossipConfig::enhanced_f4());
         follower.on_crash();
         follower.init(&mut fx);
         assert!(!follower.is_leader());
         assert_eq!(fx.traced, seated);
     }
 
-    #[test]
-    fn trace_reception_comes_before_the_delivery_it_unlocks() {
-        use crate::testing::MockEffects;
-        use fabric_types::block::Block;
-        let mut s = state(1, GossipConfig::enhanced_f4());
-        let mut fx = MockEffects::new(1);
-        // Block 2 is traced on arrival and waits for block 1, whose
-        // reception is traced and then delivers both.
-        let mut seen = vec![];
-        for (num, delivered) in [(2, vec![]), (1, vec![1, 2])] {
-            let block = Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]);
-            assert!(s.core_mut().accept_content(&mut fx, &BlockRef::new(block)));
-            seen.push((ChannelId::DEFAULT, ProtocolEvent::Received(num)));
-            assert_eq!((&fx.traced, fx.delivered_numbers()), (&seen, delivered));
+    /// A `MockEffects` that also writes each trace and delivery, in call
+    /// order, to one log, so a test sees their order inside one call.
+    struct OneLog(MockEffects, Vec<String>);
+
+    impl Effects for OneLog {
+        fn now(&self) -> desim::Time {
+            self.0.now()
+        }
+        fn send(&mut self, channel: ChannelId, to: PeerId, msg: GossipMsg) {
+            self.0.send(channel, to, msg)
+        }
+        fn schedule(&mut self, after: Duration, channel: ChannelId, timer: GossipTimer) {
+            self.0.schedule(after, channel, timer)
+        }
+        fn rng(&mut self) -> &mut rand::rngs::StdRng {
+            self.0.rng()
+        }
+        fn deliver(&mut self, channel: ChannelId, block: BlockRef) {
+            self.1.push(format!("deliver {}", block.number()));
+            self.0.deliver(channel, block)
+        }
+        fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
+            self.1.push(format!("{event:?}"));
+            self.0.trace(channel, event)
         }
     }
 
-    /// Peer `self_id` of the static roster {5, 6, 7, 8}, started.
-    fn started_static(self_id: u32, fx: &mut crate::testing::MockEffects) -> ChannelState {
-        let mut s = ChannelState::new(ChannelCore::new(
-            ChannelId::DEFAULT,
-            PeerId(self_id),
-            &(5..9).map(PeerId).collect::<Vec<_>>(),
-            &(5..9).map(PeerId).collect::<Vec<_>>(),
-            GossipConfig::enhanced_f4(),
-        ));
-        s.init(fx);
-        s
+    #[test]
+    fn trace_reception_comes_before_the_delivery_it_unlocks() {
+        let mut s = state(1, 0..4, GossipConfig::enhanced_f4());
+        let mut fx = OneLog(MockEffects::new(1), vec![]);
+        // Block 2 is traced on arrival and waits for block 1, whose
+        // reception is traced before it delivers both.
+        for num in [2, 1] {
+            let block = Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]);
+            assert!(s.core_mut().accept_content(&mut fx, &BlockRef::new(block)));
+        }
+        let log = ["Received(2)", "Received(1)", "deliver 1", "deliver 2"];
+        assert_eq!(fx.1, log);
     }
 
     #[test]
     fn builder_static_roster_holds_no_dense_discovery_array() {
-        use crate::messages::PeerAlive;
-        use crate::testing::MockEffects;
         let mut fx = MockEffects::new(1);
-        let mut s = started_static(6, &mut fx);
+        let mut s = state(6, 5..9, GossipConfig::enhanced_f4());
+        s.init(&mut fx);
         assert_eq!(s.dense_peer_tables(), [false; 4], "nothing written yet");
         let heartbeat = |seq| PeerAlive {
             peer: PeerId(7),
@@ -727,10 +730,9 @@ mod tests {
 
     #[test]
     fn static_roster_ignores_a_strangers_alive_claim() {
-        use crate::messages::PeerAlive;
-        use crate::testing::MockEffects;
         let mut fx = MockEffects::new(1);
-        let mut leader = started_static(5, &mut fx);
+        let mut leader = state(5, 5..9, GossipConfig::enhanced_f4());
+        leader.init(&mut fx);
         assert!(leader.is_leader());
         let stranger = PeerAlive {
             peer: PeerId(1),
@@ -751,8 +753,6 @@ mod tests {
 
     #[test]
     fn static_roster_ignores_a_forged_obituary_of_its_leader() {
-        use crate::messages::PeerAlive;
-        use crate::testing::MockEffects;
         let dead = PeerAlive {
             peer: PeerId(5),
             incarnation: u64::MAX,
@@ -760,7 +760,8 @@ mod tests {
         };
         for self_id in [5, 6] {
             let mut fx = MockEffects::new(1);
-            let mut s = started_static(self_id, &mut fx);
+            let mut s = state(self_id, 5..9, GossipConfig::enhanced_f4());
+            s.init(&mut fx);
             let response = GossipMsg::MembershipResponse {
                 entries: vec![],
                 dead: vec![dead],
