@@ -339,7 +339,6 @@ pub fn run_churn_waves(cfg: &ChurnWavesConfig) -> ChurnResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Catchup;
 
     fn quick(seed: u64) -> ChurnResult {
         let mut cfg = ChurnWavesConfig::standard(2, 8, 20);
@@ -391,108 +390,58 @@ mod tests {
         assert_eq!(joiners.len(), leaves + cfg.flash_crowd);
     }
 
+    /// On every seed: every join and leave converges, a leave no sooner
+    /// than the alive timeout; every wave beheads the side leader and one
+    /// successor stands up after the timeout while blocks keep reaching
+    /// the sitting members; the main channel never elects; the flash
+    /// crowd catches up; and discovery bytes show in, without drowning,
+    /// each channel's byte economy.
     #[test]
-    fn every_join_and_leave_converges_with_finite_latency() {
-        let res = quick(2);
-        assert!(!res.convergence.is_empty());
-        for r in &res.convergence {
-            assert!(
-                r.latency().is_some(),
-                "unconverged {} of {} on {} (saw {:.2})",
-                if r.join { "join" } else { "leave" },
-                r.peer,
-                r.channel,
-                r.fraction_at(res.sim_end)
-            );
-        }
-        // Joins converge within a couple of heartbeat/anti-entropy rounds;
-        // leaves take at least the alive timeout (silence detection).
+    fn the_waves_preset_keeps_its_guarantees() {
         let timeout = Duration::from_secs(3);
-        for lat in res
-            .convergence
-            .iter()
-            .filter(|r| !r.join)
-            .flat_map(|r| r.latency())
-        {
-            assert!(
-                lat >= timeout,
-                "a leave cannot be detected before the alive timeout: {lat}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_wave_beheads_the_leader_and_a_successor_stands_up() {
-        let res = quick(3);
-        for c in &res.channels[1..] {
-            assert_eq!(c.handoffs, 2, "one hand-off per wave on {}", c.channel);
-            assert_eq!(c.leader_gaps.len(), 2);
-            for gap in &c.leader_gaps {
-                assert!(
-                    *gap >= Duration::from_secs(3),
-                    "a silent leader cannot be succeeded before the alive timeout: {gap}"
-                );
-                assert!(
-                    *gap < Duration::from_secs(10),
-                    "leader gap must close promptly after expiry: {gap}"
-                );
+        for seed in [2, 3, 5] {
+            let res = quick(seed);
+            assert!(!res.convergence.is_empty());
+            for r in &res.convergence {
+                let lat = r.latency().unwrap_or_else(|| {
+                    panic!(
+                        "seed {seed}: unconverged {} of {} on {} (saw {:.2})",
+                        if r.join { "join" } else { "leave" },
+                        r.peer,
+                        r.channel,
+                        r.fraction_at(res.sim_end)
+                    )
+                });
+                assert!(r.join || lat >= timeout, "a leave detected in {lat}");
             }
-            assert_eq!(c.leaders.len(), 1, "exactly one leader on {}", c.channel);
-            // Blocks kept reaching the sitting members through the waves.
-            assert_eq!(c.completeness, 1.0, "on {}", c.channel);
-            assert!(c.p50 > Duration::ZERO);
-        }
-        // The stable main channel never elects.
-        assert_eq!(res.channels[0].handoffs, 0);
-        assert!(res.channels[0].leader_gaps.is_empty());
-    }
+            for c in &res.channels[1..] {
+                assert_eq!(c.handoffs, 2, "one hand-off per wave on {}", c.channel);
+                assert_eq!(c.leader_gaps.len(), 2);
+                for gap in &c.leader_gaps {
+                    assert!(
+                        *gap >= timeout && *gap < Duration::from_secs(10),
+                        "a leader gap closes promptly after expiry: {gap}"
+                    );
+                }
+                assert_eq!(c.leaders.len(), 1, "exactly one leader on {}", c.channel);
+                assert_eq!(c.completeness, 1.0, "on {}", c.channel);
+                assert!(c.p50 > Duration::ZERO);
+            }
+            assert_eq!(res.channels[0].handoffs, 0);
+            assert!(res.channels[0].leader_gaps.is_empty());
 
-    #[test]
-    fn flash_crowd_catches_up_and_discovery_bytes_are_counted() {
-        let res = quick(5);
-        let flash: Vec<&Catchup> = res
-            .catchups
-            .iter()
-            .filter(|c| c.channel == ChannelId(1))
-            .collect();
-        assert!(flash.len() >= 3, "flash crowd recorded");
-        for cu in &res.catchups {
-            assert!(
-                cu.latency().is_some(),
-                "catch-up incomplete for {} on {}",
-                cu.peer,
-                cu.channel
-            );
+            let flash = res.catchups.iter().filter(|c| c.channel == ChannelId(1));
+            assert!(flash.count() >= 3, "flash crowd recorded");
+            for cu in &res.catchups {
+                assert!(cu.latency().is_some(), "{} on {}", cu.peer, cu.channel);
+            }
+            for c in &res.channels {
+                let share = c.discovery_share();
+                assert!(share > 0.0 && share < 0.9, "{}: {share}", c.channel);
+            }
+            assert_eq!(res.fairness.channels.len(), res.channels.len());
+            assert!(res.fairness.overall_jain > 0.2);
         }
-        // Discovery overhead is visible in the byte economy but does not
-        // drown dissemination.
-        for c in &res.channels {
-            assert!(
-                c.discovery_share() > 0.0,
-                "no discovery bytes on {}",
-                c.channel
-            );
-            assert!(
-                c.discovery_share() < 0.9,
-                "discovery swamped {}: {}",
-                c.channel,
-                c.discovery_share()
-            );
-        }
-        assert_eq!(res.fairness.channels.len(), res.channels.len());
-        assert!(res.fairness.overall_jain > 0.2);
-    }
-
-    #[test]
-    fn waves_are_deterministic_in_the_seed() {
-        let a = quick(7);
-        let b = quick(7);
-        assert_eq!(a.events, b.events);
-        let latencies = |r: &ChurnResult| -> Vec<Option<Duration>> {
-            r.convergence.iter().map(|c| c.latency()).collect()
-        };
-        assert_eq!(latencies(&a), latencies(&b));
-        assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
     }
 
     /// The `churn_waves` benchmark workload's client schedule, pinned by

@@ -16,6 +16,7 @@ use fabric_types::ids::{ChannelId, PeerId};
 use fabric_types::msp::Msp;
 use rand::rngs::StdRng;
 
+use super::recorder::{Fact, Recorder};
 use super::{channel_ledger, ChannelRuntime, FabricNet, NetMsg, NetParams, NetTimer, PeerNode};
 
 impl FabricNet {
@@ -39,17 +40,16 @@ impl FabricNet {
         let edge = byzantine.as_deref_mut().map(|behavior| Edge {
             behavior,
             rng: &mut self.attack_rng,
-            members: &self.members,
         });
         let fx = SimFx {
             ctx,
             me: node,
-            members: &self.members,
             pending_commits,
             validation_free,
             ledgers,
             msp: &self.msp,
-            channels: &mut self.channels,
+            channels: &self.channels,
+            recorder: &mut self.recorder,
             params: &self.params,
             edge,
         };
@@ -61,13 +61,12 @@ impl FabricNet {
 pub(super) struct SimFx<'a, 'c> {
     ctx: &'a mut Ctx<'c, NetMsg, NetTimer>,
     me: NodeId,
-    /// Ground-truth membership per channel.
-    members: &'a [Vec<PeerId>],
     pending_commits: &'a mut VecDeque<(ChannelId, BlockRef)>,
     validation_free: &'a mut Time,
     ledgers: &'a mut Vec<(ChannelId, Ledger)>,
     msp: &'a Arc<Msp>,
-    channels: &'a mut [ChannelRuntime],
+    channels: &'a [ChannelRuntime],
+    recorder: &'a mut Recorder,
     params: &'a NetParams,
     /// The behavior attached to this peer, if any: every send passes
     /// through it.
@@ -90,11 +89,18 @@ impl SimFx<'_, '_> {
             self_id: PeerId(self.me.0),
             now: self.ctx.now(),
             rng: edge.rng,
-            members: edge.members,
+            members: &self.recorder.members,
         };
         for (channel, to, msg) in turn(edge.behavior, &mut actx) {
             send_gossip(self.ctx, self.me, channel, to, msg);
         }
+    }
+
+    /// Hands `fact` about this peer on `channel` to the recorder.
+    #[inline]
+    fn record(&mut self, channel: ChannelId, fact: Fact) {
+        let (now, me) = (self.ctx.now(), PeerId(self.me.0));
+        self.recorder.record(self.channels, now, me, channel, fact);
     }
 
     /// Queues every block `gossip` stores above this peer's ledgers back
@@ -121,7 +127,6 @@ impl SimFx<'_, '_> {
 struct Edge<'a> {
     behavior: &'a mut dyn Byzantine,
     rng: &'a mut StdRng,
-    members: &'a [Vec<PeerId>],
 }
 
 /// Puts one gossip message of `from` on the simulated wire.
@@ -173,51 +178,14 @@ impl Effects for SimFx<'_, '_> {
         let start = now.max(*self.validation_free);
         let done = start + cost;
         *self.validation_free = done;
+        self.record(channel, Fact::Delivered(block.number()));
         self.pending_commits.push_back((channel, block));
         self.ctx
             .set_timer(self.me, done.since(now), NetTimer::CommitDone);
     }
 
     fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
-        let now = self.ctx.now();
-        let rt = &mut self.channels[channel.index()];
-        match event {
-            ProtocolEvent::Received(block_num) => {
-                if let Some(slot) = rt.slots[self.me.index()] {
-                    rt.latency.record(block_num, slot, now);
-                }
-            }
-            ProtocolEvent::Seat(false) => {}
-            ProtocolEvent::Seat(true) => {
-                rt.handoffs += 1;
-                if let Some(opened) = rt.gap_open.take() {
-                    rt.leader_gaps.push(now.since(opened));
-                }
-            }
-            ProtocolEvent::View { peer, joined } => {
-                // This member's view just admitted (or reaped) `peer`:
-                // complete the oldest matching convergence record that
-                // still waits on us. An admission also completes a leave
-                // record still waiting on us: a view that never reaped the
-                // leaver before its rejoin (a renewal) has seen its new
-                // life, so it is past the leave.
-                let me = PeerId(self.me.0);
-                if !joined && self.members[channel.index()].contains(&peer) {
-                    rt.false_reaps += 1;
-                }
-                let kinds: &[bool] = if joined { &[true, false] } else { &[false] };
-                for &join in kinds {
-                    if let Some(record) = rt.convergence.iter_mut().find(|r| {
-                        r.peer == peer
-                            && r.join == join
-                            && r.expected.contains(&me)
-                            && !r.observed.iter().any(|(p, _)| *p == me)
-                    }) {
-                        record.observed.push((me, now));
-                    }
-                }
-            }
-        }
+        self.record(channel, Fact::Traced(event));
     }
 
     fn snapshot_installed(
@@ -225,6 +193,7 @@ impl Effects for SimFx<'_, '_> {
         channel: ChannelId,
         snapshot: &fabric_types::snapshot::SnapshotRef,
     ) {
+        self.record(channel, Fact::Installed(snapshot.checkpoint.height));
         // The gossip layer verified and adopted the snapshot; if this peer
         // maintains a ledger for the channel, stand it up from the same
         // snapshot so tail blocks commit against the adopted state instead

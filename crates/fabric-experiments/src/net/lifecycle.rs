@@ -1,10 +1,11 @@
-//! Runtime membership: churn events, `join` / `leave` / `crash`, and the
-//! catch-up and view-convergence bookkeeping that follows each change.
+//! Runtime membership: churn events and `join` / `leave` / `crash`, each
+//! change reported to the recorder as it happens.
 
-use desim::{Ctx, Duration, NodeId, Time};
+use desim::{Ctx, NodeId, Time};
 use fabric_types::ids::{ChannelId, PeerId};
 use fabric_workload::schedule::ScheduledInvocation;
 
+use super::recorder::Fact;
 use super::{channel_ledger, ChannelSpec, DiscoveryMode, FabricNet, NetMsg, NetTimer};
 
 /// What a churn event does.
@@ -36,148 +37,14 @@ pub struct ChurnEvent {
     pub action: ChurnAction,
 }
 
-/// The catch-up record of one runtime join: a late joiner must converge to
-/// the chain head the channel had at join time.
-#[derive(Debug, Clone)]
-pub struct Catchup {
-    /// The joining peer.
-    pub peer: PeerId,
-    /// The channel joined.
-    pub channel: ChannelId,
-    /// When the join happened.
-    pub joined_at: Time,
-    /// The channel's chain head (last cut block number) at join time.
-    pub target: u64,
-    /// When the joiner's contiguous height first covered `target`
-    /// (`None` while still catching up).
-    pub completed_at: Option<Time>,
-    /// Catch-up transfer bytes received while open: recovery-response and
-    /// snapshot-chunk wire bytes addressed to the joiner on this
-    /// channel. Steady-state push/pull traffic is not counted — this is
-    /// the cost of the bootstrap itself.
-    pub bytes: u64,
-    /// Blocks the joiner individually received and replayed to reach the
-    /// head (filled at completion). Equals the full chain under genesis
-    /// replay; only the tail above the snapshot floor with snapshots on.
-    pub blocks_replayed: u64,
-    /// Highest block number absorbed through an installed snapshot
-    /// (0 = genesis replay; filled at completion).
-    pub snapshot_height: u64,
-    /// Largest single snapshot-chunk wire message addressed to the joiner
-    /// while open — within the configured chunk size, however large the
-    /// state (block-recovery batches are not chunked and not counted).
-    pub max_msg_bytes: u64,
-    /// Snapshot chunks the joiner accepted (filled at completion).
-    pub chunks: u64,
-    /// Snapshot transfers re-requested after a timeout or server
-    /// departure (filled at completion).
-    pub resumes: u64,
-}
-
-impl Catchup {
-    /// Catch-up latency (join → head reached), when complete.
-    pub fn latency(&self) -> Option<Duration> {
-        self.completed_at.map(|t| t.since(self.joined_at))
-    }
-}
-
-/// Discovery-convergence record of one churn event: how the news of a
-/// join (or leave) spread through the sitting members' views.
-///
-/// For a **join**, an observation is the instant a member's discovery
-/// engine admitted the joiner (the traced `ProtocolEvent::View` with
-/// `joined: true`). For a **leave**, it is the instant a member reaped the
-/// leaver (`joined: false`) — so the full-convergence latency of a leave *is*
-/// the stale-view duration: how long some member still believed the
-/// departed peer alive.
-#[derive(Debug, Clone)]
-pub struct ViewConvergence {
-    /// The peer that joined or left.
-    pub peer: PeerId,
-    /// The channel affected.
-    pub channel: ChannelId,
-    /// When the churn event happened.
-    pub at: Time,
-    /// `true` for a join, `false` for a leave.
-    pub join: bool,
-    /// Sitting members that must observe the change. Pruned when an
-    /// expected observer itself leaves before observing.
-    pub expected: Vec<PeerId>,
-    /// First observation instant per member.
-    pub observed: Vec<(PeerId, Time)>,
-}
-
-impl ViewConvergence {
-    /// Whether every expected member has observed the change.
-    pub fn complete(&self) -> bool {
-        self.expected
-            .iter()
-            .all(|m| self.observed.iter().any(|(p, _)| p == m))
-    }
-
-    /// Event → last expected observation (full convergence; the
-    /// stale-view duration for a leave). `None` while incomplete.
-    pub fn latency(&self) -> Option<Duration> {
-        if !self.complete() {
-            return None;
-        }
-        self.observed
-            .iter()
-            .filter(|(p, _)| self.expected.contains(p))
-            .map(|(_, t)| *t)
-            .max()
-            .map(|t| t.since(self.at))
-            .or(Some(Duration::ZERO)) // nobody to convince: instant
-    }
-
-    /// Fraction of expected members whose view includes the change at `t`.
-    pub fn fraction_at(&self, t: Time) -> f64 {
-        if self.expected.is_empty() {
-            return 1.0;
-        }
-        let seen = self
-            .expected
-            .iter()
-            .filter(|m| self.observed.iter().any(|(p, obs)| p == *m && *obs <= t))
-            .count();
-        seen as f64 / self.expected.len() as f64
-    }
-}
-
 impl FabricNet {
-    /// Marks pending catch-ups of this peer complete once its contiguous
-    /// height covers the join-time head, recording how the head was
-    /// reached: blocks individually replayed vs absorbed through a
-    /// snapshot.
-    pub(super) fn check_catchups(&mut self, node: NodeId, now: Time) {
-        let peer = PeerId(node.0);
-        for c in self
-            .catchups
-            .iter_mut()
-            .filter(|c| c.completed_at.is_none() && c.peer == peer)
-        {
-            let gossip = &self.peers[node.index()].gossip;
-            let height = gossip.height_on(c.channel);
-            if height > c.target {
-                c.completed_at = Some(now);
-                let floor = gossip.store_on(c.channel).map_or(0, |s| s.snapshot_floor());
-                c.snapshot_height = floor;
-                c.blocks_replayed = (height - 1).saturating_sub(floor);
-                if let Some(stats) = gossip.stats_on(c.channel) {
-                    c.chunks = stats.snapshot_chunks_received;
-                    c.resumes = stats.snapshot_resumes;
-                }
-            }
-        }
-    }
-
     /// Applies one churn event, now (`ev.at` is when a *scheduled* event
     /// is due; here it is not read): a runtime join knowing the whole
     /// sitting membership, or a leave.
     pub fn apply_churn(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, ev: ChurnEvent) {
         match ev.action {
             ChurnAction::Join => {
-                let seeds = self.members[ev.channel.index()].clone();
+                let seeds = self.recorder.members[ev.channel.index()].clone();
                 self.join(ctx, ev.channel, ev.peer, seeds);
             }
             ChurnAction::Leave => self.leave(ctx, ev.channel, ev.peer),
@@ -194,8 +61,9 @@ impl FabricNet {
     /// stale or duplicate event and ignored.
     ///
     /// **Only the joiner acts** — it joins live and lets its discovery
-    /// engine announce it — and a [`ViewConvergence`] record starts
-    /// tracking how the news spreads through the sitting members' views.
+    /// engine announce it — and a
+    /// [`ViewConvergence`](super::ViewConvergence) record starts tracking
+    /// how the news spreads through the sitting members' views.
     ///
     /// # Panics
     ///
@@ -209,14 +77,13 @@ impl FabricNet {
     ) {
         self.assert_membership_may_change("join");
         let c = channel.index();
-        if self.members[c].contains(&peer) {
+        if self.recorder.members[c].contains(&peer) {
             return;
         }
         let node = NodeId(peer.0);
         if !ctx.net().is_up(node) {
             ctx.net_mut().set_up(node, true);
         }
-        let now = ctx.now();
         // Under full_ledgers a runtime joiner materializes its ledger at
         // join (build-time ledgers cover initial members only), so a
         // verified snapshot can seed it.
@@ -232,30 +99,8 @@ impl FabricNet {
         }
         // Nobody else is told: the join propagates through the joiner's
         // announcement heartbeats and anti-entropy.
-        let sitting = self.members[c].clone();
-        self.members[c].push(peer);
-        self.channels[c].convergence.push(ViewConvergence {
-            peer,
-            channel,
-            at: now,
-            join: true,
-            expected: sitting,
-            observed: Vec::new(),
-        });
         let target = self.orderer.chain_head_on(channel);
-        self.catchups.push(Catchup {
-            peer,
-            channel,
-            joined_at: now,
-            target,
-            completed_at: (target == 0).then_some(now),
-            bytes: 0,
-            blocks_replayed: 0,
-            snapshot_height: 0,
-            max_msg_bytes: 0,
-            chunks: 0,
-            resumes: 0,
-        });
+        self.record(ctx.now(), peer, channel, Fact::Joined { target });
     }
 
     /// Runtime leave of `peer` from `channel`. A non-member leaving is a
@@ -264,7 +109,7 @@ impl FabricNet {
     /// **Only the leaver acts** — it drops its instance and goes silent;
     /// the sitting members must detect the departure by alive-timeout
     /// expiry (and succeed it, if it led), tracked by a
-    /// [`ViewConvergence`] record.
+    /// [`ViewConvergence`](super::ViewConvergence) record.
     ///
     /// # Panics
     ///
@@ -273,34 +118,22 @@ impl FabricNet {
     pub fn leave(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, channel: ChannelId, peer: PeerId) {
         self.assert_membership_may_change("leave");
         let c = channel.index();
-        let Some(pos) = self.members[c].iter().position(|m| *m == peer) else {
+        if !self.recorder.members[c].contains(&peer) {
             return;
-        };
+        }
         assert!(
             may_leave(&self.channels[c].spec, &self.schedule, peer),
             "endorser {peer} must not leave channel {channel}"
         );
-        let now = ctx.now();
         let led = self.peers[peer.index()].gossip.is_leader_on(channel);
-        self.members[c].remove(pos);
         self.peers[peer.index()].gossip.leave_channel(channel);
-        if led && self.channels[c].gap_open.is_none() {
-            // A leadership gap opens the instant the leader leaves and
-            // closes when a successor claims, once the leaver expired.
-            self.channels[c].gap_open = Some(now);
+        let now = ctx.now();
+        if led {
+            // The seat stays empty until a successor claims it, once the
+            // leaver expired.
+            self.record(now, peer, channel, Fact::Unseated);
         }
-        // A member that leaves before observing is excused.
-        for record in &mut self.channels[c].convergence {
-            record.expected.retain(|p| *p != peer);
-        }
-        self.channels[c].convergence.push(ViewConvergence {
-            peer,
-            channel,
-            at: now,
-            join: false,
-            expected: self.members[c].clone(),
-            observed: Vec::new(),
-        });
+        self.record(now, peer, channel, Fact::Left);
     }
 
     /// Process crash of `peer`, now: the node goes down (the engine drops
@@ -344,12 +177,11 @@ impl FabricNet {
     /// until a successor (or, on a static roster, the rebooted leader)
     /// claims it.
     pub(super) fn on_node_down(&mut self, now: Time, node: NodeId) {
-        for (c, rt) in self.channels.iter_mut().enumerate() {
-            let led = self.peers[node.index()]
-                .gossip
-                .is_leader_on(ChannelId(c as u16));
-            if led && rt.gap_open.is_none() {
-                rt.gap_open = Some(now);
+        let peer = PeerId(node.0);
+        for c in 0..self.channels.len() {
+            let channel = ChannelId(c as u16);
+            if self.peers[node.index()].gossip.is_leader_on(channel) {
+                self.record(now, peer, channel, Fact::Unseated);
             }
         }
         let peer = &mut self.peers[node.index()];

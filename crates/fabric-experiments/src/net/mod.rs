@@ -29,16 +29,18 @@
 //! [`ChurnEvent`]s and needs the gossiped discovery protocol
 //! ([`DiscoveryMode::Protocol`]): only the mover acts, nobody is told.
 //!
-//! The module is cut along four seams. This file holds what a deployment
+//! The module is cut along five seams. This file holds what a deployment
 //! *is*: its description ([`NetParams`], [`ChannelSpec`]), its state
 //! ([`FabricNet`]), the constructor and the read accessors. `pipeline`
 //! holds what travels and how it is dispatched — the wire and timer
 //! types, the [`desim::Protocol`] impl, and the client → endorse → order →
 //! deliver path; `lifecycle` runtime membership — churn events, `join` /
-//! `leave` / `crash`, and the catch-up and convergence records; `fx` the
-//! [`fabric_gossip::effects::Effects`] adapter every gossip handler runs
-//! against, with the Byzantine edge on its wire. Every public item is
-//! re-exported here, so paths are `fabric_experiments::net::X` throughout.
+//! `leave` / `crash`; `recorder` every run metric and the ground-truth
+//! membership, one fold over what the peers trace and a few host facts
+//! (the accessors read it); `fx` the [`fabric_gossip::effects::Effects`]
+//! adapter every gossip handler runs against, with the Byzantine edge on
+//! its wire. Every public item is re-exported here, so paths are
+//! `fabric_experiments::net::X` throughout.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -62,10 +64,13 @@ use rand::SeedableRng;
 mod fx;
 mod lifecycle;
 mod pipeline;
+mod recorder;
 
 use lifecycle::{may_leave, STATIC_MEMBERSHIP};
-pub use lifecycle::{Catchup, ChurnAction, ChurnEvent, ViewConvergence};
+pub use lifecycle::{ChurnAction, ChurnEvent};
 pub use pipeline::{NetMsg, NetTimer};
+pub use recorder::{Catchup, ViewConvergence};
+use recorder::{Fact, Recorder};
 
 /// One channel of the deployment: membership, organization split and
 /// endorsement configuration.
@@ -218,35 +223,14 @@ struct ChannelRuntime {
     /// Peer index → organization (fixed at build; joiners are org 0 —
     /// churned channels are single-organization).
     org_of: Vec<Option<usize>>,
-    /// Per-(block, member-slot) dissemination latency (t0 = leader
-    /// reception).
-    latency: LatencyRecorder,
-    /// Leadership acquisitions observed on this channel (every hand-off;
-    /// seats held from the start are seeded, not acquired).
-    handoffs: u64,
-    /// Discovery-convergence records of the channel's churn events.
-    convergence: Vec<ViewConvergence>,
-    /// Instant a leader's leave or power-off opened a leadership gap,
-    /// until the next acquisition closes it.
-    gap_open: Option<Time>,
-    /// Closed leadership-gap windows (leader leave or power-off → next
-    /// claim).
-    leader_gaps: Vec<Duration>,
-    /// Reaps observed of a peer that was still a member (see
-    /// [`FabricNet::false_reaps_on`]).
-    false_reaps: u64,
 }
 
+#[derive(Debug)]
 struct PeerNode {
     gossip: GossipPeer,
     /// One ledger per channel this peer endorses on (or every joined
     /// channel under `full_ledgers`).
     ledgers: Vec<(ChannelId, Ledger)>,
-    /// Blocks fully committed (validated + applied or counted), per
-    /// channel.
-    committed: std::collections::BTreeMap<ChannelId, u64>,
-    /// Commit failures (chain violations) — should stay zero.
-    commit_errors: u64,
     /// Blocks delivered in order, awaiting the validation delay (one
     /// serial pipeline across channels).
     pending_commits: VecDeque<(ChannelId, BlockRef)>,
@@ -280,9 +264,6 @@ pub struct FabricNet {
     msp: Arc<Msp>,
     peers: Vec<PeerNode>,
     channels: Vec<ChannelRuntime>,
-    /// Current members per channel (spec members ± churn): the ground
-    /// truth, which an attached attacker may read.
-    members: Vec<Vec<PeerId>>,
     /// What attached behaviors draw from — never the engine's generator,
     /// so attaching one re-rolls no honest draw.
     attack_rng: StdRng,
@@ -298,17 +279,9 @@ pub struct FabricNet {
     pending_endorsements: std::collections::BTreeMap<usize, Vec<Transaction>>,
     /// Proposals discarded because endorsers returned mismatched read sets.
     proposal_conflicts: u64,
-    /// Catch-up records, one per runtime join, in event order.
-    catchups: Vec<Catchup>,
-}
-
-impl std::fmt::Debug for PeerNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PeerNode")
-            .field("peer", &self.gossip.id())
-            .field("committed", &self.committed)
-            .finish_non_exhaustive()
-    }
+    /// Every run metric, folded from the peers' traces and the host's
+    /// own facts.
+    recorder: Recorder,
 }
 
 impl FabricNet {
@@ -441,16 +414,9 @@ impl FabricNet {
                 for joiner in &eligible[spec.members.len()..] {
                     org_of[joiner.index()] = Some(0);
                 }
-                let latency = LatencyRecorder::new(eligible.len());
                 ChannelRuntime {
                     slots,
                     org_of,
-                    latency,
-                    handoffs: 0,
-                    convergence: Vec::new(),
-                    gap_open: None,
-                    leader_gaps: Vec::new(),
-                    false_reaps: 0,
                     spec,
                 }
             })
@@ -485,8 +451,6 @@ impl FabricNet {
                 PeerNode {
                     gossip,
                     ledgers,
-                    committed: std::collections::BTreeMap::new(),
-                    commit_errors: 0,
                     pending_commits: VecDeque::new(),
                     validation_free: Time::ZERO,
                     byzantine: None,
@@ -499,10 +463,10 @@ impl FabricNet {
             orderer.add_channel(rt.spec.channel, Block::genesis().hash(), 1);
         }
         FabricNet {
+            recorder: Recorder::new(&channels),
             params,
             msp,
             peers,
-            members: channels.iter().map(|rt| rt.spec.members.clone()).collect(),
             channels,
             attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             orderer,
@@ -512,7 +476,6 @@ impl FabricNet {
             endorse_failures: 0,
             pending_endorsements: std::collections::BTreeMap::new(),
             proposal_conflicts: 0,
-            catchups: Vec::new(),
         }
     }
 
@@ -564,13 +527,16 @@ impl FabricNet {
 
     /// The default channel's latency matrix (t0 = leader reception).
     pub fn latency(&self) -> &LatencyRecorder {
-        &self.channels[0].latency
+        &self.recorder.channels[0].latency
     }
 
     /// The latency matrix of `channel`, if it exists. Slots follow the
     /// channel's initial member order, scheduled joiners appended.
     pub fn latency_on(&self, channel: ChannelId) -> Option<&LatencyRecorder> {
-        self.channels.get(channel.index()).map(|rt| &rt.latency)
+        self.recorder
+            .channels
+            .get(channel.index())
+            .map(|c| &c.latency)
     }
 
     /// `peer`'s slot in `channel`'s latency matrix, if it is ever a member.
@@ -580,7 +546,7 @@ impl FabricNet {
 
     /// The current members of `channel` (spec members ± churn).
     pub fn members_on(&self, channel: ChannelId) -> &[PeerId] {
-        &self.members[channel.index()]
+        &self.recorder.members[channel.index()]
     }
 
     /// Leadership acquisitions observed on `channel`, one per hand-off: a
@@ -588,36 +554,36 @@ impl FabricNet {
     /// static-roster leader taking its seat back. Seats held from the start
     /// are seeded at build time, not acquired, and count nothing.
     pub fn handoffs_on(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.index()].handoffs
+        self.recorder.channels[channel.index()].handoffs
     }
 
     /// Catch-up records of every runtime join so far, in event order.
     pub fn catchups(&self) -> &[Catchup] {
-        &self.catchups
+        &self.recorder.catchups
     }
 
     /// Discovery-convergence records of `channel`'s churn events, in event
     /// order.
     pub fn convergence_on(&self, channel: ChannelId) -> &[ViewConvergence] {
-        &self.channels[channel.index()].convergence
+        &self.recorder.channels[channel.index()].convergence
     }
 
     /// Closed leadership-gap windows of `channel` (leader leave or
     /// power-off → the next claim), in event order.
     pub fn leader_gaps_on(&self, channel: ChannelId) -> &[Duration] {
-        &self.channels[channel.index()].leader_gaps
+        &self.recorder.channels[channel.index()].leader_gaps
     }
 
     /// Reaps observed on `channel` of a peer the ground truth still lists
     /// as a member: one per observing view, counted from the leave
     /// observations discovery reports.
     pub fn false_reaps_on(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.index()].false_reaps
+        self.recorder.channels[channel.index()].false_reaps
     }
 
     /// Whether `channel` currently has an unclosed leadership gap.
     pub fn leader_gap_open_on(&self, channel: ChannelId) -> bool {
-        self.channels[channel.index()].gap_open.is_some()
+        self.recorder.channels[channel.index()].gap_open.is_some()
     }
 
     /// The gossip state of peer `i`.
@@ -638,12 +604,15 @@ impl FabricNet {
     /// Blocks committed (delivered in order) by peer `i`, summed over its
     /// channels.
     pub fn committed(&self, i: usize) -> u64 {
-        self.peers[i].committed.values().sum()
+        self.recorder.channels.iter().map(|c| c.committed[i]).sum()
     }
 
     /// Blocks peer `i` committed on `channel`.
     pub fn committed_on(&self, i: usize, channel: ChannelId) -> u64 {
-        self.peers[i].committed.get(&channel).copied().unwrap_or(0)
+        self.recorder
+            .channels
+            .get(channel.index())
+            .map_or(0, |c| c.committed[i])
     }
 
     /// Turns peer `i` into a free-rider (or back): it keeps receiving and
@@ -655,7 +624,7 @@ impl FabricNet {
 
     /// Commit errors across all peers (chain violations; should be zero).
     pub fn commit_errors(&self) -> u64 {
-        self.peers.iter().map(|p| p.commit_errors).sum()
+        self.recorder.commit_errors
     }
 
     /// Every peer currently claiming leadership on `channel`, in id order
@@ -672,6 +641,12 @@ impl FabricNet {
     /// the contiguous split.
     pub fn org_of(&self, peer: PeerId) -> usize {
         self.channels[0].org_of[peer.index()].expect("every peer is on the default channel")
+    }
+
+    /// Hands `fact` about `peer` on `channel` to the recorder, at `now`.
+    fn record(&mut self, now: Time, peer: PeerId, channel: ChannelId, fact: Fact) {
+        self.recorder
+            .record(&self.channels, now, peer, channel, fact);
     }
 
     /// Attaches `behavior` to `peer` (replacing any previous one). The

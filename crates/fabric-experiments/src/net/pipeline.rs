@@ -9,6 +9,7 @@ use fabric_types::ids::{ChannelId, ClientId, PeerId, TxId};
 use fabric_types::transaction::Transaction;
 use fabric_workload::client::endorse_invocation;
 
+use super::recorder::Fact;
 use super::FabricNet;
 
 /// Messages on the simulated wire.
@@ -166,24 +167,14 @@ impl FabricNet {
         from: NodeId,
         envelope: ChannelMsg,
     ) {
-        // Catch-up transfer accounting: recovery batches and snapshot
-        // chunks addressed to a still-catching-up joiner are the bytes
-        // its bootstrap costs (steady-state push/pull is not).
-        if !self.catchups.is_empty() {
-            let is_chunk = matches!(envelope.msg, GossipMsg::SnapshotChunk { .. });
-            if is_chunk || matches!(envelope.msg, GossipMsg::RecoveryResponse { .. }) {
-                use desim::Message as _;
-                let peer = PeerId(to.0);
-                if let Some(c) = self.catchups.iter_mut().find(|c| {
-                    c.completed_at.is_none() && c.peer == peer && c.channel == envelope.channel
-                }) {
-                    let wire = envelope.wire_size() as u64;
-                    c.bytes += wire;
-                    if is_chunk {
-                        c.max_msg_bytes = c.max_msg_bytes.max(wire);
-                    }
-                }
-            }
+        // Recovery batches and snapshot chunks are what a joiner's
+        // bootstrap costs (steady-state push/pull is not).
+        let chunk = matches!(envelope.msg, GossipMsg::SnapshotChunk { .. });
+        if chunk || matches!(envelope.msg, GossipMsg::RecoveryResponse { .. }) {
+            use desim::Message as _;
+            let bytes = envelope.wire_size() as u64;
+            let fact = Fact::Transfer { bytes, chunk };
+            self.record(ctx.now(), PeerId(to.0), envelope.channel, fact);
         }
         let from = PeerId(from.0);
         let (gossip, mut fx) = self.peer_fx(ctx, to);
@@ -191,7 +182,6 @@ impl FabricNet {
             behavior.on_inbound(actx, envelope.channel, from, &envelope.msg)
         });
         gossip.on_channel_message(&mut fx, envelope.channel, from, envelope.msg);
-        self.check_catchups(to, ctx.now());
     }
 
     /// Hands `block` of `channel` to peer `to` as coming from the ordering
@@ -204,12 +194,10 @@ impl FabricNet {
         channel: ChannelId,
         block: BlockRef,
     ) {
-        self.channels[channel.index()]
-            .latency
-            .start_block(block.number(), ctx.now());
+        let fact = Fact::Ordered(block.number());
+        self.record(ctx.now(), PeerId(to.0), channel, fact);
         let (gossip, mut fx) = self.peer_fx(ctx, to);
         gossip.on_block_from_orderer_on(&mut fx, channel, block);
-        self.check_catchups(to, ctx.now());
     }
 
     /// Hands `block` to `channel`'s lowest current member, now — the
@@ -221,7 +209,7 @@ impl FabricNet {
         channel: ChannelId,
         block: BlockRef,
     ) {
-        if let Some(lowest) = self.members[channel.index()].iter().min() {
+        if let Some(lowest) = self.recorder.members[channel.index()].iter().min() {
             self.hand_block(ctx, NodeId(lowest.0), channel, block);
         }
     }
@@ -356,7 +344,7 @@ impl FabricNet {
         let rt = &self.channels[channel.index()];
         // One delivery per organization, to that organization's leader(s)
         // among the channel's current members.
-        let leaders: Vec<NodeId> = self.members[channel.index()]
+        let leaders: Vec<NodeId> = self.recorder.members[channel.index()]
             .iter()
             .filter(|m| {
                 self.peers[m.index()].gossip.is_leader_on(channel) && ctx.net().is_up(NodeId(m.0))
@@ -454,7 +442,6 @@ impl desim::Protocol for FabricNet {
                 let (gossip, mut fx) = self.peer_fx(ctx, node);
                 gossip.on_channel_timer(&mut fx, channel, timer);
                 fx.byzantine_turn(|behavior, actx| behavior.on_step(actx));
-                self.check_catchups(node, ctx.now());
             }
             NetTimer::ClientIssue => self.issue_due(ctx),
             NetTimer::BatchTimeout { channel, epoch } => {
@@ -468,6 +455,7 @@ impl desim::Protocol for FabricNet {
                 let Some((channel, block)) = peer.pending_commits.pop_front() else {
                     return;
                 };
+                let mut ok = true;
                 if let Some(ledger) = peer.ledger_mut(channel) {
                     if block.number() < ledger.height() {
                         // Absorbed by a snapshot installed while the block
@@ -475,9 +463,7 @@ impl desim::Protocol for FabricNet {
                         // already part of the adopted state.
                         return;
                     }
-                    if ledger.commit(block).is_err() {
-                        peer.commit_errors += 1;
-                    }
+                    ok = ledger.commit(block).is_ok();
                     // A commit landing on a checkpoint boundary refreshes
                     // the ledger's snapshot; hand it to gossip so this
                     // peer can serve joiners (freshness-gated, so the
@@ -486,7 +472,7 @@ impl desim::Protocol for FabricNet {
                         peer.gossip.publish_snapshot_on(channel, snapshot);
                     }
                 }
-                *peer.committed.entry(channel).or_insert(0) += 1;
+                self.record(ctx.now(), PeerId(node.0), channel, Fact::Committed { ok });
             }
             NetTimer::Churn { index } => self.apply_churn(ctx, self.params.churn[index].clone()),
         }

@@ -8,7 +8,10 @@
 //! exactly what the protocol did.
 //!
 //! What the host only observes arrives through one method,
-//! [`Effects::trace`], as a [`ProtocolEvent`].
+//! [`Effects::trace`], as a [`ProtocolEvent`]. The simulation records it in
+//! one place: `SimFx::trace` hands every event to the deployment's
+//! recorder (`fabric_experiments::net`), which folds it, with the host's own
+//! facts, into every run metric.
 //!
 //! Every side effect is tagged with the [`ChannelId`] it belongs to: a peer
 //! joined to several channels runs one protocol instance per channel, and

@@ -20,14 +20,14 @@ use desim::{Duration, Time};
 use crate::cdf::Cdf;
 
 /// The latency matrix of one dissemination experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyRecorder {
     peers: usize,
     /// Per block: dissemination start and per-peer reception latency.
     blocks: BTreeMap<u64, BlockRecord>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct BlockRecord {
     start: Time,
     /// Per peer: the stamp of the latency from `start` to its first
