@@ -374,33 +374,37 @@ mod tests {
     use crate::churn_waves::ChurnWavesConfig;
     use crate::scenario::ScenarioNet;
 
-    /// The recorder is a fold: the inputs of a churned run (two joins, a
-    /// leader's leave, snapshots off) replayed into a fresh recorder
-    /// rebuild it exactly, and the run's report reads the same off either.
+    /// The recorder is a fold: the inputs of a churned run (two joins and
+    /// a leader's leave, by genesis replay and by snapshot) replayed into
+    /// a fresh recorder rebuild it exactly, and the run's report reads the
+    /// same off either.
     #[test]
     fn one_recorder_replays_its_inputs_into_an_equal_recorder() {
-        let run = || {
-            let mut d = ChurnWavesConfig::late_joiner(12, 30).deployment();
-            d.net.recorder.inputs = Some(Vec::new());
-            d.run()
-        };
-        let mut sim = run();
-        let net = sim.protocol();
-        let live = net.recorder.clone();
-        let mut fresh = Recorder::new(&net.channels);
-        fresh.inputs = Some(Vec::new());
-        for (now, peer, channel, fact) in live.inputs.clone().unwrap() {
-            fresh.record(&net.channels, now, peer, channel, fact);
-        }
-        assert_eq!(fresh, live);
-        assert_eq!(live.catchups.len(), 2);
+        let plain = ChurnWavesConfig::late_joiner(12, 30);
+        for cfg in [plain.clone(), plain.with_snapshots(8)] {
+            let run = || {
+                let mut d = cfg.deployment();
+                d.net.recorder.inputs = Some(Vec::new());
+                d.run()
+            };
+            let mut sim = run();
+            let net = sim.protocol();
+            let live = net.recorder.clone();
+            let mut fresh = Recorder::new(&net.channels);
+            fresh.inputs = Some(Vec::new());
+            for (now, peer, channel, fact) in live.inputs.clone().unwrap() {
+                fresh.record(&net.channels, now, peer, channel, fact);
+            }
+            assert_eq!(fresh, live);
+            assert_eq!(live.catchups.len(), 2);
+            let installed = live.catchups.iter().any(|c| c.snapshot_height > 0);
+            assert_eq!(installed, cfg.gossip.snapshot.is_some());
 
-        let text = render_churn("late joiner", &ChurnResult::read_off(run()));
-        sim.protocol_mut().recorder = fresh;
-        assert_eq!(
-            render_churn("late joiner", &ChurnResult::read_off(sim)),
-            text
-        );
+            let text = render_churn("late joiner", &ChurnResult::read_off(run()));
+            sim.protocol_mut().recorder = fresh;
+            let replayed = render_churn("late joiner", &ChurnResult::read_off(sim));
+            assert_eq!(replayed, text);
+        }
     }
 
     /// A crash leaves every channel and powers the node off: each seat
