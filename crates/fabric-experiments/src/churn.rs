@@ -368,6 +368,22 @@ mod tests {
     }
 
     #[test]
+    fn runs_are_deterministic_in_the_seed() {
+        let a = quick(11);
+        let b = quick(11);
+        assert_eq!(a.events, b.events);
+        let completed = |r: &ChurnResult| -> Vec<Option<Time>> {
+            r.catchups.iter().map(|c| c.completed_at).collect()
+        };
+        assert_eq!(completed(&a), completed(&b));
+        assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
+        for (x, y) in a.channels.iter().zip(&b.channels) {
+            assert_eq!(x.p50, y.p50);
+            assert_eq!(x.p999, y.p999);
+        }
+    }
+
+    #[test]
     fn render_reports_catchup_handoffs_and_fairness() {
         let res = quick(1);
         let text = render_churn("churn", &res);
@@ -458,15 +474,11 @@ mod tests {
             "no snapshot-transfer message may exceed {chunk_size}, got {}",
             c.max_msg_bytes
         );
-        let stats = run.net.gossip(c.peer.index()).stats_on(SIDE).unwrap();
-        assert!(
-            stats.snapshot_chunks_received > 1,
-            "the snapshot must arrive in several chunks"
-        );
+        assert!(c.chunks > 1, "the snapshot must arrive in several chunks");
         assert_eq!(run.net.commit_errors(), 0);
         // A lossless LAN needs no resumes; the resume machinery is pinned
         // by the unit and scenario suites.
-        assert_eq!(stats.snapshot_resumes, 0);
+        assert_eq!(c.resumes, 0);
     }
 
     /// The endorser's ledger checkpoints every 8 blocks, and each

@@ -444,6 +444,18 @@ mod tests {
         }
     }
 
+    #[test]
+    fn waves_are_deterministic_in_the_seed() {
+        let a = quick(7);
+        let b = quick(7);
+        assert_eq!(a.events, b.events);
+        let latencies = |r: &ChurnResult| -> Vec<Option<Duration>> {
+            r.convergence.iter().map(|c| c.latency()).collect()
+        };
+        assert_eq!(latencies(&a), latencies(&b));
+        assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
+    }
+
     /// The `churn_waves` benchmark workload's client schedule, pinned by
     /// content: FNV-1a over each merged row's `at` nanos, channel,
     /// chaincode and padding, and the key its endorsement writes against

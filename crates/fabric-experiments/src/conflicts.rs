@@ -398,4 +398,11 @@ mod tests {
             "enhanced gossip must not increase proposal conflicts: {enh} vs {orig}"
         );
     }
+
+    #[test]
+    fn conflict_runs_are_deterministic() {
+        let a = quick(GossipConfig::original_fabric(), 750, 9);
+        let b = quick(GossipConfig::original_fabric(), 750, 9);
+        assert_eq!(a, b);
+    }
 }

@@ -475,4 +475,15 @@ mod tests {
             "unchanged without riders"
         );
     }
+
+    #[test]
+    fn runs_are_deterministic_in_the_seed() {
+        let a = quick(DisseminationConfig::fig07_09_enhanced_f4(), 300);
+        let b = quick(DisseminationConfig::fig07_09_enhanced_f4(), 300);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.peer_traffic_mb, b.peer_traffic_mb);
+        let qa = a.pooled_cdf().quantile(0.5);
+        let qb = b.pooled_cdf().quantile(0.5);
+        assert_eq!(qa, qb);
+    }
 }

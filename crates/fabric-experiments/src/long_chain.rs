@@ -18,7 +18,6 @@
 //! the gap widens as the chain grows.
 
 use desim::Duration;
-use fabric_gossip::channel::PeerStats;
 use fabric_types::ids::ChannelId;
 
 use crate::churn_waves::{run_churn_waves, ChurnWavesConfig};
@@ -68,12 +67,9 @@ pub struct LongChainRow {
     /// bytes it received, the blocks it replayed.
     pub genesis: Catchup,
     /// The snapshot-bootstrapped joiner's catch-up: the same, plus the
-    /// installed floor and the largest transfer message (bounded by the
-    /// chunk size however large the state).
+    /// installed floor, the largest transfer message (bounded by the
+    /// chunk size however large the state), chunks and resumes.
     pub snapshot: Catchup,
-    /// The snapshot-bootstrapped joiner's side-channel counters at the
-    /// end of the run: the chunks it absorbed and the transfers it resumed.
-    pub transfer: PeerStats,
     /// The snapshot export a sitting endorser serves at the end of the
     /// run (its newest checkpoint's, the largest) — grows linearly with
     /// state size.
@@ -164,11 +160,6 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
         snap_cfg.gossip.snapshot.as_mut().unwrap().chunk_size = CHUNK_SIZE;
         let snap_run = run_churn_waves(&snap_cfg);
         let snapshot = completed_catchup(&snap_run.catchups, blocks, "snapshot");
-        let joiner = snap_run.net.gossip(snapshot.peer.index());
-        let transfer = joiner
-            .stats_on(ChannelId(1))
-            .expect("the joiner sits")
-            .clone();
         // What the sitting endorser exports to be able to serve: its
         // newest checkpoint's, the largest, as the state only grows.
         let served = snap_run
@@ -181,7 +172,6 @@ pub fn run_long_chain(cfg: &LongChainConfig) -> LongChainResult {
             blocks,
             genesis,
             snapshot,
-            transfer,
             full_bytes_per_checkpoint: served.map_or(0, |s| s.wire_size() as u64),
         });
     }
@@ -210,10 +200,7 @@ pub fn render_long_chain(title: &str, result: &LongChainResult) -> String {
         out.push_str(&format!(
             "            | transfer: max msg {:>6} B, {:>3} chunks, {} resumes | \
              full export {:>6} B\n",
-            s.max_msg_bytes,
-            r.transfer.snapshot_chunks_received,
-            r.transfer.snapshot_resumes,
-            r.full_bytes_per_checkpoint,
+            s.max_msg_bytes, s.chunks, s.resumes, r.full_bytes_per_checkpoint,
         ));
     }
     let (gb, sb) = result.bytes_growth();
@@ -325,13 +312,9 @@ mod tests {
                 r.blocks,
                 r.snapshot.max_msg_bytes,
             );
-            let t = &r.transfer;
-            assert!(
-                t.snapshot_chunks_received > 1,
-                "the transfer must actually chunk"
-            );
+            assert!(r.snapshot.chunks > 1, "the transfer must actually chunk");
             assert_eq!(
-                t.snapshot_resumes, 0,
+                r.snapshot.resumes, 0,
                 "a lossless LAN sweep needs no resumes"
             );
         }

@@ -320,10 +320,16 @@ mod tests {
     }
 
     #[test]
-    fn clustered_run_is_complete() {
+    fn clustered_run_is_complete_and_deterministic() {
         let cfg = MultiChannelConfig::clustered(3, 9, 60);
         let a = run_multichannel(&cfg);
+        let b = run_multichannel(&cfg);
         assert_eq!(a.channels.len(), 6);
+        assert_eq!((a.events, a.sim_end), (b.events, b.sim_end));
+        for (x, y) in a.channels.iter().zip(&b.channels) {
+            assert_eq!((x.p50, x.p999), (y.p50, y.p999));
+        }
+        assert_eq!(a.fairness.overall_jain, b.fairness.overall_jain);
         // Clusters 1 and 2 start at peers 9 and 18: each channel reports
         // its plan's id, members and roster minimum as leader.
         for (c, (report, plan)) in a.channels.iter().zip(&cfg.channels).enumerate() {

@@ -20,6 +20,35 @@ use super::recorder::{Fact, Recorder};
 use super::{channel_ledger, ChannelRuntime, FabricNet, NetMsg, NetParams, NetTimer, PeerNode};
 
 impl FabricNet {
+    /// Runs one handler `turn` of `node`'s gossip against its effects.
+    /// A turn that moved the channel's block store tells the recorder
+    /// where the store stands.
+    #[inline]
+    pub(super) fn peer_turn(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        node: NodeId,
+        turn: impl FnOnce(&mut GossipPeer, &mut SimFx<'_, '_>),
+    ) {
+        let (gossip, mut fx) = self.peer_fx(ctx, node);
+        turn(gossip, &mut fx);
+        let Some(channel) = fx.moved else {
+            return;
+        };
+        let gossip = &self.peers[node.index()].gossip;
+        let (Some(store), Some(stats)) = (gossip.store_on(channel), gossip.stats_on(channel))
+        else {
+            return;
+        };
+        let fact = Fact::Stored {
+            height: store.height(),
+            floor: store.snapshot_floor(),
+            chunks: stats.snapshot_chunks_received,
+            resumes: stats.snapshot_resumes,
+        };
+        self.record(ctx.now(), PeerId(node.0), channel, fact);
+    }
+
     /// Splits the borrows one peer's handler needs, once: the peer's
     /// gossip state, and the [`Effects`] it runs against — with the
     /// peer's attached behavior, if any, on the outbound edge.
@@ -40,10 +69,12 @@ impl FabricNet {
         let edge = byzantine.as_deref_mut().map(|behavior| Edge {
             behavior,
             rng: &mut self.attack_rng,
+            members: &self.members,
         });
         let fx = SimFx {
             ctx,
             me: node,
+            members: &self.members,
             pending_commits,
             validation_free,
             ledgers,
@@ -52,6 +83,7 @@ impl FabricNet {
             recorder: &mut self.recorder,
             params: &self.params,
             edge,
+            moved: None,
         };
         (gossip, fx)
     }
@@ -61,6 +93,8 @@ impl FabricNet {
 pub(super) struct SimFx<'a, 'c> {
     ctx: &'a mut Ctx<'c, NetMsg, NetTimer>,
     me: NodeId,
+    /// Ground-truth membership per channel.
+    members: &'a [Vec<PeerId>],
     pending_commits: &'a mut VecDeque<(ChannelId, BlockRef)>,
     validation_free: &'a mut Time,
     ledgers: &'a mut Vec<(ChannelId, Ledger)>,
@@ -71,6 +105,8 @@ pub(super) struct SimFx<'a, 'c> {
     /// The behavior attached to this peer, if any: every send passes
     /// through it.
     edge: Option<Edge<'a>>,
+    /// The channel whose block store this turn moved, if any.
+    moved: Option<ChannelId>,
 }
 
 impl SimFx<'_, '_> {
@@ -89,18 +125,11 @@ impl SimFx<'_, '_> {
             self_id: PeerId(self.me.0),
             now: self.ctx.now(),
             rng: edge.rng,
-            members: &self.recorder.members,
+            members: edge.members,
         };
         for (channel, to, msg) in turn(edge.behavior, &mut actx) {
             send_gossip(self.ctx, self.me, channel, to, msg);
         }
-    }
-
-    /// Hands `fact` about this peer on `channel` to the recorder.
-    #[inline]
-    fn record(&mut self, channel: ChannelId, fact: Fact) {
-        let (now, me) = (self.ctx.now(), PeerId(self.me.0));
-        self.recorder.record(self.channels, now, me, channel, fact);
     }
 
     /// Queues every block `gossip` stores above this peer's ledgers back
@@ -127,6 +156,7 @@ impl SimFx<'_, '_> {
 struct Edge<'a> {
     behavior: &'a mut dyn Byzantine,
     rng: &'a mut StdRng,
+    members: &'a [Vec<PeerId>],
 }
 
 /// Puts one gossip message of `from` on the simulated wire.
@@ -178,14 +208,18 @@ impl Effects for SimFx<'_, '_> {
         let start = now.max(*self.validation_free);
         let done = start + cost;
         *self.validation_free = done;
-        self.record(channel, Fact::Delivered(block.number()));
+        self.moved = Some(channel);
         self.pending_commits.push_back((channel, block));
         self.ctx
             .set_timer(self.me, done.since(now), NetTimer::CommitDone);
     }
 
     fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
-        self.record(channel, Fact::Traced(event));
+        let (now, me) = (self.ctx.now(), PeerId(self.me.0));
+        let members = &self.members[channel.index()];
+        let fact = Fact::Traced(event);
+        self.recorder
+            .record(self.channels, members, now, me, channel, fact);
     }
 
     fn snapshot_installed(
@@ -193,7 +227,7 @@ impl Effects for SimFx<'_, '_> {
         channel: ChannelId,
         snapshot: &fabric_types::snapshot::SnapshotRef,
     ) {
-        self.record(channel, Fact::Installed(snapshot.checkpoint.height));
+        self.moved = Some(channel);
         // The gossip layer verified and adopted the snapshot; if this peer
         // maintains a ledger for the channel, stand it up from the same
         // snapshot so tail blocks commit against the adopted state instead

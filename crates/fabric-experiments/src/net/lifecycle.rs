@@ -44,7 +44,7 @@ impl FabricNet {
     pub fn apply_churn(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, ev: ChurnEvent) {
         match ev.action {
             ChurnAction::Join => {
-                let seeds = self.recorder.members[ev.channel.index()].clone();
+                let seeds = self.members[ev.channel.index()].clone();
                 self.join(ctx, ev.channel, ev.peer, seeds);
             }
             ChurnAction::Leave => self.leave(ctx, ev.channel, ev.peer),
@@ -77,7 +77,7 @@ impl FabricNet {
     ) {
         self.assert_membership_may_change("join");
         let c = channel.index();
-        if self.recorder.members[c].contains(&peer) {
+        if self.members[c].contains(&peer) {
             return;
         }
         let node = NodeId(peer.0);
@@ -101,6 +101,7 @@ impl FabricNet {
         // announcement heartbeats and anti-entropy.
         let target = self.orderer.chain_head_on(channel);
         self.record(ctx.now(), peer, channel, Fact::Joined { target });
+        self.members[c].push(peer);
     }
 
     /// Runtime leave of `peer` from `channel`. A non-member leaving is a
@@ -118,14 +119,15 @@ impl FabricNet {
     pub fn leave(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, channel: ChannelId, peer: PeerId) {
         self.assert_membership_may_change("leave");
         let c = channel.index();
-        if !self.recorder.members[c].contains(&peer) {
+        let Some(pos) = self.members[c].iter().position(|m| *m == peer) else {
             return;
-        }
+        };
         assert!(
             may_leave(&self.channels[c].spec, &self.schedule, peer),
             "endorser {peer} must not leave channel {channel}"
         );
         let led = self.peers[peer.index()].gossip.is_leader_on(channel);
+        self.members[c].remove(pos);
         self.peers[peer.index()].gossip.leave_channel(channel);
         let now = ctx.now();
         if led {

@@ -35,9 +35,8 @@
 //! holds what travels and how it is dispatched — the wire and timer
 //! types, the [`desim::Protocol`] impl, and the client → endorse → order →
 //! deliver path; `lifecycle` runtime membership — churn events, `join` /
-//! `leave` / `crash`; `recorder` every run metric and the ground-truth
-//! membership, one fold over what the peers trace and a few host facts
-//! (the accessors read it); `fx` the [`fabric_gossip::effects::Effects`]
+//! `leave` / `crash`; `recorder` every run metric, one fold over what
+//! the peers trace and a few host facts (the accessors read it); `fx` the [`fabric_gossip::effects::Effects`]
 //! adapter every gossip handler runs against, with the Byzantine edge on
 //! its wire. Every public item is re-exported here, so paths are
 //! `fabric_experiments::net::X` throughout.
@@ -264,6 +263,9 @@ pub struct FabricNet {
     msp: Arc<Msp>,
     peers: Vec<PeerNode>,
     channels: Vec<ChannelRuntime>,
+    /// Current members per channel (spec members ± churn): the ground
+    /// truth, which an attached attacker may read.
+    members: Vec<Vec<PeerId>>,
     /// What attached behaviors draw from — never the engine's generator,
     /// so attaching one re-rolls no honest draw.
     attack_rng: StdRng,
@@ -467,6 +469,7 @@ impl FabricNet {
             params,
             msp,
             peers,
+            members: channels.iter().map(|rt| rt.spec.members.clone()).collect(),
             channels,
             attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             orderer,
@@ -546,7 +549,7 @@ impl FabricNet {
 
     /// The current members of `channel` (spec members ± churn).
     pub fn members_on(&self, channel: ChannelId) -> &[PeerId] {
-        &self.recorder.members[channel.index()]
+        &self.members[channel.index()]
     }
 
     /// Leadership acquisitions observed on `channel`, one per hand-off: a
@@ -645,8 +648,9 @@ impl FabricNet {
 
     /// Hands `fact` about `peer` on `channel` to the recorder, at `now`.
     fn record(&mut self, now: Time, peer: PeerId, channel: ChannelId, fact: Fact) {
+        let members = &self.members[channel.index()];
         self.recorder
-            .record(&self.channels, now, peer, channel, fact);
+            .record(&self.channels, members, now, peer, channel, fact);
     }
 
     /// Attaches `behavior` to `peer` (replacing any previous one). The

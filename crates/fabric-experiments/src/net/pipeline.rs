@@ -177,11 +177,12 @@ impl FabricNet {
             self.record(ctx.now(), PeerId(to.0), envelope.channel, fact);
         }
         let from = PeerId(from.0);
-        let (gossip, mut fx) = self.peer_fx(ctx, to);
-        fx.byzantine_turn(|behavior, actx| {
-            behavior.on_inbound(actx, envelope.channel, from, &envelope.msg)
+        self.peer_turn(ctx, to, |gossip, fx| {
+            fx.byzantine_turn(|behavior, actx| {
+                behavior.on_inbound(actx, envelope.channel, from, &envelope.msg)
+            });
+            gossip.on_channel_message(fx, envelope.channel, from, envelope.msg);
         });
-        gossip.on_channel_message(&mut fx, envelope.channel, from, envelope.msg);
     }
 
     /// Hands `block` of `channel` to peer `to` as coming from the ordering
@@ -196,8 +197,9 @@ impl FabricNet {
     ) {
         let fact = Fact::Ordered(block.number());
         self.record(ctx.now(), PeerId(to.0), channel, fact);
-        let (gossip, mut fx) = self.peer_fx(ctx, to);
-        gossip.on_block_from_orderer_on(&mut fx, channel, block);
+        self.peer_turn(ctx, to, |gossip, fx| {
+            gossip.on_block_from_orderer_on(fx, channel, block);
+        });
     }
 
     /// Hands `block` to `channel`'s lowest current member, now — the
@@ -209,7 +211,7 @@ impl FabricNet {
         channel: ChannelId,
         block: BlockRef,
     ) {
-        if let Some(lowest) = self.recorder.members[channel.index()].iter().min() {
+        if let Some(lowest) = self.members[channel.index()].iter().min() {
             self.hand_block(ctx, NodeId(lowest.0), channel, block);
         }
     }
@@ -344,7 +346,7 @@ impl FabricNet {
         let rt = &self.channels[channel.index()];
         // One delivery per organization, to that organization's leader(s)
         // among the channel's current members.
-        let leaders: Vec<NodeId> = self.recorder.members[channel.index()]
+        let leaders: Vec<NodeId> = self.members[channel.index()]
             .iter()
             .filter(|m| {
                 self.peers[m.index()].gossip.is_leader_on(channel) && ctx.net().is_up(NodeId(m.0))
@@ -438,11 +440,10 @@ impl desim::Protocol for FabricNet {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NetTimer>, node: NodeId, timer: NetTimer) {
         match timer {
-            NetTimer::Peer { channel, timer } => {
-                let (gossip, mut fx) = self.peer_fx(ctx, node);
-                gossip.on_channel_timer(&mut fx, channel, timer);
+            NetTimer::Peer { channel, timer } => self.peer_turn(ctx, node, |gossip, fx| {
+                gossip.on_channel_timer(fx, channel, timer);
                 fx.byzantine_turn(|behavior, actx| behavior.on_step(actx));
-            }
+            }),
             NetTimer::ClientIssue => self.issue_due(ctx),
             NetTimer::BatchTimeout { channel, epoch } => {
                 if let Some(block) = self.orderer.on_batch_timeout_on(channel, epoch) {

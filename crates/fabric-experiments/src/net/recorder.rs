@@ -1,13 +1,13 @@
-//! The run's one recorder: every metric a deployment reports, and the
-//! ground-truth membership its joins and leaves make, folded from what
-//! its peers trace ([`ProtocolEvent`]) and the few facts only the host
-//! sees ([`Fact`]).
+//! The run's one recorder: every metric a deployment reports, folded
+//! from what its peers trace ([`ProtocolEvent`]) and the few facts only
+//! the host sees ([`Fact`]).
 //!
 //! [`Recorder::record`] is the one way in. Each metric is a function of
-//! the `(now, peer, channel, Fact)` stream and of the deployment's fixed
-//! channel layout, so a stream replayed into a fresh recorder rebuilds
-//! the same records (`one_recorder_` tests). Nothing here keeps the
-//! stream itself outside tests.
+//! the `(now, peer, channel, Fact)` stream, of the deployment's fixed
+//! channel layout and of the channel's members handed in beside each
+//! fact, so a stream replayed into a fresh recorder rebuilds the same
+//! records (`one_recorder_` tests). The recorder keeps no membership and
+//! nothing the simulation reads; outside tests it keeps no stream either.
 
 use desim::{Duration, Time};
 use fabric_gossip::effects::ProtocolEvent;
@@ -21,10 +21,12 @@ use super::ChannelRuntime;
 pub(super) enum Fact {
     /// What the peer's channel instance traced.
     Traced(ProtocolEvent),
-    /// The peer joined at runtime; `target` is the chain head its
-    /// catch-up must pass.
+    /// The peer joined at runtime; the members handed in beside it are
+    /// the sitting set that must notice, and `target` is the chain head
+    /// its catch-up must pass.
     Joined { target: u64 },
-    /// The peer left.
+    /// The peer left; the members handed in beside it are the ones left
+    /// to notice.
     Left,
     /// The peer held the seat and lost it untraced, by leaving or powering
     /// off: the seat is empty until the next claim.
@@ -32,10 +34,15 @@ pub(super) enum Fact {
     /// Block `n` reached the peer from the ordering service, the instant
     /// its dissemination starts (t0 of the latency matrix).
     Ordered(u64),
-    /// Block `n` became deliverable in height order at the peer.
-    Delivered(u64),
-    /// The peer installed a snapshot of every block up to `n`.
-    Installed(u64),
+    /// A turn of the peer moved its block store: the store's contiguous
+    /// `height` and snapshot `floor` after the turn, and the peer's
+    /// snapshot `chunks` accepted and transfers `resumed` so far.
+    Stored {
+        height: u64,
+        floor: u64,
+        chunks: u64,
+        resumes: u64,
+    },
     /// The peer committed one block; `ok` is false on a chain violation.
     Committed { ok: bool },
     /// A catch-up transfer message of `bytes` on the wire reached the
@@ -43,12 +50,13 @@ pub(super) enum Fact {
     Transfer { bytes: u64, chunk: bool },
 }
 
-/// Every run metric of a deployment, and who sits on each channel.
+/// One captured input: a fact and the channel's members beside it.
+#[cfg(test)]
+pub(super) type Input = (Time, PeerId, ChannelId, Fact, Vec<PeerId>);
+
+/// Every run metric of a deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct Recorder {
-    /// The current members per channel (spec members ± churn): the
-    /// ground truth, which an attached attacker may read.
-    pub(super) members: Vec<Vec<PeerId>>,
     /// Per channel, channel order.
     pub(super) channels: Vec<ChannelRecord>,
     /// Catch-up records of every runtime join, in event order.
@@ -57,7 +65,7 @@ pub(super) struct Recorder {
     pub(super) commit_errors: u64,
     /// The inputs, in order, while a test captures them.
     #[cfg(test)]
-    pub(super) inputs: Option<Vec<(Time, PeerId, ChannelId, Fact)>>,
+    pub(super) inputs: Option<Vec<Input>>,
 }
 
 /// What the [`Recorder`] keeps per channel.
@@ -94,7 +102,6 @@ impl Recorder {
             committed: vec![0; rt.slots.len()],
         };
         Recorder {
-            members: layout.iter().map(|rt| rt.spec.members.clone()).collect(),
             channels: layout.iter().map(channel).collect(),
             catchups: Vec::new(),
             commit_errors: 0,
@@ -104,10 +111,12 @@ impl Recorder {
     }
 
     /// Folds one fact about `peer` on `channel`, at `now`, into the
-    /// records; `layout` is the deployment's fixed channel layout.
+    /// records; `layout` is the deployment's fixed channel layout and
+    /// `members` the channel's current members.
     pub(super) fn record(
         &mut self,
         layout: &[ChannelRuntime],
+        members: &[PeerId],
         now: Time,
         peer: PeerId,
         channel: ChannelId,
@@ -115,9 +124,8 @@ impl Recorder {
     ) {
         #[cfg(test)]
         if let Some(inputs) = &mut self.inputs {
-            inputs.push((now, peer, channel, fact.clone()));
+            inputs.push((now, peer, channel, fact.clone(), members.to_vec()));
         }
-        let members = &mut self.members[channel.index()];
         let rt = &mut self.channels[channel.index()];
         match fact {
             Fact::Traced(ProtocolEvent::Received(n)) => {
@@ -160,14 +168,6 @@ impl Recorder {
             Fact::Joined { target } => {
                 rt.convergence
                     .push(ViewConvergence::new(peer, channel, now, true, members));
-                members.push(peer);
-                // A catch-up still open from an earlier life follows the
-                // new instance, which starts from genesis.
-                for c in &mut self.catchups {
-                    if c.peer == peer && c.channel == channel && c.completed_at.is_none() {
-                        (c.blocks_replayed, c.snapshot_height) = (0, 0);
-                    }
-                }
                 self.catchups.push(Catchup {
                     peer,
                     channel,
@@ -178,10 +178,11 @@ impl Recorder {
                     blocks_replayed: 0,
                     snapshot_height: 0,
                     max_msg_bytes: 0,
+                    chunks: 0,
+                    resumes: 0,
                 });
             }
             Fact::Left => {
-                members.retain(|p| *p != peer);
                 // A member that leaves before observing is excused.
                 for record in &mut rt.convergence {
                     record.expected.retain(|p| *p != peer);
@@ -193,17 +194,28 @@ impl Recorder {
                 rt.gap_open.get_or_insert(now);
             }
             Fact::Ordered(n) => rt.latency.start_block(n, now),
-            Fact::Delivered(n) => self.follow(now, peer, channel, |height, floor| {
-                (height.max(n + 1), floor)
-            }),
-            // The store adopts a snapshot that is not behind it.
-            Fact::Installed(n) => self.follow(now, peer, channel, |height, floor| {
-                if n >= height {
-                    (n + 1, n)
-                } else {
-                    (height, floor)
+            Fact::Stored {
+                height,
+                floor,
+                chunks,
+                resumes,
+            } => {
+                // Once the store covers a join-time head, that catch-up is
+                // complete, split into what a snapshot absorbed and what
+                // was replayed block by block.
+                for c in self
+                    .catchups
+                    .iter_mut()
+                    .filter(|c| c.completed_at.is_none() && c.peer == peer && c.channel == channel)
+                {
+                    if height > c.target {
+                        c.completed_at = Some(now);
+                        c.snapshot_height = floor;
+                        c.blocks_replayed = (height - 1).saturating_sub(floor);
+                        (c.chunks, c.resumes) = (chunks, resumes);
+                    }
                 }
-            }),
+            }
             Fact::Committed { ok } => {
                 rt.committed[peer.index()] += 1;
                 self.commit_errors += u64::from(!ok);
@@ -219,29 +231,6 @@ impl Recorder {
                         c.max_msg_bytes = c.max_msg_bytes.max(bytes);
                     }
                 }
-            }
-        }
-    }
-
-    /// Moves `peer`'s catch-ups on `channel` to the contiguous height and
-    /// snapshot floor `step` makes of the current ones. An open one
-    /// completes once the height passes its target; one completed at
-    /// `now` still follows the rest of that instant's deliveries.
-    fn follow(
-        &mut self,
-        now: Time,
-        peer: PeerId,
-        channel: ChannelId,
-        step: impl Fn(u64, u64) -> (u64, u64),
-    ) {
-        for c in self.catchups.iter_mut().filter(|c| {
-            c.peer == peer && c.channel == channel && c.completed_at.is_none_or(|t| t == now)
-        }) {
-            let height = c.blocks_replayed + c.snapshot_height + 1;
-            let (height, floor) = step(height, c.snapshot_height);
-            (c.blocks_replayed, c.snapshot_height) = (height - 1 - floor, floor);
-            if height > c.target {
-                c.completed_at.get_or_insert(now);
             }
         }
     }
@@ -268,17 +257,21 @@ pub struct Catchup {
     /// the cost of the bootstrap itself.
     pub bytes: u64,
     /// Blocks the joiner individually received and replayed to reach the
-    /// head, counted through the instant it completes. Equals the full
-    /// chain under genesis replay; only the tail above the snapshot floor
-    /// with snapshots on.
+    /// head (filled at completion). Equals the full chain under genesis
+    /// replay; only the tail above the snapshot floor with snapshots on.
     pub blocks_replayed: u64,
     /// Highest block number absorbed through an installed snapshot
-    /// (0 = genesis replay).
+    /// (0 = genesis replay; filled at completion).
     pub snapshot_height: u64,
     /// Largest single snapshot-chunk wire message addressed to the joiner
     /// while open — within the configured chunk size, however large the
     /// state (block-recovery batches are not chunked and not counted).
     pub max_msg_bytes: u64,
+    /// Snapshot chunks the joiner accepted (filled at completion).
+    pub chunks: u64,
+    /// Snapshot transfers re-requested after a timeout or server
+    /// departure (filled at completion).
+    pub resumes: u64,
 }
 
 impl Catchup {
@@ -392,8 +385,8 @@ mod tests {
             let live = net.recorder.clone();
             let mut fresh = Recorder::new(&net.channels);
             fresh.inputs = Some(Vec::new());
-            for (now, peer, channel, fact) in live.inputs.clone().unwrap() {
-                fresh.record(&net.channels, now, peer, channel, fact);
+            for (now, peer, channel, fact, members) in live.inputs.clone().unwrap() {
+                fresh.record(&net.channels, &members, now, peer, channel, fact);
             }
             assert_eq!(fresh, live);
             assert_eq!(live.catchups.len(), 2);
@@ -421,9 +414,11 @@ mod tests {
         net.crash(PeerId(0));
         let fabric = net.sim().protocol();
         let inputs = fabric.recorder.inputs.as_ref().unwrap();
-        let unseated = inputs.iter().filter(|(.., fact)| *fact == Fact::Unseated);
+        let unseated = inputs
+            .iter()
+            .filter(|(.., fact, _)| *fact == Fact::Unseated);
         assert_eq!(
-            unseated.map(|&(_, _, c, _)| c).collect::<Vec<_>>(),
+            unseated.map(|(_, _, c, ..)| *c).collect::<Vec<_>>(),
             channels
         );
         for c in channels {
