@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! repro [full|quick|smoke] [figures|table2|analysis|proposal|ablations|long_chain|all]
+//! repro sweep churn_waves [--seeds 1..=110,5001..=5110]
 //! ```
 //!
 //! Prints the series behind Figures 4–14, Table II, the §IV infect-and-die
@@ -13,6 +14,12 @@
 //! scale's figure workload) and `long_chain` (joiner catch-up cost vs
 //! chain height) are beyond the paper and not part of `all`. Defaults:
 //! `quick all`.
+//!
+//! `sweep churn_waves` runs the churn preset of record (three side
+//! channels of 16, 300 blocks each) over a seed list and prints every
+//! anomalous seed — a short channel, a main-channel hand-off — then a
+//! summary with the rule-of-three bound
+//! ([`fabric_experiments::sweep::render_sweep`]).
 
 use bench::{run_scaled, Scale};
 use desim::{Duration, NetworkConfig};
@@ -20,6 +27,8 @@ use fabric_experiments::conflicts::{run_table2, ConflictConfig};
 use fabric_experiments::dissemination::{run_dissemination, run_one_block, DisseminationConfig};
 use fabric_experiments::long_chain::{render_long_chain, run_long_chain, LongChainConfig};
 use fabric_experiments::report;
+use fabric_experiments::sweep::{parse_seeds, render_sweep};
+use fabric_experiments::{sweep, ChurnWavesConfig};
 use fabric_gossip::config::{GossipConfig, PushMode};
 use gossip_analysis::coverage::infect_and_die_expected_coverage;
 use gossip_analysis::epidemic::{
@@ -29,6 +38,9 @@ use gossip_analysis::ttl::{ttl_for, TtlTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("sweep") {
+        return seed_sweep(&args[1..]);
+    }
     let scale = match args.first() {
         None => Scale::Quick,
         Some(s) => Scale::parse(s).unwrap_or_else(|| usage(&format!("unknown scale {s:?}"))),
@@ -57,9 +69,31 @@ fn main() {
 fn usage(problem: &str) -> ! {
     eprintln!("repro: {problem}");
     eprintln!(
-        "usage: repro [full|quick|smoke] [figures|table2|analysis|proposal|ablations|long_chain|all]"
+        "usage: repro [full|quick|smoke] [figures|table2|analysis|proposal|ablations|long_chain|all]\n       \
+         repro sweep churn_waves [--seeds 1..=110,5001..=5110]"
     );
     std::process::exit(2);
+}
+
+/// `repro sweep <preset> [--seeds LIST]`: the preset over every seed of
+/// the list, the anomalous rows, then the summary.
+fn seed_sweep(args: &[String]) {
+    let preset = match args.first().map(String::as_str) {
+        Some("churn_waves") => ChurnWavesConfig::standard(3, 16, 300),
+        Some(other) => usage(&format!("unknown sweep preset {other:?}")),
+        None => usage("sweep needs a preset"),
+    };
+    let seeds = match &args[1..] {
+        [] => "1..=110,5001..=5110",
+        [flag, list] if flag == "--seeds" => list,
+        _ => usage("sweep takes only --seeds LIST"),
+    };
+    let seeds = parse_seeds(seeds).unwrap_or_else(|e| usage(&e));
+    println!(
+        "# fair-gossip seed sweep — churn_waves, {} seeds\n",
+        seeds.len()
+    );
+    print!("{}", render_sweep(&sweep(&preset, &seeds)));
 }
 
 /// Joiner catch-up cost swept over chain height: genesis replay vs

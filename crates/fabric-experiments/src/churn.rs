@@ -269,7 +269,10 @@ pub fn render_churn(title: &str, result: &ChurnResult) -> String {
                 "caught up in {lat} | {} catch-up bytes | {} replayed",
                 cu.bytes, cu.blocks_replayed
             ),
-            None => format!("{} catch-up bytes so far | STILL CATCHING UP", cu.bytes),
+            None => match cu.left_at {
+                Some(at) => format!("{} catch-up bytes | LEFT AT {at} UNCAUGHT", cu.bytes),
+                None => format!("{} catch-up bytes so far | STILL CATCHING UP", cu.bytes),
+            },
         };
         out.push_str(&format!(
             "{} joined {} at {} | head {} | {outcome}\n",

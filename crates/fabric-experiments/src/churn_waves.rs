@@ -346,6 +346,30 @@ mod tests {
         run_churn_waves(&cfg)
     }
 
+    /// Seeds 52 and 6304 of the benchmark's configuration met the lost
+    /// block: the orderer handed it once to a leader that a wave then
+    /// removed, and no member ever held it. Every sitting member now ends
+    /// at the orderer's head. Built in release only, where a seed takes
+    /// about a second; `cargo test --release -- leaders_seek_` runs it.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn leaders_seek_the_benchmarks_stalled_seeds_reach_the_head() {
+        for seed in [52, 6304] {
+            let res = run_churn_waves(&ChurnWavesConfig {
+                seed,
+                ..ChurnWavesConfig::standard(3, 16, 300)
+            });
+            for c in &res.channels {
+                assert_eq!(c.completeness, 1.0, "seed {seed} {}", c.channel);
+                for &(m, _) in &c.member_bytes {
+                    let height = res.net.gossip(m.index()).height_on(c.channel);
+                    assert_eq!(height, c.blocks + 1, "seed {seed}: {m} on {}", c.channel);
+                }
+            }
+            assert!(res.catchups.iter().all(|cu| cu.latency().is_some()));
+        }
+    }
+
     /// Both presets override discovery and recovery rounds; every delay
     /// they arm still fits on the engine's timing wheel ring.
     #[test]
@@ -399,6 +423,9 @@ mod tests {
     #[test]
     fn the_waves_preset_keeps_its_guarantees() {
         let timeout = Duration::from_secs(3);
+        // The timeout runs from the last claim a view merged of the
+        // leader, at most one 500 ms heartbeat period before it left.
+        let earliest_claim = timeout - Duration::from_millis(500);
         for seed in [2, 3, 5] {
             let res = quick(seed);
             assert!(!res.convergence.is_empty());
@@ -419,7 +446,7 @@ mod tests {
                 assert_eq!(c.leader_gaps.len(), 2);
                 for gap in &c.leader_gaps {
                     assert!(
-                        *gap >= timeout && *gap < Duration::from_secs(10),
+                        *gap >= earliest_claim && *gap < Duration::from_secs(10),
                         "a leader gap closes promptly after expiry: {gap}"
                     );
                 }

@@ -42,6 +42,9 @@
 //!   deployments of `N` in the LAN model, reporting per point whether the
 //!   family's guarantee held and what the attack cost over the
 //!   attacker-free baseline, and per family the measured `f*(N)`;
+//! * [`mod@sweep`] — one churn preset over many seeds, a row per seed, the
+//!   anomalous rows and a rule-of-three summary: what every claim over
+//!   seeds reads;
 //! * [`report`] — paper-style text rendering of every figure and table.
 //!
 //! ```no_run
@@ -65,6 +68,7 @@ pub mod multichannel;
 pub mod net;
 pub mod report;
 pub mod scenario;
+pub mod sweep;
 
 pub use adversarial::{
     render_adversarial, run_adversarial, AdversarialReport, Family, FamilyReport, Point,
@@ -86,3 +90,4 @@ pub use net::{
     ViewConvergence,
 };
 pub use scenario::ScenarioNet;
+pub use sweep::{sweep, SeedRow};

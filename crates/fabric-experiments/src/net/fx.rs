@@ -71,9 +71,13 @@ impl FabricNet {
             rng: &mut self.attack_rng,
             members: &self.members,
         });
+        // A scripted deployment has no client and no ordering service to
+        // seek: its blocks come from `FabricNet::inject`.
+        let orderer = (!self.schedule.is_empty()).then_some(NodeId(self.params.peers as u32));
         let fx = SimFx {
             ctx,
             me: node,
+            orderer,
             members: &self.members,
             pending_commits,
             validation_free,
@@ -93,6 +97,9 @@ impl FabricNet {
 pub(super) struct SimFx<'a, 'c> {
     ctx: &'a mut Ctx<'c, NetMsg, NetTimer>,
     me: NodeId,
+    /// The ordering service a seek goes to; `None` in a scripted
+    /// deployment.
+    orderer: Option<NodeId>,
     /// Ground-truth membership per channel.
     members: &'a [Vec<PeerId>],
     pending_commits: &'a mut VecDeque<(ChannelId, BlockRef)>,
@@ -212,6 +219,13 @@ impl Effects for SimFx<'_, '_> {
         self.pending_commits.push_back((channel, block));
         self.ctx
             .set_timer(self.me, done.since(now), NetTimer::CommitDone);
+    }
+
+    fn seek(&mut self, channel: ChannelId, from: u64) {
+        if let Some(orderer) = self.orderer {
+            self.ctx
+                .send(self.me, orderer, NetMsg::Seek { channel, from });
+        }
     }
 
     fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {

@@ -128,6 +128,7 @@ impl FabricNet {
         );
         let led = self.peers[peer.index()].gossip.is_leader_on(channel);
         self.members[c].remove(pos);
+        self.feeds[c].forget(peer);
         self.peers[peer.index()].gossip.leave_channel(channel);
         let now = ctx.now();
         if led {

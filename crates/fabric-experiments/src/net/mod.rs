@@ -13,8 +13,10 @@
 //! which simulate the chaincode against their committed per-channel state
 //! and sign; the client forwards the endorsed transaction to the orderer,
 //! whose per-channel block cutter batches it; consensus is modeled by the
-//! configured latency; cut blocks go to the channel's current leader(s),
-//! and the channel's gossip instance takes it from there. Every peer pays
+//! configured latency; each cut block goes to the latest seeker of each
+//! organization — the seated leader's deliver client, which asks for
+//! every block from its store height on when it takes the seat — and the
+//! channel's gossip instance takes it from there. Every peer pays
 //! the configured validation cost per delivered transaction on a single
 //! serial pipeline shared by its channels, which queues its message
 //! processing exactly like a busy CPU would.
@@ -67,6 +69,7 @@ mod recorder;
 
 use lifecycle::{may_leave, STATIC_MEMBERSHIP};
 pub use lifecycle::{ChurnAction, ChurnEvent};
+use pipeline::Feed;
 pub use pipeline::{NetMsg, NetTimer};
 pub use recorder::{Catchup, ViewConvergence};
 use recorder::{Fact, Recorder};
@@ -270,6 +273,9 @@ pub struct FabricNet {
     /// so attaching one re-rolls no honest draw.
     attack_rng: StdRng,
     orderer: OrderingService,
+    /// Per channel, what the ordering service delivered and to whom it
+    /// streams.
+    feeds: Vec<Feed>,
     /// The client's invocations in issue order: plain 24-byte rows of a
     /// time and a number, so the schedule holds nothing on the heap
     /// beyond its one buffer.
@@ -470,6 +476,7 @@ impl FabricNet {
             msp,
             peers,
             members: channels.iter().map(|rt| rt.spec.members.clone()).collect(),
+            feeds: channels.iter().map(|rt| Feed::new(rt.spec.orgs)).collect(),
             channels,
             attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             orderer,

@@ -12,6 +12,36 @@ use fabric_workload::client::endorse_invocation;
 use super::recorder::Fact;
 use super::FabricNet;
 
+/// The deliver side of one channel's ordering service: the chain it
+/// serves and who it streams to.
+#[derive(Debug)]
+pub(super) struct Feed {
+    /// Every block consensus finished on, in the order it finished.
+    delivered: Vec<BlockRef>,
+    /// Per organization, the peer each new block goes to: the latest of
+    /// its members to seek, until it leaves the channel.
+    seekers: Vec<Option<NodeId>>,
+}
+
+impl Feed {
+    /// A feed serving `orgs` organizations, nothing delivered yet.
+    pub(super) fn new(orgs: usize) -> Self {
+        Feed {
+            delivered: Vec::new(),
+            seekers: vec![None; orgs],
+        }
+    }
+
+    /// Stops streaming to `peer`, which left the channel.
+    pub(super) fn forget(&mut self, peer: PeerId) {
+        for seeker in &mut self.seekers {
+            if *seeker == Some(NodeId(peer.0)) {
+                *seeker = None;
+            }
+        }
+    }
+}
+
 /// Messages on the simulated wire.
 #[derive(Debug, Clone)]
 pub enum NetMsg {
@@ -36,7 +66,16 @@ pub enum NetMsg {
         /// The endorsed transaction.
         tx: Box<Transaction>,
     },
-    /// Orderer → leader peer: a freshly cut block of `channel`.
+    /// Leader peer → orderer: send every block of `channel` numbered
+    /// `from` or higher, then each new one (Fabric's deliver request).
+    Seek {
+        /// The channel whose blocks the seat holder asks for.
+        channel: ChannelId,
+        /// The first block number asked for: the leader's store height.
+        from: u64,
+    },
+    /// Orderer → the latest seeker of an organization: a block of
+    /// `channel`.
     DeliverBlock {
         /// The channel the block belongs to.
         channel: ChannelId,
@@ -56,6 +95,7 @@ impl desim::Message for NetMsg {
             NetMsg::Propose { .. } => 320, // chaincode name, args, client cert
             NetMsg::Endorsed { tx, .. } => 48 + tx.wire_size(),
             NetMsg::Submit { tx, .. } => 48 + tx.wire_size(),
+            NetMsg::Seek { .. } => 48 + 8, // the block number to start at
             NetMsg::DeliverBlock { block, .. } => 48 + block.wire_size(),
         }
     }
@@ -82,7 +122,7 @@ impl desim::Message for NetMsg {
 
 /// The metrics tags of the pipeline's own messages, at their
 /// [`NetMsg::kind_index`].
-const PIPELINE_KINDS: [&str; 4] = ["propose", "endorsed", "submit", "orderer-deliver"];
+const PIPELINE_KINDS: [&str; 5] = ["propose", "endorsed", "submit", "orderer-deliver", "seek"];
 
 /// CPU cost of simulating + signing one endorsement.
 const ENDORSE_COST: Duration = Duration::from_millis(2);
@@ -98,6 +138,7 @@ impl NetMsg {
             NetMsg::Endorsed { .. } => Ok(1),
             NetMsg::Submit { .. } => Ok(2),
             NetMsg::DeliverBlock { .. } => Ok(3),
+            NetMsg::Seek { .. } => Ok(4),
         }
     }
 }
@@ -121,8 +162,8 @@ pub enum NetTimer {
         /// The per-channel batch epoch (stale epochs are ignored).
         epoch: u64,
     },
-    /// Consensus finished for a cut block; deliver it to `channel`'s
-    /// leader(s).
+    /// Consensus finished for a cut block: it joins `channel`'s
+    /// delivered chain and goes to the channel's seekers.
     DeliverCut {
         /// The channel the block belongs to.
         channel: ChannelId,
@@ -337,50 +378,48 @@ impl FabricNet {
         );
     }
 
+    /// Consensus finished on `block`: it joins the delivered chain, and
+    /// each organization's latest seeker gets it.
     fn deliver_cut(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NetTimer>,
         channel: ChannelId,
         block: BlockRef,
     ) {
-        let rt = &self.channels[channel.index()];
-        // One delivery per organization, to that organization's leader(s)
-        // among the channel's current members.
-        let leaders: Vec<NodeId> = self.members[channel.index()]
-            .iter()
-            .filter(|m| {
-                self.peers[m.index()].gossip.is_leader_on(channel) && ctx.net().is_up(NodeId(m.0))
-            })
-            .map(|m| NodeId(m.0))
-            .collect();
-        let orgs_covered: std::collections::BTreeSet<usize> = leaders
-            .iter()
-            .filter_map(|n| rt.org_of[n.index()])
-            .collect();
-        if orgs_covered.len() < rt.spec.orgs {
-            // Some organization has no live leader (a seat in hand-off, or
-            // a static leader down until its reboot): retry shortly, like a
-            // leader re-connecting to the ordering service would.
-            // Re-delivery to covered organizations is harmless — peers
-            // deduplicate content.
-            ctx.set_timer(
-                self.orderer_node(),
-                Duration::from_millis(500),
-                NetTimer::DeliverCut {
-                    channel,
-                    block: block.clone(),
-                },
-            );
+        let orderer = self.orderer_node();
+        let feed = &mut self.feeds[channel.index()];
+        for &seeker in feed.seekers.iter().flatten() {
+            let block = block.clone();
+            ctx.send(orderer, seeker, NetMsg::DeliverBlock { channel, block });
         }
-        for leader in leaders {
-            ctx.send(
-                self.orderer_node(),
-                leader,
-                NetMsg::DeliverBlock {
-                    channel,
-                    block: block.clone(),
-                },
-            );
+        feed.delivered.push(block);
+    }
+
+    /// A member's deliver request: it becomes its organization's seeker
+    /// on `channel` and gets every delivered block numbered `from` or
+    /// higher. The ordering service serves members only (Fabric's channel
+    /// readers policy), so a seek that arrives after its sender left is
+    /// dropped.
+    fn handle_seek(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NetTimer>,
+        peer: NodeId,
+        channel: ChannelId,
+        from: u64,
+    ) {
+        let c = channel.index();
+        if !self.members[c].contains(&PeerId(peer.0)) {
+            return;
+        }
+        // Churned channels are single-organization: a joiner the plan did
+        // not schedule has no entry, and sits in organization 0.
+        let org = self.channels[c].org_of[peer.index()].unwrap_or(0);
+        let orderer = self.orderer_node();
+        let feed = &mut self.feeds[c];
+        feed.seekers[org] = Some(peer);
+        for block in feed.delivered.iter().filter(|b| b.number() >= from) {
+            let block = block.clone();
+            ctx.send(orderer, peer, NetMsg::DeliverBlock { channel, block });
         }
     }
 
@@ -434,6 +473,13 @@ impl desim::Protocol for FabricNet {
             NetMsg::Submit { channel, tx } => {
                 debug_assert_eq!(to, self.orderer_node());
                 self.handle_submit(ctx, channel, *tx);
+            }
+            NetMsg::Seek {
+                channel,
+                from: first,
+            } => {
+                debug_assert_eq!(to, self.orderer_node());
+                self.handle_seek(ctx, from, channel, first);
             }
         }
     }

@@ -26,13 +26,14 @@ pub(super) enum Fact {
     /// its catch-up must pass.
     Joined { target: u64 },
     /// The peer left; the members handed in beside it are the ones left
-    /// to notice.
+    /// to notice. A catch-up it had open ends there, incomplete.
     Left,
     /// The peer held the seat and lost it untraced, by leaving or powering
     /// off: the seat is empty until the next claim.
     Unseated,
-    /// Block `n` reached the peer from the ordering service, the instant
-    /// its dissemination starts (t0 of the latency matrix).
+    /// Block `n` reached the peer from the ordering service: if the peer
+    /// is a member, the instant its dissemination starts (t0 of the
+    /// latency matrix).
     Ordered(u64),
     /// A turn of the peer moved its block store: the store's contiguous
     /// `height` and snapshot `floor` after the turn, and the peer's
@@ -174,6 +175,7 @@ impl Recorder {
                     joined_at: now,
                     target,
                     completed_at: (target == 0).then_some(now),
+                    left_at: None,
                     bytes: 0,
                     blocks_replayed: 0,
                     snapshot_height: 0,
@@ -189,11 +191,20 @@ impl Recorder {
                 }
                 rt.convergence
                     .push(ViewConvergence::new(peer, channel, now, false, members));
+                // A rejoin opens a record of its own; this one never
+                // completes.
+                for c in open(&mut self.catchups, peer, channel) {
+                    c.left_at = Some(now);
+                }
             }
             Fact::Unseated => {
                 rt.gap_open.get_or_insert(now);
             }
-            Fact::Ordered(n) => rt.latency.start_block(n, now),
+            Fact::Ordered(n) => {
+                if members.contains(&peer) {
+                    rt.latency.start_block(n, now);
+                }
+            }
             Fact::Stored {
                 height,
                 floor,
@@ -203,11 +214,7 @@ impl Recorder {
                 // Once the store covers a join-time head, that catch-up is
                 // complete, split into what a snapshot absorbed and what
                 // was replayed block by block.
-                for c in self
-                    .catchups
-                    .iter_mut()
-                    .filter(|c| c.completed_at.is_none() && c.peer == peer && c.channel == channel)
-                {
+                for c in open(&mut self.catchups, peer, channel) {
                     if height > c.target {
                         c.completed_at = Some(now);
                         c.snapshot_height = floor;
@@ -221,11 +228,7 @@ impl Recorder {
                 self.commit_errors += u64::from(!ok);
             }
             Fact::Transfer { bytes, chunk } => {
-                if let Some(c) = self
-                    .catchups
-                    .iter_mut()
-                    .find(|c| c.completed_at.is_none() && c.peer == peer && c.channel == channel)
-                {
+                if let Some(c) = open(&mut self.catchups, peer, channel).next() {
                     c.bytes += bytes;
                     if chunk {
                         c.max_msg_bytes = c.max_msg_bytes.max(bytes);
@@ -234,6 +237,17 @@ impl Recorder {
             }
         }
     }
+}
+
+/// `peer`'s catch-ups on `channel` still running, oldest first.
+fn open(
+    catchups: &mut [Catchup],
+    peer: PeerId,
+    channel: ChannelId,
+) -> impl Iterator<Item = &mut Catchup> {
+    catchups.iter_mut().filter(move |c| {
+        (c.peer, c.channel) == (peer, channel) && c.completed_at.is_none() && c.left_at.is_none()
+    })
 }
 
 /// The catch-up record of one runtime join: a late joiner must converge to
@@ -249,8 +263,11 @@ pub struct Catchup {
     /// The channel's chain head (last cut block number) at join time.
     pub target: u64,
     /// When the joiner's contiguous height first covered `target`
-    /// (`None` while still catching up).
+    /// (`None` while still catching up, and for good once it left).
     pub completed_at: Option<Time>,
+    /// When the joiner left the channel before completing: the record
+    /// ends there, and a rejoin opens a new one.
+    pub left_at: Option<Time>,
     /// Catch-up transfer bytes received while open: recovery-response and
     /// snapshot-chunk wire bytes addressed to the joiner on this
     /// channel. Steady-state push/pull traffic is not counted — this is
@@ -359,7 +376,7 @@ impl ViewConvergence {
 
 #[cfg(test)]
 mod tests {
-    use desim::Duration;
+    use desim::{Duration, Time};
     use fabric_types::ids::{ChannelId, PeerId};
 
     use super::{Fact, Recorder};
@@ -398,6 +415,37 @@ mod tests {
             let replayed = render_churn("late joiner", &ChurnResult::read_off(sim));
             assert_eq!(replayed, text);
         }
+    }
+
+    /// Regression: every transfer byte went to the first open catch-up of
+    /// the peer, so after a leave and a rejoin the stale record took the
+    /// new life's bytes and completed along with it. A leave now ends the
+    /// open record: the flash joiner of `late_joiner(10, 40)` (no wave)
+    /// joins at 20 s, leaves at 20.3 s and rejoins at 23.3 s.
+    #[test]
+    fn one_recorder_a_rejoin_opens_a_record_of_its_own() {
+        let cfg = ChurnWavesConfig {
+            waves: 0,
+            ..ChurnWavesConfig::late_joiner(10, 40)
+        };
+        let joiner = PeerId(10);
+        let mut net = ScenarioNet::over(cfg.deployment());
+        net.run_for(Duration::from_millis(20_300));
+        assert!(net.members(1).contains(&joiner), "the flash crowd joined");
+        net.leave(1, joiner);
+        net.run_for(Duration::from_secs(3));
+        net.join(1, joiner);
+        net.run_for(Duration::from_secs(100));
+        let [first, second] = net.sim().protocol().catchups() else {
+            panic!("one record per join");
+        };
+        assert_eq!(first.joined_at, Time::from_secs(20));
+        assert_eq!(first.left_at, Some(Time::from_millis(20_300)));
+        assert_eq!(first.latency(), None, "a record left behind completed");
+        assert_eq!(second.joined_at, Time::from_millis(23_300));
+        assert!(second.latency().is_some(), "the rejoin never caught up");
+        assert!(second.bytes > 0, "the rejoin's transfer went elsewhere");
+        assert!(second.bytes > first.bytes);
     }
 
     /// A crash leaves every channel and powers the node off: each seat

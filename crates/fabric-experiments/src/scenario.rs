@@ -240,6 +240,29 @@ impl ScenarioNet {
         self.sim.run_until(deadline);
     }
 
+    /// Runs event by event until `done` holds after one, for at most
+    /// `limit`, and returns whether it held: the event-grained sibling of
+    /// [`ScenarioNet::time_until`], for a script that must act while a
+    /// message is on the wire.
+    pub fn step_until(
+        &mut self,
+        limit: Duration,
+        mut done: impl FnMut(&ScenarioNet) -> bool,
+    ) -> bool {
+        let deadline = self.sim.now() + limit;
+        let discovery = self.sim.protocol().params().gossip.discovery.protocol;
+        while self.sim.step_until(deadline) {
+            if discovery {
+                self.record_obituary_floors();
+            }
+            if done(self) {
+                return true;
+            }
+        }
+        self.sim.run_until(deadline);
+        false
+    }
+
     /// Runtime join, discovery-style: **only the joiner acts** — it joins
     /// live with the sitting membership as its roster and its discovery
     /// engine announces the join; nobody else is told anything. A crashed

@@ -282,7 +282,7 @@ fn event_content_hash_is_pinned() {
     assert_eq!(sim.protocol().committed(19), 10, "ten blocks everywhere");
     assert_eq!(
         pin,
-        (10_417, 688_678_919_373_048_887),
+        (10_474, 8_256_442_946_557_819_105),
         "event content moved"
     );
 }
@@ -297,7 +297,7 @@ fn original_event_content_is_pinned() {
     assert_eq!(digests, 3_000, "the run pulled");
     assert_eq!(
         pin(&sim),
-        (31_537, 10_404_560_148_057_097_024),
+        (31_566, 7_323_297_702_132_820_473),
         "event content moved"
     );
 }
@@ -310,7 +310,7 @@ fn churn_waves_event_content_is_pinned() {
     let (_, pin) = run_traced(ChurnWavesConfig::standard(2, 8, 40).deployment());
     assert_eq!(
         pin,
-        (149_960, 12_442_827_001_134_104_137),
+        (150_135, 5_806_714_444_332_395_592),
         "event content moved"
     );
 }
@@ -329,7 +329,7 @@ fn conflicts_event_content_is_pinned() {
     let (_, pin) = run_traced(cfg.deployment());
     assert_eq!(
         pin,
-        (37_997, 11_872_763_678_379_628_262),
+        (38_153, 1_489_050_387_889_032_237),
         "event content moved"
     );
 }
@@ -344,13 +344,17 @@ fn snapshot_on_churn_event_content_is_pinned() {
     let mut cfg = ChurnWavesConfig::late_joiner(8, 30).with_snapshots(8);
     cfg.seed = 9;
     let (_, pin) = run_traced(cfg.deployment());
-    assert_eq!(pin, (137_662, 1_544_385_630_789_119), "event content moved");
+    assert_eq!(
+        pin,
+        (137_333, 16_448_526_470_554_988_591),
+        "event content moved"
+    );
 
     cfg.gossip.snapshot.as_mut().unwrap().chunk_size = 256;
     let (_, pin) = run_traced(cfg.deployment());
     assert_eq!(
         pin,
-        (137_726, 16_530_025_182_494_461_379),
+        (137_807, 5_278_420_525_351_316_608),
         "event content moved"
     );
 }
@@ -406,10 +410,10 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
     let (sim, pin) = run_traced(cfg.deployment());
     let res = ChurnResult::read_off(sim);
 
-    assert_eq!(res.events, 109_094, "simulation event count shifted");
+    assert_eq!(res.events, 109_210, "simulation event count shifted");
     assert_eq!(
         pin,
-        (109_094, 1_457_682_962_321_912_981),
+        (109_210, 5_229_010_393_726_644_956),
         "event content moved"
     );
 
@@ -427,16 +431,17 @@ fn discovery_golden_trace_pins_events_and_byte_totals() {
         (alive, req, resp)
     };
     // Main channel: all 10 peers heartbeat and anti-entropy for the whole
-    // run; request and response totals match exactly (every request is
-    // answered, and both carry the same full-view payload on a channel
-    // with no churn). Nobody leaves it, and no view reaps a live member.
-    assert_eq!(discovery_bytes(ChannelId(0)), (4_651_320, 923_736, 923_736));
+    // run; requests and responses carry the same 264-byte full-view
+    // payload on a channel with no churn, and every request is answered
+    // but the last, whose answer is still on the wire as the run stops.
+    // Nobody leaves it, and no view reaps a live member.
+    assert_eq!(discovery_bytes(ChannelId(0)), (4_653_976, 923_736, 923_472));
     assert_eq!(res.channels[0].false_reaps, 0);
     // Side channel: fewer members, and tombstone probes to the departed
     // leader go unanswered — responses total less than requests.
     assert_eq!(
         discovery_bytes(ChannelId(1)),
-        (3_989_312, 1_343_832, 763_296)
+        (3_987_984, 1_345_056, 767_928)
     );
 
     // The trace stays meaningful: both chains advanced and the leader
@@ -560,7 +565,7 @@ fn reboot_requeue_event_content_is_pinned() {
     );
     assert_eq!(
         pin(&sim),
-        (36_157, 6_586_966_021_559_473_802),
+        (37_201, 13_727_757_160_581_783_986),
         "event content moved"
     );
 }

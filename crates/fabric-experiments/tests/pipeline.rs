@@ -3,6 +3,7 @@
 
 use desim::{Duration, NetworkConfig, Simulation, Time};
 use fabric_experiments::churn_waves::ChurnWavesConfig;
+use fabric_experiments::conflicts::ConflictConfig;
 use fabric_experiments::deployment::Deployment;
 use fabric_experiments::dissemination::DisseminationConfig;
 use fabric_experiments::net::{ChurnAction, FabricNet, NetParams};
@@ -112,6 +113,46 @@ fn validation_delay_defers_commit_but_not_reception() {
         2,
         "commit landed"
     );
+}
+
+/// The three static workloads of the benchmark at its smoke scale, plus
+/// the enhanced one split in two organizations: each organization's
+/// roster minimum seeks at its start and is the one peer the orderer
+/// streams to, so every cut block goes out once per organization. The
+/// seek adds its own messages to the wire and nothing else.
+#[test]
+fn leaders_seek_one_delivery_per_block_per_organization() {
+    let dissemination = |mut cfg: DisseminationConfig, orgs| {
+        cfg = cfg.scaled(1_000);
+        (cfg.peers, cfg.network, cfg.orgs) = (40, NetworkConfig::lan(42), orgs);
+        cfg.deployment()
+    };
+    let mut conflicts =
+        ConflictConfig::paper(GossipConfig::enhanced_f4(), Duration::from_secs(1)).scaled(20, 10);
+    (conflicts.peers, conflicts.network) = (30, NetworkConfig::lan(32));
+    let runs = [
+        (
+            dissemination(DisseminationConfig::fig04_06_original(), 1),
+            1,
+        ),
+        (
+            dissemination(DisseminationConfig::fig07_09_enhanced_f4(), 1),
+            1,
+        ),
+        (
+            dissemination(DisseminationConfig::fig07_09_enhanced_f4(), 2),
+            2,
+        ),
+        (conflicts.deployment(), 1),
+    ];
+    for (d, orgs) in runs {
+        let sim = d.run();
+        let count = |kind| sim.metrics().kind(kind).map_or(0, |k| k.count);
+        let blocks = sim.protocol().blocks_cut();
+        assert!(blocks > 0);
+        assert_eq!(count("orderer-deliver"), blocks * orgs);
+        assert!(count("seek") >= orgs, "every organization's leader seeks");
+    }
 }
 
 #[test]

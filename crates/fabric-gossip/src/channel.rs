@@ -15,7 +15,10 @@
 //! nobody else ever takes it (Fabric's `orgLeader`). Under gossiped
 //! discovery the most senior live claim leads
 //! ([`DiscoveryEngine::self_is_most_senior`]), re-enforced on every
-//! discovery step: that is the failover path.
+//! discovery step: that is the failover path. The seat is the
+//! organization's deliver client: it seeks the ordering service from its
+//! store height when taken, and again when a recovery round finds the
+//! height where the last one left it ([`Effects::seek`]).
 
 use desim::{Duration, KindBytes, Message as _};
 use rand::RngExt;
@@ -265,6 +268,9 @@ pub struct ChannelState {
     /// the ordering service. Moved only by [`ChannelState::set_leader`]
     /// (and silently cleared by a crash).
     is_leader: bool,
+    /// The store's height at the last recovery round: a seat whose height
+    /// stood still from one round to the next seeks again.
+    round_height: u64,
     push: PushEngine,
     pull: PullEngine,
     recovery: RecoveryEngine,
@@ -277,6 +283,7 @@ impl ChannelState {
     pub(crate) fn new(core: ChannelCore) -> Self {
         ChannelState {
             is_leader: core.static_seat,
+            round_height: 0,
             push: PushEngine::default(),
             pull: PullEngine::default(),
             recovery: RecoveryEngine::new(&core),
@@ -308,18 +315,32 @@ impl ChannelState {
     }
 
     /// Moves the seat, tracing an actual change (and only that) as
-    /// [`ProtocolEvent::Seat`].
+    /// [`ProtocolEvent::Seat`]. A seat gained seeks the ordering service.
     fn set_leader(&mut self, fx: &mut dyn Effects, leads: bool) {
         if self.is_leader != leads {
             self.is_leader = leads;
             fx.trace(self.core.channel, ProtocolEvent::Seat(leads));
+            if leads {
+                self.seek(fx);
+            }
         }
+    }
+
+    /// Asks the ordering service for every block from the store's height
+    /// on ([`Effects::seek`]).
+    fn seek(&self, fx: &mut dyn Effects) {
+        fx.seek(self.core.channel, self.core.store.height());
     }
 
     /// Arms the periodic timers of this channel instance. Periods get a
     /// uniformly random initial phase so rounds de-synchronize across
     /// peers, as in a real deployment.
     pub fn init(&mut self, fx: &mut dyn Effects) {
+        // A start in the seat seeks at once; a seat taken later seeks as
+        // it is taken.
+        if self.is_leader {
+            self.seek(fx);
+        }
         if let Some(pull) = &self.core.cfg.pull {
             let phase = random_phase(fx, pull.tpull);
             self.core.schedule(fx, phase, GossipTimer::PullRound);
@@ -354,6 +375,7 @@ impl ChannelState {
         self.push.clear_volatile();
         self.pull.clear_volatile();
         self.is_leader = false;
+        self.round_height = 0;
         self.recovery.clear_volatile();
         self.discovery.clear_volatile();
     }
@@ -451,7 +473,15 @@ impl ChannelState {
             GossipTimer::PullDigestWait { nonce } => {
                 self.pull.on_digest_wait(&mut self.core, fx, nonce)
             }
-            GossipTimer::RecoveryRound => self.recovery.on_recovery_round(&mut self.core, fx),
+            GossipTimer::RecoveryRound => {
+                self.recovery.on_recovery_round(&mut self.core, fx);
+                // No block for a whole round: what the ordering service
+                // sent was lost, or never sent. The seat asks again.
+                let height = self.core.store.height();
+                if std::mem::replace(&mut self.round_height, height) == height && self.is_leader {
+                    self.seek(fx);
+                }
+            }
             GossipTimer::StateInfoRound => self.recovery.on_state_info_round(&mut self.core, fx),
             GossipTimer::AliveRound => self.on_alive_round(fx),
             GossipTimer::DiscoveryRound => {
@@ -658,6 +688,79 @@ mod tests {
         assert_eq!(fx.traced, seated);
     }
 
+    /// Block `num` of an unlinked test chain, as an arrival.
+    fn arrive(s: &mut ChannelState, fx: &mut MockEffects, num: u64) {
+        let block = Block::new(num, fabric_types::crypto::Hash256::ZERO, vec![]);
+        assert!(s.core_mut().accept_content(fx, &BlockRef::new(block)));
+    }
+
+    #[test]
+    fn leaders_seek_at_start_and_on_a_reboot() {
+        let mut fx = MockEffects::new(1);
+        let mut leader = state(0, 0..4, GossipConfig::enhanced_f4());
+        leader.init(&mut fx);
+        assert_eq!(fx.sought, [(ChannelId::DEFAULT, 1)], "a seated start");
+        arrive(&mut leader, &mut fx, 1);
+        leader.on_crash();
+        leader.init(&mut fx);
+        // Once, from the height the crash kept: the seat taken back seeks,
+        // and the start does not seek again.
+        assert_eq!(
+            fx.sought,
+            [(ChannelId::DEFAULT, 1), (ChannelId::DEFAULT, 2)]
+        );
+        let mut follower = state(1, 0..4, GossipConfig::enhanced_f4());
+        follower.init(&mut fx);
+        assert_eq!(fx.sought.len(), 2, "a follower never seeks");
+    }
+
+    #[test]
+    fn leaders_seek_when_they_take_the_seat() {
+        let cfg = GossipConfig::enhanced_f4().with_discovery_protocol();
+        let mut s = state(1, 0..4, cfg);
+        let mut fx = MockEffects::new(1);
+        s.init(&mut fx);
+        arrive(&mut s, &mut fx, 1);
+        assert!(fx.sought.is_empty());
+        let dead = PeerAlive {
+            peer: PeerId(0),
+            incarnation: 1,
+            seq: 1,
+        };
+        let obituary = GossipMsg::MembershipResponse {
+            entries: vec![],
+            dead: vec![dead],
+        };
+        s.on_message(&mut fx, PeerId(2), obituary);
+        assert!(s.is_leader());
+        assert_eq!(fx.sought, [(ChannelId::DEFAULT, 2)], "the successor seeks");
+    }
+
+    #[test]
+    fn leaders_seek_again_when_a_round_finds_the_height_unmoved() {
+        let mut fx = MockEffects::new(1);
+        let mut leader = state(0, 0..4, GossipConfig::enhanced_f4());
+        let mut follower = state(1, 0..4, GossipConfig::enhanced_f4());
+        leader.init(&mut fx);
+        follower.init(&mut fx);
+        let round = |s: &mut ChannelState, fx: &mut MockEffects| {
+            s.on_timer(fx, GossipTimer::RecoveryRound);
+            fx.sought.len()
+        };
+        // The first round only notes the height; the next finds it there.
+        assert_eq!(round(&mut leader, &mut fx), 1);
+        assert_eq!(round(&mut leader, &mut fx), 2);
+        assert_eq!(fx.sought[1], (ChannelId::DEFAULT, 1));
+        // A block in between: the height moved, nothing to ask for.
+        arrive(&mut leader, &mut fx, 1);
+        assert_eq!(round(&mut leader, &mut fx), 2);
+        assert_eq!(round(&mut leader, &mut fx), 3);
+        assert_eq!(fx.sought[2], (ChannelId::DEFAULT, 2));
+        for _ in 0..3 {
+            assert_eq!(round(&mut follower, &mut fx), 3, "a follower never seeks");
+        }
+    }
+
     /// A `MockEffects` that also writes each trace and delivery, in call
     /// order, to one log, so a test sees their order inside one call.
     struct OneLog(MockEffects, Vec<String>);
@@ -678,6 +781,9 @@ mod tests {
         fn deliver(&mut self, channel: ChannelId, block: BlockRef) {
             self.1.push(format!("deliver {}", block.number()));
             self.0.deliver(channel, block)
+        }
+        fn seek(&mut self, channel: ChannelId, from: u64) {
+            self.0.seek(channel, from)
         }
         fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {
             self.1.push(format!("{event:?}"));

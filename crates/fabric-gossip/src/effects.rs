@@ -7,6 +7,16 @@
 //! [`crate::testing::MockEffects`], which unit tests use to assert on
 //! exactly what the protocol did.
 //!
+//! The host acts on five calls: [`Effects::send`] to a peer,
+//! [`Effects::schedule`] a timer, [`Effects::deliver`] a block to the
+//! ledger, [`Effects::snapshot_installed`], and [`Effects::seek`] — the
+//! seated leader's deliver client asking the ordering service for every
+//! block from its store height on. The leader seeks when it takes the
+//! seat (a first start seated included) and again while it holds it
+//! whenever a whole recovery interval passes without its height moving;
+//! the ordering service streams to the latest seeker of each
+//! organization, so it never reads who leads.
+//!
 //! What the host only observes arrives through one method,
 //! [`Effects::trace`], as a [`ProtocolEvent`]. The simulation records it in
 //! one place: `SimFx::trace` hands every event to the deployment's
@@ -46,6 +56,11 @@ pub trait Effects {
     /// Called when `block` becomes deliverable in height order on
     /// `channel` — the ledger-commit point.
     fn deliver(&mut self, channel: ChannelId, block: BlockRef);
+
+    /// Asks the ordering service for every block of `channel` numbered
+    /// `from` or higher, and for each block cut after them: Fabric's
+    /// deliver client, which only a seated leader runs.
+    fn seek(&mut self, channel: ChannelId, from: u64);
 
     /// Reports an observation-only fact on `channel`, in protocol order;
     /// nothing the host does here feeds back into the protocol.

@@ -1,8 +1,8 @@
 //! Test support: a scriptable [`Effects`] implementation.
 //!
 //! `MockEffects` records everything the protocol asks for — sends, timers,
-//! deliveries, traced events — so unit and integration tests can assert on
-//! the exact behaviour of a [`crate::peer::GossipPeer`] without any engine.
+//! deliveries, seeks, traced events — so unit and integration tests can
+//! assert on the exact behaviour of a [`crate::peer::GossipPeer`] without any engine.
 //! Sends and timers are stored once, channel-tagged; the historical channel-less
 //! accessors ([`MockEffects::take_sent`], [`MockEffects::take_scheduled`],
 //! [`MockEffects::sent_of_kind`]) project the tag away so single-channel
@@ -33,6 +33,9 @@ pub struct MockEffects {
     pub scheduled_on: Vec<(Duration, ChannelId, GossipTimer)>,
     /// Blocks delivered in order to the application.
     pub delivered: Vec<BlockRef>,
+    /// Every seek of the ordering service: the channel and the first
+    /// block number asked for, in order.
+    pub sought: Vec<(ChannelId, u64)>,
     /// Every traced event — first receptions, seat moves, view changes —
     /// in one log, in the order the protocol traced them.
     pub traced: Vec<(ChannelId, ProtocolEvent)>,
@@ -49,6 +52,7 @@ impl MockEffects {
             sent_on: Vec::new(),
             scheduled_on: Vec::new(),
             delivered: Vec::new(),
+            sought: Vec::new(),
             traced: Vec::new(),
             installed: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -122,6 +126,10 @@ impl Effects for MockEffects {
 
     fn deliver(&mut self, _channel: ChannelId, block: BlockRef) {
         self.delivered.push(block);
+    }
+
+    fn seek(&mut self, channel: ChannelId, from: u64) {
+        self.sought.push((channel, from));
     }
 
     fn trace(&mut self, channel: ChannelId, event: ProtocolEvent) {

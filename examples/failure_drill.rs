@@ -1,6 +1,7 @@
 //! Failure drill: power the leader off mid-run under gossiped discovery
-//! (the most senior survivor takes the seat over), power a follower off
-//! and on again, and watch recovery repair the damage.
+//! (the most senior survivor takes the seat over and seeks the orderer
+//! from its height), power a follower off and on again, and watch
+//! recovery repair the damage — at 1 % packet loss.
 //!
 //! ```text
 //! cargo run --release --example failure_drill
@@ -26,11 +27,9 @@ fn main() {
     let params = NetParams::new(peers, gossip, orderer);
     let schedule = payload_schedule(&PayloadWorkload::shortened(3_000));
 
-    // Sized to the deployment below. No packet loss: the orderer hands each
-    // cut block to the leader once, so a block lost on that one link is
-    // lost to the whole channel — a defect of the orderer edge, not of the
-    // failover this drill shows.
-    let network = NetworkConfig::lan(0);
+    // Sized to the deployment below; 1 % of all packets are lost.
+    let mut network = NetworkConfig::lan(0);
+    network.loss = 0.01;
 
     // The drill is stepped by hand, so the drain window goes unused.
     let d = Deployment::new(params, schedule, &network, 7, Duration::ZERO);

@@ -109,6 +109,42 @@ fn leader_crash_with_dynamic_election_keeps_blocks_flowing() {
     }
 }
 
+/// Regression: `churn_waves` seed 5058 left channel 1 at completeness
+/// 0.193. The orderer handed a block to the leader once, the leader left
+/// while it was on the wire, and no member ever held it: recovery asks
+/// peers only, and the orderer re-sent only while a whole organization
+/// had no leader. The successor now seeks every block from its height as
+/// it takes the seat, so each member reaches the head.
+#[test]
+fn leaders_seek_a_block_in_flight_to_a_leaver_reaches_every_member() {
+    let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
+    let deliveries = |net: &ScenarioNet| {
+        let kind = net.sim().metrics().kind("orderer-deliver");
+        kind.map_or(0, |k| k.count)
+    };
+    for seed in [1, 2, 3] {
+        let mut net = deployment(20, 1_000, gossip.clone(), seed);
+        net.run_for(Duration::from_secs(10));
+        assert_eq!(net.leaders(0), [PeerId(0)], "seed {seed}");
+        let sent = deliveries(&net);
+        let on_the_wire = net.step_until(Duration::from_secs(5), |net| deliveries(net) > sent);
+        assert!(on_the_wire, "seed {seed}: no block left the orderer");
+        let in_flight = net.head(0);
+        net.leave(0, PeerId(0));
+        net.run_for(Duration::from_secs(60));
+        assert_eq!(net.leaders(0), [PeerId(1)], "seed {seed}");
+        let head = net.head(0);
+        assert!(
+            head > in_flight,
+            "seed {seed}: blocks must flow after the leave"
+        );
+        for &m in net.members(0) {
+            let height = net.gossip(m.index()).height();
+            assert_eq!(height, head + 1, "seed {seed}: {m} is short of head {head}");
+        }
+    }
+}
+
 /// Regression: a crash clears the static seat and nothing restored it, so
 /// a rebooted roster minimum never led again and the orderer had nobody to
 /// deliver to.

@@ -54,9 +54,9 @@ fn original_gossip_does_the_same_simulated_work() {
     assert_eq!(
         disseminate(GossipConfig::original_fabric()),
         Work {
-            events: 10_507,
-            msgs_sent: 7_524,
-            wire_bytes: 148_892_888,
+            events: 10_521,
+            msgs_sent: 7_529,
+            wire_bytes: 149_056_574,
         }
     );
 }
@@ -66,9 +66,9 @@ fn enhanced_gossip_does_the_same_simulated_work() {
     assert_eq!(
         disseminate(GossipConfig::enhanced_f4()),
         Work {
-            events: 14_694,
-            msgs_sent: 12_728,
-            wire_bytes: 66_133_842,
+            events: 14_743,
+            msgs_sent: 12_770,
+            wire_bytes: 67_288_496,
         }
     );
 }
