@@ -231,13 +231,7 @@ impl ScenarioNet {
     /// every event under protocol discovery (a static roster records no
     /// obituary, so there it runs straight through).
     pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.sim.now() + d;
-        if self.sim.protocol().params().gossip.discovery.protocol {
-            while self.sim.step_until(deadline) {
-                self.record_obituary_floors();
-            }
-        }
-        self.sim.run_until(deadline);
+        self.advance(d, None);
     }
 
     /// Runs event by event until `done` holds after one, for at most
@@ -249,14 +243,28 @@ impl ScenarioNet {
         limit: Duration,
         mut done: impl FnMut(&ScenarioNet) -> bool,
     ) -> bool {
+        self.advance(limit, Some(&mut done))
+    }
+
+    /// The one loop of [`ScenarioNet::run_for`] and
+    /// [`ScenarioNet::step_until`]: it steps event by event while there
+    /// are obituary floors to ratchet or a `done` to ask, and otherwise
+    /// runs straight to the deadline.
+    fn advance(
+        &mut self,
+        limit: Duration,
+        mut done: Option<&mut dyn FnMut(&ScenarioNet) -> bool>,
+    ) -> bool {
         let deadline = self.sim.now() + limit;
         let discovery = self.sim.protocol().params().gossip.discovery.protocol;
-        while self.sim.step_until(deadline) {
-            if discovery {
-                self.record_obituary_floors();
-            }
-            if done(self) {
-                return true;
+        if discovery || done.is_some() {
+            while self.sim.step_until(deadline) {
+                if discovery {
+                    self.record_obituary_floors();
+                }
+                if done.as_mut().is_some_and(|done| done(self)) {
+                    return true;
+                }
             }
         }
         self.sim.run_until(deadline);

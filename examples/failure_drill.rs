@@ -82,5 +82,10 @@ fn main() {
         "recovery must have caught the rebooted peer up (gap {})",
         reference - rebooted
     );
+    // Every block the orderer cut reached both peers: none was lost to
+    // the channel on its way to a leader.
+    let cut = net.sim().protocol().blocks_cut_on(ChannelId::DEFAULT);
+    assert_eq!(reference, cut + 1, "peer 5 holds every cut block");
+    assert_eq!(rebooted, cut + 1, "peer 17 holds every cut block");
     println!("\nleader failover and crash recovery both worked ✓");
 }

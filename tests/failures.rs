@@ -26,6 +26,12 @@ fn deployment(peers: usize, txs: usize, gossip: GossipConfig, seed: u64) -> Scen
     ScenarioNet::over(d)
 }
 
+/// Messages of `kind` put on the wire so far (lost and dropped ones
+/// included).
+fn sent(net: &ScenarioNet, kind: &str) -> u64 {
+    net.sim().metrics().kind(kind).map_or(0, |k| k.count)
+}
+
 /// Lets `secs` seconds of simulated time pass.
 fn wait(secs: u64) -> ScenarioOp {
     ScenarioOp::Wait { secs }
@@ -118,10 +124,7 @@ fn leader_crash_with_dynamic_election_keeps_blocks_flowing() {
 #[test]
 fn leaders_seek_a_block_in_flight_to_a_leaver_reaches_every_member() {
     let gossip = GossipConfig::enhanced_f4().with_quick_discovery();
-    let deliveries = |net: &ScenarioNet| {
-        let kind = net.sim().metrics().kind("orderer-deliver");
-        kind.map_or(0, |k| k.count)
-    };
+    let deliveries = |net: &ScenarioNet| sent(net, "orderer-deliver");
     for seed in [1, 2, 3] {
         let mut net = deployment(20, 1_000, gossip.clone(), seed);
         net.run_for(Duration::from_secs(10));
@@ -138,6 +141,57 @@ fn leaders_seek_a_block_in_flight_to_a_leaver_reaches_every_member() {
             head > in_flight,
             "seed {seed}: blocks must flow after the leave"
         );
+        for &m in net.members(0) {
+            let height = net.gossip(m.index()).height();
+            assert_eq!(height, head + 1, "seed {seed}: {m} is short of head {head}");
+        }
+    }
+}
+
+/// A block the orderer sends to the leader is lost on the wire. No peer
+/// holds it, so recovery, which asks peers only, cannot repair it, and the
+/// leader's height stands still behind it. The next recovery round that
+/// finds the height unmoved seeks the orderer again, and the block reaches
+/// every member within two recovery rounds, with the seat never moving.
+#[test]
+fn leaders_seek_again_when_the_orderers_send_is_lost() {
+    let gossip = GossipConfig::enhanced_f4();
+    let rounds = gossip.recovery.interval * 2;
+    let deliveries = |net: &ScenarioNet| sent(net, "orderer-deliver");
+    for seed in [1, 2, 3] {
+        let mut net = deployment(20, 1_000, gossip.clone(), seed);
+        net.run_for(Duration::from_secs(10));
+        assert_eq!(net.leaders(0), [PeerId(0)], "seed {seed}");
+        let orderer = PeerId(net.sim().protocol().orderer_node().0);
+        let (sends, seeks) = (deliveries(&net), sent(&net, "seek"));
+
+        // Cut the orderer's link to the leader for exactly one send.
+        net.set_link(orderer, PeerId(0), false);
+        let dropped = net.step_until(Duration::from_secs(5), |net| deliveries(net) > sends);
+        net.set_link(orderer, PeerId(0), true);
+        assert!(dropped, "seed {seed}: no block left the orderer");
+        assert_eq!(net.sim().metrics().drops_partition(), 1, "seed {seed}");
+        let lost = net.head(0);
+
+        let holds_lost = |net: &mut ScenarioNet| {
+            let members = net.members(0);
+            members
+                .iter()
+                .all(|m| net.gossip(m.index()).height() > lost)
+        };
+        let caught_up = net.time_until(rounds, holds_lost);
+        assert!(
+            caught_up.is_some(),
+            "seed {seed}: block {lost} missing after two recovery rounds"
+        );
+        assert!(
+            sent(&net, "seek") > seeks,
+            "seed {seed}: the leader sought again"
+        );
+        assert_eq!(net.leaders(0), [PeerId(0)], "seed {seed}");
+
+        net.run_for(Duration::from_secs(60));
+        let head = net.head(0);
         for &m in net.members(0) {
             let height = net.gossip(m.index()).height();
             assert_eq!(height, head + 1, "seed {seed}: {m} is short of head {head}");
